@@ -1,0 +1,668 @@
+//! Configuration management: placing compiled configurations, streaming
+//! them (in full or as a word delta) over the serial configuration bus,
+//! preempting and resuming loads, and unloading.
+
+use std::collections::HashMap;
+
+use super::fire::{ObjPorts, ObjState, PortList, Rule, RuntimeObject};
+use super::{Array, ConfigId};
+use crate::channel::Channel;
+use crate::compiled::{CompiledConfig, ConfigWord, PortDir};
+use crate::error::{Error, Result};
+#[cfg(feature = "faults")]
+use crate::fault::{FaultInjector, FaultKind};
+use crate::netlist::Netlist;
+use crate::place::Placement;
+use crate::word::{Event, Word};
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) enum ConfigState {
+    Loading {
+        remaining: u64,
+    },
+    Running,
+    /// The load went wrong (injected fault); the configuration holds its
+    /// resources but will never run and must be unloaded.
+    #[cfg(feature = "faults")]
+    Faulted(FaultKind),
+}
+
+/// A resumable word-boundary checkpoint of a preempted configuration load.
+///
+/// Captures the cursor of a load that [`Array::preempt_load`] pulled off
+/// the serial configuration bus: how many words had already streamed and
+/// how many the allocation still owes. The configuration keeps every
+/// placed resource and its frozen `Loading` state while preempted;
+/// [`Array::resume_load`] re-queues it so the bus streams only the
+/// remaining words. Completed words are never re-streamed, so config-bus
+/// word accounting and energy match an uninterrupted load exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoadCheckpoint {
+    config: ConfigId,
+    words_streamed: u64,
+    words_remaining: u64,
+}
+
+impl LoadCheckpoint {
+    /// The configuration this checkpoint belongs to.
+    pub fn config(&self) -> ConfigId {
+        self.config
+    }
+
+    /// Words already streamed over the bus before preemption.
+    pub fn words_streamed(&self) -> u64 {
+        self.words_streamed
+    }
+
+    /// Words the bus still owes the configuration (allocation cursor).
+    pub fn words_remaining(&self) -> u64 {
+        self.words_remaining
+    }
+}
+
+#[derive(Debug)]
+pub(super) struct LoadedConfig {
+    name: String,
+    pub(super) state: ConfigState,
+    /// Total configuration words the load streams over the bus; together
+    /// with `Loading::remaining` this gives the word-boundary cursor a
+    /// [`LoadCheckpoint`] reports.
+    load_words: u64,
+    pub(super) objects: Vec<usize>,
+    dchans: Vec<usize>,
+    echans: Vec<usize>,
+    placement: Placement,
+    pub(super) ports: HashMap<String, (usize, PortDir)>,
+    /// The configuration's canonical word stream (address-sorted), kept so
+    /// a later [`Array::configure_delta`] can diff a target against what
+    /// this resident shape holds in its configuration registers.
+    words: Vec<ConfigWord>,
+    /// Shared schedule slot of the compiled configuration this load came
+    /// from: captured steady-state schedules are published here so they
+    /// travel with the `Arc<CompiledConfig>` to other arrays.
+    pub(super) schedule_cell: std::sync::Arc<crate::schedule::ScheduleCell>,
+    /// Fault assigned to this load by the injector, cleared when a recovery
+    /// layer surfaces it (see [`Array::clear_injected_fault`]).
+    #[cfg(feature = "faults")]
+    fault: Option<FaultKind>,
+    /// Bus words remaining at which an [`FaultKind::AbortLoad`] strikes
+    /// (half the load window).
+    #[cfg(feature = "faults")]
+    fault_at: u64,
+}
+
+impl Array {
+    /// Attaches a shared fault injector; every subsequent configuration
+    /// load consults its plan. A supervisor re-attaches the same injector
+    /// to a replacement array after a crash so the schedule continues.
+    #[cfg(feature = "faults")]
+    pub fn attach_fault_injector(&mut self, injector: std::sync::Arc<FaultInjector>) {
+        self.injector = Some(injector);
+    }
+
+    /// Placement footprint of a resident configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchConfig`] if the id is stale.
+    pub fn placement(&self, cfg: ConfigId) -> Result<&Placement> {
+        self.configs
+            .get(&cfg.0)
+            .map(|c| &c.placement)
+            .ok_or(Error::NoSuchConfig(cfg.0))
+    }
+
+    /// The name of a resident configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchConfig`] if the id is stale.
+    pub fn config_name(&self, cfg: ConfigId) -> Result<&str> {
+        self.configs
+            .get(&cfg.0)
+            .map(|c| c.name.as_str())
+            .ok_or(Error::NoSuchConfig(cfg.0))
+    }
+
+    /// True if the configuration has finished loading.
+    pub fn is_running(&self, cfg: ConfigId) -> bool {
+        matches!(
+            self.configs.get(&cfg.0).map(|c| &c.state),
+            Some(ConfigState::Running)
+        )
+    }
+
+    /// The typed error a faulted load left behind, if any.
+    ///
+    /// Always available; without the `faults` feature (or with no injector
+    /// attached) this is always `None`. A faulted configuration keeps its
+    /// resources until [`unload`](Array::unload), so anyone waiting for
+    /// [`is_running`](Array::is_running) must poll this too or spin forever.
+    pub fn load_error(&self, cfg: ConfigId) -> Option<Error> {
+        #[cfg(feature = "faults")]
+        if let Some(ConfigState::Faulted(kind)) = self.configs.get(&cfg.0).map(|c| &c.state) {
+            return Some(match kind {
+                FaultKind::AbortLoad => Error::LoadAborted { config: cfg.0 },
+                _ => Error::ConfigCorrupted { config: cfg.0 },
+            });
+        }
+        let _ = cfg;
+        None
+    }
+
+    /// Clears the injected-fault record of a resident configuration,
+    /// returning `true` if one was present. Recovery layers call this when
+    /// disposing of a configuration so each injected fault is counted as
+    /// detected exactly once, even for stalls that never raise an error.
+    pub fn clear_injected_fault(&mut self, cfg: ConfigId) -> bool {
+        #[cfg(feature = "faults")]
+        if let Some(c) = self.configs.get_mut(&cfg.0) {
+            return c.fault.take().is_some();
+        }
+        let _ = cfg;
+        false
+    }
+
+    /// Clears the injected-fault records of *every* resident
+    /// configuration, returning how many there were. Supervisors call this
+    /// on an array they are about to discard wholesale (e.g. after a
+    /// worker crash) so pending faults still count as detected.
+    pub fn take_injected_faults(&mut self) -> u64 {
+        #[cfg(feature = "faults")]
+        let swept = self
+            .configs
+            .values_mut()
+            .filter_map(|c| c.fault.take())
+            .count() as u64;
+        #[cfg(not(feature = "faults"))]
+        let swept = 0;
+        swept
+    }
+
+    // ---- configuration management ------------------------------------
+
+    /// Places a netlist onto the array and queues it for loading over the
+    /// configuration bus.
+    ///
+    /// The configuration starts executing once loading completes (loading
+    /// progresses as the array runs). Resources are reserved immediately, so
+    /// a conflicting configuration is rejected up front.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::PlacementFailed`] if any resource class is exhausted.
+    pub fn configure(&mut self, netlist: &Netlist) -> Result<ConfigId> {
+        self.configure_compiled(&CompiledConfig::compile(netlist))
+    }
+
+    /// Loads a pre-compiled configuration: the load-time half of
+    /// [`configure`](Array::configure).
+    ///
+    /// Placement footprint and port maps were computed by
+    /// [`CompiledConfig::compile`]; this call only allocates array
+    /// resources, instantiates channels and objects from the compiled
+    /// templates, and queues the serial configuration-bus load. A
+    /// configuration manager holding `Arc<CompiledConfig>`s pays the
+    /// compile cost once per kernel, not once per load.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::PlacementFailed`] if any resource class is exhausted.
+    pub fn configure_compiled(&mut self, compiled: &CompiledConfig) -> Result<ConfigId> {
+        self.configure_internal(compiled, compiled.load_cycles)
+    }
+
+    /// Replaces a resident configuration with `target`, streaming only the
+    /// word-level difference between the two over the serial bus — the
+    /// differential reconfiguration the paper's Fig. 10 swap is built for.
+    ///
+    /// The resident configuration is unloaded (its resources freed exactly
+    /// as [`unload`](Array::unload) frees them, including retired-fire
+    /// bookkeeping) and the target is placed and queued like any other
+    /// load, except that the bus owes only
+    /// [`ConfigDelta::words`](crate::ConfigDelta::words) words instead of
+    /// the target's full `load_cycles`. Everything else about the load is
+    /// unchanged: one fault ordinal is consumed, an `AbortLoad` strikes at
+    /// half the (delta) window, the load can be preempted and resumed at
+    /// word boundaries, and the finished array state is bit-identical to an
+    /// unload followed by a full load of the target.
+    ///
+    /// Placement is pre-checked against the pool *plus* the resident's
+    /// footprint, so a swap that cannot fit fails cleanly with the
+    /// resident still loaded and running.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchConfig`] if `resident` is stale (already
+    /// unloaded), [`Error::DeltaSourceNotRunning`] if the resident load
+    /// has not completed (or faulted), and [`Error::PlacementFailed`] if
+    /// the target does not fit even after the resident's resources are
+    /// freed.
+    pub fn configure_delta(
+        &mut self,
+        resident: ConfigId,
+        target: &CompiledConfig,
+    ) -> Result<ConfigId> {
+        let loaded = self.delta_source(resident)?;
+        let delta = crate::compiled::changed_word_count(&loaded.words, &target.words);
+        let freed = loaded.placement.counts;
+        self.finish_delta(resident, target, delta, freed)
+    }
+
+    /// [`configure_delta`](Array::configure_delta) with the word diff
+    /// already computed (a configuration manager caches `(from, to)`
+    /// deltas process-wide): skips the merge-join when `delta` names
+    /// exactly this resident/target pair, recomputing otherwise so the
+    /// bus accounting can never follow a stale diff.
+    pub fn configure_delta_prediffed(
+        &mut self,
+        resident: ConfigId,
+        target: &CompiledConfig,
+        delta: &crate::compiled::ConfigDelta,
+    ) -> Result<ConfigId> {
+        let loaded = self.delta_source(resident)?;
+        // Compilation is deterministic per netlist, so matching names
+        // pin matching word streams; the debug build re-derives the
+        // count to keep that contract honest.
+        let words = if loaded.name == delta.from_name() && target.name == delta.to_name() {
+            debug_assert_eq!(
+                delta.changed_words(),
+                crate::compiled::changed_word_count(&loaded.words, &target.words),
+                "cached delta diverged from the resident word stream"
+            );
+            delta.changed_words()
+        } else {
+            crate::compiled::changed_word_count(&loaded.words, &target.words)
+        };
+        let freed = loaded.placement.counts;
+        self.finish_delta(resident, target, words, freed)
+    }
+
+    /// The still-running resident a delta load may diff against.
+    fn delta_source(&self, resident: ConfigId) -> Result<&LoadedConfig> {
+        let loaded = self
+            .configs
+            .get(&resident.0)
+            .ok_or(Error::NoSuchConfig(resident.0))?;
+        if !matches!(loaded.state, ConfigState::Running) {
+            return Err(Error::DeltaSourceNotRunning { config: resident.0 });
+        }
+        Ok(loaded)
+    }
+
+    /// Shared tail of the delta paths: checks the target fits once the
+    /// resident's resources come back, then unloads it and queues a bus
+    /// load owing only `delta` words.
+    fn finish_delta(
+        &mut self,
+        resident: ConfigId,
+        target: &CompiledConfig,
+        delta: u64,
+        freed: crate::place::ResourceCounts,
+    ) -> Result<ConfigId> {
+        if let Some((resource, needed, available)) = target
+            .placement
+            .counts
+            .first_deficit(&self.pool.free().plus(freed))
+        {
+            return Err(Error::PlacementFailed {
+                resource: resource.to_string(),
+                needed,
+                available,
+            });
+        }
+        self.unload(resident)?;
+        self.configure_internal(target, delta)
+    }
+
+    /// The shared load path behind [`configure_compiled`] and
+    /// [`configure_delta`]: places the target and queues a bus load owing
+    /// `stream_words` words (the full stream, or just the diff).
+    fn configure_internal(
+        &mut self,
+        compiled: &CompiledConfig,
+        stream_words: u64,
+    ) -> Result<ConfigId> {
+        // Every queued load streams at least the commit word.
+        let stream_words = stream_words.max(1);
+        self.pool.allocate(compiled.placement.counts)?;
+        // A new load is a rate perturbation: any replaying schedule is
+        // invalid (the config bus wakes up) and any in-flight capture
+        // would span a non-quiet window. Escalated detector evidence was
+        // about the departing workload mix, so it resets too.
+        self.perturb_schedule();
+        self.replay.reset_evidence();
+        // Ordinals count only loads that got past placement; a WorkerPanic
+        // strikes here, before any array state mutates — the supervisor
+        // discards the whole array, so the allocation above is moot.
+        #[cfg(feature = "faults")]
+        let injected = {
+            let injected = self.injector.as_ref().and_then(|inj| inj.on_load());
+            if injected == Some(FaultKind::WorkerPanic) {
+                panic!(
+                    "injected fault: loader crashed while configuring {:?}",
+                    compiled.name
+                );
+            }
+            injected
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+
+        // Instantiate channels from the compiled edge templates, in the same
+        // order the one-shot path used (data edges, then event edges) so
+        // slot reuse — and therefore every downstream stat — is unchanged.
+        let mut dchan_ids = Vec::with_capacity(compiled.d_edges.len());
+        for e in &compiled.d_edges {
+            let idx = self.alloc_dchan(Channel::new(e.capacity, e.initial.iter().copied()));
+            dchan_ids.push(idx);
+        }
+        let mut echan_ids = Vec::with_capacity(compiled.e_edges.len());
+        for e in &compiled.e_edges {
+            let idx = self.alloc_echan(Channel::new(
+                e.capacity,
+                e.initial.iter().map(|&b| Event(b)),
+            ));
+            echan_ids.push(idx);
+        }
+
+        // Instantiate objects, translating the compiled netlist-local
+        // channel indices into the array slots just allocated.
+        let mut obj_ids = Vec::with_capacity(compiled.nodes.len());
+        for node in &compiled.nodes {
+            let mut din = [None; 3];
+            for (slot, local) in din.iter_mut().zip(node.din.iter()) {
+                *slot = local.map(|k| dchan_ids[k as usize] as u32);
+            }
+            let mut dout: [PortList; 2] = Default::default();
+            for (list, locals) in dout.iter_mut().zip(node.dout.iter()) {
+                *list =
+                    PortList::from_chans(locals.iter().map(|&k| dchan_ids[k as usize]).collect());
+            }
+            let mut evin = [None; 2];
+            for (slot, local) in evin.iter_mut().zip(node.evin.iter()) {
+                *slot = local.map(|k| echan_ids[k as usize] as u32);
+            }
+            let mut evout: [PortList; 1] = Default::default();
+            for (list, locals) in evout.iter_mut().zip(node.evout.iter()) {
+                *list =
+                    PortList::from_chans(locals.iter().map(|&k| echan_ids[k as usize]).collect());
+            }
+            let obj = RuntimeObject {
+                rule: Rule::of(&node.kind),
+                label: node.label.clone(),
+                state: ObjState::initial(&node.kind),
+                fires: 0,
+                enabled: false,
+                ports: ObjPorts {
+                    din,
+                    dout,
+                    evin,
+                    evout,
+                },
+            };
+            obj_ids.push(self.alloc_object(obj));
+        }
+
+        let ports = compiled
+            .ports
+            .iter()
+            .map(|(name, n, dir)| (name.clone(), (obj_ids[*n], *dir)))
+            .collect();
+
+        // Record channel→object adjacency now that object slots are known:
+        // this is what lets a commit wake exactly the two endpoints.
+        for (k, e) in compiled.d_edges.iter().enumerate() {
+            self.d_adj[dchan_ids[k]] = (obj_ids[e.from.0], obj_ids[e.to.0]);
+        }
+        for (k, e) in compiled.e_edges.iter().enumerate() {
+            self.e_adj[echan_ids[k]] = (obj_ids[e.from.0], obj_ids[e.to.0]);
+        }
+
+        self.configs.insert(
+            id,
+            LoadedConfig {
+                name: compiled.name.clone(),
+                state: ConfigState::Loading {
+                    remaining: stream_words,
+                },
+                load_words: stream_words,
+                objects: obj_ids,
+                dchans: dchan_ids,
+                echans: echan_ids,
+                placement: compiled.placement.clone(),
+                ports,
+                words: compiled.words.clone(),
+                schedule_cell: compiled.schedule_cell.clone(),
+                #[cfg(feature = "faults")]
+                fault: injected,
+                #[cfg(feature = "faults")]
+                fault_at: stream_words / 2,
+            },
+        );
+        self.load_queue.push_back(id);
+        Ok(ConfigId(id))
+    }
+
+    /// Removes a configuration, releasing its resources for reuse — the
+    /// paper's differential reconfiguration (Fig. 10): a follow-on
+    /// configuration can be placed into the freed PAEs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchConfig`] if the id is stale.
+    pub fn unload(&mut self, cfg: ConfigId) -> Result<()> {
+        let loaded = self
+            .configs
+            .remove(&cfg.0)
+            .ok_or(Error::NoSuchConfig(cfg.0))?;
+        self.perturb_schedule();
+        self.replay.reset_evidence();
+        let total = self.live_fires(&loaded);
+        self.retired_fires.insert(cfg.0, total);
+        for o in &loaded.objects {
+            self.objects[*o] = None;
+        }
+        for c in &loaded.dchans {
+            self.dchans[*c] = None;
+        }
+        for c in &loaded.echans {
+            self.echans[*c] = None;
+        }
+        self.pool.release(loaded.placement.counts);
+        self.load_queue.retain(|&q| q != cfg.0);
+        self.connections
+            .retain(|c| c.from_cfg != cfg.0 && c.to_cfg != cfg.0);
+        Ok(())
+    }
+
+    /// True while the configuration's load is actually streaming over the
+    /// bus (queued and `Loading`). A preempted load is still `Loading`
+    /// but *not* in flight until [`resume_load`](Array::resume_load)
+    /// re-queues it.
+    pub fn is_load_in_flight(&self, cfg: ConfigId) -> bool {
+        self.load_queue.contains(&cfg.0)
+            && matches!(
+                self.configs.get(&cfg.0).map(|c| &c.state),
+                Some(ConfigState::Loading { .. })
+            )
+    }
+
+    /// Pulls an in-flight configuration load off the serial bus at a word
+    /// boundary, returning a [`LoadCheckpoint`] from which
+    /// [`resume_load`](Array::resume_load) can continue it later.
+    ///
+    /// The configuration keeps every resource it was placed into and its
+    /// `Loading` state freezes at the current word cursor — only queue
+    /// membership changes, so nothing streams while it is preempted and no
+    /// config-bus cycle, word or energy is charged. Any injected fault
+    /// stays armed on the configuration: its load ordinal was consumed at
+    /// [`configure_compiled`](Array::configure_compiled) time and keeps
+    /// counting across the preempt/resume seam, so a fault due in the
+    /// unstreamed half of the window still strikes after the resume.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchConfig`] if the id is stale and
+    /// [`Error::NotPreemptible`] if the load is not mid-stream on the bus
+    /// (already running, faulted, or already preempted).
+    pub fn preempt_load(&mut self, cfg: ConfigId) -> Result<LoadCheckpoint> {
+        let loaded = self.configs.get(&cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
+        let remaining = match &loaded.state {
+            ConfigState::Loading { remaining } => *remaining,
+            _ => return Err(Error::NotPreemptible { config: cfg.0 }),
+        };
+        let streamed = loaded.load_words - remaining;
+        if !self.load_queue.contains(&cfg.0) {
+            return Err(Error::NotPreemptible { config: cfg.0 });
+        }
+        // Pulling a load off the bus is a rate perturbation just like
+        // queueing one: any replaying schedule assumed the bus stayed busy.
+        self.perturb_schedule();
+        self.replay.reset_evidence();
+        self.load_queue.retain(|&q| q != cfg.0);
+        Ok(LoadCheckpoint {
+            config: cfg,
+            words_streamed: streamed,
+            words_remaining: remaining,
+        })
+    }
+
+    /// Re-queues a preempted configuration load so the bus streams only
+    /// its remaining words. Nothing already streamed is re-sent and the
+    /// load's fault-injection record is untouched — no new ordinal is
+    /// consumed — so a preempted+resumed load is bit-identical to an
+    /// uninterrupted one in words streamed, config-bus cycles and energy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NoSuchConfig`] if the configuration was unloaded
+    /// while preempted and [`Error::NotPreemptible`] if the checkpoint no
+    /// longer matches (the configuration is not `Loading`, is already
+    /// queued, or its word cursor drifted).
+    pub fn resume_load(&mut self, ckpt: &LoadCheckpoint) -> Result<()> {
+        let id = ckpt.config.0;
+        let loaded = self.configs.get(&id).ok_or(Error::NoSuchConfig(id))?;
+        let remaining = match &loaded.state {
+            ConfigState::Loading { remaining } => *remaining,
+            _ => return Err(Error::NotPreemptible { config: id }),
+        };
+        if remaining != ckpt.words_remaining || self.load_queue.contains(&id) {
+            return Err(Error::NotPreemptible { config: id });
+        }
+        self.perturb_schedule();
+        self.replay.reset_evidence();
+        self.load_queue.push_back(id);
+        Ok(())
+    }
+
+    fn alloc_object(&mut self, obj: RuntimeObject) -> usize {
+        if let Some(slot) = self.objects.iter().position(Option::is_none) {
+            self.objects[slot] = Some(obj);
+            slot
+        } else {
+            self.objects.push(Some(obj));
+            self.sched.queued.push(false);
+            self.objects.len() - 1
+        }
+    }
+
+    fn alloc_dchan(&mut self, ch: Channel<Word>) -> usize {
+        if let Some(slot) = self.dchans.iter().position(Option::is_none) {
+            self.dchans[slot] = Some(ch);
+            slot
+        } else {
+            self.dchans.push(Some(ch));
+            self.d_adj.push((usize::MAX, usize::MAX));
+            self.dchans.len() - 1
+        }
+    }
+
+    fn alloc_echan(&mut self, ch: Channel<Event>) -> usize {
+        if let Some(slot) = self.echans.iter().position(Option::is_none) {
+            self.echans[slot] = Some(ch);
+            slot
+        } else {
+            self.echans.push(Some(ch));
+            self.e_adj.push((usize::MAX, usize::MAX));
+            self.echans.len() - 1
+        }
+    }
+
+    /// Configuration bus: the front of the queue loads one step's worth of
+    /// configuration words. On completion the configuration's objects are
+    /// enabled and woken so they can fire in the same cycle (matching the
+    /// original stepper, which rebuilt its loading set after the bus tick).
+    /// Returns `true` if a load progressed.
+    pub(super) fn tick_config_bus(&mut self) -> bool {
+        let Some(&front) = self.load_queue.front() else {
+            return false;
+        };
+        self.stats.config_cycles += 1;
+        // One word crosses the bus per busy cycle while a load is in flight;
+        // both steppers share this helper so the counter stays bit-identical
+        // between event-driven and reference runs.
+        let mut config_words_streamed = 0;
+        let mut finished = false;
+        let cfg = self.configs.get_mut(&front).expect("queued config exists");
+        if let ConfigState::Loading { remaining } = &mut cfg.state {
+            *remaining = remaining.saturating_sub(1);
+            config_words_streamed = 1;
+            let left = *remaining;
+            // An aborted load drops off the bus halfway through its window;
+            // a corrupted one consumes the full window but ends Faulted
+            // instead of Running. Either way the bus moves on to the next
+            // queued load and the residue waits for an unload.
+            #[cfg(feature = "faults")]
+            {
+                if cfg.fault == Some(FaultKind::AbortLoad) && left <= cfg.fault_at {
+                    cfg.state = ConfigState::Faulted(FaultKind::AbortLoad);
+                    self.load_queue.pop_front();
+                    self.stats.config_words += 1;
+                    return true;
+                }
+                if cfg.fault == Some(FaultKind::CorruptConfig) && left == 0 {
+                    cfg.state = ConfigState::Faulted(FaultKind::CorruptConfig);
+                    self.load_queue.pop_front();
+                    self.stats.config_words += 1;
+                    return true;
+                }
+            }
+            if left == 0 {
+                cfg.state = ConfigState::Running;
+                finished = true;
+            }
+        }
+        self.stats.config_words += config_words_streamed;
+        if finished {
+            self.stats.configs_loaded += 1;
+            self.load_queue.pop_front();
+            // A stalled configuration reports Running but its objects are
+            // never enabled: zero fires and no error — detectable only by
+            // the zero-fire watchdog above the array.
+            #[cfg(feature = "faults")]
+            if self.configs.get(&front).expect("config exists").fault
+                == Some(FaultKind::StallConfig)
+            {
+                return true;
+            }
+            let Array {
+                configs,
+                objects,
+                sched,
+                ..
+            } = self;
+            let loaded = configs.get(&front).expect("config exists");
+            for &o in &loaded.objects {
+                if let Some(obj) = objects[o].as_mut() {
+                    obj.enabled = true;
+                }
+                sched.wake(o);
+            }
+            // The resident set changed: pick up any schedule another array
+            // published for these configurations as a detector seed.
+            self.refresh_schedule_hint();
+        }
+        true
+    }
+}

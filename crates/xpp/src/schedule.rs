@@ -17,8 +17,8 @@
 //! Replay is pinned bit-identical to the event stepper by construction plus
 //! two per-cycle guards:
 //!
-//! * every replayed micro-op calls the *same* `fire_object` as both
-//!   steppers, and its returned fire count must equal the recorded count;
+//! * every replayed micro-op runs the one firing-rule function all three
+//!   steppers share, and its fire count must equal the recorded count;
 //! * the end-of-cycle commit signature — the set of channels that staged
 //!   movement, and which full→not-full / empty→non-empty transitions each
 //!   commit produced — must equal the recorded signature (the replay loop

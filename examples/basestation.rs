@@ -48,7 +48,49 @@ struct Args {
     delta_loading: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: basestation [--sessions N] [--shards M] [--arrays-per-shard K] \
+                     [--arrival-rate R] [--static-placement] [--full-loads]";
+
+/// Why the command line was rejected.
+#[derive(Debug)]
+enum ArgError {
+    MissingValue(String),
+    NotANumber {
+        what: String,
+        value: String,
+    },
+    /// A count that must be at least 1 (the pool cannot be built without
+    /// a shard, or a shard without an array).
+    Zero(&'static str),
+    /// `--arrival-rate` must be a positive, finite rate.
+    BadRate(f64),
+    Unexpected(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::NotANumber { what, value } => {
+                write!(f, "{what} must be a number, got {value:?}")
+            }
+            ArgError::Zero(what) => write!(f, "{what} must be at least 1"),
+            ArgError::BadRate(rate) => {
+                write!(f, "--arrival-rate must be positive and finite, got {rate}")
+            }
+            ArgError::Unexpected(arg) => write!(f, "unexpected argument: {arg}"),
+        }
+    }
+}
+
+fn number<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, ArgError> {
+    value.parse().map_err(|_| ArgError::NotANumber {
+        what: what.to_string(),
+        value: value.to_string(),
+    })
+}
+
+fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, ArgError> {
     let mut args = Args {
         sessions: 64,
         shards: 4,
@@ -58,51 +100,52 @@ fn parse_args() -> Args {
         delta_loading: true,
     };
     let mut positional = 0usize;
-    let mut it = std::env::args().skip(1);
+    let mut it = argv;
     while let Some(arg) = it.next() {
-        let mut flag = |name: &str| -> Option<String> {
-            if arg == name {
-                Some(it.next().unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                }))
-            } else {
-                None
+        match arg.as_str() {
+            "--static-placement" => args.static_placement = true,
+            "--full-loads" => args.delta_loading = false,
+            flag @ ("--sessions" | "--shards" | "--arrays-per-shard" | "--arrival-rate") => {
+                let v = it
+                    .next()
+                    .ok_or_else(|| ArgError::MissingValue(flag.to_string()))?;
+                match flag {
+                    "--sessions" => args.sessions = number(flag, &v)?,
+                    "--shards" => args.shards = number(flag, &v)?,
+                    "--arrays-per-shard" => args.arrays_per_shard = number(flag, &v)?,
+                    _ => args.arrival_rate = number(flag, &v)?,
+                }
             }
-        };
-        if let Some(v) = flag("--sessions") {
-            args.sessions = v.parse().expect("--sessions must be a number");
-        } else if let Some(v) = flag("--shards") {
-            args.shards = v.parse().expect("--shards must be a number");
-        } else if let Some(v) = flag("--arrays-per-shard") {
-            args.arrays_per_shard = v.parse().expect("--arrays-per-shard must be a number");
-        } else if let Some(v) = flag("--arrival-rate") {
-            args.arrival_rate = v.parse().expect("--arrival-rate must be a number");
-        } else if arg == "--static-placement" {
-            args.static_placement = true;
-        } else if arg == "--full-loads" {
-            args.delta_loading = false;
-        } else {
+            flag if flag.starts_with("--") => return Err(ArgError::Unexpected(arg)),
             // Legacy positional form: sessions shards arrays-per-shard.
-            match positional {
-                0 => args.sessions = arg.parse().expect("sessions must be a number"),
-                1 => args.shards = arg.parse().expect("shards must be a number"),
-                2 => {
-                    args.arrays_per_shard = arg.parse().expect("arrays-per-shard must be a number")
+            value => {
+                match positional {
+                    0 => args.sessions = number("sessions", value)?,
+                    1 => args.shards = number("shards", value)?,
+                    2 => args.arrays_per_shard = number("arrays-per-shard", value)?,
+                    _ => return Err(ArgError::Unexpected(arg)),
                 }
-                _ => {
-                    eprintln!("unexpected argument: {arg}");
-                    std::process::exit(2);
-                }
+                positional += 1;
             }
-            positional += 1;
         }
     }
-    args
+    if args.shards == 0 {
+        return Err(ArgError::Zero("shards"));
+    }
+    if args.arrays_per_shard == 0 {
+        return Err(ArgError::Zero("arrays-per-shard"));
+    }
+    if !(args.arrival_rate.is_finite() && args.arrival_rate > 0.0) {
+        return Err(ArgError::BadRate(args.arrival_rate));
+    }
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("basestation: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let mean_interarrival = ARRAY_CLOCK_HZ / args.arrival_rate;
     println!(
         "basestation: {} terminal sessions over {} shards x {} arrays, \

@@ -12,7 +12,8 @@
 use proptest::prelude::*;
 use xpp_array::array::with_reference_stepper;
 use xpp_array::{
-    with_schedule_capture, AluOp, Array, ArrayStats, CounterCfg, NetlistBuilder, UnaryOp, Word,
+    with_schedule_capture, AluOp, Array, ArrayStats, CounterCfg, DataOut, EvOut, NetlistBuilder,
+    ObjectKind, UnaryOp, Word,
 };
 use xpp_sdr::dsp::Cplx;
 use xpp_sdr::ofdm;
@@ -332,6 +333,20 @@ enum Stage {
     Dump(u64),
     /// Counter-driven swap against a constant, recombined by an ALU.
     Swap(u64, i32),
+    /// `y = ev ? k : x`: a counter-driven select against a constant.
+    Select(u64, i32),
+    /// Counter-driven demux, re-joined by a merge steered by the same
+    /// selector sequence (so the stream comes out in order).
+    Route(u64),
+    /// `y = x + to_data(!a AND b)` (or `OR`) over two counter-derived
+    /// event streams.
+    EventLogic(u64, u64, bool),
+    /// A RAM written and read back at addresses derived from the stream.
+    Ram(i32),
+    /// `y = x + ring[i]`: a preloaded recirculating lookup FIFO.
+    Ring(usize),
+    /// A plain FIFO of the given depth in the path.
+    Fifo(usize),
 }
 
 fn arb_stage() -> impl Strategy<Value = Stage> {
@@ -341,7 +356,21 @@ fn arb_stage() -> impl Strategy<Value = Stage> {
         (2u64..6).prop_map(Stage::Gate),
         (2u64..7).prop_map(Stage::Dump),
         ((2u64..5), (-100i32..100)).prop_map(|(m, k)| Stage::Swap(m, k)),
+        ((2u64..5), (-100i32..100)).prop_map(|(m, k)| Stage::Select(m, k)),
+        (2u64..6).prop_map(Stage::Route),
+        ((2u64..5), (2u64..6), (0usize..2)).prop_map(|(m, n, o)| Stage::EventLogic(m, n, o == 0)),
+        (-20i32..20).prop_map(Stage::Ram),
+        (1usize..6).prop_map(Stage::Ring),
+        (1usize..5).prop_map(Stage::Fifo),
     ]
+}
+
+/// A free-running `0,1,1,…` event stream of period `m` (false on the
+/// counter's zero, true otherwise).
+fn counter_event(nl: &mut NetlistBuilder, m: u64) -> EvOut {
+    let ctr = nl.counter(CounterCfg::modulo(m));
+    let nonzero = nl.unary(UnaryOp::GeK(Word::new(1)), ctr.value);
+    nl.to_event(nonzero)
 }
 
 fn unary_op(idx: usize, k: i32) -> UnaryOp {
@@ -356,6 +385,19 @@ fn unary_op(idx: usize, k: i32) -> UnaryOp {
 
 fn alu_op(idx: usize) -> AluOp {
     [AluOp::Add, AluOp::Sub, AluOp::Min, AluOp::Max][idx % 4]
+}
+
+/// A RAM whose read address, write address and write data all derive from
+/// the stream `x`, so it moves exactly one read and one write per token.
+fn ram_stage(nl: &mut NetlistBuilder, x: DataOut, k: i32) -> DataOut {
+    let ram = nl.ram((0..32).map(|i| Word::new(i * k)).collect());
+    let rd_addr = nl.unary(UnaryOp::AndK(Word::new(0x1F)), x);
+    let wr_addr = nl.unary(UnaryOp::ShrK(1), rd_addr);
+    let wr_data = nl.unary(UnaryOp::AddK(Word::new(k)), x);
+    nl.wire(rd_addr, ram.rd_addr);
+    nl.wire(wr_addr, ram.wr_addr);
+    nl.wire(wr_data, ram.wr_data);
+    ram.rd_data
 }
 
 /// Builds the generated pipeline and runs the stream through it, returning
@@ -391,6 +433,39 @@ fn random_netlist_scenario(capacity: usize, stages: &[Stage], inputs: &[i32]) ->
                 let (a, b) = nl.swap(ev, x, c);
                 nl.alu(AluOp::Add, a, b)
             }
+            Stage::Select(m, k) => {
+                let ev = counter_event(&mut nl, m);
+                let c = nl.constant(Word::new(k));
+                nl.select(ev, x, c)
+            }
+            Stage::Route(m) => {
+                let ctr = nl.counter(CounterCfg::modulo(m));
+                let nonzero = nl.unary(UnaryOp::GeK(Word::new(1)), ctr.value);
+                let (split, join) = (nl.to_event(nonzero), nl.to_event(nonzero));
+                let (lo, hi) = nl.demux(split, x);
+                nl.merge(join, lo, hi)
+            }
+            Stage::EventLogic(m, n, and) => {
+                let (a, b) = (counter_event(&mut nl, m), counter_event(&mut nl, n));
+                let not_a = nl.ev_not(a);
+                let ev = if and {
+                    nl.ev_and(not_a, b)
+                } else {
+                    nl.ev_or(not_a, b)
+                };
+                let bit = nl.to_data(ev);
+                nl.alu(AluOp::Add, x, bit)
+            }
+            Stage::Ram(k) => ram_stage(&mut nl, x, k),
+            Stage::Ring(n) => {
+                let ring = nl.ring_fifo((0..n as i32).map(|i| Word::new(3 * i + 1)).collect());
+                nl.alu(AluOp::Add, x, ring)
+            }
+            Stage::Fifo(depth) => {
+                let fifo = nl.fifo(depth, vec![]);
+                nl.wire(x, fifo.input);
+                fifo.output
+            }
         };
     }
     nl.output("y", x);
@@ -410,8 +485,9 @@ fn random_netlist_scenario(capacity: usize, stages: &[Stage], inputs: &[i32]) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any generated netlist — mixed unary/ALU/FIFO/counter/gate/
-    /// accumulator/swap stages at any channel capacity — produces
+    /// Any generated netlist — mixed unary/ALU/delay/counter/gate/
+    /// accumulator/swap/select/demux+merge/event-logic/RAM/ring-FIFO/FIFO
+    /// stages at any channel capacity — produces
     /// identical outputs, identical stats, and identical idle-detection
     /// cycle counts on both steppers, with or without schedule capture.
     #[test]
@@ -506,4 +582,152 @@ proptest! {
         });
         prop_assert_eq!(&fast, &slow);
     }
+}
+
+/// Firing-rule names: [`ObjectKind::kind_name`], with the two FIFO modes
+/// (separate rules) told apart.
+fn rule_name(kind: &ObjectKind) -> &'static str {
+    match kind {
+        ObjectKind::RamFifo { ring: true, .. } => "ring_fifo",
+        kind => kind.kind_name(),
+    }
+}
+
+/// Every firing rule the array has.
+const EVERY_RULE: [&str; 22] = [
+    "alu",
+    "unary",
+    "const",
+    "counter",
+    "select",
+    "merge",
+    "demux",
+    "swap",
+    "gate",
+    "accum",
+    "to_event",
+    "to_data",
+    "ev_not",
+    "ev_and",
+    "ev_or",
+    "ram",
+    "fifo",
+    "ring_fifo",
+    "input",
+    "output",
+    "input_ev",
+    "output_ev",
+];
+
+/// One netlist containing every object kind, rate-consistent and periodic
+/// while its two input queues hold data, so schedule capture promotes it:
+/// a 1:1 spine (input → ALU → select against a ring lookup → event-logic
+/// bit added in → swap → FIFO → RAM → demux/merge) ending in a gate and an
+/// accumulator, all steered by one period-4 counter whose wrap event also
+/// starts a gated burst counter.
+fn every_rule_netlist() -> xpp_array::Netlist {
+    let mut nl = NetlistBuilder::new("every-rule");
+    let x = nl.input("x");
+    let e = nl.input_event("e");
+    let ctr = nl.counter(CounterCfg::modulo(4));
+    let upper = nl.unary(UnaryOp::GeK(Word::new(2)), ctr.value);
+    let k = nl.constant(Word::new(3));
+    let s = nl.alu(AluOp::Add, x, k);
+    let ring = nl.ring_fifo([5, 7, 9].map(Word::new).to_vec());
+    let sel = nl.to_event(upper);
+    let s = nl.select(sel, s, ring);
+    let (not_e, b, c) = (nl.ev_not(e), nl.to_event(upper), nl.to_event(upper));
+    let and = nl.ev_and(not_e, b);
+    let or = nl.ev_or(and, c);
+    let bit = nl.to_data(or);
+    let s = nl.alu(AluOp::Add, s, bit);
+    let (cross, seven) = (nl.to_event(upper), nl.constant(Word::new(7)));
+    let (p, q) = nl.swap(cross, s, seven);
+    let s = nl.alu(AluOp::Sub, p, q);
+    let fifo = nl.fifo(4, vec![]);
+    nl.wire(s, fifo.input);
+    let s = ram_stage(&mut nl, fifo.output, 11);
+    let (split, join) = (nl.to_event(upper), nl.to_event(upper));
+    let (lo, hi) = nl.demux(split, s);
+    let s = nl.merge(join, lo, hi);
+    let (pass, dump) = (nl.to_event(upper), nl.to_event(upper));
+    let gated = nl.gate(pass, s);
+    nl.output("gated", gated);
+    let sums = nl.accum_dump(s, dump);
+    nl.output("sums", sums);
+    let burst = nl.counter(CounterCfg::gated_burst(2));
+    nl.wire_ev(ctr.wrap, burst.go.expect("gated counter has a go port"));
+    nl.output("burst", burst.value);
+    nl.output_event("wrap", ctr.wrap);
+    nl.build().unwrap()
+}
+
+/// Runs the every-rule netlist through a warm-up and then a measured
+/// window. Returns the observable record, each object's `(rule, fires
+/// inside the window)`, and whether replay served the whole window.
+fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
+    const WARM: u64 = 3_000;
+    const WINDOW: u64 = 512;
+    let netlist = every_rule_netlist();
+    let mut rec = Record::new();
+    let mut array = Array::xpp64a();
+    let cfg = array.configure(&netlist).unwrap();
+    let tokens = (WARM + WINDOW) as i32 + 64;
+    array
+        .push_input(cfg, "x", (0..tokens).map(|i| Word::new(i * 37 % 1000)))
+        .unwrap();
+    array
+        .push_input_events(cfg, "e", (0..tokens).map(|i| i % 3 == 0))
+        .unwrap();
+    array.run(WARM);
+    let fires = |array: &Array| -> Vec<u64> {
+        let counts = array.object_fire_counts(cfg).unwrap();
+        counts.into_iter().map(|(_, n)| n).collect()
+    };
+    let replaying = array.schedule_replay_active();
+    let replayed = array.schedule_stats().replay_cycles;
+    let before = fires(&array);
+    array.run(WINDOW);
+    let in_window = netlist
+        .kinds()
+        .zip(before.iter().zip(fires(&array)))
+        .map(|(kind, (before, after))| (rule_name(kind), after - before))
+        .collect();
+    let all_replay = replaying && array.schedule_stats().replay_cycles - replayed == WINDOW;
+    for port in ["gated", "sums", "burst"] {
+        rec.drain(&mut array, cfg, port);
+    }
+    let wraps = array.drain_output_events(cfg, "wrap").unwrap();
+    rec.streams
+        .push(("wrap".into(), wraps.iter().map(|&w| w as i32).collect()));
+    (rec.finish(&array), in_window, all_replay)
+}
+
+/// No arm of the one firing-rule function is reachable from only one
+/// stepper's tests: every rule fires inside a window that the capture-on
+/// array serves entirely from replay, the same window on the event and
+/// reference steppers fires every object exactly as often, and all three
+/// runs are observably identical.
+#[test]
+fn every_firing_rule_runs_under_replay_and_agrees_on_all_steppers() {
+    let (fast, fast_fires, all_replay) = every_rule_scenario();
+    assert!(all_replay, "replay must serve the whole measured window");
+    for rule in EVERY_RULE {
+        assert!(
+            fast_fires.iter().any(|&(r, n)| r == rule && n > 0),
+            "rule {rule} never fired under replay: {fast_fires:?}"
+        );
+    }
+    assert!(
+        fast_fires.iter().all(|(r, _)| EVERY_RULE.contains(r)),
+        "a rule is missing from EVERY_RULE: {fast_fires:?}"
+    );
+    let (nocap, nocap_fires, replayed) = with_schedule_capture(false, every_rule_scenario);
+    assert!(!replayed);
+    assert_eq!(fast, nocap, "schedule capture changed the observables");
+    assert_eq!(fast_fires, nocap_fires);
+    let (slow, slow_fires, replayed) = with_reference_stepper(every_rule_scenario);
+    assert!(!replayed);
+    assert_eq!(fast, slow, "event-driven and reference steppers diverged");
+    assert_eq!(fast_fires, slow_fires);
 }
