@@ -21,6 +21,19 @@ use sdr_wcdma::tx::{CellConfig, CellTransmitter};
 use sdr_wcdma::xpp_map::{ArrayDescrambler, ArrayMultiplexedDespreader};
 use xpp_array::{Array, NetlistBuilder, UnaryOp, Word};
 
+/// Gold-code generation — the dedicated-hardware block of Fig. 4. The
+/// three code numbers must read alike: jump-ahead makes the cost
+/// independent of the start phase.
+fn bench_gold_code(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gold_code");
+    for number in [0, 8191, (1 << 18) - 2] {
+        g.bench_function(format!("downlink_{number}"), |b| {
+            b.iter(|| ScramblingCode::downlink(std::hint::black_box(number)))
+        });
+    }
+    g.finish();
+}
+
 /// Fig. 5 — descrambler: golden model vs array simulation.
 fn bench_fig5_descrambler(c: &mut Criterion) {
     let code = ScramblingCode::downlink(7);
@@ -205,6 +218,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets =
+        bench_gold_code,
         bench_fig5_descrambler,
         bench_fig6_despreader,
         bench_fig9_fft64,

@@ -480,6 +480,10 @@ impl ParkedSession {
 // W-CDMA terminal
 // ---------------------------------------------------------------------------
 
+/// Every state past `Idle` is entered through `capture()`, directly or by
+/// rehydration, so a step that finds no code is a state-machine bug.
+const NO_CAPTURE: &str = "wcdma session stepped past Idle without a capture";
+
 #[derive(Debug)]
 struct WcdmaTerminal {
     seed: u64,
@@ -487,6 +491,10 @@ struct WcdmaTerminal {
     bits: Vec<u8>,
     true_delay: usize,
     rx: Vec<Cplx<i32>>,
+    /// The cell's scrambling code, generated with the capture it belongs
+    /// to: a fresh terminal (and a fresh parked record's rehydration) holds
+    /// neither.
+    code: Option<ScramblingCode>,
     found_delay: usize,
 }
 
@@ -500,6 +508,7 @@ impl WcdmaTerminal {
             bits,
             true_delay: 4 + (seed % 8) as usize,
             rx: Vec::new(),
+            code: None,
             found_delay: 0,
         }
     }
@@ -528,13 +537,16 @@ impl WcdmaTerminal {
             self.seed ^ 0x5EED,
             AdcConfig::default(),
         );
+        self.code = Some(tx.scrambling_code().clone());
         SessionState::Searching
     }
 
     /// CPICH path search (DSP-side in the paper's partitioning).
     fn search(&mut self) -> SessionState {
-        let code = ScramblingCode::downlink(self.cell.scrambling_code);
-        let hits = PathSearcher::default().search(&self.rx, &code);
+        let Some(code) = &self.code else {
+            return SessionState::Failed(NO_CAPTURE.into());
+        };
+        let hits = PathSearcher::default().search(&self.rx, code);
         match hits.first() {
             Some(hit) if hit.delay == self.true_delay => {
                 self.found_delay = hit.delay;
@@ -551,13 +563,15 @@ impl WcdmaTerminal {
     /// One finger on the array: descramble (Fig. 5) and despread (Fig. 6)
     /// on cached configurations, then estimate/correct/decide on the DSP.
     fn demodulate(&mut self, worker: &mut WorkerArray) -> XppResult<SessionState> {
-        let code = ScramblingCode::downlink(self.cell.scrambling_code);
+        let Some(code) = &self.code else {
+            return Ok(SessionState::Failed(NO_CAPTURE.into()));
+        };
         let delay = self.found_delay;
         let sf = self.cell.dpch.sf;
         let n = ((self.rx.len() - delay) / sf) * sf;
 
-        let descrambled = run_descrambler(worker, &self.rx, &code, delay, n)?;
-        if descrambled != descramble(&self.rx, &code, delay, 0, n) {
+        let descrambled = run_descrambler(worker, &self.rx, code, delay, n)?;
+        if descrambled != descramble(&self.rx, code, delay, 0, n) {
             return Ok(SessionState::Failed(
                 "array descrambler diverged from golden".into(),
             ));
@@ -569,7 +583,7 @@ impl WcdmaTerminal {
             ));
         }
 
-        let h = estimate_channel(&self.rx, &code, delay, 8);
+        let h = estimate_channel(&self.rx, code, delay, 8);
         let w = quantize_weights(&[h])[0];
         let corrected = correct(&symbols, w);
         let soft: Vec<Cplx<i64>> = corrected.iter().map(|s| s.widen()).collect();

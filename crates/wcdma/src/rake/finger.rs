@@ -50,17 +50,20 @@ pub fn descramble(
 /// Panics on an invalid OVSF parameter pair.
 pub fn despread(chips: &[Cplx<i32>], sf: usize, code_index: usize) -> Vec<Cplx<i32>> {
     let code = ovsf(sf, code_index);
-    let shift = sf.trailing_zeros();
     chips
         .chunks_exact(sf)
-        .map(|sym| {
-            let mut acc = Cplx::<i64>::ZERO;
-            for (chip, &c) in sym.iter().zip(&code) {
-                acc += Cplx::new(chip.re as i64 * c as i64, chip.im as i64 * c as i64);
-            }
-            acc.shr(shift).narrow()
-        })
+        .map(|sym| despread_symbol(sym.iter().copied(), &code))
         .collect()
+}
+
+/// One despread symbol: the chips multiply-accumulated against a whole
+/// OVSF code, normalised by the truncating `>> log2(SF)`.
+pub(crate) fn despread_symbol(chips: impl Iterator<Item = Cplx<i32>>, code: &[i32]) -> Cplx<i32> {
+    let mut acc = Cplx::<i64>::ZERO;
+    for (chip, &c) in chips.zip(code) {
+        acc += Cplx::new(chip.re as i64 * c as i64, chip.im as i64 * c as i64);
+    }
+    acc.shr(code.len().trailing_zeros()).narrow()
 }
 
 /// Applies channel correction to a symbol stream: `(s · conj(w)) >> 9`

@@ -9,7 +9,8 @@
 //! despread CPICH symbol energies — coherent within a pilot symbol,
 //! non-coherent across symbols so slow phase rotation does not cancel.
 
-use crate::rake::finger::{descramble, despread};
+use crate::ovsf::ovsf;
+use crate::rake::finger::despread_symbol;
 use crate::scrambling::ScramblingCode;
 use crate::tx::CPICH_SF;
 use sdr_dsp::Cplx;
@@ -64,13 +65,7 @@ impl PathSearcher {
         delay: usize,
         symbols: usize,
     ) -> i64 {
-        let n_chips = symbols * CPICH_SF;
-        if delay + n_chips > rx.len() {
-            return 0;
-        }
-        let descrambled = descramble(rx, code, delay, 0, n_chips);
-        let pilots = despread(&descrambled, CPICH_SF, 0);
-        pilots.iter().map(|p| p.sqmag()).sum()
+        pilot_energy(rx, code, &ovsf(CPICH_SF, 0), delay, symbols)
     }
 
     /// Correlation energy at one delay with the fine integration length.
@@ -80,10 +75,11 @@ impl PathSearcher {
 
     /// Runs the coarse pass: short-dwell energies at every delay.
     pub fn coarse_scan(&self, rx: &[Cplx<i32>], code: &ScramblingCode) -> Vec<PathHit> {
+        let cpich = ovsf(CPICH_SF, 0);
         (0..self.window)
             .map(|delay| PathHit {
                 delay,
-                energy: self.energy_at_with(rx, code, delay, self.coarse_symbols),
+                energy: pilot_energy(rx, code, &cpich, delay, self.coarse_symbols),
             })
             .collect()
     }
@@ -97,10 +93,12 @@ impl PathSearcher {
         let mut coarse = self.coarse_scan(rx, code);
         coarse.sort_by_key(|h| std::cmp::Reverse(h.energy));
         let candidates = coarse.into_iter().take(4 * self.max_paths);
+        // One CPICH code per pass, not one per hypothesis.
+        let cpich = ovsf(CPICH_SF, 0);
         let mut fine: Vec<PathHit> = candidates
             .map(|h| PathHit {
                 delay: h.delay,
-                energy: self.energy_at_with(rx, code, h.delay, self.fine_symbols),
+                energy: pilot_energy(rx, code, &cpich, h.delay, self.fine_symbols),
             })
             .collect();
         fine.sort_by_key(|h| std::cmp::Reverse(h.energy));
@@ -119,6 +117,28 @@ impl PathSearcher {
         }
         picked
     }
+}
+
+/// Non-coherent CPICH energy at one delay hypothesis: descramble and
+/// despread fused per pilot symbol, so a hypothesis allocates nothing.
+fn pilot_energy(
+    rx: &[Cplx<i32>],
+    code: &ScramblingCode,
+    cpich: &[i32],
+    delay: usize,
+    symbols: usize,
+) -> i64 {
+    let n_chips = symbols * CPICH_SF;
+    if delay + n_chips > rx.len() {
+        return 0;
+    }
+    (0..symbols)
+        .map(|s| {
+            let chips =
+                (s * CPICH_SF..(s + 1) * CPICH_SF).map(|i| rx[delay + i] * code.chip(i).conj());
+            despread_symbol(chips, cpich).sqmag()
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -144,6 +164,40 @@ mod tests {
             AdcConfig::default(),
         );
         (rx, code)
+    }
+
+    #[test]
+    fn hypothesis_energies_match_the_finger_composition() {
+        use crate::rake::finger::{descramble, despread};
+        let (rx, code) = make_rx(
+            vec![
+                Path::new(7, Cplx::new(0.6, 0.1)),
+                Path::new(29, Cplx::new(-0.2, 0.35)),
+            ],
+            0.05,
+        );
+        let searcher = PathSearcher::default();
+        let reference = |delay: usize, symbols: usize| -> i64 {
+            let chips = descramble(&rx, &code, delay, 0, symbols * CPICH_SF);
+            despread(&chips, CPICH_SF, 0)
+                .iter()
+                .map(|p| p.sqmag())
+                .sum()
+        };
+        for hit in searcher.coarse_scan(&rx, &code) {
+            assert_eq!(hit.energy, reference(hit.delay, searcher.coarse_symbols));
+        }
+        // Every delay at the fine dwell covers whichever candidates the
+        // search promotes; the reported hits carry exactly those energies.
+        for delay in 0..searcher.window {
+            let fine = searcher.energy_at(&rx, &code, delay);
+            assert_eq!(fine, reference(delay, searcher.fine_symbols));
+        }
+        let hits = searcher.search(&rx, &code);
+        assert_eq!(hits.len(), 2);
+        for hit in hits {
+            assert_eq!(hit.energy, reference(hit.delay, searcher.fine_symbols));
+        }
     }
 
     #[test]

@@ -13,8 +13,33 @@
 //! One radio frame uses the first 38400 chips.
 //!
 //! In the paper's partitioning (Fig. 4) this generator is *dedicated
-//! hardware* that hands the array a 2-bit code representation per chip; the
-//! array's descrambler (Fig. 5) expands those bits to `±1±j`.
+//! hardware* — a pair of 18-bit shift registers — that hands the array a
+//! 2-bit code representation per chip; the array's descrambler (Fig. 5)
+//! expands those bits to `±1±j`.
+//!
+//! # Construction
+//!
+//! A frame is generated directly, never sliced out of a full-period table:
+//!
+//! * **Jump-ahead.** With `p(t)` the characteristic polynomial of a
+//!   register (`t¹⁸+t⁷+1` for `x`, `t¹⁸+t¹⁰+t⁷+t⁵+1` for `y`) and
+//!   `t^k mod p(t) = Σ cₘ tᵐ`, every sequence the register produces obeys
+//!   `s(k+j) = Σ cₘ s(m+j)`, so the 18-bit state at phase `k` is 18
+//!   parities over the first 36 sequence bits. `t^k` costs one GF(2)
+//!   squaring per bit of `k`, so the four start phases (`n` and
+//!   `n+131072` of `x`, `0` and `131072` of `y`) cost the same for every
+//!   code number.
+//! * **Word-parallel recurrence.** Squaring is linear over GF(2), so a
+//!   sequence annihilated by `p(t)` is also annihilated by
+//!   `p(t)⁶⁴ = p(t⁶⁴)`: `x(i+18·64) = x(i+7·64) ⊕ x(i)`, and likewise for
+//!   `y`. Packed 64 chips to a word, the stream of *words* therefore obeys
+//!   the register's own recurrence — `X[j+18] = X[j+7] ⊕ X[j]` — one XOR
+//!   per tap for 64 chips. The first 18 words come a byte at a time from
+//!   the plain recurrence, whose nearest tap is eight bits back.
+//!
+//! The frame is stored packed (two bits per chip, 9.6 KB). Generation
+//! costs about ten microseconds, so nothing caches codes by number:
+//! like the paper's hardware block, the generator is simply cheap.
 
 use sdr_dsp::Cplx;
 
@@ -27,24 +52,105 @@ pub const FRAME_CHIPS: usize = 38_400;
 /// Offset between the I and Q branches of the complex code.
 const Q_BRANCH_OFFSET: usize = 131_072;
 
-fn m_sequences() -> (Vec<u8>, Vec<u8>) {
-    let mut x = vec![0u8; SEQUENCE_LEN];
-    let mut y = vec![0u8; SEQUENCE_LEN];
-    // Seeds: x = 1,0,...,0 ; y = all ones (registers hold x(i)..x(i+17)).
-    let mut xr = [0u8; 18];
-    xr[0] = 1;
-    let mut yr = [1u8; 18];
-    for i in 0..SEQUENCE_LEN {
-        x[i] = xr[0];
-        y[i] = yr[0];
-        let xf = (xr[7] + xr[0]) & 1;
-        let yf = (yr[10] + yr[7] + yr[5] + yr[0]) & 1;
-        xr.copy_within(1..18, 0);
-        xr[17] = xf;
-        yr.copy_within(1..18, 0);
-        yr[17] = yf;
+/// Register length of both m-sequence generators.
+const DEGREE: usize = 18;
+
+/// 64-chip words per frame (38400 = 600 · 64 exactly).
+const FRAME_WORDS: usize = FRAME_CHIPS / 64;
+
+/// One of the two degree-18 linear feedback shift registers.
+#[derive(Clone, Copy)]
+struct Lfsr {
+    /// Feedback taps `e`: `s(i+18) = ⊕ s(i+e)` — also the exponents of the
+    /// characteristic polynomial `t¹⁸ + Σ tᵉ`.
+    taps: &'static [usize],
+    /// Register contents at phase 0: bit `j` is `s(j)`.
+    seed: u32,
+}
+
+/// `x(i+18) = x(i+7) ⊕ x(i)`, seeded `1,0,…,0`.
+const X: Lfsr = Lfsr {
+    taps: &[0, 7],
+    seed: 1,
+};
+
+/// `y(i+18) = y(i+10) ⊕ y(i+7) ⊕ y(i+5) ⊕ y(i)`, seeded all ones.
+const Y: Lfsr = Lfsr {
+    taps: &[0, 5, 7, 10],
+    seed: (1 << DEGREE) - 1,
+};
+
+impl Lfsr {
+    /// Appends eight sequence bits to `seq`, which holds `known ≥ 18` of
+    /// them from bit 0 up. The feedback is evaluated for all eight at once:
+    /// no tap reaches closer than eight bits to the end of the register.
+    fn grow(self, seq: u128, known: usize) -> u128 {
+        let feedback = self
+            .taps
+            .iter()
+            .fold(0, |fb, e| fb ^ seq >> (known - DEGREE + e));
+        seq | (feedback & 0xFF) << known
     }
-    (x, y)
+
+    /// `a·t mod p(t)` over GF(2): `t¹⁸` folds back as `Σ tᵉ`.
+    fn times_t(self, a: u32) -> u32 {
+        let overflow = a >> (DEGREE - 1) & 1;
+        self.taps
+            .iter()
+            .fold(a << 1 & ((1 << DEGREE) - 1), |r, e| r ^ overflow << e)
+    }
+
+    /// `a·b mod p(t)` over GF(2), both of degree below 18 (Horner in `b`).
+    fn mul_mod(self, a: u32, b: u32) -> u32 {
+        (0..DEGREE)
+            .rev()
+            .fold(0, |r, bit| self.times_t(r) ^ (a * (b >> bit & 1)))
+    }
+
+    /// `t^k mod p(t)` by square-and-multiply, one squaring per bit of `k`.
+    fn t_pow(self, k: u32) -> u32 {
+        (0..u32::BITS - k.leading_zeros()).rev().fold(1, |r, bit| {
+            let squared = self.mul_mod(r, r);
+            match k >> bit & 1 {
+                0 => squared,
+                _ => self.times_t(squared),
+            }
+        })
+    }
+
+    /// Register contents at phase `k`: with `t^k ≡ Σ cₘ tᵐ (mod p)`,
+    /// `s(k+j) = Σ cₘ s(m+j)`.
+    fn state_at(self, k: u32) -> u32 {
+        // The first 36 (in fact 42) sequence bits.
+        let head = (DEGREE..2 * DEGREE)
+            .step_by(8)
+            .fold(self.seed as u128, |seq, known| self.grow(seq, known)) as u64;
+        let c = self.t_pow(k) as u64;
+        (0..DEGREE).fold(0, |s, j| s | ((c & head >> j).count_ones() & 1) << j)
+    }
+
+    /// One frame of the sequence starting at phase `k`, packed LSB-first.
+    fn frame_from(self, k: u32) -> [u64; FRAME_WORDS] {
+        let mut words = [0u64; FRAME_WORDS];
+        // The first 18 words a byte at a time.
+        let mut seq = self.state_at(k) as u128;
+        for word in &mut words[..DEGREE] {
+            seq = (DEGREE..DEGREE + 64)
+                .step_by(8)
+                .fold(seq, |seq, known| self.grow(seq, known));
+            *word = seq as u64;
+            seq >>= 64;
+        }
+        // Then whole words: p(t)⁶⁴ = p(t⁶⁴) annihilates the sequence too, so
+        // the register's own recurrence holds between bits 64 apart.
+        for j in DEGREE..FRAME_WORDS {
+            words[j] = self
+                .taps
+                .iter()
+                .fold(0, |word, e| word ^ words[j - DEGREE + e]);
+        }
+        words
+    }
 }
 
 /// A downlink scrambling-code generator for one cell.
@@ -69,10 +175,9 @@ fn m_sequences() -> (Vec<u8>, Vec<u8>) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScramblingCode {
     number: u32,
-    /// I-branch bits (0/1) for one frame.
-    i_bits: Vec<u8>,
-    /// Q-branch bits (0/1) for one frame.
-    q_bits: Vec<u8>,
+    /// One frame, 64 chips per entry: `[I-branch bits, Q-branch bits]`,
+    /// chip `64w + b` at bit `b` of entry `w`.
+    words: Vec<[u64; 2]>,
 }
 
 impl ScramblingCode {
@@ -86,22 +191,13 @@ impl ScramblingCode {
             (number as usize) < SEQUENCE_LEN,
             "scrambling code number out of range"
         );
-        let (x, y) = m_sequences();
-        let n = number as usize;
-        let mut i_bits = Vec::with_capacity(FRAME_CHIPS);
-        let mut q_bits = Vec::with_capacity(FRAME_CHIPS);
-        for i in 0..FRAME_CHIPS {
-            let zi = x[(i + n) % SEQUENCE_LEN] ^ y[i];
-            let iq = (i + Q_BRANCH_OFFSET) % SEQUENCE_LEN;
-            let zq = x[(iq + n) % SEQUENCE_LEN] ^ y[iq];
-            i_bits.push(zi);
-            q_bits.push(zq);
-        }
-        ScramblingCode {
-            number,
-            i_bits,
-            q_bits,
-        }
+        let q = Q_BRANCH_OFFSET as u32;
+        let (xi, yi) = (X.frame_from(number), Y.frame_from(0));
+        let (xq, yq) = (X.frame_from(number + q), Y.frame_from(q));
+        let words = (0..FRAME_WORDS)
+            .map(|w| [xi[w] ^ yi[w], xq[w] ^ yq[w]])
+            .collect();
+        ScramblingCode { number, words }
     }
 
     /// The code number.
@@ -113,8 +209,8 @@ impl ScramblingCode {
     /// frame boundary, matching the per-frame restart of the standard).
     #[inline]
     pub fn chip(&self, i: usize) -> Cplx<i32> {
-        let i = i % FRAME_CHIPS;
-        Cplx::new(1 - 2 * self.i_bits[i] as i32, 1 - 2 * self.q_bits[i] as i32)
+        let (ci, cq) = self.chip_bits(i);
+        Cplx::new(1 - 2 * ci as i32, 1 - 2 * cq as i32)
     }
 
     /// The 2-bit representation `(cᵢ, c_q)` of a chip — the stream the
@@ -122,7 +218,8 @@ impl ScramblingCode {
     #[inline]
     pub fn chip_bits(&self, i: usize) -> (u8, u8) {
         let i = i % FRAME_CHIPS;
-        (self.i_bits[i], self.q_bits[i])
+        let [ci, cq] = self.words[i / 64];
+        ((ci >> (i % 64) & 1) as u8, (cq >> (i % 64) & 1) as u8)
     }
 
     /// A full frame of complex chips.
@@ -134,6 +231,83 @@ impl ScramblingCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The oracle: both full-period m-sequences, one register shift per bit.
+    fn m_sequences() -> (Vec<u8>, Vec<u8>) {
+        let mut x = vec![0u8; SEQUENCE_LEN];
+        let mut y = vec![0u8; SEQUENCE_LEN];
+        // Seeds: x = 1,0,...,0 ; y = all ones (registers hold x(i)..x(i+17)).
+        let mut xr = [0u8; 18];
+        xr[0] = 1;
+        let mut yr = [1u8; 18];
+        for i in 0..SEQUENCE_LEN {
+            x[i] = xr[0];
+            y[i] = yr[0];
+            let xf = (xr[7] + xr[0]) & 1;
+            let yf = (yr[10] + yr[7] + yr[5] + yr[0]) & 1;
+            xr.copy_within(1..18, 0);
+            xr[17] = xf;
+            yr.copy_within(1..18, 0);
+            yr[17] = yf;
+        }
+        (x, y)
+    }
+
+    /// `chip_bits` of a whole frame, sliced out of the full-period tables.
+    fn table_frame(x: &[u8], y: &[u8], n: usize) -> Vec<(u8, u8)> {
+        (0..FRAME_CHIPS)
+            .map(|i| {
+                let iq = (i + Q_BRANCH_OFFSET) % SEQUENCE_LEN;
+                (
+                    x[(i + n) % SEQUENCE_LEN] ^ y[i],
+                    x[(iq + n) % SEQUENCE_LEN] ^ y[iq],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generated_frames_match_the_full_period_tables() {
+        let (x, y) = m_sequences();
+        // Small numbers, both sides of the x-phase wrap (n + i ≥ L) and of
+        // the Q-offset wrap (n + 131072 ≥ L), the last valid number.
+        let mut numbers = vec![
+            0,
+            1,
+            15,
+            16,
+            511,
+            8191,
+            131_071,
+            131_072,
+            200_000,
+            (1 << 18) - 2,
+        ];
+        let mut rng = sdr_dsp::rng::Rng64::seed_from_u64(0x601D);
+        numbers.extend((0..24).map(|_| rng.next_u32() % SEQUENCE_LEN as u32));
+        for n in numbers {
+            let code = ScramblingCode::downlink(n);
+            let generated: Vec<(u8, u8)> = (0..FRAME_CHIPS).map(|i| code.chip_bits(i)).collect();
+            assert!(
+                generated == table_frame(&x, &y, n as usize),
+                "code {n} differs from the table"
+            );
+        }
+    }
+
+    #[test]
+    fn jump_ahead_agrees_with_single_steps() {
+        for lfsr in [X, Y] {
+            let mut state = lfsr.seed;
+            for k in 0..2000 {
+                assert_eq!(lfsr.state_at(k), state, "phase {k}");
+                state = (lfsr.grow(state as u128, DEGREE) >> 1) as u32 & ((1 << DEGREE) - 1);
+            }
+            // One full period is the identity.
+            assert_eq!(lfsr.t_pow(SEQUENCE_LEN as u32), 1);
+            assert_eq!(lfsr.state_at(SEQUENCE_LEN as u32), lfsr.seed);
+        }
+    }
 
     #[test]
     fn m_sequences_have_maximal_balance() {
