@@ -642,21 +642,10 @@ async fn drive(
         match CompletionReactor::submit(&reactor, session) {
             Ok(step) => {
                 let mut stepped = step.await;
-                if stepped.take_crashed() {
-                    if stepped.attempts() > max_attempts {
-                        stepped.mark_dead_lettered(format!(
-                            "crashed {} times; giving up",
-                            stepped.attempts()
-                        ));
-                        Metrics::incr(&metrics.dead_letters);
-                    } else {
-                        // The shard already restarted with a fresh
-                        // array; re-dispatch (no sleep — the driver is
-                        // single-threaded, backoff is deadline deferral).
-                        Metrics::incr(&metrics.session_retries);
-                        Metrics::incr(&metrics.recoveries);
-                    }
-                }
+                // A crashed step is re-dispatched by the next turn of the
+                // loop (no sleep — the driver is single-threaded, backoff
+                // is deadline deferral) or dead-lettered.
+                stepped.resolve_crash(max_attempts, &metrics);
                 session = stepped;
             }
             Err(bounced) => {

@@ -330,23 +330,11 @@ impl Engine {
                     break;
                 };
                 outstanding -= 1;
-                if session.take_crashed() {
-                    if session.attempts() > self.recovery.max_session_attempts {
-                        session.mark_dead_lettered(format!(
-                            "crashed {} times; giving up",
-                            session.attempts()
-                        ));
-                        Metrics::incr(&self.metrics.dead_letters);
-                        completed.push(session);
-                    } else {
-                        // The shard already restarted with a fresh array;
-                        // back off briefly and re-dispatch the session.
-                        Metrics::incr(&self.metrics.session_retries);
-                        Metrics::incr(&self.metrics.recoveries);
-                        let exp = session.attempts().saturating_sub(1).min(6);
-                        std::thread::sleep(self.recovery.backoff.saturating_mul(1 << exp));
-                        backlog.push_back(session);
-                    }
+                if session.resolve_crash(self.recovery.max_session_attempts, &self.metrics) {
+                    // Back off briefly before re-dispatching the session.
+                    let exp = session.attempts().saturating_sub(1).min(6);
+                    std::thread::sleep(self.recovery.backoff.saturating_mul(1 << exp));
+                    backlog.push_back(session);
                 } else if session.is_terminal() {
                     completed.push(session);
                 } else {

@@ -48,7 +48,7 @@ use xpp_array::fault::{FaultInjector, FaultPlan};
 use xpp_array::{Array, ConfigId, Error as XppError, Result as XppResult};
 
 use crate::config_manager::{ConfigManager, ConfigStore, KernelSpec};
-use crate::metrics::Metrics;
+use crate::metrics::{KernelKind, Metrics};
 use crate::router::{
     AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus, StaticPlacement,
     StealOffer, StealRegistry,
@@ -267,21 +267,28 @@ impl WorkerArray {
         }
     }
 
-    /// Runs a kernel body under the zero-fire watchdog: activates the
-    /// configuration, runs `body`, and if the body times out without the
-    /// configuration having fired a single object, grants it one extra
-    /// `watchdog_budget` of cycles — still silent means the load is wedged
-    /// (e.g. an injected stall), so the configuration is forcibly unloaded
-    /// and the whole attempt retried from the store.
+    /// Runs one array job under the zero-fire watchdog: activates the
+    /// configuration, starts streaming `prefetch` (the kernel the caller
+    /// swaps in next) so its bus load overlaps this job, lets `drive` — the
+    /// kernel's `xpp_map::drive_*` function — run on the array, and books
+    /// the job's cycles and object fires under `kind`. If `drive` times out
+    /// without the configuration having fired a single object, it gets one
+    /// extra `watchdog_budget` of cycles — still silent means the load is
+    /// wedged (e.g. an injected stall), so the configuration is forcibly
+    /// unloaded and the whole attempt retried from the store. The replay is
+    /// safe: `drive` re-reads the caller's slices, the reload starts from
+    /// clean token state, and a repeated prefetch is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates the body's error, or [`XppError::ConfigWedged`] once a
+    /// Propagates `drive`'s error, or [`XppError::ConfigWedged`] once a
     /// wedged configuration has exhausted the kernel retry budget.
     pub fn run_kernel<T>(
         &mut self,
+        kind: KernelKind,
         spec: impl Into<KernelSpec>,
-        mut body: impl FnMut(&mut WorkerArray, ConfigId) -> XppResult<T>,
+        prefetch: Option<KernelSpec>,
+        mut drive: impl FnMut(&mut Array, ConfigId) -> XppResult<T>,
     ) -> XppResult<T> {
         let spec = spec.into();
         let attempts = self.policy.max_kernel_attempts.max(1);
@@ -289,8 +296,20 @@ impl WorkerArray {
         loop {
             attempt += 1;
             let cfg = self.activate(spec)?;
+            if let Some(next) = prefetch {
+                self.prefetch(next)?;
+            }
+            let cycles_before = self.array.stats().cycles;
             let fires_before = self.array.config_fire_count(cfg);
-            match body(self, cfg) {
+            match drive(&mut self.array, cfg) {
+                Ok(out) => {
+                    self.metrics.record_kernel(
+                        kind,
+                        self.array.stats().cycles - cycles_before,
+                        self.array.config_fire_count(cfg) - fires_before,
+                    );
+                    return Ok(out);
+                }
                 Err(e @ XppError::Timeout { .. }) => {
                     if !self.watchdog_wedged(cfg, fires_before) {
                         return Err(e);
@@ -306,7 +325,7 @@ impl WorkerArray {
                         });
                     }
                 }
-                other => return other,
+                Err(e) => return Err(e),
             }
         }
     }

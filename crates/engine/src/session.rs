@@ -2,7 +2,8 @@
 //!
 //! A [`Session`] is one simulated terminal working through its standard's
 //! acquisition pipeline in deadline-scheduled steps. Each step is a
-//! bounded unit of work a worker executes on its own array:
+//! bounded unit of work a worker executes on its own array, and a terminal
+//! *is* the list of its steps — a static stage table, one row per step:
 //!
 //! * **W-CDMA** (paper §3.1): `Idle` (air capture) → `Searching` (path
 //!   search on the DSP) → `Tracking` (descramble and despread on the
@@ -10,6 +11,11 @@
 //! * **802.11a OFDM** (paper §3.2/Fig. 10): `Idle` → `PreambleDetect`
 //!   (configuration 2a on the array) → `Demod` (2a unloaded, 2b loaded
 //!   in its place, slicing on the array, Viterbi decode) → `Done`.
+//!
+//! One generic stepper walks either table, so stepping, the batching key,
+//! parking and rehydration are table lookups. Rows that use the array hand
+//! the kernel's drive function (`xpp_map::drive_*` — all that knows a
+//! netlist's ports and budgets) to [`WorkerArray::run_kernel`].
 //!
 //! Every array-mapped stage is cross-checked against its golden software
 //! model; a divergence fails the session rather than silently returning
@@ -21,13 +27,13 @@ use sdr_dsp::rng::Rng64;
 use sdr_dsp::Cplx;
 use sdr_ofdm as ofdm;
 use sdr_wcdma as wcdma;
-use xpp_array::{Result as XppResult, Word};
+use xpp_array::Result as XppResult;
 
 use crate::config_manager::KernelSpec;
 use crate::metrics::{KernelKind, Metrics};
 use crate::pool::WorkerArray;
-use ofdm::xpp_map::OfdmKernel;
-use wcdma::xpp_map::WcdmaKernel;
+use ofdm::xpp_map::{drive_demodulator, drive_preamble_detector, OfdmKernel};
+use wcdma::xpp_map::{drive_descrambler, drive_despreader, WcdmaKernel};
 
 use ofdm::params::{data_subcarriers, rate, subcarrier_to_bin, RateParams, CP_LEN};
 use ofdm::rx::OfdmReceiver;
@@ -54,6 +60,16 @@ pub enum Standard {
     Wcdma,
     /// 802.11a OFDM terminal.
     Ofdm,
+}
+
+impl Standard {
+    /// The standard's processing period in array cycles.
+    fn period(self) -> u64 {
+        match self {
+            Standard::Wcdma => WCDMA_PERIOD_CYCLES,
+            Standard::Ofdm => OFDM_PERIOD_CYCLES,
+        }
+    }
 }
 
 /// The per-terminal state machine.
@@ -93,6 +109,92 @@ impl SessionState {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Stage tables
+// ---------------------------------------------------------------------------
+
+/// What running a stage reports: `Ok(Ok(()))` moves the session to its next
+/// table row (`Done` after the last), `Ok(Err(reason))` fails it — a golden
+/// cross-check or a DSP decision went wrong — `Err(_)` is the array giving up.
+type StageResult = XppResult<Result<(), String>>;
+type StageFn<T> = fn(&mut T, carry: &mut u32, &mut WorkerArray) -> StageResult;
+
+const PASS: StageResult = Ok(Ok(()));
+
+fn fail(reason: impl Into<String>) -> StageResult {
+    Ok(Err(reason.into()))
+}
+
+/// One row of a stage table. Besides the captured samples, all a row hands
+/// to later rows is the session's *carry word* — the one DSP decision made so
+/// far (found path delay, coarse preamble timing) — so that is all a park keeps.
+struct Stage<T> {
+    /// The session's state while this row is the next to run.
+    state: SessionState,
+    /// The array kernel the row activates first ([`Session::next_kernel`]).
+    kernel: Option<KernelSpec>,
+    run: StageFn<T>,
+}
+
+impl<T> Stage<T> {
+    const fn new(state: SessionState, kernel: Option<KernelSpec>, run: StageFn<T>) -> Self {
+        Stage { state, kernel, run }
+    }
+}
+
+const DESCRAMBLER: KernelSpec = KernelSpec::Wcdma(WcdmaKernel::Descrambler);
+const DETECTOR: KernelSpec = KernelSpec::Ofdm(OfdmKernel::PreambleDetector);
+const DEMODULATOR: KernelSpec = KernelSpec::Ofdm(OfdmKernel::Demodulator);
+
+/// A standard's terminal: the sample buffers and the table working on them.
+trait Terminal: Sized + 'static {
+    /// One row per step. Row 0 is the air capture ([`capture_stage`]):
+    /// every later row is entered through it, by stepping or rehydration.
+    const STAGES: &'static [Stage<Self>];
+
+    /// A terminal that has captured nothing yet.
+    fn new(seed: u64) -> Self;
+
+    /// Simulates the air interface, a pure function of the seed.
+    fn capture(&mut self);
+}
+
+fn capture_stage<T: Terminal>(terminal: &mut T, _: &mut u32, _: &mut WorkerArray) -> StageResult {
+    terminal.capture();
+    PASS
+}
+
+/// Index and kernel of the row `state` names; `None` for terminal states.
+fn row_at<T: Terminal>(state: &SessionState) -> Option<(usize, Option<KernelSpec>)> {
+    let index = T::STAGES.iter().position(|row| row.state == *state)?;
+    Some((index, T::STAGES[index].kernel))
+}
+
+/// The generic stepper: runs row `index` and says which state follows.
+fn run_stage<T: Terminal>(
+    terminal: &mut T,
+    index: usize,
+    carry: &mut u32,
+    worker: &mut WorkerArray,
+) -> XppResult<SessionState> {
+    Ok(match (T::STAGES[index].run)(terminal, carry, worker)? {
+        Ok(()) => T::STAGES
+            .get(index + 1)
+            .map_or(SessionState::Done, |next| next.state.clone()),
+        Err(reason) => SessionState::Failed(reason),
+    })
+}
+
+/// Builds the terminal of a session resuming into row `stage`: every row
+/// past the capture needs the samples back, replayed from the seed.
+fn resume<T: Terminal>(seed: u64, stage: usize, wrap: fn(T) -> Kind) -> (Kind, SessionState) {
+    let mut terminal = T::new(seed);
+    if stage > 0 {
+        terminal.capture();
+    }
+    (wrap(terminal), T::STAGES[stage].state.clone())
+}
+
 #[derive(Debug)]
 enum Kind {
     Wcdma(WcdmaTerminal),
@@ -103,12 +205,13 @@ enum Kind {
 #[derive(Debug)]
 pub struct Session {
     id: u64,
+    seed: u64,
     deadline: u64,
-    period: u64,
     state: SessionState,
+    /// The DSP decision made so far that later rows need (see [`Stage`]).
+    carry: u32,
     kind: Kind,
-    /// Set by the shard supervisor when a step panicked; consumed by the
-    /// engine to decide retry vs dead-letter.
+    /// Set by the shard supervisor when a step panicked (`resolve_crash`).
     crashed: bool,
     /// Dispatch attempts that ended in a crash so far.
     attempts: u32,
@@ -117,28 +220,12 @@ pub struct Session {
 impl Session {
     /// Creates a W-CDMA terminal session.
     pub fn wcdma(id: u64, seed: u64) -> Self {
-        Session {
-            id,
-            deadline: WCDMA_PERIOD_CYCLES + id,
-            period: WCDMA_PERIOD_CYCLES,
-            state: SessionState::Idle,
-            kind: Kind::Wcdma(WcdmaTerminal::new(seed)),
-            crashed: false,
-            attempts: 0,
-        }
+        Session::rehydrate(&ParkedSession::new_wcdma(id, seed, id))
     }
 
     /// Creates an 802.11a OFDM terminal session.
     pub fn ofdm(id: u64, seed: u64) -> Self {
-        Session {
-            id,
-            deadline: OFDM_PERIOD_CYCLES + id,
-            period: OFDM_PERIOD_CYCLES,
-            state: SessionState::Idle,
-            kind: Kind::Ofdm(OfdmTerminal::new(seed)),
-            crashed: false,
-            attempts: 0,
-        }
+        Session::rehydrate(&ParkedSession::new_ofdm(id, seed, id))
     }
 
     /// The session id (also its shard-affinity key).
@@ -170,22 +257,20 @@ impl Session {
         self.deadline
     }
 
+    fn row(&self) -> Option<(usize, Option<KernelSpec>)> {
+        match self.kind {
+            Kind::Wcdma(_) => row_at::<WcdmaTerminal>(&self.state),
+            Kind::Ofdm(_) => row_at::<OfdmTerminal>(&self.state),
+        }
+    }
+
     /// The array kernel the session's *next* step will activate — the
     /// batching dispatcher's grouping key. `None` for steps that never
     /// touch the array (capture, DSP-side path search) and for terminal
     /// sessions; those steps can run on any gang member without costing
     /// configuration-bus traffic.
     pub fn next_kernel(&self) -> Option<KernelSpec> {
-        match (&self.kind, &self.state) {
-            (Kind::Wcdma(_), SessionState::Tracking) => {
-                Some(KernelSpec::Wcdma(WcdmaKernel::Descrambler))
-            }
-            (Kind::Ofdm(_), SessionState::PreambleDetect) => {
-                Some(KernelSpec::Ofdm(OfdmKernel::PreambleDetector))
-            }
-            (Kind::Ofdm(_), SessionState::Demod) => Some(KernelSpec::Ofdm(OfdmKernel::Demodulator)),
-            _ => None,
-        }
+        self.row()?.1
     }
 
     /// The session as an admission-control job for
@@ -195,7 +280,7 @@ impl Session {
             Standard::Wcdma => (format!("wcdma-{}", self.id), WCDMA_JOB_CYCLES),
             Standard::Ofdm => (format!("ofdm-{}", self.id), OFDM_JOB_CYCLES),
         };
-        sdr_core::scheduler::Job::new(name, cycles, self.period)
+        sdr_core::scheduler::Job::new(name, cycles, self.standard().period())
     }
 
     /// Runs one step of the state machine on a worker's array. Terminal
@@ -207,14 +292,15 @@ impl Session {
     /// session is dead-lettered rather than failed: the payload was never
     /// wrong, the platform just could not keep a configuration alive.
     pub fn step(&mut self, worker: &mut WorkerArray) {
-        if self.state.is_terminal() {
+        // Only terminal states have no table row.
+        let Some((index, _)) = self.row() else {
             return;
-        }
-        let outcome = match &mut self.kind {
-            Kind::Wcdma(t) => t.step(&self.state, worker),
-            Kind::Ofdm(t) => t.step(&self.state, worker),
         };
-        self.deadline += self.period;
+        let outcome = match &mut self.kind {
+            Kind::Wcdma(t) => run_stage(t, index, &mut self.carry, worker),
+            Kind::Ofdm(t) => run_stage(t, index, &mut self.carry, worker),
+        };
+        self.deadline += self.standard().period();
         self.state = match outcome {
             Ok(next) => next,
             Err(e) if e.is_fault() => SessionState::DeadLettered(format!("array fault: {e}")),
@@ -235,13 +321,30 @@ impl Session {
         self.attempts += 1;
     }
 
-    /// Consumes the crash flag set by the supervisor. Drivers of a raw
-    /// [`ShardPool`](crate::pool::ShardPool) (the engine, the async
-    /// front-end, external closed loops) check this on every handed-back
-    /// session to decide between re-dispatch and
+    /// Consumes the crash flag set by the supervisor. External drivers of a
+    /// raw [`ShardPool`](crate::pool::ShardPool) check this on every
+    /// handed-back session to decide between re-dispatch and
     /// [`mark_dead_lettered`](Session::mark_dead_lettered).
     pub fn take_crashed(&mut self) -> bool {
         std::mem::take(&mut self.crashed)
+    }
+
+    /// The crash-supervision verdict on a session a shard handed back:
+    /// `true` when its step crashed the worker and it is to be re-dispatched
+    /// (the shard already restarted with a fresh array; any backoff is the
+    /// caller's). Past `max_attempts` crashes it is dead-lettered instead.
+    pub(crate) fn resolve_crash(&mut self, max_attempts: u32, metrics: &Metrics) -> bool {
+        if !self.take_crashed() {
+            return false;
+        }
+        if self.attempts > max_attempts {
+            self.mark_dead_lettered(format!("crashed {} times; giving up", self.attempts));
+            Metrics::incr(&metrics.dead_letters);
+            return false;
+        }
+        Metrics::incr(&metrics.session_retries);
+        Metrics::incr(&metrics.recoveries);
+        true
     }
 
     /// Dispatch attempts that ended in a worker crash.
@@ -255,91 +358,53 @@ impl Session {
     }
 
     /// Terminates the session as dead-lettered with a reason — the give-up
-    /// end of the crash-supervision loop (see
-    /// [`take_crashed`](Session::take_crashed)).
+    /// end of crash supervision (see [`take_crashed`](Session::take_crashed)).
     pub fn mark_dead_lettered(&mut self, reason: impl Into<String>) {
         self.state = SessionState::DeadLettered(reason.into());
     }
 
-    // -- park / resume split ------------------------------------------------
-
-    /// Shrinks the session to its compact parked form: the kernel-spec
-    /// phase, the deadline, and the handful of DSP state words needed to
-    /// resume — no sample buffers. Every capture in this engine is a pure
-    /// function of the session seed, so a parked session can drop its
-    /// received samples entirely and [`rehydrate`](Session::rehydrate)
-    /// replays them bit-identically; only the DSP decisions that the
-    /// pipeline has already *made* (the found path delay, the coarse
-    /// preamble timing) are carried across the park, so no array kernel
-    /// ever re-runs.
+    /// Shrinks the session to its compact parked form: the table row it
+    /// resumes into, the deadline and the carry word — no sample buffers.
+    /// Every capture in this engine is a pure function of the session
+    /// seed, so a parked session drops its received samples entirely and
+    /// [`rehydrate`](Session::rehydrate) replays them bit-identically; only
+    /// the DSP decision the pipeline has already *made* crosses the park,
+    /// so no array kernel ever re-runs.
     ///
-    /// Returns `None` for terminal sessions — they have nothing left to
-    /// resume into.
+    /// Returns `None` for terminal sessions — nothing left to resume into.
     pub fn park(&self) -> Option<ParkedSession> {
-        let phase = match (&self.kind, &self.state) {
-            (Kind::Wcdma(_), SessionState::Idle) => ParkedPhase::WcdmaStart,
-            (Kind::Wcdma(_), SessionState::Searching) => ParkedPhase::WcdmaSearch,
-            (Kind::Wcdma(t), SessionState::Tracking) => ParkedPhase::WcdmaTrack {
-                delay: t.found_delay as u16,
-            },
-            (Kind::Ofdm(_), SessionState::Idle) => ParkedPhase::OfdmStart,
-            (Kind::Ofdm(_), SessionState::PreambleDetect) => ParkedPhase::OfdmDetect,
-            (Kind::Ofdm(t), SessionState::Demod) => ParkedPhase::OfdmDemod {
-                coarse: t.coarse as u32,
-            },
-            _ => return None,
-        };
+        let (stage, _) = self.row()?;
         Some(ParkedSession {
             id: self.id,
-            seed: match &self.kind {
-                Kind::Wcdma(t) => t.seed,
-                Kind::Ofdm(t) => t.seed,
-            },
+            seed: self.seed,
             deadline: self.deadline,
-            phase,
+            stage,
+            carry: self.carry,
+            standard: self.standard(),
             backoff: 0,
             attempts: self.attempts.min(u8::MAX as u32) as u8,
         })
     }
 
-    /// Rebuilds a full session from its parked record. The capture is
-    /// replayed from the seed (deterministic), the recorded DSP state
-    /// words are restored, and the state machine resumes exactly where it
-    /// parked — per-session kernel outcomes are bit-identical to a
-    /// never-parked run.
+    /// Rebuilds a full session from its parked record: the capture is
+    /// replayed from the seed, the carry word restored, and the state
+    /// machine resumes exactly where it parked — per-session kernel
+    /// outcomes are bit-identical to a never-parked run.
     pub fn rehydrate(parked: &ParkedSession) -> Session {
-        let mut s = match parked.phase {
-            ParkedPhase::WcdmaStart | ParkedPhase::WcdmaSearch | ParkedPhase::WcdmaTrack { .. } => {
-                Session::wcdma(parked.id, parked.seed)
-            }
-            ParkedPhase::OfdmStart | ParkedPhase::OfdmDetect | ParkedPhase::OfdmDemod { .. } => {
-                Session::ofdm(parked.id, parked.seed)
-            }
+        let (kind, state) = match parked.standard {
+            Standard::Wcdma => resume(parked.seed, parked.stage, Kind::Wcdma),
+            Standard::Ofdm => resume(parked.seed, parked.stage, Kind::Ofdm),
         };
-        s.deadline = parked.deadline;
-        s.attempts = parked.attempts as u32;
-        match (parked.phase, &mut s.kind) {
-            (ParkedPhase::WcdmaStart, _) | (ParkedPhase::OfdmStart, _) => {}
-            (ParkedPhase::WcdmaSearch, Kind::Wcdma(t)) => {
-                s.state = t.capture(); // -> Searching
-            }
-            (ParkedPhase::WcdmaTrack { delay }, Kind::Wcdma(t)) => {
-                let _ = t.capture();
-                t.found_delay = delay as usize;
-                s.state = SessionState::Tracking;
-            }
-            (ParkedPhase::OfdmDetect, Kind::Ofdm(t)) => {
-                s.state = t.capture(); // -> PreambleDetect
-            }
-            (ParkedPhase::OfdmDemod { coarse }, Kind::Ofdm(t)) => {
-                let _ = t.capture();
-                t.coarse = coarse as usize;
-                s.state = SessionState::Demod;
-            }
-            // The constructor above always matches the phase's standard.
-            _ => unreachable!("parked phase and rebuilt session standard always agree"),
+        Session {
+            id: parked.id,
+            seed: parked.seed,
+            deadline: parked.deadline,
+            state,
+            carry: parked.carry,
+            kind,
+            crashed: false,
+            attempts: parked.attempts as u32,
         }
-        s
     }
 }
 
@@ -347,33 +412,12 @@ impl Session {
 // Parked sessions
 // ---------------------------------------------------------------------------
 
-/// Which pipeline stage a parked session resumes into, plus the DSP state
-/// words that stage needs. Kept payload-minimal so [`ParkedSession`] stays
-/// a few dozen bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ParkedPhase {
-    /// W-CDMA terminal that has not captured its slot yet.
-    WcdmaStart,
-    /// W-CDMA terminal with a captured slot, path search ahead.
-    WcdmaSearch,
-    /// W-CDMA terminal tracking: the found path delay is the only DSP
-    /// state the finger needs.
-    WcdmaTrack { delay: u16 },
-    /// OFDM terminal that has not captured its frame yet.
-    OfdmStart,
-    /// OFDM terminal with a captured frame, preamble detection ahead.
-    OfdmDetect,
-    /// OFDM terminal past detection: the coarse preamble timing is the
-    /// only DSP state demodulation needs.
-    OfdmDemod { coarse: u32 },
-}
-
 /// The compact parked form of a waiting terminal: what the front-end's
 /// parking lot stores instead of a full sample-buffer-bearing
-/// [`Session`]. A few dozen bytes — id, seed, deadline, phase (with its
-/// DSP state words) and backoff/attempt counters — so millions of
-/// terminals can be resident while only the materialised few own sample
-/// buffers. See [`Session::park`] / [`Session::rehydrate`].
+/// [`Session`]. A few dozen bytes — id, seed, deadline, the stage-table
+/// row it resumes into, the carry word and backoff/attempt counters — so
+/// millions of terminals can be resident while only the materialised few
+/// own sample buffers. See [`Session::park`] / [`Session::rehydrate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParkedSession {
     id: u64,
@@ -382,7 +426,12 @@ pub struct ParkedSession {
     /// parking lot's wake key. The frame/slot arrival is one period
     /// earlier ([`ParkedSession::arrival`]).
     deadline: u64,
-    phase: ParkedPhase,
+    /// Index of the stage-table row the session resumes into.
+    stage: usize,
+    /// The DSP decision the rows from `stage` on need: the found path
+    /// delay (W-CDMA), the coarse preamble timing (OFDM).
+    carry: u32,
+    standard: Standard,
     /// Times the session bounced off a full shard queue and was re-parked
     /// (backpressure deferrals).
     backoff: u8,
@@ -391,29 +440,28 @@ pub struct ParkedSession {
 }
 
 impl ParkedSession {
-    /// Parks a not-yet-started W-CDMA terminal directly — no [`Session`]
-    /// (and no heap) is ever built for it until rehydration.
-    pub fn new_wcdma(id: u64, seed: u64, arrival: u64) -> Self {
+    fn fresh(standard: Standard, id: u64, seed: u64, arrival: u64) -> Self {
         ParkedSession {
             id,
             seed,
-            deadline: arrival + WCDMA_PERIOD_CYCLES,
-            phase: ParkedPhase::WcdmaStart,
+            deadline: arrival + standard.period(),
+            stage: 0,
+            carry: 0,
+            standard,
             backoff: 0,
             attempts: 0,
         }
     }
 
+    /// Parks a not-yet-started W-CDMA terminal directly — no [`Session`]
+    /// (and no heap) is ever built for it until rehydration.
+    pub fn new_wcdma(id: u64, seed: u64, arrival: u64) -> Self {
+        ParkedSession::fresh(Standard::Wcdma, id, seed, arrival)
+    }
+
     /// Parks a not-yet-started OFDM terminal directly (heap-free).
     pub fn new_ofdm(id: u64, seed: u64, arrival: u64) -> Self {
-        ParkedSession {
-            id,
-            seed,
-            deadline: arrival + OFDM_PERIOD_CYCLES,
-            phase: ParkedPhase::OfdmStart,
-            backoff: 0,
-            attempts: 0,
-        }
+        ParkedSession::fresh(Standard::Ofdm, id, seed, arrival)
     }
 
     /// The terminal id.
@@ -428,12 +476,7 @@ impl ParkedSession {
 
     /// The standard the parked terminal runs.
     pub fn standard(&self) -> Standard {
-        match self.phase {
-            ParkedPhase::WcdmaStart | ParkedPhase::WcdmaSearch | ParkedPhase::WcdmaTrack { .. } => {
-                Standard::Wcdma
-            }
-            _ => Standard::Ofdm,
-        }
+        self.standard
     }
 
     /// Deadline (array cycles) of the step the session resumes into.
@@ -449,17 +492,14 @@ impl ParkedSession {
 
     /// The session's processing period in array cycles.
     pub fn period(&self) -> u64 {
-        match self.standard() {
-            Standard::Wcdma => WCDMA_PERIOD_CYCLES,
-            Standard::Ofdm => OFDM_PERIOD_CYCLES,
-        }
+        self.standard.period()
     }
 
     /// True when the record is a fresh, never-materialised terminal (no
     /// pipeline progress, no backpressure bounces) — the only kind the
     /// front-end's admission model charges for.
     pub fn is_fresh(&self) -> bool {
-        self.backoff == 0 && matches!(self.phase, ParkedPhase::WcdmaStart | ParkedPhase::OfdmStart)
+        self.backoff == 0 && self.stage == 0
     }
 
     /// Backpressure deferrals so far.
@@ -480,8 +520,8 @@ impl ParkedSession {
 // W-CDMA terminal
 // ---------------------------------------------------------------------------
 
-/// Every state past `Idle` is entered through `capture()`, directly or by
-/// rehydration, so a step that finds no code is a state-machine bug.
+/// Every row past the capture is entered through `capture()`, by stepping
+/// or by rehydration, so a stage that finds no code is a state-machine bug.
 const NO_CAPTURE: &str = "wcdma session stepped past Idle without a capture";
 
 #[derive(Debug)]
@@ -495,10 +535,15 @@ struct WcdmaTerminal {
     /// to: a fresh terminal (and a fresh parked record's rehydration) holds
     /// neither.
     code: Option<ScramblingCode>,
-    found_delay: usize,
 }
 
-impl WcdmaTerminal {
+impl Terminal for WcdmaTerminal {
+    const STAGES: &'static [Stage<Self>] = &[
+        Stage::new(SessionState::Idle, None, capture_stage),
+        Stage::new(SessionState::Searching, None, Self::search),
+        Stage::new(SessionState::Tracking, Some(DESCRAMBLER), Self::track),
+    ];
+
     fn new(seed: u64) -> Self {
         let mut rng = Rng64::seed_from_u64(seed);
         let bits: Vec<u8> = (0..32).map(|_| (rng.next_u32() & 1) as u8).collect();
@@ -509,24 +554,12 @@ impl WcdmaTerminal {
             true_delay: 4 + (seed % 8) as usize,
             rx: Vec::new(),
             code: None,
-            found_delay: 0,
         }
     }
 
-    fn step(&mut self, state: &SessionState, worker: &mut WorkerArray) -> XppResult<SessionState> {
-        match state {
-            SessionState::Idle => Ok(self.capture()),
-            SessionState::Searching => Ok(self.search()),
-            SessionState::Tracking => self.demodulate(worker),
-            other => Ok(SessionState::Failed(format!(
-                "wcdma session cannot step from {other:?}"
-            ))),
-        }
-    }
-
-    /// Simulates the air interface: transmit, propagate over a single-path
-    /// channel with light noise, digitize.
-    fn capture(&mut self) -> SessionState {
+    /// Transmit, propagate over a single-path channel with light noise,
+    /// digitize.
+    fn capture(&mut self) {
         use wcdma::channel::{propagate, AdcConfig, CellLink, Path};
         let mut tx = CellTransmitter::new(self.cell);
         let signal = tx.transmit(&self.bits);
@@ -538,62 +571,71 @@ impl WcdmaTerminal {
             AdcConfig::default(),
         );
         self.code = Some(tx.scrambling_code().clone());
-        SessionState::Searching
     }
+}
 
-    /// CPICH path search (DSP-side in the paper's partitioning).
-    fn search(&mut self) -> SessionState {
+impl WcdmaTerminal {
+    /// CPICH path search (DSP-side in the paper's partitioning). Carries the
+    /// found path delay — the only DSP state the finger needs.
+    fn search(&mut self, carry: &mut u32, _: &mut WorkerArray) -> StageResult {
         let Some(code) = &self.code else {
-            return SessionState::Failed(NO_CAPTURE.into());
+            return fail(NO_CAPTURE);
         };
         let hits = PathSearcher::default().search(&self.rx, code);
         match hits.first() {
             Some(hit) if hit.delay == self.true_delay => {
-                self.found_delay = hit.delay;
-                SessionState::Tracking
+                *carry = hit.delay as u32;
+                PASS
             }
-            Some(hit) => SessionState::Failed(format!(
+            Some(hit) => fail(format!(
                 "path search found delay {} instead of {}",
                 hit.delay, self.true_delay
             )),
-            None => SessionState::Failed("path search found no paths".into()),
+            None => fail("path search found no paths"),
         }
     }
 
     /// One finger on the array: descramble (Fig. 5) and despread (Fig. 6)
     /// on cached configurations, then estimate/correct/decide on the DSP.
-    fn demodulate(&mut self, worker: &mut WorkerArray) -> XppResult<SessionState> {
+    fn track(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
         let Some(code) = &self.code else {
-            return Ok(SessionState::Failed(NO_CAPTURE.into()));
+            return fail(NO_CAPTURE);
         };
-        let delay = self.found_delay;
+        let rx = &self.rx;
+        let delay = *carry as usize;
         let sf = self.cell.dpch.sf;
-        let n = ((self.rx.len() - delay) / sf) * sf;
+        let code_index = self.cell.dpch.code_index;
+        let n = ((rx.len() - delay) / sf) * sf;
 
-        let descrambled = run_descrambler(worker, &self.rx, code, delay, n)?;
-        if descrambled != descramble(&self.rx, code, delay, 0, n) {
-            return Ok(SessionState::Failed(
-                "array descrambler diverged from golden".into(),
-            ));
+        let descrambled =
+            worker.run_kernel(KernelKind::Descrambler, DESCRAMBLER, None, |array, cfg| {
+                drive_descrambler(array, cfg, rx, code, delay, 0, n)
+            })?;
+        if descrambled != descramble(rx, code, delay, 0, n) {
+            return fail("array descrambler diverged from golden");
         }
-        let symbols = run_despreader(worker, &descrambled, sf, self.cell.dpch.code_index)?;
-        if symbols != despread(&descrambled, sf, self.cell.dpch.code_index) {
-            return Ok(SessionState::Failed(
-                "array despreader diverged from golden".into(),
-            ));
+        // The kernel spec carries the spreading factor and OVSF code index —
+        // every parameter that shapes the netlist — so sessions with the same
+        // cell parameters share one stored compile.
+        let symbols = worker.run_kernel(
+            KernelKind::Despreader,
+            WcdmaKernel::Despreader { sf, code_index },
+            None,
+            |array, cfg| drive_despreader(array, cfg, &descrambled, sf),
+        )?;
+        if symbols != despread(&descrambled, sf, code_index) {
+            return fail("array despreader diverged from golden");
         }
 
-        let h = estimate_channel(&self.rx, code, delay, 8);
+        let h = estimate_channel(rx, code, delay, 8);
         let w = quantize_weights(&[h])[0];
         let corrected = correct(&symbols, w);
         let soft: Vec<Cplx<i64>> = corrected.iter().map(|s| s.widen()).collect();
         let decided = decide(&soft);
         if decided.len() >= self.bits.len() && decided[..self.bits.len()] == self.bits[..] {
-            Ok(SessionState::Done)
+            PASS
         } else {
-            Ok(SessionState::Failed(
-                "decided bits differ from transmitted".into(),
-            ))
+            fail("decided bits differ from transmitted")
         }
     }
 }
@@ -609,10 +651,15 @@ struct OfdmTerminal {
     leading_gap: usize,
     seed: u64,
     rx: Vec<Cplx<i32>>,
-    coarse: usize,
 }
 
-impl OfdmTerminal {
+impl Terminal for OfdmTerminal {
+    const STAGES: &'static [Stage<Self>] = &[
+        Stage::new(SessionState::Idle, None, capture_stage),
+        Stage::new(SessionState::PreambleDetect, Some(DETECTOR), Self::detect),
+        Stage::new(SessionState::Demod, Some(DEMODULATOR), Self::demodulate),
+    ];
+
     fn new(seed: u64) -> Self {
         let mut rng = Rng64::seed_from_u64(seed ^ 0x0FD3);
         let bits: Vec<u8> = (0..96).map(|_| (rng.next_u32() & 1) as u8).collect();
@@ -625,22 +672,10 @@ impl OfdmTerminal {
             leading_gap: 64 + (seed % 48) as usize,
             seed,
             rx: Vec::new(),
-            coarse: 0,
         }
     }
 
-    fn step(&mut self, state: &SessionState, worker: &mut WorkerArray) -> XppResult<SessionState> {
-        match state {
-            SessionState::Idle => Ok(self.capture()),
-            SessionState::PreambleDetect => self.detect(worker),
-            SessionState::Demod => self.demodulate(worker),
-            other => Ok(SessionState::Failed(format!(
-                "ofdm session cannot step from {other:?}"
-            ))),
-        }
-    }
-
-    fn capture(&mut self) -> SessionState {
+    fn capture(&mut self) {
         use ofdm::channel::WlanChannel;
         let frame = ofdm::tx::Transmitter::new(self.rate).transmit(&self.bits);
         let channel = WlanChannel {
@@ -649,44 +684,51 @@ impl OfdmTerminal {
             ..WlanChannel::default()
         };
         self.rx = channel.run(&frame.samples);
-        SessionState::PreambleDetect
     }
+}
 
+impl OfdmTerminal {
     /// Configuration 2a on the worker's array; the streamed metric must be
-    /// bit-exact with the golden autocorrelation.
-    fn detect(&mut self, worker: &mut WorkerArray) -> XppResult<SessionState> {
-        let metric = run_preamble_detector(worker, &self.rx)?;
-        if metric != ofdm::rx::autocorr_metric(&self.rx) {
-            return Ok(SessionState::Failed(
-                "array preamble metric diverged from golden".into(),
-            ));
+    /// bit-exact with the golden autocorrelation. Carries the coarse
+    /// preamble timing — the only DSP state demodulation needs.
+    fn detect(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
+        let rx = &self.rx;
+        // Fig. 10: a successful search is followed by the 2a→2b swap, so
+        // the demodulator streams over the configuration bus while the
+        // preamble search runs, and the swap pays only activation.
+        let metric = worker.run_kernel(
+            KernelKind::PreambleDetector,
+            DETECTOR,
+            Some(DEMODULATOR),
+            |array, cfg| drive_preamble_detector(array, cfg, rx),
+        )?;
+        if metric != ofdm::rx::autocorr_metric(rx) {
+            return fail("array preamble metric diverged from golden");
         }
-        match OfdmReceiver::new(self.rate).detect(&self.rx) {
+        match OfdmReceiver::new(self.rate).detect(rx) {
             Some(coarse) => {
-                self.coarse = coarse;
-                Ok(SessionState::Demod)
+                *carry = coarse as u32;
+                PASS
             }
-            None => Ok(SessionState::Failed("no preamble plateau found".into())),
+            None => fail("no preamble plateau found"),
         }
     }
 
     /// The Fig. 10 swap (2a out, 2b in), slicing of the first data symbol
     /// through 2b, and full golden decode of the payload.
-    fn demodulate(&mut self, worker: &mut WorkerArray) -> XppResult<SessionState> {
+    fn demodulate(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
         // The Fig. 10 swap counts the reconfiguration; the slicing below
         // re-activates 2b through the watchdog wrapper (tier-1 free when
         // the swap just loaded it).
-        worker.swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)?;
+        worker.swap(DETECTOR, DEMODULATOR)?;
 
         let sync = OfdmReceiver::new(self.rate);
-        let Some(long_start) = sync.fine_timing(&self.rx, self.coarse) else {
-            return Ok(SessionState::Failed("fine timing failed".into()));
+        let Some(long_start) = sync.fine_timing(&self.rx, *carry as usize) else {
+            return fail("fine timing failed");
         };
         let at = long_start + 2 * 64 + CP_LEN;
         if at + 64 > self.rx.len() {
-            return Ok(SessionState::Failed(
-                "frame truncated before first data symbol".into(),
-            ));
+            return fail("frame truncated before first data symbol");
         }
         let mut window = [Cplx::<i32>::ZERO; 64];
         window.copy_from_slice(&self.rx[at..at + 64]);
@@ -696,172 +738,24 @@ impl OfdmTerminal {
             .map(|&k| spectrum[subcarrier_to_bin(k)])
             .collect();
         let weights = vec![Cplx::new(512, 0); carriers.len()];
-        let slices = run_demodulator(worker, &carriers, &weights)?;
+        let slices =
+            worker.run_kernel(KernelKind::Demodulator, DEMODULATOR, None, |array, cfg| {
+                drive_demodulator(array, cfg, &carriers, &weights)
+            })?;
         for (k, (b0, b1)) in slices.iter().enumerate() {
             if *b0 != (carriers[k].re < 0) as u8 || *b1 != (carriers[k].im < 0) as u8 {
-                return Ok(SessionState::Failed(format!(
+                return fail(format!(
                     "2b slicer diverged from spectrum sign at carrier {k}"
-                )));
+                ));
             }
         }
 
         match sync.receive(&self.rx, self.bits.len()) {
-            Ok(out) if out.bits == self.bits => Ok(SessionState::Done),
-            Ok(_) => Ok(SessionState::Failed(
-                "decoded payload differs from transmitted".into(),
-            )),
-            Err(e) => Ok(SessionState::Failed(format!("receiver error: {e}"))),
+            Ok(out) if out.bits == self.bits => PASS,
+            Ok(_) => fail("decoded payload differs from transmitted"),
+            Err(e) => fail(format!("receiver error: {e}")),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Array drive helpers (cached-configuration counterparts of the
-// one-array-per-kernel wrappers in `sdr_wcdma::xpp_map` / `sdr_ofdm::xpp_map`)
-// ---------------------------------------------------------------------------
-
-fn split_iq(samples: &[Cplx<i32>]) -> (Vec<Word>, Vec<Word>) {
-    let i = samples.iter().map(|c| Word::new(c.re)).collect();
-    let q = samples.iter().map(|c| Word::new(c.im)).collect();
-    (i, q)
-}
-
-fn zip_iq(i: &[Word], q: &[Word]) -> Vec<Cplx<i32>> {
-    i.iter()
-        .zip(q)
-        .map(|(a, b)| Cplx::new(a.value(), b.value()))
-        .collect()
-}
-
-fn run_descrambler(
-    worker: &mut WorkerArray,
-    rx: &[Cplx<i32>],
-    code: &ScramblingCode,
-    delay: usize,
-    n: usize,
-) -> XppResult<Vec<Cplx<i32>>> {
-    // run_kernel replays the whole body on a watchdog retry, which is safe
-    // here: inputs are re-pushed from the captured slices and the reloaded
-    // configuration starts from clean token state.
-    worker.run_kernel(WcdmaKernel::Descrambler, |worker, cfg| {
-        let before = worker.array().stats().cycles;
-        let fires_before = worker.array().config_fire_count(cfg);
-        let (i, q) = split_iq(&rx[delay..delay + n]);
-        let bits: Vec<(u8, u8)> = (0..n).map(|k| code.chip_bits(k)).collect();
-        let array = worker.array_mut();
-        array.push_input(cfg, "i_in", i)?;
-        array.push_input(cfg, "q_in", q)?;
-        array.push_input(cfg, "ci", bits.iter().map(|b| Word::new(b.0 as i32)))?;
-        array.push_input(cfg, "cq", bits.iter().map(|b| Word::new(b.1 as i32)))?;
-        array.run_until_output(cfg, "i_out", n, 16 * n as u64 + 1_000)?;
-        array.run_until_idle(1_000)?;
-        let i_out = array.drain_output(cfg, "i_out")?;
-        let q_out = array.drain_output(cfg, "q_out")?;
-        let cycles = worker.array().stats().cycles - before;
-        let fires = worker.array().config_fire_count(cfg) - fires_before;
-        worker
-            .metrics()
-            .record_kernel(KernelKind::Descrambler, cycles, fires);
-        Ok(zip_iq(&i_out, &q_out))
-    })
-}
-
-fn run_despreader(
-    worker: &mut WorkerArray,
-    chips: &[Cplx<i32>],
-    sf: usize,
-    code_index: usize,
-) -> XppResult<Vec<Cplx<i32>>> {
-    // The kernel spec carries the spreading factor and OVSF code index —
-    // every parameter that shapes the netlist — so sessions with the same
-    // cell parameters share one stored compile.
-    worker.run_kernel(WcdmaKernel::Despreader { sf, code_index }, |worker, cfg| {
-        let before = worker.array().stats().cycles;
-        let fires_before = worker.array().config_fire_count(cfg);
-        let n_sym = chips.len() / sf;
-        let (i, q) = split_iq(&chips[..n_sym * sf]);
-        let array = worker.array_mut();
-        array.push_input(cfg, "i_in", i)?;
-        array.push_input(cfg, "q_in", q)?;
-        array.run_until_output(cfg, "i_out", n_sym, 16 * chips.len() as u64 + 2_000)?;
-        array.run_until_idle(2_000)?;
-        let i_out = array.drain_output(cfg, "i_out")?;
-        let q_out = array.drain_output(cfg, "q_out")?;
-        let cycles = worker.array().stats().cycles - before;
-        let fires = worker.array().config_fire_count(cfg) - fires_before;
-        worker
-            .metrics()
-            .record_kernel(KernelKind::Despreader, cycles, fires);
-        Ok(zip_iq(&i_out, &q_out))
-    })
-}
-
-fn run_preamble_detector(worker: &mut WorkerArray, rx: &[Cplx<i32>]) -> XppResult<Vec<i32>> {
-    use ofdm::rx::{AUTOCORR_LAG, AUTOCORR_WINDOW};
-    worker.run_kernel(OfdmKernel::PreambleDetector, |worker, cfg| {
-        // Fig. 10: a successful search is followed by the 2a→2b swap, so
-        // start streaming the demodulator over the configuration bus *now*
-        // — the load overlaps the preamble search below, and the swap pays
-        // only activation. A watchdog retry re-issues this as a no-op.
-        worker.prefetch(OfdmKernel::Demodulator)?;
-        let before = worker.array().stats().cycles;
-        let fires_before = worker.array().config_fire_count(cfg);
-        // A resident detector keeps the previous terminal's tail in its
-        // delay lines and running sum. Streaming lag+window zero samples
-        // (idle air) drains that history exactly — the window sum of 32
-        // zero products is zero — so every session sees the golden
-        // zero-history metric.
-        let flush = AUTOCORR_LAG + AUTOCORR_WINDOW;
-        let n = rx.len();
-        let (i, q) = split_iq(rx);
-        let array = worker.array_mut();
-        array.push_input(cfg, "i_in", std::iter::repeat_n(Word::ZERO, flush).chain(i))?;
-        array.push_input(cfg, "q_in", std::iter::repeat_n(Word::ZERO, flush).chain(q))?;
-        let expect = flush + n;
-        array.run_until_output(cfg, "metric", expect, 20 * expect as u64 + 5_000)?;
-        array.run_until_idle(5_000)?;
-        let metric = array.drain_output(cfg, "metric")?;
-        let cycles = worker.array().stats().cycles - before;
-        let fires = worker.array().config_fire_count(cfg) - fires_before;
-        worker
-            .metrics()
-            .record_kernel(KernelKind::PreambleDetector, cycles, fires);
-        Ok(metric.iter().skip(flush).map(|w| w.value()).collect())
-    })
-}
-
-fn run_demodulator(
-    worker: &mut WorkerArray,
-    carriers: &[Cplx<i32>],
-    weights: &[Cplx<i32>],
-) -> XppResult<Vec<(u8, u8)>> {
-    assert_eq!(carriers.len(), weights.len(), "one weight per carrier");
-    worker.run_kernel(OfdmKernel::Demodulator, |worker, cfg| {
-        let before = worker.array().stats().cycles;
-        let fires_before = worker.array().config_fire_count(cfg);
-        let n = carriers.len();
-        let (i, q) = split_iq(carriers);
-        let (wi, wq) = split_iq(weights);
-        let array = worker.array_mut();
-        array.push_input(cfg, "i_in", i)?;
-        array.push_input(cfg, "q_in", q)?;
-        array.push_input(cfg, "wi", wi)?;
-        array.push_input(cfg, "wq", wq)?;
-        array.run_until_output(cfg, "b0", n, 20 * n as u64 + 5_000)?;
-        array.run_until_idle(5_000)?;
-        let b0 = array.drain_output(cfg, "b0")?;
-        let b1 = array.drain_output(cfg, "b1")?;
-        let cycles = worker.array().stats().cycles - before;
-        let fires = worker.array().config_fire_count(cfg) - fires_before;
-        worker
-            .metrics()
-            .record_kernel(KernelKind::Demodulator, cycles, fires);
-        Ok(b0
-            .iter()
-            .zip(&b1)
-            .map(|(a, b)| (a.value() as u8, b.value() as u8))
-            .collect())
-    })
 }
 
 #[cfg(test)]
@@ -1037,7 +931,7 @@ mod tests {
         let mut worker = WorkerArray::new(8, metrics);
         let mut s = Session::wcdma(5, 42);
         s.step(&mut worker); // Idle -> Searching
-        s.step(&mut worker); // Searching -> Tracking (found_delay set)
+        s.step(&mut worker); // Searching -> Tracking (carry word set)
         let parked = s.park().expect("tracking sessions park");
         assert!(!parked.is_fresh(), "mid-pipeline records are not fresh");
         let mut back = Session::rehydrate(&parked);
@@ -1057,5 +951,70 @@ mod tests {
         assert_eq!(*s.state(), SessionState::Done);
         assert_eq!(metrics.snapshot().jobs_run, jobs);
         assert_eq!(metrics.snapshot().sessions_completed, 1, "not recounted");
+    }
+
+    /// Every row of both stage tables: a park → rehydrate round trip lands
+    /// on the same row with the same scheduling words, and only an
+    /// un-bounced row-0 record is fresh.
+    #[test]
+    fn park_and_rehydrate_agree_at_every_table_row() {
+        type Maker = fn(u64, u64) -> Session;
+        let makers: [Maker; 2] = [Session::wcdma, Session::ofdm];
+        for make in makers {
+            let metrics = Arc::new(Metrics::new());
+            let mut worker = WorkerArray::new(8, metrics);
+            let mut s = make(9, 1234);
+            s.record_crash();
+            assert!(s.take_crashed());
+            for row in 0..3 {
+                let parked = s.park().expect("non-terminal sessions park");
+                assert_eq!(parked.is_fresh(), row == 0, "row {row}");
+                let mut bounced = parked;
+                bounced.defer(100);
+                assert!(!bounced.is_fresh(), "row {row}: a bounced record is stale");
+
+                let back = Session::rehydrate(&parked);
+                assert_eq!(back.standard(), s.standard());
+                assert_eq!(back.state(), s.state(), "row {row}");
+                assert_eq!(back.next_kernel(), s.next_kernel(), "row {row}");
+                assert_eq!(back.deadline(), s.deadline(), "row {row}");
+                assert_eq!(back.attempts(), 1, "row {row}");
+                assert_eq!(back.park(), Some(parked), "row {row}: carry word survived");
+                s.step(&mut worker);
+            }
+            assert_eq!(*s.state(), SessionState::Done, "three rows, then done");
+        }
+    }
+
+    /// One session of each standard at a fixed seed spends exactly the
+    /// array cycles and object fires it did before the stage-table
+    /// refactor (figures recorded at commit 2486872): the drive functions
+    /// moved, no simulated cycle did.
+    #[test]
+    fn per_kernel_cycles_and_fires_are_pinned() {
+        let pinned = [
+            (
+                Session::wcdma(0, 42),
+                [1, 1, 0, 0],
+                [2054, 2054, 0, 0],
+                [36_868, 20_556, 0, 0],
+            ),
+            (
+                Session::ofdm(1, 7),
+                [0, 0, 1, 1],
+                [0, 0, 688, 54],
+                [0, 0, 16_324, 768],
+            ),
+        ];
+        for (mut s, jobs, cycles, fires) in pinned {
+            let metrics = Arc::new(Metrics::new());
+            let mut worker = WorkerArray::new(8, Arc::clone(&metrics));
+            drive_to_terminal(&mut s, &mut worker);
+            assert_eq!(*s.state(), SessionState::Done);
+            let snap = metrics.snapshot();
+            assert_eq!(snap.kernel_jobs, jobs, "{:?}", s.standard());
+            assert_eq!(snap.kernel_cycles, cycles, "{:?}", s.standard());
+            assert_eq!(snap.kernel_fires, fires, "{:?}", s.standard());
+        }
     }
 }

@@ -173,6 +173,75 @@ pub fn demodulator_netlist() -> Netlist {
     nl.build().expect("demodulator netlist is well formed")
 }
 
+/// Configuration 2a's drive function (see [`crate::xpp_map`]): `cfg` is a
+/// running [`preamble_detector_netlist`] on `array`. Returns one metric
+/// value per sample of `rx`, bit-exact with
+/// [`autocorr_metric`](crate::rx::autocorr_metric).
+///
+/// A resident detector keeps the previous caller's tail in its delay
+/// lines and running sum. Streaming lag + window zero samples (idle air)
+/// ahead of `rx` drains that history exactly — the window sum of 32 zero
+/// products is zero — so every job sees the golden zero-history metric;
+/// the flush's own outputs are dropped.
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not a detector on `array` or the
+/// simulation stalls.
+pub fn drive_preamble_detector(
+    array: &mut Array,
+    cfg: ConfigId,
+    rx: &[Cplx<i32>],
+) -> Result<Vec<i32>> {
+    let flush = AUTOCORR_LAG + AUTOCORR_WINDOW;
+    let zeros = || std::iter::repeat_n(Word::ZERO, flush);
+    let (i, q) = split_iq(rx);
+    array.push_input(cfg, "i_in", zeros().chain(i))?;
+    array.push_input(cfg, "q_in", zeros().chain(q))?;
+    let expect = flush + rx.len();
+    array.run_until_output(cfg, "metric", expect, 20 * expect as u64 + 5_000)?;
+    array.run_until_idle(5_000)?;
+    let metric = array.drain_output(cfg, "metric")?;
+    Ok(metric.iter().skip(flush).map(|w| w.value()).collect())
+}
+
+/// Configuration 2b's drive function (see [`crate::xpp_map`]): `cfg` is a
+/// running [`demodulator_netlist`] on `array`. One `(y, w)` pair per
+/// subcarrier in, `(b0, b1)` hard bits out.
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not a demodulator on `array` or the
+/// simulation stalls.
+///
+/// # Panics
+///
+/// Panics unless there is exactly one weight per symbol.
+pub fn drive_demodulator(
+    array: &mut Array,
+    cfg: ConfigId,
+    symbols: &[Cplx<i32>],
+    weights: &[Cplx<i32>],
+) -> Result<Vec<(u8, u8)>> {
+    assert_eq!(symbols.len(), weights.len(), "one weight per subcarrier");
+    let n = symbols.len();
+    let (i, q) = split_iq(symbols);
+    let (wi, wq) = split_iq(weights);
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    array.push_input(cfg, "wi", wi)?;
+    array.push_input(cfg, "wq", wq)?;
+    array.run_until_output(cfg, "b0", n, 20 * n as u64 + 5_000)?;
+    array.run_until_idle(5_000)?;
+    let b0 = array.drain_output(cfg, "b0")?;
+    let b1 = array.drain_output(cfg, "b1")?;
+    Ok(b0
+        .iter()
+        .zip(&b1)
+        .map(|(a, b)| (a.value() as u8, b.value() as u8))
+        .collect())
+}
+
 /// A log entry of the reconfiguration scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReconfigEvent {
@@ -312,8 +381,9 @@ impl ReconfigurableFrontend {
         Ok(buf)
     }
 
-    /// Demodulates equaliser inputs through 2b: one `(y, w)` pair per
-    /// subcarrier, returning `(b0, b1)` hard bits.
+    /// Demodulates equaliser inputs through 2b ([`drive_demodulator`] on
+    /// the scenario's array): one `(y, w)` pair per subcarrier, returning
+    /// `(b0, b1)` hard bits.
     ///
     /// # Errors
     ///
@@ -323,25 +393,8 @@ impl ReconfigurableFrontend {
         symbols: &[Cplx<i32>],
         weights: &[Cplx<i32>],
     ) -> Result<Vec<(u8, u8)>> {
-        assert_eq!(symbols.len(), weights.len(), "one weight per subcarrier");
         let cfg2b = self.cfg2b.ok_or(xpp_array::Error::NoSuchConfig(0))?;
-        let (i, q) = split_iq(symbols);
-        let (wi, wq) = split_iq(weights);
-        self.array.push_input(cfg2b, "i_in", i)?;
-        self.array.push_input(cfg2b, "q_in", q)?;
-        self.array.push_input(cfg2b, "wi", wi)?;
-        self.array.push_input(cfg2b, "wq", wq)?;
-        let budget = 20 * symbols.len() as u64 + 5_000;
-        self.array
-            .run_until_output(cfg2b, "b0", symbols.len(), budget)?;
-        self.array.run_until_idle(5_000)?;
-        let b0 = self.array.drain_output(cfg2b, "b0")?;
-        let b1 = self.array.drain_output(cfg2b, "b1")?;
-        Ok(b0
-            .iter()
-            .zip(&b1)
-            .map(|(a, b)| (a.value() as u8, b.value() as u8))
-            .collect())
+        drive_demodulator(&mut self.array, cfg2b, symbols, weights)
     }
 }
 
@@ -462,5 +515,33 @@ mod tests {
         assert_eq!(fe.fft(&frame).unwrap(), golden);
         fe.switch_to_demodulation().unwrap();
         assert_eq!(fe.fft(&frame).unwrap(), golden);
+    }
+
+    /// The drive functions on one caller-owned array holding 2a and 2b
+    /// together — the engine's situation after a prefetch. A second search
+    /// on the warm detector must still read the zero-history golden metric:
+    /// the flush drains the first caller's tail.
+    #[test]
+    fn drive_functions_match_golden_on_a_shared_array() {
+        let mut array = Array::xpp64a();
+        let detector = array.configure(&preamble_detector_netlist()).unwrap();
+        let demodulator = array.configure(&demodulator_netlist()).unwrap();
+        for seed in [3, 8] {
+            let x = samples(200, seed);
+            let metric = drive_preamble_detector(&mut array, detector, &x).unwrap();
+            assert_eq!(metric, autocorr_metric(&x), "seed {seed}");
+
+            let y = samples(48, seed + 1);
+            let w = vec![Cplx::new(400, -200); y.len()];
+            let bits = drive_demodulator(&mut array, demodulator, &y, &w).unwrap();
+            let golden: Vec<(u8, u8)> = y
+                .iter()
+                .zip(&w)
+                .map(|(y, w)| y.cmul_shr(w.conj(), 9))
+                .map(|z| ((z.re < 0) as u8, (z.im < 0) as u8))
+                .collect();
+            assert_eq!(bits, golden, "seed {seed}");
+        }
+        assert_eq!(array.stats().configs_loaded, 2, "both stayed resident");
     }
 }

@@ -1,12 +1,22 @@
 //! The OFDM decoder's array configurations (paper Figs. 9 and 10).
+//!
+//! The two kernels the multi-terminal engine runs have a **drive
+//! function** beside their netlist — [`drive_preamble_detector`] (2a) and
+//! [`drive_demodulator`] (2b) — the one place that knows the netlist's
+//! port names, cycle budgets and push → run → drain order. It runs one job
+//! on a caller-owned `Array` that may hold other resident configurations
+//! (the engine's workers; [`ReconfigurableFrontend`] calls it too), and
+//! streams its inputs straight from the caller's slices, so calling it
+//! again with the same arguments — a watchdog retry — replays the job.
 
 pub mod fft64;
 pub mod frontend;
 
 pub use fft64::{fft64_netlist, ArrayFft64};
 pub use frontend::{
-    demodulator_netlist, downsample2, downsampler_netlist, frontend_netlist,
-    preamble_detector_netlist, ReconfigEvent, ReconfigurableFrontend,
+    demodulator_netlist, downsample2, downsampler_netlist, drive_demodulator,
+    drive_preamble_detector, frontend_netlist, preamble_detector_netlist, ReconfigEvent,
+    ReconfigurableFrontend,
 };
 
 use sdr_dsp::Cplx;
@@ -56,11 +66,18 @@ impl OfdmKernel {
     }
 }
 
-/// Splits a complex integer stream into parallel I and Q word streams.
-pub(crate) fn split_iq(samples: &[Cplx<i32>]) -> (Vec<Word>, Vec<Word>) {
+/// Splits a complex integer stream into parallel I and Q word streams,
+/// read lazily from the caller's slice (`Array::push_input` takes them as
+/// they are).
+pub(crate) fn split_iq(
+    samples: &[Cplx<i32>],
+) -> (
+    impl Iterator<Item = Word> + '_,
+    impl Iterator<Item = Word> + '_,
+) {
     (
-        samples.iter().map(|c| Word::new(c.re)).collect(),
-        samples.iter().map(|c| Word::new(c.im)).collect(),
+        samples.iter().map(|c| Word::new(c.re)),
+        samples.iter().map(|c| Word::new(c.im)),
     )
 }
 

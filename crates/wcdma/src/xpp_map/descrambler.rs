@@ -52,6 +52,42 @@ pub fn descrambler_netlist() -> Netlist {
     nl.build().expect("descrambler netlist is well formed")
 }
 
+/// The descrambler's drive function (see [`crate::xpp_map`]): `cfg` is a
+/// running [`descrambler_netlist`] on `array`. Descrambles `n` chips
+/// starting at `rx[delay]` with code phase `phase` — the same contract as
+/// the golden [`descramble`](crate::rake::finger::descramble).
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not a descrambler on `array` or the
+/// simulation stalls (never happens for valid streams).
+///
+/// # Panics
+///
+/// Panics if `delay + n` exceeds the buffer.
+pub fn drive_descrambler(
+    array: &mut Array,
+    cfg: ConfigId,
+    rx: &[Cplx<i32>],
+    code: &ScramblingCode,
+    delay: usize,
+    phase: usize,
+    n: usize,
+) -> Result<Vec<Cplx<i32>>> {
+    assert!(delay + n <= rx.len(), "descramble window exceeds buffer");
+    let (i, q) = split_iq(&rx[delay..delay + n]);
+    let bits = |k| code.chip_bits(phase + k);
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    array.push_input(cfg, "ci", (0..n).map(|k| Word::new(bits(k).0 as i32)))?;
+    array.push_input(cfg, "cq", (0..n).map(|k| Word::new(bits(k).1 as i32)))?;
+    array.run_until_output(cfg, "i_out", n, 16 * n as u64 + 1_000)?;
+    array.run_until_idle(1_000)?;
+    let i_out = array.drain_output(cfg, "i_out")?;
+    let q_out = array.drain_output(cfg, "q_out")?;
+    Ok(zip_iq(&i_out, &q_out))
+}
+
 /// A descrambler running on its own array instance.
 ///
 /// # Example
@@ -90,18 +126,7 @@ impl ArrayDescrambler {
         Ok(ArrayDescrambler { array, cfg })
     }
 
-    /// Descrambles `n` chips starting at `rx[delay]` with code phase
-    /// `phase` — the same contract as the golden
-    /// [`descramble`](crate::rake::finger::descramble).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls (never happens for valid
-    /// streams).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay + n` exceeds the buffer.
+    /// [`drive_descrambler`] on the private array (same errors and panics).
     pub fn process(
         &mut self,
         rx: &[Cplx<i32>],
@@ -110,21 +135,7 @@ impl ArrayDescrambler {
         phase: usize,
         n: usize,
     ) -> Result<Vec<Cplx<i32>>> {
-        assert!(delay + n <= rx.len(), "descramble window exceeds buffer");
-        let (i, q) = split_iq(&rx[delay..delay + n]);
-        let bits: Vec<(u8, u8)> = (0..n).map(|k| code.chip_bits(phase + k)).collect();
-        self.array.push_input(self.cfg, "i_in", i)?;
-        self.array.push_input(self.cfg, "q_in", q)?;
-        self.array
-            .push_input(self.cfg, "ci", bits.iter().map(|b| Word::new(b.0 as i32)))?;
-        self.array
-            .push_input(self.cfg, "cq", bits.iter().map(|b| Word::new(b.1 as i32)))?;
-        self.array
-            .run_until_output(self.cfg, "i_out", n, 16 * n as u64 + 1_000)?;
-        self.array.run_until_idle(1_000)?;
-        let i_out = self.array.drain_output(self.cfg, "i_out")?;
-        let q_out = self.array.drain_output(self.cfg, "q_out")?;
-        Ok(zip_iq(&i_out, &q_out))
+        drive_descrambler(&mut self.array, self.cfg, rx, code, delay, phase, n)
     }
 
     /// The underlying array (for stats and placement inspection).

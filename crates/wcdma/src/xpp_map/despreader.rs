@@ -124,6 +124,32 @@ pub fn despreader_multiplexed_netlist(fingers: usize, sf: usize) -> Netlist {
         .expect("multiplexed despreader netlist is well formed")
 }
 
+/// The single despreader's drive function (see [`crate::xpp_map`]): `cfg`
+/// is a running [`despreader_single_netlist`]`(sf, _)` on `array`. Same
+/// contract as the golden [`despread`](crate::rake::finger::despread): one
+/// symbol per `sf` chips, trailing partial symbols dropped.
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not a despreader on `array` or the
+/// simulation stalls.
+pub fn drive_despreader(
+    array: &mut Array,
+    cfg: ConfigId,
+    chips: &[Cplx<i32>],
+    sf: usize,
+) -> Result<Vec<Cplx<i32>>> {
+    let n_sym = chips.len() / sf;
+    let (i, q) = split_iq(&chips[..n_sym * sf]);
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    array.run_until_output(cfg, "i_out", n_sym, 16 * chips.len() as u64 + 2_000)?;
+    array.run_until_idle(2_000)?;
+    let i_out = array.drain_output(cfg, "i_out")?;
+    let q_out = array.drain_output(cfg, "q_out")?;
+    Ok(zip_iq(&i_out, &q_out))
+}
+
 /// A single-finger despreader on its own array.
 #[derive(Debug)]
 pub struct ArrayDespreader {
@@ -144,25 +170,9 @@ impl ArrayDespreader {
         Ok(ArrayDespreader { array, cfg, sf })
     }
 
-    /// Despreads a descrambled chip stream (same contract as the golden
-    /// [`despread`](crate::rake::finger::despread); trailing partial symbols
-    /// are dropped).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
+    /// [`drive_despreader`] on the private array (same errors).
     pub fn process(&mut self, chips: &[Cplx<i32>]) -> Result<Vec<Cplx<i32>>> {
-        let n_sym = chips.len() / self.sf;
-        let (i, q) = split_iq(&chips[..n_sym * self.sf]);
-        self.array.push_input(self.cfg, "i_in", i)?;
-        self.array.push_input(self.cfg, "q_in", q)?;
-        let budget = 16 * chips.len() as u64 + 2_000;
-        self.array
-            .run_until_output(self.cfg, "i_out", n_sym, budget)?;
-        self.array.run_until_idle(2_000)?;
-        let i_out = self.array.drain_output(self.cfg, "i_out")?;
-        let q_out = self.array.drain_output(self.cfg, "q_out")?;
-        Ok(zip_iq(&i_out, &q_out))
+        drive_despreader(&mut self.array, self.cfg, chips, self.sf)
     }
 
     /// The underlying array.

@@ -7,7 +7,14 @@
 //!
 //! Each kernel comes as a netlist constructor (for embedding into a larger
 //! platform) plus a self-contained wrapper owning a private array instance
-//! (for tests and benchmarks).
+//! (for tests and benchmarks). The two kernels the multi-terminal engine
+//! runs also have a **drive function** beside their netlist —
+//! [`drive_descrambler`], [`drive_despreader`] — the one place that knows
+//! the netlist's port names, cycle budgets and push → run → drain order.
+//! It runs one job on a caller-owned `Array` that may hold other resident
+//! configurations (the engine's workers; the wrappers call it too), and
+//! streams its inputs straight from the caller's slices, so calling it
+//! again with the same arguments — a watchdog retry — replays the job.
 
 pub mod corrector;
 pub mod descrambler;
@@ -16,9 +23,9 @@ pub mod despreader;
 pub use corrector::{
     corrector_netlist, sttd_corrector_netlist, ArrayCorrector, ArraySttdCorrector,
 };
-pub use descrambler::{descrambler_netlist, ArrayDescrambler};
+pub use descrambler::{descrambler_netlist, drive_descrambler, ArrayDescrambler};
 pub use despreader::{
-    despreader_multiplexed_netlist, despreader_single_netlist, ArrayDespreader,
+    despreader_multiplexed_netlist, despreader_single_netlist, drive_despreader, ArrayDespreader,
     ArrayMultiplexedDespreader, MIN_MULTIPLEXED_FINGERS,
 };
 
@@ -77,11 +84,18 @@ impl WcdmaKernel {
     }
 }
 
-/// Splits a complex integer stream into parallel I and Q word streams.
-pub(crate) fn split_iq(samples: &[Cplx<i32>]) -> (Vec<Word>, Vec<Word>) {
+/// Splits a complex integer stream into parallel I and Q word streams,
+/// read lazily from the caller's slice (`Array::push_input` takes them as
+/// they are).
+pub(crate) fn split_iq(
+    samples: &[Cplx<i32>],
+) -> (
+    impl Iterator<Item = Word> + '_,
+    impl Iterator<Item = Word> + '_,
+) {
     (
-        samples.iter().map(|c| Word::new(c.re)).collect(),
-        samples.iter().map(|c| Word::new(c.im)).collect(),
+        samples.iter().map(|c| Word::new(c.re)),
+        samples.iter().map(|c| Word::new(c.im)),
     )
 }
 
@@ -96,4 +110,39 @@ pub(crate) fn zip_iq(i: &[Word], q: &[Word]) -> Vec<Cplx<i32>> {
         .zip(q)
         .map(|(a, b)| Cplx::new(a.value(), b.value()))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rake::finger::{descramble, despread};
+    use crate::scrambling::ScramblingCode;
+    use xpp_array::Array;
+
+    /// The drive functions on one caller-owned array holding both kernels —
+    /// the engine's situation, which the private-array wrappers never see:
+    /// each job matches its golden model, addresses only its own
+    /// configuration, and a second job on the warm configuration agrees.
+    #[test]
+    fn drive_functions_match_golden_on_a_shared_array() {
+        let (sf, code_index) = (16, 3);
+        let mut array = Array::xpp64a();
+        let descrambler = array.configure(&descrambler_netlist()).unwrap();
+        let despreader = array
+            .configure(&despreader_single_netlist(sf, code_index))
+            .unwrap();
+        let code = ScramblingCode::downlink(11);
+        let rx: Vec<Cplx<i32>> = (0..200)
+            .map(|i| Cplx::new((i * 37 % 4095) - 2047, (i * 91 % 4095) - 2047))
+            .collect();
+        for (delay, phase) in [(0, 0), (7, 5)] {
+            let n = (rx.len() - delay) / sf * sf;
+            let chips =
+                drive_descrambler(&mut array, descrambler, &rx, &code, delay, phase, n).unwrap();
+            assert_eq!(chips, descramble(&rx, &code, delay, phase, n));
+            let symbols = drive_despreader(&mut array, despreader, &chips, sf).unwrap();
+            assert_eq!(symbols, despread(&chips, sf, code_index));
+        }
+        assert_eq!(array.stats().configs_loaded, 2, "both stayed resident");
+    }
 }
