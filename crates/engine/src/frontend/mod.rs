@@ -108,12 +108,6 @@ pub struct FrontendConfig {
     pub defer_cycles: u64,
     /// Supervision tuning (crash retry budget, watchdog grant).
     pub recovery: RecoveryPolicy,
-    /// Let worker arrays capture and replay steady-state schedules (the
-    /// default). Rate-matched deployments whose frames never sit in a
-    /// steady state long enough to amortise a capture (the honest 0.87×
-    /// detector tax in BENCH_ARRAY.json) can disable it pool-wide here
-    /// instead of reaching into each array.
-    pub schedule_capture: bool,
     /// How submissions are placed on shards (see
     /// [`PoolConfig::placement`]); the virtual-time model mirrors the
     /// affinity policy deterministically either way.
@@ -121,7 +115,7 @@ pub struct FrontendConfig {
     /// Cross-shard work stealing (see [`PoolConfig::work_stealing`]).
     /// Session outcomes and the admission model's slack/shed figures are
     /// placement- and steal-independent, but the live dispatch counters
-    /// (reconfigurations, prefetches, schedule captures) depend on which
+    /// (reconfigurations, prefetches, dense-stepping entries) depend on which
     /// shard each step lands on; runs that want a bit-identical metrics
     /// block across executions should pair [`PlacementPolicy::Static`]
     /// with stealing off.
@@ -161,7 +155,6 @@ impl Default for FrontendConfig {
             shed_lateness_cycles: 2 * crate::session::WCDMA_PERIOD_CYCLES,
             defer_cycles: 1_000,
             recovery: p.recovery,
-            schedule_capture: p.schedule_capture,
             placement: p.placement,
             work_stealing: p.work_stealing,
             delta_loading: p.delta_loading,
@@ -309,7 +302,6 @@ impl Frontend {
                 cache_capacity: config.cache_capacity,
                 replicate_after_cycles: PoolConfig::default().replicate_after_cycles,
                 start_paused: config.start_paused,
-                schedule_capture: config.schedule_capture,
                 placement: config.placement,
                 work_stealing: config.work_stealing,
                 delta_loading: config.delta_loading,
@@ -784,47 +776,6 @@ mod tests {
             "early stop: every terminal is either done or still parked"
         );
         assert_eq!(summary.peak_parked, 50);
-    }
-
-    /// The pool-wide capture switch: rate-matched deployments disable
-    /// steady-state schedule capture with one config field instead of
-    /// reaching into each array. Off means *no* array ever captures;
-    /// outcomes are unchanged either way.
-    #[test]
-    fn schedule_capture_disables_pool_wide() {
-        let run = |capture: bool| {
-            let mut fe = Frontend::new(FrontendConfig {
-                shards: 2,
-                arrays_per_shard: 2,
-                queue_depth: 16,
-                schedule_capture: capture,
-                ..FrontendConfig::default()
-            });
-            for id in 0..24u64 {
-                let rec = if id % 2 == 0 {
-                    ParkedSession::new_wcdma(id, 1000 + id, id * 200)
-                } else {
-                    ParkedSession::new_ofdm(id, 2000 + id, id * 200)
-                };
-                fe.admit(rec);
-            }
-            fe.run(&mut no_followup())
-        };
-        let with_capture = run(true);
-        let without = run(false);
-        assert_eq!(with_capture.frames_completed, 24);
-        assert_eq!(without.frames_completed, 24);
-        assert_eq!(with_capture.done, without.done, "outcomes match");
-        assert!(
-            with_capture.snapshot.schedules_captured >= 1,
-            "default must capture on this steady workload: {}",
-            with_capture.snapshot
-        );
-        assert_eq!(
-            without.snapshot.schedules_captured, 0,
-            "capture off must mean zero captures pool-wide"
-        );
-        assert_eq!(without.snapshot.schedule_replay_cycles, 0);
     }
 
     #[test]

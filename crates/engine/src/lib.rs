@@ -95,9 +95,6 @@ pub struct EngineConfig {
     /// session's ~40-byte parked record there instead. Default off — the
     /// seed overload behaviour sheds outright.
     pub rescue_migration: bool,
-    /// Let worker arrays capture and replay steady-state schedules (the
-    /// default; see [`PoolConfig::schedule_capture`]).
-    pub schedule_capture: bool,
     /// How submissions are placed on shards: residency-affinity routing
     /// (the default) or the static `id % shards` oracle (see
     /// [`PoolConfig::placement`]).
@@ -126,7 +123,6 @@ impl Default for EngineConfig {
             recovery: p.recovery,
             shed_backlog: usize::MAX,
             rescue_migration: false,
-            schedule_capture: p.schedule_capture,
             placement: p.placement,
             work_stealing: p.work_stealing,
             delta_loading: p.delta_loading,
@@ -208,7 +204,6 @@ impl Engine {
                 cache_capacity: config.cache_capacity,
                 replicate_after_cycles: PoolConfig::default().replicate_after_cycles,
                 start_paused: false,
-                schedule_capture: config.schedule_capture,
                 placement: config.placement,
                 work_stealing: config.work_stealing,
                 delta_loading: config.delta_loading,

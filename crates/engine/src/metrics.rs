@@ -174,19 +174,16 @@ pub struct Metrics {
     /// High-water mark of any single gang member's total array cycles —
     /// the modeled-platform makespan when members run in parallel.
     pub array_makespan_cycles: AtomicU64,
-    /// Steady-state schedules captured by worker arrays (promotions of the
-    /// event-driven stepper to straight-line replay).
+    /// Entries of a configuration into dense stepping on a worker array
+    /// (see [`xpp_array::ScheduleStats`]; this and the next two keep the
+    /// names the benchmark reads).
     pub schedules_captured: AtomicU64,
-    /// Array cycles stepped by the schedule-replay loop instead of the
-    /// event scheduler (`schedule_replay_cycles ÷ array_cycles_run` is the
-    /// replay-hit ratio).
+    /// Array cycles served by the dense stepper instead of the ready list
+    /// (`schedule_replay_cycles ÷ array_cycles_run` is the dense share).
     pub schedule_replay_cycles: AtomicU64,
-    /// Captured schedules invalidated back to the event scheduler (rate
-    /// perturbations, reconfigurations, faults, guard trips).
+    /// Exits of a configuration from dense stepping (ran dry, turned
+    /// sparse, unloaded).
     pub schedule_invalidations: AtomicU64,
-    /// Captures seeded by a period hint that travelled with a shared
-    /// `CompiledConfig` from another gang member's capture.
-    pub schedule_hinted_captures: AtomicU64,
     /// Submissions the affinity router placed on the shard already
     /// holding their next kernel.
     pub router_affinity_hits: AtomicU64,
@@ -341,7 +338,6 @@ impl Metrics {
             schedules_captured: load(&self.schedules_captured),
             schedule_replay_cycles: load(&self.schedule_replay_cycles),
             schedule_invalidations: load(&self.schedule_invalidations),
-            schedule_hinted_captures: load(&self.schedule_hinted_captures),
             router_affinity_hits: load(&self.router_affinity_hits),
             router_fallbacks: load(&self.router_fallbacks),
             batches_stolen: load(&self.batches_stolen),
@@ -442,14 +438,12 @@ pub struct Snapshot {
     pub config_words_streamed: u64,
     /// High-water mark of a single gang member's total array cycles.
     pub array_makespan_cycles: u64,
-    /// Steady-state schedules captured by worker arrays.
+    /// Entries of a configuration into dense stepping.
     pub schedules_captured: u64,
-    /// Array cycles stepped by the schedule-replay loop.
+    /// Array cycles served by the dense stepper.
     pub schedule_replay_cycles: u64,
-    /// Captured schedules invalidated back to the event scheduler.
+    /// Exits of a configuration from dense stepping.
     pub schedule_invalidations: u64,
-    /// Captures seeded by a travelled period hint.
-    pub schedule_hinted_captures: u64,
     /// Submissions the affinity router placed on the holding shard.
     pub router_affinity_hits: u64,
     /// Submissions routed by the least-loaded fallback.
@@ -512,10 +506,10 @@ impl Snapshot {
         self.kernel_fires.iter().sum()
     }
 
-    /// Fraction of worker-array cycles served by schedule replay instead
-    /// of the event scheduler, in `[0, 1]` (0 with no cycles run). High
-    /// values mean the platform sits in captured steady states — the
-    /// synchronous-dataflow premise the replay layer exploits.
+    /// Fraction of worker-array cycles served by the dense stepper instead
+    /// of the ready list, in `[0, 1]` (0 with no cycles run). High values
+    /// mean the arrays spend their cycles streaming bursts through full
+    /// pipelines rather than filling, draining or waiting on the bus.
     pub fn replay_hit_ratio(&self) -> f64 {
         if self.array_cycles_run == 0 {
             0.0
@@ -670,11 +664,10 @@ impl fmt::Display for Snapshot {
         )?;
         writeln!(
             f,
-            "  schedules   captured {:>7}  replay cycles {:>12}  invalidations {:>4}  hinted {:>4}  replay hit {:>5.1}%",
+            "  stepping    dense entries {:>7}  dense cycles {:>12}  exits {:>7}  dense share {:>5.1}%",
             self.schedules_captured,
             self.schedule_replay_cycles,
             self.schedule_invalidations,
-            self.schedule_hinted_captures,
             100.0 * self.replay_hit_ratio()
         )?;
         writeln!(
@@ -855,7 +848,7 @@ mod tests {
             ..Snapshot::default()
         };
         assert!((s.replay_hit_ratio() - 0.75).abs() < 1e-12);
-        // Replay cycles can momentarily race ahead of the cycle fold;
+        // Dense cycles can momentarily race ahead of the cycle fold;
         // the ratio clamps rather than exceeding 1.
         let clamped = Snapshot {
             array_cycles_run: 10,
@@ -864,8 +857,8 @@ mod tests {
         };
         assert_eq!(clamped.replay_hit_ratio(), 1.0);
         let text = s.to_string();
-        assert!(text.contains("replay hit"), "report must show the ratio");
-        assert!(text.contains("invalidations"), "report must show churn");
+        assert!(text.contains("dense share"), "report must show the ratio");
+        assert!(text.contains("exits"), "report must show churn");
     }
 
     #[test]

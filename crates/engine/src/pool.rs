@@ -473,10 +473,6 @@ pub struct PoolConfig {
     /// Pending sessions a shard must have queued (in its EDF heap) before
     /// it exposes a steal offer.
     pub steal_threshold: usize,
-    /// Let worker arrays capture steady-state schedules and replay them
-    /// (the default). Golden comparisons force this off to pin the replay
-    /// path bit-identical against the pure event-driven dispatch.
-    pub schedule_capture: bool,
     /// Stream word-level configuration deltas instead of full loads when
     /// a resident overlaps the target (see
     /// [`ConfigManager::set_delta_loading`]); also makes the affinity
@@ -506,7 +502,6 @@ impl Default for PoolConfig {
             placement: PlacementPolicy::default(),
             work_stealing: true,
             steal_threshold: 8,
-            schedule_capture: true,
             delta_loading: false,
             recovery: RecoveryPolicy::default(),
             #[cfg(feature = "faults")]
@@ -707,7 +702,6 @@ impl ShardPool {
                     policy: config.recovery,
                     gang: config.arrays_per_shard,
                     replicate_after_cycles: config.replicate_after_cycles,
-                    schedule_capture: config.schedule_capture,
                     delta_loading: config.delta_loading,
                     status: Arc::clone(&statuses[shard]),
                     view: Arc::clone(&view),
@@ -942,7 +936,6 @@ struct WorkerSeed {
     policy: RecoveryPolicy,
     gang: usize,
     replicate_after_cycles: u64,
-    schedule_capture: bool,
     delta_loading: bool,
     /// This shard's cell in the global residency view (publish side).
     status: Arc<ShardStatus>,
@@ -964,9 +957,6 @@ impl WorkerSeed {
             Arc::clone(&self.metrics),
             self.policy,
         );
-        worker
-            .array_mut()
-            .set_schedule_capture(self.schedule_capture);
         // Gang members keep swap sources resident: the batching
         // dispatcher routes each kernel's stream back to its warm member,
         // so recycling a kernel's resources per session (the single-array
@@ -1188,7 +1178,6 @@ fn credit_array_activity(metrics: &Metrics, busy: &mut u64, before: ActivityMark
     Metrics::add(&metrics.schedules_captured, sched.captured);
     Metrics::add(&metrics.schedule_replay_cycles, sched.replay_cycles);
     Metrics::add(&metrics.schedule_invalidations, sched.invalidations);
-    Metrics::add(&metrics.schedule_hinted_captures, sched.hinted_captures);
 }
 
 fn worker_loop(rx: Receiver<Session>, seed: WorkerSeed) {

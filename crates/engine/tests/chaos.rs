@@ -459,12 +459,14 @@ fn migrate_during_faults_keeps_the_ledger_intact() {
     );
 }
 
-/// Faults striking while worker arrays replay captured schedules: the
-/// schedule layer must invalidate and fall back transparently, the
-/// supervision stack must recover exactly as it does without replay, and
-/// the fault ledger must still reconcile. The capture counters prove the
-/// run genuinely mixed replay with injected faults rather than vacuously
-/// passing on a pure event-driven run.
+/// Faults striking while worker arrays step their kernels dense (the name
+/// dates from the schedule replay that dense stepping replaced; the
+/// counters kept theirs too): configurations must leave dense mode as
+/// their bursts end or their arrays are torn down, the supervision stack
+/// must recover exactly as it always did, and the fault ledger must still
+/// reconcile. The stepping counters prove the run genuinely mixed dense
+/// stepping with injected faults rather than vacuously passing on a pure
+/// ready-list run.
 #[test]
 fn faults_mid_replay_invalidate_and_recover() {
     quiet_panics();
@@ -483,7 +485,7 @@ fn faults_mid_replay_invalidate_and_recover() {
             ..RecoveryPolicy::default()
         },
         fault_plan: Some(FaultPlan { faults }),
-        ..EngineConfig::default() // schedule_capture: true
+        ..EngineConfig::default()
     });
     let summary = engine.run(mixed_sessions(24));
 
@@ -493,27 +495,30 @@ fn faults_mid_replay_invalidate_and_recover() {
         24
     );
     let snap = &summary.snapshot;
-    // Replay really ran during this chaos workload…
+    // Dense stepping really ran during this chaos workload…
     assert!(
         snap.schedules_captured >= 1,
-        "no steady state captured — the test is vacuous: {snap}"
+        "no configuration ever turned dense — the test is vacuous: {snap}"
     );
-    assert!(snap.schedule_replay_cycles > 0, "captures never replayed");
-    // …and was torn down by the perturbations around the faults (swaps,
-    // reloads, drained pipelines) rather than surviving them unsoundly.
+    assert!(
+        snap.schedule_replay_cycles > 0,
+        "dense entries never stepped"
+    );
+    // …and ended with the bursts it served (drained pipelines, swaps,
+    // unloads) rather than outliving them.
     assert!(
         snap.schedule_invalidations >= 1,
-        "faulted loads and swaps must invalidate schedules: {snap}"
+        "drained or unloaded configurations must leave dense mode: {snap}"
     );
-    // The ledger invariant is untouched by the replay layer.
+    // The ledger invariant is untouched by the stepper.
     assert!(snap.faults_injected > 0, "plan never fired");
     assert_eq!(
         snap.faults_injected, snap.faults_detected,
-        "injected faults went undetected under replay: {snap}"
+        "injected faults went undetected under dense stepping: {snap}"
     );
     assert!(
         snap.faults_detected <= snap.recoveries + snap.dead_letters,
-        "detections unanswered under replay: {snap}"
+        "detections unanswered under dense stepping: {snap}"
     );
 }
 

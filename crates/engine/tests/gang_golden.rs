@@ -27,29 +27,15 @@ fn mixed_sessions(n: u64) -> Vec<Session> {
 
 /// Runs the workload and returns `(id, terminal state)` sorted by id.
 fn outcomes(arrays_per_shard: usize, n: u64) -> Vec<(u64, SessionState)> {
-    outcomes_with_capture(arrays_per_shard, n, true)
+    outcomes_full(arrays_per_shard, n, false)
 }
 
-fn outcomes_with_capture(
-    arrays_per_shard: usize,
-    n: u64,
-    schedule_capture: bool,
-) -> Vec<(u64, SessionState)> {
-    outcomes_full(arrays_per_shard, n, schedule_capture, false)
-}
-
-fn outcomes_full(
-    arrays_per_shard: usize,
-    n: u64,
-    schedule_capture: bool,
-    delta_loading: bool,
-) -> Vec<(u64, SessionState)> {
+fn outcomes_full(arrays_per_shard: usize, n: u64, delta_loading: bool) -> Vec<(u64, SessionState)> {
     let mut engine = Engine::new(EngineConfig {
         shards: 1,
         arrays_per_shard,
         queue_depth: 64,
         cache_capacity: 8,
-        schedule_capture,
         delta_loading,
         ..EngineConfig::default()
     });
@@ -88,12 +74,6 @@ fn gang_of_four_matches_single_array_outcomes() {
     );
 }
 
-/// Schedule capture is on by default for every gang member; forcing it
-/// off must not change a single session outcome, on either the seed
-/// single-array shape or the 4-array gang. (Bit-level array equivalence
-/// is pinned in `xpp_array`'s golden suite; this pins the engine layer —
-/// captured schedules travelling through the shared `Arc<CompiledConfig>`
-/// across gang members included.)
 /// Differential loading changes *how* configurations reach the array —
 /// word deltas against the evicted resident instead of full streams —
 /// never *what* they compute: a delta-loaded configuration is bit-exact
@@ -103,31 +83,14 @@ fn gang_of_four_matches_single_array_outcomes() {
 fn delta_loading_does_not_change_outcomes() {
     let n = 32;
     for gang in [1usize, 4] {
-        let off = outcomes_full(gang, n, true, false);
-        let on = outcomes_full(gang, n, true, true);
+        let off = outcomes_full(gang, n, false);
+        let on = outcomes_full(gang, n, true);
         assert_eq!(off.len(), on.len());
         for ((id_off, state_off), (id_on, state_on)) in off.iter().zip(on.iter()) {
             assert_eq!(id_off, id_on);
             assert_eq!(
                 state_off, state_on,
                 "session {id_off} (gang={gang}): differential loading changed the outcome"
-            );
-        }
-    }
-}
-
-#[test]
-fn schedule_capture_does_not_change_outcomes() {
-    let n = 32;
-    for gang in [1usize, 4] {
-        let on = outcomes_with_capture(gang, n, true);
-        let off = outcomes_with_capture(gang, n, false);
-        assert_eq!(on.len(), off.len());
-        for ((id_on, state_on), (id_off, state_off)) in on.iter().zip(off.iter()) {
-            assert_eq!(id_on, id_off);
-            assert_eq!(
-                state_on, state_off,
-                "session {id_on} (gang={gang}): schedule replay changed the outcome"
             );
         }
     }

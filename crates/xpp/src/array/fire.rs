@@ -3,21 +3,22 @@
 //!
 //! [`fire`] evaluates every enabled rule of one object against committed
 //! start-of-cycle channel state. All three steppers call it; they differ
-//! only in *which* objects they hand it and in three representation choices
-//! that the function is generic over, so each stepper gets its own
-//! monomorphised copy of the one body and no dynamic dispatch:
+//! only in *which* objects they hand it and in what happens when a fire
+//! first stages a channel ([`StageSink`]): the ready-list stepper collects
+//! the id for its commit walk, the dense and reference steppers sweep every
+//! channel anyway and track nothing. The function is generic over the sink,
+//! so each gets its own monomorphised copy of the one body and no dynamic
+//! dispatch.
 //!
-//! * where the operand channels come from ([`Ports`]): the object table's
-//!   own port maps ([`ObjPorts`], event and reference steppers) or a
-//!   compiled [`Micro`] with its ports pre-resolved to replay-slab indices;
-//! * how a channel id reaches a channel ([`ChanTable`]): the sparse
-//!   `Option` tables or the dense replay slabs;
-//! * what happens when a fire first stages a channel ([`StageSink`]): the
-//!   event stepper collects the id for its commit walk, replay only counts.
+//! An object's ports reach the function as a [`Micro`] — packed once, by
+//! [`CompiledConfig::compile`](crate::CompiledConfig::compile), in the
+//! configuration's own channel numbering, which is also the numbering of the
+//! dense channel vectors a loaded configuration owns.
 
 use std::collections::VecDeque;
 
 use crate::channel::Channel;
+use crate::compiled::CompiledNode;
 use crate::object::{AluOp, CounterCfg, ObjectKind, UnaryOp, RAM_WORDS};
 use crate::stats::ArrayStats;
 use crate::word::{Event, Word};
@@ -70,42 +71,9 @@ impl ObjState {
     }
 }
 
-/// Inline fan-out list of channel indices for one output port. Fan-out
-/// beyond the inline capacity spills to the heap; netlists rarely need it.
-#[derive(Debug, Default)]
-pub(super) struct PortList {
-    inline: [u32; 4],
-    len: u8,
-    spill: Vec<u32>,
-}
-
-impl PortList {
-    pub(super) fn from_chans(chans: Vec<usize>) -> Self {
-        let mut list = PortList::default();
-        if chans.len() <= list.inline.len() {
-            for (i, c) in chans.iter().enumerate() {
-                list.inline[i] = *c as u32;
-            }
-            list.len = chans.len() as u8;
-        } else {
-            list.spill = chans.into_iter().map(|c| c as u32).collect();
-        }
-        list
-    }
-
-    #[inline]
-    pub(super) fn chans(&self) -> &[u32] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-}
-
 /// Rule selector: an [`ObjectKind`] reduced to what firing needs, `Copy`
-/// and resolved once at load time (multiplier class, FIFO mode) instead of
-/// per fire. Stateful rules find their parameters next to their state
+/// and resolved once at compile time (multiplier class, FIFO mode) instead
+/// of per fire. Stateful rules find their parameters next to their state
 /// ([`ObjState`]); names and preloads stay behind in the netlist.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Rule {
@@ -133,11 +101,6 @@ pub(super) enum Rule {
     Output,
     InputEvent,
     OutputEvent,
-    /// Fires zero times. Compiled for a recorded op whose object vanished or
-    /// was disabled between capture and promotion (impossible: every such
-    /// mutation invalidates first), so the replay guard trips on its first
-    /// cycle and hands control back to the event scheduler.
-    Nop,
 }
 
 impl Rule {
@@ -169,64 +132,9 @@ impl Rule {
     }
 }
 
-/// Operand source of a fire: the channel behind each port of the object,
-/// by port position. Unconnected inputs read [`NO_CHAN`]; unconnected
-/// outputs are empty fan-out lists.
-pub(super) trait Ports {
-    fn din(&self, i: usize) -> u32;
-    fn evin(&self, i: usize) -> u32;
-    fn dout(&self, i: usize) -> &[u32];
-    fn evout(&self) -> &[u32];
-}
-
-/// An object's port maps into the sparse channel tables, sized to the
-/// widest port shapes so the hot loop never chases a heap pointer to find
-/// a channel index.
-#[derive(Debug)]
-pub(super) struct ObjPorts {
-    pub(super) din: [Option<u32>; 3],
-    pub(super) dout: [PortList; 2],
-    pub(super) evin: [Option<u32>; 2],
-    pub(super) evout: [PortList; 1],
-}
-
-impl Ports for ObjPorts {
-    #[inline]
-    fn din(&self, i: usize) -> u32 {
-        self.din[i].unwrap_or(NO_CHAN)
-    }
-    #[inline]
-    fn evin(&self, i: usize) -> u32 {
-        self.evin[i].unwrap_or(NO_CHAN)
-    }
-    #[inline]
-    fn dout(&self, i: usize) -> &[u32] {
-        self.dout[i].chans()
-    }
-    #[inline]
-    fn evout(&self) -> &[u32] {
-        self.evout[0].chans()
-    }
-}
-
-#[derive(Debug)]
-pub(super) struct RuntimeObject {
-    pub(super) rule: Rule,
-    pub(super) label: String,
-    pub(super) state: ObjState,
-    /// Lifetime fire count; `config_fire_count` aggregates these lazily
-    /// instead of a per-fire `HashMap` update in the hot loop.
-    pub(super) fires: u64,
-    /// True once the owning configuration finished loading. Replaces the
-    /// per-step set of loading configurations.
-    pub(super) enabled: bool,
-    pub(super) ports: ObjPorts,
-}
-
-/// One compiled fire op of the active schedule: an object's ports packed
-/// into five slots and resolved to replay-slab indices at promotion, so the
-/// replay loop streams a dense ~40-byte op instead of chasing the object
-/// table. No [`ObjectKind::shape`] populates both tenants of a shared slot:
+/// One object of a configuration's visit list: its rule and its ports packed
+/// into five slots, so the stepping loops stream a dense ~40-byte op. No
+/// [`ObjectKind::shape`] populates both tenants of a shared slot:
 ///
 /// | slot | holds                                                    |
 /// |------|----------------------------------------------------------|
@@ -236,12 +144,11 @@ pub(super) struct RuntimeObject {
 /// | `f0` | data output 0, as a range of the fan table               |
 /// | `f1` | data output 1, or the event output, as a range           |
 ///
-/// [`compile_micro_op`] packs and `impl Ports for MicroPorts` unpacks.
-/// Internal state stays in the object table under `slot`.
+/// [`Micro::pack`] packs and [`Ports`] unpacks. Unconnected inputs hold
+/// [`NO_CHAN`]; unconnected outputs are empty ranges.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct Micro {
-    pub(super) rule: Rule,
-    pub(super) slot: u32,
+pub(crate) struct Micro {
+    rule: Rule,
     a: u32,
     b: u32,
     ev: u32,
@@ -249,18 +156,56 @@ pub(super) struct Micro {
     f1: u32,
     f0n: u16,
     f1n: u16,
-    /// Recorded fire count for this op (from the schedule's packed op),
-    /// baked in so the replay guard streams a single array.
-    pub(super) fires: u8,
 }
 
-/// A [`Micro`] together with the fan table its output ranges index.
-pub(super) struct MicroPorts<'a> {
-    pub(super) m: &'a Micro,
-    pub(super) fan: &'a [u32],
+impl Micro {
+    /// Packs one compiled node, appending its output fan-outs to `fan`.
+    pub(crate) fn pack(node: &CompiledNode, fan: &mut Vec<u32>) -> Micro {
+        debug_assert!(
+            node.din[1].is_none() || node.evin[1].is_none(),
+            "slot b has two tenants"
+        );
+        debug_assert!(
+            node.evin[0].is_none() || node.din[2].is_none(),
+            "slot ev has two tenants"
+        );
+        debug_assert!(
+            node.dout[1].is_empty() || node.evout[0].is_empty(),
+            "slot f1 has two tenants"
+        );
+        let mut push_fan = |chans: &[u32]| {
+            let start = u32::try_from(fan.len()).expect("fan table fits u32");
+            let n = u16::try_from(chans.len()).expect("fan-out fits u16");
+            fan.extend_from_slice(chans);
+            (start, n)
+        };
+        let (f0, f0n) = push_fan(&node.dout[0]);
+        let (f1, f1n) = if node.evout[0].is_empty() {
+            push_fan(&node.dout[1])
+        } else {
+            push_fan(&node.evout[0])
+        };
+        Micro {
+            rule: Rule::of(&node.kind),
+            a: node.din[0].unwrap_or(NO_CHAN),
+            b: node.din[1].or(node.evin[1]).unwrap_or(NO_CHAN),
+            ev: node.evin[0].or(node.din[2]).unwrap_or(NO_CHAN),
+            f0,
+            f1,
+            f0n,
+            f1n,
+        }
+    }
 }
 
-impl Ports for MicroPorts<'_> {
+/// Operand source of a fire: a [`Micro`] together with the fan table its
+/// output ranges index, read by port position.
+struct Ports<'a> {
+    m: &'a Micro,
+    fan: &'a [u32],
+}
+
+impl Ports<'_> {
     #[inline]
     fn din(&self, i: usize) -> u32 {
         match i {
@@ -290,177 +235,72 @@ impl Ports for MicroPorts<'_> {
     }
 }
 
-/// Packs one recorded fire op into a [`Micro`]. `data`/`event` translate a
-/// channel id of the respective network into the index the replay loop
-/// will use (moving the channel into its slab on first sight); output
-/// fan-outs are appended to `fan`. An op whose object vanished or was
-/// disabled compiles to [`Rule::Nop`].
-pub(super) fn compile_micro_op(
-    obj: Option<&RuntimeObject>,
-    slot: u32,
-    fires: u8,
-    fan: &mut Vec<u32>,
-    mut data: impl FnMut(u32) -> u32,
-    mut event: impl FnMut(u32) -> u32,
-) -> Micro {
-    let mut m = Micro {
-        rule: Rule::Nop,
-        slot,
-        a: NO_CHAN,
-        b: NO_CHAN,
-        ev: NO_CHAN,
-        f0: 0,
-        f1: 0,
-        f0n: 0,
-        f1n: 0,
-        fires,
-    };
-    // A disabled object cannot have been recorded firing; a Nop keeps the
-    // guard honest should that invariant ever bend.
-    let Some(obj) = obj.filter(|o| o.enabled) else {
-        return m;
-    };
-    let p = &obj.ports;
-    debug_assert!(
-        p.din[1].is_none() || p.evin[1].is_none(),
-        "slot b has two tenants"
-    );
-    debug_assert!(
-        p.evin[0].is_none() || p.din[2].is_none(),
-        "slot ev has two tenants"
-    );
-    debug_assert!(
-        p.dout[1].chans().is_empty() || p.evout[0].chans().is_empty(),
-        "slot f1 has two tenants"
-    );
-    m.a = p.din[0].map_or(NO_CHAN, &mut data);
-    m.b = match (p.din[1], p.evin[1]) {
-        (Some(c), _) => data(c),
-        (None, Some(c)) => event(c),
-        (None, None) => NO_CHAN,
-    };
-    m.ev = match (p.evin[0], p.din[2]) {
-        (Some(c), _) => event(c),
-        (None, Some(c)) => data(c),
-        (None, None) => NO_CHAN,
-    };
-    let mut push_fan = |chans: &[u32], map: &mut dyn FnMut(u32) -> u32| {
-        let start = u32::try_from(fan.len()).ok()?;
-        let n = u16::try_from(chans.len()).ok()?;
-        fan.extend(chans.iter().map(|&c| map(c)));
-        Some((start, n))
-    };
-    let out0 = push_fan(p.dout[0].chans(), &mut data);
-    let out1 = if p.evout[0].chans().is_empty() {
-        push_fan(p.dout[1].chans(), &mut data)
-    } else {
-        push_fan(p.evout[0].chans(), &mut event)
-    };
-    let (Some((f0, f0n)), Some((f1, f1n))) = (out0, out1) else {
-        return m;
-    };
-    (m.f0, m.f0n, m.f1, m.f1n) = (f0, f0n, f1, f1n);
-    m.rule = obj.rule;
-    m
-}
-
-/// Channel-table access for the firing rules: the sparse `Option` tables
-/// (`dchans`/`echans`) or the dense slabs built at promotion.
-pub(super) trait ChanTable {
-    type Token: Copy + Default;
-    fn chan(&self, c: u32) -> &Channel<Self::Token>;
-    fn chan_mut(&mut self, c: u32) -> &mut Channel<Self::Token>;
-}
-
-impl<T: Copy + Default> ChanTable for [Option<Channel<T>>] {
-    type Token = T;
-    #[inline]
-    fn chan(&self, c: u32) -> &Channel<T> {
-        self[c as usize].as_ref().expect("live channel")
-    }
-    #[inline]
-    fn chan_mut(&mut self, c: u32) -> &mut Channel<T> {
-        self[c as usize].as_mut().expect("live channel")
-    }
-}
-
-impl<T: Copy + Default> ChanTable for [Channel<T>] {
-    type Token = T;
-    #[inline]
-    fn chan(&self, c: u32) -> &Channel<T> {
-        &self[c as usize]
-    }
-    #[inline]
-    fn chan_mut(&mut self, c: u32) -> &mut Channel<T> {
-        &mut self[c as usize]
-    }
-}
-
 /// Sink for "channel newly staged this cycle" notifications from the
-/// firing rules. The event stepper collects the ids (its commit loop
-/// walks exactly the staged channels and wakes their endpoints); the
-/// replay loop only counts them, because its commit loop streams the
-/// recorded signature and verifies set equality via the count.
+/// firing rules. The ready-list stepper collects the ids (its commit loop
+/// walks exactly the staged channels and wakes their endpoints); a stepper
+/// that commits every channel needs none of it.
 pub(super) trait StageSink {
-    fn note(&mut self, c: usize);
+    fn note(&mut self, c: u32);
 }
 
-impl StageSink for Vec<usize> {
+impl StageSink for Vec<u32> {
     #[inline]
-    fn note(&mut self, c: usize) {
+    fn note(&mut self, c: u32) {
         self.push(c);
     }
 }
 
-/// Counting sink for the replay loop: no per-touch memory traffic.
-#[derive(Default)]
-pub(super) struct StageCount(pub(super) u32);
+/// The sink of the dense and reference steppers: they sweep-commit every
+/// channel, so a staged channel needs no bookkeeping (and the
+/// [`Channel::is_staged`] test in front of the call folds away).
+pub(super) struct NoSink;
 
-impl StageSink for StageCount {
+impl StageSink for NoSink {
     #[inline]
-    fn note(&mut self, _c: usize) {
-        self.0 += 1;
-    }
+    fn note(&mut self, _c: u32) {}
 }
 
-/// One token network (data or event) as a fire sees it: its channel table
-/// and the sink told about each channel the fire is first to stage.
-pub(super) struct Lane<'a, C: ?Sized, S> {
-    pub(super) chans: &'a mut C,
+/// One token network (data or event) as a fire sees it: the configuration's
+/// channels and the sink told about each channel the fire is first to
+/// stage.
+pub(super) struct Lane<'a, T, S> {
+    pub(super) chans: &'a mut [Channel<T>],
     pub(super) staged: &'a mut S,
 }
 
-impl<C: ChanTable + ?Sized, S: StageSink> Lane<'_, C, S> {
+impl<T: Copy + Default, S: StageSink> Lane<'_, T, S> {
+    /// [`NO_CHAN`] is past the end of every channel vector, so the bounds
+    /// check doubles as the "port connected" test.
     #[inline]
     fn has(&self, c: u32) -> bool {
-        c != NO_CHAN && self.chans.chan(c).has_token()
+        self.chans.get(c as usize).is_some_and(Channel::has_token)
     }
 
     #[inline]
     fn can_put(&self, chans: &[u32]) -> bool {
-        chans.iter().all(|&c| self.chans.chan(c).has_space())
+        chans.iter().all(|&c| self.chans[c as usize].has_space())
     }
 
     #[inline]
-    fn peek(&self, c: u32) -> C::Token {
-        self.chans.chan(c).peek().expect("token present")
+    fn peek(&self, c: u32) -> T {
+        self.chans[c as usize].peek().expect("token present")
     }
 
     #[inline]
-    fn take(&mut self, c: u32) -> C::Token {
-        let ch = self.chans.chan_mut(c);
+    fn take(&mut self, c: u32) -> T {
+        let ch = &mut self.chans[c as usize];
         if !ch.is_staged() {
-            self.staged.note(c as usize);
+            self.staged.note(c);
         }
         ch.consume()
     }
 
     #[inline]
-    fn put(&mut self, chans: &[u32], v: C::Token) {
+    fn put(&mut self, chans: &[u32], v: T) {
         for &c in chans {
-            let ch = self.chans.chan_mut(c);
+            let ch = &mut self.chans[c as usize];
             if !ch.is_staged() {
-                self.staged.note(c as usize);
+                self.staged.note(c);
             }
             ch.produce(v);
         }
@@ -468,66 +308,33 @@ impl<C: ChanTable + ?Sized, S: StageSink> Lane<'_, C, S> {
 }
 
 /// Everything outside the object that a fire reads or writes.
-pub(super) struct Net<'a, D: ?Sized, E: ?Sized, S> {
-    pub(super) d: Lane<'a, D, S>,
-    pub(super) e: Lane<'a, E, S>,
+pub(super) struct Net<'a, S> {
+    pub(super) d: Lane<'a, Word, S>,
+    pub(super) e: Lane<'a, Event, S>,
     pub(super) stats: &'a mut ArrayStats,
 }
 
-impl RuntimeObject {
-    /// [`fire`] on this object's own ports and state, against the sparse
-    /// channel tables and dirty-channel worklists — the one instantiation
-    /// the event and reference steppers share.
-    #[inline]
-    pub(super) fn fire(
-        &mut self,
-        dchans: &mut [Option<Channel<Word>>],
-        echans: &mut [Option<Channel<Event>>],
-        dirty_d: &mut Vec<usize>,
-        dirty_e: &mut Vec<usize>,
-        stats: &mut ArrayStats,
-    ) -> u32 {
-        let mut net = Net {
-            d: Lane {
-                chans: dchans,
-                staged: dirty_d,
-            },
-            e: Lane {
-                chans: echans,
-                staged: dirty_e,
-            },
-            stats,
-        };
-        fire(self.rule, &self.ports, || Some(&mut self.state), &mut net)
-    }
-}
-
-/// Fires every enabled rule of one object; returns the number of rule
-/// fires. `state` fetches the object's internal state and is called only
-/// by the stateful rules, once their channel-side conditions hold.
+/// Fires every enabled rule of object `m`; returns the number of rule
+/// fires. `state` is the object's internal state, touched only by the
+/// stateful rules and only once their channel-side conditions hold.
 ///
 /// Channels a fire is first to touch are reported to the lane's sink
-/// (deduplicated via [`Channel::is_staged`]), in take/put order — the
-/// order the replay commit-signature guard verifies. Because every stepper
-/// runs this one body, steppers can differ only in which objects they
-/// visit, and an unvisited object never fires.
+/// (deduplicated via [`Channel::is_staged`]). Because every stepper runs
+/// this one body, steppers can differ only in which objects they visit, and
+/// an unvisited object never fires.
 ///
 /// Always inlined: each caller then holds `net`'s references as plain
 /// locals instead of reaching them through an aggregate behind a pointer
-/// (measured: ~9% of event-stepper time when the call stayed out of line).
+/// (measured: ~9% of ready-list stepper time when the call stayed out of
+/// line).
 #[inline(always)]
-pub(super) fn fire<'s, P, D, E, S>(
-    rule: Rule,
-    p: &P,
-    state: impl FnOnce() -> Option<&'s mut ObjState>,
-    net: &mut Net<'_, D, E, S>,
-) -> u32
-where
-    P: Ports,
-    D: ChanTable<Token = Word> + ?Sized,
-    E: ChanTable<Token = Event> + ?Sized,
-    S: StageSink,
-{
+pub(super) fn fire<S: StageSink>(
+    m: &Micro,
+    fan: &[u32],
+    state: &mut ObjState,
+    net: &mut Net<'_, S>,
+) -> u32 {
+    let (rule, p) = (m.rule, Ports { m, fan });
     let Net { d, e, stats } = net;
     // Each rule reads its operands in the order it tests them — inputs,
     // then outputs — so an object that cannot fire is dismissed at its
@@ -577,11 +384,11 @@ where
             0
         }
         Rule::Counter => {
-            let Some(ObjState::Counter {
+            let ObjState::Counter {
                 cfg,
                 value,
                 remaining,
-            }) = state()
+            } = state
             else {
                 return 0;
             };
@@ -708,7 +515,7 @@ where
                 if dump && !d.can_put(out) {
                     return 0;
                 }
-                let Some(ObjState::Accum(acc)) = state() else {
+                let ObjState::Accum(acc) = state else {
                     return 0;
                 };
                 e.take(sel);
@@ -779,7 +586,7 @@ where
             0
         }
         Rule::Ram => {
-            let Some(ObjState::Ram(mem)) = state() else {
+            let ObjState::Ram(mem) = state else {
                 return 0;
             };
             let mut fires = 0;
@@ -806,7 +613,7 @@ where
         Rule::FifoRing => {
             let out = p.dout(0);
             if !out.is_empty() && d.can_put(out) {
-                if let Some(ObjState::Fifo(buf)) = state() {
+                if let ObjState::Fifo(buf) = state {
                     if let Some(v) = buf.pop_front() {
                         d.put(out, v);
                         buf.push_back(v);
@@ -818,7 +625,7 @@ where
             0
         }
         Rule::Fifo(depth) => {
-            let Some(ObjState::Fifo(buf)) = state() else {
+            let ObjState::Fifo(buf) = state else {
                 return 0;
             };
             let (a, out) = (p.din(0), p.dout(0));
@@ -844,7 +651,7 @@ where
         Rule::Input => {
             let out = p.dout(0);
             if d.can_put(out) {
-                if let Some(ObjState::ExtInData(q)) = state() {
+                if let ObjState::ExtInData(q) = state {
                     if let Some(v) = q.pop_front() {
                         d.put(out, v);
                         stats.io_words += 1;
@@ -857,7 +664,7 @@ where
         Rule::Output => {
             let a = p.din(0);
             if d.has(a) {
-                if let Some(ObjState::ExtOutData(buf)) = state() {
+                if let ObjState::ExtOutData(buf) = state {
                     buf.push(d.take(a));
                     stats.io_words += 1;
                     return 1;
@@ -868,7 +675,7 @@ where
         Rule::InputEvent => {
             let out = p.evout();
             if e.can_put(out) {
-                if let Some(ObjState::ExtInEv(q)) = state() {
+                if let ObjState::ExtInEv(q) = state {
                     if let Some(v) = q.pop_front() {
                         e.put(out, Event(v));
                         stats.event_fires += 1;
@@ -881,7 +688,7 @@ where
         Rule::OutputEvent => {
             let a = p.evin(0);
             if e.has(a) {
-                if let Some(ObjState::ExtOutEv(buf)) = state() {
+                if let ObjState::ExtOutEv(buf) = state {
                     buf.push(e.take(a).0);
                     stats.event_fires += 1;
                     return 1;
@@ -889,6 +696,5 @@ where
             }
             0
         }
-        Rule::Nop => 0,
     }
 }

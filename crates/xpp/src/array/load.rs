@@ -2,12 +2,13 @@
 //! them (in full or as a word delta) over the serial configuration bus,
 //! preempting and resuming loads, and unloading.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use super::fire::{ObjPorts, ObjState, PortList, Rule, RuntimeObject};
+use super::event::ReadyList;
+use super::fire::ObjState;
 use super::{Array, ConfigId};
 use crate::channel::Channel;
-use crate::compiled::{CompiledConfig, ConfigWord, PortDir};
+use crate::compiled::{CompiledConfig, Program};
 use crate::error::{Error, Result};
 #[cfg(feature = "faults")]
 use crate::fault::{FaultInjector, FaultKind};
@@ -60,27 +61,32 @@ impl LoadCheckpoint {
     }
 }
 
+/// One resident configuration: the shared compiled [`Program`] plus all of
+/// its mutable state, in the program's own numbering — channel `k` of
+/// `dchans`/`echans` is edge `k`, entry `n` of `states`/`fires` is node `n`.
+/// Nothing else on the array points into these vectors, so loading,
+/// unloading and switching steppers never move or renumber anything.
 #[derive(Debug)]
 pub(super) struct LoadedConfig {
-    name: String,
+    pub(super) id: u32,
+    pub(super) program: Arc<Program>,
     pub(super) state: ConfigState,
     /// Total configuration words the load streams over the bus; together
     /// with `Loading::remaining` this gives the word-boundary cursor a
     /// [`LoadCheckpoint`] reports.
     load_words: u64,
-    pub(super) objects: Vec<usize>,
-    dchans: Vec<usize>,
-    echans: Vec<usize>,
-    placement: Placement,
-    pub(super) ports: HashMap<String, (usize, PortDir)>,
-    /// The configuration's canonical word stream (address-sorted), kept so
-    /// a later [`Array::configure_delta`] can diff a target against what
-    /// this resident shape holds in its configuration registers.
-    words: Vec<ConfigWord>,
-    /// Shared schedule slot of the compiled configuration this load came
-    /// from: captured steady-state schedules are published here so they
-    /// travel with the `Arc<CompiledConfig>` to other arrays.
-    pub(super) schedule_cell: std::sync::Arc<crate::schedule::ScheduleCell>,
+    /// True once the load completed and the objects may fire (a stalled
+    /// configuration reports `Running` but is never enabled).
+    pub(super) enabled: bool,
+    /// True while the dense stepper serves this configuration.
+    pub(super) dense: bool,
+    pub(super) dchans: Vec<Channel<Word>>,
+    pub(super) echans: Vec<Channel<Event>>,
+    pub(super) states: Vec<ObjState>,
+    /// Lifetime fire count per object; `config_fire_count` sums these on
+    /// demand.
+    pub(super) fires: Vec<u64>,
+    pub(super) ready: ReadyList,
     /// Fault assigned to this load by the injector, cleared when a recovery
     /// layer surfaces it (see [`Array::clear_injected_fault`]).
     #[cfg(feature = "faults")]
@@ -106,10 +112,7 @@ impl Array {
     ///
     /// Returns [`Error::NoSuchConfig`] if the id is stale.
     pub fn placement(&self, cfg: ConfigId) -> Result<&Placement> {
-        self.configs
-            .get(&cfg.0)
-            .map(|c| &c.placement)
-            .ok_or(Error::NoSuchConfig(cfg.0))
+        Ok(&self.config(cfg)?.program.placement)
     }
 
     /// The name of a resident configuration.
@@ -118,18 +121,12 @@ impl Array {
     ///
     /// Returns [`Error::NoSuchConfig`] if the id is stale.
     pub fn config_name(&self, cfg: ConfigId) -> Result<&str> {
-        self.configs
-            .get(&cfg.0)
-            .map(|c| c.name.as_str())
-            .ok_or(Error::NoSuchConfig(cfg.0))
+        Ok(&self.config(cfg)?.program.name)
     }
 
     /// True if the configuration has finished loading.
     pub fn is_running(&self, cfg: ConfigId) -> bool {
-        matches!(
-            self.configs.get(&cfg.0).map(|c| &c.state),
-            Some(ConfigState::Running)
-        )
+        matches!(self.config(cfg).map(|c| &c.state), Ok(ConfigState::Running))
     }
 
     /// The typed error a faulted load left behind, if any.
@@ -140,7 +137,7 @@ impl Array {
     /// [`is_running`](Array::is_running) must poll this too or spin forever.
     pub fn load_error(&self, cfg: ConfigId) -> Option<Error> {
         #[cfg(feature = "faults")]
-        if let Some(ConfigState::Faulted(kind)) = self.configs.get(&cfg.0).map(|c| &c.state) {
+        if let Ok(ConfigState::Faulted(kind)) = self.config(cfg).map(|c| &c.state) {
             return Some(match kind {
                 FaultKind::AbortLoad => Error::LoadAborted { config: cfg.0 },
                 _ => Error::ConfigCorrupted { config: cfg.0 },
@@ -156,8 +153,8 @@ impl Array {
     /// detected exactly once, even for stalls that never raise an error.
     pub fn clear_injected_fault(&mut self, cfg: ConfigId) -> bool {
         #[cfg(feature = "faults")]
-        if let Some(c) = self.configs.get_mut(&cfg.0) {
-            return c.fault.take().is_some();
+        if let Some(at) = self.config_index(cfg.0) {
+            return self.configs[at].fault.take().is_some();
         }
         let _ = cfg;
         false
@@ -171,7 +168,7 @@ impl Array {
         #[cfg(feature = "faults")]
         let swept = self
             .configs
-            .values_mut()
+            .iter_mut()
             .filter_map(|c| c.fault.take())
             .count() as u64;
         #[cfg(not(feature = "faults"))]
@@ -200,8 +197,9 @@ impl Array {
     ///
     /// Placement footprint and port maps were computed by
     /// [`CompiledConfig::compile`]; this call only allocates array
-    /// resources, instantiates channels and objects from the compiled
-    /// templates, and queues the serial configuration-bus load. A
+    /// resources, instantiates the channels' and objects' mutable state
+    /// from the compiled templates, and queues the serial
+    /// configuration-bus load. A
     /// configuration manager holding `Arc<CompiledConfig>`s pays the
     /// compile cost once per kernel, not once per load.
     ///
@@ -209,7 +207,7 @@ impl Array {
     ///
     /// Returns [`Error::PlacementFailed`] if any resource class is exhausted.
     pub fn configure_compiled(&mut self, compiled: &CompiledConfig) -> Result<ConfigId> {
-        self.configure_internal(compiled, compiled.load_cycles)
+        self.configure_internal(compiled, compiled.load_cycles())
     }
 
     /// Replaces a resident configuration with `target`, streaming only the
@@ -244,8 +242,9 @@ impl Array {
         target: &CompiledConfig,
     ) -> Result<ConfigId> {
         let loaded = self.delta_source(resident)?;
-        let delta = crate::compiled::changed_word_count(&loaded.words, &target.words);
-        let freed = loaded.placement.counts;
+        let delta =
+            crate::compiled::changed_word_count(&loaded.program.words, target.config_words());
+        let freed = loaded.program.placement.counts;
         self.finish_delta(resident, target, delta, freed)
     }
 
@@ -264,26 +263,26 @@ impl Array {
         // Compilation is deterministic per netlist, so matching names
         // pin matching word streams; the debug build re-derives the
         // count to keep that contract honest.
-        let words = if loaded.name == delta.from_name() && target.name == delta.to_name() {
+        let rediff =
+            || crate::compiled::changed_word_count(&loaded.program.words, target.config_words());
+        let words = if loaded.program.name == delta.from_name() && target.name() == delta.to_name()
+        {
             debug_assert_eq!(
                 delta.changed_words(),
-                crate::compiled::changed_word_count(&loaded.words, &target.words),
+                rediff(),
                 "cached delta diverged from the resident word stream"
             );
             delta.changed_words()
         } else {
-            crate::compiled::changed_word_count(&loaded.words, &target.words)
+            rediff()
         };
-        let freed = loaded.placement.counts;
+        let freed = loaded.program.placement.counts;
         self.finish_delta(resident, target, words, freed)
     }
 
     /// The still-running resident a delta load may diff against.
     fn delta_source(&self, resident: ConfigId) -> Result<&LoadedConfig> {
-        let loaded = self
-            .configs
-            .get(&resident.0)
-            .ok_or(Error::NoSuchConfig(resident.0))?;
+        let loaded = self.config(resident)?;
         if !matches!(loaded.state, ConfigState::Running) {
             return Err(Error::DeltaSourceNotRunning { config: resident.0 });
         }
@@ -301,7 +300,7 @@ impl Array {
         freed: crate::place::ResourceCounts,
     ) -> Result<ConfigId> {
         if let Some((resource, needed, available)) = target
-            .placement
+            .placement()
             .counts
             .first_deficit(&self.pool.free().plus(freed))
         {
@@ -325,13 +324,8 @@ impl Array {
     ) -> Result<ConfigId> {
         // Every queued load streams at least the commit word.
         let stream_words = stream_words.max(1);
-        self.pool.allocate(compiled.placement.counts)?;
-        // A new load is a rate perturbation: any replaying schedule is
-        // invalid (the config bus wakes up) and any in-flight capture
-        // would span a non-quiet window. Escalated detector evidence was
-        // about the departing workload mix, so it resets too.
-        self.perturb_schedule();
-        self.replay.reset_evidence();
+        let program = &compiled.program;
+        self.pool.allocate(program.placement.counts)?;
         // Ordinals count only loads that got past placement; a WorkerPanic
         // strikes here, before any array state mutates — the supervisor
         // discards the whole array, so the allocation above is moot.
@@ -341,7 +335,7 @@ impl Array {
             if injected == Some(FaultKind::WorkerPanic) {
                 panic!(
                     "injected fault: loader crashed while configuring {:?}",
-                    compiled.name
+                    program.name
                 );
             }
             injected
@@ -349,97 +343,42 @@ impl Array {
         let id = self.next_id;
         self.next_id += 1;
 
-        // Instantiate channels from the compiled edge templates, in the same
-        // order the one-shot path used (data edges, then event edges) so
-        // slot reuse — and therefore every downstream stat — is unchanged.
-        let mut dchan_ids = Vec::with_capacity(compiled.d_edges.len());
-        for e in &compiled.d_edges {
-            let idx = self.alloc_dchan(Channel::new(e.capacity, e.initial.iter().copied()));
-            dchan_ids.push(idx);
-        }
-        let mut echan_ids = Vec::with_capacity(compiled.e_edges.len());
-        for e in &compiled.e_edges {
-            let idx = self.alloc_echan(Channel::new(
-                e.capacity,
-                e.initial.iter().map(|&b| Event(b)),
-            ));
-            echan_ids.push(idx);
-        }
-
-        // Instantiate objects, translating the compiled netlist-local
-        // channel indices into the array slots just allocated.
-        let mut obj_ids = Vec::with_capacity(compiled.nodes.len());
-        for node in &compiled.nodes {
-            let mut din = [None; 3];
-            for (slot, local) in din.iter_mut().zip(node.din.iter()) {
-                *slot = local.map(|k| dchan_ids[k as usize] as u32);
-            }
-            let mut dout: [PortList; 2] = Default::default();
-            for (list, locals) in dout.iter_mut().zip(node.dout.iter()) {
-                *list =
-                    PortList::from_chans(locals.iter().map(|&k| dchan_ids[k as usize]).collect());
-            }
-            let mut evin = [None; 2];
-            for (slot, local) in evin.iter_mut().zip(node.evin.iter()) {
-                *slot = local.map(|k| echan_ids[k as usize] as u32);
-            }
-            let mut evout: [PortList; 1] = Default::default();
-            for (list, locals) in evout.iter_mut().zip(node.evout.iter()) {
-                *list =
-                    PortList::from_chans(locals.iter().map(|&k| echan_ids[k as usize]).collect());
-            }
-            let obj = RuntimeObject {
-                rule: Rule::of(&node.kind),
-                label: node.label.clone(),
-                state: ObjState::initial(&node.kind),
-                fires: 0,
-                enabled: false,
-                ports: ObjPorts {
-                    din,
-                    dout,
-                    evin,
-                    evout,
-                },
-            };
-            obj_ids.push(self.alloc_object(obj));
-        }
-
-        let ports = compiled
-            .ports
-            .iter()
-            .map(|(name, n, dir)| (name.clone(), (obj_ids[*n], *dir)))
-            .collect();
-
-        // Record channel→object adjacency now that object slots are known:
-        // this is what lets a commit wake exactly the two endpoints.
-        for (k, e) in compiled.d_edges.iter().enumerate() {
-            self.d_adj[dchan_ids[k]] = (obj_ids[e.from.0], obj_ids[e.to.0]);
-        }
-        for (k, e) in compiled.e_edges.iter().enumerate() {
-            self.e_adj[echan_ids[k]] = (obj_ids[e.from.0], obj_ids[e.to.0]);
-        }
-
-        self.configs.insert(
+        // The ready-list stepper's commit worklists are shared by all
+        // configurations; sized here so stepping never grows them.
+        self.dirty_d.reserve(program.d_edges.len());
+        self.dirty_e.reserve(program.e_edges.len());
+        // Ids only grow, so pushing keeps `configs` sorted by id.
+        self.configs.push(LoadedConfig {
             id,
-            LoadedConfig {
-                name: compiled.name.clone(),
-                state: ConfigState::Loading {
-                    remaining: stream_words,
-                },
-                load_words: stream_words,
-                objects: obj_ids,
-                dchans: dchan_ids,
-                echans: echan_ids,
-                placement: compiled.placement.clone(),
-                ports,
-                words: compiled.words.clone(),
-                schedule_cell: compiled.schedule_cell.clone(),
-                #[cfg(feature = "faults")]
-                fault: injected,
-                #[cfg(feature = "faults")]
-                fault_at: stream_words / 2,
+            program: Arc::clone(program),
+            state: ConfigState::Loading {
+                remaining: stream_words,
             },
-        );
+            load_words: stream_words,
+            enabled: false,
+            dense: false,
+            dchans: program
+                .d_edges
+                .iter()
+                .map(|e| Channel::new(e.capacity, e.initial.iter().copied()))
+                .collect(),
+            echans: program
+                .e_edges
+                .iter()
+                .map(|e| Channel::new(e.capacity, e.initial.iter().map(|&b| Event(b))))
+                .collect(),
+            states: program
+                .nodes
+                .iter()
+                .map(|n| ObjState::initial(&n.kind))
+                .collect(),
+            fires: vec![0; program.nodes.len()],
+            ready: ReadyList::new(program.nodes.len()),
+            #[cfg(feature = "faults")]
+            fault: injected,
+            #[cfg(feature = "faults")]
+            fault_at: stream_words / 2,
+        });
         self.load_queue.push_back(id);
         Ok(ConfigId(id))
     }
@@ -452,27 +391,16 @@ impl Array {
     ///
     /// Returns [`Error::NoSuchConfig`] if the id is stale.
     pub fn unload(&mut self, cfg: ConfigId) -> Result<()> {
-        let loaded = self
-            .configs
-            .remove(&cfg.0)
-            .ok_or(Error::NoSuchConfig(cfg.0))?;
-        self.perturb_schedule();
-        self.replay.reset_evidence();
-        let total = self.live_fires(&loaded);
-        self.retired_fires.insert(cfg.0, total);
-        for o in &loaded.objects {
-            self.objects[*o] = None;
+        let at = self.config_index(cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
+        let loaded = self.configs.remove(at);
+        if loaded.dense {
+            self.schedule.invalidations += 1;
         }
-        for c in &loaded.dchans {
-            self.dchans[*c] = None;
-        }
-        for c in &loaded.echans {
-            self.echans[*c] = None;
-        }
-        self.pool.release(loaded.placement.counts);
+        self.retired_fires.insert(cfg.0, loaded.fires.iter().sum());
+        self.pool.release(loaded.program.placement.counts);
         self.load_queue.retain(|&q| q != cfg.0);
         self.connections
-            .retain(|c| c.from_cfg != cfg.0 && c.to_cfg != cfg.0);
+            .retain(|c| c.from.0 != cfg.0 && c.to.0 != cfg.0);
         Ok(())
     }
 
@@ -483,8 +411,8 @@ impl Array {
     pub fn is_load_in_flight(&self, cfg: ConfigId) -> bool {
         self.load_queue.contains(&cfg.0)
             && matches!(
-                self.configs.get(&cfg.0).map(|c| &c.state),
-                Some(ConfigState::Loading { .. })
+                self.config(cfg).map(|c| &c.state),
+                Ok(ConfigState::Loading { .. })
             )
     }
 
@@ -507,7 +435,7 @@ impl Array {
     /// [`Error::NotPreemptible`] if the load is not mid-stream on the bus
     /// (already running, faulted, or already preempted).
     pub fn preempt_load(&mut self, cfg: ConfigId) -> Result<LoadCheckpoint> {
-        let loaded = self.configs.get(&cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
+        let loaded = self.config(cfg)?;
         let remaining = match &loaded.state {
             ConfigState::Loading { remaining } => *remaining,
             _ => return Err(Error::NotPreemptible { config: cfg.0 }),
@@ -516,10 +444,6 @@ impl Array {
         if !self.load_queue.contains(&cfg.0) {
             return Err(Error::NotPreemptible { config: cfg.0 });
         }
-        // Pulling a load off the bus is a rate perturbation just like
-        // queueing one: any replaying schedule assumed the bus stayed busy.
-        self.perturb_schedule();
-        self.replay.reset_evidence();
         self.load_queue.retain(|&q| q != cfg.0);
         Ok(LoadCheckpoint {
             config: cfg,
@@ -542,7 +466,7 @@ impl Array {
     /// queued, or its word cursor drifted).
     pub fn resume_load(&mut self, ckpt: &LoadCheckpoint) -> Result<()> {
         let id = ckpt.config.0;
-        let loaded = self.configs.get(&id).ok_or(Error::NoSuchConfig(id))?;
+        let loaded = self.config(ckpt.config)?;
         let remaining = match &loaded.state {
             ConfigState::Loading { remaining } => *remaining,
             _ => return Err(Error::NotPreemptible { config: id }),
@@ -550,49 +474,15 @@ impl Array {
         if remaining != ckpt.words_remaining || self.load_queue.contains(&id) {
             return Err(Error::NotPreemptible { config: id });
         }
-        self.perturb_schedule();
-        self.replay.reset_evidence();
         self.load_queue.push_back(id);
         Ok(())
     }
 
-    fn alloc_object(&mut self, obj: RuntimeObject) -> usize {
-        if let Some(slot) = self.objects.iter().position(Option::is_none) {
-            self.objects[slot] = Some(obj);
-            slot
-        } else {
-            self.objects.push(Some(obj));
-            self.sched.queued.push(false);
-            self.objects.len() - 1
-        }
-    }
-
-    fn alloc_dchan(&mut self, ch: Channel<Word>) -> usize {
-        if let Some(slot) = self.dchans.iter().position(Option::is_none) {
-            self.dchans[slot] = Some(ch);
-            slot
-        } else {
-            self.dchans.push(Some(ch));
-            self.d_adj.push((usize::MAX, usize::MAX));
-            self.dchans.len() - 1
-        }
-    }
-
-    fn alloc_echan(&mut self, ch: Channel<Event>) -> usize {
-        if let Some(slot) = self.echans.iter().position(Option::is_none) {
-            self.echans[slot] = Some(ch);
-            slot
-        } else {
-            self.echans.push(Some(ch));
-            self.e_adj.push((usize::MAX, usize::MAX));
-            self.echans.len() - 1
-        }
-    }
-
     /// Configuration bus: the front of the queue loads one step's worth of
-    /// configuration words. On completion the configuration's objects are
-    /// enabled and woken so they can fire in the same cycle (matching the
-    /// original stepper, which rebuilt its loading set after the bus tick).
+    /// configuration words. On completion the configuration is enabled and
+    /// all its objects woken so they can fire in the same cycle (matching
+    /// the original stepper, which rebuilt its loading set after the bus
+    /// tick).
     /// Returns `true` if a load progressed.
     pub(super) fn tick_config_bus(&mut self) -> bool {
         let Some(&front) = self.load_queue.front() else {
@@ -601,10 +491,11 @@ impl Array {
         self.stats.config_cycles += 1;
         // One word crosses the bus per busy cycle while a load is in flight;
         // both steppers share this helper so the counter stays bit-identical
-        // between event-driven and reference runs.
+        // between production and reference runs.
         let mut config_words_streamed = 0;
         let mut finished = false;
-        let cfg = self.configs.get_mut(&front).expect("queued config exists");
+        let at = self.config_index(front).expect("queued config exists");
+        let cfg = &mut self.configs[at];
         if let ConfigState::Loading { remaining } = &mut cfg.state {
             *remaining = remaining.saturating_sub(1);
             config_words_streamed = 1;
@@ -641,27 +532,12 @@ impl Array {
             // never enabled: zero fires and no error — detectable only by
             // the zero-fire watchdog above the array.
             #[cfg(feature = "faults")]
-            if self.configs.get(&front).expect("config exists").fault
-                == Some(FaultKind::StallConfig)
-            {
+            if self.configs[at].fault == Some(FaultKind::StallConfig) {
                 return true;
             }
-            let Array {
-                configs,
-                objects,
-                sched,
-                ..
-            } = self;
-            let loaded = configs.get(&front).expect("config exists");
-            for &o in &loaded.objects {
-                if let Some(obj) = objects[o].as_mut() {
-                    obj.enabled = true;
-                }
-                sched.wake(o);
-            }
-            // The resident set changed: pick up any schedule another array
-            // published for these configurations as a detector seed.
-            self.refresh_schedule_hint();
+            let cfg = &mut self.configs[at];
+            cfg.enabled = true;
+            cfg.ready.wake_all();
         }
         true
     }

@@ -16,21 +16,34 @@
 //! What an object does when it fires is written once, in `fire::fire`. A
 //! stepper only decides *which* objects to hand that function each cycle,
 //! so steppers can differ in the objects they visit, never in what firing
-//! does:
+//! does. Fire decisions read only committed start-of-cycle channel state,
+//! so any stepper that offers a *superset* of the fireable objects, in any
+//! order, is exact (the argument is spelled out in [`crate::schedule`]):
 //!
-//! * the **event-driven** stepper (`event`) — because objects fire only
-//!   when a token arrives or output space frees up, a `Scheduler` keeps a
+//! * the **ready-list** stepper (`event`) — because objects fire only when
+//!   a token arrives or output space frees up, each configuration keeps a
 //!   ready list of objects whose adjacent channels moved tokens last cycle
-//!   (plus any object touched by external I/O or a configuration load), and
+//!   (plus any object touched by external I/O or its load completing), and
 //!   the commit phase walks only the channels that actually staged
-//!   movement. Fire decisions depend solely on committed start-of-cycle
-//!   channel state, so restricting the fire scan to woken objects is exact,
-//!   not heuristic: an unwoken object could not have fired anyway;
-//! * **schedule replay** (`replay`) — once the event stepper's fire
-//!   sequence is verified periodic (see [`crate::schedule`]) the recorded
-//!   objects are fired straight from a compiled op list, guarded per cycle;
+//!   movement. Cheap while little happens, and free while nothing does;
+//! * the **dense** stepper (`dense`) — while a burst streams, nearly every
+//!   object fires every cycle and the ready list is pure bookkeeping, so
+//!   the configuration is stepped straight off its compiled visit list:
+//!   every object offered, every channel committed, nothing tracked.
+//!   `dense` also holds the rule that picks between the two, per
+//!   configuration, from the share of its objects that fired last cycle;
 //! * the original **scan-the-world** stepper (`reference`), retained behind
 //!   the `reference` feature (and in tests) as the semantic oracle.
+//!
+//! # A configuration is self-contained
+//!
+//! Everything immutable about a configuration — rules, port wiring, wake
+//! adjacency, port names, word stream — is compiled once into a shared
+//! program, in the netlist's own numbering. A
+//! resident configuration owns its channels, object states, fire counts and
+//! ready list as dense vectors in that same numbering, so loading never
+//! translates an index, unloading drops vectors, and the steppers run over
+//! contiguous, `Option`-free state.
 //!
 //! # Module map
 //!
@@ -38,31 +51,29 @@
 //! |-------------|------------------------------------------------------------|
 //! | `mod`       | [`Array`], its observers, streaming port I/O, `step`/`run` |
 //! | `load`      | configure / delta / unload / preempt, the config bus       |
-//! | `fire`      | the firing rules, object and micro-op representations      |
+//! | `fire`      | the firing rules, object state and micro-op representations|
 //! | `event`     | the ready-list stepper                                     |
-//! | `replay`    | the replay stepper, promotion, slab remap, invalidation    |
+//! | `dense`     | the dense stepper and the per-configuration mode rule      |
 //! | `reference` | the scan stepper (`cfg(any(test, feature = "reference"))`) |
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use crate::channel::Channel;
 use crate::compiled::PortDir;
 use crate::error::{Error, Result};
 use crate::place::{Geometry, ResourceCounts, ResourcePool};
-use crate::schedule::{ScheduleEngine, ScheduleStats};
+use crate::schedule::ScheduleStats;
 use crate::stats::ArrayStats;
-use crate::word::{Event, Word};
+use crate::word::Word;
 
+mod dense;
 mod event;
-mod fire;
+pub(crate) mod fire;
 mod load;
 #[cfg(any(test, feature = "reference"))]
 mod reference;
-mod replay;
 
-use event::Scheduler;
-use fire::{Micro, ObjState, RuntimeObject};
+use fire::ObjState;
 use load::LoadedConfig;
 
 pub use load::LoadCheckpoint;
@@ -77,10 +88,12 @@ thread_local! {
     static CAPTURE_SCHEDULES: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
 }
 
-/// Runs `f` with every [`Array`] constructed inside it fixed to schedule
-/// capture `on` (or off). Capture is on by default; the golden-equivalence
-/// suites use this to pin capture-forced-on and capture-forced-off runs
-/// against each other and against the reference stepper.
+/// Runs `f` with every [`Array`] constructed inside it set as by
+/// [`Array::set_schedule_capture`]`(on)`: off forces the ready-list stepper,
+/// on (the default) lets each configuration turn dense when its activity
+/// calls for it. The golden-equivalence suites use this to pin adaptive and
+/// forced-ready-list runs against each other and against the reference
+/// stepper.
 ///
 /// Like `with_reference_stepper`, the choice is latched at construction
 /// so arrays built by nested helpers are covered. It can still be changed
@@ -113,13 +126,13 @@ impl fmt::Display for ConfigId {
     }
 }
 
+/// A board-level route: (configuration id, object) of the output port it
+/// drains and of the input port it feeds.
 #[derive(Debug, Clone, Copy)]
 struct Connection {
-    from_obj: usize,
-    to_obj: usize,
+    from: (u32, usize),
+    to: (u32, usize),
     event: bool,
-    from_cfg: u32,
-    to_cfg: u32,
 }
 
 /// A simulated XPP reconfigurable processing array.
@@ -149,15 +162,8 @@ struct Connection {
 pub struct Array {
     geometry: Geometry,
     pool: ResourcePool,
-    objects: Vec<Option<RuntimeObject>>,
-    dchans: Vec<Option<Channel<Word>>>,
-    echans: Vec<Option<Channel<Event>>>,
-    /// Per data-channel (producer, consumer) object slots, filled at
-    /// configure time — the wake adjacency.
-    d_adj: Vec<(usize, usize)>,
-    /// Per event-channel (producer, consumer) object slots.
-    e_adj: Vec<(usize, usize)>,
-    configs: BTreeMap<u32, LoadedConfig>,
+    /// Resident configurations, sorted by id.
+    configs: Vec<LoadedConfig>,
     load_queue: VecDeque<u32>,
     connections: Vec<Connection>,
     next_id: u32,
@@ -165,55 +171,20 @@ pub struct Array {
     /// Fire totals of configurations that have been unloaded (live totals
     /// are aggregated from per-object counters on demand).
     retired_fires: HashMap<u32, u64>,
-    sched: Scheduler,
-    /// Data channels with staged movement this cycle (commit worklist).
-    dirty_d: Vec<usize>,
-    /// Event channels with staged movement this cycle.
-    dirty_e: Vec<usize>,
+    /// The ready-list stepper's commit worklists: data and event channels
+    /// with staged movement this cycle. Empty between configurations'
+    /// passes, so all of them share the one pair.
+    dirty_d: Vec<u32>,
+    dirty_e: Vec<u32>,
     /// Reusable board-connection move buffers (keep their capacity so the
     /// steady-state step loop never allocates).
     board_d: Vec<Word>,
     board_e: Vec<bool>,
-    /// Steady-state schedule capture/replay state machine (see the
-    /// `schedule` module): observes the event stepper, captures periodic
-    /// fire sequences, and drives the straight-line replay loop.
-    replay: ScheduleEngine,
-    /// Compiled form of the active schedule's fire ops (parallel to its
-    /// flat op vector): ports pre-resolved from the object table, so the
-    /// replay loop streams a dense op vector instead of chasing object
-    /// structs every cycle. Rebuilt at each promotion, cleared on
-    /// invalidation.
-    replay_micro: Vec<Micro>,
-    /// Fan-out channel table the compiled micro-ops' output ranges index.
-    replay_fan: Vec<u32>,
-    /// Per-slot fire counts accumulated by the replay loop (a dense
-    /// side-car, so the hot loop never touches the
-    /// object table for bookkeeping). Folded into `RuntimeObject::fires`
-    /// on invalidation; the `&self` fire-count views add the pending
-    /// deltas so observers never see a stale count.
-    replay_fires: Vec<u64>,
-    /// Dense channel register files for replay: at promotion every channel
-    /// the schedule references is moved out of the sparse `dchans`/`echans`
-    /// tables into these slabs (the vacated slots hold `None`) and the
-    /// micro-ops are remapped to slab indices, so the replay loop runs
-    /// `Option`-free over contiguous, cache-resident channel state.
-    /// Invalidation moves every channel back before the event scheduler
-    /// resumes; all channel-observing public APIs perturb (and therefore
-    /// restore) first, so no reader ever sees a vacated slot.
-    replay_dslab: Vec<Channel<Word>>,
-    replay_eslab: Vec<Channel<Event>>,
-    /// Slab index → original channel id, for the move-back at
-    /// invalidation.
-    replay_dsrc: Vec<u32>,
-    replay_esrc: Vec<u32>,
-    /// The commit signature remapped to slab indices, flat in phase order
-    /// (`replay_comspan[phase]` holds the cumulative `(dcoms, ecoms)`
-    /// ends). The replay commit loop streams these lists — committing
-    /// exactly the recorded channels and comparing transition flags —
-    /// instead of collecting dirty lists.
-    replay_dcoms: Vec<u32>,
-    replay_ecoms: Vec<u32>,
-    replay_comspan: Vec<(u32, u32)>,
+    /// Which stepper ran (see [`ScheduleStats`]).
+    schedule: ScheduleStats,
+    /// Keeps every configuration on the ready-list stepper
+    /// ([`Array::set_schedule_capture`]`(false)`).
+    force_ready_list: bool,
     #[cfg(any(test, feature = "reference"))]
     use_reference: bool,
     /// Shared fault scheduler consulted at every configuration load; `None`
@@ -230,72 +201,51 @@ impl Array {
 
     /// Creates an array with a custom geometry.
     pub fn with_geometry(geometry: Geometry) -> Self {
-        #[cfg(any(test, feature = "reference"))]
-        let use_reference = reference::forced();
-        #[cfg(not(any(test, feature = "reference")))]
-        let use_reference = false;
-        let capture = !use_reference && CAPTURE_SCHEDULES.with(|c| c.get());
         Array {
             geometry,
             pool: ResourcePool::new(geometry),
-            objects: Vec::new(),
-            dchans: Vec::new(),
-            echans: Vec::new(),
-            d_adj: Vec::new(),
-            e_adj: Vec::new(),
-            configs: BTreeMap::new(),
+            configs: Vec::new(),
             load_queue: VecDeque::new(),
             connections: Vec::new(),
             next_id: 0,
             stats: ArrayStats::new(),
             retired_fires: HashMap::new(),
-            sched: Scheduler::default(),
             dirty_d: Vec::new(),
             dirty_e: Vec::new(),
             board_d: Vec::new(),
             board_e: Vec::new(),
-            replay: ScheduleEngine::new(capture),
-            replay_micro: Vec::new(),
-            replay_fan: Vec::new(),
-            replay_fires: Vec::new(),
-            replay_dslab: Vec::new(),
-            replay_eslab: Vec::new(),
-            replay_dsrc: Vec::new(),
-            replay_esrc: Vec::new(),
-            replay_dcoms: Vec::new(),
-            replay_ecoms: Vec::new(),
-            replay_comspan: Vec::new(),
+            schedule: ScheduleStats::default(),
+            force_ready_list: !CAPTURE_SCHEDULES.with(|c| c.get()),
             #[cfg(any(test, feature = "reference"))]
-            use_reference,
+            use_reference: reference::forced(),
             #[cfg(feature = "faults")]
             injector: None,
         }
     }
 
-    /// Enables or disables steady-state schedule capture (on by default;
-    /// see [`with_schedule_capture`] for the construction-time latch).
-    /// Turning capture off while a schedule is replaying invalidates it
-    /// and falls back to the event scheduler.
+    /// `false` forces the ready-list stepper: every dense configuration is
+    /// handed back to it at once and none turns dense again until this is
+    /// called with `true` (the default; see [`with_schedule_capture`] for
+    /// the construction-time latch). Simulated behaviour is identical either
+    /// way — this is the A/B switch of the stepper benchmarks and golden
+    /// suites. (The name dates from when the fast path replayed captured
+    /// schedules; the benchmark compiles against it.)
     pub fn set_schedule_capture(&mut self, on: bool) {
+        self.force_ready_list = !on;
         if !on {
-            if self.replay.is_replaying() {
-                self.invalidate_schedule(false);
-            }
-            self.replay.abort_capture();
+            self.leave_dense();
         }
-        self.replay.enabled = on;
     }
 
-    /// Capture/replay side counters (not part of [`ArrayStats`], which is
+    /// Which stepper ran, in counts (not part of [`ArrayStats`], which is
     /// pinned bit-identical across all steppers).
     pub fn schedule_stats(&self) -> ScheduleStats {
-        self.replay.stats()
+        self.schedule
     }
 
-    /// True while `step` is replaying a captured steady-state schedule
-    /// instead of running the event scheduler.
+    /// True while the dense stepper serves at least one configuration.
     pub fn schedule_replay_active(&self) -> bool {
-        self.replay.is_replaying()
+        self.configs.iter().any(|c| c.dense)
     }
 
     /// The array geometry.
@@ -311,9 +261,9 @@ impl Array {
     /// Firings attributed to one configuration so far (counts of unloaded
     /// configurations remain queryable).
     pub fn config_fire_count(&self, cfg: ConfigId) -> u64 {
-        match self.configs.get(&cfg.0) {
-            Some(loaded) => self.live_fires(loaded),
-            None => self.retired_fires.get(&cfg.0).copied().unwrap_or(0),
+        match self.config(cfg) {
+            Ok(loaded) => loaded.fires.iter().sum(),
+            Err(_) => self.retired_fires.get(&cfg.0).copied().unwrap_or(0),
         }
     }
 
@@ -322,24 +272,8 @@ impl Array {
     pub fn fires_by_config(&self) -> Vec<(ConfigId, u64)> {
         self.configs
             .iter()
-            .map(|(&id, loaded)| (ConfigId(id), self.live_fires(loaded)))
+            .map(|c| (ConfigId(c.id), c.fires.iter().sum()))
             .collect()
-    }
-
-    fn live_fires(&self, loaded: &LoadedConfig) -> u64 {
-        loaded
-            .objects
-            .iter()
-            .filter(|&&o| self.objects[o].is_some())
-            .map(|&o| self.object_fires(o))
-            .sum()
-    }
-
-    /// Committed fire count of a live object slot: the object-table counter
-    /// plus any delta still parked in the replay loop's side-car.
-    fn object_fires(&self, slot: usize) -> u64 {
-        let base = self.objects[slot].as_ref().map_or(0, |o| o.fires);
-        base + self.replay_fires.get(slot).copied().unwrap_or(0)
     }
 
     /// Per-object fire counts of a configuration (label, fires) — the
@@ -350,13 +284,9 @@ impl Array {
     ///
     /// Returns [`Error::NoSuchConfig`] if the id is stale.
     pub fn object_fire_counts(&self, cfg: ConfigId) -> Result<Vec<(String, u64)>> {
-        let loaded = self.configs.get(&cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
-        Ok(loaded
-            .objects
-            .iter()
-            .filter_map(|&o| self.objects[o].as_ref().map(|obj| (o, obj)))
-            .map(|(o, obj)| (obj.label.clone(), self.object_fires(o)))
-            .collect())
+        let loaded = self.config(cfg)?;
+        let labels = loaded.program.nodes.iter().map(|n| n.label.clone());
+        Ok(labels.zip(loaded.fires.iter().copied()).collect())
     }
 
     /// Currently free resources.
@@ -371,12 +301,31 @@ impl Array {
 
     // ---- streaming I/O --------------------------------------------------
 
-    fn port(&self, cfg: ConfigId, name: &str, dir: PortDir) -> Result<usize> {
-        let loaded = self.configs.get(&cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
-        match loaded.ports.get(name) {
-            Some(&(obj, d)) if d == dir => Ok(obj),
+    fn config_index(&self, id: u32) -> Option<usize> {
+        self.configs.binary_search_by_key(&id, |c| c.id).ok()
+    }
+
+    fn config(&self, cfg: ConfigId) -> Result<&LoadedConfig> {
+        let at = self.config_index(cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
+        Ok(&self.configs[at])
+    }
+
+    /// Resolves a named external port of direction `dir` to (position of
+    /// the configuration in `configs`, object). The position holds until
+    /// the next configure or unload.
+    fn port(&self, cfg: ConfigId, name: &str, dir: PortDir) -> Result<(usize, usize)> {
+        let at = self.config_index(cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
+        match self.configs[at].program.ports.get(name) {
+            Some(&(obj, d)) if d == dir => Ok((at, obj)),
             _ => Err(Error::UnknownPort(name.to_string())),
         }
+    }
+
+    /// The external buffer behind a resolved port. Pushing into an input
+    /// port's queue must be followed by a wake of the object; a dense
+    /// configuration visits it regardless.
+    fn port_state(&mut self, (at, obj): (usize, usize)) -> &mut ObjState {
+        &mut self.configs[at].states[obj]
     }
 
     /// Queues words on a named input port (buffered outside the array until
@@ -391,19 +340,13 @@ impl Array {
         name: &str,
         words: impl IntoIterator<Item = Word>,
     ) -> Result<()> {
-        let obj = self.port(cfg, name, PortDir::DataIn)?;
-        self.perturb_schedule();
-        if let Some(RuntimeObject {
-            state: ObjState::ExtInData(q),
-            ..
-        }) = self.objects[obj].as_mut()
-        {
-            q.extend(words);
-            self.sched.wake(obj);
-            Ok(())
-        } else {
-            Err(Error::UnknownPort(name.to_string()))
-        }
+        let port = self.port(cfg, name, PortDir::DataIn)?;
+        let ObjState::ExtInData(q) = self.port_state(port) else {
+            return Err(Error::UnknownPort(name.to_string()));
+        };
+        q.extend(words);
+        self.configs[port.0].ready.wake(port.1 as u32);
+        Ok(())
     }
 
     /// Queues events on a named event input port.
@@ -417,19 +360,13 @@ impl Array {
         name: &str,
         events: impl IntoIterator<Item = bool>,
     ) -> Result<()> {
-        let obj = self.port(cfg, name, PortDir::EvIn)?;
-        self.perturb_schedule();
-        if let Some(RuntimeObject {
-            state: ObjState::ExtInEv(q),
-            ..
-        }) = self.objects[obj].as_mut()
-        {
-            q.extend(events);
-            self.sched.wake(obj);
-            Ok(())
-        } else {
-            Err(Error::UnknownPort(name.to_string()))
-        }
+        let port = self.port(cfg, name, PortDir::EvIn)?;
+        let ObjState::ExtInEv(q) = self.port_state(port) else {
+            return Err(Error::UnknownPort(name.to_string()));
+        };
+        q.extend(events);
+        self.configs[port.0].ready.wake(port.1 as u32);
+        Ok(())
     }
 
     /// Takes all words produced so far on a named output port.
@@ -438,15 +375,10 @@ impl Array {
     ///
     /// Returns an error if the configuration or port does not exist.
     pub fn drain_output(&mut self, cfg: ConfigId, name: &str) -> Result<Vec<Word>> {
-        let obj = self.port(cfg, name, PortDir::DataOut)?;
-        if let Some(RuntimeObject {
-            state: ObjState::ExtOutData(v),
-            ..
-        }) = self.objects[obj].as_mut()
-        {
-            Ok(std::mem::take(v))
-        } else {
-            Err(Error::UnknownPort(name.to_string()))
+        let port = self.port(cfg, name, PortDir::DataOut)?;
+        match self.port_state(port) {
+            ObjState::ExtOutData(v) => Ok(std::mem::take(v)),
+            _ => Err(Error::UnknownPort(name.to_string())),
         }
     }
 
@@ -456,15 +388,10 @@ impl Array {
     ///
     /// Returns an error if the configuration or port does not exist.
     pub fn drain_output_events(&mut self, cfg: ConfigId, name: &str) -> Result<Vec<bool>> {
-        let obj = self.port(cfg, name, PortDir::EvOut)?;
-        if let Some(RuntimeObject {
-            state: ObjState::ExtOutEv(v),
-            ..
-        }) = self.objects[obj].as_mut()
-        {
-            Ok(std::mem::take(v))
-        } else {
-            Err(Error::UnknownPort(name.to_string()))
+        let port = self.port(cfg, name, PortDir::EvOut)?;
+        match self.port_state(port) {
+            ObjState::ExtOutEv(v) => Ok(std::mem::take(v)),
+            _ => Err(Error::UnknownPort(name.to_string())),
         }
     }
 
@@ -474,15 +401,16 @@ impl Array {
     ///
     /// Returns an error if the configuration or port does not exist.
     pub fn output_len(&self, cfg: ConfigId, name: &str) -> Result<usize> {
-        let obj = self.port(cfg, name, PortDir::DataOut)?;
-        if let Some(RuntimeObject {
-            state: ObjState::ExtOutData(v),
-            ..
-        }) = self.objects[obj].as_ref()
-        {
-            Ok(v.len())
-        } else {
-            Err(Error::UnknownPort(name.to_string()))
+        let port = self.port(cfg, name, PortDir::DataOut)?;
+        Ok(self.output_len_at(port))
+    }
+
+    /// Words waiting on a resolved data output port.
+    #[inline]
+    fn output_len_at(&self, (at, obj): (usize, usize)) -> usize {
+        match &self.configs[at].states[obj] {
+            ObjState::ExtOutData(v) => v.len(),
+            _ => unreachable!("a DataOut port is an Output object"),
         }
     }
 
@@ -501,15 +429,12 @@ impl Array {
         to: ConfigId,
         to_port: &str,
     ) -> Result<()> {
-        let from_obj = self.port(from, from_port, PortDir::DataOut)?;
-        let to_obj = self.port(to, to_port, PortDir::DataIn)?;
-        self.perturb_schedule();
+        let (_, from_obj) = self.port(from, from_port, PortDir::DataOut)?;
+        let (_, to_obj) = self.port(to, to_port, PortDir::DataIn)?;
         self.connections.push(Connection {
-            from_obj,
-            to_obj,
+            from: (from.0, from_obj),
+            to: (to.0, to_obj),
             event: false,
-            from_cfg: from.0,
-            to_cfg: to.0,
         });
         Ok(())
     }
@@ -528,15 +453,12 @@ impl Array {
         to: ConfigId,
         to_port: &str,
     ) -> Result<()> {
-        let from_obj = self.port(from, from_port, PortDir::EvOut)?;
-        let to_obj = self.port(to, to_port, PortDir::EvIn)?;
-        self.perturb_schedule();
+        let (_, from_obj) = self.port(from, from_port, PortDir::EvOut)?;
+        let (_, to_obj) = self.port(to, to_port, PortDir::EvIn)?;
         self.connections.push(Connection {
-            from_obj,
-            to_obj,
+            from: (from.0, from_obj),
+            to: (to.0, to_obj),
             event: true,
-            from_cfg: from.0,
-            to_cfg: to.0,
         });
         Ok(())
     }
@@ -547,14 +469,18 @@ impl Array {
     /// (an object fired, a load progressed, or a board connection moved
     /// tokens).
     pub fn step(&mut self) -> bool {
+        self.stats.cycles += 1;
+        let loading = self.tick_config_bus();
         #[cfg(any(test, feature = "reference"))]
-        if self.use_reference {
-            return self.step_reference();
-        }
-        if self.replay.is_replaying() {
-            return self.step_replay();
-        }
-        self.step_event()
+        let fired = if self.use_reference {
+            self.step_reference()
+        } else {
+            self.step_configs()
+        };
+        #[cfg(not(any(test, feature = "reference")))]
+        let fired = self.step_configs();
+        let routed = !self.connections.is_empty() && self.move_board_tokens();
+        loading | fired | routed
     }
 
     /// Board-level connections: move buffered tokens between external
@@ -563,53 +489,38 @@ impl Array {
     fn move_board_tokens(&mut self) -> bool {
         let mut active = false;
         for i in 0..self.connections.len() {
-            let conn = self.connections[i];
-            if conn.event {
+            let Connection { from, to, event } = self.connections[i];
+            // `unload` drops a configuration's connections with it.
+            let from = (self.config_index(from.0).expect("source resident"), from.1);
+            let to = (self.config_index(to.0).expect("sink resident"), to.1);
+            let moved = if event {
                 let mut scratch = std::mem::take(&mut self.board_e);
-                if let Some(RuntimeObject {
-                    state: ObjState::ExtOutEv(v),
-                    ..
-                }) = self.objects[conn.from_obj].as_mut()
-                {
+                if let ObjState::ExtOutEv(v) = self.port_state(from) {
                     std::mem::swap(v, &mut scratch);
                 }
-                if !scratch.is_empty() {
-                    active = true;
-                    if let Some(RuntimeObject {
-                        state: ObjState::ExtInEv(q),
-                        ..
-                    }) = self.objects[conn.to_obj].as_mut()
-                    {
-                        q.extend(scratch.drain(..));
-                    } else {
-                        scratch.clear();
-                    }
-                    self.sched.wake(conn.to_obj);
+                let moved = !scratch.is_empty();
+                if let ObjState::ExtInEv(q) = self.port_state(to) {
+                    q.extend(scratch.drain(..));
                 }
+                scratch.clear();
                 self.board_e = scratch;
+                moved
             } else {
                 let mut scratch = std::mem::take(&mut self.board_d);
-                if let Some(RuntimeObject {
-                    state: ObjState::ExtOutData(v),
-                    ..
-                }) = self.objects[conn.from_obj].as_mut()
-                {
+                if let ObjState::ExtOutData(v) = self.port_state(from) {
                     std::mem::swap(v, &mut scratch);
                 }
-                if !scratch.is_empty() {
-                    active = true;
-                    if let Some(RuntimeObject {
-                        state: ObjState::ExtInData(q),
-                        ..
-                    }) = self.objects[conn.to_obj].as_mut()
-                    {
-                        q.extend(scratch.drain(..));
-                    } else {
-                        scratch.clear();
-                    }
-                    self.sched.wake(conn.to_obj);
+                let moved = !scratch.is_empty();
+                if let ObjState::ExtInData(q) = self.port_state(to) {
+                    q.extend(scratch.drain(..));
                 }
+                scratch.clear();
                 self.board_d = scratch;
+                moved
+            };
+            if moved {
+                active = true;
+                self.configs[to.0].ready.wake(to.1 as u32);
             }
         }
         active
@@ -651,13 +562,15 @@ impl Array {
         count: usize,
         budget: u64,
     ) -> Result<u64> {
+        // Resolved once: stepping neither adds nor removes configurations.
+        let port = self.port(cfg, name, PortDir::DataOut)?;
         for n in 0..budget {
-            if self.output_len(cfg, name)? >= count {
+            if self.output_len_at(port) >= count {
                 return Ok(n);
             }
             self.step();
         }
-        if self.output_len(cfg, name)? >= count {
+        if self.output_len_at(port) >= count {
             Ok(budget)
         } else {
             Err(Error::Timeout { budget })
@@ -671,15 +584,63 @@ mod tests {
     use crate::netlist::NetlistBuilder;
     use crate::object::AluOp;
 
-    #[test]
-    fn fires_by_config_matches_per_config_counts() {
-        let mut array = Array::xpp64a();
+    fn add_one() -> crate::netlist::Netlist {
         let mut nl = NetlistBuilder::new("p");
         let a = nl.input("a");
         let c = nl.constant(Word::new(1));
         let y = nl.alu(AluOp::Add, a, c);
         nl.output("y", y);
-        let cfg = array.configure(&nl.build().unwrap()).unwrap();
+        nl.build().unwrap()
+    }
+
+    /// `run_until_output` resolves its port once, before the loop; each of
+    /// its three errors still comes back in exactly the cases it always did.
+    #[test]
+    fn run_until_output_pins_its_three_errors() {
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(&add_one()).unwrap();
+        // UnknownPort: no such name, or a name of the wrong direction —
+        // whatever the budget, and without stepping.
+        for (port, budget) in [("nope", 10), ("a", 10), ("nope", 0)] {
+            assert_eq!(
+                array.run_until_output(cfg, port, 1, budget),
+                Err(Error::UnknownPort(port.to_string()))
+            );
+        }
+        assert_eq!(array.stats().cycles, 0);
+        // Timeout: the budget is spent in full, then reported.
+        assert_eq!(
+            array.run_until_output(cfg, "y", 1, 50),
+            Err(Error::Timeout { budget: 50 })
+        );
+        assert_eq!(array.stats().cycles, 50);
+        assert_eq!(
+            array.run_until_output(cfg, "y", 1, 0),
+            Err(Error::Timeout { budget: 0 })
+        );
+        // Success reports the cycles stepped: some, then none once the
+        // words are already waiting, and exactly the budget when the last
+        // permitted step delivers.
+        array.push_input(cfg, "a", (0..3).map(Word::new)).unwrap();
+        let n = array.run_until_output(cfg, "y", 2, 1_000).unwrap();
+        assert!(n > 0 && array.output_len(cfg, "y").unwrap() == 2);
+        assert_eq!(array.run_until_output(cfg, "y", 2, 1_000), Ok(0));
+        assert_eq!(array.run_until_output(cfg, "y", 2, 0), Ok(0));
+        assert_eq!(array.run_until_output(cfg, "y", 3, 1), Ok(1));
+        // NoSuchConfig: a stale id, again whatever the budget.
+        array.unload(cfg).unwrap();
+        for budget in [0, 10] {
+            assert_eq!(
+                array.run_until_output(cfg, "y", 1, budget),
+                Err(Error::NoSuchConfig(cfg.index()))
+            );
+        }
+    }
+
+    #[test]
+    fn fires_by_config_matches_per_config_counts() {
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(&add_one()).unwrap();
         array.push_input(cfg, "a", (0..8).map(Word::new)).unwrap();
         array.run_until_idle(10_000).unwrap();
         let by_config = array.fires_by_config();

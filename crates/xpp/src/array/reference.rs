@@ -1,7 +1,12 @@
 //! The retained scan-the-world stepper: the semantics oracle the
-//! golden-equivalence tests compare the event and replay steppers against.
-//! Compiled only in tests and under the `reference` feature.
+//! golden-equivalence tests compare the ready-list and dense steppers
+//! against. Compiled only in tests and under the `reference` feature.
+//!
+//! It is kept deliberately naive and apart from the dense stepper, which
+//! visits the same objects: the oracle must stay the obvious loop whatever
+//! the production steppers grow into.
 
+use super::fire::{fire, Lane, Net, NoSink};
 use super::Array;
 
 thread_local! {
@@ -9,7 +14,7 @@ thread_local! {
 }
 
 /// Runs `f` with every [`Array`] constructed inside it fixed to the retained
-/// scan-the-world reference stepper (the pre-event-driven semantics oracle).
+/// scan-the-world reference stepper (the semantics oracle).
 ///
 /// The stepping mode is latched at construction and never changes for the
 /// lifetime of an array, so arrays built by nested helpers (e.g. the kernel
@@ -32,54 +37,39 @@ pub(super) fn forced() -> bool {
 
 impl Array {
     /// True if this array steps with the retained reference (scan-the-world)
-    /// stepper instead of the event-driven scheduler.
+    /// stepper instead of the production steppers.
     pub fn uses_reference_stepper(&self) -> bool {
         self.use_reference
     }
 
-    /// One cycle of the scan stepper: offer every enabled object to the
-    /// firing rules, then commit every channel.
+    /// One cycle of the scan stepper: offer every object of every enabled
+    /// configuration to the firing rules, then commit every channel.
+    /// Returns `true` if any object fired.
     pub(super) fn step_reference(&mut self) -> bool {
-        self.stats.cycles += 1;
-        let mut active = self.tick_config_bus();
-
-        // Fire phase: scan every live object slot.
-        {
-            let Array {
-                objects,
-                dchans,
-                echans,
-                stats,
-                dirty_d,
-                dirty_e,
-                ..
-            } = self;
-            for obj in objects.iter_mut().flatten() {
-                if !obj.enabled {
-                    continue;
-                }
-                let fires = obj.fire(dchans, echans, dirty_d, dirty_e, stats);
-                if fires > 0 {
-                    active = true;
-                    obj.fires += u64::from(fires);
-                }
+        let mut active = false;
+        for cfg in self.configs.iter_mut().filter(|c| c.enabled) {
+            let mut net = Net {
+                d: Lane {
+                    chans: &mut cfg.dchans,
+                    staged: &mut NoSink,
+                },
+                e: Lane {
+                    chans: &mut cfg.echans,
+                    staged: &mut NoSink,
+                },
+                stats: &mut self.stats,
+            };
+            for (o, m) in cfg.program.micro.iter().enumerate() {
+                let fires = fire(m, &cfg.program.fan, &mut cfg.states[o], &mut net);
+                cfg.fires[o] += u64::from(fires);
+                active |= fires > 0;
             }
-            // The reference commits every channel below; the dirty lists are
-            // only a by-product of the shared firing rules here.
-            dirty_d.clear();
-            dirty_e.clear();
-        }
-
-        // Commit phase: scan every live channel.
-        for ch in self.dchans.iter_mut().flatten() {
-            ch.commit();
-        }
-        for ch in self.echans.iter_mut().flatten() {
-            ch.commit();
-        }
-
-        if self.move_board_tokens() {
-            active = true;
+            for ch in &mut cfg.dchans {
+                ch.commit();
+            }
+            for ch in &mut cfg.echans {
+                ch.commit();
+            }
         }
         active
     }
@@ -93,7 +83,7 @@ mod tests {
     use crate::object::{AluOp, CounterCfg, UnaryOp};
     use crate::word::Word;
 
-    /// Runs the same scenario on a fresh event-driven array and a fresh
+    /// Runs the same scenario on a fresh production array and a fresh
     /// reference array, and requires identical observables and stats.
     fn check<T: PartialEq + std::fmt::Debug>(scenario: impl Fn(&mut Array) -> T) {
         let mut fast = Array::xpp64a();

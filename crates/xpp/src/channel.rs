@@ -11,33 +11,37 @@ use std::collections::VecDeque;
 
 /// Tokens stored inline inside the channel (no heap indirection). Channels
 /// up to this capacity — which covers the default capacity 2 and the
-/// capacity-4 streaming netlists — keep their queue in a fixed ring so the
-/// hot stepping loop touches only the contiguous channel slab.
+/// capacity-4 streaming netlists — never touch the heap, so the hot
+/// stepping loop reads only the contiguous channel slab.
 const INLINE_TOKENS: usize = 4;
-
-/// Queue storage: a fixed inline ring for small capacities, a heap deque
-/// for large ones (deep pipeline-balancing channels).
-#[derive(Debug, Clone)]
-enum Ring<T> {
-    Small {
-        buf: [T; INLINE_TOKENS],
-        head: u8,
-        len: u8,
-    },
-    Big(VecDeque<T>),
-}
 
 /// A bounded token channel.
 ///
 /// Capacity 2 (one output register plus one forward register) sustains one
 /// token per cycle through a pipeline; capacity 1 halves throughput — this is
 /// the `ablation_channel_capacity` experiment.
+///
+/// Occupancy, capacity and the staged flags are plain fields, so the
+/// predicates every fire decision reads ([`has_token`](Self::has_token),
+/// [`has_space`](Self::has_space), [`is_staged`](Self::is_staged)) never
+/// dispatch on how the tokens are stored. The oldest four tokens always sit
+/// in the inline ring; only a deep (pipeline-balancing) channel ever holds
+/// more, and keeps the rest in a heap spill that only
+/// [`commit_wakes`](Self::commit_wakes) touches.
 #[derive(Debug, Clone)]
 pub struct Channel<T> {
-    ring: Ring<T>,
+    ring: [T; INLINE_TOKENS],
+    /// The token [`produce`](Self::produce) staged (valid while
+    /// `staged_push`).
+    pushed: T,
+    /// Committed tokens, the spill's included.
+    len: usize,
     capacity: usize,
+    head: u8,
     staged_pop: bool,
-    staged_push: Option<T>,
+    staged_push: bool,
+    /// Committed tokens beyond the inline ring, oldest first.
+    spill: VecDeque<T>,
 }
 
 impl<T: Copy + Default> Channel<T> {
@@ -49,77 +53,57 @@ impl<T: Copy + Default> Channel<T> {
     /// (the netlist builder validates this earlier).
     pub fn new(capacity: usize, initial: impl IntoIterator<Item = T>) -> Self {
         assert!(capacity >= 1, "channel capacity must be at least 1");
-        let ring = if capacity <= INLINE_TOKENS {
-            let mut buf = [T::default(); INLINE_TOKENS];
-            let mut len = 0usize;
-            for t in initial {
-                assert!(len < capacity, "initial tokens exceed capacity");
-                buf[len] = t;
-                len += 1;
-            }
-            Ring::Small {
-                buf,
-                head: 0,
-                len: len as u8,
-            }
-        } else {
-            let queue: VecDeque<T> = initial.into_iter().collect();
-            assert!(queue.len() <= capacity, "initial tokens exceed capacity");
-            Ring::Big(queue)
-        };
-        Channel {
-            ring,
+        let mut ch = Channel {
+            ring: [T::default(); INLINE_TOKENS],
+            pushed: T::default(),
+            len: 0,
             capacity,
+            head: 0,
             staged_pop: false,
-            staged_push: None,
+            staged_push: false,
+            spill: VecDeque::new(),
+        };
+        for t in initial {
+            assert!(ch.len < capacity, "initial tokens exceed capacity");
+            ch.push_back(t);
         }
+        ch
     }
 
     #[inline]
-    fn queue_len(&self) -> usize {
-        match &self.ring {
-            Ring::Small { len, .. } => *len as usize,
-            Ring::Big(q) => q.len(),
+    fn push_back(&mut self, t: T) {
+        if self.len < INLINE_TOKENS {
+            self.ring[(self.head as usize + self.len) % INLINE_TOKENS] = t;
+        } else {
+            self.spill.push_back(t);
         }
-    }
-
-    #[inline]
-    fn front(&self) -> Option<T> {
-        match &self.ring {
-            Ring::Small { buf, head, len } => {
-                if *len == 0 {
-                    None
-                } else {
-                    Some(buf[*head as usize])
-                }
-            }
-            Ring::Big(q) => q.front().copied(),
-        }
+        self.len += 1;
     }
 
     /// True if a token is available for consumption this cycle.
     #[inline]
     pub fn has_token(&self) -> bool {
-        self.queue_len() != 0
+        self.len != 0
     }
 
     /// The token that would be consumed this cycle.
     #[inline]
     pub fn peek(&self) -> Option<T> {
-        self.front()
+        self.has_token().then(|| self.ring[self.head as usize])
     }
 
     /// Stages consumption of the front token and returns it.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if the channel is empty or was already
-    /// consumed this cycle; callers gate on [`Self::has_token`] first.
+    /// Panics if the channel is empty and (in debug builds) if it was
+    /// already consumed this cycle; callers gate on [`Self::has_token`]
+    /// first.
     #[inline]
     pub fn consume(&mut self) -> T {
         debug_assert!(!self.staged_pop, "channel consumed twice in one cycle");
         self.staged_pop = true;
-        match self.front() {
+        match self.peek() {
             Some(v) => v,
             None => panic!("consume from empty channel"),
         }
@@ -129,7 +113,7 @@ impl<T: Copy + Default> Channel<T> {
     /// (conservative: based on start-of-cycle occupancy).
     #[inline]
     pub fn has_space(&self) -> bool {
-        self.staged_push.is_none() && self.queue_len() < self.capacity
+        !self.staged_push && self.len < self.capacity
     }
 
     /// Stages production of a token.
@@ -141,18 +125,20 @@ impl<T: Copy + Default> Channel<T> {
     #[inline]
     pub fn produce(&mut self, value: T) {
         debug_assert!(self.has_space(), "produce into full channel");
-        self.staged_push = Some(value);
+        self.staged_push = true;
+        self.pushed = value;
     }
 
     /// True if a consume or produce has been staged this cycle — i.e. the
     /// channel belongs on the dirty-commit list.
     #[inline]
     pub fn is_staged(&self) -> bool {
-        self.staged_pop || self.staged_push.is_some()
+        self.staged_pop | self.staged_push
     }
 
     /// Commits staged operations at the end of a cycle. Returns `true` if
     /// any token moved (used for idle detection).
+    #[inline]
     pub fn commit(&mut self) -> bool {
         let (moved, _, _) = self.commit_wakes();
         moved
@@ -164,56 +150,42 @@ impl<T: Copy + Default> Channel<T> {
     /// `gained_token` means it went empty→non-empty (its consumer may have
     /// been unblocked). An object whose blocking predicate did not
     /// transition cannot have become fireable through this channel, so these
-    /// two flags are exactly the wakes the event-driven scheduler needs.
+    /// two flags are exactly the wakes the ready-list stepper needs.
+    #[inline]
     pub fn commit_wakes(&mut self) -> (bool, bool, bool) {
-        let pop = self.staged_pop;
-        self.staged_pop = false;
-        let push = self.staged_push.take();
-        let moved = pop || push.is_some();
-        let freed;
-        let gained;
-        // One ring dispatch for the whole commit: this runs for every
-        // dirty channel every cycle on both the event and replay paths.
-        match &mut self.ring {
-            Ring::Small { buf, head, len } => {
-                let before = *len as usize;
-                freed = pop && before == self.capacity;
-                gained = push.is_some() && before == 0;
-                if pop {
-                    debug_assert!(*len > 0);
-                    *head = (*head + 1) % INLINE_TOKENS as u8;
-                    *len -= 1;
-                }
-                if let Some(v) = push {
-                    debug_assert!((*len as usize) < self.capacity);
-                    buf[(*head as usize + *len as usize) % INLINE_TOKENS] = v;
-                    *len += 1;
-                }
-            }
-            Ring::Big(q) => {
-                let before = q.len();
-                freed = pop && before == self.capacity;
-                gained = push.is_some() && before == 0;
-                if pop {
-                    q.pop_front();
-                }
-                if let Some(v) = push {
-                    debug_assert!(q.len() < self.capacity);
-                    q.push_back(v);
-                }
+        let (pop, push) = (self.staged_pop, self.staged_push);
+        let before = self.len;
+        if pop {
+            debug_assert!(before > 0);
+            self.staged_pop = false;
+            self.head = (self.head + 1) % INLINE_TOKENS as u8;
+            self.len -= 1;
+            // A deep channel refills the ring slot the pop just vacated
+            // (now the ring's tail) with its oldest spilled token.
+            if let Some(t) = self.spill.pop_front() {
+                self.ring[(self.head as usize + INLINE_TOKENS - 1) % INLINE_TOKENS] = t;
             }
         }
-        (moved, freed, gained)
+        if push {
+            debug_assert!(self.len < self.capacity);
+            self.staged_push = false;
+            self.push_back(self.pushed);
+        }
+        (
+            pop | push,
+            pop && before == self.capacity,
+            push && before == 0,
+        )
     }
 
     /// Current occupancy (committed tokens).
     pub fn len(&self) -> usize {
-        self.queue_len()
+        self.len
     }
 
     /// True if no committed tokens are present.
     pub fn is_empty(&self) -> bool {
-        self.queue_len() == 0
+        self.len == 0
     }
 
     /// The configured capacity.
@@ -296,6 +268,32 @@ mod tests {
     fn produce_into_full_panics() {
         let mut ch: Channel<i32> = Channel::new(1, [1]);
         ch.produce(2);
+    }
+
+    #[test]
+    fn deep_channel_keeps_fifo_order_through_the_spill() {
+        // Capacity beyond the inline ring: fill, then stream with the
+        // channel held full so every pop refills the ring from the spill.
+        let mut ch: Channel<i32> = Channel::new(7, [0, 1, 2]);
+        for n in 3..7 {
+            ch.produce(n);
+            assert_eq!(ch.commit_wakes(), (true, false, false));
+        }
+        assert_eq!(ch.len(), 7);
+        assert!(!ch.has_space());
+        for n in 0..20 {
+            assert_eq!(ch.consume(), n);
+            let (_, freed, gained) = ch.commit_wakes();
+            assert!(freed && !gained);
+            ch.produce(n + 7);
+            ch.commit();
+        }
+        for n in 20..27 {
+            assert_eq!(ch.peek(), Some(n));
+            ch.consume();
+            ch.commit();
+        }
+        assert!(ch.is_empty());
     }
 
     #[test]

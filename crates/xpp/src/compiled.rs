@@ -11,15 +11,22 @@
 //! a single time and share the result (behind an `Arc`) across every array
 //! in a worker pool, the way the XPP tool flow compiles NML source once
 //! and downloads the binary configuration to any number of devices.
+//!
+//! The compiled form is also what the array *executes*: the visit list
+//! (one micro-op per object, ports resolved), the wake adjacency and the
+//! port map are part of the shared program, and a loaded configuration
+//! keeps its state in the program's numbering — so the steady-state
+//! schedule of a configuration is a compile artifact, not something a
+//! running array has to discover (see [`crate::schedule`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::array::fire::Micro;
 use crate::array::CONFIG_CYCLES_PER_OBJECT;
 use crate::netlist::{EdgeSpec, EvEdgeSpec, Netlist};
 use crate::object::{ObjectKind, SlotClass};
 use crate::place::{Placement, ResourceCounts};
-use crate::schedule::{Schedule, ScheduleCell};
 use crate::word::ConfigWordHasher;
 
 /// Direction of a named external port.
@@ -33,10 +40,9 @@ pub(crate) enum PortDir {
 
 /// One node of a compiled configuration: its behaviour plus flattened
 /// port→channel maps in *netlist-local* channel numbering (index into the
-/// configuration's own edge lists). `configure_compiled` translates local
-/// indices into array channel slots with one `Vec` lookup per port — the
-/// per-configure `HashMap` construction the compiler replaced.
-#[derive(Debug, Clone)]
+/// configuration's own edge lists) — the form the word stream is derived
+/// from and the [`Micro`] visit list is packed from.
+#[derive(Debug)]
 pub(crate) struct CompiledNode {
     pub(crate) kind: ObjectKind,
     pub(crate) label: String,
@@ -141,8 +147,8 @@ impl ConfigDelta {
 }
 
 /// A netlist compiled down to everything an [`Array`](crate::Array) needs
-/// at load time: the placement footprint, the channel templates, and the
-/// flattened per-node port maps.
+/// at load time and at every cycle after: the placement footprint, the
+/// channel templates, the word stream, and the per-object visit list.
 ///
 /// Compiling is the expensive, array-independent half of configuration;
 /// loading a `CompiledConfig` onto an array only allocates resources and
@@ -175,25 +181,46 @@ impl ConfigDelta {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledConfig {
+    /// Shared, immutable: `Clone` and every load hand out the same
+    /// `Arc`, so a load allocates only the configuration's mutable state.
+    pub(crate) program: Arc<Program>,
+}
+
+/// What [`CompiledConfig::compile`] produces, in netlist-local numbering
+/// throughout: object `n` is node `n`, data/event channel `k` is edge `k`
+/// of the respective list. A loaded configuration owns its channels and
+/// object state as dense vectors in exactly this numbering, so nothing
+/// here is translated, rebased or copied at load time — the array steps a
+/// configuration straight off the shared program.
+#[derive(Debug)]
+pub(crate) struct Program {
     pub(crate) name: String,
     pub(crate) placement: Placement,
     pub(crate) load_cycles: u64,
     pub(crate) d_edges: Vec<EdgeSpec>,
     pub(crate) e_edges: Vec<EvEdgeSpec>,
     pub(crate) nodes: Vec<CompiledNode>,
-    pub(crate) ports: Vec<(String, usize, PortDir)>,
+    /// External port name → (node, direction).
+    pub(crate) ports: HashMap<String, (usize, PortDir)>,
     /// Canonical word-stream view, sorted by address (see [`ConfigWord`]).
     pub(crate) words: Vec<ConfigWord>,
-    /// Shared slot for the steady-state schedule captured at runtime by an
-    /// array executing this configuration. `Clone` shares the slot (it is a
-    /// cache, not part of the compiled netlist), so the schedule travels
-    /// with the `Arc<CompiledConfig>` a config store hands to every worker.
-    pub(crate) schedule_cell: Arc<ScheduleCell>,
+    /// The configuration's schedule in its always-sound form — *every
+    /// object, every cycle*: one micro-op per node, in node order, ports
+    /// pre-resolved. The dense stepper fires the whole list each cycle; the
+    /// ready-list stepper indexes it by woken object.
+    pub(crate) micro: Vec<Micro>,
+    /// Fan-out channel table the micro-ops' output ranges index.
+    pub(crate) fan: Vec<u32>,
+    /// Per data channel, its (producer, consumer) objects — whom a commit
+    /// transition wakes.
+    pub(crate) d_adj: Vec<(u32, u32)>,
+    /// Per event channel, its (producer, consumer) objects.
+    pub(crate) e_adj: Vec<(u32, u32)>,
 }
 
 impl CompiledConfig {
-    /// Compiles a netlist: computes its placement footprint and resolves
-    /// every port into local channel indices.
+    /// Compiles a netlist: computes its placement footprint, resolves
+    /// every port into local channel indices and packs the visit list.
     pub fn compile(netlist: &Netlist) -> Self {
         let placement = Placement::of(netlist);
 
@@ -213,7 +240,7 @@ impl CompiledConfig {
         }
 
         let mut nodes = Vec::with_capacity(netlist.nodes.len());
-        let mut ports = Vec::new();
+        let mut ports = HashMap::new();
         for (n, spec) in netlist.nodes.iter().enumerate() {
             let shape = spec.kind.shape();
             let mut din = [None; 3];
@@ -232,12 +259,15 @@ impl CompiledConfig {
             for (p, list) in evout.iter_mut().enumerate().take(shape.evout) {
                 *list = e_map.get(&(n, p)).cloned().unwrap_or_default();
             }
-            match &spec.kind {
-                ObjectKind::Input(name) => ports.push((name.clone(), n, PortDir::DataIn)),
-                ObjectKind::Output(name) => ports.push((name.clone(), n, PortDir::DataOut)),
-                ObjectKind::InputEvent(name) => ports.push((name.clone(), n, PortDir::EvIn)),
-                ObjectKind::OutputEvent(name) => ports.push((name.clone(), n, PortDir::EvOut)),
-                _ => {}
+            let dir = match &spec.kind {
+                ObjectKind::Input(name) => Some((name, PortDir::DataIn)),
+                ObjectKind::Output(name) => Some((name, PortDir::DataOut)),
+                ObjectKind::InputEvent(name) => Some((name, PortDir::EvIn)),
+                ObjectKind::OutputEvent(name) => Some((name, PortDir::EvOut)),
+                _ => None,
+            };
+            if let Some((name, dir)) = dir {
+                ports.insert(name.clone(), (n, dir));
             }
             nodes.push(CompiledNode {
                 kind: spec.kind.clone(),
@@ -250,23 +280,35 @@ impl CompiledConfig {
         }
 
         let words = config_word_stream(&nodes, &netlist.data_edges, &netlist.ev_edges);
+        let mut fan = Vec::new();
+        let micro = nodes.iter().map(|n| Micro::pack(n, &mut fan)).collect();
+        let adj = |from: (usize, usize), to: (usize, usize)| (from.0 as u32, to.0 as u32);
         CompiledConfig {
-            name: netlist.name().to_string(),
-            placement,
-            load_cycles: netlist.object_count() as u64 * CONFIG_CYCLES_PER_OBJECT,
-            d_edges: netlist.data_edges.clone(),
-            e_edges: netlist.ev_edges.clone(),
-            nodes,
-            ports,
-            words,
-            schedule_cell: Arc::new(ScheduleCell::default()),
+            program: Arc::new(Program {
+                name: netlist.name().to_string(),
+                placement,
+                load_cycles: netlist.object_count() as u64 * CONFIG_CYCLES_PER_OBJECT,
+                d_adj: netlist
+                    .data_edges
+                    .iter()
+                    .map(|e| adj(e.from, e.to))
+                    .collect(),
+                e_adj: netlist.ev_edges.iter().map(|e| adj(e.from, e.to)).collect(),
+                d_edges: netlist.data_edges.clone(),
+                e_edges: netlist.ev_edges.clone(),
+                nodes,
+                ports,
+                words,
+                micro,
+                fan,
+            }),
         }
     }
 
     /// The canonical word-stream view: one address-stable word per
     /// configuration-bus cycle of a full load, sorted by address.
     pub fn config_words(&self) -> &[ConfigWord] {
-        &self.words
+        &self.program.words
     }
 
     /// Diffs this configuration (the target) against a resident one,
@@ -281,41 +323,33 @@ impl CompiledConfig {
     /// charges no words today).
     pub fn delta_from(&self, resident: &CompiledConfig) -> ConfigDelta {
         ConfigDelta {
-            from: resident.name.clone(),
-            to: self.name.clone(),
-            changed_words: changed_word_count(&resident.words, &self.words),
-            full_words: self.load_cycles,
-            freed: resident.placement.counts,
-            placed: self.placement.counts,
+            from: resident.name().to_string(),
+            to: self.name().to_string(),
+            changed_words: changed_word_count(resident.config_words(), self.config_words()),
+            full_words: self.load_cycles(),
+            freed: resident.placement().counts,
+            placed: self.placement().counts,
         }
-    }
-
-    /// The steady-state schedule most recently captured by an array running
-    /// this configuration, if any. Captured schedules are published here at
-    /// runtime and travel with the compiled configuration (including across
-    /// `Clone`), seeding the period detectors of other arrays.
-    pub fn captured_schedule(&self) -> Option<Arc<Schedule>> {
-        self.schedule_cell.get()
     }
 
     /// The configuration name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.program.name
     }
 
     /// The precomputed placement footprint.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.program.placement
     }
 
     /// Number of objects.
     pub fn object_count(&self) -> usize {
-        self.nodes.len()
+        self.program.nodes.len()
     }
 
     /// Serial configuration-bus cycles a load of this configuration costs.
     pub fn load_cycles(&self) -> u64 {
-        self.load_cycles
+        self.program.load_cycles
     }
 }
 
@@ -486,9 +520,10 @@ mod tests {
         assert_eq!(c.object_count(), nl.object_count());
         assert_eq!(c.load_cycles(), nl.object_count() as u64 * 3);
         assert_eq!(c.placement().counts, Placement::of(&nl).counts);
-        assert_eq!(c.ports.len(), 3, "a, b, y");
+        assert_eq!(c.program.ports.len(), 3, "a, b, y");
         // The ALU node reads both data edges and drives the output edge.
         let alu = c
+            .program
             .nodes
             .iter()
             .find(|n| matches!(n.kind, ObjectKind::Alu(_)))

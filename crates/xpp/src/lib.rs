@@ -68,6 +68,6 @@ pub use netlist::{
 };
 pub use object::{AluOp, CounterCfg, ObjectKind, SlotClass, UnaryOp, RAM_WORDS};
 pub use place::{Geometry, Placement, ResourceCounts, ResourcePool};
-pub use schedule::{Schedule, ScheduleCell, ScheduleStats};
+pub use schedule::ScheduleStats;
 pub use stats::ArrayStats;
 pub use word::{ConfigWordHasher, Event, Word, WORD_BITS, WORD_MAX, WORD_MIN};

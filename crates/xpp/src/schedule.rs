@@ -1,220 +1,51 @@
-//! Static steady-state schedules: capture the periodic fire sequence of an
-//! array in steady state and replay it as a straight-line micro-op list,
-//! compiling the event loop away.
+//! The schedule of a configuration, and why no stepper has to detect one.
 //!
-//! Synchronous-dataflow scheduling says a rate-consistent configuration has
-//! a finite repetition vector whose fire sequence is static. The event
-//! scheduler discovers that sequence at runtime: the crate-private
-//! `ScheduleEngine` watches the event-driven stepper through a rolling hash of per-cycle
-//! fire/commit signatures, and when the last `2p` cycles look periodic with
-//! period `p` it records the next `2p` cycles verbatim as packed micro-ops.
-//! If the two recorded halves agree element-wise the first half becomes a
-//! [`Schedule`] and the array switches to a branch-light replay loop with no
-//! ready list, no wake adjacency traversal and no allocation.
+//! A pipelined token-handshake netlist has a steady-state firing pattern,
+//! and earlier versions of this crate tried to *find* it: hash each cycle's
+//! fire/commit signature, scan the history for a period, record two
+//! periods, compare them, replay the recording under per-cycle guards. That
+//! fails exactly where it matters — the Fig. 5 descrambler steers `±1`
+//! constants through merges by the scrambling-code bits, so which objects
+//! fire follows the data and there is no period to find — and it is not
+//! needed. The schedule that is always sound is a compile artifact: the
+//! configuration's visit list (one micro-op per object, built by
+//! [`CompiledConfig::compile`](crate::CompiledConfig::compile)), executed as
+//! *every object, every cycle*.
 //!
 //! # Exactness
 //!
-//! Replay is pinned bit-identical to the event stepper by construction plus
-//! two per-cycle guards:
+//! Why offering every object every cycle (the dense stepper), only the woken
+//! ones (the ready-list stepper), or any mixture chosen cycle by cycle gives
+//! bit-identical results: a fire decision reads only channel state committed
+//! at the *start* of the cycle — productions and consumptions are staged,
+//! channels are point-to-point, and an object's internal state is touched
+//! by its own fire alone — so offering an object that cannot fire does
+//! nothing, and a stepper is exact as soon as it offers a superset of the
+//! fireable objects. The order of the offers does not matter for the same
+//! reason, and neither does the order of the end-of-cycle commits, each of
+//! which touches one channel. Finally, a pass over every object that fires
+//! nothing stages nothing, so the next cycle starts from the same state and
+//! would fire nothing again: that pass *is* the proof that the
+//! configuration is asleep until something outside it (external input, a
+//! board route, its own load completing) wakes an object — which always
+//! goes through the ready list. No period, no guard, nothing to invalidate.
 //!
-//! * every replayed micro-op runs the one firing-rule function all three
-//!   steppers share, and its fire count must equal the recorded count;
-//! * the end-of-cycle commit signature — the set of channels that staged
-//!   movement, and which full→not-full / empty→non-empty transitions each
-//!   commit produced — must equal the recorded signature (the replay loop
-//!   checks set equality: staged counts must match the recorded list
-//!   lengths and every listed channel must really have moved, so no staged
-//!   channel can hide outside the list and no listed channel can have gone
-//!   untouched).
-//!
-//! Fire decisions depend only on committed start-of-cycle channel state, so
-//! firing the recorded subset of objects is always semantically valid; the
-//! question is only whether an *unrecorded* object could have fired. An
-//! enabled object's fireability can change only through (a) a committed
-//! transition on an adjacent channel — any off-schedule transition trips the
-//! commit-signature guard in the same cycle it first occurs, (b) its own
-//! internal state — which only changes when it fires, (c) external API calls
-//! (`push_input`, `configure`, `unload`, `connect`) — which invalidate the
-//! schedule before the next step, or (d) a configuration load completing —
-//! impossible while replaying because capture requires an idle config bus.
-//! And an object that was fireable throughout the verification period would
-//! have been fired by the event stepper and hence recorded. So the first
-//! deviating cycle is still replayed exactly, the guards trip at its end,
-//! and the array falls back to the event scheduler (with a conservative
-//! flood wake — spurious wakes are harmless) from the next cycle on.
-//!
-//! Captured schedules are published into the [`ScheduleCell`] each resident
-//! `CompiledConfig` carries, so they travel with the shared
-//! `Arc<CompiledConfig>` across gang members and survive prefetch/swap; a
-//! travelled schedule seeds the period detector of the next array, which
-//! still re-verifies behaviour locally before replaying (slots and phase
-//! are array-local, the period is not).
+//! What remains of "scheduling" is a cost decision, made per configuration
+//! per cycle in `array::dense`; [`ScheduleStats`] records how it went.
 
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Longest period the detector will look for, in cycles.
-pub const MAX_PERIOD: usize = 1024;
-
-/// Cycle-hash history needed to confirm a period of `MAX_PERIOD`.
-const HISTORY: usize = 2 * MAX_PERIOD;
-
-/// Observation cycles between period scans (bounds scan cost amortised
-/// over the event stepper's own work).
-const SCAN_INTERVAL: u32 = 16;
-
-/// First evidence floor applied after a guard-trip invalidation (doubles
-/// on each further trip, capped at [`HISTORY`]).
-const EVIDENCE_BASE: usize = 64;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// Tag bits keeping fire ops and commit ops in distinct hash classes.
-const HASH_OP_TAG: u64 = 1 << 40;
-const HASH_DCOMMIT_TAG: u64 = 2 << 40;
-const HASH_ECOMMIT_TAG: u64 = 3 << 40;
-
-#[inline]
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
-/// Packs a fire micro-op: object slot in the low 24 bits, expected fire
-/// count in the high 8 bits.
-#[inline]
-pub(crate) fn pack_op(slot: usize, fires: u32) -> u32 {
-    debug_assert!(slot < (1 << 24) && fires < (1 << 8));
-    (slot as u32) | (fires << 24)
-}
-
-#[inline]
-pub(crate) fn op_slot(op: u32) -> usize {
-    (op & 0x00ff_ffff) as usize
-}
-
-#[inline]
-pub(crate) fn op_fires(op: u32) -> u32 {
-    op >> 24
-}
-
-/// Packs a channel-commit micro-op: channel slot in the low 30 bits plus
-/// the two scheduler-relevant transition flags the commit produced.
-#[inline]
-pub(crate) fn pack_commit(chan: usize, freed: bool, gained: bool) -> u32 {
-    debug_assert!(chan < (1 << 30));
-    (chan as u32) | ((freed as u32) << 30) | ((gained as u32) << 31)
-}
-
-/// Per-cycle end offsets into the flat micro-op vectors of a capture or a
-/// schedule (cumulative, so cycle `k` spans `spans[k-1]..spans[k]`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Span {
-    ops_end: u32,
-    d_end: u32,
-    e_end: u32,
-}
-
-/// A captured steady-state schedule: one period of fire and channel-commit
-/// micro-ops, flattened with per-cycle spans.
-#[derive(Debug)]
-pub struct Schedule {
-    period: u32,
-    ops: Vec<u32>,
-    dcoms: Vec<u32>,
-    ecoms: Vec<u32>,
-    spans: Vec<Span>,
-}
-
-impl Schedule {
-    /// The period, in cycles.
-    pub fn period(&self) -> u32 {
-        self.period
-    }
-
-    /// Total fire micro-ops across one period.
-    pub fn ops_per_period(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// The micro-ops of one cycle of the period:
-    /// `(fire ops, data commit ops, event commit ops)`.
-    #[inline]
-    pub(crate) fn cycle(&self, phase: u32) -> (&[u32], &[u32], &[u32]) {
-        let k = phase as usize;
-        let lo = if k == 0 {
-            Span::default()
-        } else {
-            self.spans[k - 1]
-        };
-        let hi = self.spans[k];
-        (
-            &self.ops[lo.ops_end as usize..hi.ops_end as usize],
-            &self.dcoms[lo.d_end as usize..hi.d_end as usize],
-            &self.ecoms[lo.e_end as usize..hi.e_end as usize],
-        )
-    }
-
-    /// Index range of one cycle's fire ops within the flat period-long op
-    /// vector (the array's compiled micro-op vector is parallel to it).
-    #[inline]
-    pub(crate) fn op_range(&self, phase: u32) -> std::ops::Range<usize> {
-        let k = phase as usize;
-        let lo = if k == 0 {
-            0
-        } else {
-            self.spans[k - 1].ops_end as usize
-        };
-        lo..self.spans[k].ops_end as usize
-    }
-}
-
-/// Interior-mutable slot for a captured schedule, carried by every
-/// `CompiledConfig` behind its process-wide `Arc`. An array that reaches
-/// steady state publishes here; any other array resident on the same
-/// compiled configuration (a gang member, a prefetch target) reads the
-/// period out as a detector seed.
-#[derive(Debug, Default)]
-pub struct ScheduleCell {
-    inner: Mutex<Option<Arc<Schedule>>>,
-}
-
-impl ScheduleCell {
-    pub(crate) fn publish(&self, schedule: Arc<Schedule>) {
-        *self.inner.lock().unwrap_or_else(PoisonError::into_inner) = Some(schedule);
-    }
-
-    /// The most recently published schedule, if any.
-    pub fn get(&self) -> Option<Arc<Schedule>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Period hint without cloning the schedule (used in the step loop, so
-    /// it must never block: a contended lock just means "no hint today").
-    pub(crate) fn period_hint(&self) -> Option<u32> {
-        self.inner
-            .try_lock()
-            .ok()
-            .and_then(|g| g.as_ref().map(|s| s.period))
-    }
-}
-
-/// Side counters of the capture/replay machinery. Deliberately *not* part
-/// of `ArrayStats`: those are pinned bit-identical between all steppers,
-/// while these describe which stepper ran.
+/// Which stepper ran. Deliberately *not* part of
+/// [`ArrayStats`](crate::ArrayStats): those are pinned bit-identical between
+/// all steppers, while these describe the stepping itself. (Field names date
+/// from the capture/replay design; the benchmark compiles against them.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleStats {
-    /// Steady-state schedules captured (promotions to replay).
+    /// Entries of a configuration into dense mode.
     pub captured: u64,
-    /// Cycles stepped by the straight-line replay loop.
+    /// Cycles in which the dense stepper served at least one configuration.
     pub replay_cycles: u64,
-    /// Times a replayed schedule was invalidated (perturbation or guard).
+    /// Exits of a configuration from dense mode: went to sleep, turned
+    /// sparse, was unloaded, or the ready-list stepper was forced.
     pub invalidations: u64,
-    /// Captures whose period came from a schedule published by another
-    /// array through a shared `CompiledConfig` (travelled hints).
-    pub hinted_captures: u64,
 }
 
 impl ScheduleStats {
@@ -224,556 +55,6 @@ impl ScheduleStats {
             captured: self.captured - earlier.captured,
             replay_cycles: self.replay_cycles - earlier.replay_cycles,
             invalidations: self.invalidations - earlier.invalidations,
-            hinted_captures: self.hinted_captures - earlier.hinted_captures,
         }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Hash per-cycle fire/commit signatures, scanning for a period.
-    Observe,
-    /// Candidate period found: record `2 * period` cycles verbatim.
-    Capture {
-        period: u32,
-        recorded: u32,
-        hinted: bool,
-    },
-    /// Verified schedule active: `Array::step` replays it.
-    Replay { phase: u32 },
-}
-
-/// Reusable capture buffers (cleared, never freed, between captures — so
-/// capture allocates only the first time a given depth is reached).
-#[derive(Debug, Default)]
-struct CaptureBuf {
-    ops: Vec<u32>,
-    dcoms: Vec<u32>,
-    ecoms: Vec<u32>,
-    spans: Vec<Span>,
-}
-
-impl CaptureBuf {
-    fn clear(&mut self) {
-        self.ops.clear();
-        self.dcoms.clear();
-        self.ecoms.clear();
-        self.spans.clear();
-    }
-}
-
-/// The capture-and-replay state machine one [`crate::Array`] owns.
-#[derive(Debug)]
-pub(crate) struct ScheduleEngine {
-    /// Master switch (latched off for reference-stepper arrays and by
-    /// `Array::set_schedule_capture(false)`).
-    pub(crate) enabled: bool,
-    mode: Mode,
-    /// Verified schedule (`Some` exactly in `Mode::Replay`).
-    active: Option<Arc<Schedule>>,
-    /// Per-cycle signature hash accumulator.
-    cycle_hash: u64,
-    /// Any fire recorded into the hash this cycle.
-    cycle_fired: bool,
-    /// Ring of per-cycle signature hashes (boxed: 4 KiB).
-    ring: Box<[u64; HISTORY]>,
-    ring_len: usize,
-    ring_pos: usize,
-    since_scan: u32,
-    /// Period seed read from a travelled schedule, tried first when
-    /// scanning.
-    hint: Option<u32>,
-    /// Anti-thrash evidence floor: the trailing periodic history (in
-    /// cycles) a candidate period must show before capture begins. Starts
-    /// at zero (a bare `2p` window suffices), doubles on every guard-trip
-    /// invalidation, and resets when the resident configuration set
-    /// changes. A workload with short locally-flat stretches inside a
-    /// longer true period (an accumulate-dump counter, a pipeline refill)
-    /// would otherwise promote the flat stretch as `p = 1`, trip within a
-    /// few cycles, wipe the observation ring, and loop — never living long
-    /// enough to see the real period.
-    evidence: usize,
-    cap: CaptureBuf,
-    stats: ScheduleStats,
-}
-
-impl ScheduleEngine {
-    pub(crate) fn new(enabled: bool) -> Self {
-        ScheduleEngine {
-            enabled,
-            mode: Mode::Observe,
-            active: None,
-            cycle_hash: FNV_OFFSET,
-            cycle_fired: false,
-            ring: Box::new([0; HISTORY]),
-            ring_len: 0,
-            ring_pos: 0,
-            since_scan: 0,
-            hint: None,
-            evidence: 0,
-            cap: CaptureBuf::default(),
-            stats: ScheduleStats::default(),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> ScheduleStats {
-        self.stats
-    }
-
-    pub(crate) fn is_replaying(&self) -> bool {
-        matches!(self.mode, Mode::Replay { .. })
-    }
-
-    pub(crate) fn phase(&self) -> u32 {
-        match self.mode {
-            Mode::Replay { phase } => phase,
-            _ => 0,
-        }
-    }
-
-    pub(crate) fn active(&self) -> Option<&Schedule> {
-        self.active.as_deref()
-    }
-
-    pub(crate) fn active_arc(&self) -> Option<Arc<Schedule>> {
-        self.active.clone()
-    }
-
-    pub(crate) fn set_hint(&mut self, period: Option<u32>) {
-        self.hint = period;
-    }
-
-    /// A verified replay cycle completed: advance the phase.
-    pub(crate) fn advance_phase(&mut self) {
-        if let Mode::Replay { phase } = &mut self.mode {
-            let period = self.active.as_ref().map(|s| s.period).unwrap_or(1);
-            *phase = (*phase + 1) % period;
-            self.stats.replay_cycles += 1;
-        }
-    }
-
-    /// Drops the active schedule and returns to observation. `guard_trip`
-    /// distinguishes a replay guard catching a behavioural deviation
-    /// (evidence the promoted period was a local mirage — escalate the
-    /// evidence floor so the next candidate must prove itself over a
-    /// longer window) from an external perturbation, which says nothing
-    /// about the detector's judgement.
-    pub(crate) fn invalidate(&mut self, guard_trip: bool) {
-        debug_assert!(self.is_replaying());
-        self.mode = Mode::Observe;
-        self.active = None;
-        self.stats.invalidations += 1;
-        if guard_trip {
-            self.evidence = (self.evidence * 2).clamp(EVIDENCE_BASE, HISTORY);
-        }
-        self.reset_observation();
-    }
-
-    /// The resident configuration set changed: escalated evidence was
-    /// about a workload that no longer exists.
-    pub(crate) fn reset_evidence(&mut self) {
-        self.evidence = 0;
-    }
-
-    /// Abandons an in-flight capture (external perturbation: the promotion
-    /// soundness argument needs an API-quiet capture window).
-    pub(crate) fn abort_capture(&mut self) {
-        if matches!(self.mode, Mode::Capture { .. }) {
-            self.mode = Mode::Observe;
-            self.cap.clear();
-        }
-    }
-
-    fn reset_observation(&mut self) {
-        self.ring_len = 0;
-        self.ring_pos = 0;
-        self.since_scan = 0;
-        self.cycle_hash = FNV_OFFSET;
-        self.cycle_fired = false;
-    }
-
-    /// Starts a cycle of event-driven stepping. `capturable` is false when
-    /// the cycle can contain activity a schedule cannot represent (config
-    /// bus busy, board connections present): such cycles break any period.
-    #[inline]
-    pub(crate) fn begin_cycle(&mut self, capturable: bool) -> bool {
-        if !capturable {
-            self.abort_capture();
-            self.reset_observation();
-            return false;
-        }
-        self.cycle_hash = FNV_OFFSET;
-        self.cycle_fired = false;
-        true
-    }
-
-    #[inline]
-    pub(crate) fn note_fire(&mut self, slot: usize, fires: u32) {
-        let packed = pack_op(slot, fires);
-        self.cycle_hash = mix(self.cycle_hash, u64::from(packed) | HASH_OP_TAG);
-        self.cycle_fired = true;
-        if matches!(self.mode, Mode::Capture { .. }) {
-            self.cap.ops.push(packed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_commit_d(&mut self, chan: usize, freed: bool, gained: bool) {
-        let packed = pack_commit(chan, freed, gained);
-        self.cycle_hash = mix(self.cycle_hash, u64::from(packed) | HASH_DCOMMIT_TAG);
-        if matches!(self.mode, Mode::Capture { .. }) {
-            self.cap.dcoms.push(packed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn note_commit_e(&mut self, chan: usize, freed: bool, gained: bool) {
-        let packed = pack_commit(chan, freed, gained);
-        self.cycle_hash = mix(self.cycle_hash, u64::from(packed) | HASH_ECOMMIT_TAG);
-        if matches!(self.mode, Mode::Capture { .. }) {
-            self.cap.ecoms.push(packed);
-        }
-    }
-
-    /// Ends an instrumented event-stepper cycle. Returns `true` when a
-    /// schedule was captured and verified this cycle (the array then
-    /// publishes it and switches `step` to replay).
-    pub(crate) fn end_cycle(&mut self) -> bool {
-        if !self.cycle_fired {
-            // A capturable cycle with zero fires is an idle fixed point:
-            // nothing periodic to chase, and a capture spanning it would
-            // only replay idleness. Start over when activity returns. A
-            // long idle stretch (a rate-matched array waiting for the next
-            // burst) hits this every cycle, so skip the reset when the
-            // observation state is already clean.
-            if self.ring_len != 0 || matches!(self.mode, Mode::Capture { .. }) {
-                self.abort_capture();
-                self.reset_observation();
-            }
-            return false;
-        }
-        self.ring[self.ring_pos] = self.cycle_hash;
-        self.ring_pos = (self.ring_pos + 1) % HISTORY;
-        self.ring_len = (self.ring_len + 1).min(HISTORY);
-
-        match self.mode {
-            Mode::Observe => {
-                self.since_scan += 1;
-                if self.since_scan >= SCAN_INTERVAL {
-                    self.since_scan = 0;
-                    if let Some((period, hinted)) = self.scan() {
-                        self.cap.clear();
-                        self.mode = Mode::Capture {
-                            period,
-                            recorded: 0,
-                            hinted,
-                        };
-                    }
-                }
-                false
-            }
-            Mode::Capture {
-                period,
-                ref mut recorded,
-                hinted,
-            } => {
-                self.cap.spans.push(Span {
-                    ops_end: self.cap.ops.len() as u32,
-                    d_end: self.cap.dcoms.len() as u32,
-                    e_end: self.cap.ecoms.len() as u32,
-                });
-                *recorded += 1;
-                if *recorded == 2 * period {
-                    if self.halves_match(period) {
-                        self.promote(period, hinted);
-                        return true;
-                    }
-                    self.mode = Mode::Observe;
-                    self.cap.clear();
-                }
-                false
-            }
-            Mode::Replay { .. } => false,
-        }
-    }
-
-    /// Looks for the smallest period `p` such that the trailing
-    /// `max(2p, evidence)` cycle hashes are `p`-periodic. A travelled hint
-    /// is tried first with a bare `2p` window — it was already verified on
-    /// the array that published it, so it is a vetted candidate rather
-    /// than a blind smallest-period guess.
-    fn scan(&self) -> Option<(u32, bool)> {
-        if let Some(h) = self.hint {
-            let p = h as usize;
-            if (1..=MAX_PERIOD).contains(&p) && self.check_window(p, 2 * p) {
-                return Some((h, true));
-            }
-        }
-        for p in 1..=MAX_PERIOD {
-            if (2 * p).max(self.evidence) > self.ring_len {
-                break;
-            }
-            if self.check_window(p, (2 * p).max(self.evidence)) {
-                return Some((p as u32, false));
-            }
-        }
-        None
-    }
-
-    fn ring_back(&self, i: usize) -> u64 {
-        // i cycles before the most recent entry.
-        self.ring[(self.ring_pos + HISTORY - 1 - i) % HISTORY]
-    }
-
-    /// The trailing `window` hashes are `p`-periodic.
-    fn check_window(&self, p: usize, window: usize) -> bool {
-        if window > self.ring_len {
-            return false;
-        }
-        // Cheap rejection first: newest against one period back.
-        if self.ring_back(0) != self.ring_back(p) {
-            return false;
-        }
-        (1..window - p).all(|i| self.ring_back(i) == self.ring_back(i + p))
-    }
-
-    /// Element-wise comparison of the two recorded halves — the
-    /// verification pass that makes promotion sound (hashes only select
-    /// the candidate).
-    fn halves_match(&self, period: u32) -> bool {
-        let p = period as usize;
-        let cap = &self.cap;
-        debug_assert_eq!(cap.spans.len(), 2 * p);
-        let half = cap.spans[p - 1];
-        let full = cap.spans[2 * p - 1];
-        // Per-cycle lengths must pair up for the flat comparison to align.
-        let mut prev = Span::default();
-        for k in 0..p {
-            let a = cap.spans[k];
-            let b = cap.spans[k + p];
-            let b_prev = if k == 0 { half } else { cap.spans[k + p - 1] };
-            let same = (a.ops_end - prev.ops_end == b.ops_end - b_prev.ops_end)
-                && (a.d_end - prev.d_end == b.d_end - b_prev.d_end)
-                && (a.e_end - prev.e_end == b.e_end - b_prev.e_end);
-            if !same {
-                return false;
-            }
-            prev = a;
-        }
-        cap.ops[..half.ops_end as usize] == cap.ops[half.ops_end as usize..full.ops_end as usize]
-            && cap.dcoms[..half.d_end as usize]
-                == cap.dcoms[half.d_end as usize..full.d_end as usize]
-            && cap.ecoms[..half.e_end as usize]
-                == cap.ecoms[half.e_end as usize..full.e_end as usize]
-    }
-
-    fn promote(&mut self, period: u32, hinted: bool) {
-        let p = period as usize;
-        let half = self.cap.spans[p - 1];
-        let schedule = Schedule {
-            period,
-            ops: self.cap.ops[..half.ops_end as usize].to_vec(),
-            dcoms: self.cap.dcoms[..half.d_end as usize].to_vec(),
-            ecoms: self.cap.ecoms[..half.e_end as usize].to_vec(),
-            spans: self.cap.spans[..p].to_vec(),
-        };
-        self.active = Some(Arc::new(schedule));
-        self.mode = Mode::Replay { phase: 0 };
-        self.cap.clear();
-        self.stats.captured += 1;
-        if hinted {
-            self.stats.hinted_captures += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Feeds `engine` one synthetic cycle built from (slot, fires) ops.
-    fn cycle(engine: &mut ScheduleEngine, ops: &[(usize, u32)]) -> bool {
-        assert!(engine.begin_cycle(true));
-        for &(slot, fires) in ops {
-            engine.note_fire(slot, fires);
-            engine.note_commit_d(slot, false, false);
-        }
-        engine.end_cycle()
-    }
-
-    #[test]
-    fn detects_and_promotes_a_period() {
-        let mut e = ScheduleEngine::new(true);
-        let pattern: [&[(usize, u32)]; 3] = [&[(1, 1), (2, 1)], &[(3, 1)], &[(1, 1)]];
-        let mut promoted_at = None;
-        for i in 0..200 {
-            if cycle(&mut e, pattern[i % 3]) {
-                promoted_at = Some(i);
-                break;
-            }
-        }
-        let at = promoted_at.expect("a period-3 pattern must promote");
-        assert!(e.is_replaying());
-        let s = e.active().expect("schedule present");
-        assert_eq!(s.period(), 3);
-        assert_eq!(s.ops_per_period(), 4);
-        // Promotion phase alignment: phase 0 of the schedule must be the
-        // pattern cycle that comes right after the promotion cycle.
-        let expected: Vec<u32> = pattern[(at + 1) % 3]
-            .iter()
-            .map(|&(slot, fires)| pack_op(slot, fires))
-            .collect();
-        let (ops, dcoms, _) = s.cycle(0);
-        assert_eq!(ops, expected.as_slice());
-        assert_eq!(dcoms.len(), ops.len());
-        assert_eq!(e.stats().captured, 1);
-    }
-
-    #[test]
-    fn aperiodic_input_never_promotes() {
-        let mut e = ScheduleEngine::new(true);
-        for i in 0..2000usize {
-            // Strictly growing slot index: no cycle ever repeats.
-            let promoted = cycle(&mut e, &[(1, 1), (i + 2, 1)]);
-            assert!(!promoted);
-        }
-        assert!(!e.is_replaying());
-    }
-
-    #[test]
-    fn idle_cycle_resets_observation() {
-        let mut e = ScheduleEngine::new(true);
-        for _ in 0..40 {
-            cycle(&mut e, &[(1, 1)]);
-        }
-        assert!(e.ring_len > 0);
-        assert!(e.begin_cycle(true));
-        assert!(!e.end_cycle());
-        assert_eq!(e.ring_len, 0);
-    }
-
-    #[test]
-    fn uncapturable_cycle_aborts_capture() {
-        let mut e = ScheduleEngine::new(true);
-        for _ in 0..SCAN_INTERVAL as usize + 2 {
-            cycle(&mut e, &[(1, 1)]);
-        }
-        // By now a period-1 capture is in flight or already replaying;
-        // force the uncapturable path and check full reset either way.
-        assert!(!e.begin_cycle(false));
-        assert!(!matches!(e.mode, Mode::Capture { .. }));
-        assert_eq!(e.ring_len, 0);
-    }
-
-    #[test]
-    fn hint_is_tried_first() {
-        // Period 2 would also match as period 4; with a hint of 4 the
-        // detector should capture the hinted period instead.
-        let mut hinted = ScheduleEngine::new(true);
-        hinted.set_hint(Some(4));
-        let mut captured = None;
-        for i in 0..200 {
-            if cycle(&mut hinted, &[(i % 2, 1)]) {
-                captured = Some(hinted.active().unwrap().period());
-                break;
-            }
-        }
-        assert_eq!(captured, Some(4));
-        assert_eq!(hinted.stats().hinted_captures, 1);
-
-        let mut plain = ScheduleEngine::new(true);
-        let mut captured = None;
-        for i in 0..200 {
-            if cycle(&mut plain, &[(i % 2, 1)]) {
-                captured = Some(plain.active().unwrap().period());
-                break;
-            }
-        }
-        assert_eq!(captured, Some(2));
-        assert_eq!(plain.stats().hinted_captures, 0);
-    }
-
-    #[test]
-    fn invalidate_returns_to_observation() {
-        let mut e = ScheduleEngine::new(true);
-        for _ in 0..200 {
-            if cycle(&mut e, &[(1, 1)]) {
-                break;
-            }
-        }
-        assert!(e.is_replaying());
-        e.invalidate(false);
-        assert!(!e.is_replaying());
-        assert!(e.active().is_none());
-        assert_eq!(e.stats().invalidations, 1);
-        // It can capture again.
-        for _ in 0..200 {
-            if cycle(&mut e, &[(1, 1)]) {
-                break;
-            }
-        }
-        assert!(e.is_replaying());
-        assert_eq!(e.stats().captured, 2);
-    }
-
-    /// A guard trip escalates the evidence floor: the next capture of the
-    /// same short period needs a longer stable run-up, so a long-period
-    /// workload with short locally-flat stretches stops thrashing.
-    #[test]
-    fn guard_trips_escalate_the_evidence_floor() {
-        let mut e = ScheduleEngine::new(true);
-        let mut promoted_at = None;
-        for i in 0..200 {
-            if cycle(&mut e, &[(1, 1)]) {
-                promoted_at = Some(i);
-                break;
-            }
-        }
-        let first = promoted_at.expect("flat pattern promotes");
-        e.invalidate(true);
-        // Re-promotion now needs EVIDENCE_BASE flat cycles, not just two.
-        let mut repromoted_at = None;
-        for i in 0..400 {
-            if cycle(&mut e, &[(1, 1)]) {
-                repromoted_at = Some(i);
-                break;
-            }
-        }
-        let second = repromoted_at.expect("still promotes, just later");
-        assert!(
-            second >= EVIDENCE_BASE && second > first,
-            "guard trip must delay re-promotion: first {first}, second {second}"
-        );
-        // An external perturbation does not escalate further...
-        e.invalidate(false);
-        // ...and a configuration change resets the floor entirely.
-        e.reset_evidence();
-        let mut third_at = None;
-        for i in 0..200 {
-            if cycle(&mut e, &[(1, 1)]) {
-                third_at = Some(i);
-                break;
-            }
-        }
-        assert_eq!(third_at.expect("prompt recapture after reset"), first);
-    }
-
-    #[test]
-    fn schedule_cell_roundtrip() {
-        let cell = ScheduleCell::default();
-        assert!(cell.get().is_none());
-        assert!(cell.period_hint().is_none());
-        let s = Arc::new(Schedule {
-            period: 7,
-            ops: vec![pack_op(3, 2)],
-            dcoms: vec![],
-            ecoms: vec![],
-            spans: vec![Span::default(); 7],
-        });
-        cell.publish(s.clone());
-        assert_eq!(cell.period_hint(), Some(7));
-        assert_eq!(cell.get().unwrap().period(), 7);
-        assert_eq!(op_slot(s.ops[0]), 3);
-        assert_eq!(op_fires(s.ops[0]), 2);
     }
 }

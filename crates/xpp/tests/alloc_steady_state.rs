@@ -1,8 +1,9 @@
-//! Steady-state stepping must not touch the heap: once the scheduler's
-//! ready lists and dirty-commit lists have reached their high-water
-//! capacity, `Array::step`/`Array::run` perform zero allocations. This is
-//! the zero-alloc guarantee of the event-driven stepping rewrite, enforced
-//! with a counting global allocator.
+//! Stepping must not touch the heap. A configuration's ready list and the
+//! array's dirty-commit lists are sized when it loads, its channels and
+//! object state live where they were built, and switching between the
+//! dense and ready-list steppers moves nothing — so `Array::step`/`Array::run`
+//! perform zero allocations in either mode *and across every switch
+//! between them*. Enforced with a counting global allocator.
 //!
 //! This file intentionally contains a single test: the allocation counter
 //! is process-global, and a concurrently running test would make the
@@ -62,64 +63,70 @@ fn free_running_array() -> Array {
     array
 }
 
-/// Measures heap allocations across a 10k-cycle window and asserts the
-/// window was live (the array did work, not idle spinning).
-fn assert_quiet_window(array: &mut Array, label: &str) {
-    let stats_before = array.stats();
+/// Runs `f` and asserts it performed no heap allocation.
+fn assert_quiet(label: &str, f: impl FnOnce()) {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    array.run(10_000);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "{label}: Array::run allocated in steady state ({} heap allocations over 10k cycles)",
-        after - before
-    );
-    let stats_after = array.stats();
-    assert!(stats_after.total_fires() > stats_before.total_fires() + 10_000);
+    f();
+    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(allocations, 0, "{label}: {allocations} heap allocations");
+}
+
+/// Asserts a 10k-cycle window allocates nothing and was live (the array
+/// did work, not idle spinning).
+fn assert_quiet_window(array: &mut Array, label: &str) {
+    let fires = array.stats().total_fires();
+    assert_quiet(label, || array.run(10_000));
+    assert!(array.stats().total_fires() > fires + 10_000);
 }
 
 #[test]
 fn steady_state_stepping_does_not_allocate() {
     let mut array = free_running_array();
-    // Warm-up: let every scratch vector (ready list, fire buffer, dirty
-    // lists, board buffers) reach its high-water capacity — and, with
-    // schedule capture on by default, let the period detector promote the
-    // free-running steady state to straight-line replay.
+    // Warm-up: let the board buffers and anything else lazily sized reach
+    // its high-water capacity, and the free-running pipeline turn dense.
     array.run(10_000);
     assert!(
         array.schedule_replay_active(),
-        "warm-up must reach replay mode: {:?}",
+        "warm-up must reach dense stepping: {:?}",
         array.schedule_stats()
     );
 
-    // Phase 1: the replay loop is zero-alloc, and the whole measured
+    // Phase 1: the dense stepper is zero-alloc, and the whole measured
     // window really ran through it.
-    let replayed_before = array.schedule_stats().replay_cycles;
-    assert_quiet_window(&mut array, "replay mode");
+    let dense_before = array.schedule_stats().replay_cycles;
+    assert_quiet_window(&mut array, "dense");
     assert_eq!(
-        array.schedule_stats().replay_cycles - replayed_before,
+        array.schedule_stats().replay_cycles - dense_before,
         10_000,
-        "the replay loop must serve the entire measured window"
+        "the dense stepper must serve the entire measured window"
     );
 
-    // Phase 2: dropping back to the event scheduler (capture off forces
-    // the invalidation path) is also zero-alloc — the seed guarantee.
-    array.set_schedule_capture(false);
-    array.run(100); // drain the flood-wake back to steady state
-    assert_quiet_window(&mut array, "event mode");
-    assert_eq!(
-        array.schedule_stats().replay_cycles - replayed_before,
-        10_000
-    );
+    // Phase 2: so is the hand-back to the ready list (the flood wake
+    // included), and the ready-list stepper after it.
+    assert_quiet("dense -> ready list", || {
+        array.set_schedule_capture(false);
+        array.run(100);
+    });
+    assert!(!array.schedule_replay_active());
+    assert_quiet_window(&mut array, "ready list");
+    assert_eq!(array.schedule_stats().replay_cycles - dense_before, 10_000);
 
-    // Phase 3: re-enabling capture allocates only at transition time —
-    // the observe/capture/promote machinery may touch the heap while it
-    // records, but once replay resumes the steady state is quiet again.
-    let captured_before = array.schedule_stats().captured;
-    array.set_schedule_capture(true);
-    array.run(10_000);
-    assert!(array.schedule_replay_active(), "re-capture must engage");
-    assert_eq!(array.schedule_stats().captured, captured_before + 1);
-    assert_quiet_window(&mut array, "recaptured replay mode");
+    // Phase 3: and so is turning dense again, however often.
+    let entries_before = array.schedule_stats().captured;
+    assert_quiet("ready list <-> dense, ten times", || {
+        for _ in 0..10 {
+            array.set_schedule_capture(true);
+            array.run(100);
+            array.set_schedule_capture(false);
+            array.run(100);
+        }
+        array.set_schedule_capture(true);
+        array.run(100);
+    });
+    assert!(
+        array.schedule_replay_active(),
+        "dense stepping must re-engage"
+    );
+    assert_eq!(array.schedule_stats().captured, entries_before + 11);
+    assert_quiet_window(&mut array, "dense again");
 }

@@ -1,7 +1,8 @@
-//! Golden-equivalence suite: the event-driven array scheduler must be
-//! observably indistinguishable from the retained scan-the-world reference
-//! stepper (`xpp-array` feature `reference`) on the paper's end-to-end
-//! scenarios and on randomly generated netlists.
+//! Golden-equivalence suite: the production array steppers — ready-list
+//! and dense, chosen per configuration per cycle — must be observably
+//! indistinguishable from the retained scan-the-world reference stepper
+//! (`xpp-array` feature `reference`) on the paper's end-to-end scenarios
+//! and on randomly generated netlists.
 //!
 //! Every scenario here is a closure that builds its arrays *inside* the
 //! closure, so `with_reference_stepper` can latch the stepper choice at
@@ -23,15 +24,15 @@ fn values(words: Vec<Word>) -> Vec<i32> {
     words.iter().map(|w| w.value()).collect()
 }
 
-/// Runs `scenario` three ways — schedule capture on (the default), capture
-/// forced off, and the reference scan stepper — and asserts the full
-/// observable records match across all of them.
+/// Runs `scenario` three ways — adaptive stepping (the default), the
+/// ready-list stepper forced, and the reference scan stepper — and asserts
+/// the full observable records match across all of them.
 fn assert_steppers_agree<T: PartialEq + std::fmt::Debug>(scenario: impl Fn() -> T) {
     let fast = scenario();
     let nocap = with_schedule_capture(false, &scenario);
-    assert_eq!(fast, nocap, "schedule capture changed the observables");
+    assert_eq!(fast, nocap, "dense stepping changed the observables");
     let slow = with_reference_stepper(&scenario);
-    assert_eq!(fast, slow, "event-driven and reference steppers diverged");
+    assert_eq!(fast, slow, "production and reference steppers diverged");
 }
 
 /// Everything observable about a multi-phase array run.
@@ -489,7 +490,7 @@ proptest! {
     /// accumulator/swap/select/demux+merge/event-logic/RAM/ring-FIFO/FIFO
     /// stages at any channel capacity — produces
     /// identical outputs, identical stats, and identical idle-detection
-    /// cycle counts on both steppers, with or without schedule capture.
+    /// cycle counts on all three steppers.
     #[test]
     fn random_netlists_are_stepper_invariant(
         capacity in 1usize..5,
@@ -508,78 +509,182 @@ proptest! {
     }
 }
 
-/// A netlist with a free-running periodic spine (the capture target) plus
-/// an input-fed branch whose irregular arrivals perturb the steady state.
+/// A burst pipeline: every `x` token passes a fan-out-and-rejoin stage and
+/// is then passed or dropped by one `e` event. It streams — and turns
+/// dense — while both queues hold data, backs up and falls asleep with
+/// tokens in flight when one of them runs dry, and resumes when it refills.
 fn perturbable_netlist() -> xpp_array::Netlist {
     let mut nl = NetlistBuilder::new("perturbable");
-    let ctr = nl.counter(CounterCfg::modulo(7));
-    let spine = nl.unary(UnaryOp::AddK(Word::new(5)), ctr.value);
-    nl.output("y", spine);
     let x = nl.input("x");
-    let delayed = nl.delay(x, 2);
-    let z = nl.alu(AluOp::Add, x, delayed);
+    let e = nl.input_event("e");
+    let a = nl.unary(UnaryOp::AddK(Word::new(5)), x);
+    let delayed = nl.delay(a, 2);
+    let s = nl.alu(AluOp::Add, a, delayed);
+    let z = nl.gate(e, s);
     nl.output("z", z);
     nl.build().unwrap()
 }
 
-/// Runs quiet periods (steady state the detector can capture) interleaved
-/// with input bursts (each one a rate perturbation that must invalidate
-/// any captured schedule), and returns everything observable.
-fn rate_perturbed_scenario(chunks: &[Vec<i32>], gaps: &[u64]) -> Record {
-    let mut rec = Record::new();
-    let mut array = Array::xpp64a();
-    let cfg = array.configure(&perturbable_netlist()).unwrap();
-    for (chunk, &gap) in chunks.iter().zip(gaps) {
-        array.run(gap);
-        array
-            .push_input(cfg, "x", chunk.iter().map(|&v| Word::new(v)))
-            .unwrap();
-    }
-    array.run(2_000);
-    rec.drain(&mut array, cfg, "y");
-    rec.drain(&mut array, cfg, "z");
-    rec.finish(&array)
+/// A free-running spine: starts on its own the cycle its load completes
+/// and never idles.
+fn spine_netlist() -> xpp_array::Netlist {
+    let mut nl = NetlistBuilder::new("spine");
+    let ctr = nl.counter(CounterCfg::modulo(7));
+    let y = nl.unary(UnaryOp::AddK(Word::new(5)), ctr.value);
+    nl.output("y", y);
+    nl.build().unwrap()
 }
 
-/// Power guard for the proptest arm below: the perturbable scenario must
-/// genuinely reach replay, invalidate on a burst, and recapture — so the
-/// property is exercising the capture→replay→invalidate→recapture path,
-/// not vacuously comparing three event-driven runs.
+/// One step of a perturbation script against the burst pipeline.
+#[derive(Debug, Clone)]
+enum Op {
+    Run(u64),
+    Push(Vec<i32>),
+    PushEvents(Vec<bool>),
+    /// Queue a load of the spine: it is in flight on the bus for the next
+    /// cycles, then a second configuration runs beside the pipeline.
+    Configure,
+    /// Unload the most recently configured spine, if any.
+    Unload,
+    /// `set_schedule_capture` (applied on the adaptive arm only, so the
+    /// forced ready-list arm stays what its name says).
+    Capture(bool),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        // Runs weigh double, half of them short enough to end mid-burst.
+        (1u64..300).prop_map(Op::Run),
+        (1u64..40).prop_map(Op::Run),
+        proptest::collection::vec(-100i32..100, 1..200).prop_map(Op::Push),
+        proptest::collection::vec(any::<bool>(), 1..200).prop_map(Op::PushEvents),
+        Just(Op::Configure),
+        Just(Op::Unload),
+        any::<bool>().prop_map(Op::Capture),
+    ]
+}
+
+/// The observable record, per-object fire counts of the pipeline, and what
+/// every single `step` reported with the statistics after it.
+type Perturbed = (Record, Vec<(String, u64)>, Vec<(bool, ArrayStats)>);
+
+/// Runs a perturbation script on an array holding the burst pipeline and
+/// an idle second copy of it, and returns everything observable — down to
+/// each `step`, so two steppers that agree here agree cycle for cycle.
+fn perturbed_scenario(ops: &[Op], toggles: bool) -> Perturbed {
+    let mut rec = Record::new();
+    let mut trace = Vec::new();
+    let mut array = Array::xpp64a();
+    let cfg = array.configure(&perturbable_netlist()).unwrap();
+    let idle = array.configure(&perturbable_netlist()).unwrap();
+    let mut spines = Vec::new();
+    let mut run = |array: &mut Array, cycles: u64| {
+        for _ in 0..cycles {
+            let active = array.step();
+            trace.push((active, array.stats()));
+        }
+    };
+    for op in ops {
+        match op {
+            Op::Run(cycles) => run(&mut array, *cycles),
+            Op::Push(chunk) => array
+                .push_input(cfg, "x", chunk.iter().map(|&v| Word::new(v)))
+                .unwrap(),
+            Op::PushEvents(chunk) => array
+                .push_input_events(cfg, "e", chunk.iter().copied())
+                .unwrap(),
+            Op::Configure => {
+                // Placement can fail once the array is full of spines.
+                spines.extend(array.configure(&spine_netlist()).ok());
+            }
+            Op::Unload => {
+                if let Some(spine) = spines.pop() {
+                    rec.drain(&mut array, spine, "y");
+                    array.unload(spine).unwrap();
+                }
+            }
+            Op::Capture(on) if toggles => array.set_schedule_capture(*on),
+            Op::Capture(_) => {}
+        }
+    }
+    run(&mut array, 600);
+    rec.drain(&mut array, cfg, "z");
+    rec.drain(&mut array, idle, "z");
+    for spine in spines {
+        rec.drain(&mut array, spine, "y");
+    }
+    let object_fires = array.object_fire_counts(cfg).unwrap();
+    (rec.finish(&array), object_fires, trace)
+}
+
+/// Power guard for the proptest arm below: a script of the same ops must
+/// genuinely enter dense stepping, stay dense through pushes and a load in
+/// flight, fall asleep with tokens in the pipeline, be handed back to the
+/// ready list when forced, and re-enter — so the property is exercising
+/// the stepper transitions, not vacuously comparing three ready-list runs.
 #[test]
 fn perturbable_scenario_exercises_replay_transitions() {
     let mut array = Array::xpp64a();
     let cfg = array.configure(&perturbable_netlist()).unwrap();
-    array.run(3_000);
-    assert!(array.schedule_replay_active(), "quiet period must capture");
-    array.push_input(cfg, "x", [Word::new(1)]).unwrap();
-    assert!(!array.schedule_replay_active(), "burst must invalidate");
-    assert!(array.schedule_stats().invalidations >= 1);
-    array.run(3_000);
+    let words = |n: i32| (0..n).map(Word::new);
+    array.push_input(cfg, "x", words(400)).unwrap();
+    array
+        .push_input_events(cfg, "e", (0..300).map(|i| i % 3 != 0))
+        .unwrap();
+    array.run(100);
+    assert!(array.schedule_replay_active(), "a burst must turn dense");
+    let entered = array.schedule_stats();
+    assert_eq!((entered.captured, entered.invalidations), (1, 0));
+
+    // Outside input and a load in flight perturb nothing.
+    array.push_input(cfg, "x", words(50)).unwrap();
+    let spine = array.configure(&spine_netlist()).unwrap();
+    array.run(4);
+    assert!(!array.is_running(spine), "the load is still on the bus");
+    assert!(array.schedule_replay_active());
+    assert_eq!(array.schedule_stats().invalidations, 0);
+    array.unload(spine).unwrap();
+
+    // The events run out first: the gate stalls, the pipeline backs up and
+    // the configuration falls asleep with tokens still queued.
+    assert!(array.run_until_idle(1_000).unwrap() > 100);
+    assert!(!array.schedule_replay_active());
+    assert_eq!(array.schedule_stats().invalidations, 1);
+    let stalled = array.drain_output(cfg, "z").unwrap().len();
+    assert_eq!(stalled, 200, "two of every three events pass a token");
+
+    // Fresh events wake one object; the burst resumes and re-enters.
+    array.push_input_events(cfg, "e", [true; 150]).unwrap();
+    array.run(50);
+    assert!(array.schedule_replay_active(), "the resumed burst is dense");
+    assert_eq!(array.schedule_stats().captured, 2);
+    array.set_schedule_capture(false);
+    assert!(
+        !array.schedule_replay_active(),
+        "forced back to the ready list"
+    );
+    array.run_until_idle(1_000).unwrap();
     let s = array.schedule_stats();
-    assert!(s.captured >= 2, "steady state must recapture: {s:?}");
+    assert_eq!((s.captured, s.invalidations), (2, 2));
+    assert_eq!(array.drain_output(cfg, "z").unwrap().len(), 150);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Input bursts at arbitrary intervals — some long enough for the
-    /// detector to capture and replay, some short — leave every observable
-    /// bit-identical across capture-on, capture-off and the reference
-    /// stepper, including the invalidate/recapture transitions in between.
+    /// Random scripts of runs, mid-burst `push_input`/`push_input_events`,
+    /// loads in flight, mid-burst unloads and `set_schedule_capture`
+    /// toggles — beside an idle second resident configuration — leave every
+    /// observable bit-identical across the adaptive, forced ready-list and
+    /// reference steppers, cycle for cycle.
     #[test]
     fn rate_perturbations_are_capture_invariant(
-        gaps in proptest::collection::vec(20u64..1500, 1..5),
-        chunks in proptest::collection::vec(
-            proptest::collection::vec(-100i32..100, 1..8), 1..5),
+        ops in proptest::collection::vec(arb_op(), 1..16),
     ) {
-        let fast = rate_perturbed_scenario(&chunks, &gaps);
-        let nocap = with_schedule_capture(false, || {
-            rate_perturbed_scenario(&chunks, &gaps)
-        });
+        let fast = perturbed_scenario(&ops, true);
+        let nocap = with_schedule_capture(false, || perturbed_scenario(&ops, false));
         prop_assert_eq!(&fast, &nocap);
-        let slow = with_reference_stepper(|| {
-            rate_perturbed_scenario(&chunks, &gaps)
-        });
+        let slow = with_reference_stepper(|| perturbed_scenario(&ops, false));
         prop_assert_eq!(&fast, &slow);
     }
 }
@@ -620,13 +725,16 @@ const EVERY_RULE: [&str; 22] = [
 ];
 
 /// One netlist containing every object kind, rate-consistent and periodic
-/// while its two input queues hold data, so schedule capture promotes it:
+/// while its two input queues hold data, so it turns (and stays) dense:
 /// a 1:1 spine (input → ALU → select against a ring lookup → event-logic
 /// bit added in → swap → FIFO → RAM → demux/merge) ending in a gate and an
 /// accumulator, all steered by one period-4 counter whose wrap event also
 /// starts a gated burst counter.
 fn every_rule_netlist() -> xpp_array::Netlist {
     let mut nl = NetlistBuilder::new("every-rule");
+    // Deep channels absorb the skew between the shared selector's early
+    // and late consumers, so the spine streams one token per cycle.
+    nl.set_default_capacity(8);
     let x = nl.input("x");
     let e = nl.input_event("e");
     let ctr = nl.counter(CounterCfg::modulo(4));
@@ -664,7 +772,8 @@ fn every_rule_netlist() -> xpp_array::Netlist {
 
 /// Runs the every-rule netlist through a warm-up and then a measured
 /// window. Returns the observable record, each object's `(rule, fires
-/// inside the window)`, and whether replay served the whole window.
+/// inside the window)`, and whether the dense stepper served the whole
+/// window.
 fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
     const WARM: u64 = 3_000;
     const WINDOW: u64 = 512;
@@ -684,8 +793,8 @@ fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
         let counts = array.object_fire_counts(cfg).unwrap();
         counts.into_iter().map(|(_, n)| n).collect()
     };
-    let replaying = array.schedule_replay_active();
-    let replayed = array.schedule_stats().replay_cycles;
+    let dense = array.schedule_replay_active();
+    let dense_cycles = array.schedule_stats().replay_cycles;
     let before = fires(&array);
     array.run(WINDOW);
     let in_window = netlist
@@ -693,41 +802,44 @@ fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
         .zip(before.iter().zip(fires(&array)))
         .map(|(kind, (before, after))| (rule_name(kind), after - before))
         .collect();
-    let all_replay = replaying && array.schedule_stats().replay_cycles - replayed == WINDOW;
+    let all_dense = dense && array.schedule_stats().replay_cycles - dense_cycles == WINDOW;
     for port in ["gated", "sums", "burst"] {
         rec.drain(&mut array, cfg, port);
     }
     let wraps = array.drain_output_events(cfg, "wrap").unwrap();
     rec.streams
         .push(("wrap".into(), wraps.iter().map(|&w| w as i32).collect()));
-    (rec.finish(&array), in_window, all_replay)
+    (rec.finish(&array), in_window, all_dense)
 }
 
 /// No arm of the one firing-rule function is reachable from only one
-/// stepper's tests: every rule fires inside a window that the capture-on
-/// array serves entirely from replay, the same window on the event and
-/// reference steppers fires every object exactly as often, and all three
-/// runs are observably identical.
+/// stepper's tests: every rule fires inside a window that the adaptive
+/// array serves entirely from the dense stepper, the same window on the
+/// ready-list and reference steppers fires every object exactly as often,
+/// and all three runs are observably identical.
 #[test]
 fn every_firing_rule_runs_under_replay_and_agrees_on_all_steppers() {
-    let (fast, fast_fires, all_replay) = every_rule_scenario();
-    assert!(all_replay, "replay must serve the whole measured window");
+    let (fast, fast_fires, all_dense) = every_rule_scenario();
+    assert!(
+        all_dense,
+        "the dense stepper must serve the whole measured window"
+    );
     for rule in EVERY_RULE {
         assert!(
             fast_fires.iter().any(|&(r, n)| r == rule && n > 0),
-            "rule {rule} never fired under replay: {fast_fires:?}"
+            "rule {rule} never fired under dense stepping: {fast_fires:?}"
         );
     }
     assert!(
         fast_fires.iter().all(|(r, _)| EVERY_RULE.contains(r)),
         "a rule is missing from EVERY_RULE: {fast_fires:?}"
     );
-    let (nocap, nocap_fires, replayed) = with_schedule_capture(false, every_rule_scenario);
-    assert!(!replayed);
-    assert_eq!(fast, nocap, "schedule capture changed the observables");
+    let (nocap, nocap_fires, dense) = with_schedule_capture(false, every_rule_scenario);
+    assert!(!dense);
+    assert_eq!(fast, nocap, "dense stepping changed the observables");
     assert_eq!(fast_fires, nocap_fires);
-    let (slow, slow_fires, replayed) = with_reference_stepper(every_rule_scenario);
-    assert!(!replayed);
-    assert_eq!(fast, slow, "event-driven and reference steppers diverged");
+    let (slow, slow_fires, dense) = with_reference_stepper(every_rule_scenario);
+    assert!(!dense);
+    assert_eq!(fast, slow, "production and reference steppers diverged");
     assert_eq!(fast_fires, slow_fires);
 }
