@@ -24,7 +24,7 @@
 //! `BENCH_ARRAY.json`'s cycles-per-second figures.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sdr_engine::{Metrics, PoolConfig, Session, ShardPool, Snapshot, SubmitError};
+use sdr_engine::{EngineConfig, Metrics, Session, ShardPool, Snapshot, SubmitError};
 use std::sync::Arc;
 
 /// Sessions per measured run (all OFDM: capture → detect → demodulate).
@@ -40,12 +40,12 @@ const ARRAY_CLOCK_HZ: f64 = 50.0e6;
 fn pool(arrays_per_shard: usize) -> (ShardPool, Arc<Metrics>) {
     let metrics = Arc::new(Metrics::new());
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: 1,
             arrays_per_shard,
             queue_depth: 32,
             cache_capacity: 8,
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );

@@ -1,49 +1,11 @@
-//! Engine throughput benches: whole terminal sessions per second through
-//! the sharded worker pool, and the cost of a cached configuration
-//! activation versus a cold build.
+//! Activation-tier bench: the cost of a resident hit, a cached reload and
+//! a cold build of one configuration (the three figures DESIGN §10 and
+//! the README quote). Frames per second through the real driver is what
+//! the `e2e` benchmark measures.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sdr_engine::{Engine, EngineConfig, Metrics, Session, WorkerArray};
+use sdr_engine::{Metrics, WorkerArray};
 use std::sync::Arc;
-
-/// A mixed batch (half W-CDMA, half OFDM) run to completion.
-fn mixed_batch(n: u64) -> Vec<Session> {
-    (0..n)
-        .map(|id| {
-            if id % 2 == 0 {
-                Session::wcdma(id, 100 + id)
-            } else {
-                Session::ofdm(id, 200 + id)
-            }
-        })
-        .collect()
-}
-
-fn bench_engine_throughput(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_throughput");
-    for (sessions, shards) in [(8u64, 2usize), (16, 4)] {
-        g.bench_function(format!("{sessions}sessions_{shards}shards"), |b| {
-            b.iter_batched(
-                || {
-                    (
-                        Engine::new(EngineConfig {
-                            shards,
-                            ..EngineConfig::default()
-                        }),
-                        mixed_batch(sessions),
-                    )
-                },
-                |(mut engine, batch)| {
-                    let summary = engine.run(batch);
-                    assert_eq!(summary.failed(), 0);
-                    summary
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
 
 fn bench_activation_cache(c: &mut Criterion) {
     use sdr_wcdma::xpp_map::WcdmaKernel;
@@ -78,6 +40,6 @@ fn bench_activation_cache(c: &mut Criterion) {
 criterion_group! {
     name = engine_benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_throughput, bench_activation_cache
+    targets = bench_activation_cache
 }
 criterion_main!(engine_benches);

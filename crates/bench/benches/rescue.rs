@@ -10,11 +10,15 @@
 //!   completion would land more than `shed_lateness_cycles` past its
 //!   deadline is shed outright.
 //! * `overload_rescue_on` — the same build with `rescue_migration`
-//!   enabled: before shedding, the front-end consults its deterministic
-//!   residency mirror for the shard that last ran the frame's standard
-//!   and re-admits the ~40-byte parked record there with the rescue
-//!   grace (the avoided configuration-load tax), shedding only when even
-//!   the warm shard cannot make the extended window.
+//!   enabled: before shedding, the admission model charges the frame to
+//!   the shard it last homed the frame's standard on and admits it there
+//!   with the rescue grace (the avoided configuration-load tax), shedding
+//!   only when even the warm shard cannot make the extended window.
+//!
+//! This is an admission-model policy, not a migration mechanism: it
+//! decides whether a frame runs, and the router places the admitted frame
+//! like any other. The figures below are the model's; the bench never
+//! asks the pool where a rescued frame ran.
 //!
 //! Criterion measures wall time; `bench_report` runs each arm once,
 //! prints the counters `BENCH_RESCUE.json` records, and asserts the
@@ -25,10 +29,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdr_dsp::rng::Rng64;
-use sdr_engine::frontend::{
-    Frontend, FrontendConfig, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES,
-};
-use sdr_engine::{Metrics, ParkedSession, Session, Snapshot};
+use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
+use sdr_engine::{EngineConfig, Metrics, ParkedSession, Session, Snapshot};
 use std::sync::Arc;
 
 /// Terminals per arm (each run to completion).
@@ -51,14 +53,14 @@ fn avg_service_cycles() -> f64 {
 fn frontend(rescue: bool) -> (Frontend, Arc<Metrics>) {
     let metrics = Arc::new(Metrics::new());
     let fe = Frontend::with_metrics(
-        FrontendConfig {
+        EngineConfig {
             shards: WORKERS as usize,
             arrays_per_shard: 1,
             queue_depth: 32,
             max_resident: 64,
             parking_capacity: TERMINALS as usize,
             rescue_migration: rescue,
-            ..FrontendConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );

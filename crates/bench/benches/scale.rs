@@ -32,10 +32,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdr_dsp::rng::Rng64;
 use sdr_engine::frontend::parking::ParkingLot;
-use sdr_engine::frontend::{
-    Frontend, FrontendConfig, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES,
-};
-use sdr_engine::{ParkedSession, Session};
+use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
+use sdr_engine::{EngineConfig, ParkedSession, Session};
 
 /// Headline arm: terminals parked concurrently.
 const PARKED_TARGET: u64 = 1_000_000;
@@ -61,13 +59,13 @@ fn avg_service_cycles() -> f64 {
 }
 
 fn frontend(parking_capacity: usize) -> Frontend {
-    Frontend::new(FrontendConfig {
+    Frontend::new(EngineConfig {
         shards: WORKERS as usize,
         arrays_per_shard: 1,
         queue_depth: 32,
         max_resident: 64,
         parking_capacity,
-        ..FrontendConfig::default()
+        ..EngineConfig::default()
     })
 }
 
@@ -138,7 +136,7 @@ fn bench_scale_mechanisms(c: &mut Criterion) {
     // from the seed, DSP state words restored).
     let mut mid = Session::wcdma(3, 0xD5B);
     // Advance to Tracking so the rehydrate path restores state words.
-    let pool_cfg = sdr_engine::PoolConfig {
+    let pool_cfg = EngineConfig {
         shards: 1,
         ..Default::default()
     };

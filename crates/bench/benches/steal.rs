@@ -30,7 +30,9 @@
 //! array clock, the same convention as `BENCH_BATCH.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sdr_engine::{Metrics, PlacementPolicy, PoolConfig, Session, ShardPool, Snapshot, SubmitError};
+use sdr_engine::{
+    EngineConfig, Metrics, PlacementPolicy, Session, ShardPool, Snapshot, SubmitError,
+};
 use std::sync::Arc;
 
 /// Sessions per steal arm (all OFDM: capture → detect → demodulate).
@@ -49,7 +51,7 @@ const ARRAY_CLOCK_HZ: f64 = 50.0e6;
 fn skew_pool(work_stealing: bool) -> (ShardPool, Arc<Metrics>) {
     let metrics = Arc::new(Metrics::new());
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: SHARDS,
             arrays_per_shard: 1,
             queue_depth: SESSIONS as usize,
@@ -57,7 +59,7 @@ fn skew_pool(work_stealing: bool) -> (ShardPool, Arc<Metrics>) {
             placement: PlacementPolicy::Static,
             work_stealing,
             steal_threshold: 2,
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );
@@ -75,14 +77,14 @@ fn skewed_sessions() -> Vec<Session> {
 fn mixed_pool(placement: PlacementPolicy) -> (ShardPool, Arc<Metrics>) {
     let metrics = Arc::new(Metrics::new());
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: 2,
             arrays_per_shard: 1,
             queue_depth: 64,
             cache_capacity: 8,
             placement,
             work_stealing: false,
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );

@@ -1,0 +1,167 @@
+//! The engine's one configuration: every setting of the worker pool and
+//! of the front-end that drives it, in one struct with one `Default`.
+//!
+//! [`ShardPool::new`](crate::ShardPool::new) and
+//! [`Frontend::new`](crate::Frontend::new) both take an [`EngineConfig`]
+//! and read the fields that concern them, so a setting is declared — and
+//! defaulted — exactly once.
+
+#[cfg(feature = "faults")]
+use xpp_array::fault::FaultPlan;
+
+use crate::router::PlacementPolicy;
+use crate::session::WCDMA_PERIOD_CYCLES;
+
+/// Supervision and recovery tuning shared by a pool's workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPolicy {
+    /// Kernel activation/run attempts before a fault error is surfaced to
+    /// the session (each retry reloads the configuration from the shared
+    /// [`ConfigStore`](crate::ConfigStore)). Clamped to at least 1.
+    pub max_kernel_attempts: u32,
+    /// Times a crashed session is re-dispatched to a restarted shard
+    /// before it is dead-lettered.
+    pub max_session_attempts: u32,
+    /// Extra array cycles granted to a configuration that has fired
+    /// nothing before the watchdog declares it wedged and forces an
+    /// unload + reload.
+    pub watchdog_budget: u64,
+    /// When enabled, an activation arriving while another resident's bus
+    /// load is still streaming preempts that load at a word boundary
+    /// (checkpointing its cursor) and resumes it afterwards — the
+    /// activation is the earliest-deadline work on the array, the
+    /// in-flight prefetch is speculative. Default **off** so golden
+    /// suites pin the seed (run-to-completion) bus schedule.
+    pub preempt_loads: bool,
+}
+
+impl Default for RecoveryPolicy {
+    fn default() -> Self {
+        RecoveryPolicy {
+            max_kernel_attempts: 3,
+            max_session_attempts: 3,
+            watchdog_budget: 2_000,
+            preempt_loads: false,
+        }
+    }
+}
+
+/// Pool and front-end sizing and policy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EngineConfig {
+    /// Number of worker threads (each owning one array gang).
+    pub shards: usize,
+    /// Arrays per shard gang. `1` (the default) keeps the seed behaviour:
+    /// one array per shard, one session stepped per dispatch. Larger
+    /// gangs enable batched dispatch: sessions are grouped by kernel and
+    /// each group runs back-to-back on an array where its configuration
+    /// is already resident.
+    pub arrays_per_shard: usize,
+    /// Gang-routing saturation threshold, in array cycles: a hot kernel
+    /// is replicated onto an additional member once the busiest of its
+    /// warm members is this many cycles ahead of the idlest member.
+    /// Smaller values spread hot kernels sooner (more parallel headroom,
+    /// more configuration-bus traffic); larger values amortise harder.
+    pub replicate_after_cycles: u64,
+    /// Bounded depth of each shard's submission queue.
+    pub queue_depth: usize,
+    /// Compiled configurations the process-wide store may hold (shared by
+    /// every worker).
+    pub cache_capacity: usize,
+    /// Start every worker paused (deterministic backpressure tests);
+    /// resume with [`ShardPool::resume`](crate::ShardPool::resume).
+    pub start_paused: bool,
+    /// How [`submit`](crate::ShardPool::submit) places sessions on shards:
+    /// residency-affinity routing over the global
+    /// [`ResidencyView`](crate::ResidencyView) (the default) or the seed's
+    /// sticky `id % shards` hash (the golden oracle). With one shard the
+    /// two are identical; the front-end's virtual-time model mirrors the
+    /// affinity policy deterministically either way.
+    pub placement: PlacementPolicy,
+    /// Let a saturated shard expose its coldest pending batch for an
+    /// idle shard to claim (the default with more than one shard). The
+    /// steal path recompiles nothing — the process-wide
+    /// [`ConfigStore`](crate::ConfigStore) makes every compiled config
+    /// shard-agnostic. Disabled automatically with a single shard.
+    ///
+    /// Session outcomes and the admission model's slack/shed figures are
+    /// placement- and steal-independent, but the live dispatch counters
+    /// (reconfigurations, prefetches, dense-stepping entries) depend on
+    /// which shard each step lands on; runs that want a bit-identical
+    /// metrics block across executions should pair
+    /// [`PlacementPolicy::Static`] with stealing off.
+    pub work_stealing: bool,
+    /// Pending sessions a shard must have queued (in its EDF heap) before
+    /// it exposes a steal offer.
+    pub steal_threshold: usize,
+    /// Stream word-level configuration deltas instead of full loads when
+    /// a resident overlaps the target (see
+    /// [`ConfigManager::set_delta_loading`](crate::ConfigManager::set_delta_loading));
+    /// also makes the affinity router and the gang's cold routing score
+    /// targets by the cheapest cached delta from any resident config.
+    /// Default off — the seed streams full loads and the golden suites
+    /// pin both settings.
+    pub delta_loading: bool,
+    /// Supervision tuning: kernel/session retry budgets, watchdog cycle
+    /// grant.
+    pub recovery: RecoveryPolicy,
+    /// Deterministic fault plan driven by one pool-wide injector shared
+    /// across all shards (its load ordinal spans worker restarts). `None`
+    /// injects nothing.
+    #[cfg(feature = "faults")]
+    pub fault_plan: Option<FaultPlan>,
+    /// Materialisation window: maximum concurrently *rehydrated*
+    /// sessions (live async tasks). Everything beyond this stays parked.
+    /// Keep at or below `shards × queue_depth` so the reactor bound
+    /// never starves the window. Clamped to at least 1.
+    pub max_resident: usize,
+    /// Parking-lot slots to preallocate (parking within this budget is
+    /// allocation-free). `0` grows on demand.
+    pub parking_capacity: usize,
+    /// A fresh frame whose modeled completion would run later than
+    /// `deadline + shed_lateness_cycles` is shed at admission instead of
+    /// being materialised.
+    pub shed_lateness_cycles: u64,
+    /// How far a `WouldBlock` bounce defers the parked deadline.
+    pub defer_cycles: u64,
+    /// Admission-model rescue policy: a fresh frame whose modeled
+    /// completion misses the shed budget on the least-loaded virtual
+    /// server is charged instead to the shard the model last homed its
+    /// standard on, and granted
+    /// [`rescue_lateness_cycles`](EngineConfig::rescue_lateness_cycles) of
+    /// extra grace — the reconfiguration tax a warm shard does not pay.
+    /// It decides *whether* the frame is admitted, nothing else: the
+    /// admitted frame is placed by the router like any other. Default
+    /// off: the seed admission model sheds outright.
+    pub rescue_migration: bool,
+    /// Extra modeled lateness a rescued frame may carry beyond
+    /// `shed_lateness_cycles` before it is shed anyway. Only read when
+    /// [`rescue_migration`](EngineConfig::rescue_migration) is on.
+    pub rescue_lateness_cycles: u64,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            shards: 4,
+            arrays_per_shard: 1,
+            replicate_after_cycles: 2_000,
+            queue_depth: 32,
+            cache_capacity: 8,
+            start_paused: false,
+            placement: PlacementPolicy::default(),
+            work_stealing: true,
+            steal_threshold: 8,
+            delta_loading: false,
+            recovery: RecoveryPolicy::default(),
+            #[cfg(feature = "faults")]
+            fault_plan: None,
+            max_resident: 64,
+            parking_capacity: 0,
+            shed_lateness_cycles: 2 * WCDMA_PERIOD_CYCLES,
+            defer_cycles: 1_000,
+            rescue_migration: false,
+            rescue_lateness_cycles: 6 * WCDMA_PERIOD_CYCLES,
+        }
+    }
+}

@@ -1,10 +1,9 @@
 //! Async session front-end: park a million terminals over a bounded
 //! worker set.
 //!
-//! [`Engine::run`](crate::Engine::run) blocks a submitter on the pool
-//! whenever a shard queue fills, so resident-session count is bounded by
-//! threads. This module replaces that with a control plane that never
-//! blocks on submission:
+//! The engine's one driver. A submitter that blocks on the pool whenever
+//! a shard queue fills bounds the resident-session count by threads; this
+//! control plane never blocks on submission:
 //!
 //! * [`executor`] — a hand-rolled minimal async executor (no deps): one
 //!   task per *materialised* session, `HashMap` task table, a shared
@@ -47,9 +46,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::config::EngineConfig;
 use crate::metrics::{Metrics, Snapshot};
-use crate::pool::{PoolConfig, RecoveryPolicy, ShardPool};
-use crate::router::PlacementPolicy;
+use crate::pool::ShardPool;
 use crate::session::{
     ParkedSession, Session, SessionState, Standard, OFDM_JOB_CYCLES, WCDMA_JOB_CYCLES,
 };
@@ -81,89 +80,10 @@ fn std_index(standard: Standard) -> usize {
     }
 }
 
-/// Front-end sizing and policy.
-#[derive(Debug, Clone)]
-pub struct FrontendConfig {
-    /// Worker shards (one array gang each).
-    pub shards: usize,
-    /// Arrays per shard gang.
-    pub arrays_per_shard: usize,
-    /// Bounded per-shard queue depth.
-    pub queue_depth: usize,
-    /// Compiled configurations the process-wide store may hold.
-    pub cache_capacity: usize,
-    /// Materialisation window: maximum concurrently *rehydrated*
-    /// sessions (live async tasks). Everything beyond this stays parked.
-    /// Keep at or below `shards × queue_depth` so the reactor bound
-    /// never starves the window.
-    pub max_resident: usize,
-    /// Parking-lot slots to preallocate (parking within this budget is
-    /// allocation-free). `0` grows on demand.
-    pub parking_capacity: usize,
-    /// A fresh frame whose modeled completion would run later than
-    /// `deadline + shed_lateness_cycles` is shed at admission instead of
-    /// being materialised.
-    pub shed_lateness_cycles: u64,
-    /// How far a `WouldBlock` bounce defers the parked deadline.
-    pub defer_cycles: u64,
-    /// Supervision tuning (crash retry budget, watchdog grant).
-    pub recovery: RecoveryPolicy,
-    /// How submissions are placed on shards (see
-    /// [`PoolConfig::placement`]); the virtual-time model mirrors the
-    /// affinity policy deterministically either way.
-    pub placement: PlacementPolicy,
-    /// Cross-shard work stealing (see [`PoolConfig::work_stealing`]).
-    /// Session outcomes and the admission model's slack/shed figures are
-    /// placement- and steal-independent, but the live dispatch counters
-    /// (reconfigurations, prefetches, dense-stepping entries) depend on which
-    /// shard each step lands on; runs that want a bit-identical metrics
-    /// block across executions should pair [`PlacementPolicy::Static`]
-    /// with stealing off.
-    pub work_stealing: bool,
-    /// Differential configuration loading: stream only the word delta
-    /// between resident and target configs (see
-    /// [`PoolConfig::delta_loading`]). Default off.
-    pub delta_loading: bool,
-    /// Start worker shards paused (tests exercise backpressure this way).
-    pub start_paused: bool,
-    /// Rescue over-budget fresh frames instead of shedding them: a frame
-    /// whose modeled completion misses the shed budget is re-homed onto
-    /// the shard whose gang already holds its standard's kernels (the
-    /// model's deterministic residency mirror; the live counterpart is
-    /// the checkpointed ~40-byte migration through
-    /// [`ShardPool::submit_to`]) and granted
-    /// [`rescue_lateness_cycles`](FrontendConfig::rescue_lateness_cycles)
-    /// of extra grace — the reconfiguration tax it no longer pays.
-    /// Default off: the seed admission model sheds outright.
-    pub rescue_migration: bool,
-    /// Extra modeled lateness a rescued frame may carry beyond
-    /// `shed_lateness_cycles` before it is shed anyway. Only read when
-    /// [`rescue_migration`](FrontendConfig::rescue_migration) is on.
-    pub rescue_lateness_cycles: u64,
-}
-
-impl Default for FrontendConfig {
-    fn default() -> Self {
-        let p = PoolConfig::default();
-        FrontendConfig {
-            shards: p.shards,
-            arrays_per_shard: p.arrays_per_shard,
-            queue_depth: p.queue_depth,
-            cache_capacity: p.cache_capacity,
-            max_resident: 64,
-            parking_capacity: 0,
-            shed_lateness_cycles: 2 * crate::session::WCDMA_PERIOD_CYCLES,
-            defer_cycles: 1_000,
-            recovery: p.recovery,
-            placement: p.placement,
-            work_stealing: p.work_stealing,
-            delta_loading: p.delta_loading,
-            start_paused: false,
-            rescue_migration: false,
-            rescue_lateness_cycles: 6 * crate::session::WCDMA_PERIOD_CYCLES,
-        }
-    }
-}
+/// The front-end reads its settings from the engine-wide [`EngineConfig`].
+/// The alias stays because the frozen benchmark package spells
+/// `FrontendConfig { .., ..FrontendConfig::default() }`.
+pub type FrontendConfig = EngineConfig;
 
 /// What a finished front-end task reports back to the driver.
 enum TaskOutcome {
@@ -253,7 +173,6 @@ pub struct Frontend {
     // contiguously into shards of `arrays_per_shard` servers), the cycle
     // at which that virtual server frees up.
     free_at: Vec<u64>,
-    arrays_per_shard: usize,
     // The model's own deterministic residency: the shard each standard's
     // frames last landed on (indexed by `std_index`). The live router
     // reads the racy published view; the model mirrors the affinity
@@ -264,12 +183,7 @@ pub struct Frontend {
     // Modeled completion cycle per in-progress frame (terminal id →
     // virtual completion); survives backpressure re-parks.
     vcomp: HashMap<u64, u64>,
-    max_resident: usize,
-    shed_lateness_cycles: u64,
-    defer_cycles: u64,
-    rescue_migration: bool,
-    rescue_lateness_cycles: u64,
-    recovery: RecoveryPolicy,
+    config: EngineConfig,
     // Summary accumulators.
     frames_completed: u64,
     done: u64,
@@ -288,47 +202,23 @@ impl<F: FnMut(&Session, u64) -> Option<ParkedSession>> Workload for F {}
 
 impl Frontend {
     /// Spawns the worker pool and an empty front-end.
-    pub fn new(config: FrontendConfig) -> Self {
+    pub fn new(config: EngineConfig) -> Self {
         Frontend::with_metrics(config, Arc::new(Metrics::new()))
     }
 
     /// As [`Frontend::new`] with a caller-supplied metrics registry.
-    pub fn with_metrics(config: FrontendConfig, metrics: Arc<Metrics>) -> Self {
-        let pool = ShardPool::new(
-            PoolConfig {
-                shards: config.shards,
-                arrays_per_shard: config.arrays_per_shard,
-                queue_depth: config.queue_depth,
-                cache_capacity: config.cache_capacity,
-                replicate_after_cycles: PoolConfig::default().replicate_after_cycles,
-                start_paused: config.start_paused,
-                placement: config.placement,
-                work_stealing: config.work_stealing,
-                delta_loading: config.delta_loading,
-                steal_threshold: PoolConfig::default().steal_threshold,
-                recovery: config.recovery,
-                #[cfg(feature = "faults")]
-                fault_plan: None,
-            },
-            Arc::clone(&metrics),
-        );
-        let workers = config.shards.max(1) * config.arrays_per_shard.max(1);
+    pub fn with_metrics(config: EngineConfig, metrics: Arc<Metrics>) -> Self {
+        let pool = ShardPool::new(config.clone(), Arc::clone(&metrics));
         Frontend {
             reactor: Rc::new(CompletionReactor::new(pool)),
             executor: MiniExecutor::new(),
             lot: ParkingLot::with_capacity(config.parking_capacity),
             metrics,
-            free_at: vec![0; workers],
-            arrays_per_shard: config.arrays_per_shard.max(1),
+            free_at: vec![0; config.shards * config.arrays_per_shard],
             home_shard: [None; 2],
             vnow: 0,
             vcomp: HashMap::new(),
-            max_resident: config.max_resident.max(1),
-            shed_lateness_cycles: config.shed_lateness_cycles,
-            defer_cycles: config.defer_cycles,
-            rescue_migration: config.rescue_migration,
-            rescue_lateness_cycles: config.rescue_lateness_cycles,
-            recovery: config.recovery,
+            config,
             frames_completed: 0,
             done: 0,
             failed: 0,
@@ -487,7 +377,7 @@ impl Frontend {
     /// shedding hopeless frames) for fresh ones.
     fn materialise(&mut self) -> usize {
         let mut progress = 0;
-        while self.executor.live() < self.max_resident {
+        while self.executor.live() < self.config.max_resident.max(1) {
             let Some(record) = self.lot.pop_earliest() else {
                 break;
             };
@@ -498,9 +388,9 @@ impl Frontend {
                 let start = free.max(arrival);
                 let completes = start + service_cycles(record.standard());
                 let lateness = completes.saturating_sub(record.deadline());
-                let admitted = if lateness <= self.shed_lateness_cycles {
+                let admitted = if lateness <= self.config.shed_lateness_cycles {
                     self.home_shard[std_index(record.standard())] =
-                        Some(server / self.arrays_per_shard);
+                        Some(server / self.config.arrays_per_shard);
                     Some((server, completes))
                 } else {
                     // Over the shed budget on the least-loaded server:
@@ -538,33 +428,32 @@ impl Frontend {
         let home = self.home_shard[std_index(standard)];
         let server = (0..self.free_at.len())
             .filter(|&i| self.free_at[i] == min_free)
-            .min_by_key(|&i| (Some(i / self.arrays_per_shard) != home, i))
+            .min_by_key(|&i| (Some(i / self.config.arrays_per_shard) != home, i))
             .unwrap_or(0);
         (server, min_free)
     }
 
-    /// Deterministic mirror of the pool's deadline-rescue migration: a
-    /// fresh frame whose modeled completion misses the shed budget is
-    /// re-homed onto the shard whose gang already holds its standard's
-    /// kernels — the model's `home_shard` residency mirror; the live
-    /// counterpart checkpoints the ~40-byte parked record and
-    /// re-dispatches it with [`ShardPool::submit_to`]. Because the warm
-    /// shard runs the frame with zero configuration-bus traffic, the
-    /// rescue grants it `rescue_lateness_cycles` of extra modeled grace;
-    /// a frame late even then is genuinely hopeless and sheds. Returns
+    /// The admission model's rescue policy: a fresh frame whose modeled
+    /// completion misses the shed budget is charged to the shard the model
+    /// last homed its standard on (`home_shard`) instead of the
+    /// least-loaded server. Because a warm shard runs the frame with zero
+    /// configuration-bus traffic, the rescue grants it
+    /// `rescue_lateness_cycles` of extra modeled grace; a frame late even
+    /// then is genuinely hopeless and sheds. This only decides admission:
+    /// the admitted frame is placed by the router like any other. Returns
     /// the chosen server and its modeled completion, or `None` when no
     /// rescue applies (policy off, no warm home yet, or still too late).
     fn try_rescue(&self, record: &ParkedSession, arrival: u64) -> Option<(usize, u64)> {
-        if !self.rescue_migration {
+        if !self.config.rescue_migration {
             return None;
         }
         let home = self.home_shard[std_index(record.standard())]?;
-        let base = home * self.arrays_per_shard;
-        let gang = base..(base + self.arrays_per_shard).min(self.free_at.len());
+        let base = home * self.config.arrays_per_shard;
+        let gang = base..(base + self.config.arrays_per_shard).min(self.free_at.len());
         let server = gang.min_by_key(|&i| (self.free_at[i], i))?;
         let completes = self.free_at[server].max(arrival) + service_cycles(record.standard());
         let lateness = completes.saturating_sub(record.deadline());
-        if lateness > self.shed_lateness_cycles + self.rescue_lateness_cycles {
+        if lateness > self.config.shed_lateness_cycles + self.config.rescue_lateness_cycles {
             return None;
         }
         Metrics::incr(&self.metrics.sessions_migrated);
@@ -575,8 +464,8 @@ impl Frontend {
     fn spawn_drive(&mut self, session: Session) {
         let reactor = Rc::clone(&self.reactor);
         let metrics = Arc::clone(&self.metrics);
-        let defer_cycles = self.defer_cycles;
-        let max_attempts = self.recovery.max_session_attempts;
+        let defer_cycles = self.config.defer_cycles;
+        let max_attempts = self.config.recovery.max_session_attempts;
         self.executor
             .spawn(drive(reactor, metrics, defer_cycles, max_attempts, session));
     }
@@ -666,11 +555,11 @@ mod tests {
 
     #[test]
     fn open_loop_mixed_standards_all_complete() {
-        let mut fe = Frontend::new(FrontendConfig {
+        let mut fe = Frontend::new(EngineConfig {
             shards: 2,
             queue_depth: 4,
             max_resident: 8,
-            ..FrontendConfig::default()
+            ..EngineConfig::default()
         });
         for id in 0..10u64 {
             let rec = if id % 2 == 0 {
@@ -701,7 +590,7 @@ mod tests {
 
     #[test]
     fn closed_loop_readmits_follow_up_frames() {
-        let mut fe = Frontend::new(FrontendConfig::default());
+        let mut fe = Frontend::new(EngineConfig::default());
         for id in 0..4u64 {
             fe.admit(ParkedSession::new_wcdma(id, 7 + id, 0));
         }
@@ -731,11 +620,11 @@ mod tests {
         // arrival's modeled completion exceeds its deadline only if the
         // deadline is tighter than 2x service; W-CDMA periods are roomy,
         // so drive lateness with a crowd arriving at once.
-        let mut fe = Frontend::new(FrontendConfig {
+        let mut fe = Frontend::new(EngineConfig {
             shards: 1,
             arrays_per_shard: 1,
             shed_lateness_cycles: 0,
-            ..FrontendConfig::default()
+            ..EngineConfig::default()
         });
         // All frames arrive at cycle 0; server capacity is one frame per
         // WCDMA_SERVICE_CYCLES. Deadline = 33_333, service = 9_000: the
@@ -760,9 +649,9 @@ mod tests {
 
     #[test]
     fn run_limited_leaves_the_rest_parked() {
-        let mut fe = Frontend::new(FrontendConfig {
+        let mut fe = Frontend::new(EngineConfig {
             max_resident: 2,
-            ..FrontendConfig::default()
+            ..EngineConfig::default()
         });
         for id in 0..50u64 {
             fe.admit(ParkedSession::new_ofdm(id, id, id * 100));
@@ -780,7 +669,7 @@ mod tests {
 
     #[test]
     fn shutdown_returns_cleanly_with_live_tasks() {
-        let mut fe = Frontend::new(FrontendConfig::default());
+        let mut fe = Frontend::new(EngineConfig::default());
         for id in 0..8u64 {
             fe.admit(ParkedSession::new_wcdma(id, id, 0));
         }

@@ -122,12 +122,12 @@ pub struct Metrics {
     /// Preempted loads re-queued from their word-boundary checkpoint —
     /// only the residue streams, nothing is re-sent.
     pub loads_resumed: AtomicU64,
-    /// Sessions re-dispatched to another shard (checkpointed through
-    /// their ~40-byte parked record) instead of being shed.
+    /// Fresh frames the admission model charged to their standard's
+    /// warm home shard instead of shedding (moves with
+    /// `deadline_rescues`).
     pub sessions_migrated: AtomicU64,
-    /// Deadline sheds avoided by rescue: migration to a shard already
-    /// holding the session's next kernel, or a warm-home admission the
-    /// front-end would otherwise have dropped.
+    /// Deadline sheds avoided by the admission model's rescue policy: a
+    /// warm-home admission it would otherwise have dropped.
     pub deadline_rescues: AtomicU64,
     /// Sessions currently parked in the async front-end's parking lot
     /// (a gauge: set with [`Metrics::set`], not accumulated).
@@ -406,9 +406,9 @@ pub struct Snapshot {
     pub loads_preempted: u64,
     /// Preempted loads resumed from their word-boundary checkpoint.
     pub loads_resumed: u64,
-    /// Sessions re-dispatched to another shard instead of being shed.
+    /// Frames charged to their warm home shard instead of being shed.
     pub sessions_migrated: u64,
-    /// Deadline sheds avoided by rescue (migration or warm-home admission).
+    /// Deadline sheds avoided by rescue (warm-home admission).
     pub deadline_rescues: u64,
     /// Sessions currently parked in the front-end's parking lot (gauge).
     pub sessions_parked: u64,
@@ -544,10 +544,9 @@ impl Snapshot {
     /// Fraction of shed candidates rescued instead of dropped, in
     /// `[0, 1]` (0 with neither rescues nor sheds). Distinct from
     /// [`rescue_rate`](Snapshot::rescue_rate), which is about fault
-    /// recovery: this one reports how often the deadline-rescue path
-    /// (checkpointed migration to a kernel-resident shard, or a
-    /// warm-home admission) saved a session the admission layer was
-    /// about to shed.
+    /// recovery: this one reports how often the admission model's rescue
+    /// policy (a warm-home admission) saved a frame it was about to
+    /// shed.
     pub fn deadline_rescue_rate(&self) -> f64 {
         let candidates = self.deadline_rescues + self.sessions_shed;
         if candidates == 0 {

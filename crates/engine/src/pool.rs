@@ -1,18 +1,20 @@
 //! Sharded worker pool: each worker thread owns a *gang* of simulated
 //! XPP arrays.
 //!
-//! Terminal sessions are submitted to a shard chosen by session id
-//! (sticky affinity, so a terminal keeps hitting the same shard's
-//! configuration residency). Each shard has a *bounded* queue: a full
+//! Terminal sessions are submitted to the shard the configured
+//! [`Placement`] picks: by default the [`AffinityRouter`], which prefers a
+//! shard with queue room that already holds the session's next kernel;
+//! [`PlacementPolicy::Static`] (`id % shards`, the seed's sticky hash) is
+//! kept as the golden oracle. Each shard has a *bounded* queue: a full
 //! shard rejects the submission with [`SubmitError::WouldBlock`] instead
 //! of buffering unboundedly, which is the engine's backpressure signal.
 //! Workers drain their queue into a deadline-ordered heap and always run
 //! the most urgent session next (EDF dispatch, the runtime counterpart of
-//! [`sdr_core::scheduler::schedule_edf`]).
+//! `sdr_core::scheduler::schedule_edf`).
 //!
 //! # Batched gang dispatch
 //!
-//! With [`PoolConfig::arrays_per_shard`] > 1 the shard thread owns a gang
+//! With [`EngineConfig::arrays_per_shard`] > 1 the shard thread owns a gang
 //! of [`WorkerArray`]s and dispatches in *rounds*: it drains everything
 //! queued right now (the dispatch window, bounded by the queue depth),
 //! groups the window by each session's next [`KernelSpec`]
@@ -25,7 +27,7 @@
 //! rebuilds), warm batches pin to their resident member, cold kernels
 //! fall to the least-busy member, and a hot kernel is *replicated* onto
 //! another member when its home has pulled more than
-//! [`PoolConfig::replicate_after_cycles`] array cycles ahead of the
+//! [`EngineConfig::replicate_after_cycles`] array cycles ahead of the
 //! idlest member — up to `gang − 1` replicas, always leaving one array
 //! clear so a newly arriving kernel never has to evict the hot set.
 //!
@@ -44,9 +46,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 #[cfg(feature = "faults")]
-use xpp_array::fault::{FaultInjector, FaultPlan};
+use xpp_array::fault::FaultInjector;
 use xpp_array::{Array, ConfigId, Error as XppError, Result as XppResult};
 
+use crate::config::{EngineConfig, RecoveryPolicy};
 use crate::config_manager::{ConfigManager, ConfigStore, KernelSpec};
 use crate::metrics::{KernelKind, Metrics};
 use crate::router::{
@@ -54,50 +57,6 @@ use crate::router::{
     StealOffer, StealRegistry,
 };
 use crate::session::Session;
-
-/// Per-shard reserve slots beyond the advertised queue depth, reachable
-/// only through [`ShardPool::submit_to`] (the checkpointed deadline-rescue
-/// path). Shedding happens precisely when every ordinary queue is full, so
-/// a rescued session needs a lane that ordinary admissions cannot occupy.
-const RESCUE_RESERVE: usize = 1;
-
-/// Supervision and recovery tuning shared by a pool's workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Kernel activation/run attempts before a fault error is surfaced to
-    /// the session (each retry reloads the configuration from the shared
-    /// [`ConfigStore`]). Clamped to at least 1.
-    pub max_kernel_attempts: u32,
-    /// Times a crashed session is re-dispatched to a restarted shard
-    /// before it is dead-lettered.
-    pub max_session_attempts: u32,
-    /// Base delay between re-dispatches of a crashed session; doubles per
-    /// attempt (exponential backoff).
-    pub backoff: Duration,
-    /// Extra array cycles granted to a configuration that has fired
-    /// nothing before the watchdog declares it wedged and forces an
-    /// unload + reload.
-    pub watchdog_budget: u64,
-    /// When enabled, an activation arriving while another resident's bus
-    /// load is still streaming preempts that load at a word boundary
-    /// (checkpointing its cursor) and resumes it afterwards — the
-    /// activation is the earliest-deadline work on the array, the
-    /// in-flight prefetch is speculative. Default **off** so golden
-    /// suites pin the seed (run-to-completion) bus schedule.
-    pub preempt_loads: bool,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_kernel_attempts: 3,
-            max_session_attempts: 3,
-            backoff: Duration::from_millis(1),
-            watchdog_budget: 2_000,
-            preempt_loads: false,
-        }
-    }
-}
 
 /// A worker's execution context: its private array plus the
 /// [`ConfigManager`] driving that array's configuration lifecycle.
@@ -434,81 +393,10 @@ impl WorkerArray {
     }
 }
 
-/// Pool sizing and behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Number of worker threads (each owning one array gang).
-    pub shards: usize,
-    /// Arrays per shard gang. `1` (the default) keeps the seed behaviour:
-    /// one array per shard, one session stepped per dispatch. Larger
-    /// gangs enable batched dispatch: sessions are grouped by kernel and
-    /// each group runs back-to-back on an array where its configuration
-    /// is already resident.
-    pub arrays_per_shard: usize,
-    /// Gang-routing saturation threshold, in array cycles: a hot kernel
-    /// is replicated onto an additional member once the busiest of its
-    /// warm members is this many cycles ahead of the idlest member.
-    /// Smaller values spread hot kernels sooner (more parallel headroom,
-    /// more configuration-bus traffic); larger values amortise harder.
-    pub replicate_after_cycles: u64,
-    /// Bounded depth of each shard's submission queue.
-    pub queue_depth: usize,
-    /// Compiled configurations the process-wide store may hold (shared by
-    /// every worker).
-    pub cache_capacity: usize,
-    /// Start every worker paused (deterministic backpressure tests);
-    /// resume with [`ShardPool::resume`].
-    pub start_paused: bool,
-    /// How [`submit`](ShardPool::submit) places sessions on shards:
-    /// residency-affinity routing over the global [`ResidencyView`] (the
-    /// default) or the seed's sticky `id % shards` hash (the golden
-    /// oracle). With one shard the two are identical.
-    pub placement: PlacementPolicy,
-    /// Let a saturated shard expose its coldest pending batch for an
-    /// idle shard to claim (the default with more than one shard). The
-    /// steal path recompiles nothing — the process-wide [`ConfigStore`]
-    /// makes every compiled config shard-agnostic. Disabled
-    /// automatically with a single shard.
-    pub work_stealing: bool,
-    /// Pending sessions a shard must have queued (in its EDF heap) before
-    /// it exposes a steal offer.
-    pub steal_threshold: usize,
-    /// Stream word-level configuration deltas instead of full loads when
-    /// a resident overlaps the target (see
-    /// [`ConfigManager::set_delta_loading`]); also makes the affinity
-    /// router and the gang's cold routing score targets by the cheapest
-    /// cached delta from any resident config. Default off — the seed
-    /// streams full loads and the golden suites pin both settings.
-    pub delta_loading: bool,
-    /// Supervision tuning: kernel/session retry budgets, crash backoff,
-    /// watchdog cycle grant.
-    pub recovery: RecoveryPolicy,
-    /// Deterministic fault plan driven by one pool-wide injector shared
-    /// across all shards (its load ordinal spans worker restarts). `None`
-    /// injects nothing.
-    #[cfg(feature = "faults")]
-    pub fault_plan: Option<FaultPlan>,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            shards: 4,
-            arrays_per_shard: 1,
-            replicate_after_cycles: 2_000,
-            queue_depth: 32,
-            cache_capacity: 8,
-            start_paused: false,
-            placement: PlacementPolicy::default(),
-            work_stealing: true,
-            steal_threshold: 8,
-            delta_loading: false,
-            recovery: RecoveryPolicy::default(),
-            #[cfg(feature = "faults")]
-            fault_plan: None,
-        }
-    }
-}
+/// The pool reads its settings from the engine-wide [`EngineConfig`]. The
+/// alias stays because the frozen benchmark package spells
+/// `PoolConfig { .., ..PoolConfig::default() }`.
+pub type PoolConfig = EngineConfig;
 
 /// Why a submission was not accepted. The session is handed back so the
 /// caller can retry or reroute it.
@@ -634,7 +522,7 @@ impl ShardPool {
     /// # Panics
     ///
     /// Panics if `shards`, `arrays_per_shard` or `queue_depth` is zero.
-    pub fn new(config: PoolConfig, metrics: Arc<Metrics>) -> Self {
+    pub fn new(config: EngineConfig, metrics: Arc<Metrics>) -> Self {
         assert!(config.shards > 0, "pool needs at least one shard");
         assert!(
             config.arrays_per_shard > 0,
@@ -659,14 +547,8 @@ impl ShardPool {
         }
         // Channels and status cells come first: the residency view spans
         // every shard, so workers need it before any of them spawns.
-        // Each channel carries one extra slot beyond the advertised queue
-        // depth: the *rescue lane*. Normal submissions are depth-gated to
-        // `queue_depth` below, so the spare slot is reachable only by
-        // `submit_to` (checkpointed deadline rescue) — a migrated session
-        // must be admittable at the exact moment every ordinary queue is
-        // full, because that is the only moment anything gets shed.
         let channels: Vec<(SyncSender<Session>, Receiver<Session>)> = (0..config.shards)
-            .map(|_| mpsc::sync_channel::<Session>(config.queue_depth + RESCUE_RESERVE))
+            .map(|_| mpsc::sync_channel::<Session>(config.queue_depth))
             .collect();
         let depths: Vec<Arc<AtomicU64>> = (0..config.shards)
             .map(|_| Arc::new(AtomicU64::new(0)))
@@ -751,9 +633,8 @@ impl ShardPool {
 
     /// The shard the *static* policy maps a session to (sticky affinity
     /// by id) — the seed placement, kept as the oracle the router-golden
-    /// suite (and the engine's admission report) compares against. The
-    /// live routing decision is made by [`submit`](ShardPool::submit)
-    /// through the configured [`Placement`].
+    /// suite compares against. The live routing decision is made by
+    /// [`submit`](ShardPool::submit) through the configured [`Placement`].
     pub fn shard_of(&self, session: &Session) -> usize {
         (session.id() % self.shards.len() as u64) as usize
     }
@@ -779,53 +660,23 @@ impl ShardPool {
             .placement
             .place(session.next_kernel().as_ref(), session.id())
             .min(self.shards.len() - 1);
-        self.submit_with_limit(shard, session, self.queue_depth_limit)
-    }
-
-    /// Submits a session to an explicit shard, bypassing the configured
-    /// [`Placement`] — the deadline-rescue path re-dispatches a
-    /// checkpointed session to the shard the [`ResidencyView`] says
-    /// already holds its next kernel, so the move costs no
-    /// configuration-bus traffic.
-    /// Rescue submissions may use the per-shard reserve slot beyond the
-    /// advertised queue depth: shedding only ever happens while the
-    /// ordinary queues are full, so without the reserve a rescue could
-    /// never be admitted at exactly the moment it is needed.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::WouldBlock`] hands the session back when the shard
-    /// queue (including the rescue reserve) is full;
-    /// [`SubmitError::Shutdown`] when the pool is closed.
-    #[allow(clippy::result_large_err)]
-    pub fn submit_to(&self, shard: usize, session: Session) -> Result<usize, SubmitError> {
-        self.submit_with_limit(shard, session, self.queue_depth_limit + RESCUE_RESERVE)
-    }
-
-    #[allow(clippy::result_large_err)]
-    fn submit_with_limit(
-        &self,
-        shard: usize,
-        session: Session,
-        limit: usize,
-    ) -> Result<usize, SubmitError> {
-        let shard = shard.min(self.shards.len() - 1);
         let handle = &self.shards[shard];
         let Some(queue) = handle.queue.as_ref() else {
             return Err(SubmitError::Shutdown(session));
         };
         // Count before sending: the worker decrements on receive, and the
-        // receive may land before a post-send increment would. The depth
-        // gate (not channel capacity) is what enforces `limit`, so the
-        // rescue lane's spare channel slot stays invisible to ordinary
-        // submissions.
+        // receive may land before a post-send increment would. The counter,
+        // not the channel, is the bound: it is what the router reads as
+        // "room", so a shard is full exactly when the router says so. The
+        // channel is just as deep and the counter never undercounts it, so
+        // `try_send` itself does not report `Full`.
         let depth = handle.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if depth > limit as u64 {
-            handle.depth.fetch_sub(1, Ordering::Relaxed);
-            Metrics::incr(&self.metrics.jobs_rejected);
-            return Err(SubmitError::WouldBlock(session));
-        }
-        match queue.try_send(session) {
+        let sent = if depth > self.queue_depth_limit as u64 {
+            Err(TrySendError::Full(session))
+        } else {
+            queue.try_send(session)
+        };
+        match sent {
             Ok(()) => {
                 Metrics::raise_to(&self.metrics.queue_high_water, depth);
                 Ok(shard)
@@ -985,12 +836,7 @@ fn drain_queue(
         match rx.try_recv() {
             Ok(session) => {
                 seed.depth.fetch_sub(1, Ordering::Relaxed);
-                *seq += 1;
-                heap.push(QueuedSession {
-                    deadline: session.deadline(),
-                    seq: *seq,
-                    session,
-                });
+                enqueue(heap, seq, session);
             }
             Err(TryRecvError::Empty) => break,
             Err(TryRecvError::Disconnected) => {
@@ -1013,20 +859,15 @@ fn recv_one(
     match rx.recv() {
         Ok(session) => {
             seed.depth.fetch_sub(1, Ordering::Relaxed);
-            *seq += 1;
-            heap.push(QueuedSession {
-                deadline: session.deadline(),
-                seq: *seq,
-                session,
-            });
+            enqueue(heap, seq, session);
         }
         Err(_) => *open = false,
     }
 }
 
-/// Pushes a session into the EDF heap (stolen or withdrawn sessions —
-/// unlike queue receives, these never touch the shard's depth counter,
-/// which only mirrors the submission channel).
+/// Pushes a session into the EDF heap. Queue receives also decrement the
+/// shard's depth counter first; stolen or withdrawn sessions never touch
+/// it — the counter only mirrors the submission channel.
 fn enqueue(heap: &mut BinaryHeap<QueuedSession>, seq: &mut u64, session: Session) {
     *seq += 1;
     heap.push(QueuedSession {
@@ -1180,6 +1021,42 @@ fn credit_array_activity(metrics: &Metrics, busy: &mut u64, before: ActivityMark
     Metrics::add(&metrics.schedule_invalidations, sched.invalidations);
 }
 
+/// One supervised session step on one array, shared by both dispatch
+/// loops; hands the stepped session back for the caller to return to the
+/// driver. A panic (injected or genuine) is contained to this one dispatch.
+/// `AssertUnwindSafe` is sound because both the session and the worker are
+/// discarded-or-replaced on the panic path rather than reused in their torn
+/// state: the session is handed back marked crashed (the driver
+/// re-dispatches or dead-letters it, it never resumes mid-kernel state),
+/// and the worker — whose array may be mid-mutation — is dropped wholesale
+/// and rebuilt from the seed. Only that one array is rebuilt: the rest of a
+/// gang keeps its residency.
+fn supervised_step(
+    seed: &WorkerSeed,
+    worker: &mut WorkerArray,
+    busy: &mut u64,
+    mut session: Session,
+) -> Session {
+    let before = ActivityMark::of(worker.array());
+    let stepped = catch_unwind(AssertUnwindSafe(|| session.step(worker)));
+    credit_array_activity(&seed.metrics, busy, before, worker.array());
+    match stepped {
+        Ok(()) => Metrics::incr(&seed.metrics.jobs_run),
+        Err(_) => {
+            // Pending fault records on the discarded array (e.g. a stall
+            // nobody exercised yet) would vanish with it; count their
+            // disposal so injected == detected still reconciles.
+            let lost = worker.array_mut().take_injected_faults();
+            Metrics::add(&seed.metrics.faults_detected, 1 + lost);
+            Metrics::add(&seed.metrics.recoveries, lost);
+            Metrics::incr(&seed.metrics.worker_restarts);
+            *worker = seed.fresh_worker();
+            session.record_crash();
+        }
+    }
+    session
+}
+
 fn worker_loop(rx: Receiver<Session>, seed: WorkerSeed) {
     if seed.gang > 1 {
         return gang_loop(rx, seed);
@@ -1201,43 +1078,20 @@ fn worker_loop(rx: Receiver<Session>, seed: WorkerSeed) {
             }
             return; // queue closed and drained: clean exit
         };
-        let mut session = queued.session;
+        let session = queued.session;
         if let Some(kernel) = session.next_kernel() {
             if !worker.is_resident(&kernel.config_name()) {
                 seed.status.note_residency_miss();
             }
         }
-        // Supervised step: a panic (injected or genuine) is contained to
-        // this one dispatch. AssertUnwindSafe is sound because both the
-        // session and the worker are discarded-or-replaced on the panic
-        // path rather than reused in their torn state: the session is
-        // handed back marked crashed (the engine re-dispatches or
-        // dead-letters it, it never resumes mid-kernel state), and the
-        // worker — whose array may be mid-mutation — is dropped wholesale
-        // and rebuilt from the seed.
-        let before = ActivityMark::of(worker.array());
-        let stepped = catch_unwind(AssertUnwindSafe(|| session.step(&mut worker)));
-        credit_array_activity(&seed.metrics, &mut busy, before, worker.array());
-        match stepped {
-            Ok(()) => {
-                Metrics::incr(&seed.metrics.jobs_run);
-                worker.refresh_activity();
-            }
-            Err(_) => {
-                // Pending fault records on the discarded array (e.g. a
-                // stall nobody exercised yet) would vanish with it; count
-                // their disposal so injected == detected still reconciles.
-                let lost = worker.array_mut().take_injected_faults();
-                Metrics::add(&seed.metrics.faults_detected, 1 + lost);
-                Metrics::add(&seed.metrics.recoveries, lost);
-                Metrics::incr(&seed.metrics.worker_restarts);
-                worker = seed.fresh_worker();
-                session.record_crash();
-            }
-        }
+        let session = supervised_step(&seed, &mut worker, &mut busy, session);
+        // A no-op on the fresh worker a crash leaves behind.
+        worker.refresh_activity();
+        // Publish before handing back: the driver routes the session's
+        // next step on the residency this one produced.
         publish_single(&seed, &worker, busy, &mut names);
-        // The engine side may already be gone (pool dropped mid-run);
-        // the session's work is still done, only the hand-back is lost.
+        // The driver may already be gone (pool dropped mid-run); the
+        // session's work is still done, only the hand-back is lost.
         let _ = seed.results.send(session);
     }
 }
@@ -1416,38 +1270,16 @@ impl<'a> Gang<'a> {
         for &member in &homes {
             let chunk_sessions: Vec<Session> = remaining.by_ref().take(chunk).collect();
             for session in chunk_sessions {
-                self.run_session(member, session);
+                let session = supervised_step(
+                    self.seed,
+                    &mut self.members[member],
+                    &mut self.busy[member],
+                    session,
+                );
+                let _ = self.seed.results.send(session);
             }
             self.members[member].refresh_activity();
         }
-    }
-
-    /// One supervised session step on one member; same crash containment
-    /// as the single-array loop, except only the crashed member's array is
-    /// rebuilt — the rest of the gang keeps its residency.
-    fn run_session(&mut self, member: usize, mut session: Session) {
-        let seed = self.seed;
-        let worker = &mut self.members[member];
-        let before = ActivityMark::of(worker.array());
-        let stepped = catch_unwind(AssertUnwindSafe(|| session.step(worker)));
-        credit_array_activity(
-            &seed.metrics,
-            &mut self.busy[member],
-            before,
-            self.members[member].array(),
-        );
-        match stepped {
-            Ok(()) => Metrics::incr(&seed.metrics.jobs_run),
-            Err(_) => {
-                let lost = self.members[member].array_mut().take_injected_faults();
-                Metrics::add(&seed.metrics.faults_detected, 1 + lost);
-                Metrics::add(&seed.metrics.recoveries, lost);
-                Metrics::incr(&seed.metrics.worker_restarts);
-                self.members[member] = seed.fresh_worker();
-                session.record_crash();
-            }
-        }
-        let _ = seed.results.send(session);
     }
 }
 
@@ -1712,12 +1544,12 @@ mod tests {
     fn gang_batches_waves_and_hits_warm_arrays() {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::new(
-            PoolConfig {
+            EngineConfig {
                 shards: 1,
                 arrays_per_shard: 4,
                 queue_depth: 32,
                 start_paused: true,
-                ..PoolConfig::default()
+                ..EngineConfig::default()
             },
             Arc::clone(&metrics),
         );
@@ -1785,9 +1617,9 @@ mod tests {
     fn single_array_shard_never_batches() {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::new(
-            PoolConfig {
+            EngineConfig {
                 shards: 1,
-                ..PoolConfig::default()
+                ..EngineConfig::default()
             },
             Arc::clone(&metrics),
         );

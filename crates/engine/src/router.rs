@@ -210,24 +210,6 @@ impl ResidencyView {
             })
     }
 
-    /// The least-loaded shard whose last published snapshot includes
-    /// `name`, **ignoring queue room**. The deadline-rescue path asks this
-    /// at the exact moment every ordinary queue is full (that is what
-    /// triggered shedding) and then admits through the reserved rescue
-    /// lane, so the room filter of [`holder_of`](Self::holder_of) would
-    /// reject every viable target.
-    pub fn any_holder_of(&self, name: &str) -> Option<usize> {
-        (0..self.shards.len())
-            .filter(|&i| self.shards[i].holds(name))
-            .min_by_key(|&i| {
-                (
-                    self.shards[i].queue_depth(),
-                    self.shards[i].busy_cycles(),
-                    i,
-                )
-            })
-    }
-
     /// The shard (with queue room) whose published residents give the
     /// cheapest *cached* word delta to `name` — residency scored by how
     /// little a swap to `name` would stream, not just by exact-name

@@ -89,8 +89,6 @@ pub enum SessionState {
     Done,
     /// The pipeline failed; the reason is attached.
     Failed(String),
-    /// Dropped by admission control under overload before completing.
-    Shed,
     /// Gave up after repeated faults or crashes; the last reason is
     /// attached.
     DeadLettered(String),
@@ -101,10 +99,7 @@ impl SessionState {
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
-            SessionState::Done
-                | SessionState::Failed(_)
-                | SessionState::Shed
-                | SessionState::DeadLettered(_)
+            SessionState::Done | SessionState::Failed(_) | SessionState::DeadLettered(_)
         )
     }
 }
@@ -273,16 +268,6 @@ impl Session {
         self.row()?.1
     }
 
-    /// The session as an admission-control job for
-    /// [`sdr_core::scheduler::schedule_edf`].
-    pub fn scheduler_job(&self) -> sdr_core::scheduler::Job {
-        let (name, cycles) = match self.standard() {
-            Standard::Wcdma => (format!("wcdma-{}", self.id), WCDMA_JOB_CYCLES),
-            Standard::Ofdm => (format!("ofdm-{}", self.id), OFDM_JOB_CYCLES),
-        };
-        sdr_core::scheduler::Job::new(name, cycles, self.standard().period())
-    }
-
     /// Runs one step of the state machine on a worker's array. Terminal
     /// states are recorded in the worker's metrics; stepping a terminal
     /// session is a no-op.
@@ -331,8 +316,8 @@ impl Session {
 
     /// The crash-supervision verdict on a session a shard handed back:
     /// `true` when its step crashed the worker and it is to be re-dispatched
-    /// (the shard already restarted with a fresh array; any backoff is the
-    /// caller's). Past `max_attempts` crashes it is dead-lettered instead.
+    /// (the shard already restarted with a fresh array). Past `max_attempts`
+    /// crashes it is dead-lettered instead.
     pub(crate) fn resolve_crash(&mut self, max_attempts: u32, metrics: &Metrics) -> bool {
         if !self.take_crashed() {
             return false;
@@ -350,11 +335,6 @@ impl Session {
     /// Dispatch attempts that ended in a worker crash.
     pub fn attempts(&self) -> u32 {
         self.attempts
-    }
-
-    /// Terminates the session as shed by admission control.
-    pub(crate) fn mark_shed(&mut self) {
-        self.state = SessionState::Shed;
     }
 
     /// Terminates the session as dead-lettered with a reason — the give-up

@@ -1,10 +1,14 @@
-//! Seeded chaos runs: a mixed W-CDMA/OFDM workload driven under a
-//! deterministic [`FaultPlan`] must terminate every session in an
-//! accounted-for state, with the fault ledger reconciling exactly —
-//! every fault the injector fired was detected somewhere, and every
-//! detection was answered by a recovery or a dead-letter.
+//! Seeded chaos runs: a mixed W-CDMA/OFDM workload driven through the
+//! [`Frontend`](sdr_engine::Frontend) under a deterministic [`FaultPlan`]
+//! must terminate every session in an accounted-for state, with the fault
+//! ledger reconciling exactly — every fault the injector fired was
+//! detected somewhere, and every detection was answered by a recovery or
+//! a dead-letter.
 
-use sdr_engine::{Engine, EngineConfig, RecoveryPolicy, Session, SessionState};
+mod common;
+
+use common::{mixed_records, run_to_completion};
+use sdr_engine::{EngineConfig, RecoveryPolicy, Session, SessionState};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// Injected worker panics print through the default hook from worker
@@ -18,18 +22,6 @@ fn quiet_panics() {
             eprintln!("{info}");
         }
     }));
-}
-
-fn mixed_sessions(n: u64) -> Vec<Session> {
-    (0..n)
-        .map(|id| {
-            if id % 2 == 0 {
-                Session::wcdma(id, 1_000 + id)
-            } else {
-                Session::ofdm(id, 2_000 + id)
-            }
-        })
-        .collect()
 }
 
 /// One full chaos run: seeded recoverable faults plus an explicit worker
@@ -48,14 +40,22 @@ fn chaos_run_with(seed: u64, arrays_per_shard: usize) {
 /// abort competing in-flight prefetch loads at a word boundary and resume
 /// them afterwards, all while the fault plan strikes.
 fn chaos_run_cfg(seed: u64, arrays_per_shard: usize, preempt_loads: bool) {
-    chaos_run_full(seed, arrays_per_shard, preempt_loads, false);
+    chaos_run_full(seed, arrays_per_shard, preempt_loads, false, 16);
 }
 
 /// Same invariants once more with differential configuration loading
 /// armed: faults now also strike mid-delta-load (the injector consumes
 /// one ordinal per configure either way), and the ledger must reconcile
-/// exactly as it does for full loads.
-fn chaos_run_full(seed: u64, arrays_per_shard: usize, preempt_loads: bool, delta_loading: bool) {
+/// exactly as it does for full loads. `queue_depth` sets the backpressure:
+/// 16 per shard holds the whole workload, 2 makes most frames bounce off a
+/// full queue, re-park and rehydrate while the plan strikes.
+fn chaos_run_full(
+    seed: u64,
+    arrays_per_shard: usize,
+    preempt_loads: bool,
+    delta_loading: bool,
+    queue_depth: usize,
+) {
     quiet_panics();
     // Always at least one crash, so shard restart + re-dispatch is
     // exercised on every seed (seeded() samples only recoverable kinds).
@@ -70,39 +70,48 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, preempt_loads: bool, delta
     faults.extend(FaultPlan::seeded(seed, 6, 8).faults);
     let plan = FaultPlan { faults };
     let injected_planned = plan.faults.len();
-    let mut engine = Engine::new(EngineConfig {
-        shards: 2,
-        arrays_per_shard,
-        queue_depth: 16,
-        cache_capacity: 8,
-        recovery: RecoveryPolicy {
-            max_kernel_attempts: 4,
-            preempt_loads,
-            ..RecoveryPolicy::default()
+    let (completed, summary) = run_to_completion(
+        EngineConfig {
+            shards: 2,
+            arrays_per_shard,
+            queue_depth,
+            cache_capacity: 8,
+            recovery: RecoveryPolicy {
+                max_kernel_attempts: 4,
+                preempt_loads,
+                ..RecoveryPolicy::default()
+            },
+            fault_plan: Some(plan),
+            delta_loading,
+            ..EngineConfig::default()
         },
-        fault_plan: Some(plan),
-        delta_loading,
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(mixed_sessions(24));
+        mixed_records(24),
+    );
 
     // Every session terminated, none hung, none reported wrong bits: a
     // platform fault may cost a session (dead-letter) but never corrupts
     // a surviving one's payload.
-    assert_eq!(summary.completed.len(), 24, "seed {seed}: sessions lost");
-    for s in &summary.completed {
-        match s.state() {
-            SessionState::Done | SessionState::Shed | SessionState::DeadLettered(_) => {}
-            other => panic!("seed {seed}: session {} ended {:?}", s.id(), other),
+    assert_eq!(completed.len(), 24, "seed {seed}: sessions lost");
+    for (id, _, state) in &completed {
+        match state {
+            SessionState::Done | SessionState::DeadLettered(_) => {}
+            other => panic!("seed {seed}: session {id} ended {other:?}"),
         }
     }
     assert_eq!(
-        summary.done() + summary.shed() + summary.dead_lettered(),
+        summary.done + summary.dead_lettered,
         24,
         "seed {seed}: outcome accounting"
     );
 
     let snap = &summary.snapshot;
+    if 2 * queue_depth < 24 {
+        // The queues cannot hold the window, so frames must have bounced.
+        assert!(
+            snap.backpressure_parks > 0,
+            "seed {seed}: no frame ever re-parked — the backpressure row is vacuous"
+        );
+    }
     // The plan actually fired (the guaranteed-ordinal panic at minimum),
     // and the ledger reconciles.
     assert!(
@@ -130,8 +139,7 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, preempt_loads: bool, delta
         "seed {seed}: the planned panic never restarted a shard"
     );
     assert_eq!(
-        snap.sessions_completed,
-        summary.done() as u64,
+        snap.sessions_completed, summary.done,
         "seed {seed}: completion counter drift"
     );
     // A preempted load is always parked and resumed within the same
@@ -192,12 +200,26 @@ fn chaos_preempt_gang_seed_1() {
 /// dead-letters, no ordinal lost to a victim unloaded mid-swap.
 #[test]
 fn chaos_delta_seed_1() {
-    chaos_run_full(1, 1, false, true);
+    chaos_run_full(1, 1, false, true, 16);
 }
 
 #[test]
 fn chaos_delta_preempt_gang_seed_1() {
-    chaos_run_full(1, 3, true, true);
+    chaos_run_full(1, 3, true, true, 16);
+}
+
+/// Chaos under backpressure: two-deep shard queues under a 24-frame
+/// window, so the ledger is checked while frames bounce, re-park and
+/// rehydrate — crash retries included, since a crashed session re-enters
+/// through the same full queues.
+#[test]
+fn chaos_backpressure_seed_1() {
+    chaos_run_full(1, 1, false, false, 2);
+}
+
+#[test]
+fn chaos_backpressure_delta_gang_seed_1() {
+    chaos_run_full(1, 3, false, true, 2);
 }
 
 /// The batched gang dispatcher under chaos: crash containment rebuilds
@@ -218,14 +240,14 @@ fn chaos_gang_seed_2() {
 /// order — and therefore the fault ledger — replays exactly.
 #[test]
 fn chaos_gang_is_deterministic_per_seed() {
-    use sdr_engine::{Metrics, PoolConfig, ShardPool};
+    use sdr_engine::{Metrics, ShardPool};
     use std::sync::Arc;
 
     quiet_panics();
     let run = |seed: u64| {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::new(
-            PoolConfig {
+            EngineConfig {
                 shards: 1, // one shard: a single total load order
                 arrays_per_shard: 4,
                 queue_depth: 32,
@@ -235,11 +257,11 @@ fn chaos_gang_is_deterministic_per_seed() {
                 // absorbed inside the worker and sessions always come back
                 // (terminal or ready for the next wave).
                 fault_plan: Some(FaultPlan::seeded(seed, 5, 10)),
-                ..PoolConfig::default()
+                ..EngineConfig::default()
             },
             Arc::clone(&metrics),
         );
-        let mut wave = mixed_sessions(8);
+        let mut wave: Vec<Session> = mixed_records(8).iter().map(Session::rehydrate).collect();
         let mut terminal = 0u64;
         while !wave.is_empty() {
             let n = wave.len();
@@ -278,18 +300,20 @@ fn chaos_is_deterministic_per_seed() {
     quiet_panics();
     let run = |seed: u64| {
         let plan = FaultPlan::seeded(seed, 5, 10);
-        let mut engine = Engine::new(EngineConfig {
-            shards: 1, // one shard: a single total load order
-            queue_depth: 32,
-            cache_capacity: 8,
-            fault_plan: Some(plan),
-            ..EngineConfig::default()
-        });
-        let summary = engine.run(mixed_sessions(8));
+        let (_, summary) = run_to_completion(
+            EngineConfig {
+                shards: 1, // one shard: a single total load order
+                queue_depth: 32,
+                cache_capacity: 8,
+                fault_plan: Some(plan),
+                ..EngineConfig::default()
+            },
+            mixed_records(8),
+        );
         let s = summary.snapshot;
         (
-            summary.done(),
-            summary.dead_lettered(),
+            summary.done,
+            summary.dead_lettered,
             s.faults_injected,
             s.faults_detected,
         )
@@ -311,152 +335,32 @@ fn repeated_crashes_dead_letter_the_session() {
             })
             .collect(),
     };
-    let mut engine = Engine::new(EngineConfig {
-        shards: 1,
-        queue_depth: 8,
-        cache_capacity: 8,
-        recovery: RecoveryPolicy {
-            max_session_attempts: 1,
-            ..RecoveryPolicy::default()
-        },
-        fault_plan: Some(plan),
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(mixed_sessions(2));
-
-    assert_eq!(summary.dead_lettered(), 2, "both sessions give up");
-    let snap = &summary.snapshot;
-    assert_eq!(snap.dead_letters, 2);
-    // Each session: crash, one retry, crash again, dead-letter.
-    assert_eq!(snap.session_retries, 2);
-    assert_eq!(snap.worker_restarts, 4);
-    assert_eq!(snap.faults_injected, snap.faults_detected);
-}
-
-/// Overload shedding: with a one-deep queue and a zero backlog budget,
-/// admission pressure sheds the least-urgent waiting sessions with an
-/// explicit `Shed` outcome — sessions are dropped, never lost.
-#[test]
-fn admission_pressure_sheds_latest_deadline_sessions() {
-    let mut engine = Engine::new(EngineConfig {
-        shards: 1,
-        queue_depth: 1,
-        cache_capacity: 8,
-        shed_backlog: 0,
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(mixed_sessions(12));
-
-    assert_eq!(summary.completed.len(), 12, "dropped sessions must surface");
-    assert_eq!(summary.done() + summary.shed(), 12, "no other outcome");
-    assert!(
-        summary.shed() >= 1,
-        "a 1-deep queue must shed under 12 offers"
-    );
-    assert_eq!(summary.snapshot.sessions_shed, summary.shed() as u64);
-    // Shed sessions were dropped before finishing — terminal, not Done,
-    // and the completion counter only reflects sessions that truly ran.
-    assert_eq!(
-        summary.snapshot.sessions_completed,
-        summary.done() as u64,
-        "shed sessions must not count as completed"
-    );
-}
-
-/// Migration under fault injection: admission pressure hits the shed
-/// path while a fault plan strikes, with `rescue_migration` on. A victim
-/// whose kernel is resident on some shard is checkpointed via park and
-/// re-dispatched there through the rescue lane instead of being shed;
-/// every session still ends in an accounted-for state and the fault
-/// ledger reconciles exactly as it does without migration.
-///
-/// A rescuable victim must be *mid-flight* (a fresh session's first phase
-/// is host-side capture — there is no kernel to be warm for) and some
-/// shard must have published residency for its next kernel, so the
-/// overload wave is pre-stepped OFDM sessions dispatched after a short
-/// warm-up run on the same engine. Rescue still races the lane and worker
-/// timing, so the wave is retried (bounded) until at least one fires.
-#[test]
-fn migrate_during_faults_keeps_the_ledger_intact() {
-    use sdr_engine::{Metrics, WorkerArray};
-    use std::sync::Arc;
-
-    quiet_panics();
-    let mut faults = vec![FaultSpec {
-        kind: FaultKind::WorkerPanic,
-        at_load: 1,
-    }];
-    faults.extend(FaultPlan::seeded(13, 4, 6).faults);
-    let mut engine = Engine::new(EngineConfig {
-        shards: 2,
-        queue_depth: 2,
-        cache_capacity: 8,
-        shed_backlog: 2,
-        rescue_migration: true,
-        recovery: RecoveryPolicy {
-            max_kernel_attempts: 4,
-            ..RecoveryPolicy::default()
-        },
-        fault_plan: Some(FaultPlan { faults }),
-        ..EngineConfig::default()
-    });
-    // Warm-up: populate the residency view (and let the planned faults
-    // start striking) before overload pressure arrives.
-    let warm = engine.run(mixed_sessions(8));
-    assert_eq!(
-        warm.done() + warm.shed() + warm.dead_lettered(),
-        8,
-        "warm-up accounting"
-    );
-
-    let mut scratch = WorkerArray::new(8, Arc::new(Metrics::new()));
-    let mut rescued = 0u64;
-    for wave in 0..20u64 {
-        // Pre-stepped OFDM sessions: one host-side capture step moves them
-        // to PreambleDetect, whose kernel the warm-up just made resident.
-        let overload: Vec<Session> = (0..48u64)
-            .map(|i| {
-                let id = 100 + 1_000 * wave + i;
-                let mut s = Session::ofdm(id, 5_000 + id);
-                s.step(&mut scratch);
-                s
-            })
-            .collect();
-        let summary = engine.run(overload);
-
-        // Rescued or not, no session may vanish or end unaccounted.
-        assert_eq!(summary.completed.len(), 48, "sessions lost");
-        assert_eq!(
-            summary.done() + summary.shed() + summary.dead_lettered(),
-            48,
-            "outcome accounting under migration"
+    // Deep enough for both sessions, then one-deep: the second session
+    // waits its turn parked, and the counters must not move.
+    for queue_depth in [8, 1] {
+        let (_, summary) = run_to_completion(
+            EngineConfig {
+                shards: 1,
+                queue_depth,
+                cache_capacity: 8,
+                recovery: RecoveryPolicy {
+                    max_session_attempts: 1,
+                    ..RecoveryPolicy::default()
+                },
+                fault_plan: Some(plan.clone()),
+                ..EngineConfig::default()
+            },
+            mixed_records(2),
         );
+
+        assert_eq!(summary.dead_lettered, 2, "both sessions give up");
         let snap = &summary.snapshot;
-        // Engine-level rescue pairs the two counters one-to-one.
-        assert_eq!(
-            snap.sessions_migrated, snap.deadline_rescues,
-            "rescue bookkeeping drift: {snap}"
-        );
-        // The fault ledger is untouched by the migration path (counters
-        // are cumulative across the warm-up and every wave).
-        assert!(snap.faults_injected > 0, "plan never fired: {snap}");
-        assert_eq!(
-            snap.faults_injected, snap.faults_detected,
-            "injected faults went undetected under migration: {snap}"
-        );
-        assert!(
-            snap.faults_detected <= snap.recoveries + snap.dead_letters,
-            "detections unanswered under migration: {snap}"
-        );
-        rescued = snap.deadline_rescues;
-        if rescued >= 1 {
-            break;
-        }
+        assert_eq!(snap.dead_letters, 2);
+        // Each session: crash, one retry, crash again, dead-letter.
+        assert_eq!(snap.session_retries, 2);
+        assert_eq!(snap.worker_restarts, 4);
+        assert_eq!(snap.faults_injected, snap.faults_detected);
     }
-    assert!(
-        rescued >= 1,
-        "no wave ever rescued a shed victim — the test is vacuous"
-    );
 }
 
 /// Faults striking while worker arrays step their kernels dense (the name
@@ -475,25 +379,24 @@ fn faults_mid_replay_invalidate_and_recover() {
         at_load: 1,
     }];
     faults.extend(FaultPlan::seeded(5, 6, 8).faults);
-    let mut engine = Engine::new(EngineConfig {
-        shards: 2,
-        arrays_per_shard: 2,
-        queue_depth: 16,
-        cache_capacity: 8,
-        recovery: RecoveryPolicy {
-            max_kernel_attempts: 4,
-            ..RecoveryPolicy::default()
+    let (completed, summary) = run_to_completion(
+        EngineConfig {
+            shards: 2,
+            arrays_per_shard: 2,
+            queue_depth: 16,
+            cache_capacity: 8,
+            recovery: RecoveryPolicy {
+                max_kernel_attempts: 4,
+                ..RecoveryPolicy::default()
+            },
+            fault_plan: Some(FaultPlan { faults }),
+            ..EngineConfig::default()
         },
-        fault_plan: Some(FaultPlan { faults }),
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(mixed_sessions(24));
-
-    assert_eq!(summary.completed.len(), 24, "sessions lost");
-    assert_eq!(
-        summary.done() + summary.shed() + summary.dead_lettered(),
-        24
+        mixed_records(24),
     );
+
+    assert_eq!(completed.len(), 24, "sessions lost");
+    assert_eq!(summary.done + summary.dead_lettered, 24);
     let snap = &summary.snapshot;
     // Dense stepping really ran during this chaos workload…
     assert!(
@@ -531,7 +434,7 @@ fn faults_mid_replay_invalidate_and_recover() {
 /// reconcile exactly as it does without stealing.
 #[test]
 fn steal_during_faults_keeps_the_ledger_intact() {
-    use sdr_engine::{Metrics, PlacementPolicy, PoolConfig, ShardPool};
+    use sdr_engine::{Metrics, PlacementPolicy, ShardPool};
     use std::sync::Arc;
 
     quiet_panics();
@@ -543,7 +446,7 @@ fn steal_during_faults_keeps_the_ledger_intact() {
     }];
     faults.extend(FaultPlan::seeded(11, 4, 6).faults);
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: 2,
             arrays_per_shard: 2,
             queue_depth: 64,
@@ -556,7 +459,7 @@ fn steal_during_faults_keeps_the_ledger_intact() {
                 ..RecoveryPolicy::default()
             },
             fault_plan: Some(FaultPlan { faults }),
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );
@@ -601,7 +504,7 @@ fn steal_during_faults_keeps_the_ledger_intact() {
                         dead += 1;
                     } else {
                         // The struck member was already rebuilt; mirror the
-                        // engine's supervision and re-dispatch next wave.
+                        // front-end's supervision and re-dispatch next wave.
                         Metrics::incr(&metrics.session_retries);
                         Metrics::incr(&metrics.recoveries);
                         wave.push(s);
@@ -659,14 +562,16 @@ fn steal_during_faults_keeps_the_ledger_intact() {
 /// keeps the exact step count and fault counters of the seed build.
 #[test]
 fn no_plan_changes_nothing() {
-    let mut engine = Engine::new(EngineConfig {
-        shards: 2,
-        queue_depth: 8,
-        cache_capacity: 8,
-        ..EngineConfig::default() // fault_plan: None
-    });
-    let summary = engine.run(mixed_sessions(16));
-    assert_eq!(summary.done(), 16);
+    let (_, summary) = run_to_completion(
+        EngineConfig {
+            shards: 2,
+            queue_depth: 8,
+            cache_capacity: 8,
+            ..EngineConfig::default() // fault_plan: None
+        },
+        mixed_records(16),
+    );
+    assert_eq!(summary.done, 16);
     let snap = &summary.snapshot;
     assert_eq!(snap.jobs_run, 3 * 16, "exact step count as without faults");
     assert_eq!(snap.faults_injected, 0);

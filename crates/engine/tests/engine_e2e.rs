@@ -2,12 +2,14 @@
 //! configuration cache, pool backpressure, clean shutdown with in-flight
 //! jobs, and a mixed-standard stress run.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{mixed_records, run_to_completion};
 use sdr_engine::metrics::KernelKind;
 use sdr_engine::{
-    Engine, EngineConfig, Metrics, PoolConfig, Session, SessionState, ShardPool, Standard,
-    SubmitError,
+    EngineConfig, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard, SubmitError,
 };
 
 /// End to end on one worker: an OFDM session detects the preamble on
@@ -16,16 +18,22 @@ use sdr_engine::{
 /// comes out of the cache — two builds total, never a rebuild.
 #[test]
 fn ofdm_reconfiguration_is_served_from_the_cache() {
-    let mut engine = Engine::new(EngineConfig {
-        shards: 1,
-        queue_depth: 8,
-        cache_capacity: 8,
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(vec![Session::ofdm(0, 11), Session::ofdm(1, 12)]);
+    let (completed, summary) = run_to_completion(
+        EngineConfig {
+            shards: 1,
+            queue_depth: 8,
+            cache_capacity: 8,
+            ..EngineConfig::default()
+        },
+        vec![
+            ParkedSession::new_ofdm(0, 11, 0),
+            ParkedSession::new_ofdm(1, 12, 1),
+        ],
+    );
 
-    for s in &summary.completed {
-        assert_eq!(*s.state(), SessionState::Done, "session {} failed", s.id());
+    assert_eq!(completed.len(), 2);
+    for (id, _, state) in &completed {
+        assert_eq!(*state, SessionState::Done, "session {id} failed");
     }
     let snap = summary.snapshot;
     // Two distinct netlists (2a detector, 2b demodulator) were ever built…
@@ -56,12 +64,12 @@ fn ofdm_reconfiguration_is_served_from_the_cache() {
 fn full_shard_returns_would_block() {
     let metrics = Arc::new(Metrics::new());
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: 1,
             queue_depth: 2,
             cache_capacity: 4,
             start_paused: true,
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );
@@ -92,12 +100,12 @@ fn full_shard_returns_would_block() {
 fn shutdown_drains_in_flight_jobs() {
     let metrics = Arc::new(Metrics::new());
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: 2,
             queue_depth: 8,
             cache_capacity: 4,
             start_paused: true,
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );
@@ -119,41 +127,31 @@ fn shutdown_drains_in_flight_jobs() {
 /// metrics ledger stays consistent with what actually happened.
 #[test]
 fn stress_64_mixed_sessions_over_4_shards() {
-    let mut engine = Engine::new(EngineConfig {
-        shards: 4,
-        queue_depth: 8, // small queues force re-queue traffic
-        cache_capacity: 8,
-        ..EngineConfig::default()
-    });
-    let sessions: Vec<Session> = (0..64)
-        .map(|id| {
-            if id % 2 == 0 {
-                Session::wcdma(id, 1_000 + id)
-            } else {
-                Session::ofdm(id, 2_000 + id)
-            }
-        })
-        .collect();
-    let summary = engine.run(sessions);
+    let (completed, summary) = run_to_completion(
+        EngineConfig {
+            shards: 4,
+            queue_depth: 8, // small queues force re-park traffic
+            cache_capacity: 8,
+            ..EngineConfig::default()
+        },
+        mixed_records(64),
+    );
 
     assert_eq!(
-        summary.completed.len(),
+        completed.len(),
         64,
         "every session reached a terminal state"
     );
-    for s in &summary.completed {
+    for (id, standard, state) in &completed {
         assert_eq!(
-            *s.state(),
+            *state,
             SessionState::Done,
-            "session {} ({:?}) failed",
-            s.id(),
-            s.standard()
+            "session {id} ({standard:?}) failed"
         );
     }
-    let wcdma = summary
-        .completed
+    let wcdma = completed
         .iter()
-        .filter(|s| s.standard() == Standard::Wcdma)
+        .filter(|(_, standard, _)| *standard == Standard::Wcdma)
         .count();
     assert_eq!(wcdma, 32);
 
@@ -191,16 +189,19 @@ fn stress_64_mixed_sessions_over_4_shards() {
     assert!(snap.cache_hit_rate() > 0.5);
 }
 
-/// More shards than sessions: idle shards must admit trivially instead of
-/// panicking the EDF admission check.
+/// More shards than sessions: the idle shards change nothing, every
+/// session finishes.
 #[test]
 fn idle_shards_admit_trivially() {
-    let mut engine = Engine::new(EngineConfig {
-        shards: 8,
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(vec![Session::wcdma(0, 7), Session::ofdm(1, 8)]);
-    assert_eq!(summary.done(), 2);
-    assert_eq!(summary.admission.len(), 8);
-    assert!(summary.admission_feasible());
+    let (_, summary) = run_to_completion(
+        EngineConfig {
+            shards: 8,
+            ..EngineConfig::default()
+        },
+        vec![
+            ParkedSession::new_wcdma(0, 7, 0),
+            ParkedSession::new_ofdm(1, 8, 1),
+        ],
+    );
+    assert_eq!(summary.done, 2);
 }

@@ -14,8 +14,8 @@
 use std::time::Instant;
 
 use sdr_dsp::rng::Rng64;
-use sdr_engine::frontend::{Frontend, FrontendConfig, ScaleSummary};
-use sdr_engine::{ParkedSession, Session};
+use sdr_engine::frontend::{Frontend, ScaleSummary};
+use sdr_engine::{EngineConfig, ParkedSession, Session};
 
 fn open_loop(_: &Session, _: u64) -> Option<ParkedSession> {
     None
@@ -23,13 +23,13 @@ fn open_loop(_: &Session, _: u64) -> Option<ParkedSession> {
 
 #[test]
 fn would_block_parks_instead_of_blocking_the_submitter() {
-    let mut fe = Frontend::new(FrontendConfig {
+    let mut fe = Frontend::new(EngineConfig {
         shards: 1,
         arrays_per_shard: 1,
         queue_depth: 2,
         max_resident: 8,
         start_paused: true,
-        ..FrontendConfig::default()
+        ..EngineConfig::default()
     });
     for id in 0..6u64 {
         fe.admit(ParkedSession::new_wcdma(id, 100 + id, 0));
@@ -80,12 +80,12 @@ fn would_block_parks_instead_of_blocking_the_submitter() {
 /// One seeded open-loop Poisson run: `n` terminals, exponential
 /// interarrivals with the given mean (in array cycles), mixed standards.
 fn poisson_run(seed: u64, n: u64, mean_interarrival: f64) -> ScaleSummary {
-    let mut fe = Frontend::new(FrontendConfig {
+    let mut fe = Frontend::new(EngineConfig {
         shards: 2,
         queue_depth: 8,
         max_resident: 16,
         parking_capacity: n as usize,
-        ..FrontendConfig::default()
+        ..EngineConfig::default()
     });
     let mut rng = Rng64::seed_from_u64(seed);
     let mut arrival = 0u64;

@@ -15,35 +15,22 @@
 //!    per-session outcome must still match the single-array reference,
 //!    on the same mixed rake + OFDM workload the gang-golden suite uses.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{mixed_records, run_to_completion, Outcome};
 use sdr_engine::{
-    Engine, EngineConfig, Metrics, PlacementPolicy, PoolConfig, Session, SessionState, ShardPool,
-    WorkerArray,
+    EngineConfig, Metrics, PlacementPolicy, Session, SessionState, ShardPool, WorkerArray,
 };
-
-/// Mixed workload: even ids W-CDMA rake terminals, odd ids 802.11a OFDM
-/// terminals, seeds derived from the id both ways (same shape as the
-/// gang-golden scenarios).
-fn mixed_sessions(n: u64) -> Vec<Session> {
-    (0..n)
-        .map(|id| {
-            if id % 2 == 0 {
-                Session::wcdma(id, 1_000 + id)
-            } else {
-                Session::ofdm(id, 2_000 + id)
-            }
-        })
-        .collect()
-}
 
 /// Steps every session to a terminal state on its own private array:
 /// the strongest reference — no pool, no router, no batching, no
 /// stealing — that every routed configuration must reproduce.
-fn single_array_reference(n: u64) -> Vec<(u64, SessionState)> {
+fn single_array_reference(n: u64) -> Vec<Outcome> {
     let metrics = Arc::new(Metrics::new());
     let mut out = Vec::new();
-    for mut session in mixed_sessions(n) {
+    for mut session in mixed_records(n).iter().map(Session::rehydrate) {
         let mut worker = WorkerArray::new(8, Arc::clone(&metrics));
         for _ in 0..64 {
             if session.is_terminal() {
@@ -56,20 +43,20 @@ fn single_array_reference(n: u64) -> Vec<(u64, SessionState)> {
             "session {} never reached a terminal state on the reference array",
             session.id()
         );
-        out.push((session.id(), session.state().clone()));
+        out.push((session.id(), session.standard(), session.state().clone()));
     }
     out
 }
 
-/// Runs the workload through the full engine with the given routing
-/// configuration and returns `(id, terminal state)` sorted by id.
+/// Runs the workload through the front-end with the given routing
+/// configuration and returns each terminal's outcome sorted by id.
 fn routed_outcomes(
     shards: usize,
     arrays_per_shard: usize,
     placement: PlacementPolicy,
     work_stealing: bool,
     n: u64,
-) -> Vec<(u64, SessionState)> {
+) -> Vec<Outcome> {
     routed_outcomes_delta(shards, arrays_per_shard, placement, work_stealing, false, n)
 }
 
@@ -83,40 +70,36 @@ fn routed_outcomes_delta(
     work_stealing: bool,
     delta_loading: bool,
     n: u64,
-) -> Vec<(u64, SessionState)> {
-    let mut engine = Engine::new(EngineConfig {
-        shards,
-        arrays_per_shard,
-        queue_depth: 64,
-        cache_capacity: 8,
-        placement,
-        work_stealing,
-        delta_loading,
-        ..EngineConfig::default()
-    });
-    let summary = engine.run(mixed_sessions(n));
+) -> Vec<Outcome> {
+    let (out, _) = run_to_completion(
+        EngineConfig {
+            shards,
+            arrays_per_shard,
+            queue_depth: 64,
+            cache_capacity: 8,
+            placement,
+            work_stealing,
+            delta_loading,
+            ..EngineConfig::default()
+        },
+        mixed_records(n),
+    );
     assert_eq!(
-        summary.completed.len() as u64,
+        out.len() as u64,
         n,
         "shards={shards} gang={arrays_per_shard} {placement:?} steal={work_stealing}: sessions lost"
     );
-    let mut out: Vec<(u64, SessionState)> = summary
-        .completed
-        .iter()
-        .map(|s| (s.id(), s.state().clone()))
-        .collect();
-    out.sort_by_key(|(id, _)| *id);
     out
 }
 
-fn assert_matches_reference(
-    label: &str,
-    got: &[(u64, SessionState)],
-    want: &[(u64, SessionState)],
-) {
+fn assert_matches_reference(label: &str, got: &[Outcome], want: &[Outcome]) {
     assert_eq!(got.len(), want.len(), "{label}: session count diverged");
-    for ((id, state), (ref_id, ref_state)) in got.iter().zip(want.iter()) {
-        assert_eq!(id, ref_id, "{label}: session id order diverged");
+    for ((id, standard, state), (ref_id, ref_standard, ref_state)) in got.iter().zip(want.iter()) {
+        assert_eq!(
+            (id, standard),
+            (ref_id, ref_standard),
+            "{label}: session id order diverged"
+        );
         assert_eq!(
             state, ref_state,
             "{label}: session {id} outcome diverged from the single-array reference"
@@ -131,7 +114,7 @@ fn assert_matches_reference(
 fn static_placement_routes_like_the_seed_oracle() {
     let metrics = Arc::new(Metrics::new());
     let pool = ShardPool::new(
-        PoolConfig {
+        EngineConfig {
             shards: 3,
             arrays_per_shard: 1,
             queue_depth: 64,
@@ -139,11 +122,11 @@ fn static_placement_routes_like_the_seed_oracle() {
             start_paused: true,
             placement: PlacementPolicy::Static,
             work_stealing: false,
-            ..PoolConfig::default()
+            ..EngineConfig::default()
         },
         Arc::clone(&metrics),
     );
-    for session in mixed_sessions(24) {
+    for session in mixed_records(24).iter().map(Session::rehydrate) {
         let oracle = pool.shard_of(&session);
         let routed = pool
             .submit(session)
@@ -172,7 +155,7 @@ fn static_routing_without_stealing_matches_the_reference() {
     let n = 48;
     let reference = single_array_reference(n);
     assert!(
-        reference.iter().all(|(_, s)| *s == SessionState::Done),
+        reference.iter().all(|(_, _, s)| *s == SessionState::Done),
         "reference workload must complete cleanly for the comparison to mean much"
     );
     for (shards, gang) in [(2usize, 1usize), (2, 4), (4, 2)] {
@@ -216,6 +199,38 @@ fn delta_loading_with_affinity_routing_matches_the_reference() {
             &format!("delta affinity shards={shards} gang={gang}"),
             &routed,
             &reference,
+        );
+    }
+}
+
+/// Backpressure at the driver: with two-deep queues under a wider
+/// materialisation window, frames bounce off full shards, re-park and
+/// rehydrate again and again — and every outcome still equals the
+/// never-parked single-array reference.
+#[test]
+fn reparked_frames_match_the_reference() {
+    let n = 48;
+    let reference = single_array_reference(n);
+    for (shards, gang, max_resident) in [(1usize, 1usize, 8usize), (2, 2, 16)] {
+        let (routed, summary) = run_to_completion(
+            EngineConfig {
+                shards,
+                arrays_per_shard: gang,
+                queue_depth: 2,
+                cache_capacity: 8,
+                max_resident,
+                ..EngineConfig::default()
+            },
+            mixed_records(n),
+        );
+        assert_matches_reference(
+            &format!("backpressure shards={shards} gang={gang}"),
+            &routed,
+            &reference,
+        );
+        assert!(
+            summary.snapshot.backpressure_parks > 0,
+            "shards={shards} gang={gang}: no frame ever bounced — the row is vacuous"
         );
     }
 }

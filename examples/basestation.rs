@@ -26,8 +26,8 @@
 //! `--full-loads` reverts to full streams for comparison.
 
 use xpp_sdr::dsp::rng::Rng64;
-use xpp_sdr::engine::frontend::{Frontend, FrontendConfig};
-use xpp_sdr::engine::{ParkedSession, PlacementPolicy, Session};
+use xpp_sdr::engine::frontend::Frontend;
+use xpp_sdr::engine::{EngineConfig, ParkedSession, PlacementPolicy, Session};
 
 /// Modeled array clock used to convert `--arrival-rate` (terminals/s)
 /// into array-cycle interarrivals (BENCH_ARRAY.json's convention).
@@ -153,7 +153,7 @@ fn main() {
         args.sessions, args.shards, args.arrays_per_shard, args.arrival_rate, mean_interarrival
     );
 
-    let mut fe = Frontend::new(FrontendConfig {
+    let mut fe = Frontend::new(EngineConfig {
         shards: args.shards,
         arrays_per_shard: args.arrays_per_shard,
         parking_capacity: args.sessions as usize,
@@ -164,7 +164,7 @@ fn main() {
         },
         work_stealing: !args.static_placement,
         delta_loading: args.delta_loading,
-        ..FrontendConfig::default()
+        ..EngineConfig::default()
     });
 
     // Admit every terminal up front as a compact parked record; the
@@ -206,7 +206,7 @@ fn main() {
         "peak resident {} sessions ({} peak parked, materialisation window {})",
         summary.peak_resident,
         summary.peak_parked,
-        FrontendConfig::default().max_resident
+        EngineConfig::default().max_resident
     );
     match summary.p99_slack() {
         Some(slack) => println!(
