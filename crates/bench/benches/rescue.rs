@@ -2,7 +2,7 @@
 //!
 //! Both arms drive the same seeded Poisson arrival process — mixed
 //! W-CDMA / OFDM terminals at offered load **rho = 2** (twice the worker
-//! set's modeled service capacity) — through the async front-end. At
+//! set's modeled service capacity) — through the front-end. At
 //! rho 2 the virtual-time admission model *must* drop frames; the only
 //! question is how many.
 //!
@@ -140,13 +140,12 @@ fn bench_report(_c: &mut Criterion) {
     );
     eprintln!(
         "  rescue_on:  {} done, {} shed (shed rate {:.1}%), p99 slack {:?}, \
-         {} deadline rescues ({} migrated)",
+         {} deadline rescues",
         on.done,
         on.shed.len(),
         100.0 * on.shed_rate(),
         on.p99_slack(),
         on_snap.deadline_rescues,
-        on_snap.sessions_migrated,
     );
     eprintln!(
         "  shed reduction: {} -> {} frames ({:.1}% of the seed's sheds rescued)",
@@ -177,10 +176,6 @@ fn bench_report(_c: &mut Criterion) {
     assert!(
         on_snap.deadline_rescues >= 1,
         "the overload must actually exercise the rescue path"
-    );
-    assert_eq!(
-        on_snap.deadline_rescues, on_snap.sessions_migrated,
-        "front-end rescue pairs the two counters one-to-one"
     );
     assert!(
         on.shed.len() as u64 + on_snap.deadline_rescues >= off.shed.len() as u64,

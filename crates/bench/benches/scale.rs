@@ -1,4 +1,4 @@
-//! Million-terminal scale bench for the async session front-end.
+//! Million-terminal scale bench for the session front-end.
 //!
 //! Closed-loop arrival process: seeded Poisson arrivals (inverse-CDF
 //! exponential interarrivals from `sdr_dsp::rng::Rng64`), mixed W-CDMA /

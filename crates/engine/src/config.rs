@@ -111,9 +111,9 @@ pub struct EngineConfig {
     #[cfg(feature = "faults")]
     pub fault_plan: Option<FaultPlan>,
     /// Materialisation window: maximum concurrently *rehydrated*
-    /// sessions (live async tasks). Everything beyond this stays parked.
-    /// Keep at or below `shards × queue_depth` so the reactor bound
-    /// never starves the window. Clamped to at least 1.
+    /// sessions (in flight in the pool). Everything beyond this stays
+    /// parked. Keep at or below `shards × queue_depth` so the driver's
+    /// in-flight bound never starves the window. Clamped to at least 1.
     pub max_resident: usize,
     /// Parking-lot slots to preallocate (parking within this budget is
     /// allocation-free). `0` grows on demand.

@@ -440,12 +440,6 @@ impl ConfigManager {
         self.resident.iter().any(|r| r.name == name)
     }
 
-    /// Names of resident configurations, least recently used first — the
-    /// introspection the gang router builds its residency map from.
-    pub fn resident_names(&self) -> Vec<String> {
-        self.resident.iter().map(|r| r.name.clone()).collect()
-    }
-
     /// Appends the names of resident configurations to `out`, skipping
     /// any already present — the allocation-light export the shard loops
     /// use to publish a gang-wide residency snapshot into the global
@@ -457,11 +451,6 @@ impl ConfigManager {
                 out.push(r.name.clone());
             }
         }
-    }
-
-    /// Number of resident configurations.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
     }
 
     /// Re-marks every resident's object-fire counter as seen. A resident

@@ -75,11 +75,6 @@ impl ParkingLot {
         self.heap.pop().map(|Reverse(Entry(r))| r)
     }
 
-    /// The earliest wake deadline among parked records, if any.
-    pub fn peek_deadline(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.0.deadline())
-    }
-
     /// Currently parked records.
     pub fn len(&self) -> usize {
         self.heap.len()

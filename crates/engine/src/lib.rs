@@ -22,12 +22,13 @@
 //! * [`config`] — the one [`EngineConfig`] both the pool and the driver
 //!   read.
 //!
-//! [`Frontend`] is the one driver — the control plane above that dataflow
-//! plane, as the paper's configuration manager is the one authority that
-//! sequences every load, run and swap. Terminals are admitted as compact
-//! parked records, rehydrated into a bounded window of live sessions, and
-//! stepped through the pool until each reaches a terminal state; a full
-//! shard queue re-parks the session instead of blocking a thread. The
+//! [`Frontend`] is the one driver — a single-threaded loop that owns the
+//! pool, the control plane above that dataflow plane, as the paper's
+//! configuration manager is the one authority that sequences every load,
+//! run and swap. Terminals are admitted as compact parked records,
+//! rehydrated into a bounded window of sessions in flight, and each
+//! hand-back is resubmitted until the session reaches a terminal state; a
+//! full shard queue re-parks the session instead of blocking a thread. The
 //! run is *supervised*: a worker panic restarts that shard with a fresh
 //! array and the session is re-dispatched (bounded by
 //! [`RecoveryPolicy::max_session_attempts`], then dead-lettered), and a

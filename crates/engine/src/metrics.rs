@@ -122,14 +122,10 @@ pub struct Metrics {
     /// Preempted loads re-queued from their word-boundary checkpoint —
     /// only the residue streams, nothing is re-sent.
     pub loads_resumed: AtomicU64,
-    /// Fresh frames the admission model charged to their standard's
-    /// warm home shard instead of shedding (moves with
-    /// `deadline_rescues`).
-    pub sessions_migrated: AtomicU64,
     /// Deadline sheds avoided by the admission model's rescue policy: a
     /// warm-home admission it would otherwise have dropped.
     pub deadline_rescues: AtomicU64,
-    /// Sessions currently parked in the async front-end's parking lot
+    /// Sessions currently parked in the front-end's parking lot
     /// (a gauge: set with [`Metrics::set`], not accumulated).
     pub sessions_parked: AtomicU64,
     /// High-water mark of resident sessions (parked records plus
@@ -319,7 +315,6 @@ impl Metrics {
             sessions_shed: load(&self.sessions_shed),
             loads_preempted: load(&self.loads_preempted),
             loads_resumed: load(&self.loads_resumed),
-            sessions_migrated: load(&self.sessions_migrated),
             deadline_rescues: load(&self.deadline_rescues),
             sessions_parked: load(&self.sessions_parked),
             peak_resident_sessions: load(&self.peak_resident_sessions),
@@ -406,8 +401,6 @@ pub struct Snapshot {
     pub loads_preempted: u64,
     /// Preempted loads resumed from their word-boundary checkpoint.
     pub loads_resumed: u64,
-    /// Frames charged to their warm home shard instead of being shed.
-    pub sessions_migrated: u64,
     /// Deadline sheds avoided by rescue (warm-home admission).
     pub deadline_rescues: u64,
     /// Sessions currently parked in the front-end's parking lot (gauge).
@@ -718,10 +711,9 @@ impl fmt::Display for Snapshot {
         )?;
         writeln!(
             f,
-            "  rescue      preempted {:>6}  resumed   {:>8}  migrated {:>4}  deadline rescues {:>4}  rescue rate {:>5.1}%",
+            "  rescue      preempted {:>6}  resumed   {:>8}  deadline rescues {:>4}  rescue rate {:>5.1}%",
             self.loads_preempted,
             self.loads_resumed,
-            self.sessions_migrated,
             self.deadline_rescues,
             100.0 * self.deadline_rescue_rate()
         )?;

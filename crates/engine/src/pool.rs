@@ -626,11 +626,6 @@ impl ShardPool {
         }
     }
 
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard the *static* policy maps a session to (sticky affinity
     /// by id) — the seed placement, kept as the oracle the router-golden
     /// suite compares against. The live routing decision is made by
@@ -700,9 +695,8 @@ impl ShardPool {
     }
 
     /// Non-blocking receive: the next finished session if one is already
-    /// waiting, `None` otherwise. The async front-end's completion
-    /// reactor drains with this so the driving thread never blocks while
-    /// it still has runnable work.
+    /// waiting, `None` otherwise. The front-end folds hand-backs with this
+    /// so the driving thread never blocks while it still has work to do.
     pub fn try_recv(&self) -> Option<Session> {
         self.results.try_recv().ok()
     }
@@ -714,14 +708,9 @@ impl ShardPool {
     }
 
     /// Total submission capacity across every shard queue — the bound the
-    /// front-end's completion reactor enforces on in-flight sessions.
+    /// front-end enforces on the sessions it has in flight.
     pub fn queue_capacity(&self) -> usize {
         self.shards.len() * self.queue_depth_limit
-    }
-
-    /// The shared metrics registry every worker reports into.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Pauses a shard: its worker finishes the current job, then idles.

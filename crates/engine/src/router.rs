@@ -183,11 +183,6 @@ impl ResidencyView {
         }
     }
 
-    /// Number of shards in the view.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The status cell of one shard.
     pub fn status(&self, shard: usize) -> &Arc<ShardStatus> {
         &self.shards[shard]

@@ -1,38 +1,58 @@
-//! The lazy-code contract of the W-CDMA terminal, enforced with a counting
-//! global allocator (same pattern as `frontend_footprint.rs`): rehydrating a
-//! *fresh* parked record builds no capture and no scrambling code.
+//! What rehydration costs, enforced with a counting global allocator (same
+//! pattern as `frontend_footprint.rs`):
+//!
+//! * the lazy-code contract of the W-CDMA terminal — rehydrating a *fresh*
+//!   parked record builds no capture and no scrambling code;
+//! * a backpressure bounce through the front-end allocates exactly what the
+//!   `Session::rehydrate` inside it allocates, and nothing of its own.
 //!
 //! Under backpressure the front-end rehydrates a fresh record, bounces off
 //! the full shard queue and re-parks it thousands of times per completed
-//! frame, so anything generated here is paid that many times over. The
-//! capture and its code appear only when the session first steps.
+//! frame, so anything generated or allocated here is paid that many times
+//! over. The capture and its code appear only when the session first steps.
 //!
-//! This file intentionally contains a single test: the allocation counter
-//! is process-global, and a concurrently running test would make the
-//! measurement window non-quiet.
+//! Only the measuring thread's allocations are counted, which fences the
+//! pool's worker thread (it builds its array while the test already runs)
+//! out of the window. The file still holds a single test, so nothing else
+//! shares the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sdr_engine::{ParkedSession, Session};
+use sdr_engine::{EngineConfig, Frontend, ParkedSession, Session};
 
 struct CountingAllocator;
 
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates and stays valid through thread teardown.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -44,6 +64,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Runs `f` and returns its result with the (allocations, bytes) this
+/// thread made meanwhile.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (
+        ALLOCATIONS.load(Ordering::SeqCst),
+        ALLOCATED_BYTES.load(Ordering::SeqCst),
+    );
+    MEASURING.set(true);
+    let out = f();
+    MEASURING.set(false);
+    (
+        out,
+        ALLOCATIONS.load(Ordering::SeqCst) - before.0,
+        ALLOCATED_BYTES.load(Ordering::SeqCst) - before.1,
+    )
+}
+
 /// The fresh W-CDMA terminal owns its 32 payload bits and nothing else; a
 /// packed scrambling code alone is 9.6 KB and a slot capture 32 KB.
 const FRESH_REHYDRATE_BYTE_BUDGET: u64 = 1024;
@@ -52,9 +89,7 @@ const FRESH_REHYDRATE_BYTE_BUDGET: u64 = 1024;
 fn rehydrating_a_fresh_wcdma_record_builds_no_capture_and_no_code() {
     let parked = ParkedSession::new_wcdma(7, 1234, 0);
 
-    let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
-    let session = Session::rehydrate(&parked);
-    let allocated = ALLOCATED_BYTES.load(Ordering::SeqCst) - before;
+    let (session, _, allocated) = counted(|| Session::rehydrate(&parked));
 
     assert!(
         allocated < FRESH_REHYDRATE_BYTE_BUDGET,
@@ -64,4 +99,71 @@ fn rehydrating_a_fresh_wcdma_record_builds_no_capture_and_no_code() {
     );
     // The round trip back to the lot is the same fresh record.
     assert_eq!(session.park(), Some(parked));
+
+    bounce_allocates_only_its_rehydration();
+}
+
+/// Second phase of the single test: a paused 1×1 pool whose two queue slots
+/// are taken, and six fresh records of both standards bouncing off it. The
+/// window (8) leaves room for exactly those six, so every `pump` bounces
+/// each of them once.
+fn bounce_allocates_only_its_rehydration() {
+    let mut fe = Frontend::new(EngineConfig {
+        shards: 1,
+        arrays_per_shard: 1,
+        queue_depth: 2,
+        max_resident: 8,
+        parking_capacity: 8,
+        start_paused: true,
+        ..EngineConfig::default()
+    });
+    let mut open_loop = |_: &Session, _| None;
+    for id in 0..2u64 {
+        fe.admit(ParkedSession::new_ofdm(id, id, 0));
+    }
+    fe.pump(&mut open_loop);
+    assert_eq!((fe.materialised(), fe.parked()), (2, 0), "queue is full");
+
+    let bouncers: Vec<ParkedSession> = (2..8u64)
+        .map(|id| {
+            if id % 2 == 0 {
+                ParkedSession::new_wcdma(id, 100 + id, 1_000)
+            } else {
+                ParkedSession::new_ofdm(id, 200 + id, 1_000)
+            }
+        })
+        .collect();
+    for record in &bouncers {
+        fe.admit(*record);
+    }
+    // Warm-up: the front-end's scratch buffers reach their steady size.
+    fe.pump(&mut open_loop);
+
+    const PASSES: u64 = 200;
+    let parks_before = fe.snapshot().backpressure_parks;
+    let (_, allocations, bytes) = counted(|| {
+        for _ in 0..PASSES {
+            fe.pump(&mut open_loop);
+        }
+    });
+    let bounces = fe.snapshot().backpressure_parks - parks_before;
+    assert_eq!(bounces, PASSES * bouncers.len() as u64);
+    assert_eq!((fe.materialised(), fe.parked()), (2, 6));
+
+    // Only a record's seed, standard and stage decide what rehydrating it
+    // allocates, and a bounce changes none of them.
+    let (_, own_allocations, own_bytes) = counted(|| {
+        for record in &bouncers {
+            drop(Session::rehydrate(record));
+        }
+    });
+    assert!(own_allocations > 0, "the comparison is not vacuous");
+    assert_eq!(
+        (allocations, bytes),
+        (PASSES * own_allocations, PASSES * own_bytes),
+        "{bounces} bounces allocated {allocations} times / {bytes} bytes; \
+         their rehydrations alone account for {} / {}",
+        PASSES * own_allocations,
+        PASSES * own_bytes
+    );
 }

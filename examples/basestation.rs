@@ -1,6 +1,6 @@
 //! Base-station style multi-terminal run: N terminal sessions
 //! (alternating W-CDMA rake and 802.11a OFDM) arriving as a Poisson
-//! process and driven through the engine's async session front-end —
+//! process and driven through the engine's session front-end —
 //! every waiting terminal is parked as a ~40-byte record and only a
 //! bounded window is ever materialised over the worker shards.
 //!
