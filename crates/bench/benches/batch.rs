@@ -44,7 +44,6 @@ fn pool(arrays_per_shard: usize) -> (ShardPool, Arc<Metrics>) {
             shards: 1,
             arrays_per_shard,
             queue_depth: 32,
-            cache_capacity: 8,
             ..EngineConfig::default()
         },
         Arc::clone(&metrics),

@@ -55,7 +55,6 @@ fn skew_pool(work_stealing: bool) -> (ShardPool, Arc<Metrics>) {
             shards: SHARDS,
             arrays_per_shard: 1,
             queue_depth: SESSIONS as usize,
-            cache_capacity: 8,
             placement: PlacementPolicy::Static,
             work_stealing,
             steal_threshold: 2,
@@ -81,7 +80,6 @@ fn mixed_pool(placement: PlacementPolicy) -> (ShardPool, Arc<Metrics>) {
             shards: 2,
             arrays_per_shard: 1,
             queue_depth: 64,
-            cache_capacity: 8,
             placement,
             work_stealing: false,
             ..EngineConfig::default()

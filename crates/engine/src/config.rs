@@ -22,17 +22,6 @@ pub struct RecoveryPolicy {
     /// Times a crashed session is re-dispatched to a restarted shard
     /// before it is dead-lettered.
     pub max_session_attempts: u32,
-    /// Extra array cycles granted to a configuration that has fired
-    /// nothing before the watchdog declares it wedged and forces an
-    /// unload + reload.
-    pub watchdog_budget: u64,
-    /// When enabled, an activation arriving while another resident's bus
-    /// load is still streaming preempts that load at a word boundary
-    /// (checkpointing its cursor) and resumes it afterwards — the
-    /// activation is the earliest-deadline work on the array, the
-    /// in-flight prefetch is speculative. Default **off** so golden
-    /// suites pin the seed (run-to-completion) bus schedule.
-    pub preempt_loads: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -40,8 +29,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_kernel_attempts: 3,
             max_session_attempts: 3,
-            watchdog_budget: 2_000,
-            preempt_loads: false,
         }
     }
 }
@@ -57,17 +44,8 @@ pub struct EngineConfig {
     /// each group runs back-to-back on an array where its configuration
     /// is already resident.
     pub arrays_per_shard: usize,
-    /// Gang-routing saturation threshold, in array cycles: a hot kernel
-    /// is replicated onto an additional member once the busiest of its
-    /// warm members is this many cycles ahead of the idlest member.
-    /// Smaller values spread hot kernels sooner (more parallel headroom,
-    /// more configuration-bus traffic); larger values amortise harder.
-    pub replicate_after_cycles: u64,
     /// Bounded depth of each shard's submission queue.
     pub queue_depth: usize,
-    /// Compiled configurations the process-wide store may hold (shared by
-    /// every worker).
-    pub cache_capacity: usize,
     /// Start every worker paused (deterministic backpressure tests);
     /// resume with [`ShardPool::resume`](crate::ShardPool::resume).
     pub start_paused: bool,
@@ -75,8 +53,8 @@ pub struct EngineConfig {
     /// residency-affinity routing over the global
     /// [`ResidencyView`](crate::ResidencyView) (the default) or the seed's
     /// sticky `id % shards` hash (the golden oracle). With one shard the
-    /// two are identical; the front-end's virtual-time model mirrors the
-    /// affinity policy deterministically either way.
+    /// two are identical, and the front-end's virtual-time admission model
+    /// does not depend on it.
     pub placement: PlacementPolicy,
     /// Let a saturated shard expose its coldest pending batch for an
     /// idle shard to claim (the default with more than one shard). The
@@ -102,8 +80,7 @@ pub struct EngineConfig {
     /// Default off — the seed streams full loads and the golden suites
     /// pin both settings.
     pub delta_loading: bool,
-    /// Supervision tuning: kernel/session retry budgets, watchdog cycle
-    /// grant.
+    /// Supervision tuning: kernel/session retry budgets.
     pub recovery: RecoveryPolicy,
     /// Deterministic fault plan driven by one pool-wide injector shared
     /// across all shards (its load ordinal spans worker restarts). `None`
@@ -122,22 +99,6 @@ pub struct EngineConfig {
     /// `deadline + shed_lateness_cycles` is shed at admission instead of
     /// being materialised.
     pub shed_lateness_cycles: u64,
-    /// How far a `WouldBlock` bounce defers the parked deadline.
-    pub defer_cycles: u64,
-    /// Admission-model rescue policy: a fresh frame whose modeled
-    /// completion misses the shed budget on the least-loaded virtual
-    /// server is charged instead to the shard the model last homed its
-    /// standard on, and granted
-    /// [`rescue_lateness_cycles`](EngineConfig::rescue_lateness_cycles) of
-    /// extra grace — the reconfiguration tax a warm shard does not pay.
-    /// It decides *whether* the frame is admitted, nothing else: the
-    /// admitted frame is placed by the router like any other. Default
-    /// off: the seed admission model sheds outright.
-    pub rescue_migration: bool,
-    /// Extra modeled lateness a rescued frame may carry beyond
-    /// `shed_lateness_cycles` before it is shed anyway. Only read when
-    /// [`rescue_migration`](EngineConfig::rescue_migration) is on.
-    pub rescue_lateness_cycles: u64,
 }
 
 impl Default for EngineConfig {
@@ -145,9 +106,7 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 4,
             arrays_per_shard: 1,
-            replicate_after_cycles: 2_000,
             queue_depth: 32,
-            cache_capacity: 8,
             start_paused: false,
             placement: PlacementPolicy::default(),
             work_stealing: true,
@@ -159,9 +118,6 @@ impl Default for EngineConfig {
             max_resident: 64,
             parking_capacity: 0,
             shed_lateness_cycles: 2 * WCDMA_PERIOD_CYCLES,
-            defer_cycles: 1_000,
-            rescue_migration: false,
-            rescue_lateness_cycles: 6 * WCDMA_PERIOD_CYCLES,
         }
     }
 }

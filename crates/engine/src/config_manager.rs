@@ -50,8 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sdr_ofdm::xpp_map::OfdmKernel;
 use sdr_wcdma::xpp_map::WcdmaKernel;
 use xpp_array::{
-    Array, CompiledConfig, ConfigDelta, ConfigId, Error as XppError, LoadCheckpoint, Netlist,
-    Result as XppResult,
+    Array, CompiledConfig, ConfigDelta, ConfigId, Error as XppError, Netlist, Result as XppResult,
 };
 
 use crate::metrics::Metrics;
@@ -372,10 +371,6 @@ pub struct ConfigManager {
     store: Arc<ConfigStore>,
     resident: Vec<Resident>,
     metrics: Arc<Metrics>,
-    /// Preempt competing in-flight prefetch loads when an activation must
-    /// stream (policy-gated, default off — see
-    /// [`RecoveryPolicy::preempt_loads`](crate::pool::RecoveryPolicy)).
-    preempt_loads: bool,
     /// Stream word-level deltas instead of full loads when a resident
     /// overlaps the target (default off: the seed streams full loads and
     /// the golden suites pin both settings against each other).
@@ -389,21 +384,8 @@ impl ConfigManager {
             store,
             resident: Vec::new(),
             metrics,
-            preempt_loads: false,
             delta_loading: false,
         }
-    }
-
-    /// Enables or disables load preemption: when on, an
-    /// [`activate`](ConfigManager::activate) that must wait on the bus
-    /// first pulls every *other* resident's in-flight load off it, then
-    /// resumes them from their word-boundary checkpoints once the urgent
-    /// load completes. The activation carries the earliest deadline on
-    /// the array (EDF dispatch chose it), so speculative prefetch traffic
-    /// must not make it wait. Off by default: the seed bus schedule runs
-    /// loads to completion and the golden suites pin it.
-    pub fn set_preempt_loads(&mut self, enabled: bool) {
-        self.preempt_loads = enabled;
     }
 
     /// Enables or disables differential loading: when on, an activation
@@ -485,13 +467,8 @@ impl ConfigManager {
                     // Prefetch hit: the bus may still be streaming; pay
                     // only what the overlap didn't already hide. A faulted
                     // load was disposed of inside finish_load — drop the
-                    // entry and surface the error. Competing prefetches
-                    // queued ahead are preempted (policy-gated) so this
-                    // activation pays only its *own* residue.
-                    let parked = self.preempt_competing_loads(array, entry.id);
-                    let finished = Self::finish_load(array, entry.id, &self.metrics);
-                    self.resume_preempted(array, parked);
-                    finished?;
+                    // entry and surface the error.
+                    Self::finish_load(array, entry.id, &self.metrics)?;
                     entry.state = CmState::Active;
                     Metrics::incr(&self.metrics.prefetch_hits);
                 }
@@ -501,15 +478,7 @@ impl ConfigManager {
             return Ok(id);
         }
 
-        let (compiled, lookup) = self.store.get_or_compile(&name, || spec.build());
-        Metrics::incr(if lookup.hit {
-            &self.metrics.cache_hits
-        } else {
-            &self.metrics.cache_misses
-        });
-        if lookup.evicted {
-            Metrics::incr(&self.metrics.cache_evictions);
-        }
+        let compiled = self.lookup(&name, spec);
 
         // Delta tier: swap through the active resident whose word stream
         // overlaps the target most, streaming only the changed words.
@@ -528,10 +497,7 @@ impl ConfigManager {
         }
 
         let id = self.place_with_eviction(array, &compiled)?;
-        let parked = self.preempt_competing_loads(array, id);
-        let finished = Self::finish_load(array, id, &self.metrics);
-        self.resume_preempted(array, parked);
-        finished?;
+        Self::finish_load(array, id, &self.metrics)?;
         Metrics::add(&self.metrics.config_words_demand, compiled.load_cycles());
         let fire_mark = array.config_fire_count(id);
         self.resident.push(Resident {
@@ -542,6 +508,21 @@ impl ConfigManager {
             compiled,
         });
         Ok(id)
+    }
+
+    /// Resolves `spec` through the shared store (compiling on a miss) and
+    /// counts the lookup.
+    fn lookup(&self, name: &str, spec: &KernelSpec) -> Arc<CompiledConfig> {
+        let (compiled, lookup) = self.store.get_or_compile(name, || spec.build());
+        Metrics::incr(if lookup.hit {
+            &self.metrics.cache_hits
+        } else {
+            &self.metrics.cache_misses
+        });
+        if lookup.evicted {
+            Metrics::incr(&self.metrics.cache_evictions);
+        }
+        compiled
     }
 
     /// The demand-path delta tier: picks the running resident whose word
@@ -564,26 +545,36 @@ impl ConfigManager {
         let Some((pos, delta)) = self.cheapest_delta_victim(array, target, |_, _| true) else {
             return Ok(None);
         };
+        let Some(id) = self.swap_through(array, target, pos, &delta)? else {
+            return Ok(None);
+        };
+        Self::finish_load(array, id, &self.metrics)?;
+        Metrics::incr(&self.metrics.delta_loads);
+        Metrics::add(&self.metrics.delta_words_saved, delta.words_saved());
+        Metrics::add(&self.metrics.config_words_demand, delta.words());
+        Ok(Some(id))
+    }
+
+    /// Consumes the resident at `pos` as the source of a delta load of
+    /// `target`. Returns `Ok(None)` — with the victim back where it was,
+    /// still resident and running — when the array rejects the swap, so
+    /// the caller falls through to its full-load path.
+    fn swap_through(
+        &mut self,
+        array: &mut Array,
+        target: &CompiledConfig,
+        pos: usize,
+        delta: &ConfigDelta,
+    ) -> XppResult<Option<ConfigId>> {
         let victim = self.resident.remove(pos);
         // The victim is unloaded *inside* `configure_delta`; its injected
         // fault record must be surfaced first (disposal counts it as
         // detected + recovered exactly once) or it would vanish with the
         // unload and the fault ledger would undercount.
         Self::surface_fault(array, victim.id, &self.metrics);
-        match array.configure_delta_prediffed(victim.id, target, &delta) {
-            Ok(id) => {
-                let parked = self.preempt_competing_loads(array, id);
-                let finished = Self::finish_load(array, id, &self.metrics);
-                self.resume_preempted(array, parked);
-                finished?;
-                Metrics::incr(&self.metrics.delta_loads);
-                Metrics::add(&self.metrics.delta_words_saved, delta.words_saved());
-                Metrics::add(&self.metrics.config_words_demand, delta.words());
-                Ok(Some(id))
-            }
+        match array.configure_delta_prediffed(victim.id, target, delta) {
+            Ok(id) => Ok(Some(id)),
             Err(XppError::PlacementFailed { .. } | XppError::DeltaSourceNotRunning { .. }) => {
-                // The rejected delta left the victim resident and running;
-                // put it back where it was and fall through to full load.
                 self.resident.insert(pos, victim);
                 Ok(None)
             }
@@ -656,15 +647,7 @@ impl ConfigManager {
         if self.is_resident(&name) {
             return Ok(false);
         }
-        let (compiled, lookup) = self.store.get_or_compile(&name, || spec.build());
-        Metrics::incr(if lookup.hit {
-            &self.metrics.cache_hits
-        } else {
-            &self.metrics.cache_misses
-        });
-        if lookup.evicted {
-            Metrics::incr(&self.metrics.cache_evictions);
-        }
+        let compiled = self.lookup(&name, spec);
         let mut via_delta: Option<Arc<ConfigDelta>> = None;
         let id = loop {
             match array.configure_compiled(&compiled) {
@@ -733,20 +716,12 @@ impl ConfigManager {
         }) else {
             return Ok(None);
         };
-        let victim = self.resident.remove(pos);
-        Self::surface_fault(array, victim.id, &self.metrics);
-        match array.configure_delta_prediffed(victim.id, target, &delta) {
-            Ok(id) => {
-                Metrics::incr(&self.metrics.prefetch_spills);
-                Metrics::incr(&self.metrics.cache_evictions);
-                Ok(Some((id, delta)))
-            }
-            Err(XppError::PlacementFailed { .. } | XppError::DeltaSourceNotRunning { .. }) => {
-                self.resident.insert(pos, victim);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
+        let Some(id) = self.swap_through(array, target, pos, &delta)? else {
+            return Ok(None);
+        };
+        Metrics::incr(&self.metrics.prefetch_spills);
+        Metrics::incr(&self.metrics.cache_evictions);
+        Ok(Some((id, delta)))
     }
 
     /// Evicts the least-recently-used *quiescent* resident to make room
@@ -811,40 +786,6 @@ impl ConfigManager {
                     Metrics::incr(&self.metrics.cache_evictions);
                 }
                 Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Pulls every *other* resident's in-flight bus load off the serial
-    /// bus so `urgent` streams next, returning the word-boundary
-    /// checkpoints to resume afterwards. A no-op (empty vec) unless
-    /// [`set_preempt_loads`](ConfigManager::set_preempt_loads) enabled
-    /// preemption. Preempted loads keep their resources and their frozen
-    /// cursor; their fault-injection records stay armed (the ordinal was
-    /// consumed at configure time and keeps counting across the seam).
-    fn preempt_competing_loads(&self, array: &mut Array, urgent: ConfigId) -> Vec<LoadCheckpoint> {
-        if !self.preempt_loads {
-            return Vec::new();
-        }
-        let mut parked = Vec::new();
-        for r in &self.resident {
-            if r.id != urgent && r.state == CmState::Loading && array.is_load_in_flight(r.id) {
-                if let Ok(ckpt) = array.preempt_load(r.id) {
-                    Metrics::incr(&self.metrics.loads_preempted);
-                    parked.push(ckpt);
-                }
-            }
-        }
-        parked
-    }
-
-    /// Re-queues preempted loads in their original bus order. Resuming
-    /// never re-streams completed words, so word and energy accounting
-    /// stay exactly what an uninterrupted load would have charged.
-    fn resume_preempted(&self, array: &mut Array, parked: Vec<LoadCheckpoint>) {
-        for ckpt in parked {
-            if array.resume_load(&ckpt).is_ok() {
-                Metrics::incr(&self.metrics.loads_resumed);
             }
         }
     }

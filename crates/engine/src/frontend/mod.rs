@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::config::EngineConfig;
-use crate::metrics::{Metrics, Snapshot};
+use crate::metrics::{ratio, Metrics, Snapshot};
 use crate::pool::ShardPool;
 use crate::session::{
     ParkedSession, Session, SessionState, Standard, OFDM_JOB_CYCLES, WCDMA_JOB_CYCLES,
@@ -65,6 +65,10 @@ use parking::ParkingLot;
 /// Pipeline steps per session (capture → detect/search → demod/track).
 const STEPS_PER_SESSION: u64 = 3;
 
+/// How far a `WouldBlock` bounce defers the parked deadline, in array
+/// cycles.
+const DEFER_CYCLES: u64 = 1_000;
+
 /// Modeled service demand of one full W-CDMA frame in array cycles.
 pub const WCDMA_SERVICE_CYCLES: u64 = STEPS_PER_SESSION * WCDMA_JOB_CYCLES;
 /// Modeled service demand of one full OFDM frame in array cycles.
@@ -74,14 +78,6 @@ fn service_cycles(standard: Standard) -> u64 {
     match standard {
         Standard::Wcdma => WCDMA_SERVICE_CYCLES,
         Standard::Ofdm => OFDM_SERVICE_CYCLES,
-    }
-}
-
-/// Index of a standard in the model's per-standard home-shard table.
-fn std_index(standard: Standard) -> usize {
-    match standard {
-        Standard::Wcdma => 0,
-        Standard::Ofdm => 1,
     }
 }
 
@@ -127,12 +123,7 @@ impl ScaleSummary {
 
     /// Fraction of offered frames shed at admission.
     pub fn shed_rate(&self) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            self.shed.len() as f64 / offered as f64
-        }
+        ratio(self.shed.len() as u64, self.offered())
     }
 
     /// The slack that 99 % of admitted frames meet or beat (the
@@ -171,17 +162,9 @@ pub struct Frontend {
     // between passes so a bounce allocates nothing of its own.
     bounced: Vec<ParkedSession>,
     metrics: Arc<Metrics>,
-    // Virtual-time queueing model: one entry per array (grouped
-    // contiguously into shards of `arrays_per_shard` servers), the cycle
-    // at which that virtual server frees up.
+    // Virtual-time queueing model: one entry per array, the cycle at
+    // which that virtual server frees up.
     free_at: Vec<u64>,
-    // The model's own deterministic residency: the shard each standard's
-    // frames last landed on (indexed by `std_index`). The live router
-    // reads the racy published view; the model mirrors the affinity
-    // *policy* with this pure state instead, so seeded runs stay
-    // bit-deterministic.
-    home_shard: [Option<usize>; 2],
-    vnow: u64,
     // Modeled completion cycle per in-progress frame (terminal id →
     // virtual completion); survives backpressure re-parks. Ids need not
     // be unique (a closed loop re-admits the same terminal): two frames
@@ -222,8 +205,6 @@ impl Frontend {
             bounced: Vec::new(),
             metrics,
             free_at: vec![0; config.shards * config.arrays_per_shard],
-            home_shard: [None; 2],
-            vnow: 0,
             vcomp: HashMap::new(),
             config,
             frames_completed: 0,
@@ -384,7 +365,7 @@ impl Frontend {
         };
         // Only non-terminal sessions are submitted, and those always park.
         let mut record = bounced.park()?;
-        record.defer(self.config.defer_cycles);
+        record.defer(DEFER_CYCLES);
         Metrics::incr(&self.metrics.backpressure_parks);
         Some(record)
     }
@@ -405,27 +386,19 @@ impl Frontend {
                 break;
             };
             if record.is_fresh() {
-                let arrival = record.arrival();
-                self.vnow = self.vnow.max(arrival);
-                let (server, free) = self.pick_server(record.standard());
-                let start = free.max(arrival);
+                // Least-loaded virtual server, lowest index on a tie.
+                let server = (0..self.free_at.len())
+                    .min_by_key(|&i| self.free_at[i])
+                    .unwrap_or(0);
+                let start = self.free_at[server].max(record.arrival());
                 let completes = start + service_cycles(record.standard());
                 let lateness = completes.saturating_sub(record.deadline());
-                let admitted = if lateness <= self.config.shed_lateness_cycles {
-                    self.home_shard[std_index(record.standard())] =
-                        Some(server / self.config.arrays_per_shard);
-                    Some((server, completes))
-                } else {
-                    // Over the shed budget on the least-loaded server:
-                    // rescue what's cheap to move before dropping it.
-                    self.try_rescue(&record, arrival)
-                };
-                let Some((server, completes)) = admitted else {
+                if lateness > self.config.shed_lateness_cycles {
                     Metrics::incr(&self.metrics.sessions_shed);
                     self.shed.push(record.id());
                     progress += 1;
                     continue;
-                };
+                }
                 self.free_at[server] = completes;
                 self.slack_cycles
                     .push(record.deadline() as i64 - completes as i64);
@@ -443,50 +416,6 @@ impl Frontend {
             self.lot.park(record);
         }
         progress
-    }
-
-    /// Least-loaded virtual server, tie-broken toward the standard's
-    /// model-home shard — the model's deterministic mirror of the live
-    /// affinity router. Only servers already free at the *global* minimum
-    /// are candidates, so whichever is picked the `free_at` multiset (and
-    /// therefore every slack and shed decision) evolves exactly as under
-    /// plain least-loaded routing; the tie-break only names which shard's
-    /// server absorbs the frame.
-    fn pick_server(&self, standard: Standard) -> (usize, u64) {
-        let min_free = self.free_at.iter().copied().min().unwrap_or(0);
-        let home = self.home_shard[std_index(standard)];
-        let server = (0..self.free_at.len())
-            .filter(|&i| self.free_at[i] == min_free)
-            .min_by_key(|&i| (Some(i / self.config.arrays_per_shard) != home, i))
-            .unwrap_or(0);
-        (server, min_free)
-    }
-
-    /// The admission model's rescue policy: a fresh frame whose modeled
-    /// completion misses the shed budget is charged to the shard the model
-    /// last homed its standard on (`home_shard`) instead of the
-    /// least-loaded server. Because a warm shard runs the frame with zero
-    /// configuration-bus traffic, the rescue grants it
-    /// `rescue_lateness_cycles` of extra modeled grace; a frame late even
-    /// then is genuinely hopeless and sheds. This only decides admission:
-    /// the admitted frame is placed by the router like any other. Returns
-    /// the chosen server and its modeled completion, or `None` when no
-    /// rescue applies (policy off, no warm home yet, or still too late).
-    fn try_rescue(&self, record: &ParkedSession, arrival: u64) -> Option<(usize, u64)> {
-        if !self.config.rescue_migration {
-            return None;
-        }
-        let home = self.home_shard[std_index(record.standard())]?;
-        let base = home * self.config.arrays_per_shard;
-        let gang = base..(base + self.config.arrays_per_shard).min(self.free_at.len());
-        let server = gang.min_by_key(|&i| (self.free_at[i], i))?;
-        let completes = self.free_at[server].max(arrival) + service_cycles(record.standard());
-        let lateness = completes.saturating_sub(record.deadline());
-        if lateness > self.config.shed_lateness_cycles + self.config.rescue_lateness_cycles {
-            return None;
-        }
-        Metrics::incr(&self.metrics.deadline_rescues);
-        Some((server, completes))
     }
 
     fn update_gauges(&mut self) {

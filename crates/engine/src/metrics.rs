@@ -56,158 +56,185 @@ impl KernelKind {
     }
 }
 
-/// The engine's shared counter registry.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// Declares every plain counter once: the [`Metrics`] field, the
+/// [`Snapshot`] field of the same name (and doc comment) and its copy line
+/// in [`Metrics::snapshot`] are all generated from this one list.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
+        /// The engine's shared counter registry.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            /// Array execution cycles per kernel class.
+            kernel_cycles: [AtomicU64; KERNEL_KINDS],
+            /// Jobs per kernel class.
+            kernel_jobs: [AtomicU64; KERNEL_KINDS],
+            /// Object fires per kernel class (the array's per-configuration
+            /// fire counters, so cycles ÷ fires exposes each kernel's
+            /// datapath occupancy).
+            kernel_fires: [AtomicU64; KERNEL_KINDS],
+            /// Callbacks run at the top of [`Metrics::snapshot`] so
+            /// lazily-synced counters (e.g. the pool's fault-injection
+            /// ledger) are always current in a report — no manual sync call
+            /// to forget.
+            sync_hooks: SyncHooks,
+        }
+
+        /// A point-in-time copy of the registry, cheap to pass around and
+        /// print.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct Snapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Array cycles per kernel class (indexed by [`KernelKind::index`]).
+            pub kernel_cycles: [u64; KERNEL_KINDS],
+            /// Jobs per kernel class (indexed by [`KernelKind::index`]).
+            pub kernel_jobs: [u64; KERNEL_KINDS],
+            /// Object fires per kernel class (indexed by [`KernelKind::index`]).
+            pub kernel_fires: [u64; KERNEL_KINDS],
+        }
+
+        impl Metrics {
+            /// Takes a point-in-time snapshot of every counter, running any
+            /// registered sync hooks first.
+            pub fn snapshot(&self) -> Snapshot {
+                self.run_sync_hooks();
+                let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                Snapshot {
+                    $($name: load(&self.$name),)*
+                    kernel_cycles: std::array::from_fn(|i| load(&self.kernel_cycles[i])),
+                    kernel_jobs: std::array::from_fn(|i| load(&self.kernel_jobs[i])),
+                    kernel_fires: std::array::from_fn(|i| load(&self.kernel_fires[i])),
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Sessions admitted to the engine.
-    pub sessions_started: AtomicU64,
+    sessions_started,
     /// Sessions that reached [`Done`](crate::session::SessionState::Done).
-    pub sessions_completed: AtomicU64,
+    sessions_completed,
     /// Sessions that reached a failure state.
-    pub sessions_failed: AtomicU64,
+    sessions_failed,
     /// Jobs executed by workers.
-    pub jobs_run: AtomicU64,
+    jobs_run,
     /// Submissions rejected with `WouldBlock` (shard queue full).
-    pub jobs_rejected: AtomicU64,
+    jobs_rejected,
     /// Runtime reconfigurations (a configuration unloaded and another
     /// loaded in its place, as in the paper's Fig. 10 swap).
-    pub reconfigurations: AtomicU64,
+    reconfigurations,
     /// Configuration-cache hits (netlist served without a rebuild).
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Configuration-cache misses (netlist built and placed).
-    pub cache_misses: AtomicU64,
+    cache_misses,
     /// Configurations evicted from a worker's cache.
-    pub cache_evictions: AtomicU64,
+    cache_evictions,
     /// Speculative configuration loads issued ahead of need.
-    pub prefetches: AtomicU64,
+    prefetches,
     /// Activations served from a prefetched (pre-placed, pre-streamed)
     /// configuration — the swap paid only residual activation.
-    pub prefetch_hits: AtomicU64,
+    prefetch_hits,
     /// Array cycles sessions actually waited on reconfiguration swaps
     /// (a prefetched swap contributes ~0 here).
-    pub reconfig_cycles: AtomicU64,
+    reconfig_cycles,
     /// High-water mark of any shard's queue depth.
-    pub queue_high_water: AtomicU64,
+    queue_high_water,
     /// Configuration-bus cycles spent loading configurations.
-    pub config_bus_cycles: AtomicU64,
+    config_bus_cycles,
     /// Configuration words streamed for demand (cold or store-hit)
     /// activations — energy the session waited for.
-    pub config_words_demand: AtomicU64,
+    config_words_demand,
     /// Configuration words streamed for prefetched loads — the same bus
     /// energy, but hidden behind useful work.
-    pub config_words_prefetched: AtomicU64,
+    config_words_prefetched,
     /// Faults injected by an attached fault plan (0 without one).
-    pub faults_injected: AtomicU64,
+    faults_injected,
     /// Faults the recovery layer detected and surfaced (typed load errors,
     /// cleared stall records, caught worker panics).
-    pub faults_detected: AtomicU64,
+    faults_detected,
     /// Recovery actions taken: kernel reload retries, watchdog reloads and
     /// crashed-session re-dispatches.
-    pub recoveries: AtomicU64,
+    recoveries,
     /// Zero-fire configurations the watchdog forced out (unload +
     /// re-activate from the store).
-    pub watchdog_kicks: AtomicU64,
+    watchdog_kicks,
     /// Crashed sessions re-dispatched to a restarted shard.
-    pub session_retries: AtomicU64,
+    session_retries,
     /// Worker shards restarted with a fresh array after a panic.
-    pub worker_restarts: AtomicU64,
+    worker_restarts,
     /// Sessions dead-lettered after exhausting their retry budget.
-    pub dead_letters: AtomicU64,
+    dead_letters,
     /// Sessions shed under admission pressure (EDF-lowest first).
-    pub sessions_shed: AtomicU64,
-    /// In-flight configuration-bus loads pulled off the bus at a word
-    /// boundary so an earlier-deadline activation could stream first
-    /// (policy-gated; see `RecoveryPolicy::preempt_loads`).
-    pub loads_preempted: AtomicU64,
-    /// Preempted loads re-queued from their word-boundary checkpoint —
-    /// only the residue streams, nothing is re-sent.
-    pub loads_resumed: AtomicU64,
-    /// Deadline sheds avoided by the admission model's rescue policy: a
-    /// warm-home admission it would otherwise have dropped.
-    pub deadline_rescues: AtomicU64,
+    sessions_shed,
     /// Sessions currently parked in the front-end's parking lot
     /// (a gauge: set with [`Metrics::set`], not accumulated).
-    pub sessions_parked: AtomicU64,
+    sessions_parked,
     /// High-water mark of resident sessions (parked records plus
     /// materialised in-flight sessions) — the front-end's headline
     /// capacity number.
-    pub peak_resident_sessions: AtomicU64,
+    peak_resident_sessions,
     /// Parked records rehydrated into full sessions (frame/slot arrivals
     /// plus backpressure re-tries).
-    pub rehydrations: AtomicU64,
+    rehydrations,
     /// Sessions parked instead of blocking a submitter thread when their
     /// shard queue was full (`WouldBlock` backpressure).
-    pub backpressure_parks: AtomicU64,
+    backpressure_parks,
     /// Batches formed by the gang dispatcher (one per kernel group per
     /// dispatch round; a gang of 1 never batches, so this stays 0 on the
     /// seed path).
-    pub batches_dispatched: AtomicU64,
+    batches_dispatched,
     /// Sessions dispatched through batches (`batch_sessions ÷
     /// batches_dispatched` is the mean batch size).
-    pub batch_sessions: AtomicU64,
+    batch_sessions,
     /// Batches routed to an array where the kernel was already resident —
     /// zero configuration-bus traffic for the whole batch.
-    pub batch_warm_hits: AtomicU64,
+    batch_warm_hits,
     /// Times the router replicated a hot kernel onto an additional gang
     /// member to spread a saturated batch stream.
-    pub batch_replications: AtomicU64,
+    batch_replications,
     /// Quiescent residents evicted by a spill-aware prefetch (instead of
     /// soft-failing the prefetch).
-    pub prefetch_spills: AtomicU64,
+    prefetch_spills,
     /// Activations (or squeezed prefetches) served by the delta tier:
     /// only the word difference against an overlapping resident streamed,
     /// instead of the full configuration.
-    pub delta_loads: AtomicU64,
+    delta_loads,
     /// Configuration-bus words the delta tier did *not* stream because
     /// they were already resident on the array (full load minus delta, per
     /// delta load).
-    pub delta_words_saved: AtomicU64,
+    delta_words_saved,
     /// Total array cycles stepped by pool workers (all gang members).
-    pub array_cycles_run: AtomicU64,
+    array_cycles_run,
     /// Configuration words streamed over every worker array's bus
     /// (per-array [`xpp_array::ArrayStats::config_words`], summed).
-    pub config_words_streamed: AtomicU64,
+    config_words_streamed,
     /// High-water mark of any single gang member's total array cycles —
     /// the modeled-platform makespan when members run in parallel.
-    pub array_makespan_cycles: AtomicU64,
+    array_makespan_cycles,
     /// Entries of a configuration into dense stepping on a worker array
     /// (see [`xpp_array::ScheduleStats`]; this and the next two keep the
     /// names the benchmark reads).
-    pub schedules_captured: AtomicU64,
+    schedules_captured,
     /// Array cycles served by the dense stepper instead of the ready list
     /// (`schedule_replay_cycles ÷ array_cycles_run` is the dense share).
-    pub schedule_replay_cycles: AtomicU64,
+    schedule_replay_cycles,
     /// Exits of a configuration from dense stepping (ran dry, turned
     /// sparse, unloaded).
-    pub schedule_invalidations: AtomicU64,
+    schedule_invalidations,
     /// Submissions the affinity router placed on the shard already
     /// holding their next kernel.
-    pub router_affinity_hits: AtomicU64,
+    router_affinity_hits,
     /// Submissions the router fell back to least-loaded placement for
     /// (host-only steps, cold kernels, full affinity targets).
-    pub router_fallbacks: AtomicU64,
+    router_fallbacks,
     /// Pending batches claimed cross-shard from a saturated victim.
-    pub batches_stolen: AtomicU64,
+    batches_stolen,
     /// Sessions that moved shards through stolen batches.
-    pub steal_sessions: AtomicU64,
+    steal_sessions,
     /// Residency-view snapshots published by shard loops (generation
     /// bumps across all shards).
-    pub residency_view_refreshes: AtomicU64,
-    /// Replications triggered under the rebalance bias (a shard whose
-    /// residency misses dominate halves its replication threshold).
-    pub rebalance_replications: AtomicU64,
-    /// Array execution cycles per kernel class.
-    kernel_cycles: [AtomicU64; KERNEL_KINDS],
-    /// Jobs per kernel class.
-    kernel_jobs: [AtomicU64; KERNEL_KINDS],
-    /// Object fires per kernel class (the array's per-configuration fire
-    /// counters, so cycles ÷ fires exposes each kernel's datapath
-    /// occupancy).
-    kernel_fires: [AtomicU64; KERNEL_KINDS],
-    /// Callbacks run at the top of [`Metrics::snapshot`] so lazily-synced
-    /// counters (e.g. the pool's fault-injection ledger) are always current
-    /// in a report — no manual sync call to forget.
-    sync_hooks: SyncHooks,
+    residency_view_refreshes,
 }
 
 /// A snapshot-time sync callback (see [`Metrics::register_sync`]).
@@ -274,198 +301,31 @@ impl Metrics {
             .push(Box::new(hook));
     }
 
-    /// Takes a point-in-time snapshot of every counter, running any
-    /// registered sync hooks first.
-    pub fn snapshot(&self) -> Snapshot {
-        {
-            let hooks = self
-                .sync_hooks
-                .0
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for hook in hooks.iter() {
-                hook(self);
-            }
-        }
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        Snapshot {
-            sessions_started: load(&self.sessions_started),
-            sessions_completed: load(&self.sessions_completed),
-            sessions_failed: load(&self.sessions_failed),
-            jobs_run: load(&self.jobs_run),
-            jobs_rejected: load(&self.jobs_rejected),
-            reconfigurations: load(&self.reconfigurations),
-            cache_hits: load(&self.cache_hits),
-            cache_misses: load(&self.cache_misses),
-            cache_evictions: load(&self.cache_evictions),
-            prefetches: load(&self.prefetches),
-            prefetch_hits: load(&self.prefetch_hits),
-            reconfig_cycles: load(&self.reconfig_cycles),
-            queue_high_water: load(&self.queue_high_water),
-            config_bus_cycles: load(&self.config_bus_cycles),
-            config_words_demand: load(&self.config_words_demand),
-            config_words_prefetched: load(&self.config_words_prefetched),
-            faults_injected: load(&self.faults_injected),
-            faults_detected: load(&self.faults_detected),
-            recoveries: load(&self.recoveries),
-            watchdog_kicks: load(&self.watchdog_kicks),
-            session_retries: load(&self.session_retries),
-            worker_restarts: load(&self.worker_restarts),
-            dead_letters: load(&self.dead_letters),
-            sessions_shed: load(&self.sessions_shed),
-            loads_preempted: load(&self.loads_preempted),
-            loads_resumed: load(&self.loads_resumed),
-            deadline_rescues: load(&self.deadline_rescues),
-            sessions_parked: load(&self.sessions_parked),
-            peak_resident_sessions: load(&self.peak_resident_sessions),
-            rehydrations: load(&self.rehydrations),
-            backpressure_parks: load(&self.backpressure_parks),
-            batches_dispatched: load(&self.batches_dispatched),
-            batch_sessions: load(&self.batch_sessions),
-            batch_warm_hits: load(&self.batch_warm_hits),
-            batch_replications: load(&self.batch_replications),
-            prefetch_spills: load(&self.prefetch_spills),
-            delta_loads: load(&self.delta_loads),
-            delta_words_saved: load(&self.delta_words_saved),
-            array_cycles_run: load(&self.array_cycles_run),
-            config_words_streamed: load(&self.config_words_streamed),
-            array_makespan_cycles: load(&self.array_makespan_cycles),
-            schedules_captured: load(&self.schedules_captured),
-            schedule_replay_cycles: load(&self.schedule_replay_cycles),
-            schedule_invalidations: load(&self.schedule_invalidations),
-            router_affinity_hits: load(&self.router_affinity_hits),
-            router_fallbacks: load(&self.router_fallbacks),
-            batches_stolen: load(&self.batches_stolen),
-            steal_sessions: load(&self.steal_sessions),
-            residency_view_refreshes: load(&self.residency_view_refreshes),
-            rebalance_replications: load(&self.rebalance_replications),
-            kernel_cycles: std::array::from_fn(|i| load(&self.kernel_cycles[i])),
-            kernel_jobs: std::array::from_fn(|i| load(&self.kernel_jobs[i])),
-            kernel_fires: std::array::from_fn(|i| load(&self.kernel_fires[i])),
+    fn run_sync_hooks(&self) {
+        let hooks = self
+            .sync_hooks
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for hook in hooks.iter() {
+            hook(self);
         }
     }
 }
 
-/// A point-in-time copy of the registry, cheap to pass around and print.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Snapshot {
-    /// Sessions admitted.
-    pub sessions_started: u64,
-    /// Sessions completed.
-    pub sessions_completed: u64,
-    /// Sessions failed.
-    pub sessions_failed: u64,
-    /// Jobs executed.
-    pub jobs_run: u64,
-    /// Submissions rejected with `WouldBlock`.
-    pub jobs_rejected: u64,
-    /// Runtime reconfigurations.
-    pub reconfigurations: u64,
-    /// Configuration-cache hits.
-    pub cache_hits: u64,
-    /// Configuration-cache misses.
-    pub cache_misses: u64,
-    /// Configuration-cache evictions.
-    pub cache_evictions: u64,
-    /// Speculative configuration loads issued.
-    pub prefetches: u64,
-    /// Activations served from a prefetched configuration.
-    pub prefetch_hits: u64,
-    /// Array cycles spent waiting on reconfiguration swaps.
-    pub reconfig_cycles: u64,
-    /// Deepest observed shard queue.
-    pub queue_high_water: u64,
-    /// Configuration-bus cycles.
-    pub config_bus_cycles: u64,
-    /// Configuration words streamed for demand activations.
-    pub config_words_demand: u64,
-    /// Configuration words streamed for prefetched loads.
-    pub config_words_prefetched: u64,
-    /// Faults injected by an attached fault plan.
-    pub faults_injected: u64,
-    /// Faults detected and surfaced by the recovery layer.
-    pub faults_detected: u64,
-    /// Recovery actions taken.
-    pub recoveries: u64,
-    /// Watchdog-forced unload + re-activate cycles.
-    pub watchdog_kicks: u64,
-    /// Crashed sessions re-dispatched.
-    pub session_retries: u64,
-    /// Worker shards restarted after a panic.
-    pub worker_restarts: u64,
-    /// Sessions dead-lettered after exhausting retries.
-    pub dead_letters: u64,
-    /// Sessions shed under admission pressure.
-    pub sessions_shed: u64,
-    /// In-flight bus loads preempted for an earlier-deadline activation.
-    pub loads_preempted: u64,
-    /// Preempted loads resumed from their word-boundary checkpoint.
-    pub loads_resumed: u64,
-    /// Deadline sheds avoided by rescue (warm-home admission).
-    pub deadline_rescues: u64,
-    /// Sessions currently parked in the front-end's parking lot (gauge).
-    pub sessions_parked: u64,
-    /// High-water mark of resident sessions (parked + materialised).
-    pub peak_resident_sessions: u64,
-    /// Parked records rehydrated into full sessions.
-    pub rehydrations: u64,
-    /// Sessions parked instead of blocking on a full shard queue.
-    pub backpressure_parks: u64,
-    /// Batches formed by the gang dispatcher.
-    pub batches_dispatched: u64,
-    /// Sessions dispatched through batches.
-    pub batch_sessions: u64,
-    /// Batches that routed entirely to a warm (already-resident) array.
-    pub batch_warm_hits: u64,
-    /// Hot-kernel replications onto additional gang members.
-    pub batch_replications: u64,
-    /// Quiescent residents evicted by a spill-aware prefetch.
-    pub prefetch_spills: u64,
-    /// Activations/prefetches served by the delta tier.
-    pub delta_loads: u64,
-    /// Configuration-bus words the delta tier avoided streaming.
-    pub delta_words_saved: u64,
-    /// Total array cycles stepped by pool workers.
-    pub array_cycles_run: u64,
-    /// Configuration words streamed over every worker array's bus.
-    pub config_words_streamed: u64,
-    /// High-water mark of a single gang member's total array cycles.
-    pub array_makespan_cycles: u64,
-    /// Entries of a configuration into dense stepping.
-    pub schedules_captured: u64,
-    /// Array cycles served by the dense stepper.
-    pub schedule_replay_cycles: u64,
-    /// Exits of a configuration from dense stepping.
-    pub schedule_invalidations: u64,
-    /// Submissions the affinity router placed on the holding shard.
-    pub router_affinity_hits: u64,
-    /// Submissions routed by the least-loaded fallback.
-    pub router_fallbacks: u64,
-    /// Pending batches claimed cross-shard.
-    pub batches_stolen: u64,
-    /// Sessions that moved shards through stolen batches.
-    pub steal_sessions: u64,
-    /// Residency-view snapshots published by shard loops.
-    pub residency_view_refreshes: u64,
-    /// Replications triggered under the rebalance bias.
-    pub rebalance_replications: u64,
-    /// Array cycles per kernel class (indexed by [`KernelKind::index`]).
-    pub kernel_cycles: [u64; KERNEL_KINDS],
-    /// Jobs per kernel class (indexed by [`KernelKind::index`]).
-    pub kernel_jobs: [u64; KERNEL_KINDS],
-    /// Object fires per kernel class (indexed by [`KernelKind::index`]).
-    pub kernel_fires: [u64; KERNEL_KINDS],
+/// `num / den`, or 0 when there is nothing to divide by.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
 impl Snapshot {
     /// Cache hit rate in `[0, 1]`, or 0 with no activations.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        ratio(self.cache_hits, self.cache_hits + self.cache_misses)
     }
 
     /// Total array cycles across all kernel classes.
@@ -475,11 +335,7 @@ impl Snapshot {
 
     /// Mean sessions per dispatched batch, or 0 with no batches.
     pub fn avg_batch_size(&self) -> f64 {
-        if self.batches_dispatched == 0 {
-            0.0
-        } else {
-            self.batch_sessions as f64 / self.batches_dispatched as f64
-        }
+        ratio(self.batch_sessions, self.batches_dispatched)
     }
 
     /// Fraction of worker-array cycles the configuration bus sat idle —
@@ -487,11 +343,9 @@ impl Snapshot {
     /// streams data with the bus near 100 % idle). 0 with no cycles run.
     pub fn bus_idle_ratio(&self) -> f64 {
         if self.array_cycles_run == 0 {
-            0.0
-        } else {
-            let busy = self.config_bus_cycles.min(self.array_cycles_run);
-            1.0 - busy as f64 / self.array_cycles_run as f64
+            return 0.0;
         }
+        1.0 - ratio(self.config_bus_cycles, self.array_cycles_run).min(1.0)
     }
 
     /// Total object fires across all kernel classes.
@@ -504,71 +358,37 @@ impl Snapshot {
     /// mean the arrays spend their cycles streaming bursts through full
     /// pipelines rather than filling, draining or waiting on the bus.
     pub fn replay_hit_ratio(&self) -> f64 {
-        if self.array_cycles_run == 0 {
-            0.0
-        } else {
-            let replayed = self.schedule_replay_cycles.min(self.array_cycles_run);
-            replayed as f64 / self.array_cycles_run as f64
-        }
+        ratio(self.schedule_replay_cycles, self.array_cycles_run).min(1.0)
     }
 
     /// Fraction of started sessions shed under admission pressure, in
     /// `[0, 1]` (0 with none started) — overload reporting wants the
     /// *rate*, not the raw count.
     pub fn shed_rate(&self) -> f64 {
-        if self.sessions_started == 0 {
-            0.0
-        } else {
-            self.sessions_shed as f64 / self.sessions_started as f64
-        }
+        ratio(self.sessions_shed, self.sessions_started)
     }
 
     /// Fraction of detected faults answered by a recovery action, in
     /// `[0, 1]` (0 with none detected; recoveries can exceed detections
     /// when retries stack, so the ratio is clamped to 1).
     pub fn rescue_rate(&self) -> f64 {
-        if self.faults_detected == 0 {
-            0.0
-        } else {
-            (self.recoveries as f64 / self.faults_detected as f64).min(1.0)
-        }
-    }
-
-    /// Fraction of shed candidates rescued instead of dropped, in
-    /// `[0, 1]` (0 with neither rescues nor sheds). Distinct from
-    /// [`rescue_rate`](Snapshot::rescue_rate), which is about fault
-    /// recovery: this one reports how often the admission model's rescue
-    /// policy (a warm-home admission) saved a frame it was about to
-    /// shed.
-    pub fn deadline_rescue_rate(&self) -> f64 {
-        let candidates = self.deadline_rescues + self.sessions_shed;
-        if candidates == 0 {
-            0.0
-        } else {
-            self.deadline_rescues as f64 / candidates as f64
-        }
+        ratio(self.recoveries, self.faults_detected).min(1.0)
     }
 
     /// Fraction of routed submissions the affinity router placed on the
     /// shard already holding their next kernel, in `[0, 1]` (0 with no
     /// routed submissions).
     pub fn affinity_hit_rate(&self) -> f64 {
-        let routed = self.router_affinity_hits + self.router_fallbacks;
-        if routed == 0 {
-            0.0
-        } else {
-            self.router_affinity_hits as f64 / routed as f64
-        }
+        ratio(
+            self.router_affinity_hits,
+            self.router_affinity_hits + self.router_fallbacks,
+        )
     }
 
     /// Fraction of executed jobs whose session arrived on its shard
     /// through a steal claim, in `[0, 1]` (0 with no jobs run).
     pub fn steal_rate(&self) -> f64 {
-        if self.jobs_run == 0 {
-            0.0
-        } else {
-            (self.steal_sessions as f64 / self.jobs_run as f64).min(1.0)
-        }
+        ratio(self.steal_sessions, self.jobs_run).min(1.0)
     }
 
     /// Fraction of would-be configuration-bus words the delta tier found
@@ -578,11 +398,7 @@ impl Snapshot {
     /// the delta tier's hit rate on the word stream.
     pub fn delta_hit_rate(&self) -> f64 {
         let full = self.delta_words_saved + self.config_words_demand + self.config_words_prefetched;
-        if full == 0 {
-            0.0
-        } else {
-            self.delta_words_saved as f64 / full as f64
-        }
+        ratio(self.delta_words_saved, full)
     }
 
     /// Configuration-bus energy of the (demand, prefetched) load words
@@ -632,12 +448,11 @@ impl fmt::Display for Snapshot {
         )?;
         writeln!(
             f,
-            "  router      affinity {:>7}  fallbacks {:>8}  hit rate {:>5.1}%  view refreshes {:>8}  rebalances {:>4}",
+            "  router      affinity {:>7}  fallbacks {:>8}  hit rate {:>5.1}%  view refreshes {:>8}",
             self.router_affinity_hits,
             self.router_fallbacks,
             100.0 * self.affinity_hit_rate(),
-            self.residency_view_refreshes,
-            self.rebalance_replications
+            self.residency_view_refreshes
         )?;
         writeln!(
             f,
@@ -708,14 +523,6 @@ impl fmt::Display for Snapshot {
             self.dead_letters,
             self.sessions_shed,
             100.0 * self.shed_rate()
-        )?;
-        writeln!(
-            f,
-            "  rescue      preempted {:>6}  resumed   {:>8}  deadline rescues {:>4}  rescue rate {:>5.1}%",
-            self.loads_preempted,
-            self.loads_resumed,
-            self.deadline_rescues,
-            100.0 * self.deadline_rescue_rate()
         )?;
         writeln!(f, "  kernels")?;
         for kind in KernelKind::ALL {
@@ -863,14 +670,12 @@ mod tests {
         Metrics::add(&m.steal_sessions, 5);
         Metrics::add(&m.jobs_run, 20);
         Metrics::add(&m.residency_view_refreshes, 12);
-        Metrics::incr(&m.rebalance_replications);
         let s = m.snapshot();
         assert_eq!(s.router_affinity_hits, 3);
         assert_eq!(s.router_fallbacks, 1);
         assert_eq!(s.batches_stolen, 1);
         assert_eq!(s.steal_sessions, 5);
         assert_eq!(s.residency_view_refreshes, 12);
-        assert_eq!(s.rebalance_replications, 1);
         assert!((s.affinity_hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.steal_rate() - 0.25).abs() < 1e-12);
         let text = s.to_string();

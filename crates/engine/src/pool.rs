@@ -26,10 +26,10 @@
 //! [`ConfigManager`] introspection (so it is self-healing across worker
 //! rebuilds), warm batches pin to their resident member, cold kernels
 //! fall to the least-busy member, and a hot kernel is *replicated* onto
-//! another member when its home has pulled more than
-//! [`EngineConfig::replicate_after_cycles`] array cycles ahead of the
-//! idlest member — up to `gang − 1` replicas, always leaving one array
-//! clear so a newly arriving kernel never has to evict the hot set.
+//! another member when its home has pulled more than a fixed threshold
+//! (`REPLICATE_AFTER_CYCLES`) ahead of the idlest member — up to
+//! `gang − 1` replicas, always leaving one array clear so a newly arriving
+//! kernel never has to evict the hot set.
 //!
 //! EDF ordering holds *within* a batch (groups are split into contiguous
 //! most-urgent-first chunks and chunks run in order), and deadline
@@ -57,6 +57,10 @@ use crate::router::{
     StealOffer, StealRegistry,
 };
 use crate::session::Session;
+
+/// Extra array cycles granted to a configuration that has fired nothing
+/// before the watchdog declares it wedged and forces an unload + reload.
+const WATCHDOG_BUDGET: u64 = 2_000;
 
 /// A worker's execution context: its private array plus the
 /// [`ConfigManager`] driving that array's configuration lifecycle.
@@ -99,17 +103,15 @@ impl WorkerArray {
     }
 
     /// Like [`with_store`](WorkerArray::with_store) with an explicit
-    /// recovery policy (retry counts, watchdog budget).
+    /// recovery policy (retry counts).
     pub fn with_policy(
         store: Arc<ConfigStore>,
         metrics: Arc<Metrics>,
         policy: RecoveryPolicy,
     ) -> Self {
-        let mut cm = ConfigManager::new(store, Arc::clone(&metrics));
-        cm.set_preempt_loads(policy.preempt_loads);
         WorkerArray {
             array: Array::xpp64a(),
-            cm,
+            cm: ConfigManager::new(store, Arc::clone(&metrics)),
             metrics,
             policy,
             retain_swap_source: false,
@@ -232,7 +234,7 @@ impl WorkerArray {
     /// kernel's `xpp_map::drive_*` function — run on the array, and books
     /// the job's cycles and object fires under `kind`. If `drive` times out
     /// without the configuration having fired a single object, it gets one
-    /// extra `watchdog_budget` of cycles — still silent means the load is
+    /// extra `WATCHDOG_BUDGET` of cycles — still silent means the load is
     /// wedged (e.g. an injected stall), so the configuration is forcibly
     /// unloaded and the whole attempt retried from the store. The replay is
     /// safe: `drive` re-reads the caller's slices, the reload starts from
@@ -290,13 +292,13 @@ impl WorkerArray {
     }
 
     /// After a timeout: has the configuration fired anything, even when
-    /// granted `watchdog_budget` extra cycles? No fires at all means the
+    /// granted `WATCHDOG_BUDGET` extra cycles? No fires at all means the
     /// load completed but the objects never came alive.
     fn watchdog_wedged(&mut self, cfg: ConfigId, fires_before: u64) -> bool {
         if self.array.config_fire_count(cfg) != fires_before {
             return false;
         }
-        self.array.run(self.policy.watchdog_budget);
+        self.array.run(WATCHDOG_BUDGET);
         self.array.config_fire_count(cfg) == fires_before
     }
 
@@ -392,6 +394,10 @@ impl WorkerArray {
         Ok(id)
     }
 }
+
+/// Compiled configurations the pool-wide [`ConfigStore`] may hold: room
+/// for every kernel the two standards register, with slack.
+const STORE_CAPACITY: usize = 8;
 
 /// The pool reads its settings from the engine-wide [`EngineConfig`]. The
 /// alias stays because the frozen benchmark package spells
@@ -532,7 +538,7 @@ impl ShardPool {
         let (results_tx, results) = mpsc::channel();
         // One compiled-config store for the whole pool: a kernel is built
         // and placed once per process, whichever shard first needs it.
-        let store = Arc::new(ConfigStore::new(config.cache_capacity));
+        let store = Arc::new(ConfigStore::new(STORE_CAPACITY));
         #[cfg(feature = "faults")]
         let injector = config
             .fault_plan
@@ -583,10 +589,8 @@ impl ShardPool {
                     store: Arc::clone(&store),
                     policy: config.recovery,
                     gang: config.arrays_per_shard,
-                    replicate_after_cycles: config.replicate_after_cycles,
                     delta_loading: config.delta_loading,
                     status: Arc::clone(&statuses[shard]),
-                    view: Arc::clone(&view),
                     steal: steal.clone(),
                     steal_threshold: config.steal_threshold.max(1),
                     #[cfg(feature = "faults")]
@@ -775,12 +779,9 @@ struct WorkerSeed {
     store: Arc<ConfigStore>,
     policy: RecoveryPolicy,
     gang: usize,
-    replicate_after_cycles: u64,
     delta_loading: bool,
     /// This shard's cell in the global residency view (publish side).
     status: Arc<ShardStatus>,
-    /// The whole view, for the rebalance-bias read.
-    view: Arc<ResidencyView>,
     /// Cross-shard steal registry; `None` when stealing is disabled (or
     /// the pool has a single shard), which keeps the idle path on the
     /// seed's blocking receive.
@@ -1067,13 +1068,7 @@ fn worker_loop(rx: Receiver<Session>, seed: WorkerSeed) {
             }
             return; // queue closed and drained: clean exit
         };
-        let session = queued.session;
-        if let Some(kernel) = session.next_kernel() {
-            if !worker.is_resident(&kernel.config_name()) {
-                seed.status.note_residency_miss();
-            }
-        }
-        let session = supervised_step(&seed, &mut worker, &mut busy, session);
+        let session = supervised_step(&seed, &mut worker, &mut busy, queued.session);
         // A no-op on the fresh worker a crash leaves behind.
         worker.refresh_activity();
         // Publish before handing back: the driver routes the session's
@@ -1107,17 +1102,17 @@ fn form_batches(window: Vec<Session>) -> Vec<(Option<KernelSpec>, Vec<Session>)>
     batches
 }
 
-/// A shard's array gang: the members, their cumulative busy cycles (the
-/// activity counters routing decisions use; they survive worker rebuilds)
-/// and the routing policy knobs.
+/// Gang-routing saturation threshold, in array cycles: a hot kernel is
+/// replicated onto an additional member once the busiest of its warm
+/// members is this many cycles ahead of the idlest member.
+const REPLICATE_AFTER_CYCLES: u64 = 2_000;
+
+/// A shard's array gang: the members and their cumulative busy cycles (the
+/// activity counters routing decisions use; they survive worker rebuilds).
 struct Gang<'a> {
     members: Vec<WorkerArray>,
     busy: Vec<u64>,
     seed: &'a WorkerSeed,
-    /// Rebalance bias: set while this shard's residency misses dominate
-    /// the global view. Halves the replication threshold so hot kernels
-    /// replicate sooner where the traffic mix shifted.
-    replicate_bias: bool,
     /// Scratch buffer for the per-round residency publish.
     resident_names: Vec<String>,
 }
@@ -1128,7 +1123,6 @@ impl<'a> Gang<'a> {
             members: (0..seed.gang).map(|_| seed.fresh_worker()).collect(),
             busy: vec![0; seed.gang],
             seed,
-            replicate_bias: false,
             resident_names: Vec::new(),
         }
     }
@@ -1139,9 +1133,8 @@ impl<'a> Gang<'a> {
     }
 
     /// Publishes the gang's union residency and total busy cycles into
-    /// the shard's view cell, and re-reads the rebalance bias — one view
-    /// round-trip per dispatch round, never per session.
-    fn publish_and_rebalance(&mut self) {
+    /// the shard's view cell — once per dispatch round, never per session.
+    fn publish(&mut self) {
         self.resident_names.clear();
         for member in &self.members {
             member
@@ -1151,7 +1144,6 @@ impl<'a> Gang<'a> {
         let busy: u64 = self.busy.iter().sum();
         self.seed.status.publish(&self.resident_names, busy);
         Metrics::incr(&self.seed.metrics.residency_view_refreshes);
-        self.replicate_bias = self.seed.view.miss_dominant(self.seed.shard);
     }
 
     /// The member that has stepped the fewest array cycles — the
@@ -1200,12 +1192,10 @@ impl<'a> Gang<'a> {
             .filter(|&m| self.members[m].is_resident(&name))
             .collect();
         if homes.is_empty() {
-            // Cold route: the rebalancing signal the global view
-            // aggregates per shard. Under delta loading the batch prefers
-            // the member whose resident configs minimize the swap delta
-            // to this kernel (cheapest cached delta, ties to the idlest
+            // Cold route. Under delta loading the batch prefers the
+            // member whose resident configs minimize the swap delta to
+            // this kernel (cheapest cached delta, ties to the idlest
             // member); without a cached delta it falls to least-busy.
-            self.seed.status.note_residency_miss();
             let pick = if self.seed.delta_loading {
                 self.cheapest_delta_member(&name)
             } else {
@@ -1215,29 +1205,17 @@ impl<'a> Gang<'a> {
         } else {
             Metrics::incr(&metrics.batch_warm_hits);
         }
-        // Under the rebalance bias (this shard's residency misses
-        // dominate the view) hot kernels replicate at half the usual
-        // saturation distance, pulling warm capacity toward the shifted
-        // traffic mix.
-        let threshold = if self.replicate_bias {
-            self.seed.replicate_after_cycles / 2
-        } else {
-            self.seed.replicate_after_cycles
-        };
         let max_replicas = (self.members.len() - 1).max(1);
         while homes.len() < max_replicas {
             let Some(idlest) = self.least_busy(&homes) else {
                 break;
             };
             let warmest = homes.iter().map(|&m| self.busy[m]).max().unwrap_or(0);
-            if warmest.saturating_sub(self.busy[idlest]) <= threshold {
+            if warmest.saturating_sub(self.busy[idlest]) <= REPLICATE_AFTER_CYCLES {
                 break;
             }
             homes.push(idlest);
             Metrics::incr(&metrics.batch_replications);
-            if self.replicate_bias {
-                Metrics::incr(&metrics.rebalance_replications);
-            }
         }
         // Most idle first: the largest (most urgent) chunk lands on the
         // member with the most headroom.
@@ -1301,7 +1279,7 @@ fn gang_loop(rx: Receiver<Session>, seed: WorkerSeed) {
         for (key, batch) in batches {
             gang.run_batch(key, batch);
         }
-        gang.publish_and_rebalance();
+        gang.publish();
     }
 }
 

@@ -28,12 +28,6 @@
 //!   `CompiledConfig` (schedule hints included) shard-agnostic. Unclaimed
 //!   offers are withdrawn by their owner once it idles, so no session is
 //!   ever stranded.
-//!
-//! The fourth piece — replica rebalancing — lives in the gang dispatcher:
-//! a shard whose residency misses dominate the view halves its
-//! `replicate_after_cycles` threshold so hot kernels replicate sooner
-//! where the traffic mix shifted (see
-//! [`ResidencyView::miss_dominant`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -71,9 +65,6 @@ pub struct ShardStatus {
     /// Cumulative array cycles stepped by the shard's gang — the
     /// in-flight-load signal (survives worker rebuilds).
     busy_cycles: AtomicU64,
-    /// Dispatches whose kernel was resident on no gang member — the
-    /// cold-route counter replica rebalancing keys off.
-    residency_misses: AtomicU64,
     /// Config names resident anywhere on the shard's gang, as of the
     /// last publish.
     resident: Mutex<Vec<String>>,
@@ -127,17 +118,6 @@ impl ShardStatus {
     /// Cumulative array cycles the shard's gang has stepped.
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles.load(Ordering::Relaxed)
-    }
-
-    /// Cold routes recorded by [`note_residency_miss`](Self::note_residency_miss).
-    pub fn residency_misses(&self) -> u64 {
-        self.residency_misses.load(Ordering::Relaxed)
-    }
-
-    /// Records a dispatch that found its kernel resident nowhere on the
-    /// shard's gang.
-    pub fn note_residency_miss(&self) {
-        self.residency_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Whether the last published snapshot held `name`.
@@ -251,28 +231,6 @@ impl ResidencyView {
                 })
                 .unwrap_or(0)
         })
-    }
-
-    /// Whether `shard`'s residency misses dominate the rest of the view:
-    /// more than twice the mean of the other shards, with a small floor
-    /// so a cold start does not trip the bias. The gang dispatcher halves
-    /// its replication threshold while this holds, pulling replicas
-    /// toward the shard the traffic mix shifted onto.
-    pub fn miss_dominant(&self, shard: usize) -> bool {
-        let n = self.shards.len();
-        if n < 2 || shard >= n {
-            return false;
-        }
-        let mine = self.shards[shard].residency_misses();
-        if mine < 4 {
-            return false;
-        }
-        let others: u64 = (0..n)
-            .filter(|&i| i != shard)
-            .map(|i| self.shards[i].residency_misses())
-            .sum();
-        let mean_others = others / (n as u64 - 1);
-        mine > 2 * mean_others
     }
 }
 
@@ -534,30 +492,6 @@ mod tests {
         cell.publish(&[], 50);
         assert_eq!(cell.generation(), 2);
         assert!(!cell.holds("fig5-descrambler"), "snapshot is replaced");
-    }
-
-    #[test]
-    fn miss_dominance_needs_a_floor_and_a_margin() {
-        let (view, _) = view(3, 8);
-        assert!(!view.miss_dominant(0), "cold start never dominates");
-        for _ in 0..3 {
-            view.status(0).note_residency_miss();
-        }
-        assert!(!view.miss_dominant(0), "below the floor");
-        view.status(0).note_residency_miss();
-        assert!(view.miss_dominant(0), "4 misses vs 0 elsewhere dominates");
-        // Give the other shards comparable misses: dominance clears.
-        for _ in 0..3 {
-            view.status(1).note_residency_miss();
-            view.status(2).note_residency_miss();
-        }
-        assert!(!view.miss_dominant(0), "balanced misses are not dominant");
-        let (single, _) = view_single();
-        assert!(!single.miss_dominant(0), "one shard has no peers to lag");
-    }
-
-    fn view_single() -> (Arc<ResidencyView>, Vec<Arc<AtomicU64>>) {
-        view(1, 8)
     }
 
     #[test]

@@ -33,29 +33,16 @@ fn chaos_run(seed: u64) {
 /// Same invariants, parameterised over the shard gang size so the batched
 /// dispatcher runs under the identical fault ledger checks.
 fn chaos_run_with(seed: u64, arrays_per_shard: usize) {
-    chaos_run_cfg(seed, arrays_per_shard, false);
+    chaos_run_full(seed, arrays_per_shard, false, 16);
 }
 
-/// Same invariants again with load preemption switched on: activations
-/// abort competing in-flight prefetch loads at a word boundary and resume
-/// them afterwards, all while the fault plan strikes.
-fn chaos_run_cfg(seed: u64, arrays_per_shard: usize, preempt_loads: bool) {
-    chaos_run_full(seed, arrays_per_shard, preempt_loads, false, 16);
-}
-
-/// Same invariants once more with differential configuration loading
-/// armed: faults now also strike mid-delta-load (the injector consumes
-/// one ordinal per configure either way), and the ledger must reconcile
-/// exactly as it does for full loads. `queue_depth` sets the backpressure:
-/// 16 per shard holds the whole workload, 2 makes most frames bounce off a
-/// full queue, re-park and rehydrate while the plan strikes.
-fn chaos_run_full(
-    seed: u64,
-    arrays_per_shard: usize,
-    preempt_loads: bool,
-    delta_loading: bool,
-    queue_depth: usize,
-) {
+/// Same invariants again with differential configuration loading
+/// switchable: when armed, faults also strike mid-delta-load (the injector
+/// consumes one ordinal per configure either way), and the ledger must
+/// reconcile exactly as it does for full loads. `queue_depth` sets the
+/// backpressure: 16 per shard holds the whole workload, 2 makes most frames
+/// bounce off a full queue, re-park and rehydrate while the plan strikes.
+fn chaos_run_full(seed: u64, arrays_per_shard: usize, delta_loading: bool, queue_depth: usize) {
     quiet_panics();
     // Always at least one crash, so shard restart + re-dispatch is
     // exercised on every seed (seeded() samples only recoverable kinds).
@@ -75,10 +62,8 @@ fn chaos_run_full(
             shards: 2,
             arrays_per_shard,
             queue_depth,
-            cache_capacity: 8,
             recovery: RecoveryPolicy {
                 max_kernel_attempts: 4,
-                preempt_loads,
                 ..RecoveryPolicy::default()
             },
             fault_plan: Some(plan),
@@ -142,17 +127,10 @@ fn chaos_run_full(
         snap.sessions_completed, summary.done,
         "seed {seed}: completion counter drift"
     );
-    // A preempted load is always parked and resumed within the same
-    // activation — a checkpoint must never leak. With the policy off the
-    // counters stay at zero.
-    assert_eq!(
-        snap.loads_preempted, snap.loads_resumed,
-        "seed {seed}: a load checkpoint leaked: {snap}"
-    );
-    if !preempt_loads {
-        assert_eq!(
-            snap.loads_preempted, 0,
-            "seed {seed}: policy off yet preempted"
+    if delta_loading {
+        assert!(
+            snap.delta_loads > 0,
+            "seed {seed}: no configuration ever loaded as a delta — the delta row is vacuous: {snap}"
         );
     }
 }
@@ -172,27 +150,6 @@ fn chaos_seed_3() {
     chaos_run(3);
 }
 
-/// Chaos with the preemption policy armed: earliest-deadline activations
-/// abort competing prefetch loads mid-stream and resume them afterwards,
-/// and the fault ledger must reconcile exactly as with the policy off.
-/// (A fault armed on a preempted config stays armed across the seam —
-/// the xpp layer proves it surfaces as `Faulted`, not a wedge; here the
-/// supervision stack must answer it like any other load fault.)
-#[test]
-fn chaos_preempt_seed_1() {
-    chaos_run_cfg(1, 1, true);
-}
-
-#[test]
-fn chaos_preempt_seed_2() {
-    chaos_run_cfg(2, 1, true);
-}
-
-#[test]
-fn chaos_preempt_gang_seed_1() {
-    chaos_run_cfg(1, 3, true);
-}
-
 /// Chaos with differential loading armed: configurations reach the
 /// arrays as word deltas against consumed residents, faults strike
 /// mid-delta-stream, and the fault ledger must reconcile exactly as it
@@ -200,12 +157,12 @@ fn chaos_preempt_gang_seed_1() {
 /// dead-letters, no ordinal lost to a victim unloaded mid-swap.
 #[test]
 fn chaos_delta_seed_1() {
-    chaos_run_full(1, 1, false, true, 16);
+    chaos_run_full(1, 1, true, 16);
 }
 
 #[test]
-fn chaos_delta_preempt_gang_seed_1() {
-    chaos_run_full(1, 3, true, true, 16);
+fn chaos_delta_gang_seed_1() {
+    chaos_run_full(1, 3, true, 16);
 }
 
 /// Chaos under backpressure: two-deep shard queues under a 24-frame
@@ -214,12 +171,12 @@ fn chaos_delta_preempt_gang_seed_1() {
 /// through the same full queues.
 #[test]
 fn chaos_backpressure_seed_1() {
-    chaos_run_full(1, 1, false, false, 2);
+    chaos_run_full(1, 1, false, 2);
 }
 
 #[test]
 fn chaos_backpressure_delta_gang_seed_1() {
-    chaos_run_full(1, 3, false, true, 2);
+    chaos_run_full(1, 3, true, 2);
 }
 
 /// The batched gang dispatcher under chaos: crash containment rebuilds
@@ -251,7 +208,6 @@ fn chaos_gang_is_deterministic_per_seed() {
                 shards: 1, // one shard: a single total load order
                 arrays_per_shard: 4,
                 queue_depth: 32,
-                cache_capacity: 8,
                 start_paused: true,
                 // seeded() samples only recoverable kinds, so faults are
                 // absorbed inside the worker and sessions always come back
@@ -304,7 +260,6 @@ fn chaos_is_deterministic_per_seed() {
             EngineConfig {
                 shards: 1, // one shard: a single total load order
                 queue_depth: 32,
-                cache_capacity: 8,
                 fault_plan: Some(plan),
                 ..EngineConfig::default()
             },
@@ -342,7 +297,6 @@ fn repeated_crashes_dead_letter_the_session() {
             EngineConfig {
                 shards: 1,
                 queue_depth,
-                cache_capacity: 8,
                 recovery: RecoveryPolicy {
                     max_session_attempts: 1,
                     ..RecoveryPolicy::default()
@@ -384,7 +338,6 @@ fn faults_mid_replay_invalidate_and_recover() {
             shards: 2,
             arrays_per_shard: 2,
             queue_depth: 16,
-            cache_capacity: 8,
             recovery: RecoveryPolicy {
                 max_kernel_attempts: 4,
                 ..RecoveryPolicy::default()
@@ -450,7 +403,6 @@ fn steal_during_faults_keeps_the_ledger_intact() {
             shards: 2,
             arrays_per_shard: 2,
             queue_depth: 64,
-            cache_capacity: 8,
             start_paused: true,
             placement: PlacementPolicy::Static,
             steal_threshold: 4,
@@ -566,7 +518,6 @@ fn no_plan_changes_nothing() {
         EngineConfig {
             shards: 2,
             queue_depth: 8,
-            cache_capacity: 8,
             ..EngineConfig::default() // fault_plan: None
         },
         mixed_records(16),

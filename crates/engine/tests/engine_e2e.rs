@@ -22,7 +22,6 @@ fn ofdm_reconfiguration_is_served_from_the_cache() {
         EngineConfig {
             shards: 1,
             queue_depth: 8,
-            cache_capacity: 8,
             ..EngineConfig::default()
         },
         vec![
@@ -67,7 +66,6 @@ fn full_shard_returns_would_block() {
         EngineConfig {
             shards: 1,
             queue_depth: 2,
-            cache_capacity: 4,
             start_paused: true,
             ..EngineConfig::default()
         },
@@ -103,7 +101,6 @@ fn shutdown_drains_in_flight_jobs() {
         EngineConfig {
             shards: 2,
             queue_depth: 8,
-            cache_capacity: 4,
             start_paused: true,
             ..EngineConfig::default()
         },
@@ -131,7 +128,6 @@ fn stress_64_mixed_sessions_over_4_shards() {
         EngineConfig {
             shards: 4,
             queue_depth: 8, // small queues force re-park traffic
-            cache_capacity: 8,
             ..EngineConfig::default()
         },
         mixed_records(64),

@@ -10,12 +10,16 @@
 //!    modeled slack vectors (the virtual-time admission model is a pure
 //!    function of the admission sequence, independent of real thread
 //!    scheduling).
+//! 3. Under overload that model is plain least-loaded admission: a
+//!    512-terminal run at twice the modeled capacity sheds exactly the
+//!    frames, and reports exactly the slack, that a ten-line oracle over
+//!    the same records computes.
 
 use std::time::Instant;
 
 use sdr_dsp::rng::Rng64;
-use sdr_engine::frontend::{Frontend, ScaleSummary};
-use sdr_engine::{EngineConfig, ParkedSession, Session};
+use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
+use sdr_engine::{EngineConfig, ParkedSession, Session, Standard};
 
 fn open_loop(_: &Session, _: u64) -> Option<ParkedSession> {
     None
@@ -72,30 +76,46 @@ fn would_block_parks_instead_of_blocking_the_submitter() {
     );
 }
 
-/// One seeded open-loop Poisson run: `n` terminals, exponential
-/// interarrivals with the given mean (in array cycles), mixed standards.
-fn poisson_run(seed: u64, n: u64, mean_interarrival: f64) -> ScaleSummary {
+/// `n` seeded open-loop Poisson arrivals: exponential interarrivals with
+/// the given mean (in array cycles), mixed standards — the arrival process
+/// of the scale bench's overload sweep.
+fn poisson_records(seed: u64, n: u64, mean_interarrival: f64) -> Vec<ParkedSession> {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut arrival = 0u64;
+    (0..n)
+        .map(|id| {
+            // Inverse-CDF exponential draw; clamp the uniform away from 0.
+            let u = rng.next_f64().max(1e-12);
+            arrival += (-mean_interarrival * u.ln()).ceil() as u64;
+            if rng.next_u64().is_multiple_of(2) {
+                ParkedSession::new_wcdma(id, seed ^ id.wrapping_mul(0x9e37_79b9), arrival)
+            } else {
+                ParkedSession::new_ofdm(id, seed ^ id.wrapping_mul(0x7f4a_7c15), arrival)
+            }
+        })
+        .collect()
+}
+
+/// Admits the records and runs the open loop until every terminal left.
+fn run_records(config: EngineConfig, records: &[ParkedSession]) -> ScaleSummary {
     let mut fe = Frontend::new(EngineConfig {
+        parking_capacity: records.len(),
+        ..config
+    });
+    for &record in records {
+        fe.admit(record);
+    }
+    fe.run(&mut open_loop)
+}
+
+fn poisson_run(seed: u64, n: u64, mean_interarrival: f64) -> ScaleSummary {
+    let config = EngineConfig {
         shards: 2,
         queue_depth: 8,
         max_resident: 16,
-        parking_capacity: n as usize,
         ..EngineConfig::default()
-    });
-    let mut rng = Rng64::seed_from_u64(seed);
-    let mut arrival = 0u64;
-    for id in 0..n {
-        // Inverse-CDF exponential draw; clamp the uniform away from 0.
-        let u = rng.next_f64().max(1e-12);
-        arrival += (-mean_interarrival * u.ln()).ceil() as u64;
-        let rec = if rng.next_u64().is_multiple_of(2) {
-            ParkedSession::new_wcdma(id, seed ^ (id * 0x9e37), arrival)
-        } else {
-            ParkedSession::new_ofdm(id, seed ^ (id * 0x79b9), arrival)
-        };
-        fe.admit(rec);
-    }
-    fe.run(&mut open_loop)
+    };
+    run_records(config, &poisson_records(seed, n, mean_interarrival))
 }
 
 #[test]
@@ -125,4 +145,52 @@ fn seeded_poisson_arrivals_are_bit_deterministic() {
     // vacuous).
     let c = poisson_run(0xBEEF, 64, 400.0);
     assert_ne!(a.slack_cycles, c.slack_cycles);
+}
+
+/// The admission rule, pinned under overload: 512 mixed terminals offered
+/// at twice the modeled capacity of 4 × 1 arrays. The front-end must shed
+/// and report slack exactly as plain least-loaded admission does — fresh
+/// records in (deadline, id) order, least-loaded virtual server, lowest
+/// index on a tie, shed when the modeled completion overruns the deadline
+/// by more than `shed_lateness_cycles`.
+#[test]
+fn overload_admission_is_plain_least_loaded() {
+    const WORKERS: usize = 4;
+    let config = EngineConfig {
+        shards: WORKERS,
+        arrays_per_shard: 1,
+        queue_depth: 32,
+        max_resident: 64,
+        ..EngineConfig::default()
+    };
+    let mean_service = (WCDMA_SERVICE_CYCLES + OFDM_SERVICE_CYCLES) as f64 / 2.0;
+    let mut records = poisson_records(0xE5C0E, 512, mean_service / (2.0 * WORKERS as f64));
+    let summary = run_records(config.clone(), &records);
+
+    assert_eq!(summary.done, 287);
+    assert_eq!(summary.shed.len(), 225);
+    assert_eq!(summary.p99_slack(), Some(-66_639));
+
+    records.sort_by_key(|r| (r.deadline(), r.id()));
+    let mut free_at = [0u64; WORKERS];
+    let (mut shed, mut slack) = (Vec::new(), Vec::new());
+    for r in &records {
+        let server = (0..WORKERS).min_by_key(|&i| (free_at[i], i)).unwrap();
+        let service = match r.standard() {
+            Standard::Wcdma => WCDMA_SERVICE_CYCLES,
+            Standard::Ofdm => OFDM_SERVICE_CYCLES,
+        };
+        let completes = free_at[server].max(r.arrival()) + service;
+        if completes.saturating_sub(r.deadline()) > config.shed_lateness_cycles {
+            shed.push(r.id());
+        } else {
+            free_at[server] = completes;
+            slack.push(r.deadline() as i64 - completes as i64);
+        }
+    }
+    assert_eq!(summary.shed, shed, "shed decisions match the oracle");
+    assert_eq!(
+        summary.slack_cycles, slack,
+        "modeled slack matches the oracle"
+    );
 }

@@ -21,12 +21,11 @@ fn outcomes(arrays_per_shard: usize, n: u64) -> Vec<Outcome> {
 }
 
 fn outcomes_full(arrays_per_shard: usize, n: u64, delta_loading: bool) -> Vec<Outcome> {
-    let (out, _) = run_to_completion(
+    let (out, summary) = run_to_completion(
         EngineConfig {
             shards: 1,
             arrays_per_shard,
             queue_depth: 64,
-            cache_capacity: 8,
             delta_loading,
             ..EngineConfig::default()
         },
@@ -37,6 +36,12 @@ fn outcomes_full(arrays_per_shard: usize, n: u64, delta_loading: bool) -> Vec<Ou
         n,
         "gang={arrays_per_shard}: sessions lost"
     );
+    if delta_loading {
+        assert!(
+            summary.snapshot.delta_loads > 0,
+            "gang={arrays_per_shard}: no configuration ever loaded as a delta — the row is vacuous"
+        );
+    }
     out
 }
 

@@ -71,12 +71,11 @@ fn routed_outcomes_delta(
     delta_loading: bool,
     n: u64,
 ) -> Vec<Outcome> {
-    let (out, _) = run_to_completion(
+    let (out, summary) = run_to_completion(
         EngineConfig {
             shards,
             arrays_per_shard,
             queue_depth: 64,
-            cache_capacity: 8,
             placement,
             work_stealing,
             delta_loading,
@@ -89,6 +88,12 @@ fn routed_outcomes_delta(
         n,
         "shards={shards} gang={arrays_per_shard} {placement:?} steal={work_stealing}: sessions lost"
     );
+    if delta_loading {
+        assert!(
+            summary.snapshot.delta_loads > 0,
+            "shards={shards} gang={arrays_per_shard}: no configuration ever loaded as a delta — the row is vacuous"
+        );
+    }
     out
 }
 
@@ -118,7 +123,6 @@ fn static_placement_routes_like_the_seed_oracle() {
             shards: 3,
             arrays_per_shard: 1,
             queue_depth: 64,
-            cache_capacity: 8,
             start_paused: true,
             placement: PlacementPolicy::Static,
             work_stealing: false,
@@ -217,7 +221,6 @@ fn reparked_frames_match_the_reference() {
                 shards,
                 arrays_per_shard: gang,
                 queue_depth: 2,
-                cache_capacity: 8,
                 max_resident,
                 ..EngineConfig::default()
             },

@@ -1,6 +1,6 @@
 //! Configuration management: placing compiled configurations, streaming
 //! them (in full or as a word delta) over the serial configuration bus,
-//! preempting and resuming loads, and unloading.
+//! and unloading.
 
 use std::sync::Arc;
 
@@ -28,39 +28,6 @@ pub(super) enum ConfigState {
     Faulted(FaultKind),
 }
 
-/// A resumable word-boundary checkpoint of a preempted configuration load.
-///
-/// Captures the cursor of a load that [`Array::preempt_load`] pulled off
-/// the serial configuration bus: how many words had already streamed and
-/// how many the allocation still owes. The configuration keeps every
-/// placed resource and its frozen `Loading` state while preempted;
-/// [`Array::resume_load`] re-queues it so the bus streams only the
-/// remaining words. Completed words are never re-streamed, so config-bus
-/// word accounting and energy match an uninterrupted load exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadCheckpoint {
-    config: ConfigId,
-    words_streamed: u64,
-    words_remaining: u64,
-}
-
-impl LoadCheckpoint {
-    /// The configuration this checkpoint belongs to.
-    pub fn config(&self) -> ConfigId {
-        self.config
-    }
-
-    /// Words already streamed over the bus before preemption.
-    pub fn words_streamed(&self) -> u64 {
-        self.words_streamed
-    }
-
-    /// Words the bus still owes the configuration (allocation cursor).
-    pub fn words_remaining(&self) -> u64 {
-        self.words_remaining
-    }
-}
-
 /// One resident configuration: the shared compiled [`Program`] plus all of
 /// its mutable state, in the program's own numbering — channel `k` of
 /// `dchans`/`echans` is edge `k`, entry `n` of `states`/`fires` is node `n`.
@@ -71,10 +38,6 @@ pub(super) struct LoadedConfig {
     pub(super) id: u32,
     pub(super) program: Arc<Program>,
     pub(super) state: ConfigState,
-    /// Total configuration words the load streams over the bus; together
-    /// with `Loading::remaining` this gives the word-boundary cursor a
-    /// [`LoadCheckpoint`] reports.
-    load_words: u64,
     /// True once the load completed and the objects may fire (a stalled
     /// configuration reports `Running` but is never enabled).
     pub(super) enabled: bool,
@@ -221,9 +184,8 @@ impl Array {
     /// [`ConfigDelta::words`](crate::ConfigDelta::words) words instead of
     /// the target's full `load_cycles`. Everything else about the load is
     /// unchanged: one fault ordinal is consumed, an `AbortLoad` strikes at
-    /// half the (delta) window, the load can be preempted and resumed at
-    /// word boundaries, and the finished array state is bit-identical to an
-    /// unload followed by a full load of the target.
+    /// half the (delta) window, and the finished array state is
+    /// bit-identical to an unload followed by a full load of the target.
     ///
     /// Placement is pre-checked against the pool *plus* the resident's
     /// footprint, so a swap that cannot fit fails cleanly with the
@@ -354,7 +316,6 @@ impl Array {
             state: ConfigState::Loading {
                 remaining: stream_words,
             },
-            load_words: stream_words,
             enabled: false,
             dense: false,
             dchans: program
@@ -404,78 +365,13 @@ impl Array {
         Ok(())
     }
 
-    /// True while the configuration's load is actually streaming over the
-    /// bus (queued and `Loading`). A preempted load is still `Loading`
-    /// but *not* in flight until [`resume_load`](Array::resume_load)
-    /// re-queues it.
+    /// True while the configuration's load is queued on or streaming over
+    /// the bus (a faulted load has left it).
     pub fn is_load_in_flight(&self, cfg: ConfigId) -> bool {
-        self.load_queue.contains(&cfg.0)
-            && matches!(
-                self.config(cfg).map(|c| &c.state),
-                Ok(ConfigState::Loading { .. })
-            )
-    }
-
-    /// Pulls an in-flight configuration load off the serial bus at a word
-    /// boundary, returning a [`LoadCheckpoint`] from which
-    /// [`resume_load`](Array::resume_load) can continue it later.
-    ///
-    /// The configuration keeps every resource it was placed into and its
-    /// `Loading` state freezes at the current word cursor — only queue
-    /// membership changes, so nothing streams while it is preempted and no
-    /// config-bus cycle, word or energy is charged. Any injected fault
-    /// stays armed on the configuration: its load ordinal was consumed at
-    /// [`configure_compiled`](Array::configure_compiled) time and keeps
-    /// counting across the preempt/resume seam, so a fault due in the
-    /// unstreamed half of the window still strikes after the resume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchConfig`] if the id is stale and
-    /// [`Error::NotPreemptible`] if the load is not mid-stream on the bus
-    /// (already running, faulted, or already preempted).
-    pub fn preempt_load(&mut self, cfg: ConfigId) -> Result<LoadCheckpoint> {
-        let loaded = self.config(cfg)?;
-        let remaining = match &loaded.state {
-            ConfigState::Loading { remaining } => *remaining,
-            _ => return Err(Error::NotPreemptible { config: cfg.0 }),
-        };
-        let streamed = loaded.load_words - remaining;
-        if !self.load_queue.contains(&cfg.0) {
-            return Err(Error::NotPreemptible { config: cfg.0 });
-        }
-        self.load_queue.retain(|&q| q != cfg.0);
-        Ok(LoadCheckpoint {
-            config: cfg,
-            words_streamed: streamed,
-            words_remaining: remaining,
-        })
-    }
-
-    /// Re-queues a preempted configuration load so the bus streams only
-    /// its remaining words. Nothing already streamed is re-sent and the
-    /// load's fault-injection record is untouched — no new ordinal is
-    /// consumed — so a preempted+resumed load is bit-identical to an
-    /// uninterrupted one in words streamed, config-bus cycles and energy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchConfig`] if the configuration was unloaded
-    /// while preempted and [`Error::NotPreemptible`] if the checkpoint no
-    /// longer matches (the configuration is not `Loading`, is already
-    /// queued, or its word cursor drifted).
-    pub fn resume_load(&mut self, ckpt: &LoadCheckpoint) -> Result<()> {
-        let id = ckpt.config.0;
-        let loaded = self.config(ckpt.config)?;
-        let remaining = match &loaded.state {
-            ConfigState::Loading { remaining } => *remaining,
-            _ => return Err(Error::NotPreemptible { config: id }),
-        };
-        if remaining != ckpt.words_remaining || self.load_queue.contains(&id) {
-            return Err(Error::NotPreemptible { config: id });
-        }
-        self.load_queue.push_back(id);
-        Ok(())
+        matches!(
+            self.config(cfg).map(|c| &c.state),
+            Ok(ConfigState::Loading { .. })
+        )
     }
 
     /// Configuration bus: the front of the queue loads one step's worth of

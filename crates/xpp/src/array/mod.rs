@@ -50,7 +50,7 @@
 //! | module      | holds                                                      |
 //! |-------------|------------------------------------------------------------|
 //! | `mod`       | [`Array`], its observers, streaming port I/O, `step`/`run` |
-//! | `load`      | configure / delta / unload / preempt, the config bus       |
+//! | `load`      | configure / delta / unload, the config bus                 |
 //! | `fire`      | the firing rules, object state and micro-op representations|
 //! | `event`     | the ready-list stepper                                     |
 //! | `dense`     | the dense stepper and the per-configuration mode rule      |
@@ -76,7 +76,6 @@ mod reference;
 use fire::ObjState;
 use load::LoadedConfig;
 
-pub use load::LoadCheckpoint;
 #[cfg(any(test, feature = "reference"))]
 pub use reference::with_reference_stepper;
 

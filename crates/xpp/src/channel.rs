@@ -255,7 +255,10 @@ mod tests {
         let _ = Channel::new(1, [1, 2]);
     }
 
+    // The next two guards are `debug_assert!`s (stepping hot path), which
+    // release builds compile out by design, so the tests exist only in debug.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn double_consume_panics() {
         let mut ch: Channel<i32> = Channel::new(2, [1]);
@@ -264,6 +267,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn produce_into_full_panics() {
         let mut ch: Channel<i32> = Channel::new(1, [1]);

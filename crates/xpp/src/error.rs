@@ -79,14 +79,6 @@ pub enum Error {
         /// Configuration id of the wedged kernel.
         config: u32,
     },
-    /// A preempt or resume call does not match the configuration's load
-    /// state: the load is not mid-stream on the bus (already running,
-    /// faulted or already preempted), or a resume checkpoint's word
-    /// cursor no longer agrees with the configuration.
-    NotPreemptible {
-        /// Configuration id of the mismatched load.
-        config: u32,
-    },
     /// `configure_delta` was asked to diff against a resident
     /// configuration that is not fully loaded and running: a word-level
     /// delta is only meaningful against a complete, healthy resident
@@ -167,12 +159,6 @@ impl fmt::Display for Error {
                     "configuration {config} is wedged (running but firing nothing)"
                 )
             }
-            Error::NotPreemptible { config } => {
-                write!(
-                    f,
-                    "configuration {config} has no matching in-flight load to preempt or resume"
-                )
-            }
             Error::DeltaSourceNotRunning { config } => {
                 write!(
                     f,
@@ -227,7 +213,6 @@ mod tests {
             Error::ConfigCorrupted { config: 7 },
             Error::LoadAborted { config: 7 },
             Error::ConfigWedged { config: 7 },
-            Error::NotPreemptible { config: 7 },
             Error::DeltaSourceNotRunning { config: 7 },
         ];
         for v in variants {

@@ -1,14 +1,11 @@
 //! Regression test: `Array::unload` invoked while the configuration is
 //! still streaming over the configuration bus (mid-load), plus the
-//! preempt/resume checkpoint arms built on the same abort-safety
-//! guarantees.
+//! differential-load arms built on the same abort-safety guarantees.
 //!
 //! The configuration manager may cancel a prefetch before it finishes
 //! loading (e.g. a placement-pressure eviction), so an aborted load must
 //! release every channel and object it allocated, drop out of the load
 //! queue, and leave the array statistics consistent with never having run.
-//! A preempted load keeps its resources but freezes its word cursor; a
-//! resumed load streams only the words it still owes.
 
 use xpp_array::power::EnergyModel;
 use xpp_array::{
@@ -127,237 +124,6 @@ fn config_energy_nj(stats: &ArrayStats) -> f64 {
 }
 
 #[test]
-fn preempt_resume_is_word_and_energy_exact() {
-    // A preempted+resumed load must be bit-identical to an uninterrupted
-    // one: same outputs, same config-bus word count, same config-bus
-    // energy — completed words are never re-streamed.
-    let uninterrupted = {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&pipeline("straight", 5)).unwrap();
-        array.run_until_idle(10_000).unwrap();
-        array.push_input(cfg, "in", (0..4).map(Word::new)).unwrap();
-        array.run_until_idle(10_000).unwrap();
-        (array.drain_output(cfg, "out").unwrap(), array.stats())
-    };
-
-    let mut array = Array::xpp64a();
-    let cfg = array.configure(&pipeline("straight", 5)).unwrap();
-    for _ in 0..4 {
-        array.step();
-    }
-    let words_before = array.stats().config_words;
-    let ckpt = array.preempt_load(cfg).unwrap();
-    assert_eq!(ckpt.config(), cfg);
-    assert_eq!(ckpt.words_streamed(), 4, "4 bus cycles streamed 4 words");
-    assert!(!array.is_load_in_flight(cfg), "preempted load left the bus");
-    // While preempted nothing streams, no matter how long the array runs.
-    for _ in 0..32 {
-        array.step();
-    }
-    assert_eq!(array.stats().config_words, words_before);
-    assert!(!array.is_running(cfg));
-
-    array.resume_load(&ckpt).unwrap();
-    assert!(array.is_load_in_flight(cfg));
-    array.run_until_idle(10_000).unwrap();
-    assert!(array.is_running(cfg), "resumed load never completed");
-    array.push_input(cfg, "in", (0..4).map(Word::new)).unwrap();
-    array.run_until_idle(10_000).unwrap();
-    let out = array.drain_output(cfg, "out").unwrap();
-    let stats = array.stats();
-
-    assert_eq!(out, uninterrupted.0, "outputs diverged");
-    assert_eq!(
-        stats.config_words, uninterrupted.1.config_words,
-        "resumed load re-streamed or double-counted words"
-    );
-    assert_eq!(
-        stats.config_cycles, uninterrupted.1.config_cycles,
-        "resumed load consumed extra config-bus cycles"
-    );
-    assert_eq!(
-        config_energy_nj(&stats),
-        config_energy_nj(&uninterrupted.1),
-        "config-bus energy diverged"
-    );
-}
-
-#[test]
-fn preempt_lets_urgent_load_jump_the_queue() {
-    // The deadline-rescue primitive: a long prefetch is pulled off the bus
-    // so an urgent load streams first, then the prefetch resumes and both
-    // end up fully loaded with exactly the sum of their word counts.
-    let mut array = Array::xpp64a();
-    let slow = array.configure(&pipeline("slow", 6)).unwrap();
-    for _ in 0..2 {
-        array.step();
-    }
-    let ckpt = array.preempt_load(slow).unwrap();
-
-    let urgent = array.configure(&pipeline("urgent", 2)).unwrap();
-    array.run_until_idle(10_000).unwrap();
-    assert!(
-        array.is_running(urgent),
-        "urgent load blocked by preempted one"
-    );
-    assert!(
-        !array.is_running(slow),
-        "preempted load progressed off the bus"
-    );
-
-    array.resume_load(&ckpt).unwrap();
-    array.run_until_idle(10_000).unwrap();
-    assert!(array.is_running(slow), "resumed load never completed");
-
-    // Word accounting is the sum of both loads, nothing re-streamed.
-    let expected: u64 = {
-        let mut fresh = Array::xpp64a();
-        let a = fresh.configure(&pipeline("slow", 6)).unwrap();
-        let b = fresh.configure(&pipeline("urgent", 2)).unwrap();
-        fresh.run_until_idle(10_000).unwrap();
-        assert!(fresh.is_running(a) && fresh.is_running(b));
-        fresh.stats().config_words
-    };
-    assert_eq!(array.stats().config_words, expected);
-
-    array.push_input(slow, "in", [Word::new(1)]).unwrap();
-    array.push_input(urgent, "in", [Word::new(1)]).unwrap();
-    array.run_until_idle(10_000).unwrap();
-    assert_eq!(array.drain_output(slow, "out").unwrap(), vec![Word::new(7)]);
-    assert_eq!(
-        array.drain_output(urgent, "out").unwrap(),
-        vec![Word::new(3)]
-    );
-}
-
-#[test]
-fn preempt_resume_matches_reference_stepper() {
-    // The resumed-load array state must agree with the scan-the-world
-    // reference stepper bit for bit, outputs and stats alike.
-    let run = || {
-        let mut array = Array::xpp64a();
-        let paused = array.configure(&pipeline("paused", 5)).unwrap();
-        for _ in 0..3 {
-            array.step();
-        }
-        let ckpt = array.preempt_load(paused).unwrap();
-        let urgent = array.configure(&pipeline("urgent", 2)).unwrap();
-        array.run_until_idle(10_000).unwrap();
-        array.resume_load(&ckpt).unwrap();
-        array.run_until_idle(10_000).unwrap();
-        array
-            .push_input(paused, "in", (0..6).map(Word::new))
-            .unwrap();
-        array
-            .push_input(urgent, "in", (0..6).map(Word::new))
-            .unwrap();
-        array.run_until_idle(10_000).unwrap();
-        let mut out = array.drain_output(paused, "out").unwrap();
-        out.extend(array.drain_output(urgent, "out").unwrap());
-        (out, array.stats())
-    };
-    let event_driven = run();
-    let reference = xpp_array::array::with_reference_stepper(run);
-    assert_eq!(event_driven.0, reference.0, "outputs diverged");
-    assert_eq!(event_driven.1, reference.1, "stats diverged");
-}
-
-#[test]
-fn preempt_misuse_is_rejected() {
-    let mut array = Array::xpp64a();
-    let baseline = array.free_resources();
-    let cfg = array.configure(&pipeline("once", 3)).unwrap();
-    array.step();
-    let ckpt = array.preempt_load(cfg).unwrap();
-
-    // Double preempt: the load is no longer on the bus.
-    assert!(matches!(
-        array.preempt_load(cfg),
-        Err(Error::NotPreemptible { .. })
-    ));
-    array.resume_load(&ckpt).unwrap();
-    // Double resume: the load is already queued again.
-    assert!(matches!(
-        array.resume_load(&ckpt),
-        Err(Error::NotPreemptible { .. })
-    ));
-    array.run_until_idle(10_000).unwrap();
-    // Preempting a finished load is rejected too.
-    assert!(array.is_running(cfg));
-    assert!(matches!(
-        array.preempt_load(cfg),
-        Err(Error::NotPreemptible { .. })
-    ));
-    // A stale checkpoint of an unloaded config reports NoSuchConfig.
-    array.unload(cfg).unwrap();
-    assert!(matches!(
-        array.resume_load(&ckpt),
-        Err(Error::NoSuchConfig(_))
-    ));
-    assert_eq!(array.free_resources(), baseline);
-}
-
-#[test]
-fn unload_while_preempted_releases_everything() {
-    // A preempted load still owns its placement; unloading it mid-preempt
-    // must release every resource exactly like the mid-load abort does.
-    let mut array = Array::xpp64a();
-    let baseline = array.free_resources();
-    let cfg = array.configure(&pipeline("doomed", 4)).unwrap();
-    array.step();
-    let ckpt = array.preempt_load(cfg).unwrap();
-    array.unload(cfg).unwrap();
-    assert_eq!(
-        array.free_resources(),
-        baseline,
-        "preempted unload leaked placement resources"
-    );
-    assert!(matches!(
-        array.resume_load(&ckpt),
-        Err(Error::NoSuchConfig(_))
-    ));
-}
-
-#[test]
-fn fault_mid_resume_surfaces_as_faulted() {
-    // An AbortLoad armed at configure time strikes in the unstreamed half
-    // of the window even when that half runs after a preempt/resume seam:
-    // the load must end `Faulted` (surfaced via `load_error`), not wedge
-    // the bus or spin forever.
-    use std::sync::Arc;
-    use xpp_array::fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
-
-    let mut array = Array::xpp64a();
-    array.attach_fault_injector(Arc::new(FaultInjector::new(FaultPlan {
-        faults: vec![FaultSpec {
-            kind: FaultKind::AbortLoad,
-            at_load: 0,
-        }],
-    })));
-    let cfg = array.configure(&pipeline("cursed", 6)).unwrap();
-    // Preempt after a single word — well before the mid-window strike.
-    array.step();
-    let ckpt = array.preempt_load(cfg).unwrap();
-    assert!(array.load_error(cfg).is_none(), "fault struck while parked");
-    array.resume_load(&ckpt).unwrap();
-    array.run_until_idle(10_000).unwrap();
-
-    assert!(!array.is_running(cfg), "aborted load reported running");
-    assert!(
-        matches!(array.load_error(cfg), Some(Error::LoadAborted { .. })),
-        "fault injected mid-resume did not surface as Faulted"
-    );
-    assert!(!array.is_load_in_flight(cfg), "faulted load wedged the bus");
-    // A faulted load is no longer resumable — recovery must unload it.
-    assert!(matches!(
-        array.resume_load(&ckpt),
-        Err(Error::NotPreemptible { .. })
-    ));
-    assert!(array.clear_injected_fault(cfg));
-    array.unload(cfg).unwrap();
-}
-
-#[test]
 fn delta_load_is_bit_identical_to_full_load_with_fewer_words() {
     // The full-load path is the oracle: unload the resident and stream the
     // whole target. The delta path must produce bit-identical outputs and
@@ -416,45 +182,6 @@ fn delta_load_is_bit_identical_to_full_load_with_fewer_words() {
     );
     array.unload(b).unwrap();
     assert_eq!(array.free_resources(), baseline, "delta swap leaked");
-}
-
-#[test]
-fn preempt_mid_delta_load_resumes_word_exact() {
-    // A delta load is an ordinary bus load from the checkpoint machinery's
-    // point of view: preempting it freezes the (delta) word cursor, and
-    // resuming streams exactly the remaining delta words, never the full
-    // target stream.
-    let to = CompiledConfig::compile(&pipeline_k("delta-to", 5, 3));
-    let mut array = Array::xpp64a();
-    let a = array.configure(&pipeline_k("delta-from", 5, 1)).unwrap();
-    array.run_until_idle(10_000).unwrap();
-
-    let b = array.configure_delta(a, &to).unwrap();
-    for _ in 0..2 {
-        array.step();
-    }
-    let ckpt = array.preempt_load(b).unwrap();
-    assert_eq!(ckpt.words_streamed(), 2);
-    assert_eq!(ckpt.words_remaining(), 3, "five delta words, two streamed");
-    let words_parked = array.stats().config_words;
-    for _ in 0..16 {
-        array.step();
-    }
-    assert_eq!(
-        array.stats().config_words,
-        words_parked,
-        "parked delta load kept streaming"
-    );
-
-    array.resume_load(&ckpt).unwrap();
-    array.run_until_idle(10_000).unwrap();
-    assert!(array.is_running(b), "resumed delta load never completed");
-    array.push_input(b, "in", [Word::new(4)]).unwrap();
-    array.run_until_idle(10_000).unwrap();
-    assert_eq!(
-        array.drain_output(b, "out").unwrap(),
-        vec![Word::new(4 + 5 * 3)]
-    );
 }
 
 #[test]
