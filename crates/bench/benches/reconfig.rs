@@ -10,93 +10,57 @@
 //! * `prefetched` — the demodulator was prefetched while the detector was
 //!   still running, so its bus load overlapped the preamble search: the
 //!   swap pays only unload + activation bookkeeping, zero array cycles.
-//! * `delta` — differential loading armed: the swap diffs the incoming
-//!   demodulator against the still-resident detector and streams only
-//!   the changed configuration words over the bus.
 //!
-//! The tiers land in `BENCH_RECONFIG.json` next to the paper's E-Fig.10
-//! experiment in EXPERIMENTS.md. `bench_report` runs the cached and
-//! delta arms paired, prints the word counts the JSON records, and
-//! asserts the acceptance criteria: the Fig. 10 delta swap must stream
-//! strictly fewer config-bus words than the cached full load (and so
-//! beat its modeled bus time), the word-dominated despreader reshape
-//! must additionally beat the cached reactivation in host wall time,
-//! and parameterised variants of one kernel family (overlapping shapes)
-//! must delta at ≥2x fewer words than a full load.
+//! The three tiers land in `BENCH_RECONFIG.json` next to the paper's
+//! E-Fig.10 experiment in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sdr_engine::{ConfigStore, KernelSpec, Metrics, WorkerArray};
+use sdr_engine::{ConfigStore, Metrics, WorkerArray};
 use sdr_ofdm::xpp_map::OfdmKernel;
-use sdr_wcdma::xpp_map::WcdmaKernel;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Source kernel run long enough for a prefetched load (object count × 3
-/// bus cycles) to fully overlap.
-const SOURCE_RUN_CYCLES: u64 = 1_000;
+/// Detector run long enough for the prefetched demodulator load
+/// (object count × 3 bus cycles) to fully overlap.
+const DETECTOR_RUN_CYCLES: u64 = 1_000;
 
-/// A worker with `from` active, as at the moment the swap trigger fires.
-/// `warm_store` pre-compiles `to` into the shared store; `prefetch`
-/// additionally streams it onto the array during the source run; `delta`
-/// arms differential loading and pre-diffs the `(from, to)` pair into the
-/// store, the steady state once any worker has made the swap before.
-fn worker_at_swap_point(
-    from: KernelSpec,
-    to: KernelSpec,
-    warm_store: bool,
-    prefetch: bool,
-    delta: bool,
-) -> WorkerArray {
+/// A worker with the detector active, as at the moment the preamble is
+/// found. `warm_store` pre-compiles the demodulator into the shared
+/// store; `prefetch` additionally streams it onto the array during the
+/// detector run.
+fn worker_at_swap_point(warm_store: bool, prefetch: bool) -> WorkerArray {
     let store = Arc::new(ConfigStore::new(8));
     if warm_store {
-        // Another worker on the same store compiled the target kernel.
+        // Another worker on the same store compiled the demodulator.
         let mut other = WorkerArray::with_store(Arc::clone(&store), Arc::new(Metrics::new()));
-        other.activate(to).unwrap();
-    }
-    if delta {
-        // Steady state for the delta tier: some worker already diffed
-        // this swap pair, so the (from, to) delta sits in the process-wide
-        // store exactly like the warm compile does for the cached tier.
-        let (f, _) = store.get_or_compile(&from.config_name(), || from.build());
-        let (t, _) = store.get_or_compile(&to.config_name(), || to.build());
-        store.delta(&f, &t);
+        other.activate(OfdmKernel::Demodulator).unwrap();
     }
     let mut w = WorkerArray::with_store(store, Arc::new(Metrics::new()));
-    w.set_delta_loading(delta);
-    w.activate(from).unwrap();
+    w.activate(OfdmKernel::PreambleDetector).unwrap();
     if prefetch {
-        assert!(w.prefetch(to).unwrap());
+        assert!(w.prefetch(OfdmKernel::Demodulator).unwrap());
     }
-    // The source kernel's run: a prefetched load (if any) streams over
-    // the configuration bus while these cycles execute.
-    for _ in 0..SOURCE_RUN_CYCLES {
+    // The preamble search itself: the prefetched load (if any) streams
+    // over the configuration bus while these cycles run.
+    for _ in 0..DETECTOR_RUN_CYCLES {
         w.array_mut().step();
     }
     w
 }
 
-/// The Fig. 10 runtime reconfiguration pair.
-fn fig10_pair() -> (KernelSpec, KernelSpec) {
-    (
-        OfdmKernel::PreambleDetector.into(),
-        OfdmKernel::Demodulator.into(),
-    )
-}
-
 fn bench_fig10_swap(c: &mut Criterion) {
-    let (det, dem) = fig10_pair();
     let mut g = c.benchmark_group("reconfig_fig10_swap");
-    for (label, warm_store, prefetch, delta) in [
-        ("cold", false, false, false),
-        ("cached", true, false, false),
-        ("prefetched", true, true, false),
-        ("delta", true, false, true),
+    for (label, warm_store, prefetch) in [
+        ("cold", false, false),
+        ("cached", true, false),
+        ("prefetched", true, true),
     ] {
         g.bench_function(label, |b| {
             b.iter_batched(
-                || worker_at_swap_point(det, dem, warm_store, prefetch, delta),
+                || worker_at_swap_point(warm_store, prefetch),
                 |mut w| {
-                    let id = w.swap(det, dem).unwrap();
+                    let id = w
+                        .swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)
+                        .unwrap();
                     assert!(w.array().is_running(id));
                     w
                 },
@@ -107,119 +71,9 @@ fn bench_fig10_swap(c: &mut Criterion) {
     g.finish();
 }
 
-/// One measured swap on a fresh worker: config-bus words streamed by
-/// the swap itself plus its wall time.
-fn one_swap(from: KernelSpec, to: KernelSpec, delta: bool) -> (u64, Duration) {
-    let mut w = worker_at_swap_point(from, to, true, false, delta);
-    let words_before = w.array().stats().config_words;
-    let t0 = std::time::Instant::now();
-    let id = w.swap(from, to).unwrap();
-    let wall = t0.elapsed();
-    assert!(w.array().is_running(id));
-    (w.array().stats().config_words - words_before, wall)
-}
-
-/// One arm's measurement: config-bus words streamed per swap plus the
-/// minimum wall time observed across its iterations.
-type ArmResult = (u64, Duration);
-
-/// Paired measurement of the cached and delta arms: the iterations
-/// interleave so clock drift and allocator state hit both arms equally,
-/// and each arm reports its minimum wall time (the intrinsic swap cost)
-/// over `iters` fresh workers. Word counts are deterministic.
-fn measure_pair(from: KernelSpec, to: KernelSpec, iters: u32) -> (ArmResult, ArmResult) {
-    let mut cached = (0, Duration::MAX);
-    let mut delta = (0, Duration::MAX);
-    for _ in 0..iters {
-        for (arm, best) in [(false, &mut cached), (true, &mut delta)] {
-            let (words, wall) = one_swap(from, to, arm);
-            *best = (words, best.1.min(wall));
-        }
-    }
-    (cached, delta)
-}
-
-/// Runs the cached and delta arms paired (minimum wall time over a few
-/// thousand fresh workers, word counts deterministic), prints the
-/// figures `BENCH_RECONFIG.json` records, and asserts the acceptance
-/// criteria for differential loading.
-fn bench_report(_c: &mut Criterion) {
-    use xpp_array::CompiledConfig;
-
-    // Fig. 10 swap (2a -> 2b): the delta streams 36 of 48 words, so the
-    // modeled reconfiguration time (one bus cycle per word) drops 25%
-    // deterministically — that is the gate. The host-side wall advantage
-    // of skipping 12 word-steps (~100 ns, confirmed by paired-median
-    // probes) sits below scheduler noise on shared runners, so the wall
-    // figures are reported for BENCH_RECONFIG.json but the strict
-    // wall-time gate lives on the word-dominated reshape below.
-    let (det, dem) = fig10_pair();
-    let ((cached_words, cached_wall), (delta_words, delta_wall)) = measure_pair(det, dem, 3_000);
-    eprintln!("reconfig/report (Fig. 10 swap, 2a resident -> 2b running):");
-    eprintln!("  cached full load: {cached_words} config-bus words, min {cached_wall:?}");
-    eprintln!("  delta swap:       {delta_words} config-bus words, min {delta_wall:?}");
-    assert!(
-        delta_words < cached_words,
-        "the delta swap must stream strictly fewer config-bus words \
-         ({delta_words} vs {cached_words}) and so beat the cached \
-         reactivation's modeled bus time"
-    );
-
-    // Despreader reshape (sf16 -> sf32): 4 of 69 words, the word loop
-    // dominates, so the delta arm's wall win is decisive (paired-median
-    // probes show ~+1.1 µs with >80% of interleaved pairs positive).
-    let sf16: KernelSpec = WcdmaKernel::MultiplexedDespreader { fingers: 6, sf: 16 }.into();
-    let sf32: KernelSpec = WcdmaKernel::MultiplexedDespreader { fingers: 6, sf: 32 }.into();
-    let ((rw, rwall), (dw, dwall)) = measure_pair(sf16, sf32, 1_000);
-    eprintln!("reconfig/report (despreader reshape, sf16 resident -> sf32 running):");
-    eprintln!("  cached full load: {rw} config-bus words, min {rwall:?}");
-    eprintln!("  delta swap:       {dw} config-bus words, min {dwall:?}");
-    assert!(
-        dw < rw,
-        "the reshape delta must stream strictly fewer config-bus words ({dw} vs {rw})"
-    );
-    assert!(
-        dwall < rwall,
-        "the reshape delta swap must beat the cached full reactivation in \
-         wall time ({dwall:?} vs {rwall:?})"
-    );
-
-    // Overlapping shapes: parameterised variants of one kernel family
-    // share almost their whole word stream — the delta must be at least
-    // 2x fewer words than the full load (in practice far more).
-    let shapes = [
-        (
-            "fig6-despreader sf16 -> sf32",
-            CompiledConfig::compile(&sdr_wcdma::xpp_map::despreader_multiplexed_netlist(6, 16)),
-            CompiledConfig::compile(&sdr_wcdma::xpp_map::despreader_multiplexed_netlist(6, 32)),
-        ),
-        (
-            "fig10-config1 frontend s2 -> s4",
-            CompiledConfig::compile(&sdr_ofdm::xpp_map::frontend_netlist(2)),
-            CompiledConfig::compile(&sdr_ofdm::xpp_map::frontend_netlist(4)),
-        ),
-    ];
-    for (label, from, to) in &shapes {
-        let d = to.delta_from(from);
-        eprintln!(
-            "  {label}: {} delta words vs {} full ({}x fewer)",
-            d.words(),
-            to.load_cycles(),
-            to.load_cycles() / d.words().max(1)
-        );
-        assert!(
-            2 * d.words() <= to.load_cycles(),
-            "{label}: overlapping shapes must delta at >=2x fewer words \
-             ({} vs {})",
-            d.words(),
-            to.load_cycles()
-        );
-    }
-}
-
 criterion_group! {
     name = reconfig_benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_fig10_swap, bench_report
+    targets = bench_fig10_swap
 }
 criterion_main!(reconfig_benches);

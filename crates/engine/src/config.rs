@@ -72,13 +72,7 @@ pub struct EngineConfig {
     /// Pending sessions a shard must have queued (in its EDF heap) before
     /// it exposes a steal offer.
     pub steal_threshold: usize,
-    /// Stream word-level configuration deltas instead of full loads when
-    /// a resident overlaps the target (see
-    /// [`ConfigManager::set_delta_loading`](crate::ConfigManager::set_delta_loading));
-    /// also makes the affinity router and the gang's cold routing score
-    /// targets by the cheapest cached delta from any resident config.
-    /// Default off — the seed streams full loads and the golden suites
-    /// pin both settings.
+    /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
     pub delta_loading: bool,
     /// Supervision tuning: kernel/session retry budgets.
     pub recovery: RecoveryPolicy,

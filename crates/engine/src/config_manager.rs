@@ -49,9 +49,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sdr_ofdm::xpp_map::OfdmKernel;
 use sdr_wcdma::xpp_map::WcdmaKernel;
-use xpp_array::{
-    Array, CompiledConfig, ConfigDelta, ConfigId, Error as XppError, Netlist, Result as XppResult,
-};
+use xpp_array::{Array, CompiledConfig, ConfigId, Error as XppError, Netlist, Result as XppResult};
 
 use crate::metrics::Metrics;
 
@@ -121,10 +119,6 @@ struct StoreInner {
     tick: u64,
 }
 
-/// One cached word-level delta: the ordered `(from, to)` name pair and
-/// the shared diff computed for it.
-type CachedDelta = ((String, String), Arc<ConfigDelta>);
-
 /// Process-wide bounded LRU store of compiled configurations.
 ///
 /// One store is shared (via `Arc`) by every worker in a
@@ -141,12 +135,6 @@ type CachedDelta = ((String, String), Arc<ConfigDelta>);
 pub struct ConfigStore {
     capacity: usize,
     inner: Mutex<StoreInner>,
-    /// Word-level deltas between stored configs, keyed `(from, to)` —
-    /// computed once per ordered pair and shared by every delta-loading
-    /// manager and by the router's delta-aware shard scoring. A flat vec
-    /// (at most `capacity²` small entries) so lookups borrow `&str` keys
-    /// without allocating.
-    deltas: Mutex<Vec<CachedDelta>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -163,7 +151,6 @@ impl ConfigStore {
         ConfigStore {
             capacity,
             inner: Mutex::new(StoreInner::default()),
-            deltas: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -264,53 +251,6 @@ impl ConfigStore {
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
-
-    fn lock_deltas(&self) -> MutexGuard<'_, Vec<CachedDelta>> {
-        self.deltas.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The word-level delta from `resident` to `target`, computed once per
-    /// ordered `(from, to)` pair and cached process-wide. Every
-    /// delta-loading [`ConfigManager`] asking "how cheap is the swap from
-    /// what I hold?" lands on the same `Arc<ConfigDelta>`, and the cached
-    /// answers feed the router's delta-aware shard scoring for free.
-    pub fn delta(&self, resident: &CompiledConfig, target: &CompiledConfig) -> Arc<ConfigDelta> {
-        let mut deltas = self.lock_deltas();
-        if let Some((_, d)) = deltas
-            .iter()
-            .find(|((from, to), _)| from == resident.name() && to == target.name())
-        {
-            return Arc::clone(d);
-        }
-        let d = Arc::new(target.delta_from(resident));
-        // Ordered pairs over a bounded store: cap the cache at capacity²
-        // entries (each is two names and a handful of counters), dropping
-        // the oldest pair when a churny name mix would grow it past that.
-        if deltas.len() >= self.capacity * self.capacity {
-            deltas.remove(0);
-        }
-        deltas.push((
-            (resident.name().to_string(), target.name().to_string()),
-            Arc::clone(&d),
-        ));
-        d
-    }
-
-    /// The cached delta word count from `from` to `to`, without computing
-    /// anything — the allocation-free probe the affinity router and the
-    /// gang's cold-route scoring use on their hot paths. `None` until some
-    /// manager has actually diffed the pair.
-    pub fn cached_delta_words(&self, from: &str, to: &str) -> Option<u64> {
-        self.lock_deltas()
-            .iter()
-            .find(|((f, t), _)| f == from && t == to)
-            .map(|(_, d)| d.words())
-    }
-
-    /// Number of cached `(from, to)` deltas (tests, introspection).
-    pub fn delta_cache_len(&self) -> usize {
-        self.lock_deltas().len()
-    }
 }
 
 /// Where a resident configuration is in its lifecycle.
@@ -333,10 +273,6 @@ struct Resident {
     /// done no work since — it is *quiescent* and a spill-aware prefetch
     /// may reclaim its resources.
     fire_mark: u64,
-    /// The resident's compiled form, pinned so the delta tier can diff a
-    /// target's word stream against it even after the store's LRU has
-    /// moved on.
-    compiled: Arc<CompiledConfig>,
 }
 
 /// Per-worker configuration lifecycle driver.
@@ -357,24 +293,11 @@ struct Resident {
 /// resident (zero fires since the last activity refresh, and never the
 /// most recently activated configuration) — a speculative load must not
 /// cost a *working* configuration its resources.
-///
-/// With [`set_delta_loading`](ConfigManager::set_delta_loading) enabled a
-/// fifth tier slots between *stored* and *cold*: **delta** — when some
-/// active resident's word stream overlaps the target's, the manager swaps
-/// through [`Array::configure_delta`], streaming only the changed words
-/// instead of the full configuration (the victim is consumed; it was
-/// about to be recycled anyway in the swap workloads the tier targets).
-/// The tier is chosen purely by comparing the cached
-/// [`ConfigDelta::words`] against the target's full `load_cycles`.
 #[derive(Debug)]
 pub struct ConfigManager {
     store: Arc<ConfigStore>,
     resident: Vec<Resident>,
     metrics: Arc<Metrics>,
-    /// Stream word-level deltas instead of full loads when a resident
-    /// overlaps the target (default off: the seed streams full loads and
-    /// the golden suites pin both settings against each other).
-    delta_loading: bool,
 }
 
 impl ConfigManager {
@@ -384,24 +307,7 @@ impl ConfigManager {
             store,
             resident: Vec::new(),
             metrics,
-            delta_loading: false,
         }
-    }
-
-    /// Enables or disables differential loading: when on, an activation
-    /// (or squeezed prefetch) whose target overlaps an active resident's
-    /// word stream swaps through [`Array::configure_delta`], streaming
-    /// only the changed words. The victim with the cheapest delta is
-    /// consumed, and only when its delta is strictly smaller than the
-    /// target's full load. Off by default — the seed streams full loads
-    /// and the golden suites run both settings against each other.
-    pub fn set_delta_loading(&mut self, enabled: bool) {
-        self.delta_loading = enabled;
-    }
-
-    /// Whether differential loading is enabled.
-    pub fn delta_loading(&self) -> bool {
-        self.delta_loading
     }
 
     /// The shared compiled-config store.
@@ -479,23 +385,6 @@ impl ConfigManager {
         }
 
         let compiled = self.lookup(&name, spec);
-
-        // Delta tier: swap through the active resident whose word stream
-        // overlaps the target most, streaming only the changed words.
-        if self.delta_loading {
-            if let Some(id) = self.try_delta_activate(array, &compiled)? {
-                let fire_mark = array.config_fire_count(id);
-                self.resident.push(Resident {
-                    name,
-                    id,
-                    state: CmState::Active,
-                    fire_mark,
-                    compiled,
-                });
-                return Ok(id);
-            }
-        }
-
         let id = self.place_with_eviction(array, &compiled)?;
         Self::finish_load(array, id, &self.metrics)?;
         Metrics::add(&self.metrics.config_words_demand, compiled.load_cycles());
@@ -505,7 +394,6 @@ impl ConfigManager {
             id,
             state: CmState::Active,
             fire_mark,
-            compiled,
         });
         Ok(id)
     }
@@ -523,106 +411,6 @@ impl ConfigManager {
             Metrics::incr(&self.metrics.cache_evictions);
         }
         compiled
-    }
-
-    /// The demand-path delta tier: picks the running resident whose word
-    /// stream yields the cheapest [`ConfigDelta`] to `target` (strictly
-    /// cheaper than a full load), consumes it through
-    /// [`Array::configure_delta`] and finishes the short load. Returns
-    /// `Ok(None)` when no resident qualifies or the swapped placement
-    /// cannot fit even with the victim's resources freed — the caller then
-    /// takes the full-load path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates typed fault errors from the delta load itself (the
-    /// faulted residue is already unloaded, exactly like the full path).
-    fn try_delta_activate(
-        &mut self,
-        array: &mut Array,
-        target: &Arc<CompiledConfig>,
-    ) -> XppResult<Option<ConfigId>> {
-        let Some((pos, delta)) = self.cheapest_delta_victim(array, target, |_, _| true) else {
-            return Ok(None);
-        };
-        let Some(id) = self.swap_through(array, target, pos, &delta)? else {
-            return Ok(None);
-        };
-        Self::finish_load(array, id, &self.metrics)?;
-        Metrics::incr(&self.metrics.delta_loads);
-        Metrics::add(&self.metrics.delta_words_saved, delta.words_saved());
-        Metrics::add(&self.metrics.config_words_demand, delta.words());
-        Ok(Some(id))
-    }
-
-    /// Consumes the resident at `pos` as the source of a delta load of
-    /// `target`. Returns `Ok(None)` — with the victim back where it was,
-    /// still resident and running — when the array rejects the swap, so
-    /// the caller falls through to its full-load path.
-    fn swap_through(
-        &mut self,
-        array: &mut Array,
-        target: &CompiledConfig,
-        pos: usize,
-        delta: &ConfigDelta,
-    ) -> XppResult<Option<ConfigId>> {
-        let victim = self.resident.remove(pos);
-        // The victim is unloaded *inside* `configure_delta`; its injected
-        // fault record must be surfaced first (disposal counts it as
-        // detected + recovered exactly once) or it would vanish with the
-        // unload and the fault ledger would undercount.
-        Self::surface_fault(array, victim.id, &self.metrics);
-        match array.configure_delta_prediffed(victim.id, target, delta) {
-            Ok(id) => Ok(Some(id)),
-            Err(XppError::PlacementFailed { .. } | XppError::DeltaSourceNotRunning { .. }) => {
-                self.resident.insert(pos, victim);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The active resident with the cheapest delta to `target` among those
-    /// `eligible` admits, or `None` when even the cheapest delta would not
-    /// beat a full load. Diffing goes through the store's `(from, to)`
-    /// cache, so repeated swaps between the same pair cost one comparison,
-    /// and the cached answers feed the router's delta-aware scoring.
-    fn cheapest_delta_victim(
-        &self,
-        array: &Array,
-        target: &Arc<CompiledConfig>,
-        eligible: impl Fn(usize, &Resident) -> bool,
-    ) -> Option<(usize, Arc<ConfigDelta>)> {
-        let mut best: Option<(usize, Arc<ConfigDelta>)> = None;
-        for (i, r) in self.resident.iter().enumerate() {
-            if r.state != CmState::Active || !array.is_running(r.id) || !eligible(i, r) {
-                continue;
-            }
-            let delta = self.store.delta(&r.compiled, target);
-            if delta.words() >= target.load_cycles() {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, b)) => delta.words() < b.words(),
-            };
-            if better {
-                best = Some((i, delta));
-            }
-        }
-        best
-    }
-
-    /// The cheapest *cached* delta word count from any active resident to
-    /// `target`, without computing anything — the probe the gang's
-    /// cold-route scoring uses to prefer the member whose residency
-    /// minimizes the swap delta.
-    pub fn cheapest_delta_words_to(&self, target: &str) -> Option<u64> {
-        self.resident
-            .iter()
-            .filter(|r| r.state == CmState::Active)
-            .filter_map(|r| self.store.cached_delta_words(&r.name, target))
-            .min()
     }
 
     /// Speculatively places the configuration and starts its bus load
@@ -648,22 +436,10 @@ impl ConfigManager {
             return Ok(false);
         }
         let compiled = self.lookup(&name, spec);
-        let mut via_delta: Option<Arc<ConfigDelta>> = None;
         let id = loop {
             match array.configure_compiled(&compiled) {
                 Ok(id) => break id,
                 Err(XppError::PlacementFailed { .. }) => {
-                    // Delta tier for squeezed prefetches: instead of
-                    // spilling a quiescent victim *and* streaming the full
-                    // target, swap through the quiescent victim whose word
-                    // stream overlaps the target most — the same eviction,
-                    // a fraction of the bus traffic.
-                    if self.delta_loading {
-                        if let Some((id, d)) = self.delta_swap_quiescent(array, &compiled)? {
-                            via_delta = Some(d);
-                            break id;
-                        }
-                    }
                     if !self.spill_quiescent(array)? {
                         return Ok(false);
                     }
@@ -672,56 +448,18 @@ impl ConfigManager {
             }
         };
         Metrics::incr(&self.metrics.prefetches);
-        let streamed = via_delta
-            .as_ref()
-            .map_or(compiled.load_cycles(), |d| d.words());
-        Metrics::add(&self.metrics.config_words_prefetched, streamed);
-        if let Some(d) = &via_delta {
-            Metrics::incr(&self.metrics.delta_loads);
-            Metrics::add(&self.metrics.delta_words_saved, d.words_saved());
-        }
+        Metrics::add(
+            &self.metrics.config_words_prefetched,
+            compiled.load_cycles(),
+        );
         let fire_mark = array.config_fire_count(id);
         self.resident.push(Resident {
             name,
             id,
             state: CmState::Loading,
             fire_mark,
-            compiled,
         });
         Ok(true)
-    }
-
-    /// The prefetch-path delta tier: like
-    /// [`spill_quiescent`](ConfigManager::spill_quiescent) it only
-    /// considers quiescent victims that are not the most recently
-    /// activated configuration, but instead of unload-then-full-load it
-    /// consumes the victim with the cheapest word delta through
-    /// [`Array::configure_delta`]. Returns `Ok(None)` when no quiescent
-    /// victim beats a full load (the plain spill then decides).
-    ///
-    /// # Errors
-    ///
-    /// Propagates array errors other than the rejected-placement fallback.
-    fn delta_swap_quiescent(
-        &mut self,
-        array: &mut Array,
-        target: &Arc<CompiledConfig>,
-    ) -> XppResult<Option<(ConfigId, Arc<ConfigDelta>)>> {
-        let protected = self
-            .resident
-            .iter()
-            .rposition(|r| r.state == CmState::Active);
-        let Some((pos, delta)) = self.cheapest_delta_victim(array, target, |i, r| {
-            Some(i) != protected && array.config_fire_count(r.id) == r.fire_mark
-        }) else {
-            return Ok(None);
-        };
-        let Some(id) = self.swap_through(array, target, pos, &delta)? else {
-            return Ok(None);
-        };
-        Metrics::incr(&self.metrics.prefetch_spills);
-        Metrics::incr(&self.metrics.cache_evictions);
-        Ok(Some((id, delta)))
     }
 
     /// Evicts the least-recently-used *quiescent* resident to make room
@@ -986,154 +724,21 @@ mod tests {
     }
 
     #[test]
-    fn store_caches_deltas_by_ordered_pair() {
-        let store = ConfigStore::new(4);
-        let (det, _) = store.get_or_compile("fig10-config2a-detector", || DETECTOR.build());
-        let (dem, _) = store.get_or_compile("fig10-config2b-demodulator", || DEMODULATOR.build());
-        let d1 = store.delta(&det, &dem);
-        let d2 = store.delta(&det, &dem);
-        assert!(Arc::ptr_eq(&d1, &d2), "same pair shares one computed delta");
-        assert_eq!(store.delta_cache_len(), 1);
-        // The Fig. 10 pair overlaps at the word level: the delta swap
-        // streams strictly fewer words than the demodulator's full load.
-        assert!(
-            d1.words() < dem.load_cycles(),
-            "2a→2b delta ({}) must beat the full load ({})",
-            d1.words(),
-            dem.load_cycles()
-        );
-        // The reverse direction is a different cache entry.
-        let rev = store.delta(&dem, &det);
-        assert_eq!(store.delta_cache_len(), 2);
-        assert_eq!(
-            store.cached_delta_words(det.name(), dem.name()),
-            Some(d1.words())
-        );
-        assert_eq!(
-            store.cached_delta_words(dem.name(), det.name()),
-            Some(rev.words())
-        );
-        assert_eq!(store.cached_delta_words("nope", dem.name()), None);
-    }
-
-    #[test]
-    fn activate_delta_tier_swaps_the_overlapping_resident() {
-        let metrics = Arc::new(Metrics::new());
-        let mut cm = ConfigManager::new(Arc::new(ConfigStore::new(8)), Arc::clone(&metrics));
-        cm.set_delta_loading(true);
-        let mut array = Array::xpp64a();
-        cm.activate(&mut array, &DETECTOR).unwrap();
-        let demand_before = metrics.snapshot().config_words_demand;
-
-        let id = cm.activate(&mut array, &DEMODULATOR).unwrap();
-        assert!(array.is_running(id));
-        assert!(
-            !cm.is_resident(&DETECTOR.config_name()),
-            "the delta swap consumes its source"
-        );
-        let snap = metrics.snapshot();
-        assert_eq!(snap.delta_loads, 1);
-        assert!(snap.delta_words_saved > 0);
-        let streamed = snap.config_words_demand - demand_before;
-        let full = CompiledConfig::compile(&DEMODULATOR.build()).load_cycles();
-        assert!(
-            streamed < full,
-            "delta demand words ({streamed}) must undercut the full load ({full})"
-        );
-        assert_eq!(streamed + snap.delta_words_saved, full);
-        // Only the pairs a manager actually diffed are cached; the swap
-        // computed detector→demodulator, not the reverse.
-        assert!(cm
-            .store()
-            .cached_delta_words(&DETECTOR.config_name(), &DEMODULATOR.config_name())
-            .is_some());
-        assert_eq!(cm.cheapest_delta_words_to(&DETECTOR.config_name()), None);
-        // Once some manager diffs the reverse pair the probe answers.
-        let det = CompiledConfig::compile(&DETECTOR.build());
-        let dem = CompiledConfig::compile(&DEMODULATOR.build());
-        let rev = cm.store().delta(&dem, &det);
-        assert_eq!(
-            cm.cheapest_delta_words_to(&DETECTOR.config_name()),
-            Some(rev.words())
-        );
-    }
-
-    #[test]
-    fn delta_tier_off_by_default_streams_full_loads() {
+    fn demand_loads_stream_every_word_and_evict_nothing_that_fits() {
         let metrics = Arc::new(Metrics::new());
         let mut cm = ConfigManager::new(Arc::new(ConfigStore::new(8)), Arc::clone(&metrics));
         let mut array = Array::xpp64a();
         cm.activate(&mut array, &DETECTOR).unwrap();
         cm.activate(&mut array, &DEMODULATOR).unwrap();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.delta_loads, 0);
-        assert_eq!(snap.delta_words_saved, 0);
+        let full = |spec: &KernelSpec| CompiledConfig::compile(&spec.build()).load_cycles();
+        assert_eq!(
+            metrics.snapshot().config_words_demand,
+            full(&DETECTOR) + full(&DEMODULATOR)
+        );
         assert!(
             cm.is_resident(&DETECTOR.config_name()),
-            "without the delta tier both configurations stay resident"
+            "both configurations fit, so both stay resident"
         );
-    }
-
-    #[test]
-    fn squeezed_prefetch_delta_swaps_the_quiescent_victim() {
-        let metrics = Arc::new(Metrics::new());
-        let mut cm = ConfigManager::new(Arc::new(ConfigStore::new(8)), Arc::clone(&metrics));
-        // Size the I/O budget so the demodulator fits only by reclaiming
-        // the detector's channels: the delta swap must exactly close the
-        // deficit. The residents load fully (delta off) so the setup is
-        // deterministic; only the prefetch under test runs the delta tier.
-        let mut array = array_fitting(&[&DEMODULATOR, &DESCRAMBLER]);
-        cm.activate(&mut array, &DETECTOR).unwrap();
-        cm.activate(&mut array, &DESCRAMBLER).unwrap();
-        cm.set_delta_loading(true);
-        cm.refresh_activity(&array);
-        // Array full; the descrambler is protected (most recent Active),
-        // the detector is quiescent — and overlaps the demodulator, so the
-        // prefetch swaps through it with a word delta instead of a full
-        // spill-then-load.
-        let prefetched_before = metrics.snapshot().config_words_prefetched;
-        assert!(cm.prefetch(&mut array, &DEMODULATOR).unwrap());
-        assert!(!cm.is_resident(&DETECTOR.config_name()));
-        assert_eq!(
-            cm.state_of(&DEMODULATOR.config_name()),
-            Some(CmState::Loading)
-        );
-        let snap = metrics.snapshot();
-        assert_eq!(snap.delta_loads, 1);
-        assert_eq!(snap.prefetch_spills, 1);
-        let streamed = snap.config_words_prefetched - prefetched_before;
-        let full = CompiledConfig::compile(&DEMODULATOR.build()).load_cycles();
-        assert!(
-            streamed < full,
-            "delta prefetch words ({streamed}) must undercut the full load ({full})"
-        );
-        // Activating finishes the short load as a plain prefetch hit.
-        let id = cm.activate(&mut array, &DEMODULATOR).unwrap();
-        assert!(array.is_running(id));
-        assert_eq!(metrics.snapshot().prefetch_hits, 1);
-    }
-
-    #[test]
-    fn disjoint_kernels_fall_back_to_the_full_path() {
-        let metrics = Arc::new(Metrics::new());
-        let mut cm = ConfigManager::new(Arc::new(ConfigStore::new(8)), Arc::clone(&metrics));
-        cm.set_delta_loading(true);
-        let mut array = Array::xpp64a();
-        cm.activate(&mut array, &DESCRAMBLER).unwrap();
-        // A W-CDMA descrambler shares little with the OFDM detector; only
-        // a delta strictly cheaper than the full load may take the tier.
-        cm.activate(&mut array, &DETECTOR).unwrap();
-        let snap = metrics.snapshot();
-        if snap.delta_loads == 0 {
-            assert!(
-                cm.is_resident(&DESCRAMBLER.config_name()),
-                "full path leaves the resident in place"
-            );
-        } else {
-            // If the word streams do overlap, the swap must have saved
-            // words — the tier never fires for a break-even delta.
-            assert!(snap.delta_words_saved > 0);
-        }
     }
 
     #[test]

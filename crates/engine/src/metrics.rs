@@ -196,13 +196,7 @@ counters! {
     /// Quiescent residents evicted by a spill-aware prefetch (instead of
     /// soft-failing the prefetch).
     prefetch_spills,
-    /// Activations (or squeezed prefetches) served by the delta tier:
-    /// only the word difference against an overlapping resident streamed,
-    /// instead of the full configuration.
-    delta_loads,
-    /// Configuration-bus words the delta tier did *not* stream because
-    /// they were already resident on the array (full load minus delta, per
-    /// delta load).
+    /// Always 0; the frozen benchmark package reads it, ROADMAP E(2) deletes it.
     delta_words_saved,
     /// Total array cycles stepped by pool workers (all gang members).
     array_cycles_run,
@@ -391,16 +385,6 @@ impl Snapshot {
         ratio(self.steal_sessions, self.jobs_run).min(1.0)
     }
 
-    /// Fraction of would-be configuration-bus words the delta tier found
-    /// already resident and skipped, in `[0, 1]` (0 with no bus traffic):
-    /// words saved over the words a full-load-only engine would have
-    /// streamed (saved + the demand and prefetched words actually sent) —
-    /// the delta tier's hit rate on the word stream.
-    pub fn delta_hit_rate(&self) -> f64 {
-        let full = self.delta_words_saved + self.config_words_demand + self.config_words_prefetched;
-        ratio(self.delta_words_saved, full)
-    }
-
     /// Configuration-bus energy of the (demand, prefetched) load words
     /// under the default HCMOS9 energy model, in nanojoules — the
     /// cold-vs-prefetched reconfiguration trade-off in joules instead of
@@ -484,13 +468,6 @@ impl fmt::Display for Snapshot {
             self.cache_misses,
             self.cache_evictions,
             100.0 * self.cache_hit_rate()
-        )?;
-        writeln!(
-            f,
-            "  delta       loads   {:>8}  words saved {:>10}  word hit rate {:>5.1}%",
-            self.delta_loads,
-            self.delta_words_saved,
-            100.0 * self.delta_hit_rate()
         )?;
         let (demand_nj, prefetch_nj) = self.config_load_energy_nj();
         writeln!(
@@ -685,24 +662,6 @@ mod tests {
             text.contains("view refreshes"),
             "report must show refreshes"
         );
-    }
-
-    #[test]
-    fn delta_counters_rate_and_report_line() {
-        assert_eq!(Snapshot::default().delta_hit_rate(), 0.0);
-        let m = Metrics::new();
-        Metrics::add(&m.delta_loads, 2);
-        Metrics::add(&m.delta_words_saved, 60);
-        Metrics::add(&m.config_words_demand, 30);
-        Metrics::add(&m.config_words_prefetched, 10);
-        let s = m.snapshot();
-        assert_eq!(s.delta_loads, 2);
-        assert_eq!(s.delta_words_saved, 60);
-        // 60 of the 100 would-be words were already resident.
-        assert!((s.delta_hit_rate() - 0.6).abs() < 1e-12);
-        let text = s.to_string();
-        assert!(text.contains("delta"), "report must show the delta line");
-        assert!(text.contains("words saved"), "report must show savings");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! another member when its home has pulled more than a fixed threshold
 //! (`REPLICATE_AFTER_CYCLES`) ahead of the idlest member — up to
 //! `gang − 1` replicas, always leaving one array clear so a newly arriving
-//! kernel never has to evict the hot set.
+//! kernel never has to evict the hot set (a gang of two may use both).
 //!
 //! EDF ordering holds *within* a batch (groups are split into contiguous
 //! most-urgent-first chunks and chunks run in order), and deadline
@@ -142,15 +142,8 @@ impl WorkerArray {
         self.retain_swap_source = retain;
     }
 
-    /// Enables or disables differential configuration loading in this
-    /// worker's manager (see
-    /// [`ConfigManager::set_delta_loading`]); [`swap`](WorkerArray::swap)
-    /// also reorders itself so the outgoing kernel stays resident long
-    /// enough for the delta tier to diff against it. Default off — the
-    /// seed streams full loads.
-    pub fn set_delta_loading(&mut self, enabled: bool) {
-        self.cm.set_delta_loading(enabled);
-    }
+    /// Inert; the frozen benchmark package calls it and ROADMAP E(2) deletes it.
+    pub fn set_delta_loading(&mut self, _enabled: bool) {}
 
     /// Attaches a shared fault injector to this worker's array. The
     /// injector's load ordinal is global across every array it is attached
@@ -352,34 +345,6 @@ impl WorkerArray {
         to: impl Into<KernelSpec>,
     ) -> XppResult<ConfigId> {
         let cycles_before = self.array.stats().cycles;
-        if self.cm.delta_loading() && !self.retain_swap_source {
-            // Delta order: activate first, so the manager's delta tier can
-            // diff the incoming kernel against the still-resident source
-            // and stream only the changed words (usually consuming the
-            // source in the process); then unload the source if the delta
-            // tier picked a different victim. Either way the source was
-            // resident going in, so this is one runtime reconfiguration.
-            let (from, to) = (from.into(), to.into());
-            let from_name = (from != to).then(|| from.config_name());
-            let was_resident = from_name
-                .as_ref()
-                .is_some_and(|name| self.cm.is_resident(name));
-            let id = self.activate(to)?;
-            if was_resident {
-                // No-op when the delta tier already consumed the source.
-                if let Some(name) = &from_name {
-                    self.cm.deactivate(&mut self.array, name)?;
-                }
-            }
-            if was_resident {
-                Metrics::incr(&self.metrics.reconfigurations);
-            }
-            Metrics::add(
-                &self.metrics.reconfig_cycles,
-                self.array.stats().cycles - cycles_before,
-            );
-            return Ok(id);
-        }
         if !self.retain_swap_source {
             let unloaded = self.deactivate(from)?;
             if unloaded {
@@ -589,7 +554,6 @@ impl ShardPool {
                     store: Arc::clone(&store),
                     policy: config.recovery,
                     gang: config.arrays_per_shard,
-                    delta_loading: config.delta_loading,
                     status: Arc::clone(&statuses[shard]),
                     steal: steal.clone(),
                     steal_threshold: config.steal_threshold.max(1),
@@ -609,13 +573,6 @@ impl ShardPool {
             PlacementPolicy::Static => Box::new(StaticPlacement {
                 shards: config.shards,
             }),
-            PlacementPolicy::Affinity if config.delta_loading => {
-                Box::new(AffinityRouter::with_delta_store(
-                    Arc::clone(&view),
-                    Arc::clone(&metrics),
-                    Arc::clone(&store),
-                ))
-            }
             PlacementPolicy::Affinity => {
                 Box::new(AffinityRouter::new(Arc::clone(&view), Arc::clone(&metrics)))
             }
@@ -779,7 +736,6 @@ struct WorkerSeed {
     store: Arc<ConfigStore>,
     policy: RecoveryPolicy,
     gang: usize,
-    delta_loading: bool,
     /// This shard's cell in the global residency view (publish side).
     status: Arc<ShardStatus>,
     /// Cross-shard steal registry; `None` when stealing is disabled (or
@@ -805,7 +761,6 @@ impl WorkerSeed {
         // amortises.
         worker.set_retain_swap_source(self.gang > 1);
         worker.set_prefetch_enabled(self.gang == 1);
-        worker.set_delta_loading(self.delta_loading);
         #[cfg(feature = "faults")]
         if let Some(inj) = &self.injector {
             worker.attach_fault_injector(Arc::clone(inj));
@@ -1154,22 +1109,6 @@ impl<'a> Gang<'a> {
             .min_by_key(|&m| (self.busy[m], m))
     }
 
-    /// The member whose active residents offer the cheapest cached word
-    /// delta to `name` (ties broken toward the idlest member), or `None`
-    /// when no member has a cached delta for this target — the
-    /// batch-formation side of delta awareness.
-    fn cheapest_delta_member(&self, name: &str) -> Option<usize> {
-        (0..self.members.len())
-            .filter_map(|m| {
-                self.members[m]
-                    .config_manager()
-                    .cheapest_delta_words_to(name)
-                    .map(|words| (words, self.busy[m], m))
-            })
-            .min()
-            .map(|(_, _, m)| m)
-    }
-
     /// Picks the members a batch runs on, most idle first.
     ///
     /// * Host-only batches (no kernel) touch no array: least-busy member.
@@ -1180,7 +1119,9 @@ impl<'a> Gang<'a> {
     /// * A saturated hot kernel is replicated onto the idlest member —
     ///   paying one extra configuration load to split the stream — up to
     ///   `gang − 1` replicas, so one array always stays clear of the hot
-    ///   set for whatever arrives next.
+    ///   set for whatever arrives next. A gang of two may use both: "one
+    ///   array stays clear" has no meaning with two arrays, it only pins
+    ///   a warm kernel to one member while the other idles.
     fn route(&self, key: Option<&KernelSpec>, metrics: &Metrics) -> Vec<usize> {
         // The gang is never empty (`ShardPool::new` asserts it), so an
         // unexcluded least-busy scan always finds a member.
@@ -1192,20 +1133,14 @@ impl<'a> Gang<'a> {
             .filter(|&m| self.members[m].is_resident(&name))
             .collect();
         if homes.is_empty() {
-            // Cold route. Under delta loading the batch prefers the
-            // member whose resident configs minimize the swap delta to
-            // this kernel (cheapest cached delta, ties to the idlest
-            // member); without a cached delta it falls to least-busy.
-            let pick = if self.seed.delta_loading {
-                self.cheapest_delta_member(&name)
-            } else {
-                None
-            };
-            homes.push(pick.or_else(|| self.least_busy(&[])).unwrap_or(0));
+            homes.push(self.least_busy(&[]).unwrap_or(0));
         } else {
             Metrics::incr(&metrics.batch_warm_hits);
         }
-        let max_replicas = (self.members.len() - 1).max(1);
+        let max_replicas = match self.members.len() {
+            gang @ (1 | 2) => gang,
+            gang => gang - 1,
+        };
         while homes.len() < max_replicas {
             let Some(idlest) = self.least_busy(&homes) else {
                 break;
@@ -1500,6 +1435,42 @@ mod tests {
                 positions.windows(2).all(|w| w[0] < w[1]),
                 "batch must be a subsequence of the EDF window"
             );
+        }
+    }
+
+    /// A seed for a gang built directly in a test (no shard thread).
+    fn gang_seed(gang: usize) -> WorkerSeed {
+        let depth = Arc::new(AtomicU64::new(0));
+        WorkerSeed {
+            shard: 0,
+            results: mpsc::channel().0,
+            depth: Arc::clone(&depth),
+            pause: Arc::new(PauseGate::default()),
+            metrics: Arc::new(Metrics::new()),
+            store: Arc::new(ConfigStore::new(STORE_CAPACITY)),
+            policy: RecoveryPolicy::default(),
+            gang,
+            status: Arc::new(ShardStatus::new(depth)),
+            steal: None,
+            steal_threshold: 8,
+            #[cfg(feature = "faults")]
+            injector: None,
+        }
+    }
+
+    /// A warm kernel whose home has run `REPLICATE_AFTER_CYCLES` ahead of
+    /// the idlest member is split across members: onto both members of a
+    /// pair, onto all but one of a larger gang.
+    #[test]
+    fn saturated_warm_kernel_uses_both_members_of_a_pair() {
+        for gang in [2, 3] {
+            let seed = gang_seed(gang);
+            let mut g = Gang::new(&seed);
+            g.members[0].activate(WcdmaKernel::Descrambler).unwrap();
+            g.busy[0] = REPLICATE_AFTER_CYCLES + 1;
+            let homes = g.route(Some(&WcdmaKernel::Descrambler.into()), &seed.metrics);
+            assert_eq!(homes, [1, 0], "gang of {gang}, most idle member first");
+            assert_eq!(seed.metrics.snapshot().batch_replications, 1);
         }
     }
 

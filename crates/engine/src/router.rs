@@ -24,7 +24,7 @@
 //!   exposes its coldest pending batch as a [`StealOffer`]; an idle
 //!   shard claims it and runs it directly. The steal path recompiles
 //!   nothing: the process-wide
-//!   [`ConfigStore`] makes every
+//!   [`ConfigStore`](crate::config_manager::ConfigStore) makes every
 //!   `CompiledConfig` (schedule hints included) shard-agnostic. Unclaimed
 //!   offers are withdrawn by their owner once it idles, so no session is
 //!   ever stranded.
@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::config_manager::{ConfigStore, KernelSpec};
+use crate::config_manager::KernelSpec;
 use crate::metrics::Metrics;
 use crate::session::Session;
 
@@ -128,19 +128,6 @@ impl ShardStatus {
             .iter()
             .any(|n| n == name)
     }
-
-    /// The cheapest cached word delta from any config in the last
-    /// published snapshot to `target`, or `None` when the store has no
-    /// cached delta for any resident. A pure cache probe — nothing is
-    /// computed or allocated on this path.
-    pub fn cheapest_delta_to(&self, target: &str, store: &ConfigStore) -> Option<u64> {
-        self.resident
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .filter_map(|from| store.cached_delta_words(from, target))
-            .min()
-    }
 }
 
 /// The global residency view: one [`ShardStatus`] cell per shard.
@@ -183,28 +170,6 @@ impl ResidencyView {
                     i,
                 )
             })
-    }
-
-    /// The shard (with queue room) whose published residents give the
-    /// cheapest *cached* word delta to `name` — residency scored by how
-    /// little a swap to `name` would stream, not just by exact-name
-    /// residency. Ties break least-loaded first. `None` when no shard
-    /// with room has a cached delta for any of its residents.
-    pub fn cheapest_delta_holder(&self, name: &str, store: &ConfigStore) -> Option<usize> {
-        (0..self.shards.len())
-            .filter(|&i| self.shards[i].queue_depth() < self.queue_limit)
-            .filter_map(|i| {
-                self.shards[i].cheapest_delta_to(name, store).map(|words| {
-                    (
-                        words,
-                        self.shards[i].queue_depth(),
-                        self.shards[i].busy_cycles(),
-                        i,
-                    )
-                })
-            })
-            .min()
-            .map(|(_, _, _, i)| i)
     }
 
     /// The least-loaded shard: minimum (depth, busy cycles, index) among
@@ -261,43 +226,15 @@ impl Placement for StaticPlacement {
 /// queue room) goes there — `router_affinity_hits`; everything else
 /// (host-only steps, cold kernels, full affinity targets) falls back to
 /// the least-loaded shard — `router_fallbacks`.
-///
-/// With a delta store attached
-/// ([`with_delta_store`](AffinityRouter::with_delta_store)) a middle tier
-/// slots in: a kernel resident nowhere is routed to the shard whose
-/// residents give the cheapest cached word delta to it — the swap there
-/// streams the fewest configuration-bus words. Counted as a fallback (it
-/// is still a cold route for the exact kernel), so the affinity hit rate
-/// keeps its meaning.
 pub struct AffinityRouter {
     view: Arc<ResidencyView>,
     metrics: Arc<Metrics>,
-    /// Cached-delta scoring source; `None` routes by exact residency only.
-    store: Option<Arc<ConfigStore>>,
 }
 
 impl AffinityRouter {
     /// A router over the pool's residency view.
     pub fn new(view: Arc<ResidencyView>, metrics: Arc<Metrics>) -> Self {
-        AffinityRouter {
-            view,
-            metrics,
-            store: None,
-        }
-    }
-
-    /// A delta-aware router: cold kernels route to the shard whose
-    /// residents minimize the cached swap delta (see the type docs).
-    pub fn with_delta_store(
-        view: Arc<ResidencyView>,
-        metrics: Arc<Metrics>,
-        store: Arc<ConfigStore>,
-    ) -> Self {
-        AffinityRouter {
-            view,
-            metrics,
-            store: Some(store),
-        }
+        AffinityRouter { view, metrics }
     }
 }
 
@@ -308,12 +245,6 @@ impl Placement for AffinityRouter {
             if let Some(shard) = self.view.holder_of(&name) {
                 Metrics::incr(&self.metrics.router_affinity_hits);
                 return shard;
-            }
-            if let Some(store) = &self.store {
-                if let Some(shard) = self.view.cheapest_delta_holder(&name, store) {
-                    Metrics::incr(&self.metrics.router_fallbacks);
-                    return shard;
-                }
             }
         }
         Metrics::incr(&self.metrics.router_fallbacks);

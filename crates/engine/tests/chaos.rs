@@ -33,16 +33,13 @@ fn chaos_run(seed: u64) {
 /// Same invariants, parameterised over the shard gang size so the batched
 /// dispatcher runs under the identical fault ledger checks.
 fn chaos_run_with(seed: u64, arrays_per_shard: usize) {
-    chaos_run_full(seed, arrays_per_shard, false, 16);
+    chaos_run_full(seed, arrays_per_shard, 16);
 }
 
-/// Same invariants again with differential configuration loading
-/// switchable: when armed, faults also strike mid-delta-load (the injector
-/// consumes one ordinal per configure either way), and the ledger must
-/// reconcile exactly as it does for full loads. `queue_depth` sets the
-/// backpressure: 16 per shard holds the whole workload, 2 makes most frames
-/// bounce off a full queue, re-park and rehydrate while the plan strikes.
-fn chaos_run_full(seed: u64, arrays_per_shard: usize, delta_loading: bool, queue_depth: usize) {
+/// Same invariants again with `queue_depth` setting the backpressure: 16
+/// per shard holds the whole workload, 2 makes most frames bounce off a
+/// full queue, re-park and rehydrate while the plan strikes.
+fn chaos_run_full(seed: u64, arrays_per_shard: usize, queue_depth: usize) {
     quiet_panics();
     // Always at least one crash, so shard restart + re-dispatch is
     // exercised on every seed (seeded() samples only recoverable kinds).
@@ -67,7 +64,6 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, delta_loading: bool, queue
                 ..RecoveryPolicy::default()
             },
             fault_plan: Some(plan),
-            delta_loading,
             ..EngineConfig::default()
         },
         mixed_records(24),
@@ -127,12 +123,6 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, delta_loading: bool, queue
         snap.sessions_completed, summary.done,
         "seed {seed}: completion counter drift"
     );
-    if delta_loading {
-        assert!(
-            snap.delta_loads > 0,
-            "seed {seed}: no configuration ever loaded as a delta — the delta row is vacuous: {snap}"
-        );
-    }
 }
 
 #[test]
@@ -150,33 +140,18 @@ fn chaos_seed_3() {
     chaos_run(3);
 }
 
-/// Chaos with differential loading armed: configurations reach the
-/// arrays as word deltas against consumed residents, faults strike
-/// mid-delta-stream, and the fault ledger must reconcile exactly as it
-/// does with full loads — injected == detected ≤ recoveries +
-/// dead-letters, no ordinal lost to a victim unloaded mid-swap.
-#[test]
-fn chaos_delta_seed_1() {
-    chaos_run_full(1, 1, true, 16);
-}
-
-#[test]
-fn chaos_delta_gang_seed_1() {
-    chaos_run_full(1, 3, true, 16);
-}
-
 /// Chaos under backpressure: two-deep shard queues under a 24-frame
 /// window, so the ledger is checked while frames bounce, re-park and
 /// rehydrate — crash retries included, since a crashed session re-enters
 /// through the same full queues.
 #[test]
 fn chaos_backpressure_seed_1() {
-    chaos_run_full(1, 1, false, 2);
+    chaos_run_full(1, 1, 2);
 }
 
 #[test]
-fn chaos_backpressure_delta_gang_seed_1() {
-    chaos_run_full(1, 3, true, 2);
+fn chaos_backpressure_gang_seed_1() {
+    chaos_run_full(1, 3, 2);
 }
 
 /// The batched gang dispatcher under chaos: crash containment rebuilds

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use common::{mixed_records, run_to_completion};
 use sdr_engine::metrics::KernelKind;
 use sdr_engine::{
-    EngineConfig, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard, SubmitError,
+    EngineConfig, Frontend, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard,
+    SubmitError,
 };
 
 /// End to end on one worker: an OFDM session detects the preamble on
@@ -54,6 +55,57 @@ fn ofdm_reconfiguration_is_served_from_the_cache() {
     );
     assert_eq!(snap.kernel_jobs[KernelKind::PreambleDetector.index()], 2);
     assert_eq!(snap.kernel_jobs[KernelKind::Demodulator.index()], 2);
+}
+
+/// Admits W-CDMA frames `ids` and runs the front-end until they have all
+/// left; returns how many frames it has completed so far.
+fn run_wcdma_wave(frontend: &mut Frontend, ids: std::ops::Range<u64>) -> u64 {
+    for id in ids {
+        frontend.admit(ParkedSession::new_wcdma(id, 100 + id, id));
+    }
+    frontend.run(&mut |_: &Session, _| None).done
+}
+
+/// W-CDMA only on one array: the descrambler and the despreader both fit,
+/// so after the first frame has loaded them the configuration bus is done —
+/// every later frame finds both resident and streams nothing.
+#[test]
+fn wcdma_frames_stream_no_config_words_after_the_first() {
+    let mut frontend = Frontend::new(EngineConfig {
+        shards: 1,
+        shed_lateness_cycles: u64::MAX,
+        ..EngineConfig::default()
+    });
+    assert_eq!(run_wcdma_wave(&mut frontend, 0..1), 1);
+    let first_frame = frontend.snapshot().config_words_streamed;
+    assert!(first_frame > 0, "the first frame loads both kernels");
+    assert_eq!(run_wcdma_wave(&mut frontend, 1..9), 9);
+    assert_eq!(
+        frontend.snapshot().config_words_streamed,
+        first_frame,
+        "a later frame re-streamed a configuration that should be resident"
+    );
+}
+
+/// The same population on two single-array shards under the default
+/// router: a shard that has tracked a frame still holds the descrambler
+/// next to the despreader, so once a first wave has warmed the pool every
+/// later frame's kernel step is routed to a shard holding its kernel.
+#[test]
+fn wcdma_frames_route_by_affinity_on_two_shards() {
+    let mut frontend = Frontend::new(EngineConfig {
+        shards: 2,
+        shed_lateness_cycles: u64::MAX,
+        ..EngineConfig::default()
+    });
+    assert_eq!(run_wcdma_wave(&mut frontend, 0..4), 4);
+    let warm_up_hits = frontend.snapshot().router_affinity_hits;
+    assert_eq!(run_wcdma_wave(&mut frontend, 4..12), 12);
+    assert_eq!(
+        frontend.snapshot().router_affinity_hits - warm_up_hits,
+        8,
+        "one kernel step per frame, each routed to a shard holding the descrambler"
+    );
 }
 
 /// A full shard queue rejects with `WouldBlock` and hands the session

@@ -57,28 +57,13 @@ fn routed_outcomes(
     work_stealing: bool,
     n: u64,
 ) -> Vec<Outcome> {
-    routed_outcomes_delta(shards, arrays_per_shard, placement, work_stealing, false, n)
-}
-
-/// Like [`routed_outcomes`] with differential configuration loading
-/// switchable: the delta-scored router tier and the delta swap tier both
-/// arm together, exactly as `EngineConfig::delta_loading` wires them.
-fn routed_outcomes_delta(
-    shards: usize,
-    arrays_per_shard: usize,
-    placement: PlacementPolicy,
-    work_stealing: bool,
-    delta_loading: bool,
-    n: u64,
-) -> Vec<Outcome> {
-    let (out, summary) = run_to_completion(
+    let (out, _) = run_to_completion(
         EngineConfig {
             shards,
             arrays_per_shard,
             queue_depth: 64,
             placement,
             work_stealing,
-            delta_loading,
             ..EngineConfig::default()
         },
         mixed_records(n),
@@ -88,12 +73,6 @@ fn routed_outcomes_delta(
         n,
         "shards={shards} gang={arrays_per_shard} {placement:?} steal={work_stealing}: sessions lost"
     );
-    if delta_loading {
-        assert!(
-            summary.snapshot.delta_loads > 0,
-            "shards={shards} gang={arrays_per_shard}: no configuration ever loaded as a delta — the row is vacuous"
-        );
-    }
     out
 }
 
@@ -183,24 +162,6 @@ fn affinity_routing_with_stealing_matches_the_reference() {
         let routed = routed_outcomes(shards, gang, PlacementPolicy::Affinity, true, n);
         assert_matches_reference(
             &format!("affinity shards={shards} gang={gang}"),
-            &routed,
-            &reference,
-        );
-    }
-}
-
-/// Differential loading armed on top of affinity routing and stealing:
-/// delta-scored placement and delta config swaps move sessions and words
-/// around, but every terminal state still matches the single-array
-/// reference — the delta tier is a pure bus optimization end to end.
-#[test]
-fn delta_loading_with_affinity_routing_matches_the_reference() {
-    let n = 48;
-    let reference = single_array_reference(n);
-    for (shards, gang) in [(2usize, 2usize), (4, 1), (4, 4)] {
-        let routed = routed_outcomes_delta(shards, gang, PlacementPolicy::Affinity, true, true, n);
-        assert_matches_reference(
-            &format!("delta affinity shards={shards} gang={gang}"),
             &routed,
             &reference,
         );

@@ -1,6 +1,5 @@
 //! Configuration management: placing compiled configurations, streaming
-//! them (in full or as a word delta) over the serial configuration bus,
-//! and unloading.
+//! them over the serial configuration bus, and unloading.
 
 use std::sync::Arc;
 
@@ -170,122 +169,6 @@ impl Array {
     ///
     /// Returns [`Error::PlacementFailed`] if any resource class is exhausted.
     pub fn configure_compiled(&mut self, compiled: &CompiledConfig) -> Result<ConfigId> {
-        self.configure_internal(compiled, compiled.load_cycles())
-    }
-
-    /// Replaces a resident configuration with `target`, streaming only the
-    /// word-level difference between the two over the serial bus — the
-    /// differential reconfiguration the paper's Fig. 10 swap is built for.
-    ///
-    /// The resident configuration is unloaded (its resources freed exactly
-    /// as [`unload`](Array::unload) frees them, including retired-fire
-    /// bookkeeping) and the target is placed and queued like any other
-    /// load, except that the bus owes only
-    /// [`ConfigDelta::words`](crate::ConfigDelta::words) words instead of
-    /// the target's full `load_cycles`. Everything else about the load is
-    /// unchanged: one fault ordinal is consumed, an `AbortLoad` strikes at
-    /// half the (delta) window, and the finished array state is
-    /// bit-identical to an unload followed by a full load of the target.
-    ///
-    /// Placement is pre-checked against the pool *plus* the resident's
-    /// footprint, so a swap that cannot fit fails cleanly with the
-    /// resident still loaded and running.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchConfig`] if `resident` is stale (already
-    /// unloaded), [`Error::DeltaSourceNotRunning`] if the resident load
-    /// has not completed (or faulted), and [`Error::PlacementFailed`] if
-    /// the target does not fit even after the resident's resources are
-    /// freed.
-    pub fn configure_delta(
-        &mut self,
-        resident: ConfigId,
-        target: &CompiledConfig,
-    ) -> Result<ConfigId> {
-        let loaded = self.delta_source(resident)?;
-        let delta =
-            crate::compiled::changed_word_count(&loaded.program.words, target.config_words());
-        let freed = loaded.program.placement.counts;
-        self.finish_delta(resident, target, delta, freed)
-    }
-
-    /// [`configure_delta`](Array::configure_delta) with the word diff
-    /// already computed (a configuration manager caches `(from, to)`
-    /// deltas process-wide): skips the merge-join when `delta` names
-    /// exactly this resident/target pair, recomputing otherwise so the
-    /// bus accounting can never follow a stale diff.
-    pub fn configure_delta_prediffed(
-        &mut self,
-        resident: ConfigId,
-        target: &CompiledConfig,
-        delta: &crate::compiled::ConfigDelta,
-    ) -> Result<ConfigId> {
-        let loaded = self.delta_source(resident)?;
-        // Compilation is deterministic per netlist, so matching names
-        // pin matching word streams; the debug build re-derives the
-        // count to keep that contract honest.
-        let rediff =
-            || crate::compiled::changed_word_count(&loaded.program.words, target.config_words());
-        let words = if loaded.program.name == delta.from_name() && target.name() == delta.to_name()
-        {
-            debug_assert_eq!(
-                delta.changed_words(),
-                rediff(),
-                "cached delta diverged from the resident word stream"
-            );
-            delta.changed_words()
-        } else {
-            rediff()
-        };
-        let freed = loaded.program.placement.counts;
-        self.finish_delta(resident, target, words, freed)
-    }
-
-    /// The still-running resident a delta load may diff against.
-    fn delta_source(&self, resident: ConfigId) -> Result<&LoadedConfig> {
-        let loaded = self.config(resident)?;
-        if !matches!(loaded.state, ConfigState::Running) {
-            return Err(Error::DeltaSourceNotRunning { config: resident.0 });
-        }
-        Ok(loaded)
-    }
-
-    /// Shared tail of the delta paths: checks the target fits once the
-    /// resident's resources come back, then unloads it and queues a bus
-    /// load owing only `delta` words.
-    fn finish_delta(
-        &mut self,
-        resident: ConfigId,
-        target: &CompiledConfig,
-        delta: u64,
-        freed: crate::place::ResourceCounts,
-    ) -> Result<ConfigId> {
-        if let Some((resource, needed, available)) = target
-            .placement()
-            .counts
-            .first_deficit(&self.pool.free().plus(freed))
-        {
-            return Err(Error::PlacementFailed {
-                resource: resource.to_string(),
-                needed,
-                available,
-            });
-        }
-        self.unload(resident)?;
-        self.configure_internal(target, delta)
-    }
-
-    /// The shared load path behind [`configure_compiled`] and
-    /// [`configure_delta`]: places the target and queues a bus load owing
-    /// `stream_words` words (the full stream, or just the diff).
-    fn configure_internal(
-        &mut self,
-        compiled: &CompiledConfig,
-        stream_words: u64,
-    ) -> Result<ConfigId> {
-        // Every queued load streams at least the commit word.
-        let stream_words = stream_words.max(1);
         let program = &compiled.program;
         self.pool.allocate(program.placement.counts)?;
         // Ordinals count only loads that got past placement; a WorkerPanic
@@ -314,7 +197,7 @@ impl Array {
             id,
             program: Arc::clone(program),
             state: ConfigState::Loading {
-                remaining: stream_words,
+                remaining: program.load_cycles,
             },
             enabled: false,
             dense: false,
@@ -338,7 +221,7 @@ impl Array {
             #[cfg(feature = "faults")]
             fault: injected,
             #[cfg(feature = "faults")]
-            fault_at: stream_words / 2,
+            fault_at: program.load_cycles / 2,
         });
         self.load_queue.push_back(id);
         Ok(ConfigId(id))
@@ -363,15 +246,6 @@ impl Array {
         self.connections
             .retain(|c| c.from.0 != cfg.0 && c.to.0 != cfg.0);
         Ok(())
-    }
-
-    /// True while the configuration's load is queued on or streaming over
-    /// the bus (a faulted load has left it).
-    pub fn is_load_in_flight(&self, cfg: ConfigId) -> bool {
-        matches!(
-            self.config(cfg).map(|c| &c.state),
-            Ok(ConfigState::Loading { .. })
-        )
     }
 
     /// Configuration bus: the front of the queue loads one step's worth of

@@ -50,7 +50,7 @@
 //! | module      | holds                                                      |
 //! |-------------|------------------------------------------------------------|
 //! | `mod`       | [`Array`], its observers, streaming port I/O, `step`/`run` |
-//! | `load`      | configure / delta / unload, the config bus                 |
+//! | `load`      | configure / unload, the config bus                         |
 //! | `fire`      | the firing rules, object state and micro-op representations|
 //! | `event`     | the ready-list stepper                                     |
 //! | `dense`     | the dense stepper and the per-configuration mode rule      |

@@ -25,9 +25,8 @@ use std::sync::Arc;
 use crate::array::fire::Micro;
 use crate::array::CONFIG_CYCLES_PER_OBJECT;
 use crate::netlist::{EdgeSpec, EvEdgeSpec, Netlist};
-use crate::object::{ObjectKind, SlotClass};
-use crate::place::{Placement, ResourceCounts};
-use crate::word::ConfigWordHasher;
+use crate::object::ObjectKind;
+use crate::place::Placement;
 
 /// Direction of a named external port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,8 +39,8 @@ pub(crate) enum PortDir {
 
 /// One node of a compiled configuration: its behaviour plus flattened
 /// port→channel maps in *netlist-local* channel numbering (index into the
-/// configuration's own edge lists) — the form the word stream is derived
-/// from and the [`Micro`] visit list is packed from.
+/// configuration's own edge lists) — the form the [`Micro`] visit list is
+/// packed from.
 #[derive(Debug)]
 pub(crate) struct CompiledNode {
     pub(crate) kind: ObjectKind,
@@ -52,103 +51,9 @@ pub(crate) struct CompiledNode {
     pub(crate) evout: [Vec<u32>; 1],
 }
 
-/// One word of a configuration's canonical serial-bus stream.
-///
-/// Every object contributes [`CONFIG_CYCLES_PER_OBJECT`] words: a
-/// behaviour word (the object's kind and parameters), an input-wiring
-/// word and an output-wiring word. The *address* is derived from the
-/// placement — the object's resource class and its ordinal within that
-/// class — so two configurations that place the same behaviour at the
-/// same class-relative position produce the identical word at the
-/// identical address. That stability is what makes a word-level diff
-/// between a resident and a target configuration meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigWord {
-    addr: u64,
-    bits: u64,
-}
-
-impl ConfigWord {
-    /// The word's stable bus address: packed (resource class, ordinal
-    /// within the class, word offset 0..3).
-    pub fn addr(&self) -> u64 {
-        self.addr
-    }
-
-    /// The word's configuration bit pattern.
-    pub fn bits(&self) -> u64 {
-        self.bits
-    }
-}
-
-/// The difference between a resident configuration's word stream and a
-/// target's: the words the serial bus must actually stream to turn the
-/// resident footprint into the target, plus the resource footprints that
-/// the swap frees and places.
-///
-/// Computed by [`CompiledConfig::delta_from`]; consumed by
-/// [`Array::configure_delta`](crate::Array::configure_delta) and by the
-/// engine's configuration-manager tier selection (a delta swap is only
-/// worth taking when [`ConfigDelta::words`] undercuts the target's full
-/// [`CompiledConfig::load_cycles`]).
-#[derive(Debug, Clone)]
-pub struct ConfigDelta {
-    from: String,
-    to: String,
-    changed_words: u64,
-    full_words: u64,
-    freed: ResourceCounts,
-    placed: ResourceCounts,
-}
-
-impl ConfigDelta {
-    /// Name of the resident (source) configuration.
-    pub fn from_name(&self) -> &str {
-        &self.from
-    }
-
-    /// Name of the target configuration.
-    pub fn to_name(&self) -> &str {
-        &self.to
-    }
-
-    /// Serial-bus words a delta load streams. Every load occupies the
-    /// bus for at least one word (the commit word that flips the target
-    /// to running), so this is the changed-word count floored at 1.
-    pub fn words(&self) -> u64 {
-        self.changed_words.max(1)
-    }
-
-    /// Target words whose address/bit pattern differ from the resident
-    /// stream (including words at addresses the resident never wrote).
-    pub fn changed_words(&self) -> u64 {
-        self.changed_words
-    }
-
-    /// Words a full (non-differential) load of the target streams.
-    pub fn full_words(&self) -> u64 {
-        self.full_words
-    }
-
-    /// Bus words a delta load saves over a full load of the target.
-    pub fn words_saved(&self) -> u64 {
-        self.full_words.saturating_sub(self.words())
-    }
-
-    /// Resource footprint the swap frees (the resident's placement).
-    pub fn freed(&self) -> ResourceCounts {
-        self.freed
-    }
-
-    /// Resource footprint the swap places (the target's placement).
-    pub fn placed(&self) -> ResourceCounts {
-        self.placed
-    }
-}
-
 /// A netlist compiled down to everything an [`Array`](crate::Array) needs
 /// at load time and at every cycle after: the placement footprint, the
-/// channel templates, the word stream, and the per-object visit list.
+/// channel templates and the per-object visit list.
 ///
 /// Compiling is the expensive, array-independent half of configuration;
 /// loading a `CompiledConfig` onto an array only allocates resources and
@@ -202,8 +107,6 @@ pub(crate) struct Program {
     pub(crate) nodes: Vec<CompiledNode>,
     /// External port name → (node, direction).
     pub(crate) ports: HashMap<String, (usize, PortDir)>,
-    /// Canonical word-stream view, sorted by address (see [`ConfigWord`]).
-    pub(crate) words: Vec<ConfigWord>,
     /// The configuration's schedule in its always-sound form — *every
     /// object, every cycle*: one micro-op per node, in node order, ports
     /// pre-resolved. The dense stepper fires the whole list each cycle; the
@@ -279,7 +182,6 @@ impl CompiledConfig {
             });
         }
 
-        let words = config_word_stream(&nodes, &netlist.data_edges, &netlist.ev_edges);
         let mut fan = Vec::new();
         let micro = nodes.iter().map(|n| Micro::pack(n, &mut fan)).collect();
         let adj = |from: (usize, usize), to: (usize, usize)| (from.0 as u32, to.0 as u32);
@@ -298,37 +200,9 @@ impl CompiledConfig {
                 e_edges: netlist.ev_edges.clone(),
                 nodes,
                 ports,
-                words,
                 micro,
                 fan,
             }),
-        }
-    }
-
-    /// The canonical word-stream view: one address-stable word per
-    /// configuration-bus cycle of a full load, sorted by address.
-    pub fn config_words(&self) -> &[ConfigWord] {
-        &self.program.words
-    }
-
-    /// Diffs this configuration (the target) against a resident one,
-    /// returning the words the bus must stream to replace `resident`
-    /// with `self` plus the freed/newly-placed resource footprints.
-    ///
-    /// A target word counts as changed when no resident word shares its
-    /// address or the resident word at that address carries different
-    /// bits. Resident words at addresses the target never writes cost no
-    /// bus traffic: deconfiguring is resource release, which the serial
-    /// bus does not carry (exactly as [`Array::unload`](crate::Array::unload)
-    /// charges no words today).
-    pub fn delta_from(&self, resident: &CompiledConfig) -> ConfigDelta {
-        ConfigDelta {
-            from: resident.name().to_string(),
-            to: self.name().to_string(),
-            changed_words: changed_word_count(resident.config_words(), self.config_words()),
-            full_words: self.load_cycles(),
-            freed: resident.placement().counts,
-            placed: self.placement().counts,
         }
     }
 
@@ -351,150 +225,6 @@ impl CompiledConfig {
     pub fn load_cycles(&self) -> u64 {
         self.program.load_cycles
     }
-}
-
-/// Counts target words that differ from the resident stream (both slices
-/// address-sorted): missing at that address, or same address with
-/// different bits. Shared by [`CompiledConfig::delta_from`] and the
-/// array's `configure_delta`, which diffs against the word stream a
-/// resident load left behind.
-pub(crate) fn changed_word_count(resident: &[ConfigWord], target: &[ConfigWord]) -> u64 {
-    let mut changed = 0u64;
-    let mut r = resident.iter().peekable();
-    for w in target {
-        while r.next_if(|rw| rw.addr < w.addr).is_some() {}
-        match r.peek() {
-            Some(rw) if rw.addr == w.addr && rw.bits == w.bits => {}
-            _ => changed += 1,
-        }
-    }
-    changed
-}
-
-/// Numeric discriminant of a resource class for address packing.
-fn class_index(class: SlotClass) -> u64 {
-    match class {
-        SlotClass::Alu => 0,
-        SlotClass::Reg => 1,
-        SlotClass::Ram => 2,
-        SlotClass::Io => 3,
-    }
-}
-
-/// Packs a word address from (resource class, per-class ordinal, word
-/// offset). Ordinals are far below 2³⁸, so the packing never collides.
-fn word_addr(class: SlotClass, ordinal: u64, offset: u64) -> u64 {
-    (class_index(class) << 40) | (ordinal << 2) | offset
-}
-
-/// Derives the canonical word stream of a compiled netlist.
-///
-/// Each node occupies one slot of its resource class (in node order, the
-/// same order the placer and loader walk) and contributes three words at
-/// that slot's addresses: behaviour, input wiring, output wiring. Wiring
-/// words identify the peer endpoint by its *class-relative* slot — not
-/// the raw node index — so shared datapath structure hashes identically
-/// even when the two netlists interleave their classes differently.
-fn config_word_stream(
-    nodes: &[CompiledNode],
-    d_edges: &[EdgeSpec],
-    e_edges: &[EvEdgeSpec],
-) -> Vec<ConfigWord> {
-    let mut counters = [0u64; 4];
-    let mut slots = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let class = node.kind.slot_class();
-        let idx = class_index(class) as usize;
-        slots.push((class, counters[idx]));
-        counters[idx] += 1;
-    }
-    let fold_endpoint = |h: &mut ConfigWordHasher, (n, p): (usize, usize)| {
-        let (class, ordinal) = slots[n];
-        h.write_u64(class_index(class));
-        h.write_u64(ordinal);
-        h.write_u64(p as u64);
-    };
-    let mut words = Vec::with_capacity(nodes.len() * CONFIG_CYCLES_PER_OBJECT as usize);
-    for (n, node) in nodes.iter().enumerate() {
-        let (class, ordinal) = slots[n];
-
-        // Word 0 — behaviour: the object kind with all its parameters
-        // (op, constants, counter config, preload contents, port names).
-        let mut h = ConfigWordHasher::new();
-        h.write_bytes(format!("{:?}", node.kind).as_bytes());
-        words.push(ConfigWord {
-            addr: word_addr(class, ordinal, 0),
-            bits: h.finish(),
-        });
-
-        // Word 1 — input wiring: per data/event input port, the producer
-        // endpoint plus the channel's capacity and initial tokens.
-        let mut h = ConfigWordHasher::new();
-        for slot in &node.din {
-            match slot {
-                Some(k) => {
-                    let e = &d_edges[*k as usize];
-                    h.write_u64(1);
-                    fold_endpoint(&mut h, e.from);
-                    h.write_u64(e.capacity as u64);
-                    for w in &e.initial {
-                        h.write_u64(w.bits() as u64);
-                    }
-                }
-                None => h.write_u64(0),
-            }
-        }
-        for slot in &node.evin {
-            match slot {
-                Some(k) => {
-                    let e = &e_edges[*k as usize];
-                    h.write_u64(1);
-                    fold_endpoint(&mut h, e.from);
-                    h.write_u64(e.capacity as u64);
-                    for &b in &e.initial {
-                        h.write_u64(b as u64);
-                    }
-                }
-                None => h.write_u64(0),
-            }
-        }
-        words.push(ConfigWord {
-            addr: word_addr(class, ordinal, 1),
-            bits: h.finish(),
-        });
-
-        // Word 2 — output wiring: per output port, the fan-out list of
-        // consumer endpoints with each channel's capacity and tokens.
-        let mut h = ConfigWordHasher::new();
-        for list in &node.dout {
-            h.write_u64(list.len() as u64);
-            for k in list {
-                let e = &d_edges[*k as usize];
-                fold_endpoint(&mut h, e.to);
-                h.write_u64(e.capacity as u64);
-                for w in &e.initial {
-                    h.write_u64(w.bits() as u64);
-                }
-            }
-        }
-        for list in &node.evout {
-            h.write_u64(list.len() as u64);
-            for k in list {
-                let e = &e_edges[*k as usize];
-                fold_endpoint(&mut h, e.to);
-                h.write_u64(e.capacity as u64);
-                for &b in &e.initial {
-                    h.write_u64(b as u64);
-                }
-            }
-        }
-        words.push(ConfigWord {
-            addr: word_addr(class, ordinal, 2),
-            bits: h.finish(),
-        });
-    }
-    words.sort_by_key(|w| w.addr);
-    words
 }
 
 #[cfg(test)]
@@ -530,71 +260,5 @@ mod tests {
             .unwrap();
         assert!(alu.din[0].is_some() && alu.din[1].is_some());
         assert_eq!(alu.dout[0].len(), 1);
-    }
-
-    fn two_input_alu(name: &str, op: AluOp) -> Netlist {
-        let mut nl = NetlistBuilder::new(name);
-        let a = nl.input("a");
-        let b = nl.input("b");
-        let y = nl.alu(op, a, b);
-        nl.output("y", y);
-        nl.build().unwrap()
-    }
-
-    #[test]
-    fn word_stream_covers_every_load_cycle_with_unique_addresses() {
-        let c = CompiledConfig::compile(&pipeline());
-        assert_eq!(c.config_words().len() as u64, c.load_cycles());
-        for pair in c.config_words().windows(2) {
-            assert!(pair[0].addr() < pair[1].addr(), "addresses sorted, unique");
-        }
-    }
-
-    #[test]
-    fn word_stream_is_deterministic_across_compiles() {
-        let a = CompiledConfig::compile(&pipeline());
-        let b = CompiledConfig::compile(&pipeline());
-        assert_eq!(a.config_words(), b.config_words());
-    }
-
-    #[test]
-    fn delta_to_identical_structure_floors_at_one_word() {
-        let c = CompiledConfig::compile(&pipeline());
-        let d = c.delta_from(&c);
-        assert_eq!(d.changed_words(), 0);
-        assert_eq!(d.words(), 1, "the commit word always streams");
-        assert_eq!(d.words_saved(), c.load_cycles() - 1);
-        assert_eq!(d.full_words(), c.load_cycles());
-    }
-
-    #[test]
-    fn delta_isolates_the_single_changed_behaviour_word() {
-        let add = CompiledConfig::compile(&two_input_alu("v-add", AluOp::Add));
-        let sub = CompiledConfig::compile(&two_input_alu("v-sub", AluOp::Sub));
-        let d = sub.delta_from(&add);
-        // Identical shape and wiring: only the ALU's behaviour word moved.
-        assert_eq!(d.changed_words(), 1);
-        assert_eq!(d.words(), 1);
-        assert_eq!(d.from_name(), "v-add");
-        assert_eq!(d.to_name(), "v-sub");
-        assert_eq!(d.freed(), add.placement().counts);
-        assert_eq!(d.placed(), sub.placement().counts);
-    }
-
-    #[test]
-    fn delta_restreams_words_the_resident_never_held() {
-        let small = CompiledConfig::compile(&two_input_alu("small", AluOp::Add));
-        let mut nl = NetlistBuilder::new("grown");
-        let a = nl.input("a");
-        let b = nl.input("b");
-        let y = nl.alu(AluOp::Add, a, b);
-        let z = nl.alu(AluOp::Mul, y, b);
-        nl.output("y", z);
-        let grown = CompiledConfig::compile(&nl.build().unwrap());
-        let d = grown.delta_from(&small);
-        // The second ALU is brand new: all three of its words stream,
-        // plus whatever wiring the first ALU's fan-out change dirtied.
-        assert!(d.changed_words() >= 3);
-        assert!(d.words() <= d.full_words());
     }
 }

@@ -79,15 +79,6 @@ pub enum Error {
         /// Configuration id of the wedged kernel.
         config: u32,
     },
-    /// `configure_delta` was asked to diff against a resident
-    /// configuration that is not fully loaded and running: a word-level
-    /// delta is only meaningful against a complete, healthy resident
-    /// stream (a load still streaming or a faulted shape must be handled
-    /// through the full-load path instead).
-    DeltaSourceNotRunning {
-        /// Configuration id of the unusable delta source.
-        config: u32,
-    },
 }
 
 impl Error {
@@ -159,13 +150,6 @@ impl fmt::Display for Error {
                     "configuration {config} is wedged (running but firing nothing)"
                 )
             }
-            Error::DeltaSourceNotRunning { config } => {
-                write!(
-                    f,
-                    "configuration {config} is not running; a differential load needs a \
-                     fully loaded resident source"
-                )
-            }
         }
     }
 }
@@ -213,7 +197,6 @@ mod tests {
             Error::ConfigCorrupted { config: 7 },
             Error::LoadAborted { config: 7 },
             Error::ConfigWedged { config: 7 },
-            Error::DeltaSourceNotRunning { config: 7 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());
@@ -227,7 +210,6 @@ mod tests {
         assert!(Error::ConfigWedged { config: 0 }.is_fault());
         assert!(!Error::Timeout { budget: 10 }.is_fault());
         assert!(!Error::NoSuchConfig(0).is_fault());
-        assert!(!Error::DeltaSourceNotRunning { config: 0 }.is_fault());
     }
 
     #[test]

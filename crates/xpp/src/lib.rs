@@ -60,7 +60,7 @@ pub mod stats;
 pub mod word;
 
 pub use array::{with_schedule_capture, Array, ConfigId, CONFIG_CYCLES_PER_OBJECT};
-pub use compiled::{CompiledConfig, ConfigDelta, ConfigWord};
+pub use compiled::CompiledConfig;
 pub use error::{Error, Result};
 pub use netlist::{
     CounterPorts, DataIn, DataOut, EvIn, EvOut, FifoPorts, Netlist, NetlistBuilder, NodeId,
@@ -70,4 +70,4 @@ pub use object::{AluOp, CounterCfg, ObjectKind, SlotClass, UnaryOp, RAM_WORDS};
 pub use place::{Geometry, Placement, ResourceCounts, ResourcePool};
 pub use schedule::ScheduleStats;
 pub use stats::ArrayStats;
-pub use word::{ConfigWordHasher, Event, Word, WORD_BITS, WORD_MAX, WORD_MIN};
+pub use word::{Event, Word, WORD_BITS, WORD_MAX, WORD_MIN};

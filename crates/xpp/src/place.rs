@@ -117,10 +117,8 @@ impl ResourceCounts {
     /// The first resource class where `self` exceeds `available`, as
     /// `(class name, needed, available)` — `None` when everything fits.
     ///
-    /// The class names match the ones [`ResourcePool::allocate`] puts in
-    /// its placement errors, so callers that pre-check a footprint (for
-    /// example a differential swap that must not destroy the resident
-    /// configuration on failure) report the identical diagnostic.
+    /// The class names are the ones [`ResourcePool::allocate`] puts in its
+    /// placement errors.
     pub fn first_deficit(
         &self,
         available: &ResourceCounts,
@@ -135,11 +133,6 @@ impl ResourceCounts {
         checks
             .into_iter()
             .find(|&(_, needed, avail)| needed > avail)
-    }
-
-    /// True when every component of `self` fits within `available`.
-    pub fn fits_within(&self, available: &ResourceCounts) -> bool {
-        self.first_deficit(available).is_none()
     }
 }
 
@@ -352,9 +345,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(need.first_deficit(&avail), Some(("RAM slots", 3, 2)));
-        assert!(!need.fits_within(&avail));
-        assert!(need.fits_within(&need));
-        assert!(ResourceCounts::default().fits_within(&ResourceCounts::default()));
+        assert_eq!(need.first_deficit(&need), None);
     }
 
     #[test]

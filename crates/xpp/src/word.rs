@@ -166,51 +166,6 @@ impl From<Word> for i32 {
     }
 }
 
-/// Deterministic 64-bit FNV-1a accumulator used to derive the bit
-/// patterns of configuration-bus words (see [`crate::compiled`]).
-///
-/// Differential loading compares the configuration words of two compiled
-/// netlists, so the bit pattern of a word must depend only on the netlist
-/// content — never on hash-map iteration order, `RandomState` seeds or
-/// the platform. FNV-1a over an explicit byte fold gives exactly that:
-/// the same netlist always compiles to the same words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigWordHasher(u64);
-
-impl ConfigWordHasher {
-    /// Starts a fresh accumulator at the FNV-1a offset basis.
-    pub const fn new() -> Self {
-        ConfigWordHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the accumulator.
-    #[inline]
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Folds a `u64` (little-endian) into the accumulator.
-    #[inline]
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// The accumulated hash.
-    #[inline]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for ConfigWordHasher {
-    fn default() -> Self {
-        ConfigWordHasher::new()
-    }
-}
-
 /// A 1-bit event packet (the XPP event network carries these alongside data).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, PartialOrd, Ord)]
 pub struct Event(pub bool);
@@ -298,25 +253,6 @@ mod tests {
         assert_eq!(format!("{w:x}"), "2a");
         assert_eq!(format!("{:x}", Word::new(-1)), "ffffff");
         assert_eq!(format!("{}", Event::SET), "1");
-    }
-
-    #[test]
-    fn config_word_hasher_is_deterministic_and_order_sensitive() {
-        let mut a = ConfigWordHasher::new();
-        a.write_bytes(b"alu");
-        a.write_u64(7);
-        let mut b = ConfigWordHasher::new();
-        b.write_bytes(b"alu");
-        b.write_u64(7);
-        assert_eq!(a.finish(), b.finish());
-        let mut c = ConfigWordHasher::new();
-        c.write_u64(7);
-        c.write_bytes(b"alu");
-        assert_ne!(a.finish(), c.finish());
-        assert_eq!(
-            ConfigWordHasher::default().finish(),
-            ConfigWordHasher::new().finish()
-        );
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! Usage:
 //! `cargo run --release --example basestation [--sessions N] [--shards M]
-//!  [--arrays-per-shard K] [--arrival-rate R] [--static-placement]
-//!  [--full-loads]`
+//!  [--arrays-per-shard K] [--arrival-rate R] [--static-placement]`
 //! where `R` is mean terminal arrivals per second at the 50 MHz modeled
 //! array clock (defaults: 64 sessions, 4 shards, 1 array per shard,
 //! 4000/s). Bare positional arguments `[sessions] [shards]
@@ -21,9 +20,6 @@
 //! seed's `id % shards` routing with work stealing off — session
 //! outcomes and slack/shed are deterministic either way, but this also
 //! makes the live dispatch counters bit-identical across runs.
-//! Differential configuration loading is on by default (the Fig. 10
-//! swaps stream word deltas instead of full configurations);
-//! `--full-loads` reverts to full streams for comparison.
 
 use xpp_sdr::dsp::rng::Rng64;
 use xpp_sdr::engine::frontend::Frontend;
@@ -44,12 +40,10 @@ struct Args {
     /// session outcomes and slack/shed figures, which are deterministic
     /// either way) is bit-identical across runs.
     static_placement: bool,
-    /// Differential configuration loading (on unless `--full-loads`).
-    delta_loading: bool,
 }
 
 const USAGE: &str = "usage: basestation [--sessions N] [--shards M] [--arrays-per-shard K] \
-                     [--arrival-rate R] [--static-placement] [--full-loads]";
+                     [--arrival-rate R] [--static-placement]";
 
 /// Why the command line was rejected.
 #[derive(Debug)]
@@ -97,14 +91,12 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, ArgError> {
         arrays_per_shard: 1,
         arrival_rate: 4000.0,
         static_placement: false,
-        delta_loading: true,
     };
     let mut positional = 0usize;
     let mut it = argv;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--static-placement" => args.static_placement = true,
-            "--full-loads" => args.delta_loading = false,
             flag @ ("--sessions" | "--shards" | "--arrays-per-shard" | "--arrival-rate") => {
                 let v = it
                     .next()
@@ -163,7 +155,6 @@ fn main() {
             PlacementPolicy::Affinity
         },
         work_stealing: !args.static_placement,
-        delta_loading: args.delta_loading,
         ..EngineConfig::default()
     });
 
@@ -194,13 +185,6 @@ fn main() {
         100.0 * summary.snapshot.steal_rate(),
         summary.snapshot.batches_stolen,
         summary.snapshot.steal_sessions
-    );
-    println!(
-        "delta loading: {} delta loads saved {} config-bus words \
-         (word hit rate {:.1}%)",
-        summary.snapshot.delta_loads,
-        summary.snapshot.delta_words_saved,
-        100.0 * summary.snapshot.delta_hit_rate()
     );
     println!(
         "peak resident {} sessions ({} peak parked, materialisation window {})",

@@ -160,17 +160,6 @@ fn rake_soft_handover_scenario() -> Record {
 /// demodulation through 2b — with the configuration-bus load overlapping
 /// FFT compute.
 fn wlan_reconfiguration_scenario() -> Record {
-    wlan_swap_scenario(false)
-}
-
-/// Same scenario with the 2a→2b swap routed through the word-level
-/// differential loader ([`Array::configure_delta`]): the bus streams only
-/// the words where the demodulator differs from the resident detector.
-fn wlan_delta_reconfiguration_scenario() -> Record {
-    wlan_swap_scenario(true)
-}
-
-fn wlan_swap_scenario(delta_swap: bool) -> Record {
     use ofdm::channel::WlanChannel;
     use ofdm::params::rate;
     use ofdm::tx::Transmitter;
@@ -218,16 +207,9 @@ fn wlan_swap_scenario(delta_swap: bool) -> Record {
 
     // Runtime swap 2a -> 2b. Push an FFT window before the new
     // configuration finishes loading, so the configuration-bus transfer
-    // overlaps resident compute (the scenario of Fig. 10). The delta arm
-    // swaps through `configure_delta` — same eviction, same final state,
-    // only the changed words on the bus.
-    let c2b = if delta_swap {
-        let compiled = xpp_array::CompiledConfig::compile(&demodulator_netlist());
-        array.configure_delta(c2a, &compiled).unwrap()
-    } else {
-        array.unload(c2a).unwrap();
-        array.configure(&demodulator_netlist()).unwrap()
-    };
+    // overlaps resident compute (the scenario of Fig. 10).
+    array.unload(c2a).unwrap();
+    let c2b = array.configure(&demodulator_netlist()).unwrap();
     array
         .push_input(c1, "fft_i_in", ds_i[..64].iter().map(|&v| Word::new(v)))
         .unwrap();
@@ -267,59 +249,6 @@ fn rake_soft_handover_is_stepper_invariant() {
 #[test]
 fn wlan_reconfiguration_is_stepper_invariant() {
     assert_steppers_agree(wlan_reconfiguration_scenario);
-}
-
-#[test]
-fn wlan_delta_reconfiguration_is_stepper_invariant() {
-    assert_steppers_agree(wlan_delta_reconfiguration_scenario);
-}
-
-/// The differential swap must be observably a *pure* bus optimization:
-/// every output stream, every per-config fire count and every compute-side
-/// statistic is bit-identical to the unload-plus-full-load swap of the
-/// same final state — and the config-bus words, cycles and energy drop by
-/// exactly the delta's saved words, nothing else.
-#[test]
-fn delta_swap_is_bit_identical_to_the_full_swap() {
-    use ofdm::xpp_map::{demodulator_netlist, preamble_detector_netlist};
-    use xpp_array::power::EnergyModel;
-    use xpp_array::CompiledConfig;
-
-    let full = wlan_reconfiguration_scenario();
-    let delta = wlan_delta_reconfiguration_scenario();
-
-    assert_eq!(full.streams, delta.streams, "outputs must be bit-identical");
-    assert_eq!(full.fires, delta.fires, "per-config fire totals diverged");
-    let (f, d) = (&full.stats, &delta.stats);
-    assert_eq!(
-        (f.alu_fires, f.mul_fires, f.reg_fires, f.event_fires),
-        (d.alu_fires, d.mul_fires, d.reg_fires, d.event_fires),
-        "compute fires diverged"
-    );
-    assert_eq!(
-        (f.ram_reads, f.ram_writes, f.fifo_fires, f.io_words),
-        (d.ram_reads, d.ram_writes, d.fifo_fires, d.io_words),
-        "memory/io traffic diverged"
-    );
-    assert_eq!(f.configs_loaded, d.configs_loaded);
-
-    // The bus accounting shrinks by exactly the saved words.
-    let det = CompiledConfig::compile(&preamble_detector_netlist());
-    let dem = CompiledConfig::compile(&demodulator_netlist());
-    let swap = dem.delta_from(&det);
-    assert!(
-        swap.words() < dem.load_cycles(),
-        "Fig. 10 configurations must overlap at the word level"
-    );
-    assert_eq!(f.config_words - d.config_words, swap.words_saved());
-    assert_eq!(f.config_cycles - d.config_cycles, swap.words_saved());
-    let model = EnergyModel::hcmos9_130nm();
-    let saved_nj = model.config_load_nj(swap.words_saved());
-    let geometry = xpp_array::Geometry::xpp64a();
-    let full_power = model.report(f, geometry, 64e6);
-    let delta_power = model.report(d, geometry, 64e6);
-    assert_eq!(full_power.dynamic_nj, delta_power.dynamic_nj);
-    assert!((full_power.config_nj - delta_power.config_nj - saved_nj).abs() < 1e-9);
 }
 
 /// One randomly chosen dataflow stage of a generated netlist.
