@@ -83,8 +83,9 @@ pub struct EngineConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Materialisation window: maximum concurrently *rehydrated*
     /// sessions (in flight in the pool). Everything beyond this stays
-    /// parked. Keep at or below `shards × queue_depth` so the driver's
-    /// in-flight bound never starves the window. Clamped to at least 1.
+    /// parked. Clamped to `shards × queue_depth`, so a record is only
+    /// rehydrated when the pool has a slot for it, and to at least 1
+    /// ([`Frontend::window`](crate::Frontend::window)).
     pub max_resident: usize,
     /// Parking-lot slots to preallocate (parking within this budget is
     /// allocation-free). `0` grows on demand.

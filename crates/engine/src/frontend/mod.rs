@@ -11,30 +11,41 @@
 //!
 //! A terminal's life cycle: **admitted** as a parked record →
 //! **materialised** (rehydrated into a full `Session` and submitted to
-//! the pool) when capacity allows → stepped through its pipeline, each
-//! hand-back resubmitted for its next step → on `WouldBlock` **re-parked**
-//! with a deferred deadline instead of blocking → **completed** (and,
-//! closed-loop, its next frame re-admitted). Millions of terminals can be
-//! resident while only `shards × arrays_per_shard` plus the small
+//! the pool) when the pool has a slot for it → stepped through its
+//! pipeline, each hand-back resubmitted for its next step → **completed**
+//! (and, closed-loop, its next frame re-admitted). Millions of terminals
+//! can be resident while only `shards × arrays_per_shard` plus the small
 //! materialisation window ever own sample buffers.
+//!
+//! Flow control is by credit, as on the array itself, where an object
+//! fires only when its output register has room: the window is
+//! [`Frontend::window`], `max_resident` clamped to the pool's total queue
+//! capacity, and a record is popped only into a free slot of it. The pool
+//! as a whole therefore never refuses. One *shard* still can — static
+//! placement pins a session to its queue however full, and a paused shard
+//! does not drain — and on that `WouldBlock` the session is **re-parked**
+//! with a deferred deadline instead of blocking the driver.
 //!
 //! There is no executor behind this: a session's drive has one wait point
 //! (the pool's hand-back), does no I/O, keeps all of its state in the
-//! `Session` itself (its stage-table row), and at most `max_resident` of
-//! them are in flight — so [`Frontend::pump`] just does the work, in an
-//! order that matters twice:
+//! `Session` itself (its stage-table row), and at most a window of them
+//! are in flight — so [`Frontend::pump`] just does the work, in an order
+//! that matters twice:
 //!
 //! 1. **Hand-backs are folded before parked records are materialised.** A
 //!    mid-pipeline session re-takes the queue slot its own completion
 //!    freed; re-parking it instead costs a capture replay on rehydration
 //!    (≈ 0.15 ms for a tracking W-CDMA terminal). Fresh records get what
 //!    is left.
-//! 2. **One materialisation pass pops at most `max_resident − in flight`
+//! 2. **One materialisation pass pops at most `window − in flight`
 //!    records, counted once when the pass starts, and records that bounce
 //!    during the pass re-enter the lot after it.** A bounced record keeps
-//!    the slot it was popped into, so on a full or paused queue a pass
+//!    the slot it was popped into, so on a full or paused shard a pass
 //!    bounces each record at most once and `pump` returns; re-parking
-//!    inside the pass would pop the same deferred record forever.
+//!    inside the pass would pop the same deferred record forever. A bounce
+//!    is not progress: a pass that only bounced leaves
+//!    [`Frontend::run_limited`] waiting for a hand-back, the one event
+//!    that frees a slot, instead of spinning on the full shard.
 //!
 //! # Deterministic admission model
 //!
@@ -245,6 +256,15 @@ impl Frontend {
         self.in_flight
     }
 
+    /// The effective materialisation window: `max_resident` clamped to
+    /// what the pool's queues can hold, so a record is rehydrated only
+    /// when the pool has a slot for it.
+    pub fn window(&self) -> usize {
+        self.config
+            .max_resident
+            .clamp(1, self.pool.queue_capacity())
+    }
+
     /// Parking-lot heap bytes per parked record; `None` while empty.
     pub fn bytes_per_parked(&self) -> Option<f64> {
         self.lot.bytes_per_parked()
@@ -254,8 +274,9 @@ impl Frontend {
     /// has ready (completions, closed-loop re-admissions, next-step
     /// resubmissions), then materialise parked records into what is left
     /// of the window — in that order, see the module docs. Returns the
-    /// amount of progress made (0 = fully stalled; block via the pool or
-    /// call again after external action).
+    /// amount of progress made: hand-backs folded, sessions the pool
+    /// accepted and records shed, never a bounce (0 = fully stalled; block
+    /// via the pool or call again after external action).
     pub fn pump(&mut self, workload: &mut impl Workload) -> usize {
         let mut progress = 0;
         // Hand-backs before parked records (module docs, ordering 1): a
@@ -296,10 +317,12 @@ impl Frontend {
                 break;
             }
             if progress == 0 {
-                // No hand-back and no record popped: the window is full or
-                // the lot is empty, and something is in flight either way
-                // (an empty lot with nothing in flight ended the loop
-                // above). Only a pool completion can change that.
+                // No hand-back and no record accepted: the window is full,
+                // the lot is empty or every pop bounced off a full shard,
+                // and something is in flight in each case (an empty lot
+                // with nothing in flight ended the loop above, and an empty
+                // pool refuses nothing). Only a pool completion can change
+                // that.
                 self.wait_fold(workload);
             }
         }
@@ -344,27 +367,20 @@ impl Frontend {
         }
     }
 
-    /// Submits a session for one pipeline step. When the driver is at its
-    /// in-flight bound or the target shard queue is full, the session
-    /// shrinks back to a parked record with a deferred deadline, returned
-    /// for the caller to put in the lot. No thread blocks here.
+    /// Submits a session for one pipeline step. The window keeps
+    /// `in_flight` below the pool's total capacity, so only the target
+    /// shard's own queue can refuse (static placement or a paused shard;
+    /// the affinity router never picks a full shard while another has
+    /// room). The refused session shrinks back to a parked record with a
+    /// deferred deadline, returned for the caller to put in the lot. No
+    /// thread blocks here.
     fn submit(&mut self, session: Session) -> Option<ParkedSession> {
-        let bounced = if self.in_flight >= self.pool.queue_capacity() {
-            // The driver's own bound: counts as a rejected submission
-            // even though the pool was never consulted.
-            Metrics::incr(&self.metrics.jobs_rejected);
-            session
-        } else {
-            match self.pool.submit(session) {
-                Ok(_) => {
-                    self.in_flight += 1;
-                    return None;
-                }
-                Err(err) => err.into_session(),
-            }
+        let Err(refused) = self.pool.submit(session) else {
+            self.in_flight += 1;
+            return None;
         };
         // Only non-terminal sessions are submitted, and those always park.
-        let mut record = bounced.park()?;
+        let mut record = refused.into_session().park()?;
         record.defer(DEFER_CYCLES);
         Metrics::incr(&self.metrics.backpressure_parks);
         Some(record)
@@ -372,15 +388,15 @@ impl Frontend {
 
     /// Rehydrates earliest-deadline parked records into the free part of
     /// the materialisation window, charging the virtual-time model (and
-    /// shedding hopeless frames) for fresh ones.
+    /// shedding hopeless frames) for fresh ones. Returns the records it
+    /// shed or the pool accepted; a bounce is not progress.
     fn materialise(&mut self) -> usize {
         let mut progress = 0;
-        // The pass's budget is fixed here and a bounce spends it like a
-        // submission does, with bounced records held back until the pass
-        // ends (module docs, ordering 2): on a full or paused queue each
-        // record bounces at most once and the pass terminates.
-        let window = self.config.max_resident.max(1);
-        let mut room = window.saturating_sub(self.in_flight);
+        // The credit: one pop per free slot of the window, counted here. A
+        // bounce spends its credit like a submission does, and bounced
+        // records are held back until the pass ends (module docs,
+        // ordering 2), so a pass over a full or paused shard terminates.
+        let mut room = self.window().saturating_sub(self.in_flight);
         while room > 0 {
             let Some(record) = self.lot.pop_earliest() else {
                 break;
@@ -406,11 +422,11 @@ impl Frontend {
             }
             let session = Session::rehydrate(&record);
             Metrics::incr(&self.metrics.rehydrations);
-            if let Some(record) = self.submit(session) {
-                self.bounced.push(record);
+            match self.submit(session) {
+                None => progress += 1,
+                Some(record) => self.bounced.push(record),
             }
             room -= 1;
-            progress += 1;
         }
         for record in self.bounced.drain(..) {
             self.lot.park(record);
@@ -484,8 +500,9 @@ mod tests {
         assert_eq!(summary.peak_parked, 10);
         assert!(summary.peak_resident >= 10);
         // 10 first materialisations, plus one more per backpressure
-        // bounce (5 sessions share a shard with queue depth 4, so some
-        // bounce, re-park, and rehydrate again).
+        // bounce. The window (8) is the pool's capacity and the affinity
+        // router fills whichever shard has room, so none is expected; the
+        // identity holds either way.
         assert_eq!(
             summary.snapshot.rehydrations,
             10 + summary.snapshot.backpressure_parks

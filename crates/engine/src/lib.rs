@@ -26,9 +26,10 @@
 //! pool, the control plane above that dataflow plane, as the paper's
 //! configuration manager is the one authority that sequences every load,
 //! run and swap. Terminals are admitted as compact parked records,
-//! rehydrated into a bounded window of sessions in flight, and each
-//! hand-back is resubmitted until the session reaches a terminal state; a
-//! full shard queue re-parks the session instead of blocking a thread. The
+//! rehydrated into a window no wider than the shard queues can hold, and
+//! each hand-back is resubmitted until the session reaches a terminal
+//! state; the one shard queue that can still fill (static placement)
+//! re-parks the session instead of blocking a thread. The
 //! run is *supervised*: a worker panic restarts that shard with a fresh
 //! array and the session is re-dispatched (bounded by
 //! [`RecoveryPolicy::max_session_attempts`], then dead-lettered), and a

@@ -668,8 +668,8 @@ impl ShardPool {
         self.results.recv_timeout(timeout).ok()
     }
 
-    /// Total submission capacity across every shard queue — the bound the
-    /// front-end enforces on the sessions it has in flight.
+    /// Total submission capacity across every shard queue — what the
+    /// front-end clamps its materialisation window to.
     pub fn queue_capacity(&self) -> usize {
         self.shards.len() * self.queue_depth_limit
     }

@@ -7,8 +7,8 @@
 
 mod common;
 
-use common::{mixed_records, run_to_completion};
-use sdr_engine::{EngineConfig, RecoveryPolicy, Session, SessionState};
+use common::{mixed_records, run_to_completion, skewed_records};
+use sdr_engine::{EngineConfig, PlacementPolicy, RecoveryPolicy, Session, SessionState};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// Injected worker panics print through the default hook from worker
@@ -33,13 +33,15 @@ fn chaos_run(seed: u64) {
 /// Same invariants, parameterised over the shard gang size so the batched
 /// dispatcher runs under the identical fault ledger checks.
 fn chaos_run_with(seed: u64, arrays_per_shard: usize) {
-    chaos_run_full(seed, arrays_per_shard, 16);
+    chaos_run_full(seed, arrays_per_shard, false);
 }
 
-/// Same invariants again with `queue_depth` setting the backpressure: 16
-/// per shard holds the whole workload, 2 makes most frames bounce off a
-/// full queue, re-park and rehydrate while the plan strikes.
-fn chaos_run_full(seed: u64, arrays_per_shard: usize, queue_depth: usize) {
+/// Same invariants again with or without backpressure. Without, 16-deep
+/// queues hold the whole workload. With, every id is even and placement is
+/// static, so shard 0's two-deep queue takes all 24 frames under a window
+/// of 4: frames bounce, re-park and rehydrate while the plan strikes, the
+/// first two before the paused pool has run anything.
+fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool) {
     quiet_panics();
     // Always at least one crash, so shard restart + re-dispatch is
     // exercised on every seed (seeded() samples only recoverable kinds).
@@ -54,20 +56,30 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, queue_depth: usize) {
     faults.extend(FaultPlan::seeded(seed, 6, 8).faults);
     let plan = FaultPlan { faults };
     let injected_planned = plan.faults.len();
-    let (completed, summary) = run_to_completion(
-        EngineConfig {
-            shards: 2,
-            arrays_per_shard,
-            queue_depth,
-            recovery: RecoveryPolicy {
-                max_kernel_attempts: 4,
-                ..RecoveryPolicy::default()
-            },
-            fault_plan: Some(plan),
-            ..EngineConfig::default()
+    let config = EngineConfig {
+        shards: 2,
+        arrays_per_shard,
+        queue_depth: 16,
+        recovery: RecoveryPolicy {
+            max_kernel_attempts: 4,
+            ..RecoveryPolicy::default()
         },
-        mixed_records(24),
-    );
+        fault_plan: Some(plan),
+        ..EngineConfig::default()
+    };
+    let (completed, summary) = if backpressure {
+        run_to_completion(
+            EngineConfig {
+                queue_depth: 2,
+                start_paused: true,
+                placement: PlacementPolicy::Static,
+                ..config
+            },
+            skewed_records(24, 2),
+        )
+    } else {
+        run_to_completion(config, mixed_records(24))
+    };
 
     // Every session terminated, none hung, none reported wrong bits: a
     // platform fault may cost a session (dead-letter) but never corrupts
@@ -86,10 +98,10 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, queue_depth: usize) {
     );
 
     let snap = &summary.snapshot;
-    if 2 * queue_depth < 24 {
-        // The queues cannot hold the window, so frames must have bounced.
+    if backpressure {
+        // A window of 4 into one paused two-deep queue bounces 2.
         assert!(
-            snap.backpressure_parks > 0,
+            snap.backpressure_parks >= 2,
             "seed {seed}: no frame ever re-parked — the backpressure row is vacuous"
         );
     }
@@ -140,18 +152,18 @@ fn chaos_seed_3() {
     chaos_run(3);
 }
 
-/// Chaos under backpressure: two-deep shard queues under a 24-frame
-/// window, so the ledger is checked while frames bounce, re-park and
-/// rehydrate — crash retries included, since a crashed session re-enters
-/// through the same full queues.
+/// Chaos under backpressure: one two-deep shard queue under a window of
+/// 4, so the ledger is checked while frames bounce, re-park and rehydrate
+/// — crash retries included, since a crashed session re-enters through
+/// the same full queue.
 #[test]
 fn chaos_backpressure_seed_1() {
-    chaos_run_full(1, 1, 2);
+    chaos_run_full(1, 1, true);
 }
 
 #[test]
 fn chaos_backpressure_gang_seed_1() {
-    chaos_run_full(1, 3, 2);
+    chaos_run_full(1, 3, true);
 }
 
 /// The batched gang dispatcher under chaos: crash containment rebuilds

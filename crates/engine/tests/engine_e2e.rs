@@ -179,7 +179,7 @@ fn stress_64_mixed_sessions_over_4_shards() {
     let (completed, summary) = run_to_completion(
         EngineConfig {
             shards: 4,
-            queue_depth: 8, // small queues force re-park traffic
+            queue_depth: 8, // the window (32) keeps half the workload parked
             ..EngineConfig::default()
         },
         mixed_records(64),

@@ -6,21 +6,21 @@
 //! * a backpressure bounce through the front-end allocates exactly what the
 //!   `Session::rehydrate` inside it allocates, and nothing of its own.
 //!
-//! Under backpressure the front-end rehydrates a fresh record, bounces off
-//! the full shard queue and re-parks it thousands of times per completed
-//! frame, so anything generated or allocated here is paid that many times
-//! over. The capture and its code appear only when the session first steps.
+//! Every frame is rehydrated once, and once more for each time a full
+//! shard queue refuses it and it re-parks, so anything generated or
+//! allocated here is paid per refusal. The capture and its code appear only
+//! when the session first steps.
 //!
 //! Only the measuring thread's allocations are counted, which fences the
-//! pool's worker thread (it builds its array while the test already runs)
-//! out of the window. The file still holds a single test, so nothing else
+//! pool's worker threads (they build their arrays while the test already
+//! runs) out of the window. The file still holds a single test, so nothing else
 //! shares the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sdr_engine::{EngineConfig, Frontend, ParkedSession, Session};
+use sdr_engine::{EngineConfig, Frontend, ParkedSession, PlacementPolicy, Session};
 
 struct CountingAllocator;
 
@@ -103,36 +103,32 @@ fn rehydrating_a_fresh_wcdma_record_builds_no_capture_and_no_code() {
     bounce_allocates_only_its_rehydration();
 }
 
-/// Second phase of the single test: a paused 1×1 pool whose two queue slots
-/// are taken, and six fresh records of both standards bouncing off it. The
-/// window (8) leaves room for exactly those six, so every `pump` bounces
-/// each of them once.
+/// Second phase of the single test: a paused two-shard pool under static
+/// placement, every id even, shard 0's two queue slots taken. The window
+/// (4) still has credit for shard 1's two slots, so every `pump` pops the
+/// two waiting records, one of each standard, and bounces each once.
 fn bounce_allocates_only_its_rehydration() {
     let mut fe = Frontend::new(EngineConfig {
-        shards: 1,
+        shards: 2,
         arrays_per_shard: 1,
         queue_depth: 2,
         max_resident: 8,
         parking_capacity: 8,
         start_paused: true,
+        placement: PlacementPolicy::Static,
         ..EngineConfig::default()
     });
     let mut open_loop = |_: &Session, _| None;
-    for id in 0..2u64 {
+    for id in [0, 2u64] {
         fe.admit(ParkedSession::new_ofdm(id, id, 0));
     }
     fe.pump(&mut open_loop);
     assert_eq!((fe.materialised(), fe.parked()), (2, 0), "queue is full");
 
-    let bouncers: Vec<ParkedSession> = (2..8u64)
-        .map(|id| {
-            if id % 2 == 0 {
-                ParkedSession::new_wcdma(id, 100 + id, 1_000)
-            } else {
-                ParkedSession::new_ofdm(id, 200 + id, 1_000)
-            }
-        })
-        .collect();
+    let bouncers = [
+        ParkedSession::new_wcdma(4, 104, 1_000),
+        ParkedSession::new_ofdm(6, 206, 1_000),
+    ];
     for record in &bouncers {
         fe.admit(*record);
     }
@@ -148,7 +144,7 @@ fn bounce_allocates_only_its_rehydration() {
     });
     let bounces = fe.snapshot().backpressure_parks - parks_before;
     assert_eq!(bounces, PASSES * bouncers.len() as u64);
-    assert_eq!((fe.materialised(), fe.parked()), (2, 6));
+    assert_eq!((fe.materialised(), fe.parked()), (2, 2));
 
     // Only a record's seed, standard and stage decide what rehydrating it
     // allocates, and a bounce changes none of them.

@@ -19,18 +19,19 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, run_to_completion, Outcome};
+use common::{mixed_records, run_to_completion, skewed_records, Outcome};
 use sdr_engine::{
-    EngineConfig, Metrics, PlacementPolicy, Session, SessionState, ShardPool, WorkerArray,
+    EngineConfig, Metrics, ParkedSession, PlacementPolicy, Session, SessionState, ShardPool,
+    WorkerArray,
 };
 
 /// Steps every session to a terminal state on its own private array:
 /// the strongest reference — no pool, no router, no batching, no
 /// stealing — that every routed configuration must reproduce.
-fn single_array_reference(n: u64) -> Vec<Outcome> {
+fn single_array_reference(records: &[ParkedSession]) -> Vec<Outcome> {
     let metrics = Arc::new(Metrics::new());
     let mut out = Vec::new();
-    for mut session in mixed_records(n).iter().map(Session::rehydrate) {
+    for mut session in records.iter().map(Session::rehydrate) {
         let mut worker = WorkerArray::new(8, Arc::clone(&metrics));
         for _ in 0..64 {
             if session.is_terminal() {
@@ -136,7 +137,7 @@ fn static_placement_routes_like_the_seed_oracle() {
 #[test]
 fn static_routing_without_stealing_matches_the_reference() {
     let n = 48;
-    let reference = single_array_reference(n);
+    let reference = single_array_reference(&mixed_records(n));
     assert!(
         reference.iter().all(|(_, _, s)| *s == SessionState::Done),
         "reference workload must complete cleanly for the comparison to mean much"
@@ -157,7 +158,7 @@ fn static_routing_without_stealing_matches_the_reference() {
 #[test]
 fn affinity_routing_with_stealing_matches_the_reference() {
     let n = 48;
-    let reference = single_array_reference(n);
+    let reference = single_array_reference(&mixed_records(n));
     for (shards, gang) in [(2usize, 2usize), (4, 1), (4, 4)] {
         let routed = routed_outcomes(shards, gang, PlacementPolicy::Affinity, true, n);
         assert_matches_reference(
@@ -168,14 +169,17 @@ fn affinity_routing_with_stealing_matches_the_reference() {
     }
 }
 
-/// Backpressure at the driver: with two-deep queues under a wider
-/// materialisation window, frames bounce off full shards, re-park and
-/// rehydrate again and again — and every outcome still equals the
-/// never-parked single-array reference.
+/// Backpressure at the driver, two-deep queues under a wider
+/// `max_resident`. Behind the affinity router the credit window paces the
+/// driver and no frame ever bounces; under static placement with every id
+/// on shard 0, that shard's queue refuses what the window still offers,
+/// and frames re-park and rehydrate — the first two before the (paused)
+/// pool has run anything. Either way every outcome equals the never-parked
+/// single-array reference.
 #[test]
 fn reparked_frames_match_the_reference() {
     let n = 48;
-    let reference = single_array_reference(n);
+    let reference = single_array_reference(&mixed_records(n));
     for (shards, gang, max_resident) in [(1usize, 1usize, 8usize), (2, 2, 16)] {
         let (routed, summary) = run_to_completion(
             EngineConfig {
@@ -188,13 +192,35 @@ fn reparked_frames_match_the_reference() {
             mixed_records(n),
         );
         assert_matches_reference(
-            &format!("backpressure shards={shards} gang={gang}"),
+            &format!("credit shards={shards} gang={gang}"),
             &routed,
             &reference,
         );
+        assert_eq!(
+            summary.snapshot.backpressure_parks, 0,
+            "shards={shards} gang={gang}: the window offered more than the pool could take"
+        );
+    }
+
+    let skewed = skewed_records(n, 2);
+    let reference = single_array_reference(&skewed);
+    for gang in [1usize, 2] {
+        let (routed, summary) = run_to_completion(
+            EngineConfig {
+                shards: 2,
+                arrays_per_shard: gang,
+                queue_depth: 2,
+                max_resident: 16,
+                start_paused: true,
+                placement: PlacementPolicy::Static,
+                ..EngineConfig::default()
+            },
+            skewed.clone(),
+        );
+        assert_matches_reference(&format!("static skew gang={gang}"), &routed, &reference);
         assert!(
-            summary.snapshot.backpressure_parks > 0,
-            "shards={shards} gang={gang}: no frame ever bounced — the row is vacuous"
+            summary.snapshot.backpressure_parks >= 2,
+            "gang={gang}: a window of 4 into one paused depth-2 queue bounces 2 — the row is vacuous"
         );
     }
 }

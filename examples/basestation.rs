@@ -190,7 +190,7 @@ fn main() {
         "peak resident {} sessions ({} peak parked, materialisation window {})",
         summary.peak_resident,
         summary.peak_parked,
-        EngineConfig::default().max_resident
+        fe.window()
     );
     match summary.p99_slack() {
         Some(slack) => println!(
