@@ -15,6 +15,7 @@ use sdr_ofdm::tx::Transmitter;
 use sdr_ofdm::xpp_map::ArrayFft64;
 use sdr_wcdma::channel::{propagate, AdcConfig, CellLink, Path};
 use sdr_wcdma::rake::finger::{descramble, despread};
+use sdr_wcdma::rake::searcher::PathSearcher;
 use sdr_wcdma::rake::{RakeConfig, RakeReceiver};
 use sdr_wcdma::scrambling::ScramblingCode;
 use sdr_wcdma::tx::{CellConfig, CellTransmitter};
@@ -137,6 +138,42 @@ fn bench_ofdm_receive(c: &mut Criterion) {
     g.finish();
 }
 
+/// The engine's OFDM frame (96 bits at 12 Mb/s): the two host-side calls
+/// of the demodulation stage.
+fn bench_ofdm_engine_frame(c: &mut Criterion) {
+    let r = rate(12).unwrap();
+    let data = bits(96, 2);
+    let frame = Transmitter::new(r).transmit(&data);
+    let rx = WlanChannel::default().run(&frame.samples);
+    let receiver = OfdmReceiver::new(r);
+    let coarse = receiver.detect(&rx).unwrap();
+    let long_start = receiver.fine_timing(&rx, coarse).unwrap();
+    c.bench_function("ofdm_fine_timing", |b| {
+        b.iter(|| receiver.fine_timing(std::hint::black_box(&rx), coarse))
+    });
+    c.bench_function("ofdm_receive_at_12mbps_96bits", |b| {
+        b.iter(|| {
+            receiver
+                .receive_at(std::hint::black_box(&rx), long_start, data.len())
+                .unwrap()
+        })
+    });
+}
+
+/// The engine's W-CDMA search stage: the default searcher over one
+/// 32-bit capture (2,054 chips, one path).
+fn bench_path_search(c: &mut Criterion) {
+    let mut tx = CellTransmitter::new(CellConfig::default());
+    let signal = tx.transmit(&bits(32, 1));
+    let link = CellLink::new(vec![Path::new(6, Cplx::new(0.8, 0.2))]);
+    let rx = propagate(&[(signal, link)], 0.02, 7, AdcConfig::default());
+    let code = tx.scrambling_code().clone();
+    let searcher = PathSearcher::default();
+    c.bench_function("path_search", |b| {
+        b.iter(|| searcher.search(std::hint::black_box(&rx), &code))
+    });
+}
+
 /// Dedicated-hardware block: the Viterbi decoder.
 fn bench_viterbi(c: &mut Criterion) {
     let mut data = bits(480, 5);
@@ -225,6 +262,8 @@ criterion_group! {
         bench_fig10_detector,
         bench_rake_receive,
         bench_ofdm_receive,
+        bench_ofdm_engine_frame,
+        bench_path_search,
         bench_viterbi,
         bench_ablation_channel_capacity,
         bench_ablation_reconfig,

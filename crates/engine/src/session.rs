@@ -685,7 +685,7 @@ impl OfdmTerminal {
         if metric != ofdm::rx::autocorr_metric(rx) {
             return fail("array preamble metric diverged from golden");
         }
-        match OfdmReceiver::new(self.rate).detect(rx) {
+        match OfdmReceiver::new(self.rate).detect_in_metric(&metric) {
             Some(coarse) => {
                 *carry = coarse as u32;
                 PASS
@@ -730,7 +730,7 @@ impl OfdmTerminal {
             }
         }
 
-        match sync.receive(&self.rx, self.bits.len()) {
+        match sync.receive_at(&self.rx, long_start, self.bits.len()) {
             Ok(out) if out.bits == self.bits => PASS,
             Ok(_) => fail("decoded payload differs from transmitted"),
             Err(e) => fail(format!("receiver error: {e}")),
@@ -918,6 +918,32 @@ mod tests {
         assert_eq!(*back.state(), SessionState::Tracking);
         back.step(&mut worker);
         assert_eq!(*back.state(), SessionState::Done, "delay word survived");
+
+        // OFDM parks at Demod with the coarse timing found in the array's
+        // own metric; demodulation synchronises once from that word.
+        for seed in 0..16 {
+            let mut s = Session::ofdm(6, seed);
+            s.step(&mut worker); // Idle -> PreambleDetect
+            s.step(&mut worker); // PreambleDetect -> Demod (carry word set)
+            let parked = s.park().expect("demodulating sessions park");
+            let mut back = Session::rehydrate(&parked);
+            assert_eq!(*back.state(), SessionState::Demod);
+            back.step(&mut worker);
+            assert_eq!(*back.state(), SessionState::Done, "seed {seed}");
+        }
+    }
+
+    /// A wrong path delay fails the search stage, so every seed ending
+    /// `Done` pins the searcher's strongest hit over all eight delays.
+    #[test]
+    fn wcdma_sessions_complete_for_seeds_0_to_64() {
+        let metrics = Arc::new(Metrics::new());
+        let mut worker = WorkerArray::new(8, metrics);
+        for seed in 0..64 {
+            let mut s = Session::wcdma(seed, seed);
+            drive_to_terminal(&mut s, &mut worker);
+            assert_eq!(*s.state(), SessionState::Done, "seed {seed}");
+        }
     }
 
     #[test]

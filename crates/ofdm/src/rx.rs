@@ -178,7 +178,12 @@ impl OfdmReceiver {
     /// Detects the frame via the short-preamble plateau; returns the coarse
     /// start index.
     pub fn detect(&self, samples: &[Cplx<i32>]) -> Option<usize> {
-        let m = autocorr_metric(samples);
+        self.detect_in_metric(&autocorr_metric(samples))
+    }
+
+    /// [`OfdmReceiver::detect`] over an [`autocorr_metric`] the caller
+    /// already holds (configuration 2a streams it off the array).
+    pub fn detect_in_metric(&self, m: &[i32]) -> Option<usize> {
         let peak = *m.iter().max()?;
         if peak <= 0 {
             return None;
@@ -212,7 +217,7 @@ impl OfdmReceiver {
         if hi <= lo + FFT_LEN {
             return None;
         }
-        let corr = cross_correlate(&samples[lo..hi], &template, 8);
+        let corr = matched_filter(&samples[lo..hi], &template, 8);
         let (peak_at, _) = corr.iter().enumerate().max_by_key(|(_, v)| v.sqmag())?;
         // The long field has two repetitions 64 samples apart; figure out
         // whether the strongest peak is the first or the second.
@@ -271,11 +276,28 @@ impl OfdmReceiver {
         let long_start = self
             .fine_timing(samples, coarse)
             .ok_or(RxError::TimingFailed)?;
-        let data_start = long_start + 2 * FFT_LEN + self.leading_symbols * SYMBOL_LEN;
+        self.receive_at(samples, long_start, psdu_bits)
+    }
 
+    /// The receive chain after synchronisation: channel estimate, FFT,
+    /// equalisation, demapping, Viterbi decoding and descrambling of a
+    /// frame whose long training field's first symbol begins at
+    /// `long_start` (what [`OfdmReceiver::fine_timing`] returns).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RxError::BufferTooShort`] if the buffer ends before the
+    /// last data symbol that `long_start` and `psdu_bits` imply.
+    pub fn receive_at(
+        &self,
+        samples: &[Cplx<i32>],
+        long_start: usize,
+        psdu_bits: usize,
+    ) -> Result<RxOutput, RxError> {
         let ndbps = self.rate.data_bits_per_symbol();
         let n_sym = (SERVICE_BITS + psdu_bits + TAIL_BITS).div_ceil(ndbps);
-        let needed = data_start + n_sym * SYMBOL_LEN;
+        let data_start = long_start.saturating_add(2 * FFT_LEN + self.leading_symbols * SYMBOL_LEN);
+        let needed = data_start.saturating_add(n_sym * SYMBOL_LEN);
         if samples.len() < needed {
             return Err(RxError::BufferTooShort {
                 needed,
@@ -320,6 +342,45 @@ impl OfdmReceiver {
     }
 }
 
+/// [`cross_correlate`] for operands a 16-bit multiplier takes. When every
+/// sample and tap is inside ±2¹⁵ and `peak · Σ(|re| + |im|)` over the taps
+/// fits an `i32`, no partial sum of a lag can leave `i32` in any order, so
+/// each lag is two dot products of `i16` (re, im) pairs accumulated in
+/// `i32`, equal to the 64-bit sums bit for bit — a 10-bit ADC against the
+/// long-symbol template always qualifies. Anything wider goes through
+/// `cross_correlate` itself.
+fn matched_filter(x: &[Cplx<i32>], taps: &[Cplx<i32>], shift: u32) -> Vec<Cplx<i64>> {
+    let magnitude = |v: &Cplx<i32>| v.re.unsigned_abs().max(v.im.unsigned_abs()) as u64;
+    let peak = x.iter().chain(taps).map(magnitude).max().unwrap_or(0);
+    let tap_sum: u64 = taps
+        .iter()
+        .map(|t| t.re.unsigned_abs() as u64 + t.im.unsigned_abs() as u64)
+        .sum();
+    if taps.is_empty() || peak >= 1 << 15 || peak * tap_sum > i32::MAX as u64 {
+        return cross_correlate(x, taps, shift);
+    }
+    // Re Σ x·conj(t) = Σ x.re·t.re + x.im·t.im; Im = Σ x.im·t.re − x.re·t.im.
+    let pair = |re: i32, im: i32| [re as i16, im as i16];
+    let xs: Vec<_> = x.iter().map(|c| pair(c.re, c.im)).collect();
+    let re_taps: Vec<_> = taps.iter().map(|t| pair(t.re, t.im)).collect();
+    let im_taps: Vec<_> = taps.iter().map(|t| pair(-t.im, t.re)).collect();
+    xs.windows(taps.len())
+        .map(|lag| {
+            Cplx::new(
+                (dot_i16(lag, &re_taps) >> shift) as i64,
+                (dot_i16(lag, &im_taps) >> shift) as i64,
+            )
+        })
+        .collect()
+}
+
+fn dot_i16(a: &[[i16; 2]], b: &[[i16; 2]]) -> i32 {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| a[0] as i32 * b[0] as i32 + a[1] as i32 * b[1] as i32)
+        .sum()
+}
+
 /// Rate-agnostic reception: decodes the SIGNAL field first (§17.3.4), then
 /// configures the data decode from the announced RATE and LENGTH.
 ///
@@ -334,7 +395,6 @@ pub fn receive_auto(samples: &[Cplx<i32>]) -> Result<(RxOutput, RateParams), RxE
     let long_start = probe
         .fine_timing(samples, coarse)
         .ok_or(RxError::TimingFailed)?;
-    let channel = probe.estimate_channel(samples, long_start);
 
     // Equalise the SIGNAL symbol (the first after the long training field).
     let at = long_start + 2 * FFT_LEN + CP_LEN;
@@ -344,6 +404,7 @@ pub fn receive_auto(samples: &[Cplx<i32>]) -> Result<(RxOutput, RateParams), RxE
             available: samples.len(),
         });
     }
+    let channel = probe.estimate_channel(samples, long_start);
     let fft = Fft64Fixed::with_stage_shift(1);
     let mut buf = [Cplx::<i32>::ZERO; 64];
     buf.copy_from_slice(&samples[at..at + FFT_LEN]);
@@ -363,7 +424,7 @@ pub fn receive_auto(samples: &[Cplx<i32>]) -> Result<(RxOutput, RateParams), RxE
     let (r, octets) = crate::signal_field::decode_signal(&eq).ok_or(RxError::SignalDecodeFailed)?;
 
     let receiver = OfdmReceiver::new(r).with_leading_symbols(1);
-    let out = receiver.receive(samples, octets * 8)?;
+    let out = receiver.receive_at(samples, long_start, octets * 8)?;
     Ok((out, r))
 }
 
@@ -373,6 +434,7 @@ mod tests {
     use crate::channel::WlanChannel;
     use crate::params::{rate, RATES};
     use crate::tx::Transmitter;
+    use proptest::prelude::*;
     use sdr_dsp::metrics::BerCounter;
 
     fn psdu(n: usize) -> Vec<u8> {
@@ -527,6 +589,125 @@ mod tests {
         match OfdmReceiver::new(r).receive(cut, bits.len()) {
             Err(RxError::BufferTooShort { .. }) => {}
             other => panic!("expected BufferTooShort, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_is_an_error_never_a_panic() {
+        let r = rate(12).unwrap();
+        let bits = psdu(96);
+        let plain = WlanChannel::default().run(&Transmitter::new(r).transmit(&bits).samples);
+        let announced = WlanChannel::default().run(
+            &Transmitter::new(r)
+                .with_signal_field()
+                .transmit(&bits)
+                .samples,
+        );
+        let receiver = OfdmReceiver::new(r);
+        type Decode<'a> = &'a dyn Fn(&[Cplx<i32>]) -> Result<RxOutput, RxError>;
+        let known_rate: Decode = &|x| receiver.receive(x, bits.len());
+        let announced_rate: Decode = &|x| receive_auto(x).map(|(out, _)| out);
+        // Gap 100 + 320 preamble samples + 3 data symbols (+ SIGNAL): the
+        // frame ends where its last data symbol does, and the channel's
+        // trailing samples may go without loss.
+        for (decode, samples, frame_end) in [
+            (known_rate, &plain, 100 + 320 + 3 * SYMBOL_LEN),
+            (announced_rate, &announced, 100 + 320 + 4 * SYMBOL_LEN),
+        ] {
+            for cut in 0..=samples.len() {
+                match decode(&samples[..cut]) {
+                    Ok(out) => {
+                        assert!(cut >= frame_end, "cut {cut} decoded");
+                        assert_eq!(out.bits, bits, "cut {cut}");
+                    }
+                    Err(_) => assert!(cut < frame_end, "cut {cut} failed"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn receive_at_rejects_any_long_start_past_the_buffer() {
+        let r = rate(12).unwrap();
+        let rx = WlanChannel::default().run(&Transmitter::new(r).transmit(&psdu(96)).samples);
+        for long_start in [rx.len() - 100, rx.len(), usize::MAX - 200, usize::MAX] {
+            match OfdmReceiver::new(r).receive_at(&rx, long_start, 96) {
+                Err(RxError::BufferTooShort { .. }) => {}
+                other => panic!("long_start {long_start}: {other:?}"),
+            }
+        }
+    }
+
+    fn arb_cplx(limit: i32) -> impl Strategy<Value = Cplx<i32>> {
+        (-limit..=limit, -limit..=limit).prop_map(|(re, im)| Cplx::new(re, im))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn receive_is_receive_at_after_synchronisation(
+            rate_index in 0usize..8,
+            symbols in 1usize..=3,
+            gap in 40usize..200,
+            seed in any::<u64>(),
+            sigma in 0.0f64..0.05,
+            echo_delay in 1usize..8,
+            echo in (-0.3f64..0.3, -0.3f64..0.3),
+        ) {
+            let r = RATES[rate_index];
+            let bits = psdu(symbols * r.data_bits_per_symbol() - SERVICE_BITS - TAIL_BITS);
+            let frame = Transmitter::new(r).transmit(&bits);
+            let channel = WlanChannel {
+                leading_gap: gap,
+                ..WlanChannel::awgn(sigma, seed)
+            }
+            .with_echo(echo_delay, Cplx::new(echo.0, echo.1));
+            let rx = channel.run(&frame.samples);
+            let receiver = OfdmReceiver::new(r);
+            let whole = receiver.receive(&rx, bits.len()).unwrap();
+            let coarse = receiver.detect(&rx).unwrap();
+            prop_assert_eq!(receiver.detect_in_metric(&autocorr_metric(&rx)), Some(coarse));
+            let long_start = receiver.fine_timing(&rx, coarse).unwrap();
+            let split = receiver.receive_at(&rx, long_start, bits.len()).unwrap();
+            prop_assert_eq!(&whole.bits, &split.bits);
+            prop_assert_eq!(whole.long_start, split.long_start);
+            prop_assert_eq!(whole.data_start, split.data_start);
+            prop_assert_eq!(&whole.channel, &split.channel);
+            prop_assert_eq!(split.long_start, long_start);
+        }
+
+        #[test]
+        fn matched_filter_is_cross_correlate_on_both_sides_of_its_range_test(
+            // 10-bit samples, 16-bit samples against small and full-scale
+            // taps (the product bound decides), and samples past 16 bits.
+            limits in prop_oneof![
+                Just((511, 40)),
+                Just((32_767, 255)),
+                Just((32_767, 32_767)),
+                Just((32_768, 40)),
+                Just((1 << 20, 1 << 10)),
+            ],
+            n_taps in 0usize..=64,
+            shift in 0u32..=8,
+            seed in any::<u64>(),
+        ) {
+            let (sample_limit, tap_limit) = limits;
+            let mut rng = proptest::test_runner::TestRng::new(seed);
+            let mut x: Vec<Cplx<i32>> = (0..n_taps + 40)
+                .map(|_| arb_cplx(sample_limit).generate(&mut rng))
+                .collect();
+            let mut taps: Vec<Cplx<i32>> = (0..n_taps)
+                .map(|_| arb_cplx(tap_limit).generate(&mut rng))
+                .collect();
+            // Every case sits on its limit, so 32,767 and 32,768 are met.
+            x[seed as usize % 40].im = sample_limit;
+            if let Some(tap) = taps.last_mut() {
+                tap.re = tap_limit;
+            }
+            prop_assert_eq!(matched_filter(&x, &taps, shift), cross_correlate(&x, &taps, shift));
+            // Too few samples for one lag: both are empty.
+            prop_assert_eq!(matched_filter(&x[..n_taps / 2], &taps, shift), Vec::new());
         }
     }
 }

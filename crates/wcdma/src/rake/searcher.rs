@@ -10,7 +10,6 @@
 //! non-coherent across symbols so slow phase rotation does not cancel.
 
 use crate::ovsf::ovsf;
-use crate::rake::finger::despread_symbol;
 use crate::scrambling::ScramblingCode;
 use crate::tx::CPICH_SF;
 use sdr_dsp::Cplx;
@@ -65,7 +64,7 @@ impl PathSearcher {
         delay: usize,
         symbols: usize,
     ) -> i64 {
-        pilot_energy(rx, code, &ovsf(CPICH_SF, 0), delay, symbols)
+        pilot_energy(rx, &prepared_pilot(code, symbols), delay)
     }
 
     /// Correlation energy at one delay with the fine integration length.
@@ -75,11 +74,11 @@ impl PathSearcher {
 
     /// Runs the coarse pass: short-dwell energies at every delay.
     pub fn coarse_scan(&self, rx: &[Cplx<i32>], code: &ScramblingCode) -> Vec<PathHit> {
-        let cpich = ovsf(CPICH_SF, 0);
+        let pilot = prepared_pilot(code, self.coarse_symbols);
         (0..self.window)
             .map(|delay| PathHit {
                 delay,
-                energy: pilot_energy(rx, code, &cpich, delay, self.coarse_symbols),
+                energy: pilot_energy(rx, &pilot, delay),
             })
             .collect()
     }
@@ -93,12 +92,11 @@ impl PathSearcher {
         let mut coarse = self.coarse_scan(rx, code);
         coarse.sort_by_key(|h| std::cmp::Reverse(h.energy));
         let candidates = coarse.into_iter().take(4 * self.max_paths);
-        // One CPICH code per pass, not one per hypothesis.
-        let cpich = ovsf(CPICH_SF, 0);
+        let pilot = prepared_pilot(code, self.fine_symbols);
         let mut fine: Vec<PathHit> = candidates
             .map(|h| PathHit {
                 delay: h.delay,
-                energy: pilot_energy(rx, code, &cpich, h.delay, self.fine_symbols),
+                energy: pilot_energy(rx, &pilot, h.delay),
             })
             .collect();
         fine.sort_by_key(|h| std::cmp::Reverse(h.energy));
@@ -119,24 +117,32 @@ impl PathSearcher {
     }
 }
 
-/// Non-coherent CPICH energy at one delay hypothesis: descramble and
-/// despread fused per pilot symbol, so a hypothesis allocates nothing.
-fn pilot_energy(
-    rx: &[Cplx<i32>],
-    code: &ScramblingCode,
-    cpich: &[i32],
-    delay: usize,
-    symbols: usize,
-) -> i64 {
-    let n_chips = symbols * CPICH_SF;
-    if delay + n_chips > rx.len() {
+/// The dwell's pilot replica, `conj(S(i)) · C_cpich(i)` for the first
+/// `symbols` CPICH symbols of the frame: built once per pass, shared by
+/// every delay hypothesis.
+fn prepared_pilot(code: &ScramblingCode, symbols: usize) -> Vec<Cplx<i32>> {
+    let cpich = ovsf(CPICH_SF, 0);
+    (0..symbols * CPICH_SF)
+        .map(|i| code.chip(i).conj().scale(cpich[i % CPICH_SF]))
+        .collect()
+}
+
+/// Non-coherent CPICH energy at one delay hypothesis: the received chips
+/// against the prepared pilot, summed per pilot symbol with the
+/// despreader's truncating `>> log2(SF)` (0 if the buffer is too short).
+fn pilot_energy(rx: &[Cplx<i32>], pilot: &[Cplx<i32>], delay: usize) -> i64 {
+    let Some(dwell) = rx.get(delay..).and_then(|rest| rest.get(..pilot.len())) else {
         return 0;
-    }
-    (0..symbols)
-        .map(|s| {
-            let chips =
-                (s * CPICH_SF..(s + 1) * CPICH_SF).map(|i| rx[delay + i] * code.chip(i).conj());
-            despread_symbol(chips, cpich).sqmag()
+    };
+    dwell
+        .chunks_exact(CPICH_SF)
+        .zip(pilot.chunks_exact(CPICH_SF))
+        .map(|(chips, replica)| {
+            let mut acc = Cplx::<i64>::ZERO;
+            for (&chip, &p) in chips.iter().zip(replica) {
+                acc += (chip * p).widen();
+            }
+            acc.shr(CPICH_SF.trailing_zeros()).narrow().sqmag()
         })
         .sum()
 }
@@ -145,7 +151,32 @@ fn pilot_energy(
 mod tests {
     use super::*;
     use crate::channel::{propagate, AdcConfig, CellLink, Path};
+    use crate::rake::finger::{descramble, despread, despread_symbol};
     use crate::tx::{CellConfig, CellTransmitter};
+    use proptest::prelude::*;
+
+    /// The oracle: the hypothesis energy as it stood before the prepared
+    /// pilot — one `code.chip(i)` lookup, one descrambling product and one
+    /// multiply by the CPICH code per chip per hypothesis.
+    fn pilot_energy_oracle(
+        rx: &[Cplx<i32>],
+        code: &ScramblingCode,
+        cpich: &[i32],
+        delay: usize,
+        symbols: usize,
+    ) -> i64 {
+        let n_chips = symbols * CPICH_SF;
+        if delay + n_chips > rx.len() {
+            return 0;
+        }
+        (0..symbols)
+            .map(|s| {
+                let chips =
+                    (s * CPICH_SF..(s + 1) * CPICH_SF).map(|i| rx[delay + i] * code.chip(i).conj());
+                despread_symbol(chips, cpich).sqmag()
+            })
+            .sum()
+    }
 
     fn make_rx(paths: Vec<Path>, sigma: f64) -> (Vec<Cplx<i32>>, ScramblingCode) {
         let cfg = CellConfig::default();
@@ -166,37 +197,97 @@ mod tests {
         (rx, code)
     }
 
-    #[test]
-    fn hypothesis_energies_match_the_finger_composition() {
-        use crate::rake::finger::{descramble, despread};
-        let (rx, code) = make_rx(
-            vec![
-                Path::new(7, Cplx::new(0.6, 0.1)),
-                Path::new(29, Cplx::new(-0.2, 0.35)),
-            ],
-            0.05,
-        );
-        let searcher = PathSearcher::default();
-        let reference = |delay: usize, symbols: usize| -> i64 {
-            let chips = descramble(&rx, &code, delay, 0, symbols * CPICH_SF);
-            despread(&chips, CPICH_SF, 0)
-                .iter()
-                .map(|p| p.sqmag())
-                .sum()
-        };
-        for hit in searcher.coarse_scan(&rx, &code) {
-            assert_eq!(hit.energy, reference(hit.delay, searcher.coarse_symbols));
+    /// `descramble ∘ despread` energy of one hypothesis, 0 when the dwell
+    /// does not fit the buffer.
+    fn composed_energy(
+        rx: &[Cplx<i32>],
+        code: &ScramblingCode,
+        delay: usize,
+        symbols: usize,
+    ) -> i64 {
+        if delay + symbols * CPICH_SF > rx.len() {
+            return 0;
         }
-        // Every delay at the fine dwell covers whichever candidates the
-        // search promotes; the reported hits carry exactly those energies.
-        for delay in 0..searcher.window {
-            let fine = searcher.energy_at(&rx, &code, delay);
-            assert_eq!(fine, reference(delay, searcher.fine_symbols));
+        let chips = descramble(rx, code, delay, 0, symbols * CPICH_SF);
+        let pilots = despread(&chips, CPICH_SF, 0);
+        pilots.iter().map(|p| p.sqmag()).sum()
+    }
+
+    fn arb_path() -> impl Strategy<Value = Path> {
+        (0usize..64, -0.5f64..0.5, -0.5f64..0.5)
+            .prop_map(|(delay, re, im)| Path::new(delay, Cplx::new(re, im)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn hypothesis_energies_match_the_finger_composition(
+            paths in proptest::collection::vec(arb_path(), 1..=3),
+            sigma in 0.0f64..0.1,
+            // From "no hypothesis fits" past "every fine dwell fits".
+            len in 200usize..1200,
+        ) {
+            let (rx, code) = make_rx(paths, sigma);
+            let rx = &rx[..len];
+            let searcher = PathSearcher::default();
+            let coarse = searcher.coarse_scan(rx, &code);
+            prop_assert_eq!(coarse.len(), searcher.window);
+            for (delay, hit) in coarse.iter().enumerate() {
+                prop_assert_eq!(hit.delay, delay);
+                prop_assert_eq!(
+                    hit.energy,
+                    composed_energy(rx, &code, delay, searcher.coarse_symbols)
+                );
+                // Every delay at the fine dwell covers whichever candidates
+                // the search promotes.
+                prop_assert_eq!(
+                    searcher.energy_at(rx, &code, delay),
+                    composed_energy(rx, &code, delay, searcher.fine_symbols)
+                );
+            }
+            // The search is the selection rule over exactly those energies.
+            let mut ranked = coarse;
+            ranked.sort_by_key(|h| std::cmp::Reverse(h.energy));
+            ranked.truncate(4 * searcher.max_paths);
+            for hit in &mut ranked {
+                hit.energy = composed_energy(rx, &code, hit.delay, searcher.fine_symbols);
+            }
+            ranked.sort_by_key(|h| std::cmp::Reverse(h.energy));
+            let hits = searcher.search(rx, &code);
+            let strongest = ranked[0].energy;
+            prop_assert_eq!(hits.is_empty(), strongest == 0);
+            for hit in &hits {
+                prop_assert!(ranked.contains(hit), "{hit:?} is not a fine energy");
+                prop_assert!(hit.energy > strongest / 10);
+            }
+            prop_assert_eq!(hits.first(), ranked.first().filter(|h| h.energy > 0));
         }
-        let hits = searcher.search(&rx, &code);
-        assert_eq!(hits.len(), 2);
-        for hit in hits {
-            assert_eq!(hit.energy, reference(hit.delay, searcher.fine_symbols));
+
+        #[test]
+        fn pilot_energy_matches_the_oracle_on_arbitrary_samples(
+            // 12-bit ADC words up to the widest a descrambling product
+            // (|re| + |im|) leaves inside `i32`.
+            limit in prop_oneof![Just(2047), Just(1 << 20), Just((1 << 30) - 1)],
+            number in 0u32..512,
+            symbols in 0usize..=4,
+            len in 0usize..1400,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = sdr_dsp::rng::Rng64::seed_from_u64(seed);
+            let mut word = || (rng.next_u32() as i32) % (limit + 1);
+            let rx: Vec<Cplx<i32>> = (0..len).map(|_| Cplx::new(word(), word())).collect();
+            let code = ScramblingCode::downlink(number);
+            let cpich = ovsf(CPICH_SF, 0);
+            let pilot = prepared_pilot(&code, symbols);
+            for delay in (0..64).chain([len.saturating_sub(symbols * CPICH_SF), len, usize::MAX]) {
+                let expected = if delay == usize::MAX {
+                    0 // the oracle's `delay + n_chips` cannot be formed
+                } else {
+                    pilot_energy_oracle(&rx, &code, &cpich, delay, symbols)
+                };
+                prop_assert_eq!(pilot_energy(&rx, &pilot, delay), expected);
+            }
         }
     }
 
