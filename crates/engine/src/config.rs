@@ -36,7 +36,7 @@ impl Default for RecoveryPolicy {
 /// Pool and front-end sizing and policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of worker threads (each owning one array gang).
+    /// Number of shards (each owning one array, or one gang).
     pub shards: usize,
     /// Arrays per shard gang. `1` (the default) keeps the seed behaviour:
     /// one array per shard, one session stepped per dispatch. Larger
@@ -63,11 +63,13 @@ pub struct EngineConfig {
     /// shard-agnostic. Disabled automatically with a single shard.
     ///
     /// Session outcomes and the admission model's slack/shed figures are
-    /// placement- and steal-independent, but the live dispatch counters
-    /// (reconfigurations, prefetches, dense-stepping entries) depend on
-    /// which shard each step lands on; runs that want a bit-identical
-    /// metrics block across executions should pair
-    /// [`PlacementPolicy::Static`] with stealing off.
+    /// placement- and steal-independent and repeat exactly on any driver.
+    /// The live dispatch counters (reconfigurations, prefetches,
+    /// dense-stepping entries, router and steal lines) depend on which
+    /// shard each step lands on and when — on the pool's threads they vary
+    /// from run to run whatever this and `placement` are set to; only the
+    /// lockstep driver ([`Frontend::lockstep`](crate::Frontend::lockstep))
+    /// makes every counter exact.
     pub work_stealing: bool,
     /// Pending sessions a shard must have queued (in its EDF heap) before
     /// it exposes a steal offer.

@@ -209,8 +209,25 @@ impl Frontend {
 
     /// As [`Frontend::new`] with a caller-supplied metrics registry.
     pub fn with_metrics(config: EngineConfig, metrics: Arc<Metrics>) -> Self {
+        Frontend::over(ShardPool::new, config, metrics)
+    }
+
+    /// The same driver over a [`ShardPool::lockstep`] pool: no worker
+    /// threads, the shards step inside this loop's one wait point, and
+    /// every counter of a run repeats exactly. A constructor for tests and
+    /// benches.
+    pub fn lockstep(config: EngineConfig) -> Self {
+        Frontend::over(ShardPool::lockstep, config, Arc::new(Metrics::new()))
+    }
+
+    fn over(
+        pool: fn(EngineConfig, Arc<Metrics>) -> ShardPool,
+        config: EngineConfig,
+        metrics: Arc<Metrics>,
+    ) -> Self {
+        let pool = pool(config.clone(), Arc::clone(&metrics));
         Frontend {
-            pool: ShardPool::new(config.clone(), Arc::clone(&metrics)),
+            pool,
             in_flight: 0,
             lot: ParkingLot::with_capacity(config.parking_capacity),
             bounced: Vec::new(),
@@ -330,10 +347,17 @@ impl Frontend {
     }
 
     /// The loop's one blocking call: waits (bounded) for a hand-back and
-    /// folds it.
+    /// folds it. Only called with sessions in flight, so a lockstep pool
+    /// that has none to hand back will never have: the shards holding them
+    /// are paused, and the wait a thread pool would repeat is an error.
     fn wait_fold(&mut self, workload: &mut impl Workload) {
-        if let Some(session) = self.pool.recv_timeout(Duration::from_millis(50)) {
-            self.fold(session, workload);
+        match self.pool.recv_timeout(Duration::from_millis(50)) {
+            Some(session) => self.fold(session, workload),
+            None => assert!(
+                !self.pool.is_lockstep(),
+                "lockstep pool stalled with {} sessions in flight: every shard holding work is paused",
+                self.in_flight
+            ),
         }
     }
 

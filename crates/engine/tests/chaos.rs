@@ -7,54 +7,34 @@
 
 mod common;
 
-use common::{mixed_records, run_to_completion, skewed_records};
+use common::{
+    chaos_plan, mixed_records, quiet_injected_panics, run_to_completion, skewed_records,
+    under_both_drivers, Driver,
+};
 use sdr_engine::{EngineConfig, PlacementPolicy, RecoveryPolicy, Session, SessionState};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
-/// Injected worker panics print through the default hook from worker
-/// threads (the harness cannot capture them); silence the hook so chaos
-/// output stays readable. Safe to call from every test in this binary.
-fn quiet_panics() {
-    std::panic::set_hook(Box::new(|info| {
-        // Test threads are named after their test; pool workers are
-        // unnamed, and theirs are the (expected) injected panics.
-        if std::thread::current().name().is_some() {
-            eprintln!("{info}");
-        }
-    }));
-}
+/// What a chaos row reads in lockstep, where the load order — and so
+/// which load each planned fault strikes — is the same every run: faults
+/// injected, recoveries, worker restarts, dead letters, re-parks.
+type Ledger = [u64; 5];
 
 /// One full chaos run: seeded recoverable faults plus an explicit worker
 /// panic, every invariant checked.
-fn chaos_run(seed: u64) {
-    chaos_run_with(seed, 1);
+fn chaos_run(seed: u64, exact: Ledger) {
+    chaos_run_full(seed, 1, false, exact);
 }
 
 /// Same invariants, parameterised over the shard gang size so the batched
-/// dispatcher runs under the identical fault ledger checks.
-fn chaos_run_with(seed: u64, arrays_per_shard: usize) {
-    chaos_run_full(seed, arrays_per_shard, false);
-}
-
-/// Same invariants again with or without backpressure. Without, 16-deep
+/// dispatcher runs under the identical fault ledger checks, with or
+/// without backpressure, under both drivers. Without backpressure, 16-deep
 /// queues hold the whole workload. With, every id is even and placement is
 /// static, so shard 0's two-deep queue takes all 24 frames under a window
 /// of 4: frames bounce, re-park and rehydrate while the plan strikes, the
 /// first two before the paused pool has run anything.
-fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool) {
-    quiet_panics();
-    // Always at least one crash, so shard restart + re-dispatch is
-    // exercised on every seed (seeded() samples only recoverable kinds).
-    // First in the list so no same-ordinal seeded spec can shadow it, and
-    // at ordinal 1 because the workload shares configurations heavily —
-    // lockstep sessions only load each kernel about once per shard, so
-    // only the earliest ordinals are guaranteed to come up.
-    let mut faults = vec![FaultSpec {
-        kind: FaultKind::WorkerPanic,
-        at_load: 1,
-    }];
-    faults.extend(FaultPlan::seeded(seed, 6, 8).faults);
-    let plan = FaultPlan { faults };
+fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact: Ledger) {
+    quiet_injected_panics();
+    let plan = chaos_plan(seed, 6, 8);
     let injected_planned = plan.faults.len();
     let config = EngineConfig {
         shards: 2,
@@ -67,8 +47,8 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool) {
         fault_plan: Some(plan),
         ..EngineConfig::default()
     };
-    let (completed, summary) = if backpressure {
-        run_to_completion(
+    let (config, records) = if backpressure {
+        (
             EngineConfig {
                 queue_depth: 2,
                 start_paused: true,
@@ -78,78 +58,92 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool) {
             skewed_records(24, 2),
         )
     } else {
-        run_to_completion(config, mixed_records(24))
+        (config, mixed_records(24))
     };
-
-    // Every session terminated, none hung, none reported wrong bits: a
-    // platform fault may cost a session (dead-letter) but never corrupts
-    // a surviving one's payload.
-    assert_eq!(completed.len(), 24, "seed {seed}: sessions lost");
-    for (id, _, state) in &completed {
-        match state {
-            SessionState::Done | SessionState::DeadLettered(_) => {}
-            other => panic!("seed {seed}: session {id} ended {other:?}"),
+    under_both_drivers(&config, &records, |driver, completed, summary| {
+        // Every session terminated, none hung, none reported wrong bits: a
+        // platform fault may cost a session (dead-letter) but never corrupts
+        // a surviving one's payload.
+        assert_eq!(completed.len(), 24, "seed {seed}: sessions lost");
+        for (id, _, state) in completed {
+            match state {
+                SessionState::Done | SessionState::DeadLettered(_) => {}
+                other => panic!("seed {seed}: session {id} ended {other:?}"),
+            }
         }
-    }
-    assert_eq!(
-        summary.done + summary.dead_lettered,
-        24,
-        "seed {seed}: outcome accounting"
-    );
-
-    let snap = &summary.snapshot;
-    if backpressure {
-        // A window of 4 into one paused two-deep queue bounces 2.
-        assert!(
-            snap.backpressure_parks >= 2,
-            "seed {seed}: no frame ever re-parked — the backpressure row is vacuous"
+        assert_eq!(
+            summary.done + summary.dead_lettered,
+            24,
+            "seed {seed}: outcome accounting"
         );
-    }
-    // The plan actually fired (the guaranteed-ordinal panic at minimum),
-    // and the ledger reconciles.
-    assert!(
-        snap.faults_injected > 0,
-        "seed {seed}: no faults fired — plan or horizon is wrong"
-    );
-    assert!(
-        snap.faults_injected <= injected_planned as u64,
-        "seed {seed}: injector fired more than the plan holds"
-    );
-    assert_eq!(
-        snap.faults_injected, snap.faults_detected,
-        "seed {seed}: injected faults went undetected (or double-counted): {snap}"
-    );
-    assert!(
-        snap.faults_detected <= snap.recoveries + snap.dead_letters,
-        "seed {seed}: detections unanswered: {snap}"
-    );
-    assert!(
-        snap.recoveries >= snap.faults_detected.saturating_sub(snap.dead_letters),
-        "seed {seed}: recovery ledger inconsistent: {snap}"
-    );
-    assert!(
-        snap.worker_restarts >= 1,
-        "seed {seed}: the planned panic never restarted a shard"
-    );
-    assert_eq!(
-        snap.sessions_completed, summary.done,
-        "seed {seed}: completion counter drift"
-    );
+
+        let snap = &summary.snapshot;
+        if backpressure {
+            // A window of 4 into one paused two-deep queue bounces 2.
+            assert!(
+                snap.backpressure_parks >= 2,
+                "seed {seed}: no frame ever re-parked — the backpressure row is vacuous"
+            );
+        }
+        // The plan actually fired (the guaranteed-ordinal panic at minimum),
+        // and the ledger reconciles.
+        assert!(
+            snap.faults_injected > 0,
+            "seed {seed}: no faults fired — plan or horizon is wrong"
+        );
+        assert!(
+            snap.faults_injected <= injected_planned as u64,
+            "seed {seed}: injector fired more than the plan holds"
+        );
+        assert_eq!(
+            snap.faults_injected, snap.faults_detected,
+            "seed {seed}: injected faults went undetected (or double-counted): {snap}"
+        );
+        assert!(
+            snap.faults_detected <= snap.recoveries + snap.dead_letters,
+            "seed {seed}: detections unanswered: {snap}"
+        );
+        assert!(
+            snap.recoveries >= snap.faults_detected.saturating_sub(snap.dead_letters),
+            "seed {seed}: recovery ledger inconsistent: {snap}"
+        );
+        assert!(
+            snap.worker_restarts >= 1,
+            "seed {seed}: the planned panic never restarted a shard"
+        );
+        assert_eq!(
+            snap.sessions_completed, summary.done,
+            "seed {seed}: completion counter drift"
+        );
+        if driver == Driver::Lockstep {
+            assert_eq!(
+                [
+                    snap.faults_injected,
+                    snap.recoveries,
+                    snap.worker_restarts,
+                    snap.dead_letters,
+                    snap.backpressure_parks
+                ],
+                exact,
+                "seed {seed}: {snap}"
+            );
+        }
+    });
 }
 
 #[test]
 fn chaos_seed_1() {
-    chaos_run(1);
+    chaos_run(1, [6, 6, 1, 0, 0]);
 }
 
 #[test]
 fn chaos_seed_2() {
-    chaos_run(2);
+    chaos_run(2, [5, 5, 1, 0, 0]);
 }
 
 #[test]
 fn chaos_seed_3() {
-    chaos_run(3);
+    chaos_run(3, [5, 5, 1, 0, 0]);
 }
 
 /// Chaos under backpressure: one two-deep shard queue under a window of
@@ -158,12 +152,12 @@ fn chaos_seed_3() {
 /// the same full queue.
 #[test]
 fn chaos_backpressure_seed_1() {
-    chaos_run_full(1, 1, true);
+    chaos_run_full(1, 1, true, [6, 6, 1, 0, 6]);
 }
 
 #[test]
 fn chaos_backpressure_gang_seed_1() {
-    chaos_run_full(1, 3, true);
+    chaos_run_full(1, 3, true, [6, 6, 1, 0, 134]);
 }
 
 /// The batched gang dispatcher under chaos: crash containment rebuilds
@@ -171,12 +165,12 @@ fn chaos_backpressure_gang_seed_1() {
 /// the same way it does for single-array shards.
 #[test]
 fn chaos_gang_seed_1() {
-    chaos_run_with(1, 3);
+    chaos_run_full(1, 3, false, [6, 6, 1, 0, 0]);
 }
 
 #[test]
 fn chaos_gang_seed_2() {
-    chaos_run_with(2, 3);
+    chaos_run_full(2, 3, false, [5, 5, 1, 0, 0]);
 }
 
 /// Gang dispatch stays deterministic per seed: one dispatcher thread owns
@@ -187,7 +181,7 @@ fn chaos_gang_is_deterministic_per_seed() {
     use sdr_engine::{Metrics, ShardPool};
     use std::sync::Arc;
 
-    quiet_panics();
+    quiet_injected_panics();
     let run = |seed: u64| {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::new(
@@ -237,30 +231,44 @@ fn chaos_gang_is_deterministic_per_seed() {
 }
 
 /// Identical seeds must produce identical fault ledgers — the whole point
-/// of a *seeded* chaos harness is replayability.
+/// of a *seeded* chaos harness is replayability. One shard has a single
+/// total load order under either driver; in lockstep the whole metrics
+/// block replays with it.
 #[test]
 fn chaos_is_deterministic_per_seed() {
-    quiet_panics();
-    let run = |seed: u64| {
-        let plan = FaultPlan::seeded(seed, 5, 10);
-        let (_, summary) = run_to_completion(
-            EngineConfig {
-                shards: 1, // one shard: a single total load order
-                queue_depth: 32,
-                fault_plan: Some(plan),
-                ..EngineConfig::default()
-            },
-            mixed_records(8),
-        );
-        let s = summary.snapshot;
-        (
-            summary.done,
-            summary.dead_lettered,
-            s.faults_injected,
-            s.faults_detected,
-        )
-    };
-    assert_eq!(run(9), run(9));
+    quiet_injected_panics();
+    for driver in Driver::BOTH {
+        let run = |seed: u64| {
+            // A horizon of 5: one shard loads its four kernels and swaps
+            // once, so later ordinals never come up.
+            let plan = FaultPlan::seeded(seed, 5, 5);
+            let (_, summary) = run_to_completion(
+                driver,
+                EngineConfig {
+                    shards: 1, // one shard: a single total load order
+                    queue_depth: 32,
+                    fault_plan: Some(plan),
+                    ..EngineConfig::default()
+                },
+                mixed_records(8),
+            );
+            summary
+        };
+        let (a, b) = (run(9), run(9));
+        let ledger = |s: &sdr_engine::ScaleSummary| {
+            (
+                s.done,
+                s.dead_lettered,
+                s.snapshot.faults_injected,
+                s.snapshot.faults_detected,
+            )
+        };
+        assert_eq!(ledger(&a), ledger(&b), "{driver:?}");
+        assert!(a.snapshot.faults_injected > 0, "plan never fired");
+        if driver == Driver::Lockstep {
+            assert_eq!(a, b, "the full summary, snapshot included");
+        }
+    }
 }
 
 /// A worker that crashes on every early load dead-letters its session
@@ -268,7 +276,7 @@ fn chaos_is_deterministic_per_seed() {
 /// forever — and the shard itself survives to serve other sessions.
 #[test]
 fn repeated_crashes_dead_letter_the_session() {
-    quiet_panics();
+    quiet_injected_panics();
     let plan = FaultPlan {
         faults: (0..16)
             .map(|at_load| FaultSpec {
@@ -280,27 +288,26 @@ fn repeated_crashes_dead_letter_the_session() {
     // Deep enough for both sessions, then one-deep: the second session
     // waits its turn parked, and the counters must not move.
     for queue_depth in [8, 1] {
-        let (_, summary) = run_to_completion(
-            EngineConfig {
-                shards: 1,
-                queue_depth,
-                recovery: RecoveryPolicy {
-                    max_session_attempts: 1,
-                    ..RecoveryPolicy::default()
-                },
-                fault_plan: Some(plan.clone()),
-                ..EngineConfig::default()
+        let config = EngineConfig {
+            shards: 1,
+            queue_depth,
+            recovery: RecoveryPolicy {
+                max_session_attempts: 1,
+                ..RecoveryPolicy::default()
             },
-            mixed_records(2),
-        );
-
-        assert_eq!(summary.dead_lettered, 2, "both sessions give up");
-        let snap = &summary.snapshot;
-        assert_eq!(snap.dead_letters, 2);
-        // Each session: crash, one retry, crash again, dead-letter.
-        assert_eq!(snap.session_retries, 2);
-        assert_eq!(snap.worker_restarts, 4);
-        assert_eq!(snap.faults_injected, snap.faults_detected);
+            fault_plan: Some(plan.clone()),
+            ..EngineConfig::default()
+        };
+        // Every count here is exact under either driver.
+        under_both_drivers(&config, &mixed_records(2), |_, _, summary| {
+            assert_eq!(summary.dead_lettered, 2, "both sessions give up");
+            let snap = &summary.snapshot;
+            assert_eq!(snap.dead_letters, 2);
+            // Each session: crash, one retry, crash again, dead-letter.
+            assert_eq!(snap.session_retries, 2);
+            assert_eq!(snap.worker_restarts, 4);
+            assert_eq!(snap.faults_injected, snap.faults_detected);
+        });
     }
 }
 
@@ -314,55 +321,60 @@ fn repeated_crashes_dead_letter_the_session() {
 /// ready-list run.
 #[test]
 fn faults_mid_replay_invalidate_and_recover() {
-    quiet_panics();
-    let mut faults = vec![FaultSpec {
-        kind: FaultKind::WorkerPanic,
-        at_load: 1,
-    }];
-    faults.extend(FaultPlan::seeded(5, 6, 8).faults);
-    let (completed, summary) = run_to_completion(
-        EngineConfig {
-            shards: 2,
-            arrays_per_shard: 2,
-            queue_depth: 16,
-            recovery: RecoveryPolicy {
-                max_kernel_attempts: 4,
-                ..RecoveryPolicy::default()
-            },
-            fault_plan: Some(FaultPlan { faults }),
-            ..EngineConfig::default()
+    quiet_injected_panics();
+    let config = EngineConfig {
+        shards: 2,
+        arrays_per_shard: 2,
+        queue_depth: 16,
+        recovery: RecoveryPolicy {
+            max_kernel_attempts: 4,
+            ..RecoveryPolicy::default()
         },
-        mixed_records(24),
-    );
-
-    assert_eq!(completed.len(), 24, "sessions lost");
-    assert_eq!(summary.done + summary.dead_lettered, 24);
-    let snap = &summary.snapshot;
-    // Dense stepping really ran during this chaos workload…
-    assert!(
-        snap.schedules_captured >= 1,
-        "no configuration ever turned dense — the test is vacuous: {snap}"
-    );
-    assert!(
-        snap.schedule_replay_cycles > 0,
-        "dense entries never stepped"
-    );
-    // …and ended with the bursts it served (drained pipelines, swaps,
-    // unloads) rather than outliving them.
-    assert!(
-        snap.schedule_invalidations >= 1,
-        "drained or unloaded configurations must leave dense mode: {snap}"
-    );
-    // The ledger invariant is untouched by the stepper.
-    assert!(snap.faults_injected > 0, "plan never fired");
-    assert_eq!(
-        snap.faults_injected, snap.faults_detected,
-        "injected faults went undetected under dense stepping: {snap}"
-    );
-    assert!(
-        snap.faults_detected <= snap.recoveries + snap.dead_letters,
-        "detections unanswered under dense stepping: {snap}"
-    );
+        fault_plan: Some(chaos_plan(5, 6, 8)),
+        ..EngineConfig::default()
+    };
+    under_both_drivers(&config, &mixed_records(24), |driver, completed, summary| {
+        assert_eq!(completed.len(), 24, "sessions lost");
+        assert_eq!(summary.done + summary.dead_lettered, 24);
+        let snap = &summary.snapshot;
+        // Dense stepping really ran during this chaos workload…
+        assert!(
+            snap.schedules_captured >= 1,
+            "no configuration ever turned dense — the test is vacuous: {snap}"
+        );
+        assert!(
+            snap.schedule_replay_cycles > 0,
+            "dense entries never stepped"
+        );
+        // …and ended with the bursts it served (drained pipelines, swaps,
+        // unloads) rather than outliving them.
+        assert!(
+            snap.schedule_invalidations >= 1,
+            "drained or unloaded configurations must leave dense mode: {snap}"
+        );
+        // The ledger invariant is untouched by the stepper.
+        assert!(snap.faults_injected > 0, "plan never fired");
+        assert_eq!(
+            snap.faults_injected, snap.faults_detected,
+            "injected faults went undetected under dense stepping: {snap}"
+        );
+        assert!(
+            snap.faults_detected <= snap.recoveries + snap.dead_letters,
+            "detections unanswered under dense stepping: {snap}"
+        );
+        if driver == Driver::Lockstep {
+            assert_eq!(
+                [
+                    snap.schedules_captured,
+                    snap.schedule_invalidations,
+                    snap.faults_injected,
+                    snap.worker_restarts
+                ],
+                [48, 48, 7, 1],
+                "{snap}"
+            );
+        }
+    });
 }
 
 /// Cross-shard stealing under fault injection: the whole offered load is
@@ -371,114 +383,45 @@ fn faults_mid_replay_invalidate_and_recover() {
 /// mid-batch while that is happening. Stolen-away sessions must complete
 /// on the thief, crashed ones must re-dispatch or dead-letter, and the
 /// fault ledger (injected == detected ≤ recoveries + dead_letters) must
-/// reconcile exactly as it does without stealing.
+/// reconcile exactly as it does without stealing. In lockstep: whether a
+/// thief's poll lands inside an offer's grace window is not a race there,
+/// so one cohort steals an exact number of batches.
 #[test]
 fn steal_during_faults_keeps_the_ledger_intact() {
-    use sdr_engine::{Metrics, PlacementPolicy, ShardPool};
-    use std::sync::Arc;
-
-    quiet_panics();
-    let metrics = Arc::new(Metrics::new());
-    let max_attempts = RecoveryPolicy::default().max_session_attempts;
-    let mut faults = vec![FaultSpec {
-        kind: FaultKind::WorkerPanic,
-        at_load: 1,
-    }];
-    faults.extend(FaultPlan::seeded(11, 4, 6).faults);
-    let pool = ShardPool::new(
+    quiet_injected_panics();
+    // Kernels mix (W-CDMA/OFDM alternate), so a saturated round forms
+    // several batches and exposes its coldest one.
+    let (completed, summary) = run_to_completion(
+        Driver::Lockstep,
         EngineConfig {
             shards: 2,
             arrays_per_shard: 2,
             queue_depth: 64,
-            start_paused: true,
             placement: PlacementPolicy::Static,
             steal_threshold: 4,
             recovery: RecoveryPolicy {
                 max_kernel_attempts: 4,
                 ..RecoveryPolicy::default()
             },
-            fault_plan: Some(FaultPlan { faults }),
+            fault_plan: Some(chaos_plan(11, 4, 6)),
             ..EngineConfig::default()
         },
-        Arc::clone(&metrics),
+        skewed_records(16, 2),
     );
 
-    // All-even session ids: the static hash sends everything to shard 0.
-    // Kernels still mix (W-CDMA/OFDM alternate), so a saturated round
-    // forms several batches and exposes its coldest one.
-    let cohort = |base: u64| -> Vec<Session> {
-        (0..16u64)
-            .map(|i| {
-                let id = base + 2 * i;
-                if i % 2 == 0 {
-                    Session::wcdma(id, 1_000 + id)
-                } else {
-                    Session::ofdm(id, 2_000 + id)
-                }
-            })
-            .collect()
-    };
-
-    let mut done = 0u64;
-    let mut dead = 0u64;
-    let mut cohorts = 0u64;
-    // Stealing needs the thief's idle poll to land inside the offer's
-    // grace window, so retry fresh cohorts (bounded) until one is stolen.
-    while metrics.snapshot().batches_stolen == 0 && cohorts < 20 {
-        let mut wave = cohort(1_000 * cohorts);
-        cohorts += 1;
-        while !wave.is_empty() {
-            let n = wave.len();
-            for s in wave.drain(..) {
-                pool.submit(s).expect("queue has room");
-            }
-            pool.resume(0);
-            pool.resume(1);
-            for _ in 0..n {
-                let mut s = pool.recv().expect("workers alive");
-                if s.take_crashed() {
-                    if s.attempts() > max_attempts {
-                        s.mark_dead_lettered(format!("crashed {} times", s.attempts()));
-                        Metrics::incr(&metrics.dead_letters);
-                        dead += 1;
-                    } else {
-                        // The struck member was already rebuilt; mirror the
-                        // front-end's supervision and re-dispatch next wave.
-                        Metrics::incr(&metrics.session_retries);
-                        Metrics::incr(&metrics.recoveries);
-                        wave.push(s);
-                    }
-                } else if s.is_terminal() {
-                    assert!(
-                        !matches!(s.state(), SessionState::Failed(_)),
-                        "session {} failed: {:?}",
-                        s.id(),
-                        s.state()
-                    );
-                    done += 1;
-                } else {
-                    wave.push(s);
-                }
-            }
-            pool.pause(0);
-            pool.pause(1);
-        }
-    }
-
-    let snap = metrics.snapshot();
-    assert!(
-        snap.batches_stolen >= 1,
-        "shard 1 never stole from the pinned shard: {snap}"
-    );
-    assert!(
-        snap.steal_sessions >= 1,
-        "stolen batches carried no sessions"
-    );
+    let snap = &summary.snapshot;
     assert_eq!(
-        done + dead,
-        16 * cohorts,
+        (snap.batches_stolen, snap.steal_sessions),
+        (2, 16),
+        "offers shard 1 claimed from the pinned shard, and the session-steps in them: {snap}"
+    );
+    assert_eq!(completed.len(), 16);
+    assert_eq!(
+        summary.done + summary.dead_lettered,
+        16,
         "every session (stolen or not) must be accounted for"
     );
+    assert_eq!(summary.failed, 0);
     // The fault ledger reconciles exactly as without stealing.
     assert!(snap.faults_injected > 0, "plan never fired: {snap}");
     assert_eq!(
@@ -489,11 +432,10 @@ fn steal_during_faults_keeps_the_ledger_intact() {
         snap.faults_detected <= snap.recoveries + snap.dead_letters,
         "detections unanswered under stealing: {snap}"
     );
-    assert!(
-        snap.worker_restarts >= 1,
-        "the planned panic never restarted a worker"
+    assert_eq!(
+        snap.worker_restarts, 1,
+        "the planned panic restarts one worker"
     );
-    drop(pool);
 }
 
 /// The golden-equivalence regression for the engine layer: with the
@@ -501,20 +443,19 @@ fn steal_during_faults_keeps_the_ledger_intact() {
 /// keeps the exact step count and fault counters of the seed build.
 #[test]
 fn no_plan_changes_nothing() {
-    let (_, summary) = run_to_completion(
-        EngineConfig {
-            shards: 2,
-            queue_depth: 8,
-            ..EngineConfig::default() // fault_plan: None
-        },
-        mixed_records(16),
-    );
-    assert_eq!(summary.done, 16);
-    let snap = &summary.snapshot;
-    assert_eq!(snap.jobs_run, 3 * 16, "exact step count as without faults");
-    assert_eq!(snap.faults_injected, 0);
-    assert_eq!(snap.faults_detected, 0);
-    assert_eq!(snap.worker_restarts, 0);
-    assert_eq!(snap.dead_letters, 0);
-    assert_eq!(snap.watchdog_kicks, 0);
+    let config = EngineConfig {
+        shards: 2,
+        queue_depth: 8,
+        ..EngineConfig::default() // fault_plan: None
+    };
+    under_both_drivers(&config, &mixed_records(16), |_, _, summary| {
+        assert_eq!(summary.done, 16);
+        let snap = &summary.snapshot;
+        assert_eq!(snap.jobs_run, 3 * 16, "exact step count as without faults");
+        assert_eq!(snap.faults_injected, 0);
+        assert_eq!(snap.faults_detected, 0);
+        assert_eq!(snap.worker_restarts, 0);
+        assert_eq!(snap.dead_letters, 0);
+        assert_eq!(snap.watchdog_kicks, 0);
+    });
 }

@@ -9,6 +9,7 @@
 use sdr_engine::{
     EngineConfig, Frontend, ParkedSession, ScaleSummary, Session, SessionState, Standard,
 };
+use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// One terminal's outcome as the completion hook saw it.
 pub type Outcome = (u64, Standard, SessionState);
@@ -39,21 +40,42 @@ pub fn skewed_records(n: u64, shards: u64) -> Vec<ParkedSession> {
         .collect()
 }
 
+/// Who steps the shards under the [`Frontend`]: the OS threads that ship,
+/// or the calling thread in virtual-clock order (`Frontend::lockstep`),
+/// where every counter of a run is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    Threads,
+    Lockstep,
+}
+
+impl Driver {
+    pub const BOTH: [Driver; 2] = [Driver::Threads, Driver::Lockstep];
+
+    pub fn frontend(self, config: EngineConfig) -> Frontend {
+        match self {
+            Driver::Threads => Frontend::new(config),
+            Driver::Lockstep => Frontend::lockstep(config),
+        }
+    }
+}
+
 /// Admits `records` and runs the front-end until every terminal has left,
-/// collecting each outcome through the completion hook, sorted by id.
-/// Admission never sheds here: these suites pin what the *pool* does to a
-/// frame, so the virtual-time model must let every frame through.
+/// collecting each outcome through the completion hook, in completion
+/// order. Admission never sheds here: these suites pin what the *pool*
+/// does to a frame, so the virtual-time model must let every frame through.
 ///
 /// A pool that starts paused takes one `pump` against its stopped queues
 /// and is then resumed: what a full shard refuses in that pass bounces
 /// whichever way the threads race afterwards, which is how the
 /// backpressure rows get a re-park they can count on.
-pub fn run_to_completion(
+pub fn run_in_completion_order(
+    driver: Driver,
     config: EngineConfig,
     records: Vec<ParkedSession>,
 ) -> (Vec<Outcome>, ScaleSummary) {
     let (paused, shards) = (config.start_paused, config.shards);
-    let mut frontend = Frontend::new(EngineConfig {
+    let mut frontend = driver.frontend(EngineConfig {
         shed_lateness_cycles: u64::MAX,
         ..config
     });
@@ -72,6 +94,63 @@ pub fn run_to_completion(
         }
     }
     let summary = frontend.run(&mut hook);
+    (outcomes, summary)
+}
+
+/// [`run_in_completion_order`] with the outcomes sorted by id.
+pub fn run_to_completion(
+    driver: Driver,
+    config: EngineConfig,
+    records: Vec<ParkedSession>,
+) -> (Vec<Outcome>, ScaleSummary) {
+    let (mut outcomes, summary) = run_in_completion_order(driver, config, records);
     outcomes.sort_by_key(|(id, _, _)| *id);
     (outcomes, summary)
+}
+
+/// Runs one row under both drivers, hands each run to `check` — bounds
+/// for the threads, exact counts where `driver` is lockstep — asserts
+/// that the two agree on every session's outcome, and returns those
+/// outcomes sorted by id.
+pub fn under_both_drivers(
+    config: &EngineConfig,
+    records: &[ParkedSession],
+    mut check: impl FnMut(Driver, &[Outcome], &ScaleSummary),
+) -> Vec<Outcome> {
+    let [threads, lockstep] = Driver::BOTH.map(|driver| {
+        let (outcomes, summary) = run_to_completion(driver, config.clone(), records.to_vec());
+        check(driver, &outcomes, &summary);
+        outcomes
+    });
+    assert_eq!(threads, lockstep, "the two drivers disagree on an outcome");
+    threads
+}
+
+/// The chaos plan for `seed`: `count` seeded recoverable faults over the
+/// first `horizon` loads, behind one worker panic so that shard restart +
+/// re-dispatch is exercised on every seed (`seeded()` samples only
+/// recoverable kinds). The panic is first in the list so no same-ordinal
+/// seeded spec can shadow it, and at ordinal 1 because the workload shares
+/// configurations heavily — sessions only load each kernel about once per
+/// shard, so only the earliest ordinals are guaranteed to come up.
+pub fn chaos_plan(seed: u64, count: usize, horizon: u64) -> FaultPlan {
+    let mut faults = vec![FaultSpec {
+        kind: FaultKind::WorkerPanic,
+        at_load: 1,
+    }];
+    faults.extend(FaultPlan::seeded(seed, count, horizon).faults);
+    FaultPlan { faults }
+}
+
+/// Injected worker panics would print through the default hook — from
+/// pool threads the harness cannot capture, and in lockstep from the test
+/// thread itself; silence exactly those so chaos output stays readable.
+/// Safe to call from every test in a binary.
+pub fn quiet_injected_panics() {
+    std::panic::set_hook(Box::new(|info| {
+        let message = info.payload().downcast_ref::<String>();
+        if !message.is_some_and(|m| m.starts_with("injected fault")) {
+            eprintln!("{info}");
+        }
+    }));
 }

@@ -6,7 +6,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, run_to_completion};
+use common::{mixed_records, under_both_drivers, Driver};
 use sdr_engine::metrics::KernelKind;
 use sdr_engine::{
     EngineConfig, Frontend, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard,
@@ -19,42 +19,52 @@ use sdr_engine::{
 /// comes out of the cache — two builds total, never a rebuild.
 #[test]
 fn ofdm_reconfiguration_is_served_from_the_cache() {
-    let (completed, summary) = run_to_completion(
-        EngineConfig {
-            shards: 1,
-            queue_depth: 8,
-            ..EngineConfig::default()
-        },
-        vec![
-            ParkedSession::new_ofdm(0, 11, 0),
-            ParkedSession::new_ofdm(1, 12, 1),
-        ],
-    );
-
-    assert_eq!(completed.len(), 2);
-    for (id, _, state) in &completed {
-        assert_eq!(*state, SessionState::Done, "session {id} failed");
-    }
-    let snap = summary.snapshot;
-    // Two distinct netlists (2a detector, 2b demodulator) were ever built…
-    assert_eq!(
-        snap.cache_misses, 2,
-        "each configuration built exactly once"
-    );
-    // …yet both sessions activated both: the second session's activations
-    // were cache hits (2a re-loaded from the cached netlist after the
-    // first session's swap unloaded it; 2b still resident).
-    assert!(
-        snap.cache_hits >= 2,
-        "second session not served from cache: {snap}"
-    );
-    assert!(snap.reconfigurations >= 1, "no 2a->2b swap recorded");
-    assert!(
-        snap.config_bus_cycles > 0,
-        "loads must pay serial-bus cycles"
-    );
-    assert_eq!(snap.kernel_jobs[KernelKind::PreambleDetector.index()], 2);
-    assert_eq!(snap.kernel_jobs[KernelKind::Demodulator.index()], 2);
+    let config = EngineConfig {
+        shards: 1,
+        queue_depth: 8,
+        ..EngineConfig::default()
+    };
+    let records = [
+        ParkedSession::new_ofdm(0, 11, 0),
+        ParkedSession::new_ofdm(1, 12, 1),
+    ];
+    under_both_drivers(&config, &records, |driver, completed, summary| {
+        assert_eq!(completed.len(), 2);
+        for (id, _, state) in completed {
+            assert_eq!(*state, SessionState::Done, "session {id} failed");
+        }
+        let snap = &summary.snapshot;
+        // Two distinct netlists (2a detector, 2b demodulator) were ever built…
+        assert_eq!(
+            snap.cache_misses, 2,
+            "each configuration built exactly once"
+        );
+        // …yet both sessions activated both: the second session's activations
+        // were cache hits (2a re-loaded from the cached netlist after the
+        // first session's swap unloaded it; 2b still resident).
+        assert!(
+            snap.cache_hits >= 2,
+            "second session not served from cache: {snap}"
+        );
+        assert!(snap.reconfigurations >= 1, "no 2a->2b swap recorded");
+        assert!(
+            snap.config_bus_cycles > 0,
+            "loads must pay serial-bus cycles"
+        );
+        assert_eq!(snap.kernel_jobs[KernelKind::PreambleDetector.index()], 2);
+        assert_eq!(snap.kernel_jobs[KernelKind::Demodulator.index()], 2);
+        if driver == Driver::Lockstep {
+            assert_eq!(
+                (
+                    snap.cache_hits,
+                    snap.reconfigurations,
+                    snap.config_bus_cycles
+                ),
+                (4, 1, 60),
+                "{snap}"
+            );
+        }
+    });
 }
 
 /// Admits W-CDMA frames `ids` and runs the front-end until they have all
@@ -176,80 +186,106 @@ fn shutdown_drains_in_flight_jobs() {
 /// metrics ledger stays consistent with what actually happened.
 #[test]
 fn stress_64_mixed_sessions_over_4_shards() {
-    let (completed, summary) = run_to_completion(
-        EngineConfig {
-            shards: 4,
-            queue_depth: 8, // the window (32) keeps half the workload parked
-            ..EngineConfig::default()
-        },
-        mixed_records(64),
-    );
-
-    assert_eq!(
-        completed.len(),
-        64,
-        "every session reached a terminal state"
-    );
-    for (id, standard, state) in &completed {
+    let config = EngineConfig {
+        shards: 4,
+        queue_depth: 8, // the window (32) keeps half the workload parked
+        ..EngineConfig::default()
+    };
+    under_both_drivers(&config, &mixed_records(64), |driver, completed, summary| {
         assert_eq!(
-            *state,
-            SessionState::Done,
-            "session {id} ({standard:?}) failed"
+            completed.len(),
+            64,
+            "every session reached a terminal state"
         );
-    }
-    let wcdma = completed
-        .iter()
-        .filter(|(_, standard, _)| *standard == Standard::Wcdma)
-        .count();
-    assert_eq!(wcdma, 32);
+        for (id, standard, state) in completed {
+            assert_eq!(
+                *state,
+                SessionState::Done,
+                "session {id} ({standard:?}) failed"
+            );
+        }
+        let wcdma = completed
+            .iter()
+            .filter(|(_, standard, _)| *standard == Standard::Wcdma)
+            .count();
+        assert_eq!(wcdma, 32);
 
-    let snap = summary.snapshot;
-    assert_eq!(snap.sessions_started, 64);
-    assert_eq!(snap.sessions_completed, 64);
-    assert_eq!(snap.sessions_failed, 0);
-    // Every session takes exactly 3 steps (capture, acquire, demodulate).
-    assert_eq!(snap.jobs_run, 3 * 64);
-    // 4 distinct configurations, built at most once per shard.
-    assert!(
-        snap.cache_misses <= 16,
-        "too many rebuilds: {}",
-        snap.cache_misses
-    );
-    assert!(
-        snap.cache_hits > snap.cache_misses,
-        "cache mostly hits: {snap}"
-    );
-    assert!(snap.reconfigurations >= 1);
-    assert!(snap.queue_high_water >= 1);
-    // Each standard's kernels all ran.
-    for kind in KernelKind::ALL {
+        let snap = &summary.snapshot;
+        assert_eq!(snap.sessions_started, 64);
+        assert_eq!(snap.sessions_completed, 64);
+        assert_eq!(snap.sessions_failed, 0);
+        // Every session takes exactly 3 steps (capture, acquire, demodulate).
+        assert_eq!(snap.jobs_run, 3 * 64);
+        // 4 distinct configurations, built at most once per shard.
         assert!(
-            snap.kernel_jobs[kind.index()] > 0,
-            "{} never ran",
-            kind.name()
+            snap.cache_misses <= 16,
+            "too many rebuilds: {}",
+            snap.cache_misses
         );
         assert!(
-            snap.kernel_cycles[kind.index()] > 0,
-            "{} spent no cycles",
-            kind.name()
+            snap.cache_hits > snap.cache_misses,
+            "cache mostly hits: {snap}"
         );
-    }
-    assert!(snap.cache_hit_rate() > 0.5);
+        assert!(snap.reconfigurations >= 1);
+        assert!(snap.queue_high_water >= 1);
+        // Each standard's kernels all ran.
+        for kind in KernelKind::ALL {
+            assert!(
+                snap.kernel_jobs[kind.index()] > 0,
+                "{} never ran",
+                kind.name()
+            );
+            assert!(
+                snap.kernel_cycles[kind.index()] > 0,
+                "{} spent no cycles",
+                kind.name()
+            );
+        }
+        assert!(snap.cache_hit_rate() > 0.5);
+        if driver == Driver::Lockstep {
+            assert_eq!(
+                [
+                    snap.cache_misses,
+                    snap.cache_hits,
+                    snap.reconfigurations,
+                    snap.queue_high_water,
+                    snap.config_words_streamed,
+                    snap.array_makespan_cycles
+                ],
+                [4, 156, 5, 8, 948, 47352],
+                "{snap}"
+            );
+        }
+    });
 }
 
 /// More shards than sessions: the idle shards change nothing, every
 /// session finishes.
 #[test]
 fn idle_shards_admit_trivially() {
-    let (_, summary) = run_to_completion(
-        EngineConfig {
-            shards: 8,
-            ..EngineConfig::default()
-        },
-        vec![
-            ParkedSession::new_wcdma(0, 7, 0),
-            ParkedSession::new_ofdm(1, 8, 1),
-        ],
-    );
-    assert_eq!(summary.done, 2);
+    let config = EngineConfig {
+        shards: 8,
+        ..EngineConfig::default()
+    };
+    let records = [
+        ParkedSession::new_wcdma(0, 7, 0),
+        ParkedSession::new_ofdm(1, 8, 1),
+    ];
+    under_both_drivers(&config, &records, |driver, _, summary| {
+        assert_eq!(summary.done, 2);
+        if driver == Driver::Lockstep {
+            // Six routed steps: one finds its kernel resident, five are
+            // host-only or cold and fall back to the least-loaded shard.
+            let snap = &summary.snapshot;
+            assert_eq!(
+                (
+                    snap.router_affinity_hits,
+                    snap.router_fallbacks,
+                    snap.array_makespan_cycles
+                ),
+                (1, 5, 4210),
+                "{snap}"
+            );
+        }
+    });
 }

@@ -24,7 +24,7 @@ mod common;
 
 use std::time::Instant;
 
-use common::{mixed_records, run_to_completion, skewed_records};
+use common::{mixed_records, skewed_records, under_both_drivers, Driver};
 use sdr_dsp::rng::Rng64;
 use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
 use sdr_engine::{EngineConfig, ParkedSession, PlacementPolicy, Session, Standard};
@@ -84,10 +84,11 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
     assert_eq!(summary.snapshot.rehydrations, 6, "once per frame");
     assert_eq!(summary.snapshot.backpressure_parks, 0);
 
-    let (_, summary) = run_to_completion(narrow_1x1(), mixed_records(48));
-    assert_eq!(summary.done, 48);
-    assert_eq!(summary.snapshot.rehydrations, 48, "once per frame");
-    assert_eq!(summary.snapshot.backpressure_parks, 0);
+    under_both_drivers(&narrow_1x1(), &mixed_records(48), |driver, _, summary| {
+        assert_eq!(summary.done, 48, "{driver:?}");
+        assert_eq!(summary.snapshot.rehydrations, 48, "once per frame");
+        assert_eq!(summary.snapshot.backpressure_parks, 0);
+    });
 }
 
 #[test]
@@ -153,25 +154,34 @@ fn a_full_shard_is_waited_for_not_spun_on() {
     const FRAMES: u64 = 48;
     // `static_skew()`'s window: 2 shards × 2 slots under `max_resident` 8.
     const WINDOW: u64 = 4;
-    let (outcomes, summary) = run_to_completion(static_skew(), skewed_records(FRAMES, 2));
-    assert_eq!(outcomes.len() as u64, FRAMES);
-    assert_eq!(summary.done, FRAMES);
     // A pass follows a hand-back (3 per frame) or an accepted record and
     // bounces at most window − queue_depth = 2 records, which caps the
     // count near 820 however the threads race (measured: 11 to 250, the
     // latter on an oversubscribed host). Twice `window × 3 × frames` is
-    // loose on purpose; a spin overshoots it forty-fold.
+    // loose on purpose; a spin overshoots it forty-fold. In lockstep the
+    // driver runs a pass after every round, and the count is exact.
     let bound = 2 * WINDOW * 3 * FRAMES;
-    assert!(
-        summary.snapshot.backpressure_parks <= bound,
-        "{} re-parks over {FRAMES} frames (bound {bound}): the driver is \
-         spinning on a full shard queue instead of waiting for a hand-back",
-        summary.snapshot.backpressure_parks
-    );
-    assert_eq!(
-        summary.snapshot.rehydrations,
-        FRAMES + summary.snapshot.backpressure_parks,
-        "one rehydration per frame and one per re-park"
+    under_both_drivers(
+        &static_skew(),
+        &skewed_records(FRAMES, 2),
+        |driver, outcomes, summary| {
+            assert_eq!(outcomes.len() as u64, FRAMES);
+            assert_eq!(summary.done, FRAMES);
+            let parks = summary.snapshot.backpressure_parks;
+            assert!(
+                parks <= bound,
+                "{driver:?}: {parks} re-parks over {FRAMES} frames (bound {bound}): the driver \
+                 is spinning on a full shard queue instead of waiting for a hand-back"
+            );
+            if driver == Driver::Lockstep {
+                assert_eq!(parks, 6, "re-parks in lockstep");
+            }
+            assert_eq!(
+                summary.snapshot.rehydrations,
+                FRAMES + parks,
+                "one rehydration per frame and one per re-park"
+            );
+        },
     );
 }
 

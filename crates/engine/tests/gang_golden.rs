@@ -3,7 +3,9 @@
 //! produce exactly the per-session outcomes of the single-array seed
 //! configuration — same terminal state for every session id, compared
 //! order-independently (batching legitimately changes completion order).
-//! Both runs go through the `Frontend`, the driver that ships.
+//! Both runs go through the `Frontend`, the driver that ships, once over
+//! the pool's threads and once in lockstep, where the batch counters are
+//! pinned exactly.
 //!
 //! This is the engine-layer counterpart of the bit-exact golden tests in
 //! `xpp_array`: each session's signal path runs on *some* array with the
@@ -12,33 +14,46 @@
 
 mod common;
 
-use common::{mixed_records, run_to_completion, Outcome};
+use common::{mixed_records, under_both_drivers, Driver, Outcome};
 use sdr_engine::{EngineConfig, SessionState};
 
-/// Runs the workload and returns each terminal's outcome sorted by id.
-fn outcomes(arrays_per_shard: usize, n: u64) -> Vec<Outcome> {
-    let (out, _) = run_to_completion(
-        EngineConfig {
-            shards: 1,
-            arrays_per_shard,
-            queue_depth: 64,
-            ..EngineConfig::default()
-        },
-        mixed_records(n),
-    );
-    assert_eq!(
-        out.len() as u64,
-        n,
-        "gang={arrays_per_shard}: sessions lost"
-    );
-    out
+/// Runs the workload under both drivers (which must agree) and returns
+/// each terminal's outcome sorted by id. `exact` is what the lockstep run
+/// must read: batches dispatched, sessions in them, configuration words
+/// streamed.
+fn outcomes(arrays_per_shard: usize, n: u64, exact: (u64, u64, u64)) -> Vec<Outcome> {
+    let config = EngineConfig {
+        shards: 1,
+        arrays_per_shard,
+        queue_depth: 64,
+        ..EngineConfig::default()
+    };
+    under_both_drivers(&config, &mixed_records(n), |driver, outcomes, summary| {
+        assert_eq!(
+            outcomes.len() as u64,
+            n,
+            "gang={arrays_per_shard} {driver:?}: sessions lost"
+        );
+        let snap = &summary.snapshot;
+        if driver == Driver::Lockstep {
+            assert_eq!(
+                (
+                    snap.batches_dispatched,
+                    snap.batch_sessions,
+                    snap.config_words_streamed
+                ),
+                exact,
+                "gang={arrays_per_shard}: {snap}"
+            );
+        }
+    })
 }
 
 #[test]
 fn gang_of_four_matches_single_array_outcomes() {
     let n = 48;
-    let seed = outcomes(1, n);
-    let gang = outcomes(4, n);
+    let seed = outcomes(1, n, (0, 0, 210));
+    let gang = outcomes(4, n, (5, 144, 210));
     assert_eq!(seed.len(), gang.len());
     for ((seed_id, seed_std, seed_state), (gang_id, gang_std, gang_state)) in
         seed.iter().zip(gang.iter())

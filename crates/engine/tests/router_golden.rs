@@ -19,7 +19,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, run_to_completion, skewed_records, Outcome};
+use common::{mixed_records, skewed_records, under_both_drivers, Driver, Outcome};
 use sdr_engine::{
     EngineConfig, Metrics, ParkedSession, PlacementPolicy, Session, SessionState, ShardPool,
     WorkerArray,
@@ -50,31 +50,46 @@ fn single_array_reference(records: &[ParkedSession]) -> Vec<Outcome> {
 }
 
 /// Runs the workload through the front-end with the given routing
-/// configuration and returns each terminal's outcome sorted by id.
+/// configuration, under both drivers (which must agree), and returns each
+/// terminal's outcome sorted by id. `exact` is what the lockstep run must
+/// read: affinity hits, fallbacks, offers claimed, configuration words.
 fn routed_outcomes(
-    shards: usize,
-    arrays_per_shard: usize,
+    (shards, arrays_per_shard): (usize, usize),
     placement: PlacementPolicy,
     work_stealing: bool,
     n: u64,
+    exact: [u64; 4],
 ) -> Vec<Outcome> {
-    let (out, _) = run_to_completion(
-        EngineConfig {
-            shards,
-            arrays_per_shard,
-            queue_depth: 64,
-            placement,
-            work_stealing,
-            ..EngineConfig::default()
-        },
-        mixed_records(n),
-    );
-    assert_eq!(
-        out.len() as u64,
-        n,
-        "shards={shards} gang={arrays_per_shard} {placement:?} steal={work_stealing}: sessions lost"
-    );
-    out
+    let config = EngineConfig {
+        shards,
+        arrays_per_shard,
+        queue_depth: 64,
+        placement,
+        work_stealing,
+        ..EngineConfig::default()
+    };
+    let label =
+        format!("shards={shards} gang={arrays_per_shard} {placement:?} steal={work_stealing}");
+    under_both_drivers(&config, &mixed_records(n), |driver, outcomes, summary| {
+        assert_eq!(
+            outcomes.len() as u64,
+            n,
+            "{label} {driver:?}: sessions lost"
+        );
+        let snap = &summary.snapshot;
+        if driver == Driver::Lockstep {
+            assert_eq!(
+                [
+                    snap.router_affinity_hits,
+                    snap.router_fallbacks,
+                    snap.batches_stolen,
+                    snap.config_words_streamed
+                ],
+                exact,
+                "{label}: {snap}"
+            );
+        }
+    })
 }
 
 fn assert_matches_reference(label: &str, got: &[Outcome], want: &[Outcome]) {
@@ -142,13 +157,10 @@ fn static_routing_without_stealing_matches_the_reference() {
         reference.iter().all(|(_, _, s)| *s == SessionState::Done),
         "reference workload must complete cleanly for the comparison to mean much"
     );
-    for (shards, gang) in [(2usize, 1usize), (2, 4), (4, 2)] {
-        let routed = routed_outcomes(shards, gang, PlacementPolicy::Static, false, n);
-        assert_matches_reference(
-            &format!("static shards={shards} gang={gang}"),
-            &routed,
-            &reference,
-        );
+    // Static placement never consults the view; only the words differ.
+    for (shape, words) in [((2usize, 1usize), 210), ((2, 4), 210), ((4, 2), 420)] {
+        let routed = routed_outcomes(shape, PlacementPolicy::Static, false, n, [0, 0, 0, words]);
+        assert_matches_reference(&format!("static {shape:?}"), &routed, &reference);
     }
 }
 
@@ -159,13 +171,13 @@ fn static_routing_without_stealing_matches_the_reference() {
 fn affinity_routing_with_stealing_matches_the_reference() {
     let n = 48;
     let reference = single_array_reference(&mixed_records(n));
-    for (shards, gang) in [(2usize, 2usize), (4, 1), (4, 4)] {
-        let routed = routed_outcomes(shards, gang, PlacementPolicy::Affinity, true, n);
-        assert_matches_reference(
-            &format!("affinity shards={shards} gang={gang}"),
-            &routed,
-            &reference,
-        );
+    for (shape, exact) in [
+        ((2usize, 2usize), [36, 108, 1, 372]),
+        ((4, 1), [60, 84, 9, 792]),
+        ((4, 4), [36, 108, 3, 732]),
+    ] {
+        let routed = routed_outcomes(shape, PlacementPolicy::Affinity, true, n, exact);
+        assert_matches_reference(&format!("affinity {shape:?}"), &routed, &reference);
     }
 }
 
@@ -181,46 +193,52 @@ fn reparked_frames_match_the_reference() {
     let n = 48;
     let reference = single_array_reference(&mixed_records(n));
     for (shards, gang, max_resident) in [(1usize, 1usize, 8usize), (2, 2, 16)] {
-        let (routed, summary) = run_to_completion(
-            EngineConfig {
-                shards,
-                arrays_per_shard: gang,
-                queue_depth: 2,
-                max_resident,
-                ..EngineConfig::default()
-            },
-            mixed_records(n),
-        );
-        assert_matches_reference(
-            &format!("credit shards={shards} gang={gang}"),
-            &routed,
-            &reference,
-        );
-        assert_eq!(
-            summary.snapshot.backpressure_parks, 0,
-            "shards={shards} gang={gang}: the window offered more than the pool could take"
-        );
+        let config = EngineConfig {
+            shards,
+            arrays_per_shard: gang,
+            queue_depth: 2,
+            max_resident,
+            ..EngineConfig::default()
+        };
+        under_both_drivers(&config, &mixed_records(n), |driver, routed, summary| {
+            assert_matches_reference(
+                &format!("credit shards={shards} gang={gang} {driver:?}"),
+                routed,
+                &reference,
+            );
+            assert_eq!(
+                summary.snapshot.backpressure_parks, 0,
+                "shards={shards} gang={gang} {driver:?}: the window offered more than the pool could take"
+            );
+        });
     }
 
     let skewed = skewed_records(n, 2);
     let reference = single_array_reference(&skewed);
-    for gang in [1usize, 2] {
-        let (routed, summary) = run_to_completion(
-            EngineConfig {
-                shards: 2,
-                arrays_per_shard: gang,
-                queue_depth: 2,
-                max_resident: 16,
-                start_paused: true,
-                placement: PlacementPolicy::Static,
-                ..EngineConfig::default()
-            },
-            skewed.clone(),
-        );
-        assert_matches_reference(&format!("static skew gang={gang}"), &routed, &reference);
-        assert!(
-            summary.snapshot.backpressure_parks >= 2,
-            "gang={gang}: a window of 4 into one paused depth-2 queue bounces 2 — the row is vacuous"
-        );
+    for (gang, exact_parks) in [(1usize, 6), (2, 276)] {
+        let config = EngineConfig {
+            shards: 2,
+            arrays_per_shard: gang,
+            queue_depth: 2,
+            max_resident: 16,
+            start_paused: true,
+            placement: PlacementPolicy::Static,
+            ..EngineConfig::default()
+        };
+        under_both_drivers(&config, &skewed, |driver, routed, summary| {
+            assert_matches_reference(
+                &format!("static skew gang={gang} {driver:?}"),
+                routed,
+                &reference,
+            );
+            let parks = summary.snapshot.backpressure_parks;
+            assert!(
+                parks >= 2,
+                "gang={gang} {driver:?}: a window of 4 into one paused depth-2 queue bounces 2 — the row is vacuous"
+            );
+            if driver == Driver::Lockstep {
+                assert_eq!(parks, exact_parks, "gang={gang}: re-parks in lockstep");
+            }
+        });
     }
 }

@@ -12,18 +12,23 @@
 //!
 //! Usage:
 //! `cargo run --release --example basestation [--sessions N] [--shards M]
-//!  [--arrays-per-shard K] [--arrival-rate R] [--static-placement]`
+//!  [--arrays-per-shard K] [--arrival-rate R] [--lockstep]`
 //! where `R` is mean terminal arrivals per second at the 50 MHz modeled
 //! array clock (defaults: 64 sessions, 4 shards, 1 array per shard,
 //! 4000/s). Bare positional arguments `[sessions] [shards]
-//! [arrays-per-shard]` are still accepted. `--static-placement` pins the
-//! seed's `id % shards` routing with work stealing off — session
-//! outcomes and slack/shed are deterministic either way, but this also
-//! makes the live dispatch counters bit-identical across runs.
+//! [arrays-per-shard]` are still accepted.
+//!
+//! What repeats from run to run: session outcomes and the admission
+//! model's slack and shed figures always (the last three lines of output);
+//! the live dispatch counters — swaps, prefetches, router and steal lines —
+//! follow which shard's thread got to run when, and differ. `--lockstep`
+//! runs the same placement and stealing with the shards stepped on this
+//! thread in virtual-clock order instead (`Frontend::lockstep`), and then
+//! the whole output is byte-identical across runs.
 
 use xpp_sdr::dsp::rng::Rng64;
 use xpp_sdr::engine::frontend::Frontend;
-use xpp_sdr::engine::{EngineConfig, ParkedSession, PlacementPolicy, Session};
+use xpp_sdr::engine::{EngineConfig, ParkedSession, Session};
 
 /// Modeled array clock used to convert `--arrival-rate` (terminals/s)
 /// into array-cycle interarrivals (BENCH_ARRAY.json's convention).
@@ -35,15 +40,15 @@ struct Args {
     arrays_per_shard: usize,
     /// Mean arrivals per second at the modeled array clock.
     arrival_rate: f64,
-    /// Seed-deterministic dispatch: static `id % shards` placement with
-    /// work stealing off, so the live metrics block (not just the
-    /// session outcomes and slack/shed figures, which are deterministic
-    /// either way) is bit-identical across runs.
-    static_placement: bool,
+    /// Step the shards on the main thread in virtual-clock order rather
+    /// than on their own threads: every counter of the metrics block (not
+    /// just the session outcomes and slack/shed figures, which repeat
+    /// either way) is then identical across runs.
+    lockstep: bool,
 }
 
 const USAGE: &str = "usage: basestation [--sessions N] [--shards M] [--arrays-per-shard K] \
-                     [--arrival-rate R] [--static-placement]";
+                     [--arrival-rate R] [--lockstep]";
 
 /// Why the command line was rejected.
 #[derive(Debug)]
@@ -90,13 +95,13 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, ArgError> {
         shards: 4,
         arrays_per_shard: 1,
         arrival_rate: 4000.0,
-        static_placement: false,
+        lockstep: false,
     };
     let mut positional = 0usize;
     let mut it = argv;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--static-placement" => args.static_placement = true,
+            "--lockstep" => args.lockstep = true,
             flag @ ("--sessions" | "--shards" | "--arrays-per-shard" | "--arrival-rate") => {
                 let v = it
                     .next()
@@ -145,18 +150,17 @@ fn main() {
         args.sessions, args.shards, args.arrays_per_shard, args.arrival_rate, mean_interarrival
     );
 
-    let mut fe = Frontend::new(EngineConfig {
+    let config = EngineConfig {
         shards: args.shards,
         arrays_per_shard: args.arrays_per_shard,
         parking_capacity: args.sessions as usize,
-        placement: if args.static_placement {
-            PlacementPolicy::Static
-        } else {
-            PlacementPolicy::Affinity
-        },
-        work_stealing: !args.static_placement,
         ..EngineConfig::default()
-    });
+    };
+    let mut fe = if args.lockstep {
+        Frontend::lockstep(config)
+    } else {
+        Frontend::new(config)
+    };
 
     // Admit every terminal up front as a compact parked record; the
     // front-end materialises them in deadline order as capacity frees.
