@@ -9,7 +9,7 @@
 //!   receivers register (`sdr_wcdma::xpp_map::WcdmaKernel`,
 //!   `sdr_ofdm::xpp_map::OfdmKernel`), replacing ad-hoc netlist-builder
 //!   function pointers as the unit of request;
-//! * [`ConfigStore`] — a **process-wide** bounded LRU of
+//! * [`ConfigStore`] — a **process-wide** compile-once map of
 //!   [`Arc<CompiledConfig>`]s, shared by every worker shard, so each
 //!   kernel is built and placed **once per process** instead of once per
 //!   worker (the old per-worker netlist cache rebuilt and re-placed the
@@ -97,144 +97,62 @@ impl From<OfdmKernel> for KernelSpec {
     }
 }
 
-/// Outcome of a [`ConfigStore`] lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreLookup {
-    /// The compiled config was already in the store; no build happened.
-    pub hit: bool,
-    /// An LRU entry was dropped to make room.
-    pub evicted: bool,
-}
-
-#[derive(Debug)]
-struct StoreEntry {
-    name: String,
-    config: Arc<CompiledConfig>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct StoreInner {
-    entries: Vec<StoreEntry>,
-    tick: u64,
-}
-
-/// Process-wide bounded LRU store of compiled configurations.
+/// Process-wide compile-once store of compiled configurations.
 ///
 /// One store is shared (via `Arc`) by every worker in a
 /// [`ShardPool`](crate::pool::ShardPool): the first worker to request a
 /// kernel pays
 /// netlist build + placement + port-map flattening, every later request —
 /// from *any* shard — gets the same `Arc<CompiledConfig>` and pays only
-/// the serial configuration bus on its own array.
+/// the serial configuration bus on its own array. Nothing is evicted: the
+/// sessions request four configuration names between them, so every
+/// compile is kept for the life of the store.
 ///
 /// Builds happen under the store lock, so concurrent workers requesting
 /// the same kernel compile it exactly once (the second blocks briefly and
 /// then hits).
 #[derive(Debug)]
 pub struct ConfigStore {
-    capacity: usize,
-    inner: Mutex<StoreInner>,
+    entries: Mutex<Vec<(String, Arc<CompiledConfig>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl ConfigStore {
-    /// Creates an empty store holding at most `capacity` compiled configs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates an empty store with room for `capacity` compiled configs
+    /// before it reallocates.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "store capacity must be positive");
         ConfigStore {
-            capacity,
-            inner: Mutex::new(StoreInner::default()),
+            entries: Mutex::new(Vec::with_capacity(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
     /// Locks the store, recovering from poisoning: a worker that panicked
-    /// mid-lookup cannot have left the entries inconsistent (the mutations
-    /// are single `Vec` operations), so the supervisor's replacement
+    /// mid-lookup cannot have left the entries inconsistent (the only
+    /// mutation is one `Vec::push`), so the supervisor's replacement
     /// workers keep sharing the store instead of cascading the panic.
-    fn lock(&self) -> MutexGuard<'_, StoreInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Vec<(String, Arc<CompiledConfig>)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Returns the compiled config for `name`, building and compiling it
-    /// with `build` on a miss. The LRU entry is evicted when full.
+    /// Returns the compiled config for `name` and whether it was already
+    /// stored, building and compiling it with `build` on a miss.
     pub fn get_or_compile<F: FnOnce() -> Netlist>(
         &self,
         name: &str,
         build: F,
-    ) -> (Arc<CompiledConfig>, StoreLookup) {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner.entries.iter_mut().find(|e| e.name == name) {
-            entry.last_used = tick;
-            let config = Arc::clone(&entry.config);
+    ) -> (Arc<CompiledConfig>, bool) {
+        let mut entries = self.lock();
+        if let Some((_, config)) = entries.iter().find(|(n, _)| n == name) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (
-                config,
-                StoreLookup {
-                    hit: true,
-                    evicted: false,
-                },
-            );
+            return (Arc::clone(config), true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut evicted = false;
-        if inner.entries.len() == self.capacity {
-            if let Some(lru) = inner
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-            {
-                inner.entries.swap_remove(lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted = true;
-            }
-        }
         let config = Arc::new(CompiledConfig::compile(&build()));
-        inner.entries.push(StoreEntry {
-            name: name.to_string(),
-            config: Arc::clone(&config),
-            last_used: tick,
-        });
-        (
-            config,
-            StoreLookup {
-                hit: false,
-                evicted,
-            },
-        )
-    }
-
-    /// Whether `name` is currently stored (no LRU touch).
-    pub fn contains(&self, name: &str) -> bool {
-        self.lock().entries.iter().any(|e| e.name == name)
-    }
-
-    /// Number of stored compiled configs.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of stored compiled configs.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        entries.push((name.to_string(), Arc::clone(&config)));
+        (config, false)
     }
 
     /// Lookups served without a compile.
@@ -245,11 +163,6 @@ impl ConfigStore {
     /// Lookups that had to build and compile.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped to make room.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -401,15 +314,12 @@ impl ConfigManager {
     /// Resolves `spec` through the shared store (compiling on a miss) and
     /// counts the lookup.
     fn lookup(&self, name: &str, spec: &KernelSpec) -> Arc<CompiledConfig> {
-        let (compiled, lookup) = self.store.get_or_compile(name, || spec.build());
-        Metrics::incr(if lookup.hit {
+        let (compiled, hit) = self.store.get_or_compile(name, || spec.build());
+        Metrics::incr(if hit {
             &self.metrics.cache_hits
         } else {
             &self.metrics.cache_misses
         });
-        if lookup.evicted {
-            Metrics::incr(&self.metrics.cache_evictions);
-        }
         compiled
     }
 
@@ -587,25 +497,15 @@ mod tests {
 
     #[test]
     fn store_compiles_once_and_shares() {
-        let store = ConfigStore::new(4);
-        let (a, l1) = store.get_or_compile("fig5-descrambler", || DESCRAMBLER.build());
-        let (b, l2) = store.get_or_compile("fig5-descrambler", || panic!("hit must not rebuild"));
-        assert!(!l1.hit && l2.hit);
+        // Past its preallocation the store grows; it never forgets a compile.
+        let store = ConfigStore::new(1);
+        let (a, hit_a) = store.get_or_compile("fig5-descrambler", || DESCRAMBLER.build());
+        store.get_or_compile("fig10-config2a-detector", || DETECTOR.build());
+        let (b, hit_b) =
+            store.get_or_compile("fig5-descrambler", || panic!("hit must not rebuild"));
+        assert!(!hit_a && hit_b);
         assert!(Arc::ptr_eq(&a, &b), "both callers share one compile");
-        assert_eq!((store.hits(), store.misses()), (1, 1));
-    }
-
-    #[test]
-    fn store_evicts_least_recently_used() {
-        let store = ConfigStore::new(2);
-        store.get_or_compile("a", || DESCRAMBLER.build());
-        store.get_or_compile("b", || DETECTOR.build());
-        store.get_or_compile("a", || unreachable!()); // touch a; b is LRU
-        let (_, l) = store.get_or_compile("c", || DEMODULATOR.build());
-        assert!(l.evicted);
-        assert!(store.contains("a") && store.contains("c") && !store.contains("b"));
-        assert_eq!(store.evictions(), 1);
-        assert_eq!(store.len(), 2);
+        assert_eq!((store.hits(), store.misses()), (1, 2));
     }
 
     #[test]

@@ -215,9 +215,11 @@ impl Frontend {
     /// The same driver over a [`ShardPool::lockstep`] pool: no worker
     /// threads, the shards step inside this loop's one wait point, and
     /// every counter of a run repeats exactly. A constructor for tests and
-    /// benches.
-    pub fn lockstep(config: EngineConfig) -> Self {
-        Frontend::over(ShardPool::lockstep, config, Arc::new(Metrics::new()))
+    /// benches; `metrics` is the registry, as in
+    /// [`Frontend::with_metrics`], so a caller can still read it after
+    /// [`shutdown`](Frontend::shutdown).
+    pub fn lockstep(config: EngineConfig, metrics: Arc<Metrics>) -> Self {
+        Frontend::over(ShardPool::lockstep, config, metrics)
     }
 
     fn over(

@@ -13,9 +13,9 @@
 //!   backpressure and earliest-deadline-first dispatch;
 //! * [`router`] — residency-affinity placement and cross-shard stealing;
 //! * [`config_manager`] — the configuration-manager subsystem: a
-//!   [`KernelSpec`] registry of array kernels, a **process-wide** LRU
-//!   store of pre-compiled, pre-placed configurations (each kernel is
-//!   built once per process, not once per worker), and the per-worker
+//!   [`KernelSpec`] registry of array kernels, a **process-wide**
+//!   compile-once store of pre-compiled, pre-placed configurations (each
+//!   kernel is built once per process, not once per worker), and the per-worker
 //!   request→prefetch→loading→active→unload lifecycle with
 //!   prefetch-overlapped reconfiguration;
 //! * [`metrics`] — a lock-free registry every component reports into;

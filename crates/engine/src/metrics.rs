@@ -8,7 +8,6 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Number of distinct kernel classes tracked by the per-kernel counters.
 pub const KERNEL_KINDS: usize = KernelKind::ALL.len();
@@ -73,11 +72,6 @@ macro_rules! counters {
             /// fire counters, so cycles ÷ fires exposes each kernel's
             /// datapath occupancy).
             kernel_fires: [AtomicU64; KERNEL_KINDS],
-            /// Callbacks run at the top of [`Metrics::snapshot`] so
-            /// lazily-synced counters (e.g. the pool's fault-injection
-            /// ledger) are always current in a report — no manual sync call
-            /// to forget.
-            sync_hooks: SyncHooks,
         }
 
         /// A point-in-time copy of the registry, cheap to pass around and
@@ -94,10 +88,8 @@ macro_rules! counters {
         }
 
         impl Metrics {
-            /// Takes a point-in-time snapshot of every counter, running any
-            /// registered sync hooks first.
+            /// Takes a point-in-time snapshot of every counter.
             pub fn snapshot(&self) -> Snapshot {
-                self.run_sync_hooks();
                 let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
                 Snapshot {
                     $($name: load(&self.$name),)*
@@ -128,7 +120,8 @@ counters! {
     cache_hits,
     /// Configuration-cache misses (netlist built and placed).
     cache_misses,
-    /// Configurations evicted from a worker's cache.
+    /// Configurations unloaded from a worker array to make room: a demand
+    /// load's least-recently-used eviction or a prefetch's spill.
     cache_evictions,
     /// Speculative configuration loads issued ahead of need.
     prefetches,
@@ -148,10 +141,12 @@ counters! {
     /// Configuration words streamed for prefetched loads — the same bus
     /// energy, but hidden behind useful work.
     config_words_prefetched,
-    /// Faults injected by an attached fault plan (0 without one).
+    /// Faults injected by an attached fault plan (0 without one), folded
+    /// in after every supervised step.
     faults_injected,
     /// Faults the recovery layer detected and surfaced (typed load errors,
-    /// cleared stall records, caught worker panics).
+    /// cleared stall records, caught worker panics, records a closing
+    /// shard sweeps off its arrays).
     faults_detected,
     /// Recovery actions taken: kernel reload retries, watchdog reloads and
     /// crashed-session re-dispatches.
@@ -226,23 +221,9 @@ counters! {
     batches_stolen,
     /// Sessions that moved shards through stolen batches.
     steal_sessions,
-    /// Residency-view snapshots published by shard loops (generation
-    /// bumps across all shards).
+    /// Residency-view snapshots published by shard loops, across all
+    /// shards.
     residency_view_refreshes,
-}
-
-/// A snapshot-time sync callback (see [`Metrics::register_sync`]).
-type SyncHook = Box<dyn Fn(&Metrics) + Send + Sync>;
-
-/// Registered snapshot-time sync callbacks (see [`Metrics::register_sync`]).
-#[derive(Default)]
-struct SyncHooks(Mutex<Vec<SyncHook>>);
-
-impl fmt::Debug for SyncHooks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = self.0.lock().map(|v| v.len()).unwrap_or(0);
-        write!(f, "SyncHooks({n})")
-    }
 }
 
 impl Metrics {
@@ -278,32 +259,6 @@ impl Metrics {
         self.kernel_jobs[kind.index()].fetch_add(1, Ordering::Relaxed);
         self.kernel_cycles[kind.index()].fetch_add(cycles, Ordering::Relaxed);
         self.kernel_fires[kind.index()].fetch_add(fires, Ordering::Relaxed);
-    }
-
-    /// Registers a callback that runs at the top of every [`snapshot`]
-    /// (and therefore before every report). The pool uses this to fold its
-    /// fault-injection ledger into the registry so `faults_injected` is
-    /// always current without a manual sync call.
-    ///
-    /// [`snapshot`]: Metrics::snapshot
-    pub fn register_sync(&self, hook: impl Fn(&Metrics) + Send + Sync + 'static) {
-        // A hook that panicked mid-call left nothing torn; keep reporting.
-        self.sync_hooks
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Box::new(hook));
-    }
-
-    fn run_sync_hooks(&self) {
-        let hooks = self
-            .sync_hooks
-            .0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for hook in hooks.iter() {
-            hook(self);
-        }
     }
 }
 
@@ -554,16 +509,6 @@ mod tests {
         Metrics::add(&m.cache_hits, 3);
         Metrics::add(&m.cache_misses, 1);
         assert!((m.snapshot().cache_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sync_hooks_run_on_snapshot() {
-        let m = Metrics::new();
-        m.register_sync(|m| Metrics::raise_to(&m.faults_injected, 7));
-        assert_eq!(m.snapshot().faults_injected, 7);
-        // Hooks are monotonic syncs, so repeated snapshots are stable.
-        Metrics::add(&m.faults_injected, 3);
-        assert_eq!(m.snapshot().faults_injected, 10);
     }
 
     #[test]

@@ -122,8 +122,17 @@ pub struct WorkerArray {
     cm: ConfigManager,
     metrics: Arc<Metrics>,
     policy: RecoveryPolicy,
-    retain_swap_source: bool,
-    prefetch_enabled: bool,
+    /// Set on every member of a gang (`arrays_per_shard` > 1) by the
+    /// shard that builds it. A gang member skips
+    /// [`prefetch`](WorkerArray::prefetch): the next kernel is resident on
+    /// *another* member the dispatcher routes to, so a local prefetch only
+    /// duplicates it across the gang — bus words batching exists to save.
+    /// And its [`swap`](WorkerArray::swap) leaves the source resident, so
+    /// the next batch of that kernel activates for free; placement
+    /// pressure still recycles it through the manager's LRU eviction. A
+    /// single array keeps the Fig. 10 policy: the swap unloads the source
+    /// to recycle its resources.
+    gang_member: bool,
 }
 
 impl WorkerArray {
@@ -152,32 +161,8 @@ impl WorkerArray {
             cm: ConfigManager::new(store, Arc::clone(&metrics)),
             metrics,
             policy,
-            retain_swap_source: false,
-            prefetch_enabled: true,
+            gang_member: false,
         }
-    }
-
-    /// Enables or disables speculative prefetch. On a single array the
-    /// prefetch overlaps the next kernel's bus load with the current
-    /// kernel's run (Fig. 10); on a gang member the next kernel is
-    /// already resident on *another* member the dispatcher will route to,
-    /// so a local prefetch only duplicates the configuration across the
-    /// gang — bus words the batching exists to save. Batched dispatch
-    /// disables it on every member.
-    pub fn set_prefetch_enabled(&mut self, enabled: bool) {
-        self.prefetch_enabled = enabled;
-    }
-
-    /// Switches [`swap`](WorkerArray::swap) between the Fig. 10 policy
-    /// (unload the source to recycle its resources — the right call when
-    /// one terminal owns the whole array, the seed behaviour and the
-    /// default) and the *gang* policy (leave the source resident so the
-    /// next batch of its kernel activates for free; placement pressure
-    /// still recycles it through the manager's LRU eviction when the
-    /// array genuinely runs out of room). Batched dispatch sets this on
-    /// every gang member: residency is exactly what batching amortises.
-    pub fn set_retain_swap_source(&mut self, retain: bool) {
-        self.retain_swap_source = retain;
     }
 
     /// Inert; the frozen benchmark package calls it and ROADMAP E(2) deletes it.
@@ -337,17 +322,16 @@ impl WorkerArray {
     /// waiting for it, so a later [`activate`](WorkerArray::activate) (or
     /// [`swap`](WorkerArray::swap)) pays only residual activation.
     /// Returns whether a prefetch was issued (`false` when already
-    /// resident, when prefetch is
-    /// [disabled](WorkerArray::set_prefetch_enabled), or when the array
-    /// is too full even after spilling quiescent residents — a prefetch
-    /// may evict residents that have fired nothing since their last
-    /// batch, never the active one).
+    /// resident, on a gang member, or when the array is too full even
+    /// after spilling quiescent residents — a prefetch may evict residents
+    /// that have fired nothing since their last batch, never the active
+    /// one).
     ///
     /// # Errors
     ///
     /// Propagates array errors other than placement failure.
     pub fn prefetch(&mut self, spec: impl Into<KernelSpec>) -> XppResult<bool> {
-        if !self.prefetch_enabled {
+        if self.gang_member {
             return Ok(false);
         }
         self.cm.prefetch(&mut self.array, &spec.into())
@@ -370,9 +354,8 @@ impl WorkerArray {
     /// on the swap are recorded in `reconfig_cycles` (~0 when `to` was
     /// prefetched).
     ///
-    /// Under [`set_retain_swap_source`](WorkerArray::set_retain_swap_source)
-    /// the unload is skipped: both kernels stay resident and only
-    /// placement pressure recycles the source.
+    /// On a gang member the unload is skipped: both kernels stay resident
+    /// and only placement pressure recycles the source.
     ///
     /// # Errors
     ///
@@ -383,7 +366,7 @@ impl WorkerArray {
         to: impl Into<KernelSpec>,
     ) -> XppResult<ConfigId> {
         let cycles_before = self.array.stats().cycles;
-        if !self.retain_swap_source {
+        if !self.gang_member {
             let unloaded = self.deactivate(from)?;
             if unloaded {
                 Metrics::incr(&self.metrics.reconfigurations);
@@ -398,8 +381,8 @@ impl WorkerArray {
     }
 }
 
-/// Compiled configurations the pool-wide [`ConfigStore`] may hold: room
-/// for every kernel the two standards register, with slack.
+/// Compiled configurations the pool-wide [`ConfigStore`] preallocates room
+/// for: every kernel the two standards register, with slack.
 const STORE_CAPACITY: usize = 8;
 
 /// The pool reads its settings from the engine-wide [`EngineConfig`]. The
@@ -540,10 +523,10 @@ impl ShardPool {
     /// `config.arrays_per_shard` arrays over one shared compiled-config
     /// store.
     ///
-    /// With a fault plan, the pool-wide injector's fire counters are
-    /// folded into the registry by a [`Metrics::register_sync`] hook, so
-    /// `faults_injected` is always current in any snapshot or report — no
-    /// manual sync call.
+    /// With a fault plan, every shard folds the pool-wide injector's total
+    /// into `faults_injected` after each step, before handing the session
+    /// back: loads happen only inside a step, so any snapshot taken after
+    /// a hand-back counts every fault injected before it.
     ///
     /// # Panics
     ///
@@ -581,13 +564,6 @@ impl ShardPool {
             .fault_plan
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
-        #[cfg(feature = "faults")]
-        if let Some(inj) = &injector {
-            let inj = Arc::clone(inj);
-            metrics.register_sync(move |m| {
-                Metrics::raise_to(&m.faults_injected, inj.injected_total());
-            });
-        }
         // Status cells come first: the residency view spans every shard,
         // so shards need it before any of them runs.
         let depths: Vec<Arc<AtomicU64>> = (0..config.shards)
@@ -876,13 +852,7 @@ impl WorkerSeed {
             Arc::clone(&self.metrics),
             self.policy,
         );
-        // Gang members keep swap sources resident: the batching
-        // dispatcher routes each kernel's stream back to its warm member,
-        // so recycling a kernel's resources per session (the single-array
-        // Fig. 10 policy) would undo exactly the residency the gang
-        // amortises.
-        worker.set_retain_swap_source(self.gang > 1);
-        worker.set_prefetch_enabled(self.gang == 1);
+        worker.gang_member = self.gang > 1;
         #[cfg(feature = "faults")]
         if let Some(inj) = &self.injector {
             worker.attach_fault_injector(Arc::clone(inj));
@@ -1088,7 +1058,7 @@ impl Shard {
             return if self.open {
                 Round::Idle
             } else {
-                Round::Closed // inbox closed and drained: clean exit
+                self.close() // inbox closed and drained: clean exit
             };
         };
         let taken = if !self.open {
@@ -1097,7 +1067,7 @@ impl Shard {
             // once).
             let mine = steal.withdraw(me);
             if mine.is_empty() {
-                return Round::Closed;
+                return self.close();
             }
             mine
         } else if self.idle_polls >= WITHDRAW_GRACE_POLLS && steal.has_offer_from(me) {
@@ -1120,6 +1090,23 @@ impl Shard {
         Round::Progress
     }
 
+    /// The round that finds the shard closed and drained. Fault records
+    /// still pending on its arrays — a faulted load that nothing used or
+    /// disposed of again — would vanish with them, so they are swept here
+    /// and booked as `supervised_step` books those of a crashed array:
+    /// detected, and recovered by the disposal. A drained shard may be
+    /// stepped again (`Drop` closes a pool that `shutdown` already
+    /// closed); the sweep then finds nothing.
+    fn close(&mut self) -> Round {
+        let metrics = &self.seed.metrics;
+        for member in &mut self.members {
+            let swept = member.array_mut().take_injected_faults();
+            Metrics::add(&metrics.faults_detected, swept);
+            Metrics::add(&metrics.recoveries, swept);
+        }
+        Round::Closed
+    }
+
     /// The victim side of the single-array steal protocol: a shard whose
     /// EDF heap is over the threshold exposes its *latest-deadline half* —
     /// the work it would get to last — for an idle shard to claim. One
@@ -1137,15 +1124,11 @@ impl Shard {
         let n = sorted.len() / 2;
         let offered: Vec<Session> = sorted.drain(..n).map(|q| q.session).collect();
         self.heap = sorted.into();
-        // Duplicate ids the registry's idempotence guard rejected stay home.
-        let rejected = steal.offer(StealOffer {
+        steal.offer(StealOffer {
             victim: self.seed.shard,
             kernel: None,
             sessions: offered,
         });
-        for session in rejected {
-            self.enqueue(session);
-        }
     }
 
     /// The victim side of the gang steal protocol: a saturated round
@@ -1177,16 +1160,11 @@ impl Shard {
             })
             .unwrap_or(batches.len() - 1);
         let (kernel, sessions) = batches.remove(idx);
-        // Duplicate ids the registry's idempotence guard rejected run at home
-        // this round as their own batch (`KernelSpec` is `Copy`).
-        let rejected = steal.offer(StealOffer {
+        steal.offer(StealOffer {
             victim: self.seed.shard,
             kernel,
             sessions,
         });
-        if !rejected.is_empty() {
-            batches.push((kernel, rejected));
-        }
     }
 
     /// One supervised session step on one member; hands the stepped
@@ -1228,6 +1206,10 @@ impl Shard {
                 *worker = self.seed.fresh_worker();
                 session.record_crash();
             }
+        }
+        #[cfg(feature = "faults")]
+        if let Some(injector) = &self.seed.injector {
+            Metrics::raise_to(&metrics.faults_injected, injector.injected_total());
         }
         session
     }
@@ -1364,7 +1346,7 @@ mod tests {
     fn retained_swap_keeps_both_kernels_resident() {
         let metrics = Arc::new(Metrics::new());
         let mut w = WorkerArray::new(4, Arc::clone(&metrics));
-        w.set_retain_swap_source(true);
+        w.gang_member = true;
         w.activate(OfdmKernel::PreambleDetector).unwrap();
         w.swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)
             .unwrap();
@@ -1543,6 +1525,41 @@ mod tests {
         }
     }
 
+    /// The Fig. 10 swap by shard shape: a single array unloads the detector
+    /// to recycle its resources, a gang member leaves it resident for the
+    /// next batch of detections. The demodulator is resident nowhere, so
+    /// the least-busy member — the one holding the detector — runs it.
+    #[test]
+    fn a_gang_member_keeps_the_swap_source_resident() {
+        for (gang, detector_stays) in [(1, false), (2, true)] {
+            let (mut shard, inbox, results) = test_shard(gang, None);
+            shard.members[0]
+                .activate(OfdmKernel::PreambleDetector)
+                .unwrap();
+            shard.busy[1..].fill(1);
+            let mut session = Session::ofdm(3, 9);
+            let mut private = WorkerArray::new(4, Arc::new(Metrics::new()));
+            session.step(&mut private); // → PreambleDetect
+            session.step(&mut private); // → Demod
+            shard.seed.depth.fetch_add(1, Ordering::Relaxed);
+            inbox.send(session).unwrap();
+
+            assert!(matches!(shard.step(), Round::Progress));
+            assert_eq!(*results.try_recv().unwrap().state(), SessionState::Done);
+            let member = &shard.members[0];
+            assert!(member.is_resident("fig10-config2b-demodulator"));
+            assert_eq!(
+                member.is_resident("fig10-config2a-detector"),
+                detector_stays,
+                "gang of {gang}"
+            );
+            assert_eq!(
+                shard.seed.metrics.snapshot().reconfigurations,
+                u64::from(!detector_stays)
+            );
+        }
+    }
+
     /// The state machine alone: a shard whose inbox has closed reports
     /// `Closed` only after it has run everything it held — including the
     /// half of its heap it had exposed to thieves that never came.
@@ -1586,7 +1603,7 @@ mod tests {
             kernel: None,
             sessions: vec![Session::ofdm(7 + victim as u64, 1)],
         };
-        assert!(registry.offer(offer(0)).is_empty());
+        registry.offer(offer(0));
         for _ in 0..WITHDRAW_GRACE_POLLS {
             assert!(matches!(shard.step(), Round::Idle));
             assert!(registry.has_offer_from(0), "still claimable");
@@ -1597,7 +1614,7 @@ mod tests {
         assert_eq!(results.try_recv().unwrap().id(), 7);
         assert_eq!(shard.seed.metrics.snapshot().batches_stolen, 0);
 
-        assert!(registry.offer(offer(1)).is_empty());
+        registry.offer(offer(1));
         assert!(matches!(shard.step(), Round::Progress), "claimed");
         assert!(matches!(shard.step(), Round::Progress));
         assert_eq!(results.try_recv().unwrap().id(), 8);

@@ -7,11 +7,10 @@
 //!
 //! * [`ResidencyView`] — a cheaply-refreshed global snapshot of each
 //!   shard's configuration residency, queue depth and in-flight load.
-//!   Shard loops *publish* into their own [`ShardStatus`] cell on a
-//!   generation counter; the publish side uses `try_lock` so dispatch
-//!   never blocks on a reader, and readers only ever take a lock a
-//!   writer holds for the microseconds it takes to copy a handful of
-//!   config names.
+//!   Shard loops *publish* into their own [`ShardStatus`] cell; the
+//!   publish side uses `try_lock` so dispatch never blocks on a reader,
+//!   and readers only ever take a lock a writer holds for the
+//!   microseconds it takes to copy a handful of config names.
 //! * [`Placement`] — the routing policy behind
 //!   [`ShardPool::submit`](crate::pool::ShardPool::submit).
 //!   [`StaticPlacement`] is the seed's sticky `id % shards` hash, kept
@@ -57,8 +56,6 @@ pub enum PlacementPolicy {
 /// publish can never block dispatch behind a slow reader.
 #[derive(Debug, Default)]
 pub struct ShardStatus {
-    /// Bumped on every publish, so readers can cheaply detect staleness.
-    generation: AtomicU64,
     /// Mirror of the shard's submission-queue depth (shared with the
     /// pool's submit path).
     queue_depth: Arc<AtomicU64>,
@@ -79,10 +76,10 @@ impl ShardStatus {
         }
     }
 
-    /// Publishes a new residency snapshot and busy-cycle count, bumping
-    /// the generation. Never blocks: if a reader holds the residency
-    /// lock right now, only the name list is skipped this round (the
-    /// next round republishes it); the scalar fields always land.
+    /// Publishes a new residency snapshot and busy-cycle count. Never
+    /// blocks: if a reader holds the residency lock right now, only the
+    /// name list is skipped this round (the next round republishes it);
+    /// the scalar fields always land.
     ///
     /// The retained `String` allocations are reused in place — a shard's
     /// resident set is stable in steady state, so the per-round publish
@@ -102,12 +99,6 @@ impl ShardStatus {
             }
         }
         self.busy_cycles.store(busy_cycles, Ordering::Relaxed);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// The publish generation (0 = never published).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// Current submission-queue depth.
@@ -282,40 +273,15 @@ impl StealRegistry {
         self.offers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Exposes a batch for other shards to claim.
-    ///
-    /// Idempotence guard: a session id already present in an outstanding
-    /// offer (or appearing twice within this one) is rejected and handed
-    /// back instead of being exposed a second time. A session that
-    /// migrated into a shard which then saturated — or was re-offered
-    /// while a thief still holds its batch — must end up runnable by
-    /// exactly one shard, never two. Returns the rejected duplicates
-    /// (usually empty) so the caller keeps running them itself.
-    #[must_use = "rejected duplicate sessions must be re-queued by the caller"]
-    pub fn offer(&self, mut offer: StealOffer) -> Vec<Session> {
-        if offer.sessions.is_empty() {
-            return Vec::new();
+    /// Exposes a batch for other shards to claim; an empty one is
+    /// dropped. The offer owns its sessions, so each is runnable by
+    /// whichever one shard claims or withdraws it — no id check is needed,
+    /// and ids are not identities anyway (two frames of one terminal may
+    /// be in flight at once).
+    pub fn offer(&self, offer: StealOffer) {
+        if !offer.sessions.is_empty() {
+            self.lock().push(offer);
         }
-        let mut offers = self.lock();
-        let mut kept: Vec<Session> = Vec::with_capacity(offer.sessions.len());
-        let mut rejected = Vec::new();
-        for s in offer.sessions.drain(..) {
-            let duplicate = offers
-                .iter()
-                .flat_map(|o| o.sessions.iter())
-                .chain(kept.iter())
-                .any(|q| q.id() == s.id());
-            if duplicate {
-                rejected.push(s);
-            } else {
-                kept.push(s);
-            }
-        }
-        if !kept.is_empty() {
-            offer.sessions = kept;
-            offers.push(offer);
-        }
-        rejected
     }
 
     /// Whether `victim` currently has an unclaimed offer exposed.
@@ -346,11 +312,6 @@ impl StealRegistry {
             }
         }
         sessions
-    }
-
-    /// Unclaimed offers currently exposed (tests, introspection).
-    pub fn len(&self) -> usize {
-        self.lock().len()
     }
 
     /// Whether no offer is currently exposed.
@@ -411,17 +372,14 @@ mod tests {
     }
 
     #[test]
-    fn publish_bumps_generation_and_updates_residency() {
+    fn publish_replaces_the_residency_snapshot() {
         let (view, _) = view(1, 8);
         let cell = view.status(0);
-        assert_eq!(cell.generation(), 0);
         assert!(!cell.holds("fig5-descrambler"));
         cell.publish(&["fig5-descrambler".into()], 42);
-        assert_eq!(cell.generation(), 1);
         assert_eq!(cell.busy_cycles(), 42);
         assert!(cell.holds("fig5-descrambler"));
         cell.publish(&[], 50);
-        assert_eq!(cell.generation(), 2);
         assert!(!cell.holds("fig5-descrambler"), "snapshot is replaced");
     }
 
@@ -430,12 +388,11 @@ mod tests {
         let reg = StealRegistry::new();
         assert!(reg.is_empty());
         assert!(reg.claim(1).is_none());
-        let rejected = reg.offer(StealOffer {
+        reg.offer(StealOffer {
             victim: 0,
             kernel: None,
             sessions: vec![Session::wcdma(1, 1), Session::wcdma(2, 2)],
         });
-        assert!(rejected.is_empty());
         assert!(reg.has_offer_from(0));
         assert!(!reg.has_offer_from(1));
         assert!(reg.claim(0).is_none(), "a shard never claims its own offer");
@@ -445,12 +402,11 @@ mod tests {
         assert!(reg.is_empty());
         assert!(reg.withdraw(0).is_empty(), "claimed offers cannot return");
 
-        let rejected = reg.offer(StealOffer {
+        reg.offer(StealOffer {
             victim: 3,
             kernel: None,
             sessions: vec![Session::ofdm(9, 9)],
         });
-        assert!(rejected.is_empty());
         let mine = reg.withdraw(3);
         assert_eq!(mine.len(), 1, "unclaimed offers come back to the owner");
         assert!(reg.is_empty());
@@ -459,58 +415,11 @@ mod tests {
     #[test]
     fn empty_offers_are_dropped() {
         let reg = StealRegistry::new();
-        let rejected = reg.offer(StealOffer {
+        reg.offer(StealOffer {
             victim: 0,
             kernel: None,
             sessions: Vec::new(),
         });
-        assert!(rejected.is_empty());
         assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn duplicate_session_ids_are_rejected_not_double_exposed() {
-        let reg = StealRegistry::new();
-        // First offer exposes session 7.
-        let rejected = reg.offer(StealOffer {
-            victim: 0,
-            kernel: None,
-            sessions: vec![Session::wcdma(7, 10)],
-        });
-        assert!(rejected.is_empty());
-
-        // A second offer (different victim) carries 7 again plus a fresh
-        // session and an internal duplicate pair: both extra copies of 7
-        // and the second copy of 8 come back; only 8 is newly exposed.
-        let rejected = reg.offer(StealOffer {
-            victim: 1,
-            kernel: None,
-            sessions: vec![
-                Session::wcdma(7, 20),
-                Session::wcdma(8, 30),
-                Session::wcdma(8, 31),
-            ],
-        });
-        let ids: Vec<u64> = rejected.iter().map(Session::id).collect();
-        assert_eq!(ids, vec![7, 8], "duplicates are handed back, in order");
-
-        // The registry exposes each id exactly once across all offers.
-        assert_eq!(reg.len(), 2);
-        let total: Vec<u64> = reg
-            .withdraw(0)
-            .iter()
-            .chain(reg.withdraw(1).iter())
-            .map(Session::id)
-            .collect();
-        assert_eq!(total, vec![7, 8]);
-
-        // An offer made of nothing but duplicates exposes no batch.
-        let rejected = reg.offer(StealOffer {
-            victim: 2,
-            kernel: None,
-            sessions: vec![Session::wcdma(9, 40), Session::wcdma(9, 41)],
-        });
-        assert_eq!(rejected.len(), 1);
-        assert_eq!(reg.len(), 1, "only the unique survivor is exposed");
     }
 }

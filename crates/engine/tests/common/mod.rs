@@ -6,8 +6,10 @@
 // Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]
 
+use std::sync::Arc;
+
 use sdr_engine::{
-    EngineConfig, Frontend, ParkedSession, ScaleSummary, Session, SessionState, Standard,
+    EngineConfig, Frontend, Metrics, ParkedSession, ScaleSummary, Session, SessionState, Standard,
 };
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
@@ -52,10 +54,10 @@ pub enum Driver {
 impl Driver {
     pub const BOTH: [Driver; 2] = [Driver::Threads, Driver::Lockstep];
 
-    pub fn frontend(self, config: EngineConfig) -> Frontend {
+    pub fn frontend(self, config: EngineConfig, metrics: Arc<Metrics>) -> Frontend {
         match self {
-            Driver::Threads => Frontend::new(config),
-            Driver::Lockstep => Frontend::lockstep(config),
+            Driver::Threads => Frontend::with_metrics(config, metrics),
+            Driver::Lockstep => Frontend::lockstep(config, metrics),
         }
     }
 }
@@ -69,16 +71,25 @@ impl Driver {
 /// and is then resumed: what a full shard refuses in that pass bounces
 /// whichever way the threads race afterwards, which is how the
 /// backpressure rows get a re-park they can count on.
+///
+/// The summary's `snapshot` is read after [`Frontend::shutdown`], not at
+/// the end of `run`: a closing shard sweeps the fault records still
+/// pending on its arrays into the ledger, so only then does every
+/// injected fault show up as detected.
 pub fn run_in_completion_order(
     driver: Driver,
     config: EngineConfig,
     records: Vec<ParkedSession>,
 ) -> (Vec<Outcome>, ScaleSummary) {
     let (paused, shards) = (config.start_paused, config.shards);
-    let mut frontend = driver.frontend(EngineConfig {
-        shed_lateness_cycles: u64::MAX,
-        ..config
-    });
+    let metrics = Arc::new(Metrics::new());
+    let mut frontend = driver.frontend(
+        EngineConfig {
+            shed_lateness_cycles: u64::MAX,
+            ..config
+        },
+        Arc::clone(&metrics),
+    );
     for record in records {
         frontend.admit(record);
     }
@@ -94,7 +105,15 @@ pub fn run_in_completion_order(
         }
     }
     let summary = frontend.run(&mut hook);
-    (outcomes, summary)
+    frontend.shutdown();
+    let snapshot = metrics.snapshot();
+    (
+        outcomes,
+        ScaleSummary {
+            snapshot,
+            ..summary
+        },
+    )
 }
 
 /// [`run_in_completion_order`] with the outcomes sorted by id.

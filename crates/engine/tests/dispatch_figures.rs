@@ -8,11 +8,14 @@
 //! counter repeats exactly, pins the counters as integers, asserts that
 //! the mechanism it measures fired, and keeps the acceptance ratio the
 //! row was first accepted on as a derived floor, so a re-baseline of the
-//! integers still has something to clear.
+//! integers still has something to clear. The last row pins a mechanism
+//! rather than a figure: the prefetch spill, which of the benchmark's
+//! shapes only the one-array mix reaches.
 
 mod common;
 
 use common::{run_to_completion, Driver};
+use sdr_dsp::rng::Rng64;
 use sdr_engine::{EngineConfig, ParkedSession, PlacementPolicy, Snapshot};
 
 /// `n` OFDM frames (capture → detect → demodulate), ids `stride` apart.
@@ -170,4 +173,39 @@ fn affinity_routing_streams_fewer_words_than_static_placement() {
     );
     // The floor: strictly fewer words.
     assert!(routed.config_words_streamed < fixed.config_words_streamed);
+}
+
+/// The prefetch spill on the `backpressure_1x1` shape: one array, the
+/// alternating mix with Poisson arrivals at that workload's mean
+/// interarrival (16,500 modeled cycles), the default queue and window.
+/// True deadlines alternate the standards on the one array, so an OFDM
+/// detection that prefetches the demodulator finds the array full, and
+/// instead of giving up the prefetch reclaims a resident that has fired
+/// nothing since the last step.
+#[test]
+fn a_single_array_spills_quiescent_residents_to_prefetch() {
+    let mut rng = Rng64::seed_from_u64(1);
+    let mut arrival = 0;
+    let records: Vec<ParkedSession> = (0..64)
+        .map(|id| {
+            arrival += (-16_500.0 * rng.next_f64().max(1e-12).ln()).ceil() as u64;
+            if id % 2 == 0 {
+                ParkedSession::new_wcdma(id, 1_000 + id, arrival)
+            } else {
+                ParkedSession::new_ofdm(id, 2_000 + id, arrival)
+            }
+        })
+        .collect();
+    let snap = figures(
+        EngineConfig {
+            shards: 1,
+            ..EngineConfig::default()
+        },
+        records,
+    );
+    assert_eq!(
+        (snap.prefetches, snap.prefetch_spills, snap.cache_evictions),
+        (13, 12, 54),
+        "12 of 13 prefetches made room by spilling"
+    );
 }

@@ -8,8 +8,12 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{chaos_plan, mixed_records, quiet_injected_panics, run_in_completion_order, Driver};
-use sdr_engine::{EngineConfig, Frontend, ParkedSession, RecoveryPolicy, Session, Snapshot};
+use sdr_engine::{
+    EngineConfig, Frontend, Metrics, ParkedSession, RecoveryPolicy, Session, Snapshot,
+};
 use xpp_array::fault::FaultPlan;
 
 /// Runs 48 mixed frames on a `shards × arrays_per_shard` lockstep pool
@@ -58,6 +62,11 @@ fn two_lockstep_runs_are_identical_on_every_shape() {
         total.batch_warm_hits += snap.batch_warm_hits;
         total.batch_replications += snap.batch_replications;
         total.reconfigurations += snap.reconfigurations;
+        if arrays > 1 {
+            // A gang member's Fig. 10 swap leaves the detector resident
+            // (16 times on 2x2), so no swap on a gang unloads anything.
+            assert_eq!(snap.reconfigurations, 0, "{shards}x{arrays}");
+        }
     }
     // Repeating nothing would be easy: across the shapes every mechanism
     // whose counters vary on the thread driver has fired.
@@ -68,27 +77,38 @@ fn two_lockstep_runs_are_identical_on_every_shape() {
     assert!(total.reconfigurations > 0, "no Fig. 10 swap unloaded 2a");
 }
 
+/// Per chaos seed, per shape in `SHAPES` order: the zero-fire watchdog's
+/// kicks. Only a fault plan reaches the watchdog (it kicks a stalled
+/// load), so these rows are where it is seen to fire.
+const WATCHDOG_KICKS: [[u64; 5]; 3] = [[2, 2, 2, 2, 2], [1, 1, 1, 1, 1], [4, 4, 3, 4, 4]];
+
 #[test]
 fn two_lockstep_runs_are_identical_under_the_chaos_plans() {
     // The chaos suite's plans: a panic, then six faults over eight loads.
     quiet_injected_panics();
-    for seed in [1, 2, 3] {
-        for (shards, arrays) in SHAPES {
+    for (seed, kicks) in [1, 2, 3].into_iter().zip(WATCHDOG_KICKS) {
+        for ((shards, arrays), kicks) in SHAPES.into_iter().zip(kicks) {
+            let label = format!("seed {seed} on {shards}x{arrays}");
             let snap = repeatable_run(shards, arrays, Some(chaos_plan(seed, 6, 8)));
-            assert_eq!(snap.worker_restarts, 1, "seed {seed}: the planned panic");
+            assert!(snap.faults_injected > 1, "{label}: only the panic fired");
+            // The ledger, read after the pool shut down: a faulted load that
+            // nothing used again is swept when its shard closes (ROADMAP
+            // F(b); seed 3 on 4x1 leaves one).
+            assert_eq!(snap.faults_injected, snap.faults_detected, "{label}");
             assert!(
-                snap.faults_injected > 1,
-                "seed {seed}: only the panic fired"
+                snap.faults_detected <= snap.recoveries + snap.dead_letters,
+                "{label}: detections unanswered"
             );
-            // A faulted load is detected where it is next used or disposed
-            // of. One row ends with one that nothing used again, its record
-            // still pending on the array: the ledger hole ROADMAP F(b) saw
-            // as a ~1 % flake on the pool's threads, here every time.
-            let undetected = u64::from((seed, shards, arrays) == (3, 4, 1));
+            // The planned panic restarts one worker and its session is
+            // re-dispatched once; a stalled load is kicked by the watchdog.
             assert_eq!(
-                snap.faults_injected,
-                snap.faults_detected + undetected,
-                "seed {seed} on {shards}x{arrays}"
+                (
+                    snap.worker_restarts,
+                    snap.session_retries,
+                    snap.watchdog_kicks
+                ),
+                (1, 1, kicks),
+                "{label}"
             );
         }
     }
@@ -99,11 +119,14 @@ fn two_lockstep_runs_are_identical_under_the_chaos_plans() {
 #[test]
 #[should_panic(expected = "lockstep pool stalled with 2 sessions in flight")]
 fn a_lockstep_run_with_every_working_shard_paused_fails_loudly() {
-    let mut frontend = Frontend::lockstep(EngineConfig {
-        shards: 2,
-        start_paused: true,
-        ..EngineConfig::default()
-    });
+    let mut frontend = Frontend::lockstep(
+        EngineConfig {
+            shards: 2,
+            start_paused: true,
+            ..EngineConfig::default()
+        },
+        Arc::new(Metrics::new()),
+    );
     frontend.admit(ParkedSession::new_wcdma(0, 1, 0));
     frontend.admit(ParkedSession::new_ofdm(1, 2, 0));
     frontend.run(&mut |_: &Session, _| None);

@@ -26,9 +26,11 @@
 //! thread in virtual-clock order instead (`Frontend::lockstep`), and then
 //! the whole output is byte-identical across runs.
 
+use std::sync::Arc;
+
 use xpp_sdr::dsp::rng::Rng64;
 use xpp_sdr::engine::frontend::Frontend;
-use xpp_sdr::engine::{EngineConfig, ParkedSession, Session};
+use xpp_sdr::engine::{EngineConfig, Metrics, ParkedSession, Session};
 
 /// Modeled array clock used to convert `--arrival-rate` (terminals/s)
 /// into array-cycle interarrivals (BENCH_ARRAY.json's convention).
@@ -157,7 +159,7 @@ fn main() {
         ..EngineConfig::default()
     };
     let mut fe = if args.lockstep {
-        Frontend::lockstep(config)
+        Frontend::lockstep(config, Arc::new(Metrics::new()))
     } else {
         Frontend::new(config)
     };
