@@ -201,15 +201,16 @@ counters! {
     /// High-water mark of any single gang member's total array cycles —
     /// the modeled-platform makespan when members run in parallel.
     array_makespan_cycles,
-    /// Entries of a configuration into dense stepping on a worker array
-    /// (see [`xpp_array::ScheduleStats`]; this and the next two keep the
-    /// names the benchmark reads).
+    /// Wake-ups of a sleeping configuration on a worker array: input
+    /// pushed, a load completed (see [`xpp_array::ScheduleStats`]; this and
+    /// the next two keep the names the benchmark reads).
     schedules_captured,
-    /// Array cycles served by the dense stepper instead of the ready list
-    /// (`schedule_replay_cycles ÷ array_cycles_run` is the dense share).
+    /// Array cycles in which at least one configuration was awake and
+    /// stepped (`schedule_replay_cycles ÷ array_cycles_run` is the awake
+    /// share).
     schedule_replay_cycles,
-    /// Exits of a configuration from dense stepping (ran dry, turned
-    /// sparse, unloaded).
+    /// Fall-asleeps of a configuration: a pass fired nothing, or it was
+    /// unloaded while awake.
     schedule_invalidations,
     /// Submissions the affinity router placed on the shard already
     /// holding their next kernel.
@@ -302,10 +303,10 @@ impl Snapshot {
         self.kernel_fires.iter().sum()
     }
 
-    /// Fraction of worker-array cycles served by the dense stepper instead
-    /// of the ready list, in `[0, 1]` (0 with no cycles run). High values
-    /// mean the arrays spend their cycles streaming bursts through full
-    /// pipelines rather than filling, draining or waiting on the bus.
+    /// Fraction of worker-array cycles in which at least one configuration
+    /// was awake, in `[0, 1]` (0 with no cycles run). The rest are cycles
+    /// every configuration slept through — waiting on the bus, say — which
+    /// cost the stepper nothing.
     pub fn replay_hit_ratio(&self) -> f64 {
         ratio(self.schedule_replay_cycles, self.array_cycles_run).min(1.0)
     }
@@ -410,7 +411,7 @@ impl fmt::Display for Snapshot {
         )?;
         writeln!(
             f,
-            "  stepping    dense entries {:>7}  dense cycles {:>12}  exits {:>7}  dense share {:>5.1}%",
+            "  stepping    wakes   {:>8}  awake cycles {:>12}  sleeps {:>7}  awake share {:>5.1}%",
             self.schedules_captured,
             self.schedule_replay_cycles,
             self.schedule_invalidations,
@@ -568,7 +569,7 @@ mod tests {
             ..Snapshot::default()
         };
         assert!((s.replay_hit_ratio() - 0.75).abs() < 1e-12);
-        // Dense cycles can momentarily race ahead of the cycle fold;
+        // Awake cycles can momentarily race ahead of the cycle fold;
         // the ratio clamps rather than exceeding 1.
         let clamped = Snapshot {
             array_cycles_run: 10,
@@ -577,8 +578,8 @@ mod tests {
         };
         assert_eq!(clamped.replay_hit_ratio(), 1.0);
         let text = s.to_string();
-        assert!(text.contains("dense share"), "report must show the ratio");
-        assert!(text.contains("exits"), "report must show churn");
+        assert!(text.contains("awake share"), "report must show the ratio");
+        assert!(text.contains("sleeps"), "report must show churn");
     }
 
     #[test]

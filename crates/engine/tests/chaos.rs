@@ -311,14 +311,14 @@ fn repeated_crashes_dead_letter_the_session() {
     }
 }
 
-/// Faults striking while worker arrays step their kernels dense (the name
-/// dates from the schedule replay that dense stepping replaced; the
-/// counters kept theirs too): configurations must leave dense mode as
-/// their bursts end or their arrays are torn down, the supervision stack
-/// must recover exactly as it always did, and the fault ledger must still
-/// reconcile. The stepping counters prove the run genuinely mixed dense
-/// stepping with injected faults rather than vacuously passing on a pure
-/// ready-list run.
+/// Faults striking while worker arrays step their kernels (the name dates
+/// from the schedule replay of earlier versions; the counters kept theirs
+/// too, and now count wakes, awake cycles and sleeps): configurations must
+/// fall asleep as their bursts end or be unloaded with their arrays, the
+/// supervision stack must recover exactly as it always did, and the fault
+/// ledger must still reconcile. The stepping counters prove the run
+/// genuinely mixed sleeping and waking configurations with injected
+/// faults.
 #[test]
 fn faults_mid_replay_invalidate_and_recover() {
     quiet_injected_panics();
@@ -337,32 +337,37 @@ fn faults_mid_replay_invalidate_and_recover() {
         assert_eq!(completed.len(), 24, "sessions lost");
         assert_eq!(summary.done + summary.dead_lettered, 24);
         let snap = &summary.snapshot;
-        // Dense stepping really ran during this chaos workload…
+        // Configurations really woke during this chaos workload…
         assert!(
             snap.schedules_captured >= 1,
-            "no configuration ever turned dense — the test is vacuous: {snap}"
+            "no configuration ever woke — the test is vacuous: {snap}"
         );
         assert!(
             snap.schedule_replay_cycles > 0,
-            "dense entries never stepped"
+            "woken configurations never stepped"
         );
-        // …and ended with the bursts it served (drained pipelines, swaps,
-        // unloads) rather than outliving them.
+        // …and fell asleep with the bursts they served (drained pipelines,
+        // swaps, unloads) rather than outliving them.
         assert!(
             snap.schedule_invalidations >= 1,
-            "drained or unloaded configurations must leave dense mode: {snap}"
+            "drained or unloaded configurations must fall asleep: {snap}"
         );
         // The ledger invariant is untouched by the stepper.
         assert!(snap.faults_injected > 0, "plan never fired");
         assert_eq!(
             snap.faults_injected, snap.faults_detected,
-            "injected faults went undetected under dense stepping: {snap}"
+            "injected faults went undetected: {snap}"
         );
         assert!(
             snap.faults_detected <= snap.recoveries + snap.dead_letters,
-            "detections unanswered under dense stepping: {snap}"
+            "detections unanswered: {snap}"
         );
         if driver == Driver::Lockstep {
+            // Wakes: 8 load completions (`finish_load` steps a load to
+            // running before the job pushes its input, and the completion
+            // is a wake) plus 44 of the 48 kernel jobs' pushes; the other
+            // 4 jobs pushed into a configuration still awake from its
+            // load. Every wake ends in a sleep.
             assert_eq!(
                 [
                     snap.schedules_captured,
@@ -370,7 +375,7 @@ fn faults_mid_replay_invalidate_and_recover() {
                     snap.faults_injected,
                     snap.worker_restarts
                 ],
-                [48, 48, 7, 1],
+                [52, 52, 7, 1],
                 "{snap}"
             );
         }

@@ -1,53 +1,41 @@
-//! The dense stepper and the rule that chooses, per configuration and per
-//! cycle, between it and the ready-list stepper.
+//! The stepper: every object of an awake configuration, every cycle.
 //!
-//! While a burst streams through a pipelined configuration nearly every
-//! object fires every cycle, and the ready list's bookkeeping — wake
-//! dedup, dirty-channel lists, commit transitions, adjacency lookups — is
-//! pure overhead: the list it maintains is "everything". The dense stepper
-//! drops all of it and executes the configuration's schedule in its
-//! always-sound form: *every object, every cycle* (see [`crate::schedule`]
-//! for why that is exact).
+//! The XPP is a synchronous token-handshake array — every PAE of a running
+//! configuration evaluates its handshake on every clock — and this is that
+//! model executed as written: each cycle, an awake configuration hands
+//! every object of its compiled visit list to the firing rules, then
+//! sweep-commits every channel. There is no wake dedup, dirty-channel
+//! worklist, commit transition or adjacency table to keep (see
+//! [`crate::schedule`] for why the full pass is exact).
+//!
+//! What makes quiet cycles cheap is sleep: a pass that fires nothing
+//! stages nothing, so the next one would fire nothing either, and the
+//! configuration is skipped until one of exactly four events wakes it —
+//! `push_input`, `push_input_events`, a board route moving tokens in, or
+//! its load completing.
 
-use super::fire::{fire, Lane, Net, NoSink};
+use super::fire::{fire, Lane, Net};
 use super::load::LoadedConfig;
 use super::Array;
 use crate::stats::ArrayStats;
 
-/// A configuration on the ready list turns dense after a cycle in which at
-/// least one in `ENTER_DENSE_ONE_IN` of its objects fired…
-const ENTER_DENSE_ONE_IN: usize = 2;
-/// …and is handed back after a cycle in which fewer than one in
-/// `LEAVE_DENSE_ONE_IN` did. Visiting an object that cannot fire costs a
-/// fraction of what the ready list spends per object that can, so dense
-/// stepping pays from roughly a quarter activity up; the gap between the
-/// two constants keeps a configuration hovering near either from flapping.
-const LEAVE_DENSE_ONE_IN: usize = 4;
-
 impl LoadedConfig {
-    /// One cycle of the dense stepper: offer every object to the firing
-    /// rules straight off the compiled visit list, then sweep-commit every
-    /// channel. No ready list, wake adjacency, dirty list or commit
-    /// transition is computed. Returns how many objects fired.
-    fn step_dense(&mut self, stats: &mut ArrayStats) -> usize {
+    /// One dense pass: offer every object to the firing rules straight off
+    /// the compiled visit list, then sweep-commit every channel. Returns
+    /// whether any object fired.
+    fn step_dense(&mut self, stats: &mut ArrayStats) -> bool {
         let program = &*self.program;
         let mut net = Net {
-            d: Lane {
-                chans: &mut self.dchans,
-                staged: &mut NoSink,
-            },
-            e: Lane {
-                chans: &mut self.echans,
-                staged: &mut NoSink,
-            },
+            d: Lane(&mut self.dchans),
+            e: Lane(&mut self.echans),
             stats,
         };
-        let mut fired = 0;
+        let mut fired = false;
         let objects = program.micro.iter().zip(&mut self.states);
         for ((m, state), count) in objects.zip(&mut self.fires) {
             let fires = fire(m, &program.fan, state, &mut net);
             *count += u64::from(fires);
-            fired += usize::from(fires > 0);
+            fired |= fires > 0;
         }
         for ch in &mut self.dchans {
             ch.commit();
@@ -60,78 +48,54 @@ impl LoadedConfig {
 }
 
 impl Array {
-    /// One cycle of every enabled configuration, each under the stepper its
-    /// own activity calls for: the share of its objects that fired last
-    /// cycle, with hysteresis. Returns `true` if any object fired.
+    /// One cycle of every enabled, awake configuration. Returns `true` if
+    /// any object fired.
     ///
-    /// Both steppers are exact on any cycle, so the rule is free to follow
-    /// what it observes and nothing outside a configuration can force a
-    /// switch: external input, a load in flight on the bus and the other
-    /// resident configurations leave a dense configuration dense. A dense
-    /// pass that fires nothing *is* the proof that no object is fireable,
-    /// so the configuration goes to sleep with an empty ready list (wakes
-    /// recorded while it was dense predate the pass); one that turns sparse
-    /// is handed back with a flood wake, the conservative ready list.
+    /// A pass that fires nothing *is* the proof that no object is fireable,
+    /// so it puts the configuration to sleep.
     pub(super) fn step_configs(&mut self) -> bool {
         let Array {
             configs,
             stats,
-            dirty_d,
-            dirty_e,
             schedule,
-            force_ready_list,
             ..
         } = self;
         let mut active = false;
-        let mut any_dense = false;
-        for cfg in configs.iter_mut().filter(|c| c.enabled) {
-            let objects = cfg.program.micro.len();
-            if cfg.dense {
-                any_dense = true;
-                let fired = cfg.step_dense(stats);
-                active |= fired > 0;
-                if fired * LEAVE_DENSE_ONE_IN < objects {
-                    cfg.dense = false;
-                    schedule.invalidations += 1;
-                    if fired == 0 {
-                        cfg.ready.clear();
-                    } else {
-                        cfg.ready.wake_all();
-                    }
-                }
-            } else if !cfg.ready.is_empty() {
-                let fired = cfg.step_ready(stats, dirty_d, dirty_e);
-                active |= fired > 0;
-                if fired * ENTER_DENSE_ONE_IN >= objects && !*force_ready_list {
-                    cfg.dense = true;
-                    schedule.captured += 1;
-                }
+        let mut stepped = false;
+        for cfg in configs.iter_mut().filter(|c| c.enabled && c.awake) {
+            stepped = true;
+            if cfg.step_dense(stats) {
+                active = true;
+            } else {
+                cfg.awake = false;
+                schedule.invalidations += 1;
             }
         }
-        schedule.replay_cycles += u64::from(any_dense);
+        schedule.replay_cycles += u64::from(stepped);
         active
     }
 
-    /// Hands every dense configuration back to the ready-list stepper.
-    pub(super) fn leave_dense(&mut self) {
-        for cfg in self.configs.iter_mut().filter(|c| c.dense) {
-            cfg.dense = false;
-            cfg.ready.wake_all();
-            self.schedule.invalidations += 1;
+    /// Wakes the configuration at position `at` of `configs`: the one way
+    /// a sleeping configuration is stepped again.
+    pub(super) fn wake(&mut self, at: usize) {
+        let cfg = &mut self.configs[at];
+        if !cfg.awake {
+            cfg.awake = true;
+            self.schedule.captured += 1;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::array::{with_reference_stepper, with_schedule_capture, Array};
+    use crate::array::{with_reference_stepper, Array};
     use crate::netlist::NetlistBuilder;
     use crate::object::{AluOp, CounterCfg, UnaryOp};
+    use crate::schedule::ScheduleStats;
     use crate::word::Word;
 
     /// A free-running netlist that never idles: counter → scale → output
-    /// (four of its eight objects, enough to turn dense) plus a normally
-    /// dry input branch.
+    /// plus a normally dry input branch.
     fn free_running_netlist() -> crate::netlist::Netlist {
         let mut nl = NetlistBuilder::new("free");
         let ctr = nl.counter(CounterCfg::modulo(8));
@@ -145,24 +109,31 @@ mod tests {
         nl.build().unwrap()
     }
 
-    /// Runs `scenario` on an adaptive, a forced ready-list and a reference
-    /// array and requires identical results; returns the adaptive array.
-    fn on_all_steppers<T: PartialEq + std::fmt::Debug>(
+    /// Runs `scenario` on a production and a reference array and requires
+    /// identical results; returns the production array.
+    fn on_both_steppers<T: PartialEq + std::fmt::Debug>(
         scenario: impl Fn(&mut Array) -> T,
     ) -> Array {
-        let mut adaptive = Array::xpp64a();
-        let a = scenario(&mut adaptive);
-        let mut ready_list = with_schedule_capture(false, Array::xpp64a);
-        assert_eq!(a, scenario(&mut ready_list), "dense stepping diverges");
-        assert_eq!(ready_list.schedule_stats().captured, 0);
+        let mut production = Array::xpp64a();
+        let a = scenario(&mut production);
         let mut reference = with_reference_stepper(Array::xpp64a);
         assert_eq!(a, scenario(&mut reference), "reference stepper diverges");
-        adaptive
+        production
+    }
+
+    /// `(wakes, awake cycles, sleeps)`.
+    fn counts(array: &Array) -> (u64, u64, u64) {
+        let ScheduleStats {
+            captured,
+            replay_cycles,
+            invalidations,
+        } = array.schedule_stats();
+        (captured, replay_cycles, invalidations)
     }
 
     #[test]
-    fn dense_stepping_serves_a_free_running_steady_state() {
-        let array = on_all_steppers(|array| {
+    fn a_free_running_configuration_never_sleeps() {
+        let array = on_both_steppers(|array| {
             let cfg = array.configure(&free_running_netlist()).unwrap();
             array.run(5_000);
             (
@@ -171,34 +142,26 @@ mod tests {
                 array.stats(),
             )
         });
-        let s = array.schedule_stats();
-        assert!(array.schedule_replay_active());
-        assert_eq!((s.captured, s.invalidations), (1, 0));
-        assert!(
-            s.replay_cycles > 4_900,
-            "dense from the first cycles: {s:?}"
-        );
+        // Eight objects load in 24 bus cycles; the completing cycle wakes
+        // the configuration and steps it, and every cycle after.
+        assert_eq!(counts(&array), (1, 5_000 - 23, 0));
     }
 
     #[test]
-    fn outside_input_leaves_a_dense_configuration_dense() {
-        let array = on_all_steppers(|array| {
+    fn a_push_into_an_awake_configuration_is_not_a_wake() {
+        let array = on_both_steppers(|array| {
             let cfg = array.configure(&free_running_netlist()).unwrap();
             array.run(3_000);
             array.push_input(cfg, "a", (0..4).map(Word::new)).unwrap();
-            let dense_through_the_push = array.schedule_replay_active();
             array.run(3_000);
             (
-                dense_through_the_push == array.schedule_replay_active(),
                 array.drain_output(cfg, "y").unwrap(),
                 array.drain_output(cfg, "z").unwrap(),
                 array.stats(),
             )
         });
-        // One entry, no exit: the push perturbed nothing, and the four
-        // words still came out the other end.
-        let s = array.schedule_stats();
-        assert_eq!((s.captured, s.invalidations), (1, 0));
+        let (wakes, _, sleeps) = counts(&array);
+        assert_eq!((wakes, sleeps), (1, 0));
     }
 
     /// A ten-stage pipeline behind one input.
@@ -213,8 +176,8 @@ mod tests {
     }
 
     #[test]
-    fn a_drained_burst_is_handed_back_and_falls_asleep() {
-        let array = on_all_steppers(|array| {
+    fn each_drained_burst_falls_asleep_and_the_next_push_wakes_it() {
+        let array = on_both_steppers(|array| {
             let cfg = array.configure(&pipeline_netlist()).unwrap();
             let mut idle_after = Vec::new();
             for burst in [200, 3, 50] {
@@ -229,103 +192,92 @@ mod tests {
                 array.stats(),
             )
         });
-        // The 200- and 50-word bursts turned dense; as each drained, its
-        // activity fell through the exit threshold (sparse: flood wake back
-        // to the ready list, which finished the job). Three words never
-        // fill a quarter of a twelve-object pipeline.
-        let s = array.schedule_stats();
-        assert_eq!((s.captured, s.invalidations), (2, 2));
-        assert!(!array.schedule_replay_active());
-        assert!(array.configs[0].ready.is_empty(), "asleep");
+        // One wake and one sleep per burst (the first push lands while the
+        // load is on the bus, so its completion finds the flag set), and
+        // every cycle after the load an awake one: the last cycle of each
+        // `run_until_idle` is the pass that fired nothing.
+        let (wakes, awake, sleeps) = counts(&array);
+        assert_eq!((wakes, sleeps), (3, 3));
+        let load = 12 * crate::array::CONFIG_CYCLES_PER_OBJECT;
+        assert_eq!(awake, array.stats().cycles - load + 1);
+        assert!(!array.configs[0].awake);
     }
 
     #[test]
-    fn a_stalled_dense_pass_is_the_proof_of_sleep() {
-        // Four objects: too few for activity to pass below a quarter on
-        // its way to nothing, so this configuration only ever leaves dense
-        // stepping by falling asleep.
+    fn a_stalled_configuration_sleeps_with_tokens_in_flight() {
         let mut nl = NetlistBuilder::new("stall");
         let x = nl.input("x");
         let e = nl.input_event("e");
         let g = nl.gate(e, x);
         nl.output("y", g);
         let netlist = nl.build().unwrap();
-        let scenario = |array: &mut Array| {
+        let array = on_both_steppers(|array| {
             let cfg = array.configure(&netlist).unwrap();
             array.push_input(cfg, "x", (0..100).map(Word::new)).unwrap();
             array.push_input_events(cfg, "e", [true; 60]).unwrap();
             let first = array.run_until_idle(1_000).unwrap();
             let stalled = array.drain_output(cfg, "y").unwrap();
+            // Asleep now, with 40 words queued behind the gate: only the
+            // late events' wake lets them through.
+            let asleep = array.step();
             array.push_input_events(cfg, "e", [true; 40]).unwrap();
             let second = array.run_until_idle(1_000).unwrap();
             (
                 first,
-                stalled,
+                stalled.len(),
+                asleep,
                 second,
-                array.drain_output(cfg, "y").unwrap(),
+                array.drain_output(cfg, "y").unwrap().len(),
             )
-        };
-        on_all_steppers(scenario);
-
-        // The same again, watching the stepper: the events run out with 40
-        // words still queued behind the gate.
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&netlist).unwrap();
-        array.push_input(cfg, "x", (0..100).map(Word::new)).unwrap();
-        array.push_input_events(cfg, "e", [true; 60]).unwrap();
-        array.run(30);
-        assert!(array.schedule_replay_active());
-        let mark = |a: &Array| (a.stats().cycles, a.schedule_stats().replay_cycles);
-        let (cycles, dense) = mark(&array);
-        array.run_until_idle(1_000).unwrap();
-        let (cycles_after, dense_after) = mark(&array);
-        assert_eq!(
-            cycles_after - cycles,
-            dense_after - dense,
-            "dense to the last cycle: the pass that fired nothing ended it"
-        );
-        assert!(!array.schedule_replay_active());
-        assert!(array.configs[0].ready.is_empty(), "asleep, nobody woken");
-        // Late events reach the stalled gate through the one object
-        // `push_input_events` wakes.
-        array.push_input_events(cfg, "e", [true; 40]).unwrap();
-        array.run_until_idle(1_000).unwrap();
-        assert_eq!(array.drain_output(cfg, "y").unwrap().len(), 100);
-        let s = array.schedule_stats();
-        assert_eq!((s.captured, s.invalidations), (2, 2));
+        });
+        let (wakes, _, sleeps) = counts(&array);
+        assert_eq!((wakes, sleeps), (2, 2));
     }
 
     #[test]
-    fn unload_counts_as_a_dense_exit() {
+    fn a_board_route_wakes_its_sleeping_sink() {
+        let array = on_both_steppers(|array| {
+            let src = array.configure(&pipeline_netlist()).unwrap();
+            let dst = array.configure(&pipeline_netlist()).unwrap();
+            array.connect(src, "y", dst, "x").unwrap();
+            array.run_until_idle(1_000).unwrap();
+            array.push_input(src, "x", (0..20).map(Word::new)).unwrap();
+            let n = array.run_until_idle(1_000).unwrap();
+            (n, array.drain_output(dst, "y").unwrap(), array.stats())
+        });
+        // Both woke on load and fell asleep empty; the push woke the source
+        // and its first routed word the sink, and both drained to sleep.
+        let (wakes, _, sleeps) = counts(&array);
+        assert_eq!((wakes, sleeps), (4, 4));
+    }
+
+    #[test]
+    fn unload_counts_as_a_sleep() {
         let mut array = Array::xpp64a();
         let cfg = array.configure(&free_running_netlist()).unwrap();
         array.run(3_000);
-        assert!(array.schedule_replay_active());
         array.unload(cfg).unwrap();
-        assert!(!array.schedule_replay_active());
-        assert_eq!(array.schedule_stats().invalidations, 1);
+        let (wakes, _, sleeps) = counts(&array);
+        assert_eq!((wakes, sleeps), (1, 1));
         // The array is empty now: stepping settles to idle.
         assert_eq!(array.run_until_idle(100), Ok(1));
     }
 
     #[test]
-    fn set_schedule_capture_toggles_at_runtime() {
-        let mut array = Array::xpp64a();
-        array.set_schedule_capture(false);
-        let cfg = array.configure(&free_running_netlist()).unwrap();
-        array.run(3_000);
-        assert!(!array.schedule_replay_active());
-        assert_eq!(array.schedule_stats().captured, 0);
-        // Lifting the force mid-run turns the steady state dense at once.
-        array.set_schedule_capture(true);
-        array.run(2);
-        assert!(array.schedule_replay_active());
-        let _ = array.drain_output(cfg, "y").unwrap();
-        // Forcing the ready list while dense hands back immediately.
-        array.set_schedule_capture(false);
-        assert!(!array.schedule_replay_active());
-        array.run(100);
-        assert!(!array.schedule_replay_active());
-        assert_eq!(array.schedule_stats().invalidations, 1);
+    fn set_schedule_capture_is_inert() {
+        let run = |capture: bool| {
+            let mut array = Array::xpp64a();
+            array.set_schedule_capture(capture);
+            let cfg = array.configure(&free_running_netlist()).unwrap();
+            array.run(1_000);
+            array.set_schedule_capture(!capture);
+            array.run(1_000);
+            (
+                array.drain_output(cfg, "y").unwrap(),
+                array.stats(),
+                array.schedule_stats(),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 }

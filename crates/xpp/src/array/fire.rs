@@ -2,13 +2,10 @@
 //! in the crate that says so.
 //!
 //! [`fire`] evaluates every enabled rule of one object against committed
-//! start-of-cycle channel state. All three steppers call it; they differ
-//! only in *which* objects they hand it and in what happens when a fire
-//! first stages a channel ([`StageSink`]): the ready-list stepper collects
-//! the id for its commit walk, the dense and reference steppers sweep every
-//! channel anyway and track nothing. The function is generic over the sink,
-//! so each gets its own monomorphised copy of the one body and no dynamic
-//! dispatch.
+//! start-of-cycle channel state. Both steppers — the production pass and
+//! the reference scan — call it on every object of a configuration they
+//! step and then commit every channel; they differ in nothing that firing
+//! does.
 //!
 //! An object's ports reach the function as a [`Micro`] — packed once, by
 //! [`CompiledConfig::compile`](crate::CompiledConfig::compile), in the
@@ -235,82 +232,45 @@ impl Ports<'_> {
     }
 }
 
-/// Sink for "channel newly staged this cycle" notifications from the
-/// firing rules. The ready-list stepper collects the ids (its commit loop
-/// walks exactly the staged channels and wakes their endpoints); a stepper
-/// that commits every channel needs none of it.
-pub(super) trait StageSink {
-    fn note(&mut self, c: u32);
-}
-
-impl StageSink for Vec<u32> {
-    #[inline]
-    fn note(&mut self, c: u32) {
-        self.push(c);
-    }
-}
-
-/// The sink of the dense and reference steppers: they sweep-commit every
-/// channel, so a staged channel needs no bookkeeping (and the
-/// [`Channel::is_staged`] test in front of the call folds away).
-pub(super) struct NoSink;
-
-impl StageSink for NoSink {
-    #[inline]
-    fn note(&mut self, _c: u32) {}
-}
-
 /// One token network (data or event) as a fire sees it: the configuration's
-/// channels and the sink told about each channel the fire is first to
-/// stage.
-pub(super) struct Lane<'a, T, S> {
-    pub(super) chans: &'a mut [Channel<T>],
-    pub(super) staged: &'a mut S,
-}
+/// channels.
+pub(super) struct Lane<'a, T>(pub(super) &'a mut [Channel<T>]);
 
-impl<T: Copy + Default, S: StageSink> Lane<'_, T, S> {
+impl<T: Copy + Default> Lane<'_, T> {
     /// [`NO_CHAN`] is past the end of every channel vector, so the bounds
     /// check doubles as the "port connected" test.
     #[inline]
     fn has(&self, c: u32) -> bool {
-        self.chans.get(c as usize).is_some_and(Channel::has_token)
+        self.0.get(c as usize).is_some_and(Channel::has_token)
     }
 
     #[inline]
     fn can_put(&self, chans: &[u32]) -> bool {
-        chans.iter().all(|&c| self.chans[c as usize].has_space())
+        chans.iter().all(|&c| self.0[c as usize].has_space())
     }
 
     #[inline]
     fn peek(&self, c: u32) -> T {
-        self.chans[c as usize].peek().expect("token present")
+        self.0[c as usize].peek().expect("token present")
     }
 
     #[inline]
     fn take(&mut self, c: u32) -> T {
-        let ch = &mut self.chans[c as usize];
-        if !ch.is_staged() {
-            self.staged.note(c);
-        }
-        ch.consume()
+        self.0[c as usize].consume()
     }
 
     #[inline]
     fn put(&mut self, chans: &[u32], v: T) {
         for &c in chans {
-            let ch = &mut self.chans[c as usize];
-            if !ch.is_staged() {
-                self.staged.note(c);
-            }
-            ch.produce(v);
+            self.0[c as usize].produce(v);
         }
     }
 }
 
 /// Everything outside the object that a fire reads or writes.
-pub(super) struct Net<'a, S> {
-    pub(super) d: Lane<'a, Word, S>,
-    pub(super) e: Lane<'a, Event, S>,
+pub(super) struct Net<'a> {
+    pub(super) d: Lane<'a, Word>,
+    pub(super) e: Lane<'a, Event>,
     pub(super) stats: &'a mut ArrayStats,
 }
 
@@ -318,22 +278,11 @@ pub(super) struct Net<'a, S> {
 /// fires. `state` is the object's internal state, touched only by the
 /// stateful rules and only once their channel-side conditions hold.
 ///
-/// Channels a fire is first to touch are reported to the lane's sink
-/// (deduplicated via [`Channel::is_staged`]). Because every stepper runs
-/// this one body, steppers can differ only in which objects they visit, and
-/// an unvisited object never fires.
-///
 /// Always inlined: each caller then holds `net`'s references as plain
 /// locals instead of reaching them through an aggregate behind a pointer
-/// (measured: ~9% of ready-list stepper time when the call stayed out of
-/// line).
+/// (an out-of-line call once measured ~9% of stepping time).
 #[inline(always)]
-pub(super) fn fire<S: StageSink>(
-    m: &Micro,
-    fan: &[u32],
-    state: &mut ObjState,
-    net: &mut Net<'_, S>,
-) -> u32 {
+pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'_>) -> u32 {
     let (rule, p) = (m.rule, Ports { m, fan });
     let Net { d, e, stats } = net;
     // Each rule reads its operands in the order it tests them — inputs,
@@ -404,9 +353,9 @@ pub(super) fn fire<S: StageSink>(
                     fires += 1;
                 }
                 // Ungated, this is an internal reset without any token
-                // movement: deferring it until the next wake is
-                // observationally identical, so the scheduler may legally
-                // skip idle counters in this state.
+                // movement and counts as no fire: a pass that does only
+                // this stages nothing, and the next pass finds the reset
+                // already done, so the configuration may still sleep.
                 *remaining = cfg.period;
                 *value = cfg.start;
             }

@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use super::event::ReadyList;
 use super::fire::ObjState;
 use super::{Array, ConfigId};
 use crate::channel::Channel;
@@ -30,8 +29,8 @@ pub(super) enum ConfigState {
 /// One resident configuration: the shared compiled [`Program`] plus all of
 /// its mutable state, in the program's own numbering — channel `k` of
 /// `dchans`/`echans` is edge `k`, entry `n` of `states`/`fires` is node `n`.
-/// Nothing else on the array points into these vectors, so loading,
-/// unloading and switching steppers never move or renumber anything.
+/// Nothing else on the array points into these vectors, so loading and
+/// unloading never move or renumber anything.
 #[derive(Debug)]
 pub(super) struct LoadedConfig {
     pub(super) id: u32,
@@ -40,15 +39,15 @@ pub(super) struct LoadedConfig {
     /// True once the load completed and the objects may fire (a stalled
     /// configuration reports `Running` but is never enabled).
     pub(super) enabled: bool,
-    /// True while the dense stepper serves this configuration.
-    pub(super) dense: bool,
+    /// True while the stepper visits this configuration: set by a wake
+    /// (`Array::wake`), cleared by a pass that fires nothing.
+    pub(super) awake: bool,
     pub(super) dchans: Vec<Channel<Word>>,
     pub(super) echans: Vec<Channel<Event>>,
     pub(super) states: Vec<ObjState>,
     /// Lifetime fire count per object; `config_fire_count` sums these on
     /// demand.
     pub(super) fires: Vec<u64>,
-    pub(super) ready: ReadyList,
     /// Fault assigned to this load by the injector, cleared when a recovery
     /// layer surfaces it (see [`Array::clear_injected_fault`]).
     #[cfg(feature = "faults")]
@@ -188,10 +187,6 @@ impl Array {
         let id = self.next_id;
         self.next_id += 1;
 
-        // The ready-list stepper's commit worklists are shared by all
-        // configurations; sized here so stepping never grows them.
-        self.dirty_d.reserve(program.d_edges.len());
-        self.dirty_e.reserve(program.e_edges.len());
         // Ids only grow, so pushing keeps `configs` sorted by id.
         self.configs.push(LoadedConfig {
             id,
@@ -200,7 +195,7 @@ impl Array {
                 remaining: program.load_cycles,
             },
             enabled: false,
-            dense: false,
+            awake: false,
             dchans: program
                 .d_edges
                 .iter()
@@ -217,7 +212,6 @@ impl Array {
                 .map(|n| ObjState::initial(&n.kind))
                 .collect(),
             fires: vec![0; program.nodes.len()],
-            ready: ReadyList::new(program.nodes.len()),
             #[cfg(feature = "faults")]
             fault: injected,
             #[cfg(feature = "faults")]
@@ -237,7 +231,7 @@ impl Array {
     pub fn unload(&mut self, cfg: ConfigId) -> Result<()> {
         let at = self.config_index(cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
         let loaded = self.configs.remove(at);
-        if loaded.dense {
+        if loaded.awake {
             self.schedule.invalidations += 1;
         }
         self.retired_fires.insert(cfg.0, loaded.fires.iter().sum());
@@ -250,9 +244,8 @@ impl Array {
 
     /// Configuration bus: the front of the queue loads one step's worth of
     /// configuration words. On completion the configuration is enabled and
-    /// all its objects woken so they can fire in the same cycle (matching
-    /// the original stepper, which rebuilt its loading set after the bus
-    /// tick).
+    /// woken so its objects can fire in the same cycle (matching the
+    /// original stepper, which rebuilt its loading set after the bus tick).
     /// Returns `true` if a load progressed.
     pub(super) fn tick_config_bus(&mut self) -> bool {
         let Some(&front) = self.load_queue.front() else {
@@ -305,9 +298,8 @@ impl Array {
             if self.configs[at].fault == Some(FaultKind::StallConfig) {
                 return true;
             }
-            let cfg = &mut self.configs[at];
-            cfg.enabled = true;
-            cfg.ready.wake_all();
+            self.configs[at].enabled = true;
+            self.wake(at);
         }
         true
     }

@@ -11,7 +11,7 @@
 //! because resources held by a resident configuration are never handed to
 //! another one.
 //!
-//! # One firing rule, three steppers
+//! # One firing rule, one stepper and its oracle
 //!
 //! What an object does when it fires is written once, in `fire::fire`. A
 //! stepper only decides *which* objects to hand that function each cycle,
@@ -20,30 +20,23 @@
 //! so any stepper that offers a *superset* of the fireable objects, in any
 //! order, is exact (the argument is spelled out in [`crate::schedule`]):
 //!
-//! * the **ready-list** stepper (`event`) — because objects fire only when
-//!   a token arrives or output space frees up, each configuration keeps a
-//!   ready list of objects whose adjacent channels moved tokens last cycle
-//!   (plus any object touched by external I/O or its load completing), and
-//!   the commit phase walks only the channels that actually staged
-//!   movement. Cheap while little happens, and free while nothing does;
-//! * the **dense** stepper (`dense`) — while a burst streams, nearly every
-//!   object fires every cycle and the ready list is pure bookkeeping, so
-//!   the configuration is stepped straight off its compiled visit list:
-//!   every object offered, every channel committed, nothing tracked.
-//!   `dense` also holds the rule that picks between the two, per
-//!   configuration, from the share of its objects that fired last cycle;
+//! * the production stepper (`dense`) offers every object of every awake
+//!   configuration, every cycle, straight off its compiled visit list, and
+//!   sweep-commits every channel. A pass that fires nothing puts the
+//!   configuration to sleep; external input, a board route moving tokens
+//!   in, or its load completing wakes it;
 //! * the original **scan-the-world** stepper (`reference`), retained behind
-//!   the `reference` feature (and in tests) as the semantic oracle.
+//!   the `reference` feature (and in tests) as the semantic oracle, steps
+//!   every enabled configuration every cycle and never sleeps.
 //!
 //! # A configuration is self-contained
 //!
-//! Everything immutable about a configuration — rules, port wiring, wake
-//! adjacency, port names, word stream — is compiled once into a shared
-//! program, in the netlist's own numbering. A
-//! resident configuration owns its channels, object states, fire counts and
-//! ready list as dense vectors in that same numbering, so loading never
-//! translates an index, unloading drops vectors, and the steppers run over
-//! contiguous, `Option`-free state.
+//! Everything immutable about a configuration — rules, port wiring, port
+//! names, word stream — is compiled once into a shared program, in the
+//! netlist's own numbering. A resident configuration owns its channels,
+//! object states and fire counts as dense vectors in that same numbering,
+//! so loading never translates an index, unloading drops vectors, and the
+//! steppers run over contiguous, `Option`-free state.
 //!
 //! # Module map
 //!
@@ -52,8 +45,7 @@
 //! | `mod`       | [`Array`], its observers, streaming port I/O, `step`/`run` |
 //! | `load`      | configure / unload, the config bus                         |
 //! | `fire`      | the firing rules, object state and micro-op representations|
-//! | `event`     | the ready-list stepper                                     |
-//! | `dense`     | the dense stepper and the per-configuration mode rule      |
+//! | `dense`     | the stepper, its sleep rule and the one wake path          |
 //! | `reference` | the scan stepper (`cfg(any(test, feature = "reference"))`) |
 
 use std::collections::{HashMap, VecDeque};
@@ -67,7 +59,6 @@ use crate::stats::ArrayStats;
 use crate::word::Word;
 
 mod dense;
-mod event;
 pub(crate) mod fire;
 mod load;
 #[cfg(any(test, feature = "reference"))]
@@ -82,31 +73,6 @@ pub use reference::with_reference_stepper;
 /// Configuration-bus cost: cycles needed to load one object's configuration
 /// words.
 pub const CONFIG_CYCLES_PER_OBJECT: u64 = 3;
-
-thread_local! {
-    static CAPTURE_SCHEDULES: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-}
-
-/// Runs `f` with every [`Array`] constructed inside it set as by
-/// [`Array::set_schedule_capture`]`(on)`: off forces the ready-list stepper,
-/// on (the default) lets each configuration turn dense when its activity
-/// calls for it. The golden-equivalence suites use this to pin adaptive and
-/// forced-ready-list runs against each other and against the reference
-/// stepper.
-///
-/// Like `with_reference_stepper`, the choice is latched at construction
-/// so arrays built by nested helpers are covered. It can still be changed
-/// per array afterwards via [`Array::set_schedule_capture`].
-pub fn with_schedule_capture<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            CAPTURE_SCHEDULES.with(|c| c.set(self.0));
-        }
-    }
-    let _reset = Reset(CAPTURE_SCHEDULES.with(|c| c.replace(on)));
-    f()
-}
 
 /// Handle to a loaded configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -170,20 +136,12 @@ pub struct Array {
     /// Fire totals of configurations that have been unloaded (live totals
     /// are aggregated from per-object counters on demand).
     retired_fires: HashMap<u32, u64>,
-    /// The ready-list stepper's commit worklists: data and event channels
-    /// with staged movement this cycle. Empty between configurations'
-    /// passes, so all of them share the one pair.
-    dirty_d: Vec<u32>,
-    dirty_e: Vec<u32>,
     /// Reusable board-connection move buffers (keep their capacity so the
     /// steady-state step loop never allocates).
     board_d: Vec<Word>,
     board_e: Vec<bool>,
-    /// Which stepper ran (see [`ScheduleStats`]).
+    /// Wakes, awake cycles and sleeps (see [`ScheduleStats`]).
     schedule: ScheduleStats,
-    /// Keeps every configuration on the ready-list stepper
-    /// ([`Array::set_schedule_capture`]`(false)`).
-    force_ready_list: bool,
     #[cfg(any(test, feature = "reference"))]
     use_reference: bool,
     /// Shared fault scheduler consulted at every configuration load; `None`
@@ -209,12 +167,9 @@ impl Array {
             next_id: 0,
             stats: ArrayStats::new(),
             retired_fires: HashMap::new(),
-            dirty_d: Vec::new(),
-            dirty_e: Vec::new(),
             board_d: Vec::new(),
             board_e: Vec::new(),
             schedule: ScheduleStats::default(),
-            force_ready_list: !CAPTURE_SCHEDULES.with(|c| c.get()),
             #[cfg(any(test, feature = "reference"))]
             use_reference: reference::forced(),
             #[cfg(feature = "faults")]
@@ -222,29 +177,16 @@ impl Array {
         }
     }
 
-    /// `false` forces the ready-list stepper: every dense configuration is
-    /// handed back to it at once and none turns dense again until this is
-    /// called with `true` (the default; see [`with_schedule_capture`] for
-    /// the construction-time latch). Simulated behaviour is identical either
-    /// way — this is the A/B switch of the stepper benchmarks and golden
-    /// suites. (The name dates from when the fast path replayed captured
-    /// schedules; the benchmark compiles against it.)
-    pub fn set_schedule_capture(&mut self, on: bool) {
-        self.force_ready_list = !on;
-        if !on {
-            self.leave_dense();
-        }
-    }
+    /// Has no effect. There is one production stepper, so there is
+    /// nothing left to switch; the method survives because the frozen
+    /// benchmark package calls it. (The name dates from when the fast path
+    /// replayed captured schedules.)
+    pub fn set_schedule_capture(&mut self, _on: bool) {}
 
-    /// Which stepper ran, in counts (not part of [`ArrayStats`], which is
-    /// pinned bit-identical across all steppers).
+    /// How the stepper slept and woke, in counts (not part of
+    /// [`ArrayStats`], which is pinned bit-identical across both steppers).
     pub fn schedule_stats(&self) -> ScheduleStats {
         self.schedule
-    }
-
-    /// True while the dense stepper serves at least one configuration.
-    pub fn schedule_replay_active(&self) -> bool {
-        self.configs.iter().any(|c| c.dense)
     }
 
     /// The array geometry.
@@ -321,8 +263,7 @@ impl Array {
     }
 
     /// The external buffer behind a resolved port. Pushing into an input
-    /// port's queue must be followed by a wake of the object; a dense
-    /// configuration visits it regardless.
+    /// port's queue must be followed by a wake of its configuration.
     fn port_state(&mut self, (at, obj): (usize, usize)) -> &mut ObjState {
         &mut self.configs[at].states[obj]
     }
@@ -344,7 +285,7 @@ impl Array {
             return Err(Error::UnknownPort(name.to_string()));
         };
         q.extend(words);
-        self.configs[port.0].ready.wake(port.1 as u32);
+        self.wake(port.0);
         Ok(())
     }
 
@@ -364,7 +305,7 @@ impl Array {
             return Err(Error::UnknownPort(name.to_string()));
         };
         q.extend(events);
-        self.configs[port.0].ready.wake(port.1 as u32);
+        self.wake(port.0);
         Ok(())
     }
 
@@ -519,7 +460,7 @@ impl Array {
             };
             if moved {
                 active = true;
-                self.configs[to.0].ready.wake(to.1 as u32);
+                self.wake(to.0);
             }
         }
         active

@@ -1,12 +1,13 @@
 //! The retained scan-the-world stepper: the semantics oracle the
-//! golden-equivalence tests compare the ready-list and dense steppers
-//! against. Compiled only in tests and under the `reference` feature.
+//! golden-equivalence tests compare the production stepper against.
+//! Compiled only in tests and under the `reference` feature.
 //!
-//! It is kept deliberately naive and apart from the dense stepper, which
-//! visits the same objects: the oracle must stay the obvious loop whatever
-//! the production steppers grow into.
+//! It is kept deliberately naive and apart from the production stepper,
+//! which visits the same objects: the oracle steps every enabled
+//! configuration every cycle and never sleeps, so it stays the obvious loop
+//! whatever the production stepper grows into.
 
-use super::fire::{fire, Lane, Net, NoSink};
+use super::fire::{fire, Lane, Net};
 use super::Array;
 
 thread_local! {
@@ -37,7 +38,7 @@ pub(super) fn forced() -> bool {
 
 impl Array {
     /// True if this array steps with the retained reference (scan-the-world)
-    /// stepper instead of the production steppers.
+    /// stepper instead of the production stepper.
     pub fn uses_reference_stepper(&self) -> bool {
         self.use_reference
     }
@@ -49,14 +50,8 @@ impl Array {
         let mut active = false;
         for cfg in self.configs.iter_mut().filter(|c| c.enabled) {
             let mut net = Net {
-                d: Lane {
-                    chans: &mut cfg.dchans,
-                    staged: &mut NoSink,
-                },
-                e: Lane {
-                    chans: &mut cfg.echans,
-                    staged: &mut NoSink,
-                },
+                d: Lane(&mut cfg.dchans),
+                e: Lane(&mut cfg.echans),
                 stats: &mut self.stats,
             };
             for (o, m) in cfg.program.micro.iter().enumerate() {

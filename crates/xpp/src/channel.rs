@@ -23,11 +23,10 @@ const INLINE_TOKENS: usize = 4;
 ///
 /// Occupancy, capacity and the staged flags are plain fields, so the
 /// predicates every fire decision reads ([`has_token`](Self::has_token),
-/// [`has_space`](Self::has_space), [`is_staged`](Self::is_staged)) never
-/// dispatch on how the tokens are stored. The oldest four tokens always sit
-/// in the inline ring; only a deep (pipeline-balancing) channel ever holds
-/// more, and keeps the rest in a heap spill that only
-/// [`commit_wakes`](Self::commit_wakes) touches.
+/// [`has_space`](Self::has_space)) never dispatch on how the tokens are
+/// stored. The oldest four tokens always sit in the inline ring; only a
+/// deep (pipeline-balancing) channel ever holds more, and keeps the rest in
+/// a heap spill that only [`commit`](Self::commit) touches.
 #[derive(Debug, Clone)]
 pub struct Channel<T> {
     ring: [T; INLINE_TOKENS],
@@ -129,34 +128,13 @@ impl<T: Copy + Default> Channel<T> {
         self.pushed = value;
     }
 
-    /// True if a consume or produce has been staged this cycle — i.e. the
-    /// channel belongs on the dirty-commit list.
-    #[inline]
-    pub fn is_staged(&self) -> bool {
-        self.staged_pop | self.staged_push
-    }
-
     /// Commits staged operations at the end of a cycle. Returns `true` if
-    /// any token moved (used for idle detection).
+    /// any token moved.
     #[inline]
     pub fn commit(&mut self) -> bool {
-        let (moved, _, _) = self.commit_wakes();
-        moved
-    }
-
-    /// Commits staged operations and reports scheduler-relevant transitions:
-    /// `(moved, freed_space, gained_token)`. `freed_space` means the channel
-    /// went full→not-full (its producer may have been unblocked on it);
-    /// `gained_token` means it went empty→non-empty (its consumer may have
-    /// been unblocked). An object whose blocking predicate did not
-    /// transition cannot have become fireable through this channel, so these
-    /// two flags are exactly the wakes the ready-list stepper needs.
-    #[inline]
-    pub fn commit_wakes(&mut self) -> (bool, bool, bool) {
         let (pop, push) = (self.staged_pop, self.staged_push);
-        let before = self.len;
         if pop {
-            debug_assert!(before > 0);
+            debug_assert!(self.len > 0);
             self.staged_pop = false;
             self.head = (self.head + 1) % INLINE_TOKENS as u8;
             self.len -= 1;
@@ -171,11 +149,7 @@ impl<T: Copy + Default> Channel<T> {
             self.staged_push = false;
             self.push_back(self.pushed);
         }
-        (
-            pop | push,
-            pop && before == self.capacity,
-            push && before == 0,
-        )
+        pop | push
     }
 
     /// Current occupancy (committed tokens).
@@ -281,14 +255,14 @@ mod tests {
         let mut ch: Channel<i32> = Channel::new(7, [0, 1, 2]);
         for n in 3..7 {
             ch.produce(n);
-            assert_eq!(ch.commit_wakes(), (true, false, false));
+            assert!(ch.commit());
         }
         assert_eq!(ch.len(), 7);
         assert!(!ch.has_space());
         for n in 0..20 {
             assert_eq!(ch.consume(), n);
-            let (_, freed, gained) = ch.commit_wakes();
-            assert!(freed && !gained);
+            assert!(ch.commit());
+            assert!(ch.has_space());
             ch.produce(n + 7);
             ch.commit();
         }

@@ -13,8 +13,8 @@
 //! and downloads the binary configuration to any number of devices.
 //!
 //! The compiled form is also what the array *executes*: the visit list
-//! (one micro-op per object, ports resolved), the wake adjacency and the
-//! port map are part of the shared program, and a loaded configuration
+//! (one micro-op per object, ports resolved) and the port map are part of
+//! the shared program, and a loaded configuration
 //! keeps its state in the program's numbering — so the steady-state
 //! schedule of a configuration is a compile artifact, not something a
 //! running array has to discover (see [`crate::schedule`]).
@@ -109,16 +109,11 @@ pub(crate) struct Program {
     pub(crate) ports: HashMap<String, (usize, PortDir)>,
     /// The configuration's schedule in its always-sound form — *every
     /// object, every cycle*: one micro-op per node, in node order, ports
-    /// pre-resolved. The dense stepper fires the whole list each cycle; the
-    /// ready-list stepper indexes it by woken object.
+    /// pre-resolved. The stepper offers the whole list each cycle the
+    /// configuration is awake.
     pub(crate) micro: Vec<Micro>,
     /// Fan-out channel table the micro-ops' output ranges index.
     pub(crate) fan: Vec<u32>,
-    /// Per data channel, its (producer, consumer) objects — whom a commit
-    /// transition wakes.
-    pub(crate) d_adj: Vec<(u32, u32)>,
-    /// Per event channel, its (producer, consumer) objects.
-    pub(crate) e_adj: Vec<(u32, u32)>,
 }
 
 impl CompiledConfig {
@@ -184,18 +179,11 @@ impl CompiledConfig {
 
         let mut fan = Vec::new();
         let micro = nodes.iter().map(|n| Micro::pack(n, &mut fan)).collect();
-        let adj = |from: (usize, usize), to: (usize, usize)| (from.0 as u32, to.0 as u32);
         CompiledConfig {
             program: Arc::new(Program {
                 name: netlist.name().to_string(),
                 placement,
                 load_cycles: netlist.object_count() as u64 * CONFIG_CYCLES_PER_OBJECT,
-                d_adj: netlist
-                    .data_edges
-                    .iter()
-                    .map(|e| adj(e.from, e.to))
-                    .collect(),
-                e_adj: netlist.ev_edges.iter().map(|e| adj(e.from, e.to)).collect(),
                 d_edges: netlist.data_edges.clone(),
                 e_edges: netlist.ev_edges.clone(),
                 nodes,

@@ -59,7 +59,7 @@ pub mod schedule;
 pub mod stats;
 pub mod word;
 
-pub use array::{with_schedule_capture, Array, ConfigId, CONFIG_CYCLES_PER_OBJECT};
+pub use array::{Array, ConfigId, CONFIG_CYCLES_PER_OBJECT};
 pub use compiled::CompiledConfig;
 pub use error::{Error, Result};
 pub use netlist::{

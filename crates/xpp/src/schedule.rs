@@ -14,37 +14,39 @@
 //!
 //! # Exactness
 //!
-//! Why offering every object every cycle (the dense stepper), only the woken
-//! ones (the ready-list stepper), or any mixture chosen cycle by cycle gives
-//! bit-identical results: a fire decision reads only channel state committed
-//! at the *start* of the cycle — productions and consumptions are staged,
-//! channels are point-to-point, and an object's internal state is touched
-//! by its own fire alone — so offering an object that cannot fire does
-//! nothing, and a stepper is exact as soon as it offers a superset of the
-//! fireable objects. The order of the offers does not matter for the same
-//! reason, and neither does the order of the end-of-cycle commits, each of
-//! which touches one channel. Finally, a pass over every object that fires
-//! nothing stages nothing, so the next cycle starts from the same state and
-//! would fire nothing again: that pass *is* the proof that the
-//! configuration is asleep until something outside it (external input, a
-//! board route, its own load completing) wakes an object — which always
-//! goes through the ready list. No period, no guard, nothing to invalidate.
-//!
-//! What remains of "scheduling" is a cost decision, made per configuration
-//! per cycle in `array::dense`; [`ScheduleStats`] records how it went.
+//! Why offering every object every cycle gives bit-identical results to
+//! any stepper that offers the fireable ones: a fire decision reads only
+//! channel state committed at the *start* of the cycle — productions and
+//! consumptions are staged, channels are point-to-point, and an object's
+//! internal state is touched by its own fire alone — so offering an object
+//! that cannot fire does nothing, and a stepper is exact as soon as it
+//! offers a superset of the fireable objects. The order of the offers does
+//! not matter for the same reason, and neither does the order of the
+//! end-of-cycle commits, each of which touches one channel. Finally, a pass
+//! over every object that fires nothing stages nothing, so the next cycle
+//! starts from the same state and would fire nothing again: that pass *is*
+//! the proof that the configuration is asleep until something outside it —
+//! `push_input`, `push_input_events`, a board route moving tokens in, or
+//! its own load completing — wakes it. No period, no guard, nothing to
+//! invalidate; [`ScheduleStats`] counts the sleeps and wakes.
 
-/// Which stepper ran. Deliberately *not* part of
+/// How the stepper slept and woke. Deliberately *not* part of
 /// [`ArrayStats`](crate::ArrayStats): those are pinned bit-identical between
-/// all steppers, while these describe the stepping itself. (Field names date
-/// from the capture/replay design; the benchmark compiles against them.)
+/// the production and reference steppers, while these describe the
+/// stepping itself. (Field names date from the capture/replay design; the
+/// benchmark compiles against them.)
+///
+/// Every wake is matched by one sleep or is still awake, so `captured -
+/// invalidations` is the number of resident configurations awake now.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScheduleStats {
-    /// Entries of a configuration into dense mode.
+    /// Wake-ups: a sleeping configuration woken by input, a board route
+    /// or its load completing.
     pub captured: u64,
-    /// Cycles in which the dense stepper served at least one configuration.
+    /// Cycles in which at least one configuration was awake and stepped.
     pub replay_cycles: u64,
-    /// Exits of a configuration from dense mode: went to sleep, turned
-    /// sparse, was unloaded, or the ready-list stepper was forced.
+    /// Fall-asleeps: a pass fired nothing, or the configuration was
+    /// unloaded while awake.
     pub invalidations: u64,
 }
 

@@ -1,9 +1,8 @@
-//! Stepping must not touch the heap. A configuration's ready list and the
-//! array's dirty-commit lists are sized when it loads, its channels and
-//! object state live where they were built, and switching between the
-//! dense and ready-list steppers moves nothing — so `Array::step`/`Array::run`
-//! perform zero allocations in either mode *and across every switch
-//! between them*. Enforced with a counting global allocator.
+//! Stepping must not touch the heap. A configuration's channels and
+//! object state live where they were built, and sleeping or waking flips
+//! one flag — so `Array::step`/`Array::run` perform zero allocations while
+//! a configuration streams *and across every sleep and wake*. Enforced
+//! with a counting global allocator.
 //!
 //! This file intentionally contains a single test: the allocation counter
 //! is process-global, and a concurrently running test would make the
@@ -12,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xpp_array::{Array, CounterCfg, NetlistBuilder, UnaryOp, Word};
+use xpp_array::{Array, ConfigId, CounterCfg, NetlistBuilder, UnaryOp, Word};
 
 struct CountingAllocator;
 
@@ -42,13 +41,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// A free-running netlist with no external outputs: counters drive a demux
-/// whose data outputs are left unconnected, so tokens are produced,
-/// steered, and discarded forever without any queue growing. Every object
-/// class on the hot path fires each cycle (counter, unary compare,
-/// to_event, demux), which exercises the ready list, the dirty-commit
-/// lists, and the self-rewake path.
-fn free_running_array() -> Array {
+/// Words and events per burst into the sleeping configuration.
+const BURST: i32 = 64;
+
+/// An array holding two configurations with no external outputs, so no
+/// queue grows however long they run:
+///
+/// * free-running: counters drive a demux whose data outputs are left
+///   unconnected, so tokens are produced, steered and discarded forever
+///   (counter, unary compare, to_event, demux all fire each cycle);
+/// * burst: an input stream steered by an input event stream into a demux
+///   with unconnected outputs — it drains each burst and falls asleep.
+fn two_config_array() -> (Array, ConfigId) {
     let mut nl = NetlistBuilder::new("free-running");
     let data = nl.counter(CounterCfg::modulo(17));
     let sel_src = nl.counter(CounterCfg::modulo(3));
@@ -56,11 +60,28 @@ fn free_running_array() -> Array {
     let sel = nl.to_event(hi);
     let _ = nl.demux(sel, data.value);
     let mut array = Array::xpp64a();
-    let cfg = array.configure(&nl.build().unwrap()).unwrap();
-    while !array.is_running(cfg) {
+    let free = array.configure(&nl.build().unwrap()).unwrap();
+
+    let mut nl = NetlistBuilder::new("burst");
+    let x = nl.input("x");
+    let y = nl.unary(UnaryOp::AddK(Word::new(1)), x);
+    let e = nl.input_event("e");
+    let _ = nl.demux(e, y);
+    let burst = array.configure(&nl.build().unwrap()).unwrap();
+    while !(array.is_running(free) && array.is_running(burst)) {
         array.step();
     }
+    (array, burst)
+}
+
+/// Queues one burst on the sleeping configuration (waking it).
+fn push_burst(array: &mut Array, burst: ConfigId) {
     array
+        .push_input(burst, "x", (0..BURST).map(Word::new))
+        .unwrap();
+    array
+        .push_input_events(burst, "e", (0..BURST).map(|i| i % 2 == 0))
+        .unwrap();
 }
 
 /// Runs `f` and asserts it performed no heap allocation.
@@ -81,52 +102,33 @@ fn assert_quiet_window(array: &mut Array, label: &str) {
 
 #[test]
 fn steady_state_stepping_does_not_allocate() {
-    let mut array = free_running_array();
-    // Warm-up: let the board buffers and anything else lazily sized reach
-    // its high-water capacity, and the free-running pipeline turn dense.
+    let (mut array, burst) = two_config_array();
+    // Warm-up: let the input queues and anything else lazily sized reach
+    // their high-water capacity, and the burst configuration fall asleep.
+    push_burst(&mut array, burst);
     array.run(10_000);
-    assert!(
-        array.schedule_replay_active(),
-        "warm-up must reach dense stepping: {:?}",
-        array.schedule_stats()
-    );
 
-    // Phase 1: the dense stepper is zero-alloc, and the whole measured
-    // window really ran through it.
-    let dense_before = array.schedule_stats().replay_cycles;
-    assert_quiet_window(&mut array, "dense");
+    // Phase 1: the free-running configuration is awake for the whole
+    // measured window, the drained one asleep through all of it.
+    let before = array.schedule_stats();
+    assert_quiet_window(&mut array, "streaming");
+    let s = array.schedule_stats().delta_since(&before);
     assert_eq!(
-        array.schedule_stats().replay_cycles - dense_before,
-        10_000,
-        "the dense stepper must serve the entire measured window"
+        (s.captured, s.replay_cycles, s.invalidations),
+        (0, 10_000, 0),
+        "one configuration awake every cycle, nothing woke or slept"
     );
 
-    // Phase 2: so is the hand-back to the ready list (the flood wake
-    // included), and the ready-list stepper after it.
-    assert_quiet("dense -> ready list", || {
-        array.set_schedule_capture(false);
-        array.run(100);
-    });
-    assert!(!array.schedule_replay_active());
-    assert_quiet_window(&mut array, "ready list");
-    assert_eq!(array.schedule_stats().replay_cycles - dense_before, 10_000);
-
-    // Phase 3: and so is turning dense again, however often.
-    let entries_before = array.schedule_stats().captured;
-    assert_quiet("ready list <-> dense, ten times", || {
+    // Phase 2: ten bursts, each a push that wakes the sleeping
+    // configuration and a drain that puts it back to sleep.
+    let before = array.schedule_stats();
+    assert_quiet("push to wake, drain to sleep, ten times", || {
         for _ in 0..10 {
-            array.set_schedule_capture(true);
-            array.run(100);
-            array.set_schedule_capture(false);
-            array.run(100);
+            push_burst(&mut array, burst);
+            array.run(200);
         }
-        array.set_schedule_capture(true);
-        array.run(100);
     });
-    assert!(
-        array.schedule_replay_active(),
-        "dense stepping must re-engage"
-    );
-    assert_eq!(array.schedule_stats().captured, entries_before + 11);
-    assert_quiet_window(&mut array, "dense again");
+    let s = array.schedule_stats().delta_since(&before);
+    assert_eq!((s.captured, s.invalidations), (10, 10));
+    assert_quiet_window(&mut array, "streaming again");
 }

@@ -84,9 +84,9 @@ fn unload_mid_load_removes_from_load_queue() {
 
 #[test]
 fn unload_mid_load_matches_reference_stepper() {
-    // The event-driven scheduler keeps stale ready-list entries after an
-    // unload (documented as safe); prove the observable behaviour agrees
-    // with the scan-the-world reference stepper bit for bit.
+    // Unloading a configuration mid-load drops it with its awake flag;
+    // prove the observable behaviour agrees with the scan-the-world
+    // reference stepper bit for bit.
     let run = || {
         let mut array = Array::xpp64a();
         let doomed = array.configure(&pipeline("doomed", 5)).unwrap();
@@ -100,10 +100,10 @@ fn unload_mid_load_matches_reference_stepper() {
         let out = array.drain_output(cfg, "out").unwrap();
         (out, array.stats())
     };
-    let event_driven = run();
+    let production = run();
     let reference = xpp_array::array::with_reference_stepper(run);
-    assert_eq!(event_driven.0, reference.0, "outputs diverged");
-    assert_eq!(event_driven.1, reference.1, "stats diverged");
+    assert_eq!(production.0, reference.0, "outputs diverged");
+    assert_eq!(production.1, reference.1, "stats diverged");
 }
 
 #[test]

@@ -5,19 +5,21 @@
 //! so the stock device holds any three; the array here is an XPP-64A with
 //! the I/O widened to fit the fourth.)
 //!
-//! Two properties, both about *which stepper ran* and neither about what it
-//! computed differently (nothing may):
+//! Two properties, both about *how the stepper ran* and neither about what
+//! it computed differently (nothing may):
 //!
 //! * the outputs, `ArrayStats` and per-object fire counts of every kernel
-//!   are identical under adaptive stepping (the default), the forced
-//!   ready-list stepper and the reference scan stepper;
-//! * a kernel that stays resident is stepped dense job after job. The
-//!   detected-schedule replay this replaced stopped replaying for good
-//!   after about six jobs on a never-reconfigured array (each end of stream
-//!   tripped a guard that doubled the evidence the detector wanted).
+//!   are identical under the production stepper and the reference scan
+//!   stepper;
+//! * a kernel that stays resident wakes once per job, is stepped every
+//!   cycle of it, and falls asleep once when its stream ends. The
+//!   detected-schedule replay of earlier versions stopped replaying for
+//!   good after about six jobs on a never-reconfigured array (each end of
+//!   stream tripped a guard that doubled the evidence the detector
+//!   wanted).
 
 use xpp_array::array::with_reference_stepper;
-use xpp_array::{with_schedule_capture, Array, ArrayStats, CompiledConfig, ConfigId, Geometry};
+use xpp_array::{Array, ArrayStats, CompiledConfig, ConfigId, Geometry};
 use xpp_sdr::dsp::Cplx;
 use xpp_sdr::ofdm::xpp_map::{
     demodulator_netlist, drive_demodulator, drive_preamble_detector, preamble_detector_netlist,
@@ -115,7 +117,7 @@ struct Observed {
     object_fires: Vec<Vec<(String, u64)>>,
 }
 
-/// Runs the scenario; also returns how often a configuration turned dense.
+/// Runs the scenario; also returns how often a configuration was woken.
 fn four_kernel_scenario() -> (Observed, u64) {
     let mut shard = Shard::new();
     let rounds = 0..3;
@@ -139,32 +141,28 @@ fn four_kernel_scenario() -> (Observed, u64) {
 
 #[test]
 fn four_resident_kernels_agree_on_all_steppers() {
-    let (adaptive, dense_entries) = four_kernel_scenario();
-    assert!(adaptive.chips.iter().all(|c| c.len() == CHIPS));
-    assert!(adaptive.symbols.iter().all(|s| s.len() == CHIPS / SF));
-    assert!(adaptive.metrics.iter().all(|m| m.len() == 600));
-    assert!(adaptive.bits.iter().all(|b| b.len() == 48));
-    // Power guard: each of the twelve jobs was served by the dense stepper
-    // on this arm, and none on the other two.
-    assert_eq!(dense_entries, 12);
-    let (ready_list, dense_entries) = with_schedule_capture(false, four_kernel_scenario);
-    assert_eq!(dense_entries, 0);
-    assert_eq!(adaptive, ready_list, "dense stepping changed an observable");
-    let (reference, dense_entries) = with_reference_stepper(four_kernel_scenario);
-    assert_eq!(dense_entries, 0);
+    let (production, wakes) = four_kernel_scenario();
+    assert!(production.chips.iter().all(|c| c.len() == CHIPS));
+    assert!(production.symbols.iter().all(|s| s.len() == CHIPS / SF));
+    assert!(production.metrics.iter().all(|m| m.len() == 600));
+    assert!(production.bits.iter().all(|b| b.len() == 48));
+    // Power guard: the four loads woke each kernel once, and each of the
+    // twelve jobs woke its kernel once more from sleep.
+    assert_eq!(wakes, 4 + 12);
+    let (reference, _) = with_reference_stepper(four_kernel_scenario);
     assert_eq!(
-        adaptive, reference,
+        production, reference,
         "production and reference steppers diverged"
     );
 }
 
-/// Runs one job; returns its dense cycles ÷ its cycles.
-fn dense_share(shard: &mut Shard, job: impl FnOnce(&mut Shard)) -> f64 {
+/// Runs one job; returns its awake cycles ÷ its cycles.
+fn awake_share(shard: &mut Shard, job: impl FnOnce(&mut Shard)) -> f64 {
     let mark = |a: &Array| (a.stats().cycles, a.schedule_stats().replay_cycles);
-    let (cycles, dense) = mark(&shard.array);
+    let (cycles, awake) = mark(&shard.array);
     job(shard);
-    let (cycles_after, dense_after) = mark(&shard.array);
-    (dense_after - dense) as f64 / (cycles_after - cycles) as f64
+    let (cycles_after, awake_after) = mark(&shard.array);
+    (awake_after - awake) as f64 / (cycles_after - cycles) as f64
 }
 
 #[test]
@@ -172,17 +170,17 @@ fn resident_kernels_stay_dense_job_after_job() {
     let mut shard = Shard::new();
     for job in 0..20 {
         let before = shard.array.schedule_stats();
-        let share = dense_share(&mut shard, |s| drop(s.descramble(job)));
+        let share = awake_share(&mut shard, |s| drop(s.descramble(job)));
         assert!(
             share >= 0.95,
-            "descrambler job {job}: dense share {share:.3}"
+            "descrambler job {job}: awake share {share:.3}"
         );
-        let share = dense_share(&mut shard, |s| drop(s.despread(job)));
+        let share = awake_share(&mut shard, |s| drop(s.despread(job)));
         assert!(
             share >= 0.95,
-            "despreader job {job}: dense share {share:.3}"
+            "despreader job {job}: awake share {share:.3}"
         );
-        // One entry and one exit per job: no flapping.
+        // One wake and one sleep per job: no flapping.
         let s = shard.array.schedule_stats().delta_since(&before);
         assert_eq!((s.captured, s.invalidations), (2, 2), "job {job}: {s:?}");
     }

@@ -1,8 +1,8 @@
-//! Golden-equivalence suite: the production array steppers — ready-list
-//! and dense, chosen per configuration per cycle — must be observably
-//! indistinguishable from the retained scan-the-world reference stepper
-//! (`xpp-array` feature `reference`) on the paper's end-to-end scenarios
-//! and on randomly generated netlists.
+//! Golden-equivalence suite: the production array stepper — every object
+//! of every awake configuration each cycle, asleep after a pass that fires
+//! nothing — must be observably indistinguishable from the retained
+//! scan-the-world reference stepper (`xpp-array` feature `reference`) on
+//! the paper's end-to-end scenarios and on randomly generated netlists.
 //!
 //! Every scenario here is a closure that builds its arrays *inside* the
 //! closure, so `with_reference_stepper` can latch the stepper choice at
@@ -13,8 +13,7 @@
 use proptest::prelude::*;
 use xpp_array::array::with_reference_stepper;
 use xpp_array::{
-    with_schedule_capture, AluOp, Array, ArrayStats, CounterCfg, DataOut, EvOut, NetlistBuilder,
-    ObjectKind, UnaryOp, Word,
+    AluOp, Array, ArrayStats, CounterCfg, DataOut, EvOut, NetlistBuilder, ObjectKind, UnaryOp, Word,
 };
 use xpp_sdr::dsp::Cplx;
 use xpp_sdr::ofdm;
@@ -24,13 +23,10 @@ fn values(words: Vec<Word>) -> Vec<i32> {
     words.iter().map(|w| w.value()).collect()
 }
 
-/// Runs `scenario` three ways — adaptive stepping (the default), the
-/// ready-list stepper forced, and the reference scan stepper — and asserts
-/// the full observable records match across all of them.
+/// Runs `scenario` on the production stepper and on the reference scan
+/// stepper and asserts the full observable records match.
 fn assert_steppers_agree<T: PartialEq + std::fmt::Debug>(scenario: impl Fn() -> T) {
     let fast = scenario();
-    let nocap = with_schedule_capture(false, &scenario);
-    assert_eq!(fast, nocap, "dense stepping changed the observables");
     let slow = with_reference_stepper(&scenario);
     assert_eq!(fast, slow, "production and reference steppers diverged");
 }
@@ -419,7 +415,7 @@ proptest! {
     /// accumulator/swap/select/demux+merge/event-logic/RAM/ring-FIFO/FIFO
     /// stages at any channel capacity — produces
     /// identical outputs, identical stats, and identical idle-detection
-    /// cycle counts on all three steppers.
+    /// cycle counts on both steppers.
     #[test]
     fn random_netlists_are_stepper_invariant(
         capacity in 1usize..5,
@@ -427,10 +423,6 @@ proptest! {
         inputs in proptest::collection::vec(-5000i32..5000, 1..48),
     ) {
         let fast = random_netlist_scenario(capacity, &stages, &inputs);
-        let nocap = with_schedule_capture(false, || {
-            random_netlist_scenario(capacity, &stages, &inputs)
-        });
-        prop_assert_eq!(&fast, &nocap);
         let slow = with_reference_stepper(|| {
             random_netlist_scenario(capacity, &stages, &inputs)
         });
@@ -439,9 +431,9 @@ proptest! {
 }
 
 /// A burst pipeline: every `x` token passes a fan-out-and-rejoin stage and
-/// is then passed or dropped by one `e` event. It streams — and turns
-/// dense — while both queues hold data, backs up and falls asleep with
-/// tokens in flight when one of them runs dry, and resumes when it refills.
+/// is then passed or dropped by one `e` event. It streams while both
+/// queues hold data, backs up and falls asleep with tokens in flight when
+/// one of them runs dry, and wakes when it refills.
 fn perturbable_netlist() -> xpp_array::Netlist {
     let mut nl = NetlistBuilder::new("perturbable");
     let x = nl.input("x");
@@ -454,12 +446,15 @@ fn perturbable_netlist() -> xpp_array::Netlist {
     nl.build().unwrap()
 }
 
-/// A free-running spine: starts on its own the cycle its load completes
-/// and never idles.
+/// A counter spine summed with an input stream: the counter starts on its
+/// own the cycle the load completes, fills its channel and the spine falls
+/// asleep until words arrive on `x` — pushed by nobody, only routed in
+/// from the pipeline by a board connection.
 fn spine_netlist() -> xpp_array::Netlist {
     let mut nl = NetlistBuilder::new("spine");
     let ctr = nl.counter(CounterCfg::modulo(7));
-    let y = nl.unary(UnaryOp::AddK(Word::new(5)), ctr.value);
+    let x = nl.input("x");
+    let y = nl.alu(AluOp::Add, ctr.value, x);
     nl.output("y", y);
     nl.build().unwrap()
 }
@@ -475,9 +470,12 @@ enum Op {
     Configure,
     /// Unload the most recently configured spine, if any.
     Unload,
-    /// `set_schedule_capture` (applied on the adaptive arm only, so the
-    /// forced ready-list arm stays what its name says).
-    Capture(bool),
+    /// Push into the idle second copy of the pipeline (words on `x`, and
+    /// as many events on `e`, true where the word is positive).
+    PushIdle(Vec<i32>),
+    /// Queue a load of a spine routed from the pipeline's output: once it
+    /// has loaded and fallen asleep, only a board move wakes it.
+    Connect,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -489,7 +487,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         proptest::collection::vec(any::<bool>(), 1..200).prop_map(Op::PushEvents),
         Just(Op::Configure),
         Just(Op::Unload),
-        any::<bool>().prop_map(Op::Capture),
+        proptest::collection::vec(-100i32..100, 1..60).prop_map(Op::PushIdle),
+        Just(Op::Connect),
     ]
 }
 
@@ -500,7 +499,7 @@ type Perturbed = (Record, Vec<(String, u64)>, Vec<(bool, ArrayStats)>);
 /// Runs a perturbation script on an array holding the burst pipeline and
 /// an idle second copy of it, and returns everything observable — down to
 /// each `step`, so two steppers that agree here agree cycle for cycle.
-fn perturbed_scenario(ops: &[Op], toggles: bool) -> Perturbed {
+fn perturbed_scenario(ops: &[Op]) -> Perturbed {
     let mut rec = Record::new();
     let mut trace = Vec::new();
     let mut array = Array::xpp64a();
@@ -532,10 +531,25 @@ fn perturbed_scenario(ops: &[Op], toggles: bool) -> Perturbed {
                     array.unload(spine).unwrap();
                 }
             }
-            Op::Capture(on) if toggles => array.set_schedule_capture(*on),
-            Op::Capture(_) => {}
+            Op::PushIdle(chunk) => {
+                let words = chunk.iter().map(|&v| Word::new(v));
+                array.push_input(idle, "x", words).unwrap();
+                let events = chunk.iter().map(|&v| v > 0);
+                array.push_input_events(idle, "e", events).unwrap();
+            }
+            Op::Connect => {
+                if let Ok(spine) = array.configure(&spine_netlist()) {
+                    array.connect(cfg, "z", spine, "x").unwrap();
+                    spines.push(spine);
+                }
+            }
         }
     }
+    // A closing burst with gaps (every other word dropped at the gate), so
+    // a routed spine sleeps between words and each one must wake it.
+    array.push_input(cfg, "x", (0..32).map(Word::new)).unwrap();
+    let events = (0..32).map(|i| i % 2 == 0);
+    array.push_input_events(cfg, "e", events).unwrap();
     run(&mut array, 600);
     rec.drain(&mut array, cfg, "z");
     rec.drain(&mut array, idle, "z");
@@ -547,12 +561,17 @@ fn perturbed_scenario(ops: &[Op], toggles: bool) -> Perturbed {
 }
 
 /// Power guard for the proptest arm below: a script of the same ops must
-/// genuinely enter dense stepping, stay dense through pushes and a load in
-/// flight, fall asleep with tokens in the pipeline, be handed back to the
-/// ready list when forced, and re-enter — so the property is exercising
-/// the stepper transitions, not vacuously comparing three ready-list runs.
+/// genuinely wake the pipeline, keep it awake through pushes and a load in
+/// flight, put it to sleep with tokens in the pipeline, wake it again with
+/// fresh events, and wake a sleeping spine through a board route alone —
+/// so the property exercises every sleep and wake path, not a
+/// configuration that is awake throughout. `(wakes, sleeps)` are exact.
 #[test]
 fn perturbable_scenario_exercises_replay_transitions() {
+    let counts = |array: &Array| {
+        let s = array.schedule_stats();
+        (s.captured, s.invalidations)
+    };
     let mut array = Array::xpp64a();
     let cfg = array.configure(&perturbable_netlist()).unwrap();
     let words = |n: i32| (0..n).map(Word::new);
@@ -561,59 +580,62 @@ fn perturbable_scenario_exercises_replay_transitions() {
         .push_input_events(cfg, "e", (0..300).map(|i| i % 3 != 0))
         .unwrap();
     array.run(100);
-    assert!(array.schedule_replay_active(), "a burst must turn dense");
-    let entered = array.schedule_stats();
-    assert_eq!((entered.captured, entered.invalidations), (1, 0));
+    // One wake: the push landed while the load was on the bus, and the
+    // load's completion found the configuration already awake.
+    assert_eq!(counts(&array), (1, 0));
 
-    // Outside input and a load in flight perturb nothing.
+    // Outside input into an awake configuration and a load in flight
+    // neither wake nor sleep anything; unloading a spine that never ran is
+    // no sleep either.
     array.push_input(cfg, "x", words(50)).unwrap();
     let spine = array.configure(&spine_netlist()).unwrap();
     array.run(4);
     assert!(!array.is_running(spine), "the load is still on the bus");
-    assert!(array.schedule_replay_active());
-    assert_eq!(array.schedule_stats().invalidations, 0);
     array.unload(spine).unwrap();
+    assert_eq!(counts(&array), (1, 0));
 
     // The events run out first: the gate stalls, the pipeline backs up and
     // the configuration falls asleep with tokens still queued.
     assert!(array.run_until_idle(1_000).unwrap() > 100);
-    assert!(!array.schedule_replay_active());
-    assert_eq!(array.schedule_stats().invalidations, 1);
+    assert_eq!(counts(&array), (1, 1));
     let stalled = array.drain_output(cfg, "z").unwrap().len();
     assert_eq!(stalled, 200, "two of every three events pass a token");
 
-    // Fresh events wake one object; the burst resumes and re-enters.
+    // Fresh events wake it; the burst resumes and drains to sleep again.
     array.push_input_events(cfg, "e", [true; 150]).unwrap();
-    array.run(50);
-    assert!(array.schedule_replay_active(), "the resumed burst is dense");
-    assert_eq!(array.schedule_stats().captured, 2);
-    array.set_schedule_capture(false);
-    assert!(
-        !array.schedule_replay_active(),
-        "forced back to the ready list"
-    );
+    assert_eq!(counts(&array), (2, 1));
     array.run_until_idle(1_000).unwrap();
-    let s = array.schedule_stats();
-    assert_eq!((s.captured, s.invalidations), (2, 2));
+    assert_eq!(counts(&array), (2, 2));
     assert_eq!(array.drain_output(cfg, "z").unwrap().len(), 150);
+
+    // A spine routed from the pipeline: its load wakes it, its counter
+    // fills the channel and it sleeps. A push wakes the pipeline, and the
+    // pipeline's first routed word wakes the spine; both drain to sleep.
+    let spine = array.configure(&spine_netlist()).unwrap();
+    array.connect(cfg, "z", spine, "x").unwrap();
+    array.run_until_idle(1_000).unwrap();
+    assert_eq!(counts(&array), (3, 3));
+    array.push_input(cfg, "x", words(10)).unwrap();
+    array.push_input_events(cfg, "e", [true; 10]).unwrap();
+    array.run_until_idle(1_000).unwrap();
+    assert_eq!(counts(&array), (5, 5));
+    assert_eq!(array.drain_output(spine, "y").unwrap().len(), 10);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random scripts of runs, mid-burst `push_input`/`push_input_events`,
-    /// loads in flight, mid-burst unloads and `set_schedule_capture`
-    /// toggles — beside an idle second resident configuration — leave every
-    /// observable bit-identical across the adaptive, forced ready-list and
-    /// reference steppers, cycle for cycle.
+    /// pushes into an idle resident copy, loads in flight, mid-burst
+    /// unloads and board routes into a sleeping spine leave every
+    /// observable bit-identical across the production and reference
+    /// steppers, cycle for cycle.
     #[test]
     fn rate_perturbations_are_capture_invariant(
         ops in proptest::collection::vec(arb_op(), 1..16),
     ) {
-        let fast = perturbed_scenario(&ops, true);
-        let nocap = with_schedule_capture(false, || perturbed_scenario(&ops, false));
-        prop_assert_eq!(&fast, &nocap);
-        let slow = with_reference_stepper(|| perturbed_scenario(&ops, false));
+        let fast = perturbed_scenario(&ops);
+        let slow = with_reference_stepper(|| perturbed_scenario(&ops));
         prop_assert_eq!(&fast, &slow);
     }
 }
@@ -654,7 +676,7 @@ const EVERY_RULE: [&str; 22] = [
 ];
 
 /// One netlist containing every object kind, rate-consistent and periodic
-/// while its two input queues hold data, so it turns (and stays) dense:
+/// while its two input queues hold data, so it stays awake:
 /// a 1:1 spine (input → ALU → select against a ring lookup → event-logic
 /// bit added in → swap → FIFO → RAM → demux/merge) ending in a gate and an
 /// accumulator, all steered by one period-4 counter whose wrap event also
@@ -701,8 +723,8 @@ fn every_rule_netlist() -> xpp_array::Netlist {
 
 /// Runs the every-rule netlist through a warm-up and then a measured
 /// window. Returns the observable record, each object's `(rule, fires
-/// inside the window)`, and whether the dense stepper served the whole
-/// window.
+/// inside the window)`, and whether the production stepper stepped it in
+/// every cycle of the window.
 fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
     const WARM: u64 = 3_000;
     const WINDOW: u64 = 512;
@@ -722,8 +744,7 @@ fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
         let counts = array.object_fire_counts(cfg).unwrap();
         counts.into_iter().map(|(_, n)| n).collect()
     };
-    let dense = array.schedule_replay_active();
-    let dense_cycles = array.schedule_stats().replay_cycles;
+    let awake_cycles = array.schedule_stats().replay_cycles;
     let before = fires(&array);
     array.run(WINDOW);
     let in_window = netlist
@@ -731,44 +752,43 @@ fn every_rule_scenario() -> (Record, Vec<(&'static str, u64)>, bool) {
         .zip(before.iter().zip(fires(&array)))
         .map(|(kind, (before, after))| (rule_name(kind), after - before))
         .collect();
-    let all_dense = dense && array.schedule_stats().replay_cycles - dense_cycles == WINDOW;
+    let all_awake = array.schedule_stats().replay_cycles - awake_cycles == WINDOW;
     for port in ["gated", "sums", "burst"] {
         rec.drain(&mut array, cfg, port);
     }
     let wraps = array.drain_output_events(cfg, "wrap").unwrap();
     rec.streams
         .push(("wrap".into(), wraps.iter().map(|&w| w as i32).collect()));
-    (rec.finish(&array), in_window, all_dense)
+    (rec.finish(&array), in_window, all_awake)
 }
 
 /// No arm of the one firing-rule function is reachable from only one
-/// stepper's tests: every rule fires inside a window that the adaptive
-/// array serves entirely from the dense stepper, the same window on the
-/// ready-list and reference steppers fires every object exactly as often,
-/// and all three runs are observably identical.
+/// stepper's tests: every rule fires inside a window that the production
+/// stepper serves in full, the same window on the reference stepper fires
+/// every object exactly as often, and the two runs are observably
+/// identical.
 #[test]
 fn every_firing_rule_runs_under_replay_and_agrees_on_all_steppers() {
-    let (fast, fast_fires, all_dense) = every_rule_scenario();
+    let (fast, fast_fires, all_awake) = every_rule_scenario();
     assert!(
-        all_dense,
-        "the dense stepper must serve the whole measured window"
+        all_awake,
+        "the production stepper must step the whole measured window"
     );
     for rule in EVERY_RULE {
         assert!(
             fast_fires.iter().any(|&(r, n)| r == rule && n > 0),
-            "rule {rule} never fired under dense stepping: {fast_fires:?}"
+            "rule {rule} never fired on the production stepper: {fast_fires:?}"
         );
     }
     assert!(
         fast_fires.iter().all(|(r, _)| EVERY_RULE.contains(r)),
         "a rule is missing from EVERY_RULE: {fast_fires:?}"
     );
-    let (nocap, nocap_fires, dense) = with_schedule_capture(false, every_rule_scenario);
-    assert!(!dense);
-    assert_eq!(fast, nocap, "dense stepping changed the observables");
-    assert_eq!(fast_fires, nocap_fires);
-    let (slow, slow_fires, dense) = with_reference_stepper(every_rule_scenario);
-    assert!(!dense);
+    let (slow, slow_fires, production) = with_reference_stepper(every_rule_scenario);
+    assert!(
+        !production,
+        "the reference arm never runs the production stepper"
+    );
     assert_eq!(fast, slow, "production and reference steppers diverged");
     assert_eq!(fast_fires, slow_fires);
 }
