@@ -21,10 +21,12 @@
 //!
 //! The `report` arm times both in interleaved slices, prints the absolute
 //! cycles/s recorded in `BENCH_ARRAY.json` and EXPERIMENTS.md, and CI-fails
-//! if production falls below a floor over the reference on either shape:
-//! 0.95× on `saturated`, where both steppers visit every object every
-//! cycle and production must merely not fall behind the naive loop, and
-//! 4× on `rate_matched` — the floor that fails if the sleep rule breaks.
+//! if production falls below a floor over the reference on either shape.
+//! Only the 4× floor on `rate_matched` is a gate: it fails if the sleep
+//! rule breaks. The 0.95× floor on `saturated` is a smoke check, not a
+//! regression gate: both steppers visit every object every cycle there,
+//! so it fails only if production falls behind the naive loop, and a
+//! 10–15 % slowdown of the production pass would pass it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdr_ofdm::xpp_map::fft64_netlist;
@@ -41,7 +43,8 @@ const SLOT_CYCLES: u64 = CYCLES / SLOTS;
 
 /// Minimum `reference time ÷ production time` per shape (best-round
 /// median slice), set from the measured ratios (1.05–1.14× and 7.8–8.1×
-/// over seven runs on a 2-core host) with room for host noise.
+/// over seven runs on a 2-core host) with room for host noise. The
+/// `saturated` floor is a smoke bound, not a gate (module docs).
 const FLOORS: [(&str, f64); 2] = [("saturated", 0.95), ("rate_matched", 4.0)];
 
 fn stream(seed: i32, n: i32) -> impl Iterator<Item = Word> {

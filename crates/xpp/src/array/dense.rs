@@ -222,16 +222,17 @@ mod tests {
             let asleep = array.step();
             array.push_input_events(cfg, "e", [true; 40]).unwrap();
             let second = array.run_until_idle(1_000).unwrap();
-            (
-                first,
-                stalled.len(),
-                asleep,
-                second,
-                array.drain_output(cfg, "y").unwrap().len(),
-            )
+            let late = array.drain_output(cfg, "y").unwrap();
+            assert_eq!((stalled.len(), stalled.len() + late.len()), (60, 100));
+            (first, stalled, asleep, second, late)
         });
-        let (wakes, _, sleeps) = counts(&array);
+        // Awake from the load's completing cycle to the pass that fired
+        // nothing, then again from the late events to the next such pass:
+        // every cycle but the rest of the load and the one asleep step.
+        let (wakes, awake, sleeps) = counts(&array);
         assert_eq!((wakes, sleeps), (2, 2));
+        let load = 4 * crate::array::CONFIG_CYCLES_PER_OBJECT;
+        assert_eq!(awake, array.stats().cycles - load);
     }
 
     #[test]
