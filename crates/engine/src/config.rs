@@ -46,9 +46,6 @@ pub struct EngineConfig {
     pub arrays_per_shard: usize,
     /// Bounded depth of each shard's submission queue.
     pub queue_depth: usize,
-    /// Start every worker paused (deterministic backpressure tests);
-    /// resume with [`ShardPool::resume`](crate::ShardPool::resume).
-    pub start_paused: bool,
     /// How [`submit`](crate::ShardPool::submit) places sessions on shards:
     /// residency-affinity routing over the global
     /// [`ResidencyView`](crate::ResidencyView) (the default) or the seed's
@@ -64,10 +61,10 @@ pub struct EngineConfig {
     ///
     /// Session outcomes and the admission model's slack/shed figures are
     /// placement- and steal-independent and repeat exactly on any driver.
-    /// The live dispatch counters (reconfigurations, prefetches,
-    /// dense-stepping entries, router and steal lines) depend on which
-    /// shard each step lands on and when — on the pool's threads they vary
-    /// from run to run whatever this and `placement` are set to; only the
+    /// The live dispatch counters (reconfigurations, prefetches, stepper
+    /// wakes, awake cycles and sleeps, router and steal lines) depend on
+    /// which shard each step lands on and when — on the pool's threads they
+    /// vary from run to run whatever this and `placement` are set to; only the
     /// lockstep driver ([`Frontend::lockstep`](crate::Frontend::lockstep))
     /// makes every counter exact.
     pub work_stealing: bool,
@@ -104,7 +101,6 @@ impl Default for EngineConfig {
             shards: 4,
             arrays_per_shard: 1,
             queue_depth: 32,
-            start_paused: false,
             placement: PlacementPolicy::default(),
             work_stealing: true,
             steal_threshold: 8,

@@ -22,9 +22,9 @@
 //! [`Frontend::window`], `max_resident` clamped to the pool's total queue
 //! capacity, and a record is popped only into a free slot of it. The pool
 //! as a whole therefore never refuses. One *shard* still can — static
-//! placement pins a session to its queue however full, and a paused shard
-//! does not drain — and on that `WouldBlock` the session is **re-parked**
-//! with a deferred deadline instead of blocking the driver.
+//! placement pins a session to its queue however full — and on that
+//! `WouldBlock` the session is **re-parked** with a deferred deadline
+//! instead of blocking the driver.
 //!
 //! There is no executor behind this: a session's drive has one wait point
 //! (the pool's hand-back), does no I/O, keeps all of its state in the
@@ -40,8 +40,8 @@
 //! 2. **One materialisation pass pops at most `window − in flight`
 //!    records, counted once when the pass starts, and records that bounce
 //!    during the pass re-enter the lot after it.** A bounced record keeps
-//!    the slot it was popped into, so on a full or paused shard a pass
-//!    bounces each record at most once and `pump` returns; re-parking
+//!    the slot it was popped into, so on a full shard a pass bounces
+//!    each record at most once and `pump` returns; re-parking
 //!    inside the pass would pop the same deferred record forever. A bounce
 //!    is not progress: a pass that only bounced leaves
 //!    [`Frontend::run_limited`] waiting for a hand-back, the one event
@@ -252,11 +252,6 @@ impl Frontend {
         self.metrics.snapshot()
     }
 
-    /// The underlying pool (pause/resume, depth probes).
-    pub fn pool(&self) -> &ShardPool {
-        &self.pool
-    }
-
     /// Admits a terminal's frame as a parked record. O(log n), and
     /// allocation-free within the preallocated parking capacity.
     pub fn admit(&mut self, record: ParkedSession) {
@@ -349,15 +344,16 @@ impl Frontend {
     }
 
     /// The loop's one blocking call: waits (bounded) for a hand-back and
-    /// folds it. Only called with sessions in flight, so a lockstep pool
-    /// that has none to hand back will never have: the shards holding them
-    /// are paused, and the wait a thread pool would repeat is an error.
+    /// folds it. Only called with sessions in flight, and a lockstep shard
+    /// holding one always steps, so a lockstep `None` here is a lost
+    /// session: a defect, and the wait a thread pool would repeat would
+    /// never end.
     fn wait_fold(&mut self, workload: &mut impl Workload) {
         match self.pool.recv_timeout(Duration::from_millis(50)) {
             Some(session) => self.fold(session, workload),
             None => assert!(
                 !self.pool.is_lockstep(),
-                "lockstep pool stalled with {} sessions in flight: every shard holding work is paused",
+                "lockstep pool stalled with {} sessions in flight: no shard could step any of them",
                 self.in_flight
             ),
         }
@@ -395,11 +391,10 @@ impl Frontend {
 
     /// Submits a session for one pipeline step. The window keeps
     /// `in_flight` below the pool's total capacity, so only the target
-    /// shard's own queue can refuse (static placement or a paused shard;
-    /// the affinity router never picks a full shard while another has
-    /// room). The refused session shrinks back to a parked record with a
-    /// deferred deadline, returned for the caller to put in the lot. No
-    /// thread blocks here.
+    /// shard's own queue can refuse (static placement; the affinity router
+    /// never picks a full shard while another has room). The refused
+    /// session shrinks back to a parked record with a deferred deadline,
+    /// returned for the caller to put in the lot. No thread blocks here.
     fn submit(&mut self, session: Session) -> Option<ParkedSession> {
         let Err(refused) = self.pool.submit(session) else {
             self.in_flight += 1;
@@ -421,7 +416,7 @@ impl Frontend {
         // The credit: one pop per free slot of the window, counted here. A
         // bounce spends its credit like a submission does, and bounced
         // records are held back until the pass ends (module docs,
-        // ordering 2), so a pass over a full or paused shard terminates.
+        // ordering 2), so a pass over a full shard terminates.
         let mut room = self.window().saturating_sub(self.in_flight);
         while room > 0 {
             let Some(record) = self.lot.pop_earliest() else {

@@ -32,18 +32,18 @@
 //! Who calls `step` is the driver's business, and no setting selects it:
 //!
 //! 1. **Threads** — what [`ShardPool::new`] builds and what ships. One OS
-//!    thread per shard loops `wait for the pause gate → step`, and on an
-//!    idle round makes the one blocking call in the shard code,
-//!    `Shard::wait`: the next submission, or with a steal registry at most
-//!    a millisecond. Which shard runs when is the OS scheduler's choice,
-//!    so counters that follow placement (swaps, steals, affinity hits)
-//!    vary run to run; session outcomes do not.
+//!    thread per shard loops `step`, and on an idle round makes the one
+//!    blocking call in the shard code, `Shard::wait`: the next submission,
+//!    or with a steal registry at most a millisecond. Which shard runs
+//!    when is the OS scheduler's choice, so counters that follow placement
+//!    (swaps, steals, affinity hits) vary run to run; session outcomes do
+//!    not.
 //! 2. **Lockstep** — [`ShardPool::lockstep`], a constructor for tests and
 //!    benches. The pool keeps the shards; [`ShardPool::recv`] on an empty
-//!    result queue runs one round on the unpaused shard with the smallest
-//!    *virtual clock* (array cycles its members have stepped; lowest index
-//!    on a tie) that makes progress, and returns `None` at once when none
-//!    can. [`ShardPool::try_recv`] never advances, so the front-end folds
+//!    result queue runs one round on the shard with the smallest *virtual
+//!    clock* (array cycles its members have stepped; lowest index on a
+//!    tie) that makes progress, and returns `None` at once when none can.
+//!    [`ShardPool::try_recv`] never advances, so the front-end folds
 //!    hand-backs and materialises *between* rounds — the fixed
 //!    interleaving points of a discrete-event run. Same rounds, same
 //!    policies, no threads: two runs give identical
@@ -79,7 +79,7 @@ use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -458,44 +458,9 @@ impl Ord for QueuedSession {
     }
 }
 
-#[derive(Debug, Default)]
-struct PauseGate {
-    paused: Mutex<bool>,
-    unpaused: Condvar,
-}
-
-impl PauseGate {
-    // A poisoned gate only means some thread panicked while holding the
-    // lock; the bool inside is always valid, so recover it rather than
-    // cascading the panic into pause/resume callers.
-    fn lock(&self) -> MutexGuard<'_, bool> {
-        self.paused.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn set(&self, paused: bool) {
-        *self.lock() = paused;
-        self.unpaused.notify_all();
-    }
-
-    fn is_paused(&self) -> bool {
-        *self.lock()
-    }
-
-    fn wait_ready(&self) {
-        let mut guard = self.lock();
-        while *guard {
-            guard = self
-                .unpaused
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
 struct ShardHandle {
     queue: Option<SyncSender<Session>>,
     depth: Arc<AtomicU64>,
-    pause: Arc<PauseGate>,
 }
 
 /// Who calls [`Shard::step`] (module docs, "One shard, two drivers").
@@ -586,8 +551,6 @@ impl ShardPool {
         let mut shards = Vec::with_capacity(config.shards);
         for (shard, depth) in depths.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Session>(config.queue_depth);
-            let pause = Arc::new(PauseGate::default());
-            pause.set(config.start_paused);
             let seed = WorkerSeed {
                 shard,
                 results: results_tx.clone(),
@@ -607,14 +570,12 @@ impl ShardPool {
                 // The shard is built on its own thread, where its arrays
                 // latch that thread's stepper defaults.
                 Driver::Threads(threads) => {
-                    let pause = Arc::clone(&pause);
-                    threads.push(std::thread::spawn(move || Shard::new(rx, seed).run(&pause)));
+                    threads.push(std::thread::spawn(move || Shard::new(rx, seed).run()));
                 }
             }
             shards.push(ShardHandle {
                 queue: Some(tx),
                 depth,
-                pause,
             });
         }
         let placement: Box<dyn Placement> = match config.placement {
@@ -703,7 +664,7 @@ impl ShardPool {
     ///
     /// On a [`lockstep`](ShardPool::lockstep) pool nothing blocks: an empty
     /// result queue runs dispatch rounds until one hands a session back,
-    /// and `None` means no unpaused shard has anything left to do.
+    /// and `None` means no shard has anything left to do.
     pub fn recv(&self) -> Option<Session> {
         match &self.driver {
             Driver::Threads(_) => self.results.recv().ok(),
@@ -737,19 +698,17 @@ impl ShardPool {
     }
 
     /// The lockstep driver: while the result queue is empty, one dispatch
-    /// round on the unpaused shard with the smallest virtual clock
-    /// (cumulative busy array cycles, lowest index on a tie) that makes
-    /// progress. An idle victim takes back its own unclaimed offer only
-    /// after `WITHDRAW_GRACE_POLLS` idle rounds, so "no shard can make
-    /// progress" takes that many sweeps plus one to establish.
+    /// round on the shard with the smallest virtual clock (cumulative busy
+    /// array cycles, lowest index on a tie) that makes progress. An idle
+    /// victim takes back its own unclaimed offer only after
+    /// `WITHDRAW_GRACE_POLLS` idle rounds, so "no shard can make progress"
+    /// takes that many sweeps plus one to establish.
     fn recv_lockstep(&self, shards: &mut [Shard]) -> Option<Session> {
         loop {
             if let Ok(session) = self.results.try_recv() {
                 return Some(session);
             }
-            let mut order: Vec<usize> = (0..shards.len())
-                .filter(|&i| !self.shards[i].pause.is_paused())
-                .collect();
+            let mut order: Vec<usize> = (0..shards.len()).collect();
             order.sort_by_key(|&i| (shards[i].clock(), i));
             let mut sweep = || {
                 order
@@ -768,16 +727,6 @@ impl ShardPool {
         self.shards.len() * self.queue_depth_limit
     }
 
-    /// Pauses a shard: its worker finishes the current round, then idles.
-    pub fn pause(&self, shard: usize) {
-        self.shards[shard].pause.set(true);
-    }
-
-    /// Resumes a paused shard.
-    pub fn resume(&self, shard: usize) {
-        self.shards[shard].pause.set(false);
-    }
-
     /// Current queued depth of a shard (approximate under concurrency).
     pub fn queue_depth(&self, shard: usize) -> u64 {
         self.shards[shard].depth.load(Ordering::Relaxed)
@@ -794,7 +743,6 @@ impl ShardPool {
     fn close_and_join(&mut self) {
         for shard in &mut self.shards {
             shard.queue = None; // disconnects the shard's inbox
-            shard.pause.set(false); // a paused worker must wake to drain
         }
         match &mut self.driver {
             Driver::Threads(workers) => {
@@ -939,9 +887,8 @@ impl Shard {
     }
 
     /// The thread driver: this shard's OS thread until the pool closes.
-    fn run(mut self, pause: &PauseGate) {
+    fn run(mut self) {
         loop {
-            pause.wait_ready();
             match self.step() {
                 Round::Progress => {}
                 Round::Idle => self.wait(),

@@ -182,7 +182,7 @@ fn run_stage<T: Terminal>(
 
 /// Builds the terminal of a session resuming into row `stage`: every row
 /// past the capture needs the samples back, replayed from the seed.
-fn resume<T: Terminal>(seed: u64, stage: usize, wrap: fn(T) -> Kind) -> (Kind, SessionState) {
+fn rebuild<T: Terminal>(seed: u64, stage: usize, wrap: fn(T) -> Kind) -> (Kind, SessionState) {
     let mut terminal = T::new(seed);
     if stage > 0 {
         terminal.capture();
@@ -372,8 +372,8 @@ impl Session {
     /// outcomes are bit-identical to a never-parked run.
     pub fn rehydrate(parked: &ParkedSession) -> Session {
         let (kind, state) = match parked.standard {
-            Standard::Wcdma => resume(parked.seed, parked.stage, Kind::Wcdma),
-            Standard::Ofdm => resume(parked.seed, parked.stage, Kind::Ofdm),
+            Standard::Wcdma => rebuild(parked.seed, parked.stage, Kind::Wcdma),
+            Standard::Ofdm => rebuild(parked.seed, parked.stage, Kind::Ofdm),
         };
         Session {
             id: parked.id,

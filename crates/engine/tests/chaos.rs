@@ -30,8 +30,9 @@ fn chaos_run(seed: u64, exact: Ledger) {
 /// without backpressure, under both drivers. Without backpressure, 16-deep
 /// queues hold the whole workload. With, every id is even and placement is
 /// static, so shard 0's two-deep queue takes all 24 frames under a window
-/// of 4: frames bounce, re-park and rehydrate while the plan strikes, the
-/// first two before the paused pool has run anything.
+/// of 4: frames bounce, re-park and rehydrate while the plan strikes. In
+/// lockstep the first two bounce before the pool has run a round, since a
+/// lockstep pool steps nothing until `recv`.
 fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact: Ledger) {
     quiet_injected_panics();
     let plan = chaos_plan(seed, 6, 8);
@@ -51,7 +52,6 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
         (
             EngineConfig {
                 queue_depth: 2,
-                start_paused: true,
                 placement: PlacementPolicy::Static,
                 ..config
             },
@@ -78,13 +78,6 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
         );
 
         let snap = &summary.snapshot;
-        if backpressure {
-            // A window of 4 into one paused two-deep queue bounces 2.
-            assert!(
-                snap.backpressure_parks >= 2,
-                "seed {seed}: no frame ever re-parked — the backpressure row is vacuous"
-            );
-        }
         // The plan actually fired (the guaranteed-ordinal panic at minimum),
         // and the ledger reconciles.
         assert!(
@@ -173,9 +166,10 @@ fn chaos_gang_seed_2() {
     chaos_run_full(2, 3, false, [5, 5, 1, 0, 0]);
 }
 
-/// Gang dispatch stays deterministic per seed: one dispatcher thread owns
-/// the whole gang, so with fixed dispatch windows (paused waves) the load
-/// order — and therefore the fault ledger — replays exactly.
+/// Gang dispatch stays deterministic per seed: one shard owns the whole
+/// gang, and on a lockstep pool each wave is one fixed dispatch window —
+/// the wave's first `recv` runs one gang round over the whole inbox — so
+/// the load order, and therefore the fault ledger, replays exactly.
 #[test]
 fn chaos_gang_is_deterministic_per_seed() {
     use sdr_engine::{Metrics, ShardPool};
@@ -184,12 +178,11 @@ fn chaos_gang_is_deterministic_per_seed() {
     quiet_injected_panics();
     let run = |seed: u64| {
         let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::new(
+        let pool = ShardPool::lockstep(
             EngineConfig {
                 shards: 1, // one shard: a single total load order
                 arrays_per_shard: 4,
                 queue_depth: 32,
-                start_paused: true,
                 // seeded() samples only recoverable kinds, so faults are
                 // absorbed inside the worker and sessions always come back
                 // (terminal or ready for the next wave).
@@ -205,16 +198,14 @@ fn chaos_gang_is_deterministic_per_seed() {
             for s in wave.drain(..) {
                 pool.submit(s).expect("queue has room");
             }
-            pool.resume(0);
             for _ in 0..n {
-                let s = pool.recv().expect("worker alive");
+                let s = pool.recv().expect("the shard holds the wave");
                 if !s.is_terminal() {
                     wave.push(s);
                 } else {
                     terminal += 1;
                 }
             }
-            pool.pause(0);
         }
         let snap = metrics.snapshot();
         drop(pool);
@@ -227,7 +218,13 @@ fn chaos_gang_is_deterministic_per_seed() {
             snap.config_words_streamed,
         )
     };
-    assert_eq!(run(11), run(11));
+    let ledger = run(11);
+    assert_eq!(ledger, run(11));
+    assert_eq!(
+        ledger,
+        (8, 3, 3, 5, 0, 312),
+        "(terminal, injected, detected, batches, warm hits, words) at seed 11"
+    );
 }
 
 /// Identical seeds must produce identical fault ledgers — the whole point

@@ -67,10 +67,11 @@ impl Driver {
 /// order. Admission never sheds here: these suites pin what the *pool*
 /// does to a frame, so the virtual-time model must let every frame through.
 ///
-/// A pool that starts paused takes one `pump` against its stopped queues
-/// and is then resumed: what a full shard refuses in that pass bounces
-/// whichever way the threads race afterwards, which is how the
-/// backpressure rows get a re-park they can count on.
+/// A lockstep pool steps nothing until the driver's first `recv`, so the
+/// first two materialisation passes fill the queues exactly and bounce
+/// what a full shard refuses: that is how the backpressure rows get an
+/// exact re-park count. On the threads a shard may drain before the driver
+/// overfills it, so there the count is whatever the race gives.
 ///
 /// The summary's `snapshot` is read after [`Frontend::shutdown`], not at
 /// the end of `run`: a closing shard sweeps the fault records still
@@ -81,7 +82,6 @@ pub fn run_in_completion_order(
     config: EngineConfig,
     records: Vec<ParkedSession>,
 ) -> (Vec<Outcome>, ScaleSummary) {
-    let (paused, shards) = (config.start_paused, config.shards);
     let metrics = Arc::new(Metrics::new());
     let mut frontend = driver.frontend(
         EngineConfig {
@@ -98,12 +98,6 @@ pub fn run_in_completion_order(
         outcomes.push((session.id(), session.standard(), session.state().clone()));
         None
     };
-    if paused {
-        frontend.pump(&mut hook);
-        for shard in 0..shards {
-            frontend.pool().resume(shard);
-        }
-    }
     let summary = frontend.run(&mut hook);
     frontend.shutdown();
     let snapshot = metrics.snapshot();

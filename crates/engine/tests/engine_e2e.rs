@@ -119,16 +119,15 @@ fn wcdma_frames_route_by_affinity_on_two_shards() {
 }
 
 /// A full shard queue rejects with `WouldBlock` and hands the session
-/// back; the rejection is counted, and the queued sessions still run once
-/// the shard resumes.
+/// back; the rejection is counted, and the queued sessions still run. A
+/// lockstep pool steps nothing until `recv`, so the queue is exactly full.
 #[test]
 fn full_shard_returns_would_block() {
     let metrics = Arc::new(Metrics::new());
-    let pool = ShardPool::new(
+    let pool = ShardPool::lockstep(
         EngineConfig {
             shards: 1,
             queue_depth: 2,
-            start_paused: true,
             ..EngineConfig::default()
         },
         Arc::clone(&metrics),
@@ -144,7 +143,6 @@ fn full_shard_returns_would_block() {
     assert_eq!(metrics.snapshot().jobs_rejected, 1);
     assert_eq!(metrics.snapshot().queue_high_water, 2);
 
-    pool.resume(0);
     let a = pool.recv().expect("first queued session steps");
     let b = pool.recv().expect("second queued session steps");
     assert_eq!(metrics.snapshot().jobs_run, 2);
@@ -155,15 +153,16 @@ fn full_shard_returns_would_block() {
 }
 
 /// Shutting down with queued jobs is clean: every in-flight session is
-/// stepped exactly once by its worker while draining, then returned.
+/// stepped exactly once by its shard while draining, then returned. On a
+/// lockstep pool nothing steps before `shutdown`, which drains the shards
+/// on the calling thread.
 #[test]
 fn shutdown_drains_in_flight_jobs() {
     let metrics = Arc::new(Metrics::new());
-    let pool = ShardPool::new(
+    let pool = ShardPool::lockstep(
         EngineConfig {
             shards: 2,
             queue_depth: 8,
-            start_paused: true,
             ..EngineConfig::default()
         },
         Arc::clone(&metrics),

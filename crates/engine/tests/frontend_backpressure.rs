@@ -6,10 +6,11 @@
 //!    frame is rehydrated exactly once.
 //! 2. The refusal that is left, `WouldBlock` from one full shard queue
 //!    under static placement, *parks* the session — no submitter thread
-//!    ever blocks. With every worker paused the driver keeps returning
-//!    from `pump`, bouncing exactly the records it had credit for;
-//!    resuming the pool drains them all to completion, and the driver
-//!    waits for a hand-back between passes instead of spinning.
+//!    ever blocks. On a lockstep pool, which steps nothing until `recv`
+//!    and never advances in `pump`, the driver keeps returning from
+//!    `pump`, bouncing exactly the records it had credit for; `run` then
+//!    drains them all to completion, and the driver waits for a hand-back
+//!    between passes instead of spinning.
 //! 3. A seeded open-loop Poisson arrival run is bit-deterministic: two
 //!    executions produce identical outcome counts, shed lists, and
 //!    modeled slack vectors (the virtual-time admission model is a pure
@@ -22,12 +23,13 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use common::{mixed_records, skewed_records, under_both_drivers, Driver};
 use sdr_dsp::rng::Rng64;
 use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
-use sdr_engine::{EngineConfig, ParkedSession, PlacementPolicy, Session, Standard};
+use sdr_engine::{EngineConfig, Metrics, ParkedSession, PlacementPolicy, Session, Standard};
 
 fn open_loop(_: &Session, _: u64) -> Option<ParkedSession> {
     None
@@ -62,10 +64,7 @@ fn static_skew() -> EngineConfig {
 
 #[test]
 fn the_window_offers_the_pool_only_what_it_can_take() {
-    let mut fe = Frontend::new(EngineConfig {
-        start_paused: true,
-        ..narrow_1x1()
-    });
+    let mut fe = Frontend::lockstep(narrow_1x1(), Arc::new(Metrics::new()));
     assert_eq!(fe.window(), 2, "max_resident 8 clamped to the one queue");
     for id in 0..6u64 {
         fe.admit(ParkedSession::new_wcdma(id, 100 + id, 0));
@@ -78,7 +77,6 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
     assert_eq!(snapshot.backpressure_parks, 0);
     assert_eq!(snapshot.jobs_rejected, 0);
 
-    fe.pool().resume(0);
     let summary = fe.run(&mut open_loop);
     assert_eq!(summary.done, 6);
     assert_eq!(summary.snapshot.rehydrations, 6, "once per frame");
@@ -93,16 +91,13 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
 
 #[test]
 fn would_block_parks_instead_of_blocking_the_submitter() {
-    let mut fe = Frontend::new(EngineConfig {
-        start_paused: true,
-        ..static_skew()
-    });
+    let mut fe = Frontend::lockstep(static_skew(), Arc::new(Metrics::new()));
     assert_eq!(fe.window(), 4);
     for record in skewed_records(6, 2) {
         fe.admit(record);
     }
 
-    // With both workers paused, shard 0's queue takes `queue_depth`
+    // Nothing has stepped yet, so shard 0's queue takes `queue_depth`
     // submissions; the rest of the window must bounce and park. pump()
     // must return promptly — if WouldBlock blocked the submitter this
     // would hang forever.
@@ -133,16 +128,18 @@ fn would_block_parks_instead_of_blocking_the_submitter() {
         assert_eq!((fe.materialised(), fe.parked()), (2, 4));
     }
 
-    // Resume the workers: everything drains to completion.
-    fe.pool().resume(0);
-    fe.pool().resume(1);
+    // `run` steps the pool: everything drains to completion.
     let summary = fe.run(&mut open_loop);
     assert_eq!(summary.frames_completed, 6);
     assert_eq!(summary.done, 6);
     assert_eq!(summary.still_parked, 0);
-    assert!(
-        summary.snapshot.rehydrations > 6,
-        "re-parks rehydrated again"
+    assert_eq!(
+        (
+            summary.snapshot.rehydrations,
+            summary.snapshot.backpressure_parks
+        ),
+        (18, 12),
+        "one rehydration per frame and one per re-park"
     );
 }
 

@@ -8,12 +8,8 @@
 
 mod common;
 
-use std::sync::Arc;
-
 use common::{chaos_plan, mixed_records, quiet_injected_panics, run_in_completion_order, Driver};
-use sdr_engine::{
-    EngineConfig, Frontend, Metrics, ParkedSession, RecoveryPolicy, Session, Snapshot,
-};
+use sdr_engine::{EngineConfig, RecoveryPolicy, Snapshot};
 use xpp_array::fault::FaultPlan;
 
 /// Runs 48 mixed frames on a `shards × arrays_per_shard` lockstep pool
@@ -112,22 +108,4 @@ fn two_lockstep_runs_are_identical_under_the_chaos_plans() {
             );
         }
     }
-}
-
-/// A thread pool whose shards are all paused makes `run` wait; a lockstep
-/// pool has nobody to wait for, so the same call must fail, not spin.
-#[test]
-#[should_panic(expected = "lockstep pool stalled with 2 sessions in flight")]
-fn a_lockstep_run_with_every_working_shard_paused_fails_loudly() {
-    let mut frontend = Frontend::lockstep(
-        EngineConfig {
-            shards: 2,
-            start_paused: true,
-            ..EngineConfig::default()
-        },
-        Arc::new(Metrics::new()),
-    );
-    frontend.admit(ParkedSession::new_wcdma(0, 1, 0));
-    frontend.admit(ParkedSession::new_ofdm(1, 2, 0));
-    frontend.run(&mut |_: &Session, _| None);
 }

@@ -11,16 +11,18 @@
 //! allocated here is paid per refusal. The capture and its code appear only
 //! when the session first steps.
 //!
-//! Only the measuring thread's allocations are counted, which fences the
-//! pool's worker threads (they build their arrays while the test already
-//! runs) out of the window. The file still holds a single test, so nothing else
-//! shares the counters.
+//! The bounce phase runs on a lockstep pool, which has no worker threads
+//! and steps nothing inside `pump`, so only the driver can allocate in the
+//! counted window. Only the measuring thread's allocations are counted,
+//! which fences the test harness's own threads out of it, and the file
+//! still holds a single test, so nothing else shares the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use sdr_engine::{EngineConfig, Frontend, ParkedSession, PlacementPolicy, Session};
+use sdr_engine::{EngineConfig, Frontend, Metrics, ParkedSession, PlacementPolicy, Session};
 
 struct CountingAllocator;
 
@@ -103,21 +105,24 @@ fn rehydrating_a_fresh_wcdma_record_builds_no_capture_and_no_code() {
     bounce_allocates_only_its_rehydration();
 }
 
-/// Second phase of the single test: a paused two-shard pool under static
-/// placement, every id even, shard 0's two queue slots taken. The window
+/// Second phase of the single test: a lockstep two-shard pool under static
+/// placement, every id even, shard 0's two queue slots taken and never
+/// drained, since only `recv` steps a lockstep pool. The window
 /// (4) still has credit for shard 1's two slots, so every `pump` pops the
 /// two waiting records, one of each standard, and bounces each once.
 fn bounce_allocates_only_its_rehydration() {
-    let mut fe = Frontend::new(EngineConfig {
-        shards: 2,
-        arrays_per_shard: 1,
-        queue_depth: 2,
-        max_resident: 8,
-        parking_capacity: 8,
-        start_paused: true,
-        placement: PlacementPolicy::Static,
-        ..EngineConfig::default()
-    });
+    let mut fe = Frontend::lockstep(
+        EngineConfig {
+            shards: 2,
+            arrays_per_shard: 1,
+            queue_depth: 2,
+            max_resident: 8,
+            parking_capacity: 8,
+            placement: PlacementPolicy::Static,
+            ..EngineConfig::default()
+        },
+        Arc::new(Metrics::new()),
+    );
     let mut open_loop = |_: &Session, _| None;
     for id in [0, 2u64] {
         fe.admit(ParkedSession::new_ofdm(id, id, 0));

@@ -113,12 +113,11 @@ fn assert_matches_reference(label: &str, got: &[Outcome], want: &[Outcome]) {
 #[test]
 fn static_placement_routes_like_the_seed_oracle() {
     let metrics = Arc::new(Metrics::new());
-    let pool = ShardPool::new(
+    let pool = ShardPool::lockstep(
         EngineConfig {
             shards: 3,
             arrays_per_shard: 1,
             queue_depth: 64,
-            start_paused: true,
             placement: PlacementPolicy::Static,
             work_stealing: false,
             ..EngineConfig::default()
@@ -129,15 +128,16 @@ fn static_placement_routes_like_the_seed_oracle() {
         let oracle = pool.shard_of(&session);
         let routed = pool
             .submit(session)
-            .expect("paused pool with room must accept the submission");
+            .expect("a pool with room must accept the submission");
         assert_eq!(
             routed, oracle,
             "static placement diverged from the id % shards oracle"
         );
     }
-    // Nothing ran (shards start paused); every session drains unharmed.
+    // Nothing ran (a lockstep pool steps only in `recv` and `shutdown`);
+    // every session drains unharmed.
     let leftover = pool.shutdown();
-    assert_eq!(leftover.len(), 24, "paused shutdown must return everything");
+    assert_eq!(leftover.len(), 24, "shutdown must return everything");
     let snapshot = metrics.snapshot();
     assert_eq!(
         snapshot.router_affinity_hits, 0,
@@ -185,9 +185,9 @@ fn affinity_routing_with_stealing_matches_the_reference() {
 /// `max_resident`. Behind the affinity router the credit window paces the
 /// driver and no frame ever bounces; under static placement with every id
 /// on shard 0, that shard's queue refuses what the window still offers,
-/// and frames re-park and rehydrate — the first two before the (paused)
-/// pool has run anything. Either way every outcome equals the never-parked
-/// single-array reference.
+/// and frames re-park and rehydrate; in lockstep, which steps nothing until
+/// `recv`, the first two before the pool has run a round. Either way every
+/// outcome equals the never-parked single-array reference.
 #[test]
 fn reparked_frames_match_the_reference() {
     let n = 48;
@@ -221,7 +221,6 @@ fn reparked_frames_match_the_reference() {
             arrays_per_shard: gang,
             queue_depth: 2,
             max_resident: 16,
-            start_paused: true,
             placement: PlacementPolicy::Static,
             ..EngineConfig::default()
         };
@@ -231,13 +230,11 @@ fn reparked_frames_match_the_reference() {
                 routed,
                 &reference,
             );
-            let parks = summary.snapshot.backpressure_parks;
-            assert!(
-                parks >= 2,
-                "gang={gang} {driver:?}: a window of 4 into one paused depth-2 queue bounces 2 — the row is vacuous"
-            );
             if driver == Driver::Lockstep {
-                assert_eq!(parks, exact_parks, "gang={gang}: re-parks in lockstep");
+                assert_eq!(
+                    summary.snapshot.backpressure_parks, exact_parks,
+                    "gang={gang}: re-parks in lockstep"
+                );
             }
         });
     }
