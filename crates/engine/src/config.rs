@@ -38,11 +38,11 @@ impl Default for RecoveryPolicy {
 pub struct EngineConfig {
     /// Number of shards (each owning one array, or one gang).
     pub shards: usize,
-    /// Arrays per shard gang. `1` (the default) keeps the seed behaviour:
-    /// one array per shard, one session stepped per dispatch. Larger
-    /// gangs enable batched dispatch: sessions are grouped by kernel and
-    /// each group runs back-to-back on an array where its configuration
-    /// is already resident.
+    /// Arrays per shard gang (`1`, the default, is one array per shard).
+    /// The dispatch policy is the same for every size: a round steps the
+    /// shard's most urgent session on the member that holds its kernel
+    /// (else the least-busy member), and a gang spreads a saturated kernel
+    /// over up to `arrays_per_shard − 1` members (both of a pair).
     pub arrays_per_shard: usize,
     /// Bounded depth of each shard's submission queue.
     pub queue_depth: usize,
@@ -53,20 +53,22 @@ pub struct EngineConfig {
     /// two are identical, and the front-end's virtual-time admission model
     /// does not depend on it.
     pub placement: PlacementPolicy,
-    /// Let a saturated shard expose its coldest pending batch for an
-    /// idle shard to claim (the default with more than one shard). The
-    /// steal path recompiles nothing — the process-wide
-    /// [`ConfigStore`](crate::ConfigStore) makes every compiled config
-    /// shard-agnostic. Disabled automatically with a single shard.
+    /// Let a saturated shard expose the latest-deadline half of its EDF
+    /// heap for an idle shard to claim (the default with more than one
+    /// shard; one array or a gang alike). The steal path recompiles
+    /// nothing — the process-wide [`ConfigStore`](crate::ConfigStore)
+    /// makes every compiled config shard-agnostic. Disabled automatically
+    /// with a single shard.
     ///
     /// Session outcomes and the admission model's slack/shed figures are
     /// placement- and steal-independent and repeat exactly on any driver.
-    /// The live dispatch counters (reconfigurations, prefetches, stepper
-    /// wakes, awake cycles and sleeps, router and steal lines) depend on
-    /// which shard each step lands on and when — on the pool's threads they
-    /// vary from run to run whatever this and `placement` are set to; only the
-    /// lockstep driver ([`Frontend::lockstep`](crate::Frontend::lockstep))
-    /// makes every counter exact.
+    /// The live dispatch counters (configuration loads and evictions,
+    /// stepper wakes, awake cycles and sleeps, router and steal lines)
+    /// depend on which shard each step lands on and when — on the pool's
+    /// threads they vary from run to run whatever this and `placement` are
+    /// set to; only the lockstep driver
+    /// ([`Frontend::lockstep`](crate::Frontend::lockstep)) makes every
+    /// counter exact.
     pub work_stealing: bool,
     /// Pending sessions a shard must have queued (in its EDF heap) before
     /// it exposes a steal offer.

@@ -34,7 +34,8 @@
 //!   configuration bus starts streaming, but nobody waits for it. The
 //!   load overlaps whatever the array is already running (the paper's
 //!   Fig. 10 trick: configuration 2b loads while 2a is still searching
-//!   for the preamble).
+//!   for the preamble). The engine's sessions do not prefetch: 2b stays
+//!   resident beside 2a, so there is nothing left to overlap.
 //! * **loading** — the bus streams the configuration; a prefetched entry
 //!   sits in [`CmState::Loading`] until someone activates it.
 //! * **active** — [`ConfigManager::activate`] finishes any remaining bus
@@ -257,7 +258,6 @@ impl ConfigManager {
     /// Re-marks every resident's object-fire counter as seen. A resident
     /// whose live count has not advanced past its mark by the next
     /// placement squeeze is quiescent and eligible for a prefetch spill.
-    /// The dispatcher calls this after each batch (or session step).
     pub fn refresh_activity(&mut self, array: &Array) {
         for r in &mut self.resident {
             r.fire_mark = array.config_fire_count(r.id);

@@ -428,7 +428,7 @@ impl Frontend {
                     .min_by_key(|&i| self.free_at[i])
                     .unwrap_or(0);
                 let start = self.free_at[server].max(record.arrival());
-                let completes = start + service_cycles(record.standard());
+                let completes = start.saturating_add(service_cycles(record.standard()));
                 let lateness = completes.saturating_sub(record.deadline());
                 if lateness > self.config.shed_lateness_cycles {
                     Metrics::incr(&self.metrics.sessions_shed);

@@ -3,21 +3,24 @@
 //! The paper's platform runs *one* terminal's baseband on a reconfigurable
 //! array; a base-station (or a dense simulation farm) must run many. This
 //! crate scales the single-terminal pipelines of `sdr_wcdma` and
-//! `sdr_ofdm` across a sharded pool of worker threads, each owning a gang
-//! of simulated XPP arrays:
+//! `sdr_ofdm` across a sharded pool of worker threads, each owning one
+//! simulated XPP array or a gang of them:
 //!
 //! * [`session`] — per-terminal state machines (W-CDMA rake acquisition,
-//!   802.11a preamble detect → demodulate with the Fig. 10 runtime
-//!   reconfiguration);
+//!   802.11a preamble detect → demodulate on the Fig. 10 configurations
+//!   2a and 2b);
 //! * [`pool`] — bounded-queue worker shards with `WouldBlock`
-//!   backpressure and earliest-deadline-first dispatch;
+//!   backpressure and one dispatch policy for every shard size: the most
+//!   urgent session (earliest deadline first) steps on the member that
+//!   holds its kernel, and a configuration stays resident until placement
+//!   pressure evicts it;
 //! * [`router`] — residency-affinity placement and cross-shard stealing;
 //! * [`config_manager`] — the configuration-manager subsystem: a
 //!   [`KernelSpec`] registry of array kernels, a **process-wide**
 //!   compile-once store of pre-compiled, pre-placed configurations (each
 //!   kernel is built once per process, not once per worker), and the per-worker
-//!   request→prefetch→loading→active→unload lifecycle with
-//!   prefetch-overlapped reconfiguration;
+//!   request→prefetch→loading→active→unload lifecycle, whose
+//!   least-recently-used eviction is the Fig. 10 resource recycling;
 //! * [`metrics`] — a lock-free registry every component reports into;
 //! * [`config`] — the one [`EngineConfig`] both the pool and the driver
 //!   read.
@@ -25,7 +28,7 @@
 //! [`Frontend`] is the one driver — a single-threaded loop that owns the
 //! pool, the control plane above that dataflow plane, as the paper's
 //! configuration manager is the one authority that sequences every load,
-//! run and swap. Terminals are admitted as compact parked records,
+//! run and eviction. Terminals are admitted as compact parked records,
 //! rehydrated into a window no wider than the shard queues can hold, and
 //! each hand-back is resubmitted until the session reaches a terminal
 //! state; the one shard queue that can still fill (static placement)

@@ -113,8 +113,9 @@ counters! {
     jobs_run,
     /// Submissions rejected with `WouldBlock` (shard queue full).
     jobs_rejected,
-    /// Runtime reconfigurations (a configuration unloaded and another
-    /// loaded in its place, as in the paper's Fig. 10 swap).
+    /// Explicit Fig. 10 swaps that unloaded their source
+    /// ([`WorkerArray::swap`](crate::WorkerArray::swap) only) — inert in
+    /// the engine; the frozen benchmark reads it; E(2) deletes it.
     reconfigurations,
     /// Configuration-cache hits (netlist served without a rebuild).
     cache_hits,
@@ -128,8 +129,9 @@ counters! {
     /// Activations served from a prefetched (pre-placed, pre-streamed)
     /// configuration — the swap paid only residual activation.
     prefetch_hits,
-    /// Array cycles sessions actually waited on reconfiguration swaps
-    /// (a prefetched swap contributes ~0 here).
+    /// Array cycles callers waited on explicit
+    /// [`WorkerArray::swap`](crate::WorkerArray::swap)s — inert in the
+    /// engine; the frozen benchmark reads it; E(2) deletes it.
     reconfig_cycles,
     /// High-water mark of any shard's queue depth.
     queue_high_water,
@@ -175,18 +177,17 @@ counters! {
     /// Sessions parked instead of blocking a submitter thread when their
     /// shard queue was full (`WouldBlock` backpressure).
     backpressure_parks,
-    /// Batches formed by the gang dispatcher (one per kernel group per
-    /// dispatch round; a gang of 1 never batches, so this stays 0 on the
-    /// seed path).
+    /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
+    /// deletes it.
     batches_dispatched,
-    /// Sessions dispatched through batches (`batch_sessions ÷
-    /// batches_dispatched` is the mean batch size).
+    /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
+    /// deletes it.
     batch_sessions,
-    /// Batches routed to an array where the kernel was already resident —
-    /// zero configuration-bus traffic for the whole batch.
+    /// Session steps routed to a member where their kernel was already
+    /// resident — no configuration-bus traffic for the step.
     batch_warm_hits,
-    /// Times the router replicated a hot kernel onto an additional gang
-    /// member to spread a saturated batch stream.
+    /// Times a shard replicated a hot kernel onto an additional gang
+    /// member to spread a saturated stream.
     batch_replications,
     /// Quiescent residents evicted by a spill-aware prefetch (instead of
     /// soft-failing the prefetch).
@@ -218,9 +219,9 @@ counters! {
     /// Submissions the router fell back to least-loaded placement for
     /// (host-only steps, cold kernels, full affinity targets).
     router_fallbacks,
-    /// Pending batches claimed cross-shard from a saturated victim.
+    /// Steal offers claimed cross-shard from a saturated victim.
     batches_stolen,
-    /// Sessions that moved shards through stolen batches.
+    /// Sessions that moved shards through claimed steal offers.
     steal_sessions,
     /// Residency-view snapshots published by shard loops, across all
     /// shards.
@@ -281,11 +282,6 @@ impl Snapshot {
     /// Total array cycles across all kernel classes.
     pub fn total_kernel_cycles(&self) -> u64 {
         self.kernel_cycles.iter().sum()
-    }
-
-    /// Mean sessions per dispatched batch, or 0 with no batches.
-    pub fn avg_batch_size(&self) -> f64 {
-        ratio(self.batch_sessions, self.batches_dispatched)
     }
 
     /// Fraction of worker-array cycles the configuration bus sat idle —
@@ -367,11 +363,7 @@ impl fmt::Display for Snapshot {
             "  jobs        run     {:>8}  rejected  {:>8}  queue high-water {:>4}",
             self.jobs_run, self.jobs_rejected, self.queue_high_water
         )?;
-        writeln!(
-            f,
-            "  reconfig    swaps   {:>8}  bus cycles {:>12}  swap-wait cycles {:>8}",
-            self.reconfigurations, self.config_bus_cycles, self.reconfig_cycles
-        )?;
+        writeln!(f, "  cfg bus     cycles  {:>8}", self.config_bus_cycles)?;
         writeln!(
             f,
             "  prefetch    issued  {:>8}  hits      {:>8}  spills    {:>8}",
@@ -379,12 +371,8 @@ impl fmt::Display for Snapshot {
         )?;
         writeln!(
             f,
-            "  batching    batches {:>8}  sessions  {:>8}  warm hits {:>4}  replications {:>4}  avg size {:>5.1}",
-            self.batches_dispatched,
-            self.batch_sessions,
-            self.batch_warm_hits,
-            self.batch_replications,
-            self.avg_batch_size()
+            "  members     warm hits {:>6}  replications {:>4}",
+            self.batch_warm_hits, self.batch_replications
         )?;
         writeln!(
             f,
@@ -513,17 +501,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_bus_ratios() {
-        assert_eq!(Snapshot::default().avg_batch_size(), 0.0);
+    fn bus_idle_ratio_handles_zero() {
         assert_eq!(Snapshot::default().bus_idle_ratio(), 0.0);
         let s = Snapshot {
-            batches_dispatched: 4,
-            batch_sessions: 10,
             array_cycles_run: 1000,
             config_bus_cycles: 100,
             ..Snapshot::default()
         };
-        assert!((s.avg_batch_size() - 2.5).abs() < 1e-12);
         assert!((s.bus_idle_ratio() - 0.9).abs() < 1e-12);
     }
 

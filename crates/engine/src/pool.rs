@@ -18,25 +18,16 @@
 //! inbox, and one function — `Shard::step` — that runs one *dispatch
 //! round* (drain the inbox; with nothing to run, claim another shard's
 //! steal offer or take back its own; otherwise offer, run, publish) and
-//! never blocks. Dispatch policy lives there and in the methods it calls,
-//! in two flavours selected by [`EngineConfig::arrays_per_shard`]:
-//!
-//! * **one array** — a round exposes the latest-deadline half of a
-//!   saturated heap to thieves (`offer_latest_half`), steps the single
-//!   most urgent session, and publishes residency *before* handing it
-//!   back; no batch counter moves;
-//! * **a gang** — a round takes the whole heap as its window, exposes its
-//!   coldest batch (`offer_coldest_batch`), runs the rest batch by batch
-//!   (`run_batch`, below) and publishes once.
-//!
-//! Who calls `step` is the driver's business, and no setting selects it:
+//! never blocks. Every shard runs the one policy below, whether it owns
+//! one array or a gang; who calls `step` is the driver's business, and no
+//! setting selects it:
 //!
 //! 1. **Threads** — what [`ShardPool::new`] builds and what ships. One OS
 //!    thread per shard loops `step`, and on an idle round makes the one
 //!    blocking call in the shard code, `Shard::wait`: the next submission,
 //!    or with a steal registry at most a millisecond. Which shard runs
 //!    when is the OS scheduler's choice, so counters that follow placement
-//!    (swaps, steals, affinity hits) vary run to run; session outcomes do
+//!    (loads, steals, affinity hits) vary run to run; session outcomes do
 //!    not.
 //! 2. **Lockstep** — [`ShardPool::lockstep`], a constructor for tests and
 //!    benches. The pool keeps the shards; [`ShardPool::recv`] on an empty
@@ -46,33 +37,34 @@
 //!    [`ShardPool::try_recv`] never advances, so the front-end folds
 //!    hand-backs and materialises *between* rounds — the fixed
 //!    interleaving points of a discrete-event run. Same rounds, same
-//!    policies, no threads: two runs give identical
+//!    policy, no threads: two runs give identical
 //!    [`Snapshot`](crate::Snapshot)s and completion orders.
 //!
-//! # Batched gang dispatch
+//! # One dispatch policy
 //!
-//! With [`EngineConfig::arrays_per_shard`] > 1 the shard owns a gang
-//! of [`WorkerArray`]s and dispatches in *rounds*: it drains everything
-//! queued right now (the dispatch window, bounded by the queue depth),
-//! groups the window by each session's next [`KernelSpec`]
-//! ([`Session::next_kernel`]), and runs each group back-to-back on an
-//! array where that kernel is already resident — one configuration load
-//! serves the whole batch, which is the paper's steady-state premise: a
-//! configuration loads once and then streams data while the bus idles.
-//! Routing decisions come from a residency map rebuilt each round from
-//! [`ConfigManager`] introspection (so it is self-healing across worker
-//! rebuilds), warm batches pin to their resident member, cold kernels
-//! fall to the least-busy member, and a hot kernel is *replicated* onto
-//! another member when its home has pulled more than a fixed threshold
-//! (`REPLICATE_AFTER_CYCLES`) ahead of the idlest member — up to
-//! `gang − 1` replicas, always leaving one array clear so a newly arriving
-//! kernel never has to evict the hot set (a gang of two may use both).
+//! A round with work to do:
 //!
-//! EDF ordering holds *within* a batch (groups are split into contiguous
-//! most-urgent-first chunks and chunks run in order), and deadline
-//! inversion *across* batches is bounded by the dispatch window: a
-//! session's step can be delayed by at most the other sessions drained in
-//! the same round, never by later arrivals.
+//! 1. exposes the latest-deadline half of a saturated heap to thieves
+//!    (`offer_latest_half`);
+//! 2. pops the most urgent session;
+//! 3. steps it on the member `route` picks: a member where the session's
+//!    next [`KernelSpec`] ([`Session::next_kernel`]) is already resident,
+//!    else the least-busy member — and a warm kernel whose least-busy
+//!    home has pulled more than `REPLICATE_AFTER_CYCLES` ahead of the
+//!    idlest member is *replicated* there instead, up to `gang − 1`
+//!    homes so one array stays clear for whatever arrives next (a gang of
+//!    two may use both);
+//! 4. publishes the shard's residency, so the router places the
+//!    session's next step on the residency this one produced;
+//! 5. hands the session back.
+//!
+//! Residency is the other half: a configuration stays on its array until
+//! placement pressure evicts it — the [`ConfigManager`]'s least recently
+//! used eviction is the paper's Fig. 10 resource recycling. Nothing
+//! unloads a configuration that still fits, and nothing prefetches, so a
+//! configuration loads once and then streams data while the bus idles,
+//! the paper's steady-state premise. The residency map `route` reads is
+//! the managers' own introspection, so it heals across worker rebuilds.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -122,17 +114,6 @@ pub struct WorkerArray {
     cm: ConfigManager,
     metrics: Arc<Metrics>,
     policy: RecoveryPolicy,
-    /// Set on every member of a gang (`arrays_per_shard` > 1) by the
-    /// shard that builds it. A gang member skips
-    /// [`prefetch`](WorkerArray::prefetch): the next kernel is resident on
-    /// *another* member the dispatcher routes to, so a local prefetch only
-    /// duplicates it across the gang — bus words batching exists to save.
-    /// And its [`swap`](WorkerArray::swap) leaves the source resident, so
-    /// the next batch of that kernel activates for free; placement
-    /// pressure still recycles it through the manager's LRU eviction. A
-    /// single array keeps the Fig. 10 policy: the swap unloads the source
-    /// to recycle its resources.
-    gang_member: bool,
 }
 
 impl WorkerArray {
@@ -161,7 +142,6 @@ impl WorkerArray {
             cm: ConfigManager::new(store, Arc::clone(&metrics)),
             metrics,
             policy,
-            gang_member: false,
         }
     }
 
@@ -208,8 +188,7 @@ impl WorkerArray {
 
     /// Re-marks every resident configuration's fire counter as seen, so
     /// residents that do no work before the next placement squeeze are
-    /// quiescent and spillable by a prefetch. Dispatchers call this after
-    /// each batch (or session step).
+    /// quiescent and spillable by a [`prefetch`](WorkerArray::prefetch).
     pub fn refresh_activity(&mut self) {
         self.cm.refresh_activity(&self.array);
     }
@@ -245,16 +224,14 @@ impl WorkerArray {
     }
 
     /// Runs one array job under the zero-fire watchdog: activates the
-    /// configuration, starts streaming `prefetch` (the kernel the caller
-    /// swaps in next) so its bus load overlaps this job, lets `drive` — the
-    /// kernel's `xpp_map::drive_*` function — run on the array, and books
-    /// the job's cycles and object fires under `kind`. If `drive` times out
-    /// without the configuration having fired a single object, it gets one
-    /// extra `WATCHDOG_BUDGET` of cycles — still silent means the load is
-    /// wedged (e.g. an injected stall), so the configuration is forcibly
-    /// unloaded and the whole attempt retried from the store. The replay is
-    /// safe: `drive` re-reads the caller's slices, the reload starts from
-    /// clean token state, and a repeated prefetch is a no-op.
+    /// configuration, lets `drive` — the kernel's `xpp_map::drive_*`
+    /// function — run on the array, and books the job's cycles and object
+    /// fires under `kind`. If `drive` times out without the configuration
+    /// having fired a single object, it gets one extra `WATCHDOG_BUDGET` of
+    /// cycles — still silent means the load is wedged (e.g. an injected
+    /// stall), so the configuration is forcibly unloaded and the whole
+    /// attempt retried from the store. The replay is safe: `drive` re-reads
+    /// the caller's slices and the reload starts from clean token state.
     ///
     /// # Errors
     ///
@@ -264,7 +241,6 @@ impl WorkerArray {
         &mut self,
         kind: KernelKind,
         spec: impl Into<KernelSpec>,
-        prefetch: Option<KernelSpec>,
         mut drive: impl FnMut(&mut Array, ConfigId) -> XppResult<T>,
     ) -> XppResult<T> {
         let spec = spec.into();
@@ -273,9 +249,6 @@ impl WorkerArray {
         loop {
             attempt += 1;
             let cfg = self.activate(spec)?;
-            if let Some(next) = prefetch {
-                self.prefetch(next)?;
-            }
             let cycles_before = self.array.stats().cycles;
             let fires_before = self.array.config_fire_count(cfg);
             match drive(&mut self.array, cfg) {
@@ -322,18 +295,16 @@ impl WorkerArray {
     /// waiting for it, so a later [`activate`](WorkerArray::activate) (or
     /// [`swap`](WorkerArray::swap)) pays only residual activation.
     /// Returns whether a prefetch was issued (`false` when already
-    /// resident, on a gang member, or when the array is too full even
-    /// after spilling quiescent residents — a prefetch may evict residents
-    /// that have fired nothing since their last batch, never the active
-    /// one).
+    /// resident, or when the array is too full even after spilling
+    /// quiescent residents — a prefetch may evict residents that have fired
+    /// nothing since the last [`refresh_activity`](WorkerArray::refresh_activity),
+    /// never the active one). The engine's sessions do not prefetch; this
+    /// is API for drivers of a bare worker.
     ///
     /// # Errors
     ///
     /// Propagates array errors other than placement failure.
     pub fn prefetch(&mut self, spec: impl Into<KernelSpec>) -> XppResult<bool> {
-        if self.gang_member {
-            return Ok(false);
-        }
         self.cm.prefetch(&mut self.array, &spec.into())
     }
 
@@ -348,14 +319,13 @@ impl WorkerArray {
         self.cm.deactivate(&mut self.array, &name)
     }
 
-    /// The Fig. 10 swap: unloads `from` (if resident) and activates `to`
-    /// in the freed resources. Counted as a runtime reconfiguration when
-    /// an unload actually happened; the array cycles the session waited
-    /// on the swap are recorded in `reconfig_cycles` (~0 when `to` was
-    /// prefetched).
-    ///
-    /// On a gang member the unload is skipped: both kernels stay resident
-    /// and only placement pressure recycles the source.
+    /// The explicit Fig. 10 swap: unloads `from` (if resident) and
+    /// activates `to` in the freed resources. Counted as a runtime
+    /// reconfiguration when an unload actually happened; the array cycles
+    /// the caller waited on the swap are recorded in `reconfig_cycles` (~0
+    /// when `to` was prefetched). The engine's sessions do not call it:
+    /// there a configuration stays resident until placement pressure
+    /// evicts it.
     ///
     /// # Errors
     ///
@@ -366,11 +336,8 @@ impl WorkerArray {
         to: impl Into<KernelSpec>,
     ) -> XppResult<ConfigId> {
         let cycles_before = self.array.stats().cycles;
-        if !self.gang_member {
-            let unloaded = self.deactivate(from)?;
-            if unloaded {
-                Metrics::incr(&self.metrics.reconfigurations);
-            }
+        if self.deactivate(from)? {
+            Metrics::incr(&self.metrics.reconfigurations);
         }
         let id = self.activate(to)?;
         Metrics::add(
@@ -795,12 +762,12 @@ struct WorkerSeed {
 
 impl WorkerSeed {
     fn fresh_worker(&self) -> WorkerArray {
+        #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
         let mut worker = WorkerArray::with_policy(
             Arc::clone(&self.store),
             Arc::clone(&self.metrics),
             self.policy,
         );
-        worker.gang_member = self.gang > 1;
         #[cfg(feature = "faults")]
         if let Some(inj) = &self.injector {
             worker.attach_fault_injector(Arc::clone(inj));
@@ -816,26 +783,8 @@ impl WorkerSeed {
 /// quiet pool reclaims promptly.
 const WITHDRAW_GRACE_POLLS: u32 = 3;
 
-/// Groups an EDF-ordered dispatch window by each session's next kernel,
-/// preserving order: within a batch sessions stay in EDF order, and
-/// batches are ordered by their most urgent member (first-seen in the
-/// EDF-sorted window). Deadline inversion is therefore bounded by the
-/// window size — a session is only ever run after sessions that were
-/// *drained in the same round*, never after later arrivals.
-fn form_batches(window: Vec<Session>) -> Vec<(Option<KernelSpec>, Vec<Session>)> {
-    let mut batches: Vec<(Option<KernelSpec>, Vec<Session>)> = Vec::new();
-    for session in window {
-        let key = session.next_kernel();
-        match batches.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, batch)) => batch.push(session),
-            None => batches.push((key, vec![session])),
-        }
-    }
-    batches
-}
-
 /// Gang-routing saturation threshold, in array cycles: a hot kernel is
-/// replicated onto an additional member once the busiest of its warm
+/// replicated onto an additional member once the least busy of its warm
 /// members is this many cycles ahead of the idlest member.
 const REPLICATE_AFTER_CYCLES: u64 = 2_000;
 
@@ -925,13 +874,10 @@ impl Shard {
 
     /// One dispatch round: drain the inbox into the EDF heap; with nothing
     /// to run, act as thief or reclaim ([`idle`](Shard::idle)); otherwise
-    /// offer, run and publish under the shard's policy. A single-array
-    /// shard exposes its latest-deadline half, steps its most urgent
-    /// session and publishes *before* handing it back — the driver routes
-    /// the session's next step on the residency this one produced — and
-    /// moves no batch counter. A gang takes the whole heap as its dispatch
-    /// window, exposes its coldest batch, runs the rest batch by batch and
-    /// publishes once.
+    /// expose the latest-deadline half of a saturated heap, step the most
+    /// urgent session on the member [`route`](Shard::route) picks, and
+    /// publish *before* handing it back — the driver routes the session's
+    /// next step on the residency this one produced.
     fn step(&mut self) -> Round {
         loop {
             match self.inbox.try_recv() {
@@ -946,31 +892,15 @@ impl Shard {
         if self.heap.is_empty() {
             return self.idle();
         }
-        if self.members.len() == 1 {
-            self.offer_latest_half();
-            // The offer keeps the more urgent half, so there is one to pop.
-            if let Some(queued) = self.heap.pop() {
-                let session = self.supervised_step(0, queued.session);
-                // A no-op on the fresh worker a crash leaves behind.
-                self.members[0].refresh_activity();
-                self.publish();
-                // The driver may already be gone (pool dropped mid-run);
-                // the session's work is still done, only the hand-back is
-                // lost.
-                let _ = self.seed.results.send(session);
-            }
-        } else {
-            let window_len = self.heap.len();
-            let mut window = Vec::with_capacity(window_len);
-            while let Some(queued) = self.heap.pop() {
-                window.push(queued.session);
-            }
-            let mut batches = form_batches(window);
-            self.offer_coldest_batch(&mut batches, window_len);
-            for (key, batch) in batches {
-                self.run_batch(key, batch);
-            }
+        self.offer_latest_half();
+        // The offer keeps the more urgent half, so there is one to pop.
+        if let Some(queued) = self.heap.pop() {
+            let member = self.route(queued.session.next_kernel().as_ref());
+            let session = self.supervised_step(member, queued.session);
             self.publish();
+            // The driver may already be gone (pool dropped mid-run); the
+            // session's work is still done, only the hand-back is lost.
+            let _ = self.seed.results.send(session);
         }
         Round::Progress
     }
@@ -1054,10 +984,10 @@ impl Shard {
         Round::Closed
     }
 
-    /// The victim side of the single-array steal protocol: a shard whose
-    /// EDF heap is over the threshold exposes its *latest-deadline half* —
-    /// the work it would get to last — for an idle shard to claim. One
-    /// offer at a time per shard; the most urgent half always stays home.
+    /// The victim side of the steal protocol: a shard whose EDF heap is
+    /// over the threshold exposes its *latest-deadline half* — the work it
+    /// would get to last — for an idle shard to claim. One offer at a time
+    /// per shard; the most urgent half always stays home.
     fn offer_latest_half(&mut self) {
         let Some(steal) = self.seed.steal.as_deref() else {
             return;
@@ -1073,44 +1003,7 @@ impl Shard {
         self.heap = sorted.into();
         steal.offer(StealOffer {
             victim: self.seed.shard,
-            kernel: None,
             sessions: offered,
-        });
-    }
-
-    /// The victim side of the gang steal protocol: a saturated round
-    /// (window over the threshold, more than one batch pending) gives away
-    /// its *coldest* batch — the last-formed batch whose kernel is resident
-    /// on no member (a batch this gang would pay a configuration load for
-    /// anyway), falling back to the last batch. The most urgent batch
-    /// (index 0) always stays home, so EDF inversion from stealing is
-    /// bounded the same way it is for batching.
-    fn offer_coldest_batch(
-        &self,
-        batches: &mut Vec<(Option<KernelSpec>, Vec<Session>)>,
-        window_len: usize,
-    ) {
-        let Some(steal) = self.seed.steal.as_deref() else {
-            return;
-        };
-        if window_len <= self.seed.steal_threshold
-            || batches.len() < 2
-            || steal.has_offer_from(self.seed.shard)
-        {
-            return;
-        }
-        let idx = (1..batches.len())
-            .rev()
-            .find(|&i| match &batches[i].0 {
-                Some(k) => !self.members.iter().any(|m| m.is_resident(&k.config_name())),
-                None => false,
-            })
-            .unwrap_or(batches.len() - 1);
-        let (kernel, sessions) = batches.remove(idx);
-        steal.offer(StealOffer {
-            victim: self.seed.shard,
-            kernel,
-            sessions,
         });
     }
 
@@ -1163,7 +1056,7 @@ impl Shard {
 
     /// Publishes the members' union residency and total busy cycles into
     /// the shard's view cell, so the affinity router sees every shard —
-    /// once per round, which for a single-array shard is once per session.
+    /// once per round, which is once per session step.
     fn publish(&mut self) {
         self.names.clear();
         for member in &self.members {
@@ -1173,81 +1066,48 @@ impl Shard {
         Metrics::incr(&self.seed.metrics.residency_view_refreshes);
     }
 
-    /// The member that has stepped the fewest array cycles — the
-    /// least-recently-active target for cold kernels and host-only steps.
-    fn least_busy(&self, exclude: &[usize]) -> Option<usize> {
-        (0..self.members.len())
-            .filter(|m| !exclude.contains(m))
-            .min_by_key(|&m| (self.busy[m], m))
-    }
-
-    /// Picks the members a batch runs on, most idle first.
+    /// Picks the member a session's next step runs on.
     ///
-    /// * Host-only batches (no kernel) touch no array: least-busy member.
-    /// * Warm batches pin to the members where the kernel is resident
-    ///   (the residency map, read fresh from [`ConfigManager`]
-    ///   introspection each round so it heals across worker rebuilds).
-    /// * Cold kernels fall to the least-busy member.
-    /// * A saturated hot kernel is replicated onto the idlest member —
-    ///   paying one extra configuration load to split the stream — up to
-    ///   `gang − 1` replicas, so one array always stays clear of the hot
-    ///   set for whatever arrives next. A gang of two may use both: "one
-    ///   array stays clear" has no meaning with two arrays, it only pins
-    ///   a warm kernel to one member while the other idles.
-    fn route(&self, key: Option<&KernelSpec>) -> Vec<usize> {
-        let metrics = &self.seed.metrics;
-        // The gang is never empty (`ShardPool::new` asserts it), so an
-        // unexcluded least-busy scan always finds a member.
-        let Some(key) = key else {
-            return vec![self.least_busy(&[]).unwrap_or(0)];
+    /// * A host-only step (no kernel) touches no array: least-busy member.
+    /// * A warm kernel runs on its least-busy home — a member where it is
+    ///   resident, read fresh from [`ConfigManager`] introspection so the
+    ///   map heals across worker rebuilds.
+    /// * A cold kernel falls to the least-busy member.
+    /// * A saturated warm kernel — its least-busy home more than
+    ///   `REPLICATE_AFTER_CYCLES` ahead of the idlest member — is
+    ///   replicated onto that member, paying one configuration load to
+    ///   split the stream, up to `gang − 1` homes so one array always stays
+    ///   clear of the hot set for whatever arrives next. A gang of two may
+    ///   use both: "one array stays clear" has no meaning with two arrays,
+    ///   it only pins a warm kernel to one member while the other idles.
+    fn route(&self, key: Option<&KernelSpec>) -> usize {
+        let name = key.map(KernelSpec::config_name);
+        let warm = |m: &usize| {
+            name.as_deref()
+                .is_some_and(|n| self.members[*m].is_resident(n))
         };
-        let name = key.config_name();
-        let mut homes: Vec<usize> = (0..self.members.len())
-            .filter(|&m| self.members[m].is_resident(&name))
-            .collect();
-        if homes.is_empty() {
-            homes.push(self.least_busy(&[]).unwrap_or(0));
-        } else {
-            Metrics::incr(&metrics.batch_warm_hits);
-        }
-        let max_replicas = match self.members.len() {
-            gang @ (1 | 2) => gang,
-            gang => gang - 1,
+        let by_busy = |m: &usize| (self.busy[*m], *m);
+        let members = 0..self.members.len();
+        // The least-busy member without the kernel: every member when it
+        // is cold, and the gang is never empty (`ShardPool::new` asserts
+        // it).
+        let idlest = members.clone().filter(|m| !warm(m)).min_by_key(by_busy);
+        let Some(home) = members.clone().filter(warm).min_by_key(by_busy) else {
+            return idlest.unwrap_or(0);
         };
-        while homes.len() < max_replicas {
-            let Some(idlest) = self.least_busy(&homes) else {
-                break;
-            };
-            let warmest = homes.iter().map(|&m| self.busy[m]).max().unwrap_or(0);
-            if warmest.saturating_sub(self.busy[idlest]) <= REPLICATE_AFTER_CYCLES {
-                break;
+        Metrics::incr(&self.seed.metrics.batch_warm_hits);
+        // At most `gang − 1` homes, but a pair may use both.
+        let max_homes = (self.members.len() - 1).max(2);
+        match idlest {
+            Some(idlest)
+                if members.filter(warm).count() < max_homes
+                    && self.busy[home].saturating_sub(self.busy[idlest])
+                        > REPLICATE_AFTER_CYCLES =>
+            {
+                Metrics::incr(&self.seed.metrics.batch_replications);
+                idlest
             }
-            homes.push(idlest);
-            Metrics::incr(&metrics.batch_replications);
-        }
-        // Most idle first: the largest (most urgent) chunk lands on the
-        // member with the most headroom.
-        homes.sort_by_key(|&m| (self.busy[m], m));
-        homes
-    }
-
-    /// Runs one EDF-ordered batch: splits it into contiguous chunks (most
-    /// urgent first) across the routed members and steps every session
-    /// back-to-back — the batch pays for its kernel's configuration at
-    /// most once per member.
-    fn run_batch(&mut self, key: Option<KernelSpec>, sessions: Vec<Session>) {
-        Metrics::incr(&self.seed.metrics.batches_dispatched);
-        Metrics::add(&self.seed.metrics.batch_sessions, sessions.len() as u64);
-        let homes = self.route(key.as_ref());
-        let chunk = sessions.len().div_ceil(homes.len());
-        let mut remaining = sessions.into_iter();
-        for &member in &homes {
-            let chunk_sessions: Vec<Session> = remaining.by_ref().take(chunk).collect();
-            for session in chunk_sessions {
-                let session = self.supervised_step(member, session);
-                let _ = self.seed.results.send(session);
-            }
-            self.members[member].refresh_activity();
+            _ => home,
         }
     }
 }
@@ -1287,30 +1147,6 @@ mod tests {
         assert_eq!(metrics.snapshot().reconfigurations, 2);
         assert_eq!(w.store().misses(), 2, "each kernel compiled exactly once");
         assert_eq!(w.store().hits(), 1, "re-activation served from the store");
-    }
-
-    #[test]
-    fn retained_swap_keeps_both_kernels_resident() {
-        let metrics = Arc::new(Metrics::new());
-        let mut w = WorkerArray::new(4, Arc::clone(&metrics));
-        w.gang_member = true;
-        w.activate(OfdmKernel::PreambleDetector).unwrap();
-        w.swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)
-            .unwrap();
-        assert!(w.is_resident("fig10-config2a-detector"));
-        assert!(w.is_resident("fig10-config2b-demodulator"));
-        assert_eq!(
-            metrics.snapshot().reconfigurations,
-            0,
-            "retained swap unloads nothing"
-        );
-        // The second OFDM session on this member activates both kernels
-        // for free — no further bus words.
-        let words = metrics.snapshot().config_bus_cycles;
-        w.activate(OfdmKernel::PreambleDetector).unwrap();
-        w.swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)
-            .unwrap();
-        assert_eq!(metrics.snapshot().config_bus_cycles, words);
     }
 
     #[test]
@@ -1360,77 +1196,6 @@ mod tests {
         assert_eq!(store.hits(), 1);
     }
 
-    /// An EDF-ordered window of mixed sessions: OFDM sessions stepped to
-    /// `PreambleDetect` (earlier deadlines) interleaved with W-CDMA
-    /// sessions stepped to `Tracking`.
-    fn mixed_window(worker: &mut WorkerArray) -> Vec<Session> {
-        let mut window: Vec<Session> = Vec::new();
-        for id in 0..4 {
-            let mut s = Session::ofdm(id, 7 + id);
-            s.step(worker); // Idle → PreambleDetect
-            window.push(s);
-        }
-        for id in 4..6 {
-            let mut s = Session::wcdma(id, 42 + id);
-            s.step(worker); // Idle → Searching
-            s.step(worker); // Searching → Tracking
-            window.push(s);
-        }
-        window.sort_by_key(|s| s.deadline());
-        window
-    }
-
-    #[test]
-    fn form_batches_groups_by_kernel_and_preserves_edf_order() {
-        let metrics = Arc::new(Metrics::new());
-        let mut worker = WorkerArray::new(8, metrics);
-        let window = mixed_window(&mut worker);
-        let window_order: Vec<u64> = window.iter().map(Session::id).collect();
-
-        let batches = form_batches(window);
-        assert_eq!(batches.len(), 2, "one batch per distinct kernel");
-        // Batches are ordered by their most urgent member: the OFDM
-        // detector sessions have much earlier deadlines than the W-CDMA
-        // trackers.
-        assert_eq!(
-            batches[0].0,
-            Some(KernelSpec::Ofdm(OfdmKernel::PreambleDetector))
-        );
-        assert_eq!(
-            batches[1].0,
-            Some(KernelSpec::Wcdma(WcdmaKernel::Descrambler))
-        );
-        assert_eq!(batches[0].1.len(), 4);
-        assert_eq!(batches[1].1.len(), 2);
-        // EDF within each batch: deadlines are non-decreasing.
-        for (_, batch) in &batches {
-            let deadlines: Vec<u64> = batch.iter().map(Session::deadline).collect();
-            assert!(deadlines.windows(2).all(|w| w[0] <= w[1]), "EDF violated");
-        }
-        // Bounded inversion: the concatenated batches are a permutation of
-        // the window in which each batch is a *subsequence* of the EDF
-        // order — no session ever runs after a later arrival.
-        let flat: Vec<u64> = batches
-            .iter()
-            .flat_map(|(_, b)| b.iter().map(Session::id))
-            .collect();
-        let mut sorted_flat = flat.clone();
-        sorted_flat.sort_unstable();
-        let mut sorted_window = window_order.clone();
-        sorted_window.sort_unstable();
-        assert_eq!(sorted_flat, sorted_window, "no session lost or invented");
-        for (_, batch) in &batches {
-            let positions: Vec<usize> = batch
-                .iter()
-                .map(|s| window_order.iter().position(|&id| id == s.id()).unwrap())
-                .collect();
-            assert!(
-                positions.windows(2).all(|w| w[0] < w[1]),
-                "batch must be a subsequence of the EDF window"
-            );
-        }
-    }
-
     /// A shard built directly in a test — no pool, no thread — with the
     /// sending end of its inbox and the receiving end of its results.
     fn test_shard(
@@ -1457,28 +1222,44 @@ mod tests {
         (Shard::new(inbox, seed), inbox_tx, results_rx)
     }
 
-    /// A warm kernel whose home has run `REPLICATE_AFTER_CYCLES` ahead of
-    /// the idlest member is split across members: onto both members of a
-    /// pair, onto all but one of a larger gang.
+    /// A warm kernel runs on its home until that home has run
+    /// `REPLICATE_AFTER_CYCLES` ahead of the idlest member; then it is
+    /// replicated there: onto both members of a pair, onto all but one of a
+    /// larger gang, never beside a lone array.
     #[test]
     fn saturated_warm_kernel_uses_both_members_of_a_pair() {
-        for gang in [2, 3] {
+        let descrambler = Some(KernelSpec::from(WcdmaKernel::Descrambler));
+        for gang in [1, 2, 3] {
             let (mut g, _inbox, _results) = test_shard(gang, None);
             g.members[0].activate(WcdmaKernel::Descrambler).unwrap();
-            g.busy[0] = REPLICATE_AFTER_CYCLES + 1;
-            let homes = g.route(Some(&WcdmaKernel::Descrambler.into()));
-            assert_eq!(homes, [1, 0], "gang of {gang}, most idle member first");
-            assert_eq!(g.seed.metrics.snapshot().batch_replications, 1);
+            g.busy[0] = REPLICATE_AFTER_CYCLES;
+            assert_eq!(g.route(descrambler.as_ref()), 0, "gang of {gang}: warm");
+            g.busy[0] += 1;
+            let replica = usize::from(gang > 1);
+            assert_eq!(g.route(descrambler.as_ref()), replica, "gang of {gang}");
+            let snap = g.seed.metrics.snapshot();
+            assert_eq!(
+                (snap.batch_warm_hits, snap.batch_replications),
+                (2, replica as u64)
+            );
         }
+        // Two homes of three: the third member stays clear.
+        let (mut g, _inbox, _results) = test_shard(3, None);
+        for m in 0..2 {
+            g.members[m].activate(WcdmaKernel::Descrambler).unwrap();
+        }
+        g.busy[..2].fill(REPLICATE_AFTER_CYCLES + 1);
+        assert_eq!(g.route(descrambler.as_ref()), 0);
+        assert_eq!(g.seed.metrics.snapshot().batch_replications, 0);
     }
 
-    /// The Fig. 10 swap by shard shape: a single array unloads the detector
-    /// to recycle its resources, a gang member leaves it resident for the
-    /// next batch of detections. The demodulator is resident nowhere, so
+    /// Residency by shard shape: a single array and a gang member alike
+    /// keep the detector resident beside the demodulator; only placement
+    /// pressure would recycle it. The demodulator is resident nowhere, so
     /// the least-busy member — the one holding the detector — runs it.
     #[test]
-    fn a_gang_member_keeps_the_swap_source_resident() {
-        for (gang, detector_stays) in [(1, false), (2, true)] {
+    fn every_shard_shape_keeps_the_detector_resident() {
+        for gang in [1, 2] {
             let (mut shard, inbox, results) = test_shard(gang, None);
             shard.members[0]
                 .activate(OfdmKernel::PreambleDetector)
@@ -1495,15 +1276,12 @@ mod tests {
             assert_eq!(*results.try_recv().unwrap().state(), SessionState::Done);
             let member = &shard.members[0];
             assert!(member.is_resident("fig10-config2b-demodulator"));
-            assert_eq!(
+            assert!(
                 member.is_resident("fig10-config2a-detector"),
-                detector_stays,
                 "gang of {gang}"
             );
-            assert_eq!(
-                shard.seed.metrics.snapshot().reconfigurations,
-                u64::from(!detector_stays)
-            );
+            let snap = shard.seed.metrics.snapshot();
+            assert_eq!((snap.reconfigurations, snap.prefetches), (0, 0));
         }
     }
 
@@ -1547,7 +1325,6 @@ mod tests {
         let (mut shard, _inbox, results) = test_shard(1, Some(Arc::clone(&registry)));
         let offer = |victim| StealOffer {
             victim,
-            kernel: None,
             sessions: vec![Session::ofdm(7 + victim as u64, 1)],
         };
         registry.offer(offer(0));
@@ -1599,9 +1376,9 @@ mod tests {
         shard.members = (0..2).map(|_| shard.seed.fresh_worker()).collect();
         // Load 0 stalls the descrambler on member 0 and nobody runs it, so
         // its fault record is still pending when load 1 — the detector,
-        // routed to the same warm-for-nothing member by a batch — panics.
+        // routed cold to the same member — panics.
         shard.members[0].activate(WcdmaKernel::Descrambler).unwrap();
-        shard.busy[1] = 1; // member 0 is the least busy: the batch lands there
+        shard.busy[1] = 1; // member 0 is the least busy: the step lands there
         let mut session = Session::ofdm(3, 9);
         session.step(&mut WorkerArray::new(4, Arc::new(Metrics::new()))); // → PreambleDetect
         shard.seed.depth.fetch_add(1, Ordering::Relaxed);
@@ -1624,12 +1401,12 @@ mod tests {
 
     /// End-to-end gang dispatch on the lockstep pool, where a round runs
     /// only when `recv` finds the result queue empty: each wave is
-    /// submitted whole, one round batches it, and a kernel batch that
-    /// repeats in a later wave (a second staggered cohort reaching the
-    /// same pipeline stage) hits the member where the kernel stayed
-    /// resident.
+    /// submitted whole, a round steps its most urgent session on the member
+    /// that holds its kernel, and a kernel that repeats in a later wave (a
+    /// second staggered cohort reaching the same pipeline stage) hits the
+    /// member where it stayed resident.
     #[test]
-    fn gang_batches_waves_and_hits_warm_arrays() {
+    fn gang_steps_waves_on_warm_arrays() {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::lockstep(
             EngineConfig {
@@ -1675,13 +1452,15 @@ mod tests {
 
         let snap = metrics.snapshot();
         assert_eq!(snap.jobs_run, 3 * n, "3 steps finish an OFDM session");
-        assert_eq!(snap.batch_sessions, 3 * n, "every job went through a batch");
-        // Waves of 8, 12 (two kernels), 12 (two kernels) and 4.
-        assert_eq!(snap.batches_dispatched, 6);
         assert_eq!(
-            snap.batch_warm_hits, 2,
-            "B's detection and B's demodulation"
+            (snap.batches_dispatched, snap.batch_sessions),
+            (0, 0),
+            "inert in the engine"
         );
+        // 24 array steps, and only the first detection and the first
+        // demodulation found their kernel resident nowhere; twice a warm
+        // home ran far enough ahead that the stream was replicated.
+        assert_eq!((snap.batch_warm_hits, snap.batch_replications), (22, 2));
         assert!(snap.array_cycles_run > 0);
         assert!(
             snap.array_makespan_cycles <= snap.array_cycles_run,
@@ -1691,30 +1470,6 @@ mod tests {
             snap.config_words_streamed > 0,
             "per-array bus word counters must flow into metrics"
         );
-        drop(pool);
-    }
-
-    /// `arrays_per_shard: 1` must keep the seed dispatch path: no batch
-    /// counters move.
-    #[test]
-    fn single_array_shard_never_batches() {
-        let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::new(
-            EngineConfig {
-                shards: 1,
-                ..EngineConfig::default()
-            },
-            Arc::clone(&metrics),
-        );
-        let mut s = Session::wcdma(0, 1);
-        for _ in 0..3 {
-            pool.submit(s).expect("queue has room");
-            s = pool.recv().expect("worker alive");
-        }
-        assert!(s.is_terminal());
-        let snap = metrics.snapshot();
-        assert_eq!(snap.batches_dispatched, 0);
-        assert_eq!(snap.batch_sessions, 0);
         drop(pool);
     }
 }

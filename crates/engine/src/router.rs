@@ -1,7 +1,8 @@
 //! Two-level hierarchical scheduling: the global layer above the shards.
 //!
-//! Gangs batch *within* a shard (see [`pool`](crate::pool)); this module
-//! adds the level above — the pieces that make `shards ×
+//! Within a shard, one dispatch policy steps the most urgent session on
+//! the member that holds its kernel (see [`pool`](crate::pool)); this
+//! module adds the level above — the pieces that make `shards ×
 //! arrays_per_shard` behave like one elastic pool instead of static
 //! partitions:
 //!
@@ -20,8 +21,8 @@
 //!   land
 //!   where their configuration is warm.
 //! * [`StealRegistry`] — cross-shard work stealing. A saturated shard
-//!   exposes its coldest pending batch as a [`StealOffer`]; an idle
-//!   shard claims it and runs it directly. The steal path recompiles
+//!   exposes the latest-deadline half of its heap as a [`StealOffer`]; an
+//!   idle shard claims it and runs it directly. The steal path recompiles
 //!   nothing: the process-wide
 //!   [`ConfigStore`](crate::config_manager::ConfigStore) makes every
 //!   `CompiledConfig` (schedule hints included) shard-agnostic. Unclaimed
@@ -243,14 +244,12 @@ impl Placement for AffinityRouter {
     }
 }
 
-/// A batch a saturated shard has exposed for another shard to claim.
+/// Sessions a saturated shard has exposed for another shard to claim.
 #[derive(Debug)]
 pub struct StealOffer {
-    /// The shard that exposed the batch.
+    /// The shard that exposed the sessions.
     pub victim: usize,
-    /// The batch's kernel (`None` for a mixed or host-only tail).
-    pub kernel: Option<KernelSpec>,
-    /// The sessions, still in EDF order.
+    /// The sessions, latest deadline first.
     pub sessions: Vec<Session>,
 }
 
@@ -273,7 +272,7 @@ impl StealRegistry {
         self.offers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Exposes a batch for other shards to claim; an empty one is
+    /// Exposes sessions for other shards to claim; an empty one is
     /// dropped. The offer owns its sessions, so each is runnable by
     /// whichever one shard claims or withdraws it — no id check is needed,
     /// and ids are not identities anyway (two frames of one terminal may
@@ -390,7 +389,6 @@ mod tests {
         assert!(reg.claim(1).is_none());
         reg.offer(StealOffer {
             victim: 0,
-            kernel: None,
             sessions: vec![Session::wcdma(1, 1), Session::wcdma(2, 2)],
         });
         assert!(reg.has_offer_from(0));
@@ -404,7 +402,6 @@ mod tests {
 
         reg.offer(StealOffer {
             victim: 3,
-            kernel: None,
             sessions: vec![Session::ofdm(9, 9)],
         });
         let mine = reg.withdraw(3);
@@ -417,7 +414,6 @@ mod tests {
         let reg = StealRegistry::new();
         reg.offer(StealOffer {
             victim: 0,
-            kernel: None,
             sessions: Vec::new(),
         });
         assert!(reg.is_empty());

@@ -9,10 +9,12 @@
 //!   search on the DSP) → `Tracking` (descramble and despread on the
 //!   array, combine and decide) → `Done`.
 //! * **802.11a OFDM** (paper §3.2/Fig. 10): `Idle` → `PreambleDetect`
-//!   (configuration 2a on the array) → `Demod` (2a unloaded, 2b loaded
-//!   in its place, slicing on the array, Viterbi decode) → `Done`.
+//!   (configuration 2a on the array) → `Demod` (configuration 2b, slicing
+//!   on the array, Viterbi decode) → `Done`. 2a stays resident beside 2b;
+//!   when the array needs its resources the configuration manager's
+//!   eviction recycles it — the paper's Fig. 10 recycling.
 //!
-//! One generic stepper walks either table, so stepping, the batching key,
+//! One generic stepper walks either table, so stepping, the routing key,
 //! parking and rehydration are table lookups. Rows that use the array hand
 //! the kernel's drive function (`xpp_map::drive_*` — all that knows a
 //! netlist's ports and budgets) to [`WorkerArray::run_kernel`].
@@ -83,7 +85,7 @@ pub enum SessionState {
     PreambleDetect,
     /// W-CDMA: finger demodulation on the array ahead.
     Tracking,
-    /// OFDM: 2a→2b swap and demodulation ahead.
+    /// OFDM: demodulation on configuration 2b ahead.
     Demod,
     /// Payload verified against the transmitted bits.
     Done,
@@ -259,11 +261,11 @@ impl Session {
         }
     }
 
-    /// The array kernel the session's *next* step will activate — the
-    /// batching dispatcher's grouping key. `None` for steps that never
-    /// touch the array (capture, DSP-side path search) and for terminal
-    /// sessions; those steps can run on any gang member without costing
-    /// configuration-bus traffic.
+    /// The array kernel the session's *next* step will activate — the key
+    /// the router and the shard's member routing follow. `None` for steps
+    /// that never touch the array (capture, DSP-side path search) and for
+    /// terminal sessions; those steps can run on any gang member without
+    /// costing configuration-bus traffic.
     pub fn next_kernel(&self) -> Option<KernelSpec> {
         self.row()?.1
     }
@@ -285,7 +287,7 @@ impl Session {
             Kind::Wcdma(t) => run_stage(t, index, &mut self.carry, worker),
             Kind::Ofdm(t) => run_stage(t, index, &mut self.carry, worker),
         };
-        self.deadline += self.standard().period();
+        self.deadline = self.deadline.saturating_add(self.standard().period());
         self.state = match outcome {
             Ok(next) => next,
             Err(e) if e.is_fault() => SessionState::DeadLettered(format!("array fault: {e}")),
@@ -424,7 +426,7 @@ impl ParkedSession {
         ParkedSession {
             id,
             seed,
-            deadline: arrival + standard.period(),
+            deadline: arrival.saturating_add(standard.period()),
             stage: 0,
             carry: 0,
             standard,
@@ -588,7 +590,7 @@ impl WcdmaTerminal {
         let n = ((rx.len() - delay) / sf) * sf;
 
         let descrambled =
-            worker.run_kernel(KernelKind::Descrambler, DESCRAMBLER, None, |array, cfg| {
+            worker.run_kernel(KernelKind::Descrambler, DESCRAMBLER, |array, cfg| {
                 drive_descrambler(array, cfg, rx, code, delay, 0, n)
             })?;
         if descrambled != descramble(rx, code, delay, 0, n) {
@@ -600,7 +602,6 @@ impl WcdmaTerminal {
         let symbols = worker.run_kernel(
             KernelKind::Despreader,
             WcdmaKernel::Despreader { sf, code_index },
-            None,
             |array, cfg| drive_despreader(array, cfg, &descrambled, sf),
         )?;
         if symbols != despread(&descrambled, sf, code_index) {
@@ -673,15 +674,9 @@ impl OfdmTerminal {
     /// preamble timing — the only DSP state demodulation needs.
     fn detect(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
         let rx = &self.rx;
-        // Fig. 10: a successful search is followed by the 2a→2b swap, so
-        // the demodulator streams over the configuration bus while the
-        // preamble search runs, and the swap pays only activation.
-        let metric = worker.run_kernel(
-            KernelKind::PreambleDetector,
-            DETECTOR,
-            Some(DEMODULATOR),
-            |array, cfg| drive_preamble_detector(array, cfg, rx),
-        )?;
+        let metric = worker.run_kernel(KernelKind::PreambleDetector, DETECTOR, |array, cfg| {
+            drive_preamble_detector(array, cfg, rx)
+        })?;
         if metric != ofdm::rx::autocorr_metric(rx) {
             return fail("array preamble metric diverged from golden");
         }
@@ -694,14 +689,11 @@ impl OfdmTerminal {
         }
     }
 
-    /// The Fig. 10 swap (2a out, 2b in), slicing of the first data symbol
-    /// through 2b, and full golden decode of the payload.
+    /// Slicing of the first data symbol through configuration 2b, and
+    /// full golden decode of the payload. 2b is activated beside 2a, which
+    /// stays resident for the next detection until placement pressure
+    /// evicts it.
     fn demodulate(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
-        // The Fig. 10 swap counts the reconfiguration; the slicing below
-        // re-activates 2b through the watchdog wrapper (tier-1 free when
-        // the swap just loaded it).
-        worker.swap(DETECTOR, DEMODULATOR)?;
-
         let sync = OfdmReceiver::new(self.rate);
         let Some(long_start) = sync.fine_timing(&self.rx, *carry as usize) else {
             return fail("fine timing failed");
@@ -718,10 +710,9 @@ impl OfdmTerminal {
             .map(|&k| spectrum[subcarrier_to_bin(k)])
             .collect();
         let weights = vec![Cplx::new(512, 0); carriers.len()];
-        let slices =
-            worker.run_kernel(KernelKind::Demodulator, DEMODULATOR, None, |array, cfg| {
-                drive_demodulator(array, cfg, &carriers, &weights)
-            })?;
+        let slices = worker.run_kernel(KernelKind::Demodulator, DEMODULATOR, |array, cfg| {
+            drive_demodulator(array, cfg, &carriers, &weights)
+        })?;
         for (k, (b0, b1)) in slices.iter().enumerate() {
             if *b0 != (carriers[k].re < 0) as u8 || *b1 != (carriers[k].im < 0) as u8 {
                 return fail(format!(
@@ -776,14 +767,15 @@ mod tests {
     }
 
     #[test]
-    fn ofdm_session_walks_to_done_with_a_swap() {
+    fn ofdm_session_walks_to_done_keeping_2a_resident() {
         let metrics = Arc::new(Metrics::new());
         let mut worker = WorkerArray::new(8, Arc::clone(&metrics));
         let mut s = Session::ofdm(1, 7);
         drive_to_terminal(&mut s, &mut worker);
         assert_eq!(*s.state(), SessionState::Done, "session failed");
+        assert!(worker.is_resident("fig10-config2a-detector"));
+        assert!(worker.is_resident("fig10-config2b-demodulator"));
         let snap = metrics.snapshot();
-        assert_eq!(snap.reconfigurations, 1, "the 2a→2b swap happened");
         assert!(snap.kernel_jobs[KernelKind::PreambleDetector.index()] == 1);
         assert!(snap.kernel_jobs[KernelKind::Demodulator.index()] == 1);
     }
@@ -825,6 +817,20 @@ mod tests {
         let d0 = s.deadline();
         s.step(&mut worker);
         assert_eq!(s.deadline(), d0 + WCDMA_PERIOD_CYCLES);
+    }
+
+    /// An arrival at the end of the clock saturates the deadline instead of
+    /// wrapping it (or, in a debug build, panicking on the add), and so does
+    /// every step after it.
+    #[test]
+    fn deadlines_saturate_at_the_end_of_the_clock() {
+        let parked = ParkedSession::new_ofdm(1, 7, u64::MAX);
+        assert_eq!(parked.deadline(), u64::MAX);
+        assert_eq!(parked.arrival(), u64::MAX - OFDM_PERIOD_CYCLES);
+        let mut s = Session::rehydrate(&ParkedSession::new_wcdma(2, 1, u64::MAX - 1));
+        s.step(&mut WorkerArray::new(8, Arc::new(Metrics::new())));
+        assert_eq!(*s.state(), SessionState::Searching);
+        assert_eq!(s.deadline(), u64::MAX);
     }
 
     /// Park/rehydrate at *every* pipeline stage must not change the

@@ -25,8 +25,8 @@ fn chaos_run(seed: u64, exact: Ledger) {
     chaos_run_full(seed, 1, false, exact);
 }
 
-/// Same invariants, parameterised over the shard gang size so the batched
-/// dispatcher runs under the identical fault ledger checks, with or
+/// Same invariants, parameterised over the shard gang size so gang shards
+/// run under the identical fault ledger checks, with or
 /// without backpressure, under both drivers. Without backpressure, 16-deep
 /// queues hold the whole workload. With, every id is even and placement is
 /// static, so shard 0's two-deep queue takes all 24 frames under a window
@@ -150,11 +150,11 @@ fn chaos_backpressure_seed_1() {
 
 #[test]
 fn chaos_backpressure_gang_seed_1() {
-    chaos_run_full(1, 3, true, [6, 6, 1, 0, 134]);
+    chaos_run_full(1, 3, true, [6, 6, 1, 0, 6]);
 }
 
-/// The batched gang dispatcher under chaos: crash containment rebuilds
-/// only the struck member, but the fault ledger must reconcile exactly
+/// Gang shards under chaos: crash containment rebuilds only the struck
+/// member, but the fault ledger must reconcile exactly
 /// the same way it does for single-array shards.
 #[test]
 fn chaos_gang_seed_1() {
@@ -167,9 +167,9 @@ fn chaos_gang_seed_2() {
 }
 
 /// Gang dispatch stays deterministic per seed: one shard owns the whole
-/// gang, and on a lockstep pool each wave is one fixed dispatch window —
-/// the wave's first `recv` runs one gang round over the whole inbox — so
-/// the load order, and therefore the fault ledger, replays exactly.
+/// gang, and on a lockstep pool each round steps one session in EDF order
+/// on the member `route` picks, so the load order, and therefore the fault
+/// ledger, replays exactly.
 #[test]
 fn chaos_gang_is_deterministic_per_seed() {
     use sdr_engine::{Metrics, ShardPool};
@@ -213,8 +213,8 @@ fn chaos_gang_is_deterministic_per_seed() {
             terminal,
             snap.faults_injected,
             snap.faults_detected,
-            snap.batches_dispatched,
             snap.batch_warm_hits,
+            snap.batch_replications,
             snap.config_words_streamed,
         )
     };
@@ -222,8 +222,8 @@ fn chaos_gang_is_deterministic_per_seed() {
     assert_eq!(ledger, run(11));
     assert_eq!(
         ledger,
-        (8, 3, 3, 5, 0, 312),
-        "(terminal, injected, detected, batches, warm hits, words) at seed 11"
+        (8, 3, 3, 9, 3, 594),
+        "(terminal, injected, detected, warm hits, replications, words) at seed 11"
     );
 }
 
@@ -236,7 +236,7 @@ fn chaos_is_deterministic_per_seed() {
     quiet_injected_panics();
     for driver in Driver::BOTH {
         let run = |seed: u64| {
-            // A horizon of 5: one shard loads its four kernels and swaps
+            // A horizon of 5: one shard loads each of its four kernels
             // once, so later ordinals never come up.
             let plan = FaultPlan::seeded(seed, 5, 5);
             let (_, summary) = run_to_completion(
@@ -344,7 +344,7 @@ fn faults_mid_replay_invalidate_and_recover() {
             "woken configurations never stepped"
         );
         // …and fell asleep with the bursts they served (drained pipelines,
-        // swaps, unloads) rather than outliving them.
+        // evictions, unloads) rather than outliving them.
         assert!(
             snap.schedule_invalidations >= 1,
             "drained or unloaded configurations must fall asleep: {snap}"
@@ -382,17 +382,17 @@ fn faults_mid_replay_invalidate_and_recover() {
 /// Cross-shard stealing under fault injection: the whole offered load is
 /// statically pinned to shard 0 (every id is even), so shard 1 only ever
 /// works by claiming steal offers — and the planned worker panic strikes
-/// mid-batch while that is happening. Stolen-away sessions must complete
+/// mid-run while that is happening. Stolen-away sessions must complete
 /// on the thief, crashed ones must re-dispatch or dead-letter, and the
 /// fault ledger (injected == detected ≤ recoveries + dead_letters) must
 /// reconcile exactly as it does without stealing. In lockstep: whether a
 /// thief's poll lands inside an offer's grace window is not a race there,
-/// so one cohort steals an exact number of batches.
+/// so one cohort steals an exact number of offers.
 #[test]
 fn steal_during_faults_keeps_the_ledger_intact() {
     quiet_injected_panics();
-    // Kernels mix (W-CDMA/OFDM alternate), so a saturated round forms
-    // several batches and exposes its coldest one.
+    // The pinned shard's heap passes the threshold of four again and
+    // again, and each time exposes its latest-deadline half.
     let (completed, summary) = run_to_completion(
         Driver::Lockstep,
         EngineConfig {
@@ -414,7 +414,7 @@ fn steal_during_faults_keeps_the_ledger_intact() {
     let snap = &summary.snapshot;
     assert_eq!(
         (snap.batches_stolen, snap.steal_sessions),
-        (2, 16),
+        (6, 28),
         "offers shard 1 claimed from the pinned shard, and the session-steps in them: {snap}"
     );
     assert_eq!(completed.len(), 16);
