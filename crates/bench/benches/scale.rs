@@ -63,7 +63,6 @@ fn frontend(parking_capacity: usize) -> Frontend {
         shards: WORKERS as usize,
         arrays_per_shard: 1,
         queue_depth: 32,
-        max_resident: 64,
         parking_capacity,
         ..EngineConfig::default()
     })

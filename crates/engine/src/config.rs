@@ -36,7 +36,10 @@ impl Default for RecoveryPolicy {
 /// Pool and front-end sizing and policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of shards (each owning one array, or one gang).
+    /// Number of shards (each owning one array, or one gang). Sessions are
+    /// routed to the shard that holds their next kernel, and with more than
+    /// one shard an idle shard claims work a saturated one exposes
+    /// ([`router`](crate::router)).
     pub shards: usize,
     /// Arrays per shard gang (`1`, the default, is one array per shard).
     /// The dispatch policy is the same for every size: a round steps the
@@ -44,35 +47,14 @@ pub struct EngineConfig {
     /// (else the least-busy member), and a gang spreads a saturated kernel
     /// over up to `arrays_per_shard − 1` members (both of a pair).
     pub arrays_per_shard: usize,
-    /// Bounded depth of each shard's submission queue.
+    /// Bounded depth of each shard's submission queue. The front-end's
+    /// materialisation window is `min(64, shards × queue_depth)`
+    /// ([`Frontend::window`](crate::Frontend::window)).
     pub queue_depth: usize,
-    /// How [`submit`](crate::ShardPool::submit) places sessions on shards:
-    /// residency-affinity routing over the global
-    /// [`ResidencyView`](crate::ResidencyView) (the default) or the seed's
-    /// sticky `id % shards` hash (the golden oracle). With one shard the
-    /// two are identical, and the front-end's virtual-time admission model
-    /// does not depend on it.
+    /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
     pub placement: PlacementPolicy,
-    /// Let a saturated shard expose the latest-deadline half of its EDF
-    /// heap for an idle shard to claim (the default with more than one
-    /// shard; one array or a gang alike). The steal path recompiles
-    /// nothing — the process-wide [`ConfigStore`](crate::ConfigStore)
-    /// makes every compiled config shard-agnostic. Disabled automatically
-    /// with a single shard.
-    ///
-    /// Session outcomes and the admission model's slack/shed figures are
-    /// placement- and steal-independent and repeat exactly on any driver.
-    /// The live dispatch counters (configuration loads and evictions,
-    /// stepper wakes, awake cycles and sleeps, router and steal lines)
-    /// depend on which shard each step lands on and when — on the pool's
-    /// threads they vary from run to run whatever this and `placement` are
-    /// set to; only the lockstep driver
-    /// ([`Frontend::lockstep`](crate::Frontend::lockstep)) makes every
-    /// counter exact.
+    /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
     pub work_stealing: bool,
-    /// Pending sessions a shard must have queued (in its EDF heap) before
-    /// it exposes a steal offer.
-    pub steal_threshold: usize,
     /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
     pub delta_loading: bool,
     /// Supervision tuning: kernel/session retry budgets.
@@ -82,12 +64,6 @@ pub struct EngineConfig {
     /// injects nothing.
     #[cfg(feature = "faults")]
     pub fault_plan: Option<FaultPlan>,
-    /// Materialisation window: maximum concurrently *rehydrated*
-    /// sessions (in flight in the pool). Everything beyond this stays
-    /// parked. Clamped to `shards × queue_depth`, so a record is only
-    /// rehydrated when the pool has a slot for it, and to at least 1
-    /// ([`Frontend::window`](crate::Frontend::window)).
-    pub max_resident: usize,
     /// Parking-lot slots to preallocate (parking within this budget is
     /// allocation-free). `0` grows on demand.
     pub parking_capacity: usize,
@@ -105,12 +81,10 @@ impl Default for EngineConfig {
             queue_depth: 32,
             placement: PlacementPolicy::default(),
             work_stealing: true,
-            steal_threshold: 8,
             delta_loading: false,
             recovery: RecoveryPolicy::default(),
             #[cfg(feature = "faults")]
             fault_plan: None,
-            max_resident: 64,
             parking_capacity: 0,
             shed_lateness_cycles: 2 * WCDMA_PERIOD_CYCLES,
         }

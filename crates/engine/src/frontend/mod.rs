@@ -18,34 +18,33 @@
 //! materialisation window ever own sample buffers.
 //!
 //! Flow control is by credit, as on the array itself, where an object
-//! fires only when its output register has room: the window is
-//! [`Frontend::window`], `max_resident` clamped to the pool's total queue
-//! capacity, and a record is popped only into a free slot of it. The pool
-//! as a whole therefore never refuses. One *shard* still can — static
-//! placement pins a session to its queue however full — and on that
-//! `WouldBlock` the session is **re-parked** with a deferred deadline
-//! instead of blocking the driver.
+//! fires only when its output register has room. The window is
+//! [`Frontend::window`], `min(64, shards × queue_depth)`, and a record is
+//! popped only into a free slot of it. That is the only flow control: the
+//! pool never refuses the driver, because
+//!
+//! * only the driver thread raises a shard's queue-depth counter (in
+//!   [`ShardPool::submit`]); shards only lower theirs, as they take a
+//!   submission off their queue;
+//! * a hand-back's `recv` happens after its shard's decrement, so every
+//!   session counted in a queue depth is also counted in flight, and
+//!   Σ depth ≤ in flight < window ≤ `shards × queue_depth` whenever the
+//!   driver submits;
+//! * so some shard has room, and the [`AffinityRouter`](crate::AffinityRouter)
+//!   picks only a shard with room while one exists.
+//!
+//! A refusal is therefore a defect, and the driver panics naming the shard
+//! and the error rather than parking the session or blocking on it.
 //!
 //! There is no executor behind this: a session's drive has one wait point
 //! (the pool's hand-back), does no I/O, keeps all of its state in the
 //! `Session` itself (its stage-table row), and at most a window of them
 //! are in flight — so [`Frontend::pump`] just does the work, in an order
-//! that matters twice:
-//!
-//! 1. **Hand-backs are folded before parked records are materialised.** A
-//!    mid-pipeline session re-takes the queue slot its own completion
-//!    freed; re-parking it instead costs a capture replay on rehydration
-//!    (≈ 0.15 ms for a tracking W-CDMA terminal). Fresh records get what
-//!    is left.
-//! 2. **One materialisation pass pops at most `window − in flight`
-//!    records, counted once when the pass starts, and records that bounce
-//!    during the pass re-enter the lot after it.** A bounced record keeps
-//!    the slot it was popped into, so on a full shard a pass bounces
-//!    each record at most once and `pump` returns; re-parking
-//!    inside the pass would pop the same deferred record forever. A bounce
-//!    is not progress: a pass that only bounced leaves
-//!    [`Frontend::run_limited`] waiting for a hand-back, the one event
-//!    that frees a slot, instead of spinning on the full shard.
+//! that matters: **hand-backs are folded before parked records are
+//! materialised.** A mid-pipeline session re-takes the queue slot its own
+//! completion freed; parking it instead would cost a capture replay on
+//! rehydration (≈ 0.15 ms for a tracking W-CDMA terminal). Fresh records
+//! get what is left.
 //!
 //! # Deterministic admission model
 //!
@@ -76,9 +75,8 @@ use parking::ParkingLot;
 /// Pipeline steps per session (capture → detect/search → demod/track).
 const STEPS_PER_SESSION: u64 = 3;
 
-/// How far a `WouldBlock` bounce defers the parked deadline, in array
-/// cycles.
-const DEFER_CYCLES: u64 = 1_000;
+/// Upper bound of the materialisation window ([`Frontend::window`]).
+const MAX_WINDOW: usize = 64;
 
 /// Modeled service demand of one full W-CDMA frame in array cycles.
 pub const WCDMA_SERVICE_CYCLES: u64 = STEPS_PER_SESSION * WCDMA_JOB_CYCLES;
@@ -168,16 +166,12 @@ pub struct Frontend {
     // Sessions submitted to the pool and not yet handed back.
     in_flight: usize,
     lot: ParkingLot,
-    // Records that bounced during the current materialisation pass; they
-    // re-enter the lot when it ends (module docs, ordering 2). Kept
-    // between passes so a bounce allocates nothing of its own.
-    bounced: Vec<ParkedSession>,
     metrics: Arc<Metrics>,
     // Virtual-time queueing model: one entry per array, the cycle at
     // which that virtual server frees up.
     free_at: Vec<u64>,
     // Modeled completion cycle per in-progress frame (terminal id →
-    // virtual completion); survives backpressure re-parks. Ids need not
+    // virtual completion). Ids need not
     // be unique (a closed loop re-admits the same terminal): two frames
     // of one id in progress at once share the entry, so the earlier one
     // reports the later one's modeled completion to the workload hook
@@ -232,7 +226,6 @@ impl Frontend {
             pool,
             in_flight: 0,
             lot: ParkingLot::with_capacity(config.parking_capacity),
-            bounced: Vec::new(),
             metrics,
             free_at: vec![0; config.shards * config.arrays_per_shard],
             vcomp: HashMap::new(),
@@ -270,13 +263,11 @@ impl Frontend {
         self.in_flight
     }
 
-    /// The effective materialisation window: `max_resident` clamped to
-    /// what the pool's queues can hold, so a record is rehydrated only
-    /// when the pool has a slot for it.
+    /// The materialisation window: at most 64 sessions in flight, and
+    /// never more than the pool's queues can hold, so a record is
+    /// rehydrated only when the pool has a slot for it.
     pub fn window(&self) -> usize {
-        self.config
-            .max_resident
-            .clamp(1, self.pool.queue_capacity())
+        self.pool.queue_capacity().min(MAX_WINDOW)
     }
 
     /// Parking-lot heap bytes per parked record; `None` while empty.
@@ -288,14 +279,14 @@ impl Frontend {
     /// has ready (completions, closed-loop re-admissions, next-step
     /// resubmissions), then materialise parked records into what is left
     /// of the window — in that order, see the module docs. Returns the
-    /// amount of progress made: hand-backs folded, sessions the pool
-    /// accepted and records shed, never a bounce (0 = fully stalled; block
-    /// via the pool or call again after external action).
+    /// amount of progress made: hand-backs folded, sessions submitted and
+    /// records shed (0 = fully stalled; block via the pool or call again
+    /// after external action).
     pub fn pump(&mut self, workload: &mut impl Workload) -> usize {
         let mut progress = 0;
-        // Hand-backs before parked records (module docs, ordering 1): a
-        // stepped session re-takes the queue slot its completion freed
-        // instead of being re-parked and replaying its capture.
+        // Hand-backs before parked records (module docs): a stepped
+        // session re-takes the queue slot its completion freed before a
+        // parked record can.
         while let Some(session) = self.pool.try_recv() {
             self.fold(session, workload);
             progress += 1;
@@ -320,8 +311,8 @@ impl Frontend {
             let progress = self.pump(workload);
             if self.frames_completed >= limit {
                 // Finish the already-materialised window: each session in
-                // flight runs to a terminal state or bounces back into
-                // the lot, so nothing is left half-stepped.
+                // flight runs to a terminal state, so nothing is left
+                // half-stepped.
                 while self.in_flight > 0 {
                     self.wait_fold(workload);
                 }
@@ -331,12 +322,10 @@ impl Frontend {
                 break;
             }
             if progress == 0 {
-                // No hand-back and no record accepted: the window is full,
-                // the lot is empty or every pop bounced off a full shard,
-                // and something is in flight in each case (an empty lot
-                // with nothing in flight ended the loop above, and an empty
-                // pool refuses nothing). Only a pool completion can change
-                // that.
+                // No hand-back and no record submitted: the window is full
+                // or the lot is empty, and something is in flight either
+                // way (an empty lot with nothing in flight ended the loop
+                // above). Only a pool completion can change that.
                 self.wait_fold(workload);
             }
         }
@@ -368,9 +357,7 @@ impl Frontend {
         self.in_flight -= 1;
         session.resolve_crash(self.config.recovery.max_session_attempts, &self.metrics);
         if !session.is_terminal() {
-            if let Some(record) = self.submit(session) {
-                self.lot.park(record);
-            }
+            self.submit(session);
             return;
         }
         self.frames_completed += 1;
@@ -389,36 +376,26 @@ impl Frontend {
         }
     }
 
-    /// Submits a session for one pipeline step. The window keeps
-    /// `in_flight` below the pool's total capacity, so only the target
-    /// shard's own queue can refuse (static placement; the affinity router
-    /// never picks a full shard while another has room). The refused
-    /// session shrinks back to a parked record with a deferred deadline,
-    /// returned for the caller to put in the lot. No thread blocks here.
-    fn submit(&mut self, session: Session) -> Option<ParkedSession> {
-        let Err(refused) = self.pool.submit(session) else {
-            self.in_flight += 1;
-            return None;
-        };
-        // Only non-terminal sessions are submitted, and those always park.
-        let mut record = refused.into_session().park()?;
-        record.defer(DEFER_CYCLES);
-        Metrics::incr(&self.metrics.backpressure_parks);
-        Some(record)
+    /// Submits a session for one pipeline step. The credit window means the
+    /// pool has room for it (module docs), so a refusal is a defect.
+    fn submit(&mut self, session: Session) {
+        if let Err(refused) = self.pool.submit(session) {
+            panic!(
+                "the pool refused a session with {} of a {}-session window in flight: {refused}",
+                self.in_flight,
+                self.window()
+            );
+        }
+        self.in_flight += 1;
     }
 
     /// Rehydrates earliest-deadline parked records into the free part of
     /// the materialisation window, charging the virtual-time model (and
     /// shedding hopeless frames) for fresh ones. Returns the records it
-    /// shed or the pool accepted; a bounce is not progress.
+    /// shed or submitted.
     fn materialise(&mut self) -> usize {
-        let mut progress = 0;
-        // The credit: one pop per free slot of the window, counted here. A
-        // bounce spends its credit like a submission does, and bounced
-        // records are held back until the pass ends (module docs,
-        // ordering 2), so a pass over a full shard terminates.
-        let mut room = self.window().saturating_sub(self.in_flight);
-        while room > 0 {
+        let (mut progress, window) = (0, self.window());
+        while self.in_flight < window {
             let Some(record) = self.lot.pop_earliest() else {
                 break;
             };
@@ -441,16 +418,9 @@ impl Frontend {
                     .push(record.deadline() as i64 - completes as i64);
                 self.vcomp.insert(record.id(), completes);
             }
-            let session = Session::rehydrate(&record);
             Metrics::incr(&self.metrics.rehydrations);
-            match self.submit(session) {
-                None => progress += 1,
-                Some(record) => self.bounced.push(record),
-            }
-            room -= 1;
-        }
-        for record in self.bounced.drain(..) {
-            self.lot.park(record);
+            self.submit(Session::rehydrate(&record));
+            progress += 1;
         }
         progress
     }
@@ -500,9 +470,9 @@ mod tests {
         let mut fe = Frontend::new(EngineConfig {
             shards: 2,
             queue_depth: 4,
-            max_resident: 8,
             ..EngineConfig::default()
         });
+        assert_eq!(fe.window(), 8, "the pool's two four-deep queues");
         for id in 0..10u64 {
             let rec = if id % 2 == 0 {
                 ParkedSession::new_wcdma(id, 1000 + id, id * 500)
@@ -520,14 +490,10 @@ mod tests {
         assert!(summary.shed.is_empty());
         assert_eq!(summary.peak_parked, 10);
         assert!(summary.peak_resident >= 10);
-        // 10 first materialisations, plus one more per backpressure
-        // bounce. The window (8) is the pool's capacity and the affinity
-        // router fills whichever shard has room, so none is expected; the
-        // identity holds either way.
-        assert_eq!(
-            summary.snapshot.rehydrations,
-            10 + summary.snapshot.backpressure_parks
-        );
+        // One materialisation per frame: the window is credit the pool
+        // can always honour, so nothing is refused or parked again.
+        assert_eq!(summary.snapshot.rehydrations, 10);
+        assert_eq!(summary.snapshot.jobs_rejected, 0);
         assert_eq!(summary.snapshot.sessions_completed, 10);
     }
 
@@ -612,9 +578,11 @@ mod tests {
     #[test]
     fn run_limited_leaves_the_rest_parked() {
         let mut fe = Frontend::new(EngineConfig {
-            max_resident: 2,
+            shards: 1,
+            queue_depth: 2,
             ..EngineConfig::default()
         });
+        assert_eq!(fe.window(), 2);
         for id in 0..50u64 {
             fe.admit(ParkedSession::new_ofdm(id, id, id * 100));
         }

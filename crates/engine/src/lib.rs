@@ -9,12 +9,13 @@
 //! * [`session`] — per-terminal state machines (W-CDMA rake acquisition,
 //!   802.11a preamble detect → demodulate on the Fig. 10 configurations
 //!   2a and 2b);
-//! * [`pool`] — bounded-queue worker shards with `WouldBlock`
-//!   backpressure and one dispatch policy for every shard size: the most
+//! * [`pool`] — bounded-queue worker shards with one dispatch policy for
+//!   every shard size: the most
 //!   urgent session (earliest deadline first) steps on the member that
 //!   holds its kernel, and a configuration stays resident until placement
 //!   pressure evicts it;
-//! * [`router`] — residency-affinity placement and cross-shard stealing;
+//! * [`router`] — residency-affinity placement and cross-shard stealing,
+//!   the only placement and always on (stealing needs two shards);
 //! * [`config_manager`] — the configuration-manager subsystem: a
 //!   [`KernelSpec`] registry of array kernels, a **process-wide**
 //!   compile-once store of pre-compiled, pre-placed configurations (each
@@ -31,9 +32,9 @@
 //! run and eviction. Terminals are admitted as compact parked records,
 //! rehydrated into a window no wider than the shard queues can hold, and
 //! each hand-back is resubmitted until the session reaches a terminal
-//! state; the one shard queue that can still fill (static placement)
-//! re-parks the session instead of blocking a thread. The
-//! run is *supervised*: a worker panic restarts that shard with a fresh
+//! state. That credit window is the only flow control: the router always
+//! finds a shard with room, so no submission is refused and no thread
+//! blocks. The run is *supervised*: a worker panic restarts that shard with a fresh
 //! array and the session is re-dispatched (bounded by
 //! [`RecoveryPolicy::max_session_attempts`], then dead-lettered), and a
 //! frame whose modeled completion is hopelessly late is shed at admission
@@ -69,7 +70,7 @@ pub use frontend::{Frontend, FrontendConfig, ScaleSummary};
 pub use metrics::{KernelKind, Metrics, Snapshot};
 pub use pool::{PoolConfig, ShardPool, SubmitError, WorkerArray};
 pub use router::{
-    AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus, StaticPlacement,
-    StealOffer, StealRegistry,
+    AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus, StealOffer,
+    StealRegistry,
 };
 pub use session::{ParkedSession, Session, SessionState, Standard};

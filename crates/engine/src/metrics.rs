@@ -111,7 +111,9 @@ counters! {
     sessions_failed,
     /// Jobs executed by workers.
     jobs_run,
-    /// Submissions rejected with `WouldBlock` (shard queue full).
+    /// Submissions rejected with `WouldBlock` (every shard queue full);
+    /// only a direct [`ShardPool::submit`](crate::ShardPool::submit) can
+    /// meet one, never the front-end.
     jobs_rejected,
     /// Explicit Fig. 10 swaps that unloaded their source
     /// ([`WorkerArray::swap`](crate::WorkerArray::swap) only) — inert in
@@ -171,11 +173,11 @@ counters! {
     /// materialised in-flight sessions) — the front-end's headline
     /// capacity number.
     peak_resident_sessions,
-    /// Parked records rehydrated into full sessions (frame/slot arrivals
-    /// plus backpressure re-tries).
+    /// Parked records rehydrated into full sessions: one per frame.
     rehydrations,
-    /// Sessions parked instead of blocking a submitter thread when their
-    /// shard queue was full (`WouldBlock` backpressure).
+    /// Always 0: the front-end never re-parks a session (its credit window
+    /// leaves the pool nothing to refuse); the frozen benchmark reads it;
+    /// E(2) deletes it.
     backpressure_parks,
     /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
     /// deletes it.

@@ -1,13 +1,14 @@
 //! Sharded worker pool: each shard owns one simulated XPP array, or a
 //! *gang* of them.
 //!
-//! Terminal sessions are submitted to the shard the configured
-//! [`Placement`] picks: by default the [`AffinityRouter`], which prefers a
-//! shard with queue room that already holds the session's next kernel;
-//! [`PlacementPolicy::Static`] (`id % shards`, the seed's sticky hash) is
-//! kept as the golden oracle. Each shard has a *bounded* queue: a full
-//! shard rejects the submission with [`SubmitError::WouldBlock`] instead
-//! of buffering unboundedly, which is the engine's backpressure signal.
+//! Terminal sessions are submitted to the shard the [`AffinityRouter`]
+//! picks: a shard with queue room that already holds the session's next
+//! kernel, else the least-loaded shard with room. Each shard has a
+//! *bounded* queue: a full shard rejects the submission with
+//! [`SubmitError::WouldBlock`] instead of buffering unboundedly. The
+//! front-end never sees that refusal: its credit window keeps fewer
+//! sessions in flight than the queues hold, so the router always finds a
+//! shard with room ([`frontend`](crate::frontend)).
 //! Shards drain their queue into a deadline-ordered heap and always run
 //! the most urgent session next (EDF dispatch, the runtime counterpart of
 //! `sdr_core::scheduler::schedule_edf`).
@@ -83,8 +84,7 @@ use crate::config::{EngineConfig, RecoveryPolicy};
 use crate::config_manager::{ConfigManager, ConfigStore, KernelSpec};
 use crate::metrics::{KernelKind, Metrics};
 use crate::router::{
-    AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus, StaticPlacement,
-    StealOffer, StealRegistry,
+    AffinityRouter, Placement, ResidencyView, ShardStatus, StealOffer, StealRegistry,
 };
 use crate::session::Session;
 
@@ -361,26 +361,17 @@ pub type PoolConfig = EngineConfig;
 /// caller can retry or reroute it.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The target shard's queue is full — backpressure.
-    WouldBlock(Session),
+    /// The queue of the shard the router picked (the `usize`) is full.
+    WouldBlock(Session, usize),
     /// The pool has been shut down.
     Shutdown(Session),
-}
-
-impl SubmitError {
-    /// Recovers the rejected session regardless of the rejection reason.
-    pub fn into_session(self) -> Session {
-        match self {
-            SubmitError::WouldBlock(s) | SubmitError::Shutdown(s) => s,
-        }
-    }
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::WouldBlock(s) => {
-                write!(f, "shard queue full for session {}", s.id())
+            SubmitError::WouldBlock(s, shard) => {
+                write!(f, "shard {shard}'s queue full for session {}", s.id())
             }
             SubmitError::Shutdown(s) => {
                 write!(f, "pool shut down; session {} rejected", s.id())
@@ -447,7 +438,7 @@ pub struct ShardPool {
     metrics: Arc<Metrics>,
     queue_depth_limit: usize,
     view: Arc<ResidencyView>,
-    placement: Box<dyn Placement>,
+    router: AffinityRouter,
 }
 
 impl ShardPool {
@@ -511,10 +502,8 @@ impl ShardPool {
         ));
         // Stealing is a cross-shard mechanism: with one shard there is
         // nobody to steal from, so the registry (and the idle polling it
-        // requires) is skipped entirely and the seed path is bit-identical
-        // to the pre-router pool.
-        let steal: Option<Arc<StealRegistry>> =
-            (config.work_stealing && config.shards > 1).then(|| Arc::new(StealRegistry::new()));
+        // requires) is skipped entirely.
+        let steal = (config.shards > 1).then(|| Arc::new(StealRegistry::new()));
         let mut shards = Vec::with_capacity(config.shards);
         for (shard, depth) in depths.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Session>(config.queue_depth);
@@ -528,7 +517,6 @@ impl ShardPool {
                 gang: config.arrays_per_shard,
                 status: Arc::clone(&statuses[shard]),
                 steal: steal.clone(),
-                steal_threshold: config.steal_threshold.max(1),
                 #[cfg(feature = "faults")]
                 injector: injector.clone(),
             };
@@ -545,31 +533,15 @@ impl ShardPool {
                 depth,
             });
         }
-        let placement: Box<dyn Placement> = match config.placement {
-            PlacementPolicy::Static => Box::new(StaticPlacement {
-                shards: config.shards,
-            }),
-            PlacementPolicy::Affinity => {
-                Box::new(AffinityRouter::new(Arc::clone(&view), Arc::clone(&metrics)))
-            }
-        };
         ShardPool {
             shards,
             driver,
             results,
+            router: AffinityRouter::new(Arc::clone(&view), Arc::clone(&metrics)),
             metrics,
             queue_depth_limit: config.queue_depth,
             view,
-            placement,
         }
-    }
-
-    /// The shard the *static* policy maps a session to (sticky affinity
-    /// by id) — the seed placement, kept as the oracle the router-golden
-    /// suite compares against. The live routing decision is made by
-    /// [`submit`](ShardPool::submit) through the configured [`Placement`].
-    pub fn shard_of(&self, session: &Session) -> usize {
-        (session.id() % self.shards.len() as u64) as usize
     }
 
     /// The global residency view the router reads (and shards publish
@@ -578,21 +550,20 @@ impl ShardPool {
         &self.view
     }
 
-    /// Submits a session to the shard the configured [`Placement`]
-    /// picks, without blocking.
+    /// Submits a session to the shard the [`AffinityRouter`] picks,
+    /// without blocking.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::WouldBlock`] hands the session back when the shard
+    /// [`SubmitError::WouldBlock`] hands the session back when every shard
     /// queue is full; [`SubmitError::Shutdown`] when the pool is closed.
     // The error variants carry the rejected `Session` back to the caller by
     // design, so the Err side is as large as a session.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, session: Session) -> Result<usize, SubmitError> {
         let shard = self
-            .placement
-            .place(session.next_kernel().as_ref(), session.id())
-            .min(self.shards.len() - 1);
+            .router
+            .place(session.next_kernel().as_ref(), session.id());
         let handle = &self.shards[shard];
         let Some(queue) = handle.queue.as_ref() else {
             return Err(SubmitError::Shutdown(session));
@@ -617,7 +588,7 @@ impl ShardPool {
             Err(TrySendError::Full(s)) => {
                 handle.depth.fetch_sub(1, Ordering::Relaxed);
                 Metrics::incr(&self.metrics.jobs_rejected);
-                Err(SubmitError::WouldBlock(s))
+                Err(SubmitError::WouldBlock(s, shard))
             }
             Err(TrySendError::Disconnected(s)) => {
                 handle.depth.fetch_sub(1, Ordering::Relaxed);
@@ -751,11 +722,10 @@ struct WorkerSeed {
     gang: usize,
     /// This shard's cell in the global residency view (publish side).
     status: Arc<ShardStatus>,
-    /// Cross-shard steal registry; `None` when stealing is disabled (or
-    /// the pool has a single shard), which keeps the thread driver's idle
-    /// path on the seed's blocking receive.
+    /// Cross-shard steal registry; `None` when the pool has a single
+    /// shard, which keeps the thread driver's idle path on a blocking
+    /// receive.
     steal: Option<Arc<StealRegistry>>,
-    steal_threshold: usize,
     #[cfg(feature = "faults")]
     injector: Option<Arc<FaultInjector>>,
 }
@@ -782,6 +752,10 @@ impl WorkerSeed {
 /// long enough for an idle peer's next poll to land, short enough that a
 /// quiet pool reclaims promptly.
 const WITHDRAW_GRACE_POLLS: u32 = 3;
+
+/// Pending sessions a shard must hold in its EDF heap beyond which it
+/// exposes the latest-deadline half to thieves.
+const STEAL_THRESHOLD: usize = 8;
 
 /// Gang-routing saturation threshold, in array cycles: a hot kernel is
 /// replicated onto an additional member once the least busy of its warm
@@ -985,14 +959,14 @@ impl Shard {
     }
 
     /// The victim side of the steal protocol: a shard whose EDF heap is
-    /// over the threshold exposes its *latest-deadline half* — the work it
+    /// over `STEAL_THRESHOLD` exposes its *latest-deadline half* — the work it
     /// would get to last — for an idle shard to claim. One offer at a time
     /// per shard; the most urgent half always stays home.
     fn offer_latest_half(&mut self) {
         let Some(steal) = self.seed.steal.as_deref() else {
             return;
         };
-        if self.heap.len() <= self.seed.steal_threshold || steal.has_offer_from(self.seed.shard) {
+        if self.heap.len() <= STEAL_THRESHOLD || steal.has_offer_from(self.seed.shard) {
             return;
         }
         // `into_sorted_vec` sorts ascending by the reversed EDF `Ord`, so
@@ -1215,7 +1189,6 @@ mod tests {
             gang,
             status: Arc::new(ShardStatus::new(depth)),
             steal,
-            steal_threshold: 2,
             #[cfg(feature = "faults")]
             injector: None,
         };
@@ -1292,7 +1265,7 @@ mod tests {
     fn a_closed_shard_runs_what_it_held_and_withdraws_its_offers() {
         let registry = Arc::new(StealRegistry::new());
         let (mut shard, inbox, results) = test_shard(1, Some(Arc::clone(&registry)));
-        for id in 0..6 {
+        for id in 0..12 {
             shard.seed.depth.fetch_add(1, Ordering::Relaxed);
             inbox.send(Session::wcdma(id, 40 + id)).unwrap();
         }
@@ -1300,19 +1273,18 @@ mod tests {
         assert!(matches!(shard.step(), Round::Progress));
         assert!(
             registry.has_offer_from(0),
-            "six queued over a threshold of two: the latest-deadline half is on offer"
+            "twelve queued over a threshold of eight: the latest-deadline half is on offer"
         );
         let mut rounds = 1;
         while !matches!(shard.step(), Round::Closed) {
             rounds += 1;
         }
-        // Six sessions at one per round, plus two that only took an offer
-        // back: the three first exposed, then — three being over the
-        // threshold again — the one re-exposed.
-        assert_eq!(rounds, 8);
+        // Twelve sessions at one per round, plus one that only took the
+        // six it had exposed back.
+        assert_eq!(rounds, 13);
         assert!(registry.is_empty(), "nothing left for a thief to strand");
-        assert_eq!(results.try_iter().count(), 6, "each session stepped once");
-        assert_eq!(shard.seed.metrics.snapshot().jobs_run, 6);
+        assert_eq!(results.try_iter().count(), 12, "each session stepped once");
+        assert_eq!(shard.seed.metrics.snapshot().jobs_run, 12);
         assert_eq!(shard.seed.depth.load(Ordering::Relaxed), 0);
         assert!(matches!(shard.step(), Round::Closed), "and stays closed");
     }

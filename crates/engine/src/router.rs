@@ -12,15 +12,16 @@
 //!   publish side uses `try_lock` so dispatch never blocks on a reader,
 //!   and readers only ever take a lock a writer holds for the
 //!   microseconds it takes to copy a handful of config names.
-//! * [`Placement`] — the routing policy behind
-//!   [`ShardPool::submit`](crate::pool::ShardPool::submit).
-//!   [`StaticPlacement`] is the seed's sticky `id % shards` hash, kept
-//!   as the golden oracle; [`AffinityRouter`] routes a session to the
-//!   shard whose gang already holds its next [`KernelSpec`] (falling
-//!   back to least-loaded), so admissions and rehydrated parked sessions
-//!   land
-//!   where their configuration is warm.
-//! * [`StealRegistry`] — cross-shard work stealing. A saturated shard
+//! * [`AffinityRouter`] — the placement behind
+//!   [`ShardPool::submit`](crate::pool::ShardPool::submit): it routes a
+//!   session to the shard whose gang already holds its next
+//!   [`KernelSpec`] and has queue room (falling back to the least-loaded
+//!   shard with room), so admissions and resubmitted steps land where
+//!   their configuration is warm. The front-end's credit window keeps the
+//!   sessions in flight below the pool's total queue capacity, so some
+//!   shard always has room and the router never picks a full one.
+//! * [`StealRegistry`] — cross-shard work stealing, on whenever the pool
+//!   has more than one shard. A shard holding more than eight sessions
 //!   exposes the latest-deadline half of its heap as a [`StealOffer`]; an
 //!   idle shard claims it and runs it directly. The steal path recompiles
 //!   nothing: the process-wide
@@ -36,16 +37,11 @@ use crate::config_manager::KernelSpec;
 use crate::metrics::Metrics;
 use crate::session::Session;
 
-/// Which routing policy [`ShardPool::submit`](crate::pool::ShardPool::submit)
-/// uses to place sessions on shards.
+/// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
+/// Its one variant names the only placement, the [`AffinityRouter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
-    /// The seed behaviour: sticky `session id % shards` hashing. Kept as
-    /// the golden oracle for the routed path.
-    Static,
-    /// Residency-affinity routing over the global [`ResidencyView`]:
-    /// prefer the shard already holding the session's next kernel, fall
-    /// back to the least-loaded shard (the default).
+    /// Residency-affinity routing over the global [`ResidencyView`].
     #[default]
     Affinity,
 }
@@ -166,7 +162,7 @@ impl ResidencyView {
 
     /// The least-loaded shard: minimum (depth, busy cycles, index) among
     /// shards with queue room, or over all shards when everything is
-    /// full (the submit will then surface `WouldBlock` backpressure).
+    /// full (the submit then refuses with `WouldBlock`).
     pub fn least_loaded(&self) -> usize {
         let with_room = (0..self.shards.len())
             .filter(|&i| self.shards[i].queue_depth() < self.queue_limit)
@@ -191,25 +187,12 @@ impl ResidencyView {
     }
 }
 
-/// The placement policy behind [`ShardPool::submit`](crate::pool::ShardPool::submit):
-/// maps a session (its next kernel and id) to a shard index.
+/// Maps a session (its next kernel and id) to a shard index. The
+/// [`AffinityRouter`] is its one implementation; the frozen benchmark
+/// package calls `place` through it, and ROADMAP E(2) deletes it.
 pub trait Placement: Send + Sync {
     /// Picks the shard for a session about to be submitted.
     fn place(&self, next_kernel: Option<&KernelSpec>, session_id: u64) -> usize;
-}
-
-/// The seed placement: sticky `session id % shards` hashing. Retained as
-/// the oracle the router-golden suite pins the routed path against.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticPlacement {
-    /// Number of shards to hash over.
-    pub shards: usize,
-}
-
-impl Placement for StaticPlacement {
-    fn place(&self, _next_kernel: Option<&KernelSpec>, session_id: u64) -> usize {
-        (session_id % self.shards.max(1) as u64) as usize
-    }
 }
 
 /// Residency-affinity routing over the global [`ResidencyView`].
@@ -332,14 +315,6 @@ mod tests {
             .map(|d| Arc::new(ShardStatus::new(Arc::clone(d))))
             .collect();
         (Arc::new(ResidencyView::new(cells, queue_limit)), depths)
-    }
-
-    #[test]
-    fn static_placement_is_the_seed_hash() {
-        let p = StaticPlacement { shards: 4 };
-        for id in 0..32u64 {
-            assert_eq!(p.place(None, id), (id % 4) as usize);
-        }
     }
 
     #[test]

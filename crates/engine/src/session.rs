@@ -363,7 +363,6 @@ impl Session {
             stage,
             carry: self.carry,
             standard: self.standard(),
-            backoff: 0,
             attempts: self.attempts.min(u8::MAX as u32) as u8,
         })
     }
@@ -397,7 +396,7 @@ impl Session {
 /// The compact parked form of a waiting terminal: what the front-end's
 /// parking lot stores instead of a full sample-buffer-bearing
 /// [`Session`]. A few dozen bytes — id, seed, deadline, the stage-table
-/// row it resumes into, the carry word and backoff/attempt counters — so
+/// row it resumes into, the carry word and the crash-attempt counter — so
 /// millions of terminals can be resident while only the materialised few
 /// own sample buffers. See [`Session::park`] / [`Session::rehydrate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,9 +413,6 @@ pub struct ParkedSession {
     /// delay (W-CDMA), the coarse preamble timing (OFDM).
     carry: u32,
     standard: Standard,
-    /// Times the session bounced off a full shard queue and was re-parked
-    /// (backpressure deferrals).
-    backoff: u8,
     /// Crash re-dispatch attempts carried across the park.
     attempts: u8,
 }
@@ -430,7 +426,6 @@ impl ParkedSession {
             stage: 0,
             carry: 0,
             standard,
-            backoff: 0,
             attempts: 0,
         }
     }
@@ -478,23 +473,10 @@ impl ParkedSession {
     }
 
     /// True when the record is a fresh, never-materialised terminal (no
-    /// pipeline progress, no backpressure bounces) — the only kind the
-    /// front-end's admission model charges for.
+    /// pipeline progress) — the only kind the front-end's admission model
+    /// charges for.
     pub fn is_fresh(&self) -> bool {
-        self.backoff == 0 && self.stage == 0
-    }
-
-    /// Backpressure deferrals so far.
-    pub fn backoff(&self) -> u8 {
-        self.backoff
-    }
-
-    /// Defers the wake deadline by `cycles` and records one backpressure
-    /// bounce — called instead of blocking a submitter thread when the
-    /// shard queue is full.
-    pub fn defer(&mut self, cycles: u64) {
-        self.deadline = self.deadline.saturating_add(cycles);
-        self.backoff = self.backoff.saturating_add(1);
+        self.stage == 0
     }
 }
 
@@ -887,16 +869,12 @@ mod tests {
     }
 
     #[test]
-    fn fresh_parked_records_defer_and_track_backoff() {
-        let mut p = ParkedSession::new_wcdma(3, 42, 1_000);
+    fn fresh_parked_records_are_due_one_period_after_arrival() {
+        let p = ParkedSession::new_wcdma(3, 42, 1_000);
         assert_eq!(p.arrival(), 1_000);
         assert_eq!(p.deadline(), 1_000 + WCDMA_PERIOD_CYCLES);
         assert_eq!(p.standard(), Standard::Wcdma);
         assert!(p.is_fresh());
-        p.defer(500);
-        assert_eq!(p.backoff(), 1);
-        assert!(!p.is_fresh(), "a bounced record is no longer model-fresh");
-        assert_eq!(p.deadline(), 1_000 + WCDMA_PERIOD_CYCLES + 500);
 
         // Rehydrating a fresh record yields a session at Idle with the
         // parked deadline.
@@ -966,8 +944,8 @@ mod tests {
     }
 
     /// Every row of both stage tables: a park → rehydrate round trip lands
-    /// on the same row with the same scheduling words, and only an
-    /// un-bounced row-0 record is fresh.
+    /// on the same row with the same scheduling words, and only a row-0
+    /// record is fresh.
     #[test]
     fn park_and_rehydrate_agree_at_every_table_row() {
         type Maker = fn(u64, u64) -> Session;
@@ -981,9 +959,6 @@ mod tests {
             for row in 0..3 {
                 let parked = s.park().expect("non-terminal sessions park");
                 assert_eq!(parked.is_fresh(), row == 0, "row {row}");
-                let mut bounced = parked;
-                bounced.defer(100);
-                assert!(!bounced.is_fresh(), "row {row}: a bounced record is stale");
 
                 let back = Session::rehydrate(&parked);
                 assert_eq!(back.standard(), s.standard());

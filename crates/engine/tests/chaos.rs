@@ -11,13 +11,13 @@ use common::{
     chaos_plan, mixed_records, quiet_injected_panics, run_to_completion, skewed_records,
     under_both_drivers, Driver,
 };
-use sdr_engine::{EngineConfig, PlacementPolicy, RecoveryPolicy, Session, SessionState};
+use sdr_engine::{EngineConfig, ParkedSession, RecoveryPolicy, Session, SessionState};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// What a chaos row reads in lockstep, where the load order — and so
 /// which load each planned fault strikes — is the same every run: faults
-/// injected, recoveries, worker restarts, dead letters, re-parks.
-type Ledger = [u64; 5];
+/// injected, recoveries, worker restarts, dead letters.
+type Ledger = [u64; 4];
 
 /// One full chaos run: seeded recoverable faults plus an explicit worker
 /// panic, every invariant checked.
@@ -26,13 +26,11 @@ fn chaos_run(seed: u64, exact: Ledger) {
 }
 
 /// Same invariants, parameterised over the shard gang size so gang shards
-/// run under the identical fault ledger checks, with or
-/// without backpressure, under both drivers. Without backpressure, 16-deep
-/// queues hold the whole workload. With, every id is even and placement is
-/// static, so shard 0's two-deep queue takes all 24 frames under a window
-/// of 4: frames bounce, re-park and rehydrate while the plan strikes. In
-/// lockstep the first two bounce before the pool has run a round, since a
-/// lockstep pool steps nothing until `recv`.
+/// run under the identical fault ledger checks, with or without
+/// backpressure, under both drivers. Without backpressure, 16-deep queues
+/// hold the whole workload. With, two-deep queues make a window of 4 for
+/// 24 frames whose ids are all even, so crash retries re-enter a pool the
+/// credit window keeps full — and the pool must still refuse nothing.
 fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact: Ledger) {
     quiet_injected_panics();
     let plan = chaos_plan(seed, 6, 8);
@@ -52,7 +50,6 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
         (
             EngineConfig {
                 queue_depth: 2,
-                placement: PlacementPolicy::Static,
                 ..config
             },
             skewed_records(24, 2),
@@ -108,14 +105,18 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
             snap.sessions_completed, summary.done,
             "seed {seed}: completion counter drift"
         );
+        assert_eq!(
+            (snap.jobs_rejected, snap.backpressure_parks),
+            (0, 0),
+            "seed {seed}: the pool refused the driver: {snap}"
+        );
         if driver == Driver::Lockstep {
             assert_eq!(
                 [
                     snap.faults_injected,
                     snap.recoveries,
                     snap.worker_restarts,
-                    snap.dead_letters,
-                    snap.backpressure_parks
+                    snap.dead_letters
                 ],
                 exact,
                 "seed {seed}: {snap}"
@@ -126,31 +127,31 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
 
 #[test]
 fn chaos_seed_1() {
-    chaos_run(1, [6, 6, 1, 0, 0]);
+    chaos_run(1, [6, 6, 1, 0]);
 }
 
 #[test]
 fn chaos_seed_2() {
-    chaos_run(2, [5, 5, 1, 0, 0]);
+    chaos_run(2, [5, 5, 1, 0]);
 }
 
 #[test]
 fn chaos_seed_3() {
-    chaos_run(3, [5, 5, 1, 0, 0]);
+    chaos_run(3, [5, 5, 1, 0]);
 }
 
-/// Chaos under backpressure: one two-deep shard queue under a window of
-/// 4, so the ledger is checked while frames bounce, re-park and rehydrate
-/// — crash retries included, since a crashed session re-enters through
-/// the same full queue.
+/// Chaos under backpressure: two two-deep shard queues, a window of 4 and
+/// 24 frames, so the ledger is checked while the driver keeps the pool
+/// full — crash retries included, since a crashed session re-enters
+/// through the same credit.
 #[test]
 fn chaos_backpressure_seed_1() {
-    chaos_run_full(1, 1, true, [6, 6, 1, 0, 6]);
+    chaos_run_full(1, 1, true, [6, 6, 1, 0]);
 }
 
 #[test]
 fn chaos_backpressure_gang_seed_1() {
-    chaos_run_full(1, 3, true, [6, 6, 1, 0, 6]);
+    chaos_run_full(1, 3, true, [6, 6, 1, 0]);
 }
 
 /// Gang shards under chaos: crash containment rebuilds only the struck
@@ -158,12 +159,12 @@ fn chaos_backpressure_gang_seed_1() {
 /// the same way it does for single-array shards.
 #[test]
 fn chaos_gang_seed_1() {
-    chaos_run_full(1, 3, false, [6, 6, 1, 0, 0]);
+    chaos_run_full(1, 3, false, [6, 6, 1, 0]);
 }
 
 #[test]
 fn chaos_gang_seed_2() {
-    chaos_run_full(2, 3, false, [5, 5, 1, 0, 0]);
+    chaos_run_full(2, 3, false, [5, 5, 1, 0]);
 }
 
 /// Gang dispatch stays deterministic per seed: one shard owns the whole
@@ -379,28 +380,29 @@ fn faults_mid_replay_invalidate_and_recover() {
     });
 }
 
-/// Cross-shard stealing under fault injection: the whole offered load is
-/// statically pinned to shard 0 (every id is even), so shard 1 only ever
-/// works by claiming steal offers — and the planned worker panic strikes
-/// mid-run while that is happening. Stolen-away sessions must complete
-/// on the thief, crashed ones must re-dispatch or dead-letter, and the
-/// fault ledger (injected == detected ≤ recoveries + dead_letters) must
-/// reconcile exactly as it does without stealing. In lockstep: whether a
-/// thief's poll lands inside an offer's grace window is not a race there,
-/// so one cohort steals an exact number of offers.
+/// Cross-shard stealing under fault injection: 32 OFDM frames offered at
+/// once to two gangs of two, whose detections and demodulations the
+/// affinity router sends to the shard already holding their kernel. That
+/// holder's heap saturates and exposes its latest-deadline half, the other
+/// shard claims it — and the planned worker panic strikes mid-run while
+/// that is happening. Stolen-away sessions must complete on the thief,
+/// crashed ones must re-dispatch or dead-letter, and the fault ledger
+/// (injected == detected ≤ recoveries + dead_letters) must reconcile
+/// exactly as it does without stealing. In lockstep: whether a thief's
+/// poll lands inside an offer's grace window is not a race there, so the
+/// run steals an exact number of offers.
 #[test]
 fn steal_during_faults_keeps_the_ledger_intact() {
     quiet_injected_panics();
-    // The pinned shard's heap passes the threshold of four again and
-    // again, and each time exposes its latest-deadline half.
+    let records = (0..32)
+        .map(|id| ParkedSession::new_ofdm(id, 0x0FD + id, 0))
+        .collect();
     let (completed, summary) = run_to_completion(
         Driver::Lockstep,
         EngineConfig {
             shards: 2,
             arrays_per_shard: 2,
             queue_depth: 64,
-            placement: PlacementPolicy::Static,
-            steal_threshold: 4,
             recovery: RecoveryPolicy {
                 max_kernel_attempts: 4,
                 ..RecoveryPolicy::default()
@@ -408,19 +410,23 @@ fn steal_during_faults_keeps_the_ledger_intact() {
             fault_plan: Some(chaos_plan(11, 4, 6)),
             ..EngineConfig::default()
         },
-        skewed_records(16, 2),
+        records,
     );
 
     let snap = &summary.snapshot;
     assert_eq!(
-        (snap.batches_stolen, snap.steal_sessions),
-        (6, 28),
-        "offers shard 1 claimed from the pinned shard, and the session-steps in them: {snap}"
+        (
+            snap.batches_stolen,
+            snap.steal_sessions,
+            snap.array_makespan_cycles
+        ),
+        (2, 16, 6_672),
+        "offers claimed, the session-steps in them, and the makespan: {snap}"
     );
-    assert_eq!(completed.len(), 16);
+    assert_eq!(completed.len(), 32);
     assert_eq!(
         summary.done + summary.dead_lettered,
-        16,
+        32,
         "every session (stolen or not) must be accounted for"
     );
     assert_eq!(summary.failed, 0);

@@ -23,12 +23,10 @@ pub fn mixed_records(n: u64) -> Vec<ParkedSession> {
     skewed_records(n, 1)
 }
 
-/// The same alternating mix with every id a multiple of `shards`, so that
-/// [`PlacementPolicy::Static`](sdr_engine::PlacementPolicy) sends all of
-/// it to shard 0. The driver's credit window rules out a refusal by the
-/// pool as a whole; this is the refusal that is left — one full shard
-/// queue beside an idle one — and the suites that pin the re-park path
-/// offer it to two-deep queues.
+/// The same alternating mix with every id a multiple of `shards`: the
+/// stream an `id % shards` placement would pile onto shard 0. The affinity
+/// router places by kernel, not by id, and the suites offer it to check
+/// that no id pattern makes a shard refuse the driver.
 pub fn skewed_records(n: u64, shards: u64) -> Vec<ParkedSession> {
     (0..n)
         .map(|i| {
@@ -66,12 +64,6 @@ impl Driver {
 /// collecting each outcome through the completion hook, in completion
 /// order. Admission never sheds here: these suites pin what the *pool*
 /// does to a frame, so the virtual-time model must let every frame through.
-///
-/// A lockstep pool steps nothing until the driver's first `recv`, so the
-/// first two materialisation passes fill the queues exactly and bounce
-/// what a full shard refuses: that is how the backpressure rows get an
-/// exact re-park count. On the threads a shard may drain before the driver
-/// overfills it, so there the count is whatever the race gives.
 ///
 /// The summary's `snapshot` is read after [`Frontend::shutdown`], not at
 /// the end of `run`: a closing shard sweeps the fault records still

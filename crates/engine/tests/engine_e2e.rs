@@ -135,7 +135,9 @@ fn full_shard_returns_would_block() {
     assert!(pool.submit(Session::wcdma(1, 2)).is_ok());
     assert_eq!(pool.queue_depth(0), 2);
     match pool.submit(Session::wcdma(2, 3)) {
-        Err(SubmitError::WouldBlock(s)) => assert_eq!(s.id(), 2, "same session handed back"),
+        Err(SubmitError::WouldBlock(s, shard)) => {
+            assert_eq!((s.id(), shard), (2, 0), "same session handed back")
+        }
         other => panic!("expected WouldBlock, got {other:?}"),
     }
     assert_eq!(metrics.snapshot().jobs_rejected, 1);

@@ -1,22 +1,17 @@
-//! Front-end backpressure and determinism guarantees.
+//! Front-end flow control and determinism guarantees.
 //!
 //! 1. Flow control is by credit: the driver rehydrates a record only into
-//!    a free slot of `min(max_resident, pool capacity)`, so a 1×1 pool —
-//!    or any pool behind the affinity router — never refuses one, and each
-//!    frame is rehydrated exactly once.
-//! 2. The refusal that is left, `WouldBlock` from one full shard queue
-//!    under static placement, *parks* the session — no submitter thread
-//!    ever blocks. On a lockstep pool, which steps nothing until `recv`
-//!    and never advances in `pump`, the driver keeps returning from
-//!    `pump`, bouncing exactly the records it had credit for; `run` then
-//!    drains them all to completion, and the driver waits for a hand-back
-//!    between passes instead of spinning.
-//! 3. A seeded open-loop Poisson arrival run is bit-deterministic: two
+//!    a free slot of `min(64, shards × queue_depth)`, so the pool never
+//!    refuses one and each frame is rehydrated exactly once — on every
+//!    pool shape and queue depth, for a mixed stream, an all-OFDM burst
+//!    and ids an id-hashing placement would pile onto one shard, under
+//!    both drivers.
+//! 2. A seeded open-loop Poisson arrival run is bit-deterministic: two
 //!    executions produce identical outcome counts, shed lists, and
 //!    modeled slack vectors (the virtual-time admission model is a pure
 //!    function of the admission sequence, independent of real thread
 //!    scheduling).
-//! 4. Under overload that model is plain least-loaded admission: a
+//! 3. Under overload that model is plain least-loaded admission: a
 //!    512-terminal run at twice the modeled capacity sheds exactly the
 //!    frames, and reports exactly the slack, that a ten-line oracle over
 //!    the same records computes.
@@ -24,48 +19,26 @@
 mod common;
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use common::{mixed_records, skewed_records, under_both_drivers, Driver};
+use common::{mixed_records, skewed_records, under_both_drivers};
 use sdr_dsp::rng::Rng64;
 use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
-use sdr_engine::{EngineConfig, Metrics, ParkedSession, PlacementPolicy, Session, Standard};
+use sdr_engine::{EngineConfig, Metrics, ParkedSession, Session, Standard};
 
 fn open_loop(_: &Session, _: u64) -> Option<ParkedSession> {
     None
 }
 
-/// A 1×1 pool with a two-deep queue under an eight-wide `max_resident`:
-/// the shape on which the driver used to rehydrate, be refused and re-park
-/// thousands of times per completed frame.
-fn narrow_1x1() -> EngineConfig {
-    EngineConfig {
+#[test]
+fn the_window_offers_the_pool_only_what_it_can_take() {
+    let narrow_1x1 = EngineConfig {
         shards: 1,
         arrays_per_shard: 1,
         queue_depth: 2,
-        max_resident: 8,
         ..EngineConfig::default()
-    }
-}
-
-/// Two shards with two-deep queues under static placement, offered
-/// [`skewed_records`]: shard 0's queue takes everything, shard 1's half of
-/// the window (4) is credit the pool cannot honour.
-fn static_skew() -> EngineConfig {
-    EngineConfig {
-        shards: 2,
-        arrays_per_shard: 1,
-        queue_depth: 2,
-        max_resident: 8,
-        placement: PlacementPolicy::Static,
-        ..EngineConfig::default()
-    }
-}
-
-#[test]
-fn the_window_offers_the_pool_only_what_it_can_take() {
-    let mut fe = Frontend::lockstep(narrow_1x1(), Arc::new(Metrics::new()));
-    assert_eq!(fe.window(), 2, "max_resident 8 clamped to the one queue");
+    };
+    let mut fe = Frontend::lockstep(narrow_1x1, Arc::new(Metrics::new()));
+    assert_eq!(fe.window(), 2, "the one two-deep queue");
     for id in 0..6u64 {
         fe.admit(ParkedSession::new_wcdma(id, 100 + id, 0));
     }
@@ -74,112 +47,50 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
     let snapshot = fe.snapshot();
     assert_eq!((fe.materialised(), fe.parked()), (2, 4));
     assert_eq!(snapshot.rehydrations, 2, "one rehydration per queue slot");
-    assert_eq!(snapshot.backpressure_parks, 0);
     assert_eq!(snapshot.jobs_rejected, 0);
 
     let summary = fe.run(&mut open_loop);
     assert_eq!(summary.done, 6);
     assert_eq!(summary.snapshot.rehydrations, 6, "once per frame");
-    assert_eq!(summary.snapshot.backpressure_parks, 0);
 
-    under_both_drivers(&narrow_1x1(), &mixed_records(48), |driver, _, summary| {
-        assert_eq!(summary.done, 48, "{driver:?}");
-        assert_eq!(summary.snapshot.rehydrations, 48, "once per frame");
-        assert_eq!(summary.snapshot.backpressure_parks, 0);
-    });
-}
-
-#[test]
-fn would_block_parks_instead_of_blocking_the_submitter() {
-    let mut fe = Frontend::lockstep(static_skew(), Arc::new(Metrics::new()));
-    assert_eq!(fe.window(), 4);
-    for record in skewed_records(6, 2) {
-        fe.admit(record);
-    }
-
-    // Nothing has stepped yet, so shard 0's queue takes `queue_depth`
-    // submissions; the rest of the window must bounce and park. pump()
-    // must return promptly — if WouldBlock blocked the submitter this
-    // would hang forever.
-    let start = Instant::now();
-    fe.pump(&mut open_loop);
-    assert!(
-        start.elapsed().as_secs() < 5,
-        "pump blocked on a full shard queue"
-    );
-
-    let snapshot = fe.snapshot();
-    assert_eq!(snapshot.rehydrations, 4, "the window's worth, no more");
-    assert_eq!(
-        (snapshot.backpressure_parks, snapshot.jobs_rejected),
-        (2, 2),
-        "a window of 4 into a depth-2 queue bounces exactly 2, each a \
-         refusal by the shard: one pass bounces a record at most once"
-    );
-    assert_eq!(fe.materialised(), 2, "the queue's two slots are in flight");
-    assert_eq!(fe.parked(), 4, "bounced sessions sit in the parking lot");
-    assert!(snapshot.sessions_parked as usize == fe.parked());
-
-    // Every later pass has credit for the two slots shard 1 would hold
-    // and bounces exactly those, without blocking and without progress.
-    for pass in 2..=4u64 {
-        assert_eq!(fe.pump(&mut open_loop), 0, "a bounce is not progress");
-        assert_eq!(fe.snapshot().backpressure_parks, 2 * pass);
-        assert_eq!((fe.materialised(), fe.parked()), (2, 4));
-    }
-
-    // `run` steps the pool: everything drains to completion.
-    let summary = fe.run(&mut open_loop);
-    assert_eq!(summary.frames_completed, 6);
-    assert_eq!(summary.done, 6);
-    assert_eq!(summary.still_parked, 0);
-    assert_eq!(
-        (
-            summary.snapshot.rehydrations,
-            summary.snapshot.backpressure_parks
-        ),
-        (18, 12),
-        "one rehydration per frame and one per re-park"
-    );
-}
-
-/// The sleep: a pass that only bounced leaves `run` waiting for a
-/// hand-back. While a bounce counted as progress this shape spun through
-/// some 48,000 re-parks (1,000 per frame); waiting, it reads a few dozen.
-#[test]
-fn a_full_shard_is_waited_for_not_spun_on() {
-    const FRAMES: u64 = 48;
-    // `static_skew()`'s window: 2 shards × 2 slots under `max_resident` 8.
-    const WINDOW: u64 = 4;
-    // A pass follows a hand-back (3 per frame) or an accepted record and
-    // bounces at most window − queue_depth = 2 records, which caps the
-    // count near 820 however the threads race (measured: 11 to 250, the
-    // latter on an oversubscribed host). Twice `window × 3 × frames` is
-    // loose on purpose; a spin overshoots it forty-fold. In lockstep the
-    // driver runs a pass after every round, and the count is exact.
-    let bound = 2 * WINDOW * 3 * FRAMES;
-    under_both_drivers(
-        &static_skew(),
-        &skewed_records(FRAMES, 2),
-        |driver, outcomes, summary| {
-            assert_eq!(outcomes.len() as u64, FRAMES);
-            assert_eq!(summary.done, FRAMES);
-            let parks = summary.snapshot.backpressure_parks;
-            assert!(
-                parks <= bound,
-                "{driver:?}: {parks} re-parks over {FRAMES} frames (bound {bound}): the driver \
-                 is spinning on a full shard queue instead of waiting for a hand-back"
-            );
-            if driver == Driver::Lockstep {
-                assert_eq!(parks, 6, "re-parks in lockstep");
+    // The table: every shape and queue depth, three offered streams.
+    const FRAMES: u64 = 24;
+    let ofdm_burst: Vec<ParkedSession> = (0..FRAMES)
+        .map(|id| ParkedSession::new_ofdm(id, 0x0FD + id, 0))
+        .collect();
+    let workloads = [
+        ("mixed", mixed_records(FRAMES)),
+        ("ofdm burst", ofdm_burst),
+        ("skewed", skewed_records(FRAMES, 2)),
+    ];
+    for (shards, arrays_per_shard) in [(1, 1), (2, 1), (2, 2), (4, 1)] {
+        for queue_depth in [1, 2, 32] {
+            let config = EngineConfig {
+                shards,
+                arrays_per_shard,
+                queue_depth,
+                ..EngineConfig::default()
+            };
+            for (name, records) in &workloads {
+                under_both_drivers(&config, records, |driver, _, summary| {
+                    let label = format!(
+                        "{shards}x{arrays_per_shard} depth {queue_depth} {name} {driver:?}"
+                    );
+                    let snap = &summary.snapshot;
+                    assert_eq!(summary.done, FRAMES, "{label}");
+                    assert_eq!(
+                        (
+                            snap.jobs_rejected,
+                            snap.backpressure_parks,
+                            snap.rehydrations
+                        ),
+                        (0, 0, FRAMES),
+                        "{label}: nothing refused, one rehydration per frame"
+                    );
+                });
             }
-            assert_eq!(
-                summary.snapshot.rehydrations,
-                FRAMES + parks,
-                "one rehydration per frame and one per re-park"
-            );
-        },
-    );
+        }
+    }
 }
 
 /// `n` seeded open-loop Poisson arrivals: exponential interarrivals with
@@ -218,7 +129,6 @@ fn poisson_run(seed: u64, n: u64, mean_interarrival: f64) -> ScaleSummary {
     let config = EngineConfig {
         shards: 2,
         queue_depth: 8,
-        max_resident: 16,
         ..EngineConfig::default()
     };
     run_records(config, &poisson_records(seed, n, mean_interarrival))
@@ -266,7 +176,6 @@ fn overload_admission_is_plain_least_loaded() {
         shards: WORKERS,
         arrays_per_shard: 1,
         queue_depth: 32,
-        max_resident: 64,
         ..EngineConfig::default()
     };
     let mean_service = (WCDMA_SERVICE_CYCLES + OFDM_SERVICE_CYCLES) as f64 / 2.0;

@@ -14,7 +14,7 @@ use xpp_array::fault::FaultPlan;
 
 /// Runs 48 mixed frames on a `shards × arrays_per_shard` lockstep pool
 /// twice, asserts the two runs are indistinguishable, and returns the
-/// snapshot. Queues are 16 deep and a shard with more than four sessions
+/// snapshot. Queues are 16 deep and a shard with more than eight sessions
 /// pending exposes work to thieves, so every dispatch mechanism has cause
 /// to fire.
 fn repeatable_run(shards: usize, arrays_per_shard: usize, plan: Option<FaultPlan>) -> Snapshot {
@@ -25,7 +25,6 @@ fn repeatable_run(shards: usize, arrays_per_shard: usize, plan: Option<FaultPlan
                 shards,
                 arrays_per_shard,
                 queue_depth: 16,
-                steal_threshold: 4,
                 recovery: RecoveryPolicy {
                     max_kernel_attempts: 4,
                     ..RecoveryPolicy::default()

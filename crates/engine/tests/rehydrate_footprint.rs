@@ -1,28 +1,19 @@
 //! What rehydration costs, enforced with a counting global allocator (same
-//! pattern as `frontend_footprint.rs`):
-//!
-//! * the lazy-code contract of the W-CDMA terminal — rehydrating a *fresh*
-//!   parked record builds no capture and no scrambling code;
-//! * a backpressure bounce through the front-end allocates exactly what the
-//!   `Session::rehydrate` inside it allocates, and nothing of its own.
-//!
-//! Every frame is rehydrated once, and once more for each time a full
-//! shard queue refuses it and it re-parks, so anything generated or
-//! allocated here is paid per refusal. The capture and its code appear only
+//! pattern as `frontend_footprint.rs`): the lazy-code contract of the
+//! W-CDMA terminal — rehydrating a *fresh* parked record builds no capture
+//! and no scrambling code. Every frame is rehydrated once, so anything
+//! generated there is paid per frame; the capture and its code appear only
 //! when the session first steps.
 //!
-//! The bounce phase runs on a lockstep pool, which has no worker threads
-//! and steps nothing inside `pump`, so only the driver can allocate in the
-//! counted window. Only the measuring thread's allocations are counted,
-//! which fences the test harness's own threads out of it, and the file
-//! still holds a single test, so nothing else shares the counters.
+//! Only the measuring thread's allocations are counted, which fences the
+//! test harness's own threads out of the window, and the file holds a
+//! single test, so nothing else shares the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use sdr_engine::{EngineConfig, Frontend, Metrics, ParkedSession, PlacementPolicy, Session};
+use sdr_engine::{ParkedSession, Session};
 
 struct CountingAllocator;
 
@@ -101,70 +92,4 @@ fn rehydrating_a_fresh_wcdma_record_builds_no_capture_and_no_code() {
     );
     // The round trip back to the lot is the same fresh record.
     assert_eq!(session.park(), Some(parked));
-
-    bounce_allocates_only_its_rehydration();
-}
-
-/// Second phase of the single test: a lockstep two-shard pool under static
-/// placement, every id even, shard 0's two queue slots taken and never
-/// drained, since only `recv` steps a lockstep pool. The window
-/// (4) still has credit for shard 1's two slots, so every `pump` pops the
-/// two waiting records, one of each standard, and bounces each once.
-fn bounce_allocates_only_its_rehydration() {
-    let mut fe = Frontend::lockstep(
-        EngineConfig {
-            shards: 2,
-            arrays_per_shard: 1,
-            queue_depth: 2,
-            max_resident: 8,
-            parking_capacity: 8,
-            placement: PlacementPolicy::Static,
-            ..EngineConfig::default()
-        },
-        Arc::new(Metrics::new()),
-    );
-    let mut open_loop = |_: &Session, _| None;
-    for id in [0, 2u64] {
-        fe.admit(ParkedSession::new_ofdm(id, id, 0));
-    }
-    fe.pump(&mut open_loop);
-    assert_eq!((fe.materialised(), fe.parked()), (2, 0), "queue is full");
-
-    let bouncers = [
-        ParkedSession::new_wcdma(4, 104, 1_000),
-        ParkedSession::new_ofdm(6, 206, 1_000),
-    ];
-    for record in &bouncers {
-        fe.admit(*record);
-    }
-    // Warm-up: the front-end's scratch buffers reach their steady size.
-    fe.pump(&mut open_loop);
-
-    const PASSES: u64 = 200;
-    let parks_before = fe.snapshot().backpressure_parks;
-    let (_, allocations, bytes) = counted(|| {
-        for _ in 0..PASSES {
-            fe.pump(&mut open_loop);
-        }
-    });
-    let bounces = fe.snapshot().backpressure_parks - parks_before;
-    assert_eq!(bounces, PASSES * bouncers.len() as u64);
-    assert_eq!((fe.materialised(), fe.parked()), (2, 2));
-
-    // Only a record's seed, standard and stage decide what rehydrating it
-    // allocates, and a bounce changes none of them.
-    let (_, own_allocations, own_bytes) = counted(|| {
-        for record in &bouncers {
-            drop(Session::rehydrate(record));
-        }
-    });
-    assert!(own_allocations > 0, "the comparison is not vacuous");
-    assert_eq!(
-        (allocations, bytes),
-        (PASSES * own_allocations, PASSES * own_bytes),
-        "{bounces} bounces allocated {allocations} times / {bytes} bytes; \
-         their rehydrations alone account for {} / {}",
-        PASSES * own_allocations,
-        PASSES * own_bytes
-    );
 }

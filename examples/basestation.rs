@@ -43,6 +43,15 @@ const ARRAY_CLOCK_HZ: f64 = 50.0e6;
 /// to about 800 MB.
 const MAX_SESSIONS: u64 = 1 << 24;
 
+/// Most shards one run spawns: each is an OS thread, and a host refuses
+/// threads long before `usize::MAX` (16,384 failed to spawn where 4,096
+/// ran).
+const MAX_SHARDS: u64 = 1 << 10;
+
+/// Most arrays in one shard's gang; each shard allocates its gang up
+/// front.
+const MAX_ARRAYS_PER_SHARD: u64 = 64;
+
 struct Args {
     sessions: u64,
     shards: usize,
@@ -72,8 +81,13 @@ enum ArgError {
     Zero(&'static str),
     /// `--arrival-rate` must be a positive, finite rate.
     BadRate(f64),
-    /// More terminals than the parking lot can be sized for.
-    TooManySessions(u64),
+    /// A count past its bound (`MAX_SESSIONS`, `MAX_SHARDS`,
+    /// `MAX_ARRAYS_PER_SHARD`).
+    TooLarge {
+        what: &'static str,
+        max: u64,
+        value: u64,
+    },
     Unexpected(String),
 }
 
@@ -85,8 +99,8 @@ impl std::fmt::Display for ArgError {
                 write!(f, "{what} must be a number, got {value:?}")
             }
             ArgError::Zero(what) => write!(f, "{what} must be at least 1"),
-            ArgError::TooManySessions(n) => {
-                write!(f, "sessions must be at most {MAX_SESSIONS}, got {n}")
+            ArgError::TooLarge { what, max, value } => {
+                write!(f, "{what} must be at most {max}, got {value}")
             }
             ArgError::BadRate(rate) => {
                 write!(f, "--arrival-rate must be positive and finite, got {rate}")
@@ -146,8 +160,18 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, ArgError> {
     if args.arrays_per_shard == 0 {
         return Err(ArgError::Zero("arrays-per-shard"));
     }
-    if args.sessions > MAX_SESSIONS {
-        return Err(ArgError::TooManySessions(args.sessions));
+    for (what, max, value) in [
+        ("sessions", MAX_SESSIONS, args.sessions),
+        ("shards", MAX_SHARDS, args.shards as u64),
+        (
+            "arrays-per-shard",
+            MAX_ARRAYS_PER_SHARD,
+            args.arrays_per_shard as u64,
+        ),
+    ] {
+        if value > max {
+            return Err(ArgError::TooLarge { what, max, value });
+        }
     }
     if !(args.arrival_rate.is_finite() && args.arrival_rate > 0.0) {
         return Err(ArgError::BadRate(args.arrival_rate));
