@@ -47,7 +47,8 @@ pub struct EngineConfig {
     /// (else the least-busy member), and a gang spreads a saturated kernel
     /// over up to `arrays_per_shard − 1` members (both of a pair).
     pub arrays_per_shard: usize,
-    /// Bounded depth of each shard's submission queue. The front-end's
+    /// Sessions each shard may own at once: submitted to it and not yet
+    /// handed back, whether queued or being stepped. The front-end's
     /// materialisation window is `min(64, shards × queue_depth)`
     /// ([`Frontend::window`](crate::Frontend::window)).
     pub queue_depth: usize,

@@ -23,15 +23,16 @@
 //! popped only into a free slot of it. That is the only flow control: the
 //! pool never refuses the driver, because
 //!
-//! * only the driver thread raises a shard's queue-depth counter (in
-//!   [`ShardPool::submit`]); shards only lower theirs, as they take a
-//!   submission off their queue;
+//! * only the driver thread raises a shard's count of owned sessions (in
+//!   [`ShardPool::submit`]); a shard lowers its count only as it hands a
+//!   session back;
 //! * a hand-back's `recv` happens after its shard's decrement, so every
-//!   session counted in a queue depth is also counted in flight, and
-//!   Σ depth ≤ in flight < window ≤ `shards × queue_depth` whenever the
+//!   session a shard owns is also counted in flight, and
+//!   Σ owned ≤ in flight < window ≤ `shards × queue_depth` whenever the
 //!   driver submits;
-//! * so some shard has room, and the [`AffinityRouter`](crate::AffinityRouter)
-//!   picks only a shard with room while one exists.
+//! * so some shard owns fewer than `queue_depth`, and the
+//!   [`AffinityRouter`](crate::AffinityRouter) picks only a shard with
+//!   room while one exists.
 //!
 //! A refusal is therefore a defect, and the driver panics naming the shard
 //! and the error rather than parking the session or blocking on it.

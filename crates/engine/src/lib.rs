@@ -14,8 +14,9 @@
 //!   urgent session (earliest deadline first) steps on the member that
 //!   holds its kernel, and a configuration stays resident until placement
 //!   pressure evicts it;
-//! * [`router`] — residency-affinity placement and cross-shard stealing,
-//!   the only placement and always on (stealing needs two shards);
+//! * [`router`] — residency-affinity placement on what each shard owns:
+//!   a session follows its kernel until the holder runs more than eight
+//!   sessions ahead of the least-loaded shard, and then spills there;
 //! * [`config_manager`] — the configuration-manager subsystem: a
 //!   [`KernelSpec`] registry of array kernels, a **process-wide**
 //!   compile-once store of pre-compiled, pre-placed configurations (each
@@ -69,8 +70,5 @@ pub use config_manager::{CmState, ConfigManager, ConfigStore, KernelSpec};
 pub use frontend::{Frontend, FrontendConfig, ScaleSummary};
 pub use metrics::{KernelKind, Metrics, Snapshot};
 pub use pool::{PoolConfig, ShardPool, SubmitError, WorkerArray};
-pub use router::{
-    AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus, StealOffer,
-    StealRegistry,
-};
+pub use router::{AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus};
 pub use session::{ParkedSession, Session, SessionState, Standard};

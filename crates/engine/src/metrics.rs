@@ -135,7 +135,9 @@ counters! {
     /// [`WorkerArray::swap`](crate::WorkerArray::swap)s — inert in the
     /// engine; the frozen benchmark reads it; E(2) deletes it.
     reconfig_cycles,
-    /// High-water mark of any shard's queue depth.
+    /// High-water mark of the sessions any one shard owned at once
+    /// (submitted to it and not yet handed back), read at each submit;
+    /// never more than `queue_depth`.
     queue_high_water,
     /// Configuration-bus cycles spent loading configurations.
     config_bus_cycles,
@@ -219,11 +221,13 @@ counters! {
     /// holding their next kernel.
     router_affinity_hits,
     /// Submissions the router fell back to least-loaded placement for
-    /// (host-only steps, cold kernels, full affinity targets).
+    /// (host-only steps, cold kernels, full or overloaded holders).
     router_fallbacks,
-    /// Steal offers claimed cross-shard from a saturated victim.
+    /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
+    /// deletes it.
     batches_stolen,
-    /// Sessions that moved shards through claimed steal offers.
+    /// Always 0: inert in the engine; the frozen benchmark reads it for
+    /// `pool.steal_rate`; E(2) deletes it.
     steal_sessions,
     /// Residency-view snapshots published by shard loops, across all
     /// shards.
@@ -333,8 +337,8 @@ impl Snapshot {
         )
     }
 
-    /// Fraction of executed jobs whose session arrived on its shard
-    /// through a steal claim, in `[0, 1]` (0 with no jobs run).
+    /// `steal_sessions ÷ jobs_run`, in `[0, 1]`: always 0 in the engine;
+    /// the frozen benchmark's `pool.steal_rate` spells it; E(2) deletes it.
     pub fn steal_rate(&self) -> f64 {
         ratio(self.steal_sessions, self.jobs_run).min(1.0)
     }
@@ -383,13 +387,6 @@ impl fmt::Display for Snapshot {
             self.router_fallbacks,
             100.0 * self.affinity_hit_rate(),
             self.residency_view_refreshes
-        )?;
-        writeln!(
-            f,
-            "  stealing    batches {:>8}  sessions  {:>8}  steal rate {:>5.1}%",
-            self.batches_stolen,
-            self.steal_sessions,
-            100.0 * self.steal_rate()
         )?;
         writeln!(
             f,
@@ -589,7 +586,6 @@ mod tests {
         assert!((s.steal_rate() - 0.25).abs() < 1e-12);
         let text = s.to_string();
         assert!(text.contains("router"), "report must show the router line");
-        assert!(text.contains("stealing"), "report must show stealing");
         assert!(
             text.contains("view refreshes"),
             "report must show refreshes"

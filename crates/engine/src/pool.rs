@@ -2,13 +2,15 @@
 //! *gang* of them.
 //!
 //! Terminal sessions are submitted to the shard the [`AffinityRouter`]
-//! picks: a shard with queue room that already holds the session's next
-//! kernel, else the least-loaded shard with room. Each shard has a
-//! *bounded* queue: a full shard rejects the submission with
+//! picks: a shard with room that already holds the session's next kernel
+//! and owns at most `MAX_HOLDER_LEAD` more sessions than the least-loaded
+//! shard, else the least-loaded shard. A shard *owns* a session from
+//! [`ShardPool::submit`] until it hands the session back, and owns at
+//! most `queue_depth` of them: a full shard rejects the submission with
 //! [`SubmitError::WouldBlock`] instead of buffering unboundedly. The
 //! front-end never sees that refusal: its credit window keeps fewer
-//! sessions in flight than the queues hold, so the router always finds a
-//! shard with room ([`frontend`](crate::frontend)).
+//! sessions in flight than the shards may own, so the router always finds
+//! a shard with room ([`frontend`](crate::frontend)).
 //! Shards drain their queue into a deadline-ordered heap and always run
 //! the most urgent session next (EDF dispatch, the runtime counterpart of
 //! `sdr_core::scheduler::schedule_edf`).
@@ -17,19 +19,17 @@
 //!
 //! A shard is a state machine, `Shard`: its arrays, its EDF heap, its
 //! inbox, and one function — `Shard::step` — that runs one *dispatch
-//! round* (drain the inbox; with nothing to run, claim another shard's
-//! steal offer or take back its own; otherwise offer, run, publish) and
-//! never blocks. Every shard runs the one policy below, whether it owns
-//! one array or a gang; who calls `step` is the driver's business, and no
-//! setting selects it:
+//! round* (drain the inbox; run, publish and hand back the most urgent
+//! session) and never blocks. Every shard runs the one policy below,
+//! whether it owns one array or a gang; who calls `step` is the driver's
+//! business, and no setting selects it:
 //!
 //! 1. **Threads** — what [`ShardPool::new`] builds and what ships. One OS
 //!    thread per shard loops `step`, and on an idle round makes the one
-//!    blocking call in the shard code, `Shard::wait`: the next submission,
-//!    or with a steal registry at most a millisecond. Which shard runs
-//!    when is the OS scheduler's choice, so counters that follow placement
-//!    (loads, steals, affinity hits) vary run to run; session outcomes do
-//!    not.
+//!    blocking call in the shard code, `Shard::wait`: the next submission.
+//!    Which shard runs when is the OS scheduler's choice, so counters that
+//!    follow placement (loads, affinity hits) vary run to run; session
+//!    outcomes do not.
 //! 2. **Lockstep** — [`ShardPool::lockstep`], a constructor for tests and
 //!    benches. The pool keeps the shards; [`ShardPool::recv`] on an empty
 //!    result queue runs one round on the shard with the smallest *virtual
@@ -45,19 +45,20 @@
 //!
 //! A round with work to do:
 //!
-//! 1. exposes the latest-deadline half of a saturated heap to thieves
-//!    (`offer_latest_half`);
-//! 2. pops the most urgent session;
-//! 3. steps it on the member `route` picks: a member where the session's
+//! 1. pops the most urgent session;
+//! 2. steps it on the member `route` picks: a member where the session's
 //!    next [`KernelSpec`] ([`Session::next_kernel`]) is already resident,
 //!    else the least-busy member — and a warm kernel whose least-busy
 //!    home has pulled more than `REPLICATE_AFTER_CYCLES` ahead of the
 //!    idlest member is *replicated* there instead, up to `gang − 1`
 //!    homes so one array stays clear for whatever arrives next (a gang of
 //!    two may use both);
-//! 4. publishes the shard's residency, so the router places the
+//! 3. publishes the shard's residency, so the router places the
 //!    session's next step on the residency this one produced;
-//! 5. hands the session back.
+//! 4. hands the session back, which ends the shard's ownership of it.
+//!
+//! A session never moves between shards once placed: the router balances
+//! the shards when it places a step, on what each one owns.
 //!
 //! Residency is the other half: a configuration stays on its array until
 //! placement pressure evicts it — the [`ConfigManager`]'s least recently
@@ -71,7 +72,7 @@ use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -83,9 +84,7 @@ use xpp_array::{Array, ConfigId, Error as XppError, Result as XppResult};
 use crate::config::{EngineConfig, RecoveryPolicy};
 use crate::config_manager::{ConfigManager, ConfigStore, KernelSpec};
 use crate::metrics::{KernelKind, Metrics};
-use crate::router::{
-    AffinityRouter, Placement, ResidencyView, ShardStatus, StealOffer, StealRegistry,
-};
+use crate::router::{AffinityRouter, Placement, ResidencyView, ShardStatus};
 use crate::session::Session;
 
 /// Extra array cycles granted to a configuration that has fired nothing
@@ -500,15 +499,10 @@ impl ShardPool {
             statuses.clone(),
             config.queue_depth as u64,
         ));
-        // Stealing is a cross-shard mechanism: with one shard there is
-        // nobody to steal from, so the registry (and the idle polling it
-        // requires) is skipped entirely.
-        let steal = (config.shards > 1).then(|| Arc::new(StealRegistry::new()));
         let mut shards = Vec::with_capacity(config.shards);
         for (shard, depth) in depths.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Session>(config.queue_depth);
             let seed = WorkerSeed {
-                shard,
                 results: results_tx.clone(),
                 depth: Arc::clone(&depth),
                 metrics: Arc::clone(&metrics),
@@ -516,7 +510,6 @@ impl ShardPool {
                 policy: config.recovery,
                 gang: config.arrays_per_shard,
                 status: Arc::clone(&statuses[shard]),
-                steal: steal.clone(),
                 #[cfg(feature = "faults")]
                 injector: injector.clone(),
             };
@@ -568,12 +561,12 @@ impl ShardPool {
         let Some(queue) = handle.queue.as_ref() else {
             return Err(SubmitError::Shutdown(session));
         };
-        // Count before sending: the worker decrements on receive, and the
-        // receive may land before a post-send increment would. The counter,
-        // not the channel, is the bound: it is what the router reads as
-        // "room", so a shard is full exactly when the router says so. The
-        // channel is just as deep and the counter never undercounts it, so
-        // `try_send` itself does not report `Full`.
+        // Count before sending: the shard decrements when it hands the
+        // session back, which may land before a post-send increment would.
+        // The counter, not the channel, is the bound: it is what the router
+        // reads as "room", so a shard is full exactly when the router says
+        // so. The channel is just as deep and holds only part of what the
+        // counter counts, so `try_send` itself does not report `Full`.
         let depth = handle.depth.fetch_add(1, Ordering::Relaxed) + 1;
         let sent = if depth > self.queue_depth_limit as u64 {
             Err(TrySendError::Full(session))
@@ -637,10 +630,8 @@ impl ShardPool {
 
     /// The lockstep driver: while the result queue is empty, one dispatch
     /// round on the shard with the smallest virtual clock (cumulative busy
-    /// array cycles, lowest index on a tie) that makes progress. An idle
-    /// victim takes back its own unclaimed offer only after
-    /// `WITHDRAW_GRACE_POLLS` idle rounds, so "no shard can make progress"
-    /// takes that many sweeps plus one to establish.
+    /// array cycles, lowest index on a tie) that makes progress. A sweep
+    /// in which no shard does means none can.
     fn recv_lockstep(&self, shards: &mut [Shard]) -> Option<Session> {
         loop {
             if let Ok(session) = self.results.try_recv() {
@@ -648,12 +639,10 @@ impl ShardPool {
             }
             let mut order: Vec<usize> = (0..shards.len()).collect();
             order.sort_by_key(|&i| (shards[i].clock(), i));
-            let mut sweep = || {
-                order
-                    .iter()
-                    .any(|&i| matches!(shards[i].step(), Round::Progress))
-            };
-            if !(0..=WITHDRAW_GRACE_POLLS).any(|_| sweep()) {
+            if !order
+                .iter()
+                .any(|&i| matches!(shards[i].step(), Round::Progress))
+            {
                 return None;
             }
         }
@@ -665,7 +654,8 @@ impl ShardPool {
         self.shards.len() * self.queue_depth_limit
     }
 
-    /// Current queued depth of a shard (approximate under concurrency).
+    /// Sessions a shard owns right now: submitted to it and not yet handed
+    /// back (approximate under concurrency).
     pub fn queue_depth(&self, shard: usize) -> u64 {
         self.shards[shard].depth.load(Ordering::Relaxed)
     }
@@ -713,7 +703,6 @@ impl Drop for ShardPool {
 /// shard itself so it can replace a crashed [`WorkerArray`] without
 /// round-tripping through the pool.
 struct WorkerSeed {
-    shard: usize,
     results: mpsc::Sender<Session>,
     depth: Arc<AtomicU64>,
     metrics: Arc<Metrics>,
@@ -722,10 +711,6 @@ struct WorkerSeed {
     gang: usize,
     /// This shard's cell in the global residency view (publish side).
     status: Arc<ShardStatus>,
-    /// Cross-shard steal registry; `None` when the pool has a single
-    /// shard, which keeps the thread driver's idle path on a blocking
-    /// receive.
-    steal: Option<Arc<StealRegistry>>,
     #[cfg(feature = "faults")]
     injector: Option<Arc<FaultInjector>>,
 }
@@ -746,17 +731,6 @@ impl WorkerSeed {
     }
 }
 
-/// Consecutive idle rounds before a victim takes back its own unclaimed
-/// offer. Under the thread driver each is followed by a ~1 ms wait, so an
-/// offer stays claimable for a few milliseconds after its owner drains —
-/// long enough for an idle peer's next poll to land, short enough that a
-/// quiet pool reclaims promptly.
-const WITHDRAW_GRACE_POLLS: u32 = 3;
-
-/// Pending sessions a shard must hold in its EDF heap beyond which it
-/// exposes the latest-deadline half to thieves.
-const STEAL_THRESHOLD: usize = 8;
-
 /// Gang-routing saturation threshold, in array cycles: a hot kernel is
 /// replicated onto an additional member once the least busy of its warm
 /// members is this many cycles ahead of the idlest member.
@@ -764,7 +738,7 @@ const REPLICATE_AFTER_CYCLES: u64 = 2_000;
 
 /// What one [`Shard::step`] did.
 enum Round {
-    /// Sessions ran, or sessions were taken from the steal registry.
+    /// A session ran and was handed back.
     Progress,
     /// Nothing to run and the inbox is still open: the driver may wait.
     Idle,
@@ -788,8 +762,6 @@ struct Shard {
     seq: u64,
     /// Cleared when the inbox disconnects (pool shutdown).
     open: bool,
-    /// Consecutive idle rounds, for `WITHDRAW_GRACE_POLLS`.
-    idle_polls: u32,
     /// Scratch buffer for the residency publish.
     names: Vec<String>,
 }
@@ -804,7 +776,6 @@ impl Shard {
             heap: BinaryHeap::new(),
             seq: 0,
             open: true,
-            idle_polls: 0,
             names: Vec::new(),
         }
     }
@@ -821,23 +792,11 @@ impl Shard {
     }
 
     /// The thread driver's one blocking call, made when a round found
-    /// nothing to do: the next submission — or, with a steal registry, at
-    /// most a millisecond, so that an offer exposed meanwhile is noticed.
+    /// nothing to do: the next submission, or the pool's close.
     fn wait(&mut self) {
-        let received = if self.seed.steal.is_some() {
-            self.inbox.recv_timeout(Duration::from_millis(1))
-        } else {
-            self.inbox
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected)
-        };
-        match received {
-            Ok(session) => {
-                self.idle_polls = 0;
-                self.accept(session);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => self.open = false,
+        match self.inbox.recv() {
+            Ok(session) => self.enqueue(session),
+            Err(_) => self.open = false,
         }
     }
 
@@ -847,15 +806,15 @@ impl Shard {
     }
 
     /// One dispatch round: drain the inbox into the EDF heap; with nothing
-    /// to run, act as thief or reclaim ([`idle`](Shard::idle)); otherwise
-    /// expose the latest-deadline half of a saturated heap, step the most
+    /// to run, report `Idle` while the inbox is open and
+    /// [`close`](Shard::close) once it is not; otherwise step the most
     /// urgent session on the member [`route`](Shard::route) picks, and
     /// publish *before* handing it back — the driver routes the session's
     /// next step on the residency this one produced.
     fn step(&mut self) -> Round {
         loop {
             match self.inbox.try_recv() {
-                Ok(session) => self.accept(session),
+                Ok(session) => self.enqueue(session),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     self.open = false;
@@ -863,31 +822,24 @@ impl Shard {
                 }
             }
         }
-        if self.heap.is_empty() {
-            return self.idle();
-        }
-        self.offer_latest_half();
-        // The offer keeps the more urgent half, so there is one to pop.
-        if let Some(queued) = self.heap.pop() {
-            let member = self.route(queued.session.next_kernel().as_ref());
-            let session = self.supervised_step(member, queued.session);
-            self.publish();
-            // The driver may already be gone (pool dropped mid-run); the
-            // session's work is still done, only the hand-back is lost.
-            let _ = self.seed.results.send(session);
-        }
+        let Some(queued) = self.heap.pop() else {
+            return if self.open { Round::Idle } else { self.close() };
+        };
+        let member = self.route(queued.session.next_kernel().as_ref());
+        let session = self.supervised_step(member, queued.session);
+        self.publish();
+        // The hand-back ends the shard's ownership: release its count
+        // first, so the driver never sees a session it holds still counted
+        // here.
+        self.seed.depth.fetch_sub(1, Ordering::Relaxed);
+        // The driver may already be gone (pool dropped mid-run); the
+        // session's work is still done, only the hand-back is lost.
+        let _ = self.seed.results.send(session);
         Round::Progress
     }
 
-    /// Takes a submission off the inbox: the depth counter mirrors the
-    /// submission channel and nothing else.
-    fn accept(&mut self, session: Session) {
-        self.seed.depth.fetch_sub(1, Ordering::Relaxed);
-        self.enqueue(session);
-    }
-
-    /// Pushes a session into the EDF heap. Stolen or withdrawn sessions
-    /// come straight here and never touch the depth counter.
+    /// Pushes a submission into the EDF heap. It stays counted in the
+    /// shard's depth until [`step`](Shard::step) hands it back.
     fn enqueue(&mut self, session: Session) {
         self.seq += 1;
         self.heap.push(QueuedSession {
@@ -895,50 +847,6 @@ impl Shard {
             seq: self.seq,
             session,
         });
-    }
-
-    /// A round with an empty heap. Without a steal registry there is
-    /// nothing to do but wait for a submission (or exit once the inbox has
-    /// closed). With one, the shard is the thief side of the protocol: it
-    /// reclaims its own stale offers (after a grace period, or
-    /// unconditionally at shutdown so no session is ever stranded) or
-    /// claims another shard's offer; what it took runs next round.
-    fn idle(&mut self) -> Round {
-        let me = self.seed.shard;
-        let Some(steal) = self.seed.steal.as_deref() else {
-            return if self.open {
-                Round::Idle
-            } else {
-                self.close() // inbox closed and drained: clean exit
-            };
-        };
-        let taken = if !self.open {
-            // Shutting down: anything we still have on offer is ours to
-            // run (claim/withdraw are atomic, so a session runs exactly
-            // once).
-            let mine = steal.withdraw(me);
-            if mine.is_empty() {
-                return self.close();
-            }
-            mine
-        } else if self.idle_polls >= WITHDRAW_GRACE_POLLS && steal.has_offer_from(me) {
-            steal.withdraw(me)
-        } else if let Some(offer) = steal.claim(me) {
-            Metrics::incr(&self.seed.metrics.batches_stolen);
-            Metrics::add(
-                &self.seed.metrics.steal_sessions,
-                offer.sessions.len() as u64,
-            );
-            offer.sessions
-        } else {
-            self.idle_polls += 1;
-            return Round::Idle;
-        };
-        self.idle_polls = 0;
-        for session in taken {
-            self.enqueue(session);
-        }
-        Round::Progress
     }
 
     /// The round that finds the shard closed and drained. Fault records
@@ -956,29 +864,6 @@ impl Shard {
             Metrics::add(&metrics.recoveries, swept);
         }
         Round::Closed
-    }
-
-    /// The victim side of the steal protocol: a shard whose EDF heap is
-    /// over `STEAL_THRESHOLD` exposes its *latest-deadline half* — the work it
-    /// would get to last — for an idle shard to claim. One offer at a time
-    /// per shard; the most urgent half always stays home.
-    fn offer_latest_half(&mut self) {
-        let Some(steal) = self.seed.steal.as_deref() else {
-            return;
-        };
-        if self.heap.len() <= STEAL_THRESHOLD || steal.has_offer_from(self.seed.shard) {
-            return;
-        }
-        // `into_sorted_vec` sorts ascending by the reversed EDF `Ord`, so
-        // index 0 is the *latest* deadline — exactly the tail to give away.
-        let mut sorted = std::mem::take(&mut self.heap).into_sorted_vec();
-        let n = sorted.len() / 2;
-        let offered: Vec<Session> = sorted.drain(..n).map(|q| q.session).collect();
-        self.heap = sorted.into();
-        steal.offer(StealOffer {
-            victim: self.seed.shard,
-            sessions: offered,
-        });
     }
 
     /// One supervised session step on one member; hands the stepped
@@ -1172,15 +1057,11 @@ mod tests {
 
     /// A shard built directly in a test — no pool, no thread — with the
     /// sending end of its inbox and the receiving end of its results.
-    fn test_shard(
-        gang: usize,
-        steal: Option<Arc<StealRegistry>>,
-    ) -> (Shard, SyncSender<Session>, Receiver<Session>) {
+    fn test_shard(gang: usize) -> (Shard, SyncSender<Session>, Receiver<Session>) {
         let depth = Arc::new(AtomicU64::new(0));
         let (inbox_tx, inbox) = mpsc::sync_channel(32);
         let (results, results_rx) = mpsc::channel();
         let seed = WorkerSeed {
-            shard: 0,
             results,
             depth: Arc::clone(&depth),
             metrics: Arc::new(Metrics::new()),
@@ -1188,7 +1069,6 @@ mod tests {
             policy: RecoveryPolicy::default(),
             gang,
             status: Arc::new(ShardStatus::new(depth)),
-            steal,
             #[cfg(feature = "faults")]
             injector: None,
         };
@@ -1203,7 +1083,7 @@ mod tests {
     fn saturated_warm_kernel_uses_both_members_of_a_pair() {
         let descrambler = Some(KernelSpec::from(WcdmaKernel::Descrambler));
         for gang in [1, 2, 3] {
-            let (mut g, _inbox, _results) = test_shard(gang, None);
+            let (mut g, _inbox, _results) = test_shard(gang);
             g.members[0].activate(WcdmaKernel::Descrambler).unwrap();
             g.busy[0] = REPLICATE_AFTER_CYCLES;
             assert_eq!(g.route(descrambler.as_ref()), 0, "gang of {gang}: warm");
@@ -1217,7 +1097,7 @@ mod tests {
             );
         }
         // Two homes of three: the third member stays clear.
-        let (mut g, _inbox, _results) = test_shard(3, None);
+        let (mut g, _inbox, _results) = test_shard(3);
         for m in 0..2 {
             g.members[m].activate(WcdmaKernel::Descrambler).unwrap();
         }
@@ -1233,7 +1113,7 @@ mod tests {
     #[test]
     fn every_shard_shape_keeps_the_detector_resident() {
         for gang in [1, 2] {
-            let (mut shard, inbox, results) = test_shard(gang, None);
+            let (mut shard, inbox, results) = test_shard(gang);
             shard.members[0]
                 .activate(OfdmKernel::PreambleDetector)
                 .unwrap();
@@ -1259,64 +1139,24 @@ mod tests {
     }
 
     /// The state machine alone: a shard whose inbox has closed reports
-    /// `Closed` only after it has run everything it held — including the
-    /// half of its heap it had exposed to thieves that never came.
+    /// `Closed` only after it has run everything it held, one session a
+    /// round, and each hand-back releases the session's count.
     #[test]
-    fn a_closed_shard_runs_what_it_held_and_withdraws_its_offers() {
-        let registry = Arc::new(StealRegistry::new());
-        let (mut shard, inbox, results) = test_shard(1, Some(Arc::clone(&registry)));
+    fn a_closed_shard_runs_what_it_held() {
+        let (mut shard, inbox, results) = test_shard(1);
         for id in 0..12 {
             shard.seed.depth.fetch_add(1, Ordering::Relaxed);
             inbox.send(Session::wcdma(id, 40 + id)).unwrap();
         }
         drop(inbox);
-        assert!(matches!(shard.step(), Round::Progress));
-        assert!(
-            registry.has_offer_from(0),
-            "twelve queued over a threshold of eight: the latest-deadline half is on offer"
-        );
-        let mut rounds = 1;
-        while !matches!(shard.step(), Round::Closed) {
-            rounds += 1;
+        for held in (0..12).rev() {
+            assert!(matches!(shard.step(), Round::Progress));
+            assert_eq!(shard.seed.depth.load(Ordering::Relaxed), held);
         }
-        // Twelve sessions at one per round, plus one that only took the
-        // six it had exposed back.
-        assert_eq!(rounds, 13);
-        assert!(registry.is_empty(), "nothing left for a thief to strand");
+        assert!(matches!(shard.step(), Round::Closed));
         assert_eq!(results.try_iter().count(), 12, "each session stepped once");
         assert_eq!(shard.seed.metrics.snapshot().jobs_run, 12);
-        assert_eq!(shard.seed.depth.load(Ordering::Relaxed), 0);
         assert!(matches!(shard.step(), Round::Closed), "and stays closed");
-    }
-
-    /// An idle victim leaves its offer claimable for `WITHDRAW_GRACE_POLLS`
-    /// idle rounds and then takes it back; an idle thief claims at once.
-    #[test]
-    fn an_idle_shard_reclaims_after_the_grace_polls() {
-        let registry = Arc::new(StealRegistry::new());
-        let (mut shard, _inbox, results) = test_shard(1, Some(Arc::clone(&registry)));
-        let offer = |victim| StealOffer {
-            victim,
-            sessions: vec![Session::ofdm(7 + victim as u64, 1)],
-        };
-        registry.offer(offer(0));
-        for _ in 0..WITHDRAW_GRACE_POLLS {
-            assert!(matches!(shard.step(), Round::Idle));
-            assert!(registry.has_offer_from(0), "still claimable");
-        }
-        assert!(matches!(shard.step(), Round::Progress), "reclaimed");
-        assert!(registry.is_empty());
-        assert!(matches!(shard.step(), Round::Progress), "and run");
-        assert_eq!(results.try_recv().unwrap().id(), 7);
-        assert_eq!(shard.seed.metrics.snapshot().batches_stolen, 0);
-
-        registry.offer(offer(1));
-        assert!(matches!(shard.step(), Round::Progress), "claimed");
-        assert!(matches!(shard.step(), Round::Progress));
-        assert_eq!(results.try_recv().unwrap().id(), 8);
-        let snap = shard.seed.metrics.snapshot();
-        assert_eq!((snap.batches_stolen, snap.steal_sessions), (1, 1));
-        assert!(matches!(shard.step(), Round::Idle));
     }
 
     /// A member whose step panics is rebuilt from the seed, the session
@@ -1343,7 +1183,7 @@ mod tests {
                 spec(FaultKind::WorkerPanic, 1),
             ],
         }));
-        let (mut shard, inbox, results) = test_shard(2, None);
+        let (mut shard, inbox, results) = test_shard(2);
         shard.seed.injector = Some(injector);
         shard.members = (0..2).map(|_| shard.seed.fresh_worker()).collect();
         // Load 0 stalls the descrambler on member 0 and nobody runs it, so
@@ -1362,6 +1202,11 @@ mod tests {
         assert!(
             !shard.members[0].is_resident("fig5-descrambler"),
             "the struck member is a fresh array"
+        );
+        assert_eq!(
+            shard.seed.depth.load(Ordering::Relaxed),
+            0,
+            "the crashed hand-back releases its count"
         );
         let snap = shard.seed.metrics.snapshot();
         assert_eq!(

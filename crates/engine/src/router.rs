@@ -7,35 +7,36 @@
 //! partitions:
 //!
 //! * [`ResidencyView`] — a cheaply-refreshed global snapshot of each
-//!   shard's configuration residency, queue depth and in-flight load.
+//!   shard's configuration residency, the sessions it owns (submitted to
+//!   it and not yet handed back) and its cumulative array load.
 //!   Shard loops *publish* into their own [`ShardStatus`] cell; the
 //!   publish side uses `try_lock` so dispatch never blocks on a reader,
 //!   and readers only ever take a lock a writer holds for the
 //!   microseconds it takes to copy a handful of config names.
 //! * [`AffinityRouter`] — the placement behind
 //!   [`ShardPool::submit`](crate::pool::ShardPool::submit): it routes a
-//!   session to the shard whose gang already holds its next
-//!   [`KernelSpec`] and has queue room (falling back to the least-loaded
-//!   shard with room), so admissions and resubmitted steps land where
-//!   their configuration is warm. The front-end's credit window keeps the
-//!   sessions in flight below the pool's total queue capacity, so some
-//!   shard always has room and the router never picks a full one.
-//! * [`StealRegistry`] — cross-shard work stealing, on whenever the pool
-//!   has more than one shard. A shard holding more than eight sessions
-//!   exposes the latest-deadline half of its heap as a [`StealOffer`]; an
-//!   idle shard claims it and runs it directly. The steal path recompiles
-//!   nothing: the process-wide
-//!   [`ConfigStore`](crate::config_manager::ConfigStore) makes every
-//!   `CompiledConfig` (schedule hints included) shard-agnostic. Unclaimed
-//!   offers are withdrawn by their owner once it idles, so no session is
-//!   ever stranded.
+//!   session to a shard whose gang already holds its next [`KernelSpec`],
+//!   has room and owns at most `MAX_HOLDER_LEAD` more sessions than the
+//!   least-loaded shard, and otherwise to the least-loaded shard, so
+//!   admissions and resubmitted steps land where their configuration is
+//!   warm until a hotspot spills. A spill recompiles nothing: the
+//!   process-wide [`ConfigStore`](crate::config_manager::ConfigStore)
+//!   makes every `CompiledConfig` shard-agnostic. The front-end's credit
+//!   window keeps the sessions in flight below what the shards may own in
+//!   all, so some shard always has room and the router never picks a full
+//!   one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::config_manager::KernelSpec;
 use crate::metrics::Metrics;
-use crate::session::Session;
+
+/// How many more sessions than the least-loaded shard a shard holding a
+/// session's kernel may own and still be picked for it. Past that lead,
+/// affinity yields to balance: the session spills to the least-loaded
+/// shard, which loads the kernel and becomes a holder in turn.
+const MAX_HOLDER_LEAD: u64 = 8;
 
 /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
 /// Its one variant names the only placement, the [`AffinityRouter`].
@@ -53,8 +54,8 @@ pub enum PlacementPolicy {
 /// publish can never block dispatch behind a slow reader.
 #[derive(Debug, Default)]
 pub struct ShardStatus {
-    /// Mirror of the shard's submission-queue depth (shared with the
-    /// pool's submit path).
+    /// Sessions the shard owns: raised by the pool's submit path, lowered
+    /// by the shard as it hands each one back.
     queue_depth: Arc<AtomicU64>,
     /// Cumulative array cycles stepped by the shard's gang — the
     /// in-flight-load signal (survives worker rebuilds).
@@ -65,7 +66,7 @@ pub struct ShardStatus {
 }
 
 impl ShardStatus {
-    /// A fresh cell mirroring the given queue-depth counter.
+    /// A fresh cell reading the given owned-session counter.
     pub fn new(queue_depth: Arc<AtomicU64>) -> Self {
         ShardStatus {
             queue_depth,
@@ -98,7 +99,8 @@ impl ShardStatus {
         self.busy_cycles.store(busy_cycles, Ordering::Relaxed);
     }
 
-    /// Current submission-queue depth.
+    /// Sessions the shard owns: queued in its inbox or heap, or being
+    /// stepped.
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -129,8 +131,8 @@ pub struct ResidencyView {
 }
 
 impl ResidencyView {
-    /// A view over the given per-shard cells; `queue_limit` is each
-    /// shard's bounded queue depth (routing avoids full shards).
+    /// A view over the given per-shard cells; `queue_limit` is the most
+    /// sessions one shard may own (routing avoids full shards).
     pub fn new(shards: Vec<Arc<ShardStatus>>, queue_limit: u64) -> Self {
         ResidencyView {
             shards,
@@ -143,47 +145,35 @@ impl ResidencyView {
         &self.shards[shard]
     }
 
-    /// The shard holding `name` with queue room, least loaded first
-    /// (depth, then busy cycles, then index). `None` when no shard with
-    /// room holds it.
-    pub fn holder_of(&self, name: &str) -> Option<usize> {
-        (0..self.shards.len())
-            .filter(|&i| {
-                self.shards[i].queue_depth() < self.queue_limit && self.shards[i].holds(name)
-            })
-            .min_by_key(|&i| {
-                (
-                    self.shards[i].queue_depth(),
-                    self.shards[i].busy_cycles(),
-                    i,
-                )
-            })
+    /// What the router compares shards by: sessions owned, then busy
+    /// cycles, then index.
+    fn load(&self, shard: usize) -> (u64, u64, usize) {
+        let status = &self.shards[shard];
+        (status.queue_depth(), status.busy_cycles(), shard)
     }
 
-    /// The least-loaded shard: minimum (depth, busy cycles, index) among
-    /// shards with queue room, or over all shards when everything is
-    /// full (the submit then refuses with `WouldBlock`).
+    /// The least-loaded shard holding `name` among those with room that
+    /// own at most `MAX_HOLDER_LEAD` more sessions than the least-loaded
+    /// shard. `None` when no shard qualifies.
+    pub fn holder_of(&self, name: &str) -> Option<usize> {
+        let least = self.load(self.least_loaded()).0;
+        (0..self.shards.len())
+            .filter(|&i| {
+                let owned = self.shards[i].queue_depth();
+                owned < self.queue_limit
+                    && owned <= least + MAX_HOLDER_LEAD
+                    && self.shards[i].holds(name)
+            })
+            .min_by_key(|&i| self.load(i))
+    }
+
+    /// The least-loaded shard: minimum (sessions owned, busy cycles,
+    /// index). It has room whenever any shard does; when none does, the
+    /// submit refuses with `WouldBlock`.
     pub fn least_loaded(&self) -> usize {
-        let with_room = (0..self.shards.len())
-            .filter(|&i| self.shards[i].queue_depth() < self.queue_limit)
-            .min_by_key(|&i| {
-                (
-                    self.shards[i].queue_depth(),
-                    self.shards[i].busy_cycles(),
-                    i,
-                )
-            });
-        with_room.unwrap_or_else(|| {
-            (0..self.shards.len())
-                .min_by_key(|&i| {
-                    (
-                        self.shards[i].queue_depth(),
-                        self.shards[i].busy_cycles(),
-                        i,
-                    )
-                })
-                .unwrap_or(0)
-        })
+        (0..self.shards.len())
+            .min_by_key(|&i| self.load(i))
+            .unwrap_or(0)
     }
 }
 
@@ -197,10 +187,11 @@ pub trait Placement: Send + Sync {
 
 /// Residency-affinity routing over the global [`ResidencyView`].
 ///
-/// A session whose next kernel is already resident on some shard (with
-/// queue room) goes there — `router_affinity_hits`; everything else
-/// (host-only steps, cold kernels, full affinity targets) falls back to
-/// the least-loaded shard — `router_fallbacks`.
+/// A session whose next kernel is already resident on some shard that has
+/// room and is not more than `MAX_HOLDER_LEAD` sessions ahead of the
+/// least-loaded shard goes there — `router_affinity_hits`; everything else
+/// (host-only steps, cold kernels, full or overloaded holders) falls back
+/// to the least-loaded shard — `router_fallbacks`.
 pub struct AffinityRouter {
     view: Arc<ResidencyView>,
     metrics: Arc<Metrics>,
@@ -224,81 +215,6 @@ impl Placement for AffinityRouter {
         }
         Metrics::incr(&self.metrics.router_fallbacks);
         self.view.least_loaded()
-    }
-}
-
-/// Sessions a saturated shard has exposed for another shard to claim.
-#[derive(Debug)]
-pub struct StealOffer {
-    /// The shard that exposed the sessions.
-    pub victim: usize,
-    /// The sessions, latest deadline first.
-    pub sessions: Vec<Session>,
-}
-
-/// The cross-shard steal mediation point: saturated shards push
-/// [`StealOffer`]s, idle shards claim them. One mutex over a short vec —
-/// touched only when a shard saturates or idles, never on the per-session
-/// dispatch path.
-#[derive(Debug, Default)]
-pub struct StealRegistry {
-    offers: Mutex<Vec<StealOffer>>,
-}
-
-impl StealRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        StealRegistry::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<StealOffer>> {
-        self.offers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Exposes sessions for other shards to claim; an empty one is
-    /// dropped. The offer owns its sessions, so each is runnable by
-    /// whichever one shard claims or withdraws it — no id check is needed,
-    /// and ids are not identities anyway (two frames of one terminal may
-    /// be in flight at once).
-    pub fn offer(&self, offer: StealOffer) {
-        if !offer.sessions.is_empty() {
-            self.lock().push(offer);
-        }
-    }
-
-    /// Whether `victim` currently has an unclaimed offer exposed.
-    pub fn has_offer_from(&self, victim: usize) -> bool {
-        self.lock().iter().any(|o| o.victim == victim)
-    }
-
-    /// Claims the first offer not exposed by `thief` itself, if any.
-    pub fn claim(&self, thief: usize) -> Option<StealOffer> {
-        let mut offers = self.lock();
-        let idx = offers.iter().position(|o| o.victim != thief)?;
-        Some(offers.remove(idx))
-    }
-
-    /// Withdraws every unclaimed offer `victim` exposed, returning the
-    /// sessions so the owner can run them itself (idle or shutting
-    /// down). Claim and withdraw are atomic under the registry lock, so
-    /// a session is run by exactly one shard.
-    pub fn withdraw(&self, victim: usize) -> Vec<Session> {
-        let mut offers = self.lock();
-        let mut sessions = Vec::new();
-        let mut i = 0;
-        while i < offers.len() {
-            if offers[i].victim == victim {
-                sessions.extend(offers.remove(i).sessions);
-            } else {
-                i += 1;
-            }
-        }
-        sessions
-    }
-
-    /// Whether no offer is currently exposed.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
     }
 }
 
@@ -345,6 +261,25 @@ mod tests {
         assert_eq!(metrics.snapshot().router_fallbacks, 3);
     }
 
+    /// A holder keeps its sessions while it owns at most `MAX_HOLDER_LEAD`
+    /// more than the least-loaded shard; one more and the session spills.
+    #[test]
+    fn an_overloaded_holder_spills_to_the_least_loaded() {
+        let (view, depths) = view(2, 64);
+        let metrics = Arc::new(Metrics::new());
+        let spec = KernelSpec::Wcdma(WcdmaKernel::Descrambler);
+        view.status(0).publish(&[spec.config_name()], 0);
+        let router = AffinityRouter::new(Arc::clone(&view), Arc::clone(&metrics));
+        depths[0].store(MAX_HOLDER_LEAD, Ordering::Relaxed);
+        assert_eq!(router.place(Some(&spec), 0), 0, "a lead of eight keeps it");
+        depths[0].store(MAX_HOLDER_LEAD + 1, Ordering::Relaxed);
+        assert_eq!(router.place(Some(&spec), 0), 1, "nine spills");
+        depths[1].store(1, Ordering::Relaxed);
+        assert_eq!(router.place(Some(&spec), 0), 0, "the lead is relative");
+        let snap = metrics.snapshot();
+        assert_eq!((snap.router_affinity_hits, snap.router_fallbacks), (2, 1));
+    }
+
     #[test]
     fn publish_replaces_the_residency_snapshot() {
         let (view, _) = view(1, 8);
@@ -355,42 +290,5 @@ mod tests {
         assert!(cell.holds("fig5-descrambler"));
         cell.publish(&[], 50);
         assert!(!cell.holds("fig5-descrambler"), "snapshot is replaced");
-    }
-
-    #[test]
-    fn steal_registry_claims_and_withdraws_atomically() {
-        let reg = StealRegistry::new();
-        assert!(reg.is_empty());
-        assert!(reg.claim(1).is_none());
-        reg.offer(StealOffer {
-            victim: 0,
-            sessions: vec![Session::wcdma(1, 1), Session::wcdma(2, 2)],
-        });
-        assert!(reg.has_offer_from(0));
-        assert!(!reg.has_offer_from(1));
-        assert!(reg.claim(0).is_none(), "a shard never claims its own offer");
-        let claimed = reg.claim(1).expect("other shards can claim");
-        assert_eq!(claimed.victim, 0);
-        assert_eq!(claimed.sessions.len(), 2);
-        assert!(reg.is_empty());
-        assert!(reg.withdraw(0).is_empty(), "claimed offers cannot return");
-
-        reg.offer(StealOffer {
-            victim: 3,
-            sessions: vec![Session::ofdm(9, 9)],
-        });
-        let mine = reg.withdraw(3);
-        assert_eq!(mine.len(), 1, "unclaimed offers come back to the owner");
-        assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn empty_offers_are_dropped() {
-        let reg = StealRegistry::new();
-        reg.offer(StealOffer {
-            victim: 0,
-            sessions: Vec::new(),
-        });
-        assert!(reg.is_empty());
     }
 }

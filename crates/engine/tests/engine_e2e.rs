@@ -1,17 +1,19 @@
 //! Engine integration tests: the Fig. 10 reconfiguration served from the
 //! configuration cache, pool backpressure, clean shutdown with in-flight
-//! jobs, and a mixed-standard stress run.
+//! jobs, every hand-back releasing its shard's credit, and a
+//! mixed-standard stress run.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, under_both_drivers, Driver};
+use common::{mixed_records, quiet_injected_panics, under_both_drivers, Driver};
 use sdr_engine::metrics::KernelKind;
 use sdr_engine::{
     EngineConfig, Frontend, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard,
     SubmitError,
 };
+use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// End to end on one worker: an OFDM session detects the preamble on
 /// configuration 2a, loads 2b beside it on the *same* array, and decodes
@@ -181,6 +183,75 @@ fn shutdown_drains_in_flight_jobs() {
     assert_eq!(snap.sessions_completed + snap.sessions_failed, 0);
 }
 
+/// A shard owns a session from `submit` until it hands it back, and every
+/// hand-back path releases exactly one credit: a clean step, a step whose
+/// worker panicked (the member is rebuilt and the session comes back
+/// marked crashed), and a step the shutdown drain runs. On a lockstep pool
+/// each `recv` runs one round, so what the shards own is exact after every
+/// hand-back: nothing while one session at a time is in flight, and the
+/// sessions not yet handed back while a full pool drains.
+#[test]
+fn every_hand_back_releases_its_credit() {
+    quiet_injected_panics();
+    let metrics = Arc::new(Metrics::new());
+    let pool = ShardPool::lockstep(
+        EngineConfig {
+            shards: 2,
+            queue_depth: 4,
+            fault_plan: Some(FaultPlan {
+                faults: vec![FaultSpec {
+                    kind: FaultKind::WorkerPanic,
+                    at_load: 1,
+                }],
+            }),
+            ..EngineConfig::default()
+        },
+        Arc::clone(&metrics),
+    );
+    let owned = |pool: &ShardPool| [pool.queue_depth(0), pool.queue_depth(1)];
+    let mut crashes = 0;
+    for id in 0..8 {
+        let mut session = if id % 2 == 0 {
+            Session::wcdma(id, 100 + id)
+        } else {
+            Session::ofdm(id, 0x0FD + id)
+        };
+        while !session.is_terminal() {
+            let shard = pool.submit(session).expect("an empty pool has room");
+            assert_eq!(pool.queue_depth(shard), 1, "session {id}");
+            session = pool.recv().expect("the shard hands it back");
+            assert_eq!(owned(&pool), [0, 0], "session {id}");
+            crashes += u64::from(session.take_crashed());
+        }
+        assert_eq!(*session.state(), SessionState::Done, "session {id}");
+    }
+    assert_eq!(crashes, 1, "the planned panic struck one step");
+    assert_eq!(metrics.snapshot().worker_restarts, 1);
+
+    // A full pool drained round by round: every hand-back releases one.
+    for id in 8..16 {
+        pool.submit(Session::wcdma(id, 100 + id))
+            .expect("eight fit in two shards of four");
+    }
+    assert_eq!(owned(&pool), [4, 4]);
+    for outstanding in (0..8u64).rev() {
+        pool.recv().expect("a queued session steps");
+        assert_eq!(owned(&pool).iter().sum::<u64>(), outstanding);
+    }
+
+    // The shutdown drain hands back what it steps.
+    for id in 16..24 {
+        pool.submit(Session::wcdma(id, 100 + id))
+            .expect("eight fit in two shards of four");
+    }
+    let view = Arc::clone(pool.residency_view());
+    assert_eq!(pool.shutdown().len(), 8);
+    assert_eq!(
+        [view.status(0).queue_depth(), view.status(1).queue_depth()],
+        [0, 0]
+    );
+}
+
 /// Stress: 64 mixed sessions over 4 shards all reach `Done`, and the
 /// metrics ledger stays consistent with what actually happened.
 #[test]
@@ -250,7 +321,7 @@ fn stress_64_mixed_sessions_over_4_shards() {
                     snap.config_words_streamed,
                     snap.array_makespan_cycles
                 ],
-                [4, 124, 4, 8, 840, 42504],
+                [4, 124, 4, 8, 840, 43262],
                 "{snap}"
             );
         }

@@ -87,6 +87,10 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
                         (0, 0, FRAMES),
                         "{label}: nothing refused, one rehydration per frame"
                     );
+                    assert!(
+                        snap.queue_high_water <= queue_depth as u64,
+                        "{label}: a shard owned more than its depth: {snap}"
+                    );
                 });
             }
         }

@@ -22,9 +22,9 @@
 //!
 //! What repeats from run to run: session outcomes and the admission
 //! model's slack and shed figures always (the last three lines of output);
-//! the live dispatch counters — loads, evictions, router and steal lines —
+//! the live dispatch counters — loads, evictions, the router line —
 //! follow which shard's thread got to run when, and differ. `--lockstep`
-//! runs the same placement and stealing with the shards stepped on this
+//! runs the same placement with the shards stepped on this
 //! thread in virtual-clock order instead (`Frontend::lockstep`), and then
 //! the whole output is byte-identical across runs.
 
@@ -224,14 +224,10 @@ fn main() {
 
     println!("{}", summary.snapshot);
     println!(
-        "router: affinity hit rate {:.1}% ({} hits / {} fallbacks), \
-         steal rate {:.1}% ({} offers claimed, {} session-steps migrated)",
+        "router: affinity hit rate {:.1}% ({} hits / {} fallbacks)",
         100.0 * summary.snapshot.affinity_hit_rate(),
         summary.snapshot.router_affinity_hits,
-        summary.snapshot.router_fallbacks,
-        100.0 * summary.snapshot.steal_rate(),
-        summary.snapshot.batches_stolen,
-        summary.snapshot.steal_sessions
+        summary.snapshot.router_fallbacks
     );
     println!(
         "peak resident {} sessions ({} peak parked, materialisation window {})",
