@@ -71,11 +71,12 @@ fn shape(name: &str, pinned: [(u64, u64, u64); 2]) {
     assert_eq!([round(w, 1), round(w, 7)], pinned, "{name}");
 }
 
-/// 256 frames × 4,108 cycles, plus 102 cycles waiting on the one
-/// 102-word kernel load that the warm-up left to a cold shard.
+/// 256 frames × 2,058 cycles (one finger job each), plus 90 cycles
+/// waiting on the one 90-word finger load that the warm-up left to a
+/// cold shard.
 #[test]
 fn wcdma_steady() {
-    shape("wcdma_steady", [(1_051_750, 102, 0), (1_051_750, 102, 0)]);
+    shape("wcdma_steady", [(526_938, 90, 0), (526_938, 90, 0)]);
 }
 
 /// 2,560 frames. 2a and 2b stay resident side by side, so the round
@@ -85,17 +86,17 @@ fn ofdm_reconfig() {
     shape("ofdm_reconfig", [(1_942_400, 60, 0), (1_941_635, 60, 0)]);
 }
 
-/// A hotspot holder spills to the least-loaded shard, which loads the
-/// kernel and evicts for it: more words than affinity alone would stream.
+/// The engine's three kernels take 15 of an array's 16 I/O channels, so
+/// they fit side by side: a hotspot holder still spills to the
+/// least-loaded shard, which may load the kernel, but nothing is evicted.
 #[test]
 fn mixed_gang() {
-    shape("mixed_gang", [(942_902, 8_454, 157), (942_660, 8_040, 149)]);
+    shape("mixed_gang", [(541_244, 396, 0), (541_416, 396, 0)]);
 }
 
+/// One array holds all three kernels after the warm-up: the round
+/// streams no configuration word.
 #[test]
 fn backpressure_1x1() {
-    shape(
-        "backpressure_1x1",
-        [(478_632, 11_316, 216), (478_320, 10_968, 209)],
-    );
+    shape("backpressure_1x1", [(270_516, 0, 0), (270_552, 0, 0)]);
 }

@@ -15,10 +15,9 @@ pub const KERNEL_KINDS: usize = KernelKind::ALL.len();
 /// The baseband kernel classes whose array cycles are tracked separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// W-CDMA descrambler (paper Fig. 5).
-    Descrambler,
-    /// W-CDMA despreader (paper Fig. 6).
-    Despreader,
+    /// W-CDMA rake finger: the descrambler (paper Fig. 5) streaming into
+    /// the despreader (Fig. 6) in one configuration.
+    Finger,
     /// OFDM preamble-detection correlator (configuration 2a).
     PreambleDetector,
     /// OFDM QPSK demodulator (configuration 2b).
@@ -27,9 +26,8 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Every kernel kind, in display order.
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Descrambler,
-        KernelKind::Despreader,
+    pub const ALL: [KernelKind; 3] = [
+        KernelKind::Finger,
         KernelKind::PreambleDetector,
         KernelKind::Demodulator,
     ];
@@ -37,18 +35,16 @@ impl KernelKind {
     /// Stable index into per-kernel counter arrays.
     pub fn index(self) -> usize {
         match self {
-            KernelKind::Descrambler => 0,
-            KernelKind::Despreader => 1,
-            KernelKind::PreambleDetector => 2,
-            KernelKind::Demodulator => 3,
+            KernelKind::Finger => 0,
+            KernelKind::PreambleDetector => 1,
+            KernelKind::Demodulator => 2,
         }
     }
 
     /// Human-readable kernel name.
     pub fn name(self) -> &'static str {
         match self {
-            KernelKind::Descrambler => "wcdma-descrambler",
-            KernelKind::Despreader => "wcdma-despreader",
+            KernelKind::Finger => "wcdma-finger",
             KernelKind::PreambleDetector => "ofdm-preamble-detector",
             KernelKind::Demodulator => "ofdm-demodulator",
         }
@@ -469,14 +465,14 @@ mod tests {
         let m = Metrics::new();
         Metrics::incr(&m.sessions_started);
         Metrics::add(&m.jobs_run, 5);
-        m.record_kernel(KernelKind::Despreader, 123, 40);
-        m.record_kernel(KernelKind::Despreader, 77, 9);
+        m.record_kernel(KernelKind::Finger, 123, 40);
+        m.record_kernel(KernelKind::Finger, 77, 9);
         let s = m.snapshot();
         assert_eq!(s.sessions_started, 1);
         assert_eq!(s.jobs_run, 5);
-        assert_eq!(s.kernel_jobs[KernelKind::Despreader.index()], 2);
-        assert_eq!(s.kernel_cycles[KernelKind::Despreader.index()], 200);
-        assert_eq!(s.kernel_fires[KernelKind::Despreader.index()], 49);
+        assert_eq!(s.kernel_jobs[KernelKind::Finger.index()], 2);
+        assert_eq!(s.kernel_cycles[KernelKind::Finger.index()], 200);
+        assert_eq!(s.kernel_fires[KernelKind::Finger.index()], 49);
         assert_eq!(s.total_kernel_cycles(), 200);
         assert_eq!(s.total_kernel_fires(), 49);
     }

@@ -6,8 +6,9 @@
 //! *is* the list of its steps — a static stage table, one row per step:
 //!
 //! * **W-CDMA** (paper §3.1): `Idle` (air capture) → `Searching` (path
-//!   search on the DSP) → `Tracking` (descramble and despread on the
-//!   array, combine and decide) → `Done`.
+//!   search on the DSP) → `Tracking` (one rake finger on the array — the
+//!   descrambler streaming into the despreader in one configuration —
+//!   then correct and decide) → `Done`.
 //! * **802.11a OFDM** (paper §3.2/Fig. 10): `Idle` → `PreambleDetect`
 //!   (configuration 2a on the array) → `Demod` (configuration 2b, slicing
 //!   on the array, Viterbi decode) → `Done`. 2a stays resident beside 2b;
@@ -35,7 +36,7 @@ use crate::config_manager::KernelSpec;
 use crate::metrics::{KernelKind, Metrics};
 use crate::pool::WorkerArray;
 use ofdm::xpp_map::{drive_demodulator, drive_preamble_detector, OfdmKernel};
-use wcdma::xpp_map::{drive_descrambler, drive_despreader, WcdmaKernel};
+use wcdma::xpp_map::{drive_finger, WcdmaKernel};
 
 use ofdm::params::{data_subcarriers, rate, subcarrier_to_bin, RateParams, CP_LEN};
 use ofdm::rx::OfdmReceiver;
@@ -139,7 +140,12 @@ impl<T> Stage<T> {
     }
 }
 
-const DESCRAMBLER: KernelSpec = KernelSpec::Wcdma(WcdmaKernel::Descrambler);
+/// The Tracking row's finger: the DPCH of [`CellConfig::default`], which
+/// every W-CDMA terminal receives (a unit test holds the two equal).
+const FINGER: KernelSpec = KernelSpec::Wcdma(WcdmaKernel::Finger {
+    sf: 128,
+    code_index: 17,
+});
 const DETECTOR: KernelSpec = KernelSpec::Ofdm(OfdmKernel::PreambleDetector);
 const DEMODULATOR: KernelSpec = KernelSpec::Ofdm(OfdmKernel::Demodulator);
 
@@ -505,7 +511,7 @@ impl Terminal for WcdmaTerminal {
     const STAGES: &'static [Stage<Self>] = &[
         Stage::new(SessionState::Idle, None, capture_stage),
         Stage::new(SessionState::Searching, None, Self::search),
-        Stage::new(SessionState::Tracking, Some(DESCRAMBLER), Self::track),
+        Stage::new(SessionState::Tracking, Some(FINGER), Self::track),
     ];
 
     fn new(seed: u64) -> Self {
@@ -559,8 +565,9 @@ impl WcdmaTerminal {
         }
     }
 
-    /// One finger on the array: descramble (Fig. 5) and despread (Fig. 6)
-    /// on cached configurations, then estimate/correct/decide on the DSP.
+    /// One finger on the array — descramble (Fig. 5) streaming into
+    /// despread (Fig. 6) in one cached configuration — then
+    /// estimate/correct/decide on the DSP.
     fn track(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
         let Some(code) = &self.code else {
             return fail(NO_CAPTURE);
@@ -571,23 +578,16 @@ impl WcdmaTerminal {
         let code_index = self.cell.dpch.code_index;
         let n = ((rx.len() - delay) / sf) * sf;
 
-        let descrambled =
-            worker.run_kernel(KernelKind::Descrambler, DESCRAMBLER, |array, cfg| {
-                drive_descrambler(array, cfg, rx, code, delay, 0, n)
-            })?;
-        if descrambled != descramble(rx, code, delay, 0, n) {
-            return fail("array descrambler diverged from golden");
-        }
         // The kernel spec carries the spreading factor and OVSF code index —
         // every parameter that shapes the netlist — so sessions with the same
         // cell parameters share one stored compile.
         let symbols = worker.run_kernel(
-            KernelKind::Despreader,
-            WcdmaKernel::Despreader { sf, code_index },
-            |array, cfg| drive_despreader(array, cfg, &descrambled, sf),
+            KernelKind::Finger,
+            WcdmaKernel::Finger { sf, code_index },
+            |array, cfg| drive_finger(array, cfg, rx, code, delay, 0, n, sf),
         )?;
-        if symbols != despread(&descrambled, sf, code_index) {
-            return fail("array despreader diverged from golden");
+        if symbols != despread(&descramble(rx, code, delay, 0, n), sf, code_index) {
+            return fail("array finger diverged from golden");
         }
 
         let h = estimate_channel(rx, code, delay, 8);
@@ -744,8 +744,22 @@ mod tests {
         assert_eq!(*s.state(), SessionState::Done);
         let snap = metrics.snapshot();
         assert_eq!(snap.sessions_completed, 1);
-        assert!(snap.kernel_jobs[KernelKind::Descrambler.index()] == 1);
-        assert!(snap.kernel_cycles[KernelKind::Despreader.index()] > 0);
+        assert!(snap.kernel_jobs[KernelKind::Finger.index()] == 1);
+        assert!(snap.kernel_cycles[KernelKind::Finger.index()] > 0);
+    }
+
+    /// The Tracking row routes on the finger it runs: its const spec is
+    /// the DPCH every W-CDMA terminal receives.
+    #[test]
+    fn tracking_row_routes_on_the_default_cells_finger() {
+        let dpch = CellConfig::default().dpch;
+        assert_eq!(
+            FINGER,
+            KernelSpec::Wcdma(WcdmaKernel::Finger {
+                sf: dpch.sf,
+                code_index: dpch.code_index
+            })
+        );
     }
 
     #[test]
@@ -785,10 +799,7 @@ mod tests {
         w.step(&mut worker); // capture
         assert_eq!(w.next_kernel(), None, "path search is DSP-side");
         w.step(&mut worker); // search
-        assert_eq!(
-            w.next_kernel(),
-            Some(KernelSpec::Wcdma(WcdmaKernel::Descrambler))
-        );
+        assert_eq!(w.next_kernel(), Some(FINGER));
     }
 
     #[test]
@@ -973,24 +984,26 @@ mod tests {
         }
     }
 
-    /// One session of each standard at a fixed seed spends exactly the
-    /// array cycles and object fires it did before the stage-table
-    /// refactor (figures recorded at commit 2486872): the drive functions
-    /// moved, no simulated cycle did.
+    /// One session of each standard at a fixed seed spends exactly these
+    /// array cycles and object fires. OFDM's are the figures from before
+    /// the stage-table refactor; W-CDMA's finger is the two-job chain's
+    /// 2 × 2,054 cycles and 36,868 + 20,556 fires less the host round
+    /// trip: 2,058 cycles, and 8,192 fewer fires for the four I/O objects
+    /// (2,048 chips each) the join removed.
     #[test]
     fn per_kernel_cycles_and_fires_are_pinned() {
         let pinned = [
             (
                 Session::wcdma(0, 42),
-                [1, 1, 0, 0],
-                [2054, 2054, 0, 0],
-                [36_868, 20_556, 0, 0],
+                [1, 0, 0],
+                [2058, 0, 0],
+                [49_232, 0, 0],
             ),
             (
                 Session::ofdm(1, 7),
-                [0, 0, 1, 1],
-                [0, 0, 688, 54],
-                [0, 0, 16_324, 768],
+                [0, 1, 1],
+                [0, 688, 54],
+                [0, 16_324, 768],
             ),
         ];
         for (mut s, jobs, cycles, fires) in pinned {

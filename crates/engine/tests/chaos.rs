@@ -223,7 +223,7 @@ fn chaos_gang_is_deterministic_per_seed() {
     assert_eq!(ledger, run(11));
     assert_eq!(
         ledger,
-        (8, 3, 3, 9, 3, 594),
+        (8, 3, 3, 9, 2, 498),
         "(terminal, injected, detected, warm hits, replications, words) at seed 11"
     );
 }
@@ -237,7 +237,7 @@ fn chaos_is_deterministic_per_seed() {
     quiet_injected_panics();
     for driver in Driver::BOTH {
         let run = |seed: u64| {
-            // A horizon of 5: one shard loads each of its four kernels
+            // A horizon of 5: one shard loads each of its three kernels
             // once, so later ordinals never come up.
             let plan = FaultPlan::seeded(seed, 5, 5);
             let (_, summary) = run_to_completion(
@@ -361,11 +361,12 @@ fn faults_mid_replay_invalidate_and_recover() {
             "detections unanswered: {snap}"
         );
         if driver == Driver::Lockstep {
-            // Wakes: 8 load completions (`finish_load` steps a load to
+            // Wakes: every load completion (`finish_load` steps a load to
             // running before the job pushes its input, and the completion
-            // is a wake) plus 44 of the 48 kernel jobs' pushes; the other
-            // 4 jobs pushed into a configuration still awake from its
-            // load. Every wake ends in a sleep.
+            // is a wake) plus the pushes of the 36 kernel jobs (one finger
+            // per W-CDMA session, a detection and a demodulation per OFDM
+            // one) that found their configuration asleep. Every wake ends
+            // in a sleep.
             assert_eq!(
                 [
                     snap.schedules_captured,
@@ -373,7 +374,7 @@ fn faults_mid_replay_invalidate_and_recover() {
                     snap.faults_injected,
                     snap.worker_restarts
                 ],
-                [52, 52, 7, 1],
+                [40, 40, 7, 1],
                 "{snap}"
             );
         }

@@ -102,12 +102,12 @@ fn affinity_routing_matches_the_reference() {
         "reference workload must complete cleanly for the comparison to mean much"
     );
     for (shape, exact) in [
-        ((2usize, 1usize), [17, 127, 420]),
-        ((2, 2), [17, 127, 744]),
-        ((2, 4), [17, 127, 1_116]),
-        ((4, 1), [44, 100, 840]),
-        ((4, 2), [44, 100, 1_212]),
-        ((4, 4), [44, 100, 1_590]),
+        ((2usize, 1usize), [18, 126, 396]),
+        ((2, 2), [18, 126, 696]),
+        ((2, 4), [18, 126, 1_044]),
+        ((4, 1), [45, 99, 612]),
+        ((4, 2), [44, 100, 1_050]),
+        ((4, 4), [45, 99, 1_212]),
     ] {
         let routed = routed_outcomes(shape, n, exact);
         assert_matches_reference(&format!("affinity {shape:?}"), &routed, &reference);

@@ -13,7 +13,7 @@
 //!   re-interleave the decoded pair.
 
 use crate::rake::finger::WEIGHT_FRAC_BITS;
-use crate::xpp_map::{split_iq, zip_iq};
+use crate::xpp_map::{drain_iq, split_iq};
 use sdr_dsp::Cplx;
 use xpp_array::{
     AluOp, Array, ConfigId, CounterCfg, DataOut, Netlist, NetlistBuilder, Result, UnaryOp, Word,
@@ -214,9 +214,7 @@ impl ArrayCorrector {
         self.array
             .run_until_output(self.cfg, "i_out", muxed.len(), budget)?;
         self.array.run_until_idle(4_000)?;
-        let i_out = self.array.drain_output(self.cfg, "i_out")?;
-        let q_out = self.array.drain_output(self.cfg, "q_out")?;
-        Ok(zip_iq(&i_out, &q_out))
+        drain_iq(&mut self.array, self.cfg)
     }
 
     /// The underlying array.
@@ -284,9 +282,7 @@ impl ArraySttdCorrector {
         self.array
             .run_until_output(self.cfg, "i_out", symbols.len(), budget)?;
         self.array.run_until_idle(4_000)?;
-        let i_out = self.array.drain_output(self.cfg, "i_out")?;
-        let q_out = self.array.drain_output(self.cfg, "q_out")?;
-        Ok(zip_iq(&i_out, &q_out))
+        drain_iq(&mut self.array, self.cfg)
     }
 
     /// The underlying array.

@@ -12,9 +12,9 @@
 //! with `c1 = 1−2·cᵢ`, `c2 = 1−2·c_q`.
 
 use crate::scrambling::ScramblingCode;
-use crate::xpp_map::{split_iq, zip_iq};
+use crate::xpp_map::{drain_iq, split_iq};
 use sdr_dsp::Cplx;
-use xpp_array::{AluOp, Array, ConfigId, Netlist, NetlistBuilder, Result, Word};
+use xpp_array::{AluOp, Array, ConfigId, DataOut, Netlist, NetlistBuilder, Result, Word};
 
 /// Builds the Fig. 5 descrambler netlist.
 ///
@@ -24,6 +24,21 @@ pub fn descrambler_netlist() -> Netlist {
     let mut nl = NetlistBuilder::new("fig5-descrambler");
     let i_in = nl.input("i_in");
     let q_in = nl.input("q_in");
+    let (y_re, y_im) = build_descrambler(&mut nl, i_in, q_in);
+    nl.output("i_out", y_re);
+    nl.output("q_out", y_im);
+    nl.build().expect("descrambler netlist is well formed")
+}
+
+/// Splices the Fig. 5 datapath into `nl` behind the sample streams
+/// `i_in`/`q_in`: adds the code-bit inputs `ci`/`cq` and returns the
+/// descrambled I and Q streams (used alone by [`descrambler_netlist`] and
+/// ahead of the despreader by [`finger_netlist`](crate::xpp_map::finger_netlist)).
+pub(crate) fn build_descrambler(
+    nl: &mut NetlistBuilder,
+    i_in: DataOut,
+    q_in: DataOut,
+) -> (DataOut, DataOut) {
     let ci = nl.input("ci");
     let cq = nl.input("cq");
 
@@ -47,9 +62,32 @@ pub fn descrambler_netlist() -> Netlist {
     let p4 = nl.alu(AluOp::Mul, i_in, c2);
     let y_re = nl.alu(AluOp::Add, p1, p2);
     let y_im = nl.alu(AluOp::Sub, p3, p4);
-    nl.output("i_out", y_re);
-    nl.output("q_out", y_im);
-    nl.build().expect("descrambler netlist is well formed")
+    (y_re, y_im)
+}
+
+/// Pushes one descrambling job's four input streams into `cfg`: `n`
+/// samples from `rx[delay]` on `i_in`/`q_in` and the code bits from
+/// `phase` on `ci`/`cq`.
+///
+/// # Panics
+///
+/// Panics if `delay + n` exceeds the buffer.
+pub(crate) fn push_descrambler_inputs(
+    array: &mut Array,
+    cfg: ConfigId,
+    rx: &[Cplx<i32>],
+    code: &ScramblingCode,
+    delay: usize,
+    phase: usize,
+    n: usize,
+) -> Result<()> {
+    assert!(delay + n <= rx.len(), "descramble window exceeds buffer");
+    let (i, q) = split_iq(&rx[delay..delay + n]);
+    let bits = |k| code.chip_bits(phase + k);
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    array.push_input(cfg, "ci", (0..n).map(|k| Word::new(bits(k).0 as i32)))?;
+    array.push_input(cfg, "cq", (0..n).map(|k| Word::new(bits(k).1 as i32)))
 }
 
 /// The descrambler's drive function (see [`crate::xpp_map`]): `cfg` is a
@@ -74,18 +112,10 @@ pub fn drive_descrambler(
     phase: usize,
     n: usize,
 ) -> Result<Vec<Cplx<i32>>> {
-    assert!(delay + n <= rx.len(), "descramble window exceeds buffer");
-    let (i, q) = split_iq(&rx[delay..delay + n]);
-    let bits = |k| code.chip_bits(phase + k);
-    array.push_input(cfg, "i_in", i)?;
-    array.push_input(cfg, "q_in", q)?;
-    array.push_input(cfg, "ci", (0..n).map(|k| Word::new(bits(k).0 as i32)))?;
-    array.push_input(cfg, "cq", (0..n).map(|k| Word::new(bits(k).1 as i32)))?;
+    push_descrambler_inputs(array, cfg, rx, code, delay, phase, n)?;
     array.run_until_output(cfg, "i_out", n, 16 * n as u64 + 1_000)?;
     array.run_until_idle(1_000)?;
-    let i_out = array.drain_output(cfg, "i_out")?;
-    let q_out = array.drain_output(cfg, "q_out")?;
-    Ok(zip_iq(&i_out, &q_out))
+    drain_iq(array, cfg)
 }
 
 /// A descrambler running on its own array instance.

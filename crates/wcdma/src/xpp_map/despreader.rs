@@ -13,10 +13,10 @@
 //!   RAM or dumps it to the output while a merge writes back zero.
 
 use crate::ovsf::ovsf;
-use crate::xpp_map::{split_iq, zip_iq};
+use crate::xpp_map::{drain_iq, split_iq};
 use sdr_dsp::Cplx;
 use xpp_array::{
-    AluOp, Array, ConfigId, CounterCfg, Netlist, NetlistBuilder, Result, UnaryOp, Word,
+    AluOp, Array, ConfigId, CounterCfg, DataOut, Netlist, NetlistBuilder, Result, UnaryOp, Word,
 };
 
 /// Minimum finger count for the multiplexed despreader: the RAM
@@ -35,10 +35,27 @@ pub const MIN_MULTIPLEXED_FINGERS: usize = 6;
 /// Panics on invalid OVSF parameters.
 pub fn despreader_single_netlist(sf: usize, code_index: usize) -> Netlist {
     let code = ovsf(sf, code_index);
-    let shift = sf.trailing_zeros();
     let mut nl = NetlistBuilder::new(format!("fig6-despreader-sf{sf}"));
     let i_in = nl.input("i_in");
     let q_in = nl.input("q_in");
+    let (out_i, out_q) = build_despreader_single(&mut nl, i_in, q_in, &code);
+    nl.output("i_out", out_i);
+    nl.output("q_out", out_q);
+    nl.build()
+        .expect("single despreader netlist is well formed")
+}
+
+/// Splices the single-finger Fig. 6 datapath for the OVSF `code` into
+/// `nl` behind the chip streams `i_in`/`q_in` and returns the symbol
+/// streams (used alone by [`despreader_single_netlist`] and behind the
+/// descrambler by [`finger_netlist`](crate::xpp_map::finger_netlist)).
+pub(crate) fn build_despreader_single(
+    nl: &mut NetlistBuilder,
+    i_in: DataOut,
+    q_in: DataOut,
+    code: &[i32],
+) -> (DataOut, DataOut) {
+    let sf = code.len();
     // OVSF chips recirculate from a preloaded lookup FIFO.
     let lut = nl.ring_fifo(code.iter().map(|&c| Word::new(c)).collect());
     let pi = nl.alu(AluOp::Mul, i_in, lut);
@@ -49,12 +66,10 @@ pub fn despreader_single_netlist(sf: usize, code_index: usize) -> Netlist {
     let dump = nl.to_event(last);
     let sum_i = nl.accum_dump(pi, dump);
     let sum_q = nl.accum_dump(pq, dump);
+    let shift = sf.trailing_zeros();
     let out_i = nl.unary(UnaryOp::ShrK(shift), sum_i);
     let out_q = nl.unary(UnaryOp::ShrK(shift), sum_q);
-    nl.output("i_out", out_i);
-    nl.output("q_out", out_q);
-    nl.build()
-        .expect("single despreader netlist is well formed")
+    (out_i, out_q)
 }
 
 /// Builds the time-multiplexed despreader netlist: `fingers` virtual fingers
@@ -145,9 +160,7 @@ pub fn drive_despreader(
     array.push_input(cfg, "q_in", q)?;
     array.run_until_output(cfg, "i_out", n_sym, 16 * chips.len() as u64 + 2_000)?;
     array.run_until_idle(2_000)?;
-    let i_out = array.drain_output(cfg, "i_out")?;
-    let q_out = array.drain_output(cfg, "q_out")?;
-    Ok(zip_iq(&i_out, &q_out))
+    drain_iq(array, cfg)
 }
 
 /// A single-finger despreader on its own array.
@@ -271,9 +284,7 @@ impl ArrayMultiplexedDespreader {
         self.array
             .run_until_output(self.cfg, "i_out", expect, budget)?;
         self.array.run_until_idle(4_000)?;
-        let i_out = self.array.drain_output(self.cfg, "i_out")?;
-        let q_out = self.array.drain_output(self.cfg, "q_out")?;
-        let muxed = zip_iq(&i_out, &q_out);
+        let muxed = drain_iq(&mut self.array, self.cfg)?;
         // De-interleave back to per-finger symbol streams.
         let mut out = vec![Vec::with_capacity(n_sym); self.fingers];
         for (k, sym) in muxed.into_iter().enumerate() {

@@ -3,22 +3,28 @@
 //! These are the paper's Figures 5–7: the descrambler, the despreader and
 //! the channel-correction unit, built from ALU/register/RAM objects and
 //! verified *bit-exact* against the golden models in [`crate::rake::finger`]
-//! and [`crate::symbols`].
+//! and [`crate::symbols`]. [`finger_netlist`] splices Figs. 5 and 6 into one
+//! configuration — one rake finger, the descrambled chips streaming from
+//! one datapath into the next on the array — from the same `build_*`
+//! helpers the two stand-alone netlists use.
 //!
 //! Each kernel comes as a netlist constructor (for embedding into a larger
-//! platform) plus a self-contained wrapper owning a private array instance
-//! (for tests and benchmarks). The two kernels the multi-terminal engine
-//! runs also have a **drive function** beside their netlist —
-//! [`drive_descrambler`], [`drive_despreader`] — the one place that knows
-//! the netlist's port names, cycle budgets and push → run → drain order.
-//! It runs one job on a caller-owned `Array` that may hold other resident
-//! configurations (the engine's workers; the wrappers call it too), and
-//! streams its inputs straight from the caller's slices, so calling it
-//! again with the same arguments — a watchdog retry — replays the job.
+//! platform); the stand-alone kernels also have a self-contained wrapper
+//! owning a private array instance (for tests and benchmarks). The
+//! kernels the multi-terminal engine runs have a **drive function** beside
+//! their netlist — [`drive_finger`] (and [`drive_descrambler`],
+//! [`drive_despreader`] for the separate stages) — the one place that
+//! knows the netlist's port names, cycle budgets and push → run → drain
+//! order. It runs one job on a caller-owned `Array` that may hold other
+//! resident configurations (the engine's workers; the wrappers call it
+//! too), and streams its inputs straight from the caller's slices, so
+//! calling it again with the same arguments — a watchdog retry — replays
+//! the job.
 
 pub mod corrector;
 pub mod descrambler;
 pub mod despreader;
+pub mod finger;
 
 pub use corrector::{
     corrector_netlist, sttd_corrector_netlist, ArrayCorrector, ArraySttdCorrector,
@@ -28,9 +34,10 @@ pub use despreader::{
     despreader_multiplexed_netlist, despreader_single_netlist, drive_despreader, ArrayDespreader,
     ArrayMultiplexedDespreader, MIN_MULTIPLEXED_FINGERS,
 };
+pub use finger::{drive_finger, finger_netlist};
 
 use sdr_dsp::Cplx;
-use xpp_array::{Netlist, Word};
+use xpp_array::{Array, ConfigId, Netlist, Result, Word};
 
 /// Registry of the crate's array kernels: every `*_netlist` constructor,
 /// addressable by a stable identity instead of a function pointer.
@@ -45,6 +52,8 @@ pub enum WcdmaKernel {
     Descrambler,
     /// Fig. 6 single-code despreader.
     Despreader { sf: usize, code_index: usize },
+    /// Fig. 5 wired into Fig. 6: one rake finger in one configuration.
+    Finger { sf: usize, code_index: usize },
     /// Fig. 6 finger-multiplexed despreader.
     MultiplexedDespreader { fingers: usize, sf: usize },
     /// Fig. 7 MRC channel corrector.
@@ -61,6 +70,9 @@ impl WcdmaKernel {
             WcdmaKernel::Despreader { sf, code_index } => {
                 format!("fig6-despreader-sf{sf}-c{code_index}")
             }
+            WcdmaKernel::Finger { sf, code_index } => {
+                format!("fig5-fig6-finger-sf{sf}-c{code_index}")
+            }
             WcdmaKernel::MultiplexedDespreader { fingers, sf } => {
                 format!("fig6-despreader-mux{fingers}-sf{sf}")
             }
@@ -75,6 +87,7 @@ impl WcdmaKernel {
         match *self {
             WcdmaKernel::Descrambler => descrambler_netlist(),
             WcdmaKernel::Despreader { sf, code_index } => despreader_single_netlist(sf, code_index),
+            WcdmaKernel::Finger { sf, code_index } => finger_netlist(sf, code_index),
             WcdmaKernel::MultiplexedDespreader { fingers, sf } => {
                 despreader_multiplexed_netlist(fingers, sf)
             }
@@ -99,17 +112,20 @@ pub(crate) fn split_iq(
     )
 }
 
-/// Zips parallel I and Q word streams back into complex samples.
+/// Drains a configuration's `i_out`/`q_out` streams and zips them back
+/// into complex samples.
 ///
 /// # Panics
 ///
 /// Panics if the streams have different lengths.
-pub(crate) fn zip_iq(i: &[Word], q: &[Word]) -> Vec<Cplx<i32>> {
+pub(crate) fn drain_iq(array: &mut Array, cfg: ConfigId) -> Result<Vec<Cplx<i32>>> {
+    let i = array.drain_output(cfg, "i_out")?;
+    let q = array.drain_output(cfg, "q_out")?;
     assert_eq!(i.len(), q.len(), "I/Q stream length mismatch");
-    i.iter()
-        .zip(q)
+    Ok(i.iter()
+        .zip(&q)
         .map(|(a, b)| Cplx::new(a.value(), b.value()))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]

@@ -5,12 +5,13 @@
 //! bounded window is ever materialised over the worker shards.
 //!
 //! Every OFDM terminal runs the paper's Fig. 10 configurations (detector
-//! 2a, then demodulator 2b) and every W-CDMA terminal its
-//! descrambler/despreader. Configurations stay resident until placement
-//! pressure evicts one — the Fig. 10 recycling — so the final metrics show
-//! a few loads, evictions where the standards share an array, and
-//! cache hits for everything else; the `frontend` metrics line shows the
-//! parking lot working.
+//! 2a, then demodulator 2b) and every W-CDMA terminal its rake finger (the
+//! Fig. 5 descrambler streaming into the Fig. 6 despreader in one
+//! configuration). Configurations stay resident until placement pressure
+//! evicts one — the Fig. 10 recycling; the three fit one array side by
+//! side — so the final metrics show a few loads and cache hits for
+//! everything else, and one `kernels` line each; the `frontend` metrics
+//! line shows the parking lot working.
 //!
 //! Usage:
 //! `cargo run --release --example basestation [--sessions N] [--shards M]

@@ -1,9 +1,10 @@
-//! The four kernels the engine runs, on one array that keeps all of them
-//! resident — the benchmark's `backpressure_1x1` shard taken to its limit —
-//! driven through the same public `drive_*` functions the engine uses. (The
-//! kernels need 19 logical I/O streams between them and an XPP-64A has 16,
-//! so the stock device holds any three; the array here is an XPP-64A with
-//! the I/O widened to fit the fourth.)
+//! Kernels resident together on one array, driven through the same public
+//! `drive_*` functions the engine uses. Two shards: the engine's three
+//! kernels — the rake finger (Fig. 5 streaming into Fig. 6 in one
+//! configuration), 2a and 2b — on a stock XPP-64A, where they take 15 of
+//! its 16 I/O channels (the benchmark's `backpressure_1x1` shard); and the
+//! four stand-alone kernels the finger was split into before, which need
+//! 19 logical I/O streams and so run on an XPP-64A with the I/O widened.
 //!
 //! Two properties, both about *how the stepper ran* and neither about what
 //! it computed differently (nothing may):
@@ -24,12 +25,16 @@ use xpp_sdr::dsp::Cplx;
 use xpp_sdr::ofdm::xpp_map::{
     demodulator_netlist, drive_demodulator, drive_preamble_detector, preamble_detector_netlist,
 };
+use xpp_sdr::wcdma::rake::finger::{descramble, despread};
 use xpp_sdr::wcdma::xpp_map::{
     descrambler_netlist, despreader_single_netlist, drive_descrambler, drive_despreader,
+    drive_finger, finger_netlist,
 };
 use xpp_sdr::wcdma::ScramblingCode;
 
 const SF: usize = 128;
+/// The DPCH's OVSF code index.
+const CODE_INDEX: usize = 17;
 /// Chips per W-CDMA job: what one engine frame feeds each kernel.
 const CHIPS: usize = 16 * SF;
 
@@ -67,7 +72,7 @@ impl Shard {
                 .expect("the four kernels fit the widened array together")
         };
         let descrambler = load(descrambler_netlist());
-        let despreader = load(despreader_single_netlist(SF, 17));
+        let despreader = load(despreader_single_netlist(SF, CODE_INDEX));
         let detector = load(preamble_detector_netlist());
         let demodulator = load(demodulator_netlist());
         while !array.is_running(demodulator) {
@@ -95,15 +100,23 @@ impl Shard {
     }
 
     fn detect(&mut self, job: usize) -> Vec<i32> {
-        let rx = samples(600, 200 + job as i32);
-        drive_preamble_detector(&mut self.array, self.detector, &rx).unwrap()
+        detect(&mut self.array, self.detector, job)
     }
 
     fn demodulate(&mut self, job: usize) -> Vec<(u8, u8)> {
-        let carriers = samples(48, 300 + job as i32);
-        let weights = vec![Cplx::new(512, 0); carriers.len()];
-        drive_demodulator(&mut self.array, self.demodulator, &carriers, &weights).unwrap()
+        demodulate(&mut self.array, self.demodulator, job)
     }
+}
+
+fn detect(array: &mut Array, detector: ConfigId, job: usize) -> Vec<i32> {
+    let rx = samples(600, 200 + job as i32);
+    drive_preamble_detector(array, detector, &rx).unwrap()
+}
+
+fn demodulate(array: &mut Array, demodulator: ConfigId, job: usize) -> Vec<(u8, u8)> {
+    let carriers = samples(48, 300 + job as i32);
+    let weights = vec![Cplx::new(512, 0); carriers.len()];
+    drive_demodulator(array, demodulator, &carriers, &weights).unwrap()
 }
 
 /// Everything observable about three rounds of all four kernels.
@@ -183,5 +196,114 @@ fn resident_kernels_stay_dense_job_after_job() {
         // One wake and one sleep per job: no flapping.
         let s = shard.array.schedule_stats().delta_since(&before);
         assert_eq!((s.captured, s.invalidations), (2, 2), "job {job}: {s:?}");
+    }
+}
+
+/// The engine's shard: the finger, 2a and 2b resident on a stock XPP-64A.
+struct EngineShard {
+    array: Array,
+    finger: ConfigId,
+    detector: ConfigId,
+    demodulator: ConfigId,
+    code: ScramblingCode,
+}
+
+impl EngineShard {
+    fn new() -> Self {
+        let mut array = Array::xpp64a();
+        let mut load = |netlist| {
+            array
+                .configure_compiled(&CompiledConfig::compile(&netlist))
+                .expect("the engine's three kernels fit a stock XPP-64A together")
+        };
+        let finger = load(finger_netlist(SF, CODE_INDEX));
+        let detector = load(preamble_detector_netlist());
+        let demodulator = load(demodulator_netlist());
+        while !array.is_running(demodulator) {
+            array.step();
+        }
+        EngineShard {
+            array,
+            finger,
+            detector,
+            demodulator,
+            code: ScramblingCode::downlink(0),
+        }
+    }
+
+    /// One frame's finger job, checked against the golden chain.
+    fn track(&mut self, job: usize) -> Vec<Cplx<i32>> {
+        let (rx, delay) = (samples(CHIPS + 8, job as i32), job % 8);
+        let (array, cfg) = (&mut self.array, self.finger);
+        let symbols = drive_finger(array, cfg, &rx, &self.code, delay, 0, CHIPS, SF).unwrap();
+        let chips = descramble(&rx, &self.code, delay, 0, CHIPS);
+        assert_eq!(symbols, despread(&chips, SF, CODE_INDEX), "job {job}");
+        symbols
+    }
+}
+
+/// Everything observable about three rounds of the engine's three kernels.
+#[derive(Debug, PartialEq)]
+struct EngineObserved {
+    symbols: Vec<Vec<Cplx<i32>>>,
+    metrics: Vec<Vec<i32>>,
+    bits: Vec<Vec<(u8, u8)>>,
+    stats: ArrayStats,
+    object_fires: Vec<Vec<(String, u64)>>,
+}
+
+/// Runs the engine-shard scenario; also returns how often a configuration
+/// was woken.
+fn engine_kernel_scenario() -> (EngineObserved, u64) {
+    let mut shard = EngineShard::new();
+    let rounds = 0..3;
+    let observed = EngineObserved {
+        symbols: rounds.clone().map(|j| shard.track(j)).collect(),
+        metrics: rounds
+            .clone()
+            .map(|j| detect(&mut shard.array, shard.detector, j))
+            .collect(),
+        bits: rounds
+            .map(|j| demodulate(&mut shard.array, shard.demodulator, j))
+            .collect(),
+        stats: shard.array.stats(),
+        object_fires: [shard.finger, shard.detector, shard.demodulator]
+            .map(|cfg| shard.array.object_fire_counts(cfg).unwrap())
+            .to_vec(),
+    };
+    (observed, shard.array.schedule_stats().captured)
+}
+
+#[test]
+fn engine_kernels_share_a_stock_array_and_agree_on_all_steppers() {
+    let shard = EngineShard::new();
+    let io: usize = [shard.finger, shard.detector, shard.demodulator]
+        .map(|cfg| shard.array.placement(cfg).unwrap().counts.io)
+        .iter()
+        .sum();
+    assert_eq!(io, 15, "I/O channels the three kernels take of 16");
+    let (production, wakes) = engine_kernel_scenario();
+    assert!(production.symbols.iter().all(|s| s.len() == CHIPS / SF));
+    // Three loads woke each kernel once, and each of the nine jobs woke
+    // its kernel once more from sleep.
+    assert_eq!(wakes, 3 + 9);
+    let (reference, _) = with_reference_stepper(engine_kernel_scenario);
+    assert_eq!(
+        production, reference,
+        "production and reference steppers diverged"
+    );
+}
+
+#[test]
+fn the_resident_finger_stays_dense_job_after_job() {
+    let mut shard = EngineShard::new();
+    for job in 0..20 {
+        let (before, cycles) = (shard.array.schedule_stats(), shard.array.stats().cycles);
+        shard.track(job);
+        let s = shard.array.schedule_stats().delta_since(&before);
+        let share = s.replay_cycles as f64 / (shard.array.stats().cycles - cycles) as f64;
+        assert!(share >= 0.95, "finger job {job}: awake share {share:.3}");
+        // One wake and one sleep per job: no flapping.
+        assert_eq!((s.captured, s.invalidations), (1, 1), "job {job}: {s:?}");
     }
 }

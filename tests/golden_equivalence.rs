@@ -150,6 +150,44 @@ fn rake_soft_handover_scenario() -> Record {
     rec.finish(&array)
 }
 
+/// One rake finger — Fig. 5 streaming into Fig. 6 inside one
+/// configuration, the engine's W-CDMA kernel — over a real received
+/// signal: jobs at several path delays and code phases, including one
+/// with a trailing partial symbol, each checked against the golden
+/// chain. Returns per-object fire counts beside the record.
+fn rake_finger_scenario() -> (Record, Vec<(String, u64)>) {
+    use wcdma::channel::{propagate, AdcConfig, CellLink, Path};
+    use wcdma::rake::finger::{descramble, despread};
+    use wcdma::tx::{CellConfig, CellTransmitter};
+    use wcdma::xpp_map::{drive_finger, finger_netlist};
+
+    let cell = CellConfig::default();
+    let (sf, code_index) = (cell.dpch.sf, cell.dpch.code_index);
+    let bits: Vec<u8> = (0..24).map(|i| ((i * 5 + 2) % 3 % 2) as u8).collect();
+    let mut tx = CellTransmitter::new(cell);
+    let link = CellLink::new(vec![
+        Path::new(3, Cplx::new(0.7, 0.2)),
+        Path::new(9, Cplx::new(-0.2, 0.3)),
+    ]);
+    let rx = propagate(&[(tx.transmit(&bits), link)], 0.03, 5, AdcConfig::default());
+    let code = tx.scrambling_code().clone();
+
+    let mut rec = Record::new();
+    let mut array = Array::xpp64a();
+    let finger = array.configure(&finger_netlist(sf, code_index)).unwrap();
+    for (delay, phase, n) in [(3, 0, 4 * sf), (9, 0, 4 * sf), (3, 77, 3 * sf + 41)] {
+        let symbols = drive_finger(&mut array, finger, &rx, &code, delay, phase, n, sf).unwrap();
+        let golden = despread(&descramble(&rx, &code, delay, phase, n), sf, code_index);
+        assert_eq!(symbols, golden, "delay {delay} phase {phase}");
+        rec.streams.push((
+            format!("symbols d{delay} p{phase}"),
+            symbols.iter().flat_map(|s| [s.re, s.im]).collect(),
+        ));
+    }
+    let object_fires = array.object_fire_counts(finger).unwrap();
+    (rec.finish(&array), object_fires)
+}
+
 /// The Fig. 10 802.11a reconfiguration scenario on the array: the resident
 /// front end (down-sampler + FFT) plus the preamble detector (2a), search
 /// over a real transmitted frame, then the runtime swap 2a→2b and
@@ -240,6 +278,11 @@ fn wlan_reconfiguration_scenario() -> Record {
 #[test]
 fn rake_soft_handover_is_stepper_invariant() {
     assert_steppers_agree(rake_soft_handover_scenario);
+}
+
+#[test]
+fn rake_finger_is_stepper_invariant() {
+    assert_steppers_agree(rake_finger_scenario);
 }
 
 #[test]
