@@ -88,10 +88,12 @@ fn ofdm_reconfig() {
 
 /// The engine's three kernels take 15 of an array's 16 I/O channels, so
 /// they fit side by side: a hotspot holder still spills to the
-/// least-loaded shard, which may load the kernel, but nothing is evicted.
+/// least-loaded array, which may load the kernel, but nothing is evicted.
+/// Two threads of two arrays are, to the lockstep driver, the pool of four
+/// single arrays.
 #[test]
 fn mixed_gang() {
-    shape("mixed_gang", [(541_244, 396, 0), (541_416, 396, 0)]);
+    shape("mixed_gang", [(541_178, 330, 0), (541_410, 390, 0)]);
 }
 
 /// One array holds all three kernels after the warm-up: the round

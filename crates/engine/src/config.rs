@@ -36,27 +36,25 @@ impl Default for RecoveryPolicy {
 /// Pool and front-end sizing and policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of shards (each owning one array, or one gang). Sessions are
-    /// routed to the shard that holds their next kernel, and with more than
-    /// one shard an idle shard claims work a saturated one exposes
-    /// ([`router`](crate::router)).
+    /// Worker threads. The router places on `shards × arrays_per_shard`
+    /// arrays, each with its own queue, clock and residency
+    /// ([`router`](crate::router)); a thread only steps the arrays it was
+    /// given.
     pub shards: usize,
-    /// Arrays per shard gang (`1`, the default, is one array per shard).
-    /// The dispatch policy is the same for every size: a round steps the
-    /// shard's most urgent session on the member that holds its kernel
-    /// (else the least-busy member), and a gang spreads a saturated kernel
-    /// over up to `arrays_per_shard − 1` members (both of a pair).
+    /// Arrays each worker thread steps (`1`, the default, is one array per
+    /// thread). A thread steps its arrays in clock order; it does not place
+    /// sessions among them.
     pub arrays_per_shard: usize,
-    /// Sessions each shard may own at once: submitted to it and not yet
+    /// Sessions each array may own at once: submitted to it and not yet
     /// handed back, whether queued or being stepped. The front-end's
-    /// materialisation window is `min(64, shards × queue_depth)`
+    /// materialisation window is `min(64, arrays × queue_depth)`
     /// ([`Frontend::window`](crate::Frontend::window)).
     pub queue_depth: usize,
-    /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
+    /// Inert; the frozen benchmark package sets it and ROADMAP T deletes it.
     pub placement: PlacementPolicy,
-    /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
+    /// Inert; the frozen benchmark package sets it and ROADMAP T deletes it.
     pub work_stealing: bool,
-    /// Inert; the frozen benchmark package sets it and ROADMAP E(2) deletes it.
+    /// Inert; the frozen benchmark package sets it and ROADMAP T deletes it.
     pub delta_loading: bool,
     /// Supervision tuning: kernel/session retry budgets.
     pub recovery: RecoveryPolicy,

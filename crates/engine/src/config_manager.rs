@@ -242,17 +242,12 @@ impl ConfigManager {
         self.resident.iter().any(|r| r.name == name)
     }
 
-    /// Appends the names of resident configurations to `out`, skipping
-    /// any already present — the allocation-light export the shard loops
-    /// use to publish a gang-wide residency snapshot into the global
-    /// [`ResidencyView`](crate::router::ResidencyView) without building a
-    /// fresh `Vec` per member per round.
+    /// Appends the names of resident configurations to `out` — the
+    /// allocation-light export a shard uses to publish its residency into
+    /// the global [`ResidencyView`](crate::router::ResidencyView) without
+    /// building a fresh `Vec` per round.
     pub fn resident_names_into(&self, out: &mut Vec<String>) {
-        for r in &self.resident {
-            if !out.iter().any(|n| n == &r.name) {
-                out.push(r.name.clone());
-            }
-        }
+        out.extend(self.resident.iter().map(|r| r.name.clone()));
     }
 
     /// Re-marks every resident's object-fire counter as seen. A resident

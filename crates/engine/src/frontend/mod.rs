@@ -2,7 +2,7 @@
 //! bounded worker set.
 //!
 //! The engine's one driver. A submitter that blocks on the pool whenever
-//! a shard queue fills bounds the resident-session count by threads; this
+//! an array's queue fills bounds the resident-session count by threads; this
 //! control plane never blocks on submission. It is a single-threaded
 //! completion loop over the [`ShardPool`] it owns, plus [`parking`] — the
 //! idle-session parking lot: a deadline-ordered heap of compact
@@ -19,22 +19,23 @@
 //!
 //! Flow control is by credit, as on the array itself, where an object
 //! fires only when its output register has room. The window is
-//! [`Frontend::window`], `min(64, shards × queue_depth)`, and a record is
-//! popped only into a free slot of it. That is the only flow control: the
-//! pool never refuses the driver, because
+//! [`Frontend::window`], `min(64, arrays × queue_depth)` over the pool's
+//! `shards × arrays_per_shard` arrays, and a record is popped only into a
+//! free slot of it. That is the only flow control: the pool never refuses
+//! the driver, because
 //!
-//! * only the driver thread raises a shard's count of owned sessions (in
-//!   [`ShardPool::submit`]); a shard lowers its count only as it hands a
+//! * only the driver thread raises an array's count of owned sessions (in
+//!   [`ShardPool::submit`]); an array lowers its count only as it hands a
 //!   session back;
-//! * a hand-back's `recv` happens after its shard's decrement, so every
-//!   session a shard owns is also counted in flight, and
-//!   Σ owned ≤ in flight < window ≤ `shards × queue_depth` whenever the
-//!   driver submits;
-//! * so some shard owns fewer than `queue_depth`, and the
-//!   [`AffinityRouter`](crate::AffinityRouter) picks only a shard with
+//! * a hand-back's `recv` happens after its array's decrement, so every
+//!   session an array owns is also counted in flight, and
+//!   Σ owned ≤ in flight < window = `min(64, arrays × queue_depth)` ≤
+//!   `arrays × queue_depth` whenever the driver submits;
+//! * so some array owns fewer than `queue_depth`, and the
+//!   [`AffinityRouter`](crate::AffinityRouter) picks only an array with
 //!   room while one exists.
 //!
-//! A refusal is therefore a defect, and the driver panics naming the shard
+//! A refusal is therefore a defect, and the driver panics naming the array
 //! and the error rather than parking the session or blocking on it.
 //!
 //! There is no executor behind this: a session's drive has one wait point
@@ -208,7 +209,7 @@ impl Frontend {
     }
 
     /// The same driver over a [`ShardPool::lockstep`] pool: no worker
-    /// threads, the shards step inside this loop's one wait point, and
+    /// threads, the arrays step inside this loop's one wait point, and
     /// every counter of a run repeats exactly. A constructor for tests and
     /// benches; `metrics` is the registry, as in
     /// [`Frontend::with_metrics`], so a caller can still read it after
@@ -334,7 +335,7 @@ impl Frontend {
     }
 
     /// The loop's one blocking call: waits (bounded) for a hand-back and
-    /// folds it. Only called with sessions in flight, and a lockstep shard
+    /// folds it. Only called with sessions in flight, and a lockstep array
     /// holding one always steps, so a lockstep `None` here is a lost
     /// session: a defect, and the wait a thread pool would repeat would
     /// never end.
@@ -343,7 +344,7 @@ impl Frontend {
             Some(session) => self.fold(session, workload),
             None => assert!(
                 !self.pool.is_lockstep(),
-                "lockstep pool stalled with {} sessions in flight: no shard could step any of them",
+                "lockstep pool stalled with {} sessions in flight: no array could step any of them",
                 self.in_flight
             ),
         }

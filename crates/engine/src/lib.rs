@@ -3,20 +3,19 @@
 //! The paper's platform runs *one* terminal's baseband on a reconfigurable
 //! array; a base-station (or a dense simulation farm) must run many. This
 //! crate scales the single-terminal pipelines of `sdr_wcdma` and
-//! `sdr_ofdm` across a sharded pool of worker threads, each owning one
-//! simulated XPP array or a gang of them:
+//! `sdr_ofdm` across a pool of simulated XPP arrays, stepped by a few
+//! worker threads:
 //!
 //! * [`session`] — per-terminal state machines (W-CDMA rake acquisition,
 //!   802.11a preamble detect → demodulate on the Fig. 10 configurations
 //!   2a and 2b);
-//! * [`pool`] — bounded-queue worker shards with one dispatch policy for
-//!   every shard size: the most
-//!   urgent session (earliest deadline first) steps on the member that
-//!   holds its kernel, and a configuration stays resident until placement
-//!   pressure evicts it;
-//! * [`router`] — residency-affinity placement on what each shard owns:
-//!   a session follows its kernel until the holder runs more than eight
-//!   sessions ahead of the least-loaded shard, and then spills there;
+//! * [`pool`] — one bounded-queue shard per array: each array steps the
+//!   most urgent session it owns (earliest deadline first), and a
+//!   configuration stays resident until placement pressure evicts it;
+//! * [`router`] — residency-affinity placement on what each array owns,
+//!   the only placement decision: a session follows its kernel until the
+//!   holder runs more than eight sessions ahead of the least-loaded array,
+//!   and then spills there;
 //! * [`config_manager`] — the configuration-manager subsystem: a
 //!   [`KernelSpec`] registry of array kernels, a **process-wide**
 //!   compile-once store of pre-compiled, pre-placed configurations (each
@@ -31,12 +30,12 @@
 //! pool, the control plane above that dataflow plane, as the paper's
 //! configuration manager is the one authority that sequences every load,
 //! run and eviction. Terminals are admitted as compact parked records,
-//! rehydrated into a window no wider than the shard queues can hold, and
+//! rehydrated into a window no wider than the arrays' queues can hold, and
 //! each hand-back is resubmitted until the session reaches a terminal
 //! state. That credit window is the only flow control: the router always
-//! finds a shard with room, so no submission is refused and no thread
-//! blocks. The run is *supervised*: a worker panic restarts that shard with a fresh
-//! array and the session is re-dispatched (bounded by
+//! finds an array with room, so no submission is refused and no thread
+//! blocks. The run is *supervised*: a panicking step restarts its array
+//! fresh and the session is re-dispatched (bounded by
 //! [`RecoveryPolicy::max_session_attempts`], then dead-lettered), and a
 //! frame whose modeled completion is hopelessly late is shed at admission
 //! and reported in [`ScaleSummary::shed`] instead of queueing without

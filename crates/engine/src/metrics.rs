@@ -107,13 +107,13 @@ counters! {
     sessions_failed,
     /// Jobs executed by workers.
     jobs_run,
-    /// Submissions rejected with `WouldBlock` (every shard queue full);
+    /// Submissions rejected with `WouldBlock` (every array's queue full);
     /// only a direct [`ShardPool::submit`](crate::ShardPool::submit) can
     /// meet one, never the front-end.
     jobs_rejected,
     /// Explicit Fig. 10 swaps that unloaded their source
     /// ([`WorkerArray::swap`](crate::WorkerArray::swap) only) — inert in
-    /// the engine; the frozen benchmark reads it; E(2) deletes it.
+    /// the engine; the frozen benchmark reads it; ROADMAP T deletes it.
     reconfigurations,
     /// Configuration-cache hits (netlist served without a rebuild).
     cache_hits,
@@ -129,9 +129,9 @@ counters! {
     prefetch_hits,
     /// Array cycles callers waited on explicit
     /// [`WorkerArray::swap`](crate::WorkerArray::swap)s — inert in the
-    /// engine; the frozen benchmark reads it; E(2) deletes it.
+    /// engine; the frozen benchmark reads it; ROADMAP T deletes it.
     reconfig_cycles,
-    /// High-water mark of the sessions any one shard owned at once
+    /// High-water mark of the sessions any one array owned at once
     /// (submitted to it and not yet handed back), read at each submit;
     /// never more than `queue_depth`.
     queue_high_water,
@@ -175,32 +175,33 @@ counters! {
     rehydrations,
     /// Always 0: the front-end never re-parks a session (its credit window
     /// leaves the pool nothing to refuse); the frozen benchmark reads it;
-    /// E(2) deletes it.
+    /// ROADMAP T deletes it.
     backpressure_parks,
-    /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
-    /// deletes it.
+    /// Always 0: inert in the engine; the frozen benchmark reads it;
+    /// ROADMAP T deletes it.
     batches_dispatched,
-    /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
-    /// deletes it.
+    /// Always 0: inert in the engine; the frozen benchmark reads it;
+    /// ROADMAP T deletes it.
     batch_sessions,
-    /// Session steps routed to a member where their kernel was already
-    /// resident — no configuration-bus traffic for the step.
+    /// Always 0: inert in the engine; the frozen benchmark reads it;
+    /// ROADMAP T deletes it.
     batch_warm_hits,
-    /// Times a shard replicated a hot kernel onto an additional gang
-    /// member to spread a saturated stream.
+    /// Always 0: inert in the engine; the frozen benchmark reads it;
+    /// ROADMAP T deletes it.
     batch_replications,
     /// Quiescent residents evicted by a spill-aware prefetch (instead of
     /// soft-failing the prefetch).
     prefetch_spills,
-    /// Always 0; the frozen benchmark package reads it, ROADMAP E(2) deletes it.
+    /// Always 0; the frozen benchmark package reads it, ROADMAP T deletes it.
     delta_words_saved,
-    /// Total array cycles stepped by pool workers (all gang members).
+    /// Total array cycles stepped by the pool's arrays.
     array_cycles_run,
     /// Configuration words streamed over every worker array's bus
     /// (per-array [`xpp_array::ArrayStats::config_words`], summed).
     config_words_streamed,
-    /// High-water mark of any single gang member's total array cycles —
-    /// the modeled-platform makespan when members run in parallel.
+    /// The largest per-array clock: the array cycles the busiest array
+    /// has stepped — the modeled-platform makespan when the arrays run in
+    /// parallel.
     array_makespan_cycles,
     /// Wake-ups of a sleeping configuration on a worker array: input
     /// pushed, a load completed (see [`xpp_array::ScheduleStats`]; this and
@@ -213,20 +214,20 @@ counters! {
     /// Fall-asleeps of a configuration: a pass fired nothing, or it was
     /// unloaded while awake.
     schedule_invalidations,
-    /// Submissions the affinity router placed on the shard already
+    /// Submissions the affinity router placed on an array already
     /// holding their next kernel.
     router_affinity_hits,
     /// Submissions the router fell back to least-loaded placement for
     /// (host-only steps, cold kernels, full or overloaded holders).
     router_fallbacks,
-    /// Always 0: inert in the engine; the frozen benchmark reads it; E(2)
-    /// deletes it.
+    /// Always 0: inert in the engine; the frozen benchmark reads it;
+    /// ROADMAP T deletes it.
     batches_stolen,
     /// Always 0: inert in the engine; the frozen benchmark reads it for
-    /// `pool.steal_rate`; E(2) deletes it.
+    /// `pool.steal_rate`; ROADMAP T deletes it.
     steal_sessions,
-    /// Residency-view snapshots published by shard loops, across all
-    /// shards.
+    /// Residency-view snapshots published, across all arrays: one per
+    /// session step.
     residency_view_refreshes,
 }
 
@@ -334,7 +335,8 @@ impl Snapshot {
     }
 
     /// `steal_sessions ÷ jobs_run`, in `[0, 1]`: always 0 in the engine;
-    /// the frozen benchmark's `pool.steal_rate` spells it; E(2) deletes it.
+    /// the frozen benchmark's `pool.steal_rate` spells it; ROADMAP T
+    /// deletes it.
     pub fn steal_rate(&self) -> f64 {
         ratio(self.steal_sessions, self.jobs_run).min(1.0)
     }
@@ -370,11 +372,6 @@ impl fmt::Display for Snapshot {
             f,
             "  prefetch    issued  {:>8}  hits      {:>8}  spills    {:>8}",
             self.prefetches, self.prefetch_hits, self.prefetch_spills
-        )?;
-        writeln!(
-            f,
-            "  members     warm hits {:>6}  replications {:>4}",
-            self.batch_warm_hits, self.batch_replications
         )?;
         writeln!(
             f,

@@ -1,77 +1,76 @@
-//! Sharded worker pool: each shard owns one simulated XPP array, or a
-//! *gang* of them.
+//! Sharded worker pool: one shard per simulated XPP array, stepped by
+//! `shards` worker threads of `arrays_per_shard` arrays each.
 //!
-//! Terminal sessions are submitted to the shard the [`AffinityRouter`]
-//! picks: a shard with room that already holds the session's next kernel
-//! and owns at most `MAX_HOLDER_LEAD` more sessions than the least-loaded
-//! shard, else the least-loaded shard. A shard *owns* a session from
-//! [`ShardPool::submit`] until it hands the session back, and owns at
-//! most `queue_depth` of them: a full shard rejects the submission with
-//! [`SubmitError::WouldBlock`] instead of buffering unboundedly. The
-//! front-end never sees that refusal: its credit window keeps fewer
-//! sessions in flight than the shards may own, so the router always finds
-//! a shard with room ([`frontend`](crate::frontend)).
-//! Shards drain their queue into a deadline-ordered heap and always run
-//! the most urgent session next (EDF dispatch, the runtime counterpart of
+//! The array is the unit of placement. Terminal sessions are submitted to
+//! the array the [`AffinityRouter`] picks: an array with room that already
+//! holds the session's next kernel and owns at most `MAX_HOLDER_LEAD` more
+//! sessions than the least-loaded array, else the least-loaded array. An
+//! array *owns* a session from [`ShardPool::submit`] until it hands the
+//! session back, and owns at most `queue_depth` of them: a full array
+//! rejects the submission with [`SubmitError::WouldBlock`] instead of
+//! buffering unboundedly. The front-end never sees that refusal: its
+//! credit window keeps fewer sessions in flight than the arrays may own,
+//! so the router always finds an array with room
+//! ([`frontend`](crate::frontend)). Each array keeps the sessions it owns
+//! in its own deadline-ordered heap and always runs the most urgent one
+//! next (EDF dispatch, the runtime counterpart of
 //! `sdr_core::scheduler::schedule_edf`).
 //!
-//! # One shard, two drivers
+//! # One array, two drivers
 //!
-//! A shard is a state machine, `Shard`: its arrays, its EDF heap, its
-//! inbox, and one function — `Shard::step` — that runs one *dispatch
-//! round* (drain the inbox; run, publish and hand back the most urgent
-//! session) and never blocks. Every shard runs the one policy below,
-//! whether it owns one array or a gang; who calls `step` is the driver's
-//! business, and no setting selects it:
+//! A shard is one array as a state machine, `Shard`: its worker array, its
+//! EDF heap, its residency cell and its *clock*, the array cycles it has
+//! stepped. A `Worker` holds a slice of shards and the one inbox that feeds
+//! them, and one function — `Worker::step` — runs one *dispatch round*:
+//! drain the inbox; on the shard with the smallest clock (lowest index on
+//! a tie) that owns a session, run, publish and hand back its most urgent
+//! one. It never blocks. Which arrays share a worker, and who calls
+//! `step`, is the driver's business, and no setting selects it:
 //!
-//! 1. **Threads** — what [`ShardPool::new`] builds and what ships. One OS
-//!    thread per shard loops `step`, and on an idle round makes the one
-//!    blocking call in the shard code, `Shard::wait`: the next submission.
-//!    Which shard runs when is the OS scheduler's choice, so counters that
-//!    follow placement (loads, affinity hits) vary run to run; session
-//!    outcomes do not.
+//! 1. **Threads** — what [`ShardPool::new`] builds and what ships. Each of
+//!    `shards` OS threads owns a worker of `arrays_per_shard` arrays and
+//!    loops `step`; when every heap is empty it makes the one blocking
+//!    call in the pool, `Worker::wait`: the next submission. Which thread
+//!    runs when is the OS scheduler's choice, so counters that follow
+//!    placement (loads, affinity hits) vary run to run; session outcomes
+//!    do not.
 //! 2. **Lockstep** — [`ShardPool::lockstep`], a constructor for tests and
-//!    benches. The pool keeps the shards; [`ShardPool::recv`] on an empty
-//!    result queue runs one round on the shard with the smallest *virtual
-//!    clock* (array cycles its members have stepped; lowest index on a
-//!    tie) that makes progress, and returns `None` at once when none can.
-//!    [`ShardPool::try_recv`] never advances, so the front-end folds
-//!    hand-backs and materialises *between* rounds — the fixed
-//!    interleaving points of a discrete-event run. Same rounds, same
-//!    policy, no threads: two runs give identical
+//!    benches. One worker holds every array, and [`ShardPool::recv`] on an
+//!    empty result queue runs its rounds on the calling thread, returning
+//!    `None` at once when no array owns a session. So a lockstep pool of
+//!    `shards × arrays_per_shard` arrays is the pool of as many single
+//!    arrays, counter for counter. [`ShardPool::try_recv`] never advances,
+//!    so the front-end folds hand-backs and materialises *between* rounds
+//!    — the fixed interleaving points of a discrete-event run. Same rounds,
+//!    same policy, no threads: two runs give identical
 //!    [`Snapshot`](crate::Snapshot)s and completion orders.
 //!
 //! # One dispatch policy
 //!
 //! A round with work to do:
 //!
-//! 1. pops the most urgent session;
-//! 2. steps it on the member `route` picks: a member where the session's
-//!    next [`KernelSpec`] ([`Session::next_kernel`]) is already resident,
-//!    else the least-busy member — and a warm kernel whose least-busy
-//!    home has pulled more than `REPLICATE_AFTER_CYCLES` ahead of the
-//!    idlest member is *replicated* there instead, up to `gang − 1`
-//!    homes so one array stays clear for whatever arrives next (a gang of
-//!    two may use both);
-//! 3. publishes the shard's residency, so the router places the
+//! 1. pops the most urgent session of the chosen array;
+//! 2. steps it there;
+//! 3. publishes the array's residency and clock, so the router places the
 //!    session's next step on the residency this one produced;
-//! 4. hands the session back, which ends the shard's ownership of it.
+//! 4. hands the session back, which ends the array's ownership of it.
 //!
-//! A session never moves between shards once placed: the router balances
-//! the shards when it places a step, on what each one owns.
+//! A session never moves between arrays once placed: the router balances
+//! the arrays when it places a step, on what each one owns, and that is
+//! the only placement decision.
 //!
 //! Residency is the other half: a configuration stays on its array until
 //! placement pressure evicts it — the [`ConfigManager`]'s least recently
 //! used eviction is the paper's Fig. 10 resource recycling. Nothing
 //! unloads a configuration that still fits, and nothing prefetches, so a
 //! configuration loads once and then streams data while the bus idles,
-//! the paper's steady-state premise. The residency map `route` reads is
-//! the managers' own introspection, so it heals across worker rebuilds.
+//! the paper's steady-state premise. What an array publishes is its
+//! manager's own introspection, so it heals across worker rebuilds.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -144,7 +143,7 @@ impl WorkerArray {
         }
     }
 
-    /// Inert; the frozen benchmark package calls it and ROADMAP E(2) deletes it.
+    /// Inert; the frozen benchmark package calls it and ROADMAP T deletes it.
     pub fn set_delta_loading(&mut self, _enabled: bool) {}
 
     /// Attaches a shared fault injector to this worker's array. The
@@ -360,7 +359,7 @@ pub type PoolConfig = EngineConfig;
 /// caller can retry or reroute it.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The queue of the shard the router picked (the `usize`) is full.
+    /// The queue of the array the router picked (the `usize`) is full.
     WouldBlock(Session, usize),
     /// The pool has been shut down.
     Shutdown(Session),
@@ -415,23 +414,23 @@ impl Ord for QueuedSession {
     }
 }
 
-struct ShardHandle {
-    queue: Option<SyncSender<Session>>,
-    depth: Arc<AtomicU64>,
-}
-
-/// Who calls [`Shard::step`] (module docs, "One shard, two drivers").
+/// Who calls [`Worker::step`] (module docs, "One array, two drivers").
 enum Driver {
-    /// One OS thread per shard running [`Shard::run`], joined at shutdown.
+    /// One OS thread per worker running [`Worker::run`], joined at
+    /// shutdown.
     Threads(Vec<JoinHandle<()>>),
-    /// The pool keeps the shards and the thread that calls
-    /// [`ShardPool::recv`] steps them, one round at a time.
-    Lockstep(RefCell<Vec<Shard>>),
+    /// The pool keeps one worker holding every array, and the thread that
+    /// calls [`ShardPool::recv`] steps it, one round at a time.
+    Lockstep(RefCell<Option<Worker>>),
 }
 
 /// The sharded worker pool.
 pub struct ShardPool {
-    shards: Vec<ShardHandle>,
+    /// One inbox per worker, carrying `(array within the worker,
+    /// session)`; `None` once the pool closes.
+    inboxes: Vec<Option<SyncSender<(usize, Session)>>>,
+    /// Arrays per worker: `arrays_per_shard` on threads, all on lockstep.
+    arrays_per_worker: usize,
     driver: Driver,
     results: Receiver<Session>,
     metrics: Arc<Metrics>,
@@ -441,11 +440,11 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawns `config.shards` workers, each owning a gang of
-    /// `config.arrays_per_shard` arrays over one shared compiled-config
+    /// Spawns `config.shards` worker threads, each stepping
+    /// `config.arrays_per_shard` arrays, over one shared compiled-config
     /// store.
     ///
-    /// With a fault plan, every shard folds the pool-wide injector's total
+    /// With a fault plan, every array folds the pool-wide injector's total
     /// into `faults_injected` after each step, before handing the session
     /// back: loads happen only inside a step, so any snapshot taken after
     /// a hand-back counts every fault injected before it.
@@ -457,7 +456,7 @@ impl ShardPool {
         Self::build(config, metrics, Driver::Threads(Vec::new()))
     }
 
-    /// The same pool with no worker threads: the shards stay inside the
+    /// The same pool with no worker threads: the arrays stay inside the
     /// pool and [`recv`](ShardPool::recv) /
     /// [`recv_timeout`](ShardPool::recv_timeout) step them on the calling
     /// thread, so every counter of a run repeats exactly. A constructor for
@@ -477,57 +476,58 @@ impl ShardPool {
             "each shard needs at least one array"
         );
         assert!(config.queue_depth > 0, "queue depth must be positive");
+        let arrays = config.shards * config.arrays_per_shard;
+        let arrays_per_worker = match driver {
+            Driver::Threads(_) => config.arrays_per_shard,
+            Driver::Lockstep(_) => arrays,
+        };
         let (results_tx, results) = mpsc::channel();
         // One compiled-config store for the whole pool: a kernel is built
-        // and placed once per process, whichever shard first needs it.
+        // and placed once per process, whichever array first needs it.
         let store = Arc::new(ConfigStore::new(STORE_CAPACITY));
         #[cfg(feature = "faults")]
         let injector = config
             .fault_plan
             .clone()
             .map(|plan| Arc::new(FaultInjector::new(plan)));
-        // Status cells come first: the residency view spans every shard,
-        // so shards need it before any of them runs.
-        let depths: Vec<Arc<AtomicU64>> = (0..config.shards)
-            .map(|_| Arc::new(AtomicU64::new(0)))
-            .collect();
-        let statuses: Vec<Arc<ShardStatus>> = depths
-            .iter()
-            .map(|d| Arc::new(ShardStatus::new(Arc::clone(d))))
-            .collect();
+        // Status cells come first: the residency view spans every array,
+        // so workers need it before any of them runs.
+        let statuses: Vec<Arc<ShardStatus>> = (0..arrays).map(|_| Arc::default()).collect();
         let view = Arc::new(ResidencyView::new(
             statuses.clone(),
             config.queue_depth as u64,
         ));
-        let mut shards = Vec::with_capacity(config.shards);
-        for (shard, depth) in depths.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<Session>(config.queue_depth);
+        let mut inboxes = Vec::with_capacity(arrays / arrays_per_worker);
+        for first in (0..arrays).step_by(arrays_per_worker) {
+            // Every session in an inbox is counted in its array's depth, so
+            // the channel never fills before the counts do.
+            let (tx, inbox) = mpsc::sync_channel(arrays_per_worker * config.queue_depth);
             let seed = WorkerSeed {
                 results: results_tx.clone(),
-                depth: Arc::clone(&depth),
                 metrics: Arc::clone(&metrics),
                 store: Arc::clone(&store),
                 policy: config.recovery,
-                gang: config.arrays_per_shard,
-                status: Arc::clone(&statuses[shard]),
                 #[cfg(feature = "faults")]
                 injector: injector.clone(),
             };
+            let cells = statuses[first..first + arrays_per_worker].to_vec();
             match &mut driver {
-                Driver::Lockstep(stepped) => stepped.get_mut().push(Shard::new(rx, seed)),
-                // The shard is built on its own thread, where its arrays
+                Driver::Lockstep(worker) => {
+                    *worker.get_mut() = Some(Worker::new(inbox, seed, cells));
+                }
+                // The worker is built on its own thread, where its arrays
                 // latch that thread's stepper defaults.
                 Driver::Threads(threads) => {
-                    threads.push(std::thread::spawn(move || Shard::new(rx, seed).run()));
+                    threads.push(std::thread::spawn(move || {
+                        Worker::new(inbox, seed, cells).run();
+                    }));
                 }
             }
-            shards.push(ShardHandle {
-                queue: Some(tx),
-                depth,
-            });
+            inboxes.push(Some(tx));
         }
         ShardPool {
-            shards,
+            inboxes,
+            arrays_per_worker,
             driver,
             results,
             router: AffinityRouter::new(Arc::clone(&view), Arc::clone(&metrics)),
@@ -537,54 +537,55 @@ impl ShardPool {
         }
     }
 
-    /// The global residency view the router reads (and shards publish
+    /// The global residency view the router reads (and arrays publish
     /// into).
     pub fn residency_view(&self) -> &Arc<ResidencyView> {
         &self.view
     }
 
-    /// Submits a session to the shard the [`AffinityRouter`] picks,
-    /// without blocking.
+    /// Submits a session to the array the [`AffinityRouter`] picks,
+    /// without blocking, and returns that array's index.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::WouldBlock`] hands the session back when every shard
-    /// queue is full; [`SubmitError::Shutdown`] when the pool is closed.
+    /// [`SubmitError::WouldBlock`] hands the session back when every
+    /// array's queue is full; [`SubmitError::Shutdown`] when the pool is
+    /// closed.
     // The error variants carry the rejected `Session` back to the caller by
     // design, so the Err side is as large as a session.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, session: Session) -> Result<usize, SubmitError> {
-        let shard = self
+        let array = self
             .router
             .place(session.next_kernel().as_ref(), session.id());
-        let handle = &self.shards[shard];
-        let Some(queue) = handle.queue.as_ref() else {
+        let Some(inbox) = self.inboxes[array / self.arrays_per_worker].as_ref() else {
             return Err(SubmitError::Shutdown(session));
         };
-        // Count before sending: the shard decrements when it hands the
+        let owned = self.view.status(array).owned();
+        // Count before sending: the array decrements when it hands the
         // session back, which may land before a post-send increment would.
         // The counter, not the channel, is the bound: it is what the router
-        // reads as "room", so a shard is full exactly when the router says
-        // so. The channel is just as deep and holds only part of what the
-        // counter counts, so `try_send` itself does not report `Full`.
-        let depth = handle.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        // reads as "room", so an array is full exactly when the router says
+        // so. The channel holds only part of what the counters count, so
+        // `try_send` itself does not report `Full`.
+        let depth = owned.fetch_add(1, Ordering::Relaxed) + 1;
         let sent = if depth > self.queue_depth_limit as u64 {
-            Err(TrySendError::Full(session))
+            Err(TrySendError::Full((0, session)))
         } else {
-            queue.try_send(session)
+            inbox.try_send((array % self.arrays_per_worker, session))
         };
         match sent {
             Ok(()) => {
                 Metrics::raise_to(&self.metrics.queue_high_water, depth);
-                Ok(shard)
+                Ok(array)
             }
-            Err(TrySendError::Full(s)) => {
-                handle.depth.fetch_sub(1, Ordering::Relaxed);
+            Err(TrySendError::Full((_, s))) => {
+                owned.fetch_sub(1, Ordering::Relaxed);
                 Metrics::incr(&self.metrics.jobs_rejected);
-                Err(SubmitError::WouldBlock(s, shard))
+                Err(SubmitError::WouldBlock(s, array))
             }
-            Err(TrySendError::Disconnected(s)) => {
-                handle.depth.fetch_sub(1, Ordering::Relaxed);
+            Err(TrySendError::Disconnected((_, s))) => {
+                owned.fetch_sub(1, Ordering::Relaxed);
                 Err(SubmitError::Shutdown(s))
             }
         }
@@ -595,11 +596,11 @@ impl ShardPool {
     ///
     /// On a [`lockstep`](ShardPool::lockstep) pool nothing blocks: an empty
     /// result queue runs dispatch rounds until one hands a session back,
-    /// and `None` means no shard has anything left to do.
+    /// and `None` means no array has anything left to do.
     pub fn recv(&self) -> Option<Session> {
         match &self.driver {
             Driver::Threads(_) => self.results.recv().ok(),
-            Driver::Lockstep(shards) => self.recv_lockstep(&mut shards.borrow_mut()),
+            Driver::Lockstep(worker) => self.recv_lockstep(worker),
         }
     }
 
@@ -618,7 +619,7 @@ impl ShardPool {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Session> {
         match &self.driver {
             Driver::Threads(_) => self.results.recv_timeout(timeout).ok(),
-            Driver::Lockstep(shards) => self.recv_lockstep(&mut shards.borrow_mut()),
+            Driver::Lockstep(worker) => self.recv_lockstep(worker),
         }
     }
 
@@ -628,40 +629,36 @@ impl ShardPool {
         matches!(self.driver, Driver::Lockstep(_))
     }
 
-    /// The lockstep driver: while the result queue is empty, one dispatch
-    /// round on the shard with the smallest virtual clock (cumulative busy
-    /// array cycles, lowest index on a tie) that makes progress. A sweep
-    /// in which no shard does means none can.
-    fn recv_lockstep(&self, shards: &mut [Shard]) -> Option<Session> {
+    /// The lockstep driver: dispatch rounds on the one worker while the
+    /// result queue is empty. A round that makes no progress means no
+    /// array can.
+    fn recv_lockstep(&self, worker: &RefCell<Option<Worker>>) -> Option<Session> {
+        let mut worker = worker.borrow_mut();
+        let worker = worker.as_mut()?;
         loop {
             if let Ok(session) = self.results.try_recv() {
                 return Some(session);
             }
-            let mut order: Vec<usize> = (0..shards.len()).collect();
-            order.sort_by_key(|&i| (shards[i].clock(), i));
-            if !order
-                .iter()
-                .any(|&i| matches!(shards[i].step(), Round::Progress))
-            {
+            if !matches!(worker.step(), Round::Progress) {
                 return None;
             }
         }
     }
 
-    /// Total submission capacity across every shard queue — what the
+    /// Total submission capacity across every array's queue — what the
     /// front-end clamps its materialisation window to.
     pub fn queue_capacity(&self) -> usize {
-        self.shards.len() * self.queue_depth_limit
+        self.inboxes.len() * self.arrays_per_worker * self.queue_depth_limit
     }
 
-    /// Sessions a shard owns right now: submitted to it and not yet handed
+    /// Sessions an array owns right now: submitted to it and not yet handed
     /// back (approximate under concurrency).
-    pub fn queue_depth(&self, shard: usize) -> u64 {
-        self.shards[shard].depth.load(Ordering::Relaxed)
+    pub fn queue_depth(&self, array: usize) -> u64 {
+        self.view.status(array).queue_depth()
     }
 
     /// Closes the pool: stops accepting work, lets every worker drain its
-    /// queue (each in-flight session is stepped once more), joins the
+    /// arrays (each in-flight session is stepped once more), joins the
     /// workers, and returns the sessions that were still in flight.
     pub fn shutdown(mut self) -> Vec<Session> {
         self.close_and_join();
@@ -669,24 +666,25 @@ impl ShardPool {
     }
 
     fn close_and_join(&mut self) {
-        for shard in &mut self.shards {
-            shard.queue = None; // disconnects the shard's inbox
+        for inbox in &mut self.inboxes {
+            *inbox = None; // disconnects the worker's inbox
         }
         match &mut self.driver {
             Driver::Threads(workers) => {
                 for worker in workers.drain(..) {
                     // Supervised join: session panics are caught inside
-                    // the round, so an Err here is a defect in the shard
-                    // itself — shutdown must still proceed shard by shard
-                    // rather than cascade the panic out of drop.
+                    // the round, so an Err here is a defect in the worker
+                    // itself — shutdown must still proceed worker by
+                    // worker rather than cascade the panic out of drop.
                     let _ = worker.join();
                 }
             }
-            // Lockstep shards drain on the calling thread; a drained shard
-            // reports `Closed` again at once when `Drop` comes back here.
-            Driver::Lockstep(shards) => {
-                for shard in shards.get_mut() {
-                    while !matches!(shard.step(), Round::Closed) {}
+            // The lockstep worker drains on the calling thread; a drained
+            // worker reports `Closed` again at once when `Drop` comes back
+            // here.
+            Driver::Lockstep(worker) => {
+                if let Some(worker) = worker.get_mut() {
+                    while !matches!(worker.step(), Round::Closed) {}
                 }
             }
         }
@@ -699,18 +697,14 @@ impl Drop for ShardPool {
     }
 }
 
-/// Everything needed to (re)build a shard's worker context — kept by the
-/// shard itself so it can replace a crashed [`WorkerArray`] without
-/// round-tripping through the pool.
+/// What a worker shares among its arrays: where hand-backs go, and how to
+/// rebuild a crashed [`WorkerArray`] without round-tripping through the
+/// pool.
 struct WorkerSeed {
     results: mpsc::Sender<Session>,
-    depth: Arc<AtomicU64>,
     metrics: Arc<Metrics>,
     store: Arc<ConfigStore>,
     policy: RecoveryPolicy,
-    gang: usize,
-    /// This shard's cell in the global residency view (publish side).
-    status: Arc<ShardStatus>,
     #[cfg(feature = "faults")]
     injector: Option<Arc<FaultInjector>>,
 }
@@ -731,163 +725,77 @@ impl WorkerSeed {
     }
 }
 
-/// Gang-routing saturation threshold, in array cycles: a hot kernel is
-/// replicated onto an additional member once the least busy of its warm
-/// members is this many cycles ahead of the idlest member.
-const REPLICATE_AFTER_CYCLES: u64 = 2_000;
-
-/// What one [`Shard::step`] did.
+/// What one [`Worker::step`] did.
 enum Round {
     /// A session ran and was handed back.
     Progress,
     /// Nothing to run and the inbox is still open: the driver may wait.
     Idle,
-    /// The inbox is closed and everything the shard held has run.
+    /// The inbox is closed and everything the worker's arrays held has run.
     Closed,
 }
 
-/// One shard of the pool as a state machine: its arrays, its EDF heap and
-/// its inbox. [`step`](Shard::step) runs one dispatch round and never
-/// blocks; who calls it, and what happens between calls, is the driver's
-/// business (module docs).
+/// One array as the unit of placement: the sessions it owns, in EDF order,
+/// and what the router reads of it.
 struct Shard {
-    seed: WorkerSeed,
-    inbox: Receiver<Session>,
-    /// One array, or the gang (`arrays_per_shard` > 1).
-    members: Vec<WorkerArray>,
-    /// Cumulative busy cycles per member — the activity counters routing
-    /// decisions use; they survive worker rebuilds.
-    busy: Vec<u64>,
+    worker: WorkerArray,
     heap: BinaryHeap<QueuedSession>,
-    seq: u64,
-    /// Cleared when the inbox disconnects (pool shutdown).
-    open: bool,
+    /// Array cycles this shard has stepped, across worker rebuilds: its
+    /// virtual clock, and the busy cycles it publishes.
+    clock: u64,
+    /// Its cell in the global residency view: the sessions it owns, which
+    /// it lowers at each hand-back, and what it publishes.
+    status: Arc<ShardStatus>,
     /// Scratch buffer for the residency publish.
     names: Vec<String>,
 }
 
 impl Shard {
-    fn new(inbox: Receiver<Session>, seed: WorkerSeed) -> Self {
-        Shard {
-            members: (0..seed.gang).map(|_| seed.fresh_worker()).collect(),
-            busy: vec![0; seed.gang],
-            seed,
-            inbox,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            open: true,
-            names: Vec::new(),
-        }
-    }
-
-    /// The thread driver: this shard's OS thread until the pool closes.
-    fn run(mut self) {
-        loop {
-            match self.step() {
-                Round::Progress => {}
-                Round::Idle => self.wait(),
-                Round::Closed => return,
-            }
-        }
-    }
-
-    /// The thread driver's one blocking call, made when a round found
-    /// nothing to do: the next submission, or the pool's close.
-    fn wait(&mut self) {
-        match self.inbox.recv() {
-            Ok(session) => self.enqueue(session),
-            Err(_) => self.open = false,
-        }
-    }
-
-    /// The shard's virtual clock: array cycles its members have stepped.
-    fn clock(&self) -> u64 {
-        self.busy.iter().sum()
-    }
-
-    /// One dispatch round: drain the inbox into the EDF heap; with nothing
-    /// to run, report `Idle` while the inbox is open and
-    /// [`close`](Shard::close) once it is not; otherwise step the most
-    /// urgent session on the member [`route`](Shard::route) picks, and
-    /// publish *before* handing it back — the driver routes the session's
-    /// next step on the residency this one produced.
-    fn step(&mut self) -> Round {
-        loop {
-            match self.inbox.try_recv() {
-                Ok(session) => self.enqueue(session),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.open = false;
-                    break;
-                }
-            }
-        }
+    /// Steps the most urgent session this shard owns, publishes, and hands
+    /// the session back — publishing *before* the hand-back, so the driver
+    /// routes the session's next step on the residency this one produced.
+    /// Does nothing when the shard owns nothing.
+    fn step(&mut self, seed: &WorkerSeed) {
         let Some(queued) = self.heap.pop() else {
-            return if self.open { Round::Idle } else { self.close() };
+            return;
         };
-        let member = self.route(queued.session.next_kernel().as_ref());
-        let session = self.supervised_step(member, queued.session);
-        self.publish();
+        let session = self.supervised_step(seed, queued.session);
+        self.names.clear();
+        self.worker
+            .config_manager()
+            .resident_names_into(&mut self.names);
+        self.status.publish(&self.names, self.clock);
+        Metrics::incr(&seed.metrics.residency_view_refreshes);
         // The hand-back ends the shard's ownership: release its count
         // first, so the driver never sees a session it holds still counted
         // here.
-        self.seed.depth.fetch_sub(1, Ordering::Relaxed);
+        self.status.owned().fetch_sub(1, Ordering::Relaxed);
         // The driver may already be gone (pool dropped mid-run); the
         // session's work is still done, only the hand-back is lost.
-        let _ = self.seed.results.send(session);
-        Round::Progress
+        let _ = seed.results.send(session);
     }
 
-    /// Pushes a submission into the EDF heap. It stays counted in the
-    /// shard's depth until [`step`](Shard::step) hands it back.
-    fn enqueue(&mut self, session: Session) {
-        self.seq += 1;
-        self.heap.push(QueuedSession {
-            deadline: session.deadline(),
-            seq: self.seq,
-            session,
-        });
-    }
-
-    /// The round that finds the shard closed and drained. Fault records
-    /// still pending on its arrays — a faulted load that nothing used or
-    /// disposed of again — would vanish with them, so they are swept here
-    /// and booked as `supervised_step` books those of a crashed array:
-    /// detected, and recovered by the disposal. A drained shard may be
-    /// stepped again (`Drop` closes a pool that `shutdown` already
-    /// closed); the sweep then finds nothing.
-    fn close(&mut self) -> Round {
-        let metrics = &self.seed.metrics;
-        for member in &mut self.members {
-            let swept = member.array_mut().take_injected_faults();
-            Metrics::add(&metrics.faults_detected, swept);
-            Metrics::add(&metrics.recoveries, swept);
-        }
-        Round::Closed
-    }
-
-    /// One supervised session step on one member; hands the stepped
-    /// session back for the caller to return to the driver. A panic
-    /// (injected or genuine) is contained to this one dispatch.
-    /// `AssertUnwindSafe` is sound because both the session and the worker
-    /// are discarded-or-replaced on the panic path rather than reused in
-    /// their torn state: the session is handed back marked crashed (the
-    /// driver re-dispatches or dead-letters it, it never resumes mid-kernel
-    /// state), and the worker — whose array may be mid-mutation — is
-    /// dropped wholesale and rebuilt from the seed. Only that one array is
-    /// rebuilt: the rest of a gang keeps its residency.
-    fn supervised_step(&mut self, member: usize, mut session: Session) -> Session {
-        let (metrics, worker) = (&self.seed.metrics, &mut self.members[member]);
+    /// One supervised session step; returns the stepped session for the
+    /// caller to hand back. A panic (injected or genuine) is contained to
+    /// this one dispatch. `AssertUnwindSafe` is sound because both the
+    /// session and the worker are discarded-or-replaced on the panic path
+    /// rather than reused in their torn state: the session is handed back
+    /// marked crashed (the driver re-dispatches or dead-letters it, it
+    /// never resumes mid-kernel state), and the worker — whose array may be
+    /// mid-mutation — is dropped wholesale and rebuilt from the seed. No
+    /// other array is touched.
+    fn supervised_step(&mut self, seed: &WorkerSeed, mut session: Session) -> Session {
+        let (metrics, worker) = (&seed.metrics, &mut self.worker);
         let (stats, sched) = (worker.array().stats(), worker.array().schedule_stats());
         let stepped = catch_unwind(AssertUnwindSafe(|| session.step(worker)));
         // Credit the step's array activity — the deltas, and only those — to
-        // the pool counters and to the member's cumulative busy count (which
-        // survives worker rebuilds, unlike the array's own stats).
+        // the pool counters and to the shard's clock (which survives worker
+        // rebuilds, unlike the array's own stats).
         let delta = worker.array().stats().delta_since(&stats);
-        self.busy[member] += delta.cycles;
+        self.clock += delta.cycles;
         Metrics::add(&metrics.array_cycles_run, delta.cycles);
         Metrics::add(&metrics.config_words_streamed, delta.config_words);
-        Metrics::raise_to(&metrics.array_makespan_cycles, self.busy[member]);
+        Metrics::raise_to(&metrics.array_makespan_cycles, self.clock);
         let sched = worker.array().schedule_stats().delta_since(&sched);
         Metrics::add(&metrics.schedules_captured, sched.captured);
         Metrics::add(&metrics.schedule_replay_cycles, sched.replay_cycles);
@@ -902,72 +810,134 @@ impl Shard {
                 Metrics::add(&metrics.faults_detected, 1 + lost);
                 Metrics::add(&metrics.recoveries, lost);
                 Metrics::incr(&metrics.worker_restarts);
-                *worker = self.seed.fresh_worker();
+                *worker = seed.fresh_worker();
                 session.record_crash();
             }
         }
         #[cfg(feature = "faults")]
-        if let Some(injector) = &self.seed.injector {
+        if let Some(injector) = &seed.injector {
             Metrics::raise_to(&metrics.faults_injected, injector.injected_total());
         }
         session
     }
+}
 
-    /// Publishes the members' union residency and total busy cycles into
-    /// the shard's view cell, so the affinity router sees every shard —
-    /// once per round, which is once per session step.
-    fn publish(&mut self) {
-        self.names.clear();
-        for member in &self.members {
-            member.config_manager().resident_names_into(&mut self.names);
+/// The arrays one driver steps together and the inbox that feeds them.
+/// [`step`](Worker::step) runs one dispatch round and never blocks; who
+/// calls it, and what happens between calls, is the driver's business
+/// (module docs).
+struct Worker {
+    seed: WorkerSeed,
+    inbox: Receiver<(usize, Session)>,
+    shards: Vec<Shard>,
+    seq: u64,
+    /// Cleared when the inbox disconnects (pool shutdown).
+    open: bool,
+}
+
+impl Worker {
+    /// A worker over fresh arrays, one per status cell.
+    fn new(
+        inbox: Receiver<(usize, Session)>,
+        seed: WorkerSeed,
+        cells: Vec<Arc<ShardStatus>>,
+    ) -> Self {
+        let shards = cells
+            .into_iter()
+            .map(|status| Shard {
+                worker: seed.fresh_worker(),
+                heap: BinaryHeap::new(),
+                clock: 0,
+                status,
+                names: Vec::new(),
+            })
+            .collect();
+        Worker {
+            seed,
+            inbox,
+            shards,
+            seq: 0,
+            open: true,
         }
-        self.seed.status.publish(&self.names, self.clock());
-        Metrics::incr(&self.seed.metrics.residency_view_refreshes);
     }
 
-    /// Picks the member a session's next step runs on.
-    ///
-    /// * A host-only step (no kernel) touches no array: least-busy member.
-    /// * A warm kernel runs on its least-busy home — a member where it is
-    ///   resident, read fresh from [`ConfigManager`] introspection so the
-    ///   map heals across worker rebuilds.
-    /// * A cold kernel falls to the least-busy member.
-    /// * A saturated warm kernel — its least-busy home more than
-    ///   `REPLICATE_AFTER_CYCLES` ahead of the idlest member — is
-    ///   replicated onto that member, paying one configuration load to
-    ///   split the stream, up to `gang − 1` homes so one array always stays
-    ///   clear of the hot set for whatever arrives next. A gang of two may
-    ///   use both: "one array stays clear" has no meaning with two arrays,
-    ///   it only pins a warm kernel to one member while the other idles.
-    fn route(&self, key: Option<&KernelSpec>) -> usize {
-        let name = key.map(KernelSpec::config_name);
-        let warm = |m: &usize| {
-            name.as_deref()
-                .is_some_and(|n| self.members[*m].is_resident(n))
-        };
-        let by_busy = |m: &usize| (self.busy[*m], *m);
-        let members = 0..self.members.len();
-        // The least-busy member without the kernel: every member when it
-        // is cold, and the gang is never empty (`ShardPool::new` asserts
-        // it).
-        let idlest = members.clone().filter(|m| !warm(m)).min_by_key(by_busy);
-        let Some(home) = members.clone().filter(warm).min_by_key(by_busy) else {
-            return idlest.unwrap_or(0);
-        };
-        Metrics::incr(&self.seed.metrics.batch_warm_hits);
-        // At most `gang − 1` homes, but a pair may use both.
-        let max_homes = (self.members.len() - 1).max(2);
-        match idlest {
-            Some(idlest)
-                if members.filter(warm).count() < max_homes
-                    && self.busy[home].saturating_sub(self.busy[idlest])
-                        > REPLICATE_AFTER_CYCLES =>
-            {
-                Metrics::incr(&self.seed.metrics.batch_replications);
-                idlest
+    /// The thread driver: this worker's OS thread until the pool closes.
+    fn run(mut self) {
+        loop {
+            match self.step() {
+                Round::Progress => {}
+                Round::Idle => self.wait(),
+                Round::Closed => return,
             }
-            _ => home,
         }
+    }
+
+    /// The thread driver's one blocking call, made when a round found
+    /// every heap empty: the next submission, or the pool's close.
+    fn wait(&mut self) {
+        match self.inbox.recv() {
+            Ok(submission) => self.enqueue(submission),
+            Err(_) => self.open = false,
+        }
+    }
+
+    /// One dispatch round: drain the inbox into the arrays' EDF heaps; with
+    /// nothing to run, report `Idle` while the inbox is open and
+    /// [`close`](Worker::close) once it is not; otherwise step the shard
+    /// with the smallest clock (lowest index on a tie) that owns a session.
+    fn step(&mut self) -> Round {
+        loop {
+            match self.inbox.try_recv() {
+                Ok(submission) => self.enqueue(submission),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    self.open = false;
+                    break;
+                }
+            }
+        }
+        let next = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, shard)| !shard.heap.is_empty())
+            .min_by_key(|(i, shard)| (shard.clock, *i));
+        match next {
+            Some((_, shard)) => {
+                shard.step(&self.seed);
+                Round::Progress
+            }
+            None if self.open => Round::Idle,
+            None => self.close(),
+        }
+    }
+
+    /// Pushes a submission into its array's EDF heap. It stays counted in
+    /// the array's depth until [`Shard::step`] hands it back.
+    fn enqueue(&mut self, (shard, session): (usize, Session)) {
+        self.seq += 1;
+        self.shards[shard].heap.push(QueuedSession {
+            deadline: session.deadline(),
+            seq: self.seq,
+            session,
+        });
+    }
+
+    /// The round that finds the worker closed and drained. Fault records
+    /// still pending on its arrays — a faulted load that nothing used or
+    /// disposed of again — would vanish with them, so they are swept here
+    /// and booked as `supervised_step` books those of a crashed array:
+    /// detected, and recovered by the disposal. A drained worker may be
+    /// stepped again (`Drop` closes a pool that `shutdown` already
+    /// closed); the sweep then finds nothing.
+    fn close(&mut self) -> Round {
+        let metrics = &self.seed.metrics;
+        for shard in &mut self.shards {
+            let swept = shard.worker.array_mut().take_injected_faults();
+            Metrics::add(&metrics.faults_detected, swept);
+            Metrics::add(&metrics.recoveries, swept);
+        }
+        Round::Closed
     }
 }
 
@@ -1055,118 +1025,114 @@ mod tests {
         assert_eq!(store.hits(), 1);
     }
 
-    /// A shard built directly in a test — no pool, no thread — with the
-    /// sending end of its inbox and the receiving end of its results.
-    fn test_shard(gang: usize) -> (Shard, SyncSender<Session>, Receiver<Session>) {
-        let depth = Arc::new(AtomicU64::new(0));
+    /// A worker built directly in a test — no pool, no thread — over
+    /// `arrays` arrays, with the sending end of its inbox and the receiving
+    /// end of its results.
+    fn test_worker(arrays: usize) -> (Worker, SyncSender<(usize, Session)>, Receiver<Session>) {
         let (inbox_tx, inbox) = mpsc::sync_channel(32);
         let (results, results_rx) = mpsc::channel();
         let seed = WorkerSeed {
             results,
-            depth: Arc::clone(&depth),
             metrics: Arc::new(Metrics::new()),
             store: Arc::new(ConfigStore::new(STORE_CAPACITY)),
             policy: RecoveryPolicy::default(),
-            gang,
-            status: Arc::new(ShardStatus::new(depth)),
             #[cfg(feature = "faults")]
             injector: None,
         };
-        (Shard::new(inbox, seed), inbox_tx, results_rx)
+        let cells = (0..arrays).map(|_| Arc::default()).collect();
+        (Worker::new(inbox, seed, cells), inbox_tx, results_rx)
     }
 
-    /// A warm kernel runs on its home until that home has run
-    /// `REPLICATE_AFTER_CYCLES` ahead of the idlest member; then it is
-    /// replicated there: onto both members of a pair, onto all but one of a
-    /// larger gang, never beside a lone array.
-    #[test]
-    fn saturated_warm_kernel_uses_both_members_of_a_pair() {
-        let descrambler = Some(KernelSpec::from(WcdmaKernel::Descrambler));
-        for gang in [1, 2, 3] {
-            let (mut g, _inbox, _results) = test_shard(gang);
-            g.members[0].activate(WcdmaKernel::Descrambler).unwrap();
-            g.busy[0] = REPLICATE_AFTER_CYCLES;
-            assert_eq!(g.route(descrambler.as_ref()), 0, "gang of {gang}: warm");
-            g.busy[0] += 1;
-            let replica = usize::from(gang > 1);
-            assert_eq!(g.route(descrambler.as_ref()), replica, "gang of {gang}");
-            let snap = g.seed.metrics.snapshot();
-            assert_eq!(
-                (snap.batch_warm_hits, snap.batch_replications),
-                (2, replica as u64)
-            );
-        }
-        // Two homes of three: the third member stays clear.
-        let (mut g, _inbox, _results) = test_shard(3);
-        for m in 0..2 {
-            g.members[m].activate(WcdmaKernel::Descrambler).unwrap();
-        }
-        g.busy[..2].fill(REPLICATE_AFTER_CYCLES + 1);
-        assert_eq!(g.route(descrambler.as_ref()), 0);
-        assert_eq!(g.seed.metrics.snapshot().batch_replications, 0);
+    /// Submits as the pool does: count the session on its array, then send.
+    fn submit(worker: &Worker, inbox: &SyncSender<(usize, Session)>, array: usize, s: Session) {
+        let owned = worker.shards[array].status.owned();
+        owned.fetch_add(1, Ordering::Relaxed);
+        inbox.send((array, s)).unwrap();
     }
 
-    /// Residency by shard shape: a single array and a gang member alike
-    /// keep the detector resident beside the demodulator; only placement
-    /// pressure would recycle it. The demodulator is resident nowhere, so
-    /// the least-busy member — the one holding the detector — runs it.
+    fn owned(worker: &Worker) -> u64 {
+        let owned = |shard: &Shard| shard.status.queue_depth();
+        worker.shards.iter().map(owned).sum()
+    }
+
+    /// A round steps the array with the smallest clock that owns a session,
+    /// the lowest index on a tie, and the stepped array publishes its own
+    /// clock.
     #[test]
-    fn every_shard_shape_keeps_the_detector_resident() {
-        for gang in [1, 2] {
-            let (mut shard, inbox, results) = test_shard(gang);
-            shard.members[0]
+    fn a_round_steps_the_array_with_the_smallest_clock() {
+        let (mut worker, inbox, results) = test_worker(3);
+        worker.shards[0].clock = 10;
+        for (array, id) in [(0, 0), (2, 2), (1, 1)] {
+            submit(&worker, &inbox, array, Session::wcdma(id, 40 + id));
+        }
+        // Captures are host-only, so no clock moves: 1 and 2 tie at zero.
+        for want in [1, 2, 0] {
+            assert!(matches!(worker.step(), Round::Progress));
+            assert_eq!(results.try_recv().unwrap().id(), want);
+        }
+        assert!(matches!(worker.step(), Round::Idle));
+        assert_eq!(worker.shards[0].status.busy_cycles(), 10);
+    }
+
+    /// Residency on one array: the detector stays resident beside the
+    /// demodulator, whatever else its worker steps; only placement pressure
+    /// would recycle it.
+    #[test]
+    fn an_array_keeps_the_detector_resident() {
+        for arrays in [1, 2] {
+            let (mut worker, inbox, results) = test_worker(arrays);
+            worker.shards[0]
+                .worker
                 .activate(OfdmKernel::PreambleDetector)
                 .unwrap();
-            shard.busy[1..].fill(1);
             let mut session = Session::ofdm(3, 9);
             let mut private = WorkerArray::new(4, Arc::new(Metrics::new()));
             session.step(&mut private); // → PreambleDetect
             session.step(&mut private); // → Demod
-            shard.seed.depth.fetch_add(1, Ordering::Relaxed);
-            inbox.send(session).unwrap();
+            submit(&worker, &inbox, 0, session);
 
-            assert!(matches!(shard.step(), Round::Progress));
+            assert!(matches!(worker.step(), Round::Progress));
             assert_eq!(*results.try_recv().unwrap().state(), SessionState::Done);
-            let member = &shard.members[0];
-            assert!(member.is_resident("fig10-config2b-demodulator"));
+            let array = &worker.shards[0].worker;
+            assert!(array.is_resident("fig10-config2b-demodulator"));
             assert!(
-                member.is_resident("fig10-config2a-detector"),
-                "gang of {gang}"
+                array.is_resident("fig10-config2a-detector"),
+                "{arrays} arrays"
             );
-            let snap = shard.seed.metrics.snapshot();
+            let snap = worker.seed.metrics.snapshot();
             assert_eq!((snap.reconfigurations, snap.prefetches), (0, 0));
         }
     }
 
-    /// The state machine alone: a shard whose inbox has closed reports
-    /// `Closed` only after it has run everything it held, one session a
-    /// round, and each hand-back releases the session's count.
+    /// The state machine alone: a worker whose inbox has closed reports
+    /// `Closed` only after its arrays have run everything they held, one
+    /// session a round, and each hand-back releases the session's count.
     #[test]
-    fn a_closed_shard_runs_what_it_held() {
-        let (mut shard, inbox, results) = test_shard(1);
+    fn a_closed_worker_runs_what_it_held() {
+        let (mut worker, inbox, results) = test_worker(2);
         for id in 0..12 {
-            shard.seed.depth.fetch_add(1, Ordering::Relaxed);
-            inbox.send(Session::wcdma(id, 40 + id)).unwrap();
+            let array = id as usize % 2;
+            submit(&worker, &inbox, array, Session::wcdma(id, 40 + id));
         }
         drop(inbox);
         for held in (0..12).rev() {
-            assert!(matches!(shard.step(), Round::Progress));
-            assert_eq!(shard.seed.depth.load(Ordering::Relaxed), held);
+            assert!(matches!(worker.step(), Round::Progress));
+            assert_eq!(owned(&worker), held);
         }
-        assert!(matches!(shard.step(), Round::Closed));
+        assert!(matches!(worker.step(), Round::Closed));
         assert_eq!(results.try_iter().count(), 12, "each session stepped once");
-        assert_eq!(shard.seed.metrics.snapshot().jobs_run, 12);
-        assert!(matches!(shard.step(), Round::Closed), "and stays closed");
+        assert_eq!(worker.seed.metrics.snapshot().jobs_run, 12);
+        assert!(matches!(worker.step(), Round::Closed), "and stays closed");
     }
 
-    /// A member whose step panics is rebuilt from the seed, the session
+    /// An array whose step panics is rebuilt from the seed, the session
     /// comes back marked crashed, and the ledger books exactly what
     /// `supervised_step` always booked: the crash and every fault record
     /// pending on the discarded array as detected, the latter as
     /// recovered, one restart.
     #[cfg(feature = "faults")]
     #[test]
-    fn a_panicking_step_rebuilds_the_member_and_books_the_ledger() {
+    fn a_panicking_step_rebuilds_the_array_and_books_the_ledger() {
         use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
         // The injected panic is expected; every other one still prints.
         let default_hook = std::panic::take_hook();
@@ -1183,32 +1149,29 @@ mod tests {
                 spec(FaultKind::WorkerPanic, 1),
             ],
         }));
-        let (mut shard, inbox, results) = test_shard(2);
-        shard.seed.injector = Some(injector);
-        shard.members = (0..2).map(|_| shard.seed.fresh_worker()).collect();
-        // Load 0 stalls the descrambler on member 0 and nobody runs it, so
-        // its fault record is still pending when load 1 — the detector,
-        // routed cold to the same member — panics.
-        shard.members[0].activate(WcdmaKernel::Descrambler).unwrap();
-        shard.busy[1] = 1; // member 0 is the least busy: the step lands there
+        let (mut worker, inbox, results) = test_worker(1);
+        worker.seed.injector = Some(injector);
+        worker.shards[0].worker = worker.seed.fresh_worker();
+        // Load 0 stalls the descrambler and nobody runs it, so its fault
+        // record is still pending when load 1 — the detector, on the same
+        // array — panics.
+        worker.shards[0]
+            .worker
+            .activate(WcdmaKernel::Descrambler)
+            .unwrap();
         let mut session = Session::ofdm(3, 9);
         session.step(&mut WorkerArray::new(4, Arc::new(Metrics::new()))); // → PreambleDetect
-        shard.seed.depth.fetch_add(1, Ordering::Relaxed);
-        inbox.send(session).unwrap();
+        submit(&worker, &inbox, 0, session);
 
-        assert!(matches!(shard.step(), Round::Progress));
+        assert!(matches!(worker.step(), Round::Progress));
         let mut back = results.try_recv().unwrap();
         assert!(back.take_crashed(), "handed back marked crashed");
         assert!(
-            !shard.members[0].is_resident("fig5-descrambler"),
-            "the struck member is a fresh array"
+            !worker.shards[0].worker.is_resident("fig5-descrambler"),
+            "the struck array is a fresh one"
         );
-        assert_eq!(
-            shard.seed.depth.load(Ordering::Relaxed),
-            0,
-            "the crashed hand-back releases its count"
-        );
-        let snap = shard.seed.metrics.snapshot();
+        assert_eq!(owned(&worker), 0, "the crashed hand-back is released");
+        let snap = worker.seed.metrics.snapshot();
         assert_eq!(
             (snap.faults_detected, snap.recoveries, snap.worker_restarts),
             (2, 1, 1)
@@ -1216,19 +1179,26 @@ mod tests {
         assert_eq!(snap.jobs_run, 0, "a crashed step is not a job run");
     }
 
-    /// End-to-end gang dispatch on the lockstep pool, where a round runs
-    /// only when `recv` finds the result queue empty: each wave is
-    /// submitted whole, a round steps its most urgent session on the member
-    /// that holds its kernel, and a kernel that repeats in a later wave (a
-    /// second staggered cohort reaching the same pipeline stage) hits the
-    /// member where it stayed resident.
+    /// Four arrays on the lockstep pool, where a round runs only when
+    /// `recv` finds the result queue empty: each wave is submitted whole,
+    /// the router sends a step to an array holding its kernel, and a kernel
+    /// that repeats in a later wave (a second staggered cohort reaching the
+    /// same pipeline stage) finds the array where it stayed resident. One
+    /// thread's four arrays and four threads' one array each are the same
+    /// pool to the lockstep driver.
     #[test]
-    fn gang_steps_waves_on_warm_arrays() {
+    fn four_arrays_step_waves_on_warm_arrays() {
+        for (shards, arrays_per_shard) in [(1, 4), (4, 1)] {
+            four_arrays_step_waves(shards, arrays_per_shard);
+        }
+    }
+
+    fn four_arrays_step_waves(shards: usize, arrays_per_shard: usize) {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::lockstep(
             EngineConfig {
-                shards: 1,
-                arrays_per_shard: 4,
+                shards,
+                arrays_per_shard,
                 queue_depth: 32,
                 ..EngineConfig::default()
             },
@@ -1270,22 +1240,27 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.jobs_run, 3 * n, "3 steps finish an OFDM session");
         assert_eq!(
-            (snap.batches_dispatched, snap.batch_sessions),
-            (0, 0),
+            (
+                snap.batches_dispatched,
+                snap.batch_sessions,
+                snap.batch_warm_hits,
+                snap.batch_replications
+            ),
+            (0, 0, 0, 0),
             "inert in the engine"
         );
-        // 24 array steps, and only the first detection and the first
-        // demodulation found their kernel resident nowhere; twice a warm
-        // home ran far enough ahead that the stream was replicated.
-        assert_eq!((snap.batch_warm_hits, snap.batch_replications), (22, 2));
-        assert!(snap.array_cycles_run > 0);
-        assert!(
-            snap.array_makespan_cycles <= snap.array_cycles_run,
-            "makespan is one member's share of the total"
+        assert_eq!(
+            (
+                snap.router_affinity_hits,
+                snap.router_fallbacks,
+                snap.config_words_streamed
+            ),
+            (8, 28, 432),
+            "{shards}x{arrays_per_shard}: {snap}"
         );
         assert!(
-            snap.config_words_streamed > 0,
-            "per-array bus word counters must flow into metrics"
+            snap.array_makespan_cycles <= snap.array_cycles_run,
+            "makespan is one array's share of the total"
         );
         drop(pool);
     }

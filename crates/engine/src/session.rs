@@ -204,7 +204,7 @@ enum Kind {
     Ofdm(OfdmTerminal),
 }
 
-/// One terminal session, schedulable on any worker of its shard.
+/// One terminal session, schedulable on any array of the pool.
 #[derive(Debug)]
 pub struct Session {
     id: u64,
@@ -268,10 +268,10 @@ impl Session {
     }
 
     /// The array kernel the session's *next* step will activate — the key
-    /// the router and the shard's member routing follow. `None` for steps
-    /// that never touch the array (capture, DSP-side path search) and for
-    /// terminal sessions; those steps can run on any gang member without
-    /// costing configuration-bus traffic.
+    /// the router follows. `None` for steps that never touch the array
+    /// (capture, DSP-side path search) and for terminal sessions; those
+    /// steps can run on any array without costing configuration-bus
+    /// traffic.
     pub fn next_kernel(&self) -> Option<KernelSpec> {
         self.row()?.1
     }

@@ -25,12 +25,14 @@ fn chaos_run(seed: u64, exact: Ledger) {
     chaos_run_full(seed, 1, false, exact);
 }
 
-/// Same invariants, parameterised over the shard gang size so gang shards
-/// run under the identical fault ledger checks, with or without
-/// backpressure, under both drivers. Without backpressure, 16-deep queues
-/// hold the whole workload. With, two-deep queues make a window of 4 for
-/// 24 frames whose ids are all even, so crash retries re-enter a pool the
-/// credit window keeps full — and the pool must still refuse nothing.
+/// Same invariants, parameterised over the arrays each of the two worker
+/// threads steps, so every pool shape runs under the identical fault
+/// ledger checks, with or without backpressure, under both drivers.
+/// Without backpressure, 16-deep queues hold the whole workload. With,
+/// two-deep queues make a window of two per array (4 on two arrays, 12 on
+/// six) for 24 frames whose ids are all even, so crash retries re-enter a
+/// pool the credit window keeps full — and the pool must still refuse
+/// nothing.
 fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact: Ledger) {
     quiet_injected_panics();
     let plan = chaos_plan(seed, 6, 8);
@@ -140,7 +142,7 @@ fn chaos_seed_3() {
     chaos_run(3, [5, 5, 1, 0]);
 }
 
-/// Chaos under backpressure: two two-deep shard queues, a window of 4 and
+/// Chaos under backpressure: two two-deep array queues, a window of 4 and
 /// 24 frames, so the ledger is checked while the driver keeps the pool
 /// full — crash retries included, since a crashed session re-enters
 /// through the same credit.
@@ -154,9 +156,9 @@ fn chaos_backpressure_gang_seed_1() {
     chaos_run_full(1, 3, true, [6, 6, 1, 0]);
 }
 
-/// Gang shards under chaos: crash containment rebuilds only the struck
-/// member, but the fault ledger must reconcile exactly
-/// the same way it does for single-array shards.
+/// Three arrays per thread under chaos: crash containment rebuilds only
+/// the struck array, and the fault ledger must reconcile exactly the same
+/// way it does with one array per thread.
 #[test]
 fn chaos_gang_seed_1() {
     chaos_run_full(1, 3, false, [6, 6, 1, 0]);
@@ -167,10 +169,10 @@ fn chaos_gang_seed_2() {
     chaos_run_full(2, 3, false, [5, 5, 1, 0]);
 }
 
-/// Gang dispatch stays deterministic per seed: one shard owns the whole
-/// gang, and on a lockstep pool each round steps one session in EDF order
-/// on the member `route` picks, so the load order, and therefore the fault
-/// ledger, replays exactly.
+/// Four arrays stay deterministic per seed: on a lockstep pool each round
+/// steps one session, in EDF order, on the array with the smallest clock
+/// that owns one, so the load order, and therefore the fault ledger,
+/// replays exactly.
 #[test]
 fn chaos_gang_is_deterministic_per_seed() {
     use sdr_engine::{Metrics, ShardPool};
@@ -181,7 +183,7 @@ fn chaos_gang_is_deterministic_per_seed() {
         let metrics = Arc::new(Metrics::new());
         let pool = ShardPool::lockstep(
             EngineConfig {
-                shards: 1, // one shard: a single total load order
+                shards: 1,
                 arrays_per_shard: 4,
                 queue_depth: 32,
                 // seeded() samples only recoverable kinds, so faults are
@@ -200,7 +202,7 @@ fn chaos_gang_is_deterministic_per_seed() {
                 pool.submit(s).expect("queue has room");
             }
             for _ in 0..n {
-                let s = pool.recv().expect("the shard holds the wave");
+                let s = pool.recv().expect("the arrays hold the wave");
                 if !s.is_terminal() {
                     wave.push(s);
                 } else {
@@ -214,8 +216,8 @@ fn chaos_gang_is_deterministic_per_seed() {
             terminal,
             snap.faults_injected,
             snap.faults_detected,
-            snap.batch_warm_hits,
-            snap.batch_replications,
+            snap.router_affinity_hits,
+            snap.router_fallbacks,
             snap.config_words_streamed,
         )
     };
@@ -223,8 +225,8 @@ fn chaos_gang_is_deterministic_per_seed() {
     assert_eq!(ledger, run(11));
     assert_eq!(
         ledger,
-        (8, 3, 3, 9, 2, 498),
-        "(terminal, injected, detected, warm hits, replications, words) at seed 11"
+        (8, 3, 3, 0, 24, 780),
+        "(terminal, injected, detected, affinity hits, fallbacks, words) at seed 11"
     );
 }
 
@@ -382,9 +384,10 @@ fn faults_mid_replay_invalidate_and_recover() {
 }
 
 /// A hotspot under fault injection: 32 OFDM frames offered at once to
-/// two gangs of two, whose detections and demodulations the affinity
-/// router sends to the shard already holding their kernel until that
-/// holder owns more than eight sessions beyond the other; then they spill
+/// four arrays on two threads, whose detections and demodulations the
+/// affinity router sends to an array already holding their kernel until
+/// that holder owns more than eight sessions beyond the least-loaded
+/// array; then they spill
 /// — and the planned worker panic strikes mid-run while that is
 /// happening. Spilled sessions must complete where they landed, crashed
 /// ones must re-dispatch or dead-letter, and the fault ledger (injected ==
@@ -438,7 +441,7 @@ fn a_hotspot_under_faults_keeps_the_ledger_intact() {
                     snap.dead_letters,
                     snap.array_makespan_cycles
                 ],
-                [3, 3, 1, 0, 6_672],
+                [3, 3, 1, 0, 8_642],
                 "ledger and makespan: {snap}"
             );
         }

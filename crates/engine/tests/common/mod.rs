@@ -1,5 +1,5 @@
 //! Plumbing shared by the driver-level suites (`chaos`, `engine_e2e`,
-//! `frontend_backpressure`, `gang_golden`, `router_golden`): the mixed
+//! `frontend_backpressure`, `lockstep_determinism`, `router_golden`): the mixed
 //! workload they all offer and the one way they run it — through
 //! [`Frontend`], the driver that ships.
 

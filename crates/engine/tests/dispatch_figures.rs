@@ -1,19 +1,20 @@
 //! The dispatch figures, as exact tests.
 //!
-//! What a gang and the router's hotspot spill do is stated in the paper's own
-//! currency — configuration-bus words and array cycles — so it is a
-//! *modeled* figure, and a modeled figure is a test, not a bench. Each row
-//! drives its workload through `Frontend::lockstep`, where the shards step
-//! in virtual-clock order on this thread and every counter repeats
-//! exactly, pins the counters as integers and asserts that the mechanism
-//! it measures fired; the gang row keeps the acceptance ratio it was first
-//! accepted on as a derived floor, so a re-baseline of the integers still
-//! has something to clear. (What affinity routing buys over the placement
-//! it replaced is recorded in EXPERIMENTS.md, "The last two flags"; what
-//! the spill buys over the work stealing it replaced, in "Stealing
-//! verdict".) The last row pins the residency rule rather than a
-//! figure: a configuration stays until placement pressure evicts it, so a
-//! single array keeps both Fig. 10 configurations.
+//! What more arrays and the router's hotspot spill do is stated in the
+//! paper's own currency — configuration-bus words and array cycles — so it
+//! is a *modeled* figure, and a modeled figure is a test, not a bench.
+//! Each row drives its workload through `Frontend::lockstep`, where the
+//! arrays step in virtual-clock order on this thread and every counter
+//! repeats exactly, pins the counters as integers and asserts that the
+//! mechanism it measures fired; the four-array row keeps the acceptance
+//! ratio the gang it replaced was first accepted on as a derived floor, so
+//! a re-baseline of the integers still has something to clear. (What
+//! affinity routing buys over the placement it replaced is recorded in
+//! EXPERIMENTS.md, "The last two flags"; what the spill buys over the work
+//! stealing it replaced, in "Stealing verdict".) The last row pins the
+//! residency rule rather than a figure: a configuration stays until
+//! placement pressure evicts it, so a single array keeps both Fig. 10
+//! configurations.
 
 mod common;
 
@@ -40,19 +41,19 @@ fn figures(config: EngineConfig, records: Vec<ParkedSession>) -> Snapshot {
     summary.snapshot
 }
 
-/// A gang of four against a single array: 64 OFDM frames, at most eight
-/// in flight (the regime a shard actually sees: an eight-deep queue makes
-/// an eight-wide window). Both shapes keep 2a and
-/// 2b resident, so the single array streams only their first loads (108
-/// words). The gang runs each step on a member holding its kernel and
-/// twice replicates a hot one onto an idle member (228 words), which buys
-/// the modeled throughput.
+/// Four arrays against one: 64 OFDM frames, at most eight in flight per
+/// array (the regime an array actually sees: an eight-deep queue). One
+/// array keeps 2a and 2b resident, so it streams only their first loads
+/// (108 words). Four arrays each load both as the router spreads the
+/// frames over them (432 words), which buys the modeled throughput. One
+/// thread stepping four arrays and four threads of one are the same pool
+/// to the lockstep driver.
 #[test]
-fn gang_batching_amortises_configuration_loads() {
-    let arm = |arrays_per_shard| {
+fn four_arrays_against_one() {
+    let arm = |shards, arrays_per_shard| {
         figures(
             EngineConfig {
-                shards: 1,
+                shards,
                 arrays_per_shard,
                 queue_depth: 8,
                 ..EngineConfig::default()
@@ -60,24 +61,31 @@ fn gang_batching_amortises_configuration_loads() {
             ofdm_records(64),
         )
     };
-    let (single, gang) = (arm(1), arm(4));
-
-    assert_eq!(
-        (single.batch_warm_hits, single.batch_replications),
-        (126, 0),
-        "every step but the first detection and demodulation is warm"
-    );
+    let single = arm(1, 1);
     assert_eq!(
         (single.config_words_streamed, single.array_makespan_cycles),
-        (108, 48_604)
+        (108, 48_604),
+        "the warm-up loads 2a and 2b once: 60 + 48 words"
     );
-    assert_eq!((gang.batch_warm_hits, gang.batch_replications), (126, 2));
-    assert_eq!(
-        (gang.config_words_streamed, gang.array_makespan_cycles),
-        (228, 15_523)
-    );
-    // The floor: ≥ 1.5× modeled throughput.
-    assert!(2 * single.array_makespan_cycles >= 3 * gang.array_makespan_cycles);
+    for (shards, arrays_per_shard) in [(1, 4), (4, 1)] {
+        let four = arm(shards, arrays_per_shard);
+        let label = format!("{shards}x{arrays_per_shard}");
+        assert_eq!(
+            (
+                four.router_affinity_hits,
+                four.router_fallbacks,
+                four.config_words_streamed,
+                four.array_makespan_cycles
+            ),
+            (64, 128, 432, 12_259),
+            "{label}"
+        );
+        // The floor: ≥ 1.5× modeled throughput.
+        assert!(
+            2 * single.array_makespan_cycles >= 3 * four.array_makespan_cycles,
+            "{label}"
+        );
+    }
 }
 
 /// The router against a hotspot it would build by affinity alone: 256

@@ -185,7 +185,7 @@ fn shutdown_drains_in_flight_jobs() {
 
 /// A shard owns a session from `submit` until it hands it back, and every
 /// hand-back path releases exactly one credit: a clean step, a step whose
-/// worker panicked (the member is rebuilt and the session comes back
+/// worker panicked (the array is rebuilt and the session comes back
 /// marked crashed), and a step the shutdown drain runs. On a lockstep pool
 /// each `recv` runs one round, so what the shards own is exact after every
 /// hand-back: nothing while one session at a time is in flight, and the

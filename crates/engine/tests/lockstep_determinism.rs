@@ -8,35 +8,43 @@
 
 mod common;
 
-use common::{chaos_plan, mixed_records, quiet_injected_panics, run_in_completion_order, Driver};
-use sdr_engine::{EngineConfig, RecoveryPolicy, Snapshot};
+use common::{
+    chaos_plan, mixed_records, quiet_injected_panics, run_in_completion_order, Driver, Outcome,
+};
+use sdr_engine::{EngineConfig, RecoveryPolicy, ScaleSummary, Snapshot};
 use xpp_array::fault::FaultPlan;
 
-/// Runs 48 mixed frames on a `shards × arrays_per_shard` lockstep pool
-/// twice, asserts the two runs are indistinguishable, and returns the
-/// snapshot. Shards may own 16 sessions each and a holder more than eight
-/// ahead of the least-loaded shard spills, so every dispatch mechanism has
-/// cause to fire.
-fn repeatable_run(shards: usize, arrays_per_shard: usize, plan: Option<FaultPlan>) -> Snapshot {
-    let run = || {
-        run_in_completion_order(
-            Driver::Lockstep,
-            EngineConfig {
-                shards,
-                arrays_per_shard,
-                queue_depth: 16,
-                recovery: RecoveryPolicy {
-                    max_kernel_attempts: 4,
-                    ..RecoveryPolicy::default()
-                },
-                fault_plan: plan.clone(),
-                ..EngineConfig::default()
+/// Runs 48 mixed frames on a `shards × arrays_per_shard` lockstep pool.
+/// Arrays may own 16 sessions each and a holder more than eight ahead of
+/// the least-loaded array spills, so every dispatch mechanism has cause to
+/// fire.
+fn lockstep_run(
+    (shards, arrays_per_shard): (usize, usize),
+    plan: Option<FaultPlan>,
+) -> (Vec<Outcome>, ScaleSummary) {
+    run_in_completion_order(
+        Driver::Lockstep,
+        EngineConfig {
+            shards,
+            arrays_per_shard,
+            queue_depth: 16,
+            recovery: RecoveryPolicy {
+                max_kernel_attempts: 4,
+                ..RecoveryPolicy::default()
             },
-            mixed_records(48),
-        )
-    };
-    let (order, summary) = run();
-    let (order_again, summary_again) = run();
+            fault_plan: plan,
+            ..EngineConfig::default()
+        },
+        mixed_records(48),
+    )
+}
+
+/// Runs [`lockstep_run`] twice, asserts the two runs are
+/// indistinguishable, and returns the snapshot.
+fn repeatable_run(shards: usize, arrays_per_shard: usize, plan: Option<FaultPlan>) -> Snapshot {
+    let shape = (shards, arrays_per_shard);
+    let (order, summary) = lockstep_run(shape, plan.clone());
+    let (order_again, summary_again) = lockstep_run(shape, plan.clone());
     let label = format!("{shards}x{arrays_per_shard}, plan {plan:?}");
     assert_eq!(order.len(), 48, "{label}: frames lost");
     assert_eq!(order, order_again, "{label}: completion order");
@@ -54,15 +62,19 @@ fn two_lockstep_runs_are_identical_on_every_shape() {
         assert_eq!(snap.sessions_completed, 48);
         total.router_fallbacks += snap.router_fallbacks;
         total.router_affinity_hits += snap.router_affinity_hits;
-        total.batch_warm_hits += snap.batch_warm_hits;
-        total.batch_replications += snap.batch_replications;
+        total.config_words_streamed += snap.config_words_streamed;
+        if shards * arrays > 1 {
+            assert!(
+                snap.array_makespan_cycles < snap.array_cycles_run,
+                "{shards}x{arrays}: one array ran everything"
+            );
+        }
     }
     // Repeating nothing would be easy: across the shapes every mechanism
     // whose counters vary on the thread driver has fired.
     assert!(total.router_fallbacks > 0, "no step spilled");
     assert!(total.router_affinity_hits > 0, "no route hit its kernel");
-    assert!(total.batch_warm_hits > 0, "no step found a warm member");
-    assert!(total.batch_replications > 0, "no hot kernel was split");
+    assert!(total.config_words_streamed > 0, "no configuration loaded");
 }
 
 /// Per chaos seed, per shape in `SHAPES` order: the zero-fire watchdog's
@@ -98,6 +110,27 @@ fn two_lockstep_runs_are_identical_under_the_chaos_plans() {
                 (1, 1, kicks),
                 "{label}"
             );
+        }
+    }
+}
+
+/// The array is the unit of placement, and grouping arrays onto threads is
+/// the driver's business: on lockstep, `shards × arrays_per_shard` arrays
+/// are the pool of as many single arrays — the same completion order and
+/// the same full `ScaleSummary`, snapshot included — with and without a
+/// fault plan striking.
+#[test]
+fn a_gang_runs_as_its_flat_pool() {
+    quiet_injected_panics();
+    let plans = [None, Some(chaos_plan(1, 6, 8)), Some(chaos_plan(3, 6, 8))];
+    for (gang, flat) in [((2, 2), (4, 1)), ((1, 4), (4, 1)), ((2, 4), (8, 1))] {
+        for plan in &plans {
+            let label = format!("{gang:?} against {flat:?}, plan {plan:?}");
+            let (order, summary) = lockstep_run(gang, plan.clone());
+            let (flat_order, flat_summary) = lockstep_run(flat, plan.clone());
+            assert_eq!(order.len(), 48, "{label}: frames lost");
+            assert_eq!(order, flat_order, "{label}: completion order");
+            assert_eq!(summary, flat_summary, "{label}: summary and snapshot");
         }
     }
 }

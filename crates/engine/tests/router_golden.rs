@@ -1,11 +1,13 @@
-//! Router golden equivalence: the two-level scheduler re-orders
-//! *placement*, never *results*. Whatever shard a session's step lands on
-//! — the holder of its kernel, or the least-loaded shard it spilled to —
-//! its signal path runs the same kernels with the same seeds and data, so
-//! its terminal state must be bit-identical to a run of the same session
-//! on a private single array. The rows cover single arrays and gangs on
-//! two and four shards, and two-deep queues under the credit window, each
-//! with its routing counters pinned in lockstep.
+//! Router golden equivalence: placement re-orders *where* steps run,
+//! never *results*. Whatever array a session's step lands on — the holder
+//! of its kernel, or the least-loaded array it spilled to — its signal
+//! path runs the same kernels with the same seeds and data, so its
+//! terminal state must be bit-identical to a run of the same session on a
+//! private single array. The rows cover two to sixteen arrays, one to four
+//! per worker thread, and two-deep queues under the credit window, each
+//! with its routing counters pinned in lockstep. A lockstep pool of
+//! `shards × arrays_per_shard` arrays is the pool of as many single
+//! arrays, so rows with the same array count pin the same counters.
 
 mod common;
 
@@ -15,7 +17,7 @@ use common::{mixed_records, skewed_records, under_both_drivers, Driver, Outcome}
 use sdr_engine::{EngineConfig, Metrics, ParkedSession, Session, SessionState, WorkerArray};
 
 /// Steps every session to a terminal state on its own private array:
-/// the strongest reference — no pool, no router, no gang — that every
+/// the strongest reference — no pool, no router — that every
 /// routed configuration must reproduce.
 fn single_array_reference(records: &[ParkedSession]) -> Vec<Outcome> {
     let metrics = Arc::new(Metrics::new());
@@ -53,7 +55,7 @@ fn routed_outcomes(
         queue_depth: 64,
         ..EngineConfig::default()
     };
-    let label = format!("shards={shards} gang={arrays_per_shard}");
+    let label = format!("shards={shards} arrays={arrays_per_shard}");
     under_both_drivers(&config, &mixed_records(n), |driver, outcomes, summary| {
         assert_eq!(
             outcomes.len() as u64,
@@ -92,7 +94,8 @@ fn assert_matches_reference(label: &str, got: &[Outcome], want: &[Outcome]) {
 
 /// Affinity routing with its hotspot spill: placement changes *where* a
 /// session's step runs, never *what* it computes — every outcome still
-/// matches the single-array reference.
+/// matches the single-array reference, on one thread of four arrays as
+/// on four threads of one.
 #[test]
 fn affinity_routing_matches_the_reference() {
     let n = 48;
@@ -103,11 +106,12 @@ fn affinity_routing_matches_the_reference() {
     );
     for (shape, exact) in [
         ((2usize, 1usize), [18, 126, 396]),
-        ((2, 2), [18, 126, 696]),
-        ((2, 4), [18, 126, 1_044]),
+        ((1, 4), [45, 99, 612]),
+        ((2, 2), [45, 99, 612]),
         ((4, 1), [45, 99, 612]),
-        ((4, 2), [44, 100, 1_050]),
-        ((4, 4), [45, 99, 1_212]),
+        ((2, 4), [58, 86, 654]),
+        ((4, 2), [58, 86, 654]),
+        ((4, 4), [63, 81, 546]),
     ] {
         let routed = routed_outcomes(shape, n, exact);
         assert_matches_reference(&format!("affinity {shape:?}"), &routed, &reference);
@@ -126,15 +130,15 @@ fn two_deep_queues_match_the_reference() {
         ("skewed", skewed_records(n, 2)),
     ] {
         let reference = single_array_reference(&records);
-        for (shards, gang) in [(1usize, 1usize), (2, 1), (2, 2)] {
+        for (shards, arrays) in [(1usize, 1usize), (2, 1), (2, 2)] {
             let config = EngineConfig {
                 shards,
-                arrays_per_shard: gang,
+                arrays_per_shard: arrays,
                 queue_depth: 2,
                 ..EngineConfig::default()
             };
             under_both_drivers(&config, &records, |driver, routed, summary| {
-                let label = format!("{name} shards={shards} gang={gang} {driver:?}");
+                let label = format!("{name} shards={shards} arrays={arrays} {driver:?}");
                 assert_matches_reference(&label, routed, &reference);
                 assert_eq!(
                     (

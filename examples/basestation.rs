@@ -2,7 +2,7 @@
 //! (alternating W-CDMA rake and 802.11a OFDM) arriving as a Poisson
 //! process and driven through the engine's session front-end —
 //! every waiting terminal is parked as a ~40-byte record and only a
-//! bounded window is ever materialised over the worker shards.
+//! bounded window is ever materialised over the pool's arrays.
 //!
 //! Every OFDM terminal runs the paper's Fig. 10 configurations (detector
 //! 2a, then demodulator 2b) and every W-CDMA terminal its rake finger (the
@@ -16,18 +16,20 @@
 //! Usage:
 //! `cargo run --release --example basestation [--sessions N] [--shards M]
 //!  [--arrays-per-shard K] [--arrival-rate R] [--lockstep]`
-//! where `R` is mean terminal arrivals per second at the 50 MHz modeled
-//! array clock (defaults: 64 sessions, 4 shards, 1 array per shard,
-//! 4000/s). Bare positional arguments `[sessions] [shards]
-//! [arrays-per-shard]` are still accepted.
+//! where `M` is worker threads, `K` the arrays each thread steps (the
+//! router places every step on one of the `M × K` arrays) and `R` mean
+//! terminal arrivals per second at the 50 MHz modeled array clock
+//! (defaults: 64 sessions, 4 shards, 1 array per shard, 4000/s). Bare
+//! positional arguments `[sessions] [shards] [arrays-per-shard]` are
+//! still accepted.
 //!
 //! What repeats from run to run: session outcomes and the admission
 //! model's slack and shed figures always (the last three lines of output);
 //! the live dispatch counters — loads, evictions, the router line —
-//! follow which shard's thread got to run when, and differ. `--lockstep`
-//! runs the same placement with the shards stepped on this
-//! thread in virtual-clock order instead (`Frontend::lockstep`), and then
-//! the whole output is byte-identical across runs.
+//! follow which thread got to run when, and differ. `--lockstep` runs the
+//! same placement with the arrays stepped on this thread in virtual-clock
+//! order instead (`Frontend::lockstep`), and then the whole output is
+//! byte-identical across runs.
 
 use std::sync::Arc;
 
@@ -49,7 +51,7 @@ const MAX_SESSIONS: u64 = 1 << 24;
 /// ran).
 const MAX_SHARDS: u64 = 1 << 10;
 
-/// Most arrays in one shard's gang; each shard allocates its gang up
+/// Most arrays one worker thread steps; the pool allocates every array up
 /// front.
 const MAX_ARRAYS_PER_SHARD: u64 = 64;
 
@@ -59,8 +61,8 @@ struct Args {
     arrays_per_shard: usize,
     /// Mean arrivals per second at the modeled array clock.
     arrival_rate: f64,
-    /// Step the shards on the main thread in virtual-clock order rather
-    /// than on their own threads: every counter of the metrics block (not
+    /// Step the arrays on the main thread in virtual-clock order rather
+    /// than on the worker threads: every counter of the metrics block (not
     /// just the session outcomes and slack/shed figures, which repeat
     /// either way) is then identical across runs.
     lockstep: bool,
