@@ -1,49 +1,584 @@
-//! The stepper: every object of an awake configuration, every cycle.
+//! The stepper: every object of an awake configuration, every cycle, as
+//! rule-specialised runs.
 //!
 //! The XPP is a synchronous token-handshake array — every PAE of a running
 //! configuration evaluates its handshake on every clock — and this is that
-//! model executed as written: each cycle, an awake configuration hands
-//! every object of its compiled visit list to the firing rules, then
-//! sweep-commits every channel. There is no wake dedup, dirty-channel
-//! worklist, commit transition or adjacency table to keep (see
-//! [`crate::schedule`] for why the full pass is exact).
+//! model executed as written: each cycle, an awake configuration steps
+//! every [`Run`] of its compiled program, one monomorphic loop over the
+//! objects of one firing rule (and one `AluOp`/`UnaryOp`), then commits
+//! every channel of its slab. No object is asked what it is, no port is
+//! tested for being connected (an unconnected one is the null channel) and
+//! no fan-out list is decoded (fan-out up to two is inline); each run adds
+//! its firing classes to [`ArrayStats`] once. There is no wake dedup,
+//! dirty-channel worklist or adjacency table to keep (see
+//! [`crate::schedule`] for why the full pass, in any order, is exact).
 //!
 //! What makes quiet cycles cheap is sleep: a pass that fires nothing
 //! stages nothing, so the next one would fire nothing either, and the
 //! configuration is skipped until one of exactly four events wakes it —
 //! `push_input`, `push_input_events`, a board route moving tokens in, or
 //! its load completing.
+//!
+//! This is the second statement of every firing rule in the crate; the
+//! first, `super::fire::fire`, is the reference stepper's, and the golden
+//! suites hold the two to the same outputs, fire counts and statistics.
 
-use super::fire::{fire, Lane, Net};
+use std::mem;
+
+use super::fire::ObjState;
 use super::load::LoadedConfig;
 use super::Array;
+use crate::channel::Chans;
+use crate::compiled::{Arity, Kind, Op, Run};
+use crate::object::{AluOp, UnaryOp, RAM_WORDS};
 use crate::stats::ArrayStats;
+use crate::word::Word;
+
+/// How a run's output ports name their channels ([`Arity`]).
+trait Fan {
+    /// True if every channel of `port` has space.
+    fn space(ch: &Chans<'_>, fan: &[u32], port: [u32; 2]) -> bool;
+    /// Produces `v` into every channel of `port`.
+    fn put(ch: &mut Chans<'_>, fan: &[u32], port: [u32; 2], v: Word);
+}
+
+/// [`Arity::One`]: the channel is `port[0]`.
+struct One;
+
+impl Fan for One {
+    #[inline(always)]
+    fn space(ch: &Chans<'_>, _: &[u32], [c, _]: [u32; 2]) -> bool {
+        ch.space(c)
+    }
+
+    #[inline(always)]
+    fn put(ch: &mut Chans<'_>, _: &[u32], [c, _]: [u32; 2], v: Word) {
+        ch.put(c, v);
+    }
+}
+
+/// [`Arity::Two`]: both channels inline.
+struct Two;
+
+impl Fan for Two {
+    #[inline(always)]
+    fn space(ch: &Chans<'_>, _: &[u32], [c0, c1]: [u32; 2]) -> bool {
+        ch.space(c0) & ch.space(c1)
+    }
+
+    #[inline(always)]
+    fn put(ch: &mut Chans<'_>, _: &[u32], [c0, c1]: [u32; 2], v: Word) {
+        ch.put(c0, v);
+        ch.put(c1, v);
+    }
+}
+
+/// [`Arity::Wide`]: `[start, len]` of the program's fan table.
+struct Wide;
+
+impl Fan for Wide {
+    #[inline(always)]
+    fn space(ch: &Chans<'_>, fan: &[u32], [start, n]: [u32; 2]) -> bool {
+        fan[start as usize..][..n as usize]
+            .iter()
+            .all(|&c| ch.space(c))
+    }
+
+    #[inline(always)]
+    fn put(ch: &mut Chans<'_>, fan: &[u32], [start, n]: [u32; 2], v: Word) {
+        for &c in &fan[start as usize..][..n as usize] {
+            ch.put(c, v);
+        }
+    }
+}
+
+/// What one run steps over: its ops with their fire counters, the
+/// channels, the wide fan table and the stateful objects' states.
+struct Cx<'a> {
+    ops: &'a [Op],
+    fires: &'a mut [u64],
+    ch: Chans<'a>,
+    fan: &'a [u32],
+    states: &'a mut [ObjState],
+}
+
+impl Cx<'_> {
+    /// Offers every op to `f`, which returns the op's fires; books them
+    /// on the op's counter and returns the run's total.
+    #[inline(always)]
+    fn each(
+        &mut self,
+        mut f: impl FnMut(&Op, &mut Chans<'_>, &[u32], &mut [ObjState]) -> u64,
+    ) -> u64 {
+        let mut total = 0;
+        for (op, count) in self.ops.iter().zip(self.fires.iter_mut()) {
+            let n = f(op, &mut self.ch, self.fan, self.states);
+            *count += n;
+            total += n;
+        }
+        total
+    }
+}
+
+/// A binary ALU run: `o0 = f(i0, i1)`, `f` also reading the op's
+/// constants.
+#[inline(always)]
+fn binary<F: Fan>(cx: &mut Cx<'_>, f: impl Fn(Word, Word, &Op) -> Word) -> u64 {
+    cx.each(|op, ch, fan, _| {
+        let [a, b, _] = op.i;
+        if !(ch.has(a) & ch.has(b) && F::space(ch, fan, op.o[0])) {
+            return 0;
+        }
+        let v = f(ch.take(a), ch.take(b), op);
+        F::put(ch, fan, op.o[0], v);
+        1
+    })
+}
+
+/// A unary run: `o0 = f(i0)`, `f` also reading the op's constants.
+#[inline(always)]
+fn unary<F: Fan>(cx: &mut Cx<'_>, f: impl Fn(Word, &Op) -> Word) -> u64 {
+    cx.each(|op, ch, fan, _| {
+        let a = op.i[0];
+        if !(ch.has(a) && F::space(ch, fan, op.o[0])) {
+            return 0;
+        }
+        let v = f(ch.take(a), op);
+        F::put(ch, fan, op.o[0], v);
+        1
+    })
+}
+
+/// An event run: `o0 = f(i0, i1)` over event channels, one input (`i1`
+/// is the null channel) or two.
+#[inline(always)]
+fn logic<F: Fan>(cx: &mut Cx<'_>, two: bool, f: impl Fn(bool, bool) -> bool) -> u64 {
+    cx.each(|op, ch, fan, _| {
+        let [a, b, _] = op.i;
+        if !(ch.has(a) & (!two || ch.has(b)) && F::space(ch, fan, op.o[0])) {
+            return 0;
+        }
+        let x = ch.take_ev(a).0;
+        let y = two && ch.take_ev(b).0;
+        F::put(ch, fan, op.o[0], Word::new(i32::from(f(x, y))));
+        1
+    })
+}
+
+/// The event word of a boolean.
+#[inline(always)]
+fn ev(b: bool) -> Word {
+    Word::new(i32::from(b))
+}
+
+/// Steps one run and books its fires in `stats`. Inlined into the pass, so
+/// moving from one run to the next is a jump, not a call.
+#[inline(always)]
+fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 {
+    use {AluOp as A, Kind as K, UnaryOp as U};
+    match kind {
+        K::Add => {
+            let n = binary::<F>(cx, |a, b, _| A::Add.eval(a, b));
+            stats.alu_fires += n;
+            n
+        }
+        K::Sub => {
+            let n = binary::<F>(cx, |a, b, _| A::Sub.eval(a, b));
+            stats.alu_fires += n;
+            n
+        }
+        K::Mul => {
+            let n = binary::<F>(cx, |a, b, _| A::Mul.eval(a, b));
+            stats.mul_fires += n;
+            n
+        }
+        K::MulShr => {
+            let n = binary::<F>(cx, |a, b, op| A::MulShr(op.s).eval(a, b));
+            stats.mul_fires += n;
+            n
+        }
+        K::And | K::Or | K::Xor | K::Min | K::Max | K::Lt | K::Eq | K::Shl | K::Shr => {
+            let n = match kind {
+                K::And => binary::<F>(cx, |a, b, _| A::And.eval(a, b)),
+                K::Or => binary::<F>(cx, |a, b, _| A::Or.eval(a, b)),
+                K::Xor => binary::<F>(cx, |a, b, _| A::Xor.eval(a, b)),
+                K::Min => binary::<F>(cx, |a, b, _| A::Min.eval(a, b)),
+                K::Max => binary::<F>(cx, |a, b, _| A::Max.eval(a, b)),
+                K::Lt => binary::<F>(cx, |a, b, _| A::Lt.eval(a, b)),
+                K::Eq => binary::<F>(cx, |a, b, _| A::Eq.eval(a, b)),
+                K::Shl => binary::<F>(cx, |a, b, _| A::Shl.eval(a, b)),
+                _ => binary::<F>(cx, |a, b, _| A::Shr.eval(a, b)),
+            };
+            stats.alu_fires += n;
+            n
+        }
+        K::MulKShr => {
+            let n = unary::<F>(cx, |a, op| U::MulKShr(op.k, op.s).eval(a));
+            stats.mul_fires += n;
+            n
+        }
+        K::Pass | K::Neg | K::Abs | K::ShlK | K::ShrK | K::AddK => {
+            let n = match kind {
+                K::Pass => unary::<F>(cx, |a, _| U::Pass.eval(a)),
+                K::Neg => unary::<F>(cx, |a, _| U::Neg.eval(a)),
+                K::Abs => unary::<F>(cx, |a, _| U::Abs.eval(a)),
+                K::ShlK => unary::<F>(cx, |a, op| U::ShlK(op.s).eval(a)),
+                K::ShrK => unary::<F>(cx, |a, op| U::ShrK(op.s).eval(a)),
+                _ => unary::<F>(cx, |a, op| U::AddK(op.k).eval(a)),
+            };
+            stats.reg_fires += n;
+            n
+        }
+        K::AndK | K::XorK | K::EqK | K::LtK | K::GeK => {
+            let n = match kind {
+                K::AndK => unary::<F>(cx, |a, op| U::AndK(op.k).eval(a)),
+                K::XorK => unary::<F>(cx, |a, op| U::XorK(op.k).eval(a)),
+                K::EqK => unary::<F>(cx, |a, op| U::EqK(op.k).eval(a)),
+                K::LtK => unary::<F>(cx, |a, op| U::LtK(op.k).eval(a)),
+                _ => unary::<F>(cx, |a, op| U::GeK(op.k).eval(a)),
+            };
+            stats.reg_fires += n;
+            n
+        }
+        K::Const => {
+            let n = cx.each(|op, ch, fan, _| {
+                if !F::space(ch, fan, op.o[0]) {
+                    return 0;
+                }
+                F::put(ch, fan, op.o[0], op.k);
+                1
+            });
+            stats.reg_fires += n;
+            n
+        }
+        K::Counter | K::GatedCounter => {
+            let gated = kind == K::GatedCounter;
+            let (mut values, mut gos) = (0, 0);
+            let n = cx.each(|op, ch, fan, states| {
+                let emits = op.s != 0;
+                let ObjState::Counter {
+                    cfg,
+                    value,
+                    remaining,
+                } = &mut states[op.state as usize]
+                else {
+                    unreachable!("a counter's state")
+                };
+                let mut fires = 0;
+                if *remaining == 0 {
+                    if gated {
+                        let go = op.i[0];
+                        if !ch.has(go) {
+                            return 0;
+                        }
+                        ch.take(go);
+                        gos += 1;
+                        fires += 1;
+                    }
+                    // An ungated reload moves no token and is no fire.
+                    *remaining = cfg.period;
+                    *value = cfg.start;
+                }
+                let last = *remaining == 1;
+                if emits && F::space(ch, fan, op.o[0]) && (!last || F::space(ch, fan, op.o[1])) {
+                    F::put(ch, fan, op.o[0], Word::from_i64(*value));
+                    if last {
+                        F::put(ch, fan, op.o[1], Word::ONE);
+                    }
+                    *value += cfg.step;
+                    *remaining -= 1;
+                    values += 1;
+                    fires += 1;
+                }
+                fires
+            });
+            stats.reg_fires += values;
+            stats.event_fires += gos;
+            n
+        }
+        K::Select => {
+            let n = cx.each(|op, ch, fan, _| {
+                let [a, b, sel] = op.i;
+                if !(ch.has(a) & ch.has(b) & ch.has(sel) && F::space(ch, fan, op.o[0])) {
+                    return 0;
+                }
+                let s = ch.take_ev(sel).0;
+                let (x, y) = (ch.take(a), ch.take(b));
+                F::put(ch, fan, op.o[0], if s { y } else { x });
+                1
+            });
+            stats.reg_fires += n;
+            n
+        }
+        K::Merge => {
+            let n = cx.each(|op, ch, fan, _| {
+                let [a, b, sel] = op.i;
+                if !ch.has(sel) {
+                    return 0;
+                }
+                let port = if ch.peek_ev(sel).0 { b } else { a };
+                if !(ch.has(port) && F::space(ch, fan, op.o[0])) {
+                    return 0;
+                }
+                ch.take(sel);
+                let v = ch.take(port);
+                F::put(ch, fan, op.o[0], v);
+                1
+            });
+            stats.reg_fires += n;
+            n
+        }
+        K::Demux => {
+            let n = cx.each(|op, ch, fan, _| {
+                let [a, sel, _] = op.i;
+                if !(ch.has(a) & ch.has(sel)) {
+                    return 0;
+                }
+                let out = op.o[usize::from(ch.peek_ev(sel).0)];
+                if !F::space(ch, fan, out) {
+                    return 0;
+                }
+                ch.take(sel);
+                let v = ch.take(a);
+                F::put(ch, fan, out, v);
+                1
+            });
+            stats.reg_fires += n;
+            n
+        }
+        K::Swap => {
+            let n = cx.each(|op, ch, fan, _| {
+                let [a, b, sel] = op.i;
+                if !(ch.has(a) & ch.has(b) & ch.has(sel)
+                    && F::space(ch, fan, op.o[0])
+                    && F::space(ch, fan, op.o[1]))
+                {
+                    return 0;
+                }
+                let s = ch.take_ev(sel).0;
+                let (x, y) = (ch.take(a), ch.take(b));
+                let (x, y) = if s { (y, x) } else { (x, y) };
+                F::put(ch, fan, op.o[0], x);
+                F::put(ch, fan, op.o[1], y);
+                1
+            });
+            stats.reg_fires += n;
+            n
+        }
+        K::Gate => {
+            let n = cx.each(|op, ch, fan, _| {
+                let [a, sel, _] = op.i;
+                if !(ch.has(a) & ch.has(sel)) {
+                    return 0;
+                }
+                let pass = ch.peek_ev(sel).0;
+                if pass && !F::space(ch, fan, op.o[0]) {
+                    return 0;
+                }
+                ch.take(sel);
+                let v = ch.take(a);
+                if pass {
+                    F::put(ch, fan, op.o[0], v);
+                }
+                1
+            });
+            stats.reg_fires += n;
+            n
+        }
+        K::AccumDump => {
+            let n = cx.each(|op, ch, fan, states| {
+                let [a, sel, _] = op.i;
+                if !(ch.has(a) & ch.has(sel)) {
+                    return 0;
+                }
+                let dump = ch.peek_ev(sel).0;
+                if dump && !F::space(ch, fan, op.o[0]) {
+                    return 0;
+                }
+                let ObjState::Accum(acc) = &mut states[op.state as usize] else {
+                    unreachable!("an accumulator's state")
+                };
+                ch.take(sel);
+                *acc = acc.wrapping_add(ch.take(a));
+                if dump {
+                    F::put(ch, fan, op.o[0], mem::replace(acc, Word::ZERO));
+                }
+                1
+            });
+            stats.alu_fires += n;
+            n
+        }
+        K::ToEvent => {
+            let n = unary::<F>(cx, |v, _| ev(v.truthy()));
+            stats.event_fires += n;
+            n
+        }
+        K::ToData => {
+            // An event word is already the data word 0 or 1.
+            let n = unary::<F>(cx, |v, _| v);
+            stats.reg_fires += n;
+            n
+        }
+        K::EventNot => {
+            let n = logic::<F>(cx, false, |x, _| !x);
+            stats.event_fires += n;
+            n
+        }
+        K::EventAnd => {
+            let n = logic::<F>(cx, true, |x, y| x && y);
+            stats.event_fires += n;
+            n
+        }
+        K::EventOr => {
+            let n = logic::<F>(cx, true, |x, y| x || y);
+            stats.event_fires += n;
+            n
+        }
+        K::Ram => {
+            let (mut writes, mut reads) = (0, 0);
+            let n = cx.each(|op, ch, fan, states| {
+                let ObjState::Ram(mem) = &mut states[op.state as usize] else {
+                    unreachable!("a RAM's state")
+                };
+                let [rd_addr, wr_addr, wr_data] = op.i;
+                let mut fires = 0;
+                // Write first: write-through within the cycle.
+                if ch.has(wr_addr) & ch.has(wr_data) {
+                    let at = ch.take(wr_addr).bits() as usize % RAM_WORDS;
+                    mem[at] = ch.take(wr_data);
+                    writes += 1;
+                    fires += 1;
+                }
+                if ch.has(rd_addr) && F::space(ch, fan, op.o[0]) {
+                    let at = ch.take(rd_addr).bits() as usize % RAM_WORDS;
+                    F::put(ch, fan, op.o[0], mem[at]);
+                    reads += 1;
+                    fires += 1;
+                }
+                fires
+            });
+            stats.ram_writes += writes;
+            stats.ram_reads += reads;
+            n
+        }
+        K::FifoRing => {
+            let n = cx.each(|op, ch, fan, states| {
+                let ObjState::Fifo(buf) = &mut states[op.state as usize] else {
+                    unreachable!("a FIFO's state")
+                };
+                if !F::space(ch, fan, op.o[0]) {
+                    return 0;
+                }
+                let Some(v) = buf.pop_front() else {
+                    return 0;
+                };
+                F::put(ch, fan, op.o[0], v);
+                buf.push_back(v);
+                1
+            });
+            stats.fifo_fires += n;
+            n
+        }
+        K::Fifo => {
+            let n = cx.each(|op, ch, fan, states| {
+                let depth = op.s as usize;
+                let ObjState::Fifo(buf) = &mut states[op.state as usize] else {
+                    unreachable!("a FIFO's state")
+                };
+                let a = op.i[0];
+                // The popped word leaves the queue only after the push has
+                // seen this cycle's occupancy.
+                let popped = !buf.is_empty() && F::space(ch, fan, op.o[0]);
+                if popped {
+                    F::put(ch, fan, op.o[0], buf[0]);
+                }
+                let pushed = buf.len() - usize::from(popped) < depth && ch.has(a);
+                if pushed {
+                    buf.push_back(ch.take(a));
+                }
+                if popped {
+                    buf.pop_front();
+                }
+                u64::from(popped) + u64::from(pushed)
+            });
+            stats.fifo_fires += n;
+            n
+        }
+        K::Input | K::InputEvent => {
+            let n = cx.each(|op, ch, fan, states| {
+                if !F::space(ch, fan, op.o[0]) {
+                    return 0;
+                }
+                let v = match &mut states[op.state as usize] {
+                    ObjState::ExtInData(q) => q.pop_front(),
+                    ObjState::ExtInEv(q) => q.pop_front().map(ev),
+                    _ => unreachable!("an input port's state"),
+                };
+                let Some(v) = v else {
+                    return 0;
+                };
+                F::put(ch, fan, op.o[0], v);
+                1
+            });
+            if kind == K::Input {
+                stats.io_words += n;
+            } else {
+                stats.event_fires += n;
+            }
+            n
+        }
+        K::Output | K::OutputEvent => {
+            let n = cx.each(|op, ch, _, states| {
+                let a = op.i[0];
+                if !ch.has(a) {
+                    return 0;
+                }
+                match &mut states[op.state as usize] {
+                    ObjState::ExtOutData(buf) => buf.push(ch.take(a)),
+                    ObjState::ExtOutEv(buf) => buf.push(ch.take_ev(a).0),
+                    _ => unreachable!("an output port's state"),
+                }
+                1
+            });
+            if kind == K::Output {
+                stats.io_words += n;
+            } else {
+                stats.event_fires += n;
+            }
+            n
+        }
+    }
+}
 
 impl LoadedConfig {
-    /// One dense pass: offer every object to the firing rules straight off
-    /// the compiled visit list, then sweep-commit every channel. Returns
-    /// whether any object fired.
+    /// One dense pass: step every run of the compiled program, then commit
+    /// every channel. Returns whether any object fired.
     fn step_dense(&mut self, stats: &mut ArrayStats) -> bool {
         let program = &*self.program;
-        let mut net = Net {
-            d: Lane(&mut self.dchans),
-            e: Lane(&mut self.echans),
-            stats,
-        };
-        let mut fired = false;
-        let objects = program.micro.iter().zip(&mut self.states);
-        for ((m, state), count) in objects.zip(&mut self.fires) {
-            let fires = fire(m, &program.fan, state, &mut net);
-            *count += u64::from(fires);
-            fired |= fires > 0;
+        let mut fired = 0;
+        for &Run {
+            kind,
+            arity,
+            start,
+            end,
+        } in &program.runs
+        {
+            let ops = start as usize..end as usize;
+            let mut cx = Cx {
+                ops: &program.ops[ops.clone()],
+                fires: &mut self.fires[ops],
+                ch: self.slab.chans(),
+                fan: &program.fan,
+                states: &mut self.states,
+            };
+            fired += match arity {
+                Arity::One => step_run::<One>(kind, &mut cx, stats),
+                Arity::Two => step_run::<Two>(kind, &mut cx, stats),
+                Arity::Wide => step_run::<Wide>(kind, &mut cx, stats),
+            };
         }
-        for ch in &mut self.dchans {
-            ch.commit();
-        }
-        for ch in &mut self.echans {
-            ch.commit();
-        }
-        fired
+        self.slab.chans().commit();
+        fired > 0
     }
 }
 
@@ -250,6 +785,39 @@ mod tests {
         // and its first routed word the sink, and both drained to sleep.
         let (wakes, _, sleeps) = counts(&array);
         assert_eq!((wakes, sleeps), (4, 4));
+    }
+
+    /// Ports driving more than two channels step in wide runs: a counter
+    /// whose value and wrap event both fan out three ways, steering gates
+    /// on a stream that also fans out three ways.
+    #[test]
+    fn wide_fan_out_agrees_with_the_reference() {
+        let mut nl = NetlistBuilder::new("wide");
+        let x = nl.input("x");
+        let ctr = nl.counter(CounterCfg::modulo(3));
+        for k in 0..3 {
+            let pass = nl.unary(UnaryOp::GeK(Word::new(k)), ctr.value);
+            let ev = nl.to_event(pass);
+            let g = nl.gate(ev, x);
+            nl.output(format!("y{k}"), g);
+            let wrap = nl.to_data(ctr.wrap);
+            nl.output(format!("w{k}"), wrap);
+        }
+        let netlist = nl.build().unwrap();
+        on_both_steppers(|array| {
+            let cfg = array.configure(&netlist).unwrap();
+            array.push_input(cfg, "x", (0..60).map(Word::new)).unwrap();
+            array.run(400);
+            let drained: Vec<_> = ["y0", "y1", "y2", "w0", "w1", "w2"]
+                .map(|port| array.drain_output(cfg, port).unwrap())
+                .into();
+            assert_eq!(drained[0].len(), 60, "y0 passes every word");
+            (
+                drained,
+                array.object_fire_counts(cfg).unwrap(),
+                array.stats(),
+            )
+        });
     }
 
     #[test]

@@ -1,31 +1,46 @@
-//! The firing rules: what an object does when it fires — and the only place
-//! in the crate that says so.
+//! Object state, and the general firing rule the reference stepper runs.
 //!
-//! [`fire`] evaluates every enabled rule of one object against committed
-//! start-of-cycle channel state. Both steppers — the production pass and
-//! the reference scan — call it on every object of a configuration they
-//! step and then commit every channel; they differ in nothing that firing
-//! does.
+//! [`ObjState`] is the internal state of the stateful objects (counters,
+//! accumulators, memories, streaming ports); it is shared by both steppers.
+//! Stateless objects carry none.
 //!
-//! An object's ports reach the function as a [`Micro`] — packed once, by
-//! [`CompiledConfig::compile`](crate::CompiledConfig::compile), in the
-//! configuration's own channel numbering, which is also the numbering of the
-//! dense channel vectors a loaded configuration owns.
+//! [`fire`] is the *oracle's* statement of what an object does when it
+//! fires: one `match` over every rule, evaluated against committed
+//! start-of-cycle channel state. Only the reference stepper calls it
+//! (`cfg(any(test, feature = "reference"))`); production steps the
+//! rule-specialised runs of `super::dense`, a second and independent body
+//! of every rule over the same channel slab and object state, so the golden
+//! lattice compares two implementations instead of one with itself.
+//!
+//! An object's ports reach [`fire`] as a [`Micro`] — packed once, by
+//! [`CompiledConfig::compile`](crate::CompiledConfig::compile), straight
+//! from the compiled node and independently of the production lowering,
+//! in the numbering of the configuration's channel slab.
 
 use std::collections::VecDeque;
 
-use crate::channel::Channel;
-use crate::compiled::CompiledNode;
-use crate::object::{AluOp, CounterCfg, ObjectKind, UnaryOp, RAM_WORDS};
-use crate::stats::ArrayStats;
-use crate::word::{Event, Word};
+use crate::object::{CounterCfg, ObjectKind, RAM_WORDS};
+use crate::word::Word;
+#[cfg(any(test, feature = "reference"))]
+use crate::{
+    channel::Chans,
+    compiled::CompiledNode,
+    object::{AluOp, UnaryOp},
+    stats::ArrayStats,
+    word::Event,
+};
 
-/// "No channel" sentinel for an unconnected port: the fireability check
-/// fails, so a rule that needs the port never fires.
-pub(super) const NO_CHAN: u32 = u32::MAX;
+/// "No channel" sentinel for an unconnected port of a [`Micro`]: past the
+/// end of every slab, so the fireability check fails and a rule that needs
+/// the port never fires. Also the state slot of a stateless object.
+#[cfg(any(test, feature = "reference"))]
+pub(crate) const NO_CHAN: u32 = u32::MAX;
 
+/// The internal state of one stateful object (see [`ObjState::stateful`]).
 #[derive(Debug)]
-pub(super) enum ObjState {
+pub(crate) enum ObjState {
+    /// The stand-in the reference stepper hands a stateless object.
+    #[cfg(any(test, feature = "reference"))]
     None,
     Counter {
         cfg: CounterCfg,
@@ -42,8 +57,28 @@ pub(super) enum ObjState {
 }
 
 impl ObjState {
-    /// The power-on internal state of an object of `kind`.
-    pub(super) fn initial(kind: &ObjectKind) -> ObjState {
+    /// True if objects of `kind` keep internal state.
+    pub(crate) fn stateful(kind: &ObjectKind) -> bool {
+        matches!(
+            kind,
+            ObjectKind::Counter(_)
+                | ObjectKind::AccumDump
+                | ObjectKind::Ram { .. }
+                | ObjectKind::RamFifo { .. }
+                | ObjectKind::Input(_)
+                | ObjectKind::Output(_)
+                | ObjectKind::InputEvent(_)
+                | ObjectKind::OutputEvent(_)
+        )
+    }
+
+    /// The power-on internal state of a [stateful](Self::stateful) object
+    /// of `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is stateless.
+    pub(crate) fn initial(kind: &ObjectKind) -> ObjState {
         match kind {
             ObjectKind::Counter(cfg) => ObjState::Counter {
                 cfg: *cfg,
@@ -63,7 +98,7 @@ impl ObjState {
             ObjectKind::Output(_) => ObjState::ExtOutData(Vec::new()),
             ObjectKind::InputEvent(_) => ObjState::ExtInEv(VecDeque::new()),
             ObjectKind::OutputEvent(_) => ObjState::ExtOutEv(Vec::new()),
-            _ => ObjState::None,
+            _ => unreachable!("a stateless object has no state"),
         }
     }
 }
@@ -72,6 +107,7 @@ impl ObjState {
 /// and resolved once at compile time (multiplier class, FIFO mode) instead
 /// of per fire. Stateful rules find their parameters next to their state
 /// ([`ObjState`]); names and preloads stay behind in the netlist.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Rule {
     /// `(op, uses_multiplier)`.
@@ -100,6 +136,7 @@ pub(super) enum Rule {
     OutputEvent,
 }
 
+#[cfg(any(test, feature = "reference"))]
 impl Rule {
     pub(super) fn of(kind: &ObjectKind) -> Rule {
         match kind {
@@ -129,9 +166,9 @@ impl Rule {
     }
 }
 
-/// One object of a configuration's visit list: its rule and its ports packed
-/// into five slots, so the stepping loops stream a dense ~40-byte op. No
-/// [`ObjectKind::shape`] populates both tenants of a shared slot:
+/// One object of the reference stepper's visit list: its rule and its ports
+/// packed into five slots. No [`ObjectKind::shape`] populates both tenants
+/// of a shared slot:
 ///
 /// | slot | holds                                                    |
 /// |------|----------------------------------------------------------|
@@ -142,7 +179,10 @@ impl Rule {
 /// | `f1` | data output 1, or the event output, as a range           |
 ///
 /// [`Micro::pack`] packs and [`Ports`] unpacks. Unconnected inputs hold
-/// [`NO_CHAN`]; unconnected outputs are empty ranges.
+/// [`NO_CHAN`]; unconnected outputs are empty ranges. `state` is the
+/// object's [`ObjState`] slot ([`NO_CHAN`] if stateless) and `op` the
+/// index of its fire counter.
+#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Micro {
     rule: Rule,
@@ -153,11 +193,21 @@ pub(crate) struct Micro {
     f1: u32,
     f0n: u16,
     f1n: u16,
+    pub(super) state: u32,
+    pub(super) op: u32,
 }
 
+#[cfg(any(test, feature = "reference"))]
 impl Micro {
     /// Packs one compiled node, appending its output fan-outs to `fan`.
-    pub(crate) fn pack(node: &CompiledNode, fan: &mut Vec<u32>) -> Micro {
+    /// Event channel `k` is slab slot `ev_base + k`.
+    pub(crate) fn pack(
+        node: &CompiledNode,
+        ev_base: u32,
+        state: u32,
+        op: u32,
+        fan: &mut Vec<u32>,
+    ) -> Micro {
         debug_assert!(
             node.din[1].is_none() || node.evin[1].is_none(),
             "slot b has two tenants"
@@ -170,38 +220,43 @@ impl Micro {
             node.dout[1].is_empty() || node.evout[0].is_empty(),
             "slot f1 has two tenants"
         );
-        let mut push_fan = |chans: &[u32]| {
+        let mut push_fan = |chans: &[u32], base: u32| {
             let start = u32::try_from(fan.len()).expect("fan table fits u32");
             let n = u16::try_from(chans.len()).expect("fan-out fits u16");
-            fan.extend_from_slice(chans);
+            fan.extend(chans.iter().map(|&c| base + c));
             (start, n)
         };
-        let (f0, f0n) = push_fan(&node.dout[0]);
+        let (f0, f0n) = push_fan(&node.dout[0], 0);
         let (f1, f1n) = if node.evout[0].is_empty() {
-            push_fan(&node.dout[1])
+            push_fan(&node.dout[1], 0)
         } else {
-            push_fan(&node.evout[0])
+            push_fan(&node.evout[0], ev_base)
         };
+        let ev = |c: Option<u32>| c.map(|c| ev_base + c);
         Micro {
             rule: Rule::of(&node.kind),
             a: node.din[0].unwrap_or(NO_CHAN),
-            b: node.din[1].or(node.evin[1]).unwrap_or(NO_CHAN),
-            ev: node.evin[0].or(node.din[2]).unwrap_or(NO_CHAN),
+            b: node.din[1].or(ev(node.evin[1])).unwrap_or(NO_CHAN),
+            ev: ev(node.evin[0]).or(node.din[2]).unwrap_or(NO_CHAN),
             f0,
             f1,
             f0n,
             f1n,
+            state,
+            op,
         }
     }
 }
 
 /// Operand source of a fire: a [`Micro`] together with the fan table its
 /// output ranges index, read by port position.
+#[cfg(any(test, feature = "reference"))]
 struct Ports<'a> {
     m: &'a Micro,
     fan: &'a [u32],
 }
 
+#[cfg(any(test, feature = "reference"))]
 impl Ports<'_> {
     #[inline]
     fn din(&self, i: usize) -> u32 {
@@ -232,45 +287,36 @@ impl Ports<'_> {
     }
 }
 
-/// One token network (data or event) as a fire sees it: the configuration's
-/// channels.
-pub(super) struct Lane<'a, T>(pub(super) &'a mut [Channel<T>]);
+/// True if every channel of an output port has space ([`NO_CHAN`] never
+/// appears here: an unconnected output is an empty list).
+#[cfg(any(test, feature = "reference"))]
+#[inline]
+fn can_put(ch: &Chans<'_>, chans: &[u32]) -> bool {
+    chans.iter().all(|&c| ch.space(c))
+}
 
-impl<T: Copy + Default> Lane<'_, T> {
-    /// [`NO_CHAN`] is past the end of every channel vector, so the bounds
-    /// check doubles as the "port connected" test.
-    #[inline]
-    fn has(&self, c: u32) -> bool {
-        self.0.get(c as usize).is_some_and(Channel::has_token)
+/// Produces `v` into every channel of an output port.
+#[cfg(any(test, feature = "reference"))]
+#[inline]
+fn put(ch: &mut Chans<'_>, chans: &[u32], v: Word) {
+    for &c in chans {
+        ch.put(c, v);
     }
+}
 
-    #[inline]
-    fn can_put(&self, chans: &[u32]) -> bool {
-        chans.iter().all(|&c| self.0[c as usize].has_space())
-    }
-
-    #[inline]
-    fn peek(&self, c: u32) -> T {
-        self.0[c as usize].peek().expect("token present")
-    }
-
-    #[inline]
-    fn take(&mut self, c: u32) -> T {
-        self.0[c as usize].consume()
-    }
-
-    #[inline]
-    fn put(&mut self, chans: &[u32], v: T) {
-        for &c in chans {
-            self.0[c as usize].produce(v);
-        }
+/// Produces an event into every channel of an event output port.
+#[cfg(any(test, feature = "reference"))]
+#[inline]
+fn put_ev(ch: &mut Chans<'_>, chans: &[u32], e: Event) {
+    for &c in chans {
+        ch.put_ev(c, e);
     }
 }
 
 /// Everything outside the object that a fire reads or writes.
+#[cfg(any(test, feature = "reference"))]
 pub(super) struct Net<'a> {
-    pub(super) d: Lane<'a, Word>,
-    pub(super) e: Lane<'a, Event>,
+    pub(super) ch: Chans<'a>,
     pub(super) stats: &'a mut ArrayStats,
 }
 
@@ -281,21 +327,22 @@ pub(super) struct Net<'a> {
 /// Always inlined: each caller then holds `net`'s references as plain
 /// locals instead of reaching them through an aggregate behind a pointer
 /// (an out-of-line call once measured ~9% of stepping time).
+#[cfg(any(test, feature = "reference"))]
 #[inline(always)]
 pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'_>) -> u32 {
     let (rule, p) = (m.rule, Ports { m, fan });
-    let Net { d, e, stats } = net;
+    let Net { ch, stats } = net;
     // Each rule reads its operands in the order it tests them — inputs,
     // then outputs — so an object that cannot fire is dismissed at its
     // first empty input.
     match rule {
         Rule::Alu(op, mul) => {
             let (a, b) = (p.din(0), p.din(1));
-            if d.has(a) && d.has(b) {
+            if ch.has(a) && ch.has(b) {
                 let out = p.dout(0);
-                if d.can_put(out) {
-                    let (x, y) = (d.take(a), d.take(b));
-                    d.put(out, op.eval(x, y));
+                if can_put(ch, out) {
+                    let (x, y) = (ch.take(a), ch.take(b));
+                    put(ch, out, op.eval(x, y));
                     if mul {
                         stats.mul_fires += 1;
                     } else {
@@ -308,11 +355,11 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Unary(op, mul) => {
             let a = p.din(0);
-            if d.has(a) {
+            if ch.has(a) {
                 let out = p.dout(0);
-                if d.can_put(out) {
-                    let x = d.take(a);
-                    d.put(out, op.eval(x));
+                if can_put(ch, out) {
+                    let x = ch.take(a);
+                    put(ch, out, op.eval(x));
                     if mul {
                         stats.mul_fires += 1;
                     } else {
@@ -325,8 +372,8 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Const(k) => {
             let out = p.dout(0);
-            if !out.is_empty() && d.can_put(out) {
-                d.put(out, k);
+            if !out.is_empty() && can_put(ch, out) {
+                put(ch, out, k);
                 stats.reg_fires += 1;
                 return 1;
             }
@@ -345,10 +392,10 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
             if *remaining == 0 {
                 if cfg.gated {
                     let go = p.evin(0);
-                    if !e.has(go) {
+                    if !ch.has(go) {
                         return 0;
                     }
-                    e.take(go);
+                    ch.take_ev(go);
                     stats.event_fires += 1;
                     fires += 1;
                 }
@@ -367,10 +414,10 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
             }
             let last = *remaining == 1;
             let wrap = p.evout();
-            if d.can_put(out) && (!last || e.can_put(wrap)) {
-                d.put(out, Word::from_i64(*value));
+            if can_put(ch, out) && (!last || can_put(ch, wrap)) {
+                put(ch, out, Word::from_i64(*value));
                 if last {
-                    e.put(wrap, Event(true));
+                    put_ev(ch, wrap, Event(true));
                 }
                 *value += cfg.step;
                 *remaining -= 1;
@@ -381,12 +428,12 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Select => {
             let (a, b, sel) = (p.din(0), p.din(1), p.evin(0));
-            if d.has(a) && d.has(b) && e.has(sel) {
+            if ch.has(a) && ch.has(b) && ch.has(sel) {
                 let out = p.dout(0);
-                if d.can_put(out) {
-                    let s = e.take(sel);
-                    let (x, y) = (d.take(a), d.take(b));
-                    d.put(out, if s.0 { y } else { x });
+                if can_put(ch, out) {
+                    let s = ch.take_ev(sel);
+                    let (x, y) = (ch.take(a), ch.take(b));
+                    put(ch, out, if s.0 { y } else { x });
                     stats.reg_fires += 1;
                     return 1;
                 }
@@ -395,13 +442,13 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Merge => {
             let sel = p.evin(0);
-            if e.has(sel) {
+            if ch.has(sel) {
                 let out = p.dout(0);
-                let port = p.din(usize::from(e.peek(sel).0));
-                if d.can_put(out) && d.has(port) {
-                    e.take(sel);
-                    let v = d.take(port);
-                    d.put(out, v);
+                let port = p.din(usize::from(ch.peek_ev(sel).0));
+                if can_put(ch, out) && ch.has(port) {
+                    ch.take_ev(sel);
+                    let v = ch.take(port);
+                    put(ch, out, v);
                     stats.reg_fires += 1;
                     return 1;
                 }
@@ -410,12 +457,12 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Demux => {
             let (a, sel) = (p.din(0), p.evin(0));
-            if d.has(a) && e.has(sel) {
-                let out = p.dout(usize::from(e.peek(sel).0));
-                if d.can_put(out) {
-                    e.take(sel);
-                    let v = d.take(a);
-                    d.put(out, v);
+            if ch.has(a) && ch.has(sel) {
+                let out = p.dout(usize::from(ch.peek_ev(sel).0));
+                if can_put(ch, out) {
+                    ch.take_ev(sel);
+                    let v = ch.take(a);
+                    put(ch, out, v);
                     stats.reg_fires += 1;
                     return 1;
                 }
@@ -424,14 +471,14 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Swap => {
             let (a, b, sel) = (p.din(0), p.din(1), p.evin(0));
-            if d.has(a) && d.has(b) && e.has(sel) {
+            if ch.has(a) && ch.has(b) && ch.has(sel) {
                 let (out0, out1) = (p.dout(0), p.dout(1));
-                if d.can_put(out0) && d.can_put(out1) {
-                    let s = e.take(sel);
-                    let (x, y) = (d.take(a), d.take(b));
+                if can_put(ch, out0) && can_put(ch, out1) {
+                    let s = ch.take_ev(sel);
+                    let (x, y) = (ch.take(a), ch.take(b));
                     let (x, y) = if s.0 { (y, x) } else { (x, y) };
-                    d.put(out0, x);
-                    d.put(out1, y);
+                    put(ch, out0, x);
+                    put(ch, out1, y);
                     stats.reg_fires += 1;
                     return 1;
                 }
@@ -440,16 +487,16 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Gate => {
             let (a, sel) = (p.din(0), p.evin(0));
-            if d.has(a) && e.has(sel) {
+            if ch.has(a) && ch.has(sel) {
                 let out = p.dout(0);
-                let pass = e.peek(sel).0;
-                if pass && !d.can_put(out) {
+                let pass = ch.peek_ev(sel).0;
+                if pass && !can_put(ch, out) {
                     return 0;
                 }
-                e.take(sel);
-                let v = d.take(a);
+                ch.take_ev(sel);
+                let v = ch.take(a);
                 if pass {
-                    d.put(out, v);
+                    put(ch, out, v);
                 }
                 stats.reg_fires += 1;
                 return 1;
@@ -458,19 +505,19 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::AccumDump => {
             let (a, sel) = (p.din(0), p.evin(0));
-            if d.has(a) && e.has(sel) {
+            if ch.has(a) && ch.has(sel) {
                 let out = p.dout(0);
-                let dump = e.peek(sel).0;
-                if dump && !d.can_put(out) {
+                let dump = ch.peek_ev(sel).0;
+                if dump && !can_put(ch, out) {
                     return 0;
                 }
                 let ObjState::Accum(acc) = state else {
                     return 0;
                 };
-                e.take(sel);
-                *acc = acc.wrapping_add(d.take(a));
+                ch.take_ev(sel);
+                *acc = acc.wrapping_add(ch.take(a));
                 if dump {
-                    d.put(out, std::mem::replace(acc, Word::ZERO));
+                    put(ch, out, std::mem::replace(acc, Word::ZERO));
                 }
                 stats.alu_fires += 1;
                 return 1;
@@ -479,11 +526,11 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::ToEvent => {
             let a = p.din(0);
-            if d.has(a) {
+            if ch.has(a) {
                 let out = p.evout();
-                if e.can_put(out) {
-                    let v = d.take(a);
-                    e.put(out, Event(v.truthy()));
+                if can_put(ch, out) {
+                    let v = ch.take(a);
+                    put_ev(ch, out, Event(v.truthy()));
                     stats.event_fires += 1;
                     return 1;
                 }
@@ -492,11 +539,11 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::ToData => {
             let a = p.evin(0);
-            if e.has(a) {
+            if ch.has(a) {
                 let out = p.dout(0);
-                if d.can_put(out) {
-                    let v = e.take(a);
-                    d.put(out, Word::new(v.0 as i32));
+                if can_put(ch, out) {
+                    let v = ch.take_ev(a);
+                    put(ch, out, Word::new(v.0 as i32));
                     stats.reg_fires += 1;
                     return 1;
                 }
@@ -505,11 +552,11 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::EventNot => {
             let a = p.evin(0);
-            if e.has(a) {
+            if ch.has(a) {
                 let out = p.evout();
-                if e.can_put(out) {
-                    let v = e.take(a);
-                    e.put(out, Event(!v.0));
+                if can_put(ch, out) {
+                    let v = ch.take_ev(a);
+                    put_ev(ch, out, Event(!v.0));
                     stats.event_fires += 1;
                     return 1;
                 }
@@ -518,16 +565,16 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::EventAnd | Rule::EventOr => {
             let (a, b) = (p.evin(0), p.evin(1));
-            if e.has(a) && e.has(b) {
+            if ch.has(a) && ch.has(b) {
                 let out = p.evout();
-                if e.can_put(out) {
-                    let (x, y) = (e.take(a), e.take(b));
+                if can_put(ch, out) {
+                    let (x, y) = (ch.take_ev(a), ch.take_ev(b));
                     let r = if matches!(rule, Rule::EventAnd) {
                         x.0 && y.0
                     } else {
                         x.0 || y.0
                     };
-                    e.put(out, Event(r));
+                    put_ev(ch, out, Event(r));
                     stats.event_fires += 1;
                     return 1;
                 }
@@ -541,18 +588,18 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
             let mut fires = 0;
             // Write rule first: write-through within the cycle.
             let (wr_addr, wr_data) = (p.din(1), p.din(2));
-            if d.has(wr_addr) && d.has(wr_data) {
-                let a = d.take(wr_addr).bits() as usize % RAM_WORDS;
-                mem[a] = d.take(wr_data);
+            if ch.has(wr_addr) && ch.has(wr_data) {
+                let a = ch.take(wr_addr).bits() as usize % RAM_WORDS;
+                mem[a] = ch.take(wr_data);
                 stats.ram_writes += 1;
                 fires += 1;
             }
             let rd_addr = p.din(0);
-            if d.has(rd_addr) {
+            if ch.has(rd_addr) {
                 let out = p.dout(0);
-                if d.can_put(out) {
-                    let a = d.take(rd_addr).bits() as usize % RAM_WORDS;
-                    d.put(out, mem[a]);
+                if can_put(ch, out) {
+                    let a = ch.take(rd_addr).bits() as usize % RAM_WORDS;
+                    put(ch, out, mem[a]);
                     stats.ram_reads += 1;
                     fires += 1;
                 }
@@ -561,10 +608,10 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::FifoRing => {
             let out = p.dout(0);
-            if !out.is_empty() && d.can_put(out) {
+            if !out.is_empty() && can_put(ch, out) {
                 if let ObjState::Fifo(buf) = state {
                     if let Some(v) = buf.pop_front() {
-                        d.put(out, v);
+                        put(ch, out, v);
                         buf.push_back(v);
                         stats.fifo_fires += 1;
                         return 1;
@@ -581,14 +628,14 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
             let mut fires = 0;
             // The popped word leaves the queue only after the push rule has
             // seen this cycle's occupancy.
-            let popped = !buf.is_empty() && d.can_put(out);
+            let popped = !buf.is_empty() && can_put(ch, out);
             if popped {
-                d.put(out, *buf.front().expect("nonempty"));
+                put(ch, out, *buf.front().expect("nonempty"));
                 stats.fifo_fires += 1;
                 fires += 1;
             }
-            if buf.len() - usize::from(popped) < depth && d.has(a) {
-                buf.push_back(d.take(a));
+            if buf.len() - usize::from(popped) < depth && ch.has(a) {
+                buf.push_back(ch.take(a));
                 stats.fifo_fires += 1;
                 fires += 1;
             }
@@ -599,10 +646,10 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Input => {
             let out = p.dout(0);
-            if d.can_put(out) {
+            if can_put(ch, out) {
                 if let ObjState::ExtInData(q) = state {
                     if let Some(v) = q.pop_front() {
-                        d.put(out, v);
+                        put(ch, out, v);
                         stats.io_words += 1;
                         return 1;
                     }
@@ -612,9 +659,9 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::Output => {
             let a = p.din(0);
-            if d.has(a) {
+            if ch.has(a) {
                 if let ObjState::ExtOutData(buf) = state {
-                    buf.push(d.take(a));
+                    buf.push(ch.take(a));
                     stats.io_words += 1;
                     return 1;
                 }
@@ -623,10 +670,10 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::InputEvent => {
             let out = p.evout();
-            if e.can_put(out) {
+            if can_put(ch, out) {
                 if let ObjState::ExtInEv(q) = state {
                     if let Some(v) = q.pop_front() {
-                        e.put(out, Event(v));
+                        put_ev(ch, out, Event(v));
                         stats.event_fires += 1;
                         return 1;
                     }
@@ -636,9 +683,9 @@ pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'
         }
         Rule::OutputEvent => {
             let a = p.evin(0);
-            if e.has(a) {
+            if ch.has(a) {
                 if let ObjState::ExtOutEv(buf) = state {
-                    buf.push(e.take(a).0);
+                    buf.push(ch.take_ev(a).0);
                     stats.event_fires += 1;
                     return 1;
                 }

@@ -5,14 +5,13 @@ use std::sync::Arc;
 
 use super::fire::ObjState;
 use super::{Array, ConfigId};
-use crate::channel::Channel;
+use crate::channel::Slab;
 use crate::compiled::{CompiledConfig, Program};
 use crate::error::{Error, Result};
 #[cfg(feature = "faults")]
 use crate::fault::{FaultInjector, FaultKind};
 use crate::netlist::Netlist;
 use crate::place::Placement;
-use crate::word::{Event, Word};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) enum ConfigState {
@@ -27,9 +26,10 @@ pub(super) enum ConfigState {
 }
 
 /// One resident configuration: the shared compiled [`Program`] plus all of
-/// its mutable state, in the program's own numbering — channel `k` of
-/// `dchans`/`echans` is edge `k`, entry `n` of `states`/`fires` is node `n`.
-/// Nothing else on the array points into these vectors, so loading and
+/// its mutable state, in the program's own numbering — slot `k` of `slab`
+/// is the program's channel slot `k`, entry `s` of `states` the state of
+/// the program's stateful object `s`, entry `i` of `fires` the count of op
+/// `i`. Nothing else on the array points into these, so loading and
 /// unloading never move or renumber anything.
 #[derive(Debug)]
 pub(super) struct LoadedConfig {
@@ -42,11 +42,12 @@ pub(super) struct LoadedConfig {
     /// True while the stepper visits this configuration: set by a wake
     /// (`Array::wake`), cleared by a pass that fires nothing.
     pub(super) awake: bool,
-    pub(super) dchans: Vec<Channel<Word>>,
-    pub(super) echans: Vec<Channel<Event>>,
+    /// Every channel, data and event, with its tokens.
+    pub(super) slab: Slab,
+    /// Internal state of the stateful objects only.
     pub(super) states: Vec<ObjState>,
-    /// Lifetime fire count per object; `config_fire_count` sums these on
-    /// demand.
+    /// Lifetime fire count per op (the program's `order` maps an op to its
+    /// node); `config_fire_count` sums these on demand.
     pub(super) fires: Vec<u64>,
     /// Fault assigned to this load by the injector, cleared when a recovery
     /// layer surfaces it (see [`Array::clear_injected_fault`]).
@@ -156,10 +157,10 @@ impl Array {
     /// Loads a pre-compiled configuration: the load-time half of
     /// [`configure`](Array::configure).
     ///
-    /// Placement footprint and port maps were computed by
+    /// Placement footprint, port maps and runs were computed by
     /// [`CompiledConfig::compile`]; this call only allocates array
-    /// resources, instantiates the channels' and objects' mutable state
-    /// from the compiled templates, and queues the serial
+    /// resources, copies the channel slab and instantiates the stateful
+    /// objects' state from the compiled templates, and queues the serial
     /// configuration-bus load. A
     /// configuration manager holding `Arc<CompiledConfig>`s pays the
     /// compile cost once per kernel, not once per load.
@@ -196,22 +197,11 @@ impl Array {
             },
             enabled: false,
             awake: false,
-            dchans: program
-                .d_edges
-                .iter()
-                .map(|e| Channel::new(e.capacity, e.initial.iter().copied()))
+            slab: program.slab.clone(),
+            states: (program.stateful.iter())
+                .map(|&n| ObjState::initial(&program.nodes[n as usize].kind))
                 .collect(),
-            echans: program
-                .e_edges
-                .iter()
-                .map(|e| Channel::new(e.capacity, e.initial.iter().map(|&b| Event(b))))
-                .collect(),
-            states: program
-                .nodes
-                .iter()
-                .map(|n| ObjState::initial(&n.kind))
-                .collect(),
-            fires: vec![0; program.nodes.len()],
+            fires: vec![0; program.ops.len()],
             #[cfg(feature = "faults")]
             fault: injected,
             #[cfg(feature = "faults")]
@@ -247,6 +237,7 @@ impl Array {
     /// woken so its objects can fire in the same cycle (matching the
     /// original stepper, which rebuilt its loading set after the bus tick).
     /// Returns `true` if a load progressed.
+    #[inline(never)]
     pub(super) fn tick_config_bus(&mut self) -> bool {
         let Some(&front) = self.load_queue.front() else {
             return false;

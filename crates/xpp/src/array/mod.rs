@@ -91,8 +91,8 @@ impl fmt::Display for ConfigId {
     }
 }
 
-/// A board-level route: (configuration id, object) of the output port it
-/// drains and of the input port it feeds.
+/// A board-level route: (configuration id, state slot) of the output port
+/// it drains and of the input port it feeds.
 #[derive(Debug, Clone, Copy)]
 struct Connection {
     from: (u32, usize),
@@ -226,8 +226,12 @@ impl Array {
     /// Returns [`Error::NoSuchConfig`] if the id is stale.
     pub fn object_fire_counts(&self, cfg: ConfigId) -> Result<Vec<(String, u64)>> {
         let loaded = self.config(cfg)?;
+        let mut fires = vec![0; loaded.fires.len()];
+        for (&node, &count) in loaded.program.order.iter().zip(&loaded.fires) {
+            fires[node as usize] = count;
+        }
         let labels = loaded.program.nodes.iter().map(|n| n.label.clone());
-        Ok(labels.zip(loaded.fires.iter().copied()).collect())
+        Ok(labels.zip(fires).collect())
     }
 
     /// Currently free resources.
@@ -252,20 +256,20 @@ impl Array {
     }
 
     /// Resolves a named external port of direction `dir` to (position of
-    /// the configuration in `configs`, object). The position holds until
-    /// the next configure or unload.
+    /// the configuration in `configs`, the port object's state slot). The
+    /// position holds until the next configure or unload.
     fn port(&self, cfg: ConfigId, name: &str, dir: PortDir) -> Result<(usize, usize)> {
         let at = self.config_index(cfg.0).ok_or(Error::NoSuchConfig(cfg.0))?;
         match self.configs[at].program.ports.get(name) {
-            Some(&(obj, d)) if d == dir => Ok((at, obj)),
+            Some(&(slot, d)) if d == dir => Ok((at, slot)),
             _ => Err(Error::UnknownPort(name.to_string())),
         }
     }
 
     /// The external buffer behind a resolved port. Pushing into an input
     /// port's queue must be followed by a wake of its configuration.
-    fn port_state(&mut self, (at, obj): (usize, usize)) -> &mut ObjState {
-        &mut self.configs[at].states[obj]
+    fn port_state(&mut self, (at, slot): (usize, usize)) -> &mut ObjState {
+        &mut self.configs[at].states[slot]
     }
 
     /// Queues words on a named input port (buffered outside the array until
@@ -347,8 +351,8 @@ impl Array {
 
     /// Words waiting on a resolved data output port.
     #[inline]
-    fn output_len_at(&self, (at, obj): (usize, usize)) -> usize {
-        match &self.configs[at].states[obj] {
+    fn output_len_at(&self, (at, slot): (usize, usize)) -> usize {
+        match &self.configs[at].states[slot] {
             ObjState::ExtOutData(v) => v.len(),
             _ => unreachable!("a DataOut port is an Output object"),
         }
@@ -369,11 +373,11 @@ impl Array {
         to: ConfigId,
         to_port: &str,
     ) -> Result<()> {
-        let (_, from_obj) = self.port(from, from_port, PortDir::DataOut)?;
-        let (_, to_obj) = self.port(to, to_port, PortDir::DataIn)?;
+        let (_, from_slot) = self.port(from, from_port, PortDir::DataOut)?;
+        let (_, to_slot) = self.port(to, to_port, PortDir::DataIn)?;
         self.connections.push(Connection {
-            from: (from.0, from_obj),
-            to: (to.0, to_obj),
+            from: (from.0, from_slot),
+            to: (to.0, to_slot),
             event: false,
         });
         Ok(())
@@ -393,11 +397,11 @@ impl Array {
         to: ConfigId,
         to_port: &str,
     ) -> Result<()> {
-        let (_, from_obj) = self.port(from, from_port, PortDir::EvOut)?;
-        let (_, to_obj) = self.port(to, to_port, PortDir::EvIn)?;
+        let (_, from_slot) = self.port(from, from_port, PortDir::EvOut)?;
+        let (_, to_slot) = self.port(to, to_port, PortDir::EvIn)?;
         self.connections.push(Connection {
-            from: (from.0, from_obj),
-            to: (to.0, to_obj),
+            from: (from.0, from_slot),
+            to: (to.0, to_slot),
             event: true,
         });
         Ok(())
@@ -410,7 +414,7 @@ impl Array {
     /// tokens).
     pub fn step(&mut self) -> bool {
         self.stats.cycles += 1;
-        let loading = self.tick_config_bus();
+        let loading = !self.load_queue.is_empty() && self.tick_config_bus();
         #[cfg(any(test, feature = "reference"))]
         let fired = if self.use_reference {
             self.step_reference()

@@ -7,7 +7,7 @@
 //! configuration every cycle and never sleeps, so it stays the obvious loop
 //! whatever the production stepper grows into.
 
-use super::fire::{fire, Lane, Net};
+use super::fire::{fire, Net, ObjState};
 use super::Array;
 
 thread_local! {
@@ -44,27 +44,26 @@ impl Array {
     }
 
     /// One cycle of the scan stepper: offer every object of every enabled
-    /// configuration to the firing rules, then commit every channel.
-    /// Returns `true` if any object fired.
+    /// configuration, in node order, to the general firing rule, then
+    /// commit every channel. Returns `true` if any object fired.
     pub(super) fn step_reference(&mut self) -> bool {
         let mut active = false;
         for cfg in self.configs.iter_mut().filter(|c| c.enabled) {
             let mut net = Net {
-                d: Lane(&mut cfg.dchans),
-                e: Lane(&mut cfg.echans),
+                ch: cfg.slab.chans(),
                 stats: &mut self.stats,
             };
-            for (o, m) in cfg.program.micro.iter().enumerate() {
-                let fires = fire(m, &cfg.program.fan, &mut cfg.states[o], &mut net);
-                cfg.fires[o] += u64::from(fires);
+            for m in &cfg.program.micro {
+                let mut stateless = ObjState::None;
+                let state = match cfg.states.get_mut(m.state as usize) {
+                    Some(state) => state,
+                    None => &mut stateless,
+                };
+                let fires = fire(m, &cfg.program.micro_fan, state, &mut net);
+                cfg.fires[m.op as usize] += u64::from(fires);
                 active |= fires > 0;
             }
-            for ch in &mut cfg.dchans {
-                ch.commit();
-            }
-            for ch in &mut cfg.echans {
-                ch.commit();
-            }
+            net.ch.commit();
         }
         active
     }

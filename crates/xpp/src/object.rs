@@ -51,6 +51,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Evaluates the operation on two words.
+    #[inline]
     pub fn eval(self, a: Word, b: Word) -> Word {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -121,6 +122,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Evaluates the operation.
+    #[inline]
     pub fn eval(self, a: Word) -> Word {
         match self {
             UnaryOp::Pass => a,

@@ -1,8 +1,9 @@
 //! Stepping must not touch the heap. A configuration's channels and
-//! object state live where they were built, and sleeping or waking flips
-//! one flag — so `Array::step`/`Array::run` perform zero allocations while
-//! a configuration streams *and across every sleep and wake*. Enforced
-//! with a counting global allocator.
+//! object state live where they were built — every channel's token ring,
+//! however deep, is cut from one slab at load — and sleeping or waking
+//! flips one flag, so `Array::step`/`Array::run` perform zero allocations
+//! while a configuration streams *and across every sleep and wake*.
+//! Enforced with a counting global allocator.
 //!
 //! This file intentionally contains a single test: the allocation counter
 //! is process-global, and a concurrently running test would make the
@@ -11,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xpp_array::{Array, ConfigId, CounterCfg, NetlistBuilder, UnaryOp, Word};
+use xpp_array::{AluOp, Array, ConfigId, CounterCfg, NetlistBuilder, UnaryOp, Word};
 
 struct CountingAllocator;
 
@@ -44,15 +45,23 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Words and events per burst into the sleeping configuration.
 const BURST: i32 = 64;
 
-/// An array holding two configurations with no external outputs, so no
+/// Capacity of the deep loop channel, and the tokens circulating in it.
+const DEEP: usize = 8;
+
+/// An array holding three configurations with no external outputs, so no
 /// queue grows however long they run:
 ///
 /// * free-running: counters drive a demux whose data outputs are left
 ///   unconnected, so tokens are produced, steered and discarded forever
 ///   (counter, unary compare, to_event, demux all fire each cycle);
+/// * deep: an adder whose output loops back into its own input through a
+///   capacity-8 channel holding seven tokens — held full (each cycle one
+///   token leaves and one arrives) while its ring wraps every 16 cycles;
 /// * burst: an input stream steered by an input event stream into a demux
 ///   with unconnected outputs — it drains each burst and falls asleep.
-fn two_config_array() -> (Array, ConfigId) {
+///
+/// Returns the array, the burst configuration and the deep one.
+fn three_config_array() -> (Array, ConfigId, ConfigId) {
     let mut nl = NetlistBuilder::new("free-running");
     let data = nl.counter(CounterCfg::modulo(17));
     let sel_src = nl.counter(CounterCfg::modulo(3));
@@ -62,16 +71,33 @@ fn two_config_array() -> (Array, ConfigId) {
     let mut array = Array::xpp64a();
     let free = array.configure(&nl.build().unwrap()).unwrap();
 
+    let mut nl = NetlistBuilder::new("deep");
+    let one = nl.constant(Word::ONE);
+    let (step, acc_in, acc) = nl.alu_deferred(AluOp::Add);
+    nl.wire(one, step);
+    nl.wire_with(acc, acc_in, DEEP, vec![Word::ZERO; DEEP - 1]);
+    let deep = array.configure(&nl.build().unwrap()).unwrap();
+
     let mut nl = NetlistBuilder::new("burst");
     let x = nl.input("x");
     let y = nl.unary(UnaryOp::AddK(Word::new(1)), x);
     let e = nl.input_event("e");
     let _ = nl.demux(e, y);
     let burst = array.configure(&nl.build().unwrap()).unwrap();
-    while !(array.is_running(free) && array.is_running(burst)) {
+    while ![free, deep, burst].iter().all(|&cfg| array.is_running(cfg)) {
         array.step();
     }
-    (array, burst)
+    (array, burst, deep)
+}
+
+/// Fires of the deep configuration's adder so far.
+fn deep_fires(array: &Array, deep: ConfigId) -> u64 {
+    let fires = array.object_fire_counts(deep).unwrap();
+    fires
+        .iter()
+        .find(|(label, _)| label.starts_with("alu"))
+        .unwrap()
+        .1
 }
 
 /// Queues one burst on the sleeping configuration (waking it).
@@ -102,16 +128,19 @@ fn assert_quiet_window(array: &mut Array, label: &str) {
 
 #[test]
 fn steady_state_stepping_does_not_allocate() {
-    let (mut array, burst) = two_config_array();
+    let (mut array, burst, deep) = three_config_array();
     // Warm-up: let the input queues and anything else lazily sized reach
     // their high-water capacity, and the burst configuration fall asleep.
     push_burst(&mut array, burst);
     array.run(10_000);
 
-    // Phase 1: the free-running configuration is awake for the whole
-    // measured window, the drained one asleep through all of it.
+    // Phase 1: the free-running and deep configurations are awake for the
+    // whole measured window, the drained one asleep through all of it; the
+    // deep loop moves a token through its held-full channel every cycle.
     let before = array.schedule_stats();
+    let fired = deep_fires(&array, deep);
     assert_quiet_window(&mut array, "streaming");
+    assert_eq!(deep_fires(&array, deep) - fired, 10_000);
     let s = array.schedule_stats().delta_since(&before);
     assert_eq!(
         (s.captured, s.replay_cycles, s.invalidations),

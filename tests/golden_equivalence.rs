@@ -456,12 +456,12 @@ proptest! {
 
     /// Any generated netlist — mixed unary/ALU/delay/counter/gate/
     /// accumulator/swap/select/demux+merge/event-logic/RAM/ring-FIFO/FIFO
-    /// stages at any channel capacity — produces
-    /// identical outputs, identical stats, and identical idle-detection
-    /// cycle counts on both steppers.
+    /// stages at any channel capacity from 1 to 8 (token rings of 2 to 16
+    /// slots) — produces identical outputs, identical stats, and identical
+    /// idle-detection cycle counts on both steppers.
     #[test]
     fn random_netlists_are_stepper_invariant(
-        capacity in 1usize..5,
+        capacity in 1usize..=8,
         stages in proptest::collection::vec(arb_stage(), 1..6),
         inputs in proptest::collection::vec(-5000i32..5000, 1..48),
     ) {
