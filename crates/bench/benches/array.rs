@@ -62,10 +62,11 @@ const SLOTS: u64 = 5;
 const SLOT_CYCLES: u64 = CYCLES / SLOTS;
 
 /// Minimum `reference time ÷ production time` per shape (best-round
-/// median slice), set from the measured ratios (1.05–1.14× and 7.8–8.1×
-/// over seven runs on a 2-core host) with room for host noise. The
-/// `saturated` floor is a smoke bound, not a gate (module docs).
-const FLOORS: [(&str, f64); 3] = [("saturated", 0.95), ("rate_matched", 4.0), ("finger", 1.0)];
+/// median slice), each about 0.9× the lowest of the measured ratios on a
+/// 2-core host: `saturated` 1.38–1.67×, `finger` 1.40–1.74× (the parent,
+/// whose production pass shared the reference's firing rule, read
+/// 1.02–1.05× and 1.06–1.19×), `rate_matched` 7.8–8.1× at the parent.
+const FLOORS: [(&str, f64); 3] = [("saturated", 1.2), ("rate_matched", 4.0), ("finger", 1.25)];
 
 fn stream(seed: i32, n: i32) -> impl Iterator<Item = Word> {
     (0..n).map(move |i| Word::new(((i * 131 + seed * 7) % 4096) - 2048))
@@ -453,15 +454,17 @@ fn bench_report(_c: &mut Criterion) {
          {SLOT_CYCLES}-cycle slot per slice; kernels: {JOBS} jobs per slice):"
     );
     let floor = |shape: &str| FLOORS.iter().find(|(s, _)| *s == shape).map(|&(_, f)| f);
+    let floor_note =
+        |shape: &str| floor(shape).map_or("no floor".into(), |f| format!("floor {f}x"));
     let mut measured = Vec::new();
     for (shape, r) in [("saturated", &saturated), ("rate_matched", &rate_matched)] {
         let [production, reference] = r.cycles_per_s;
         eprintln!(
             "  {shape:<13} production {production:>10.0}  reference {reference:>10.0} \
              cycles/s   production vs reference {:.2}x (best round median slice; \
-             floor {:?}x)",
+             {})",
             r.production_vs_reference,
-            floor(shape),
+            floor_note(shape),
         );
         measured.push((shape, r.production_vs_reference));
     }
@@ -470,9 +473,9 @@ fn bench_report(_c: &mut Criterion) {
         eprintln!(
             "  {shape:<13} production {production:>7.2}  reference {reference:>7.2} \
              ns/object visit   production vs reference {:.2}x (best round median \
-             slice; floor {:?}x)   production vs golden {:.1}x (median slice)",
+             slice; {})   production vs golden {:.1}x (median slice)",
             r.production_vs_reference,
-            floor(shape),
+            floor_note(shape),
             r.production_vs_golden,
         );
         measured.push((shape, r.production_vs_reference));

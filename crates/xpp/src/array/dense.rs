@@ -25,9 +25,9 @@
 
 use std::mem;
 
-use super::fire::ObjState;
 use super::load::LoadedConfig;
 use super::Array;
+use super::ObjState;
 use crate::channel::Chans;
 use crate::compiled::{Arity, Kind, Op, Run};
 use crate::object::{AluOp, UnaryOp, RAM_WORDS};
@@ -171,34 +171,41 @@ fn ev(b: bool) -> Word {
     Word::new(i32::from(b))
 }
 
+/// Adds a run's fires to their class of [`ArrayStats`] and returns them.
+#[inline(always)]
+fn book(class: &mut u64, fires: u64) -> u64 {
+    *class += fires;
+    fires
+}
+
 /// Steps one run and books its fires in `stats`. Inlined into the pass, so
 /// moving from one run to the next is a jump, not a call.
 #[inline(always)]
 fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 {
     use {AluOp as A, Kind as K, UnaryOp as U};
     match kind {
-        K::Add => {
-            let n = binary::<F>(cx, |a, b, _| A::Add.eval(a, b));
-            stats.alu_fires += n;
-            n
-        }
-        K::Sub => {
-            let n = binary::<F>(cx, |a, b, _| A::Sub.eval(a, b));
-            stats.alu_fires += n;
-            n
-        }
-        K::Mul => {
-            let n = binary::<F>(cx, |a, b, _| A::Mul.eval(a, b));
-            stats.mul_fires += n;
-            n
-        }
-        K::MulShr => {
-            let n = binary::<F>(cx, |a, b, op| A::MulShr(op.s).eval(a, b));
-            stats.mul_fires += n;
-            n
-        }
-        K::And | K::Or | K::Xor | K::Min | K::Max | K::Lt | K::Eq | K::Shl | K::Shr => {
-            let n = match kind {
+        K::Mul | K::MulShr => book(
+            &mut stats.mul_fires,
+            match kind {
+                K::Mul => binary::<F>(cx, |a, b, _| A::Mul.eval(a, b)),
+                _ => binary::<F>(cx, |a, b, op| A::MulShr(op.s).eval(a, b)),
+            },
+        ),
+        K::Add
+        | K::Sub
+        | K::And
+        | K::Or
+        | K::Xor
+        | K::Min
+        | K::Max
+        | K::Lt
+        | K::Eq
+        | K::Shl
+        | K::Shr => book(
+            &mut stats.alu_fires,
+            match kind {
+                K::Add => binary::<F>(cx, |a, b, _| A::Add.eval(a, b)),
+                K::Sub => binary::<F>(cx, |a, b, _| A::Sub.eval(a, b)),
                 K::And => binary::<F>(cx, |a, b, _| A::And.eval(a, b)),
                 K::Or => binary::<F>(cx, |a, b, _| A::Or.eval(a, b)),
                 K::Xor => binary::<F>(cx, |a, b, _| A::Xor.eval(a, b)),
@@ -208,49 +215,48 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                 K::Eq => binary::<F>(cx, |a, b, _| A::Eq.eval(a, b)),
                 K::Shl => binary::<F>(cx, |a, b, _| A::Shl.eval(a, b)),
                 _ => binary::<F>(cx, |a, b, _| A::Shr.eval(a, b)),
-            };
-            stats.alu_fires += n;
-            n
-        }
-        K::MulKShr => {
-            let n = unary::<F>(cx, |a, op| U::MulKShr(op.k, op.s).eval(a));
-            stats.mul_fires += n;
-            n
-        }
-        K::Pass | K::Neg | K::Abs | K::ShlK | K::ShrK | K::AddK => {
-            let n = match kind {
+            },
+        ),
+        K::MulKShr => book(
+            &mut stats.mul_fires,
+            unary::<F>(cx, |a, op| U::MulKShr(op.k, op.s).eval(a)),
+        ),
+        K::Pass
+        | K::Neg
+        | K::Abs
+        | K::ShlK
+        | K::ShrK
+        | K::AddK
+        | K::AndK
+        | K::XorK
+        | K::EqK
+        | K::LtK
+        | K::GeK => book(
+            &mut stats.reg_fires,
+            match kind {
                 K::Pass => unary::<F>(cx, |a, _| U::Pass.eval(a)),
                 K::Neg => unary::<F>(cx, |a, _| U::Neg.eval(a)),
                 K::Abs => unary::<F>(cx, |a, _| U::Abs.eval(a)),
                 K::ShlK => unary::<F>(cx, |a, op| U::ShlK(op.s).eval(a)),
                 K::ShrK => unary::<F>(cx, |a, op| U::ShrK(op.s).eval(a)),
-                _ => unary::<F>(cx, |a, op| U::AddK(op.k).eval(a)),
-            };
-            stats.reg_fires += n;
-            n
-        }
-        K::AndK | K::XorK | K::EqK | K::LtK | K::GeK => {
-            let n = match kind {
+                K::AddK => unary::<F>(cx, |a, op| U::AddK(op.k).eval(a)),
                 K::AndK => unary::<F>(cx, |a, op| U::AndK(op.k).eval(a)),
                 K::XorK => unary::<F>(cx, |a, op| U::XorK(op.k).eval(a)),
                 K::EqK => unary::<F>(cx, |a, op| U::EqK(op.k).eval(a)),
                 K::LtK => unary::<F>(cx, |a, op| U::LtK(op.k).eval(a)),
                 _ => unary::<F>(cx, |a, op| U::GeK(op.k).eval(a)),
-            };
-            stats.reg_fires += n;
-            n
-        }
-        K::Const => {
-            let n = cx.each(|op, ch, fan, _| {
+            },
+        ),
+        K::Const => book(
+            &mut stats.reg_fires,
+            cx.each(|op, ch, fan, _| {
                 if !F::space(ch, fan, op.o[0]) {
                     return 0;
                 }
                 F::put(ch, fan, op.o[0], op.k);
                 1
-            });
-            stats.reg_fires += n;
-            n
-        }
+            }),
+        ),
         K::Counter | K::GatedCounter => {
             let gated = kind == K::GatedCounter;
             let (mut values, mut gos) = (0, 0);
@@ -296,8 +302,9 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
             stats.event_fires += gos;
             n
         }
-        K::Select => {
-            let n = cx.each(|op, ch, fan, _| {
+        K::Select => book(
+            &mut stats.reg_fires,
+            cx.each(|op, ch, fan, _| {
                 let [a, b, sel] = op.i;
                 if !(ch.has(a) & ch.has(b) & ch.has(sel) && F::space(ch, fan, op.o[0])) {
                     return 0;
@@ -306,12 +313,11 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                 let (x, y) = (ch.take(a), ch.take(b));
                 F::put(ch, fan, op.o[0], if s { y } else { x });
                 1
-            });
-            stats.reg_fires += n;
-            n
-        }
-        K::Merge => {
-            let n = cx.each(|op, ch, fan, _| {
+            }),
+        ),
+        K::Merge => book(
+            &mut stats.reg_fires,
+            cx.each(|op, ch, fan, _| {
                 let [a, b, sel] = op.i;
                 if !ch.has(sel) {
                     return 0;
@@ -324,12 +330,11 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                 let v = ch.take(port);
                 F::put(ch, fan, op.o[0], v);
                 1
-            });
-            stats.reg_fires += n;
-            n
-        }
-        K::Demux => {
-            let n = cx.each(|op, ch, fan, _| {
+            }),
+        ),
+        K::Demux => book(
+            &mut stats.reg_fires,
+            cx.each(|op, ch, fan, _| {
                 let [a, sel, _] = op.i;
                 if !(ch.has(a) & ch.has(sel)) {
                     return 0;
@@ -342,12 +347,11 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                 let v = ch.take(a);
                 F::put(ch, fan, out, v);
                 1
-            });
-            stats.reg_fires += n;
-            n
-        }
-        K::Swap => {
-            let n = cx.each(|op, ch, fan, _| {
+            }),
+        ),
+        K::Swap => book(
+            &mut stats.reg_fires,
+            cx.each(|op, ch, fan, _| {
                 let [a, b, sel] = op.i;
                 if !(ch.has(a) & ch.has(b) & ch.has(sel)
                     && F::space(ch, fan, op.o[0])
@@ -361,12 +365,11 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                 F::put(ch, fan, op.o[0], x);
                 F::put(ch, fan, op.o[1], y);
                 1
-            });
-            stats.reg_fires += n;
-            n
-        }
-        K::Gate => {
-            let n = cx.each(|op, ch, fan, _| {
+            }),
+        ),
+        K::Gate => book(
+            &mut stats.reg_fires,
+            cx.each(|op, ch, fan, _| {
                 let [a, sel, _] = op.i;
                 if !(ch.has(a) & ch.has(sel)) {
                     return 0;
@@ -381,12 +384,11 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                     F::put(ch, fan, op.o[0], v);
                 }
                 1
-            });
-            stats.reg_fires += n;
-            n
-        }
-        K::AccumDump => {
-            let n = cx.each(|op, ch, fan, states| {
+            }),
+        ),
+        K::AccumDump => book(
+            &mut stats.alu_fires,
+            cx.each(|op, ch, fan, states| {
                 let [a, sel, _] = op.i;
                 if !(ch.has(a) & ch.has(sel)) {
                     return 0;
@@ -404,36 +406,21 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                     F::put(ch, fan, op.o[0], mem::replace(acc, Word::ZERO));
                 }
                 1
-            });
-            stats.alu_fires += n;
-            n
-        }
-        K::ToEvent => {
-            let n = unary::<F>(cx, |v, _| ev(v.truthy()));
-            stats.event_fires += n;
-            n
-        }
+            }),
+        ),
+        K::ToEvent => book(
+            &mut stats.event_fires,
+            unary::<F>(cx, |v, _| ev(v.truthy())),
+        ),
         K::ToData => {
             // An event word is already the data word 0 or 1.
             let n = unary::<F>(cx, |v, _| v);
             stats.reg_fires += n;
             n
         }
-        K::EventNot => {
-            let n = logic::<F>(cx, false, |x, _| !x);
-            stats.event_fires += n;
-            n
-        }
-        K::EventAnd => {
-            let n = logic::<F>(cx, true, |x, y| x && y);
-            stats.event_fires += n;
-            n
-        }
-        K::EventOr => {
-            let n = logic::<F>(cx, true, |x, y| x || y);
-            stats.event_fires += n;
-            n
-        }
+        K::EventNot => book(&mut stats.event_fires, logic::<F>(cx, false, |x, _| !x)),
+        K::EventAnd => book(&mut stats.event_fires, logic::<F>(cx, true, |x, y| x && y)),
+        K::EventOr => book(&mut stats.event_fires, logic::<F>(cx, true, |x, y| x || y)),
         K::Ram => {
             let (mut writes, mut reads) = (0, 0);
             let n = cx.each(|op, ch, fan, states| {
@@ -461,8 +448,9 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
             stats.ram_reads += reads;
             n
         }
-        K::FifoRing => {
-            let n = cx.each(|op, ch, fan, states| {
+        K::FifoRing => book(
+            &mut stats.fifo_fires,
+            cx.each(|op, ch, fan, states| {
                 let ObjState::Fifo(buf) = &mut states[op.state as usize] else {
                     unreachable!("a FIFO's state")
                 };
@@ -475,12 +463,11 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                 F::put(ch, fan, op.o[0], v);
                 buf.push_back(v);
                 1
-            });
-            stats.fifo_fires += n;
-            n
-        }
-        K::Fifo => {
-            let n = cx.each(|op, ch, fan, states| {
+            }),
+        ),
+        K::Fifo => book(
+            &mut stats.fifo_fires,
+            cx.each(|op, ch, fan, states| {
                 let depth = op.s as usize;
                 let ObjState::Fifo(buf) = &mut states[op.state as usize] else {
                     unreachable!("a FIFO's state")
@@ -500,10 +487,8 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
                     buf.pop_front();
                 }
                 u64::from(popped) + u64::from(pushed)
-            });
-            stats.fifo_fires += n;
-            n
-        }
+            }),
+        ),
         K::Input | K::InputEvent => {
             let n = cx.each(|op, ch, fan, states| {
                 if !F::space(ch, fan, op.o[0]) {

@@ -1,113 +1,34 @@
-//! Object state, and the general firing rule the reference stepper runs.
-//!
-//! [`ObjState`] is the internal state of the stateful objects (counters,
-//! accumulators, memories, streaming ports); it is shared by both steppers.
-//! Stateless objects carry none.
+//! The general firing rule the reference stepper runs — compiled only with
+//! it, in tests and under the `reference` feature.
 //!
 //! [`fire`] is the *oracle's* statement of what an object does when it
 //! fires: one `match` over every rule, evaluated against committed
-//! start-of-cycle channel state. Only the reference stepper calls it
-//! (`cfg(any(test, feature = "reference"))`); production steps the
-//! rule-specialised runs of `super::dense`, a second and independent body
-//! of every rule over the same channel slab and object state, so the golden
-//! lattice compares two implementations instead of one with itself.
+//! start-of-cycle channel state. Production steps the rule-specialised runs
+//! of `super::dense` instead, a second and independent body of every rule
+//! over the same channel slab and object state ([`ObjState`]), so the
+//! golden lattice compares two implementations instead of one with itself.
 //!
 //! An object's ports reach [`fire`] as a [`Micro`] — packed once, by
 //! [`CompiledConfig::compile`](crate::CompiledConfig::compile), straight
 //! from the compiled node and independently of the production lowering,
 //! in the numbering of the configuration's channel slab.
 
-use std::collections::VecDeque;
-
-use crate::object::{CounterCfg, ObjectKind, RAM_WORDS};
-use crate::word::Word;
-#[cfg(any(test, feature = "reference"))]
-use crate::{
-    channel::Chans,
-    compiled::CompiledNode,
-    object::{AluOp, UnaryOp},
-    stats::ArrayStats,
-    word::Event,
-};
+use super::ObjState;
+use crate::channel::Chans;
+use crate::compiled::CompiledNode;
+use crate::object::{AluOp, ObjectKind, UnaryOp, RAM_WORDS};
+use crate::stats::ArrayStats;
+use crate::word::{Event, Word};
 
 /// "No channel" sentinel for an unconnected port of a [`Micro`]: past the
 /// end of every slab, so the fireability check fails and a rule that needs
 /// the port never fires. Also the state slot of a stateless object.
-#[cfg(any(test, feature = "reference"))]
 pub(crate) const NO_CHAN: u32 = u32::MAX;
-
-/// The internal state of one stateful object (see [`ObjState::stateful`]).
-#[derive(Debug)]
-pub(crate) enum ObjState {
-    /// The stand-in the reference stepper hands a stateless object.
-    #[cfg(any(test, feature = "reference"))]
-    None,
-    Counter {
-        cfg: CounterCfg,
-        value: i64,
-        remaining: u64,
-    },
-    Accum(Word),
-    Ram(Vec<Word>),
-    Fifo(VecDeque<Word>),
-    ExtInData(VecDeque<Word>),
-    ExtOutData(Vec<Word>),
-    ExtInEv(VecDeque<bool>),
-    ExtOutEv(Vec<bool>),
-}
-
-impl ObjState {
-    /// True if objects of `kind` keep internal state.
-    pub(crate) fn stateful(kind: &ObjectKind) -> bool {
-        matches!(
-            kind,
-            ObjectKind::Counter(_)
-                | ObjectKind::AccumDump
-                | ObjectKind::Ram { .. }
-                | ObjectKind::RamFifo { .. }
-                | ObjectKind::Input(_)
-                | ObjectKind::Output(_)
-                | ObjectKind::InputEvent(_)
-                | ObjectKind::OutputEvent(_)
-        )
-    }
-
-    /// The power-on internal state of a [stateful](Self::stateful) object
-    /// of `kind`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is stateless.
-    pub(crate) fn initial(kind: &ObjectKind) -> ObjState {
-        match kind {
-            ObjectKind::Counter(cfg) => ObjState::Counter {
-                cfg: *cfg,
-                value: 0,
-                remaining: 0,
-            },
-            ObjectKind::AccumDump => ObjState::Accum(Word::ZERO),
-            ObjectKind::Ram { preload } => {
-                let mut mem = vec![Word::ZERO; RAM_WORDS];
-                mem[..preload.len()].copy_from_slice(preload);
-                ObjState::Ram(mem)
-            }
-            ObjectKind::RamFifo { preload, .. } => {
-                ObjState::Fifo(preload.iter().copied().collect())
-            }
-            ObjectKind::Input(_) => ObjState::ExtInData(VecDeque::new()),
-            ObjectKind::Output(_) => ObjState::ExtOutData(Vec::new()),
-            ObjectKind::InputEvent(_) => ObjState::ExtInEv(VecDeque::new()),
-            ObjectKind::OutputEvent(_) => ObjState::ExtOutEv(Vec::new()),
-            _ => unreachable!("a stateless object has no state"),
-        }
-    }
-}
 
 /// Rule selector: an [`ObjectKind`] reduced to what firing needs, `Copy`
 /// and resolved once at compile time (multiplier class, FIFO mode) instead
 /// of per fire. Stateful rules find their parameters next to their state
 /// ([`ObjState`]); names and preloads stay behind in the netlist.
-#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Rule {
     /// `(op, uses_multiplier)`.
@@ -136,7 +57,6 @@ pub(super) enum Rule {
     OutputEvent,
 }
 
-#[cfg(any(test, feature = "reference"))]
 impl Rule {
     pub(super) fn of(kind: &ObjectKind) -> Rule {
         match kind {
@@ -182,7 +102,6 @@ impl Rule {
 /// [`NO_CHAN`]; unconnected outputs are empty ranges. `state` is the
 /// object's [`ObjState`] slot ([`NO_CHAN`] if stateless) and `op` the
 /// index of its fire counter.
-#[cfg(any(test, feature = "reference"))]
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Micro {
     rule: Rule,
@@ -197,7 +116,6 @@ pub(crate) struct Micro {
     pub(super) op: u32,
 }
 
-#[cfg(any(test, feature = "reference"))]
 impl Micro {
     /// Packs one compiled node, appending its output fan-outs to `fan`.
     /// Event channel `k` is slab slot `ev_base + k`.
@@ -250,13 +168,11 @@ impl Micro {
 
 /// Operand source of a fire: a [`Micro`] together with the fan table its
 /// output ranges index, read by port position.
-#[cfg(any(test, feature = "reference"))]
 struct Ports<'a> {
     m: &'a Micro,
     fan: &'a [u32],
 }
 
-#[cfg(any(test, feature = "reference"))]
 impl Ports<'_> {
     #[inline]
     fn din(&self, i: usize) -> u32 {
@@ -289,14 +205,12 @@ impl Ports<'_> {
 
 /// True if every channel of an output port has space ([`NO_CHAN`] never
 /// appears here: an unconnected output is an empty list).
-#[cfg(any(test, feature = "reference"))]
 #[inline]
 fn can_put(ch: &Chans<'_>, chans: &[u32]) -> bool {
     chans.iter().all(|&c| ch.space(c))
 }
 
 /// Produces `v` into every channel of an output port.
-#[cfg(any(test, feature = "reference"))]
 #[inline]
 fn put(ch: &mut Chans<'_>, chans: &[u32], v: Word) {
     for &c in chans {
@@ -305,7 +219,6 @@ fn put(ch: &mut Chans<'_>, chans: &[u32], v: Word) {
 }
 
 /// Produces an event into every channel of an event output port.
-#[cfg(any(test, feature = "reference"))]
 #[inline]
 fn put_ev(ch: &mut Chans<'_>, chans: &[u32], e: Event) {
     for &c in chans {
@@ -314,7 +227,6 @@ fn put_ev(ch: &mut Chans<'_>, chans: &[u32], e: Event) {
 }
 
 /// Everything outside the object that a fire reads or writes.
-#[cfg(any(test, feature = "reference"))]
 pub(super) struct Net<'a> {
     pub(super) ch: Chans<'a>,
     pub(super) stats: &'a mut ArrayStats,
@@ -327,7 +239,6 @@ pub(super) struct Net<'a> {
 /// Always inlined: each caller then holds `net`'s references as plain
 /// locals instead of reaching them through an aggregate behind a pointer
 /// (an out-of-line call once measured ~9% of stepping time).
-#[cfg(any(test, feature = "reference"))]
 #[inline(always)]
 pub(super) fn fire(m: &Micro, fan: &[u32], state: &mut ObjState, net: &mut Net<'_>) -> u32 {
     let (rule, p) = (m.rule, Ports { m, fan });

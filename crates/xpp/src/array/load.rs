@@ -1,9 +1,9 @@
 //! Configuration management: placing compiled configurations, streaming
 //! them over the serial configuration bus, and unloading.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use super::fire::ObjState;
 use super::{Array, ConfigId};
 use crate::channel::Slab;
 use crate::compiled::{CompiledConfig, Program};
@@ -11,7 +11,9 @@ use crate::error::{Error, Result};
 #[cfg(feature = "faults")]
 use crate::fault::{FaultInjector, FaultKind};
 use crate::netlist::Netlist;
+use crate::object::{CounterCfg, ObjectKind, RAM_WORDS};
 use crate::place::Placement;
+use crate::word::Word;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) enum ConfigState {
@@ -23,6 +25,73 @@ pub(super) enum ConfigState {
     /// resources but will never run and must be unloaded.
     #[cfg(feature = "faults")]
     Faulted(FaultKind),
+}
+
+/// The internal state of one stateful object (see [`ObjState::stateful`]).
+#[derive(Debug)]
+pub(crate) enum ObjState {
+    /// The stand-in the reference stepper hands a stateless object.
+    #[cfg(any(test, feature = "reference"))]
+    None,
+    Counter {
+        cfg: CounterCfg,
+        value: i64,
+        remaining: u64,
+    },
+    Accum(Word),
+    Ram(Vec<Word>),
+    Fifo(VecDeque<Word>),
+    ExtInData(VecDeque<Word>),
+    ExtOutData(Vec<Word>),
+    ExtInEv(VecDeque<bool>),
+    ExtOutEv(Vec<bool>),
+}
+
+impl ObjState {
+    /// True if objects of `kind` keep internal state.
+    pub(crate) fn stateful(kind: &ObjectKind) -> bool {
+        matches!(
+            kind,
+            ObjectKind::Counter(_)
+                | ObjectKind::AccumDump
+                | ObjectKind::Ram { .. }
+                | ObjectKind::RamFifo { .. }
+                | ObjectKind::Input(_)
+                | ObjectKind::Output(_)
+                | ObjectKind::InputEvent(_)
+                | ObjectKind::OutputEvent(_)
+        )
+    }
+
+    /// The power-on internal state of a [stateful](Self::stateful) object
+    /// of `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is stateless.
+    pub(crate) fn initial(kind: &ObjectKind) -> ObjState {
+        match kind {
+            ObjectKind::Counter(cfg) => ObjState::Counter {
+                cfg: *cfg,
+                value: 0,
+                remaining: 0,
+            },
+            ObjectKind::AccumDump => ObjState::Accum(Word::ZERO),
+            ObjectKind::Ram { preload } => {
+                let mut mem = vec![Word::ZERO; RAM_WORDS];
+                mem[..preload.len()].copy_from_slice(preload);
+                ObjState::Ram(mem)
+            }
+            ObjectKind::RamFifo { preload, .. } => {
+                ObjState::Fifo(preload.iter().copied().collect())
+            }
+            ObjectKind::Input(_) => ObjState::ExtInData(VecDeque::new()),
+            ObjectKind::Output(_) => ObjState::ExtOutData(Vec::new()),
+            ObjectKind::InputEvent(_) => ObjState::ExtInEv(VecDeque::new()),
+            ObjectKind::OutputEvent(_) => ObjState::ExtOutEv(Vec::new()),
+            _ => unreachable!("a stateless object has no state"),
+        }
+    }
 }
 
 /// One resident configuration: the shared compiled [`Program`] plus all of
@@ -150,6 +219,11 @@ impl Array {
     /// # Errors
     ///
     /// Returns [`Error::PlacementFailed`] if any resource class is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is deeper than 255 tokens (see
+    /// [`CompiledConfig::compile`]).
     pub fn configure(&mut self, netlist: &Netlist) -> Result<ConfigId> {
         self.configure_compiled(&CompiledConfig::compile(netlist))
     }

@@ -11,41 +11,49 @@
 //! because resources held by a resident configuration are never handed to
 //! another one.
 //!
-//! # One firing rule, one stepper and its oracle
+//! # One stepper and its oracle, two statements of every rule
 //!
-//! What an object does when it fires is written once, in `fire::fire`. A
-//! stepper only decides *which* objects to hand that function each cycle,
-//! so steppers can differ in the objects they visit, never in what firing
-//! does. Fire decisions read only committed start-of-cycle channel state,
-//! so any stepper that offers a *superset* of the fireable objects, in any
-//! order, is exact (the argument is spelled out in [`crate::schedule`]):
+//! A stepper decides which objects to offer each cycle and fires them
+//! against committed start-of-cycle channel state. Fire decisions read only
+//! that state, and every channel has one producer and one consumer, so any
+//! stepper that offers a *superset* of the fireable objects, in any order,
+//! is exact (the argument is spelled out in [`crate::schedule`]):
 //!
 //! * the production stepper (`dense`) offers every object of every awake
-//!   configuration, every cycle, straight off its compiled visit list, and
-//!   sweep-commits every channel. A pass that fires nothing puts the
-//!   configuration to sleep; external input, a board route moving tokens
-//!   in, or its load completing wakes it;
+//!   configuration, every cycle, as the compiled program's *runs* — one
+//!   monomorphic loop per firing rule (and per `AluOp`/`UnaryOp`), ports
+//!   resolved to channel slots with fan-out inline — then commits every
+//!   channel. A pass that fires nothing puts the configuration to sleep;
+//!   external input, a board route moving tokens in, or its load
+//!   completing wakes it;
 //! * the original **scan-the-world** stepper (`reference`), retained behind
 //!   the `reference` feature (and in tests) as the semantic oracle, steps
-//!   every enabled configuration every cycle and never sleeps.
+//!   every enabled configuration every cycle, object by object in node
+//!   order, through the general firing rule `fire::fire` — one `match` over
+//!   every rule — and never sleeps.
+//!
+//! What firing does is thus written twice, independently: once per run in
+//! `dense`, once in `fire::fire`. Both run over the same channel slab and
+//! object state, and the golden suites hold them to the same outputs, fire
+//! counts and statistics, so a wrong rule in either fails the lattice.
 //!
 //! # A configuration is self-contained
 //!
-//! Everything immutable about a configuration — rules, port wiring, port
+//! Everything immutable about a configuration — runs, port wiring, port
 //! names, word stream — is compiled once into a shared program, in the
-//! netlist's own numbering. A resident configuration owns its channels,
-//! object states and fire counts as dense vectors in that same numbering,
-//! so loading never translates an index, unloading drops vectors, and the
-//! steppers run over contiguous, `Option`-free state.
+//! netlist's own numbering. A resident configuration owns its channel slab,
+//! the states of its stateful objects and its fire counts, so loading never
+//! translates an index, unloading drops them, and the steppers run over
+//! contiguous, `Option`-free state.
 //!
 //! # Module map
 //!
 //! | module      | holds                                                      |
 //! |-------------|------------------------------------------------------------|
 //! | `mod`       | [`Array`], its observers, streaming port I/O, `step`/`run` |
-//! | `load`      | configure / unload, the config bus                         |
-//! | `fire`      | the firing rules, object state and micro-op representations|
-//! | `dense`     | the stepper, its sleep rule and the one wake path          |
+//! | `load`      | configure / unload, the config bus, object state           |
+//! | `fire`      | the reference's general firing rule (with `reference`)     |
+//! | `dense`     | the stepper: the run loops, the sleep rule, the wake path  |
 //! | `reference` | the scan stepper (`cfg(any(test, feature = "reference"))`) |
 
 use std::collections::{HashMap, VecDeque};
@@ -59,13 +67,14 @@ use crate::stats::ArrayStats;
 use crate::word::Word;
 
 mod dense;
+#[cfg(any(test, feature = "reference"))]
 pub(crate) mod fire;
 mod load;
 #[cfg(any(test, feature = "reference"))]
 mod reference;
 
-use fire::ObjState;
 use load::LoadedConfig;
+pub(crate) use load::ObjState;
 
 #[cfg(any(test, feature = "reference"))]
 pub use reference::with_reference_stepper;

@@ -3,12 +3,15 @@
 //! Compiled only in tests and under the `reference` feature.
 //!
 //! It is kept deliberately naive and apart from the production stepper,
-//! which visits the same objects: the oracle steps every enabled
-//! configuration every cycle and never sleeps, so it stays the obvious loop
-//! whatever the production stepper grows into.
+//! which visits the same objects as rule-specialised runs: the oracle
+//! steps every enabled configuration every cycle, hands every object in
+//! node order to the general firing rule (`fire::fire`) and never sleeps,
+//! so it stays the obvious loop whatever the production stepper grows
+//! into.
 
-use super::fire::{fire, Net, ObjState};
+use super::fire::{fire, Net};
 use super::Array;
+use super::ObjState;
 
 thread_local! {
     static FORCE_REFERENCE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };

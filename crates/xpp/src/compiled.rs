@@ -13,11 +13,11 @@
 //! and downloads the binary configuration to any number of devices.
 //!
 //! The compiled form is also what the array *executes*. `compile` lowers
-//! the visit list into [`Run`]s: the objects grouped by firing rule (and by
-//! `AluOp`/`UnaryOp`, gating or depth where the rule has one), each object
-//! an [`Op`] whose ports are resolved to slots of the configuration's
-//! channel [`Slab`] with fan-out inline, so the stepper runs one
-//! monomorphic loop per run instead of deciding per object what it is.
+//! the objects into *runs*: grouped by firing rule (one group per
+//! `AluOp`/`UnaryOp`, gated counters apart), each object an op whose ports
+//! are resolved to slots of the configuration's channel slab with fan-out
+//! inline, so the stepper runs one monomorphic loop per run instead of
+//! deciding per object what it is.
 //! The slab template, the ops and the runs are part of the shared program,
 //! and a loaded configuration keeps its state in the program's numbering —
 //! so the steady-state schedule of a configuration is a compile artifact,
@@ -26,9 +26,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::array::fire::ObjState;
 #[cfg(any(test, feature = "reference"))]
 use crate::array::fire::{Micro, NO_CHAN};
+use crate::array::ObjState;
 use crate::array::CONFIG_CYCLES_PER_OBJECT;
 use crate::channel::Slab;
 use crate::netlist::Netlist;

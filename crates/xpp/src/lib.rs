@@ -9,7 +9,7 @@
 //!   column of eight 512×24-bit RAM elements on either side ([`Geometry`]),
 //! * **token-based handshake dataflow**: objects fire when their inputs hold
 //!   packets and their outputs have space, so pipelining and back-pressure
-//!   emerge from the protocol ([`channel::Channel`]),
+//!   emerge from the protocol (bounded point-to-point token channels),
 //! * **software-defined configurations**: a [`Netlist`] (built with
 //!   [`NetlistBuilder`]) describes object behaviours and routing, playing the
 //!   role of NML source code in the XPP tool flow,
@@ -46,7 +46,7 @@
 //! ```
 
 pub mod array;
-pub mod channel;
+mod channel;
 pub mod compiled;
 pub mod error;
 #[cfg(feature = "faults")]

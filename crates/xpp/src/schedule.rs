@@ -8,7 +8,7 @@
 //! constants through merges by the scrambling-code bits, so which objects
 //! fire follows the data and there is no period to find — and it is not
 //! needed. The schedule that is always sound is a compile artifact: the
-//! configuration's visit list (one micro-op per object, built by
+//! configuration's runs (every object, grouped by firing rule, built by
 //! [`CompiledConfig::compile`](crate::CompiledConfig::compile)), executed as
 //! *every object, every cycle*.
 //!
@@ -20,15 +20,26 @@
 //! consumptions are staged, channels are point-to-point, and an object's
 //! internal state is touched by its own fire alone — so offering an object
 //! that cannot fire does nothing, and a stepper is exact as soon as it
-//! offers a superset of the fireable objects. The order of the offers does
-//! not matter for the same reason, and neither does the order of the
-//! end-of-cycle commits, each of which touches one channel. Finally, a pass
-//! over every object that fires nothing stages nothing, so the next cycle
-//! starts from the same state and would fire nothing again: that pass *is*
-//! the proof that the configuration is asleep until something outside it —
-//! `push_input`, `push_input_events`, a board route moving tokens in, or
-//! its own load completing — wakes it. No period, no guard, nothing to
-//! invalidate; [`ScheduleStats`] counts the sleeps and wakes.
+//! offers a superset of the fireable objects.
+//!
+//! The order of the offers does not matter for the same reason. A staged
+//! consumption or production changes nothing another object's decision
+//! reads until the commit: the channel it touches has exactly one consumer
+//! and one producer, each offered once a cycle, and a staged token waits in
+//! a ring slot that no committed token occupies. So the production
+//! stepper may visit objects grouped into runs by firing rule while the
+//! reference visits them in node order, and both fire the same objects;
+//! fire counts are kept per object, so `object_fire_counts` reports the
+//! same numbers in node order. Neither does the order of the end-of-cycle
+//! commits matter, each of which touches one channel.
+//!
+//! Finally, a pass over every object that fires nothing stages nothing, so
+//! the next cycle starts from the same state and would fire nothing again:
+//! that pass *is* the proof that the configuration is asleep until
+//! something outside it — `push_input`, `push_input_events`, a board route
+//! moving tokens in, or its own load completing — wakes it. No period, no
+//! guard, nothing to invalidate; [`ScheduleStats`] counts the sleeps and
+//! wakes.
 
 /// How the stepper slept and woke. Deliberately *not* part of
 /// [`ArrayStats`](crate::ArrayStats): those are pinned bit-identical between
