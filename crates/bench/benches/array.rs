@@ -62,10 +62,11 @@ const SLOTS: u64 = 5;
 const SLOT_CYCLES: u64 = CYCLES / SLOTS;
 
 /// Minimum `reference time ÷ production time` per shape (best-round
-/// median slice), each about 0.9× the lowest of the measured ratios on a
-/// 2-core host: `saturated` 1.38–1.67×, `finger` 1.40–1.74× (the parent,
-/// whose production pass shared the reference's firing rule, read
-/// 1.02–1.05× and 1.06–1.19×), `rate_matched` 7.8–8.1× at the parent.
+/// median slice), each about 0.9× the lowest of seven measured runs on a
+/// 2-core host: `saturated` 1.38–1.58×, `finger` 1.40–1.50× (before the
+/// production pass had its own rule loops it read 1.02–1.05× and
+/// 1.06–1.19×); `rate_matched` was set from 7.8–8.1× and now reads
+/// 11.1–14.2×.
 const FLOORS: [(&str, f64); 3] = [("saturated", 1.2), ("rate_matched", 4.0), ("finger", 1.25)];
 
 fn stream(seed: i32, n: i32) -> impl Iterator<Item = Word> {

@@ -311,7 +311,6 @@ impl Array {
     /// woken so its objects can fire in the same cycle (matching the
     /// original stepper, which rebuilt its loading set after the bus tick).
     /// Returns `true` if a load progressed.
-    #[inline(never)]
     pub(super) fn tick_config_bus(&mut self) -> bool {
         let Some(&front) = self.load_queue.front() else {
             return false;

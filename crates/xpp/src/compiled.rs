@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 #[cfg(any(test, feature = "reference"))]
-use crate::array::fire::{Micro, NO_CHAN};
+use crate::array::fire::Micro;
 use crate::array::ObjState;
 use crate::array::CONFIG_CYCLES_PER_OBJECT;
 use crate::channel::Slab;
@@ -387,6 +387,7 @@ impl CompiledConfig {
         let stateful: Vec<u32> = (0..nodes.len() as u32)
             .filter(|&n| ObjState::stateful(&nodes[n as usize].kind))
             .collect();
+        // A stateless object's slot is `u32::MAX`, the reference's NO_CHAN.
         let mut state_of = vec![u32::MAX; nodes.len()];
         for (slot, &n) in stateful.iter().enumerate() {
             state_of[n as usize] = slot as u32;
@@ -403,14 +404,7 @@ impl CompiledConfig {
             }
             let mut fan = Vec::new();
             let micro = (nodes.iter().enumerate())
-                .map(|(n, node)| {
-                    let state = if state_of[n] == u32::MAX {
-                        NO_CHAN
-                    } else {
-                        state_of[n]
-                    };
-                    Micro::pack(node, d_slots, state, op_of[n], &mut fan)
-                })
+                .map(|(n, node)| Micro::pack(node, d_slots, state_of[n], op_of[n], &mut fan))
                 .collect();
             (micro, fan)
         };
