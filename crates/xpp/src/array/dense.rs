@@ -160,7 +160,7 @@ fn logic<F: Fan>(cx: &mut Cx<'_>, two: bool, f: impl Fn(bool, bool) -> bool) -> 
         }
         let x = ch.take_ev(a).0;
         let y = two && ch.take_ev(b).0;
-        F::put(ch, fan, op.o[0], Word::new(i32::from(f(x, y))));
+        F::put(ch, fan, op.o[0], ev(f(x, y)));
         1
     })
 }
@@ -412,12 +412,8 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
             &mut stats.event_fires,
             unary::<F>(cx, |v, _| ev(v.truthy())),
         ),
-        K::ToData => {
-            // An event word is already the data word 0 or 1.
-            let n = unary::<F>(cx, |v, _| v);
-            stats.reg_fires += n;
-            n
-        }
+        // An event word is already the data word 0 or 1.
+        K::ToData => book(&mut stats.reg_fires, unary::<F>(cx, |v, _| v)),
         K::EventNot => book(&mut stats.event_fires, logic::<F>(cx, false, |x, _| !x)),
         K::EventAnd => book(&mut stats.event_fires, logic::<F>(cx, true, |x, y| x && y)),
         K::EventOr => book(&mut stats.event_fires, logic::<F>(cx, true, |x, y| x || y)),
