@@ -19,9 +19,10 @@
 //! * [`config_manager`] — the configuration-manager subsystem: a
 //!   [`KernelSpec`] registry of array kernels, a **process-wide**
 //!   compile-once store of pre-compiled, pre-placed configurations (each
-//!   kernel is built once per process, not once per worker), and the per-worker
-//!   request→prefetch→loading→active→unload lifecycle, whose
-//!   least-recently-used eviction is the Fig. 10 resource recycling;
+//!   kernel is built once per process, not once per worker, and named by a
+//!   dense [`KernelId`]), and the [`WorkerArray`] that owns one array and
+//!   its configuration lifecycle, whose least-recently-used eviction is the
+//!   Fig. 10 resource recycling;
 //! * [`metrics`] — a lock-free registry every component reports into;
 //! * [`config`] — the one [`EngineConfig`] both the pool and the driver
 //!   read.
@@ -65,9 +66,9 @@ pub mod router;
 pub mod session;
 
 pub use config::{EngineConfig, RecoveryPolicy};
-pub use config_manager::{CmState, ConfigManager, ConfigStore, KernelSpec};
+pub use config_manager::{ConfigStore, KernelId, KernelSpec, WorkerArray};
 pub use frontend::{Frontend, FrontendConfig, ScaleSummary};
 pub use metrics::{KernelKind, Metrics, Snapshot};
-pub use pool::{PoolConfig, ShardPool, SubmitError, WorkerArray};
+pub use pool::{PoolConfig, ShardPool, SubmitError};
 pub use router::{AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus};
 pub use session::{ParkedSession, Session, SessionState, Standard};

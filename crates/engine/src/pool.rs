@@ -60,12 +60,10 @@
 //! the only placement decision.
 //!
 //! Residency is the other half: a configuration stays on its array until
-//! placement pressure evicts it — the [`ConfigManager`]'s least recently
-//! used eviction is the paper's Fig. 10 resource recycling. Nothing
-//! unloads a configuration that still fits, and nothing prefetches, so a
-//! configuration loads once and then streams data while the bus idles,
-//! the paper's steady-state premise. What an array publishes is its
-//! manager's own introspection, so it heals across worker rebuilds.
+//! placement pressure evicts it (the [`WorkerArray`]'s activation tiers,
+//! in [`config_manager`](crate::config_manager)). What an array publishes
+//! is its [`WorkerArray::resident_mask`], so it heals across worker
+//! rebuilds.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
@@ -78,273 +76,12 @@ use std::time::Duration;
 
 #[cfg(feature = "faults")]
 use xpp_array::fault::FaultInjector;
-use xpp_array::{Array, ConfigId, Error as XppError, Result as XppResult};
 
 use crate::config::{EngineConfig, RecoveryPolicy};
-use crate::config_manager::{ConfigManager, ConfigStore, KernelSpec};
-use crate::metrics::{KernelKind, Metrics};
+use crate::config_manager::{ConfigStore, WorkerArray};
+use crate::metrics::Metrics;
 use crate::router::{AffinityRouter, Placement, ResidencyView, ShardStatus};
 use crate::session::Session;
-
-/// Extra array cycles granted to a configuration that has fired nothing
-/// before the watchdog declares it wedged and forces an unload + reload.
-const WATCHDOG_BUDGET: u64 = 2_000;
-
-/// A worker's execution context: its private array plus the
-/// [`ConfigManager`] driving that array's configuration lifecycle.
-///
-/// `activate` is the only way sessions load configurations, so every load
-/// goes through the manager's tiers:
-///
-/// 1. **resident active** — the configuration is running on the array: free;
-/// 2. **resident loading** — it was [`prefetch`](WorkerArray::prefetch)ed
-///    earlier: pay only the residual bus cycles;
-/// 3. **stored** — the compiled config is in the process-wide
-///    [`ConfigStore`]: pay only the serial configuration bus;
-/// 4. **cold** — build, compile and store it, then load.
-///
-/// When placement fails, the least recently used resident configuration
-/// is unloaded and the load retried — the paper's Fig. 10 resource
-/// recycling, applied automatically.
-#[derive(Debug)]
-pub struct WorkerArray {
-    array: Array,
-    cm: ConfigManager,
-    metrics: Arc<Metrics>,
-    policy: RecoveryPolicy,
-}
-
-impl WorkerArray {
-    /// Creates a worker context around a fresh XPP-64A with its own
-    /// private store (tests, benches, single-worker use).
-    pub fn new(store_capacity: usize, metrics: Arc<Metrics>) -> Self {
-        let store = Arc::new(ConfigStore::new(store_capacity));
-        Self::with_store(store, metrics)
-    }
-
-    /// Creates a worker context drawing compiled configs from a shared
-    /// process-wide store (what [`ShardPool`] workers use).
-    pub fn with_store(store: Arc<ConfigStore>, metrics: Arc<Metrics>) -> Self {
-        Self::with_policy(store, metrics, RecoveryPolicy::default())
-    }
-
-    /// Like [`with_store`](WorkerArray::with_store) with an explicit
-    /// recovery policy (retry counts).
-    pub fn with_policy(
-        store: Arc<ConfigStore>,
-        metrics: Arc<Metrics>,
-        policy: RecoveryPolicy,
-    ) -> Self {
-        WorkerArray {
-            array: Array::xpp64a(),
-            cm: ConfigManager::new(store, Arc::clone(&metrics)),
-            metrics,
-            policy,
-        }
-    }
-
-    /// Inert; the frozen benchmark package calls it and ROADMAP T deletes it.
-    pub fn set_delta_loading(&mut self, _enabled: bool) {}
-
-    /// Attaches a shared fault injector to this worker's array. The
-    /// injector's load ordinal is global across every array it is attached
-    /// to, so a plan keeps advancing through worker restarts.
-    #[cfg(feature = "faults")]
-    pub fn attach_fault_injector(&mut self, injector: Arc<FaultInjector>) {
-        self.array.attach_fault_injector(injector);
-    }
-
-    /// The underlying array, for driving I/O on an activated configuration.
-    pub fn array_mut(&mut self) -> &mut Array {
-        &mut self.array
-    }
-
-    /// Read-only view of the array (stats, placements).
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The shared metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The worker's configuration manager (lifecycle state, store access).
-    pub fn config_manager(&self) -> &ConfigManager {
-        &self.cm
-    }
-
-    /// The compiled-config store this worker draws from.
-    pub fn store(&self) -> &Arc<ConfigStore> {
-        self.cm.store()
-    }
-
-    /// Whether the kernel's configuration is currently on the array.
-    pub fn is_resident(&self, name: &str) -> bool {
-        self.cm.is_resident(name)
-    }
-
-    /// Re-marks every resident configuration's fire counter as seen, so
-    /// residents that do no work before the next placement squeeze are
-    /// quiescent and spillable by a [`prefetch`](WorkerArray::prefetch).
-    pub fn refresh_activity(&mut self) {
-        self.cm.refresh_activity(&self.array);
-    }
-
-    /// Ensures the kernel's configuration is loaded and running, and
-    /// returns its handle. See the type docs for the activation tiers.
-    ///
-    /// Loads that fail with an injected fault (corrupted or aborted bus
-    /// stream) are retried up to the policy's `max_kernel_attempts`: the
-    /// faulted residue was already unloaded by the manager, so each retry
-    /// is a clean reload from the shared store.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails even after unloading every
-    /// other resident configuration, or a fault error once the retry
-    /// budget is exhausted.
-    pub fn activate(&mut self, spec: impl Into<KernelSpec>) -> XppResult<ConfigId> {
-        let spec = spec.into();
-        let attempts = self.policy.max_kernel_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            match self.cm.activate(&mut self.array, &spec) {
-                Err(e) if e.is_fault() && attempt < attempts => {
-                    // Detection was counted where the load failed; the
-                    // reload we are about to do is the matching recovery.
-                    Metrics::incr(&self.metrics.recoveries);
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Runs one array job under the zero-fire watchdog: activates the
-    /// configuration, lets `drive` — the kernel's `xpp_map::drive_*`
-    /// function — run on the array, and books the job's cycles and object
-    /// fires under `kind`. If `drive` times out without the configuration
-    /// having fired a single object, it gets one extra `WATCHDOG_BUDGET` of
-    /// cycles — still silent means the load is wedged (e.g. an injected
-    /// stall), so the configuration is forcibly unloaded and the whole
-    /// attempt retried from the store. The replay is safe: `drive` re-reads
-    /// the caller's slices and the reload starts from clean token state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `drive`'s error, or [`XppError::ConfigWedged`] once a
-    /// wedged configuration has exhausted the kernel retry budget.
-    pub fn run_kernel<T>(
-        &mut self,
-        kind: KernelKind,
-        spec: impl Into<KernelSpec>,
-        mut drive: impl FnMut(&mut Array, ConfigId) -> XppResult<T>,
-    ) -> XppResult<T> {
-        let spec = spec.into();
-        let attempts = self.policy.max_kernel_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let cfg = self.activate(spec)?;
-            let cycles_before = self.array.stats().cycles;
-            let fires_before = self.array.config_fire_count(cfg);
-            match drive(&mut self.array, cfg) {
-                Ok(out) => {
-                    self.metrics.record_kernel(
-                        kind,
-                        self.array.stats().cycles - cycles_before,
-                        self.array.config_fire_count(cfg) - fires_before,
-                    );
-                    return Ok(out);
-                }
-                Err(e @ XppError::Timeout { .. }) => {
-                    if !self.watchdog_wedged(cfg, fires_before) {
-                        return Err(e);
-                    }
-                    Metrics::incr(&self.metrics.watchdog_kicks);
-                    // Force the zombie off the array. Disposal surfaces
-                    // the injected stall record (detected + recovered);
-                    // the next attempt reloads from the store.
-                    self.cm.deactivate(&mut self.array, &spec.config_name())?;
-                    if attempt >= attempts {
-                        return Err(XppError::ConfigWedged {
-                            config: cfg.index(),
-                        });
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// After a timeout: has the configuration fired anything, even when
-    /// granted `WATCHDOG_BUDGET` extra cycles? No fires at all means the
-    /// load completed but the objects never came alive.
-    fn watchdog_wedged(&mut self, cfg: ConfigId, fires_before: u64) -> bool {
-        if self.array.config_fire_count(cfg) != fires_before {
-            return false;
-        }
-        self.array.run(WATCHDOG_BUDGET);
-        self.array.config_fire_count(cfg) == fires_before
-    }
-
-    /// Speculatively starts loading the kernel's configuration without
-    /// waiting for it, so a later [`activate`](WorkerArray::activate) (or
-    /// [`swap`](WorkerArray::swap)) pays only residual activation.
-    /// Returns whether a prefetch was issued (`false` when already
-    /// resident, or when the array is too full even after spilling
-    /// quiescent residents — a prefetch may evict residents that have fired
-    /// nothing since the last [`refresh_activity`](WorkerArray::refresh_activity),
-    /// never the active one). The engine's sessions do not prefetch; this
-    /// is API for drivers of a bare worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates array errors other than placement failure.
-    pub fn prefetch(&mut self, spec: impl Into<KernelSpec>) -> XppResult<bool> {
-        self.cm.prefetch(&mut self.array, &spec.into())
-    }
-
-    /// Unloads the kernel's configuration if resident; returns whether it
-    /// was.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the array rejects the unload.
-    pub fn deactivate(&mut self, spec: impl Into<KernelSpec>) -> XppResult<bool> {
-        let name = spec.into().config_name();
-        self.cm.deactivate(&mut self.array, &name)
-    }
-
-    /// The explicit Fig. 10 swap: unloads `from` (if resident) and
-    /// activates `to` in the freed resources. Counted as a runtime
-    /// reconfiguration when an unload actually happened; the array cycles
-    /// the caller waited on the swap are recorded in `reconfig_cycles` (~0
-    /// when `to` was prefetched). The engine's sessions do not call it:
-    /// there a configuration stays resident until placement pressure
-    /// evicts it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the unload or the activation fails.
-    pub fn swap(
-        &mut self,
-        from: impl Into<KernelSpec>,
-        to: impl Into<KernelSpec>,
-    ) -> XppResult<ConfigId> {
-        let cycles_before = self.array.stats().cycles;
-        if self.deactivate(from)? {
-            Metrics::incr(&self.metrics.reconfigurations);
-        }
-        let id = self.activate(to)?;
-        Metrics::add(
-            &self.metrics.reconfig_cycles,
-            self.array.stats().cycles - cycles_before,
-        );
-        Ok(id)
-    }
-}
 
 /// Compiled configurations the pool-wide [`ConfigStore`] preallocates room
 /// for: every kernel the two standards register, with slack.
@@ -496,6 +233,7 @@ impl ShardPool {
         let view = Arc::new(ResidencyView::new(
             statuses.clone(),
             config.queue_depth as u64,
+            Arc::clone(&store),
         ));
         let mut inboxes = Vec::with_capacity(arrays / arrays_per_worker);
         for first in (0..arrays).step_by(arrays_per_worker) {
@@ -746,8 +484,6 @@ struct Shard {
     /// Its cell in the global residency view: the sessions it owns, which
     /// it lowers at each hand-back, and what it publishes.
     status: Arc<ShardStatus>,
-    /// Scratch buffer for the residency publish.
-    names: Vec<String>,
 }
 
 impl Shard {
@@ -760,11 +496,7 @@ impl Shard {
             return;
         };
         let session = self.supervised_step(seed, queued.session);
-        self.names.clear();
-        self.worker
-            .config_manager()
-            .resident_names_into(&mut self.names);
-        self.status.publish(&self.names, self.clock);
+        self.status.publish(self.worker.resident_mask(), self.clock);
         Metrics::incr(&seed.metrics.residency_view_refreshes);
         // The hand-back ends the shard's ownership: release its count
         // first, so the driver never sees a session it holds still counted
@@ -849,7 +581,6 @@ impl Worker {
                 heap: BinaryHeap::new(),
                 clock: 0,
                 status,
-                names: Vec::new(),
             })
             .collect();
         Worker {
@@ -948,83 +679,6 @@ mod tests {
     use sdr_ofdm::xpp_map::OfdmKernel;
     use sdr_wcdma::xpp_map::WcdmaKernel;
 
-    #[test]
-    fn activation_tiers_resident_then_stored() {
-        let metrics = Arc::new(Metrics::new());
-        let mut w = WorkerArray::new(4, Arc::clone(&metrics));
-        let a = w.activate(WcdmaKernel::Descrambler).unwrap();
-        let b = w.activate(WcdmaKernel::Descrambler).unwrap();
-        assert_eq!(a, b, "resident activation returns the same handle");
-        assert_eq!(w.store().misses(), 1, "one build + compile");
-        let snap = metrics.snapshot();
-        assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
-        assert!(snap.config_bus_cycles > 0, "the load paid bus cycles");
-    }
-
-    #[test]
-    fn swap_counts_a_reconfiguration_and_reuses_stored_configs() {
-        let metrics = Arc::new(Metrics::new());
-        let mut w = WorkerArray::new(4, Arc::clone(&metrics));
-        w.activate(OfdmKernel::PreambleDetector).unwrap();
-        w.swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)
-            .unwrap();
-        assert!(!w.is_resident("fig10-config2a-detector"));
-        assert!(w.is_resident("fig10-config2b-demodulator"));
-        // Swapping back: the detector config comes from the store.
-        w.swap(OfdmKernel::Demodulator, OfdmKernel::PreambleDetector)
-            .unwrap();
-        assert_eq!(metrics.snapshot().reconfigurations, 2);
-        assert_eq!(w.store().misses(), 2, "each kernel compiled exactly once");
-        assert_eq!(w.store().hits(), 1, "re-activation served from the store");
-    }
-
-    #[test]
-    fn swap_without_resident_source_still_activates() {
-        let metrics = Arc::new(Metrics::new());
-        let mut w = WorkerArray::new(4, Arc::clone(&metrics));
-        w.swap(OfdmKernel::Demodulator, WcdmaKernel::Descrambler)
-            .unwrap();
-        assert!(w.is_resident("fig5-descrambler"));
-        assert_eq!(
-            metrics.snapshot().reconfigurations,
-            0,
-            "nothing was unloaded"
-        );
-    }
-
-    #[test]
-    fn prefetched_swap_pays_no_array_cycles() {
-        let metrics = Arc::new(Metrics::new());
-        let mut w = WorkerArray::new(4, Arc::clone(&metrics));
-        w.activate(OfdmKernel::PreambleDetector).unwrap();
-        assert!(w.prefetch(OfdmKernel::Demodulator).unwrap());
-        // Run the detector long enough for the demodulator's bus load to
-        // stream in the background.
-        for _ in 0..1_000 {
-            w.array_mut().step();
-        }
-        w.swap(OfdmKernel::PreambleDetector, OfdmKernel::Demodulator)
-            .unwrap();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.prefetch_hits, 1, "swap served from the prefetch");
-        assert_eq!(
-            snap.reconfig_cycles, 0,
-            "a fully overlapped swap waits zero array cycles"
-        );
-    }
-
-    #[test]
-    fn workers_share_one_store_across_shards() {
-        let metrics = Arc::new(Metrics::new());
-        let store = Arc::new(ConfigStore::new(4));
-        let mut w1 = WorkerArray::with_store(Arc::clone(&store), Arc::clone(&metrics));
-        let mut w2 = WorkerArray::with_store(Arc::clone(&store), Arc::clone(&metrics));
-        w1.activate(WcdmaKernel::Descrambler).unwrap();
-        w2.activate(WcdmaKernel::Descrambler).unwrap();
-        assert_eq!(store.misses(), 1, "second worker reused the compile");
-        assert_eq!(store.hits(), 1);
-    }
-
     /// A worker built directly in a test — no pool, no thread — over
     /// `arrays` arrays, with the sending end of its inbox and the receiving
     /// end of its results.
@@ -1094,9 +748,9 @@ mod tests {
             assert!(matches!(worker.step(), Round::Progress));
             assert_eq!(*results.try_recv().unwrap().state(), SessionState::Done);
             let array = &worker.shards[0].worker;
-            assert!(array.is_resident("fig10-config2b-demodulator"));
+            assert!(array.is_resident(OfdmKernel::Demodulator));
             assert!(
-                array.is_resident("fig10-config2a-detector"),
+                array.is_resident(OfdmKernel::PreambleDetector),
                 "{arrays} arrays"
             );
             let snap = worker.seed.metrics.snapshot();
@@ -1167,7 +821,9 @@ mod tests {
         let mut back = results.try_recv().unwrap();
         assert!(back.take_crashed(), "handed back marked crashed");
         assert!(
-            !worker.shards[0].worker.is_resident("fig5-descrambler"),
+            !worker.shards[0]
+                .worker
+                .is_resident(WcdmaKernel::Descrambler),
             "the struck array is a fresh one"
         );
         assert_eq!(owned(&worker), 0, "the crashed hand-back is released");

@@ -32,9 +32,8 @@ use sdr_ofdm as ofdm;
 use sdr_wcdma as wcdma;
 use xpp_array::Result as XppResult;
 
-use crate::config_manager::KernelSpec;
+use crate::config_manager::{KernelSpec, WorkerArray};
 use crate::metrics::{KernelKind, Metrics};
-use crate::pool::WorkerArray;
 use ofdm::xpp_map::{drive_demodulator, drive_preamble_detector, OfdmKernel};
 use wcdma::xpp_map::{drive_finger, WcdmaKernel};
 
@@ -769,8 +768,8 @@ mod tests {
         let mut s = Session::ofdm(1, 7);
         drive_to_terminal(&mut s, &mut worker);
         assert_eq!(*s.state(), SessionState::Done, "session failed");
-        assert!(worker.is_resident("fig10-config2a-detector"));
-        assert!(worker.is_resident("fig10-config2b-demodulator"));
+        assert!(worker.is_resident(OfdmKernel::PreambleDetector));
+        assert!(worker.is_resident(OfdmKernel::Demodulator));
         let snap = metrics.snapshot();
         assert!(snap.kernel_jobs[KernelKind::PreambleDetector.index()] == 1);
         assert!(snap.kernel_jobs[KernelKind::Demodulator.index()] == 1);

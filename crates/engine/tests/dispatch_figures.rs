@@ -24,6 +24,7 @@ use common::{run_to_completion, Driver};
 use sdr_engine::{
     EngineConfig, Metrics, ParkedSession, Session, SessionState, ShardPool, Snapshot,
 };
+use sdr_ofdm::xpp_map::OfdmKernel;
 
 /// `n` OFDM frames (capture → detect → demodulate), arriving a cycle
 /// apart.
@@ -159,7 +160,8 @@ fn a_single_array_keeps_2a_and_2b_resident() {
         ),
         (0, 0, 0, 0)
     );
-    let status = pool.residency_view().status(0);
-    assert!(status.holds("fig10-config2a-detector"));
-    assert!(status.holds("fig10-config2b-demodulator"));
+    let view = pool.residency_view();
+    for kernel in [OfdmKernel::PreambleDetector, OfdmKernel::Demodulator] {
+        assert_eq!(view.holder_of(&kernel.into()), Some(0), "{kernel:?}");
+    }
 }

@@ -106,7 +106,6 @@ impl fmt::Display for ConfigId {
 struct Connection {
     from: (u32, usize),
     to: (u32, usize),
-    event: bool,
 }
 
 /// A simulated XPP reconfigurable processing array.
@@ -145,10 +144,9 @@ pub struct Array {
     /// Fire totals of configurations that have been unloaded (live totals
     /// are aggregated from per-object counters on demand).
     retired_fires: HashMap<u32, u64>,
-    /// Reusable board-connection move buffers (keep their capacity so the
+    /// Reusable board-connection move buffer (keeps its capacity so the
     /// steady-state step loop never allocates).
     board_d: Vec<Word>,
-    board_e: Vec<bool>,
     /// Wakes, awake cycles and sleeps (see [`ScheduleStats`]).
     schedule: ScheduleStats,
     #[cfg(any(test, feature = "reference"))]
@@ -177,7 +175,6 @@ impl Array {
             stats: ArrayStats::new(),
             retired_fires: HashMap::new(),
             board_d: Vec::new(),
-            board_e: Vec::new(),
             schedule: ScheduleStats::default(),
             #[cfg(any(test, feature = "reference"))]
             use_reference: reference::forced(),
@@ -387,31 +384,6 @@ impl Array {
         self.connections.push(Connection {
             from: (from.0, from_slot),
             to: (to.0, to_slot),
-            event: false,
-        });
-        Ok(())
-    }
-
-    /// Routes an event output port into an event input port of another
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either endpoint does not exist or the directions
-    /// do not match.
-    pub fn connect_events(
-        &mut self,
-        from: ConfigId,
-        from_port: &str,
-        to: ConfigId,
-        to_port: &str,
-    ) -> Result<()> {
-        let (_, from_slot) = self.port(from, from_port, PortDir::EvOut)?;
-        let (_, to_slot) = self.port(to, to_port, PortDir::EvIn)?;
-        self.connections.push(Connection {
-            from: (from.0, from_slot),
-            to: (to.0, to_slot),
-            event: true,
         });
         Ok(())
     }
@@ -436,41 +408,26 @@ impl Array {
         loading | fired | routed
     }
 
-    /// Board-level connections: move buffered tokens between external
-    /// ports through the reusable scratch buffers (no per-cycle
-    /// allocation). Returns `true` if any token moved.
+    /// Board-level connections: move buffered words between external
+    /// ports through the reusable scratch buffer (no per-cycle
+    /// allocation). Returns `true` if any word moved.
     fn move_board_tokens(&mut self) -> bool {
         let mut active = false;
         for i in 0..self.connections.len() {
-            let Connection { from, to, event } = self.connections[i];
+            let Connection { from, to } = self.connections[i];
             // `unload` drops a configuration's connections with it.
             let from = (self.config_index(from.0).expect("source resident"), from.1);
             let to = (self.config_index(to.0).expect("sink resident"), to.1);
-            let moved = if event {
-                let mut scratch = std::mem::take(&mut self.board_e);
-                if let ObjState::ExtOutEv(v) = self.port_state(from) {
-                    std::mem::swap(v, &mut scratch);
-                }
-                let moved = !scratch.is_empty();
-                if let ObjState::ExtInEv(q) = self.port_state(to) {
-                    q.extend(scratch.drain(..));
-                }
-                scratch.clear();
-                self.board_e = scratch;
-                moved
-            } else {
-                let mut scratch = std::mem::take(&mut self.board_d);
-                if let ObjState::ExtOutData(v) = self.port_state(from) {
-                    std::mem::swap(v, &mut scratch);
-                }
-                let moved = !scratch.is_empty();
-                if let ObjState::ExtInData(q) = self.port_state(to) {
-                    q.extend(scratch.drain(..));
-                }
-                scratch.clear();
-                self.board_d = scratch;
-                moved
-            };
+            let mut scratch = std::mem::take(&mut self.board_d);
+            if let ObjState::ExtOutData(v) = self.port_state(from) {
+                std::mem::swap(v, &mut scratch);
+            }
+            let moved = !scratch.is_empty();
+            if let ObjState::ExtInData(q) = self.port_state(to) {
+                q.extend(scratch.drain(..));
+            }
+            scratch.clear();
+            self.board_d = scratch;
             if moved {
                 active = true;
                 self.wake(to.0);

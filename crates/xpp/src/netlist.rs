@@ -340,17 +340,6 @@ impl NetlistBuilder {
         DataOut { node: n, port: 0 }
     }
 
-    /// Adds a merge with unwired data inputs (for feedback loops).
-    pub fn merge_deferred(&mut self, sel: EvOut) -> (DataIn, DataIn, DataOut) {
-        let n = self.push(ObjectKind::Merge);
-        self.wire_ev(sel, EvIn { node: n, port: 0 });
-        (
-            DataIn { node: n, port: 0 },
-            DataIn { node: n, port: 1 },
-            DataOut { node: n, port: 0 },
-        )
-    }
-
     /// Adds a demux: routes input to output 0 (sel false) or 1 (sel true).
     /// Unconnected outputs discard.
     pub fn demux(&mut self, sel: EvOut, a: DataOut) -> (DataOut, DataOut) {

@@ -1,25 +1,31 @@
 #!/bin/sh
 # Paired, interleaved benchmark runs of HEAD against a parent revision.
 #
-# usage: scripts/e2e-pairs.sh <parent-rev> [--pairs N] [--seconds S] [--aligned]
+# usage: scripts/e2e-pairs.sh <parent-rev> [--pairs N] [--seconds S] [--seed N]
+#                             [--aligned]
 #
 # Each side is checked out in its own git worktree and its standalone `e2e`
 # package is built into its own target directory: two checkouts that share
 # one CARGO_TARGET_DIR can silently run each other's engine. Then, for each
 # of N pairs (default 10) and each workload in BENCHMARK.json, BENCHMARK.json's
-# command runs once per side for S seconds (default 4), the side that goes
-# first alternating from pair to pair. `--aligned` builds both sides with
+# command runs once per side for S seconds (default 4) at workload seed N
+# (default 1; pick another for a held-out run), the side that goes first
+# alternating from pair to pair. `--aligned` builds both sides with
 # every function aligned to 64 bytes, so code layout shifts between the two
 # builds do not show up as host-time differences.
 #
 # Prints, per workload x end-to-end metric: the median and interquartile
 # range of each side, HEAD/parent, the pairs HEAD won, and "inside" or
 # "OUTSIDE" the metric's bound (HEAD worse than the parent's median by more
-# than the bound is outside). Exits 1 if any run failed.
+# than the bound is outside). Every metric of every run (the runs are
+# untraced, so the end-to-end ones) is kept as raw
+# "<pair> <side> <workload> <metric> <value>" lines in
+# target/e2e-pairs/results.txt, which the next run overwrites; the last
+# line printed is that path. Exits 1 if any run failed.
 set -eu
 
 usage() {
-    echo "usage: $0 <parent-rev> [--pairs N] [--seconds S] [--aligned]" >&2
+    echo "usage: $0 <parent-rev> [--pairs N] [--seconds S] [--seed N] [--aligned]" >&2
     exit 2
 }
 
@@ -28,11 +34,13 @@ parent=$1
 shift
 pairs=10
 seconds=4
+seed=1
 aligned=
 while [ $# -gt 0 ]; do
     case $1 in
         --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
         --seconds) [ $# -ge 2 ] || usage; seconds=$2; shift 2 ;;
+        --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
         --aligned) aligned=1; shift ;;
         *) usage ;;
     esac
@@ -47,6 +55,8 @@ git rev-parse --verify --quiet "$parent^{commit}" >/dev/null || {
 bench=$repo/BENCHMARK.json
 workloads=$(jq -r '.workloads[].name' "$bench")
 metrics=$(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$bench")
+results=$repo/target/e2e-pairs/results.txt
+mkdir -p "${results%/*}"
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/e2e-pairs.XXXXXX")
 cleanup() {
@@ -75,7 +85,7 @@ build() {
 }
 
 # Runs BENCHMARK.json's command on one side for one workload and appends
-# "<pair> <side> <workload> <metric> <value>" lines to the results file.
+# "<pair> <side> <workload> <metric> <value>" lines to $results.
 run() {
     pair=$1
     side=$2
@@ -85,7 +95,7 @@ run() {
     cmd=$(jq -r '.command | join(" ")' "$bench")
     if ! (cd "$work/$side/src" &&
         CARGO_TARGET_DIR=$work/$side/target RUSTFLAGS=$rustflags \
-            $cmd --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
+            $cmd --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
             >"$out" 2>"$work/$side/run.err"); then
         echo "$side $workload (pair $pair) failed:" >&2
         tail -5 "$work/$side/run.err" >&2
@@ -94,13 +104,13 @@ run() {
     fi
     tail -n 1 "$out" | jq -r --arg p "$pair" --arg s "$side" --arg w "$workload" \
         '.metrics | to_entries[] | "\($p) \($s) \($w) \(.key) \(.value.value)"' \
-        >>"$work/results"
+        >>"$results"
 }
 
 build parent "$parent"
 build head HEAD
 failed=
-: >"$work/results"
+: >"$results"
 i=1
 while [ "$i" -le "$pairs" ]; do
     for workload in $workloads; do
@@ -153,7 +163,8 @@ echo "$metrics" | while read -r metric better bound; do
                     hm, q(hv, n, 0.75) - q(hv, n, 0.25), ratio, won, n,
                     (worse > bound ? "OUTSIDE " : "inside ") bound
             }
-        ' "$work/results"
+        ' "$results"
     done
 done
+echo "raw results: $results"
 [ -z "$failed" ]
