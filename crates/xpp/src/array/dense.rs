@@ -19,6 +19,14 @@
 //! `push_input`, `push_input_events`, a board route moving tokens in, or
 //! its load completing.
 //!
+//! What makes busy cycles cheap, for a full-rate eligible program, is the
+//! block rule: a pass whose fires equal the program's full total (one
+//! comparison, which is all an ineligible program pays) tells the run
+//! loops in `mod.rs` that the passes ahead repeat it until an input queue
+//! runs dry, and `super::block` steps them op-major. That is no detected
+//! schedule: nothing is observed over time, recorded or guarded; the
+//! property is the compiled program's (see [`crate::schedule`]).
+//!
 //! This is the second statement of every firing rule in the crate; the
 //! first, `super::fire::fire`, is the reference stepper's, and the golden
 //! suites hold the two to the same outputs, fire counts and statistics.
@@ -533,8 +541,8 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
 
 impl LoadedConfig {
     /// One dense pass: step every run of the compiled program, then commit
-    /// every channel. Returns whether any object fired.
-    fn step_dense(&mut self, stats: &mut ArrayStats) -> bool {
+    /// every channel. Returns how many fires it made.
+    fn step_dense(&mut self, stats: &mut ArrayStats) -> u64 {
         let program = &*self.program;
         let mut fired = 0;
         for &Run {
@@ -559,17 +567,18 @@ impl LoadedConfig {
             };
         }
         self.slab.chans().commit();
-        fired > 0
+        fired
     }
 }
 
 impl Array {
     /// One cycle of every enabled, awake configuration. Returns `true` if
-    /// any object fired.
+    /// any object fired, and the position of the configuration stepped if
+    /// it was the only one and its pass was full rate (see `block`).
     ///
     /// A pass that fires nothing *is* the proof that no object is fireable,
     /// so it puts the configuration to sleep.
-    pub(super) fn step_configs(&mut self) -> bool {
+    pub(super) fn step_configs(&mut self) -> (bool, Option<usize>) {
         let Array {
             configs,
             stats,
@@ -577,18 +586,25 @@ impl Array {
             ..
         } = self;
         let mut active = false;
-        let mut stepped = false;
-        for cfg in configs.iter_mut().filter(|c| c.enabled && c.awake) {
-            stepped = true;
-            if cfg.step_dense(stats) {
-                active = true;
-            } else {
+        let (mut stepped, mut full) = (0, None);
+        for (at, cfg) in configs.iter_mut().enumerate() {
+            if !(cfg.enabled && cfg.awake) {
+                continue;
+            }
+            stepped += 1;
+            let fired = cfg.step_dense(stats);
+            if fired == 0 {
                 cfg.awake = false;
                 schedule.invalidations += 1;
+            } else {
+                active = true;
+                if cfg.program.full.as_ref().is_some_and(|f| f.fires == fired) {
+                    full = Some(at);
+                }
             }
         }
-        schedule.replay_cycles += u64::from(stepped);
-        active
+        schedule.replay_cycles += u64::from(stepped > 0);
+        (active, full.filter(|_| stepped == 1))
     }
 
     /// Wakes the configuration at position `at` of `configs`: the one way

@@ -245,6 +245,9 @@ impl Array {
     pub fn configure_compiled(&mut self, compiled: &CompiledConfig) -> Result<ConfigId> {
         let program = &compiled.program;
         self.pool.allocate(program.placement.counts)?;
+        if let Some(rate) = &program.full {
+            self.scratch.fit(rate);
+        }
         // Ordinals count only loads that got past placement; a WorkerPanic
         // strikes here, before any array state mutates — the supervisor
         // discards the whole array, so the allocation above is moot.

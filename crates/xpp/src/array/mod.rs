@@ -25,7 +25,9 @@
 //!   resolved to channel slots with fan-out inline — then commits every
 //!   channel. A pass that fires nothing puts the configuration to sleep;
 //!   external input, a board route moving tokens in, or its load
-//!   completing wakes it;
+//!   completing wakes it. A full pass of a full-rate eligible program
+//!   that is the array's only actor lets `run*` step the passes it
+//!   determines as one op-major block (`block`);
 //! * the original **scan-the-world** stepper (`reference`), retained behind
 //!   the `reference` feature (and in tests) as the semantic oracle, steps
 //!   every enabled configuration every cycle, object by object in node
@@ -54,6 +56,7 @@
 //! | `load`      | configure / unload, the config bus, object state           |
 //! | `fire`      | the reference's general firing rule (with `reference`)     |
 //! | `dense`     | the stepper: the run loops, the sleep rule, the wake path  |
+//! | `block`     | full-rate blocks: many passes of one program, op-major     |
 //! | `reference` | the scan stepper (`cfg(any(test, feature = "reference"))`) |
 
 use std::collections::{HashMap, VecDeque};
@@ -66,6 +69,7 @@ use crate::schedule::ScheduleStats;
 use crate::stats::ArrayStats;
 use crate::word::Word;
 
+mod block;
 mod dense;
 #[cfg(any(test, feature = "reference"))]
 pub(crate) mod fire;
@@ -76,6 +80,8 @@ mod reference;
 use load::LoadedConfig;
 pub(crate) use load::ObjState;
 
+#[cfg(any(test, feature = "reference"))]
+pub use block::with_block_cap;
 #[cfg(any(test, feature = "reference"))]
 pub use reference::with_reference_stepper;
 
@@ -149,8 +155,14 @@ pub struct Array {
     board_d: Vec<Word>,
     /// Wakes, awake cycles and sleeps (see [`ScheduleStats`]).
     schedule: ScheduleStats,
+    /// The full-rate blocks' streams (see `block`).
+    scratch: block::Scratch,
     #[cfg(any(test, feature = "reference"))]
     use_reference: bool,
+    #[cfg(any(test, feature = "reference"))]
+    block_cap: usize,
+    #[cfg(any(test, feature = "reference"))]
+    block_cycles: u64,
     /// Shared fault scheduler consulted at every configuration load; `None`
     /// (the default) takes no fault path at all.
     #[cfg(feature = "faults")]
@@ -176,8 +188,13 @@ impl Array {
             retired_fires: HashMap::new(),
             board_d: Vec::new(),
             schedule: ScheduleStats::default(),
+            scratch: block::Scratch::default(),
             #[cfg(any(test, feature = "reference"))]
             use_reference: reference::forced(),
+            #[cfg(any(test, feature = "reference"))]
+            block_cap: block::cap(),
+            #[cfg(any(test, feature = "reference"))]
+            block_cycles: 0,
             #[cfg(feature = "faults")]
             injector: None,
         }
@@ -394,18 +411,25 @@ impl Array {
     /// (an object fired, a load progressed, or a board connection moved
     /// tokens).
     pub fn step(&mut self) -> bool {
+        self.cycle().0
+    }
+
+    /// [`step`](Self::step), also returning the position of the
+    /// configuration whose pass was full rate if it was the only one
+    /// stepped (see `block`).
+    fn cycle(&mut self) -> (bool, Option<usize>) {
         self.stats.cycles += 1;
         let loading = !self.load_queue.is_empty() && self.tick_config_bus();
         #[cfg(any(test, feature = "reference"))]
-        let fired = if self.use_reference {
-            self.step_reference()
+        let (fired, full) = if self.use_reference {
+            (self.step_reference(), None)
         } else {
             self.step_configs()
         };
         #[cfg(not(any(test, feature = "reference")))]
-        let fired = self.step_configs();
+        let (fired, full) = self.step_configs();
         let routed = !self.connections.is_empty() && self.move_board_tokens();
-        loading | fired | routed
+        (loading | fired | routed, full)
     }
 
     /// Board-level connections: move buffered words between external
@@ -438,8 +462,13 @@ impl Array {
 
     /// Runs exactly `cycles` clock cycles.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
+        let mut n = 0;
+        while n < cycles {
+            let (_, full) = self.cycle();
+            n += 1;
+            if let Some(at) = full {
+                n += self.block(at, cycles - n);
+            }
         }
     }
 
@@ -451,9 +480,16 @@ impl Array {
     /// Returns [`Error::Timeout`] if the array is still active after
     /// `budget` cycles (e.g. a free-running counter with an unbounded sink).
     pub fn run_until_idle(&mut self, budget: u64) -> Result<u64> {
-        for n in 0..budget {
-            if !self.step() {
-                return Ok(n + 1);
+        let mut n = 0;
+        while n < budget {
+            let (active, full) = self.cycle();
+            n += 1;
+            if !active {
+                return Ok(n);
+            }
+            // A block's every cycle fires.
+            if let Some(at) = full {
+                n += self.block(at, budget - n);
             }
         }
         Err(Error::Timeout { budget })
@@ -474,11 +510,19 @@ impl Array {
     ) -> Result<u64> {
         // Resolved once: stepping neither adds nor removes configurations.
         let port = self.port(cfg, name, PortDir::DataOut)?;
-        for n in 0..budget {
+        let mut n = 0;
+        while n < budget {
             if self.output_len_at(port) >= count {
                 return Ok(n);
             }
-            self.step();
+            let (_, full) = self.cycle();
+            n += 1;
+            // A block's cycle puts at most one word on the port, so a block
+            // no longer than the words missing never overshoots `count`.
+            if let Some(at) = full {
+                let missing = count.saturating_sub(self.output_len_at(port)) as u64;
+                n += self.block(at, (budget - n).min(missing));
+            }
         }
         if self.output_len_at(port) >= count {
             Ok(budget)

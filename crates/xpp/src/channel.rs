@@ -116,6 +116,38 @@ impl Slab {
         (self.meta.len() - 1) as u32
     }
 
+    /// Committed tokens on channel `c`.
+    #[inline]
+    pub(crate) fn len(&self, c: u32) -> usize {
+        usize::from(self.meta[c as usize].len())
+    }
+
+    /// Capacity of channel `c`.
+    pub(crate) fn cap(&self, c: u32) -> usize {
+        usize::from(self.meta[c as usize].cap)
+    }
+
+    /// Copies channel `c`'s committed tokens, front first, into `out`,
+    /// which is exactly as long as the channel.
+    pub(crate) fn read(&self, c: u32, out: &mut [Word]) {
+        let m = &self.meta[c as usize];
+        debug_assert_eq!(out.len(), usize::from(m.len()));
+        let mask = usize::from(m.mask);
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = self.ring[m.base as usize + ((m.head() + k) & mask)];
+        }
+    }
+
+    /// Replaces channel `c`'s committed tokens by `tokens`, front first:
+    /// as many as it holds now, none staged.
+    pub(crate) fn write(&mut self, c: u32, tokens: &[Word]) {
+        let m = &mut self.meta[c as usize];
+        debug_assert!(tokens.len() == usize::from(m.len()) && m.staged == 0);
+        m.occ = u16::from(m.len());
+        let base = m.base as usize;
+        self.ring[base..base + tokens.len()].copy_from_slice(tokens);
+    }
+
     /// The channels as the steppers read and write them: two slices, so a
     /// stepping loop keeps both in registers instead of reloading them
     /// through the slab after every store.
@@ -392,5 +424,33 @@ mod tests {
         s.put_ev(0, Event(false));
         s.commit();
         assert_eq!(s.peek_ev(0), Event(false));
+    }
+
+    #[test]
+    fn read_and_write_move_committed_tokens_front_first() {
+        let mut slab = one(4, &[]);
+        for n in 0..6 {
+            // Wrap the ring: push one, pop one, six times.
+            let mut s = slab.chans();
+            s.put(0, w(n));
+            s.commit();
+            if n < 5 {
+                s.take(0);
+                s.commit();
+            }
+        }
+        let mut s = slab.chans();
+        s.put(0, w(6));
+        s.commit();
+        assert_eq!(slab.len(0), 2);
+        let mut out = [Word::ZERO; 2];
+        slab.read(0, &mut out);
+        assert_eq!(out, [w(5), w(6)]);
+        slab.write(0, &[w(8), w(9)]);
+        let mut s = slab.chans();
+        assert_eq!(s.take(0), w(8));
+        s.commit();
+        assert_eq!(s.peek(0), w(9));
+        assert_eq!(slab.cap(0), 4);
     }
 }

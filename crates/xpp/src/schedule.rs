@@ -1,4 +1,4 @@
-//! The schedule of a configuration, and why no stepper has to detect one.
+//! The schedule of a configuration: a compile artifact, never detected.
 //!
 //! A pipelined token-handshake netlist has a steady-state firing pattern,
 //! and earlier versions of this crate tried to *find* it: hash each cycle's
@@ -40,6 +40,27 @@
 //! moving tokens in, or its own load completing — wakes it. No period, no
 //! guard, nothing to invalidate; [`ScheduleStats`] counts the sleeps and
 //! wakes.
+//!
+//! # Full-rate blocks
+//!
+//! One steady state needs no pass-by-pass visit at all, and it too is
+//! known at compile time rather than found. `compile` marks a program
+//! *full-rate eligible* when every run is of a kind whose full action —
+//! one token from each input, one to each output, a FIFO's pop and push —
+//! never depends on a value (no merge, demux, gate, accumulate-and-dump,
+//! counter or RAM) and its channels close no cycle but self-loops. A pass
+//! of such a program that fires its full total leaves every channel's
+//! occupancy and every FIFO's length unchanged, so the next pass is full
+//! again while every input queue holds a word: by induction, the next `B`
+//! passes are determined, and `Array::{run, run_until_idle,
+//! run_until_output}` step them as one op-major block (`array::block`)
+//! when that configuration is the only one awake, no load is on the bus
+//! and no board route is wired. Unlike the deleted capture/replay, the
+//! rule observes nothing over time — one comparison of the pass's fires
+//! per pass is all it costs, an ineligible program included — so there is
+//! no window to fill, nothing recorded and no guard that can trip. The
+//! Fig. 5 descrambler is exactly why it is *not* general: its merges
+//! steer by the code bits, so it is ineligible and keeps the dense pass.
 
 /// How the stepper slept and woke. Deliberately *not* part of
 /// [`ArrayStats`](crate::ArrayStats): those are pinned bit-identical between
@@ -54,7 +75,8 @@ pub struct ScheduleStats {
     /// Wake-ups: a sleeping configuration woken by input, a board route
     /// or its load completing.
     pub captured: u64,
-    /// Cycles in which at least one configuration was awake and stepped.
+    /// Cycles in which at least one configuration was awake and stepped
+    /// (a full-rate block's cycles included).
     pub replay_cycles: u64,
     /// Fall-asleeps: a pass fired nothing, or the configuration was
     /// unloaded while awake.

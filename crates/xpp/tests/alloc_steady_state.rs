@@ -1,9 +1,10 @@
 //! Stepping must not touch the heap. A configuration's channels and
 //! object state live where they were built — every channel's token ring,
-//! however deep, is cut from one slab at load — and sleeping or waking
-//! flips one flag, so `Array::step`/`Array::run` perform zero allocations
-//! while a configuration streams *and across every sleep and wake*.
-//! Enforced with a counting global allocator.
+//! however deep, is cut from one slab at load — sleeping or waking flips
+//! one flag, and a full-rate block runs over streams sized when the
+//! configuration was loaded, so `Array::step`/`Array::run` perform zero
+//! allocations while a configuration streams, *across every sleep and
+//! wake*, and in blocks. Enforced with a counting global allocator.
 //!
 //! This file intentionally contains a single test: the allocation counter
 //! is process-global, and a concurrently running test would make the
@@ -90,6 +91,41 @@ fn three_config_array() -> (Array, ConfigId, ConfigId) {
     (array, burst, deep)
 }
 
+/// Words per push into the full-rate lane.
+const LANE_BURST: i32 = 1_100;
+
+/// An array holding one full-rate eligible configuration shaped like one
+/// lane of the 2a detector — a lag FIFO, a product, a window FIFO and a
+/// self-loop accumulator — with its result left unconnected, so no
+/// output buffer grows.
+fn lane_array() -> (Array, ConfigId) {
+    let mut nl = NetlistBuilder::new("lane");
+    let x = nl.input("x");
+    let lag = nl.fifo(17, vec![Word::ZERO; 16]);
+    nl.wire(x, lag.input);
+    let p = nl.alu(AluOp::MulShr(6), x, lag.output);
+    let window = nl.fifo(33, vec![Word::ZERO; 32]);
+    nl.wire(p, window.input);
+    let diff = nl.alu(AluOp::Sub, p, window.output);
+    let (step, acc_in, acc) = nl.alu_deferred(AluOp::Add);
+    nl.wire(diff, step);
+    nl.wire_with(acc, acc_in, 2, vec![Word::ZERO]);
+    let _ = nl.unary(UnaryOp::Abs, acc);
+    let mut array = Array::xpp64a();
+    let lane = array.configure(&nl.build().unwrap()).unwrap();
+    while !array.is_running(lane) {
+        array.step();
+    }
+    (array, lane)
+}
+
+/// One push into the lane and a run that drains it to sleep.
+fn lane_round(array: &mut Array, lane: ConfigId) {
+    let words = (0..LANE_BURST).map(|i| Word::new(i * 37 % 4096 - 2048));
+    array.push_input(lane, "x", words).unwrap();
+    array.run(LANE_BURST as u64 + 100);
+}
+
 /// Fires of the deep configuration's adder so far.
 fn deep_fires(array: &Array, deep: ConfigId) -> u64 {
     let fires = array.object_fire_counts(deep).unwrap();
@@ -160,4 +196,20 @@ fn steady_state_stepping_does_not_allocate() {
     let s = array.schedule_stats().delta_since(&before);
     assert_eq!((s.captured, s.invalidations), (10, 10));
     assert_quiet_window(&mut array, "streaming again");
+
+    // Phase 3: a full-rate eligible configuration alone on its array, held
+    // in blocks for over 10,000 cycles: ten rounds of a push that wakes it
+    // and a run that drains its queue and puts it to sleep.
+    let (mut array, lane) = lane_array();
+    lane_round(&mut array, lane);
+    let (blocked, before) = (array.block_cycles(), array.schedule_stats());
+    assert_quiet("pushes, blocks and drains, ten times", || {
+        for _ in 0..10 {
+            lane_round(&mut array, lane);
+        }
+    });
+    let blocked = array.block_cycles() - blocked;
+    assert!(blocked >= 10_000, "{blocked} cycles in blocks");
+    let s = array.schedule_stats().delta_since(&before);
+    assert_eq!((s.captured, s.invalidations), (10, 10));
 }

@@ -307,3 +307,36 @@ fn the_resident_finger_stays_dense_job_after_job() {
         assert_eq!((s.captured, s.invalidations), (1, 1), "job {job}: {s:?}");
     }
 }
+
+/// The share of a job's cycles the array stepped in full-rate blocks.
+fn block_share(array: &mut Array, job: impl FnOnce(&mut Array)) -> f64 {
+    let (cycles, blocked) = (array.stats().cycles, array.block_cycles());
+    job(array);
+    (array.block_cycles() - blocked) as f64 / (array.stats().cycles - cycles) as f64
+}
+
+/// Power guard for the full-rate blocks: the engine's 2a detector and 2b
+/// demodulator are full-rate eligible and spend most of each job in
+/// blocks (97 % and 78 % of its cycles); the finger, whose Fig. 5 merges steer by the code bits, never
+/// enters one.
+#[test]
+fn full_rate_kernels_step_in_blocks_and_the_finger_never() {
+    let mut shard = EngineShard::new();
+    for job in 0..5 {
+        let (finger, code) = (shard.finger, shard.code.clone());
+        let share = block_share(&mut shard.array, |array| {
+            let (rx, delay) = (samples(CHIPS + 8, job as i32), job % 8);
+            drive_finger(array, finger, &rx, &code, delay, 0, CHIPS, SF).unwrap();
+        });
+        assert_eq!(share, 0.0, "finger job {job}");
+        let detector = shard.detector;
+        let share = block_share(&mut shard.array, |a| drop(detect(a, detector, job)));
+        assert!(share >= 0.95, "detector job {job}: block share {share:.3}");
+        let demodulator = shard.demodulator;
+        let share = block_share(&mut shard.array, |a| drop(demodulate(a, demodulator, job)));
+        assert!(
+            share >= 0.7,
+            "demodulator job {job}: block share {share:.3}"
+        );
+    }
+}
