@@ -111,26 +111,19 @@ counters! {
     /// only a direct [`ShardPool::submit`](crate::ShardPool::submit) can
     /// meet one, never the front-end.
     jobs_rejected,
-    /// Explicit Fig. 10 swaps that unloaded their source
-    /// ([`WorkerArray::swap`](crate::WorkerArray::swap) only) — inert in
-    /// the engine; the frozen benchmark reads it; ROADMAP T deletes it.
-    reconfigurations,
     /// Configuration-cache hits (netlist served without a rebuild).
     cache_hits,
     /// Configuration-cache misses (netlist built and placed).
     cache_misses,
     /// Configurations unloaded from a worker array to make room: a demand
-    /// load's least-recently-used eviction or a prefetch's spill.
+    /// load's least-recently-used eviction.
     cache_evictions,
-    /// Speculative configuration loads issued ahead of need.
+    /// Always 0: nothing prefetches; the frozen benchmark's `Counters`
+    /// name it; ROADMAP T deletes it.
     prefetches,
-    /// Activations served from a prefetched (pre-placed, pre-streamed)
-    /// configuration — the swap paid only residual activation.
+    /// Always 0: nothing prefetches; the frozen benchmark's `Counters`
+    /// name it; ROADMAP T deletes it.
     prefetch_hits,
-    /// Array cycles callers waited on explicit
-    /// [`WorkerArray::swap`](crate::WorkerArray::swap)s — inert in the
-    /// engine; the frozen benchmark reads it; ROADMAP T deletes it.
-    reconfig_cycles,
     /// High-water mark of the sessions any one array owned at once
     /// (submitted to it and not yet handed back), read at each submit;
     /// never more than `queue_depth`.
@@ -140,8 +133,8 @@ counters! {
     /// Configuration words streamed for demand (cold or store-hit)
     /// activations — energy the session waited for.
     config_words_demand,
-    /// Configuration words streamed for prefetched loads — the same bus
-    /// energy, but hidden behind useful work.
+    /// Always 0: nothing prefetches; the frozen benchmark's `Counters`
+    /// name it; ROADMAP T deletes it.
     config_words_prefetched,
     /// Faults injected by an attached fault plan (0 without one), folded
     /// in after every supervised step.
@@ -186,12 +179,6 @@ counters! {
     /// Always 0: inert in the engine; the frozen benchmark reads it;
     /// ROADMAP T deletes it.
     batch_warm_hits,
-    /// Always 0: inert in the engine; the frozen benchmark reads it;
-    /// ROADMAP T deletes it.
-    batch_replications,
-    /// Quiescent residents evicted by a spill-aware prefetch (instead of
-    /// soft-failing the prefetch).
-    prefetch_spills,
     /// Always 0; the frozen benchmark package reads it, ROADMAP T deletes it.
     delta_words_saved,
     /// Total array cycles stepped by the pool's arrays.
@@ -220,9 +207,6 @@ counters! {
     /// Submissions the router fell back to least-loaded placement for
     /// (host-only steps, cold kernels, full or overloaded holders).
     router_fallbacks,
-    /// Always 0: inert in the engine; the frozen benchmark reads it;
-    /// ROADMAP T deletes it.
-    batches_stolen,
     /// Always 0: inert in the engine; the frozen benchmark reads it for
     /// `pool.steal_rate`; ROADMAP T deletes it.
     steal_sessions,
@@ -334,23 +318,11 @@ impl Snapshot {
         )
     }
 
-    /// `steal_sessions ÷ jobs_run`, in `[0, 1]`: always 0 in the engine;
-    /// the frozen benchmark's `pool.steal_rate` spells it; ROADMAP T
-    /// deletes it.
-    pub fn steal_rate(&self) -> f64 {
-        ratio(self.steal_sessions, self.jobs_run).min(1.0)
-    }
-
-    /// Configuration-bus energy of the (demand, prefetched) load words
-    /// under the default HCMOS9 energy model, in nanojoules — the
-    /// cold-vs-prefetched reconfiguration trade-off in joules instead of
-    /// cycles.
-    pub fn config_load_energy_nj(&self) -> (f64, f64) {
-        let model = xpp_array::power::EnergyModel::default();
-        (
-            model.config_load_nj(self.config_words_demand),
-            model.config_load_nj(self.config_words_prefetched),
-        )
+    /// Configuration-bus energy of the demand load words under the
+    /// default HCMOS9 energy model, in nanojoules: reconfiguration in
+    /// joules instead of cycles.
+    pub fn config_load_energy_nj(&self) -> f64 {
+        xpp_array::power::EnergyModel::default().config_load_nj(self.config_words_demand)
     }
 }
 
@@ -368,11 +340,6 @@ impl fmt::Display for Snapshot {
             self.jobs_run, self.jobs_rejected, self.queue_high_water
         )?;
         writeln!(f, "  cfg bus     cycles  {:>8}", self.config_bus_cycles)?;
-        writeln!(
-            f,
-            "  prefetch    issued  {:>8}  hits      {:>8}  spills    {:>8}",
-            self.prefetches, self.prefetch_hits, self.prefetch_spills
-        )?;
         writeln!(
             f,
             "  router      affinity {:>7}  fallbacks {:>8}  hit rate {:>5.1}%  view refreshes {:>8}",
@@ -405,11 +372,11 @@ impl fmt::Display for Snapshot {
             self.cache_evictions,
             100.0 * self.cache_hit_rate()
         )?;
-        let (demand_nj, prefetch_nj) = self.config_load_energy_nj();
         writeln!(
             f,
-            "  cfg energy  demand  {:>8} words ({:>8.1} nJ)  prefetched {:>8} words ({:>8.1} nJ)",
-            self.config_words_demand, demand_nj, self.config_words_prefetched, prefetch_nj
+            "  cfg energy  demand  {:>8} words ({:>8.1} nJ)",
+            self.config_words_demand,
+            self.config_load_energy_nj()
         )?;
         writeln!(
             f,
@@ -561,22 +528,18 @@ mod tests {
     #[test]
     fn router_rates_and_report_lines() {
         assert_eq!(Snapshot::default().affinity_hit_rate(), 0.0);
-        assert_eq!(Snapshot::default().steal_rate(), 0.0);
         let m = Metrics::new();
         Metrics::add(&m.router_affinity_hits, 3);
         Metrics::incr(&m.router_fallbacks);
-        Metrics::incr(&m.batches_stolen);
         Metrics::add(&m.steal_sessions, 5);
         Metrics::add(&m.jobs_run, 20);
         Metrics::add(&m.residency_view_refreshes, 12);
         let s = m.snapshot();
         assert_eq!(s.router_affinity_hits, 3);
         assert_eq!(s.router_fallbacks, 1);
-        assert_eq!(s.batches_stolen, 1);
         assert_eq!(s.steal_sessions, 5);
         assert_eq!(s.residency_view_refreshes, 12);
         assert!((s.affinity_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.steal_rate() - 0.25).abs() < 1e-12);
         let text = s.to_string();
         assert!(text.contains("router"), "report must show the router line");
         assert!(

@@ -754,7 +754,7 @@ mod tests {
                 "{arrays} arrays"
             );
             let snap = worker.seed.metrics.snapshot();
-            assert_eq!((snap.reconfigurations, snap.prefetches), (0, 0));
+            assert_eq!(snap.prefetches, 0);
         }
     }
 
@@ -899,10 +899,9 @@ mod tests {
             (
                 snap.batches_dispatched,
                 snap.batch_sessions,
-                snap.batch_warm_hits,
-                snap.batch_replications
+                snap.batch_warm_hits
             ),
-            (0, 0, 0, 0),
+            (0, 0, 0),
             "inert in the engine"
         );
         assert_eq!(

@@ -155,10 +155,9 @@ fn a_single_array_keeps_2a_and_2b_resident() {
         (
             snap.config_words_streamed - warm.config_words_streamed,
             snap.cache_evictions,
-            snap.prefetches,
-            snap.reconfigurations
+            snap.prefetches
         ),
-        (0, 0, 0, 0)
+        (0, 0, 0)
     );
     let view = pool.residency_view();
     for kernel in [OfdmKernel::PreambleDetector, OfdmKernel::Demodulator] {

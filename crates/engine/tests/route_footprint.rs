@@ -8,13 +8,14 @@
 //! touches the heap: not on an affinity hit, not on a fallback, and not on
 //! the resident activation a routed step then makes.
 //!
-//! This file intentionally contains a single test: the allocation
-//! counter is process-global, and a concurrently running test would make
-//! the measurement window non-quiet.
+//! The allocator counts per thread and the test reads only its own
+//! thread's count: other threads of the test process allocate at times
+//! of their own choosing, and a process-wide count saw a few of those
+//! inside the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sdr_engine::{
@@ -26,21 +27,34 @@ use sdr_wcdma::xpp_map::WcdmaKernel;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by this thread. A `const`-initialised `Cell`
+    /// needs no allocation and no destructor, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// The calling thread's allocations so far.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -75,7 +89,7 @@ fn routing_and_the_residency_publish_allocate_nothing() {
     });
 
     const ROUNDS: u64 = 10_000;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = thread_allocations();
     for round in 0..ROUNDS {
         // A routed step: the hit, then the resident activation it makes,
         // then the round's publish.
@@ -86,7 +100,7 @@ fn routing_and_the_residency_publish_allocate_nothing() {
         black_box(router.place(None, round));
         black_box(router.place(Some(&finger), round));
     }
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let allocations = thread_allocations() - before;
     assert_eq!(
         allocations, 0,
         "{ROUNDS} rounds of routing, resident activation and publish must not \

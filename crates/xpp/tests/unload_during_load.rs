@@ -1,10 +1,11 @@
 //! Regression test: `Array::unload` invoked while the configuration is
 //! still streaming over the configuration bus (mid-load).
 //!
-//! The configuration manager may cancel a prefetch before it finishes
-//! loading (e.g. a placement-pressure eviction), so an aborted load must
-//! release every channel and object it allocated, drop out of the load
-//! queue, and leave the array statistics consistent with never having run.
+//! A caller may unload a configuration before it finishes loading (the
+//! configuration manager disposes of a faulted load that way), so an
+//! aborted load must release every channel and object it allocated, drop
+//! out of the load queue, and leave the array statistics consistent with
+//! never having run.
 
 use xpp_array::{AluOp, Array, Netlist, NetlistBuilder, Word};
 
