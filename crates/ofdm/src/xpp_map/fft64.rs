@@ -277,104 +277,53 @@ pub(crate) fn build_fft64(
     let _sink = nl.gate(wrote_ev, pace.value); // output unconnected: discard
 }
 
-/// The Fig. 9 FFT-64 on its own array instance.
+/// The FFT-64's drive function (see [`crate::xpp_map`]): `cfg` is a
+/// running [`fft64_netlist`]`(stage_shift)` on `array`. Transforms
+/// `frames` back to back (the streaming mode the paper's pipeline
+/// sustains); each spectrum is bit-exact with
+/// [`Fft64Fixed::with_stage_shift`]`(stage_shift)`.
 ///
 /// # Example
 ///
 /// ```
 /// use sdr_dsp::{Cplx, fft::Fft64Fixed};
-/// use sdr_ofdm::xpp_map::ArrayFft64;
+/// use sdr_ofdm::xpp_map::{drive_fft64, fft64_netlist};
+/// use xpp_array::Array;
 ///
 /// # fn main() -> Result<(), xpp_array::Error> {
-/// let mut hw = ArrayFft64::new(2)?; // the paper's >>2 scaling
+/// let mut array = Array::xpp64a();
+/// let cfg = array.configure(&fft64_netlist(2))?; // the paper's >>2 scaling
 /// let mut x = [Cplx::<i32>::ZERO; 64];
 /// x[1] = Cplx::new(400, -100);
-/// let spectrum = hw.run(&x)?;
-/// assert_eq!(spectrum, Fft64Fixed::with_stage_shift(2).run(&x)); // bit-exact
+/// let spectrum = drive_fft64(&mut array, cfg, &[x])?;
+/// assert_eq!(spectrum[0], Fft64Fixed::with_stage_shift(2).run(&x)); // bit-exact
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct ArrayFft64 {
-    array: Array,
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not an FFT-64 on `array` or the
+/// simulation stalls.
+///
+/// [`Fft64Fixed::with_stage_shift`]: sdr_dsp::fft::Fft64Fixed::with_stage_shift
+pub fn drive_fft64(
+    array: &mut Array,
     cfg: ConfigId,
-    stage_shift: u32,
-}
-
-impl ArrayFft64 {
-    /// Instantiates the FFT with the given per-stage scaling shift.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails.
-    pub fn new(stage_shift: u32) -> Result<Self> {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&fft64_netlist(stage_shift))?;
-        Ok(ArrayFft64 {
-            array,
-            cfg,
-            stage_shift,
-        })
-    }
-
-    /// The configured per-stage shift.
-    pub fn stage_shift(&self) -> u32 {
-        self.stage_shift
-    }
-
-    /// Transforms one 64-sample frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
-    pub fn run(&mut self, input: &[Cplx<i32>; 64]) -> Result<[Cplx<i32>; 64]> {
-        let out = self.run_frames(&[*input])?;
-        Ok(out[0])
-    }
-
-    /// Transforms a batch of frames back to back (the streaming mode the
-    /// paper's pipeline sustains).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
-    pub fn run_frames(&mut self, frames: &[[Cplx<i32>; 64]]) -> Result<Vec<[Cplx<i32>; 64]>> {
-        let mut i_all = Vec::with_capacity(frames.len() * 64);
-        let mut q_all = Vec::with_capacity(frames.len() * 64);
-        for f in frames {
-            let (i, q) = split_iq(f);
-            i_all.extend(i);
-            q_all.extend(q);
-        }
-        self.array.push_input(self.cfg, "i_in", i_all)?;
-        self.array.push_input(self.cfg, "q_in", q_all)?;
-        let expect = frames.len() * 64;
-        let budget = 3_000 * frames.len() as u64 + 10_000;
-        self.array
-            .run_until_output(self.cfg, "i_out", expect, budget)?;
-        self.array.run_until_idle(10_000)?;
-        let i_out = self.array.drain_output(self.cfg, "i_out")?;
-        let q_out = self.array.drain_output(self.cfg, "q_out")?;
-        let flat = zip_iq(&i_out, &q_out);
-        Ok(flat
-            .chunks_exact(64)
-            .map(|c| {
-                let mut buf = [Cplx::<i32>::ZERO; 64];
-                buf.copy_from_slice(c);
-                buf
-            })
-            .collect())
-    }
-
-    /// The underlying array.
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The configuration handle.
-    pub fn config(&self) -> ConfigId {
-        self.cfg
-    }
+    frames: &[[Cplx<i32>; 64]],
+) -> Result<Vec<[Cplx<i32>; 64]>> {
+    let (i, q) = split_iq(frames.as_flattened());
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    let budget = 3_000 * frames.len() as u64 + 10_000;
+    array.run_until_output(cfg, "i_out", frames.len() * 64, budget)?;
+    array.run_until_idle(10_000)?;
+    let i_out = array.drain_output(cfg, "i_out")?;
+    let q_out = array.drain_output(cfg, "q_out")?;
+    Ok(zip_iq(&i_out, &q_out)
+        .chunks_exact(64)
+        .map(|c| c.try_into().expect("64-sample chunk"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -395,12 +344,22 @@ mod tests {
         f
     }
 
+    fn fft(stage_shift: u32) -> (Array, ConfigId) {
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(&fft64_netlist(stage_shift)).unwrap();
+        (array, cfg)
+    }
+
+    fn run(array: &mut Array, cfg: ConfigId, x: &[Cplx<i32>; 64]) -> [Cplx<i32>; 64] {
+        drive_fft64(array, cfg, std::slice::from_ref(x)).unwrap()[0]
+    }
+
     #[test]
     fn impulse_matches_golden() {
-        let mut hw = ArrayFft64::new(2).unwrap();
+        let (mut array, cfg) = fft(2);
         let mut x = [Cplx::<i32>::ZERO; 64];
         x[0] = Cplx::new(512, 0);
-        let got = hw.run(&x).unwrap();
+        let got = run(&mut array, cfg, &x);
         let golden = Fft64Fixed::with_stage_shift(2).run(&x);
         assert_eq!(got, golden);
         assert!(got.iter().all(|v| *v == Cplx::new(8, 0)));
@@ -408,38 +367,38 @@ mod tests {
 
     #[test]
     fn random_frames_match_golden_bit_exact() {
-        let mut hw = ArrayFft64::new(2).unwrap();
+        let (mut array, cfg) = fft(2);
         let golden = Fft64Fixed::with_stage_shift(2);
         for seed in 0..4 {
             let x = noisy_frame(seed);
-            assert_eq!(hw.run(&x).unwrap(), golden.run(&x), "seed {seed}");
+            assert_eq!(run(&mut array, cfg, &x), golden.run(&x), "seed {seed}");
         }
     }
 
     #[test]
     fn stage_shift_one_matches_golden() {
-        let mut hw = ArrayFft64::new(1).unwrap();
+        let (mut array, cfg) = fft(1);
         let golden = Fft64Fixed::with_stage_shift(1);
         let x = noisy_frame(99);
-        assert_eq!(hw.run(&x).unwrap(), golden.run(&x));
+        assert_eq!(run(&mut array, cfg, &x), golden.run(&x));
     }
 
     #[test]
     fn back_to_back_frames_stream_through_one_configuration() {
-        let mut hw = ArrayFft64::new(2).unwrap();
+        let (mut array, cfg) = fft(2);
         let golden = Fft64Fixed::with_stage_shift(2);
         let frames: Vec<[Cplx<i32>; 64]> = (10..14).map(noisy_frame).collect();
-        let out = hw.run_frames(&frames).unwrap();
+        let out = drive_fft64(&mut array, cfg, &frames).unwrap();
         for (f, x) in frames.iter().enumerate() {
             assert_eq!(out[f], golden.run(x), "frame {f}");
         }
-        assert_eq!(hw.array().stats().configs_loaded, 1);
+        assert_eq!(array.stats().configs_loaded, 1);
     }
 
     #[test]
     fn resource_footprint_fits_the_xpp64a() {
-        let hw = ArrayFft64::new(2).unwrap();
-        let p = hw.array().placement(hw.config()).unwrap();
+        let (array, cfg) = fft(2);
+        let p = array.placement(cfg).unwrap();
         // 2 data RAMs + 4 address/phase rings + 6 twiddle rings = 12 of the
         // 16 RAM-PAEs — the paper's lookup-FIFO design fills the RAM columns.
         assert_eq!(p.counts.ram, 12);
@@ -449,11 +408,11 @@ mod tests {
 
     #[test]
     fn throughput_near_one_sample_per_cycle_per_pass() {
-        let mut hw = ArrayFft64::new(2).unwrap();
+        let (mut array, cfg) = fft(2);
         let frames: Vec<[Cplx<i32>; 64]> = (0..8).map(noisy_frame).collect();
-        let before = hw.array().stats().cycles;
-        hw.run_frames(&frames).unwrap();
-        let cycles = hw.array().stats().cycles - before;
+        let before = array.stats().cycles;
+        drive_fft64(&mut array, cfg, &frames).unwrap();
+        let cycles = array.stats().cycles - before;
         // 256 RAM-write tokens per frame; the pipeline should stay within a
         // small constant factor of that.
         let per_frame = cycles / frames.len() as u64;

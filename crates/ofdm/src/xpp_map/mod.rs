@@ -1,18 +1,23 @@
 //! The OFDM decoder's array configurations (paper Figs. 9 and 10).
 //!
-//! The two kernels the multi-terminal engine runs have a **drive
-//! function** beside their netlist — [`drive_preamble_detector`] (2a) and
-//! [`drive_demodulator`] (2b) — the one place that knows the netlist's
-//! port names, cycle budgets and push → run → drain order. It runs one job
-//! on a caller-owned `Array` that may hold other resident configurations
-//! (the engine's workers; [`ReconfigurableFrontend`] calls it too), and
-//! streams its inputs straight from the caller's slices, so calling it
-//! again with the same arguments — a watchdog retry — replays the job.
+//! Every kernel is an [`OfdmKernel`] variant (its
+//! [`build`](OfdmKernel::build) is the netlist constructor) and has a
+//! **drive function** beside its netlist — [`drive_preamble_detector`]
+//! (2a) and [`drive_demodulator`] (2b), which the multi-terminal engine
+//! runs, and [`drive_fft64`] (Fig. 9) — the one place that knows the
+//! netlist's port names, cycle budgets and push → run → drain order. It
+//! runs one job on a caller-owned `Array` that may hold other resident
+//! configurations (the engine's workers; [`ReconfigurableFrontend`] calls
+//! it too), and streams its inputs straight from the caller's slices, so
+//! calling it again with the same arguments — a watchdog retry — replays
+//! the job. Configuration 1 ([`frontend_netlist`], the down-sampler beside
+//! the FFT) is not a kernel of its own: it lives only inside the Fig. 10
+//! scenario, [`ReconfigurableFrontend`], which routes it into 2a.
 
 pub mod fft64;
 pub mod frontend;
 
-pub use fft64::{fft64_netlist, ArrayFft64};
+pub use fft64::{drive_fft64, fft64_netlist};
 pub use frontend::{
     demodulator_netlist, downsample2, downsampler_netlist, drive_demodulator,
     drive_preamble_detector, frontend_netlist, preamble_detector_netlist, ReconfigEvent,
@@ -29,15 +34,13 @@ use xpp_array::{Netlist, Word};
 /// [`build`](OfdmKernel::build) only on a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OfdmKernel {
-    /// Fig. 10 configuration 2a: short-preamble autocorrelation detector.
+    /// Fig. 10 configuration 2a: short-preamble autocorrelation detector
+    /// ([`drive_preamble_detector`]).
     PreambleDetector,
-    /// Fig. 10 configuration 2b: equalize-and-slice demodulator.
+    /// Fig. 10 configuration 2b: equalize-and-slice demodulator
+    /// ([`drive_demodulator`]).
     Demodulator,
-    /// Fig. 9 receive frontend (downsampler + FFT).
-    Frontend { stage_shift: u32 },
-    /// Fig. 9 half-band downsampler alone.
-    Downsampler,
-    /// Fig. 9 radix-2 64-point FFT alone.
+    /// Fig. 9 radix-4 64-point FFT ([`drive_fft64`]).
     Fft64 { stage_shift: u32 },
 }
 
@@ -47,8 +50,6 @@ impl OfdmKernel {
         match self {
             OfdmKernel::PreambleDetector => "fig10-config2a-detector".to_string(),
             OfdmKernel::Demodulator => "fig10-config2b-demodulator".to_string(),
-            OfdmKernel::Frontend { stage_shift } => format!("fig9-frontend-s{stage_shift}"),
-            OfdmKernel::Downsampler => "fig9-downsampler".to_string(),
             OfdmKernel::Fft64 { stage_shift } => format!("fig9-fft64-s{stage_shift}"),
         }
     }
@@ -59,8 +60,6 @@ impl OfdmKernel {
         match *self {
             OfdmKernel::PreambleDetector => preamble_detector_netlist(),
             OfdmKernel::Demodulator => demodulator_netlist(),
-            OfdmKernel::Frontend { stage_shift } => frontend_netlist(stage_shift),
-            OfdmKernel::Downsampler => downsampler_netlist(),
             OfdmKernel::Fft64 { stage_shift } => fft64_netlist(stage_shift),
         }
     }

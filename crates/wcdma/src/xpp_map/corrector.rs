@@ -147,153 +147,88 @@ pub fn sttd_corrector_netlist() -> Netlist {
     nl.build().expect("sttd corrector netlist is well formed")
 }
 
-/// Resident-weight corrector on its own array instance.
-#[derive(Debug)]
-pub struct ArrayCorrector {
-    array: Array,
+/// The corrector's drive function (see [`crate::xpp_map`]): `cfg` is a
+/// running [`corrector_netlist`]`(weights.len())` on `array`. Writes one
+/// Q9 weight per finger into the resident RAM banks (what the DSP does at
+/// slot rate) and lets the writes settle, then corrects `muxed`, a
+/// finger-major interleaved symbol stream, returning the corrected stream
+/// in the same order: finger `f`'s symbols equal the golden
+/// [`correct`](crate::rake::finger::correct)`(symbols_f, weights[f])`.
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not such a corrector on `array` or the
+/// simulation stalls.
+///
+/// # Panics
+///
+/// Panics unless `muxed` covers whole finger rounds.
+pub fn drive_corrector(
+    array: &mut Array,
     cfg: ConfigId,
-    fingers: usize,
+    weights: &[Cplx<i32>],
+    muxed: &[Cplx<i32>],
+) -> Result<Vec<Cplx<i32>>> {
+    assert!(
+        muxed.len().is_multiple_of(weights.len()),
+        "stream must cover whole finger rounds"
+    );
+    let (wi, wq) = split_iq(weights);
+    array.push_input(
+        cfg,
+        "w_addr",
+        (0..weights.len()).map(|f| Word::new(f as i32)),
+    )?;
+    array.push_input(cfg, "wi", wi)?;
+    array.push_input(cfg, "wq", wq)?;
+    array.run_until_idle(10_000)?;
+    let (i, q) = split_iq(muxed);
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    array.run_until_output(cfg, "i_out", muxed.len(), 16 * muxed.len() as u64 + 4_000)?;
+    array.run_until_idle(4_000)?;
+    drain_iq(array, cfg)
 }
 
-impl ArrayCorrector {
-    /// Instantiates the corrector for `fingers` multiplexed fingers.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails.
-    pub fn new(fingers: usize) -> Result<Self> {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&corrector_netlist(fingers))?;
-        Ok(ArrayCorrector {
-            array,
-            cfg,
-            fingers,
-        })
-    }
-
-    /// Writes per-finger weights into the resident RAM banks (what the DSP
-    /// does at slot rate). Must be called between symbol blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight count differs from the finger count.
-    pub fn set_weights(&mut self, weights: &[Cplx<i32>]) -> Result<()> {
-        assert_eq!(weights.len(), self.fingers, "one weight per finger");
-        self.array.push_input(
-            self.cfg,
-            "w_addr",
-            (0..self.fingers).map(|f| Word::new(f as i32)),
-        )?;
-        self.array
-            .push_input(self.cfg, "wi", weights.iter().map(|w| Word::new(w.re)))?;
-        self.array
-            .push_input(self.cfg, "wq", weights.iter().map(|w| Word::new(w.im)))?;
-        self.array.run_until_idle(10_000)?;
-        Ok(())
-    }
-
-    /// Corrects a finger-major interleaved symbol stream; the length must be
-    /// a multiple of the finger count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
-    pub fn process(&mut self, muxed: &[Cplx<i32>]) -> Result<Vec<Cplx<i32>>> {
-        assert!(
-            muxed.len().is_multiple_of(self.fingers),
-            "stream must cover whole finger rounds"
-        );
-        let (i, q) = split_iq(muxed);
-        self.array.push_input(self.cfg, "i_in", i)?;
-        self.array.push_input(self.cfg, "q_in", q)?;
-        let budget = 16 * muxed.len() as u64 + 4_000;
-        self.array
-            .run_until_output(self.cfg, "i_out", muxed.len(), budget)?;
-        self.array.run_until_idle(4_000)?;
-        drain_iq(&mut self.array, self.cfg)
-    }
-
-    /// The underlying array.
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The configuration handle.
-    pub fn config(&self) -> ConfigId {
-        self.cfg
-    }
-}
-
-/// STTD corrector on its own array instance.
-#[derive(Debug)]
-pub struct ArraySttdCorrector {
-    array: Array,
+/// The STTD corrector's drive function (see [`crate::xpp_map`]): `cfg` is
+/// a running [`sttd_corrector_netlist`] on `array`. Decodes an even-length
+/// stream of `(r1, r2)` symbol pairs with the weights `w1`, `w2` (streamed
+/// as one pair per symbol pair), returning the interleaved `ŝ1, ŝ2`
+/// stream: pair `p` equals the golden
+/// [`sttd_decode_fixed`](crate::symbols::sttd_decode_fixed)`(r1, r2, w1,
+/// w2, 9)`.
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not an STTD corrector on `array` or the
+/// simulation stalls.
+///
+/// # Panics
+///
+/// Panics if the stream length is odd.
+pub fn drive_sttd_corrector(
+    array: &mut Array,
     cfg: ConfigId,
-}
-
-impl ArraySttdCorrector {
-    /// Instantiates the STTD corrector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails.
-    pub fn new() -> Result<Self> {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&sttd_corrector_netlist())?;
-        Ok(ArraySttdCorrector { array, cfg })
-    }
-
-    /// Decodes an even-length symbol stream (r1, r2 pairs) with weights
-    /// `w1`, `w2`, returning the interleaved `ŝ1, ŝ2` stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream length is odd.
-    pub fn process(
-        &mut self,
-        symbols: &[Cplx<i32>],
-        w1: Cplx<i32>,
-        w2: Cplx<i32>,
-    ) -> Result<Vec<Cplx<i32>>> {
-        assert!(symbols.len().is_multiple_of(2), "STTD needs symbol pairs");
-        let (i, q) = split_iq(symbols);
-        let pairs = symbols.len() / 2;
-        let mut wi = Vec::with_capacity(symbols.len());
-        let mut wq = Vec::with_capacity(symbols.len());
-        for _ in 0..pairs {
-            wi.push(Word::new(w1.re));
-            wi.push(Word::new(w2.re));
-            wq.push(Word::new(w1.im));
-            wq.push(Word::new(w2.im));
-        }
-        self.array.push_input(self.cfg, "i_in", i)?;
-        self.array.push_input(self.cfg, "q_in", q)?;
-        self.array.push_input(self.cfg, "wi", wi)?;
-        self.array.push_input(self.cfg, "wq", wq)?;
-        let budget = 24 * symbols.len() as u64 + 4_000;
-        self.array
-            .run_until_output(self.cfg, "i_out", symbols.len(), budget)?;
-        self.array.run_until_idle(4_000)?;
-        drain_iq(&mut self.array, self.cfg)
-    }
-
-    /// The underlying array.
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The configuration handle.
-    pub fn config(&self) -> ConfigId {
-        self.cfg
-    }
+    symbols: &[Cplx<i32>],
+    w1: Cplx<i32>,
+    w2: Cplx<i32>,
+) -> Result<Vec<Cplx<i32>>> {
+    assert!(symbols.len().is_multiple_of(2), "STTD needs symbol pairs");
+    let pairs = symbols.len() / 2;
+    let weight_pairs = |a: i32, b: i32| (0..pairs).flat_map(move |_| [Word::new(a), Word::new(b)]);
+    let (i, q) = split_iq(symbols);
+    array.push_input(cfg, "i_in", i)?;
+    array.push_input(cfg, "q_in", q)?;
+    array.push_input(cfg, "wi", weight_pairs(w1.re, w2.re))?;
+    array.push_input(cfg, "wq", weight_pairs(w1.im, w2.im))?;
+    array.run_until_output(
+        cfg,
+        "i_out",
+        symbols.len(),
+        24 * symbols.len() as u64 + 4_000,
+    )?;
+    array.run_until_idle(4_000)?;
+    drain_iq(array, cfg)
 }
 
 #[cfg(test)]
@@ -313,6 +248,12 @@ mod tests {
             .collect()
     }
 
+    fn configured(netlist: &Netlist) -> (Array, ConfigId) {
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(netlist).unwrap();
+        (array, cfg)
+    }
+
     #[test]
     fn corrector_matches_golden_per_finger() {
         let fingers = 4;
@@ -330,9 +271,8 @@ mod tests {
                 muxed.push(s[k]);
             }
         }
-        let mut hw = ArrayCorrector::new(fingers).unwrap();
-        hw.set_weights(&weights).unwrap();
-        let out = hw.process(&muxed).unwrap();
+        let (mut array, cfg) = configured(&corrector_netlist(fingers));
+        let out = drive_corrector(&mut array, cfg, &weights, &muxed).unwrap();
         for (f, stream) in per_finger.iter().enumerate() {
             let golden = correct(stream, weights[f]);
             let got: Vec<Cplx<i32>> = out.iter().skip(f).step_by(fingers).copied().collect();
@@ -342,15 +282,13 @@ mod tests {
 
     #[test]
     fn corrector_weights_can_be_updated_between_blocks() {
-        let mut hw = ArrayCorrector::new(2).unwrap();
+        let (mut array, cfg) = configured(&corrector_netlist(2));
         let block = syms(8, 3);
-        hw.set_weights(&[Cplx::new(512, 0), Cplx::new(512, 0)])
-            .unwrap();
-        let first = hw.process(&block).unwrap();
+        let unit = [Cplx::new(512, 0); 2];
+        let first = drive_corrector(&mut array, cfg, &unit, &block).unwrap();
         assert_eq!(first, block); // unit weight = identity
-        hw.set_weights(&[Cplx::new(0, 512), Cplx::new(0, 512)])
-            .unwrap();
-        let second = hw.process(&block).unwrap();
+        let j = [Cplx::new(0, 512); 2];
+        let second = drive_corrector(&mut array, cfg, &j, &block).unwrap();
         let rotated: Vec<Cplx<i32>> = block.iter().map(|s| s.mul_neg_j()).collect();
         assert_eq!(second, rotated); // conj(j)·s = −j·s
     }
@@ -360,8 +298,8 @@ mod tests {
         let w1 = Cplx::new(430, -120);
         let w2 = Cplx::new(-90, 380);
         let symbols = syms(16, 9);
-        let mut hw = ArraySttdCorrector::new().unwrap();
-        let out = hw.process(&symbols, w1, w2).unwrap();
+        let (mut array, cfg) = configured(&sttd_corrector_netlist());
+        let out = drive_sttd_corrector(&mut array, cfg, &symbols, w1, w2).unwrap();
         for (p, pair) in symbols.chunks_exact(2).enumerate() {
             let (s1, s2) = sttd_decode_fixed(pair[0], pair[1], w1, w2, WEIGHT_FRAC_BITS);
             assert_eq!(out[2 * p], s1, "pair {p} s1");
@@ -371,8 +309,8 @@ mod tests {
 
     #[test]
     fn sttd_corrector_uses_sixteen_multipliers() {
-        let hw = ArraySttdCorrector::new().unwrap();
-        let p = hw.array().placement(hw.config()).unwrap();
+        let (array, cfg) = configured(&sttd_corrector_netlist());
+        let p = array.placement(cfg).unwrap();
         // 16 muls + 12 add/sub = 28 ALU objects.
         assert_eq!(p.counts.alu, 28);
         assert_eq!(p.counts.io, 6);
@@ -380,8 +318,8 @@ mod tests {
 
     #[test]
     fn corrector_resource_footprint() {
-        let hw = ArrayCorrector::new(18).unwrap();
-        let p = hw.array().placement(hw.config()).unwrap();
+        let (array, cfg) = configured(&corrector_netlist(18));
+        let p = array.placement(cfg).unwrap();
         assert_eq!(p.counts.ram, 2); // weight banks
         assert_eq!(p.counts.alu, 6); // 4 muls + add + sub
         assert_eq!(p.counts.io, 7);

@@ -95,6 +95,26 @@ pub(crate) fn push_descrambler_inputs(
 /// starting at `rx[delay]` with code phase `phase` — the same contract as
 /// the golden [`descramble`](crate::rake::finger::descramble).
 ///
+/// # Example
+///
+/// ```
+/// use sdr_wcdma::scrambling::ScramblingCode;
+/// use sdr_wcdma::rake::finger::descramble;
+/// use sdr_wcdma::xpp_map::{descrambler_netlist, drive_descrambler};
+/// use sdr_dsp::Cplx;
+/// use xpp_array::Array;
+///
+/// # fn main() -> Result<(), xpp_array::Error> {
+/// let code = ScramblingCode::downlink(3);
+/// let rx: Vec<Cplx<i32>> = (0..32).map(|i| Cplx::new(100 + i, -i)).collect();
+/// let mut array = Array::xpp64a();
+/// let cfg = array.configure(&descrambler_netlist())?;
+/// let out = drive_descrambler(&mut array, cfg, &rx, &code, 0, 0, 32)?;
+/// assert_eq!(out, descramble(&rx, &code, 0, 0, 32)); // bit-exact
+/// # Ok(())
+/// # }
+/// ```
+///
 /// # Errors
 ///
 /// Returns an error if `cfg` is not a descrambler on `array` or the
@@ -118,67 +138,6 @@ pub fn drive_descrambler(
     drain_iq(array, cfg)
 }
 
-/// A descrambler running on its own array instance.
-///
-/// # Example
-///
-/// ```
-/// use sdr_wcdma::scrambling::ScramblingCode;
-/// use sdr_wcdma::rake::finger::descramble;
-/// use sdr_wcdma::xpp_map::ArrayDescrambler;
-/// use sdr_dsp::Cplx;
-///
-/// # fn main() -> Result<(), xpp_array::Error> {
-/// let code = ScramblingCode::downlink(3);
-/// let rx: Vec<Cplx<i32>> = (0..32).map(|i| Cplx::new(100 + i, -i)).collect();
-/// let mut hw = ArrayDescrambler::new()?;
-/// let out = hw.process(&rx, &code, 0, 0, 32)?;
-/// assert_eq!(out, descramble(&rx, &code, 0, 0, 32)); // bit-exact
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ArrayDescrambler {
-    array: Array,
-    cfg: ConfigId,
-}
-
-impl ArrayDescrambler {
-    /// Instantiates the descrambler on a fresh XPP-64A.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails (cannot happen on an empty
-    /// XPP-64A).
-    pub fn new() -> Result<Self> {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&descrambler_netlist())?;
-        Ok(ArrayDescrambler { array, cfg })
-    }
-
-    /// [`drive_descrambler`] on the private array (same errors and panics).
-    pub fn process(
-        &mut self,
-        rx: &[Cplx<i32>],
-        code: &ScramblingCode,
-        delay: usize,
-        phase: usize,
-        n: usize,
-    ) -> Result<Vec<Cplx<i32>>> {
-        drive_descrambler(&mut self.array, self.cfg, rx, code, delay, phase, n)
-    }
-
-    /// The underlying array (for stats and placement inspection).
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The configuration handle.
-    pub fn config(&self) -> ConfigId {
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +149,18 @@ mod tests {
             .collect()
     }
 
+    fn descrambler() -> (Array, ConfigId) {
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(&descrambler_netlist()).unwrap();
+        (array, cfg)
+    }
+
     #[test]
     fn matches_golden_bit_exact() {
         let code = ScramblingCode::downlink(7);
         let rx = ramp(256);
-        let mut hw = ArrayDescrambler::new().unwrap();
-        let out = hw.process(&rx, &code, 0, 0, 256).unwrap();
+        let (mut array, cfg) = descrambler();
+        let out = drive_descrambler(&mut array, cfg, &rx, &code, 0, 0, 256).unwrap();
         assert_eq!(out, descramble(&rx, &code, 0, 0, 256));
     }
 
@@ -203,16 +168,16 @@ mod tests {
     fn matches_golden_with_delay_and_phase() {
         let code = ScramblingCode::downlink(19);
         let rx = ramp(128);
-        let mut hw = ArrayDescrambler::new().unwrap();
-        let out = hw.process(&rx, &code, 10, 5, 100).unwrap();
+        let (mut array, cfg) = descrambler();
+        let out = drive_descrambler(&mut array, cfg, &rx, &code, 10, 5, 100).unwrap();
         assert_eq!(out, descramble(&rx, &code, 10, 5, 100));
     }
 
     #[test]
     fn resource_footprint_is_small() {
         let netlist = descrambler_netlist();
-        let hw = ArrayDescrambler::new().unwrap();
-        let p = hw.array().placement(hw.config()).unwrap();
+        let (array, cfg) = descrambler();
+        let p = array.placement(cfg).unwrap();
         assert_eq!(p.objects, netlist.object_count());
         assert_eq!(p.counts.alu, 6); // 4 muls + add + sub
         assert!(p.counts.reg <= 8);
@@ -223,10 +188,10 @@ mod tests {
     fn sustains_streaming_throughput() {
         let code = ScramblingCode::downlink(0);
         let rx = ramp(512);
-        let mut hw = ArrayDescrambler::new().unwrap();
-        let before = hw.array().stats().cycles;
-        hw.process(&rx, &code, 0, 0, 512).unwrap();
-        let cycles = hw.array().stats().cycles - before;
+        let (mut array, cfg) = descrambler();
+        let before = array.stats().cycles;
+        drive_descrambler(&mut array, cfg, &rx, &code, 0, 0, 512).unwrap();
+        let cycles = array.stats().cycles - before;
         // Pipelined: ~1 chip per cycle plus latency and load time.
         assert!(
             cycles < 512 + 200,
@@ -238,10 +203,10 @@ mod tests {
     fn consecutive_blocks_reuse_configuration() {
         let code = ScramblingCode::downlink(2);
         let rx = ramp(64);
-        let mut hw = ArrayDescrambler::new().unwrap();
-        let a = hw.process(&rx, &code, 0, 0, 64).unwrap();
-        let b = hw.process(&rx, &code, 0, 0, 64).unwrap();
+        let (mut array, cfg) = descrambler();
+        let a = drive_descrambler(&mut array, cfg, &rx, &code, 0, 0, 64).unwrap();
+        let b = drive_descrambler(&mut array, cfg, &rx, &code, 0, 0, 64).unwrap();
         assert_eq!(a, b);
-        assert_eq!(hw.array().stats().configs_loaded, 1);
+        assert_eq!(array.stats().configs_loaded, 1);
     }
 }

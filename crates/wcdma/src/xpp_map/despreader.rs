@@ -163,145 +163,60 @@ pub fn drive_despreader(
     drain_iq(array, cfg)
 }
 
-/// A single-finger despreader on its own array.
-#[derive(Debug)]
-pub struct ArrayDespreader {
-    array: Array,
+/// The multiplexed despreader's drive function (see [`crate::xpp_map`]):
+/// `cfg` is a running [`despreader_multiplexed_netlist`]`(streams.len(),
+/// sf)` on `array`. `streams[f]` holds finger `f`'s descrambled chips;
+/// they are interleaved finger-major, each token paired with its OVSF chip
+/// of `C(sf, code_index)` on the `code` port (the streams the dedicated
+/// hardware would deliver). Returns per-finger symbol streams, each equal
+/// to the golden [`despread`](crate::rake::finger::despread)`(streams[f],
+/// sf, code_index)`.
+///
+/// # Errors
+///
+/// Returns an error if `cfg` is not such a despreader on `array` or the
+/// simulation stalls.
+///
+/// # Panics
+///
+/// Panics if there are no streams, their lengths differ, or the OVSF
+/// parameters are invalid.
+pub fn drive_multiplexed_despreader(
+    array: &mut Array,
     cfg: ConfigId,
+    streams: &[Vec<Cplx<i32>>],
     sf: usize,
-}
-
-impl ArrayDespreader {
-    /// Instantiates the despreader for `C(sf, code_index)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails.
-    pub fn new(sf: usize, code_index: usize) -> Result<Self> {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&despreader_single_netlist(sf, code_index))?;
-        Ok(ArrayDespreader { array, cfg, sf })
+    code_index: usize,
+) -> Result<Vec<Vec<Cplx<i32>>>> {
+    let fingers = streams.len();
+    assert!(fingers > 0, "one stream per finger required");
+    let len = streams[0].len();
+    assert!(
+        streams.iter().all(|s| s.len() == len),
+        "finger streams must align"
+    );
+    let n_sym = len / sf;
+    let n_chips = n_sym * sf;
+    let code = ovsf(sf, code_index);
+    let interleave = |part: fn(&Cplx<i32>) -> i32| {
+        (0..n_chips).flat_map(move |c| streams.iter().map(move |s| Word::new(part(&s[c]))))
+    };
+    array.push_input(cfg, "i_in", interleave(|c| c.re))?;
+    array.push_input(cfg, "q_in", interleave(|c| c.im))?;
+    array.push_input(
+        cfg,
+        "code",
+        (0..n_chips).flat_map(|c| std::iter::repeat_n(Word::new(code[c % sf]), fingers)),
+    )?;
+    let total = n_chips * fingers;
+    array.run_until_output(cfg, "i_out", n_sym * fingers, 16 * total as u64 + 4_000)?;
+    array.run_until_idle(4_000)?;
+    // De-interleave back to per-finger symbol streams.
+    let mut out = vec![Vec::with_capacity(n_sym); fingers];
+    for (k, sym) in drain_iq(array, cfg)?.into_iter().enumerate() {
+        out[k % fingers].push(sym);
     }
-
-    /// [`drive_despreader`] on the private array (same errors).
-    pub fn process(&mut self, chips: &[Cplx<i32>]) -> Result<Vec<Cplx<i32>>> {
-        drive_despreader(&mut self.array, self.cfg, chips, self.sf)
-    }
-
-    /// The underlying array.
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The configuration handle.
-    pub fn config(&self) -> ConfigId {
-        self.cfg
-    }
-}
-
-/// The paper's time-multiplexed single physical finger on its own array.
-#[derive(Debug)]
-pub struct ArrayMultiplexedDespreader {
-    array: Array,
-    cfg: ConfigId,
-    fingers: usize,
-    sf: usize,
-    code: Vec<i32>,
-}
-
-impl ArrayMultiplexedDespreader {
-    /// Instantiates the multiplexed despreader.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid finger/SF/OVSF parameters.
-    pub fn new(fingers: usize, sf: usize, code_index: usize) -> Result<Self> {
-        let mut array = Array::xpp64a();
-        let cfg = array.configure(&despreader_multiplexed_netlist(fingers, sf))?;
-        Ok(ArrayMultiplexedDespreader {
-            array,
-            cfg,
-            fingers,
-            sf,
-            code: ovsf(sf, code_index),
-        })
-    }
-
-    /// Number of virtual fingers.
-    pub fn fingers(&self) -> usize {
-        self.fingers
-    }
-
-    /// Despreads per-finger chip streams. `streams[f]` holds finger `f`'s
-    /// descrambled chips; all fingers must supply the same whole number of
-    /// symbols. Returns per-finger symbol streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the simulation stalls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream count differs from the finger count or lengths
-    /// are unequal.
-    pub fn process(&mut self, streams: &[Vec<Cplx<i32>>]) -> Result<Vec<Vec<Cplx<i32>>>> {
-        assert_eq!(
-            streams.len(),
-            self.fingers,
-            "one stream per finger required"
-        );
-        let len = streams[0].len();
-        assert!(
-            streams.iter().all(|s| s.len() == len),
-            "finger streams must align"
-        );
-        let n_sym = len / self.sf;
-        let n_chips = n_sym * self.sf;
-
-        // Finger-major interleave, with the OVSF chip repeated per finger —
-        // the streams the dedicated hardware would deliver.
-        let total = n_chips * self.fingers;
-        let mut i_stream = Vec::with_capacity(total);
-        let mut q_stream = Vec::with_capacity(total);
-        let mut code_stream = Vec::with_capacity(total);
-        for c in 0..n_chips {
-            let chip_code = Word::new(self.code[c % self.sf]);
-            for s in streams {
-                i_stream.push(Word::new(s[c].re));
-                q_stream.push(Word::new(s[c].im));
-                code_stream.push(chip_code);
-            }
-        }
-        self.array.push_input(self.cfg, "i_in", i_stream)?;
-        self.array.push_input(self.cfg, "q_in", q_stream)?;
-        self.array.push_input(self.cfg, "code", code_stream)?;
-        let expect = n_sym * self.fingers;
-        let budget = 16 * total as u64 + 4_000;
-        self.array
-            .run_until_output(self.cfg, "i_out", expect, budget)?;
-        self.array.run_until_idle(4_000)?;
-        let muxed = drain_iq(&mut self.array, self.cfg)?;
-        // De-interleave back to per-finger symbol streams.
-        let mut out = vec![Vec::with_capacity(n_sym); self.fingers];
-        for (k, sym) in muxed.into_iter().enumerate() {
-            out[k % self.fingers].push(sym);
-        }
-        Ok(out)
-    }
-
-    /// The underlying array.
-    pub fn array(&self) -> &Array {
-        &self.array
-    }
-
-    /// The configuration handle.
-    pub fn config(&self) -> ConfigId {
-        self.cfg
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -320,12 +235,18 @@ mod tests {
             .collect()
     }
 
+    fn configured(netlist: &Netlist) -> (Array, ConfigId) {
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(netlist).unwrap();
+        (array, cfg)
+    }
+
     #[test]
     fn single_finger_matches_golden_for_common_sfs() {
         for &(sf, k) in &[(4usize, 1usize), (16, 7), (64, 33), (256, 100)] {
             let data = chips(sf * 5, sf as i32);
-            let mut hw = ArrayDespreader::new(sf, k).unwrap();
-            let out = hw.process(&data).unwrap();
+            let (mut array, cfg) = configured(&despreader_single_netlist(sf, k));
+            let out = drive_despreader(&mut array, cfg, &data, sf).unwrap();
             let golden = despread(&data, sf, k);
             assert_eq!(out, golden, "sf={sf} k={k}");
         }
@@ -335,8 +256,8 @@ mod tests {
     fn single_finger_drops_partial_symbols() {
         let sf = 8;
         let data = chips(sf * 3 + 5, 1);
-        let mut hw = ArrayDespreader::new(sf, 2).unwrap();
-        let out = hw.process(&data).unwrap();
+        let (mut array, cfg) = configured(&despreader_single_netlist(sf, 2));
+        let out = drive_despreader(&mut array, cfg, &data, sf).unwrap();
         assert_eq!(out.len(), 3);
     }
 
@@ -346,8 +267,8 @@ mod tests {
         let sf = 16;
         let k = 3;
         let streams: Vec<Vec<Cplx<i32>>> = (0..fingers).map(|f| chips(sf * 4, f as i32)).collect();
-        let mut hw = ArrayMultiplexedDespreader::new(fingers, sf, k).unwrap();
-        let out = hw.process(&streams).unwrap();
+        let (mut array, cfg) = configured(&despreader_multiplexed_netlist(fingers, sf));
+        let out = drive_multiplexed_despreader(&mut array, cfg, &streams, sf, k).unwrap();
         for (f, stream) in streams.iter().enumerate() {
             assert_eq!(out[f], despread(stream, sf, k), "finger {f}");
         }
@@ -362,13 +283,13 @@ mod tests {
         let streams: Vec<Vec<Cplx<i32>>> = (0..fingers)
             .map(|f| chips(sf * 2, f as i32 * 3 + 1))
             .collect();
-        let mut hw = ArrayMultiplexedDespreader::new(fingers, sf, k).unwrap();
-        let out = hw.process(&streams).unwrap();
+        let (mut array, cfg) = configured(&despreader_multiplexed_netlist(fingers, sf));
+        let out = drive_multiplexed_despreader(&mut array, cfg, &streams, sf, k).unwrap();
         for (f, stream) in streams.iter().enumerate() {
             assert_eq!(out[f], despread(stream, sf, k), "finger {f}");
         }
         // One physical finger: a single pair of RAMs and a handful of PAEs.
-        let p = hw.array().placement(hw.config()).unwrap();
+        let p = array.placement(cfg).unwrap();
         assert_eq!(p.counts.ram, 2);
         assert!(
             p.counts.alu <= 8,
@@ -388,10 +309,10 @@ mod tests {
         let fingers = 8;
         let sf = 32;
         let streams: Vec<Vec<Cplx<i32>>> = (0..fingers).map(|f| chips(sf * 8, f as i32)).collect();
-        let mut hw = ArrayMultiplexedDespreader::new(fingers, sf, 5).unwrap();
-        let before = hw.array().stats().cycles;
-        hw.process(&streams).unwrap();
-        let cycles = hw.array().stats().cycles - before;
+        let (mut array, cfg) = configured(&despreader_multiplexed_netlist(fingers, sf));
+        let before = array.stats().cycles;
+        drive_multiplexed_despreader(&mut array, cfg, &streams, sf, 5).unwrap();
+        let cycles = array.stats().cycles - before;
         let tokens = (fingers * sf * 8) as u64;
         assert!(
             cycles < tokens + 400,

@@ -8,18 +8,18 @@
 //! one datapath into the next on the array — from the same `build_*`
 //! helpers the two stand-alone netlists use.
 //!
-//! Each kernel comes as a netlist constructor (for embedding into a larger
-//! platform); the stand-alone kernels also have a self-contained wrapper
-//! owning a private array instance (for tests and benchmarks). The
-//! kernels the multi-terminal engine runs have a **drive function** beside
-//! their netlist — [`drive_finger`] (and [`drive_descrambler`],
-//! [`drive_despreader`] for the separate stages) — the one place that
-//! knows the netlist's port names, cycle budgets and push → run → drain
-//! order. It runs one job on a caller-owned `Array` that may hold other
-//! resident configurations (the engine's workers; the wrappers call it
-//! too), and streams its inputs straight from the caller's slices, so
-//! calling it again with the same arguments — a watchdog retry — replays
-//! the job.
+//! Every kernel is a [`WcdmaKernel`] variant (its [`build`](WcdmaKernel::build)
+//! is the netlist constructor) and has a **drive function** beside its
+//! netlist — [`drive_descrambler`], [`drive_despreader`],
+//! [`drive_multiplexed_despreader`], [`drive_finger`] (the one the engine
+//! runs), [`drive_corrector`] and [`drive_sttd_corrector`] — the one place
+//! that knows the netlist's port names, cycle budgets and push → run →
+//! drain order. It runs one job on a caller-owned `Array` that may hold
+//! other resident configurations, and streams its inputs straight from the
+//! caller's slices, so calling it again with the same arguments — a
+//! watchdog retry — replays the job. Per-job parameters the netlist takes
+//! on ports (the multiplexed despreader's OVSF code, the correctors'
+//! weights) are drive arguments.
 
 pub mod corrector;
 pub mod descrambler;
@@ -27,12 +27,12 @@ pub mod despreader;
 pub mod finger;
 
 pub use corrector::{
-    corrector_netlist, sttd_corrector_netlist, ArrayCorrector, ArraySttdCorrector,
+    corrector_netlist, drive_corrector, drive_sttd_corrector, sttd_corrector_netlist,
 };
-pub use descrambler::{descrambler_netlist, drive_descrambler, ArrayDescrambler};
+pub use descrambler::{descrambler_netlist, drive_descrambler};
 pub use despreader::{
-    despreader_multiplexed_netlist, despreader_single_netlist, drive_despreader, ArrayDespreader,
-    ArrayMultiplexedDespreader, MIN_MULTIPLEXED_FINGERS,
+    despreader_multiplexed_netlist, despreader_single_netlist, drive_despreader,
+    drive_multiplexed_despreader, MIN_MULTIPLEXED_FINGERS,
 };
 pub use finger::{drive_finger, finger_netlist};
 
@@ -48,17 +48,19 @@ use xpp_array::{Array, ConfigId, Netlist, Result, Word};
 /// [`build`](WcdmaKernel::build) only on a cache miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WcdmaKernel {
-    /// Fig. 5 complex descrambler.
+    /// Fig. 5 complex descrambler ([`drive_descrambler`]).
     Descrambler,
-    /// Fig. 6 single-code despreader.
+    /// Fig. 6 single-code despreader ([`drive_despreader`]).
     Despreader { sf: usize, code_index: usize },
-    /// Fig. 5 wired into Fig. 6: one rake finger in one configuration.
+    /// Fig. 5 wired into Fig. 6: one rake finger in one configuration
+    /// ([`drive_finger`]).
     Finger { sf: usize, code_index: usize },
-    /// Fig. 6 finger-multiplexed despreader.
+    /// Fig. 6 finger-multiplexed despreader
+    /// ([`drive_multiplexed_despreader`]).
     MultiplexedDespreader { fingers: usize, sf: usize },
-    /// Fig. 7 MRC channel corrector.
+    /// Fig. 7 MRC channel corrector ([`drive_corrector`]).
     Corrector { fingers: usize },
-    /// Fig. 7 STTD-decoding corrector.
+    /// Fig. 7 STTD-decoding corrector ([`drive_sttd_corrector`]).
     SttdCorrector,
 }
 
@@ -126,39 +128,4 @@ pub(crate) fn drain_iq(array: &mut Array, cfg: ConfigId) -> Result<Vec<Cplx<i32>
         .zip(&q)
         .map(|(a, b)| Cplx::new(a.value(), b.value()))
         .collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rake::finger::{descramble, despread};
-    use crate::scrambling::ScramblingCode;
-    use xpp_array::Array;
-
-    /// The drive functions on one caller-owned array holding both kernels —
-    /// the engine's situation, which the private-array wrappers never see:
-    /// each job matches its golden model, addresses only its own
-    /// configuration, and a second job on the warm configuration agrees.
-    #[test]
-    fn drive_functions_match_golden_on_a_shared_array() {
-        let (sf, code_index) = (16, 3);
-        let mut array = Array::xpp64a();
-        let descrambler = array.configure(&descrambler_netlist()).unwrap();
-        let despreader = array
-            .configure(&despreader_single_netlist(sf, code_index))
-            .unwrap();
-        let code = ScramblingCode::downlink(11);
-        let rx: Vec<Cplx<i32>> = (0..200)
-            .map(|i| Cplx::new((i * 37 % 4095) - 2047, (i * 91 % 4095) - 2047))
-            .collect();
-        for (delay, phase) in [(0, 0), (7, 5)] {
-            let n = (rx.len() - delay) / sf * sf;
-            let chips =
-                drive_descrambler(&mut array, descrambler, &rx, &code, delay, phase, n).unwrap();
-            assert_eq!(chips, descramble(&rx, &code, delay, phase, n));
-            let symbols = drive_despreader(&mut array, despreader, &chips, sf).unwrap();
-            assert_eq!(symbols, despread(&chips, sf, code_index));
-        }
-        assert_eq!(array.stats().configs_loaded, 2, "both stayed resident");
-    }
 }

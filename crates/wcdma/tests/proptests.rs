@@ -7,7 +7,10 @@ use sdr_wcdma::ovsf::{correlate, ovsf};
 use sdr_wcdma::rake::finger::{correct, descramble, despread};
 use sdr_wcdma::scrambling::ScramblingCode;
 use sdr_wcdma::symbols::{qpsk_demap, qpsk_map_bits, sttd_decode, sttd_encode};
-use sdr_wcdma::xpp_map::{ArrayDescrambler, ArrayDespreader};
+use sdr_wcdma::xpp_map::{
+    descrambler_netlist, despreader_single_netlist, drive_descrambler, drive_despreader,
+};
+use xpp_array::Array;
 
 fn arb_samples(n: usize) -> impl Strategy<Value = Vec<Cplx<i32>>> {
     proptest::collection::vec((-2048i32..=2047, -2048i32..=2047), n..=n)
@@ -117,8 +120,9 @@ proptest! {
     #[test]
     fn array_descrambler_matches_golden(code_num in 0u32..256, samples in arb_samples(64)) {
         let code = ScramblingCode::downlink(code_num);
-        let mut hw = ArrayDescrambler::new().unwrap();
-        let out = hw.process(&samples, &code, 0, 0, samples.len()).unwrap();
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(&descrambler_netlist()).unwrap();
+        let out = drive_descrambler(&mut array, cfg, &samples, &code, 0, 0, samples.len()).unwrap();
         prop_assert_eq!(out, descramble(&samples, &code, 0, 0, samples.len()));
     }
 
@@ -126,8 +130,9 @@ proptest! {
     fn array_despreader_matches_golden(sf_pow in 2u32..=6, samples in arb_samples(256)) {
         let sf = 1usize << sf_pow;
         let k = sf / 2;
-        let mut hw = ArrayDespreader::new(sf, k).unwrap();
-        let out = hw.process(&samples).unwrap();
+        let mut array = Array::xpp64a();
+        let cfg = array.configure(&despreader_single_netlist(sf, k)).unwrap();
+        let out = drive_despreader(&mut array, cfg, &samples, sf).unwrap();
         prop_assert_eq!(out, despread(&samples, sf, k));
     }
 }

@@ -5,6 +5,14 @@
 use xpp_sdr::dsp::Cplx;
 use xpp_sdr::ofdm;
 use xpp_sdr::wcdma;
+use xpp_sdr::xpp::{Array, ConfigId, Netlist};
+
+/// Configures one kernel alone on a fresh XPP-64A.
+fn configured(netlist: &Netlist) -> (Array, ConfigId) {
+    let mut array = Array::xpp64a();
+    let cfg = array.configure(netlist).unwrap();
+    (array, cfg)
+}
 
 /// The W-CDMA finger pipeline with every word-level stage executed on the
 /// array: descramble (Fig. 5) → despread (Fig. 6) → correct (Fig. 7) must
@@ -16,7 +24,7 @@ fn rake_finger_on_the_array_end_to_end() {
     use wcdma::rake::estimator::{estimate_channel, quantize_weights};
     use wcdma::rake::finger as golden;
     use wcdma::tx::{CellConfig, CellTransmitter};
-    use wcdma::xpp_map::{ArrayCorrector, ArrayDescrambler, ArrayDespreader};
+    use wcdma::xpp_map::{drive_corrector, drive_descrambler, drive_despreader, WcdmaKernel};
 
     let bits: Vec<u8> = (0..64).map(|i| ((i * 3 + 1) % 2) as u8).collect();
     let cfg = CellConfig::default();
@@ -33,14 +41,14 @@ fn rake_finger_on_the_array_end_to_end() {
 
     // Array side: the three kernels chained through host buffers (the
     // board's streaming interconnect).
-    let n = ((rx.len() - delay) / cfg.dpch.sf) * cfg.dpch.sf;
-    let mut descrambler = ArrayDescrambler::new().unwrap();
-    let descrambled = descrambler.process(&rx, &code, delay, 0, n).unwrap();
-    let mut despreader = ArrayDespreader::new(cfg.dpch.sf, cfg.dpch.code_index).unwrap();
-    let symbols = despreader.process(&descrambled).unwrap();
-    let mut corrector = ArrayCorrector::new(1).unwrap();
-    corrector.set_weights(&[w]).unwrap();
-    let corrected = corrector.process(&symbols).unwrap();
+    let (sf, code_index) = (cfg.dpch.sf, cfg.dpch.code_index);
+    let n = ((rx.len() - delay) / sf) * sf;
+    let (mut array, descrambler) = configured(&WcdmaKernel::Descrambler.build());
+    let descrambled = drive_descrambler(&mut array, descrambler, &rx, &code, delay, 0, n).unwrap();
+    let (mut array, despreader) = configured(&WcdmaKernel::Despreader { sf, code_index }.build());
+    let symbols = drive_despreader(&mut array, despreader, &descrambled, sf).unwrap();
+    let (mut array, corrector) = configured(&WcdmaKernel::Corrector { fingers: 1 }.build());
+    let corrected = drive_corrector(&mut array, corrector, &[w], &symbols).unwrap();
 
     // Bit-exact against the golden finger.
     let golden_out = golden::finger(&rx, &code, delay, cfg.dpch.sf, cfg.dpch.code_index, w);
@@ -61,7 +69,7 @@ fn ofdm_fft_on_the_array_matches_receiver_path() {
     use ofdm::params::{rate, CP_LEN, SYMBOL_LEN};
     use ofdm::rx::OfdmReceiver;
     use ofdm::tx::Transmitter;
-    use ofdm::xpp_map::ArrayFft64;
+    use ofdm::xpp_map::{drive_fft64, OfdmKernel};
     use sdr_dsp::fft::Fft64Fixed;
 
     let r = rate(12).unwrap();
@@ -75,78 +83,54 @@ fn ofdm_fft_on_the_array_matches_receiver_path() {
 
     // Run the first two data-symbol windows through the array FFT and
     // compare against the golden FFT used inside the receiver.
-    let mut hw = ArrayFft64::new(1).unwrap();
+    let (mut array, fft) = configured(&OfdmKernel::Fft64 { stage_shift: 1 }.build());
     let golden = Fft64Fixed::with_stage_shift(1);
     for s in 0..2 {
         let at = out.data_start + s * SYMBOL_LEN + CP_LEN;
         let mut buf = [Cplx::<i32>::ZERO; 64];
         buf.copy_from_slice(&rx[at..at + 64]);
-        assert_eq!(hw.run(&buf).unwrap(), golden.run(&buf), "symbol {s}");
+        let spectrum = drive_fft64(&mut array, fft, &[buf]).unwrap();
+        assert_eq!(spectrum[0], golden.run(&buf), "symbol {s}");
     }
 }
 
 /// Both standards resident on one array: the rake corrector and the OFDM
 /// demodulator run as independent configurations, protected from each
-/// other (the paper's multi-standard residency).
+/// other (the paper's multi-standard residency): a demodulator job between
+/// two corrector jobs disturbs neither the corrector's resident weights
+/// nor its output.
 #[test]
 fn both_standards_share_one_array() {
-    use xpp_sdr::xpp::{Array, Word};
+    use ofdm::xpp_map::{demodulator_netlist, drive_demodulator};
+    use wcdma::xpp_map::{corrector_netlist, drive_corrector};
 
     let mut array = Array::xpp64a();
-    let rake_cfg = array
-        .configure(&wcdma::xpp_map::corrector_netlist(4))
-        .unwrap();
-    let wlan_cfg = array
-        .configure(&ofdm::xpp_map::demodulator_netlist())
-        .unwrap();
+    let rake_cfg = array.configure(&corrector_netlist(4)).unwrap();
+    let wlan_cfg = array.configure(&demodulator_netlist()).unwrap();
 
-    // Load rake weights (unit gain).
-    array
-        .push_input(rake_cfg, "w_addr", (0..4).map(Word::new))
-        .unwrap();
-    array
-        .push_input(rake_cfg, "wi", std::iter::repeat_n(Word::new(512), 4))
-        .unwrap();
-    array
-        .push_input(rake_cfg, "wq", std::iter::repeat_n(Word::ZERO, 4))
-        .unwrap();
-
-    // Feed both standards' streams and run once.
+    // Rake corrector with unit weights (Q9) = identity.
+    let unit = [Cplx::new(512, 0); 4];
     let rake_syms: Vec<Cplx<i32>> = (0..16).map(|k| Cplx::new(100 + k, -k)).collect();
-    array
-        .push_input(rake_cfg, "i_in", rake_syms.iter().map(|c| Word::new(c.re)))
-        .unwrap();
-    array
-        .push_input(rake_cfg, "q_in", rake_syms.iter().map(|c| Word::new(c.im)))
-        .unwrap();
+    let rake_out = drive_corrector(&mut array, rake_cfg, &unit, &rake_syms).unwrap();
+    assert_eq!(rake_out, rake_syms);
+
+    // WLAN demodulator slices signs.
     let wlan_syms: Vec<Cplx<i32>> = (0..8)
         .map(|k| Cplx::new(if k % 2 == 0 { 800 } else { -800 }, 100))
         .collect();
-    array
-        .push_input(wlan_cfg, "i_in", wlan_syms.iter().map(|c| Word::new(c.re)))
-        .unwrap();
-    array
-        .push_input(wlan_cfg, "q_in", wlan_syms.iter().map(|c| Word::new(c.im)))
-        .unwrap();
-    array
-        .push_input(wlan_cfg, "wi", std::iter::repeat_n(Word::new(512), 8))
-        .unwrap();
-    array
-        .push_input(wlan_cfg, "wq", std::iter::repeat_n(Word::ZERO, 8))
-        .unwrap();
-    array.run_until_idle(50_000).unwrap();
+    let wlan_w = vec![Cplx::new(512, 0); wlan_syms.len()];
+    let bits = drive_demodulator(&mut array, wlan_cfg, &wlan_syms, &wlan_w).unwrap();
+    for (k, (b0, b1)) in bits.iter().enumerate() {
+        assert_eq!(*b0, (wlan_syms[k].re < 0) as u8, "carrier {k}");
+        assert_eq!(*b1, 0, "carrier {k}");
+    }
 
-    // Rake corrector with unit weight = identity.
-    let i_out = array.drain_output(rake_cfg, "i_out").unwrap();
-    assert_eq!(i_out.len(), 16);
-    for (k, w) in i_out.iter().enumerate() {
-        assert_eq!(w.value(), rake_syms[k].re);
-    }
-    // WLAN demodulator slices signs.
-    let b0 = array.drain_output(wlan_cfg, "b0").unwrap();
-    for (k, w) in b0.iter().enumerate() {
-        assert_eq!(w.value(), (wlan_syms[k].re < 0) as i32, "carrier {k}");
-    }
+    // The corrector, untouched by the demodulator's job, repeats itself.
+    assert_eq!(
+        drive_corrector(&mut array, rake_cfg, &unit, &rake_syms).unwrap(),
+        rake_out
+    );
+    assert_eq!(array.stats().configs_loaded, 2, "both stayed resident");
 }
 
 /// BER through the golden rake degrades monotonically (in trend) with
@@ -157,14 +141,14 @@ fn golden_and_array_descramblers_agree_under_noise() {
     use wcdma::channel::{propagate, AdcConfig, CellLink, Path};
     use wcdma::rake::finger::descramble;
     use wcdma::tx::{CellConfig, CellTransmitter};
-    use wcdma::xpp_map::ArrayDescrambler;
+    use wcdma::xpp_map::{drive_descrambler, WcdmaKernel};
 
     let bits: Vec<u8> = (0..32).map(|i| (i % 2) as u8).collect();
     let mut tx = CellTransmitter::new(CellConfig::default());
     let signal = tx.transmit(&bits);
     let link = CellLink::new(vec![Path::new(0, Cplx::new(0.9, 0.0))]);
     let code = wcdma::ScramblingCode::downlink(0);
-    let mut hw = ArrayDescrambler::new().unwrap();
+    let (mut array, descrambler) = configured(&WcdmaKernel::Descrambler.build());
     for sigma in [0.0, 0.2, 0.8] {
         let rx = propagate(
             &[(signal.clone(), link.clone())],
@@ -172,7 +156,7 @@ fn golden_and_array_descramblers_agree_under_noise() {
             99,
             AdcConfig::default(),
         );
-        let out = hw.process(&rx, &code, 0, 0, 512).unwrap();
+        let out = drive_descrambler(&mut array, descrambler, &rx, &code, 0, 0, 512).unwrap();
         assert_eq!(out, descramble(&rx, &code, 0, 0, 512), "sigma {sigma}");
     }
 }
