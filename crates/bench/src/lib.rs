@@ -3,6 +3,21 @@
 //! workloads.
 
 use sdr_dsp::Cplx;
+use xpp_array::{Array, ConfigId, Netlist};
+
+/// Configures one kernel alone on a fresh XPP-64A, ready for its drive
+/// function.
+///
+/// # Panics
+///
+/// Panics if the kernel does not fit an empty XPP-64A.
+pub fn fresh(netlist: &Netlist) -> (Array, ConfigId) {
+    let mut array = Array::xpp64a();
+    let cfg = array
+        .configure(netlist)
+        .expect("every kernel fits an empty XPP-64A");
+    (array, cfg)
+}
 
 /// Deterministic 12-bit I/Q chip stream (the rake kernels' input width).
 pub fn chips_12bit(n: usize, seed: u32) -> Vec<Cplx<i32>> {
