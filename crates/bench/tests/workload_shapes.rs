@@ -1,12 +1,15 @@
-//! The benchmark's four workload shapes as exact lockstep figures.
+//! The benchmark's four workload shapes, under both drivers.
 //!
 //! `e2e` runs its workloads on the shipping thread driver, where the
 //! modeled counters follow thread timing. Here each shape runs one
 //! full-size round — warm-up included, exactly as `e2e` builds it — on
-//! `Frontend::lockstep`, where every counter repeats, and the round's
-//! array cycles, configuration words and evictions are pinned as
-//! integers. A dispatch or residency change that moves a simulated cycle
-//! of the benchmark fails here instead of only moving the benchmark.
+//! both drivers. Every frame must end `Done` on both (the `e2e` report is
+//! not `correct` otherwise), and the threads must reach the same outcome
+//! for every session as lockstep. On lockstep, where every counter
+//! repeats, the round's counters are pinned as rows of
+//! `tests/pins/engine.tsv`: a dispatch or residency change that moves a
+//! simulated cycle of the benchmark fails here instead of only moving the
+//! benchmark.
 //!
 //! The record generator is the benchmark's own, compiled in from its
 //! source so that the two can never drift apart.
@@ -15,60 +18,44 @@
 #[path = "../src/bin/e2e/workload.rs"]
 mod workload;
 
-use std::sync::Arc;
+#[allow(dead_code)]
+#[path = "../../engine/tests/common/pins.rs"]
+mod pins;
 
+use pins::Pins;
 use sdr_engine::session::WCDMA_PERIOD_CYCLES;
-use sdr_engine::{EngineConfig, Frontend, Metrics, PlacementPolicy, Session};
-use workload::{Workload, WARMUP_ROUND};
+use sdr_engine::{EngineConfig, PlacementPolicy, SessionState};
+use workload::WARMUP_ROUND;
 
-/// The timed round's `(array_cycles_run, config_words_streamed,
-/// cache_evictions)` for `w` at `seed`, after the warm-up `e2e` runs
-/// before it on the same front-end.
-fn round(w: &Workload, seed: u64) -> (u64, u64, u64) {
-    let frames = w.round_frames;
-    let mut fe = Frontend::lockstep(
-        EngineConfig {
-            shards: w.shards,
-            arrays_per_shard: w.arrays_per_shard,
-            parking_capacity: frames,
-            placement: PlacementPolicy::Affinity,
-            work_stealing: true,
-            ..EngineConfig::default()
-        },
-        Arc::new(Metrics::new()),
-    );
-    let warm = w.records(seed, WARMUP_ROUND, w.warmup_frames(), 0);
-    for r in &warm {
-        fe.admit(*r);
-    }
-    let warmed = fe.run(&mut |_: &Session, _| None);
-    assert_eq!(warmed.done, warm.len() as u64, "{}: warm-up", w.name);
-
-    let offset = warm.last().map_or(0, |r| r.deadline()) + 10 * WCDMA_PERIOD_CYCLES;
-    for r in w.records(seed, 0, frames, offset) {
-        fe.admit(r);
-    }
-    let before = fe.snapshot();
-    let summary = fe.run(&mut |_: &Session, _| None);
-    assert_eq!(
-        (summary.done - warmed.done, summary.shed.len()),
-        (frames as u64, 0),
-        "{}: every timed frame ends Done",
-        w.name
-    );
-    let after = fe.snapshot();
-    (
-        after.array_cycles_run - before.array_cycles_run,
-        after.config_words_streamed - before.config_words_streamed,
-        after.cache_evictions - before.cache_evictions,
-    )
-}
-
-/// Runs the shape named `name` at seeds 1 and 7 and compares the two
-/// rounds with `pinned`.
-fn shape(name: &str, pinned: [(u64, u64, u64); 2]) {
+/// Runs the shape named `name` at seeds 1 and 7: its warm-up, then one
+/// timed round on the same front-end, as `e2e` builds them.
+fn shape(name: &str) {
     let w = workload::find(name).expect("a benchmark workload");
-    assert_eq!([round(w, 1), round(w, 7)], pinned, "{name}");
+    let frames = w.round_frames;
+    let config = EngineConfig {
+        shards: w.shards,
+        arrays_per_shard: w.arrays_per_shard,
+        parking_capacity: frames,
+        placement: PlacementPolicy::Affinity,
+        work_stealing: true,
+        ..EngineConfig::default()
+    };
+    let mut pins = Pins::new(name);
+    for seed in [1, 7] {
+        let warm = w.records(seed, WARMUP_ROUND, w.warmup_frames(), 0);
+        let offset = warm.last().map_or(0, |r| r.deadline()) + 10 * WCDMA_PERIOD_CYCLES;
+        let timed = w.records(seed, 0, frames, offset);
+        let key = ["timed round", &seed.to_string(), "-"];
+        pins.both(&config, key, &warm, &timed, |driver, outcomes, summary| {
+            let label = format!("{name} seed {seed} {driver:?}");
+            assert_eq!(outcomes.len(), frames, "{label}: frames lost");
+            for (id, _, state) in outcomes {
+                assert_eq!(*state, SessionState::Done, "{label}: frame {id}");
+            }
+            assert!(summary.shed.is_empty(), "{label}: shed {:?}", summary.shed);
+        });
+    }
+    pins.check();
 }
 
 /// 256 frames × 2,058 cycles (one finger job each), plus 90 cycles
@@ -76,14 +63,14 @@ fn shape(name: &str, pinned: [(u64, u64, u64); 2]) {
 /// cold shard.
 #[test]
 fn wcdma_steady() {
-    shape("wcdma_steady", [(526_938, 90, 0), (526_938, 90, 0)]);
+    shape("wcdma_steady");
 }
 
 /// 2,560 frames. 2a and 2b stay resident side by side, so the round
 /// streams one 60-word detector load, which the warm-up left over.
 #[test]
 fn ofdm_reconfig() {
-    shape("ofdm_reconfig", [(1_942_400, 60, 0), (1_941_635, 60, 0)]);
+    shape("ofdm_reconfig");
 }
 
 /// The engine's three kernels take 15 of an array's 16 I/O channels, so
@@ -93,12 +80,12 @@ fn ofdm_reconfig() {
 /// single arrays.
 #[test]
 fn mixed_gang() {
-    shape("mixed_gang", [(541_178, 330, 0), (541_410, 390, 0)]);
+    shape("mixed_gang");
 }
 
 /// One array holds all three kernels after the warm-up: the round
 /// streams no configuration word.
 #[test]
 fn backpressure_1x1() {
-    shape("backpressure_1x1", [(270_516, 0, 0), (270_552, 0, 0)]);
+    shape("backpressure_1x1");
 }

@@ -834,89 +834,4 @@ mod tests {
         );
         assert_eq!(snap.jobs_run, 0, "a crashed step is not a job run");
     }
-
-    /// Four arrays on the lockstep pool, where a round runs only when
-    /// `recv` finds the result queue empty: each wave is submitted whole,
-    /// the router sends a step to an array holding its kernel, and a kernel
-    /// that repeats in a later wave (a second staggered cohort reaching the
-    /// same pipeline stage) finds the array where it stayed resident. One
-    /// thread's four arrays and four threads' one array each are the same
-    /// pool to the lockstep driver.
-    #[test]
-    fn four_arrays_step_waves_on_warm_arrays() {
-        for (shards, arrays_per_shard) in [(1, 4), (4, 1)] {
-            four_arrays_step_waves(shards, arrays_per_shard);
-        }
-    }
-
-    fn four_arrays_step_waves(shards: usize, arrays_per_shard: usize) {
-        let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::lockstep(
-            EngineConfig {
-                shards,
-                arrays_per_shard,
-                queue_depth: 32,
-                ..EngineConfig::default()
-            },
-            Arc::clone(&metrics),
-        );
-        let n = 12u64;
-        // Cohort A (8 sessions) arrives a wave ahead of cohort B (4), so
-        // wave 3 runs A's demodulation alongside B's preamble detection —
-        // the detector loaded for A in wave 2 serves B warm.
-        let mut arrivals: Vec<Vec<Session>> = vec![
-            (8..n).map(|id| Session::ofdm(id, 0x0FD + id)).collect(),
-            (0..8).map(|id| Session::ofdm(id, 0x0FD + id)).collect(),
-        ];
-        let mut pending: Vec<Session> = Vec::new();
-        let mut done = 0u64;
-        while done < n {
-            pending.extend(arrivals.pop().unwrap_or_default());
-            let in_flight = pending.len();
-            for s in pending.drain(..) {
-                pool.submit(s).expect("queue has room");
-            }
-            for _ in 0..in_flight {
-                let s = pool.recv().expect("the round hands the wave back");
-                assert!(
-                    !matches!(s.state(), SessionState::Failed(_)),
-                    "session {} failed: {:?}",
-                    s.id(),
-                    s.state()
-                );
-                if s.is_terminal() {
-                    done += 1;
-                } else {
-                    pending.push(s);
-                }
-            }
-            assert!(pool.recv().is_none(), "an empty pool has nothing to run");
-        }
-
-        let snap = metrics.snapshot();
-        assert_eq!(snap.jobs_run, 3 * n, "3 steps finish an OFDM session");
-        assert_eq!(
-            (
-                snap.batches_dispatched,
-                snap.batch_sessions,
-                snap.batch_warm_hits
-            ),
-            (0, 0, 0),
-            "inert in the engine"
-        );
-        assert_eq!(
-            (
-                snap.router_affinity_hits,
-                snap.router_fallbacks,
-                snap.config_words_streamed
-            ),
-            (8, 28, 432),
-            "{shards}x{arrays_per_shard}: {snap}"
-        );
-        assert!(
-            snap.array_makespan_cycles <= snap.array_cycles_run,
-            "makespan is one array's share of the total"
-        );
-        drop(pool);
-    }
 }

@@ -982,38 +982,4 @@ mod tests {
             assert_eq!(*s.state(), SessionState::Done, "three rows, then done");
         }
     }
-
-    /// One session of each standard at a fixed seed spends exactly these
-    /// array cycles and object fires. OFDM's are the figures from before
-    /// the stage-table refactor; W-CDMA's finger is the two-job chain's
-    /// 2 × 2,054 cycles and 36,868 + 20,556 fires less the host round
-    /// trip: 2,058 cycles, and 8,192 fewer fires for the four I/O objects
-    /// (2,048 chips each) the join removed.
-    #[test]
-    fn per_kernel_cycles_and_fires_are_pinned() {
-        let pinned = [
-            (
-                Session::wcdma(0, 42),
-                [1, 0, 0],
-                [2058, 0, 0],
-                [49_232, 0, 0],
-            ),
-            (
-                Session::ofdm(1, 7),
-                [0, 1, 1],
-                [0, 688, 54],
-                [0, 16_324, 768],
-            ),
-        ];
-        for (mut s, jobs, cycles, fires) in pinned {
-            let metrics = Arc::new(Metrics::new());
-            let mut worker = WorkerArray::new(8, Arc::clone(&metrics));
-            drive_to_terminal(&mut s, &mut worker);
-            assert_eq!(*s.state(), SessionState::Done);
-            let snap = metrics.snapshot();
-            assert_eq!(snap.kernel_jobs, jobs, "{:?}", s.standard());
-            assert_eq!(snap.kernel_cycles, cycles, "{:?}", s.standard());
-            assert_eq!(snap.kernel_fires, fires, "{:?}", s.standard());
-        }
-    }
 }

@@ -3,63 +3,51 @@
 //! must terminate every session in an accounted-for state, with the fault
 //! ledger reconciling exactly — every fault the injector fired was
 //! detected somewhere, and every detection was answered by a recovery or
-//! a dead-letter.
+//! a dead-letter. In lockstep, where the load order — and so which load
+//! each planned fault strikes — is the same every run, each row's ledger
+//! is pinned in `tests/pins/engine.tsv`.
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{
-    chaos_plan, mixed_records, quiet_injected_panics, run_to_completion, skewed_records,
-    under_both_drivers, Driver,
+    assert_ledger, chaos_config, chaos_plan, mixed_records, never_shed, quiet_injected_panics, run,
+    run_waves, skewed_records, Driver, Pins,
 };
-use sdr_engine::{EngineConfig, ParkedSession, RecoveryPolicy, Session, SessionState};
+use sdr_engine::{
+    EngineConfig, Metrics, ParkedSession, RecoveryPolicy, Session, SessionState, ShardPool,
+};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
-/// What a chaos row reads in lockstep, where the load order — and so
-/// which load each planned fault strikes — is the same every run: faults
-/// injected, recoveries, worker restarts, dead letters.
-type Ledger = [u64; 4];
-
-/// One full chaos run: seeded recoverable faults plus an explicit worker
-/// panic, every invariant checked.
-fn chaos_run(seed: u64, exact: Ledger) {
-    chaos_run_full(seed, 1, false, exact);
-}
-
-/// Same invariants, parameterised over the arrays each of the two worker
-/// threads steps, so every pool shape runs under the identical fault
-/// ledger checks, with or without backpressure, under both drivers.
+/// One full chaos run, pinned as test `test`'s one row: seeded
+/// recoverable faults plus an explicit worker panic, every invariant
+/// checked, parameterised over the arrays each of the two worker threads
+/// steps, so every pool shape runs under the identical fault ledger
+/// checks, with or without backpressure, under both drivers.
 /// Without backpressure, 16-deep queues hold the whole workload. With,
 /// two-deep queues make a window of two per array (4 on two arrays, 12 on
 /// six) for 24 frames whose ids are all even, so crash retries re-enter a
 /// pool the credit window keeps full — and the pool must still refuse
 /// nothing.
-fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact: Ledger) {
+fn chaos_run(test: &str, seed: u64, arrays_per_shard: usize, backpressure: bool) {
     quiet_injected_panics();
     let plan = chaos_plan(seed, 6, 8);
     let injected_planned = plan.faults.len();
-    let config = EngineConfig {
-        shards: 2,
-        arrays_per_shard,
-        queue_depth: 16,
-        recovery: RecoveryPolicy {
-            max_kernel_attempts: 4,
-            ..RecoveryPolicy::default()
-        },
-        fault_plan: Some(plan),
-        ..EngineConfig::default()
-    };
-    let (config, records) = if backpressure {
-        (
-            EngineConfig {
-                queue_depth: 2,
-                ..config
-            },
-            skewed_records(24, 2),
-        )
+    let (queue_depth, scenario, records) = if backpressure {
+        (2, "skewed", skewed_records(24, 2))
     } else {
-        (config, mixed_records(24))
+        (16, "mixed", mixed_records(24))
     };
-    under_both_drivers(&config, &records, |driver, completed, summary| {
+    let config = EngineConfig {
+        arrays_per_shard,
+        queue_depth,
+        ..chaos_config(Some(plan))
+    };
+    let mut pins = Pins::new(test);
+    let (seed_cell, plan_cell) = (seed.to_string(), format!("chaos_plan({seed}, 6, 8)"));
+    let key = [scenario, &seed_cell, &plan_cell];
+    pins.both(&config, key, &[], &records, |_, completed, summary| {
         // Every session terminated, none hung, none reported wrong bits: a
         // platform fault may cost a session (dead-letter) but never corrupts
         // a surviving one's payload.
@@ -79,21 +67,10 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
         let snap = &summary.snapshot;
         // The plan actually fired (the guaranteed-ordinal panic at minimum),
         // and the ledger reconciles.
-        assert!(
-            snap.faults_injected > 0,
-            "seed {seed}: no faults fired — plan or horizon is wrong"
-        );
+        assert_ledger(snap, &format!("seed {seed}"));
         assert!(
             snap.faults_injected <= injected_planned as u64,
             "seed {seed}: injector fired more than the plan holds"
-        );
-        assert_eq!(
-            snap.faults_injected, snap.faults_detected,
-            "seed {seed}: injected faults went undetected (or double-counted): {snap}"
-        );
-        assert!(
-            snap.faults_detected <= snap.recoveries + snap.dead_letters,
-            "seed {seed}: detections unanswered: {snap}"
         );
         assert!(
             snap.recoveries >= snap.faults_detected.saturating_sub(snap.dead_letters),
@@ -112,34 +89,23 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, backpressure: bool, exact:
             (0, 0),
             "seed {seed}: the pool refused the driver: {snap}"
         );
-        if driver == Driver::Lockstep {
-            assert_eq!(
-                [
-                    snap.faults_injected,
-                    snap.recoveries,
-                    snap.worker_restarts,
-                    snap.dead_letters
-                ],
-                exact,
-                "seed {seed}: {snap}"
-            );
-        }
     });
+    pins.check();
 }
 
 #[test]
 fn chaos_seed_1() {
-    chaos_run(1, [6, 6, 1, 0]);
+    chaos_run("chaos_seed_1", 1, 1, false);
 }
 
 #[test]
 fn chaos_seed_2() {
-    chaos_run(2, [5, 5, 1, 0]);
+    chaos_run("chaos_seed_2", 2, 1, false);
 }
 
 #[test]
 fn chaos_seed_3() {
-    chaos_run(3, [5, 5, 1, 0]);
+    chaos_run("chaos_seed_3", 3, 1, false);
 }
 
 /// Chaos under backpressure: two two-deep array queues, a window of 4 and
@@ -148,12 +114,12 @@ fn chaos_seed_3() {
 /// through the same credit.
 #[test]
 fn chaos_backpressure_seed_1() {
-    chaos_run_full(1, 1, true, [6, 6, 1, 0]);
+    chaos_run("chaos_backpressure_seed_1", 1, 1, true);
 }
 
 #[test]
 fn chaos_backpressure_gang_seed_1() {
-    chaos_run_full(1, 3, true, [6, 6, 1, 0]);
+    chaos_run("chaos_backpressure_gang_seed_1", 1, 3, true);
 }
 
 /// Three arrays per thread under chaos: crash containment rebuilds only
@@ -161,12 +127,12 @@ fn chaos_backpressure_gang_seed_1() {
 /// way it does with one array per thread.
 #[test]
 fn chaos_gang_seed_1() {
-    chaos_run_full(1, 3, false, [6, 6, 1, 0]);
+    chaos_run("chaos_gang_seed_1", 1, 3, false);
 }
 
 #[test]
 fn chaos_gang_seed_2() {
-    chaos_run_full(2, 3, false, [5, 5, 1, 0]);
+    chaos_run("chaos_gang_seed_2", 2, 3, false);
 }
 
 /// Four arrays stay deterministic per seed: on a lockstep pool each round
@@ -175,59 +141,31 @@ fn chaos_gang_seed_2() {
 /// replays exactly.
 #[test]
 fn chaos_gang_is_deterministic_per_seed() {
-    use sdr_engine::{Metrics, ShardPool};
-    use std::sync::Arc;
-
     quiet_injected_panics();
-    let run = |seed: u64| {
-        let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::lockstep(
-            EngineConfig {
-                shards: 1,
-                arrays_per_shard: 4,
-                queue_depth: 32,
-                // seeded() samples only recoverable kinds, so faults are
-                // absorbed inside the worker and sessions always come back
-                // (terminal or ready for the next wave).
-                fault_plan: Some(FaultPlan::seeded(seed, 5, 10)),
-                ..EngineConfig::default()
-            },
-            Arc::clone(&metrics),
-        );
-        let mut wave: Vec<Session> = mixed_records(8).iter().map(Session::rehydrate).collect();
-        let mut terminal = 0u64;
-        while !wave.is_empty() {
-            let n = wave.len();
-            for s in wave.drain(..) {
-                pool.submit(s).expect("queue has room");
-            }
-            for _ in 0..n {
-                let s = pool.recv().expect("the arrays hold the wave");
-                if !s.is_terminal() {
-                    wave.push(s);
-                } else {
-                    terminal += 1;
-                }
-            }
-        }
-        let snap = metrics.snapshot();
-        drop(pool);
-        (
-            terminal,
-            snap.faults_injected,
-            snap.faults_detected,
-            snap.router_affinity_hits,
-            snap.router_fallbacks,
-            snap.config_words_streamed,
-        )
+    let config = EngineConfig {
+        shards: 1,
+        arrays_per_shard: 4,
+        queue_depth: 32,
+        // seeded() samples only recoverable kinds, so faults are
+        // absorbed inside the worker and sessions always come back
+        // (terminal or ready for the next wave).
+        fault_plan: Some(FaultPlan::seeded(11, 5, 10)),
+        ..EngineConfig::default()
     };
-    let ledger = run(11);
-    assert_eq!(ledger, run(11));
-    assert_eq!(
-        ledger,
-        (8, 3, 3, 0, 24, 780),
-        "(terminal, injected, detected, affinity hits, fallbacks, words) at seed 11"
-    );
+    let run = || {
+        let metrics = Arc::new(Metrics::new());
+        let pool = ShardPool::lockstep(config.clone(), Arc::clone(&metrics));
+        let wave = mixed_records(8).iter().map(Session::rehydrate).collect();
+        let terminal = run_waves(&pool, vec![wave]).len();
+        (terminal, metrics.snapshot())
+    };
+    let (terminal, snap) = run();
+    assert_eq!((terminal, snap), run());
+    assert_eq!(terminal, 8, "every session of the waves ends");
+    assert_eq!(snap.faults_injected, snap.faults_detected);
+    let mut pins = Pins::new("chaos_gang_is_deterministic_per_seed");
+    pins.pool_row(&config, ["mixed waves", "11", "seeded(11, 5, 10)"], &snap);
+    pins.check();
 }
 
 /// Identical seeds must produce identical fault ledgers — the whole point
@@ -237,24 +175,19 @@ fn chaos_gang_is_deterministic_per_seed() {
 #[test]
 fn chaos_is_deterministic_per_seed() {
     quiet_injected_panics();
+    let mut pins = Pins::new("chaos_is_deterministic_per_seed");
+    let records = mixed_records(8);
+    let config = EngineConfig {
+        shards: 1, // one shard: a single total load order
+        queue_depth: 32,
+        // A horizon of 5: one shard loads each of its three kernels
+        // once, so later ordinals never come up.
+        fault_plan: Some(FaultPlan::seeded(9, 5, 5)),
+        ..never_shed()
+    };
     for driver in Driver::BOTH {
-        let run = |seed: u64| {
-            // A horizon of 5: one shard loads each of its three kernels
-            // once, so later ordinals never come up.
-            let plan = FaultPlan::seeded(seed, 5, 5);
-            let (_, summary) = run_to_completion(
-                driver,
-                EngineConfig {
-                    shards: 1, // one shard: a single total load order
-                    queue_depth: 32,
-                    fault_plan: Some(plan),
-                    ..EngineConfig::default()
-                },
-                mixed_records(8),
-            );
-            summary
-        };
-        let (a, b) = (run(9), run(9));
+        let run = || run(driver, config.clone(), &[], &records).1;
+        let (a, b) = (run(), run());
         let ledger = |s: &sdr_engine::ScaleSummary| {
             (
                 s.done,
@@ -267,8 +200,10 @@ fn chaos_is_deterministic_per_seed() {
         assert!(a.snapshot.faults_injected > 0, "plan never fired");
         if driver == Driver::Lockstep {
             assert_eq!(a, b, "the full summary, snapshot included");
+            pins.row(&config, ["mixed", "9", "seeded(9, 5, 5)"], &a);
         }
     }
+    pins.check();
 }
 
 /// A worker that crashes on every early load dead-letters its session
@@ -287,6 +222,7 @@ fn repeated_crashes_dead_letter_the_session() {
     };
     // Deep enough for both sessions, then one-deep: the second session
     // waits its turn parked, and the counters must not move.
+    let mut pins = Pins::new("repeated_crashes_dead_letter_the_session");
     for queue_depth in [8, 1] {
         let config = EngineConfig {
             shards: 1,
@@ -296,10 +232,11 @@ fn repeated_crashes_dead_letter_the_session() {
                 ..RecoveryPolicy::default()
             },
             fault_plan: Some(plan.clone()),
-            ..EngineConfig::default()
+            ..never_shed()
         };
         // Every count here is exact under either driver.
-        under_both_drivers(&config, &mixed_records(2), |_, _, summary| {
+        let key = ["mixed", "-", "panic at loads 0-15"];
+        pins.both(&config, key, &[], &mixed_records(2), |_, _, summary| {
             assert_eq!(summary.dead_lettered, 2, "both sessions give up");
             let snap = &summary.snapshot;
             assert_eq!(snap.dead_letters, 2);
@@ -309,6 +246,7 @@ fn repeated_crashes_dead_letter_the_session() {
             assert_eq!(snap.faults_injected, snap.faults_detected);
         });
     }
+    pins.check();
 }
 
 /// Faults striking while worker arrays step their kernels (the name dates
@@ -323,17 +261,13 @@ fn repeated_crashes_dead_letter_the_session() {
 fn faults_mid_replay_invalidate_and_recover() {
     quiet_injected_panics();
     let config = EngineConfig {
-        shards: 2,
         arrays_per_shard: 2,
-        queue_depth: 16,
-        recovery: RecoveryPolicy {
-            max_kernel_attempts: 4,
-            ..RecoveryPolicy::default()
-        },
-        fault_plan: Some(chaos_plan(5, 6, 8)),
-        ..EngineConfig::default()
+        ..chaos_config(Some(chaos_plan(5, 6, 8)))
     };
-    under_both_drivers(&config, &mixed_records(24), |driver, completed, summary| {
+    let mut pins = Pins::new("faults_mid_replay_invalidate_and_recover");
+    let key = ["mixed", "5", "chaos_plan(5, 6, 8)"];
+    let records = mixed_records(24);
+    pins.both(&config, key, &[], &records, |driver, completed, summary| {
         assert_eq!(completed.len(), 24, "sessions lost");
         assert_eq!(summary.done + summary.dead_lettered, 24);
         let snap = &summary.snapshot;
@@ -353,34 +287,19 @@ fn faults_mid_replay_invalidate_and_recover() {
             "drained or unloaded configurations must fall asleep: {snap}"
         );
         // The ledger invariant is untouched by the stepper.
-        assert!(snap.faults_injected > 0, "plan never fired");
-        assert_eq!(
-            snap.faults_injected, snap.faults_detected,
-            "injected faults went undetected: {snap}"
-        );
-        assert!(
-            snap.faults_detected <= snap.recoveries + snap.dead_letters,
-            "detections unanswered: {snap}"
-        );
+        assert_ledger(snap, "mid-replay");
+        // Wakes (`schedules_captured`): every load completion
+        // (`finish_load` steps a load to running before the job pushes
+        // its input, and the completion is a wake) plus the pushes of
+        // the 36 kernel jobs (one finger per W-CDMA session, a
+        // detection and a demodulation per OFDM one) that found their
+        // configuration asleep. Every wake ends in a sleep.
         if driver == Driver::Lockstep {
-            // Wakes: every load completion (`finish_load` steps a load to
-            // running before the job pushes its input, and the completion
-            // is a wake) plus the pushes of the 36 kernel jobs (one finger
-            // per W-CDMA session, a detection and a demodulation per OFDM
-            // one) that found their configuration asleep. Every wake ends
-            // in a sleep.
-            assert_eq!(
-                [
-                    snap.schedules_captured,
-                    snap.schedule_invalidations,
-                    snap.faults_injected,
-                    snap.worker_restarts
-                ],
-                [40, 40, 7, 1],
-                "{snap}"
-            );
+            let sleeps = snap.schedule_invalidations;
+            assert_eq!(snap.schedules_captured, sleeps, "{snap}");
         }
     });
+    pins.check();
 }
 
 /// A hotspot under fault injection: 32 OFDM frames offered at once to
@@ -392,7 +311,7 @@ fn faults_mid_replay_invalidate_and_recover() {
 /// happening. Spilled sessions must complete where they landed, crashed
 /// ones must re-dispatch or dead-letter, and the fault ledger (injected ==
 /// detected ≤ recoveries + dead_letters) must reconcile on both drivers;
-/// in lockstep the ledger and the makespan are exact.
+/// in lockstep the ledger and the makespan are pinned.
 #[test]
 fn a_hotspot_under_faults_keeps_the_ledger_intact() {
     quiet_injected_panics();
@@ -400,17 +319,13 @@ fn a_hotspot_under_faults_keeps_the_ledger_intact() {
         .map(|id| ParkedSession::new_ofdm(id, 0x0FD + id, 0))
         .collect();
     let config = EngineConfig {
-        shards: 2,
         arrays_per_shard: 2,
         queue_depth: 64,
-        recovery: RecoveryPolicy {
-            max_kernel_attempts: 4,
-            ..RecoveryPolicy::default()
-        },
-        fault_plan: Some(chaos_plan(11, 4, 6)),
-        ..EngineConfig::default()
+        ..chaos_config(Some(chaos_plan(11, 4, 6)))
     };
-    under_both_drivers(&config, &records, |driver, completed, summary| {
+    let mut pins = Pins::new("a_hotspot_under_faults_keeps_the_ledger_intact");
+    let key = ["ofdm burst", "11", "chaos_plan(11, 4, 6)"];
+    pins.both(&config, key, &[], &records, |driver, completed, summary| {
         let snap = &summary.snapshot;
         assert_eq!(completed.len(), 32, "{driver:?}");
         assert_eq!(
@@ -419,33 +334,13 @@ fn a_hotspot_under_faults_keeps_the_ledger_intact() {
             "{driver:?}: every session must be accounted for"
         );
         assert_eq!(summary.failed, 0, "{driver:?}");
-        assert!(snap.faults_injected > 0, "plan never fired: {snap}");
-        assert_eq!(
-            snap.faults_injected, snap.faults_detected,
-            "{driver:?}: injected faults went undetected: {snap}"
-        );
-        assert!(
-            snap.faults_detected <= snap.recoveries + snap.dead_letters,
-            "{driver:?}: detections unanswered: {snap}"
-        );
+        assert_ledger(snap, &format!("{driver:?}"));
         assert_eq!(
             snap.worker_restarts, 1,
             "the planned panic restarts one worker"
         );
-        if driver == Driver::Lockstep {
-            assert_eq!(
-                [
-                    snap.faults_injected,
-                    snap.recoveries,
-                    snap.worker_restarts,
-                    snap.dead_letters,
-                    snap.array_makespan_cycles
-                ],
-                [3, 3, 1, 0, 8_642],
-                "ledger and makespan: {snap}"
-            );
-        }
     });
+    pins.check();
 }
 
 /// The golden-equivalence regression for the engine layer: with the
@@ -456,9 +351,12 @@ fn no_plan_changes_nothing() {
     let config = EngineConfig {
         shards: 2,
         queue_depth: 8,
-        ..EngineConfig::default() // fault_plan: None
+        ..never_shed() // fault_plan: None
     };
-    under_both_drivers(&config, &mixed_records(16), |_, _, summary| {
+    let mut pins = Pins::new("no_plan_changes_nothing");
+    let key = ["mixed", "-", "-"];
+    let records = mixed_records(16);
+    pins.both(&config, key, &[], &records, |_, _, summary| {
         assert_eq!(summary.done, 16);
         let snap = &summary.snapshot;
         assert_eq!(snap.jobs_run, 3 * 16, "exact step count as without faults");
@@ -468,4 +366,5 @@ fn no_plan_changes_nothing() {
         assert_eq!(snap.dead_letters, 0);
         assert_eq!(snap.watchdog_kicks, 0);
     });
+    pins.check();
 }

@@ -1,20 +1,19 @@
-//! Plumbing shared by the driver-level suites (`chaos`, `engine_e2e`,
-//! `frontend_backpressure`, `lockstep_determinism`, `router_golden`): the mixed
-//! workload they all offer and the one way they run it — through
-//! [`Frontend`], the driver that ships.
+//! Plumbing shared by the driver-level suites (`chaos`,
+//! `dispatch_figures`, `engine_e2e`, `frontend_backpressure`,
+//! `lockstep_determinism`, `router_golden`): the mixed workload they all
+//! offer, the chaos plans, and ([`pins`]) the one way they run it —
+//! through [`Frontend`](sdr_engine::Frontend), the driver that ships —
+//! and the table their lockstep counts are pinned in.
 
 // Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]
 
-use std::sync::Arc;
+mod pins;
 
-use sdr_engine::{
-    EngineConfig, Frontend, Metrics, ParkedSession, ScaleSummary, Session, SessionState, Standard,
-};
+pub use pins::*;
+
+use sdr_engine::{EngineConfig, ParkedSession, RecoveryPolicy, Session, ShardPool, Snapshot};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
-
-/// One terminal's outcome as the completion hook saw it.
-pub type Outcome = (u64, Standard, SessionState);
 
 /// Mixed workload: even ids W-CDMA rake terminals, odd ids 802.11a OFDM
 /// terminals, seeds derived from the id both ways. Record `id` arrives at
@@ -40,95 +39,71 @@ pub fn skewed_records(n: u64, shards: u64) -> Vec<ParkedSession> {
         .collect()
 }
 
-/// Who steps the shards under the [`Frontend`]: the OS threads that ship,
-/// or the calling thread in virtual-clock order (`Frontend::lockstep`),
-/// where every counter of a run is exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Driver {
-    Threads,
-    Lockstep,
-}
-
-impl Driver {
-    pub const BOTH: [Driver; 2] = [Driver::Threads, Driver::Lockstep];
-
-    pub fn frontend(self, config: EngineConfig, metrics: Arc<Metrics>) -> Frontend {
-        match self {
-            Driver::Threads => Frontend::with_metrics(config, metrics),
-            Driver::Lockstep => Frontend::lockstep(config, metrics),
-        }
+/// The engine's defaults with admission that never sheds: these suites
+/// pin what the *pool* does to a frame, so the virtual-time model must
+/// let every frame through.
+pub fn never_shed() -> EngineConfig {
+    EngineConfig {
+        shed_lateness_cycles: u64::MAX,
+        ..EngineConfig::default()
     }
 }
 
-/// Admits `records` and runs the front-end until every terminal has left,
-/// collecting each outcome through the completion hook, in completion
-/// order. Admission never sheds here: these suites pin what the *pool*
-/// does to a frame, so the virtual-time model must let every frame through.
-///
-/// The summary's `snapshot` is read after [`Frontend::shutdown`], not at
-/// the end of `run`: a closing shard sweeps the fault records still
-/// pending on its arrays into the ledger, so only then does every
-/// injected fault show up as detected.
-pub fn run_in_completion_order(
-    driver: Driver,
-    config: EngineConfig,
-    records: Vec<ParkedSession>,
-) -> (Vec<Outcome>, ScaleSummary) {
-    let metrics = Arc::new(Metrics::new());
-    let mut frontend = driver.frontend(
-        EngineConfig {
-            shed_lateness_cycles: u64::MAX,
-            ..config
+/// The chaos suites' pool: two worker threads of one array each,
+/// 16-deep queues and four attempts per kernel, under `plan`.
+pub fn chaos_config(plan: Option<FaultPlan>) -> EngineConfig {
+    EngineConfig {
+        shards: 2,
+        queue_depth: 16,
+        recovery: RecoveryPolicy {
+            max_kernel_attempts: 4,
+            ..RecoveryPolicy::default()
         },
-        Arc::clone(&metrics),
+        fault_plan: plan,
+        ..never_shed()
+    }
+}
+
+/// The fault ledger of a run under a plan: the plan fired, every fault
+/// the injector fired was detected somewhere, and every detection was
+/// answered by a recovery or a dead letter.
+pub fn assert_ledger(snap: &Snapshot, label: &str) {
+    assert!(snap.faults_injected > 0, "{label}: the plan never fired");
+    assert_eq!(
+        snap.faults_injected, snap.faults_detected,
+        "{label}: injected faults went undetected (or double-counted): {snap}"
     );
-    for record in records {
-        frontend.admit(record);
+    assert!(
+        snap.faults_detected <= snap.recoveries + snap.dead_letters,
+        "{label}: detections unanswered: {snap}"
+    );
+}
+
+/// Steps sessions on a lockstep pool in waves until every one has ended,
+/// and returns them in the order they ended. A wave submits the sessions
+/// still in flight plus the next cohort (`cohorts` is popped from the
+/// back) whole, and takes each back; a lockstep pool runs a round only
+/// when `recv` finds nothing handed back, so after a wave it holds
+/// nothing.
+pub fn run_waves(pool: &ShardPool, mut cohorts: Vec<Vec<Session>>) -> Vec<Session> {
+    let (mut wave, mut ended) = (Vec::new(), Vec::new());
+    while !(wave.is_empty() && cohorts.is_empty()) {
+        wave.extend(cohorts.pop().unwrap_or_default());
+        let n = wave.len();
+        for session in wave.drain(..) {
+            pool.submit(session).expect("the queues have room");
+        }
+        for _ in 0..n {
+            let session = pool.recv().expect("the arrays hold the wave");
+            if session.is_terminal() {
+                ended.push(session);
+            } else {
+                wave.push(session);
+            }
+        }
+        assert!(pool.recv().is_none(), "an empty pool has nothing to run");
     }
-    let mut outcomes = Vec::new();
-    let mut hook = |session: &Session, _| {
-        outcomes.push((session.id(), session.standard(), session.state().clone()));
-        None
-    };
-    let summary = frontend.run(&mut hook);
-    frontend.shutdown();
-    let snapshot = metrics.snapshot();
-    (
-        outcomes,
-        ScaleSummary {
-            snapshot,
-            ..summary
-        },
-    )
-}
-
-/// [`run_in_completion_order`] with the outcomes sorted by id.
-pub fn run_to_completion(
-    driver: Driver,
-    config: EngineConfig,
-    records: Vec<ParkedSession>,
-) -> (Vec<Outcome>, ScaleSummary) {
-    let (mut outcomes, summary) = run_in_completion_order(driver, config, records);
-    outcomes.sort_by_key(|(id, _, _)| *id);
-    (outcomes, summary)
-}
-
-/// Runs one row under both drivers, hands each run to `check` — bounds
-/// for the threads, exact counts where `driver` is lockstep — asserts
-/// that the two agree on every session's outcome, and returns those
-/// outcomes sorted by id.
-pub fn under_both_drivers(
-    config: &EngineConfig,
-    records: &[ParkedSession],
-    mut check: impl FnMut(Driver, &[Outcome], &ScaleSummary),
-) -> Vec<Outcome> {
-    let [threads, lockstep] = Driver::BOTH.map(|driver| {
-        let (outcomes, summary) = run_to_completion(driver, config.clone(), records.to_vec());
-        check(driver, &outcomes, &summary);
-        outcomes
-    });
-    assert_eq!(threads, lockstep, "the two drivers disagree on an outcome");
-    threads
+    ended
 }
 
 /// The chaos plan for `seed`: `count` seeded recoverable faults over the

@@ -1,17 +1,17 @@
 //! Engine integration tests: the Fig. 10 reconfiguration served from the
 //! configuration cache, pool backpressure, clean shutdown with in-flight
 //! jobs, every hand-back releasing its shard's credit, and a
-//! mixed-standard stress run.
+//! mixed-standard stress run. The front-end rows' lockstep counters are
+//! pinned in `tests/pins/engine.tsv`.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, quiet_injected_panics, under_both_drivers, Driver};
+use common::{mixed_records, never_shed, quiet_injected_panics, run, Driver, Pins};
 use sdr_engine::metrics::KernelKind;
 use sdr_engine::{
-    EngineConfig, Frontend, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard,
-    SubmitError,
+    EngineConfig, Metrics, ParkedSession, Session, SessionState, ShardPool, Standard, SubmitError,
 };
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
@@ -24,13 +24,15 @@ fn ofdm_reconfiguration_is_served_from_the_cache() {
     let config = EngineConfig {
         shards: 1,
         queue_depth: 8,
-        ..EngineConfig::default()
+        ..never_shed()
     };
     let records = [
         ParkedSession::new_ofdm(0, 11, 0),
         ParkedSession::new_ofdm(1, 12, 1),
     ];
-    under_both_drivers(&config, &records, |driver, completed, summary| {
+    let mut pins = Pins::new("ofdm_reconfiguration_is_served_from_the_cache");
+    let key = ["ofdm", "-", "-"];
+    pins.both(&config, key, &[], &records, |_, completed, summary| {
         assert_eq!(completed.len(), 2);
         for (id, _, state) in completed {
             assert_eq!(*state, SessionState::Done, "session {id} failed");
@@ -53,46 +55,36 @@ fn ofdm_reconfiguration_is_served_from_the_cache() {
         );
         assert_eq!(snap.kernel_jobs[KernelKind::PreambleDetector.index()], 2);
         assert_eq!(snap.kernel_jobs[KernelKind::Demodulator.index()], 2);
-        if driver == Driver::Lockstep {
-            assert_eq!(
-                (
-                    snap.cache_hits,
-                    snap.cache_evictions,
-                    snap.config_bus_cycles
-                ),
-                (2, 0, 108),
-                "{snap}"
-            );
-        }
     });
+    pins.check();
 }
 
-/// Admits W-CDMA frames `ids` and runs the front-end until they have all
-/// left; returns how many frames it has completed so far.
-fn run_wcdma_wave(frontend: &mut Frontend, ids: std::ops::Range<u64>) -> u64 {
-    for id in ids {
-        frontend.admit(ParkedSession::new_wcdma(id, 100 + id, id));
-    }
-    frontend.run(&mut |_: &Session, _| None).done
+/// W-CDMA frames `ids`, each arriving at the cycle of its id.
+fn wcdma_records(ids: std::ops::Range<u64>) -> Vec<ParkedSession> {
+    ids.map(|id| ParkedSession::new_wcdma(id, 100 + id, id))
+        .collect()
 }
 
 /// W-CDMA only on one array: after the first frame has loaded the finger
-/// the configuration bus is done — every later frame finds it resident and
-/// streams nothing.
+/// the configuration bus is done — every later frame finds it resident (a
+/// store hit, no build) and streams nothing.
 #[test]
 fn wcdma_frames_stream_no_config_words_after_the_first() {
-    let mut frontend = Frontend::new(EngineConfig {
+    let config = EngineConfig {
         shards: 1,
-        shed_lateness_cycles: u64::MAX,
-        ..EngineConfig::default()
-    });
-    assert_eq!(run_wcdma_wave(&mut frontend, 0..1), 1);
-    let first_frame = frontend.snapshot().config_words_streamed;
-    assert!(first_frame > 0, "the first frame loads the finger");
-    assert_eq!(run_wcdma_wave(&mut frontend, 1..9), 9);
+        ..never_shed()
+    };
+    let (warm, timed) = (wcdma_records(0..1), wcdma_records(1..9));
+    let (_, later) = run(Driver::Threads, config, &warm, &timed);
+    let snap = &later.snapshot;
+    assert_eq!(later.done, 8);
     assert_eq!(
-        frontend.snapshot().config_words_streamed,
-        first_frame,
+        (
+            snap.config_words_streamed,
+            snap.cache_misses,
+            snap.cache_hits
+        ),
+        (0, 0, 8),
         "a later frame re-streamed a configuration that should be resident"
     );
 }
@@ -103,17 +95,15 @@ fn wcdma_frames_stream_no_config_words_after_the_first() {
 /// is routed to a shard holding its kernel.
 #[test]
 fn wcdma_frames_route_by_affinity_on_two_shards() {
-    let mut frontend = Frontend::new(EngineConfig {
+    let config = EngineConfig {
         shards: 2,
-        shed_lateness_cycles: u64::MAX,
-        ..EngineConfig::default()
-    });
-    assert_eq!(run_wcdma_wave(&mut frontend, 0..4), 4);
-    let warm_up_hits = frontend.snapshot().router_affinity_hits;
-    assert_eq!(run_wcdma_wave(&mut frontend, 4..12), 12);
+        ..never_shed()
+    };
+    let (warm, timed) = (wcdma_records(0..4), wcdma_records(4..12));
+    let (_, later) = run(Driver::Threads, config, &warm, &timed);
+    assert_eq!(later.done, 8);
     assert_eq!(
-        frontend.snapshot().router_affinity_hits - warm_up_hits,
-        8,
+        later.snapshot.router_affinity_hits, 8,
         "one kernel step per frame, each routed to a shard holding the finger"
     );
 }
@@ -259,9 +249,12 @@ fn stress_64_mixed_sessions_over_4_shards() {
     let config = EngineConfig {
         shards: 4,
         queue_depth: 8, // the window (32) keeps half the workload parked
-        ..EngineConfig::default()
+        ..never_shed()
     };
-    under_both_drivers(&config, &mixed_records(64), |driver, completed, summary| {
+    let mut pins = Pins::new("stress_64_mixed_sessions_over_4_shards");
+    let records = mixed_records(64);
+    let key = ["mixed", "-", "-"];
+    pins.both(&config, key, &[], &records, |_, completed, summary| {
         assert_eq!(
             completed.len(),
             64,
@@ -311,52 +304,29 @@ fn stress_64_mixed_sessions_over_4_shards() {
             );
         }
         assert!(snap.cache_hit_rate() > 0.5);
-        if driver == Driver::Lockstep {
-            assert_eq!(
-                [
-                    snap.cache_misses,
-                    snap.cache_hits,
-                    snap.cache_evictions,
-                    snap.queue_high_water,
-                    snap.config_words_streamed,
-                    snap.array_makespan_cycles
-                ],
-                [3, 93, 0, 8, 792, 24800],
-                "{snap}"
-            );
-        }
     });
+    pins.check();
 }
 
 /// More shards than sessions: the idle shards change nothing, every
-/// session finishes.
+/// session finishes. Its lockstep row reads six routed steps, none of
+/// which finds its kernel resident on a shard: four are host-only, and
+/// the detector and the demodulator are cold (nothing loads 2b ahead of
+/// its step), so all fall back to the least-loaded shard.
 #[test]
 fn idle_shards_admit_trivially() {
     let config = EngineConfig {
         shards: 8,
-        ..EngineConfig::default()
+        ..never_shed()
     };
     let records = [
         ParkedSession::new_wcdma(0, 7, 0),
         ParkedSession::new_ofdm(1, 8, 1),
     ];
-    under_both_drivers(&config, &records, |driver, _, summary| {
+    let mut pins = Pins::new("idle_shards_admit_trivially");
+    let key = ["mixed", "-", "-"];
+    pins.both(&config, key, &[], &records, |_, _, summary| {
         assert_eq!(summary.done, 2);
-        if driver == Driver::Lockstep {
-            // Six routed steps, and none finds its kernel resident on a
-            // shard: four are host-only, and the detector and the
-            // demodulator are cold (nothing loads 2b ahead of its step), so
-            // all fall back to the least-loaded shard.
-            let snap = &summary.snapshot;
-            assert_eq!(
-                (
-                    snap.router_affinity_hits,
-                    snap.router_fallbacks,
-                    snap.array_makespan_cycles
-                ),
-                (0, 6, 2148),
-                "{snap}"
-            );
-        }
     });
+    pins.check();
 }

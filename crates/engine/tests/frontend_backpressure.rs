@@ -5,7 +5,8 @@
 //!    refuses one and each frame is rehydrated exactly once — on every
 //!    pool shape and queue depth, for a mixed stream, an all-OFDM burst
 //!    and ids an id-hashing placement would pile onto one shard, under
-//!    both drivers.
+//!    both drivers. The lockstep runs' counters are pinned in
+//!    `tests/pins/engine.tsv`.
 //! 2. A seeded open-loop Poisson arrival run is bit-deterministic: two
 //!    executions produce identical outcome counts, shed lists, and
 //!    modeled slack vectors (the virtual-time admission model is a pure
@@ -20,7 +21,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, skewed_records, under_both_drivers};
+use common::{mixed_records, never_shed, run, skewed_records, Driver, Pins};
 use sdr_dsp::rng::Rng64;
 use sdr_engine::frontend::{Frontend, ScaleSummary, OFDM_SERVICE_CYCLES, WCDMA_SERVICE_CYCLES};
 use sdr_engine::{EngineConfig, Metrics, ParkedSession, Session, Standard};
@@ -63,16 +64,18 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
         ("ofdm burst", ofdm_burst),
         ("skewed", skewed_records(FRAMES, 2)),
     ];
+    let mut pins = Pins::new("the_window_offers_the_pool_only_what_it_can_take");
     for (shards, arrays_per_shard) in [(1, 1), (2, 1), (2, 2), (4, 1)] {
         for queue_depth in [1, 2, 32] {
             let config = EngineConfig {
                 shards,
                 arrays_per_shard,
                 queue_depth,
-                ..EngineConfig::default()
+                ..never_shed()
             };
             for (name, records) in &workloads {
-                under_both_drivers(&config, records, |driver, _, summary| {
+                let key = [name, "-", "-"];
+                pins.both(&config, key, &[], records, |driver, _, summary| {
                     let label = format!(
                         "{shards}x{arrays_per_shard} depth {queue_depth} {name} {driver:?}"
                     );
@@ -95,6 +98,7 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
             }
         }
     }
+    pins.check();
 }
 
 /// `n` seeded open-loop Poisson arrivals: exponential interarrivals with
@@ -117,25 +121,15 @@ fn poisson_records(seed: u64, n: u64, mean_interarrival: f64) -> Vec<ParkedSessi
         .collect()
 }
 
-/// Admits the records and runs the open loop until every terminal left.
-fn run_records(config: EngineConfig, records: &[ParkedSession]) -> ScaleSummary {
-    let mut fe = Frontend::new(EngineConfig {
-        parking_capacity: records.len(),
-        ..config
-    });
-    for &record in records {
-        fe.admit(record);
-    }
-    fe.run(&mut open_loop)
-}
-
 fn poisson_run(seed: u64, n: u64, mean_interarrival: f64) -> ScaleSummary {
     let config = EngineConfig {
         shards: 2,
         queue_depth: 8,
+        parking_capacity: n as usize,
         ..EngineConfig::default()
     };
-    run_records(config, &poisson_records(seed, n, mean_interarrival))
+    let records = poisson_records(seed, n, mean_interarrival);
+    run(Driver::Threads, config, &[], &records).1
 }
 
 #[test]
@@ -180,11 +174,12 @@ fn overload_admission_is_plain_least_loaded() {
         shards: WORKERS,
         arrays_per_shard: 1,
         queue_depth: 32,
+        parking_capacity: 512,
         ..EngineConfig::default()
     };
     let mean_service = (WCDMA_SERVICE_CYCLES + OFDM_SERVICE_CYCLES) as f64 / 2.0;
     let mut records = poisson_records(0xE5C0E, 512, mean_service / (2.0 * WORKERS as f64));
-    let summary = run_records(config.clone(), &records);
+    let summary = run(Driver::Threads, config.clone(), &[], &records).1;
 
     assert_eq!(summary.done, 287);
     assert_eq!(summary.shed.len(), 225);

@@ -5,50 +5,41 @@
 //! on the pool's threads is less: outcomes and the admission model repeat,
 //! counters that follow placement do not —
 //! `frontend_backpressure::seeded_poisson_arrivals_are_bit_deterministic`.)
+//! Each shape's and plan's snapshot is pinned in `tests/pins/engine.tsv`.
 
 mod common;
 
 use common::{
-    chaos_plan, mixed_records, quiet_injected_panics, run_in_completion_order, Driver, Outcome,
+    assert_ledger, chaos_config, chaos_plan, mixed_records, quiet_injected_panics, run, Driver,
+    Pins,
 };
-use sdr_engine::{EngineConfig, RecoveryPolicy, ScaleSummary, Snapshot};
+use sdr_engine::{EngineConfig, Snapshot};
 use xpp_array::fault::FaultPlan;
 
-/// Runs 48 mixed frames on a `shards × arrays_per_shard` lockstep pool.
-/// Arrays may own 16 sessions each and a holder more than eight ahead of
-/// the least-loaded array spills, so every dispatch mechanism has cause to
+/// The pool the rows run: `shards × arrays_per_shard` arrays that may own
+/// 16 sessions each, where a holder more than eight ahead of the
+/// least-loaded array spills, so every dispatch mechanism has cause to
 /// fire.
-fn lockstep_run(
-    (shards, arrays_per_shard): (usize, usize),
-    plan: Option<FaultPlan>,
-) -> (Vec<Outcome>, ScaleSummary) {
-    run_in_completion_order(
-        Driver::Lockstep,
-        EngineConfig {
-            shards,
-            arrays_per_shard,
-            queue_depth: 16,
-            recovery: RecoveryPolicy {
-                max_kernel_attempts: 4,
-                ..RecoveryPolicy::default()
-            },
-            fault_plan: plan,
-            ..EngineConfig::default()
-        },
-        mixed_records(48),
-    )
+fn config((shards, arrays_per_shard): (usize, usize), plan: Option<FaultPlan>) -> EngineConfig {
+    EngineConfig {
+        shards,
+        arrays_per_shard,
+        ..chaos_config(plan)
+    }
 }
 
-/// Runs [`lockstep_run`] twice, asserts the two runs are
-/// indistinguishable, and returns the snapshot.
-fn repeatable_run(shards: usize, arrays_per_shard: usize, plan: Option<FaultPlan>) -> Snapshot {
-    let shape = (shards, arrays_per_shard);
-    let (order, summary) = lockstep_run(shape, plan.clone());
-    let (order_again, summary_again) = lockstep_run(shape, plan.clone());
-    let label = format!("{shards}x{arrays_per_shard}, plan {plan:?}");
+/// Runs 48 mixed frames on `config` in lockstep twice, asserts the two
+/// runs are indistinguishable, pins the run as the row keyed by `seed`
+/// and `plan` and returns its snapshot.
+fn repeatable_run(pins: &mut Pins, config: EngineConfig, [seed, plan]: [&str; 2]) -> Snapshot {
+    let records = mixed_records(48);
+    let (order, summary) = run(Driver::Lockstep, config.clone(), &[], &records);
+    let (order_again, summary_again) = run(Driver::Lockstep, config.clone(), &[], &records);
+    let label = format!("{}x{}, plan {plan}", config.shards, config.arrays_per_shard);
     assert_eq!(order.len(), 48, "{label}: frames lost");
     assert_eq!(order, order_again, "{label}: completion order");
     assert_eq!(summary, summary_again, "{label}: summary and snapshot");
+    pins.row(&config, ["mixed", seed, plan], &summary);
     summary.snapshot
 }
 
@@ -56,9 +47,10 @@ const SHAPES: [(usize, usize); 5] = [(1, 1), (2, 1), (4, 1), (2, 2), (1, 4)];
 
 #[test]
 fn two_lockstep_runs_are_identical_on_every_shape() {
+    let mut pins = Pins::new("two_lockstep_runs_are_identical_on_every_shape");
     let mut total = Snapshot::default();
     for (shards, arrays) in SHAPES {
-        let snap = repeatable_run(shards, arrays, None);
+        let snap = repeatable_run(&mut pins, config((shards, arrays), None), ["-", "-"]);
         assert_eq!(snap.sessions_completed, 48);
         total.router_fallbacks += snap.router_fallbacks;
         total.router_affinity_hits += snap.router_affinity_hits;
@@ -75,43 +67,40 @@ fn two_lockstep_runs_are_identical_on_every_shape() {
     assert!(total.router_fallbacks > 0, "no step spilled");
     assert!(total.router_affinity_hits > 0, "no route hit its kernel");
     assert!(total.config_words_streamed > 0, "no configuration loaded");
+    pins.check();
 }
 
-/// Per chaos seed, per shape in `SHAPES` order: the zero-fire watchdog's
-/// kicks. Only a fault plan reaches the watchdog (it kicks a stalled
+/// Only a fault plan reaches the zero-fire watchdog (it kicks a stalled
 /// load), so these rows are where it is seen to fire.
-const WATCHDOG_KICKS: [[u64; 5]; 3] = [[2, 2, 2, 2, 2], [1, 1, 1, 1, 1], [4, 4, 4, 4, 4]];
-
 #[test]
 fn two_lockstep_runs_are_identical_under_the_chaos_plans() {
     // The chaos suite's plans: a panic, then six faults over eight loads.
     quiet_injected_panics();
-    for (seed, kicks) in [1, 2, 3].into_iter().zip(WATCHDOG_KICKS) {
-        for ((shards, arrays), kicks) in SHAPES.into_iter().zip(kicks) {
+    let mut pins = Pins::new("two_lockstep_runs_are_identical_under_the_chaos_plans");
+    let mut kicks = 0;
+    for seed in [1, 2, 3] {
+        let plan = format!("chaos_plan({seed}, 6, 8)");
+        for (shards, arrays) in SHAPES {
             let label = format!("seed {seed} on {shards}x{arrays}");
-            let snap = repeatable_run(shards, arrays, Some(chaos_plan(seed, 6, 8)));
+            let config = config((shards, arrays), Some(chaos_plan(seed, 6, 8)));
+            let snap = repeatable_run(&mut pins, config, [&seed.to_string(), &plan]);
             assert!(snap.faults_injected > 1, "{label}: only the panic fired");
             // The ledger, read after the pool shut down: a faulted load that
             // nothing used again is swept when its shard closes (ROADMAP
             // F(b); seed 3 on 4x1 leaves one).
-            assert_eq!(snap.faults_injected, snap.faults_detected, "{label}");
-            assert!(
-                snap.faults_detected <= snap.recoveries + snap.dead_letters,
-                "{label}: detections unanswered"
-            );
+            assert_ledger(&snap, &label);
             // The planned panic restarts one worker and its session is
-            // re-dispatched once; a stalled load is kicked by the watchdog.
+            // re-dispatched once.
             assert_eq!(
-                (
-                    snap.worker_restarts,
-                    snap.session_retries,
-                    snap.watchdog_kicks
-                ),
-                (1, 1, kicks),
+                (snap.worker_restarts, snap.session_retries),
+                (1, 1),
                 "{label}"
             );
+            kicks += snap.watchdog_kicks;
         }
     }
+    assert!(kicks > 0, "the watchdog never kicked a stalled load");
+    pins.check();
 }
 
 /// The array is the unit of placement, and grouping arrays onto threads is
@@ -126,8 +115,11 @@ fn a_gang_runs_as_its_flat_pool() {
     for (gang, flat) in [((2, 2), (4, 1)), ((1, 4), (4, 1)), ((2, 4), (8, 1))] {
         for plan in &plans {
             let label = format!("{gang:?} against {flat:?}, plan {plan:?}");
-            let (order, summary) = lockstep_run(gang, plan.clone());
-            let (flat_order, flat_summary) = lockstep_run(flat, plan.clone());
+            let records = mixed_records(48);
+            let lockstep =
+                |shape| run(Driver::Lockstep, config(shape, plan.clone()), &[], &records);
+            let (order, summary) = lockstep(gang);
+            let (flat_order, flat_summary) = lockstep(flat);
             assert_eq!(order.len(), 48, "{label}: frames lost");
             assert_eq!(order, flat_order, "{label}: completion order");
             assert_eq!(summary, flat_summary, "{label}: summary and snapshot");

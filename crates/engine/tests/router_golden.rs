@@ -5,15 +5,16 @@
 //! terminal state must be bit-identical to a run of the same session on a
 //! private single array. The rows cover two to sixteen arrays, one to four
 //! per worker thread, and two-deep queues under the credit window, each
-//! with its routing counters pinned in lockstep. A lockstep pool of
-//! `shards × arrays_per_shard` arrays is the pool of as many single
-//! arrays, so rows with the same array count pin the same counters.
+//! with its lockstep counters pinned in `tests/pins/engine.tsv`. A
+//! lockstep pool of `shards × arrays_per_shard` arrays is the pool of as
+//! many single arrays, so rows with the same array count pin the same
+//! counters.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{mixed_records, skewed_records, under_both_drivers, Driver, Outcome};
+use common::{mixed_records, never_shed, skewed_records, Outcome, Pins};
 use sdr_engine::{EngineConfig, Metrics, ParkedSession, Session, SessionState, WorkerArray};
 
 /// Steps every session to a terminal state on its own private array:
@@ -40,43 +41,6 @@ fn single_array_reference(records: &[ParkedSession]) -> Vec<Outcome> {
     out
 }
 
-/// Runs the workload through the front-end on the given pool shape, under
-/// both drivers (which must agree), and returns each terminal's outcome
-/// sorted by id. `exact` is what the lockstep run must read: affinity
-/// hits, fallbacks, configuration words.
-fn routed_outcomes(
-    (shards, arrays_per_shard): (usize, usize),
-    n: u64,
-    exact: [u64; 3],
-) -> Vec<Outcome> {
-    let config = EngineConfig {
-        shards,
-        arrays_per_shard,
-        queue_depth: 64,
-        ..EngineConfig::default()
-    };
-    let label = format!("shards={shards} arrays={arrays_per_shard}");
-    under_both_drivers(&config, &mixed_records(n), |driver, outcomes, summary| {
-        assert_eq!(
-            outcomes.len() as u64,
-            n,
-            "{label} {driver:?}: sessions lost"
-        );
-        let snap = &summary.snapshot;
-        if driver == Driver::Lockstep {
-            assert_eq!(
-                [
-                    snap.router_affinity_hits,
-                    snap.router_fallbacks,
-                    snap.config_words_streamed
-                ],
-                exact,
-                "{label}: {snap}"
-            );
-        }
-    })
-}
-
 fn assert_matches_reference(label: &str, got: &[Outcome], want: &[Outcome]) {
     assert_eq!(got.len(), want.len(), "{label}: session count diverged");
     for ((id, standard, state), (ref_id, ref_standard, ref_state)) in got.iter().zip(want.iter()) {
@@ -99,23 +63,32 @@ fn assert_matches_reference(label: &str, got: &[Outcome], want: &[Outcome]) {
 #[test]
 fn affinity_routing_matches_the_reference() {
     let n = 48;
-    let reference = single_array_reference(&mixed_records(n));
+    let records = mixed_records(n);
+    let reference = single_array_reference(&records);
     assert!(
         reference.iter().all(|(_, _, s)| *s == SessionState::Done),
         "reference workload must complete cleanly for the comparison to mean much"
     );
-    for (shape, exact) in [
-        ((2usize, 1usize), [18, 126, 396]),
-        ((1, 4), [45, 99, 612]),
-        ((2, 2), [45, 99, 612]),
-        ((4, 1), [45, 99, 612]),
-        ((2, 4), [58, 86, 654]),
-        ((4, 2), [58, 86, 654]),
-        ((4, 4), [63, 81, 546]),
-    ] {
-        let routed = routed_outcomes(shape, n, exact);
-        assert_matches_reference(&format!("affinity {shape:?}"), &routed, &reference);
+    let mut pins = Pins::new("affinity_routing_matches_the_reference");
+    for (shards, arrays_per_shard) in [(2, 1), (1, 4), (2, 2), (4, 1), (2, 4), (4, 2), (4, 4)] {
+        let config = EngineConfig {
+            shards,
+            arrays_per_shard,
+            queue_depth: 64,
+            ..never_shed()
+        };
+        let label = format!("affinity {shards}x{arrays_per_shard}");
+        let key = ["mixed", "-", "-"];
+        let routed = pins.both(&config, key, &[], &records, |driver, outcomes, _| {
+            assert_eq!(
+                outcomes.len() as u64,
+                n,
+                "{label} {driver:?}: sessions lost"
+            );
+        });
+        assert_matches_reference(&label, &routed, &reference);
     }
+    pins.check();
 }
 
 /// Two-deep queues under the credit window: the driver offers the pool
@@ -125,6 +98,7 @@ fn affinity_routing_matches_the_reference() {
 #[test]
 fn two_deep_queues_match_the_reference() {
     let n = 48;
+    let mut pins = Pins::new("two_deep_queues_match_the_reference");
     for (name, records) in [
         ("mixed", mixed_records(n)),
         ("skewed", skewed_records(n, 2)),
@@ -135,9 +109,10 @@ fn two_deep_queues_match_the_reference() {
                 shards,
                 arrays_per_shard: arrays,
                 queue_depth: 2,
-                ..EngineConfig::default()
+                ..never_shed()
             };
-            under_both_drivers(&config, &records, |driver, routed, summary| {
+            let key = [name, "-", "-"];
+            pins.both(&config, key, &[], &records, |driver, routed, summary| {
                 let label = format!("{name} shards={shards} arrays={arrays} {driver:?}");
                 assert_matches_reference(&label, routed, &reference);
                 assert_eq!(
@@ -151,4 +126,5 @@ fn two_deep_queues_match_the_reference() {
             });
         }
     }
+    pins.check();
 }

@@ -22,9 +22,9 @@
 //! twiddle product is `Mul`/`Sub`/`AddK(256)`/`ShrK(9)` (= round-half-up
 //! Q0.9) and the stage scaling is a truncating `ShrK`.
 
-use crate::xpp_map::{split_iq, zip_iq};
 use sdr_dsp::fft::{digit_reversed_index_64, twiddle_q, TWIDDLE_FRAC_BITS};
 use sdr_dsp::Cplx;
+use xpp_array::iq::{drain_iq, split_iq};
 use xpp_array::{
     AluOp, Array, ConfigId, CounterCfg, DataOut, Netlist, NetlistBuilder, Result, UnaryOp, Word,
     WORD_MIN,
@@ -318,9 +318,7 @@ pub fn drive_fft64(
     let budget = 3_000 * frames.len() as u64 + 10_000;
     array.run_until_output(cfg, "i_out", frames.len() * 64, budget)?;
     array.run_until_idle(10_000)?;
-    let i_out = array.drain_output(cfg, "i_out")?;
-    let q_out = array.drain_output(cfg, "q_out")?;
-    Ok(zip_iq(&i_out, &q_out)
+    Ok(drain_iq(array, cfg, "i_out", "q_out")?
         .chunks_exact(64)
         .map(|c| c.try_into().expect("64-sample chunk"))
         .collect())

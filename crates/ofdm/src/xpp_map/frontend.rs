@@ -22,8 +22,8 @@
 //! removed and 2b loads into the freed PAEs.
 
 use crate::rx::{AUTOCORR_LAG, AUTOCORR_PROD_SHIFT, AUTOCORR_WINDOW};
-use crate::xpp_map::{split_iq, zip_iq};
 use sdr_dsp::Cplx;
+use xpp_array::iq::{drain_iq, split_iq};
 use xpp_array::{
     AluOp, Array, ConfigId, CounterCfg, Netlist, NetlistBuilder, ResourceCounts, Result, UnaryOp,
     Word,
@@ -373,9 +373,7 @@ impl ReconfigurableFrontend {
         self.array
             .run_until_output(self.cfg1, "fft_i_out", 64, 20_000)?;
         self.array.run_until_idle(10_000)?;
-        let i_out = self.array.drain_output(self.cfg1, "fft_i_out")?;
-        let q_out = self.array.drain_output(self.cfg1, "fft_q_out")?;
-        let flat = zip_iq(&i_out, &q_out);
+        let flat = drain_iq(&mut self.array, self.cfg1, "fft_i_out", "fft_q_out")?;
         let mut buf = [Cplx::<i32>::ZERO; 64];
         buf.copy_from_slice(&flat[flat.len() - 64..]);
         Ok(buf)
@@ -424,9 +422,8 @@ mod tests {
         array.push_input(cfg, "i_in", i).unwrap();
         array.push_input(cfg, "q_in", q).unwrap();
         array.run_until_idle(10_000).unwrap();
-        let i_out = array.drain_output(cfg, "i_out").unwrap();
-        let q_out = array.drain_output(cfg, "q_out").unwrap();
-        assert_eq!(zip_iq(&i_out, &q_out), downsample2(&x));
+        let y = drain_iq(&mut array, cfg, "i_out", "q_out").unwrap();
+        assert_eq!(y, downsample2(&x));
     }
 
     #[test]

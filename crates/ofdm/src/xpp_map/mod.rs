@@ -24,8 +24,7 @@ pub use frontend::{
     ReconfigurableFrontend,
 };
 
-use sdr_dsp::Cplx;
-use xpp_array::{Netlist, Word};
+use xpp_array::Netlist;
 
 /// Registry of the crate's array kernels (paper Figs. 9/10) under stable
 /// identities, mirroring the wcdma crate's `WcdmaKernel` registry: a
@@ -63,28 +62,4 @@ impl OfdmKernel {
             OfdmKernel::Fft64 { stage_shift } => fft64_netlist(stage_shift),
         }
     }
-}
-
-/// Splits a complex integer stream into parallel I and Q word streams,
-/// read lazily from the caller's slice (`Array::push_input` takes them as
-/// they are).
-pub(crate) fn split_iq(
-    samples: &[Cplx<i32>],
-) -> (
-    impl Iterator<Item = Word> + '_,
-    impl Iterator<Item = Word> + '_,
-) {
-    (
-        samples.iter().map(|c| Word::new(c.re)),
-        samples.iter().map(|c| Word::new(c.im)),
-    )
-}
-
-/// Zips parallel I and Q word streams back into complex samples.
-pub(crate) fn zip_iq(i: &[Word], q: &[Word]) -> Vec<Cplx<i32>> {
-    assert_eq!(i.len(), q.len(), "I/Q stream length mismatch");
-    i.iter()
-        .zip(q)
-        .map(|(a, b)| Cplx::new(a.value(), b.value()))
-        .collect()
 }

@@ -13,8 +13,8 @@
 //!   re-interleave the decoded pair.
 
 use crate::rake::finger::WEIGHT_FRAC_BITS;
-use crate::xpp_map::{drain_iq, split_iq};
 use sdr_dsp::Cplx;
+use xpp_array::iq::{drain_iq, split_iq};
 use xpp_array::{
     AluOp, Array, ConfigId, CounterCfg, DataOut, Netlist, NetlistBuilder, Result, UnaryOp, Word,
     WORD_MIN,
@@ -187,7 +187,7 @@ pub fn drive_corrector(
     array.push_input(cfg, "q_in", q)?;
     array.run_until_output(cfg, "i_out", muxed.len(), 16 * muxed.len() as u64 + 4_000)?;
     array.run_until_idle(4_000)?;
-    drain_iq(array, cfg)
+    drain_iq(array, cfg, "i_out", "q_out")
 }
 
 /// The STTD corrector's drive function (see [`crate::xpp_map`]): `cfg` is
@@ -228,7 +228,7 @@ pub fn drive_sttd_corrector(
         24 * symbols.len() as u64 + 4_000,
     )?;
     array.run_until_idle(4_000)?;
-    drain_iq(array, cfg)
+    drain_iq(array, cfg, "i_out", "q_out")
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! with `c1 = 1−2·cᵢ`, `c2 = 1−2·c_q`.
 
 use crate::scrambling::ScramblingCode;
-use crate::xpp_map::{drain_iq, split_iq};
 use sdr_dsp::Cplx;
+use xpp_array::iq::{drain_iq, split_iq};
 use xpp_array::{AluOp, Array, ConfigId, DataOut, Netlist, NetlistBuilder, Result, Word};
 
 /// Builds the Fig. 5 descrambler netlist.
@@ -135,7 +135,7 @@ pub fn drive_descrambler(
     push_descrambler_inputs(array, cfg, rx, code, delay, phase, n)?;
     array.run_until_output(cfg, "i_out", n, 16 * n as u64 + 1_000)?;
     array.run_until_idle(1_000)?;
-    drain_iq(array, cfg)
+    drain_iq(array, cfg, "i_out", "q_out")
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   RAM or dumps it to the output while a merge writes back zero.
 
 use crate::ovsf::ovsf;
-use crate::xpp_map::{drain_iq, split_iq};
 use sdr_dsp::Cplx;
+use xpp_array::iq::{drain_iq, split_iq};
 use xpp_array::{
     AluOp, Array, ConfigId, CounterCfg, DataOut, Netlist, NetlistBuilder, Result, UnaryOp, Word,
 };
@@ -160,7 +160,7 @@ pub fn drive_despreader(
     array.push_input(cfg, "q_in", q)?;
     array.run_until_output(cfg, "i_out", n_sym, 16 * chips.len() as u64 + 2_000)?;
     array.run_until_idle(2_000)?;
-    drain_iq(array, cfg)
+    drain_iq(array, cfg, "i_out", "q_out")
 }
 
 /// The multiplexed despreader's drive function (see [`crate::xpp_map`]):
@@ -213,7 +213,10 @@ pub fn drive_multiplexed_despreader(
     array.run_until_idle(4_000)?;
     // De-interleave back to per-finger symbol streams.
     let mut out = vec![Vec::with_capacity(n_sym); fingers];
-    for (k, sym) in drain_iq(array, cfg)?.into_iter().enumerate() {
+    for (k, sym) in drain_iq(array, cfg, "i_out", "q_out")?
+        .into_iter()
+        .enumerate()
+    {
         out[k % fingers].push(sym);
     }
     Ok(out)

@@ -11,8 +11,8 @@ use crate::ovsf::ovsf;
 use crate::scrambling::ScramblingCode;
 use crate::xpp_map::descrambler::{build_descrambler, push_descrambler_inputs};
 use crate::xpp_map::despreader::build_despreader_single;
-use crate::xpp_map::drain_iq;
 use sdr_dsp::Cplx;
+use xpp_array::iq::drain_iq;
 use xpp_array::{Array, ConfigId, Netlist, NetlistBuilder, Result};
 
 /// Builds the finger netlist for `C(sf, code_index)`: Fig. 5 wired into
@@ -69,7 +69,7 @@ pub fn drive_finger(
     push_descrambler_inputs(array, cfg, rx, code, delay, phase, chips)?;
     array.run_until_output(cfg, "i_out", n_sym, 16 * chips as u64 + 2_000)?;
     array.run_until_idle(2_000)?;
-    drain_iq(array, cfg)
+    drain_iq(array, cfg, "i_out", "q_out")
 }
 
 #[cfg(test)]

@@ -36,8 +36,7 @@ pub use despreader::{
 };
 pub use finger::{drive_finger, finger_netlist};
 
-use sdr_dsp::Cplx;
-use xpp_array::{Array, ConfigId, Netlist, Result, Word};
+use xpp_array::Netlist;
 
 /// Registry of the crate's array kernels: every `*_netlist` constructor,
 /// addressable by a stable identity instead of a function pointer.
@@ -97,35 +96,4 @@ impl WcdmaKernel {
             WcdmaKernel::SttdCorrector => sttd_corrector_netlist(),
         }
     }
-}
-
-/// Splits a complex integer stream into parallel I and Q word streams,
-/// read lazily from the caller's slice (`Array::push_input` takes them as
-/// they are).
-pub(crate) fn split_iq(
-    samples: &[Cplx<i32>],
-) -> (
-    impl Iterator<Item = Word> + '_,
-    impl Iterator<Item = Word> + '_,
-) {
-    (
-        samples.iter().map(|c| Word::new(c.re)),
-        samples.iter().map(|c| Word::new(c.im)),
-    )
-}
-
-/// Drains a configuration's `i_out`/`q_out` streams and zips them back
-/// into complex samples.
-///
-/// # Panics
-///
-/// Panics if the streams have different lengths.
-pub(crate) fn drain_iq(array: &mut Array, cfg: ConfigId) -> Result<Vec<Cplx<i32>>> {
-    let i = array.drain_output(cfg, "i_out")?;
-    let q = array.drain_output(cfg, "q_out")?;
-    assert_eq!(i.len(), q.len(), "I/Q stream length mismatch");
-    Ok(i.iter()
-        .zip(&q)
-        .map(|(a, b)| Cplx::new(a.value(), b.value()))
-        .collect())
 }

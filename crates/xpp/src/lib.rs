@@ -51,6 +51,7 @@ pub mod compiled;
 pub mod error;
 #[cfg(feature = "faults")]
 pub mod fault;
+pub mod iq;
 pub mod netlist;
 pub mod object;
 pub mod place;
