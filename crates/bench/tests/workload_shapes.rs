@@ -18,33 +18,42 @@
 #[path = "../src/bin/e2e/workload.rs"]
 mod workload;
 
-#[allow(dead_code)]
-#[path = "../../engine/tests/common/pins.rs"]
-mod pins;
+#[path = "../../engine/tests/common/mod.rs"]
+mod common;
 
-use pins::Pins;
+use common::{chaos_plan, quiet_injected_panics, Pins};
 use sdr_engine::session::WCDMA_PERIOD_CYCLES;
-use sdr_engine::{EngineConfig, PlacementPolicy, SessionState};
-use workload::WARMUP_ROUND;
+use sdr_engine::{EngineConfig, ParkedSession, PlacementPolicy, SessionState};
+use workload::{Workload, WARMUP_ROUND};
 
-/// Runs the shape named `name` at seeds 1 and 7: its warm-up, then one
-/// timed round on the same front-end, as `e2e` builds them.
-fn shape(name: &str) {
-    let w = workload::find(name).expect("a benchmark workload");
-    let frames = w.round_frames;
-    let config = EngineConfig {
+/// The pool `e2e` builds for `w`.
+fn config(w: &Workload) -> EngineConfig {
+    EngineConfig {
         shards: w.shards,
         arrays_per_shard: w.arrays_per_shard,
-        parking_capacity: frames,
+        parking_capacity: w.round_frames,
         placement: PlacementPolicy::Affinity,
         work_stealing: true,
         ..EngineConfig::default()
-    };
+    }
+}
+
+/// `w`'s warm-up and first timed round at `seed`, as `e2e` builds them.
+fn rounds(w: &Workload, seed: u64) -> (Vec<ParkedSession>, Vec<ParkedSession>) {
+    let warm = w.records(seed, WARMUP_ROUND, w.warmup_frames(), 0);
+    let offset = warm.last().map_or(0, |r| r.deadline()) + 10 * WCDMA_PERIOD_CYCLES;
+    let timed = w.records(seed, 0, w.round_frames, offset);
+    (warm, timed)
+}
+
+/// Runs the shape named `name` at seeds 1 and 7: its warm-up, then one
+/// timed round on the same front-end.
+fn shape(name: &str) {
+    let w = workload::find(name).expect("a benchmark workload");
+    let (frames, config) = (w.round_frames, config(w));
     let mut pins = Pins::new(name);
     for seed in [1, 7] {
-        let warm = w.records(seed, WARMUP_ROUND, w.warmup_frames(), 0);
-        let offset = warm.last().map_or(0, |r| r.deadline()) + 10 * WCDMA_PERIOD_CYCLES;
-        let timed = w.records(seed, 0, frames, offset);
+        let (warm, timed) = rounds(w, seed);
         let key = ["timed round", &seed.to_string(), "-"];
         pins.both(&config, key, &warm, &timed, |driver, outcomes, summary| {
             let label = format!("{name} seed {seed} {driver:?}");
@@ -88,4 +97,37 @@ fn mixed_gang() {
 #[test]
 fn backpressure_1x1() {
     shape("backpressure_1x1");
+}
+
+/// Every shape under the chaos suites' plan (a worker panic at the first
+/// load, then six seeded recoverable faults over the first eight), at
+/// seeds 1 and 7, on both drivers. The plan's load ordinals count from
+/// the warm-up, and the warm-up makes every load of the run but one or
+/// two, so that is where the faults strike: `common::run` checks the
+/// ledger over the whole run, and the timed round after it must still
+/// end no frame `Failed`.
+#[test]
+fn every_shape_under_the_chaos_plan() {
+    quiet_injected_panics();
+    let mut pins = Pins::new("every_shape_under_the_chaos_plan");
+    for w in &workload::WORKLOADS {
+        for seed in [1, 7] {
+            let config = EngineConfig {
+                fault_plan: Some(chaos_plan(seed, 6, 8)),
+                ..config(w)
+            };
+            let (warm, timed) = rounds(w, seed);
+            let plan = format!("chaos_plan({seed}, 6, 8)");
+            let key = [w.name, &seed.to_string(), &plan];
+            pins.both(&config, key, &warm, &timed, |driver, outcomes, _| {
+                let label = format!("{} seed {seed} {driver:?}", w.name);
+                assert_eq!(outcomes.len(), w.round_frames, "{label}: frames lost");
+                for (id, _, state) in outcomes {
+                    let failed = matches!(state, SessionState::Failed(_));
+                    assert!(!failed, "{label}: frame {id} {state:?}");
+                }
+            });
+        }
+    }
+    pins.check();
 }

@@ -6,7 +6,6 @@
 //! and read the fields that concern them, so a setting is declared — and
 //! defaulted — exactly once.
 
-#[cfg(feature = "faults")]
 use xpp_array::fault::FaultPlan;
 
 use crate::router::PlacementPolicy;
@@ -61,7 +60,6 @@ pub struct EngineConfig {
     /// Deterministic fault plan driven by one pool-wide injector shared
     /// across all shards (its load ordinal spans worker restarts). `None`
     /// injects nothing.
-    #[cfg(feature = "faults")]
     pub fault_plan: Option<FaultPlan>,
     /// Parking-lot slots to preallocate (parking within this budget is
     /// allocation-free). `0` grows on demand.
@@ -82,7 +80,6 @@ impl Default for EngineConfig {
             work_stealing: true,
             delta_loading: false,
             recovery: RecoveryPolicy::default(),
-            #[cfg(feature = "faults")]
             fault_plan: None,
             parking_capacity: 0,
             shed_lateness_cycles: 2 * WCDMA_PERIOD_CYCLES,

@@ -37,7 +37,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sdr_ofdm::xpp_map::OfdmKernel;
 use sdr_wcdma::xpp_map::WcdmaKernel;
-#[cfg(feature = "faults")]
 use xpp_array::fault::FaultInjector;
 use xpp_array::{Array, CompiledConfig, ConfigId, Error as XppError, Netlist, Result as XppResult};
 
@@ -281,7 +280,6 @@ impl WorkerArray {
     /// Attaches a shared fault injector to this worker's array. The
     /// injector's load ordinal is global across every array it is attached
     /// to, so a plan keeps advancing through worker restarts.
-    #[cfg(feature = "faults")]
     pub fn attach_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.array.attach_fault_injector(injector);
     }

@@ -40,9 +40,9 @@
 //! [`RecoveryPolicy::max_session_attempts`], then dead-lettered), and a
 //! frame whose modeled completion is hopelessly late is shed at admission
 //! and reported in [`ScaleSummary::shed`] instead of queueing without
-//! bound. With the `faults` cargo feature a deterministic `FaultPlan`
-//! (`xpp_array::fault`) can be injected pool-wide to exercise exactly
-//! these paths.
+//! bound. A deterministic `FaultPlan` (`xpp_array::fault`) set as
+//! [`EngineConfig::fault_plan`] is injected pool-wide to exercise exactly
+//! these paths; with none set the fault hooks stay inert.
 //!
 //! ```
 //! use sdr_engine::{EngineConfig, Frontend, ParkedSession, Session};

@@ -74,7 +74,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-#[cfg(feature = "faults")]
 use xpp_array::fault::FaultInjector;
 
 use crate::config::{EngineConfig, RecoveryPolicy};
@@ -222,7 +221,6 @@ impl ShardPool {
         // One compiled-config store for the whole pool: a kernel is built
         // and placed once per process, whichever array first needs it.
         let store = Arc::new(ConfigStore::new(STORE_CAPACITY));
-        #[cfg(feature = "faults")]
         let injector = config
             .fault_plan
             .clone()
@@ -245,7 +243,6 @@ impl ShardPool {
                 metrics: Arc::clone(&metrics),
                 store: Arc::clone(&store),
                 policy: config.recovery,
-                #[cfg(feature = "faults")]
                 injector: injector.clone(),
             };
             let cells = statuses[first..first + arrays_per_worker].to_vec();
@@ -443,19 +440,16 @@ struct WorkerSeed {
     metrics: Arc<Metrics>,
     store: Arc<ConfigStore>,
     policy: RecoveryPolicy,
-    #[cfg(feature = "faults")]
     injector: Option<Arc<FaultInjector>>,
 }
 
 impl WorkerSeed {
     fn fresh_worker(&self) -> WorkerArray {
-        #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
         let mut worker = WorkerArray::with_policy(
             Arc::clone(&self.store),
             Arc::clone(&self.metrics),
             self.policy,
         );
-        #[cfg(feature = "faults")]
         if let Some(inj) = &self.injector {
             worker.attach_fault_injector(Arc::clone(inj));
         }
@@ -546,7 +540,6 @@ impl Shard {
                 session.record_crash();
             }
         }
-        #[cfg(feature = "faults")]
         if let Some(injector) = &seed.injector {
             Metrics::raise_to(&metrics.faults_injected, injector.injected_total());
         }
@@ -690,7 +683,6 @@ mod tests {
             metrics: Arc::new(Metrics::new()),
             store: Arc::new(ConfigStore::new(STORE_CAPACITY)),
             policy: RecoveryPolicy::default(),
-            #[cfg(feature = "faults")]
             injector: None,
         };
         let cells = (0..arrays).map(|_| Arc::default()).collect();
@@ -784,7 +776,6 @@ mod tests {
     /// `supervised_step` always booked: the crash and every fault record
     /// pending on the discarded array as detected, the latter as
     /// recovered, one restart.
-    #[cfg(feature = "faults")]
     #[test]
     fn a_panicking_step_rebuilds_the_array_and_books_the_ledger() {
         use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};

@@ -1,9 +1,10 @@
 //! Plumbing shared by the driver-level suites (`chaos`,
 //! `dispatch_figures`, `engine_e2e`, `frontend_backpressure`,
-//! `lockstep_determinism`, `router_golden`): the mixed workload they all
-//! offer, the chaos plans, and ([`pins`]) the one way they run it —
-//! through [`Frontend`](sdr_engine::Frontend), the driver that ships —
-//! and the table their lockstep counts are pinned in.
+//! `lockstep_determinism`, `router_golden`, and the bench crate's
+//! `workload_shapes`): the mixed workload they all offer, the chaos plans,
+//! and ([`pins`]) the one way they run it — through
+//! [`Frontend`](sdr_engine::Frontend), the driver that ships — and the
+//! table their lockstep counts are pinned in.
 
 // Each suite compiles this module on its own and uses part of it.
 #![allow(dead_code)]
@@ -12,7 +13,7 @@ mod pins;
 
 pub use pins::*;
 
-use sdr_engine::{EngineConfig, ParkedSession, RecoveryPolicy, Session, ShardPool, Snapshot};
+use sdr_engine::{EngineConfig, ParkedSession, RecoveryPolicy, Session, ShardPool};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// Mixed workload: even ids W-CDMA rake terminals, odd ids 802.11a OFDM
@@ -62,21 +63,6 @@ pub fn chaos_config(plan: Option<FaultPlan>) -> EngineConfig {
         fault_plan: plan,
         ..never_shed()
     }
-}
-
-/// The fault ledger of a run under a plan: the plan fired, every fault
-/// the injector fired was detected somewhere, and every detection was
-/// answered by a recovery or a dead letter.
-pub fn assert_ledger(snap: &Snapshot, label: &str) {
-    assert!(snap.faults_injected > 0, "{label}: the plan never fired");
-    assert_eq!(
-        snap.faults_injected, snap.faults_detected,
-        "{label}: injected faults went undetected (or double-counted): {snap}"
-    );
-    assert!(
-        snap.faults_detected <= snap.recoveries + snap.dead_letters,
-        "{label}: detections unanswered: {snap}"
-    );
 }
 
 /// Steps sessions on a lockstep pool in waves until every one has ended,

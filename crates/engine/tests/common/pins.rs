@@ -10,9 +10,8 @@
 //! old → new table, ready for the change log, and then the test's fresh
 //! section: re-pinning is pasting those rows over the old ones.
 //!
-//! The engine's suites compile this file as part of `common`, and the
-//! bench crate's `workload_shapes` compiles it on its own, so it uses
-//! nothing but `sdr-engine` (without its `faults` feature).
+//! The engine's suites and the bench crate's `workload_shapes` compile
+//! this file as part of `common`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,20 +43,23 @@ impl Driver {
 /// hook, in completion order.
 ///
 /// The same front-end first runs the `warmup` records, if any, every one
-/// of which must end `Done`; the summary returned is the second round's
-/// alone: its outcome counts, and its counters as their increase over the
-/// warm-up (a gauge that fell reads 0).
+/// of which must end `Done` (or, under a fault plan, `DeadLettered`); the
+/// summary returned is the second round's alone: its outcome counts, and
+/// its counters as their increase over the warm-up (a gauge that fell
+/// reads 0).
 ///
 /// The summary's `snapshot` is read after [`Frontend::shutdown`], not at
 /// the end of `run`: a closing array sweeps the fault records still
 /// pending on it into the ledger, so only then does every injected fault
-/// show up as detected.
+/// show up as detected. Under a fault plan the whole run, warm-up
+/// included, must keep the ledger ([`assert_ledger`]).
 pub fn run(
     driver: Driver,
     config: EngineConfig,
     warmup: &[ParkedSession],
     records: &[ParkedSession],
 ) -> (Vec<Outcome>, ScaleSummary) {
+    let planned = config.fault_plan.is_some();
     let metrics = Arc::new(Metrics::new());
     let mut frontend = match driver {
         Driver::Threads => Frontend::with_metrics(config, Arc::clone(&metrics)),
@@ -65,7 +67,9 @@ pub fn run(
     };
     warmup.iter().for_each(|&record| frontend.admit(record));
     let warm = frontend.run(&mut |_: &Session, _| None);
-    assert_eq!(warm.done, warmup.len() as u64, "{driver:?}: the warm-up");
+    // Under a plan a warm-up frame may be dead-lettered, but never failed.
+    let settled = warm.done + if planned { warm.dead_lettered } else { 0 };
+    assert_eq!(settled, warmup.len() as u64, "{driver:?}: the warm-up");
     records.iter().for_each(|&record| frontend.admit(record));
     let mut outcomes = Vec::new();
     let summary = frontend.run(&mut |session: &Session, _| {
@@ -73,6 +77,9 @@ pub fn run(
         None
     });
     frontend.shutdown();
+    if planned {
+        assert_ledger(&metrics.snapshot(), &format!("{driver:?}, whole run"));
+    }
     let summary = ScaleSummary {
         frames_completed: summary.frames_completed - warm.frames_completed,
         done: summary.done - warm.done,
@@ -82,6 +89,21 @@ pub fn run(
         ..summary
     };
     (outcomes, summary)
+}
+
+/// The fault ledger of a run under a plan: the plan fired, every fault
+/// the injector fired was detected somewhere, and every detection was
+/// answered by a recovery or a dead letter.
+pub fn assert_ledger(snap: &Snapshot, label: &str) {
+    assert!(snap.faults_injected > 0, "{label}: the plan never fired");
+    assert_eq!(
+        snap.faults_injected, snap.faults_detected,
+        "{label}: injected faults went undetected (or double-counted): {snap}"
+    );
+    assert!(
+        snap.faults_detected <= snap.recoveries + snap.dead_letters,
+        "{label}: detections unanswered: {snap}"
+    );
 }
 
 /// The table, from either package that reads it.

@@ -8,7 +8,6 @@ use super::{Array, ConfigId};
 use crate::channel::Slab;
 use crate::compiled::{CompiledConfig, Program};
 use crate::error::{Error, Result};
-#[cfg(feature = "faults")]
 use crate::fault::{FaultInjector, FaultKind};
 use crate::netlist::Netlist;
 use crate::object::{CounterCfg, ObjectKind, RAM_WORDS};
@@ -23,7 +22,6 @@ pub(super) enum ConfigState {
     Running,
     /// The load went wrong (injected fault); the configuration holds its
     /// resources but will never run and must be unloaded.
-    #[cfg(feature = "faults")]
     Faulted(FaultKind),
 }
 
@@ -120,11 +118,9 @@ pub(super) struct LoadedConfig {
     pub(super) fires: Vec<u64>,
     /// Fault assigned to this load by the injector, cleared when a recovery
     /// layer surfaces it (see [`Array::clear_injected_fault`]).
-    #[cfg(feature = "faults")]
     fault: Option<FaultKind>,
     /// Bus words remaining at which an [`FaultKind::AbortLoad`] strikes
     /// (half the load window).
-    #[cfg(feature = "faults")]
     fault_at: u64,
 }
 
@@ -132,7 +128,6 @@ impl Array {
     /// Attaches a shared fault injector; every subsequent configuration
     /// load consults its plan. A supervisor re-attaches the same injector
     /// to a replacement array after a crash so the schedule continues.
-    #[cfg(feature = "faults")]
     pub fn attach_fault_injector(&mut self, injector: std::sync::Arc<FaultInjector>) {
         self.injector = Some(injector);
     }
@@ -162,19 +157,17 @@ impl Array {
 
     /// The typed error a faulted load left behind, if any.
     ///
-    /// Always available; without the `faults` feature (or with no injector
-    /// attached) this is always `None`. A faulted configuration keeps its
-    /// resources until [`unload`](Array::unload), so anyone waiting for
-    /// [`is_running`](Array::is_running) must poll this too or spin forever.
+    /// With no injector attached this is always `None`. A faulted
+    /// configuration keeps its resources until [`unload`](Array::unload),
+    /// so anyone waiting for [`is_running`](Array::is_running) must poll
+    /// this too or spin forever.
     pub fn load_error(&self, cfg: ConfigId) -> Option<Error> {
-        #[cfg(feature = "faults")]
         if let Ok(ConfigState::Faulted(kind)) = self.config(cfg).map(|c| &c.state) {
             return Some(match kind {
                 FaultKind::AbortLoad => Error::LoadAborted { config: cfg.0 },
                 _ => Error::ConfigCorrupted { config: cfg.0 },
             });
         }
-        let _ = cfg;
         None
     }
 
@@ -183,11 +176,9 @@ impl Array {
     /// disposing of a configuration so each injected fault is counted as
     /// detected exactly once, even for stalls that never raise an error.
     pub fn clear_injected_fault(&mut self, cfg: ConfigId) -> bool {
-        #[cfg(feature = "faults")]
         if let Some(at) = self.config_index(cfg.0) {
             return self.configs[at].fault.take().is_some();
         }
-        let _ = cfg;
         false
     }
 
@@ -196,15 +187,10 @@ impl Array {
     /// on an array they are about to discard wholesale (e.g. after a
     /// worker crash) so pending faults still count as detected.
     pub fn take_injected_faults(&mut self) -> u64 {
-        #[cfg(feature = "faults")]
-        let swept = self
-            .configs
+        self.configs
             .iter_mut()
             .filter_map(|c| c.fault.take())
-            .count() as u64;
-        #[cfg(not(feature = "faults"))]
-        let swept = 0;
-        swept
+            .count() as u64
     }
 
     // ---- configuration management ------------------------------------
@@ -251,7 +237,6 @@ impl Array {
         // Ordinals count only loads that got past placement; a WorkerPanic
         // strikes here, before any array state mutates — the supervisor
         // discards the whole array, so the allocation above is moot.
-        #[cfg(feature = "faults")]
         let injected = {
             let injected = self.injector.as_ref().and_then(|inj| inj.on_load());
             if injected == Some(FaultKind::WorkerPanic) {
@@ -279,9 +264,7 @@ impl Array {
                 .map(|&n| ObjState::initial(&program.nodes[n as usize].kind))
                 .collect(),
             fires: vec![0; program.ops.len()],
-            #[cfg(feature = "faults")]
             fault: injected,
-            #[cfg(feature = "faults")]
             fault_at: program.load_cycles / 2,
         });
         self.load_queue.push_back(id);
@@ -334,20 +317,17 @@ impl Array {
             // a corrupted one consumes the full window but ends Faulted
             // instead of Running. Either way the bus moves on to the next
             // queued load and the residue waits for an unload.
-            #[cfg(feature = "faults")]
-            {
-                if cfg.fault == Some(FaultKind::AbortLoad) && left <= cfg.fault_at {
-                    cfg.state = ConfigState::Faulted(FaultKind::AbortLoad);
-                    self.load_queue.pop_front();
-                    self.stats.config_words += 1;
-                    return true;
-                }
-                if cfg.fault == Some(FaultKind::CorruptConfig) && left == 0 {
-                    cfg.state = ConfigState::Faulted(FaultKind::CorruptConfig);
-                    self.load_queue.pop_front();
-                    self.stats.config_words += 1;
-                    return true;
-                }
+            if cfg.fault == Some(FaultKind::AbortLoad) && left <= cfg.fault_at {
+                cfg.state = ConfigState::Faulted(FaultKind::AbortLoad);
+                self.load_queue.pop_front();
+                self.stats.config_words += 1;
+                return true;
+            }
+            if cfg.fault == Some(FaultKind::CorruptConfig) && left == 0 {
+                cfg.state = ConfigState::Faulted(FaultKind::CorruptConfig);
+                self.load_queue.pop_front();
+                self.stats.config_words += 1;
+                return true;
             }
             if left == 0 {
                 cfg.state = ConfigState::Running;
@@ -361,7 +341,6 @@ impl Array {
             // A stalled configuration reports Running but its objects are
             // never enabled: zero fires and no error — detectable only by
             // the zero-fire watchdog above the array.
-            #[cfg(feature = "faults")]
             if self.configs[at].fault == Some(FaultKind::StallConfig) {
                 return true;
             }

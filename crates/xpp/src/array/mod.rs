@@ -165,7 +165,6 @@ pub struct Array {
     block_cycles: u64,
     /// Shared fault scheduler consulted at every configuration load; `None`
     /// (the default) takes no fault path at all.
-    #[cfg(feature = "faults")]
     injector: Option<std::sync::Arc<crate::fault::FaultInjector>>,
 }
 
@@ -195,7 +194,6 @@ impl Array {
             block_cap: block::cap(),
             #[cfg(any(test, feature = "reference"))]
             block_cycles: 0,
-            #[cfg(feature = "faults")]
             injector: None,
         }
     }

@@ -24,9 +24,9 @@
 //! worker pool keeps the schedule stable even when a supervisor replaces
 //! a crashed array mid-run — injector state lives outside the array.
 //!
-//! Everything here is behind the `faults` cargo feature, and an array
-//! without an attached injector takes no fault path at all, so golden
-//! equivalence is untouched when the layer is disabled.
+//! The hooks are compiled into every build, but an array without an
+//! attached injector takes no fault path at all, so golden equivalence is
+//! untouched unless a plan is attached.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -79,8 +79,8 @@ pub struct FaultSpec {
 }
 
 /// A deterministic schedule of faults. Install one via
-/// [`FaultInjector::new`] and [`Array::attach_fault_injector`]
-/// (crate::Array::attach_fault_injector).
+/// [`FaultInjector::new`] and
+/// [`Array::attach_fault_injector`](crate::Array::attach_fault_injector).
 ///
 /// Two specs on the same ordinal shadow each other: the first in the list
 /// fires, the rest never do (each load carries at most one fault).

@@ -49,7 +49,6 @@ pub mod array;
 mod channel;
 pub mod compiled;
 pub mod error;
-#[cfg(feature = "faults")]
 pub mod fault;
 pub mod iq;
 pub mod netlist;
