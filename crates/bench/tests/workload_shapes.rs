@@ -23,7 +23,7 @@ mod common;
 
 use common::{chaos_plan, quiet_injected_panics, Pins};
 use sdr_engine::session::WCDMA_PERIOD_CYCLES;
-use sdr_engine::{EngineConfig, ParkedSession, PlacementPolicy, SessionState};
+use sdr_engine::{EngineConfig, Frontend, ParkedSession, PlacementPolicy, Session, SessionState};
 use workload::{Workload, WARMUP_ROUND};
 
 /// The pool `e2e` builds for `w`.
@@ -40,9 +40,14 @@ fn config(w: &Workload) -> EngineConfig {
 
 /// `w`'s warm-up and first timed round at `seed`, as `e2e` builds them.
 fn rounds(w: &Workload, seed: u64) -> (Vec<ParkedSession>, Vec<ParkedSession>) {
+    round(w, seed, 0)
+}
+
+/// `w`'s warm-up and timed round `round` at `seed`, as `e2e` builds them.
+fn round(w: &Workload, seed: u64, round: u64) -> (Vec<ParkedSession>, Vec<ParkedSession>) {
     let warm = w.records(seed, WARMUP_ROUND, w.warmup_frames(), 0);
     let offset = warm.last().map_or(0, |r| r.deadline()) + 10 * WCDMA_PERIOD_CYCLES;
-    let timed = w.records(seed, 0, w.round_frames, offset);
+    let timed = w.records(seed, round, w.round_frames, offset);
     (warm, timed)
 }
 
@@ -67,8 +72,8 @@ fn shape(name: &str) {
     pins.check();
 }
 
-/// 256 frames × 2,058 cycles (one finger job each), plus 90 cycles
-/// waiting on the one 90-word finger load that the warm-up left to a
+/// 256 frames × 2,058 cycles (one finger job each), plus 78 cycles
+/// waiting on the one 78-word finger load that the warm-up left to a
 /// cold shard.
 #[test]
 fn wcdma_steady() {
@@ -130,4 +135,50 @@ fn every_shape_under_the_chaos_plan() {
         }
     }
     pins.check();
+}
+
+/// `backpressure_1x1` as a long `e2e` run meets it: rounds 0..500 at seed
+/// 1 on the thread driver, each on a fresh front-end after its warm-up,
+/// exactly as `e2e`'s `run_round` builds them. Its one array runs the
+/// finger, 2a and 2b in whatever order the thread driver hands it jobs,
+/// and the rounds above draw other records than round 0; every frame of
+/// every round, warm-up included, must end `Done`. (Ten 20-s `e2e` runs
+/// of this shape reached 294–383 rounds; see EXPERIMENTS.md, "Finger in
+/// blocks".)
+#[test]
+#[ignore = "release only (about 30 s): CI runs it in its release job"]
+fn backpressure_1x1_every_round_on_threads() {
+    let w = workload::find("backpressure_1x1").expect("a benchmark workload");
+    let config = EngineConfig {
+        delta_loading: true,
+        ..config(w)
+    };
+    for r in 0..500 {
+        let (warm, timed) = round(w, 1, r);
+        let mut fe = Frontend::new(config.clone());
+        let mut ended = Vec::new();
+        let mut record = |s: &Session, _| {
+            if !matches!(s.state(), SessionState::Done) {
+                ended.push((s.id(), s.state().clone()));
+            }
+            None
+        };
+        warm.iter().for_each(|&record| fe.admit(record));
+        let warmed = fe.run(&mut record);
+        timed.iter().for_each(|&record| fe.admit(record));
+        let summary = fe.run(&mut record);
+        fe.shutdown();
+        assert!(ended.is_empty(), "round {r}: frames not Done: {ended:?}");
+        assert!(
+            summary.shed.is_empty(),
+            "round {r}: shed {:?}",
+            summary.shed
+        );
+        let frames = warm.len() + timed.len();
+        assert_eq!(
+            summary.done, frames as u64,
+            "round {r}: {} warm-up done",
+            warmed.done
+        );
+    }
 }

@@ -24,21 +24,6 @@ pub fn descrambler_netlist() -> Netlist {
     let mut nl = NetlistBuilder::new("fig5-descrambler");
     let i_in = nl.input("i_in");
     let q_in = nl.input("q_in");
-    let (y_re, y_im) = build_descrambler(&mut nl, i_in, q_in);
-    nl.output("i_out", y_re);
-    nl.output("q_out", y_im);
-    nl.build().expect("descrambler netlist is well formed")
-}
-
-/// Splices the Fig. 5 datapath into `nl` behind the sample streams
-/// `i_in`/`q_in`: adds the code-bit inputs `ci`/`cq` and returns the
-/// descrambled I and Q streams (used alone by [`descrambler_netlist`] and
-/// ahead of the despreader by [`finger_netlist`](crate::xpp_map::finger_netlist)).
-pub(crate) fn build_descrambler(
-    nl: &mut NetlistBuilder,
-    i_in: DataOut,
-    q_in: DataOut,
-) -> (DataOut, DataOut) {
     let ci = nl.input("ci");
     let cq = nl.input("cq");
 
@@ -54,8 +39,23 @@ pub(crate) fn build_descrambler(
     let sel_q = nl.to_event(cq);
     let c1 = nl.merge(sel_i, plus_i, minus_i);
     let c2 = nl.merge(sel_q, plus_q, minus_q);
+    let (y_re, y_im) = conj_multiply(&mut nl, i_in, q_in, c1, c2);
+    nl.output("i_out", y_re);
+    nl.output("q_out", y_im);
+    nl.build().expect("descrambler netlist is well formed")
+}
 
-    // Complex multiplication by conj(S) = c1 − j·c2.
+/// Splices the complex multiplication by `conj(S) = c1 − j·c2` into `nl`
+/// and returns `(y_re, y_im)`: Fig. 5's datapath, shared with
+/// [`finger_netlist`](crate::xpp_map::finger_netlist), which maps the code
+/// bits to `c1`, `c2` without merges.
+pub(crate) fn conj_multiply(
+    nl: &mut NetlistBuilder,
+    i_in: DataOut,
+    q_in: DataOut,
+    c1: DataOut,
+    c2: DataOut,
+) -> (DataOut, DataOut) {
     let p1 = nl.alu(AluOp::Mul, i_in, c1);
     let p2 = nl.alu(AluOp::Mul, q_in, c2);
     let p3 = nl.alu(AluOp::Mul, q_in, c1);

@@ -1,23 +1,31 @@
 //! One rake finger on the array: the Fig. 5 descrambler streaming straight
 //! into the Fig. 6 single-code despreader inside one configuration.
 //!
-//! The descrambled chips never leave the array — the two datapaths are
-//! spliced by the same `build_*` helpers their stand-alone netlists use,
-//! the descrambler's I/Q products wired to the despreader's multipliers —
-//! so a job is one push of received samples and code bits and one drain of
-//! symbols, and the pipeline runs at one chip per cycle end to end.
+//! The descrambled chips never leave the array — the descrambler's I/Q
+//! products are wired to the despreader's multipliers — so a job is one
+//! push of received samples and code bits and one drain of symbols, and
+//! the pipeline runs at one chip per cycle end to end.
+//!
+//! The finger's descrambler half maps each code bit `b` to `1 − 2b` on
+//! two unary ops (`MulKShr(−2, 0)`, then `AddK(1)`) where Fig. 5 merges
+//! over a pair of packed `±1` constants: the same chips, with nothing
+//! steered by the data, so the whole finger is cyclo-static with period
+//! `sf` and steps in full-rate blocks between its dumps (DESIGN §9 records
+//! the deviation). [`descrambler_netlist`](crate::xpp_map::descrambler_netlist)
+//! stays Fig. 5 verbatim.
 
 use crate::ovsf::ovsf;
 use crate::scrambling::ScramblingCode;
-use crate::xpp_map::descrambler::{build_descrambler, push_descrambler_inputs};
+use crate::xpp_map::descrambler::{conj_multiply, push_descrambler_inputs};
 use crate::xpp_map::despreader::build_despreader_single;
 use sdr_dsp::Cplx;
 use xpp_array::iq::drain_iq;
-use xpp_array::{Array, ConfigId, Netlist, NetlistBuilder, Result};
+use xpp_array::{Array, ConfigId, DataOut, Netlist, NetlistBuilder, Result, UnaryOp, Word};
 
 /// Builds the finger netlist for `C(sf, code_index)`: Fig. 5 wired into
-/// Fig. 6 (30 objects — the two kernels' 20 + 14 less the two ports on
-/// each side of the join).
+/// Fig. 6 (26 objects — the two kernels' 20 + 14 less the two ports on
+/// each side of the join, and four unary ops where Fig. 5 maps the code
+/// bits with two converters, two merges and four constants).
 ///
 /// External ports: received samples `i_in`/`q_in`, scrambling-code bits
 /// `ci`/`cq` → symbols `i_out`/`q_out` (one per `sf` chips, normalised by
@@ -31,11 +39,21 @@ pub fn finger_netlist(sf: usize, code_index: usize) -> Netlist {
     let mut nl = NetlistBuilder::new(format!("fig5-fig6-finger-sf{sf}-c{code_index}"));
     let i_in = nl.input("i_in");
     let q_in = nl.input("q_in");
-    let (chip_i, chip_q) = build_descrambler(&mut nl, i_in, q_in);
+    let ci = nl.input("ci");
+    let cq = nl.input("cq");
+    let c1 = sign(&mut nl, ci);
+    let c2 = sign(&mut nl, cq);
+    let (chip_i, chip_q) = conj_multiply(&mut nl, i_in, q_in, c1, c2);
     let (sym_i, sym_q) = build_despreader_single(&mut nl, chip_i, chip_q, &code);
     nl.output("i_out", sym_i);
     nl.output("q_out", sym_q);
     nl.build().expect("finger netlist is well formed")
+}
+
+/// The code bit `b` as the chip sign `1 − 2b`.
+fn sign(nl: &mut NetlistBuilder, b: DataOut) -> DataOut {
+    let minus_2b = nl.unary(UnaryOp::MulKShr(Word::new(-2), 0), b);
+    nl.unary(UnaryOp::AddK(Word::ONE), minus_2b)
 }
 
 /// The finger's drive function (see [`crate::xpp_map`]): `cfg` is a
@@ -90,7 +108,7 @@ mod tests {
         };
         assert_eq!(words(&descrambler_netlist()), (20, 60));
         assert_eq!(words(&despreader_single_netlist(128, 17)), (14, 42));
-        assert_eq!(words(&finger_netlist(128, 17)), (30, 90));
+        assert_eq!(words(&finger_netlist(128, 17)), (26, 78));
     }
 
     /// A finger job's array cycles: one chip per cycle plus the pipeline.

@@ -5,8 +5,9 @@
 //! verified *bit-exact* against the golden models in [`crate::rake::finger`]
 //! and [`crate::symbols`]. [`finger_netlist`] splices Figs. 5 and 6 into one
 //! configuration — one rake finger, the descrambled chips streaming from
-//! one datapath into the next on the array — from the same `build_*`
-//! helpers the two stand-alone netlists use.
+//! one datapath into the next on the array — from the builders the two
+//! stand-alone netlists use, except that it maps the code bits to `±1`
+//! with arithmetic where Fig. 5 merges over packed constants.
 //!
 //! Every kernel is a [`WcdmaKernel`] variant (its [`build`](WcdmaKernel::build)
 //! is the netlist constructor) and has a **drive function** beside its

@@ -11,7 +11,8 @@
 //! was full (its fires equal the program's full total, one comparison),
 //! `Array::{run, run_until_idle, run_until_output}` step the next
 //! `B = min(input queue lengths, the caller's remaining cycles or missing
-//! output words, BLOCK)` cycles as one block — only while that
+//! output words, BLOCK)` cycles (and no further than the next dump: see
+//! below) as one block — only while that
 //! configuration is the array's one awake configuration, no load is on the
 //! bus and no board route is wired, since each of those acts every cycle.
 //!
@@ -28,6 +29,33 @@
 //! [`ScheduleStats`](crate::schedule::ScheduleStats)`::replay_cycles` —
 //! so every observable equals the dense stepper's.
 //!
+//! # Dump horizons
+//!
+//! An accumulate-and-dump whose dump event descends from a free-running
+//! counter through stateless ops (the despreader of the rake finger: a
+//! modulo-SF counter, `EqK(SF − 1)`, `to_event`) has a full action too as
+//! long as its event is 0: it takes one product and one event and puts
+//! nothing, and the objects behind its output stay idle. So a full pass of
+//! such a program is one in which every object ahead of a dump does its
+//! full action and every object behind one does none (the dense pass
+//! counts the two apart: the compiled runs put the objects behind a dump
+//! last), and a block may start after it only if no accumulator dumped in
+//! it (its output channels are empty). Before the block:
+//!
+//! * the *dump chain* — every ancestor of a dump event — steps first, over
+//!   the most passes the block may take: its ops keep no state but the
+//!   counters', which it reads without advancing;
+//! * the *horizon* is the first pass whose event stream, committed tokens
+//!   then the chain's outputs, holds a 1 at an accumulator, and the block
+//!   steps the rest of the program up to it: `B = min(input queues,
+//!   horizon, the caller's limit, BLOCK)` passes, each accumulator adding
+//!   `B` products, everything behind it left as it was;
+//! * the counters advance by `B`, and the pass at the horizon — the dump —
+//!   and the drain behind it run dense.
+//!
+//! A `run_until_output` on a port behind a dump is not bounded by its
+//! missing words, since a block puts none on it.
+//!
 //! This is not the capture/replay the crate once had: there is no period
 //! to detect, nothing recorded to replay and no guard to trip. The rule is
 //! a property of the compiled program plus one comparison per pass, and
@@ -35,7 +63,9 @@
 
 use super::load::LoadedConfig;
 use super::{Array, ObjState};
-use crate::compiled::{FullRate, Kind, BLOCK};
+use crate::channel::Slab;
+use crate::compiled::{FullRate, Kind, Program, Step, BLOCK};
+use crate::object::CounterCfg;
 use crate::stats::ArrayStats;
 use crate::word::Word;
 
@@ -104,6 +134,14 @@ impl Array {
         self.block_cycles
     }
 
+    /// Whether a block of the configuration at `at` may put words on the
+    /// data output port `port`: not if the port is another configuration's
+    /// (asleep while `at` steps alone) or behind a dump.
+    pub(super) fn block_feeds(&self, at: usize, (cfg, slot): (usize, usize)) -> bool {
+        let rate = self.configs[at].program.full.as_ref();
+        cfg == at && !rate.is_some_and(|r| r.idle_ports.contains(&(slot as u32)))
+    }
+
     /// Steps up to `limit` cycles as one block of the configuration at
     /// `at`, whose pass this cycle was full and the only one stepped, if
     /// nothing else acts per cycle. Returns the cycles stepped (0 for no
@@ -114,6 +152,11 @@ impl Array {
         }
         let cap = self.block_cap();
         let cfg = &mut self.configs[at];
+        let rate = cfg.program.full.as_ref().expect("an eligible program");
+        // A sum dumped this pass: the objects behind it act on the next.
+        if rate.sums.iter().any(|&c| cfg.slab.len(c) != 0) {
+            return 0;
+        }
         let queued = cfg.states.iter().filter_map(|s| match s {
             ObjState::ExtInData(q) => Some(q.len()),
             ObjState::ExtInEv(q) => Some(q.len()),
@@ -125,7 +168,7 @@ impl Array {
         if b == 0 {
             return 0;
         }
-        cfg.run_block(b, &mut self.scratch, &mut self.stats);
+        let b = cfg.run_block(b, &mut self.scratch, &mut self.stats);
         self.stats.cycles += b as u64;
         self.schedule.replay_cycles += b as u64;
         #[cfg(any(test, feature = "reference"))]
@@ -137,49 +180,110 @@ impl Array {
 }
 
 impl LoadedConfig {
-    /// `b` full passes, op-major over the streams; books their fires.
-    fn run_block(&mut self, b: usize, scratch: &mut Scratch, stats: &mut ArrayStats) {
+    /// Up to `most` full passes, op-major over the streams, stopping before
+    /// the first that would dump; books their fires and returns how many.
+    fn run_block(&mut self, most: usize, scratch: &mut Scratch, stats: &mut ArrayStats) -> usize {
         let program = &*self.program;
         let rate = program.full.as_ref().expect("an eligible program");
-        let Scratch { streams, tmp, outs } = scratch;
-        let null = self.slab.null();
-        for c in 0..null {
+        for &c in &rate.streamed {
             let at = rate.base[c as usize] as usize;
-            self.slab.read(c, &mut streams[at..at + self.slab.len(c)]);
+            self.slab
+                .read(c, &mut scratch.streams[at..at + self.slab.len(c)]);
+        }
+        // The dump chain over every pass the block may take, then the
+        // horizon: the passes before a 1 event reaches an accumulator.
+        let (chain, rest) = rate.order.split_at(rate.chain);
+        for step in chain {
+            scratch.passes(program, &self.slab, step, most, &mut self.states);
+        }
+        let b = rate.dumps.iter().fold(most, |b, &c| {
+            let at = rate.base[c as usize] as usize;
+            let events = &scratch.streams[at..at + b];
+            events.iter().position(|&e| e != Word::ZERO).unwrap_or(b)
+        });
+        if b == 0 {
+            return 0;
+        }
+        for step in rest {
+            scratch.passes(program, &self.slab, step, b, &mut self.states);
         }
         for step in &rate.order {
-            let op = &program.ops[step.op as usize];
-            outs.clear();
-            let mut split = 0;
-            for p in 0..2 {
-                for &c in op.port(p, step.arity, &program.fan) {
-                    if c != null {
-                        outs.push(rate.base[c as usize] as usize + self.slab.len(c));
-                    }
-                }
-                if p == 0 {
-                    split = outs.len();
-                }
-            }
-            let (outs0, outs1) = outs.split_at(split);
-            let mut passes = Passes {
-                s: streams,
-                tmp,
-                b,
-                looped: step.looped,
-                outs: [outs0, outs1],
-            };
-            let rd = |k: usize| rate.base[op.i[k] as usize] as usize;
-            let state = self.states.get_mut(op.state as usize);
-            passes.run(step.kind, op, rd, state);
             self.fires[step.op as usize] += b as u64 * step.fires;
             *(step.class)(stats) += b as u64 * step.fires;
+            if step.kind == Kind::Counter {
+                let state = &mut self.states[program.ops[step.op as usize].state as usize];
+                let ObjState::Counter {
+                    cfg,
+                    value,
+                    remaining,
+                } = state
+                else {
+                    unreachable!("a counter's state")
+                };
+                for _ in 0..b {
+                    tick(cfg, value, remaining);
+                }
+            }
         }
-        for c in 0..null {
+        for &c in &rate.streamed {
             let at = rate.base[c as usize] as usize + b;
-            self.slab.write(c, &streams[at..at + self.slab.len(c)]);
+            self.slab
+                .write(c, &scratch.streams[at..at + self.slab.len(c)]);
         }
+        b
     }
+}
+
+impl Scratch {
+    /// `b` passes of one step of `program`, whose channels are `slab`'s,
+    /// over the streams.
+    fn passes(
+        &mut self,
+        program: &Program,
+        slab: &Slab,
+        step: &Step,
+        b: usize,
+        states: &mut [ObjState],
+    ) {
+        let rate = program.full.as_ref().expect("an eligible program");
+        let op = &program.ops[step.op as usize];
+        let Scratch { streams, tmp, outs } = self;
+        outs.clear();
+        let mut split = 0;
+        for p in 0..2 {
+            for &c in op.port(p, step.arity, &program.fan) {
+                if c != slab.null() {
+                    outs.push(rate.base[c as usize] as usize + slab.len(c));
+                }
+            }
+            if p == 0 {
+                split = outs.len();
+            }
+        }
+        let (outs0, outs1) = outs.split_at(split);
+        let mut passes = Passes {
+            s: streams,
+            tmp,
+            b,
+            looped: step.looped,
+            outs: [outs0, outs1],
+        };
+        let rd = |k: usize| rate.base[op.i[k] as usize] as usize;
+        passes.run(step.kind, op, rd, states.get_mut(op.state as usize));
+    }
+}
+
+/// A free-running counter's next value, what it emits on a pass, from
+/// its state (`value`, `remaining`), which it advances.
+#[inline(always)]
+fn tick(cfg: &CounterCfg, value: &mut i64, remaining: &mut u64) -> Word {
+    if *remaining == 0 {
+        (*remaining, *value) = (cfg.period, cfg.start);
+    }
+    let v = Word::from_i64(*value);
+    *value += cfg.step;
+    *remaining -= 1;
+    v
 }
 
 /// The event word of a boolean.
@@ -351,13 +455,33 @@ impl Passes<'_> {
                     _ => unreachable!("an output port's state"),
                 }
             }
-            K::Counter
-            | K::GatedCounter
-            | K::Merge
-            | K::Demux
-            | K::Gate
-            | K::AccumDump
-            | K::Ram => unreachable!("no full rate"),
+            K::Counter => {
+                // From a copy: the block advances the state by the passes
+                // it keeps once it knows them.
+                let Some(ObjState::Counter {
+                    cfg,
+                    value,
+                    remaining,
+                }) = state
+                else {
+                    unreachable!("a counter's state")
+                };
+                let (mut value, mut remaining) = (*value, *remaining);
+                self.fill(std::iter::repeat_with(|| {
+                    tick(cfg, &mut value, &mut remaining)
+                }));
+            }
+            K::AccumDump => {
+                // Every event of the block is 0: add, put nothing.
+                let Some(ObjState::Accum(acc)) = state else {
+                    unreachable!("an accumulator's state")
+                };
+                let products = &self.s[rd(0)..rd(0) + b];
+                *acc = products.iter().fold(*acc, |a, &x| a.wrapping_add(x));
+            }
+            K::GatedCounter | K::Merge | K::Demux | K::Gate | K::Ram => {
+                unreachable!("no full rate")
+            }
         }
     }
 }

@@ -541,17 +541,24 @@ fn step_run<F: Fan>(kind: Kind, cx: &mut Cx<'_>, stats: &mut ArrayStats) -> u64 
 
 impl LoadedConfig {
     /// One dense pass: step every run of the compiled program, then commit
-    /// every channel. Returns how many fires it made.
-    fn step_dense(&mut self, stats: &mut ArrayStats) -> u64 {
+    /// every channel. Returns how many fires it made, and how many of them
+    /// the objects not behind a dump made.
+    fn step_dense(&mut self, stats: &mut ArrayStats) -> (u64, u64) {
         let program = &*self.program;
-        let mut fired = 0;
-        for &Run {
-            kind,
-            arity,
-            start,
-            end,
-        } in &program.runs
+        let (mut fired, mut ahead) = (0, None);
+        for (
+            r,
+            &Run {
+                kind,
+                arity,
+                start,
+                end,
+            },
+        ) in program.runs.iter().enumerate()
         {
+            if r == program.split {
+                ahead = Some(fired);
+            }
             let ops = start as usize..end as usize;
             let mut cx = Cx {
                 ops: &program.ops[ops.clone()],
@@ -567,7 +574,7 @@ impl LoadedConfig {
             };
         }
         self.slab.chans().commit();
-        fired
+        (fired, ahead.unwrap_or(fired))
     }
 }
 
@@ -592,13 +599,15 @@ impl Array {
                 continue;
             }
             stepped += 1;
-            let fired = cfg.step_dense(stats);
+            let (fired, ahead) = cfg.step_dense(stats);
             if fired == 0 {
                 cfg.awake = false;
                 schedule.invalidations += 1;
             } else {
                 active = true;
-                if cfg.program.full.as_ref().is_some_and(|f| f.fires == fired) {
+                // Full: every object did its full action but those behind
+                // a dump, which did nothing.
+                if cfg.program.full.as_ref().is_some_and(|f| f.fires == fired) && ahead == fired {
                     full = Some(at);
                 }
             }

@@ -516,9 +516,14 @@ impl Array {
             let (_, full) = self.cycle();
             n += 1;
             // A block's cycle puts at most one word on the port, so a block
-            // no longer than the words missing never overshoots `count`.
+            // no longer than the words missing never overshoots `count`;
+            // one that puts none on it needs no such bound.
             if let Some(at) = full {
-                let missing = count.saturating_sub(self.output_len_at(port)) as u64;
+                let missing = if self.block_feeds(at, port) {
+                    count.saturating_sub(self.output_len_at(port)) as u64
+                } else {
+                    u64::MAX
+                };
                 n += self.block(at, (budget - n).min(missing));
             }
         }

@@ -166,12 +166,15 @@ impl Kind {
     /// The [`ArrayStats`] class an op of this kind books its fires in and
     /// how many fires its full action is (a FIFO's pop and push count two),
     /// or `None` if whether it fires, or how much, can turn on the values
-    /// it reads or on its state: such an op has no full rate.
+    /// it reads or on its state: such an op has no full rate. (A counter's
+    /// wrap event and an accumulate-and-dump's dump do; [`FullRate::plan`]
+    /// admits them under the conditions that keep those still.)
     fn full_action(self) -> Option<(StatClass, u64)> {
         use Kind as K;
         let class: StatClass = match self {
             K::Mul | K::MulShr | K::MulKShr => |s| &mut s.mul_fires,
-            K::Add
+            K::AccumDump
+            | K::Add
             | K::Sub
             | K::And
             | K::Or
@@ -196,7 +199,8 @@ impl Kind {
             | K::Const
             | K::Select
             | K::Swap
-            | K::ToData => |s| &mut s.reg_fires,
+            | K::ToData
+            | K::Counter => |s| &mut s.reg_fires,
             K::ToEvent
             | K::EventNot
             | K::EventAnd
@@ -206,13 +210,7 @@ impl Kind {
             K::FifoRing => |s| &mut s.fifo_fires,
             K::Fifo => return Some((|s| &mut s.fifo_fires, 2)),
             K::Input | K::Output => |s| &mut s.io_words,
-            K::Counter
-            | K::GatedCounter
-            | K::Merge
-            | K::Demux
-            | K::Gate
-            | K::AccumDump
-            | K::Ram => return None,
+            K::GatedCounter | K::Merge | K::Demux | K::Gate | K::Ram => return None,
         };
         Some((class, 1))
     }
@@ -366,6 +364,8 @@ pub(crate) struct Program {
     /// The node of each op: fire counters are kept in op order.
     pub(crate) order: Vec<u32>,
     pub(crate) runs: Vec<Run>,
+    /// Runs before this one step no object behind a dump (see [`lower`]).
+    pub(crate) split: usize,
     /// Fan-out table of the wide runs' output ports.
     pub(crate) fan: Vec<u32>,
     /// The block plan, if the program is full-rate eligible.
@@ -400,18 +400,45 @@ pub(crate) struct Step {
 /// run is of a kind whose full action — one token taken from each input,
 /// one put on each output — does not depend on the values (ALU, unary,
 /// event logic, converters, `Select`, `Swap`, `Const`, FIFOs, ring FIFOs,
-/// data and event I/O), and whose channels form no cycle but self-loops.
+/// data and event I/O, and free-running counters with no wrap consumer),
+/// and whose channels form no cycle but self-loops.
 ///
 /// In such a program, a pass in which every object does its full action
 /// leaves every channel's occupancy and every FIFO's length as they were,
 /// so the next pass is full too as long as every input queue holds a word.
+///
+/// An accumulate-and-dump is admitted too, with a *dump horizon*: every
+/// ancestor of its dump event must be a free-running counter or a
+/// stateless op (no FIFO, no port), and every object behind it (see
+/// [`lower`]) must take its inputs from objects behind it or from its sums.
+/// Between dumps it takes one product and one 0 event a pass and puts
+/// nothing, and the objects behind it stay idle, so a full pass is one in
+/// which every other object does its full action and those behind none.
+/// Its dump event is a function of counter states and tokens already in
+/// flight, so a block steps the dump chain (the first `chain` steps of
+/// `order`) ahead over every pass it may take, and stops before the first
+/// pass that would take a 1 event: the dump pass, and the drain behind it,
+/// stay dense.
 #[derive(Debug)]
 pub(crate) struct FullRate {
     /// Fires of a full pass.
     pub(crate) fires: u64,
-    /// Every op of the runs, each after the producers of its inputs (its
-    /// own output aside).
+    /// Every op of the runs not behind a dump, each after the producers of
+    /// its inputs (its own output aside), the dump chain first.
     pub(crate) order: Vec<Step>,
+    /// The dump chain's steps: the ancestors of every dump event.
+    pub(crate) chain: usize,
+    /// The accumulate-and-dumps' event channels.
+    pub(crate) dumps: Vec<u32>,
+    /// The accumulate-and-dumps' output channels: one holding a sum means
+    /// the objects behind it act on the next pass.
+    pub(crate) sums: Vec<u32>,
+    /// The channels a block streams: all but those into objects behind a
+    /// dump, which a block leaves as they are.
+    pub(crate) streamed: Vec<u32>,
+    /// The state slots of the output ports behind a dump: a block puts no
+    /// word on them.
+    pub(crate) idle_ports: Vec<u32>,
     /// Where each channel slot's stream starts in the array's block
     /// scratch: its committed tokens, then its producer's outputs. A
     /// channel into a FIFO has room for the FIFO's queue in front of it.
@@ -423,32 +450,37 @@ pub(crate) struct FullRate {
 }
 
 impl FullRate {
-    /// The block plan of a program, or `None` if it is not full-rate
-    /// eligible.
-    fn plan(ops: &[Op], runs: &[Run], fan: &[u32], slab: &Slab) -> Option<FullRate> {
+    /// The block plan of a program whose first `split` runs are not behind
+    /// a dump, or `None` if it is not full-rate eligible.
+    fn plan(ops: &[Op], runs: &[Run], split: usize, fan: &[u32], slab: &Slab) -> Option<FullRate> {
         let null = slab.null();
         let slots = null as usize + 1;
+        let front = runs.get(split).map_or(ops.len(), |r| r.start as usize);
         let (mut fires, mut widest, mut steps) = (0, 0, Vec::new());
         let (mut producer, mut consumer) = (vec![u32::MAX; slots], vec![u32::MAX; slots]);
-        for run in runs {
+        let mut kinds = Vec::new();
+        for (r, run) in runs.iter().enumerate() {
             let (class, n) = run.kind.full_action()?;
             for at in run.start..run.end {
                 let op = &ops[at as usize];
-                fires += n;
                 for p in 0..2 {
                     let port = op.port(p, run.arity, fan);
                     widest = widest.max(port.len());
                     port.iter().for_each(|&c| producer[c as usize] = at);
                 }
                 op.i.iter().for_each(|&c| consumer[c as usize] = at);
-                steps.push(Step {
-                    op: at,
-                    kind: run.kind,
-                    arity: run.arity,
-                    fires: n,
-                    class,
-                    looped: false,
-                });
+                kinds.push(run.kind);
+                if r < split {
+                    fires += n;
+                    steps.push(Step {
+                        op: at,
+                        kind: run.kind,
+                        arity: run.arity,
+                        fires: n,
+                        class,
+                        looped: false,
+                    });
+                }
             }
         }
         (producer[null as usize], consumer[null as usize]) = (u32::MAX, u32::MAX);
@@ -457,12 +489,67 @@ impl FullRate {
             step.looped = op.i.iter().any(|&c| producer[c as usize] == step.op);
         }
 
+        // An object behind a dump reads only objects behind it and sums.
+        let (mut dumps, mut sums) = (Vec::new(), Vec::new());
+        let mut chain = vec![false; front];
+        let mut ancestors = Vec::new();
+        for (at, &kind) in kinds.iter().enumerate() {
+            let op = &ops[at];
+            if at >= front {
+                let fed = |c: &u32| {
+                    let from = producer[*c as usize] as usize;
+                    *c == null || from >= front || kinds[from] == Kind::AccumDump
+                };
+                if !op.i.iter().all(fed) {
+                    return None;
+                }
+            } else if kind == Kind::Counter {
+                // A wrap event would put a token every `period` passes.
+                if op.port(1, steps[at].arity, fan).iter().any(|&c| c != null) {
+                    return None;
+                }
+            } else if kind == Kind::AccumDump {
+                let dump = op.i[1];
+                if !dumps.contains(&dump) {
+                    dumps.push(dump);
+                    ancestors.push(producer[dump as usize]);
+                }
+                let port = op.port(0, steps[at].arity, fan);
+                sums.extend(port.iter().filter(|&&c| c != null));
+            }
+        }
+        while let Some(at) = ancestors.pop() {
+            // (An unconnected dump event never lets the accumulator fire.)
+            let at = at as usize;
+            if at >= front {
+                return None;
+            }
+            if chain[at] {
+                continue;
+            }
+            chain[at] = true;
+            match kinds[at] {
+                Kind::Counter => {}
+                Kind::Fifo
+                | Kind::FifoRing
+                | Kind::Input
+                | Kind::InputEvent
+                | Kind::Output
+                | Kind::OutputEvent
+                | Kind::AccumDump => return None,
+                _ => {
+                    let inputs = ops[at].i.iter().filter(|&&c| c != null);
+                    ancestors.extend(inputs.map(|&c| producer[c as usize]));
+                }
+            }
+        }
+
         // Kahn's algorithm over the producer -> consumer edges (`steps[k]`
         // is op `k`'s: the runs cover the first ops, in order); a
         // self-loop is no edge, any other cycle leaves ops unplaced.
         let edge = |c: u32| {
             let (from, to) = (producer[c as usize], consumer[c as usize]);
-            (from != u32::MAX && to != u32::MAX && from != to).then_some(to as usize)
+            (from != u32::MAX && (to as usize) < front && from != to).then_some(to as usize)
         };
         let mut waiting = vec![0u32; steps.len()];
         (0..null).filter_map(edge).for_each(|k| waiting[k] += 1);
@@ -489,20 +576,36 @@ impl FullRate {
         if order.len() < steps.len() {
             return None;
         }
+        // The chain reads only the chain, so it may go first.
+        order.sort_by_key(|s| !chain[s.op as usize]);
 
         let mut base = vec![0; slots];
         let mut words = 0;
         for c in 0..null {
-            let front = match steps.get(consumer[c as usize] as usize) {
+            let queue = match steps.get(consumer[c as usize] as usize) {
                 Some(s) if s.kind == Kind::Fifo => ops[s.op as usize].s as usize,
                 _ => 0,
             };
-            base[c as usize] = u32::try_from(words + front).expect("block streams fit u32");
-            words += front + slab.cap(c) + BLOCK;
+            base[c as usize] = u32::try_from(words + queue).expect("block streams fit u32");
+            words += queue + slab.cap(c) + BLOCK;
         }
+        let streamed = (0..null)
+            .filter(|&c| {
+                consumer[c as usize] == u32::MAX || (consumer[c as usize] as usize) < front
+            })
+            .collect();
+        let idle_ports = (front..ops.len())
+            .filter(|&at| matches!(kinds.get(at), Some(Kind::Output | Kind::OutputEvent)))
+            .map(|at| ops[at].state)
+            .collect();
         Some(FullRate {
             fires,
+            chain: chain.iter().filter(|&&c| c).count(),
             order,
+            dumps,
+            sums,
+            streamed,
+            idle_ports,
             base,
             words,
             widest,
@@ -602,8 +705,8 @@ impl CompiledConfig {
         for (slot, _) in ports.values_mut() {
             *slot = state_of[*slot] as usize;
         }
-        let (ops, order, runs, fan) = lower(&nodes, &state_of, d_slots, slab.null());
-        let full = FullRate::plan(&ops, &runs, &fan, &slab);
+        let (ops, order, runs, split, fan) = lower(&nodes, &state_of, d_slots, slab.null());
+        let full = FullRate::plan(&ops, &runs, split, &fan, &slab);
         #[cfg(any(test, feature = "reference"))]
         let (micro, micro_fan) = {
             let mut op_of = vec![0; nodes.len()];
@@ -628,6 +731,7 @@ impl CompiledConfig {
                 ops,
                 order,
                 runs,
+                split,
                 fan,
                 full,
                 #[cfg(any(test, feature = "reference"))]
@@ -659,20 +763,19 @@ impl CompiledConfig {
     }
 }
 
+/// What [`lower`] produces: the ops, the node of each op, the runs, how
+/// many of them come before the first run of objects behind a dump, and
+/// the wide fan table.
+type Lowered = (Vec<Op>, Vec<u32>, Vec<Run>, usize, Vec<u32>);
+
 /// Lowers the nodes into runs: ops grouped by ([`Kind`], [`Arity`]), runs in
-/// the order their first object appears, objects in node order within a
-/// run, and the objects that can never fire after the last run. Returns
-/// (ops, node of each op, runs, wide fan table).
-fn lower(
-    nodes: &[CompiledNode],
-    state_of: &[u32],
-    d_slots: u32,
-    null: u32,
-) -> (Vec<Op>, Vec<u32>, Vec<Run>, Vec<u32>) {
-    let mut groups: Vec<((Kind, Arity), Vec<u32>)> = Vec::new();
-    let mut inert = Vec::new();
+/// the order their first object appears — those of the objects *behind a
+/// dump* (downstream of an accumulate-and-dump's output, idle between its
+/// dumps) after all others — objects in node order within a run, and the
+/// objects that can never fire after the last run.
+fn lower(nodes: &[CompiledNode], state_of: &[u32], d_slots: u32, null: u32) -> Lowered {
     let mut io = Vec::with_capacity(nodes.len());
-    for (n, node) in nodes.iter().enumerate() {
+    for node in nodes {
         let shape = node.kind.shape();
         let ev = |c: &u32| d_slots + c;
         let inputs: Vec<u32> = (node.din.iter().take(shape.din))
@@ -699,25 +802,50 @@ fn lower(
             Some(2) => Arity::Two,
             Some(_) => Arity::Wide,
         };
-        let (k, s) = match Kind::of(&node.kind, &outputs) {
-            Some((kind, k, s)) => {
-                match groups.iter_mut().find(|(key, _)| *key == (kind, arity)) {
-                    Some((_, members)) => members.push(n as u32),
-                    None => groups.push(((kind, arity), vec![n as u32])),
-                }
-                (k, s)
-            }
-            None => {
-                inert.push(n as u32);
-                (Word::ZERO, 0)
-            }
-        };
-        io.push((inputs, outputs, k, s));
+        let kind = Kind::of(&node.kind, &outputs);
+        io.push((inputs, outputs, arity, kind));
     }
+
+    let mut consumer = vec![u32::MAX; null as usize + 1];
+    for (n, (inputs, ..)) in io.iter().enumerate() {
+        inputs.iter().for_each(|&c| consumer[c as usize] = n as u32);
+    }
+    let mut behind = vec![false; nodes.len()];
+    let mut reached: Vec<u32> = (io.iter())
+        .filter(|(.., kind)| matches!(kind, Some((Kind::AccumDump, ..))))
+        .flat_map(|(_, outputs, ..)| outputs[0].iter().copied())
+        .collect();
+    while let Some(c) = reached.pop() {
+        let n = consumer[c as usize];
+        if c != null && n != u32::MAX && !behind[n as usize] {
+            behind[n as usize] = true;
+            reached.extend(io[n as usize].1.iter().flatten().copied());
+        }
+    }
+
+    let mut groups: Vec<((bool, Kind, Arity), Vec<u32>)> = Vec::new();
+    let mut inert = Vec::new();
+    for (n, &(_, _, arity, kind)) in io.iter().enumerate() {
+        let Some((kind, ..)) = kind else {
+            inert.push(n as u32);
+            continue;
+        };
+        let key = (behind[n], kind, arity);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(n as u32),
+            None => groups.push((key, vec![n as u32])),
+        }
+    }
+    groups.sort_by_key(|((behind, ..), _)| *behind);
+    let split = groups
+        .iter()
+        .take_while(|((behind, ..), _)| !behind)
+        .count();
 
     let (mut ops, mut order, mut runs, mut fan) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut emit = |n: u32, arity: Arity, ops: &mut Vec<Op>| {
-        let (inputs, outputs, k, s) = &io[n as usize];
+        let (inputs, outputs, _, kind) = &io[n as usize];
+        let (k, s) = kind.map_or((Word::ZERO, 0), |(_, k, s)| (k, s));
         let mut i = [null; 3];
         i[..inputs.len()].copy_from_slice(inputs);
         let o = outputs.clone().map(|port| {
@@ -733,12 +861,12 @@ fn lower(
             i,
             o,
             state: state_of[n as usize],
-            k: *k,
-            s: *s,
+            k,
+            s,
         });
         order.push(n);
     };
-    for ((kind, arity), members) in groups {
+    for ((_, kind, arity), members) in groups {
         let start = ops.len() as u32;
         for n in members {
             emit(n, arity, &mut ops);
@@ -753,7 +881,7 @@ fn lower(
     for n in inert {
         emit(n, Arity::One, &mut ops);
     }
-    (ops, order, runs, fan)
+    (ops, order, runs, split, fan)
 }
 
 #[cfg(test)]
@@ -870,11 +998,68 @@ mod tests {
         // Nodes: acc 0, y 1, x 2, fifo 3, sum 4.
         assert!(pos(2) < pos(3) && pos(3) < pos(4) && pos(4) < pos(0) && pos(0) < pos(1));
 
-        // A counter's rate follows its period: not eligible.
-        let mut nl = NetlistBuilder::new("counted");
-        let ctr = nl.counter(crate::object::CounterCfg::modulo(3));
-        nl.output("y", ctr.value);
-        assert!(plan(nl).full.is_none());
+        // A free-running counter emits on every pass; its wrap event does
+        // not, and a gated counter waits for its go event.
+        use crate::object::CounterCfg;
+        let counted = |cfg, wrap: bool| {
+            let mut nl = NetlistBuilder::new("counted");
+            let ctr = nl.counter(cfg);
+            nl.output("y", ctr.value);
+            if wrap {
+                nl.output_event("w", ctr.wrap);
+            }
+            if let Some(go) = ctr.go {
+                let e = nl.input_event("go");
+                nl.wire_ev(e, go);
+            }
+            plan(nl).full.is_some()
+        };
+        assert!(counted(CounterCfg::modulo(3), false));
+        assert!(!counted(CounterCfg::modulo(3), true));
+        assert!(!counted(CounterCfg::gated_burst(3), false));
+
+        // An accumulate-and-dump steered by a counter through stateless
+        // ops: eligible, with the counter's chain ahead of every other op,
+        // and the shift and port behind it outside the block.
+        let dumped = |from_input: bool, mixed: bool| {
+            let mut nl = NetlistBuilder::new("dumped");
+            let x = nl.input("x");
+            let ev = if from_input {
+                nl.input_event("e")
+            } else {
+                let ctr = nl.counter(CounterCfg::modulo(4));
+                let last = nl.unary(UnaryOp::EqK(Word::new(3)), ctr.value);
+                nl.to_event(last)
+            };
+            let sum = nl.accum_dump(x, ev);
+            let y = if mixed {
+                nl.alu(AluOp::Add, sum, x)
+            } else {
+                nl.unary(UnaryOp::ShrK(2), sum)
+            };
+            nl.output("y", y);
+            plan(nl)
+        };
+        let program = dumped(false, false);
+        let full = program.full.as_ref().expect("eligible");
+        assert_eq!((full.chain, full.dumps.len(), full.sums.len()), (3, 1, 1));
+        let kinds: Vec<Kind> = full.order.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                Kind::Counter,
+                Kind::EqK,
+                Kind::ToEvent,
+                Kind::Input,
+                Kind::AccumDump
+            ]
+        );
+        assert_eq!(full.fires, 5);
+        assert_eq!(full.idle_ports.len(), 1);
+        // A dump event from a port, or an object behind the dump that
+        // also reads ahead of it: not eligible.
+        assert!(dumped(true, false).full.is_none());
+        assert!(dumped(false, true).full.is_none());
 
         // A cycle through two objects: not eligible.
         let mut nl = NetlistBuilder::new("ring");

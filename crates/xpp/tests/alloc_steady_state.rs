@@ -4,7 +4,8 @@
 //! one flag, and a full-rate block runs over streams sized when the
 //! configuration was loaded, so `Array::step`/`Array::run` perform zero
 //! allocations while a configuration streams, *across every sleep and
-//! wake*, and in blocks. Enforced with a counting global allocator.
+//! wake*, and in blocks, those that step to a dump horizon included.
+//! Enforced with a counting global allocator.
 //!
 //! This file intentionally contains a single test: the allocation counter
 //! is process-global, and a concurrently running test would make the
@@ -119,6 +120,38 @@ fn lane_array() -> (Array, ConfigId) {
     (array, lane)
 }
 
+/// Chips per dump of the dump lane.
+const DUMP_PERIOD: u64 = 64;
+
+/// An array holding one configuration shaped like the rake finger's
+/// despreader: products of the input and a ring FIFO's code, two
+/// accumulate-and-dumps dumped by a modulo counter through `EqK` and
+/// `to_event`, and a shift behind each, its result left unconnected.
+fn dump_lane_array() -> (Array, ConfigId) {
+    let mut nl = NetlistBuilder::new("dump-lane");
+    let x = nl.input("x");
+    let code = nl.ring_fifo(
+        (0..DUMP_PERIOD as i32)
+            .map(|i| Word::new(1 - 2 * (i % 3 % 2)))
+            .collect(),
+    );
+    let p = nl.alu(AluOp::Mul, x, code);
+    let q = nl.alu(AluOp::Sub, x, code);
+    let ctr = nl.counter(CounterCfg::modulo(DUMP_PERIOD));
+    let last = nl.unary(UnaryOp::EqK(Word::new(DUMP_PERIOD as i32 - 1)), ctr.value);
+    let dump = nl.to_event(last);
+    for v in [p, q] {
+        let sum = nl.accum_dump(v, dump);
+        let _ = nl.unary(UnaryOp::ShrK(6), sum);
+    }
+    let mut array = Array::xpp64a();
+    let lane = array.configure(&nl.build().unwrap()).unwrap();
+    while !array.is_running(lane) {
+        array.step();
+    }
+    (array, lane)
+}
+
 /// One push into the lane and a run that drains it to sleep.
 fn lane_round(array: &mut Array, lane: ConfigId) {
     let words = (0..LANE_BURST).map(|i| Word::new(i * 37 % 4096 - 2048));
@@ -210,6 +243,21 @@ fn steady_state_stepping_does_not_allocate() {
     });
     let blocked = array.block_cycles() - blocked;
     assert!(blocked >= 10_000, "{blocked} cycles in blocks");
+    let s = array.schedule_stats().delta_since(&before);
+    assert_eq!((s.captured, s.invalidations), (10, 10));
+
+    // Phase 4: the same with accumulate-and-dumps, stepped in blocks to
+    // each dump's horizon, the dump and the drain behind it dense.
+    let (mut array, lane) = dump_lane_array();
+    lane_round(&mut array, lane);
+    let (blocked, before) = (array.block_cycles(), array.schedule_stats());
+    assert_quiet("pushes, blocks to each dump and drains, ten times", || {
+        for _ in 0..10 {
+            lane_round(&mut array, lane);
+        }
+    });
+    let blocked = array.block_cycles() - blocked;
+    assert!(blocked >= 9_000, "{blocked} cycles in blocks");
     let s = array.schedule_stats().delta_since(&before);
     assert_eq!((s.captured, s.invalidations), (10, 10));
 }

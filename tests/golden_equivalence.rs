@@ -882,6 +882,13 @@ fn arb_rate() -> impl Strategy<Value = Rate> {
 fn full_rate_netlist(capacity: usize, stages: &[Rate]) -> xpp_array::Netlist {
     let mut nl = NetlistBuilder::new("full-rate");
     nl.set_default_capacity(capacity);
+    full_rate_pipeline(&mut nl, stages);
+    nl.build().unwrap()
+}
+
+/// Splices `e ? x : -x` through the stages into `nl`, with the result on
+/// `y` and its event on `z`; returns the result.
+fn full_rate_pipeline(nl: &mut NetlistBuilder, stages: &[Rate]) -> DataOut {
     let x = nl.input("x");
     let e = nl.input_event("e");
     let neg = nl.unary(UnaryOp::Neg, x);
@@ -951,6 +958,80 @@ fn full_rate_netlist(capacity: usize, stages: &[Rate]) -> xpp_array::Netlist {
     nl.output("y", x);
     let z = nl.to_event(x);
     nl.output_event("z", z);
+    x
+}
+
+/// One accumulator of the pipeline's result, dumped when a modulo-`sf`
+/// counter from `start`, through `AddK(shift)`, tests true against `k`
+/// (`EqK`, or `GeK` when `ge`; `k` wraps into the values the test sees),
+/// inverted when `not` — or when the previous lane's event does, when
+/// `shared`. Behind it, `ShrK(1)` to the port `s<lane>`.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    sf: u64,
+    start: i64,
+    shift: i32,
+    k: i32,
+    ge: bool,
+    not: bool,
+    shared: bool,
+}
+
+fn arb_lane() -> impl Strategy<Value = Lane> {
+    (
+        (1u64..40, -4i64..4, -3i32..3, 0i32..40),
+        (any::<bool>(), 0u8..4, any::<bool>()),
+    )
+        .prop_map(|((sf, start, shift, k), (ge, not, shared))| Lane {
+            sf,
+            start,
+            shift,
+            k,
+            ge,
+            not: not == 0,
+            shared,
+        })
+}
+
+/// The full-rate pipeline with dump lanes behind its result: every
+/// accumulator's dump event descends from a free-running counter through
+/// value-only ops, as the rake finger's does.
+fn horizon_netlist(capacity: usize, stages: &[Rate], lanes: &[Lane]) -> xpp_array::Netlist {
+    let mut nl = NetlistBuilder::new("horizon");
+    nl.set_default_capacity(capacity);
+    let y = full_rate_pipeline(&mut nl, stages);
+    let mut event = None;
+    for (i, lane) in lanes.iter().enumerate() {
+        let ev = match event {
+            Some(ev) if lane.shared => ev,
+            _ => {
+                let ctr = nl.counter(CounterCfg {
+                    start: lane.start,
+                    step: 1,
+                    period: lane.sf,
+                    gated: false,
+                });
+                let v = nl.unary(UnaryOp::AddK(Word::new(lane.shift)), ctr.value);
+                let k = Word::new(lane.start as i32 + lane.shift + lane.k % lane.sf as i32);
+                let test = if lane.ge {
+                    UnaryOp::GeK(k)
+                } else {
+                    UnaryOp::EqK(k)
+                };
+                let t = nl.unary(test, v);
+                let ev = nl.to_event(t);
+                if lane.not {
+                    nl.ev_not(ev)
+                } else {
+                    ev
+                }
+            }
+        };
+        event = Some(ev);
+        let sum = nl.accum_dump(y, ev);
+        let s = nl.unary(UnaryOp::ShrK(1), sum);
+        nl.output(format!("s{i}"), s);
+    }
     nl.build().unwrap()
 }
 
@@ -965,6 +1046,8 @@ enum Drive {
     Idle,
     /// `run_until_output` for this many more words on `y`, budget 600.
     Until(usize),
+    /// The same on `s0`, behind a dump.
+    UntilSum(usize),
     Drain,
 }
 
@@ -984,21 +1067,32 @@ fn arb_drive() -> impl Strategy<Value = Drive> {
     ]
 }
 
+fn arb_horizon_drive() -> impl Strategy<Value = Drive> {
+    prop_oneof![arb_drive(), (1usize..20).prop_map(Drive::UntilSum)]
+}
+
 /// Everything observable about a driven generated netlist, the schedule
 /// counts apart (the reference stepper keeps none), and the cycles the
 /// array stepped in blocks.
 type Driven = (Record, Vec<(String, u64)>, xpp_array::ScheduleStats, u64);
 
 fn full_rate_scenario(capacity: usize, stages: &[Rate], script: &[Drive]) -> Driven {
-    let netlist = full_rate_netlist(capacity, stages);
+    driven_scenario(&full_rate_netlist(capacity, stages), 0, script)
+}
+
+/// Drives `netlist`, a generated pipeline with `sums` dump lanes.
+fn driven_scenario(netlist: &xpp_array::Netlist, sums: usize, script: &[Drive]) -> Driven {
     let mut rec = Record::new();
     let mut array = Array::xpp64a();
-    let cfg = array.configure(&netlist).unwrap();
+    let cfg = array.configure(netlist).unwrap();
     let drain = |array: &mut Array, rec: &mut Record| {
         rec.drain(array, cfg, "y");
         let z = array.drain_output_events(cfg, "z").unwrap();
         rec.streams
             .push(("z".into(), z.iter().map(|&b| i32::from(b)).collect()));
+        for i in 0..sums {
+            rec.drain(array, cfg, &format!("s{i}"));
+        }
     };
     let outcome = |r: Result<u64, xpp_array::Error>| r.unwrap_or(u64::MAX);
     for step in script {
@@ -1022,6 +1116,11 @@ fn full_rate_scenario(capacity: usize, stages: &[Rate], script: &[Drive]) -> Dri
                 let n = array.run_until_output(cfg, "y", count, 600);
                 rec.idle_cycles.push(outcome(n));
             }
+            Drive::UntilSum(more) => {
+                let count = array.output_len(cfg, "s0").unwrap() + more;
+                let n = array.run_until_output(cfg, "s0", count, 600);
+                rec.idle_cycles.push(outcome(n));
+            }
             Drive::Drain => drain(&mut array, &mut rec),
         }
     }
@@ -1037,9 +1136,13 @@ fn full_rate_scenario(capacity: usize, stages: &[Rate], script: &[Drive]) -> Dri
 /// fires, `ArrayStats` (cycles included), and the production runs on
 /// `ScheduleStats`. Returns the cycles the 64-cycle arm stepped in blocks.
 fn assert_blocks_agree(capacity: usize, stages: &[Rate], script: &[Drive]) -> u64 {
-    let run = || full_rate_scenario(capacity, stages, script);
-    let slow = with_reference_stepper(run);
-    let dense = with_block_cap(0, run);
+    assert_runs_agree(|| full_rate_scenario(capacity, stages, script))
+}
+
+/// [`assert_blocks_agree`] for any driven scenario.
+fn assert_runs_agree(run: impl Fn() -> Driven) -> u64 {
+    let slow = with_reference_stepper(&run);
+    let dense = with_block_cap(0, &run);
     assert_eq!(dense.3, 0);
     assert_eq!(
         (&dense.0, &dense.1),
@@ -1048,7 +1151,7 @@ fn assert_blocks_agree(capacity: usize, stages: &[Rate], script: &[Drive]) -> u6
     );
     let mut blocked = 0;
     for cap in [1, 7, 64] {
-        let fast = with_block_cap(cap, run);
+        let fast = with_block_cap(cap, &run);
         assert_eq!(
             (&fast.0, &fast.1, &fast.2),
             (&dense.0, &dense.1, &dense.2),
@@ -1113,4 +1216,57 @@ fn every_full_rate_stage_runs_in_blocks_and_agrees() {
     ];
     let blocked = assert_blocks_agree(8, &stages, &script);
     assert!(blocked > 500, "{blocked} cycles in blocks");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Dump horizons: generated pipelines with one to three accumulators
+    /// behind them, each dumped by a counter lane of random period, phase
+    /// and test (one firing, all but one, or a run of passes per period),
+    /// some lanes sharing one event, driven as above and by
+    /// `run_until_output` on a port behind a dump, observe the same on the
+    /// reference stepper, on the dense stepper and in blocks of any length
+    /// — outputs, `run_until_*` results, per-object fires and
+    /// `ArrayStats`.
+    #[test]
+    fn dump_horizons_are_stepper_invariant(
+        capacity in 1usize..=8,
+        stages in proptest::collection::vec(arb_rate(), 0..4),
+        lanes in proptest::collection::vec(arb_lane(), 1..4),
+        script in proptest::collection::vec(arb_horizon_drive(), 1..14),
+    ) {
+        let netlist = horizon_netlist(capacity, &stages, &lanes);
+        assert_runs_agree(|| driven_scenario(&netlist, lanes.len(), &script));
+    }
+}
+
+/// Power guard for the property above: lanes dumping once per 16 and
+/// once per 40 passes, one sharing its event, streamed with both queues
+/// full, spend most of their cycles in blocks, and agree everywhere.
+#[test]
+fn dump_horizon_lanes_run_in_blocks_and_agree() {
+    let lane = |sf, shared| Lane {
+        sf,
+        start: 0,
+        shift: 0,
+        k: sf as i32 - 1,
+        ge: false,
+        not: false,
+        shared,
+    };
+    let lanes = [lane(16, false), lane(16, true), lane(40, false)];
+    let netlist = horizon_netlist(4, &[Rate::Unary(0, 3), Rate::Fifo(4)], &lanes);
+    let script = [
+        Drive::Push(
+            (0..700).map(|i| i * 37 % 2000 - 1000).collect(),
+            vec![true; 700],
+        ),
+        Drive::UntilSum(30),
+        Drive::Run(150),
+        Drive::Drain,
+        Drive::Idle,
+    ];
+    let blocked = assert_runs_agree(|| driven_scenario(&netlist, lanes.len(), &script));
+    assert!(blocked > 400, "{blocked} cycles in blocks");
 }
