@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// ```
 /// use sdr_core::dsp::DspModel;
 ///
-/// let mut dsp = DspModel::new(1_600.0, 200e6); // the paper's 1600-MIPS DSP
+/// let mut dsp = DspModel::new(1_600.0); // the paper's 1600-MIPS DSP
 /// let sum: i64 = dsp.run("channel-estimation", 5_000, || (0..100).sum());
 /// assert_eq!(sum, 4950);
 /// assert_eq!(dsp.total_instructions(), 5_000);
@@ -25,30 +25,28 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct DspModel {
     mips: f64,
-    clock_hz: f64,
     total_instructions: u64,
     per_task: BTreeMap<String, u64>,
 }
 
 impl DspModel {
-    /// Creates a DSP with a MIPS rating and clock.
+    /// Creates a DSP with a MIPS rating.
     ///
     /// # Panics
     ///
-    /// Panics unless both values are positive.
-    pub fn new(mips: f64, clock_hz: f64) -> Self {
-        assert!(mips > 0.0 && clock_hz > 0.0);
+    /// Panics unless the rating is positive.
+    pub fn new(mips: f64) -> Self {
+        assert!(mips > 0.0);
         DspModel {
             mips,
-            clock_hz,
             total_instructions: 0,
             per_task: BTreeMap::new(),
         }
     }
 
     /// The paper's reference DSP: 1600 MIPS at 200 MHz.
-    pub fn reference_200mhz() -> Self {
-        Self::new(crate::requirements::DSP_MIPS_AT_200_MHZ, 200e6)
+    pub(crate) fn reference_200mhz() -> Self {
+        Self::new(crate::requirements::DSP_MIPS_AT_200_MHZ)
     }
 
     /// The MIPS rating.
@@ -78,32 +76,9 @@ impl DspModel {
         &self.per_task
     }
 
-    /// Wall time the charged work represents on this DSP.
-    pub fn busy_seconds(&self) -> f64 {
-        self.total_instructions as f64 / (self.mips * 1e6)
-    }
-
-    /// Load factor over a real-time window: >1.0 means this DSP could not
-    /// keep up (the check behind Fig. 1's argument).
-    pub fn utilization_over(&self, window_seconds: f64) -> f64 {
-        assert!(window_seconds > 0.0);
-        self.busy_seconds() / window_seconds
-    }
-
     /// Equivalent sustained MIPS demand over a window.
     pub fn demand_mips_over(&self, window_seconds: f64) -> f64 {
         self.total_instructions as f64 / (window_seconds * 1e6)
-    }
-
-    /// Resets the accounting.
-    pub fn reset(&mut self) {
-        self.total_instructions = 0;
-        self.per_task.clear();
-    }
-
-    /// The clock frequency.
-    pub fn clock_hz(&self) -> f64 {
-        self.clock_hz
     }
 }
 
@@ -123,12 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_and_utilization() {
-        let mut dsp = DspModel::new(100.0, 100e6); // 100 MIPS
-        dsp.charge("x", 1_000_000); // 1e6 instructions → 10 ms
-        assert!((dsp.busy_seconds() - 0.01).abs() < 1e-12);
-        assert!((dsp.utilization_over(0.01) - 1.0).abs() < 1e-9);
-        assert!(dsp.utilization_over(0.005) > 1.0); // overload
+    fn demand_over_a_window() {
+        let mut dsp = DspModel::new(100.0); // 100 MIPS
+        dsp.charge("x", 1_000_000); // 1e6 instructions in 10 ms
         assert!((dsp.demand_mips_over(0.01) - 100.0).abs() < 1e-9);
     }
 
@@ -140,17 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut dsp = DspModel::reference_200mhz();
-        dsp.charge("a", 5);
-        dsp.reset();
-        assert_eq!(dsp.total_instructions(), 0);
-        assert!(dsp.task_breakdown().is_empty());
-    }
-
-    #[test]
     #[should_panic]
     fn rejects_zero_mips() {
-        DspModel::new(0.0, 1e6);
+        DspModel::new(0.0);
     }
 }

@@ -14,8 +14,6 @@
 //! * [`dsp`] — the task-level DSP model with MIPS accounting,
 //! * [`platform`] — the Fig. 11 evaluation platform composing an
 //!   [`xpp_array::Array`], the DSP model and dedicated blocks,
-//! * [`scenario`] (re-exported from `sdr-wcdma`) — the Table 1 finger
-//!   scenarios,
 //! * [`scheduler`] — time-sliced multi-standard operation (EDF over
 //!   measured kernel cycle counts).
 //!
@@ -41,10 +39,5 @@ pub mod platform;
 pub mod requirements;
 pub mod scheduler;
 
-pub use sdr_wcdma::scenario;
-
-pub use dsp::DspModel;
-pub use partition::{ofdm_partitioning, rake_partitioning, Resource, TaskAssignment};
-pub use platform::{DedicatedBlock, PlatformReport, SdrPlatform, ARRAY_CLOCK_HZ};
-pub use requirements::{Mobility, Protocol, PROTOCOLS};
-pub use scheduler::{schedule_edf, Job, ScheduleReport};
+pub use partition::{ofdm_partitioning, rake_partitioning};
+pub use platform::SdrPlatform;

@@ -150,23 +150,23 @@ pub fn ofdm_partitioning() -> Vec<TaskAssignment> {
     ]
 }
 
-/// Counts tasks per resource (for the report generator).
-pub fn count_by_resource(tasks: &[TaskAssignment]) -> (usize, usize, usize) {
-    let dsp = tasks.iter().filter(|t| t.resource == Resource::Dsp).count();
-    let ded = tasks
-        .iter()
-        .filter(|t| t.resource == Resource::Dedicated)
-        .count();
-    let arr = tasks
-        .iter()
-        .filter(|t| t.resource == Resource::Array)
-        .count();
-    (dsp, ded, arr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts tasks per resource.
+    fn count_by_resource(tasks: &[TaskAssignment]) -> (usize, usize, usize) {
+        let dsp = tasks.iter().filter(|t| t.resource == Resource::Dsp).count();
+        let ded = tasks
+            .iter()
+            .filter(|t| t.resource == Resource::Dedicated)
+            .count();
+        let arr = tasks
+            .iter()
+            .filter(|t| t.resource == Resource::Array)
+            .count();
+        (dsp, ded, arr)
+    }
 
     #[test]
     fn rake_partitioning_matches_fig4() {

@@ -14,7 +14,7 @@ use xpp_array::power::{EnergyModel, PowerReport};
 use xpp_array::{Array, ArrayStats};
 
 /// The paper's headline array clock for the 18-finger rake scenario.
-pub const ARRAY_CLOCK_HZ: f64 = 69.12e6;
+pub(crate) const ARRAY_CLOCK_HZ: f64 = 69.12e6;
 
 /// A fixed-function hardware block with a cost annotation.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +29,7 @@ pub struct DedicatedBlock {
 
 impl DedicatedBlock {
     /// Creates a block descriptor.
-    pub fn new(name: impl Into<String>, cycles_per_item: f64, power_mw: f64) -> Self {
+    pub(crate) fn new(name: impl Into<String>, cycles_per_item: f64, power_mw: f64) -> Self {
         DedicatedBlock {
             name: name.into(),
             cycles_per_item,
@@ -101,27 +101,17 @@ impl SdrPlatform {
         self.dedicated.iter().find(|b| b.name == name)
     }
 
-    /// Registers another dedicated block.
-    pub fn add_dedicated(&mut self, block: DedicatedBlock) {
-        self.dedicated.push(block);
-    }
-
     /// Charges `items` of work to a dedicated block.
     ///
     /// # Panics
     ///
-    /// Panics if the block is unknown (register it first).
+    /// Panics if the block is not one of the board's dedicated blocks.
     pub fn charge_dedicated(&mut self, name: &str, items: u64) {
         assert!(
             self.dedicated.iter().any(|b| b.name == name),
             "unknown dedicated block {name:?}"
         );
         *self.dedicated_items.entry(name.to_string()).or_insert(0) += items;
-    }
-
-    /// Items charged to a block so far.
-    pub fn dedicated_item_count(&self, name: &str) -> u64 {
-        self.dedicated_items.get(name).copied().unwrap_or(0)
     }
 
     /// Aggregates the platform state into a report.
@@ -175,8 +165,8 @@ mod tests {
         let mut p = SdrPlatform::evaluation_board();
         p.charge_dedicated("viterbi", 100);
         p.charge_dedicated("viterbi", 50);
-        assert_eq!(p.dedicated_item_count("viterbi"), 150);
-        assert_eq!(p.dedicated_item_count("framing-sync"), 0);
+        assert_eq!(p.dedicated_items.get("viterbi"), Some(&150));
+        assert_eq!(p.dedicated_items.get("framing-sync"), None);
     }
 
     #[test]

@@ -57,23 +57,13 @@ impl Protocol {
     }
 
     /// Peak data rate in Mbit/s (paper Fig. 2 envelope).
-    pub fn peak_rate_mbps(self) -> f64 {
+    pub(crate) fn peak_rate_mbps(self) -> f64 {
         match self {
             Protocol::Gsm => 0.0096,
             Protocol::GprsHscsd => 0.057,
             Protocol::Edge => 0.2,
             Protocol::Umts => 2.0,
             Protocol::OfdmWlan => 54.0,
-        }
-    }
-
-    /// The highest mobility class the protocol serves (Fig. 2's x…y axis).
-    pub fn max_mobility(self) -> Mobility {
-        match self {
-            Protocol::Gsm | Protocol::GprsHscsd | Protocol::Edge | Protocol::Umts => {
-                Mobility::Vehicular
-            }
-            Protocol::OfdmWlan => Mobility::Pedestrian,
         }
     }
 
@@ -106,7 +96,7 @@ pub enum Mobility {
 /// What a 200 MHz-class DSP of the era delivers (paper: "Modern
 /// high-performance DSPs can provide around 1600 MIPS at clock speeds of
 /// 200 MHz").
-pub const DSP_MIPS_AT_200_MHZ: f64 = 1_600.0;
+pub(crate) const DSP_MIPS_AT_200_MHZ: f64 = 1_600.0;
 
 /// True if the protocol's demand exceeds a single DSP — the paper's core
 /// argument for reconfigurable hardware.
@@ -152,7 +142,6 @@ mod tests {
     #[test]
     fn fig2_wlan_fast_but_immobile() {
         assert!(Protocol::OfdmWlan.peak_rate_mbps() > Protocol::Umts.peak_rate_mbps());
-        assert!(Protocol::OfdmWlan.max_mobility() < Protocol::Umts.max_mobility());
         assert_eq!(Protocol::OfdmWlan.rate_at_mbps(Mobility::Vehicular), 0.0);
     }
 

@@ -56,7 +56,7 @@ proptest! {
     /// DSP accounting is additive and utilization scales linearly.
     #[test]
     fn dsp_accounting_additive(charges in proptest::collection::vec(1u64..1_000_000, 1..20)) {
-        let mut dsp = DspModel::new(1000.0, 100e6);
+        let mut dsp = DspModel::new(1000.0);
         for (i, &c) in charges.iter().enumerate() {
             dsp.charge(&format!("t{}", i % 3), c);
         }

@@ -59,22 +59,6 @@ impl Lfsr {
         self.state
     }
 
-    /// Overwrites the register contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not fit in the register.
-    pub fn set_state(&mut self, state: u32) {
-        assert!(state < (1 << self.degree));
-        self.state = state;
-    }
-
-    /// The output bit that the next [`step`](Self::step) will produce.
-    #[inline]
-    pub fn peek(&self) -> u8 {
-        (self.state & 1) as u8
-    }
-
     /// Advances the register one step and returns the output bit.
     #[inline]
     pub fn step(&mut self) -> u8 {
@@ -114,28 +98,6 @@ pub fn unpack_lsb_first(v: u32, n: usize) -> Vec<u8> {
     (0..n).map(|i| ((v >> i) & 1) as u8).collect()
 }
 
-/// XOR parity of a word (0 or 1).
-#[inline]
-pub fn parity(v: u32) -> u8 {
-    (v.count_ones() & 1) as u8
-}
-
-/// Maps a bit to a BPSK symbol: `0 → +1`, `1 → -1`.
-#[inline]
-pub fn bpsk(bit: u8) -> i32 {
-    1 - 2 * (bit as i32 & 1)
-}
-
-/// Counts positions where two bit slices differ.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    assert_eq!(a.len(), b.len(), "hamming_distance: length mismatch");
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,33 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_step() {
-        let mut l = Lfsr::new(7, (1 << 3) | 1, 0x5A);
-        for _ in 0..50 {
-            let p = l.peek();
-            assert_eq!(p, l.step());
-        }
-    }
-
-    #[test]
     fn pack_unpack_roundtrip() {
         let bits = vec![1, 0, 1, 1, 0, 0, 1];
         assert_eq!(unpack_lsb_first(pack_lsb_first(&bits), 7), bits);
         assert_eq!(pack_lsb_first(&bits), 0b1001101);
-    }
-
-    #[test]
-    fn parity_and_bpsk() {
-        assert_eq!(parity(0b1011), 1);
-        assert_eq!(parity(0b1001), 0);
-        assert_eq!(bpsk(0), 1);
-        assert_eq!(bpsk(1), -1);
-    }
-
-    #[test]
-    fn hamming_counts_differences() {
-        assert_eq!(hamming_distance(&[0, 1, 1], &[1, 1, 0]), 2);
-        assert_eq!(hamming_distance(&[], &[]), 0);
     }
 
     #[test]

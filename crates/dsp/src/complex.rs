@@ -61,7 +61,7 @@ impl<T: Copy + Neg<Output = T>> Cplx<T> {
 
     /// Multiplication by `+j` (a quarter-turn), exact for integer scalars.
     #[inline]
-    pub fn mul_j(self) -> Self {
+    pub(crate) fn mul_j(self) -> Self {
         Cplx::new(-self.im, self.re)
     }
 
@@ -156,11 +156,6 @@ impl Cplx<f64> {
         self.sqmag().sqrt()
     }
 
-    /// Phase angle in radians, in `(-π, π]`.
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Full-precision division.
     #[allow(clippy::should_implement_trait)]
     pub fn div(self, rhs: Self) -> Self {
@@ -204,16 +199,10 @@ impl Cplx<i32> {
         Cplx::new(self.re as f64, self.im as f64)
     }
 
-    /// Rounds a floating-point complex value to the nearest integer grid
-    /// point (ties away from zero).
-    pub fn from_f64_rounded(c: Cplx<f64>) -> Self {
-        Cplx::new(c.re.round() as i32, c.im.round() as i32)
-    }
-
     /// Arithmetic right shift of both components (truncating).
     #[inline]
     #[allow(clippy::should_implement_trait)]
-    pub fn shr(self, shift: u32) -> Self {
+    pub(crate) fn shr(self, shift: u32) -> Self {
         Cplx::new(self.re >> shift, self.im >> shift)
     }
 
@@ -327,7 +316,7 @@ mod tests {
     fn float_polar_roundtrip() {
         let c = Cplx::from_polar(2.0, 0.5);
         assert!((c.mag() - 2.0).abs() < 1e-12);
-        assert!((c.arg() - 0.5).abs() < 1e-12);
+        assert!((c.im.atan2(c.re) - 0.5).abs() < 1e-12);
     }
 
     #[test]

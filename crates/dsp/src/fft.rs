@@ -122,7 +122,7 @@ pub fn twiddle_q(n: usize, k: usize) -> Cplx<i32> {
 /// `ShrK(9)` — all operating within 24-bit words — so golden model and
 /// netlist agree exactly.
 #[inline]
-pub fn cmul_twiddle(v: Cplx<i32>, w: Cplx<i32>) -> Cplx<i32> {
+pub(crate) fn cmul_twiddle(v: Cplx<i32>, w: Cplx<i32>) -> Cplx<i32> {
     let vr = v.re as i64;
     let vi = v.im as i64;
     let wr = w.re as i64;
@@ -134,7 +134,7 @@ pub fn cmul_twiddle(v: Cplx<i32>, w: Cplx<i32>) -> Cplx<i32> {
 }
 
 /// The number of radix-4 stages in a 64-point FFT.
-pub const FFT64_STAGES: usize = 3;
+pub(crate) const FFT64_STAGES: usize = 3;
 
 /// Fixed-point radix-4 decimation-in-frequency FFT-64 (golden model of the
 /// paper's Fig. 9 kernel).
@@ -145,7 +145,7 @@ pub const FFT64_STAGES: usize = 3;
 ///    `t0=a+c, t1=a-c, t2=b+d, t3=b-d`;
 ///    `y0=t0+t2, y1=t1-j·t3, y2=t0-t2, y3=t1+j·t3`,
 /// 2. `y1,y2,y3` are multiplied by the Q0.9 twiddles `W^k, W^2k, W^3k`
-///    (round-half-up on the summed products, [`cmul_twiddle`]),
+///    (round-half-up on the summed products, `cmul_twiddle`),
 /// 3. every output is scaled by a truncating arithmetic `>>shift`
 ///    (`shift = 2` per the paper) before being written back,
 /// 4. the final result is base-4 digit-reversed into natural order.
@@ -191,11 +191,6 @@ impl Fft64Fixed {
         Fft64Fixed { stage_shift: shift }
     }
 
-    /// The per-stage shift in use.
-    pub fn stage_shift(&self) -> u32 {
-        self.stage_shift
-    }
-
     /// Runs the transform, returning the spectrum in natural order.
     pub fn run(&self, input: &[Cplx<i32>; 64]) -> [Cplx<i32>; 64] {
         let mut data = *input;
@@ -203,22 +198,6 @@ impl Fft64Fixed {
             self.run_stage(&mut data, stage);
         }
         digit_reverse_64(&data)
-    }
-
-    /// Runs the transform and also returns the value of the working array
-    /// after each stage (before digit reversal) — used to cross-check the
-    /// array netlist stage by stage.
-    pub fn run_with_trace(
-        &self,
-        input: &[Cplx<i32>; 64],
-    ) -> ([Cplx<i32>; 64], Vec<[Cplx<i32>; 64]>) {
-        let mut data = *input;
-        let mut trace = Vec::with_capacity(FFT64_STAGES);
-        for stage in 0..FFT64_STAGES {
-            self.run_stage(&mut data, stage);
-            trace.push(data);
-        }
-        (digit_reverse_64(&data), trace)
     }
 
     fn run_stage(&self, data: &mut [Cplx<i32>; 64], stage: usize) {
@@ -253,7 +232,7 @@ impl Fft64Fixed {
 
 /// Base-4 digit reversal of a 64-element array (3 digits: `d2 d1 d0` →
 /// `d0 d1 d2`).
-pub fn digit_reverse_64(data: &[Cplx<i32>; 64]) -> [Cplx<i32>; 64] {
+pub(crate) fn digit_reverse_64(data: &[Cplx<i32>; 64]) -> [Cplx<i32>; 64] {
     let mut out = [Cplx::<i32>::ZERO; 64];
     for (i, &v) in data.iter().enumerate() {
         out[digit_reversed_index_64(i)] = v;
@@ -353,7 +332,7 @@ mod tests {
         let f = Fft64Fixed::new();
         let mut x = [Cplx::<i32>::ZERO; 64];
         for (n, v) in tone(5, 500.0).iter().enumerate() {
-            x[n] = Cplx::from_f64_rounded(*v);
+            x[n] = Cplx::new(v.re.round() as i32, v.im.round() as i32);
         }
         let y = f.run(&x);
         let peak = y
@@ -414,13 +393,5 @@ mod tests {
     #[should_panic]
     fn with_stage_shift_rejects_huge_shift() {
         Fft64Fixed::with_stage_shift(9);
-    }
-
-    #[test]
-    fn trace_has_three_stages() {
-        let f = Fft64Fixed::new();
-        let x = [Cplx::new(1, 0); 64];
-        let (_, trace) = f.run_with_trace(&x);
-        assert_eq!(trace.len(), FFT64_STAGES);
     }
 }

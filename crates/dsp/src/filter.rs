@@ -1,89 +1,10 @@
-//! FIR filtering, delay lines and sliding correlators.
+//! Sliding correlation.
 //!
 //! The rake path searcher and the OFDM preamble detector are both built on
-//! sliding correlation, and the down-sampling front end of the OFDM receiver
-//! is an FIR decimator; this module provides those primitives over both
-//! integer and floating scalars.
+//! sliding correlation against a known pattern; this module provides it over
+//! complex integer samples.
 
 use crate::complex::Cplx;
-
-/// A real-coefficient FIR filter over complex integer samples, with an output
-/// arithmetic right shift (the fixed-point equivalent of coefficient
-/// normalisation).
-///
-/// # Example
-///
-/// ```
-/// use sdr_dsp::{Cplx, filter::FirI32};
-///
-/// // A 2-tap boxcar with >>1: a simple half-band-ish smoother.
-/// let mut fir = FirI32::new(vec![1, 1], 1);
-/// let y: Vec<_> = [4, 8, 12].iter().map(|&v| fir.push(Cplx::new(v, 0))).collect();
-/// assert_eq!(y[1], Cplx::new(6, 0)); // (4+8)/2
-/// assert_eq!(y[2], Cplx::new(10, 0)); // (8+12)/2
-/// ```
-#[derive(Debug, Clone)]
-pub struct FirI32 {
-    taps: Vec<i32>,
-    delay: Vec<Cplx<i32>>,
-    pos: usize,
-    shift: u32,
-}
-
-impl FirI32 {
-    /// Creates a filter from its tap vector and output shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `taps` is empty.
-    pub fn new(taps: Vec<i32>, shift: u32) -> Self {
-        assert!(!taps.is_empty(), "fir: at least one tap required");
-        let len = taps.len();
-        FirI32 {
-            taps,
-            delay: vec![Cplx::<i32>::ZERO; len],
-            pos: 0,
-            shift,
-        }
-    }
-
-    /// Number of taps.
-    pub fn len(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// True if the filter has exactly one tap (degenerate).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Pushes one sample and returns the filter output.
-    pub fn push(&mut self, x: Cplx<i32>) -> Cplx<i32> {
-        self.delay[self.pos] = x;
-        let n = self.taps.len();
-        let mut acc = Cplx::<i64>::ZERO;
-        for (k, &t) in self.taps.iter().enumerate() {
-            let idx = (self.pos + n - k) % n;
-            let s = self.delay[idx];
-            acc += Cplx::new(s.re as i64 * t as i64, s.im as i64 * t as i64);
-        }
-        self.pos = (self.pos + 1) % n;
-        acc.shr(self.shift).narrow()
-    }
-
-    /// Resets the delay line to zero.
-    pub fn reset(&mut self) {
-        self.delay.iter_mut().for_each(|v| *v = Cplx::<i32>::ZERO);
-        self.pos = 0;
-    }
-}
-
-/// Decimates a sample stream by an integer factor, keeping sample 0, `m`,
-/// `2m`, …
-pub fn decimate<T: Copy>(x: &[T], m: usize) -> Vec<T> {
-    assert!(m >= 1, "decimate: factor must be >= 1");
-    x.iter().step_by(m).copied().collect()
-}
 
 /// Sliding cross-correlation of a complex integer stream against a reference
 /// pattern: `y[n] = Σ_k x[n+k]·conj(ref[k])`, evaluated for every offset `n`
@@ -105,105 +26,9 @@ pub fn cross_correlate(x: &[Cplx<i32>], pattern: &[Cplx<i32>], shift: u32) -> Ve
         .collect()
 }
 
-/// Lag-`l` autocorrelation over a window of length `w`:
-/// `y[n] = Σ_{k<w} x[n+k]·conj(x[n+k+l])` — the Schmidl-style metric used by
-/// the OFDM preamble detector (the short training symbol repeats every 16
-/// samples, so `l = 16` yields a plateau during the preamble).
-pub fn autocorr_lag(x: &[Cplx<i32>], lag: usize, window: usize) -> Vec<Cplx<i64>> {
-    if x.len() < lag + window {
-        return Vec::new();
-    }
-    let n = x.len() - lag - window + 1;
-    (0..n)
-        .map(|off| {
-            let mut acc = Cplx::<i64>::ZERO;
-            for k in 0..window {
-                acc += x[off + k].widen() * x[off + k + lag].conj().widen();
-            }
-            acc
-        })
-        .collect()
-}
-
-/// Sliding sum of squared magnitudes over a window (used to normalise the
-/// autocorrelation metric).
-pub fn sliding_energy(x: &[Cplx<i32>], window: usize) -> Vec<i64> {
-    if x.len() < window || window == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(x.len() - window + 1);
-    let mut acc: i64 = x[..window].iter().map(|v| v.sqmag()).sum();
-    out.push(acc);
-    for n in window..x.len() {
-        acc += x[n].sqmag() - x[n - window].sqmag();
-        out.push(acc);
-    }
-    out
-}
-
-/// A fixed-length delay line returning the sample `depth` pushes ago
-/// (zero-initialised).
-#[derive(Debug, Clone)]
-pub struct DelayLine<T> {
-    buf: Vec<T>,
-    pos: usize,
-}
-
-impl<T: Copy + Default> DelayLine<T> {
-    /// Creates a delay of `depth` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn new(depth: usize) -> Self {
-        assert!(depth > 0, "delay line depth must be positive");
-        DelayLine {
-            buf: vec![T::default(); depth],
-            pos: 0,
-        }
-    }
-
-    /// Pushes a sample, returning the sample from `depth` pushes earlier.
-    pub fn push(&mut self, x: T) -> T {
-        let out = self.buf[self.pos];
-        self.buf[self.pos] = x;
-        self.pos = (self.pos + 1) % self.buf.len();
-        out
-    }
-
-    /// The delay depth.
-    pub fn depth(&self) -> usize {
-        self.buf.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fir_impulse_response_is_taps() {
-        let mut fir = FirI32::new(vec![3, -2, 5], 0);
-        let mut input = vec![Cplx::new(1, 0)];
-        input.extend(std::iter::repeat_n(Cplx::<i32>::ZERO, 4));
-        let y: Vec<i32> = input.iter().map(|&v| fir.push(v).re).collect();
-        assert_eq!(&y[..3], &[3, -2, 5]);
-        assert_eq!(&y[3..], &[0, 0]);
-    }
-
-    #[test]
-    fn fir_reset_clears_state() {
-        let mut fir = FirI32::new(vec![1, 1], 0);
-        fir.push(Cplx::new(9, 9));
-        fir.reset();
-        assert_eq!(fir.push(Cplx::new(1, 0)), Cplx::new(1, 0));
-    }
-
-    #[test]
-    fn decimate_keeps_every_mth() {
-        assert_eq!(decimate(&[0, 1, 2, 3, 4, 5, 6], 3), vec![0, 3, 6]);
-        assert_eq!(decimate(&[1, 2, 3], 1), vec![1, 2, 3]);
-    }
 
     #[test]
     fn cross_correlation_peaks_at_alignment() {
@@ -227,40 +52,5 @@ mod tests {
     fn cross_correlation_of_short_input_is_empty() {
         let p = vec![Cplx::new(1, 0); 8];
         assert!(cross_correlate(&[Cplx::<i32>::ZERO; 4], &p, 0).is_empty());
-    }
-
-    #[test]
-    fn autocorr_detects_periodicity() {
-        // A period-4 sequence has |autocorr(lag=4)| equal to the window energy.
-        let x: Vec<Cplx<i32>> = (0..32)
-            .map(|n| Cplx::new([5, -3, 2, 7][n % 4], [1, 4, -2, 0][n % 4]))
-            .collect();
-        let y = autocorr_lag(&x, 4, 8);
-        let e: i64 = x[..8].iter().map(|v| v.sqmag()).sum();
-        assert_eq!(y[0], Cplx::new(e, 0));
-    }
-
-    #[test]
-    fn sliding_energy_matches_direct_sum() {
-        let x: Vec<Cplx<i32>> = (0..20).map(|n| Cplx::new(n, -n)).collect();
-        let y = sliding_energy(&x, 5);
-        for (off, &v) in y.iter().enumerate() {
-            let direct: i64 = x[off..off + 5].iter().map(|s| s.sqmag()).sum();
-            assert_eq!(v, direct);
-        }
-    }
-
-    #[test]
-    fn delay_line_delays_exactly() {
-        let mut d = DelayLine::<i32>::new(3);
-        let out: Vec<i32> = (1..=6).map(|v| d.push(v)).collect();
-        assert_eq!(out, vec![0, 0, 0, 1, 2, 3]);
-        assert_eq!(d.depth(), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn delay_line_rejects_zero_depth() {
-        DelayLine::<i32>::new(0);
     }
 }

@@ -11,9 +11,6 @@
 //! the exact scaling/saturation primitives the hardware datapaths perform, so
 //! golden models and array netlists can share one definition.
 
-/// The Q1.15 representation of 1.0 − 1 ulp (the largest positive Q15 value).
-pub const Q15_ONE: i32 = (1 << 15) - 1;
-
 /// Saturates `v` to the signed `bits`-bit range `[-2^(bits-1), 2^(bits-1)-1]`.
 ///
 /// # Panics
@@ -34,18 +31,6 @@ pub fn sat(v: i64, bits: u32) -> i32 {
     let max = (1i64 << (bits - 1)) - 1;
     let min = -(1i64 << (bits - 1));
     v.clamp(min, max) as i32
-}
-
-/// Saturates to the 24-bit word range used by the XPP ALU-PAEs.
-#[inline]
-pub fn sat24(v: i64) -> i32 {
-    sat(v, 24)
-}
-
-/// Saturates to the 16-bit range.
-#[inline]
-pub fn sat16(v: i64) -> i32 {
-    sat(v, 16)
 }
 
 /// Arithmetic right shift with round-half-up (adds `2^(shift-1)` first).
@@ -69,20 +54,6 @@ pub fn shr_round(v: i64, shift: u32) -> i64 {
     } else {
         (v + (1i64 << (shift - 1))) >> shift
     }
-}
-
-/// Multiplies by a Q1.15 coefficient with rounding: `(v * q15 + 2^14) >> 15`.
-///
-/// # Example
-///
-/// ```
-/// use sdr_dsp::fixed::{mul_q15, Q15_ONE};
-/// assert_eq!(mul_q15(1000, Q15_ONE), 1000 - 1000 * 1 / 32768); // ~0.99997×
-/// assert_eq!(mul_q15(1000, 1 << 14), 500); // ×0.5
-/// ```
-#[inline]
-pub fn mul_q15(v: i32, q15: i32) -> i32 {
-    shr_round(v as i64 * q15 as i64, 15) as i32
 }
 
 /// Quantizes a real value in `[-1, 1)` to a signed `bits`-bit integer with
@@ -139,11 +110,11 @@ mod tests {
 
     #[test]
     fn sat_clamps_at_both_ends() {
-        assert_eq!(sat24(i64::MAX), (1 << 23) - 1);
-        assert_eq!(sat24(i64::MIN), -(1 << 23));
-        assert_eq!(sat24(42), 42);
-        assert_eq!(sat16(32768), 32767);
-        assert_eq!(sat16(-32769), -32768);
+        assert_eq!(sat(i64::MAX, 24), (1 << 23) - 1);
+        assert_eq!(sat(i64::MIN, 24), -(1 << 23));
+        assert_eq!(sat(42, 24), 42);
+        assert_eq!(sat(32768, 16), 32767);
+        assert_eq!(sat(-32769, 16), -32768);
     }
 
     #[test]
@@ -166,15 +137,6 @@ mod tests {
     fn shr_round_zero_shift_is_identity() {
         assert_eq!(shr_round(12345, 0), 12345);
         assert_eq!(shr_round(-12345, 0), -12345);
-    }
-
-    #[test]
-    fn mul_q15_identity_and_half() {
-        assert_eq!(mul_q15(2048, 1 << 14), 1024);
-        // Q15_ONE is (1 - 2^-15), so large values lose a fraction.
-        assert_eq!(mul_q15(32768, Q15_ONE), 32767);
-        assert_eq!(mul_q15(0, Q15_ONE), 0);
-        assert_eq!(mul_q15(-2048, 1 << 14), -1024);
     }
 
     #[test]

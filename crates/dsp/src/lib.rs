@@ -13,11 +13,12 @@
 //! * [`fixed`] — Q-format fixed-point helpers (saturation, rounding shifts),
 //! * [`fft`] — a floating-point reference DFT/FFT and the bit-exact
 //!   fixed-point radix-4 FFT-64 that the paper maps onto the array (Fig. 9),
-//! * [`filter`] — FIR filtering and sliding correlators,
-//! * [`noise`] — deterministic AWGN and Rayleigh fading generators,
+//! * [`filter`] — sliding correlation,
+//! * [`noise`] — a deterministic AWGN generator (every channel in the
+//!   workspace is fixed complex path gains plus this noise; none fades),
 //! * [`bits`] — LFSRs and bit packing shared by the scrambling-code and
 //!   convolutional-code generators,
-//! * [`metrics`] — BER/SNR/EVM measurement helpers used by the experiments.
+//! * [`metrics`] — the bit-error-rate counter used by the experiments.
 //!
 //! # Example
 //!
@@ -47,4 +48,3 @@ pub mod noise;
 pub mod rng;
 
 pub use complex::Cplx;
-pub use fixed::{sat24, shr_round, Q15_ONE};

@@ -1,6 +1,4 @@
-//! Measurement helpers for the experiments: BER, SNR and EVM.
-
-use crate::complex::Cplx;
+//! Bit-error-rate counting for the experiments.
 
 /// Accumulates bit-error statistics across many blocks.
 ///
@@ -56,65 +54,6 @@ impl BerCounter {
             self.errors as f64 / self.total as f64
         }
     }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: BerCounter) {
-        self.errors += other.errors;
-        self.total += other.total;
-    }
-}
-
-/// Signal-to-noise ratio in dB between a reference and a measured stream:
-/// `10·log10(Σ|ref|² / Σ|ref − meas|²)`.
-///
-/// Returns `f64::INFINITY` when the streams are identical.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn snr_db(reference: &[Cplx<f64>], measured: &[Cplx<f64>]) -> f64 {
-    assert_eq!(reference.len(), measured.len());
-    assert!(!reference.is_empty());
-    let sig: f64 = reference.iter().map(|v| v.sqmag()).sum();
-    let err: f64 = reference
-        .iter()
-        .zip(measured)
-        .map(|(r, m)| (*r - *m).sqmag())
-        .sum();
-    if err == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (sig / err).log10()
-    }
-}
-
-/// Error-vector magnitude (RMS, as a fraction of RMS reference magnitude).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn evm_rms(reference: &[Cplx<f64>], measured: &[Cplx<f64>]) -> f64 {
-    assert_eq!(reference.len(), measured.len());
-    assert!(!reference.is_empty());
-    let sig: f64 = reference.iter().map(|v| v.sqmag()).sum();
-    let err: f64 = reference
-        .iter()
-        .zip(measured)
-        .map(|(r, m)| (*r - *m).sqmag())
-        .sum();
-    (err / sig).sqrt()
-}
-
-/// Mean squared error between integer complex streams, in 64-bit.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse_i32(a: &[Cplx<i32>], b: &[Cplx<i32>]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    assert!(!a.is_empty());
-    let sum: i64 = a.iter().zip(b).map(|(x, y)| (*x - *y).sqmag()).sum();
-    sum as f64 / a.len() as f64
 }
 
 #[cfg(test)]
@@ -122,14 +61,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ber_counts_and_merges() {
-        let mut a = BerCounter::new();
-        a.update(&[0, 0, 1], &[1, 0, 1]);
-        let mut b = BerCounter::new();
-        b.update(&[1, 1], &[0, 0]);
-        a.merge(b);
-        assert_eq!(a.errors(), 3);
-        assert_eq!(a.total(), 5);
+    fn ber_accumulates_across_blocks() {
+        let mut ber = BerCounter::new();
+        ber.update(&[0, 0, 1], &[1, 0, 1]);
+        ber.update(&[1, 1], &[0, 0]);
+        assert_eq!(ber.errors(), 3);
+        assert_eq!(ber.total(), 5);
     }
 
     #[test]
@@ -141,34 +78,5 @@ mod tests {
     #[should_panic]
     fn ber_rejects_mismatched_lengths() {
         BerCounter::new().update(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn snr_identical_is_infinite() {
-        let x = vec![Cplx::new(1.0, -1.0); 8];
-        assert!(snr_db(&x, &x).is_infinite());
-    }
-
-    #[test]
-    fn snr_known_value() {
-        let r = vec![Cplx::new(1.0, 0.0); 10];
-        let m: Vec<_> = r.iter().map(|v| *v + Cplx::new(0.1, 0.0)).collect();
-        let snr = snr_db(&r, &m);
-        assert!((snr - 20.0).abs() < 1e-9, "snr {snr}");
-    }
-
-    #[test]
-    fn evm_scales_with_error() {
-        let r = vec![Cplx::new(2.0, 0.0); 4];
-        let m: Vec<_> = r.iter().map(|v| *v + Cplx::new(0.0, 0.2)).collect();
-        assert!((evm_rms(&r, &m) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mse_zero_for_identical() {
-        let x = vec![Cplx::new(5, 5); 3];
-        assert_eq!(mse_i32(&x, &x), 0.0);
-        let y = vec![Cplx::new(5, 6); 3];
-        assert_eq!(mse_i32(&x, &y), 1.0);
     }
 }

@@ -1,8 +1,9 @@
-//! Deterministic noise and fading generators.
+//! Deterministic additive white Gaussian noise.
 //!
 //! The paper's receivers were exercised on an evaluation board fed by an RF
-//! front end; we substitute synthetic channels (see DESIGN.md §2). All
-//! generators are seeded explicitly so every experiment is reproducible.
+//! front end; we substitute synthetic channels (see DESIGN.md §2): fixed
+//! complex path gains plus the noise generated here. Every generator is
+//! seeded explicitly so every experiment is reproducible.
 
 use crate::complex::Cplx;
 use crate::rng::Rng64;
@@ -37,11 +38,6 @@ impl Awgn {
         }
     }
 
-    /// Per-dimension standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Draws one complex Gaussian sample with variance `2σ²` total.
     pub fn sample(&mut self) -> Cplx<f64> {
         let (a, b) = self.gaussian_pair();
@@ -69,62 +65,6 @@ impl Awgn {
 pub fn sigma_for_ebn0(es: f64, bits_per_symbol: f64, spreading: f64, ebn0_db: f64) -> f64 {
     let ebn0 = 10f64.powf(ebn0_db / 10.0);
     (es / (2.0 * bits_per_symbol * spreading * ebn0)).sqrt()
-}
-
-/// A slowly-varying Rayleigh fading tap: a complex Gaussian random walk put
-/// through a one-pole low-pass filter, normalised to unit average power.
-///
-/// This is not a full Jakes model, but it reproduces what the rake receiver
-/// needs exercised: per-path complex gains that are roughly constant within a
-/// slot and decorrelate over many slots (pedestrian mobility).
-#[derive(Debug)]
-pub struct RayleighTap {
-    rng: Rng64,
-    state: Cplx<f64>,
-    /// One-pole coefficient; closer to 1.0 = slower fading.
-    rho: f64,
-    /// Innovation gain keeping unit average power.
-    gain: f64,
-}
-
-impl RayleighTap {
-    /// Creates a tap. `doppler_norm` is the fading rate in `(0, 1)`: the
-    /// complex gain decorrelates over roughly `1/doppler_norm` updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < doppler_norm < 1.0`.
-    pub fn new(seed: u64, doppler_norm: f64) -> Self {
-        assert!(doppler_norm > 0.0 && doppler_norm < 1.0);
-        let rho = 1.0 - doppler_norm;
-        let gain = (1.0 - rho * rho).sqrt() / 2f64.sqrt();
-        let mut tap = RayleighTap {
-            rng: Rng64::seed_from_u64(seed),
-            state: Cplx::<f64>::ZERO,
-            rho,
-            gain,
-        };
-        // Burn in so the process starts in steady state.
-        for _ in 0..256 {
-            tap.step();
-        }
-        tap
-    }
-
-    /// Advances the fading process one update and returns the complex gain.
-    pub fn step(&mut self) -> Cplx<f64> {
-        let (a, b) = self.rng.next_gaussian_pair();
-        self.state = Cplx::new(
-            self.rho * self.state.re + self.gain * a,
-            self.rho * self.state.im + self.gain * b,
-        );
-        self.state
-    }
-
-    /// The current gain without advancing.
-    pub fn gain(&self) -> Cplx<f64> {
-        self.state
-    }
 }
 
 #[cfg(test)]
@@ -180,32 +120,5 @@ mod tests {
         assert!(s10 < s0);
         // At Eb/N0 = 0 dB, QPSK (2 bits), sigma² = 1/4.
         assert!((s0 * s0 - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rayleigh_tap_unit_average_power() {
-        let mut t = RayleighTap::new(3, 0.05);
-        let n = 50_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            sum += t.step().sqmag();
-        }
-        let avg = sum / n as f64;
-        assert!((avg - 1.0).abs() < 0.15, "avg power {avg}");
-    }
-
-    #[test]
-    fn rayleigh_tap_is_correlated_over_short_spans() {
-        let mut t = RayleighTap::new(9, 0.01);
-        let g0 = t.step();
-        let g1 = t.step();
-        // Adjacent samples of a slow fader are nearly identical.
-        assert!((g0 - g1).mag() < 0.5 * g0.mag().max(0.1));
-    }
-
-    #[test]
-    #[should_panic]
-    fn rayleigh_rejects_bad_doppler() {
-        RayleighTap::new(1, 1.5);
     }
 }

@@ -83,18 +83,8 @@ impl Rng64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// A uniform `i64` in the inclusive range `[lo, hi]`.
-    pub fn next_in_i64(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo <= hi, "next_in_i64: empty range");
-        let span = (hi as i128 - lo as i128 + 1) as u128;
-        if span > u64::MAX as u128 {
-            return self.next_u64() as i64; // full-width range
-        }
-        lo.wrapping_add(self.next_below(span as u64) as i64)
-    }
-
     /// A pair of independent standard-normal variates (Box–Muller).
-    pub fn next_gaussian_pair(&mut self) -> (f64, f64) {
+    pub(crate) fn next_gaussian_pair(&mut self) -> (f64, f64) {
         let u1: f64 = loop {
             let u = self.next_f64();
             if u > f64::MIN_POSITIVE {
@@ -154,18 +144,6 @@ mod tests {
                 assert!(r.next_below(bound) < bound);
             }
         }
-    }
-
-    #[test]
-    fn next_in_i64_covers_range() {
-        let mut r = Rng64::seed_from_u64(9);
-        let mut seen = [false; 5];
-        for _ in 0..200 {
-            let v = r.next_in_i64(-2, 2);
-            assert!((-2..=2).contains(&v));
-            seen[(v + 2) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "not all values hit: {seen:?}");
     }
 
     #[test]

@@ -49,7 +49,7 @@ const WATCHDOG_BUDGET: u64 = 2_000;
 
 /// The most kernels one [`ConfigStore`] interns: an array publishes its
 /// residency as one bit per [`KernelId`] of a `u64`.
-pub const MAX_KERNELS: usize = 64;
+pub(crate) const MAX_KERNELS: usize = 64;
 
 /// A kernel identity across both standards: the unit of request the
 /// configuration manager works in.
@@ -104,7 +104,7 @@ pub struct KernelId(u8);
 
 impl KernelId {
     /// The id's bit in a residency mask.
-    pub fn bit(self) -> u64 {
+    pub(crate) fn bit(self) -> u64 {
         1 << self.0
     }
 }
@@ -123,7 +123,7 @@ impl KernelId {
 /// [`get_or_compile`](ConfigStore::get_or_compile) is the one compile
 /// path, keyed by name, and builds under the store lock, so concurrent
 /// requests for the same kernel compile it exactly once. A spec's first
-/// [`intern`](ConfigStore::intern) goes through it and then gives the spec
+/// `intern` goes through it and then gives the spec
 /// the next [`KernelId`]; every later request resolves the spec without
 /// locking or allocating.
 #[derive(Debug)]
@@ -198,7 +198,7 @@ impl ConfigStore {
     /// # Panics
     ///
     /// Panics if the store would intern more than [`MAX_KERNELS`] specs.
-    pub fn intern(&self, spec: &KernelSpec) -> (KernelId, Arc<CompiledConfig>, bool) {
+    pub(crate) fn intern(&self, spec: &KernelSpec) -> (KernelId, Arc<CompiledConfig>, bool) {
         if let Some((id, config)) = self.find(spec) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (id, Arc::clone(config), true);
@@ -219,7 +219,8 @@ impl ConfigStore {
     }
 
     /// Lookups served without a compile.
-    pub fn hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
@@ -260,7 +261,7 @@ impl WorkerArray {
 
     /// Like [`with_store`](WorkerArray::with_store) with an explicit
     /// recovery policy (retry counts).
-    pub fn with_policy(
+    pub(crate) fn with_policy(
         store: Arc<ConfigStore>,
         metrics: Arc<Metrics>,
         policy: RecoveryPolicy,
@@ -280,7 +281,7 @@ impl WorkerArray {
     /// Attaches a shared fault injector to this worker's array. The
     /// injector's load ordinal is global across every array it is attached
     /// to, so a plan keeps advancing through worker restarts.
-    pub fn attach_fault_injector(&mut self, injector: Arc<FaultInjector>) {
+    pub(crate) fn attach_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.array.attach_fault_injector(injector);
     }
 
@@ -299,11 +300,6 @@ impl WorkerArray {
         &self.metrics
     }
 
-    /// The compiled-config store this worker draws from.
-    pub fn store(&self) -> &Arc<ConfigStore> {
-        &self.store
-    }
-
     /// The position of `spec` in the resident list, if resident.
     fn resident_index(&self, spec: &KernelSpec) -> Option<usize> {
         let kernel = self.store.id_of(spec)?;
@@ -311,11 +307,12 @@ impl WorkerArray {
     }
 
     /// Whether the kernel's configuration is on the array.
-    pub fn is_resident(&self, spec: impl Into<KernelSpec>) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_resident(&self, spec: impl Into<KernelSpec>) -> bool {
         self.resident_index(&spec.into()).is_some()
     }
 
-    /// The kernels on the array, one [`KernelId::bit`] each: what the
+    /// The kernels on the array, one `KernelId::bit` each: what the
     /// array publishes into its residency cell after every step.
     pub fn resident_mask(&self) -> u64 {
         self.resident
@@ -395,7 +392,7 @@ impl WorkerArray {
     ///
     /// Propagates `drive`'s error, or [`XppError::ConfigWedged`] once a
     /// wedged configuration has exhausted the kernel retry budget.
-    pub fn run_kernel<T>(
+    pub(crate) fn run_kernel<T>(
         &mut self,
         kind: KernelKind,
         spec: impl Into<KernelSpec>,
@@ -653,7 +650,7 @@ mod tests {
         let a = w.activate(WcdmaKernel::Descrambler).unwrap();
         let b = w.activate(WcdmaKernel::Descrambler).unwrap();
         assert_eq!(a, b, "resident activation returns the same handle");
-        assert_eq!(w.store().misses(), 1, "one build + compile");
+        assert_eq!(w.store.misses(), 1, "one build + compile");
         let snap = metrics.snapshot();
         assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
         assert!(snap.config_bus_cycles > 0, "the load paid bus cycles");
@@ -714,8 +711,8 @@ mod tests {
         // Swapping back: the detector config comes from the store.
         w.swap(DEMODULATOR, DETECTOR).unwrap();
         assert!(!w.is_resident(DEMODULATOR));
-        assert_eq!(w.store().misses(), 2, "each kernel compiled exactly once");
-        assert_eq!(w.store().hits(), 1, "re-activation served from the store");
+        assert_eq!(w.store.misses(), 2, "each kernel compiled exactly once");
+        assert_eq!(w.store.hits(), 1, "re-activation served from the store");
     }
 
     #[test]

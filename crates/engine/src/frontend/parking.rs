@@ -50,11 +50,6 @@ pub struct ParkingLot {
 }
 
 impl ParkingLot {
-    /// An empty lot.
-    pub fn new() -> Self {
-        ParkingLot::default()
-    }
-
     /// An empty lot with room for `capacity` records before any heap
     /// growth — park up to that many sessions allocation-free.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -86,13 +81,13 @@ impl ParkingLot {
     }
 
     /// High-water mark of concurrently parked records.
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak
     }
 
     /// Heap bytes backing the lot's storage (capacity, not length — the
     /// honest resident-footprint number).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.heap.capacity() * std::mem::size_of::<Reverse<Entry>>()
     }
 
@@ -113,7 +108,7 @@ mod tests {
 
     #[test]
     fn pops_in_deadline_order_with_id_tiebreak() {
-        let mut lot = ParkingLot::new();
+        let mut lot = ParkingLot::default();
         lot.park(ParkedSession::new_wcdma(2, 7, 5_000));
         lot.park(ParkedSession::new_wcdma(1, 7, 5_000));
         lot.park(ParkedSession::new_wcdma(0, 7, 100));

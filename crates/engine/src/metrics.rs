@@ -158,7 +158,7 @@ counters! {
     /// Sessions shed under admission pressure (EDF-lowest first).
     sessions_shed,
     /// Sessions currently parked in the front-end's parking lot
-    /// (a gauge: set with [`Metrics::set`], not accumulated).
+    /// (a gauge: set with `Metrics::set`, not accumulated).
     sessions_parked,
     /// High-water mark of resident sessions (parked records plus
     /// materialised in-flight sessions) — the front-end's headline
@@ -222,29 +222,29 @@ impl Metrics {
     }
 
     /// Adds `n` to a counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increments a counter by one.
-    pub fn incr(counter: &AtomicU64) {
+    pub(crate) fn incr(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Raises `counter` to at least `value` (monotonic high-water mark).
-    pub fn raise_to(counter: &AtomicU64, value: u64) {
+    pub(crate) fn raise_to(counter: &AtomicU64, value: u64) {
         counter.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Sets a gauge to `value` (last write wins; used for point-in-time
     /// levels like [`sessions_parked`](Metrics::sessions_parked)).
-    pub fn set(counter: &AtomicU64, value: u64) {
+    pub(crate) fn set(counter: &AtomicU64, value: u64) {
         counter.store(value, Ordering::Relaxed);
     }
 
     /// Records one kernel job: its measured array cycles and the object
     /// fires its configuration performed.
-    pub fn record_kernel(&self, kind: KernelKind, cycles: u64, fires: u64) {
+    pub(crate) fn record_kernel(&self, kind: KernelKind, cycles: u64, fires: u64) {
         self.kernel_jobs[kind.index()].fetch_add(1, Ordering::Relaxed);
         self.kernel_cycles[kind.index()].fetch_add(cycles, Ordering::Relaxed);
         self.kernel_fires[kind.index()].fetch_add(fires, Ordering::Relaxed);
@@ -266,45 +266,35 @@ impl Snapshot {
         ratio(self.cache_hits, self.cache_hits + self.cache_misses)
     }
 
-    /// Total array cycles across all kernel classes.
-    pub fn total_kernel_cycles(&self) -> u64 {
-        self.kernel_cycles.iter().sum()
-    }
-
     /// Fraction of worker-array cycles the configuration bus sat idle —
     /// the paper's steady-state figure of merit (a well-amortised platform
     /// streams data with the bus near 100 % idle). 0 with no cycles run.
-    pub fn bus_idle_ratio(&self) -> f64 {
+    pub(crate) fn bus_idle_ratio(&self) -> f64 {
         if self.array_cycles_run == 0 {
             return 0.0;
         }
         1.0 - ratio(self.config_bus_cycles, self.array_cycles_run).min(1.0)
     }
 
-    /// Total object fires across all kernel classes.
-    pub fn total_kernel_fires(&self) -> u64 {
-        self.kernel_fires.iter().sum()
-    }
-
     /// Fraction of worker-array cycles in which at least one configuration
     /// was awake, in `[0, 1]` (0 with no cycles run). The rest are cycles
     /// every configuration slept through — waiting on the bus, say — which
     /// cost the stepper nothing.
-    pub fn replay_hit_ratio(&self) -> f64 {
+    pub(crate) fn replay_hit_ratio(&self) -> f64 {
         ratio(self.schedule_replay_cycles, self.array_cycles_run).min(1.0)
     }
 
     /// Fraction of started sessions shed under admission pressure, in
     /// `[0, 1]` (0 with none started) — overload reporting wants the
     /// *rate*, not the raw count.
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         ratio(self.sessions_shed, self.sessions_started)
     }
 
     /// Fraction of detected faults answered by a recovery action, in
     /// `[0, 1]` (0 with none detected; recoveries can exceed detections
     /// when retries stack, so the ratio is clamped to 1).
-    pub fn rescue_rate(&self) -> f64 {
+    pub(crate) fn rescue_rate(&self) -> f64 {
         ratio(self.recoveries, self.faults_detected).min(1.0)
     }
 
@@ -321,7 +311,7 @@ impl Snapshot {
     /// Configuration-bus energy of the demand load words under the
     /// default HCMOS9 energy model, in nanojoules: reconfiguration in
     /// joules instead of cycles.
-    pub fn config_load_energy_nj(&self) -> f64 {
+    pub(crate) fn config_load_energy_nj(&self) -> f64 {
         xpp_array::power::EnergyModel::default().config_load_nj(self.config_words_demand)
     }
 }
@@ -437,8 +427,6 @@ mod tests {
         assert_eq!(s.kernel_jobs[KernelKind::Finger.index()], 2);
         assert_eq!(s.kernel_cycles[KernelKind::Finger.index()], 200);
         assert_eq!(s.kernel_fires[KernelKind::Finger.index()], 49);
-        assert_eq!(s.total_kernel_cycles(), 200);
-        assert_eq!(s.total_kernel_fires(), 49);
     }
 
     #[test]

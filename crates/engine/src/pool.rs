@@ -39,7 +39,7 @@
 //!    empty result queue runs its rounds on the calling thread, returning
 //!    `None` at once when no array owns a session. So a lockstep pool of
 //!    `shards × arrays_per_shard` arrays is the pool of as many single
-//!    arrays, counter for counter. [`ShardPool::try_recv`] never advances,
+//!    arrays, counter for counter. `ShardPool::try_recv` never advances,
 //!    so the front-end folds hand-backs and materialises *between* rounds
 //!    — the fixed interleaving points of a discrete-event run. Same rounds,
 //!    same policy, no threads: two runs give identical
@@ -194,7 +194,7 @@ impl ShardPool {
 
     /// The same pool with no worker threads: the arrays stay inside the
     /// pool and [`recv`](ShardPool::recv) /
-    /// [`recv_timeout`](ShardPool::recv_timeout) step them on the calling
+    /// `recv_timeout` step them on the calling
     /// thread, so every counter of a run repeats exactly. A constructor for
     /// tests and benches; see the module docs for the stepping order.
     ///
@@ -344,14 +344,14 @@ impl ShardPool {
     /// so the driving thread never blocks while it still has work to do —
     /// and a lockstep pool never advances here, so the driver folds and
     /// materialises *between* dispatch rounds.
-    pub fn try_recv(&self) -> Option<Session> {
+    pub(crate) fn try_recv(&self) -> Option<Session> {
         self.results.try_recv().ok()
     }
 
     /// Blocks up to `timeout` for a finished session. `None` on timeout
     /// or after shutdown. A lockstep pool ignores the timeout and behaves
     /// as in [`recv`](ShardPool::recv).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Session> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Session> {
         match &self.driver {
             Driver::Threads(_) => self.results.recv_timeout(timeout).ok(),
             Driver::Lockstep(worker) => self.recv_lockstep(worker),
@@ -360,7 +360,7 @@ impl ShardPool {
 
     /// Whether this pool was built by [`ShardPool::lockstep`], where a
     /// `None` from [`recv`](ShardPool::recv) is final rather than a timeout.
-    pub fn is_lockstep(&self) -> bool {
+    pub(crate) fn is_lockstep(&self) -> bool {
         matches!(self.driver, Driver::Lockstep(_))
     }
 
@@ -382,7 +382,7 @@ impl ShardPool {
 
     /// Total submission capacity across every array's queue — what the
     /// front-end clamps its materialisation window to.
-    pub fn queue_capacity(&self) -> usize {
+    pub(crate) fn queue_capacity(&self) -> usize {
         self.inboxes.len() * self.arrays_per_worker * self.queue_depth_limit
     }
 

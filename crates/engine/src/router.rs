@@ -84,12 +84,12 @@ impl ShardStatus {
     }
 
     /// Array cycles the array has stepped: its clock.
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.busy_cycles.load(Ordering::Relaxed)
     }
 
     /// Whether the last published snapshot held `kernel`.
-    pub fn holds(&self, kernel: KernelId) -> bool {
+    pub(crate) fn holds(&self, kernel: KernelId) -> bool {
         self.resident.load(Ordering::Relaxed) & kernel.bit() != 0
     }
 }
@@ -151,7 +151,7 @@ impl ResidencyView {
     /// The least-loaded array: minimum (sessions owned, clock, index). It
     /// has room whenever any array does; when none does, the submit
     /// refuses with `WouldBlock`.
-    pub fn least_loaded(&self) -> usize {
+    pub(crate) fn least_loaded(&self) -> usize {
         (0..self.arrays.len())
             .min_by_key(|&i| self.load(i))
             .unwrap_or(0)

@@ -18,7 +18,7 @@
 //! One generic stepper walks either table, so stepping, the routing key,
 //! parking and rehydration are table lookups. Rows that use the array hand
 //! the kernel's drive function (`xpp_map::drive_*` — all that knows a
-//! netlist's ports and budgets) to [`WorkerArray::run_kernel`].
+//! netlist's ports and budgets) to `WorkerArray::run_kernel`.
 //!
 //! Every array-mapped stage is cross-checked against its golden software
 //! model; a divergence fails the session rather than silently returning
@@ -49,11 +49,11 @@ use wcdma::ScramblingCode;
 /// W-CDMA slot period in array cycles (666.7 µs at the paper's 50 MHz).
 pub const WCDMA_PERIOD_CYCLES: u64 = 33_333;
 /// Estimated array cycles per W-CDMA session step (admission control).
-pub const WCDMA_JOB_CYCLES: u64 = 3_000;
+pub(crate) const WCDMA_JOB_CYCLES: u64 = 3_000;
 /// OFDM frame-processing period in array cycles (400 µs at 50 MHz).
-pub const OFDM_PERIOD_CYCLES: u64 = 20_000;
+pub(crate) const OFDM_PERIOD_CYCLES: u64 = 20_000;
 /// Estimated array cycles per OFDM session step (admission control).
-pub const OFDM_JOB_CYCLES: u64 = 2_500;
+pub(crate) const OFDM_JOB_CYCLES: u64 = 2_500;
 
 /// Which standard a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,7 +98,7 @@ pub enum SessionState {
 
 impl SessionState {
     /// True once the session needs no further steps.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(
             self,
             SessionState::Done | SessionState::Failed(_) | SessionState::DeadLettered(_)
@@ -255,7 +255,7 @@ impl Session {
 
     /// Deadline (in array cycles) of the session's next step — the
     /// worker-heap EDF key.
-    pub fn deadline(&self) -> u64 {
+    pub(crate) fn deadline(&self) -> u64 {
         self.deadline
     }
 
@@ -271,7 +271,7 @@ impl Session {
     /// (capture, DSP-side path search) and for terminal sessions; those
     /// steps can run on any array without costing configuration-bus
     /// traffic.
-    pub fn next_kernel(&self) -> Option<KernelSpec> {
+    pub(crate) fn next_kernel(&self) -> Option<KernelSpec> {
         self.row()?.1
     }
 
@@ -316,7 +316,7 @@ impl Session {
     /// Consumes the crash flag set by the supervisor. External drivers of a
     /// raw [`ShardPool`](crate::pool::ShardPool) check this on every
     /// handed-back session to decide between re-dispatch and
-    /// [`mark_dead_lettered`](Session::mark_dead_lettered).
+    /// `mark_dead_lettered`.
     pub fn take_crashed(&mut self) -> bool {
         std::mem::take(&mut self.crashed)
     }
@@ -339,14 +339,9 @@ impl Session {
         true
     }
 
-    /// Dispatch attempts that ended in a worker crash.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
     /// Terminates the session as dead-lettered with a reason — the give-up
     /// end of crash supervision (see [`take_crashed`](Session::take_crashed)).
-    pub fn mark_dead_lettered(&mut self, reason: impl Into<String>) {
+    pub(crate) fn mark_dead_lettered(&mut self, reason: impl Into<String>) {
         self.state = SessionState::DeadLettered(reason.into());
     }
 
@@ -473,14 +468,14 @@ impl ParkedSession {
     }
 
     /// The session's processing period in array cycles.
-    pub fn period(&self) -> u64 {
+    pub(crate) fn period(&self) -> u64 {
         self.standard.period()
     }
 
     /// True when the record is a fresh, never-materialised terminal (no
     /// pipeline progress) — the only kind the front-end's admission model
     /// charges for.
-    pub fn is_fresh(&self) -> bool {
+    pub(crate) fn is_fresh(&self) -> bool {
         self.stage == 0
     }
 }
@@ -975,7 +970,7 @@ mod tests {
                 assert_eq!(back.state(), s.state(), "row {row}");
                 assert_eq!(back.next_kernel(), s.next_kernel(), "row {row}");
                 assert_eq!(back.deadline(), s.deadline(), "row {row}");
-                assert_eq!(back.attempts(), 1, "row {row}");
+                assert_eq!(back.attempts, 1, "row {row}");
                 assert_eq!(back.park(), Some(parked), "row {row}: carry word survived");
                 s.step(&mut worker);
             }

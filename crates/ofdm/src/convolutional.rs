@@ -9,11 +9,8 @@
 
 use crate::params::CodeRate;
 
-/// Constraint length.
-pub const CONSTRAINT: usize = 7;
-
 /// Number of trellis states.
-pub const STATES: usize = 64;
+pub(crate) const STATES: usize = 64;
 
 /// Generator polynomial A (133 octal) as a delay mask (bit k = delay k).
 const G_A: u32 = 0b110_1101;

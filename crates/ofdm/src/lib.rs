@@ -9,7 +9,7 @@
 //! Layers:
 //!
 //! * [`params`], [`scrambler`], [`convolutional`], [`interleaver`],
-//!   [`modulation`], [`preamble`] — the 802.11a PHY building blocks
+//!   [`modulation`], `preamble` — the 802.11a PHY building blocks
 //!   (code generation and Viterbi are *dedicated hardware* in the paper's
 //!   partitioning),
 //! * [`tx`], [`channel`] — the access-point signal source and indoor
@@ -42,13 +42,11 @@ pub mod convolutional;
 pub mod interleaver;
 pub mod modulation;
 pub mod params;
-pub mod preamble;
+mod preamble;
 pub mod rx;
 pub mod scrambler;
 pub mod signal_field;
 pub mod tx;
 pub mod xpp_map;
 
-pub use params::{rate, Modulation, RateParams, RATES};
-pub use rx::{receive_auto, OfdmReceiver, RxError, RxOutput};
-pub use tx::{Transmitter, TxFrame};
+pub use tx::Transmitter;

@@ -32,7 +32,7 @@ fn axis_level(bits: &[u8]) -> f64 {
 }
 
 /// Normalisation factor K_MOD so average symbol energy is 1.
-pub fn k_mod(modulation: Modulation) -> f64 {
+pub(crate) fn k_mod(modulation: Modulation) -> f64 {
     match modulation {
         Modulation::Bpsk => 1.0,
         Modulation::Qpsk => 1.0 / 2f64.sqrt(),
@@ -94,7 +94,7 @@ fn axis_soft(y: f64, bits: usize, out: &mut Vec<f64>) {
 /// Soft-demaps one equalised constellation point into per-bit LLR integers
 /// (positive = bit 0, the Viterbi decoder's convention), scaled by
 /// `scale`.
-pub fn demap_soft(y: Cplx<f64>, modulation: Modulation, scale: f64) -> Vec<i32> {
+pub(crate) fn demap_soft(y: Cplx<f64>, modulation: Modulation, scale: f64) -> Vec<i32> {
     let k = k_mod(modulation);
     let yr = y.re / k;
     let yi = y.im / k;

@@ -6,7 +6,7 @@
 //! constants.
 
 /// FFT length.
-pub const FFT_LEN: usize = 64;
+pub(crate) const FFT_LEN: usize = 64;
 
 /// Cyclic-prefix (guard interval) length in samples.
 pub const CP_LEN: usize = 16;
@@ -15,13 +15,7 @@ pub const CP_LEN: usize = 16;
 pub const SYMBOL_LEN: usize = FFT_LEN + CP_LEN;
 
 /// Data subcarriers per symbol.
-pub const DATA_CARRIERS: usize = 48;
-
-/// Pilot subcarriers per symbol.
-pub const PILOT_CARRIERS: usize = 4;
-
-/// Sample rate in Hz (20 MHz channelisation).
-pub const SAMPLE_RATE_HZ: f64 = 20e6;
+pub(crate) const DATA_CARRIERS: usize = 48;
 
 /// Subcarrier modulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,7 +55,7 @@ pub enum CodeRate {
 
 impl CodeRate {
     /// Numerator/denominator of the rate.
-    pub fn fraction(self) -> (usize, usize) {
+    pub(crate) fn fraction(self) -> (usize, usize) {
         match self {
             CodeRate::R12 => (1, 2),
             CodeRate::R23 => (2, 3),
@@ -83,7 +77,7 @@ pub struct RateParams {
 
 impl RateParams {
     /// Coded bits per OFDM symbol (N_CBPS).
-    pub fn coded_bits_per_symbol(self) -> usize {
+    pub(crate) fn coded_bits_per_symbol(self) -> usize {
         DATA_CARRIERS * self.modulation.bits_per_carrier()
     }
 
@@ -153,7 +147,7 @@ pub fn data_subcarriers() -> Vec<i32> {
 }
 
 /// The pilot subcarrier indices.
-pub const PILOT_SUBCARRIERS: [i32; 4] = [-21, -7, 7, 21];
+pub(crate) const PILOT_SUBCARRIERS: [i32; 4] = [-21, -7, 7, 21];
 
 /// Converts a logical subcarrier index (−32..31) to an FFT bin (0..63).
 pub fn subcarrier_to_bin(k: i32) -> usize {
@@ -164,6 +158,9 @@ pub fn subcarrier_to_bin(k: i32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sample rate in Hz (20 MHz channelisation).
+    const SAMPLE_RATE_HZ: f64 = 20e6;
 
     #[test]
     fn rate_table_matches_standard() {

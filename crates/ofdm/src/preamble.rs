@@ -7,17 +7,14 @@ use sdr_dsp::fft::ifft;
 use sdr_dsp::Cplx;
 
 /// Length of the short training field in samples (10 × 16).
-pub const SHORT_LEN: usize = 160;
+pub(crate) const SHORT_LEN: usize = 160;
 
 /// Length of the long training field in samples (32 CP + 2 × 64).
-pub const LONG_LEN: usize = 160;
-
-/// Period of the short training symbol in samples.
-pub const SHORT_PERIOD: usize = 16;
+pub(crate) const LONG_LEN: usize = 160;
 
 /// The frequency-domain short training sequence on subcarriers −26..26
 /// (non-zero every 4th subcarrier), including the √(13/6) power scaling.
-pub fn short_sequence() -> Vec<(i32, Cplx<f64>)> {
+pub(crate) fn short_sequence() -> Vec<(i32, Cplx<f64>)> {
     let s = (13.0f64 / 6.0).sqrt();
     let p = Cplx::new(s, s);
     let m = Cplx::new(-s, -s);
@@ -38,7 +35,7 @@ pub fn short_sequence() -> Vec<(i32, Cplx<f64>)> {
 }
 
 /// The frequency-domain long training sequence `L_{−26..26}` (±1, 0 at DC).
-pub fn long_sequence() -> [i32; 53] {
+pub(crate) fn long_sequence() -> [i32; 53] {
     [
         1, 1, -1, -1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1, 1, 1,
         1, //
@@ -49,7 +46,7 @@ pub fn long_sequence() -> [i32; 53] {
 
 /// Time-domain scaling: the IFFT's 1/N is rescaled by √N so that 52 unit
 /// subcarriers give unit average sample power (Parseval).
-pub const TIME_SCALE: f64 = 8.0;
+pub(crate) const TIME_SCALE: f64 = 8.0;
 
 fn time_symbol_from_bins(bins: &[Cplx<f64>; FFT_LEN]) -> Vec<Cplx<f64>> {
     ifft(bins)
@@ -59,7 +56,7 @@ fn time_symbol_from_bins(bins: &[Cplx<f64>; FFT_LEN]) -> Vec<Cplx<f64>> {
 }
 
 /// The 64-sample IDFT of the short sequence (16-periodic in time).
-pub fn short_symbol_64() -> Vec<Cplx<f64>> {
+pub(crate) fn short_symbol_64() -> Vec<Cplx<f64>> {
     let mut bins = [Cplx::<f64>::ZERO; FFT_LEN];
     for (k, v) in short_sequence() {
         bins[subcarrier_to_bin(k)] = v;
@@ -68,7 +65,7 @@ pub fn short_symbol_64() -> Vec<Cplx<f64>> {
 }
 
 /// The 64-sample long training symbol.
-pub fn long_symbol_64() -> Vec<Cplx<f64>> {
+pub(crate) fn long_symbol_64() -> Vec<Cplx<f64>> {
     let mut bins = [Cplx::<f64>::ZERO; FFT_LEN];
     let l = long_sequence();
     for (idx, k) in (-26..=26).enumerate() {
@@ -80,14 +77,14 @@ pub fn long_symbol_64() -> Vec<Cplx<f64>> {
 }
 
 /// The complete 160-sample short training field.
-pub fn short_training_field() -> Vec<Cplx<f64>> {
+pub(crate) fn short_training_field() -> Vec<Cplx<f64>> {
     let sym = short_symbol_64();
     (0..SHORT_LEN).map(|n| sym[n % FFT_LEN]).collect()
 }
 
 /// The complete 160-sample long training field (32-sample cyclic prefix
 /// followed by two repetitions of the long symbol).
-pub fn long_training_field() -> Vec<Cplx<f64>> {
+pub(crate) fn long_training_field() -> Vec<Cplx<f64>> {
     let sym = long_symbol_64();
     let mut out = Vec::with_capacity(LONG_LEN);
     out.extend_from_slice(&sym[32..]);
@@ -99,6 +96,9 @@ pub fn long_training_field() -> Vec<Cplx<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Period of the short training symbol in samples.
+    const SHORT_PERIOD: usize = 16;
 
     #[test]
     fn short_field_is_16_periodic() {

@@ -33,7 +33,7 @@ pub const AUTOCORR_WINDOW: usize = 32;
 
 /// Truncating shift applied to each correlation product (keeps the running
 /// sums inside 24-bit words on the array).
-pub const AUTOCORR_PROD_SHIFT: u32 = 6;
+pub(crate) const AUTOCORR_PROD_SHIFT: u32 = 6;
 
 /// The lag-16 sliding autocorrelation magnitude metric, bit-exact with the
 /// configuration-2a netlist:
@@ -79,8 +79,6 @@ pub enum RxError {
     NoPreamble,
     /// The long-preamble matched filter produced no consistent peak pair.
     TimingFailed,
-    /// The SIGNAL field failed to decode (bad parity / unknown RATE).
-    SignalDecodeFailed,
     /// The buffer ends before the expected number of data symbols.
     BufferTooShort {
         /// Samples required.
@@ -95,7 +93,6 @@ impl fmt::Display for RxError {
         match self {
             RxError::NoPreamble => write!(f, "no preamble detected"),
             RxError::TimingFailed => write!(f, "long-preamble timing failed"),
-            RxError::SignalDecodeFailed => write!(f, "SIGNAL field did not decode"),
             RxError::BufferTooShort { needed, available } => {
                 write!(
                     f,
@@ -128,7 +125,6 @@ pub struct OfdmReceiver {
     scrambler_seed: u32,
     llr_scale: f64,
     fft_stage_shift: u32,
-    leading_symbols: usize,
 }
 
 impl OfdmReceiver {
@@ -147,32 +143,13 @@ impl OfdmReceiver {
             scrambler_seed: DEFAULT_SCRAMBLER_SEED,
             llr_scale: 64.0,
             fft_stage_shift: 1,
-            leading_symbols: 0,
         }
-    }
-
-    /// Skips `n` OFDM symbols between the long preamble and the data field
-    /// (1 when the frame carries a SIGNAL symbol).
-    pub fn with_leading_symbols(mut self, n: usize) -> Self {
-        self.leading_symbols = n;
-        self
-    }
-
-    /// Overrides the scrambler seed (must match the transmitter).
-    pub fn with_scrambler_seed(mut self, seed: u32) -> Self {
-        self.scrambler_seed = seed;
-        self
     }
 
     /// Overrides the FFT per-stage scaling shift (the paper uses 2).
     pub fn with_fft_stage_shift(mut self, shift: u32) -> Self {
         self.fft_stage_shift = shift;
         self
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> RateParams {
-        self.rate
     }
 
     /// Detects the frame via the short-preamble plateau; returns the coarse
@@ -239,7 +216,11 @@ impl OfdmReceiver {
 
     /// Estimates the channel from the two long training symbols starting at
     /// `long_start`.
-    pub fn estimate_channel(&self, samples: &[Cplx<i32>], long_start: usize) -> Vec<Cplx<f64>> {
+    pub(crate) fn estimate_channel(
+        &self,
+        samples: &[Cplx<i32>],
+        long_start: usize,
+    ) -> Vec<Cplx<f64>> {
         let fft = Fft64Fixed::with_stage_shift(self.fft_stage_shift);
         let grab = |at: usize| -> [Cplx<i32>; 64] {
             let mut buf = [Cplx::<i32>::ZERO; 64];
@@ -296,7 +277,7 @@ impl OfdmReceiver {
     ) -> Result<RxOutput, RxError> {
         let ndbps = self.rate.data_bits_per_symbol();
         let n_sym = (SERVICE_BITS + psdu_bits + TAIL_BITS).div_ceil(ndbps);
-        let data_start = long_start.saturating_add(2 * FFT_LEN + self.leading_symbols * SYMBOL_LEN);
+        let data_start = long_start.saturating_add(2 * FFT_LEN);
         let needed = data_start.saturating_add(n_sym * SYMBOL_LEN);
         if samples.len() < needed {
             return Err(RxError::BufferTooShort {
@@ -379,53 +360,6 @@ fn dot_i16(a: &[[i16; 2]], b: &[[i16; 2]]) -> i32 {
         .zip(b)
         .map(|(a, b)| a[0] as i32 * b[0] as i32 + a[1] as i32 * b[1] as i32)
         .sum()
-}
-
-/// Rate-agnostic reception: decodes the SIGNAL field first (§17.3.4), then
-/// configures the data decode from the announced RATE and LENGTH.
-///
-/// # Errors
-///
-/// Propagates synchronisation errors; returns
-/// [`RxError::SignalDecodeFailed`] if the SIGNAL parity/RATE check fails.
-pub fn receive_auto(samples: &[Cplx<i32>]) -> Result<(RxOutput, RateParams), RxError> {
-    // Use any rate for the sync stages; they do not depend on it.
-    let probe = OfdmReceiver::new(crate::params::RATES[0]);
-    let coarse = probe.detect(samples).ok_or(RxError::NoPreamble)?;
-    let long_start = probe
-        .fine_timing(samples, coarse)
-        .ok_or(RxError::TimingFailed)?;
-
-    // Equalise the SIGNAL symbol (the first after the long training field).
-    let at = long_start + 2 * FFT_LEN + CP_LEN;
-    if samples.len() < at + FFT_LEN {
-        return Err(RxError::BufferTooShort {
-            needed: at + FFT_LEN,
-            available: samples.len(),
-        });
-    }
-    let channel = probe.estimate_channel(samples, long_start);
-    let fft = Fft64Fixed::with_stage_shift(1);
-    let mut buf = [Cplx::<i32>::ZERO; 64];
-    buf.copy_from_slice(&samples[at..at + FFT_LEN]);
-    let spectrum = fft.run(&buf);
-    let eq: Vec<Cplx<f64>> = data_subcarriers()
-        .iter()
-        .map(|&k| {
-            let bin = subcarrier_to_bin(k);
-            let h = channel[bin];
-            if h.sqmag() > 1e-9 {
-                spectrum[bin].to_f64().div(h)
-            } else {
-                Cplx::<f64>::ZERO
-            }
-        })
-        .collect();
-    let (r, octets) = crate::signal_field::decode_signal(&eq).ok_or(RxError::SignalDecodeFailed)?;
-
-    let receiver = OfdmReceiver::new(r).with_leading_symbols(1);
-    let out = receiver.receive_at(samples, long_start, octets * 8)?;
-    Ok((out, r))
 }
 
 #[cfg(test)]
@@ -535,51 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn signal_field_roundtrip_all_rates() {
-        for r in RATES {
-            let bits = psdu(2 * r.data_bits_per_symbol() / 8 * 8);
-            let frame = Transmitter::new(r).with_signal_field().transmit(&bits);
-            let rx = WlanChannel::default().run(&frame.samples);
-            let (out, detected) = receive_auto(&rx).unwrap();
-            assert_eq!(detected.mbps, r.mbps, "rate detection");
-            assert_eq!(out.bits, bits, "payload at {} Mb/s", r.mbps);
-        }
-    }
-
-    #[test]
-    fn signal_field_survives_noise_and_multipath() {
-        let r = rate(24).unwrap();
-        let bits = psdu(768);
-        let frame = Transmitter::new(r).with_signal_field().transmit(&bits);
-        let ch = WlanChannel::awgn(0.08, 3).with_echo(4, Cplx::new(0.3, -0.2));
-        let rx = ch.run(&frame.samples);
-        let (out, detected) = receive_auto(&rx).unwrap();
-        assert_eq!(detected.mbps, 24);
-        assert_eq!(out.bits, bits);
-    }
-
-    #[test]
-    fn garbage_signal_symbol_is_rejected() {
-        // A frame WITHOUT a SIGNAL field: receive_auto tries to parse the
-        // first data symbol as SIGNAL and must fail cleanly (or, rarely,
-        // mis-parse — the parity makes that a ~2^-13 event, deterministic
-        // here).
-        let r = rate(12).unwrap();
-        let bits = psdu(192);
-        let frame = Transmitter::new(r).transmit(&bits);
-        let rx = WlanChannel::default().run(&frame.samples);
-        match receive_auto(&rx) {
-            Err(RxError::SignalDecodeFailed) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok((out, detected)) => {
-                // If it parsed, the decode must at least disagree with the
-                // actual payload (sanity guard against silent success).
-                assert!(detected.mbps != r.mbps || out.bits != bits);
-            }
-        }
-    }
-
-    #[test]
     fn truncated_buffer_is_reported() {
         let r = rate(6).unwrap();
         let bits = psdu(8 * r.data_bits_per_symbol());
@@ -596,32 +485,19 @@ mod tests {
     fn every_truncation_of_a_frame_is_an_error_never_a_panic() {
         let r = rate(12).unwrap();
         let bits = psdu(96);
-        let plain = WlanChannel::default().run(&Transmitter::new(r).transmit(&bits).samples);
-        let announced = WlanChannel::default().run(
-            &Transmitter::new(r)
-                .with_signal_field()
-                .transmit(&bits)
-                .samples,
-        );
+        let samples = WlanChannel::default().run(&Transmitter::new(r).transmit(&bits).samples);
         let receiver = OfdmReceiver::new(r);
-        type Decode<'a> = &'a dyn Fn(&[Cplx<i32>]) -> Result<RxOutput, RxError>;
-        let known_rate: Decode = &|x| receiver.receive(x, bits.len());
-        let announced_rate: Decode = &|x| receive_auto(x).map(|(out, _)| out);
-        // Gap 100 + 320 preamble samples + 3 data symbols (+ SIGNAL): the
-        // frame ends where its last data symbol does, and the channel's
-        // trailing samples may go without loss.
-        for (decode, samples, frame_end) in [
-            (known_rate, &plain, 100 + 320 + 3 * SYMBOL_LEN),
-            (announced_rate, &announced, 100 + 320 + 4 * SYMBOL_LEN),
-        ] {
-            for cut in 0..=samples.len() {
-                match decode(&samples[..cut]) {
-                    Ok(out) => {
-                        assert!(cut >= frame_end, "cut {cut} decoded");
-                        assert_eq!(out.bits, bits, "cut {cut}");
-                    }
-                    Err(_) => assert!(cut < frame_end, "cut {cut} failed"),
+        // Gap 100 + 320 preamble samples + 3 data symbols: the frame ends
+        // where its last data symbol does, and the channel's trailing
+        // samples may go without loss.
+        let frame_end = 100 + 320 + 3 * SYMBOL_LEN;
+        for cut in 0..=samples.len() {
+            match receiver.receive(&samples[..cut], bits.len()) {
+                Ok(out) => {
+                    assert!(cut >= frame_end, "cut {cut} decoded");
+                    assert_eq!(out.bits, bits, "cut {cut}");
                 }
+                Err(_) => assert!(cut < frame_end, "cut {cut} failed"),
             }
         }
     }

@@ -4,7 +4,7 @@
 use sdr_dsp::bits::Lfsr;
 
 /// Length of the scrambler sequence period.
-pub const SCRAMBLER_PERIOD: usize = 127;
+pub(crate) const SCRAMBLER_PERIOD: usize = 127;
 
 /// The frame-synchronous data scrambler. Scrambling and descrambling are
 /// the same operation (XOR with the sequence).
@@ -43,7 +43,7 @@ impl Scrambler {
     }
 
     /// The next sequence bit.
-    pub fn next_bit(&mut self) -> u8 {
+    pub(crate) fn next_bit(&mut self) -> u8 {
         // Feedback = s(x⁷) ⊕ s(x⁴) = bit0 ⊕ bit3 in this orientation.
         let b = (self.lfsr.bit(0) ^ self.lfsr.bit(3)) & 1;
         self.lfsr.step();
@@ -56,7 +56,7 @@ impl Scrambler {
     }
 
     /// In-place variant that keeps the scrambler state for streaming.
-    pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
+    pub(crate) fn scramble_in_place(&mut self, bits: &mut [u8]) {
         for b in bits {
             *b ^= self.next_bit();
         }
@@ -67,7 +67,7 @@ impl Scrambler {
 /// sequence with an all-ones seed, mapped `0 → +1, 1 → −1`, repeated
 /// cyclically over the symbols of a frame (symbol 0 is the SIGNAL symbol in
 /// the standard; we index data symbols from 1 like the standard does).
-pub fn pilot_polarity() -> [i32; SCRAMBLER_PERIOD] {
+pub(crate) fn pilot_polarity() -> [i32; SCRAMBLER_PERIOD] {
     let mut s = Scrambler::new(0x7F);
     let mut p = [0i32; SCRAMBLER_PERIOD];
     for v in &mut p {

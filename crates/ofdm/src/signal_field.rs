@@ -11,10 +11,10 @@ use crate::params::{Modulation, RateParams};
 use sdr_dsp::Cplx;
 
 /// Number of information bits in the SIGNAL field (incl. tail).
-pub const SIGNAL_BITS: usize = 24;
+pub(crate) const SIGNAL_BITS: usize = 24;
 
 /// Largest PSDU length encodable in the 12-bit LENGTH field, in octets.
-pub const MAX_LENGTH_OCTETS: usize = 4095;
+pub(crate) const MAX_LENGTH_OCTETS: usize = 4095;
 
 /// RATE-field encoding (R1..R4, transmitted in that order).
 fn rate_bits(mbps: u32) -> Option<[u8; 4]> {

@@ -23,13 +23,13 @@ use sdr_dsp::fft::ifft;
 use sdr_dsp::Cplx;
 
 /// Number of SERVICE bits (all zero) prepended to the PSDU.
-pub const SERVICE_BITS: usize = 16;
+pub(crate) const SERVICE_BITS: usize = 16;
 
 /// Number of tail bits terminating the convolutional code.
-pub const TAIL_BITS: usize = 6;
+pub(crate) const TAIL_BITS: usize = 6;
 
 /// The default scrambler seed used by this implementation.
-pub const DEFAULT_SCRAMBLER_SEED: u32 = 0x5D;
+pub(crate) const DEFAULT_SCRAMBLER_SEED: u32 = 0x5D;
 
 /// A transmitted frame plus the metadata the test harness needs.
 #[derive(Debug, Clone)]
@@ -44,7 +44,7 @@ pub struct TxFrame {
 
 /// Builds the frequency-domain bins of one data symbol (48 points +
 /// 4 pilots with polarity `p`), returning the 80-sample time symbol.
-pub fn modulate_symbol(points: &[Cplx<f64>], polarity: i32) -> Vec<Cplx<f64>> {
+pub(crate) fn modulate_symbol(points: &[Cplx<f64>], polarity: i32) -> Vec<Cplx<f64>> {
     assert_eq!(points.len(), 48, "one OFDM symbol carries 48 data points");
     let mut bins = [Cplx::<f64>::ZERO; FFT_LEN];
     for (k, &pt) in data_subcarriers().iter().zip(points) {
@@ -87,7 +87,6 @@ pub fn modulate_symbol(points: &[Cplx<f64>], polarity: i32) -> Vec<Cplx<f64>> {
 pub struct Transmitter {
     rate: RateParams,
     scrambler_seed: u32,
-    signal_field: bool,
 }
 
 impl Transmitter {
@@ -96,27 +95,7 @@ impl Transmitter {
         Transmitter {
             rate,
             scrambler_seed: DEFAULT_SCRAMBLER_SEED,
-            signal_field: false,
         }
-    }
-
-    /// Overrides the scrambler seed.
-    pub fn with_scrambler_seed(mut self, seed: u32) -> Self {
-        self.scrambler_seed = seed;
-        self
-    }
-
-    /// Enables the SIGNAL field (§17.3.4): one BPSK rate-1/2 symbol
-    /// carrying RATE and LENGTH between the long preamble and the data.
-    /// The PSDU must then be a whole number of octets (≤ 4095).
-    pub fn with_signal_field(mut self) -> Self {
-        self.signal_field = true;
-        self
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> RateParams {
-        self.rate
     }
 
     /// Assembles, encodes and modulates one frame carrying `psdu` bits.
@@ -146,16 +125,6 @@ impl Transmitter {
         let mut samples = Vec::with_capacity(320 + (n_sym + 1) * 80);
         samples.extend(short_training_field());
         samples.extend(long_training_field());
-        if self.signal_field {
-            assert!(
-                psdu.len().is_multiple_of(8),
-                "SIGNAL's LENGTH field counts octets"
-            );
-            let octets = psdu.len() / 8;
-            let points = crate::signal_field::signal_points(self.rate, octets);
-            // The SIGNAL symbol uses pilot polarity p0.
-            samples.extend(modulate_symbol(&points, polarity[0]));
-        }
         for (s, sym_bits) in coded.chunks(ncbps).enumerate() {
             let interleaved = interleave(sym_bits, self.rate.modulation);
             let points = map_bits(&interleaved, self.rate.modulation);
@@ -212,22 +181,5 @@ mod tests {
         let p: f64 =
             frame.samples.iter().map(|v| v.sqmag()).sum::<f64>() / frame.samples.len() as f64;
         assert!(p > 0.3 && p < 3.0, "avg power {p}");
-    }
-
-    #[test]
-    fn different_seeds_change_the_waveform() {
-        let bits = vec![0u8; 96];
-        let a = Transmitter::new(rate(12).unwrap()).transmit(&bits);
-        let b = Transmitter::new(rate(12).unwrap())
-            .with_scrambler_seed(0x33)
-            .transmit(&bits);
-        // Preambles identical, data differs.
-        assert!((a.samples[0] - b.samples[0]).mag() < 1e-12);
-        let diff: f64 = a.samples[320..]
-            .iter()
-            .zip(&b.samples[320..])
-            .map(|(x, y)| (*x - *y).mag())
-            .sum();
-        assert!(diff > 1.0);
     }
 }

@@ -38,18 +38,6 @@ pub fn downsample2(x: &[Cplx<i32>]) -> Vec<Cplx<i32>> {
         .collect()
 }
 
-/// Builds the down-sampler netlist alone (used by tests; the resident
-/// configuration [`frontend_netlist`] embeds the same structure).
-pub fn downsampler_netlist() -> Netlist {
-    let mut nl = NetlistBuilder::new("fig10-downsampler");
-    let i_in = nl.input("i_in");
-    let q_in = nl.input("q_in");
-    let (di, dq) = build_downsampler(&mut nl, i_in, q_in);
-    nl.output("i_out", di);
-    nl.output("q_out", dq);
-    nl.build().expect("downsampler netlist is well formed")
-}
-
 fn build_downsampler(
     nl: &mut NetlistBuilder,
     i_in: xpp_array::DataOut,
@@ -309,11 +297,6 @@ impl ReconfigurableFrontend {
         self.cfg1
     }
 
-    /// True while the preamble detector is resident.
-    pub fn searching(&self) -> bool {
-        self.cfg2a.is_some()
-    }
-
     /// Streams 40 Msps samples through the down-sampler into the detector,
     /// returning the metric stream (one value per 20 Msps sample).
     ///
@@ -402,6 +385,18 @@ mod tests {
     use crate::rx::autocorr_metric;
     use xpp_array::Error;
 
+    /// The down-sampler netlist alone (the resident configuration
+    /// [`frontend_netlist`] embeds the same structure).
+    fn downsampler_netlist() -> Netlist {
+        let mut nl = NetlistBuilder::new("fig10-downsampler");
+        let i_in = nl.input("i_in");
+        let q_in = nl.input("q_in");
+        let (di, dq) = build_downsampler(&mut nl, i_in, q_in);
+        nl.output("i_out", di);
+        nl.output("q_out", dq);
+        nl.build().expect("downsampler netlist is well formed")
+    }
+
     fn samples(n: usize, seed: i32) -> Vec<Cplx<i32>> {
         (0..n as i32)
             .map(|i| {
@@ -471,7 +466,7 @@ mod tests {
         let mut fe = ReconfigurableFrontend::new(2).unwrap();
         // During search every RAM-PAE is occupied (12 FFT + 4 detector).
         assert_eq!(fe.array().free_resources().ram, 0);
-        assert!(fe.searching());
+        assert!(fe.cfg2a.is_some());
         // A third configuration cannot fit now.
         let mut probe = NetlistBuilder::new("probe");
         let x = probe.input("x");
@@ -484,7 +479,7 @@ mod tests {
             other => panic!("expected RAM exhaustion, got {other:?}"),
         }
         fe.switch_to_demodulation().unwrap();
-        assert!(!fe.searching());
+        assert!(fe.cfg2a.is_none());
         // 2a's four RAM-PAEs came back; 2b uses none.
         assert_eq!(fe.array().free_resources().ram, 4);
         assert_eq!(fe.events().len(), 3);

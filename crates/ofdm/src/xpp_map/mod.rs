@@ -19,9 +19,8 @@ pub mod frontend;
 
 pub use fft64::{drive_fft64, fft64_netlist};
 pub use frontend::{
-    demodulator_netlist, downsample2, downsampler_netlist, drive_demodulator,
-    drive_preamble_detector, frontend_netlist, preamble_detector_netlist, ReconfigEvent,
-    ReconfigurableFrontend,
+    demodulator_netlist, downsample2, drive_demodulator, drive_preamble_detector, frontend_netlist,
+    preamble_detector_netlist, ReconfigurableFrontend,
 };
 
 use xpp_array::Netlist;

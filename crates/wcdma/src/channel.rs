@@ -44,16 +44,8 @@ impl CellLink {
         }
     }
 
-    /// A transmit-diversity link (independent paths per antenna).
-    pub fn with_diversity(ant1: Vec<Path>, ant2: Vec<Path>) -> Self {
-        CellLink {
-            paths_ant1: ant1,
-            paths_ant2: ant2,
-        }
-    }
-
     /// The largest delay of any path.
-    pub fn max_delay(&self) -> usize {
+    pub(crate) fn max_delay(&self) -> usize {
         self.paths_ant1
             .iter()
             .chain(&self.paths_ant2)
@@ -83,7 +75,7 @@ impl Default for AdcConfig {
 
 impl AdcConfig {
     /// Quantises one complex sample with rounding and saturation.
-    pub fn digitize(&self, c: Cplx<f64>) -> Cplx<i32> {
+    pub(crate) fn digitize(&self, c: Cplx<f64>) -> Cplx<i32> {
         Cplx::new(
             sat((c.re * self.gain).round() as i64, self.bits),
             sat((c.im * self.gain).round() as i64, self.bits),

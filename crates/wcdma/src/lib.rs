@@ -49,6 +49,5 @@ pub mod symbols;
 pub mod tx;
 pub mod xpp_map;
 
-pub use rake::{RakeConfig, RakeOutput, RakeReceiver};
 pub use scrambling::ScramblingCode;
-pub use tx::{CellConfig, CellTransmitter, DpchConfig};
+pub use tx::{CellConfig, CellTransmitter};

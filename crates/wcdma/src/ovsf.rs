@@ -7,11 +7,8 @@
 //! code generation is dedicated hardware; the despreading multiply-accumulate
 //! is the array kernel of Fig. 6.
 
-/// Smallest downlink spreading factor.
-pub const MIN_SF: usize = 4;
-
 /// Largest downlink spreading factor.
-pub const MAX_SF: usize = 512;
+pub(crate) const MAX_SF: usize = 512;
 
 /// Returns the OVSF code `C(sf, k)` as a vector of `±1` chips.
 ///

@@ -16,7 +16,7 @@ use sdr_dsp::Cplx;
 /// # Panics
 ///
 /// Panics if no fingers are supplied.
-pub fn combine(fingers: &[Vec<Cplx<i32>>]) -> Vec<Cplx<i64>> {
+pub(crate) fn combine(fingers: &[Vec<Cplx<i32>>]) -> Vec<Cplx<i64>> {
     assert!(!fingers.is_empty(), "combine: no fingers");
     let n = fingers.iter().map(Vec::len).min().unwrap_or(0);
     (0..n)

@@ -53,7 +53,7 @@ pub fn estimate_channel(
 /// # Panics
 ///
 /// Panics if `n_symbols` is odd or the buffer is too short.
-pub fn estimate_channel_sttd(
+pub(crate) fn estimate_channel_sttd(
     rx: &[Cplx<i32>],
     code: &ScramblingCode,
     delay: usize,
@@ -86,7 +86,7 @@ pub fn estimate_channel_sttd(
 
 /// Quantises a set of channel estimates to Q9 integer weights with a common
 /// scale, saturating none: the scale is chosen so the largest component
-/// maps to [`WEIGHT_MAX`]. Relative finger weighting (what MRC needs) is
+/// maps to `WEIGHT_MAX`. Relative finger weighting (what MRC needs) is
 /// preserved exactly.
 ///
 /// Returns all-zero weights if every estimate is zero.
@@ -96,11 +96,11 @@ pub fn quantize_weights(estimates: &[Cplx<f64>]) -> Vec<Cplx<i32>> {
 
 /// Largest weight magnitude for the STTD corrector: the four-product sums of
 /// the STTD decode need one extra headroom bit inside 24-bit words.
-pub const WEIGHT_MAX_STTD: i32 = 511;
+pub(crate) const WEIGHT_MAX_STTD: i32 = 511;
 
 /// [`quantize_weights`] with an explicit peak magnitude (used by the STTD
 /// path, which needs [`WEIGHT_MAX_STTD`]).
-pub fn quantize_weights_with_max(estimates: &[Cplx<f64>], max_abs: i32) -> Vec<Cplx<i32>> {
+pub(crate) fn quantize_weights_with_max(estimates: &[Cplx<f64>], max_abs: i32) -> Vec<Cplx<i32>> {
     let peak = estimates
         .iter()
         .map(|h| h.re.abs().max(h.im.abs()))
@@ -184,7 +184,10 @@ mod tests {
         let g2 = Cplx::new(-0.3, 0.7);
         let mut cfg = CellConfig::default();
         cfg.dpch.sttd = true;
-        let link = CellLink::with_diversity(vec![Path::new(0, g1)], vec![Path::new(0, g2)]);
+        let link = CellLink {
+            paths_ant1: vec![Path::new(0, g1)],
+            paths_ant2: vec![Path::new(0, g2)],
+        };
         let (rx, code) = pilot_frame(cfg, link, 0.0);
         let (h1, h2) = estimate_channel_sttd(&rx, &code, 0, 8);
         let d1 = (h1 * g1.conj()).re / (h1.mag() * g1.mag());

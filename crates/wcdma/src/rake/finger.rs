@@ -17,7 +17,7 @@ pub const WEIGHT_FRAC_BITS: u32 = 9;
 
 /// Largest weight magnitude that keeps the correction product within a
 /// 24-bit word.
-pub const WEIGHT_MAX: i32 = 1023;
+pub(crate) const WEIGHT_MAX: i32 = 1023;
 
 /// Descrambles `n` received chips: `y[i] = rx[delay+i] · conj(S(phase+i))`.
 ///

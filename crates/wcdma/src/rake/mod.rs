@@ -117,16 +117,6 @@ impl RakeReceiver {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &RakeConfig {
-        &self.config
-    }
-
-    /// Number of tracked cells.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Processes a frame-aligned receive buffer and returns decided bits
     /// with diagnostics.
     ///
@@ -352,10 +342,10 @@ mod tests {
             },
             ..Default::default()
         };
-        let link = CellLink::with_diversity(
-            vec![Path::new(0, Cplx::new(0.7, 0.1))],
-            vec![Path::new(0, Cplx::new(-0.2, 0.6))],
-        );
+        let link = CellLink {
+            paths_ant1: vec![Path::new(0, Cplx::new(0.7, 0.1))],
+            paths_ant2: vec![Path::new(0, Cplx::new(-0.2, 0.6))],
+        };
         let out = run_link(
             vec![(cfg, link)],
             &bits,

@@ -57,7 +57,7 @@ impl Default for PathSearcher {
 impl PathSearcher {
     /// Correlation energy at one delay hypothesis over `symbols` pilot
     /// symbols (0 if the buffer is too short).
-    pub fn energy_at_with(
+    pub(crate) fn energy_at_with(
         &self,
         rx: &[Cplx<i32>],
         code: &ScramblingCode,
@@ -68,12 +68,12 @@ impl PathSearcher {
     }
 
     /// Correlation energy at one delay with the fine integration length.
-    pub fn energy_at(&self, rx: &[Cplx<i32>], code: &ScramblingCode, delay: usize) -> i64 {
+    pub(crate) fn energy_at(&self, rx: &[Cplx<i32>], code: &ScramblingCode, delay: usize) -> i64 {
         self.energy_at_with(rx, code, delay, self.fine_symbols)
     }
 
     /// Runs the coarse pass: short-dwell energies at every delay.
-    pub fn coarse_scan(&self, rx: &[Cplx<i32>], code: &ScramblingCode) -> Vec<PathHit> {
+    pub(crate) fn coarse_scan(&self, rx: &[Cplx<i32>], code: &ScramblingCode) -> Vec<PathHit> {
         let pilot = prepared_pilot(code, self.coarse_symbols);
         (0..self.window)
             .map(|delay| PathHit {

@@ -15,7 +15,7 @@ use sdr_dsp::Cplx;
 
 /// One tracked multipath component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrackedPath {
+pub(crate) struct TrackedPath {
     /// Current delay in chips.
     pub delay: usize,
     /// Most recent on-time correlation energy.
@@ -28,7 +28,7 @@ pub struct TrackedPath {
 
 impl TrackedPath {
     /// Creates a tracked path at a searcher hit.
-    pub fn from_hit(hit: PathHit) -> Self {
+    pub(crate) fn from_hit(hit: PathHit) -> Self {
         TrackedPath {
             delay: hit.delay,
             energy: hit.energy,
@@ -60,11 +60,6 @@ impl PathTracker {
             lost_div: 16,
             searcher,
         }
-    }
-
-    /// The tracked paths.
-    pub fn paths(&self) -> &[TrackedPath] {
-        &self.paths
     }
 
     /// Current delays of the live paths.
@@ -149,7 +144,7 @@ mod tests {
         }
         tracker.update(&rx, &code);
         assert_eq!(tracker.delays(), vec![10]);
-        assert!(tracker.paths()[0].energy > 0);
+        assert!(tracker.paths[0].energy > 0);
     }
 
     #[test]
@@ -230,6 +225,6 @@ mod tests {
         tracker.update(&rx, &code);
         tracker.update(&rx, &code);
         assert_eq!(tracker.delays(), vec![10]);
-        assert!(!tracker.paths()[1].alive);
+        assert!(!tracker.paths[1].alive);
     }
 }

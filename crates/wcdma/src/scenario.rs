@@ -9,10 +9,10 @@
 //! 18 × 3.84 MHz = 69.12 MHz."
 
 /// The UMTS/W-CDMA chip rate.
-pub const CHIP_RATE_HZ: f64 = 3.84e6;
+pub(crate) const CHIP_RATE_HZ: f64 = 3.84e6;
 
 /// The paper's design maximum: 18 virtual fingers on one physical finger.
-pub const MAX_VIRTUAL_FINGERS: u32 = 18;
+pub(crate) const MAX_VIRTUAL_FINGERS: u32 = 18;
 
 /// The paper's headline clock: 18 × 3.84 MHz.
 pub const FULL_RATE_MHZ: f64 = 69.12;

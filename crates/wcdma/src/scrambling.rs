@@ -44,10 +44,10 @@
 use sdr_dsp::Cplx;
 
 /// Length of one m-sequence period, `2¹⁸ − 1`.
-pub const SEQUENCE_LEN: usize = (1 << 18) - 1;
+pub(crate) const SEQUENCE_LEN: usize = (1 << 18) - 1;
 
 /// Chips per 10 ms radio frame.
-pub const FRAME_CHIPS: usize = 38_400;
+pub(crate) const FRAME_CHIPS: usize = 38_400;
 
 /// Offset between the I and Q branches of the complex code.
 const Q_BRANCH_OFFSET: usize = 131_072;
@@ -200,11 +200,6 @@ impl ScramblingCode {
         ScramblingCode { number, words }
     }
 
-    /// The code number.
-    pub fn number(&self) -> u32 {
-        self.number
-    }
-
     /// The complex code chip (`±1 ± j`) at frame position `i` (wraps at the
     /// frame boundary, matching the per-frame restart of the standard).
     #[inline]
@@ -220,11 +215,6 @@ impl ScramblingCode {
         let i = i % FRAME_CHIPS;
         let [ci, cq] = self.words[i / 64];
         ((ci >> (i % 64) & 1) as u8, (cq >> (i % 64) & 1) as u8)
-    }
-
-    /// A full frame of complex chips.
-    pub fn frame(&self) -> Vec<Cplx<i32>> {
-        (0..FRAME_CHIPS).map(|i| self.chip(i)).collect()
     }
 }
 
@@ -393,7 +383,6 @@ mod tests {
     fn frame_wraps() {
         let code = ScramblingCode::downlink(9);
         assert_eq!(code.chip(0), code.chip(FRAME_CHIPS));
-        assert_eq!(code.frame().len(), FRAME_CHIPS);
     }
 
     #[test]

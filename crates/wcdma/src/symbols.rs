@@ -8,15 +8,8 @@
 use sdr_dsp::Cplx;
 
 /// Maps a bit pair to a QPSK symbol: `0 → +1`, `1 → −1` per component.
-///
-/// # Example
-///
-/// ```
-/// use sdr_wcdma::symbols::qpsk_map;
-/// assert_eq!(qpsk_map(0, 1), sdr_dsp::Cplx::new(1, -1));
-/// ```
 #[inline]
-pub fn qpsk_map(b0: u8, b1: u8) -> Cplx<i32> {
+pub(crate) fn qpsk_map(b0: u8, b1: u8) -> Cplx<i32> {
     Cplx::new(1 - 2 * (b0 as i32 & 1), 1 - 2 * (b1 as i32 & 1))
 }
 
@@ -27,6 +20,13 @@ pub fn qpsk_demap(s: Cplx<i64>) -> (u8, u8) {
 }
 
 /// Maps a bit slice (even length) to QPSK symbols.
+///
+/// # Example
+///
+/// ```
+/// use sdr_wcdma::symbols::qpsk_map_bits;
+/// assert_eq!(qpsk_map_bits(&[0, 1]), vec![sdr_dsp::Cplx::new(1, -1)]);
+/// ```
 ///
 /// # Panics
 ///
@@ -40,13 +40,13 @@ pub fn qpsk_map_bits(bits: &[u8]) -> Vec<Cplx<i32>> {
 }
 
 /// The CPICH pilot symbol on antenna 1: always `1 + j` (pre-scaling).
-pub const CPICH_SYMBOL: Cplx<i32> = Cplx::new(1, 1);
+pub(crate) const CPICH_SYMBOL: Cplx<i32> = Cplx::new(1, 1);
 
 /// The CPICH symbol on antenna 2 at symbol index `n`: the diversity pilot
 /// pattern alternates sign every symbol so the receiver can separate the two
 /// antennas' channels.
 #[inline]
-pub fn cpich_antenna2(n: usize) -> Cplx<i32> {
+pub(crate) fn cpich_antenna2(n: usize) -> Cplx<i32> {
     if n.is_multiple_of(2) {
         CPICH_SYMBOL
     } else {

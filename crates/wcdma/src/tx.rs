@@ -14,10 +14,7 @@ use crate::symbols::{cpich_antenna2, qpsk_map_bits, sttd_encode, CPICH_SYMBOL};
 use sdr_dsp::Cplx;
 
 /// Spreading factor of the common pilot channel.
-pub const CPICH_SF: usize = 256;
-
-/// Chips per slot (2560) — every downlink SF divides this.
-pub const SLOT_CHIPS: usize = 2560;
+pub(crate) const CPICH_SF: usize = 256;
 
 /// Configuration of the dedicated physical channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,13 +72,8 @@ pub struct TxSignal {
 
 impl TxSignal {
     /// Number of chips.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ant1.len()
-    }
-
-    /// True if no chips were produced.
-    pub fn is_empty(&self) -> bool {
-        self.ant1.is_empty()
     }
 }
 
@@ -95,7 +87,7 @@ impl TxSignal {
 /// let mut tx = CellTransmitter::new(CellConfig::default());
 /// let bits: Vec<u8> = (0..40).map(|i| (i % 2) as u8).collect();
 /// let signal = tx.transmit(&bits);
-/// assert_eq!(signal.len(), 20 * 128); // 20 QPSK symbols at SF 128
+/// assert_eq!(signal.ant1.len(), 20 * 128); // 20 QPSK symbols at SF 128
 /// ```
 #[derive(Debug, Clone)]
 pub struct CellTransmitter {
@@ -130,19 +122,9 @@ impl CellTransmitter {
         }
     }
 
-    /// The cell configuration.
-    pub fn config(&self) -> &CellConfig {
-        &self.config
-    }
-
     /// The cell's scrambling code (shared with the receiver under test).
     pub fn scrambling_code(&self) -> &ScramblingCode {
         &self.code
-    }
-
-    /// Current chip position within the frame.
-    pub fn chip_position(&self) -> usize {
-        self.chip_pos
     }
 
     /// Modulates DPCH bits into scrambled baseband chips, advancing the
@@ -272,6 +254,6 @@ mod tests {
         let bits_per_frame = 2 * crate::scrambling::FRAME_CHIPS / 256;
         let bits: Vec<u8> = vec![0; bits_per_frame];
         tx.transmit(&bits);
-        assert_eq!(tx.chip_position(), 0); // exactly one frame
+        assert_eq!(tx.chip_pos, 0); // exactly one frame
     }
 }

@@ -7,7 +7,7 @@
 //!   DSP updates weights at slot rate through write ports while symbols
 //!   stream; symbol-paced events gate the weight reads so weights and
 //!   symbols stay token-aligned.
-//! * [`sttd_corrector_netlist`] — the STTD decoder: symbol pairs and weight
+//! * `sttd_corrector_netlist` — the STTD decoder: symbol pairs and weight
 //!   pairs arrive interleaved, demuxes split them, sixteen multipliers form
 //!   `ŝ1 = w1*·r1 + w2·r2*` and `ŝ2 = w1*·r2 − w2·r1*`, and merges
 //!   re-interleave the decoded pair.
@@ -81,7 +81,7 @@ pub fn corrector_netlist(fingers: usize) -> Netlist {
 /// interleaved). Matches the golden
 /// [`sttd_decode_fixed`](crate::symbols::sttd_decode_fixed) with
 /// `frac = 9` exactly.
-pub fn sttd_corrector_netlist() -> Netlist {
+pub(crate) fn sttd_corrector_netlist() -> Netlist {
     let mut nl = NetlistBuilder::new("fig7-sttd-corrector");
     let i_in = nl.input("i_in");
     let q_in = nl.input("q_in");
@@ -191,7 +191,7 @@ pub fn drive_corrector(
 }
 
 /// The STTD corrector's drive function (see [`crate::xpp_map`]): `cfg` is
-/// a running [`sttd_corrector_netlist`] on `array`. Decodes an even-length
+/// a running `sttd_corrector_netlist` on `array`. Decodes an even-length
 /// stream of `(r1, r2)` symbol pairs with the weights `w1`, `w2` (streamed
 /// as one pair per symbol pair), returning the interleaved `ŝ1, ŝ2`
 /// stream: pair `p` equals the golden

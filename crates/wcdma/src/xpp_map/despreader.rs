@@ -23,7 +23,7 @@ use xpp_array::{
 /// read→add→write-back loop is four pipeline stages deep, so a partial sum
 /// must not be re-read before it has been written back — exactly the
 /// multiplexing-depth constraint a hardware designer faces on the XPP.
-pub const MIN_MULTIPLEXED_FINGERS: usize = 6;
+pub(crate) const MIN_MULTIPLEXED_FINGERS: usize = 6;
 
 /// Builds the single-finger despreader netlist for `C(sf, code_index)`.
 ///

@@ -27,13 +27,12 @@ pub mod descrambler;
 pub mod despreader;
 pub mod finger;
 
-pub use corrector::{
-    corrector_netlist, drive_corrector, drive_sttd_corrector, sttd_corrector_netlist,
-};
+use corrector::sttd_corrector_netlist;
+pub use corrector::{corrector_netlist, drive_corrector, drive_sttd_corrector};
 pub use descrambler::{descrambler_netlist, drive_descrambler};
 pub use despreader::{
     despreader_multiplexed_netlist, despreader_single_netlist, drive_despreader,
-    drive_multiplexed_despreader, MIN_MULTIPLEXED_FINGERS,
+    drive_multiplexed_despreader,
 };
 pub use finger::{drive_finger, finger_netlist};
 

@@ -40,12 +40,6 @@ pub(super) fn forced() -> bool {
 }
 
 impl Array {
-    /// True if this array steps with the retained reference (scan-the-world)
-    /// stepper instead of the production stepper.
-    pub fn uses_reference_stepper(&self) -> bool {
-        self.use_reference
-    }
-
     /// One cycle of the scan stepper: offer every object of every enabled
     /// configuration, in node order, to the general firing rule, then
     /// commit every channel. Returns `true` if any object fired.
@@ -84,9 +78,9 @@ mod tests {
     /// reference array, and requires identical observables and stats.
     fn check<T: PartialEq + std::fmt::Debug>(scenario: impl Fn(&mut Array) -> T) {
         let mut fast = Array::xpp64a();
-        assert!(!fast.uses_reference_stepper());
+        assert!(!fast.use_reference);
         let mut slow = with_reference_stepper(Array::xpp64a);
-        assert!(slow.uses_reference_stepper());
+        assert!(slow.use_reference);
         let a = scenario(&mut fast);
         let b = scenario(&mut slow);
         assert_eq!(a, b, "observable outputs diverge between steppers");

@@ -742,16 +742,6 @@ impl CompiledConfig {
         }
     }
 
-    /// The configuration name.
-    pub fn name(&self) -> &str {
-        &self.program.name
-    }
-
-    /// The precomputed placement footprint.
-    pub fn placement(&self) -> &Placement {
-        &self.program.placement
-    }
-
     /// Number of objects.
     pub fn object_count(&self) -> usize {
         self.program.nodes.len()
@@ -902,10 +892,10 @@ mod tests {
     fn compile_captures_footprint_and_ports() {
         let nl = pipeline();
         let c = CompiledConfig::compile(&nl);
-        assert_eq!(c.name(), "p");
+        assert_eq!(c.program.name, "p");
         assert_eq!(c.object_count(), nl.object_count());
         assert_eq!(c.load_cycles(), nl.object_count() as u64 * 3);
-        assert_eq!(c.placement().counts, Placement::of(&nl).counts);
+        assert_eq!(c.program.placement.counts, Placement::of(&nl).counts);
         assert_eq!(c.program.ports.len(), 3, "a, b, y");
         // The ALU node reads both data edges and drives the output edge.
         let alu = c

@@ -50,14 +50,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All kinds, in a stable order (used to index per-kind counters).
-    pub const ALL: [FaultKind; 4] = [
-        FaultKind::CorruptConfig,
-        FaultKind::AbortLoad,
-        FaultKind::StallConfig,
-        FaultKind::WorkerPanic,
-    ];
-
     fn index(self) -> usize {
         match self {
             FaultKind::CorruptConfig => 0,
@@ -112,16 +104,6 @@ impl FaultPlan {
             .collect();
         FaultPlan { faults }
     }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// True if the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// Thread-safe fault scheduler shared by every array of a worker pool.
@@ -154,7 +136,7 @@ impl FaultInjector {
     /// any. Each spec fires at most once; specs whose ordinal never comes
     /// up (or is shadowed by an earlier same-ordinal spec) never fire and
     /// are never counted as injected.
-    pub fn on_load(&self) -> Option<FaultKind> {
+    pub(crate) fn on_load(&self) -> Option<FaultKind> {
         let ordinal = self.next_load.fetch_add(1, Ordering::Relaxed);
         for (spec, fired) in &self.specs {
             if spec.at_load == ordinal && !fired.swap(true, Ordering::Relaxed) {
@@ -163,11 +145,6 @@ impl FaultInjector {
             }
         }
         None
-    }
-
-    /// Number of loads the injector has seen so far.
-    pub fn loads_seen(&self) -> u64 {
-        self.next_load.load(Ordering::Relaxed)
     }
 
     /// Number of faults of one kind actually injected so far.
@@ -193,7 +170,7 @@ mod tests {
         let a = FaultPlan::seeded(42, 8, 100);
         let b = FaultPlan::seeded(42, 8, 100);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
+        assert_eq!(a.faults.len(), 8);
         assert!(a.faults.iter().all(|f| f.at_load < 100));
         assert!(a.faults.iter().all(|f| f.kind != FaultKind::WorkerPanic));
         let c = FaultPlan::seeded(43, 8, 100);
@@ -227,7 +204,7 @@ mod tests {
         assert_eq!(inj.injected_total(), 2);
         assert_eq!(inj.injected(FaultKind::AbortLoad), 1);
         assert_eq!(inj.injected(FaultKind::StallConfig), 0);
-        assert_eq!(inj.loads_seen(), 5);
+        assert_eq!(inj.next_load.load(Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -62,12 +62,9 @@ pub mod word;
 pub use array::{Array, ConfigId, CONFIG_CYCLES_PER_OBJECT};
 pub use compiled::CompiledConfig;
 pub use error::{Error, Result};
-pub use netlist::{
-    CounterPorts, DataIn, DataOut, EvIn, EvOut, FifoPorts, Netlist, NetlistBuilder, NodeId,
-    RamPorts, DEFAULT_CHANNEL_CAPACITY,
-};
-pub use object::{AluOp, CounterCfg, ObjectKind, SlotClass, UnaryOp, RAM_WORDS};
-pub use place::{Geometry, Placement, ResourceCounts, ResourcePool};
+pub use netlist::{DataOut, EvOut, Netlist, NetlistBuilder, DEFAULT_CHANNEL_CAPACITY};
+pub use object::{AluOp, CounterCfg, ObjectKind, UnaryOp};
+pub use place::{Geometry, ResourceCounts};
 pub use schedule::ScheduleStats;
 pub use stats::ArrayStats;
-pub use word::{Event, Word, WORD_BITS, WORD_MAX, WORD_MIN};
+pub use word::{Word, WORD_MIN};

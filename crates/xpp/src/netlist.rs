@@ -119,7 +119,7 @@ pub struct Netlist {
 
 impl Netlist {
     /// The configuration name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -129,7 +129,7 @@ impl Netlist {
     }
 
     /// Number of channels (data + event).
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.data_edges.len() + self.ev_edges.len()
     }
 
@@ -193,11 +193,6 @@ impl NetlistBuilder {
         let label = format!("{}{}", kind.kind_name(), self.nodes.len());
         self.nodes.push(NodeSpec { kind, label });
         self.nodes.len() - 1
-    }
-
-    /// Attaches a human-readable label to a node (used in diagnostics).
-    pub fn set_label(&mut self, node: NodeId, label: impl Into<String>) {
-        self.nodes[node.0].label = label.into();
     }
 
     // ---- wiring -------------------------------------------------------
@@ -726,15 +721,5 @@ mod tests {
         let gated = nl.counter(CounterCfg::gated_burst(4));
         nl.output("w", gated.value);
         assert!(matches!(nl.build(), Err(Error::UnconnectedInput { .. })));
-    }
-
-    #[test]
-    fn labels_can_be_set() {
-        let mut nl = NetlistBuilder::new("t");
-        let c = nl.counter(CounterCfg::modulo(8));
-        nl.set_label(c.node, "chip-counter");
-        nl.output("v", c.value);
-        let netlist = nl.build().unwrap();
-        assert!(netlist.nodes.iter().any(|n| n.label == "chip-counter"));
     }
 }

@@ -83,7 +83,8 @@ impl AluOp {
     }
 
     /// True if the op uses the PAE multiplier (higher energy).
-    pub fn uses_multiplier(self) -> bool {
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn uses_multiplier(self) -> bool {
         matches!(self, AluOp::Mul | AluOp::MulShr(_))
     }
 }
@@ -147,7 +148,7 @@ impl UnaryOp {
     }
 
     /// True if the op uses the PAE multiplier.
-    pub fn uses_multiplier(self) -> bool {
+    pub(crate) fn uses_multiplier(self) -> bool {
         matches!(self, UnaryOp::MulKShr(..))
     }
 }
@@ -194,7 +195,7 @@ impl CounterCfg {
 }
 
 /// Depth of a RAM-PAE in words.
-pub const RAM_WORDS: usize = 512;
+pub(crate) const RAM_WORDS: usize = 512;
 
 /// The behaviour assigned to a processing element.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,7 +265,7 @@ pub enum ObjectKind {
 
 /// Port counts of an object kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PortShape {
+pub(crate) struct PortShape {
     /// Data input ports.
     pub din: usize,
     /// Data output ports.
@@ -277,7 +278,7 @@ pub struct PortShape {
 
 /// The physical resource class an object occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SlotClass {
+pub(crate) enum SlotClass {
     /// An ALU-PAE function unit (64 on the XPP-64A).
     Alu,
     /// A forward/backward register (2 per PAE).
@@ -290,7 +291,7 @@ pub enum SlotClass {
 
 impl ObjectKind {
     /// Port counts for this kind.
-    pub fn shape(&self) -> PortShape {
+    pub(crate) fn shape(&self) -> PortShape {
         use ObjectKind::*;
         match self {
             Alu(_) => PortShape {
@@ -414,12 +415,12 @@ impl ObjectKind {
     ///
     /// Only the RAM ports are optional: a read-only RAM leaves the write
     /// ports open and vice versa (validated pairwise at `build()`).
-    pub fn data_input_optional(&self, _port: usize) -> bool {
+    pub(crate) fn data_input_optional(&self, _port: usize) -> bool {
         matches!(self, ObjectKind::Ram { .. })
     }
 
     /// The physical resource class this object consumes.
-    pub fn slot_class(&self) -> SlotClass {
+    pub(crate) fn slot_class(&self) -> SlotClass {
         use ObjectKind::*;
         match self {
             Alu(_) | AccumDump => SlotClass::Alu,

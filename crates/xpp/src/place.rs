@@ -45,17 +45,17 @@ impl Geometry {
     }
 
     /// Total register slots.
-    pub fn reg_slots(&self) -> usize {
+    pub(crate) fn reg_slots(&self) -> usize {
         (self.alu_paes + self.ram_paes) * self.regs_per_pae
     }
 
     /// Total routing segments.
-    pub fn route_slots(&self) -> usize {
+    pub(crate) fn route_slots(&self) -> usize {
         (self.alu_paes + self.ram_paes) * self.routes_per_pae
     }
 
     /// Total PAEs of both kinds.
-    pub fn total_paes(&self) -> usize {
+    pub(crate) fn total_paes(&self) -> usize {
         self.alu_paes + self.ram_paes
     }
 }
@@ -83,7 +83,7 @@ pub struct ResourceCounts {
 
 impl ResourceCounts {
     /// Resources required by a netlist.
-    pub fn of_netlist(netlist: &Netlist) -> Self {
+    pub(crate) fn of_netlist(netlist: &Netlist) -> Self {
         let mut counts = ResourceCounts::default();
         for kind in netlist.kinds() {
             match kind.slot_class() {
@@ -97,29 +97,12 @@ impl ResourceCounts {
         counts
     }
 
-    /// Component-wise sum.
-    pub fn plus(self, other: ResourceCounts) -> ResourceCounts {
-        ResourceCounts {
-            alu: self.alu + other.alu,
-            reg: self.reg + other.reg,
-            ram: self.ram + other.ram,
-            io: self.io + other.io,
-            route: self.route + other.route,
-        }
-    }
-
-    /// Total PAE-equivalents held (ALU + RAM PAEs; registers and routes are
-    /// sub-PAE resources).
-    pub fn paes(&self) -> usize {
-        self.alu + self.ram
-    }
-
     /// The first resource class where `self` exceeds `available`, as
     /// `(class name, needed, available)` — `None` when everything fits.
     ///
     /// The class names are the ones [`ResourcePool::allocate`] puts in its
     /// placement errors.
-    pub fn first_deficit(
+    pub(crate) fn first_deficit(
         &self,
         available: &ResourceCounts,
     ) -> Option<(&'static str, usize, usize)> {
@@ -138,14 +121,14 @@ impl ResourceCounts {
 
 /// Tracks free resources on a live array.
 #[derive(Debug, Clone)]
-pub struct ResourcePool {
+pub(crate) struct ResourcePool {
     total: ResourceCounts,
     free: ResourceCounts,
 }
 
 impl ResourcePool {
     /// A pool covering a whole (empty) array.
-    pub fn new(geometry: Geometry) -> Self {
+    pub(crate) fn new(geometry: Geometry) -> Self {
         let total = ResourceCounts {
             alu: geometry.alu_paes,
             reg: geometry.reg_slots(),
@@ -157,13 +140,8 @@ impl ResourcePool {
     }
 
     /// Currently free resources.
-    pub fn free(&self) -> ResourceCounts {
+    pub(crate) fn free(&self) -> ResourceCounts {
         self.free
-    }
-
-    /// Total resources.
-    pub fn total(&self) -> ResourceCounts {
-        self.total
     }
 
     /// Attempts to reserve the requested resources.
@@ -171,7 +149,7 @@ impl ResourcePool {
     /// # Errors
     ///
     /// Returns [`Error::PlacementFailed`] naming the exhausted class.
-    pub fn allocate(&mut self, need: ResourceCounts) -> Result<()> {
+    pub(crate) fn allocate(&mut self, need: ResourceCounts) -> Result<()> {
         if let Some((name, needed, available)) = need.first_deficit(&self.free) {
             return Err(Error::PlacementFailed {
                 resource: name.to_string(),
@@ -192,7 +170,7 @@ impl ResourcePool {
     /// # Panics
     ///
     /// Panics (debug) if more is released than was allocated.
-    pub fn release(&mut self, counts: ResourceCounts) {
+    pub(crate) fn release(&mut self, counts: ResourceCounts) {
         self.free.alu += counts.alu;
         self.free.reg += counts.reg;
         self.free.ram += counts.ram;
@@ -206,7 +184,7 @@ impl ResourcePool {
     }
 
     /// Fraction of ALU-PAEs in use.
-    pub fn alu_utilization(&self) -> f64 {
+    pub(crate) fn alu_utilization(&self) -> f64 {
         if self.total.alu == 0 {
             0.0
         } else {
@@ -228,7 +206,7 @@ pub struct Placement {
 
 impl Placement {
     /// Computes the placement footprint for a netlist.
-    pub fn of(netlist: &Netlist) -> Self {
+    pub(crate) fn of(netlist: &Netlist) -> Self {
         Placement {
             name: netlist.name().to_string(),
             counts: ResourceCounts::of_netlist(netlist),
@@ -287,7 +265,7 @@ mod tests {
         assert_eq!(pool.free().alu, 54);
         assert!(pool.alu_utilization() > 0.15);
         pool.release(need);
-        assert_eq!(pool.free(), pool.total());
+        assert_eq!(pool.free(), pool.total);
         assert_eq!(pool.alu_utilization(), 0.0);
     }
 
@@ -321,14 +299,14 @@ mod tests {
             ..Default::default()
         };
         assert!(pool.allocate(need).is_err());
-        assert_eq!(pool.free(), pool.total());
+        assert_eq!(pool.free(), pool.total);
     }
 
     #[test]
     fn placement_footprint() {
         let p = Placement::of(&small_netlist());
         assert_eq!(p.objects, 4);
-        assert_eq!(p.counts.paes(), 1);
+        assert_eq!(p.counts.alu + p.counts.ram, 1);
         assert_eq!(p.name, "t");
     }
 
@@ -346,34 +324,5 @@ mod tests {
         };
         assert_eq!(need.first_deficit(&avail), Some(("RAM slots", 3, 2)));
         assert_eq!(need.first_deficit(&need), None);
-    }
-
-    #[test]
-    fn counts_plus_adds_componentwise() {
-        let a = ResourceCounts {
-            alu: 1,
-            reg: 2,
-            ram: 3,
-            io: 4,
-            route: 5,
-        };
-        let b = ResourceCounts {
-            alu: 10,
-            reg: 20,
-            ram: 30,
-            io: 40,
-            route: 50,
-        };
-        let c = a.plus(b);
-        assert_eq!(
-            c,
-            ResourceCounts {
-                alu: 11,
-                reg: 22,
-                ram: 33,
-                io: 44,
-                route: 55
-            }
-        );
     }
 }

@@ -37,7 +37,7 @@ pub struct ArrayStats {
 
 impl ArrayStats {
     /// Creates zeroed statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -3,10 +3,7 @@
 use std::fmt;
 
 /// Number of bits in an XPP data word.
-pub const WORD_BITS: u32 = 24;
-
-/// Largest positive [`Word`] value, `2²³ − 1`.
-pub const WORD_MAX: i32 = (1 << (WORD_BITS - 1)) - 1;
+pub(crate) const WORD_BITS: u32 = 24;
 
 /// Smallest (most negative) [`Word`] value, `−2²³`.
 pub const WORD_MIN: i32 = -(1 << (WORD_BITS - 1));
@@ -44,7 +41,7 @@ impl Word {
 
     /// Creates a word from an `i64`, wrapping into 24 bits.
     #[inline]
-    pub const fn from_i64(v: i64) -> Self {
+    pub(crate) const fn from_i64(v: i64) -> Self {
         Word(((v as i32) << 8) >> 8)
     }
 
@@ -56,7 +53,7 @@ impl Word {
 
     /// The raw 24-bit pattern in the low bits of a `u32`.
     #[inline]
-    pub const fn bits(self) -> u32 {
+    pub(crate) const fn bits(self) -> u32 {
         (self.0 as u32) & 0x00FF_FFFF
     }
 
@@ -68,13 +65,13 @@ impl Word {
 
     /// Wrapping subtraction.
     #[inline]
-    pub fn wrapping_sub(self, rhs: Word) -> Word {
+    pub(crate) fn wrapping_sub(self, rhs: Word) -> Word {
         Word::from_i64(self.0 as i64 - rhs.0 as i64)
     }
 
     /// Wrapping negation.
     #[inline]
-    pub fn wrapping_neg(self) -> Word {
+    pub(crate) fn wrapping_neg(self) -> Word {
         Word::from_i64(-(self.0 as i64))
     }
 
@@ -87,39 +84,39 @@ impl Word {
 
     /// Bitwise AND.
     #[inline]
-    pub fn and(self, rhs: Word) -> Word {
+    pub(crate) fn and(self, rhs: Word) -> Word {
         Word::new(self.0 & rhs.0)
     }
 
     /// Bitwise OR.
     #[inline]
-    pub fn or(self, rhs: Word) -> Word {
+    pub(crate) fn or(self, rhs: Word) -> Word {
         Word::new(self.0 | rhs.0)
     }
 
     /// Bitwise XOR.
     #[inline]
-    pub fn xor(self, rhs: Word) -> Word {
+    pub(crate) fn xor(self, rhs: Word) -> Word {
         Word::new(self.0 ^ rhs.0)
     }
 
     /// Logical-ish left shift (wraps into 24 bits).
     #[inline]
     #[allow(clippy::should_implement_trait)]
-    pub fn shl(self, shift: u32) -> Word {
+    pub(crate) fn shl(self, shift: u32) -> Word {
         Word::from_i64((self.0 as i64) << (shift.min(48)))
     }
 
     /// Arithmetic right shift.
     #[inline]
     #[allow(clippy::should_implement_trait)]
-    pub fn shr(self, shift: u32) -> Word {
+    pub(crate) fn shr(self, shift: u32) -> Word {
         Word::new(self.0 >> shift.min(31))
     }
 
     /// True if the word is non-zero (the data→event conversion rule).
     #[inline]
-    pub fn truthy(self) -> bool {
+    pub(crate) fn truthy(self) -> bool {
         self.0 != 0
     }
 }
@@ -168,14 +165,7 @@ impl From<Word> for i32 {
 
 /// A 1-bit event packet (the XPP event network carries these alongside data).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, PartialOrd, Ord)]
-pub struct Event(pub bool);
-
-impl Event {
-    /// The `true` event.
-    pub const SET: Event = Event(true);
-    /// The `false` event.
-    pub const CLEAR: Event = Event(false);
-}
+pub(crate) struct Event(pub bool);
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -186,6 +176,9 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Largest positive [`Word`] value, `2²³ − 1`.
+    const WORD_MAX: i32 = (1 << (WORD_BITS - 1)) - 1;
 
     #[test]
     fn new_wraps_to_24_bits() {
@@ -252,7 +245,7 @@ mod tests {
         assert_eq!(format!("{w}"), "42");
         assert_eq!(format!("{w:x}"), "2a");
         assert_eq!(format!("{:x}", Word::new(-1)), "ffffff");
-        assert_eq!(format!("{}", Event::SET), "1");
+        assert_eq!(format!("{}", Event(true)), "1");
     }
 
     #[test]

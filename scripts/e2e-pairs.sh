@@ -31,7 +31,11 @@
 # end-to-end metric. Every metric of every
 # run is kept as raw "<pair> <side> <workload> <metric> <value>" lines in
 # target/e2e-pairs/results.txt, which the next run overwrites; the last
-# line printed is that path. Exits 1 if any run failed.
+# line printed is that path. A run that fails prints its report header
+# (`== <workload> ...: N failed ==`, on stdout) and the tail of its stderr
+# (where a worker panic lands), and keeps both streams whole as
+# target/e2e-pairs/failed/<pair>-<side>-<workload>.{out,err}, a directory
+# the next run clears with results.txt. Exits 1 if any run failed.
 set -eu
 
 usage() {
@@ -68,6 +72,7 @@ bench=$repo/BENCHMARK.json
 workloads=$(jq -r '.workloads[].name' "$bench")
 metrics=$(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$bench")
 results=$repo/target/e2e-pairs/results.txt
+failed_dir=$repo/target/e2e-pairs/failed
 mkdir -p "${results%/*}"
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/e2e-pairs.XXXXXX")
@@ -109,7 +114,12 @@ run() {
         CARGO_TARGET_DIR=$work/$side/target RUSTFLAGS=$rustflags \
             $cmd --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" \
             >"$out" 2>"$work/$side/run.err"); then
-        echo "$side $workload (pair $pair) failed:" >&2
+        kept=$failed_dir/$pair-$side-$workload
+        mkdir -p "$failed_dir"
+        cp "$out" "$kept.out"
+        cp "$work/$side/run.err" "$kept.err"
+        echo "$side $workload (pair $pair) failed, kept as $kept.{out,err}:" >&2
+        grep '^== .* failed ==$' "$out" >&2 || true
         tail -5 "$work/$side/run.err" >&2
         failed=1
         return
@@ -123,6 +133,7 @@ build parent "$parent"
 build head HEAD
 failed=
 : >"$results"
+rm -rf "$failed_dir"
 i=1
 while [ "$i" -le "$pairs" ]; do
     for workload in $workloads; do
@@ -208,4 +219,7 @@ else
     done
 fi
 echo "raw results: $results"
-[ -z "$failed" ]
+[ -z "$failed" ] || {
+    echo "failed runs: $failed_dir" >&2
+    exit 1
+}
