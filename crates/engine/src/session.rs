@@ -25,6 +25,8 @@
 //! wrong bits, so cross-session state pollution on a shared array is
 //! caught immediately.
 
+use std::sync::OnceLock;
+
 use sdr_dsp::fft::Fft64Fixed;
 use sdr_dsp::rng::Rng64;
 use sdr_dsp::Cplx;
@@ -488,6 +490,15 @@ impl ParkedSession {
 /// or by rehydration, so a stage that finds no code is a state-machine bug.
 const NO_CAPTURE: &str = "wcdma session stepped past Idle without a capture";
 
+/// The one cell every W-CDMA terminal receives: the transmitter of
+/// [`CellConfig::default`], a template each capture clones (the clone
+/// shares its scrambling code). Built on the first capture, never at
+/// rehydration; every capture after it generates no code.
+fn default_cell() -> &'static CellTransmitter {
+    static CELL: OnceLock<CellTransmitter> = OnceLock::new();
+    CELL.get_or_init(|| CellTransmitter::new(CellConfig::default()))
+}
+
 #[derive(Debug)]
 struct WcdmaTerminal {
     seed: u64,
@@ -495,10 +506,10 @@ struct WcdmaTerminal {
     bits: Vec<u8>,
     true_delay: usize,
     rx: Vec<Cplx<i32>>,
-    /// The cell's scrambling code, generated with the capture it belongs
+    /// The default cell's scrambling code, set by the capture it belongs
     /// to: a fresh terminal (and a fresh parked record's rehydration) holds
     /// neither.
-    code: Option<ScramblingCode>,
+    code: Option<&'static ScramblingCode>,
 }
 
 impl Terminal for WcdmaTerminal {
@@ -525,8 +536,8 @@ impl Terminal for WcdmaTerminal {
     /// digitize.
     fn capture(&mut self) {
         use wcdma::channel::{propagate, AdcConfig, CellLink, Path};
-        let mut tx = CellTransmitter::new(self.cell);
-        let signal = tx.transmit(&self.bits);
+        let cell = default_cell();
+        let signal = cell.clone().transmit(&self.bits);
         let link = CellLink::new(vec![Path::new(self.true_delay, Cplx::new(0.8, 0.2))]);
         self.rx = propagate(
             &[(signal, link)],
@@ -534,7 +545,7 @@ impl Terminal for WcdmaTerminal {
             self.seed ^ 0x5EED,
             AdcConfig::default(),
         );
-        self.code = Some(tx.scrambling_code().clone());
+        self.code = Some(cell.scrambling_code());
     }
 }
 
@@ -542,7 +553,7 @@ impl WcdmaTerminal {
     /// CPICH path search (DSP-side in the paper's partitioning). Carries the
     /// found path delay — the only DSP state the finger needs.
     fn search(&mut self, carry: &mut u32, _: &mut WorkerArray) -> StageResult {
-        let Some(code) = &self.code else {
+        let Some(code) = self.code else {
             return fail(NO_CAPTURE);
         };
         let hits = PathSearcher::default().search(&self.rx, code);
@@ -563,7 +574,7 @@ impl WcdmaTerminal {
     /// despread (Fig. 6) in one cached configuration — then
     /// estimate/correct/decide on the DSP.
     fn track(&mut self, carry: &mut u32, worker: &mut WorkerArray) -> StageResult {
-        let Some(code) = &self.code else {
+        let Some(code) = self.code else {
             return fail(NO_CAPTURE);
         };
         let rx = &self.rx;
@@ -933,6 +944,45 @@ mod tests {
             drive_to_terminal(&mut s, &mut worker);
             assert_eq!(*s.state(), SessionState::Done, "seed {seed}");
         }
+    }
+
+    /// FNV-1a over every W-CDMA capture and its DSP results for session
+    /// seeds 0..256: the received samples, the path search's hits, the
+    /// golden finger's symbols and the channel estimate. The pinned value
+    /// was recorded with the complex-multiply kernels that the ±1 kernels
+    /// replaced, so it holds them bit-exact on the engine's own inputs.
+    #[test]
+    fn wcdma_captures_and_searches_repeat_bit_for_bit() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for seed in 0..256 {
+            let mut t = WcdmaTerminal::new(seed);
+            t.capture();
+            let code = t.code.expect("a capture");
+            for c in &t.rx {
+                eat(c.re as u64);
+                eat(c.im as u64);
+            }
+            for hit in PathSearcher::default().search(&t.rx, code) {
+                eat(hit.delay as u64);
+                eat(hit.energy as u64);
+            }
+            let (sf, delay) = (t.cell.dpch.sf, t.true_delay);
+            let n = (t.rx.len() - delay) / sf * sf;
+            let chips = descramble(&t.rx, code, delay, 0, n);
+            for s in despread(&chips, sf, t.cell.dpch.code_index) {
+                eat(s.re as u64);
+                eat(s.im as u64);
+            }
+            let est = estimate_channel(&t.rx, code, delay, 8);
+            eat(est.re.to_bits());
+            eat(est.im.to_bits());
+        }
+        assert_eq!(h, 0x639f_8b5b_f74c_124a, "capture digest {h:#018x}");
     }
 
     #[test]

@@ -38,8 +38,18 @@
 //!   the plain recurrence, whose nearest tap is eight bits back.
 //!
 //! The frame is stored packed (two bits per chip, 9.6 KB). Generation
-//! costs about ten microseconds, so nothing caches codes by number:
-//! like the paper's hardware block, the generator is simply cheap.
+//! costs about ten microseconds, so this crate caches no code by number:
+//! like the paper's hardware block, the generator is simply cheap. The
+//! engine's terminals all receive one default cell, so `sdr-engine`
+//! prepares that cell's transmitter and code once and shares them.
+//!
+//! # Sign masks
+//!
+//! A chip bit `c` stands for the factor `1 − 2c`, so the host kernels
+//! never multiply by a code chip: `ScramblingCode::sign_masks` turns the
+//! packed bits into masks `m = −c` (0 or all ones), and `(x ^ m) − m` is
+//! `x` or `−x` — the same wrapping product `x · (1 − 2c)` in two integer
+//! operations that vectorise.
 
 use sdr_dsp::Cplx;
 
@@ -216,6 +226,37 @@ impl ScramblingCode {
         let [ci, cq] = self.words[i / 64];
         ((ci >> (i % 64) & 1) as u8, (cq >> (i % 64) & 1) as u8)
     }
+
+    /// Fills `mi` and `mq` with the sign masks `−cᵢ` and `−c_q` of the
+    /// chips from frame position `phase` on (wrapping at the frame
+    /// boundary, like [`chip`](Self::chip)), one word of packed bits at a
+    /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub(crate) fn sign_masks(&self, phase: usize, mi: &mut [i32], mq: &mut [i32]) {
+        assert_eq!(mi.len(), mq.len(), "one mask per chip and branch");
+        let (mut pos, mut done) = (phase % FRAME_CHIPS, 0);
+        while done < mi.len() {
+            let ([wi, wq], bit) = (self.words[pos / 64], pos % 64);
+            let run = (64 - bit).min(mi.len() - done);
+            let chips = done..done + run;
+            for (b, (si, sq)) in (bit..).zip(mi[chips.clone()].iter_mut().zip(&mut mq[chips])) {
+                *si = -((wi >> b & 1) as i32);
+                *sq = -((wq >> b & 1) as i32);
+            }
+            done += run;
+            pos = (pos + run) % FRAME_CHIPS;
+        }
+    }
+}
+
+/// `x · (1 − 2c)` for the sign mask `m = −c`: a negation where the chip is
+/// `−1`, wrapping exactly as the multiply does.
+#[inline(always)]
+pub(crate) fn flip(x: i32, m: i32) -> i32 {
+    (x ^ m).wrapping_sub(m)
 }
 
 #[cfg(test)]
@@ -377,6 +418,26 @@ mod tests {
             assert_eq!(c.re, 1 - 2 * ci as i32);
             assert_eq!(c.im, 1 - 2 * cq as i32);
         }
+    }
+
+    #[test]
+    fn sign_masks_match_the_chips_across_the_frame_boundary() {
+        let code = ScramblingCode::downlink(11);
+        for (phase, n) in [
+            (0, 0),
+            (0, 300),
+            (63, 2),
+            (1000, 129),
+            (FRAME_CHIPS - 70, 200),
+        ] {
+            let (mut mi, mut mq) = (vec![7; n], vec![7; n]);
+            code.sign_masks(phase, &mut mi, &mut mq);
+            for k in 0..n {
+                let chip = code.chip(phase + k);
+                assert_eq!((flip(1, mi[k]), flip(1, mq[k])), (chip.re, chip.im));
+            }
+        }
+        assert_eq!(flip(i32::MIN, -1), i32::MIN.wrapping_mul(-1));
     }
 
     #[test]

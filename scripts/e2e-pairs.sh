@@ -28,10 +28,13 @@
 #   flat         otherwise.
 # With `--trace` the table holds every per-layer metric instead, with the
 # same columns (no bound, so no "unresolved"): a traced run reports no
-# end-to-end metric. Every metric of every
-# run is kept as raw "<pair> <side> <workload> <metric> <value>" lines in
-# target/e2e-pairs/results.txt, which the next run overwrites; the last
-# line printed is that path. A run that fails prints its report header
+# end-to-end metric. Under the table, each side's lowest and highest 1-min
+# load average (/proc/loadavg), read just before each of its runs: a
+# verdict from a set whose load swung is worth repeating. Every metric of
+# every run is kept as raw "<pair> <side> <workload> <metric> <value>"
+# lines in target/e2e-pairs/results.txt (the load as metric
+# host.loadavg_1m), which the next run overwrites; the last line printed
+# is that path. A run that fails prints its report header
 # (`== <workload> ...: N failed ==`, on stdout) and the tail of its stderr
 # (where a worker panic lands), and keeps both streams whole as
 # target/e2e-pairs/failed/<pair>-<side>-<workload>.{out,err}, a directory
@@ -102,12 +105,15 @@ build() {
 }
 
 # Runs BENCHMARK.json's command on one side for one workload and appends
-# "<pair> <side> <workload> <metric> <value>" lines to $results.
+# "<pair> <side> <workload> <metric> <value>" lines to $results, the first
+# of them the host's 1-min load average just before the run.
 run() {
     pair=$1
     side=$2
     workload=$3
     out=$work/$side/run.out
+    read -r load _ </proc/loadavg
+    echo "$pair $side $workload host.loadavg_1m $load" >>"$results"
     # The command is a JSON list of plain words (no spaces inside one).
     cmd=$(jq -r '.command | join(" ")' "$bench")
     if ! (cd "$work/$side/src" &&
@@ -218,6 +224,14 @@ else
         summarise "$metric" "$better" -
     done
 fi
+awk '$4 == "host.loadavg_1m" {
+        if (!($2 in lo) || $5 < lo[$2]) lo[$2] = $5
+        if (!($2 in hi) || $5 > hi[$2]) hi[$2] = $5
+    }
+    END {
+        printf "1-min load before a run: parent %s-%s, head %s-%s\n",
+            lo["parent"], hi["parent"], lo["head"], hi["head"]
+    }' "$results"
 echo "raw results: $results"
 [ -z "$failed" ] || {
     echo "failed runs: $failed_dir" >&2
