@@ -34,18 +34,19 @@
 //!   (the finger to each dump of its accumulators); both `saturated`
 //!   configurations are not, so that shape measures the dense pass alone.
 //!
-//! The `report` arm times the steppers in interleaved slices, prints the
-//! figures recorded in `BENCH_ARRAY.json` and EXPERIMENTS.md, and
-//! CI-fails if production falls below a floor over the reference on
-//! `saturated`, `rate_matched`, `finger` or `detector`. Each floor is a
-//! gate: the `rate_matched` one fails if the sleep rule breaks, the
-//! `saturated` one if the production runs lose what they gain over the
-//! general rule, the `detector` one if the full-rate blocks stop running
-//! and the `finger` one if its blocks stop stepping to the dump horizon.
+//! `main` first checks that both steppers end the `saturated` and
+//! `rate_matched` shapes with identical stats, then times the steppers in
+//! interleaved slices, prints the figures recorded in `BENCH_ARRAY.json`
+//! and EXPERIMENTS.md, and CI-fails if production falls below a floor
+//! over the reference on `saturated`, `rate_matched`, `finger` or
+//! `detector`. Each floor is a gate: the `rate_matched` one fails if the
+//! sleep rule breaks, the `saturated` one if the production runs lose what
+//! they gain over the general rule, the `detector` one if the full-rate
+//! blocks stop running and the `finger` one if its blocks stop stepping to
+//! the dump horizon.
 
 use std::rc::Rc;
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdr_dsp::Cplx;
 use sdr_ofdm::rx::autocorr_metric;
 use sdr_ofdm::xpp_map::{
@@ -58,10 +59,10 @@ use sdr_wcdma::ScramblingCode;
 use xpp_array::array::with_reference_stepper;
 use xpp_array::{Array, ConfigId, Netlist, Word};
 
-/// Cycles stepped per measured iteration (both workload shapes).
-pub const CYCLES: u64 = 20_000;
+/// Cycles each workload shape runs in the equivalence check.
+const CYCLES: u64 = 20_000;
 
-/// Rate-matched shape: bursts per iteration and array cycles per burst.
+/// Rate-matched shape: bursts per check and array cycles per burst.
 const SLOTS: u64 = 5;
 const SLOT_CYCLES: u64 = CYCLES / SLOTS;
 
@@ -121,16 +122,10 @@ fn feed(array: &mut Array, fft: ConfigId, dsp: ConfigId, seed: i32, words: [i32;
 
 /// Queues `words` tokens on every input port so the array stays busy for
 /// the whole measured window.
-fn saturated_array_n(words: i32) -> Array {
+fn saturated_array(words: i32) -> Array {
     let (mut array, fft, dsp) = loaded_array();
     feed(&mut array, fft, dsp, 1, [words, words]);
     array
-}
-
-/// Default saturated shape: enough input to cover `CYCLES` plus detector
-/// warm-up.
-fn saturated_array() -> Array {
-    saturated_array_n(28_000)
 }
 
 /// One slot of the rate-matched shape: a chip burst for the despreader and
@@ -141,81 +136,21 @@ fn run_slot(array: &mut Array, fft: ConfigId, dsp: ConfigId, slot: u64) {
     array.run(SLOT_CYCLES);
 }
 
-/// One measured iteration of the rate-matched shape: `SLOTS` slots.
-fn run_rate_matched(mut array: Array, fft: ConfigId, dsp: ConfigId) -> xpp_array::ArrayStats {
+/// Not a measurement: both steppers must end each workload shape with
+/// identical stats, so the ratios [`report`] prints compare like for like.
+fn check_equivalence() {
+    let saturated = || saturated_array(28_000);
+    let [mut fast, mut slow] = [saturated(), with_reference_stepper(saturated)];
+    fast.run(CYCLES);
+    slow.run(CYCLES);
+    assert_eq!(fast.stats(), slow.stats(), "saturated");
+    let [mut fast, mut slow] = [loaded_array(), with_reference_stepper(loaded_array)];
     for slot in 0..SLOTS {
-        run_slot(&mut array, fft, dsp, slot);
+        for (array, fft, dsp) in [&mut fast, &mut slow] {
+            run_slot(array, *fft, *dsp, slot);
+        }
     }
-    array.stats()
-}
-
-fn bench_array_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("array_step");
-    g.bench_function("production_saturated", |b| {
-        b.iter_batched(
-            saturated_array,
-            |mut a| {
-                a.run(CYCLES);
-                a.stats()
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("reference_saturated", |b| {
-        b.iter_batched(
-            || with_reference_stepper(saturated_array),
-            |mut a| {
-                a.run(CYCLES);
-                a.stats()
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("production_rate_matched", |b| {
-        b.iter_batched(
-            loaded_array,
-            |(a, fft, dsp)| run_rate_matched(a, fft, dsp),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("reference_rate_matched", |b| {
-        b.iter_batched(
-            || with_reference_stepper(loaded_array),
-            |(a, fft, dsp)| run_rate_matched(a, fft, dsp),
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-/// Not a measurement: asserts both steppers produce identical stats on
-/// both workload shapes, so the speedup numbers always compare like for
-/// like.
-fn bench_sanity(c: &mut Criterion) {
-    c.bench_function("array_step/equivalence_check", |b| {
-        b.iter_batched(
-            || {
-                (
-                    saturated_array(),
-                    with_reference_stepper(saturated_array),
-                    loaded_array(),
-                    with_reference_stepper(loaded_array),
-                )
-            },
-            |(mut fast, mut slow, burst_fast, burst_slow)| {
-                fast.run(CYCLES);
-                slow.run(CYCLES);
-                assert_eq!(fast.stats(), slow.stats());
-                let (a, fft, dsp) = burst_fast;
-                let (b, fft2, dsp2) = burst_slow;
-                assert_eq!(
-                    run_rate_matched(a, fft, dsp),
-                    run_rate_matched(b, fft2, dsp2)
-                );
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    assert_eq!(fast.0.stats(), slow.0.stats(), "rate_matched");
 }
 
 /// Interleaved slices per round and rounds per shape of the report
@@ -223,7 +158,7 @@ fn bench_sanity(c: &mut Criterion) {
 const SLICES: u64 = 10;
 const ROUNDS: usize = 3;
 
-/// What the report arm measured for one shape.
+/// What the report measured for one shape.
 struct ShapeReport {
     /// Simulated cycles per host second: production, reference (totals
     /// over every slice of every round).
@@ -272,7 +207,7 @@ fn measure<A>(cycles: u64, setup: impl Fn() -> A, slice: impl Fn(&mut A, u64)) -
     }
 }
 
-/// One engine kernel as the report arm times it: a job run on a resident,
+/// One engine kernel as the report times it: a job run on a resident,
 /// warm configuration, and the golden function it must equal.
 struct Kernel {
     name: &'static str,
@@ -359,7 +294,7 @@ fn kernels() -> [Kernel; 3] {
 /// Jobs per stepper per slice of a kernel shape.
 const JOBS: u64 = 3;
 
-/// What the report arm measured for one kernel shape.
+/// What the report measured for one kernel shape.
 struct KernelReport {
     /// ns per object visit: production, reference (totals over every slice
     /// of every round).
@@ -436,10 +371,9 @@ fn measure_kernel(kernel: &Kernel) -> KernelReport {
     }
 }
 
-/// Not a timing measurement in criterion's sense: times both steppers
-/// inline on both shapes, prints the BENCH_ARRAY.json report numbers, and
-/// asserts each shape's floor over the reference.
-fn bench_report(_c: &mut Criterion) {
+/// Times both steppers on every shape, prints the BENCH_ARRAY.json report
+/// numbers, and asserts each floored shape's floor over the reference.
+fn report() {
     /// Saturated warm-up before the timed window (pipelines full) and
     /// cycles per slice.
     const WARM_CYCLES: u64 = 4_000;
@@ -448,7 +382,7 @@ fn bench_report(_c: &mut Criterion) {
     let saturated = measure(
         SLICE,
         || {
-            let mut a = saturated_array_n(words);
+            let mut a = saturated_array(words);
             a.run(WARM_CYCLES);
             a
         },
@@ -502,9 +436,7 @@ fn bench_report(_c: &mut Criterion) {
     }
 }
 
-criterion_group! {
-    name = array_benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_array_step, bench_sanity, bench_report
+fn main() {
+    check_equivalence();
+    report();
 }
-criterion_main!(array_benches);

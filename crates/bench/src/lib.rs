@@ -1,6 +1,5 @@
-//! Shared workload generators for the report binary and the Criterion
-//! benches: deterministic pseudo-random streams sized like the paper's
-//! workloads.
+//! Workload generators for the report binary: deterministic pseudo-random
+//! streams sized like the paper's workloads.
 
 use sdr_dsp::Cplx;
 use xpp_array::{Array, ConfigId, Netlist};
@@ -24,11 +23,6 @@ pub fn chips_12bit(n: usize, seed: u32) -> Vec<Cplx<i32>> {
     lcg_stream(n, seed, 4096)
 }
 
-/// Deterministic 10-bit I/Q sample stream (the OFDM front end's width).
-pub fn samples_10bit(n: usize, seed: u32) -> Vec<Cplx<i32>> {
-    lcg_stream(n, seed, 1024)
-}
-
 fn lcg_stream(n: usize, seed: u32, span: u32) -> Vec<Cplx<i32>> {
     let mut s = seed.wrapping_mul(2654435761).wrapping_add(12345);
     let mut out = Vec::with_capacity(n);
@@ -49,9 +43,9 @@ pub fn bits(n: usize, seed: u32) -> Vec<u8> {
         .collect()
 }
 
-/// One 64-sample FFT frame at 10-bit scale.
+/// One 64-sample FFT frame at 10-bit scale (the OFDM front end's width).
 pub fn fft_frame(seed: u32) -> [Cplx<i32>; 64] {
-    let v = samples_10bit(64, seed);
+    let v = lcg_stream(64, seed, 1024);
     let mut buf = [Cplx::<i32>::ZERO; 64];
     buf.copy_from_slice(&v);
     buf
@@ -67,8 +61,8 @@ mod tests {
         let b = chips_12bit(100, 7);
         assert_eq!(a, b);
         assert!(a.iter().all(|c| c.re.abs() <= 2048 && c.im.abs() <= 2048));
-        let s = samples_10bit(50, 1);
-        assert!(s.iter().all(|c| c.re.abs() <= 512));
+        let s = fft_frame(1);
+        assert!(s.iter().all(|c| c.re.abs() <= 512 && c.im.abs() <= 512));
     }
 
     #[test]

@@ -459,17 +459,17 @@ impl WorkerArray {
     /// # Errors
     ///
     /// Returns an error if the array rejects the unload.
-    pub fn deactivate(&mut self, spec: impl Into<KernelSpec>) -> XppResult<bool> {
+    pub(crate) fn deactivate(&mut self, spec: impl Into<KernelSpec>) -> XppResult<bool> {
         match self.resident_index(&spec.into()) {
             Some(pos) => self.unload_resident(pos).map(|()| true),
             None => Ok(false),
         }
     }
 
-    /// The explicit Fig. 10 swap: [`deactivate`](WorkerArray::deactivate)
-    /// `from`, then [`activate`](WorkerArray::activate) `to` in the freed
-    /// resources. The engine's sessions do not call it; the reconfig bench
-    /// times it and the frozen benchmark package calls it.
+    /// The explicit Fig. 10 swap: unloads `from` if resident, then
+    /// [`activate`](WorkerArray::activate)s `to` in the freed
+    /// resources. The engine's sessions do not call it; the frozen benchmark
+    /// package times it, and a unit test pins its 48-cycle wait.
     ///
     /// # Errors
     ///
@@ -702,10 +702,22 @@ mod tests {
 
     #[test]
     fn swap_unloads_the_source_and_reuses_stored_configs() {
+        // The Fig. 10 swap as a session would meet it: the detector has
+        // run for a while when the preamble is found. Returns the array
+        // cycles the swap waited for 2b to load.
+        fn fig10_swap(w: &mut WorkerArray) -> u64 {
+            for _ in 0..1_000 {
+                w.array_mut().step();
+            }
+            let before = w.array().stats().cycles;
+            let id = w.swap(DETECTOR, DEMODULATOR).unwrap();
+            assert!(w.array().is_running(id), "2b runs once the swap returns");
+            w.array().stats().cycles - before
+        }
         let metrics = Arc::new(Metrics::new());
         let mut w = WorkerArray::new(4, Arc::clone(&metrics));
         w.activate(DETECTOR).unwrap();
-        w.swap(DETECTOR, DEMODULATOR).unwrap();
+        assert_eq!(fig10_swap(&mut w), 48, "cold: 48 configuration-bus cycles");
         assert!(!w.is_resident(DETECTOR));
         assert!(w.is_resident(DEMODULATOR));
         // Swapping back: the detector config comes from the store.
@@ -713,6 +725,9 @@ mod tests {
         assert!(!w.is_resident(DEMODULATOR));
         assert_eq!(w.store.misses(), 2, "each kernel compiled exactly once");
         assert_eq!(w.store.hits(), 1, "re-activation served from the store");
+        // A store hit skips the compile, not the bus load.
+        assert_eq!(fig10_swap(&mut w), 48, "store hit: the same 48 bus cycles");
+        assert_eq!(w.store.hits(), 2);
     }
 
     #[test]

@@ -306,8 +306,8 @@ impl Frontend {
 
     /// As [`Frontend::run`] but stops once `limit` frames have
     /// completed, leaving the rest parked ([`ScaleSummary::still_parked`]
-    /// reports how many). This is how the scale bench holds a million
-    /// terminals resident while processing a bounded sample of them.
+    /// reports how many). This is how the million-terminal test holds
+    /// every record parked while processing a bounded sample of them.
     pub fn run_limited(&mut self, limit: u64, workload: &mut impl Workload) -> ScaleSummary {
         loop {
             let progress = self.pump(workload);

@@ -91,8 +91,9 @@ impl ParkingLot {
         self.heap.capacity() * std::mem::size_of::<Reverse<Entry>>()
     }
 
-    /// Heap bytes per parked record at the current occupancy (the
-    /// `BENCH_SCALE.json` footprint figure); `None` while empty.
+    /// Heap bytes per parked record at the current occupancy (40.0 for a
+    /// lot filled to its capacity, which `frontend_backpressure` pins at a
+    /// million records); `None` while empty.
     pub fn bytes_per_parked(&self) -> Option<f64> {
         if self.heap.is_empty() {
             None

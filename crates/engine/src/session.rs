@@ -870,8 +870,8 @@ mod tests {
     #[test]
     fn parked_record_is_compact_and_terminal_sessions_do_not_park() {
         // The pinned footprint budget: a parked session is a few dozen
-        // bytes, never a sample buffer. Bumping this requires a
-        // corresponding BENCH_SCALE.json / DESIGN.md §13 update.
+        // bytes, never a sample buffer. Bumping this moves the 40-byte
+        // figure `frontend_backpressure` pins and DESIGN.md §13 quotes.
         assert!(
             std::mem::size_of::<ParkedSession>() <= 48,
             "ParkedSession grew past the 48-byte budget: {} bytes",

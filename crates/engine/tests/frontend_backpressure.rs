@@ -12,10 +12,12 @@
 //!    modeled slack vectors (the virtual-time admission model is a pure
 //!    function of the admission sequence, independent of real thread
 //!    scheduling).
-//! 3. Under overload that model is plain least-loaded admission: a
-//!    512-terminal run at twice the modeled capacity sheds exactly the
-//!    frames, and reports exactly the slack, that a ten-line oracle over
-//!    the same records computes.
+//! 3. That model is plain least-loaded admission: at each point of an
+//!    offered-load sweep up to twice the modeled capacity it sheds exactly
+//!    the frames, and reports exactly the slack, that a ten-line oracle
+//!    over the same records computes.
+//! 4. A million terminals park at 40 heap bytes each while a sample of
+//!    them runs: exact counts, no shed, and the p99 slack, at ρ 0.4.
 
 mod common;
 
@@ -103,7 +105,7 @@ fn the_window_offers_the_pool_only_what_it_can_take() {
 
 /// `n` seeded open-loop Poisson arrivals: exponential interarrivals with
 /// the given mean (in array cycles), mixed standards — the arrival process
-/// of the scale bench's overload sweep.
+/// of the offered-load sweep and the million-terminal headline below.
 fn poisson_records(seed: u64, n: u64, mean_interarrival: f64) -> Vec<ParkedSession> {
     let mut rng = Rng64::seed_from_u64(seed);
     let mut arrival = 0u64;
@@ -161,50 +163,119 @@ fn seeded_poisson_arrivals_are_bit_deterministic() {
     assert_ne!(a.slack_cycles, c.slack_cycles);
 }
 
-/// The admission rule, pinned under overload: 512 mixed terminals offered
-/// at twice the modeled capacity of 4 × 1 arrays. The front-end must shed
-/// and report slack exactly as plain least-loaded admission does — fresh
-/// records in (deadline, id) order, least-loaded virtual server, lowest
-/// index on a tie, shed when the modeled completion overruns the deadline
-/// by more than `shed_lateness_cycles`.
-#[test]
-fn overload_admission_is_plain_least_loaded() {
-    const WORKERS: usize = 4;
-    let config = EngineConfig {
+/// Arrays of the sweep and headline pool (4 × 1, 32-deep queues).
+const WORKERS: usize = 4;
+
+fn four_arrays(parking_capacity: usize) -> EngineConfig {
+    EngineConfig {
         shards: WORKERS,
         arrays_per_shard: 1,
         queue_depth: 32,
-        parking_capacity: 512,
+        parking_capacity,
         ..EngineConfig::default()
-    };
-    let mean_service = (WCDMA_SERVICE_CYCLES + OFDM_SERVICE_CYCLES) as f64 / 2.0;
-    let mut records = poisson_records(0xE5C0E, 512, mean_service / (2.0 * WORKERS as f64));
-    let summary = run(Driver::Threads, config.clone(), &[], &records).1;
-
-    assert_eq!(summary.done, 287);
-    assert_eq!(summary.shed.len(), 225);
-    assert_eq!(summary.p99_slack(), Some(-66_639));
-
-    records.sort_by_key(|r| (r.deadline(), r.id()));
-    let mut free_at = [0u64; WORKERS];
-    let (mut shed, mut slack) = (Vec::new(), Vec::new());
-    for r in &records {
-        let server = (0..WORKERS).min_by_key(|&i| (free_at[i], i)).unwrap();
-        let service = match r.standard() {
-            Standard::Wcdma => WCDMA_SERVICE_CYCLES,
-            Standard::Ofdm => OFDM_SERVICE_CYCLES,
-        };
-        let completes = free_at[server].max(r.arrival()) + service;
-        if completes.saturating_sub(r.deadline()) > config.shed_lateness_cycles {
-            shed.push(r.id());
-        } else {
-            free_at[server] = completes;
-            slack.push(r.deadline() as i64 - completes as i64);
-        }
     }
-    assert_eq!(summary.shed, shed, "shed decisions match the oracle");
+}
+
+/// The mean interarrival (array cycles) that offers `rho` of the four
+/// arrays' modeled capacity to the mixed stream.
+fn interarrival_at(rho: f64) -> f64 {
+    (WCDMA_SERVICE_CYCLES + OFDM_SERVICE_CYCLES) as f64 / 2.0 / (rho * WORKERS as f64)
+}
+
+/// The admission rule at the four points of the offered-load sweep (ρ
+/// 0.25, 0.5, 1.0 and 2.0 of the modeled capacity of 4 × 1 arrays, 256
+/// terminals each) and on a 512-terminal run at twice that capacity. The
+/// front-end must shed and report slack exactly as plain least-loaded
+/// admission does — fresh records in (deadline, id) order, least-loaded
+/// virtual server, lowest index on a tie, shed when the modeled completion
+/// overruns the deadline by more than `shed_lateness_cycles`. At ρ ≤ 1.0
+/// the tail is late (negative slack from ρ 1.0) but inside that margin, so
+/// nothing sheds until ρ 2.0.
+#[test]
+fn overload_admission_is_plain_least_loaded() {
+    // (seed, terminals, ρ) → (completed, shed, p99 slack, min slack).
+    let points = [
+        ((0xF10, 256, 0.25), (256, 0, 12_500, 12_500)),
+        ((0xF11, 256, 0.5), (256, 0, 7_728, 7_531)),
+        ((0xF12, 256, 1.0), (256, 0, -36_938, -41_513)),
+        ((0xF13, 256, 2.0), (178, 78, -66_619, -66_655)),
+        ((0xE5C0E, 512, 2.0), (287, 225, -66_639, -66_665)),
+    ];
+    for ((seed, n, rho), expected) in points {
+        let config = four_arrays(n as usize);
+        let mut records = poisson_records(seed, n, interarrival_at(rho));
+        let summary = run(Driver::Threads, config.clone(), &[], &records).1;
+
+        let label = format!("ρ {rho}, {n} terminals");
+        assert_eq!(summary.done, summary.frames_completed, "{label}: all Done");
+        assert_eq!(
+            (
+                summary.frames_completed,
+                summary.shed.len(),
+                summary.p99_slack(),
+                summary.min_slack()
+            ),
+            (expected.0, expected.1, Some(expected.2), Some(expected.3)),
+            "{label}: completed, shed, p99 and min slack"
+        );
+
+        records.sort_by_key(|r| (r.deadline(), r.id()));
+        let mut free_at = [0u64; WORKERS];
+        let (mut shed, mut slack) = (Vec::new(), Vec::new());
+        for r in &records {
+            let server = (0..WORKERS).min_by_key(|&i| (free_at[i], i)).unwrap();
+            let service = match r.standard() {
+                Standard::Wcdma => WCDMA_SERVICE_CYCLES,
+                Standard::Ofdm => OFDM_SERVICE_CYCLES,
+            };
+            let completes = free_at[server].max(r.arrival()) + service;
+            if completes.saturating_sub(r.deadline()) > config.shed_lateness_cycles {
+                shed.push(r.id());
+            } else {
+                free_at[server] = completes;
+                slack.push(r.deadline() as i64 - completes as i64);
+            }
+        }
+        assert_eq!(
+            summary.shed, shed,
+            "{label}: shed decisions match the oracle"
+        );
+        assert_eq!(
+            summary.slack_cycles, slack,
+            "{label}: modeled slack matches the oracle"
+        );
+    }
+}
+
+/// The million-terminal headline: 1,000,000 terminals admitted at ρ 0.4
+/// over 4 × 1 arrays and held parked while the first 200 frames to
+/// complete (and the window in flight behind them) run through the pool.
+/// Every figure is exact: the lockstep driver fixes how many frames the
+/// window holds when the limit is reached (on the thread driver it has
+/// been 264 and 270, as completions happen to batch).
+#[test]
+fn a_million_terminals_park_in_forty_bytes_each() {
+    const TERMINALS: u64 = 1_000_000;
+    const PROCESSED: u64 = 264;
+    let config = four_arrays(TERMINALS as usize);
+    let mut fe = Frontend::lockstep(config, Arc::new(Metrics::new()));
+    for record in poisson_records(0x5CA1E, TERMINALS, interarrival_at(0.4)) {
+        fe.admit(record);
+    }
     assert_eq!(
-        summary.slack_cycles, slack,
-        "modeled slack matches the oracle"
+        fe.bytes_per_parked(),
+        Some(40.0),
+        "heap bytes per parked record"
     );
+
+    let summary = fe.run_limited(200, &mut open_loop);
+    assert_eq!(summary.peak_parked, TERMINALS);
+    assert_eq!(
+        (summary.frames_completed, summary.done),
+        (PROCESSED, PROCESSED),
+        "the processed frames all end Done"
+    );
+    assert_eq!(summary.still_parked, TERMINALS - PROCESSED);
+    assert_eq!(summary.shed, [], "no shed at ρ 0.4");
+    assert_eq!(summary.p99_slack(), Some(10_484));
 }

@@ -7,7 +7,8 @@
 //!   heap allocations — a million waiting terminals cost exactly the
 //!   lot's preallocated slab, nothing per-park;
 //! * the per-parked-session heap footprint at full occupancy stays
-//!   under the 64-byte budget `BENCH_SCALE.json` reports against.
+//!   under a 64-byte budget (`frontend_backpressure` pins the exact 40.0
+//!   at a million records).
 //!
 //! The allocator counts per thread and the test reads only its own
 //! thread's count: other threads of the test process allocate at times
